@@ -569,7 +569,11 @@ fn bench_enumeration(c: &mut Criterion) {
 /// the chosen placement, lower is better — exported under the JSON
 /// `metrics` key with an explicit unit so the cost-vs-candidates-scored
 /// trajectory is tracked in BENCH_micro.json without masquerading as a
-/// timing).
+/// timing). `search_score_per_candidate` (CI-gated) is what one candidate
+/// costs inside the scorer during that LocalSearch — `SearchStats`'
+/// `score_ns / candidates_scored`, the fastest of 20 searches — i.e. the
+/// in-process production path (one plan, three fused passes per batch)
+/// at a search's real batch sizes.
 fn bench_optimizer_search(c: &mut Criterion) {
     use costream::search::{
         BeamSearch, EnsembleScorer, LocalSearch, PlacementSearch, RandomEnumeration, SearchProblem,
@@ -629,6 +633,14 @@ fn bench_optimizer_search(c: &mut Criterion) {
         "  equal-budget check (<= random {:.2}): beam {:.2}, local {:.2}",
         best_costs[0], best_costs[1], best_costs[2]
     );
+
+    let per_candidate = (0..20)
+        .map(|_| {
+            let stats = LocalSearch::default().search(&problem, &scorer, BUDGET, SEED).stats;
+            stats.score_ns as f64 / stats.candidates_scored as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+    criterion::register_result("search_score_per_candidate", per_candidate);
 }
 
 /// The learned co-run interference model's measure → fit loop: wall

@@ -4,11 +4,18 @@
 //! metric that differ only in their random initialization seed. At
 //! inference time regression predictions are averaged and classification
 //! predictions are combined by majority vote.
+//!
+//! Two forward paths exist. The **production path** is the member-fused
+//! view ([`Ensemble::fused`]): every `predict_*` entry point here, the
+//! placement search's [`EnsembleScorer`](crate::search::EnsembleScorer)
+//! and `costream-serve`'s workers run it. The **reference path** is the
+//! sequential member loop [`Ensemble::predict_plans_arena`], the oracle
+//! the bitwise tests hold the production path to.
 
 use crate::dataset::{Corpus, CorpusItem};
 use crate::fused::{FusedEnsemble, Precision};
 use crate::graph::{Featurization, JointGraph};
-use crate::model::{inference_chunk, ModelConfig};
+use crate::model::ModelConfig;
 use crate::plan::{BatchPlan, PlanCache};
 #[cfg(test)]
 use crate::train::train_metric;
@@ -17,13 +24,18 @@ use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
-/// An ensemble of models for one cost metric.
+/// An ensemble of models for one cost metric. The members cannot change
+/// once it is built, so the view behind [`Ensemble::fused`] never goes stale.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Ensemble {
     /// The metric all members predict.
     pub metric: CostMetric,
     members: Vec<TrainedModel>,
+    /// Stacked on first use; a deserialized ensemble restacks it.
+    #[serde(skip)]
+    fused: OnceLock<FusedEnsemble>,
 }
 
 impl Ensemble {
@@ -43,7 +55,7 @@ impl Ensemble {
             .into_par_iter()
             .map(|i| train_prepared(&prepared, metric, &cfg.with_seed(cfg.seed.wrapping_add(1 + i as u64))))
             .collect();
-        Ensemble { metric, members }
+        Self::from_members(members)
     }
 
     /// Wraps already-trained models.
@@ -54,7 +66,11 @@ impl Ensemble {
         assert!(!members.is_empty(), "empty ensemble");
         let metric = members[0].metric;
         assert!(members.iter().all(|m| m.metric == metric), "mixed-metric ensemble");
-        Ensemble { metric, members }
+        Ensemble {
+            metric,
+            members,
+            fused: OnceLock::new(),
+        }
     }
 
     /// Number of ensemble members.
@@ -83,8 +99,8 @@ impl Ensemble {
     /// metrics, the majority-vote probability (fraction of members voting
     /// positive) for classification metrics.
     ///
-    /// Chunk plans are built once (in parallel) and shared by every
-    /// member; members then run the tape-free fast path in parallel.
+    /// Runs the member-fused production path: chunk → plan → one fused
+    /// pass per chunk (see [`FusedEnsemble::predict_graphs_with`]).
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
         self.predict_graphs_with(graphs, None)
     }
@@ -93,74 +109,32 @@ impl Ensemble {
     /// looked up in (and inserted into) the given [`PlanCache`], so
     /// recurring graph shapes skip plan construction entirely.
     pub fn predict_graphs_with(&self, graphs: &[&JointGraph], cache: Option<&PlanCache>) -> Vec<f64> {
-        let cfg = self.model_config();
-        let (scheme, rounds) = (cfg.scheme, cfg.traditional_rounds);
-        let plans: Vec<BatchPlan> = graphs
-            .par_chunks(inference_chunk())
-            .map(|chunk| match cache {
-                Some(c) => c.get_or_build(chunk, scheme, rounds),
-                None => self.members[0].model().plan(chunk),
-            })
-            .collect();
-        let per_member: Vec<Vec<f64>> = self.members.par_iter().map(|m| m.predict_plans(&plans)).collect();
-        self.combine(&per_member, graphs.len())
+        self.fused().predict_graphs_with(graphs, cache)
     }
 
     /// Combined prediction for prebuilt chunk plans, with members run
-    /// *sequentially* on a caller-held arena — the serving-layer hot
-    /// path: one coalesced batch serves every member, the worker's buffer
-    /// pool is recycled across requests, and no nested thread fan-out
-    /// competes with other serving workers.
-    ///
-    /// The arithmetic (kernels, accumulation order, member combination)
-    /// is identical to [`Ensemble::predict_graphs`] on the same chunk
-    /// plans, so the two paths agree bitwise.
+    /// *sequentially* on a caller-held arena — the **reference path**: no
+    /// production caller runs it. Its arithmetic (kernels, accumulation
+    /// order, member combination) is what [`crate::fused`] reproduces bit
+    /// for bit, so it and [`Ensemble::predict_graphs`] agree bitwise on
+    /// the same chunk plans.
     pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
-        let n = plans.iter().map(BatchPlan::len).sum();
         let per_member: Vec<Vec<f64>> = self
             .members
             .iter()
             .map(|m| m.predict_plans_arena(plans, arena))
             .collect();
-        self.combine(&per_member, n)
+        let n = per_member[0].len();
+        let flat: Vec<f64> = (0..n).flat_map(|i| per_member.iter().map(move |p| p[i])).collect();
+        combine_member_major(self.metric, per_member.len(), &flat)
     }
 
-    /// Mean (regression) or majority-vote fraction (classification) over
-    /// per-member predictions. One pass per member vector instead of the
-    /// previous column-major walk (which chased `k` separate allocations
-    /// per output element); the per-element summation order is unchanged
-    /// (member-ascending, f64 accumulator — storing and reloading an f64
-    /// between member passes does not round), so results stay bitwise
-    /// identical.
-    fn combine(&self, per_member: &[Vec<f64>], n: usize) -> Vec<f64> {
-        let k = self.members.len();
-        if self.metric.is_regression() {
-            let mut acc = vec![0.0f64; n];
-            for p in per_member {
-                for (a, &v) in acc.iter_mut().zip(p) {
-                    *a += v;
-                }
-            }
-            for a in &mut acc {
-                *a /= k as f64;
-            }
-            acc
-        } else {
-            let mut votes = vec![0usize; n];
-            for p in per_member {
-                for (a, &v) in votes.iter_mut().zip(p) {
-                    *a += usize::from(v > 0.5);
-                }
-            }
-            votes.into_iter().map(|v| v as f64 / k as f64).collect()
-        }
-    }
-
-    /// Builds the member-fused inference view of this ensemble (exact
-    /// f32 weights — bitwise identical to [`Ensemble::predict_plans_arena`],
-    /// see [`crate::fused`]).
-    pub fn fused(&self) -> FusedEnsemble {
-        FusedEnsemble::build(self, Precision::Exact)
+    /// The member-fused inference view of this ensemble (exact f32
+    /// weights — bitwise identical to [`Ensemble::predict_plans_arena`],
+    /// see [`crate::fused`]), stacked on the first call and shared by
+    /// every later one.
+    pub fn fused(&self) -> &FusedEnsemble {
+        self.fused.get_or_init(|| FusedEnsemble::build(self, Precision::Exact))
     }
 
     /// Builds the member-fused view at an explicit serving precision.
@@ -176,31 +150,23 @@ impl Ensemble {
     /// against the activations the model produces on `plans` (greedy
     /// data-aware rounding; see [`crate::fused`]). Still approximate —
     /// gate behind a q-error bound like any int8 view.
-    pub fn fused_calibrated(&self, plans: &[crate::plan::BatchPlan]) -> FusedEnsemble {
+    pub fn fused_calibrated(&self, plans: &[BatchPlan]) -> FusedEnsemble {
         FusedEnsemble::build_calibrated(self, plans)
     }
 
     /// Combined prediction for corpus items.
     pub fn predict_items(&self, items: &[&CorpusItem]) -> Vec<f64> {
-        self.predict_items_with(items, None)
-    }
-
-    /// Combined prediction for corpus items, routed through the same
-    /// shared-plan chunked path as [`Ensemble::predict_graphs_with`] —
-    /// recurring item shapes reuse cached plan topologies.
-    pub fn predict_items_with(&self, items: &[&CorpusItem], cache: Option<&PlanCache>) -> Vec<f64> {
         let graphs = CorpusItem::featurize_all(items, self.featurization());
         let refs: Vec<&JointGraph> = graphs.iter().collect();
-        self.predict_graphs_with(&refs, cache)
+        self.predict_graphs(&refs)
     }
 }
 
-/// [`Ensemble::combine`] over *member-major* flat predictions: `flat` is
-/// `[n, k]` row-major with member `m` in column `m` — exactly what the
-/// fused inference path produces — combined in one cache-friendly row
-/// pass. The per-element operation and member-ascending summation order
-/// match [`Ensemble::combine`] exactly, so both layouts combine bitwise
-/// identically.
+/// Combines *member-major* flat predictions — `flat` is `[n, k]`
+/// row-major with member `m` in column `m`, what both forward paths
+/// produce — into the mean (regression) or the majority-vote fraction
+/// (classification) per row. Summation is member-ascending on an f64
+/// accumulator.
 pub(crate) fn combine_member_major(metric: CostMetric, k: usize, flat: &[f64]) -> Vec<f64> {
     debug_assert_eq!(flat.len() % k, 0);
     if metric.is_regression() {

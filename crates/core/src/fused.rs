@@ -1,7 +1,9 @@
-//! Member-fused ensemble inference (the serving hot path).
+//! Member-fused ensemble inference — the one production forward path:
+//! `costream-serve`'s workers, the placement search's `EnsembleScorer`
+//! and every `Ensemble::predict_*` call run it.
 //!
-//! [`crate::ensemble::Ensemble::predict_plans_arena`] runs its `k`
-//! seed-varied members sequentially: every member repeats the *same*
+//! The reference path, [`crate::ensemble::Ensemble::predict_plans_arena`],
+//! runs its `k` members sequentially: every member repeats the *same*
 //! plan-dependent bookkeeping — encoder scatter-adds, per-wave
 //! gather/segment-sum assembly of `[Σ_children ‖ own]`, target-row
 //! scatters, readout pooling — because only the weights differ between
@@ -42,8 +44,8 @@
 //! # Precision ladder
 //!
 //! * [`Precision::Exact`] (default) — f32 weights, bitwise-equal to the
-//!   sequential ensemble. Safe everywhere; this is what serving workers
-//!   run unless told otherwise.
+//!   sequential ensemble. Safe everywhere; the view [`Ensemble::fused`]
+//!   owns, and what serving workers run unless told otherwise.
 //! * [`Precision::Int8`] (opt-in) — per-output-channel symmetric int8
 //!   weight quantization of the **GNN body** (encoders + updaters) with
 //!   f32 accumulation and exact f32 biases (dequantized at each layer
@@ -61,14 +63,13 @@
 use crate::dataset::{Corpus, CorpusItem};
 use crate::ensemble::{combine_member_major, Ensemble};
 use crate::graph::{Featurization, JointGraph};
-use crate::model::{inference_chunk, ModelConfig};
-use crate::plan::BatchPlan;
+use crate::model::{inference_chunk, map_spans, ModelConfig};
+use crate::plan::{BatchPlan, PlanCache};
 use costream_dsps::{CostMetric, SimConfig};
 use costream_nn::fused::{MlpObs, StackedMlp, WeightPrecision};
 use costream_nn::loss::{msle_inverse, sigmoid};
 use costream_nn::{InferenceArena, Tensor};
 use costream_query::ranges::FeatureRanges;
-use rayon::prelude::*;
 
 /// Numeric precision of the fused serving path.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -128,10 +129,9 @@ impl EnsembleObs {
 
 /// A member-fused inference view over a trained [`Ensemble`].
 ///
-/// Holds stacked copies of the members' weights (the ensemble itself is
-/// untouched and stays the training/golden ground truth). Build one per
-/// serving worker pool via [`Ensemble::fused`] and reuse it — stacking
-/// copies every parameter once.
+/// Holds stacked copies of the members' weights (the members themselves
+/// stay the training/golden ground truth). The ensemble stacks its exact
+/// view once and keeps it ([`Ensemble::fused`]); every caller shares it.
 #[derive(Clone, Debug)]
 pub struct FusedEnsemble {
     metric: CostMetric,
@@ -209,7 +209,7 @@ impl FusedEnsemble {
             let mut obs = EnsembleObs::new(n_types);
             let mut arena = InferenceArena::new();
             for plan in plans {
-                let out = cur.forward_raw_inner(plan, &mut arena, Some(&mut obs));
+                let out = cur.forward_raw(plan, &mut arena, Some(&mut obs));
                 arena.recycle(out);
             }
             if stage == 0 {
@@ -270,7 +270,7 @@ impl FusedEnsemble {
         let n: usize = plans.iter().map(BatchPlan::len).sum();
         let mut flat = Vec::with_capacity(n * self.k);
         for plan in plans {
-            let raw = self.forward_raw(plan, arena);
+            let raw = self.forward_raw(plan, arena, None);
             for r in 0..raw.rows() {
                 for (m, &(mean, std)) in self.denorm.iter().enumerate() {
                     let z = raw.get(r, m);
@@ -291,30 +291,34 @@ impl FusedEnsemble {
     /// Combined prediction for prepared graphs (plans built here, chunked
     /// at [`inference_chunk`]).
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
+        self.predict_graphs_with(graphs, None)
+    }
+
+    /// Chunk → plan → fused pass, the body of
+    /// [`Ensemble::predict_graphs_with`]: each chunk's plan is built (or
+    /// fetched from `cache`) once and serves every member in one pass;
+    /// [`map_spans`] fans the chunks out, one arena per span.
+    pub fn predict_graphs_with(&self, graphs: &[&JointGraph], cache: Option<&PlanCache>) -> Vec<f64> {
         let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
-        let plans: Vec<BatchPlan> = graphs
-            .par_chunks(inference_chunk())
-            .map(|chunk| BatchPlan::build(chunk, scheme, rounds))
-            .collect();
-        self.predict_plans_arena(&plans, &mut InferenceArena::new())
+        let chunk = inference_chunk();
+        map_spans(graphs, chunk, |span| {
+            let plans: Vec<BatchPlan> = span
+                .chunks(chunk)
+                .map(|c| match cache {
+                    Some(cache) => cache.get_or_build(c, scheme, rounds),
+                    None => BatchPlan::build(c, scheme, rounds),
+                })
+                .collect();
+            self.predict_plans_arena(&plans, &mut InferenceArena::new())
+        })
     }
 
     /// One fused forward pass: returns the member-major raw outputs
     /// `[n_graphs, k]` (log-space cost or logit per member). Mirrors
     /// `GnnModel::forward_inference` with every state matrix `k` members
-    /// wide.
-    fn forward_raw(&self, plan: &BatchPlan, arena: &mut InferenceArena) -> Tensor {
-        self.forward_raw_inner(plan, arena, None)
-    }
-
-    /// [`FusedEnsemble::forward_raw`] with optional activation capture
-    /// into `obs` (calibration only — the hot path passes `None`).
-    fn forward_raw_inner(
-        &self,
-        plan: &BatchPlan,
-        arena: &mut InferenceArena,
-        mut obs: Option<&mut EnsembleObs>,
-    ) -> Tensor {
+    /// wide. `obs` captures activations for calibration; the hot path
+    /// passes `None`.
+    fn forward_raw(&self, plan: &BatchPlan, arena: &mut InferenceArena, mut obs: Option<&mut EnsembleObs>) -> Tensor {
         assert_eq!(
             plan.topo.scheme, self.config.scheme,
             "plan built for a different message-passing scheme"
@@ -328,6 +332,12 @@ impl FusedEnsemble {
         let h = self.config.hidden;
         let kh = self.k * h;
         let total = plan.topo.total;
+
+        // The caller recycles the result last, so it is taken first: the
+        // arena is a stack, and releasing in reverse order of taking hands
+        // every buffer back to the same role next pass. Taken last, the
+        // buffers would trade roles and each grow to the largest's size.
+        let mut out = arena.alloc_scratch(plan.topo.n_graphs, self.k);
 
         // ---- per-type encoders: one *shared-input* pass per type
         // (features are member-independent), final layer scattered
@@ -403,7 +413,6 @@ impl FusedEnsemble {
         // then the stacked output MLP → `[n_graphs, k]`.
         let mut pooled = arena.alloc_zeroed(plan.topo.n_graphs, kh);
         cur.segment_sum_into(&plan.topo.graph_of, &mut pooled);
-        let mut out = arena.alloc_scratch(plan.topo.n_graphs, self.k);
         match &mut obs {
             None => self.readout.forward_into(arena, &pooled, false, None, &mut out, None),
             Some(o) => self
@@ -459,14 +468,15 @@ pub struct Int8SelfTest {
 /// the workloads the models were fit to, independent of any particular
 /// serving traffic.
 pub fn int8_self_test(ensemble: &Ensemble) -> Int8SelfTest {
+    let chunk = inference_chunk();
     let plans_of = |n: usize, seed: u64| -> Vec<BatchPlan> {
         let corpus = Corpus::generate(n, seed, FeatureRanges::training(), &SimConfig::default());
         let items: Vec<&CorpusItem> = corpus.items.iter().collect();
         let graphs = CorpusItem::featurize_all(&items, ensemble.featurization());
         let cfg = ensemble.model_config();
         let refs: Vec<&JointGraph> = graphs.iter().collect();
-        refs.chunks(inference_chunk())
-            .map(|chunk| BatchPlan::build(chunk, cfg.scheme, cfg.traditional_rounds))
+        refs.chunks(chunk)
+            .map(|c| BatchPlan::build(c, cfg.scheme, cfg.traditional_rounds))
             .collect()
     };
     let cal = plans_of(SELF_TEST_CAL_GRAPHS, SELF_TEST_SEED);

@@ -316,43 +316,16 @@ impl GnnModel {
     /// Raw scalar outputs for a batch of graphs (log-space cost or logit,
     /// depending on what the model was trained for).
     ///
-    /// Runs on the tape-free fast path; large batches are split into
-    /// chunks evaluated in parallel.
+    /// Runs on the tape-free fast path, chunked and fanned out like every
+    /// other inference entry point ([`map_spans`]).
     pub fn predict_raw(&self, graphs: &[&JointGraph]) -> Vec<f32> {
         let chunk = inference_chunk();
-        if graphs.len() <= chunk {
-            let plan = self.plan(graphs);
+        map_spans(graphs, chunk, |span| {
             let mut arena = InferenceArena::new();
-            return self.forward_inference(&plan, &mut arena);
-        }
-        graphs
-            .par_chunks(chunk)
-            .map(|chunk| {
-                let plan = self.plan(chunk);
-                let mut arena = InferenceArena::new();
-                self.forward_inference(&plan, &mut arena)
-            })
-            .collect::<Vec<Vec<f32>>>()
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Raw outputs for a set of prebuilt chunk plans (used by ensembles to
-    /// share plan construction across members).
-    pub fn predict_raw_plans(&self, plans: &[BatchPlan]) -> Vec<f32> {
-        self.predict_raw_plans_arena(plans, &mut InferenceArena::new())
-    }
-
-    /// Like [`GnnModel::predict_raw_plans`] but on a caller-held arena, so
-    /// a serving worker reuses one buffer pool across requests instead of
-    /// reallocating per call.
-    pub fn predict_raw_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f32> {
-        let mut out = Vec::new();
-        for plan in plans {
-            out.extend(self.forward_inference(plan, arena));
-        }
-        out
+            span.chunks(chunk)
+                .flat_map(|c| self.forward_inference(&self.plan(c), &mut arena))
+                .collect()
+        })
     }
 
     fn check_plan(&self, plan: &BatchPlan) {
@@ -426,6 +399,23 @@ pub fn inference_chunk() -> usize {
             INFERENCE_CHUNK
         }
     }
+}
+
+/// Scores `graphs` in `chunk`-wide plans, `score` taking a *span* (a whole
+/// number of chunks) at a time. At most one chunk — every round of a
+/// placement search — runs inline, without even asking for the core count;
+/// more are dealt to the workers in contiguous, evenly sized spans.
+pub(crate) fn map_spans<T: Send>(
+    graphs: &[&JointGraph],
+    chunk: usize,
+    score: impl Fn(&[&JointGraph]) -> Vec<T> + Sync,
+) -> Vec<T> {
+    if graphs.len() <= chunk {
+        return score(graphs);
+    }
+    let span = graphs.len().div_ceil(chunk).div_ceil(rayon::current_num_threads()) * chunk;
+    let per_span: Vec<Vec<T>> = graphs.par_chunks(span).map(&score).collect();
+    per_span.into_iter().flatten().collect()
 }
 
 #[cfg(test)]

@@ -6,9 +6,10 @@
 //!
 //! * a [`Scorer`] — the backend that turns candidate [`JointGraph`]s into
 //!   predicted cost / success / backpressure triples. [`EnsembleScorer`]
-//!   calls the three ensembles directly; `costream-serve` provides a
-//!   `ScoreClient`-backed implementation so *concurrent* optimizer runs
-//!   coalesce their candidate batches through the serving layer;
+//!   runs the three ensembles' fused views over one shared plan per
+//!   chunk, in-process; `costream-serve` provides a `ScoreClient`-backed
+//!   implementation so *concurrent* optimizer runs coalesce their
+//!   candidate batches through the serving layer;
 //! * a [`PlacementSearch`] strategy — how the placement space is explored
 //!   under a fixed scoring budget. [`RandomEnumeration`] is the paper's
 //!   baseline (and the seed behavior, bit for bit), [`BeamSearch`] and
@@ -28,8 +29,11 @@
 
 use crate::ensemble::Ensemble;
 use crate::graph::{Featurization, GraphTemplate, JointGraph};
+use crate::model::{inference_chunk, map_spans};
 use crate::optimizer::{enumerate_candidates, CandidateEvaluation, OptimizationResult};
+use crate::plan::BatchPlan;
 use costream_dsps::CostMetric;
+use costream_nn::InferenceArena;
 use costream_query::hardware::Cluster;
 use costream_query::operators::Query;
 use costream_query::placement::neighborhood::{Move, Neighborhood, VisitState};
@@ -38,6 +42,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashSet;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Environment knob overriding the worker fan-out of parallel candidate
@@ -161,11 +166,20 @@ pub trait Scorer: Sync {
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores>;
 }
 
-/// The direct scoring backend: calls the three ensembles in-process.
+/// The direct scoring backend: the three ensembles in-process, on the
+/// member-fused production path ([`Ensemble::fused`]). A candidate batch
+/// is lowered to its chunk [`BatchPlan`]s **once**; all three fused views
+/// run over those plans on an arena kept warm across batches, and a batch
+/// of one chunk spawns no thread. Bitwise, the scores are those of three
+/// [`Ensemble::predict_graphs`] calls.
 pub struct EnsembleScorer<'a> {
-    target: &'a Ensemble,
-    success: &'a Ensemble,
-    backpressure: &'a Ensemble,
+    /// Target, success and backpressure ensembles, in that order.
+    trio: [&'a Ensemble; 3],
+    /// Graphs per chunk plan, resolved once rather than per batch.
+    chunk: usize,
+    /// Warm arenas, one per caller ever inside `score_batch` at once;
+    /// locked to pop or push one, never across a forward pass.
+    arenas: Mutex<Vec<InferenceArena>>,
 }
 
 impl<'a> EnsembleScorer<'a> {
@@ -173,43 +187,63 @@ impl<'a> EnsembleScorer<'a> {
     /// plus the query-success and backpressure sanity models.
     ///
     /// # Panics
-    /// Panics if the ensembles' metrics do not match their roles.
+    /// Panics if the ensembles' metrics do not match their roles, or if
+    /// they differ in featurization, message-passing scheme or round
+    /// count: one graph set and one plan per chunk serve all three.
     pub fn new(target: &'a Ensemble, success: &'a Ensemble, backpressure: &'a Ensemble) -> Self {
         assert!(target.metric.is_regression(), "target must be a regression metric");
         assert_eq!(success.metric, CostMetric::Success);
         assert_eq!(backpressure.metric, CostMetric::Backpressure);
+        let trio = [target, success, backpressure];
+        let plan_key = |e: &Ensemble| {
+            let cfg = e.model_config();
+            (e.featurization(), cfg.scheme, cfg.traditional_rounds)
+        };
+        assert!(
+            trio.iter().all(|e| plan_key(e) == plan_key(target)),
+            "the ensembles are not congruent (featurization, scheme, rounds)"
+        );
         EnsembleScorer {
-            target,
-            success,
-            backpressure,
+            trio,
+            chunk: inference_chunk(),
+            arenas: Mutex::new(Vec::new()),
         }
     }
 
     /// The target ensemble (exposed for featurization queries).
     pub fn target(&self) -> &Ensemble {
-        self.target
+        self.trio[0]
+    }
+
+    fn arenas(&self) -> MutexGuard<'_, Vec<InferenceArena>> {
+        self.arenas.lock().expect("callers only pop or push under this lock")
     }
 }
 
 impl Scorer for EnsembleScorer<'_> {
     fn target_metric(&self) -> CostMetric {
-        self.target.metric
+        self.trio[0].metric
     }
 
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores> {
+        let cfg = self.trio[0].model_config();
         let refs: Vec<&JointGraph> = graphs.iter().collect();
-        let cost = self.target.predict_graphs(&refs);
-        let succ = self.success.predict_graphs(&refs);
-        let bp = self.backpressure.predict_graphs(&refs);
-        cost.into_iter()
-            .zip(succ)
-            .zip(bp)
-            .map(|((cost, success), backpressure)| PlacementScores {
-                cost,
-                success,
-                backpressure,
-            })
-            .collect()
+        map_spans(&refs, self.chunk, |span| {
+            let mut arena = self.arenas().pop().unwrap_or_default();
+            let plans: Vec<BatchPlan> = span
+                .chunks(self.chunk)
+                .map(|c| BatchPlan::build(c, cfg.scheme, cfg.traditional_rounds))
+                .collect();
+            let [cost, success, backpressure] = self.trio.map(|e| e.fused().predict_plans_arena(&plans, &mut arena));
+            self.arenas().push(arena);
+            (0..span.len())
+                .map(|i| PlacementScores {
+                    cost: cost[i],
+                    success: success[i],
+                    backpressure: backpressure[i],
+                })
+                .collect()
+        })
     }
 }
 
@@ -859,7 +893,12 @@ impl PlacementSearch for SimulatedAnnealing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{Scheme, INFERENCE_CHUNK};
     use crate::test_fixtures;
+    use crate::train::TrainConfig;
+    use costream_query::generator::WorkloadGenerator;
+    use costream_query::ranges::FeatureRanges;
+    use costream_query::selectivity::SelectivityEstimator;
 
     #[test]
     fn strategies_respect_budget_and_return_valid_best() {
@@ -938,5 +977,146 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A 2-member trio trained just enough to have weights (the bitwise
+    /// tests below do not care what they are).
+    fn trio_for(scheme: Scheme, featurization: Featurization) -> test_fixtures::Trio {
+        let corpus = test_fixtures::corpus(24, 61);
+        let mut cfg = TrainConfig {
+            epochs: 1,
+            featurization,
+            ..Default::default()
+        };
+        cfg.model.scheme = scheme;
+        let train = |metric| Ensemble::train(&corpus, metric, &cfg, 2);
+        test_fixtures::Trio {
+            target: train(CostMetric::ProcessingLatency),
+            success: train(CostMetric::Success),
+            backpressure: train(CostMetric::Backpressure),
+        }
+    }
+
+    fn sample_graphs(n: usize, seed: u64, featurization: Featurization) -> Vec<JointGraph> {
+        let mut g = WorkloadGenerator::new(seed, FeatureRanges::training());
+        let mut e = SelectivityEstimator::realistic(seed.wrapping_add(1));
+        (0..n)
+            .map(|_| {
+                let (q, c, p) = g.workload_item();
+                JointGraph::build(&q, &c, &p, &e.estimate_query(&q), featurization)
+            })
+            .collect()
+    }
+
+    /// The sequential reference path: per ensemble, member after member
+    /// over plans chunked at the default width.
+    fn oracle(fx: &test_fixtures::Trio, graphs: &[JointGraph]) -> Vec<[u64; 3]> {
+        let refs: Vec<&JointGraph> = graphs.iter().collect();
+        let per: Vec<Vec<f64>> = [&fx.target, &fx.success, &fx.backpressure]
+            .iter()
+            .map(|e| {
+                let plans: Vec<BatchPlan> = refs
+                    .chunks(INFERENCE_CHUNK)
+                    .map(|c| e.members()[0].model().plan(c))
+                    .collect();
+                e.predict_plans_arena(&plans, &mut InferenceArena::new())
+            })
+            .collect();
+        (0..graphs.len())
+            .map(|i| [per[0][i].to_bits(), per[1][i].to_bits(), per[2][i].to_bits()])
+            .collect()
+    }
+
+    fn bits(scores: &[PlacementScores]) -> Vec<[u64; 3]> {
+        scores
+            .iter()
+            .map(|s| [s.cost.to_bits(), s.success.to_bits(), s.backpressure.to_bits()])
+            .collect()
+    }
+
+    #[test]
+    fn score_batch_and_predict_graphs_match_the_sequential_oracle_bitwise() {
+        for scheme in [Scheme::Costream, Scheme::Traditional] {
+            for featurization in [
+                Featurization::QueryOnly,
+                Featurization::HardwareNodes,
+                Featurization::Full,
+            ] {
+                let fx = trio_for(scheme, featurization);
+                let scorer = fx.scorer();
+                let graphs = sample_graphs(130, 62, featurization);
+                // 1 and 7 sit inside a chunk, 64 fills one, 65 and 130
+                // cross one and two chunk boundaries.
+                for n in [1, 7, 64, 65, 130] {
+                    let ctx = format!("{scheme:?} {featurization:?} n={n}");
+                    let want = oracle(&fx, &graphs[..n]);
+                    assert_eq!(
+                        bits(&scorer.score_batch(graphs[..n].to_vec())),
+                        want,
+                        "score_batch {ctx}"
+                    );
+                    let refs: Vec<&JointGraph> = graphs[..n].iter().collect();
+                    for (col, e) in [&fx.target, &fx.success, &fx.backpressure].into_iter().enumerate() {
+                        let got: Vec<u64> = e.predict_graphs(&refs).iter().map(|v| v.to_bits()).collect();
+                        let want: Vec<u64> = want.iter().map(|w| w[col]).collect();
+                        assert_eq!(got, want, "predict_graphs {:?} {ctx}", e.metric);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_batches_reuse_one_warm_arena() {
+        let fx = trio_for(Scheme::Costream, Featurization::Full);
+        let scorer = fx.scorer();
+        let batch = sample_graphs(10, 63, Featurization::Full);
+        let pooled =
+            |s: &EnsembleScorer<'_>| -> Vec<usize> { s.arenas().iter().map(InferenceArena::pooled_floats).collect() };
+        scorer.score_batch(batch.clone());
+        let warm = pooled(&scorer);
+        assert_eq!(warm.len(), 1, "one caller, one arena");
+        assert!(warm[0] > 0);
+        for _ in 0..5 {
+            scorer.score_batch(batch.clone());
+            assert_eq!(pooled(&scorer), warm, "a same-shape batch must not grow the arena");
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_of_one_scorer_get_the_serial_scores() {
+        const CALLERS: usize = 4;
+        let fx = trio_for(Scheme::Costream, Featurization::Full);
+        let scorer = fx.scorer();
+        let batches: Vec<Vec<JointGraph>> = (0..CALLERS)
+            .map(|i| sample_graphs(5 + 3 * i, 64 + i as u64, Featurization::Full))
+            .collect();
+        let serial: Vec<_> = batches.iter().map(|b| bits(&scorer.score_batch(b.clone()))).collect();
+        // The barrier puts all four callers inside `score_batch` at once.
+        let start = std::sync::Barrier::new(CALLERS);
+        std::thread::scope(|s| {
+            for (batch, want) in batches.iter().zip(&serial) {
+                let (scorer, start) = (&scorer, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..8 {
+                        assert_eq!(&bits(&scorer.score_batch(batch.clone())), want);
+                    }
+                });
+            }
+        });
+        let kept = scorer.arenas().len();
+        assert!(
+            (1..=CALLERS).contains(&kept),
+            "{kept} arenas kept for {CALLERS} callers"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not congruent")]
+    fn incongruent_trio_is_rejected() {
+        let fx = trio_for(Scheme::Costream, Featurization::Full);
+        let other = trio_for(Scheme::Traditional, Featurization::Full);
+        let _ = EnsembleScorer::new(&fx.target, &other.success, &fx.backpressure);
     }
 }

@@ -91,16 +91,16 @@ impl TrainedModel {
         &self.model
     }
 
-    /// Predicts the metric for prebuilt chunk plans (lets ensembles share
-    /// plan construction across members).
-    pub fn predict_plans(&self, plans: &[BatchPlan]) -> Vec<f64> {
-        self.denormalize(self.model.predict_raw_plans(plans))
-    }
-
-    /// Like [`TrainedModel::predict_plans`] but on a caller-held arena,
-    /// so serving workers recycle one buffer pool across requests.
+    /// Predicts the metric for prebuilt chunk plans on a caller-held
+    /// arena — one member's share of the sequential reference path
+    /// ([`Ensemble::predict_plans_arena`](crate::ensemble::Ensemble::predict_plans_arena)).
     pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
-        self.denormalize(self.model.predict_raw_plans_arena(plans, arena))
+        self.denormalize(
+            plans
+                .iter()
+                .flat_map(|p| self.model.forward_inference(p, arena))
+                .collect(),
+        )
     }
 
     /// `(target_mean, target_std)` of the training-set `log1p` targets —

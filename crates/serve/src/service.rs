@@ -136,23 +136,33 @@ pub struct Scored {
     pub version: u64,
 }
 
-/// One immutable served-model snapshot: the ensemble, its member-fused
-/// serving view, and the version number. Workers take an
-/// `Arc<ModelState>` per batch, so a swap never tears a batch and every
-/// response is attributable to exactly one version.
+/// One immutable served-model snapshot: the ensemble (which owns its
+/// exact member-fused view), the int8 view when one is live, and the
+/// version number. Workers take an `Arc<ModelState>` per batch, so a swap
+/// never tears a batch and every response is attributable to exactly one
+/// version.
 pub struct ModelState {
     /// The served ensemble.
     pub ensemble: Ensemble,
-    /// The member-fused view the workers actually score with — stacked
-    /// at the *effective* precision (exact, or int8 when requested and
-    /// the startup self-test passed).
-    pub fused: FusedEnsemble,
+    /// The calibrated int8 view, when int8 was requested and the startup
+    /// self-test passed; `None` serves the ensemble's own exact view.
+    int8: Option<FusedEnsemble>,
     /// Monotonic model version (starts at 1).
     pub version: u64,
     /// `Some(measured_q)` when int8 was requested but its self-test
     /// exceeded the configured bound and this snapshot fell back to
     /// exact.
     pub int8_fallback_q: Option<f64>,
+}
+
+impl ModelState {
+    /// The member-fused view the workers score with, at the *effective*
+    /// precision: the int8 view when one is live, else the exact view
+    /// the ensemble itself owns — the same one in-process prediction and
+    /// placement search run.
+    pub fn fused(&self) -> &FusedEnsemble {
+        self.int8.as_ref().unwrap_or_else(|| self.ensemble.fused())
+    }
 }
 
 /// Builds the serving view of an ensemble at the configured precision.
@@ -162,25 +172,27 @@ pub struct ModelState {
 /// f32 — a precision knob must degrade gracefully, not degrade
 /// predictions silently.
 fn build_model(ensemble: Ensemble, cfg: &ServeConfig, version: u64) -> ModelState {
-    let (fused, int8_fallback_q) = match cfg.precision {
-        Precision::Exact => (ensemble.fused(), None),
+    // Stack the exact view now, not under the first request.
+    ensemble.fused();
+    let (int8, int8_fallback_q) = match cfg.precision {
+        Precision::Exact => (None, None),
         Precision::Int8 => {
             let probe = int8_self_test(&ensemble);
             if probe.max_q <= cfg.int8_q_bound {
-                (probe.view, None)
+                (Some(probe.view), None)
             } else {
                 eprintln!(
                     "warning: int8 serving self-test failed (q-error {:.4} > bound {:.4}); \
                      falling back to exact f32",
                     probe.max_q, cfg.int8_q_bound
                 );
-                (ensemble.fused(), Some(probe.max_q))
+                (None, Some(probe.max_q))
             }
         }
     };
     ModelState {
         ensemble,
-        fused,
+        int8,
         version,
         int8_fallback_q,
     }
@@ -519,7 +531,7 @@ impl ScoringService {
     /// [`ServeConfig::int8_q_bound`](crate::ServeConfig::int8_q_bound);
     /// [`Precision::Exact`] otherwise.
     pub fn precision(&self) -> Precision {
-        self.shared.model().fused.precision()
+        self.shared.model().fused().precision()
     }
 
     /// The q-error the int8 self-test measured when it *failed* and the
@@ -771,7 +783,7 @@ impl ScoreClient {
     /// The effective serving precision (see
     /// [`ScoringService::precision`]).
     pub fn precision(&self) -> Precision {
-        self.shared.model().fused.precision()
+        self.shared.model().fused().precision()
     }
 
     /// Snapshot of the service's plan-cache counters (see
@@ -986,5 +998,5 @@ fn score_graphs(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena:
     let cfg = model.ensemble.model_config();
     let graphs: Vec<&JointGraph> = chunk.iter().map(|r| r.graph.as_ref()).collect();
     let plan = sh.cache.get_or_build(&graphs, cfg.scheme, cfg.traditional_rounds);
-    model.fused.predict_plans_arena(std::slice::from_ref(&plan), arena)
+    model.fused().predict_plans_arena(std::slice::from_ref(&plan), arena)
 }

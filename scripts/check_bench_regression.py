@@ -25,17 +25,21 @@ single-threaded kernel bench.
 Gated ops fall in two classes:
   * single-threaded benches (train_epoch) — directly comparable across
     runners via the double gate;
-  * product-level threaded benches (serve_throughput: 8 pipelined
-    clients against the batching scoring service; optimizer_search_local:
-    one budgeted LocalSearch placement search, whose candidate scoring
-    fans out over ensemble members and chunks; ensemble_fused_batch64:
-    member-fused serving inference, whose kernels dispatch on ISA tier)
-    — the metrics this repo exists to protect. Their numbers depend on
-    the runner class beyond what calibration cancels, so their allowed
-    factors are wider to absorb scheduling noise, and they are gated
-    ONLY when baseline and fresh run share a core count (meta.cores): on
-    a width mismatch neither gate view cancels the runner-class effect,
-    so the op is skipped with a note instead of failing spuriously.
+  * product-level runner-class benches — the metrics this repo exists
+    to protect. serve_throughput (8 pipelined clients against the
+    batching scoring service) and front_interactive_p99 are threaded.
+    optimizer_search_local (one budgeted LocalSearch placement search),
+    search_score_per_candidate (what one candidate costs in its scorer)
+    and ensemble_fused_batch64 are not: a search scores single-chunk
+    batches inline on the caller's thread, one plan and three
+    member-fused passes each, and nothing fans out — but all three run
+    the fused kernels, which dispatch on ISA tier. Either way the
+    numbers depend on the runner class beyond what calibration cancels,
+    so their allowed factors are wider, and they are gated ONLY when
+    baseline and fresh run share a core count (meta.cores, which tracks
+    the runner class): on a mismatch neither gate view cancels the
+    effect, so the op is skipped with a note instead of failing
+    spuriously.
 """
 
 import json
@@ -47,9 +51,13 @@ GATED = {
     "train_epoch": 1.20,
     "serve_throughput": 1.30,
     # One full LocalSearch placement search at a fixed scoring budget —
-    # the optimizer-layer product metric (scoring fans out over ensemble
-    # members/chunks, so it is threaded).
+    # the optimizer-layer product metric (single-threaded: its batches
+    # are single chunks, scored inline on the fused path).
     "optimizer_search_local": 1.30,
+    # Scorer time per candidate inside that search (SearchStats'
+    # score_ns / candidates_scored, fastest of 20 searches): one shared
+    # plan and three member-fused passes per ~8-candidate batch.
+    "search_score_per_candidate": 1.30,
     # Member-fused k=3 ensemble inference over one cached 64-graph chunk
     # plan — the serving worker's steady-state scoring cost and the
     # number the fused-inference acceptance criterion protects.
@@ -64,13 +72,21 @@ GATED = {
 }
 
 # Gated ops whose numbers depend on the runner class beyond what the
-# calibration op cancels: threaded benches scale with core count, and
-# the fused serving kernels dispatch on ISA tier (AVX-512 vs AVX2 —
-# machine generation, which tracks the recorded core class), while the
-# calibration op exercises only the baseline matmul kernels. These are
-# skipped when the baseline and the fresh run come from runners of
-# different widths.
-THREADED = {"serve_throughput", "optimizer_search_local", "ensemble_fused_batch64", "front_interactive_p99"}
+# calibration op cancels: threaded benches (serve_throughput,
+# front_interactive_p99) scale with core count, and the fused kernels —
+# under ensemble_fused_batch64 and, since search scores on the fused
+# path, under optimizer_search_local and search_score_per_candidate —
+# dispatch on ISA tier (AVX-512 vs AVX2: machine generation, which
+# tracks the recorded core class), while the calibration op exercises
+# only the baseline matmul kernels. These are skipped when the baseline
+# and the fresh run come from runners of different widths.
+THREADED = {
+    "serve_throughput",
+    "optimizer_search_local",
+    "search_score_per_candidate",
+    "ensemble_fused_batch64",
+    "front_interactive_p99",
+}
 
 # Pure single-threaded kernel bench used to normalize away host speed.
 CALIBRATION_OP = "matmul_256x64x48_updater_in_big"
@@ -81,8 +97,9 @@ CALIBRATION_OP = "matmul_256x64x48_updater_in_big"
 # fresh/base grows) and "higher" for throughput-like metrics (worsening
 # = base/fresh grows), so one gate loop covers both without anyone
 # inverting a number by hand. All metric gates sit behind the core-count
-# guard: the searches producing them are threaded product paths, so on a
-# width mismatch they are skipped with a note instead of failing
+# guard: the searches producing them are runner-class product paths
+# (fused kernels under every score, worker fan-out at 64+ hosts), so on
+# a width mismatch they are skipped with a note instead of failing
 # spuriously.
 GATED_METRICS = {
     # Best joint total found at the fixed budget with contended hosts
@@ -95,9 +112,9 @@ GATED_METRICS = {
     "interference_fit_qerror": (1.10, "lower"),
     # Total cost (observed + migration, ms) of the adaptive controller
     # replaying the host-loss drift scenario — the runtime elasticity
-    # loop's product metric. Deterministic for a fixed core count, but
-    # the replan search underneath is the same threaded scoring path as
-    # the joint search, hence the shared core-count guard.
+    # loop's product metric. Deterministic for a fixed core count; the
+    # replan search underneath is the joint search's scoring path, hence
+    # the shared core-count guard.
     "replay_drift_adaptive_total_cost": (1.10, "lower"),
     # Incremental validity checks per second of the full 256-host
     # parallel placement search — the wide-cluster search-throughput

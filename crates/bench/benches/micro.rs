@@ -552,6 +552,33 @@ fn bench_front_load(c: &mut Criterion) {
     assert!(drain.drained, "bench front-end must drain cleanly");
 }
 
+/// The wire codec on the frame a placement optimizer sends for a graph the
+/// front-end has not seen: one inline `Score` request (~1 KB of JSON for a
+/// generator topology). Single-threaded, so both rows are gated like a
+/// kernel bench. What they protect is the shim's text path: no value tree,
+/// one pass over the bytes.
+fn bench_wire_codec(c: &mut Criterion) {
+    use costream_front::wire::{self, Request, RequestBody, WireLane};
+    let mut gen = WorkloadGenerator::new(23, FeatureRanges::training());
+    let (query, cluster, placement) = gen.workload_item();
+    let sels = SelectivityEstimator::realistic(200).estimate_query(&query);
+    let graph = JointGraph::build(&query, &cluster, &placement, &sels, Featurization::Full);
+    let request = Request {
+        id: 7,
+        lane: WireLane::Bulk,
+        deadline_us: None,
+        body: RequestBody::Score { graph },
+    };
+    let bytes = wire::encode_request(&request);
+    eprintln!("  inline request frame: {} bytes", bytes.len() + wire::HEADER_BYTES);
+    c.bench_function("wire_encode_request_inline", |b| {
+        b.iter(|| wire::encode_request(black_box(&request)))
+    });
+    c.bench_function("wire_decode_request_inline", |b| {
+        b.iter(|| wire::decode_request(black_box(&bytes)).expect("own encoding decodes"))
+    });
+}
+
 fn bench_enumeration(c: &mut Criterion) {
     let mut g = WorkloadGenerator::new(6, FeatureRanges::training());
     let q = g.query();
@@ -981,6 +1008,6 @@ fn bench_search_wide(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_matmul_kernels, bench_graph_primitives, bench_training_path, bench_simulator, bench_featurize, bench_inference, bench_ensemble_fused, bench_ensemble_train, bench_gbdt, bench_enumeration, bench_optimizer_search, bench_interference, bench_joint_placement, bench_serving, bench_front_load, bench_replay_drift, bench_search_wide
+    targets = bench_matmul_kernels, bench_graph_primitives, bench_training_path, bench_simulator, bench_featurize, bench_inference, bench_ensemble_fused, bench_ensemble_train, bench_gbdt, bench_enumeration, bench_optimizer_search, bench_interference, bench_joint_placement, bench_serving, bench_wire_codec, bench_front_load, bench_replay_drift, bench_search_wide
 }
 criterion_main!(benches);

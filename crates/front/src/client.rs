@@ -1,9 +1,9 @@
 //! A blocking client for the front-end protocol, with explicit
 //! send/recv halves so callers can pipeline.
 
-use crate::wire::{self, FrameError, Request, RequestBody, Response, WireLane};
+use crate::wire::{self, FrameError, FrameReader, Request, RequestBody, Response, WireLane};
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 
 /// Why a client call failed.
@@ -52,6 +52,12 @@ impl From<FrameError> for ClientError {
 pub struct FrontClient {
     stream: TcpStream,
     max_frame_bytes: usize,
+    /// Responses arrive through one buffer: a server that answered several
+    /// pipelined requests at once is read with one system call.
+    frames: FrameReader,
+    /// The outgoing frame and its encoding scratch, kept between sends.
+    out: Vec<u8>,
+    json: String,
 }
 
 impl FrontClient {
@@ -66,6 +72,9 @@ impl FrontClient {
             stream,
             // Generous client-side bound; the server enforces its own.
             max_frame_bytes: 64 << 20,
+            frames: FrameReader::new(),
+            out: Vec::new(),
+            json: String::new(),
         })
     }
 
@@ -74,7 +83,9 @@ impl FrontClient {
     /// # Errors
     /// Transport errors.
     pub fn send(&mut self, req: &Request) -> Result<(), ClientError> {
-        wire::write_frame(&mut self.stream, &wire::encode_request(req))?;
+        self.out.clear();
+        wire::append_frame(&mut self.out, &mut self.json, req)?;
+        self.stream.write_all(&self.out)?;
         Ok(())
     }
 
@@ -84,8 +95,8 @@ impl FrontClient {
     /// [`ClientError::Closed`] on clean EOF, transport/protocol errors
     /// otherwise.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        match wire::read_frame(&mut self.stream, self.max_frame_bytes)? {
-            Some(payload) => Ok(wire::decode_response(&payload)?),
+        match self.frames.next_frame(&mut self.stream, self.max_frame_bytes)? {
+            Some(payload) => Ok(wire::decode_response(payload)?),
             None => Err(ClientError::Closed),
         }
     }

@@ -25,10 +25,14 @@
 //! * **Versioned hot model swap**: [`server::Frontend::swap_model`]
 //!   atomically replaces the model on every shard with zero downtime;
 //!   each scored response reports the version that produced it.
-//! * **Connection-level fault handling**: malformed payloads get a
-//!   typed error response and the connection keeps serving; oversized
-//!   frames get a typed error and a close; mid-frame disconnects are
-//!   dropped silently — none of these can kill the acceptor.
+//! * **Connection-level fault handling**: malformed payloads — bad
+//!   JSON, the wrong shape, nesting past the decoder's depth limit,
+//!   numbers out of `f64`'s range — get a typed error response and the
+//!   connection keeps serving; oversized frames get a typed error and a
+//!   close; mid-frame disconnects are dropped silently. The decoder's
+//!   stack and time are bounded by constants and the frame length, so
+//!   none of these can kill the acceptor, a reader thread or the
+//!   process.
 //! * **Graceful drain**: [`server::Frontend::shutdown`] stops
 //!   accepting, closes connection reads, finishes everything already
 //!   submitted (bounded by a deadline), then exits.

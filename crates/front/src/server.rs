@@ -4,30 +4,34 @@
 //! Threading model (std-only, no async runtime in the offline build):
 //!
 //! * one **acceptor** thread owns the listener;
-//! * each connection gets a **reader** (decode frames → route → submit)
-//!   and a **writer** (await pending scores in submission order → write
-//!   frames), coupled by a bounded job queue — the per-connection
-//!   pipeline bound doubles as backpressure on the reader;
+//! * each connection gets a **reader** (buffered frames → decode → route
+//!   → submit) and a **writer** (await pending scores in submission
+//!   order → encode → write, gathering the responses that are already
+//!   known into one `write`), coupled by a bounded job queue — the
+//!   per-connection pipeline bound doubles as backpressure on the reader;
 //! * scoring itself happens in the shards' own worker pools
 //!   ([`costream_serve::ScoringService`]).
 //!
 //! Fault containment is per layer: an undecodable payload answers a
 //! typed error and the connection keeps serving; an oversized or
 //! truncated frame ends only that connection; a worker panic is
-//! respawned inside the shard; nothing a client sends can reach the
-//! acceptor.
+//! respawned inside the shard. The payload decoder recurses at most
+//! `serde::json::MAX_DEPTH` levels and reads each byte once, so no frame
+//! can overflow a reader's stack (which would abort the process, past
+//! any `catch_unwind`) or hold it for longer than the frame is long:
+//! nothing a client sends can reach the acceptor.
 
-use crate::wire::{self, decode_request, encode_response, ErrorKind, FrameError, Request, RequestBody, Response};
+use crate::wire::{self, decode_request, ErrorKind, FrameError, FrameReader, Request, RequestBody, Response};
 use crate::FrontConfig;
 use costream::ensemble::Ensemble;
 use costream::graph::JointGraph;
 use costream::model::Scheme;
 use costream::plan::plan_signature;
-use costream_serve::{Pending, ScoreClient, ScoringService, ServeError, ServeStats, SubmitOptions, SwapError};
+use costream_serve::{Pending, ScoreClient, ScoringService, ServeStats, SubmitOptions, SwapError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io;
+use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -114,6 +118,15 @@ impl JobQueue {
             }
             st = self.items.wait(st).unwrap_or_else(|e| e.into_inner());
         }
+    }
+
+    /// Pops the next job if one is queued; never blocks.
+    fn try_pop(&self) -> Option<Job> {
+        let job = self.state.lock().unwrap_or_else(|e| e.into_inner()).jobs.pop_front();
+        if job.is_some() {
+            self.space.notify_one();
+        }
+        job
     }
 
     fn close(&self) {
@@ -430,11 +443,12 @@ fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, queue: &Arc<Jo
     // Per-connection graph pool for `ScorePooled`: slot → (graph, shard).
     // Dropped with the connection.
     let mut pool: HashMap<u32, (Arc<JointGraph>, usize)> = HashMap::new();
+    let mut frames = FrameReader::new();
     loop {
-        match wire::read_frame(stream, shared.cfg.max_frame_bytes) {
+        match frames.next_frame(stream, shared.cfg.max_frame_bytes) {
             Ok(None) => break, // Clean close (or drain's read-shutdown).
             Ok(Some(payload)) => {
-                let job = match decode_request(&payload) {
+                let job = match decode_request(payload) {
                     Ok(req) => handle_request(req, shared, &mut pool),
                     Err(e) => {
                         // The framing was intact — only the payload was
@@ -468,7 +482,7 @@ fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, queue: &Arc<Jo
                 shared.counters.disconnects.fetch_add(1, Ordering::Relaxed);
                 break;
             }
-            Err(FrameError::Malformed(_)) => unreachable!("read_frame does not decode payloads"),
+            Err(FrameError::Malformed(_)) => unreachable!("the frame reader does not decode payloads"),
         }
     }
     queue.close();
@@ -519,30 +533,66 @@ fn submit(id: u64, graph: Arc<JointGraph>, shard: usize, opts: SubmitOptions, sh
     }
 }
 
+/// Writes what `out` holds; `false` when the peer is gone (queued jobs are
+/// then discarded and the reader told to stop pulling frames).
+fn flush(out: &mut Vec<u8>, stream: &mut TcpStream, queue: &JobQueue) -> bool {
+    let written = out.is_empty() || stream.write_all(out).is_ok();
+    out.clear();
+    if !written {
+        queue.mark_dead();
+    }
+    written
+}
+
+/// Answers a connection's jobs in submission order. Responses that are
+/// already known are gathered into one buffer and written together (at
+/// depth 32 a micro-batch's worth of answers leaves in one `write`), and the
+/// buffer is written out before the writer parks, whether on an empty queue
+/// or on an unanswered job: no response ever waits for a later one.
 fn writer_loop(stream: &mut TcpStream, queue: &Arc<JobQueue>) {
-    while let Some(job) = queue.pop() {
+    let mut out: Vec<u8> = Vec::new();
+    let mut json = String::new();
+    loop {
+        let job = match queue.try_pop() {
+            Some(job) => job,
+            None => {
+                if !flush(&mut out, stream, queue) {
+                    return;
+                }
+                match queue.pop() {
+                    Some(job) => job,
+                    None => return,
+                }
+            }
+        };
         let response = match job {
             Job::Ready(r) => r,
-            Job::Scored { id, pending } => match pending.wait_scored() {
-                Ok(scored) => Response::Scored {
-                    id,
-                    score: scored.score,
-                    version: scored.version,
-                },
-                Err(e @ ServeError::Overloaded)
-                | Err(e @ ServeError::ShutDown)
-                | Err(e @ ServeError::DeadlineExceeded)
-                | Err(e @ ServeError::Internal) => Response::Error {
-                    id: Some(id),
-                    kind: e.into(),
-                    detail: e.to_string(),
-                },
-            },
+            Job::Scored { id, pending } => {
+                let result = match pending.try_scored() {
+                    Some(result) => result,
+                    None => {
+                        if !flush(&mut out, stream, queue) {
+                            return;
+                        }
+                        pending.wait_scored()
+                    }
+                };
+                match result {
+                    Ok(scored) => Response::Scored {
+                        id,
+                        score: scored.score,
+                        version: scored.version,
+                    },
+                    Err(e) => Response::Error {
+                        id: Some(id),
+                        kind: e.into(),
+                        detail: e.to_string(),
+                    },
+                }
+            }
         };
-        if wire::write_frame(stream, &encode_response(&response)).is_err() {
-            // Peer gone: discard queued jobs and tell the reader to
-            // stop pulling frames for this connection.
-            queue.mark_dead();
+        wire::append_frame(&mut out, &mut json, &response).expect("a response is far below 4 GiB");
+        if out.len() >= wire::IO_BUF_BYTES && !flush(&mut out, stream, queue) {
             return;
         }
     }

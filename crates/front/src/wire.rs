@@ -9,8 +9,14 @@
 //! Messages are externally-tagged JSON enums ([`Request`] /
 //! [`Response`]). Scores are `f64` and the vendored `serde_json` prints
 //! floats shortest-roundtrip, so a score crosses the wire **bitwise**
-//! intact. Deadlines are *relative* microseconds from server receipt —
-//! a deliberate protocol choice: absolute deadlines would require
+//! intact. A payload is encoded and decoded in one pass, with no value
+//! tree in between; the decoder refuses (as [`FrameError::Malformed`])
+//! nesting deeper than `serde::json::MAX_DEPTH` and numbers outside
+//! `f64`'s finite range, so neither its stack nor a graph's features can
+//! be driven out of bounds by a frame.
+//!
+//! Deadlines are *relative* microseconds from server receipt — a
+//! deliberate protocol choice: absolute deadlines would require
 //! client/server clock agreement, and QoS budgets ("answer within
 //! 2 ms") are what callers actually mean.
 //!
@@ -254,18 +260,133 @@ pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Option<Vec<u8
     Ok(Some(payload))
 }
 
+/// Size of a connection's read buffer, and the amount of encoded responses
+/// its writer gathers before it writes regardless: room for a pipeline's
+/// worth of ~1 KB inline-graph frames per `read`, or a few hundred pooled
+/// ones.
+pub(crate) const IO_BUF_BYTES: usize = 64 << 10;
+
+/// Frames off a stream through one buffer: a `read` brings in whatever the
+/// peer has sent, up to [`IO_BUF_BYTES`], so a frame's header and payload
+/// (and, from a pipelining peer, the frames behind it) cost one system call
+/// instead of two each. Same contract as [`read_frame`], one frame at a
+/// time; a frame larger than the buffer is read into storage of its own.
+pub(crate) struct FrameReader {
+    buf: Box<[u8]>,
+    /// `buf[start..end]` is read and not yet handed out.
+    start: usize,
+    end: usize,
+    /// The payload of the last frame that did not fit `buf`.
+    big: Vec<u8>,
+}
+
+impl FrameReader {
+    pub(crate) fn new() -> Self {
+        FrameReader {
+            buf: vec![0; IO_BUF_BYTES].into_boxed_slice(),
+            start: 0,
+            end: 0,
+            big: Vec::new(),
+        }
+    }
+
+    /// Reads until `want` bytes are buffered, or EOF (then fewer are).
+    fn fill(&mut self, r: &mut impl Read, want: usize) -> io::Result<()> {
+        debug_assert!(want <= self.buf.len());
+        if self.start + want > self.buf.len() {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        while self.end - self.start < want {
+            match r.read(&mut self.buf[self.end..]) {
+                Ok(0) => break,
+                Ok(n) => self.end += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// The next frame's payload, valid until the next call. `Ok(None)` is
+    /// clean EOF at a frame boundary.
+    ///
+    /// # Errors
+    /// As [`read_frame`]: `Truncated`, `Oversized` (payload not consumed)
+    /// or `Io`.
+    pub(crate) fn next_frame(&mut self, r: &mut impl Read, max_payload: usize) -> Result<Option<&[u8]>, FrameError> {
+        self.big = Vec::new();
+        self.fill(r, HEADER_BYTES)?;
+        let header = match self.end - self.start {
+            0 => return Ok(None),
+            n if n < HEADER_BYTES => return Err(FrameError::Truncated),
+            _ => &self.buf[self.start..self.start + HEADER_BYTES],
+        };
+        let declared = u32::from_be_bytes(header.try_into().expect("a header is four bytes"));
+        let len = declared as usize;
+        if len > max_payload {
+            return Err(FrameError::Oversized {
+                declared,
+                max: max_payload,
+            });
+        }
+        if HEADER_BYTES + len <= self.buf.len() {
+            self.fill(r, HEADER_BYTES + len)?;
+            if self.end - self.start < HEADER_BYTES + len {
+                return Err(FrameError::Truncated);
+            }
+            let payload = self.start + HEADER_BYTES;
+            self.start = payload + len;
+            return Ok(Some(&self.buf[payload..payload + len]));
+        }
+        // Larger than the buffer: what is buffered is the head of this
+        // payload and nothing else; the rest comes straight off the stream.
+        self.big.reserve_exact(len);
+        self.big
+            .extend_from_slice(&self.buf[self.start + HEADER_BYTES..self.end]);
+        (self.start, self.end) = (0, 0);
+        let head = self.big.len();
+        self.big.resize(len, 0);
+        r.read_exact(&mut self.big[head..]).map_err(|e| match e.kind() {
+            io::ErrorKind::UnexpectedEof => FrameError::Truncated,
+            _ => FrameError::Io(e),
+        })?;
+        Ok(Some(&self.big))
+    }
+}
+
+fn frame_header(payload_len: usize) -> io::Result<[u8; HEADER_BYTES]> {
+    u32::try_from(payload_len)
+        .map(u32::to_be_bytes)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32::MAX"))
+}
+
+/// Appends `msg` to `out` as one frame. `json` is scratch for the encoding,
+/// so a connection that keeps both buffers allocates nothing per message.
+///
+/// # Errors
+/// [`io::ErrorKind::InvalidInput`] when the encoding exceeds `u32::MAX`
+/// bytes (`out` is then unchanged).
+pub(crate) fn append_frame(out: &mut Vec<u8>, json: &mut String, msg: &impl Serialize) -> io::Result<()> {
+    json.clear();
+    msg.write_json(json);
+    out.extend_from_slice(&frame_header(json.len())?);
+    out.extend_from_slice(json.as_bytes());
+    Ok(())
+}
+
 /// Writes one frame (header + payload) as a single buffer.
 ///
 /// # Errors
 /// I/O errors from the transport; [`io::ErrorKind::InvalidInput`] when
 /// the payload exceeds `u32::MAX` bytes.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32::MAX"))?;
+    let header = frame_header(payload.len())?;
     // One buffer, one write: a frame must never be interleaved with
     // another thread's frame at the syscall boundary.
     let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
-    buf.extend_from_slice(&len.to_be_bytes());
+    buf.extend_from_slice(&header);
     buf.extend_from_slice(payload);
     w.write_all(&buf)
 }

@@ -59,6 +59,32 @@ fn malformed_payload_gets_typed_error_and_connection_survives() {
 }
 
 #[test]
+fn deeply_nested_payload_gets_typed_error_and_connection_survives() {
+    let corpus = corpus(126);
+    let front = Frontend::start(quick_ensemble(&corpus), front_config()).expect("bind");
+    let mut client = FrontClient::connect(front.addr()).expect("connect");
+
+    // 10 KB of `[`: a recursive parser follows it down until the reader
+    // thread's stack overflows, which aborts the process past any
+    // `catch_unwind`. The nesting limit makes it one more undecodable
+    // payload.
+    wire::write_frame(client.stream_mut(), &vec![b'['; 10_000]).expect("write");
+    match client.recv().expect("typed error response") {
+        Response::Error { id, kind, detail } => {
+            assert_eq!(id, None);
+            assert_eq!(kind, ErrorKind::BadRequest);
+            assert!(detail.contains("nesting"), "{detail}");
+        }
+        other => panic!("nested payload answered {other:?}"),
+    }
+    match client.ping(8).expect("connection must survive") {
+        Response::Pong { id, .. } => assert_eq!(id, 8),
+        other => panic!("ping answered {other:?}"),
+    }
+    assert_eq!(front.stats().bad_requests, 1);
+}
+
+#[test]
 fn oversized_frame_gets_typed_error_then_close_acceptor_survives() {
     let corpus = corpus(121);
     let front = Frontend::start(quick_ensemble(&corpus), front_config()).expect("bind");

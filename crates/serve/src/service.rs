@@ -818,6 +818,14 @@ impl Pending {
     pub fn wait_scored(self) -> Result<Scored, ServeError> {
         self.slot.wait()
     }
+
+    /// The answer if the request already has one, without blocking: what
+    /// [`Pending::wait_scored`] would return at once. A caller that holds
+    /// several `Pending`s (a connection's writer) uses it to collect the
+    /// answered ones before it parks on the first that is not.
+    pub fn try_scored(&self) -> Option<Result<Scored, ServeError>> {
+        *self.slot.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// Worker thread body: run the batching loop, and when it panics outside

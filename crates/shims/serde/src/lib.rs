@@ -4,17 +4,34 @@
 //! serde this workspace relies on: `#[derive(Serialize, Deserialize)]` for
 //! structs and enums (including `#[serde(skip)]`), implementations for the
 //! std types used in the models (numbers, strings, `Vec`, `Option`,
-//! tuples), and a generic [`Value`] tree that `serde_json` renders to and
-//! parses from.
+//! tuples), a generic [`Value`] tree, and the JSON text layer ([`json`]).
 //!
 //! The data model follows serde's JSON conventions: structs become
 //! objects, unit enum variants become strings, newtype/tuple variants
 //! become single-key objects (externally tagged), and newtype structs are
 //! transparent.
+//!
+//! # Two methods per trait
+//!
+//! Each trait has a text method and a tree method. [`Serialize::write_json`]
+//! appends JSON text and [`Deserialize::read_json`] pulls tokens from a
+//! [`json::Reader`]; the derive and every impl in this crate define them
+//! directly, so `serde_json::to_string` / `from_str` build no tree, allocate
+//! no key and print no number through a temporary. [`Serialize::to_value`]
+//! and [`Deserialize::from_value`] go through a [`Value`] tree. The tree
+//! stays for two callers: pretty printing, which needs to know a
+//! container's contents before it indents them, and hand-written impls
+//! (a map type, say), which can be written against [`Value`] alone because
+//! the text methods default to a bridge through it. The derive emits both
+//! pairs; nothing chooses between them at run time, and the shim's
+//! differential tests hold them to one language and one output.
+
+pub mod json;
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::fmt;
+use std::borrow::Cow;
+use std::fmt::{self, Write};
 
 /// A self-describing serialized value tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,27 +83,64 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can render themselves to a [`Value`].
+/// Types that can render themselves as JSON text or as a [`Value`].
 pub trait Serialize {
     /// Serializes `self` into the value tree.
     fn to_value(&self) -> Value;
+
+    /// Appends `self` as compact JSON: the same bytes as rendering
+    /// [`Serialize::to_value`], which is what the default body does.
+    fn write_json(&self, out: &mut String) {
+        json::write_value(&self.to_value(), out, None);
+    }
 }
 
-/// Types that can be rebuilt from a [`Value`].
+/// Types that can be rebuilt from JSON text or from a [`Value`].
 pub trait Deserialize: Sized {
     /// Rebuilds `Self` from a value tree.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Rebuilds `Self` from the reader's next value, accepting what
+    /// [`Deserialize::from_value`] accepts of the parsed tree, which is
+    /// what the default body does.
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        Self::from_value(&r.value()?)
+    }
+}
+
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(v.clone())
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        r.value()
+    }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
 }
 
@@ -97,12 +151,17 @@ impl Deserialize for bool {
             other => Err(DeError::msg(format!("expected bool, got {other:?}"))),
         }
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        r.bool()
+    }
 }
 
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::Int(*self as i64) }
+            fn write_json(&self, out: &mut String) { let _ = write!(out, "{self}"); }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -111,6 +170,9 @@ macro_rules! impl_signed {
                     Value::UInt(u) => Ok(*u as $t),
                     other => Err(DeError::msg(format!("expected integer, got {other:?}"))),
                 }
+            }
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                Self::from_value(&r.number()?)
             }
         }
     )*};
@@ -121,6 +183,7 @@ macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::UInt(*self as u64) }
+            fn write_json(&self, out: &mut String) { let _ = write!(out, "{self}"); }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -129,6 +192,9 @@ macro_rules! impl_unsigned {
                     Value::Int(i) if *i >= 0 => Ok(*i as $t),
                     other => Err(DeError::msg(format!("expected unsigned integer, got {other:?}"))),
                 }
+            }
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                Self::from_value(&r.number()?)
             }
         }
     )*};
@@ -142,6 +208,9 @@ macro_rules! impl_float {
                 let f = *self as f64;
                 if f.is_finite() { Value::Float(f) } else { Value::Null }
             }
+            // An `f32` prints as its `f64` widening, like the tree path:
+            // stored models and wire frames keep their bytes.
+            fn write_json(&self, out: &mut String) { json::write_f64(*self as f64, out); }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -153,6 +222,9 @@ macro_rules! impl_float {
                     other => Err(DeError::msg(format!("expected number, got {other:?}"))),
                 }
             }
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                if r.null()? { Ok(<$t>::NAN) } else { Self::from_value(&r.number()?) }
+            }
         }
     )*};
 }
@@ -161,6 +233,10 @@ impl_float!(f32, f64);
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
     }
 }
 
@@ -171,11 +247,19 @@ impl Deserialize for String {
             other => Err(DeError::msg(format!("expected string, got {other:?}"))),
         }
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        r.string().map(Cow::into_owned)
+    }
 }
 
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        json::write_str(self, out);
     }
 }
 
@@ -183,11 +267,19 @@ impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(Box::new(T::from_value(v)?))
+    }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        T::read_json(r).map(Box::new)
     }
 }
 
@@ -196,6 +288,13 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             Some(inner) => inner.to_value(),
             None => Value::Null,
+        }
+    }
+
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(inner) => inner.write_json(out),
+            None => out.push_str("null"),
         }
     }
 }
@@ -207,11 +306,23 @@ impl<T: Deserialize> Deserialize for Option<T> {
             other => Ok(Some(T::from_value(other)?)),
         }
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::read_json(r).map(Some)
+        }
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
+        self.as_slice().to_value()
+    }
+
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
     }
 }
 
@@ -222,11 +333,32 @@ impl<T: Deserialize> Deserialize for Vec<T> {
             other => Err(DeError::msg(format!("expected array, got {other:?}"))),
         }
     }
+
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        let mut items = Vec::new();
+        let mut more = r.begin_array()?;
+        while more {
+            items.push(T::read_json(r)?);
+            more = r.array_next()?;
+        }
+        Ok(items)
+    }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write_json(out);
+        }
+        out.push(']');
     }
 }
 
@@ -235,6 +367,13 @@ macro_rules! impl_tuple {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$n.to_value()),+])
+            }
+            fn write_json(&self, out: &mut String) {
+                $(
+                    out.push(if $n == 0 { '[' } else { ',' });
+                    self.$n.write_json(out);
+                )+
+                out.push(']');
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
@@ -245,6 +384,12 @@ macro_rules! impl_tuple {
                     }
                     other => Err(DeError::msg(format!("expected tuple array, got {other:?}"))),
                 }
+            }
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                let mut more = r.begin_array()?;
+                let tuple = ($(de_helpers::read_elem::<$t>(r, &mut more, $n)?,)+);
+                de_helpers::finish_array(r, more)?;
+                Ok(tuple)
             }
         }
     )*};
@@ -259,6 +404,7 @@ impl_tuple! {
 /// Helpers referenced by the code that `#[derive(Serialize, Deserialize)]`
 /// expands to. Not intended for direct use.
 pub mod de_helpers {
+    use super::json::Reader;
     use super::{DeError, Deserialize, Value};
 
     /// Extracts and deserializes a named struct field.
@@ -280,6 +426,41 @@ pub mod de_helpers {
             }
             other => Err(DeError::msg(format!("expected tuple array, got {other:?}"))),
         }
+    }
+
+    /// Reads the value of a named field the reader stands at.
+    pub fn read_field<T: Deserialize>(r: &mut Reader<'_>, name: &str) -> Result<T, DeError> {
+        T::read_json(r).map_err(|e| DeError::msg(format!("field `{name}`: {}", e.0)))
+    }
+
+    /// Unwraps a field slot after its object has been read.
+    pub fn required<T>(slot: Option<T>, name: &str) -> Result<T, DeError> {
+        slot.ok_or_else(|| DeError::msg(format!("missing field `{name}`")))
+    }
+
+    /// Reads element `idx` of the array the reader is inside; `more` is what
+    /// `begin_array` / `array_next` last returned and is kept up to date.
+    pub fn read_elem<T: Deserialize>(r: &mut Reader<'_>, more: &mut bool, idx: usize) -> Result<T, DeError> {
+        if !*more {
+            return Err(DeError::msg(format!("missing tuple element {idx}")));
+        }
+        let elem = T::read_json(r)?;
+        *more = r.array_next()?;
+        Ok(elem)
+    }
+
+    /// Skips the elements a tuple does not take, up to the `]`.
+    pub fn finish_array(r: &mut Reader<'_>, mut more: bool) -> Result<(), DeError> {
+        while more {
+            r.skip_value()?;
+            more = r.array_next()?;
+        }
+        Ok(())
+    }
+
+    /// The error for text that is neither `"Variant"` nor a one-key object.
+    pub fn not_a_variant(type_name: &str) -> DeError {
+        DeError::msg(format!("expected enum variant of {type_name}"))
     }
 
     /// Splits an externally-tagged enum value into `(variant, payload)`.

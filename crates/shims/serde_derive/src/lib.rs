@@ -11,6 +11,15 @@
 //! * enums with unit and tuple variants, externally tagged exactly like
 //!   serde-JSON (`"Variant"` / `{"Variant": payload}`).
 //!
+//! Each derive emits both methods of its trait: the tree method
+//! (`to_value` / `from_value`) and the text method (`write_json` /
+//! `read_json`). `serde_json::to_string` / `from_str` take the text pair;
+//! the tree pair serves pretty printing and hand-written impls that call a
+//! derived type's `to_value` / `from_value`. The two are held to the same
+//! bytes and the same accepted language (fields in any order, unknown
+//! fields skipped, the first of a repeated key wins, a missing field is an
+//! error naming it) by the differential tests in the `serde_json` shim.
+//!
 //! Generic types are intentionally unsupported and produce a compile
 //! error pointing here.
 
@@ -333,12 +342,93 @@ fn gen_serialize(input: &Input) -> String {
             format!("match self {{\n{arms}}}")
         }
     };
+    let text = gen_write_json(input);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
+             fn write_json(&self, __out: &mut ::std::string::String) {{\n{text}\n}}\n\
          }}"
     )
+}
+
+/// Statements that append `items` to `__out` as the JSON text
+/// `open item,item,... close`, where each item is a literal prefix (a key
+/// and its colon, or nothing) and the expression of the value after it.
+/// Adjacent literals are merged, so a struct costs one `push_str` per field.
+fn gen_write_seq(open: &str, items: &[(String, String)], close: &str) -> String {
+    let mut code = String::new();
+    let mut lit = open.to_string();
+    for (i, (prefix, expr)) in items.iter().enumerate() {
+        if i > 0 {
+            lit.push(',');
+        }
+        lit.push_str(prefix);
+        code.push_str(&format!(
+            "__out.push_str({lit:?});\n::serde::Serialize::write_json({expr}, __out);\n"
+        ));
+        lit.clear();
+    }
+    lit.push_str(close);
+    code.push_str(&format!("__out.push_str({lit:?});\n"));
+    code
+}
+
+/// Items for [`gen_write_seq`]: each field's `"name":` and its expression.
+fn keyed<'a>(names: impl Iterator<Item = &'a String>, expr: impl Fn(&str) -> String) -> Vec<(String, String)> {
+    names.map(|n| (format!("\"{n}\":"), expr(n))).collect()
+}
+
+fn gen_write_json(input: &Input) -> String {
+    let name = &input.name;
+    match &input.shape {
+        Shape::Named(fields) => {
+            let live = fields.iter().filter(|f| !f.skip).map(|f| &f.name);
+            gen_write_seq("{", &keyed(live, |n| format!("&self.{n}")), "}")
+        }
+        Shape::Tuple(fields) if fields.len() == 1 => "::serde::Serialize::write_json(&self.0, __out);".to_string(),
+        Shape::Tuple(fields) => {
+            let elems: Vec<_> = (0..fields.len())
+                .map(|k| (String::new(), format!("&self.{k}")))
+                .collect();
+            gen_write_seq("[", &elems, "]")
+        }
+        Shape::Unit => "__out.push_str(\"null\");".to_string(),
+        Shape::Enum(variants) => {
+            let mut arms = String::new();
+            for v in variants {
+                let vn = &v.name;
+                match &v.shape {
+                    VariantShape::Unit => {
+                        arms.push_str(&format!("{name}::{vn} => __out.push_str({:?}),\n", format!("\"{vn}\"")))
+                    }
+                    VariantShape::Tuple(1) => arms.push_str(&format!(
+                        "{name}::{vn}(__p0) => {{\n{}}}\n",
+                        gen_write_seq(&format!("{{\"{vn}\":"), &[(String::new(), "__p0".to_string())], "}")
+                    )),
+                    VariantShape::Tuple(n) => {
+                        let binds: Vec<String> = (0..*n).map(|k| format!("__p{k}")).collect();
+                        let elems: Vec<_> = binds.iter().map(|b| (String::new(), b.clone())).collect();
+                        arms.push_str(&format!(
+                            "{name}::{vn}({}) => {{\n{}}}\n",
+                            binds.join(", "),
+                            gen_write_seq(&format!("{{\"{vn}\":["), &elems, "]}")
+                        ));
+                    }
+                    VariantShape::Struct(fields) => arms.push_str(&format!(
+                        "{name}::{vn} {{ {} }} => {{\n{}}}\n",
+                        fields.join(", "),
+                        gen_write_seq(
+                            &format!("{{\"{vn}\":{{"),
+                            &keyed(fields.iter(), |n| n.to_string()),
+                            "}}"
+                        )
+                    )),
+                }
+            }
+            format!("match self {{\n{arms}}}")
+        }
+    }
 }
 
 fn gen_deserialize(input: &Input) -> String {
@@ -419,10 +509,134 @@ fn gen_deserialize(input: &Input) -> String {
             )
         }
     };
+    let text = gen_read_json(input);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
              fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
+             fn read_json(__r: &mut ::serde::json::Reader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{text}\n}}\n\
+         }}"
+    )
+}
+
+/// An expression that reads an object into `ctor { field: .. }`: one slot
+/// per live field, filled by the first occurrence of its key; other keys and
+/// repeats are skipped. Like the tree path's `de_helpers::field`, a value
+/// that is not an object has no fields, so every live field is then missing.
+fn gen_read_fields(ctor: &str, fields: &[Field]) -> String {
+    let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
+    for (k, f) in fields.iter().enumerate() {
+        let n = &f.name;
+        if f.skip {
+            inits.push_str(&format!("{n}: ::std::default::Default::default(),\n"));
+            continue;
+        }
+        slots.push_str(&format!("let mut __f{k} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "\"{n}\" if __f{k}.is_none() => __f{k} = ::std::option::Option::Some(::serde::de_helpers::read_field(__r, \"{n}\")?),\n"
+        ));
+        inits.push_str(&format!("{n}: ::serde::de_helpers::required(__f{k}, \"{n}\")?,\n"));
+    }
+    format!(
+        "{{\n{slots}\
+         if __r.peek()? == b'{{' {{\n\
+             let mut __more = __r.begin_object()?;\n\
+             while __more {{\n\
+                 let __k = __r.key()?;\n\
+                 match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n\
+                 __more = __r.object_next()?;\n\
+             }}\n\
+         }} else {{\n\
+             __r.skip_value()?;\n\
+         }}\n\
+         {ctor} {{\n{inits}}}\n}}"
+    )
+}
+
+/// An expression that reads an array into `ctor(..)`; elements past the
+/// `n`th are skipped, as the tree path ignores them.
+fn gen_read_elems(ctor: &str, n: usize) -> String {
+    if n == 0 {
+        return format!("{{ __r.skip_value()?; {ctor}() }}");
+    }
+    let elems: Vec<String> = (0..n)
+        .map(|k| format!("::serde::de_helpers::read_elem(__r, &mut __more, {k})?"))
+        .collect();
+    format!(
+        "{{\n\
+         let mut __more = __r.begin_array()?;\n\
+         let __t = {ctor}({});\n\
+         ::serde::de_helpers::finish_array(__r, __more)?;\n\
+         __t\n}}",
+        elems.join(", ")
+    )
+}
+
+fn gen_read_json(input: &Input) -> String {
+    let name = &input.name;
+    let value = match &input.shape {
+        Shape::Named(fields) => gen_read_fields(name, fields),
+        Shape::Tuple(fields) if fields.len() == 1 => format!("{name}(::serde::Deserialize::read_json(__r)?)"),
+        Shape::Tuple(fields) => gen_read_elems(name, fields.len()),
+        Shape::Unit => format!("{{ __r.skip_value()?; {name} }}"),
+        Shape::Enum(variants) => return gen_read_enum(name, variants),
+    };
+    format!("::std::result::Result::Ok({value})")
+}
+
+/// `"Variant"` or `{"Variant": payload}` with exactly one key. As on the
+/// tree path, a unit variant ignores a payload and the other shapes need one.
+fn gen_read_enum(name: &str, variants: &[Variant]) -> String {
+    let mut bare = String::new();
+    let mut tagged = String::new();
+    for v in variants {
+        let vn = &v.name;
+        let ctor = format!("{name}::{vn}");
+        let payload = match &v.shape {
+            VariantShape::Unit => {
+                bare.push_str(&format!("\"{vn}\" => ::std::result::Result::Ok({ctor}),\n"));
+                format!("{{ __r.skip_value()?; {ctor} }}")
+            }
+            VariantShape::Tuple(1) => format!("{ctor}(::serde::Deserialize::read_json(__r)?)"),
+            VariantShape::Tuple(n) => gen_read_elems(&ctor, *n),
+            VariantShape::Struct(fields) => {
+                let fields: Vec<Field> = fields
+                    .iter()
+                    .map(|f| Field {
+                        name: f.clone(),
+                        skip: false,
+                    })
+                    .collect();
+                gen_read_fields(&ctor, &fields)
+            }
+        };
+        if !matches!(v.shape, VariantShape::Unit) {
+            bare.push_str(&format!(
+                "\"{vn}\" => ::std::result::Result::Err(::serde::DeError::msg(\"variant `{vn}` expects a payload\")),\n"
+            ));
+        }
+        tagged.push_str(&format!("\"{vn}\" => {payload},\n"));
+    }
+    let unknown = format!(
+        "::std::result::Result::Err(::serde::DeError::msg(format!(\"unknown variant `{{__other}}` of {name}\")))"
+    );
+    let not_a_variant = format!("::std::result::Result::Err(::serde::de_helpers::not_a_variant(\"{name}\"))");
+    format!(
+        "match __r.peek()? {{\n\
+             b'\"' => match &*__r.string()? {{\n{bare}__other => {unknown},\n}},\n\
+             b'{{' => {{\n\
+                 if !__r.begin_object()? {{\n\
+                     return {not_a_variant};\n\
+                 }}\n\
+                 let __value = match &*__r.key()? {{\n{tagged}\
+                     __other => return {unknown},\n\
+                 }};\n\
+                 if __r.object_next()? {{\n\
+                     return {not_a_variant};\n\
+                 }}\n\
+                 ::std::result::Result::Ok(__value)\n\
+             }}\n\
+             _ => {not_a_variant},\n\
          }}"
     )
 }

@@ -1,23 +1,28 @@
-//! Vendored stand-in for `serde_json`: renders the serde shim's
-//! [`Value`](serde::Value) tree to JSON text and parses it back.
+//! Vendored stand-in for `serde_json`: the three entry points over the
+//! serde shim's JSON layer (`serde::json`).
+//!
+//! [`to_string`] and [`from_str`] take the text methods of the traits
+//! (`Serialize::write_json`, `Deserialize::read_json`): one pass over the
+//! value or the input, no `Value` tree in between. [`to_string_pretty`] is
+//! the one caller of the tree (`Serialize::to_value`): an indenting printer
+//! has to know whether a container is empty before it opens it. Hand-written
+//! impls that define only the tree methods work with all three through the
+//! traits' default bodies.
 //!
 //! Numbers print through Rust's shortest-round-trip float formatting, so
 //! `f32`/`f64` values survive a serialize → parse cycle exactly. Non-finite
 //! floats serialize as `null` (as upstream serde_json does) and parse back
-//! as NaN.
+//! as NaN; a number token no finite `f64` holds is an error (as upstream's
+//! "number out of range"). Arrays and objects nest at most
+//! `serde::json::MAX_DEPTH` deep.
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::json::{self, Reader};
+use serde::{DeError, Deserialize, Serialize};
 use std::fmt;
 
 /// Serialization/deserialization error.
 #[derive(Clone, Debug)]
 pub struct Error(String);
-
-impl Error {
-    fn new(msg: impl Into<String>) -> Self {
-        Error(msg.into())
-    }
-}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -35,302 +40,24 @@ impl From<DeError> for Error {
 
 /// Serializes a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
+    let mut out = String::with_capacity(128);
+    value.write_json(&mut out);
     Ok(out)
 }
 
 /// Serializes a value to 2-space-indented JSON.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    json::write_value(&value.to_value(), &mut out, Some(2));
     Ok(out)
 }
 
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = parse_value(s)?;
-    Ok(T::from_value(&value)?)
-}
-
-// ---------------------------------------------------------------- printing
-
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Rust's float Display is the shortest round-trip form.
-                out.push_str(&f.to_string());
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, depth);
-            }
-            out.push(']');
-        }
-        Value::Object(fields) => {
-            out.push('{');
-            for (i, (k, item)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_string(k, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, depth + 1);
-            }
-            if !fields.is_empty() {
-                newline_indent(out, indent, depth);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(step) = indent {
-        out.push('\n');
-        for _ in 0..step * depth {
-            out.push(' ');
-        }
-    }
-}
-
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-// ---------------------------------------------------------------- parsing
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-fn parse_value(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at offset {}", p.pos)));
-    }
-    Ok(v)
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, Error> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| Error::new("unexpected end of input"))
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), Error> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::new(format!("expected `{}` at offset {}", b as char, self.pos)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(Error::new(format!("invalid literal at offset {}", self.pos)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, Error> {
-        match self.peek()? {
-            b'n' => self.literal("null", Value::Null),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b'[' => self.array(),
-            b'{' => self.object(),
-            _ => self.number(),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(Error::new(format!("expected `,` or `]` at offset {}", self.pos))),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                _ => return Err(Error::new(format!("expected `,` or `}}` at offset {}", self.pos))),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, Error> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::new("unterminated string"))?;
-            match b {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            self.pos += 4;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| Error::new("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| Error::new("invalid \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => return Err(Error::new(format!("invalid escape `\\{}`", other as char))),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| Error::new("invalid utf-8 in string"))?;
-                    let c = rest.chars().next().ok_or_else(|| Error::new("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, Error> {
-        self.skip_ws();
-        let start = self.pos;
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| Error::new("invalid number"))?;
-        if text.is_empty() {
-            return Err(Error::new(format!("expected value at offset {start}")));
-        }
-        if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(if i >= 0 { Value::UInt(i as u64) } else { Value::Int(i) });
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
-    }
+    let mut reader = Reader::new(s);
+    let value = T::read_json(&mut reader)?;
+    reader.end()?;
+    Ok(value)
 }
 
 #[cfg(test)]

@@ -23,8 +23,10 @@ the gated op moves both. CALIBRATION_OP itself must stay a pure
 single-threaded kernel bench.
 
 Gated ops fall in two classes:
-  * single-threaded benches (train_epoch) — directly comparable across
-    runners via the double gate;
+  * single-threaded benches (train_epoch, and the wire codec rows
+    wire_encode_request_inline / wire_decode_request_inline: one ~1 KB
+    inline-graph request through the JSON shim's text path, no kernels
+    underneath) — directly comparable across runners via the double gate;
   * product-level runner-class benches — the metrics this repo exists
     to protect. serve_throughput (8 pipelined clients against the
     batching scoring service) and front_interactive_p99 are threaded.
@@ -49,6 +51,13 @@ import sys
 # See the module docstring for what may be gated.
 GATED = {
     "train_epoch": 1.20,
+    # Encoding and decoding one inline `Score` request (a ~1 KB generator
+    # graph) — what every never-seen graph pays at the wire before and
+    # after the ~10 us the fused kernels need for it. Single-threaded and
+    # kernel-free, so not in THREADED. A value tree, a per-key String or a
+    # re-validating string scan coming back shows here as 2-4x.
+    "wire_encode_request_inline": 1.30,
+    "wire_decode_request_inline": 1.30,
     "serve_throughput": 1.30,
     # One full LocalSearch placement search at a fixed scoring budget —
     # the optimizer-layer product metric (single-threaded: its batches

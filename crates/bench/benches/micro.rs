@@ -435,8 +435,9 @@ fn bench_serving(c: &mut Criterion) {
         criterion::register_result(&format!("serve_p99_latency{suffix}"), stats.p99_ns);
         let sstats = service.stats();
         eprintln!(
-            "  {clients}-client (depth {depth}) serving: mean batch {:.1}, plan cache {} hits / {} misses (hit rate {:.0}%)",
+            "  {clients}-client (depth {depth}) serving: mean batch {:.1}, batches by size 1|2-3|4-7|8-15|16-31|32-63|64+ {:?}, plan cache {} hits / {} misses (hit rate {:.0}%)",
             sstats.mean_batch(),
+            sstats.batch_hist,
             sstats.plan_cache_hits,
             sstats.plan_cache_misses,
             100.0 * sstats.plan_cache_hit_rate(),

@@ -238,7 +238,6 @@ fn overload_with_mixed_lanes_answers_every_request_typed() {
     cfg.serve.workers = 1;
     cfg.serve.queue_cap = 4;
     cfg.serve.bulk_queue_cap = 4;
-    cfg.serve.max_delay_us = 0;
     let front = Frontend::start(ensemble, cfg).expect("bind");
 
     let n = 300u64;

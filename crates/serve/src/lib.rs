@@ -18,9 +18,11 @@
 //! * A batching core (bounded MPSC submission queue + worker threads
 //!   driving the tape-free fast path, oneshot-style response slots)
 //!   coalesces whatever is queued into one fused batch per tick, bounded
-//!   by [`ServeConfig::max_batch`] and [`ServeConfig::max_delay_us`] —
-//!   kernel and plan costs amortize across concurrent callers exactly
-//!   like they do across a training epoch.
+//!   by [`ServeConfig::max_batch`] — kernel and plan costs amortize
+//!   across concurrent callers exactly like they do across a training
+//!   epoch. Batches are sized by backlog, never by a timer: an idle
+//!   service scores a lone request at once, and what arrives while the
+//!   workers are busy is the next batch.
 //! * A topology-keyed [`PlanCache`](costream::plan::PlanCache), shared
 //!   across workers and all ensemble members, lets recurring graph
 //!   shapes skip `BatchPlan` construction entirely.
@@ -85,12 +87,13 @@ use std::fmt;
 
 /// Tuning knobs of the batching core.
 ///
-/// The serving model is a *tick* loop: a worker that finds the queue
-/// non-empty waits up to `max_delay_us` for the batch to fill to
-/// `max_batch`, then drains and scores one fused batch. Under heavy load
-/// batches fill instantly and the delay never applies; under light load
-/// it bounds the latency a lone request can be held hostage waiting for
-/// company.
+/// The serving model is a *tick* loop that batches **by backlog**: a
+/// worker that finds the queue non-empty drains what is there (up to
+/// `max_batch`) and scores it as one fused batch, without waiting for
+/// company. Under load requests queue up while the workers score, so
+/// batches grow with the backlog by themselves; on an idle service a lone
+/// request is answered in a forward pass plus two thread wake-ups.
+/// [`ServeStats::batch_hist`] shows which sizes the traffic produced.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads draining the queue. Defaults to the
@@ -100,12 +103,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Maximum requests coalesced into one scoring batch.
     pub max_batch: usize,
-    /// Upper bound (microseconds) a worker waits for a non-full batch to
-    /// fill before scoring what it has. The wait stops early as soon as
-    /// one probe window (≤ 25 µs) passes with no new arrival, so a lone
-    /// request never pays the full delay. `0` scores whatever is queued
-    /// immediately.
-    pub max_delay_us: u64,
     /// Bound of the **interactive-lane** submission queue
     /// ([`Lane::Interactive`], the default lane); submissions beyond it
     /// are rejected with [`ServeError::Overloaded`].
@@ -142,7 +139,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: default_workers(),
             max_batch: 64,
-            max_delay_us: 200,
             queue_cap: 1024,
             bulk_queue_cap: 1024,
             plan_cache_cap: 128,

@@ -105,9 +105,11 @@ impl ServeScorer {
         // of the service's health, not of the batch size.
         let deadline = Instant::now() + self.submit_deadline;
         // Submit the whole batch to all three services before waiting on
-        // anything: 3 x N requests in flight is what lets the batching
-        // tick coalesce this search round (and concurrent tenants) into
-        // few fused batches.
+        // anything. Workers batch by backlog, and a submit is far cheaper
+        // than an idle worker's wake-up or a forward pass: most of a
+        // service's N requests are queued before its first worker drains,
+        // and the rest (and concurrent tenants') while it scores — so the
+        // round still lands in few fused batches, with no fill timer.
         let submit_all = |client: &ScoreClient| -> Result<Vec<Pending>, ServeError> {
             shared.iter().map(|g| submit_backoff(client, g, deadline)).collect()
         };

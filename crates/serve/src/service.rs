@@ -31,7 +31,7 @@ use crate::{ServeConfig, ServeError, SwapError};
 use costream::ensemble::Ensemble;
 use costream::fused::{int8_self_test, FusedEnsemble, Precision};
 use costream::graph::{Featurization, JointGraph};
-use costream::model::inference_chunk;
+use costream::model::{inference_chunk, Scheme};
 use costream::plan::{plan_signature, CacheStats, PlanCache, PlanSignature};
 use costream_nn::InferenceArena;
 use costream_query::hardware::Cluster;
@@ -299,10 +299,21 @@ struct StatsInner {
     shed: [AtomicU64; Lane::COUNT],
     failed: AtomicU64,
     answered: AtomicU64,
-    batches: AtomicU64,
     batched_graphs: AtomicU64,
+    /// Scored batches per size bucket; their sum is the batch count.
+    batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
     worker_respawns: AtomicU64,
     swaps: AtomicU64,
+}
+
+/// Buckets of [`ServeStats::batch_hist`]: batch sizes 1, 2–3, 4–7, 8–15,
+/// 16–31, 32–63 and 64+.
+const BATCH_HIST_BUCKETS: usize = 7;
+
+/// Histogram bucket of a batch of `len >= 1` requests: `floor(log2(len))`,
+/// with everything from 64 up in the last bucket.
+fn batch_hist_bucket(len: usize) -> usize {
+    (len.ilog2() as usize).min(BATCH_HIST_BUCKETS - 1)
 }
 
 struct Shared {
@@ -310,6 +321,13 @@ struct Shared {
     /// [`ScoringService::swap_model`]. Workers take a read lock once per
     /// batch and hold only the `Arc`.
     model: RwLock<Arc<ModelState>>,
+    /// What signatures, plans and client-side featurization need of the
+    /// model, captured once at start so a submission takes no `model`
+    /// lock: all three are swap-invariant ([`ScoringService::swap_model`]
+    /// refuses a replacement that differs in any of them).
+    featurization: Featurization,
+    scheme: Scheme,
+    traditional_rounds: usize,
     cfg: ServeConfig,
     queue: Mutex<QueueState>,
     /// Signalled on submission, on shutdown/drain, and on panic
@@ -376,6 +394,12 @@ pub struct ServeStats {
     pub batches: u64,
     /// Total graphs across all scored batches.
     pub batched_graphs: u64,
+    /// Scored batches by size, in fixed log₂ buckets: 1, 2–3, 4–7, 8–15,
+    /// 16–31, 32–63, 64+. Sums to [`batches`](Self::batches) — the answer
+    /// to "why was this batch this size" that the mean alone hides (a
+    /// closed-loop caller shows as bucket 0, a pipelined burst as one
+    /// large bucket).
+    pub batch_hist: [u64; BATCH_HIST_BUCKETS],
     /// Worker loops restarted after a panic outside the per-chunk catch.
     pub worker_respawns: u64,
     /// Successful model hot swaps.
@@ -443,7 +467,11 @@ impl ScoringService {
         assert!(cfg.bulk_queue_cap > 0, "bulk_queue_cap must be >= 1");
         let cache = PlanCache::new(cfg.plan_cache_cap);
         let model = build_model(ensemble, &cfg, 1);
+        let model_cfg = model.ensemble.model_config();
         let shared = Arc::new(Shared {
+            featurization: model.ensemble.featurization(),
+            scheme: model_cfg.scheme,
+            traditional_rounds: model_cfg.traditional_rounds,
             model: RwLock::new(Arc::new(model)),
             queue: Mutex::new(QueueState {
                 lanes: Default::default(),
@@ -552,14 +580,16 @@ impl ScoringService {
             shed: s.shed[l.idx()].load(Ordering::Relaxed),
         };
         let (interactive, bulk) = (lane(Lane::Interactive), lane(Lane::Bulk));
+        let batch_hist: [u64; BATCH_HIST_BUCKETS] = std::array::from_fn(|i| s.batch_hist[i].load(Ordering::Relaxed));
         ServeStats {
             submitted: interactive.submitted + bulk.submitted,
             rejected: interactive.rejected + bulk.rejected,
             completed: interactive.completed + bulk.completed,
             shed: interactive.shed + bulk.shed,
             failed: s.failed.load(Ordering::Relaxed),
-            batches: s.batches.load(Ordering::Relaxed),
+            batches: batch_hist.iter().sum(),
             batched_graphs: s.batched_graphs.load(Ordering::Relaxed),
+            batch_hist,
             worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
             swaps: s.swaps.load(Ordering::Relaxed),
             plan_cache_hits: self.shared.cache.hits(),
@@ -664,7 +694,7 @@ impl ScoreClient {
     /// [`ScoringService::swap_model`] only accepts replacements with the
     /// same featurization.
     pub fn featurization(&self) -> Featurization {
-        self.shared.model().ensemble.featurization()
+        self.shared.featurization
     }
 
     /// Submits a request without blocking on the result. Featurization
@@ -702,9 +732,7 @@ impl ScoreClient {
             )),
         };
         let slot = Arc::new(Slot::new());
-        let model = self.shared.model();
-        let cfg = model.ensemble.model_config();
-        let sig = plan_signature(&[graph.as_ref()], cfg.scheme, cfg.traditional_rounds);
+        let sig = plan_signature(&[graph.as_ref()], self.shared.scheme, self.shared.traditional_rounds);
         let lane = opts.lane;
         let cap = match lane {
             Lane::Interactive => self.shared.cfg.queue_cap,
@@ -861,16 +889,15 @@ fn worker_loop(sh: &Shared) {
     let chunk_w = inference_chunk();
     while let Some(mut batch) = collect_batch(sh) {
         if batch.is_empty() {
-            // Another worker drained the queue during our probe wait, or
-            // everything we drained was past its deadline.
+            // Everything we drained was past its deadline.
             continue;
         }
         // One model snapshot per batch: every request in this batch —
         // and therefore every response — is produced by exactly this
         // version, even if a swap lands mid-batch.
         let model = sh.model();
-        sh.stats.batches.fetch_add(1, Ordering::Relaxed);
         sh.stats.batched_graphs.fetch_add(batch.len() as u64, Ordering::Relaxed);
+        sh.stats.batch_hist[batch_hist_bucket(batch.len())].fetch_add(1, Ordering::Relaxed);
         // Group same-shaped requests into runs (the stable sort keeps
         // per-shape submission order): a mixed-shape batch then hits the
         // plan cache once per shape instead of missing on every distinct
@@ -884,14 +911,15 @@ fn worker_loop(sh: &Shared) {
     }
 }
 
-/// One batching tick. Blocks until at least one request is queued; then,
-/// if the batch is not full, waits for it to fill — but only while new
-/// requests keep arriving (a short *no-growth probe* per wait, bounded
-/// overall by `max_delay_us`), so a lone request is never held for the
-/// full delay and a burst is collected whole; finally drains up to
-/// `max_batch` requests, interactive lane strictly first, shedding
-/// expired requests as it goes. Returns `None` on shutdown, or when
-/// draining and the queue is empty.
+/// One batching tick, sized **by backlog**: blocks until at least one
+/// request is queued, then drains what is there — up to `max_batch`,
+/// interactive lane strictly first, shedding expired requests as it
+/// goes — and returns it to be scored at once. There is no fill wait:
+/// whatever arrives while the workers are busy (or during an idle
+/// worker's wake-up) is the next batch, so batch size follows load and a
+/// lone request on an idle service costs a forward pass plus two
+/// wake-ups. Returns `None` on shutdown, or when draining and the queue
+/// is empty.
 fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
     let cfg = &sh.cfg;
     let mut q = sh.lock_queue();
@@ -907,38 +935,6 @@ fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
             break;
         }
         q = sh.ready.wait(q).unwrap_or_else(|e| e.into_inner());
-    }
-    if cfg.max_delay_us > 0 && q.queued() < cfg.max_batch {
-        let deadline = Instant::now() + Duration::from_micros(cfg.max_delay_us);
-        // Probe window: long enough that co-runnable client threads get
-        // scheduled and submit, short enough to be cheap when traffic is
-        // a single closed-loop caller.
-        let probe = Duration::from_micros(cfg.max_delay_us.min(25));
-        loop {
-            if q.queued() >= cfg.max_batch || q.shutdown {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let before = q.queued();
-            let (guard, _) = sh
-                .ready
-                .wait_timeout(q, probe.min(deadline - now))
-                .unwrap_or_else(|e| e.into_inner());
-            q = guard;
-            if q.queued() <= before {
-                // Nothing new arrived within a whole probe window (or
-                // another worker drained part of the queue — a shrink is
-                // not an arrival): the burst is over, score what we have.
-                break;
-            }
-        }
-        if q.shutdown {
-            // Leave the batch queued; shutdown fails the slots.
-            return None;
-        }
     }
     // Drain up to `max_batch` live requests: interactive strictly before
     // bulk, and anything already past its deadline is shed here — before
@@ -1003,8 +999,7 @@ fn score_chunk(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: 
 /// `Ensemble::predict_plans_arena` at exact precision — see
 /// [`costream::fused`]).
 fn score_graphs(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: &mut InferenceArena) -> Vec<f64> {
-    let cfg = model.ensemble.model_config();
     let graphs: Vec<&JointGraph> = chunk.iter().map(|r| r.graph.as_ref()).collect();
-    let plan = sh.cache.get_or_build(&graphs, cfg.scheme, cfg.traditional_rounds);
+    let plan = sh.cache.get_or_build(&graphs, sh.scheme, sh.traditional_rounds);
     model.fused().predict_plans_arena(std::slice::from_ref(&plan), arena)
 }

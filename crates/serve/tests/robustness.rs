@@ -272,3 +272,61 @@ fn incompatible_swaps_are_refused_typed() {
     assert_eq!(service.model_version(), 1);
     assert_eq!(service.stats().swaps, 0);
 }
+
+#[test]
+fn pipelined_backlog_coalesces_without_a_timer() {
+    let corpus = corpus(97);
+    let ensemble = quick_ensemble(&corpus, 0);
+    let graphs: Vec<JointGraph> = (0..256)
+        .map(|i| corpus.items[i % corpus.items.len()].graph(ensemble.featurization()))
+        .collect();
+    let direct = ensemble.predict_graphs(&graphs.iter().collect::<Vec<_>>());
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let service = ScoringService::start(ensemble, cfg);
+    let client = service.client();
+
+    // One caller, 256 requests in flight before the first wait: nothing
+    // holds a batch open, yet the sole worker cannot keep up with the
+    // submit loop, so what queues behind each forward pass is scored
+    // together.
+    let pending: Vec<_> = graphs
+        .iter()
+        .map(|g| client.submit(g.clone()).expect("admitted"))
+        .collect();
+    for (i, p) in pending.into_iter().enumerate() {
+        assert!(
+            p.wait().expect("alive") == direct[i],
+            "request {i} is not bitwise direct"
+        );
+    }
+
+    let stats = service.stats();
+    assert_eq!(stats.batched_graphs, 256);
+    assert!(
+        stats.batches < 256,
+        "backlog must coalesce, got {} batches",
+        stats.batches
+    );
+    assert_eq!(stats.batch_hist.iter().sum::<u64>(), stats.batches);
+    // Bucket i holds batches of at least 2^i requests.
+    let at_least: u64 = stats.batch_hist.iter().enumerate().map(|(i, n)| n << i).sum();
+    assert!(at_least <= stats.batched_graphs);
+}
+
+#[test]
+fn closed_loop_caller_is_scored_alone_every_time() {
+    let corpus = corpus(98);
+    let ensemble = quick_ensemble(&corpus, 0);
+    let graph = corpus.items[0].graph(ensemble.featurization());
+    let service = ScoringService::start(ensemble, ServeConfig::default());
+    let client = service.client();
+    for _ in 0..200 {
+        client.score(graph.clone()).expect("alive");
+    }
+    let stats = service.stats();
+    assert_eq!(stats.batch_hist, [200, 0, 0, 0, 0, 0, 0]);
+    assert_eq!((stats.batches, stats.batched_graphs), (200, 200));
+}

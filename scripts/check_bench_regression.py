@@ -29,7 +29,9 @@ Gated ops fall in two classes:
     underneath) — directly comparable across runners via the double gate;
   * product-level runner-class benches — the metrics this repo exists
     to protect. serve_throughput (8 pipelined clients against the
-    batching scoring service) and front_interactive_p99 are threaded.
+    batching scoring service), serve_p50_latency_1client (one
+    closed-loop caller against the same service, idle otherwise) and
+    front_interactive_p99 are threaded.
     optimizer_search_local (one budgeted LocalSearch placement search),
     search_score_per_candidate (what one candidate costs in its scorer)
     and ensemble_fused_batch64 are not: a search scores single-chunk
@@ -59,6 +61,13 @@ GATED = {
     "wire_encode_request_inline": 1.30,
     "wire_decode_request_inline": 1.30,
     "serve_throughput": 1.30,
+    # Median round trip of one closed-loop caller against an otherwise
+    # idle service: a forward pass plus two thread wake-ups, since the
+    # micro-batcher batches by backlog and never holds a request for
+    # company. A timed wait coming back into the batching tick (the
+    # removed fill probe cost ~100 us per request whatever its nominal
+    # 25 us) reads 3-4x here and stays inside serve_throughput's gate.
+    "serve_p50_latency_1client": 1.50,
     # One full LocalSearch placement search at a fixed scoring budget —
     # the optimizer-layer product metric (single-threaded: its batches
     # are single chunks, scored inline on the fused path).
@@ -82,7 +91,8 @@ GATED = {
 
 # Gated ops whose numbers depend on the runner class beyond what the
 # calibration op cancels: threaded benches (serve_throughput,
-# front_interactive_p99) scale with core count, and the fused kernels —
+# serve_p50_latency_1client, front_interactive_p99) scale with core
+# count, and the fused kernels —
 # under ensemble_fused_batch64 and, since search scores on the fused
 # path, under optimizer_search_local and search_score_per_candidate —
 # dispatch on ISA tier (AVX-512 vs AVX2: machine generation, which
@@ -91,6 +101,7 @@ GATED = {
 # and the fresh run come from runners of different widths.
 THREADED = {
     "serve_throughput",
+    "serve_p50_latency_1client",
     "optimizer_search_local",
     "search_score_per_candidate",
     "ensemble_fused_batch64",

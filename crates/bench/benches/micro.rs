@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the reproduction's hot paths: tensor kernels at the
 //! exact shapes the GNN MLPs use, graph primitives, batch-plan
 //! construction, simulator runs, joint-graph featurization, GNN inference
-//! on both execution paths (tape vs. tape-free arena), ensemble training,
+//! and the training step (forward / backward / update), ensemble training,
 //! GBDT fitting and placement enumeration.
 //!
 //! The harness writes every result to `BENCH_micro.json` (op, ns/iter,
@@ -13,6 +13,7 @@ use costream::train::{prepare_training, train_prepared};
 use costream_baselines::{Gbdt, GbdtConfig, Objective};
 use costream_dsps::simulate;
 use costream_nn::loss::mse;
+use costream_nn::optim::{clip_scale, Adam};
 use costream_nn::{Gradients, InferenceArena, Tensor};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::selectivity::SelectivityEstimator;
@@ -70,25 +71,51 @@ fn bench_matmul_kernels(c: &mut Criterion) {
     });
 }
 
-/// Training-path benches: one full tape build + backward over a 16-graph
-/// minibatch (the inner loop of `fit`), and one whole training epoch over
-/// a 48-item corpus — the numbers the CI regression gate watches.
+/// Training-path benches: one minibatch step of `fit`, split where its
+/// cost splits — tape forward (against the tape-free forward on the same
+/// plan: the training forward is the inference pass plus retained
+/// activations), backward, and the clipped Adam update — and one whole
+/// training epoch over a 48-item corpus. `train_epoch` and
+/// `train_backward_batch16` are CI-gated.
 fn bench_training_path(c: &mut Criterion) {
     eprintln!("kernel tier: {}", costream_nn::kernel_tier());
     let corpus = Corpus::generate(16, 10, FeatureRanges::training(), &SimConfig::default());
     let cfg = TrainConfig::default();
     let prepared = prepare_training(&corpus, CostMetric::ProcessingLatency, &cfg);
     let batch = &prepared.batches[0];
-    let model = GnnModel::new(cfg.model);
+    let mut model = GnnModel::new(cfg.model);
     let mut grads = Gradients::for_store(model.store());
     let mut arena = InferenceArena::new();
-    c.bench_function("tape_backward_batch16", |b| {
+    c.bench_function("train_forward_batch16", |b| {
         b.iter(|| {
-            let (tape, out) = model.forward_with_plan(&batch.plan);
-            let loss = mse(tape.value(out), &batch.targets);
-            grads.zero();
-            tape.backward_with_arena(out, loss.seed, &mut grads, &mut arena);
-            loss.loss
+            let (tape, out) = model.forward_with_plan_in(&batch.plan, std::mem::take(&mut arena));
+            let first = tape.value(out).data()[0];
+            arena = tape.into_arena();
+            first
+        })
+    });
+    c.bench_function("train_forward_batch16_tape_free", |b| {
+        b.iter(|| model.forward_inference(black_box(&batch.plan), &mut arena))
+    });
+    {
+        // Backward replays retained activations and leaves them as they
+        // were, so one tape serves every iteration.
+        let (mut tape, out) = model.forward_with_plan_in(&batch.plan, std::mem::take(&mut arena));
+        criterion::register_metric("train_tape_nodes_batch16", tape.len() as f64, "nodes");
+        let seed = mse(tape.value(out), &batch.targets).seed;
+        c.bench_function("train_backward_batch16", |b| {
+            b.iter(|| {
+                grads.zero();
+                let seed = tape.arena().alloc_copy(&seed);
+                tape.backward(out, seed, &mut grads);
+            })
+        });
+    }
+    let mut opt = Adam::new(cfg.lr);
+    c.bench_function("train_step_batch16", |b| {
+        b.iter(|| {
+            let scale = clip_scale(&grads, cfg.grad_clip);
+            opt.step_scaled(model.store_mut(), &grads, scale);
         })
     });
 
@@ -142,9 +169,8 @@ fn bench_featurize(c: &mut Criterion) {
     });
 }
 
-/// GNN inference, both execution paths. `gnn_inference_batch64` is the
-/// fast path the acceptance criterion tracks; `gnn_inference_batch64_tape`
-/// is the tape-recording baseline it is measured against.
+/// GNN inference on the tape-free fast path (the training forward has
+/// its own rows in `bench_training_path`).
 fn bench_inference(c: &mut Criterion) {
     let corpus = Corpus::generate(64, 4, FeatureRanges::training(), &SimConfig::default());
     let cfg = TrainConfig {
@@ -160,13 +186,6 @@ fn bench_inference(c: &mut Criterion) {
         b.iter(|| model.predict_graphs(&[one]))
     });
     c.bench_function("gnn_inference_batch64", |b| b.iter(|| model.predict_graphs(&refs)));
-    let tape_plan = model.model().plan(&refs);
-    c.bench_function("gnn_inference_batch64_tape", |b| {
-        b.iter(|| {
-            let (tape, out) = model.model().forward_with_plan(&tape_plan);
-            tape.value(out).data().to_vec()
-        })
-    });
     // Plan reuse: the steady-state serving cost once plans are cached.
     let plan = model.model().plan(&refs);
     let mut arena = InferenceArena::new();

@@ -9,8 +9,11 @@
 //! scheme of the Exp 7b ablation is available behind [`Scheme`].
 
 use crate::graph::JointGraph;
-use crate::plan::BatchPlan;
-use costream_nn::{InferenceArena, Initializer, Mlp, NodeId, ParamStore, Tape};
+use crate::plan::{BatchPlan, WavePlan};
+use costream_nn::wave::{encode_scatter, wave_update};
+use costream_nn::{
+    EncodeSpec, EncoderPart, InferenceArena, Initializer, Mlp, NodeId, ParamStore, Tape, Tensor, WaveGroup, WaveSpec,
+};
 use costream_query::features::NodeType;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -187,9 +190,16 @@ impl GnnModel {
         BatchPlan::build(graphs, self.config.scheme, self.config.traditional_rounds)
     }
 
-    /// Tape-recording forward pass driven by a precomputed [`BatchPlan`].
-    /// This is the training ground truth: the returned tape supports
-    /// `backward`.
+    /// Tape-recording forward pass driven by a precomputed [`BatchPlan`]:
+    /// the training forward. The returned tape supports `backward`.
+    ///
+    /// It is the inference pass plus retained activations. The tape holds
+    /// one fused node for the per-type encoders and one per message-passing
+    /// wave, each running the routine [`GnnModel::forward_inference`] runs
+    /// (`costream_nn::wave`) and keeping only what its hand-written
+    /// backward replays, then the readout as small ops (a segment sum and
+    /// the output MLP's affine nodes). Gradients are bitwise those of the
+    /// per-op chain the fused nodes replace.
     ///
     /// The tape borrows both this model's parameters (zero-clone pinning)
     /// and the plan's feature matrices and index lists (zero-copy op
@@ -199,49 +209,22 @@ impl GnnModel {
     /// # Panics
     /// Panics when the plan was built for a different scheme.
     pub fn forward_with_plan<'m>(&'m self, plan: &'m BatchPlan) -> (Tape<'m>, NodeId) {
+        self.forward_with_plan_in(plan, InferenceArena::new())
+    }
+
+    /// [`GnnModel::forward_with_plan`] on a tape that draws its buffers
+    /// from `arena`. A training loop passes the arena the previous
+    /// minibatch's tape returned ([`Tape::into_arena`]); after the first
+    /// minibatch nothing the tape holds is allocated again.
+    pub fn forward_with_plan_in<'m>(&'m self, plan: &'m BatchPlan, arena: InferenceArena) -> (Tape<'m>, NodeId) {
         self.check_plan(plan);
-        let h = self.config.hidden;
-        let total = plan.topo.total;
-        let mut tape = Tape::new();
-
-        // ---- per-type encoders ----
-        let mut h0 = tape.input(costream_nn::Tensor::zeros(total, h));
-        for (ep, feats) in plan.topo.encoders.iter().zip(&plan.features) {
-            let x = tape.input_ref(feats);
-            let enc = self.encoders[ep.type_index].forward(&mut tape, &self.store, x);
-            let scattered = tape.segment_sum(enc, &ep.globals, total);
-            h0 = tape.add(h0, scattered);
-        }
-
-        // ---- message passing ----
+        let mut tape = Tape::with_arena(arena);
+        let h0 = tape.encode_scatter(plan, &self.encoders, &self.store, plan.topo.total, self.config.hidden);
         let mut cur = h0;
         for wave in &plan.topo.waves {
-            // `[Σ_children h'_u ‖ h_v]` for each target. The child sum is
-            // one fused gather+segment-sum node: the `edges x hidden`
-            // gathered matrix is never materialized, forward or backward.
-            let child_sum = tape.gather_segment_sum(cur, &wave.child_rows, &wave.segs, wave.targets.len());
-            let own = tape.gather_rows(h0, &wave.targets);
-            let inp = tape.concat_cols(child_sum, own);
-
-            // Route target rows through the update MLP of their type.
-            let mut updated = tape.input(costream_nn::Tensor::zeros(total, h));
-            for group in &wave.groups {
-                let sub = tape.gather_rows(inp, &group.rows);
-                let out = self.updaters[group.type_index].forward(&mut tape, &self.store, sub);
-                let scattered = tape.segment_sum(out, &group.globals, total);
-                updated = tape.add(updated, scattered);
-            }
-
-            // Carry non-target rows forward from `cur`.
-            cur = if wave.keep.is_empty() {
-                updated
-            } else {
-                let kept = tape.gather_segment_sum(cur, &wave.keep, &wave.keep, total);
-                tape.add(updated, kept)
-            };
+            cur = tape.wave_update(cur, h0, &**wave, &self.updaters, &self.store);
         }
-
-        // ---- readout: sum all node states per graph, then the output MLP.
+        // Readout: sum all node states per graph, then the output MLP.
         let pooled = tape.segment_sum(cur, &plan.topo.graph_of, plan.topo.n_graphs);
         let out = self.readout.forward(&mut tape, &self.store, pooled);
         (tape, out)
@@ -249,66 +232,39 @@ impl GnnModel {
 
     /// Tape-free forward pass on arena buffers: the inference fast path.
     ///
-    /// Executes the same arithmetic as [`GnnModel::forward_with_plan`]
-    /// (same kernels, same accumulation order) but records no tape nodes,
-    /// clones no parameters and recycles every intermediate, so it cannot
-    /// be used for training. Returns one raw output per graph.
+    /// Runs the routines [`GnnModel::forward_with_plan`] records
+    /// (`costream_nn::wave`) without a tape: no nodes, no parameter
+    /// clones, every intermediate recycled at once — so it cannot be used
+    /// for training, and its outputs are bitwise the tape's. Returns one
+    /// raw output per graph.
     ///
     /// # Panics
     /// Panics when the plan was built for a different scheme.
     pub fn forward_inference(&self, plan: &BatchPlan, arena: &mut InferenceArena) -> Vec<f32> {
         self.check_plan(plan);
         let h = self.config.hidden;
-        let total = plan.topo.total;
-
-        // ---- per-type encoders (scatter-add straight into h0) ----
-        let mut h0 = arena.alloc_zeroed(total, h);
-        for (ep, feats) in plan.topo.encoders.iter().zip(&plan.features) {
-            let enc = self.encoders[ep.type_index].forward_inference(arena, &self.store, feats);
-            h0.scatter_add_rows(&enc, &ep.globals);
-            arena.recycle(enc);
-        }
-
-        // ---- message passing ----
-        let mut cur = arena.alloc_copy(&h0);
+        let h0 = encode_scatter(plan, &self.encoders, &self.store, plan.topo.total, h, arena, None);
+        let mut cur: Option<Tensor> = None;
         for wave in &plan.topo.waves {
-            // Assemble `[Σ_children h'_u ‖ h_v]` directly into the wave
-            // input buffer — neither half is materialized separately.
-            let mut inp = arena.alloc_zeroed(wave.targets.len(), 2 * h);
-            cur.gather_segment_sum_into_cols(&wave.child_rows, &wave.segs, &mut inp, 0);
-            h0.gather_rows_into_cols(&wave.targets, &mut inp, h);
-
-            // Start from the previous state and overwrite target rows in
-            // place: target indices are unique within a wave, so this
-            // equals the tape path's zero + scatter-add + keep-add with
-            // two fewer passes over the state matrix.
-            let mut updated = arena.alloc_copy(&cur);
-            for group in &wave.groups {
-                let out = if group.is_identity {
-                    self.updaters[group.type_index].forward_inference(arena, &self.store, &inp)
-                } else {
-                    let mut sub = arena.alloc_zeroed(group.rows.len(), 2 * h);
-                    inp.gather_rows_into(&group.rows, &mut sub);
-                    let out = self.updaters[group.type_index].forward_inference(arena, &self.store, &sub);
-                    arena.recycle(sub);
-                    out
-                };
-                updated.scatter_copy_rows(&out, &group.globals);
-                arena.recycle(out);
+            let before = cur.as_ref().unwrap_or(&h0);
+            let after = wave_update(&**wave, &self.updaters, &self.store, before, &h0, arena, None);
+            if let Some(before) = cur.replace(after) {
+                arena.recycle(before);
             }
-            arena.recycle(inp);
-            arena.recycle(cur);
-            cur = updated;
         }
 
         // ---- readout ----
         let mut pooled = arena.alloc_zeroed(plan.topo.n_graphs, h);
-        cur.segment_sum_into(&plan.topo.graph_of, &mut pooled);
+        cur.as_ref()
+            .unwrap_or(&h0)
+            .segment_sum_into(&plan.topo.graph_of, &mut pooled);
         let out = self.readout.forward_inference(arena, &self.store, &pooled);
         let result = out.data().to_vec();
         arena.recycle(out);
         arena.recycle(pooled);
-        arena.recycle(cur);
+        if let Some(cur) = cur {
+            arena.recycle(cur);
+        }
         arena.recycle(h0);
         result
     }
@@ -338,6 +294,56 @@ impl GnnModel {
                 plan.topo.traditional_rounds, self.config.traditional_rounds,
                 "plan built for different round count"
             );
+        }
+    }
+}
+
+/// A plan's encoder routing, as the shared encoding routine reads it: MLP
+/// indices are positions in `NodeType::ALL`, like [`GnnModel`]'s encoders.
+impl EncodeSpec for BatchPlan {
+    fn parts(&self) -> usize {
+        self.topo.encoders.len()
+    }
+
+    fn part(&self, i: usize) -> EncoderPart<'_> {
+        let ep = &self.topo.encoders[i];
+        EncoderPart {
+            mlp: ep.type_index,
+            features: &self.features[i],
+            globals: &ep.globals,
+        }
+    }
+}
+
+/// One planned wave, as the shared wave routine reads it.
+impl WaveSpec for WavePlan {
+    fn child_rows(&self) -> &[usize] {
+        &self.child_rows
+    }
+
+    fn segs(&self) -> &[usize] {
+        &self.segs
+    }
+
+    fn targets(&self) -> &[usize] {
+        &self.targets
+    }
+
+    fn keep(&self) -> &[usize] {
+        &self.keep
+    }
+
+    fn groups(&self) -> usize {
+        self.groups.len()
+    }
+
+    fn group(&self, i: usize) -> WaveGroup<'_> {
+        let g = &self.groups[i];
+        WaveGroup {
+            mlp: g.type_index,
+            rows: &g.rows,
+            globals: &g.globals,
+            is_identity: g.is_identity,
         }
     }
 }

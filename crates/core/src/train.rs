@@ -7,8 +7,8 @@ use crate::model::{GnnModel, ModelConfig};
 use crate::plan::BatchPlan;
 use crate::qerror::{accuracy, QErrorSummary};
 use costream_dsps::CostMetric;
-use costream_nn::loss::{bce_with_logits, mse, msle_inverse, sigmoid};
-use costream_nn::optim::{clip_grad_norm, Adam};
+use costream_nn::loss::{bce_with_logits, bce_with_logits_into, mse, mse_into, msle_inverse, sigmoid};
+use costream_nn::optim::{clip_scale, Adam};
 use costream_nn::{Gradients, InferenceArena, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -249,23 +249,33 @@ pub fn prepare_training(corpus: &Corpus, metric: CostMetric, cfg: &TrainConfig) 
     };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     idx.shuffle(&mut rng);
-    let model_cfg = cfg.model;
-    let batches = idx
-        .chunks(cfg.batch_size)
-        .map(|chunk| {
-            let batch_graphs: Vec<&JointGraph> = chunk.iter().map(|&i| &graphs[i]).collect();
-            let batch_targets: Vec<f32> = chunk.iter().map(|&i| targets[i]).collect();
-            PreparedBatch {
-                plan: BatchPlan::build(&batch_graphs, model_cfg.scheme, model_cfg.traditional_rounds),
-                targets: batch_targets,
-            }
-        })
-        .collect();
+    let batches = lower_batches(&graphs, &targets, &idx, cfg.batch_size, &cfg.model);
     PreparedTraining {
         batches,
         target_mean: mean,
         target_std: std,
     }
+}
+
+/// Chunks `order` (indices into `graphs` / `targets`) into minibatches of
+/// `batch_size` and builds each one's execution plan.
+fn lower_batches(
+    graphs: &[JointGraph],
+    targets: &[f32],
+    order: &[usize],
+    batch_size: usize,
+    model: &ModelConfig,
+) -> Vec<PreparedBatch> {
+    order
+        .chunks(batch_size)
+        .map(|chunk| {
+            let batch_graphs: Vec<&JointGraph> = chunk.iter().map(|&i| &graphs[i]).collect();
+            PreparedBatch {
+                plan: BatchPlan::build(&batch_graphs, model.scheme, model.traditional_rounds),
+                targets: chunk.iter().map(|&i| targets[i]).collect(),
+            }
+        })
+        .collect()
 }
 
 /// Trains one GNN for one metric on a corpus.
@@ -308,55 +318,77 @@ pub fn fine_tune(model: &mut TrainedModel, extra: &Corpus, epochs: usize, lr: f3
     } else {
         items.iter().map(|i| i.metrics.get(metric) as f32).collect()
     };
-    let model_cfg = *model.model.config();
-    let batches: Vec<PreparedBatch> = (0..graphs.len())
-        .collect::<Vec<usize>>()
-        .chunks(cfg.batch_size)
-        .map(|chunk| {
-            let batch_graphs: Vec<&JointGraph> = chunk.iter().map(|&i| &graphs[i]).collect();
-            PreparedBatch {
-                plan: BatchPlan::build(&batch_graphs, model_cfg.scheme, model_cfg.traditional_rounds),
-                targets: chunk.iter().map(|&i| targets[i]).collect(),
-            }
-        })
-        .collect();
+    let order: Vec<usize> = (0..graphs.len()).collect();
+    let batches = lower_batches(&graphs, &targets, &order, cfg.batch_size, model.model.config());
     fit(&mut model.model, &batches, metric, cfg, epochs, lr);
 }
 
 fn fit(model: &mut GnnModel, batches: &[PreparedBatch], metric: CostMetric, cfg: &TrainConfig, epochs: usize, lr: f32) {
-    let mut opt = Adam::new(lr);
+    let mut trainer = Trainer::new(model, metric, lr, cfg.grad_clip);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut order: Vec<usize> = (0..batches.len()).collect();
-    // Training-loop buffers are allocated once and reused for every
-    // minibatch of every epoch: per-parameter gradient buffers (zeroed in
-    // place) and a scratch arena the backward pass recycles its
-    // node-gradient tensors through. Together with the zero-clone tape
-    // (parameters are pinned by reference, never copied) the steady-state
-    // per-batch allocation is just the tape's forward values.
-    let mut grads = Gradients::for_store(model.store());
-    let mut arena = InferenceArena::new();
     for _epoch in 0..epochs {
         // Batch membership is frozen in the plans; shuffling the
         // processing order preserves SGD stochasticity without
         // re-deriving any bookkeeping.
         order.shuffle(&mut rng);
         for &bi in &order {
-            let batch = &batches[bi];
-            {
-                let (tape, out) = model.forward_with_plan(&batch.plan);
-                let loss = if metric.is_regression() {
-                    // Targets are already standardized log costs; plain MSE on
-                    // them is the paper's MSLE up to the affine normalization.
-                    mse(tape.value(out), &batch.targets)
-                } else {
-                    bce_with_logits(tape.value(out), &batch.targets)
-                };
-                grads.zero();
-                tape.backward_with_arena(out, loss.seed, &mut grads, &mut arena);
-            }
-            clip_grad_norm(&mut grads, cfg.grad_clip);
-            opt.step(model.store_mut(), &grads);
+            trainer.step(model, &batches[bi]);
         }
+    }
+}
+
+/// The state one training run carries from minibatch to minibatch: the
+/// optimizer's moments, the per-parameter gradient buffers (zeroed in
+/// place) and the arena every tape draws its forward values, retained
+/// activations and backward scratch from. All of it is allocated by the
+/// first minibatch of a given shape; after that a step allocates no tensor
+/// buffer (`tests/train_alloc.rs`).
+pub struct Trainer {
+    opt: Adam,
+    grads: Gradients,
+    arena: InferenceArena,
+    metric: CostMetric,
+    grad_clip: f32,
+}
+
+impl Trainer {
+    /// Fresh optimizer state for training `model` on `metric`.
+    pub fn new(model: &GnnModel, metric: CostMetric, lr: f32, grad_clip: f32) -> Self {
+        Trainer {
+            opt: Adam::new(lr),
+            grads: Gradients::for_store(model.store()),
+            arena: InferenceArena::new(),
+            metric,
+            grad_clip,
+        }
+    }
+
+    /// One optimizer step on one minibatch: forward, loss, backward,
+    /// clipped Adam update. Returns the minibatch's mean loss.
+    pub fn step(&mut self, model: &mut GnnModel, batch: &PreparedBatch) -> f32 {
+        let (mut tape, out) = model.forward_with_plan_in(&batch.plan, std::mem::take(&mut self.arena));
+        let seed = tape.arena().alloc_scratch(batch.targets.len(), 1);
+        let loss = if self.metric.is_regression() {
+            // Targets are already standardized log costs; plain MSE on
+            // them is the paper's MSLE up to the affine normalization.
+            mse_into(tape.value(out), &batch.targets, seed)
+        } else {
+            bce_with_logits_into(tape.value(out), &batch.targets, seed)
+        };
+        self.grads.zero();
+        tape.backward(out, loss.seed, &mut self.grads);
+        self.arena = tape.into_arena();
+        let scale = clip_scale(&self.grads, self.grad_clip);
+        self.opt.step_scaled(model.store_mut(), &self.grads, scale);
+        loss.loss
+    }
+
+    /// The arena the steps recycle their buffers through (its
+    /// `pooled_floats` is the training loop's steady-state scratch
+    /// footprint).
+    pub fn arena(&self) -> &InferenceArena {
+        &self.arena
     }
 }
 

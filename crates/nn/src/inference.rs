@@ -9,11 +9,13 @@
 //! the fused [`Tensor::affine_into`] kernel this removes all per-op
 //! allocation and bookkeeping from the hot prediction path.
 //!
-//! The same pool doubles as the scratch allocator of
-//! [`Tape::backward_with_arena`](crate::tape::Tape::backward_with_arena):
-//! node-gradient buffers are drawn from and recycled into an arena the
-//! training loop keeps across minibatches, so the backward pass also
-//! allocates no tensor buffers in steady state.
+//! The same pool serves training: a [`Tape`](crate::tape::Tape) built with
+//! [`Tape::with_arena`](crate::tape::Tape::with_arena) draws every forward
+//! value, every retained activation and every backward scratch tensor
+//! from it and hands it back through
+//! [`Tape::into_arena`](crate::tape::Tape::into_arena), so a training loop
+//! that threads one arena through its minibatches allocates no tensor
+//! buffer in steady state.
 //!
 //! See the crate-level docs for when to use the tape path versus this
 //! arena path.
@@ -28,6 +30,12 @@ use crate::tensor::Tensor;
 /// keeps the steady-state allocation count of a forward pass at zero —
 /// after the first batch, every buffer in the pass is reused.
 ///
+/// Free buffers are binned by size class (capacities are powers of two),
+/// so a request only ever takes a buffer that already fits it: a pass
+/// that repeats finds, in every class, exactly the buffers its previous
+/// run returned, and neither allocates nor grows anything — whatever the
+/// mix of sizes and whatever order they come back in.
+///
 /// The arena is plain owned data (`Send`), so it can be handed off
 /// across threads: a serving worker keeps one arena alive for its entire
 /// lifetime and recycles it across every request batch it processes,
@@ -36,7 +44,25 @@ use crate::tensor::Tensor;
 /// worker, no locks on the hot path.
 #[derive(Default)]
 pub struct InferenceArena {
-    free: Vec<Vec<f32>>,
+    /// `bins[c]` holds the free buffers whose capacity is in
+    /// `[2^c, 2^(c+1))`; a request for `len` floats pops from the
+    /// smallest class whose every buffer fits it.
+    bins: Vec<Vec<Vec<f32>>>,
+    /// Emptied bookkeeping lists a tape parks here between minibatches.
+    pub(crate) lists: TapeLists,
+}
+
+/// The tape's tensor lists, kept (empty, capacity retained) by the arena a
+/// tape hands back so the next tape built on it grows none of them again.
+/// Untouched by tape-free callers: three empty `Vec`s own no memory.
+#[derive(Default)]
+pub(crate) struct TapeLists {
+    /// Activations retained by fused nodes for the backward pass.
+    pub saved: Vec<Tensor>,
+    /// One gradient slot per tape node.
+    pub slots: Vec<Option<Tensor>>,
+    /// Weight transposes of one backward pass, keyed by tensor address.
+    pub transposed: Vec<(usize, Tensor)>,
 }
 
 impl InferenceArena {
@@ -47,49 +73,76 @@ impl InferenceArena {
 
     /// Number of buffers currently pooled (diagnostics/tests).
     pub fn pooled(&self) -> usize {
-        self.free.len()
+        self.bins.iter().map(Vec::len).sum()
     }
 
     /// Total `f32` capacity currently held by pooled buffers — the
     /// arena's steady-state memory footprint (serving-layer metrics).
     pub fn pooled_floats(&self) -> usize {
-        self.free.iter().map(Vec::capacity).sum()
+        self.bins.iter().flatten().map(Vec::capacity).sum()
+    }
+
+    /// A free buffer of capacity at least `len`, contents unspecified.
+    fn take(&mut self, len: usize) -> Vec<f32> {
+        let class = len.max(1).next_power_of_two().trailing_zeros() as usize;
+        match self.bins.get_mut(class).and_then(Vec::pop) {
+            Some(buf) => buf,
+            None => Vec::with_capacity(1 << class),
+        }
     }
 
     /// Allocates a `rows x cols` zero-filled tensor, reusing a pooled
     /// buffer when possible.
     pub fn alloc_zeroed(&mut self, rows: usize, cols: usize) -> Tensor {
         let len = rows * cols;
-        let mut buf = self.free.pop().unwrap_or_default();
+        let mut buf = self.take(len);
         buf.clear();
         buf.resize(len, 0.0);
         Tensor::from_vec(rows, cols, buf)
     }
 
     /// Allocates a `rows x cols` tensor **without zero-filling** recycled
-    /// contents — only capacity growth is (necessarily) zero-initialized.
-    /// For buffers whose every cell is overwritten before being read
-    /// (assign-semantics kernel outputs, fully-assembled wave inputs):
-    /// skipping the fill removes a full pass over the buffer from the
-    /// serving hot path. Reading a cell before writing it yields stale
-    /// values from an unrelated earlier tensor — never do that.
+    /// contents — only growth past the buffer's previous length is
+    /// (necessarily) zero-initialized. For buffers whose every cell is
+    /// overwritten before being read (assign-semantics kernel outputs,
+    /// fully-assembled wave inputs): skipping the fill removes a full
+    /// pass over the buffer from the serving hot path. Reading a cell
+    /// before writing it yields stale values from an unrelated earlier
+    /// tensor — never do that.
     pub fn alloc_scratch(&mut self, rows: usize, cols: usize) -> Tensor {
         let len = rows * cols;
-        let mut buf = self.free.pop().unwrap_or_default();
+        let mut buf = self.take(len);
         buf.resize(len, 0.0);
         Tensor::from_vec(rows, cols, buf)
     }
 
     /// Allocates a tensor holding a copy of `src`.
     pub fn alloc_copy(&mut self, src: &Tensor) -> Tensor {
-        let mut t = self.alloc_zeroed(src.rows(), src.cols());
+        let mut t = self.alloc_scratch(src.rows(), src.cols());
         t.copy_from(src);
         t
     }
 
+    /// The end of an intermediate's forward life: kept on `saved` when a
+    /// backward pass will replay it, recycled otherwise.
+    pub(crate) fn retire(&mut self, t: Tensor, saved: Option<&mut Vec<Tensor>>) {
+        match saved {
+            Some(saved) => saved.push(t),
+            None => self.recycle(t),
+        }
+    }
+
     /// Returns a tensor's buffer to the pool.
     pub fn recycle(&mut self, t: Tensor) {
-        self.free.push(t.into_data());
+        let buf = t.into_data();
+        if buf.capacity() == 0 {
+            return;
+        }
+        let class = buf.capacity().ilog2() as usize;
+        if self.bins.len() <= class {
+            self.bins.resize_with(class + 1, Vec::new);
+        }
+        self.bins[class].push(buf);
     }
 }
 
@@ -138,14 +191,35 @@ mod tests {
         let mut a = arena.alloc_zeroed(2, 4);
         a.data_mut().fill(7.0);
         arena.recycle(a);
-        // Shrinking reuse: stale contents may (and here do) survive.
-        let b = arena.alloc_scratch(1, 4);
-        assert_eq!(b.shape(), (1, 4));
+        // Shrinking reuse (same size class): stale contents may (and here
+        // do) survive.
+        let b = arena.alloc_scratch(1, 5);
+        assert_eq!(b.shape(), (1, 5));
         assert!(b.data().iter().all(|&v| v == 7.0));
         arena.recycle(b);
         // Growth beyond the recycled length zero-fills only the tail.
         let c = arena.alloc_scratch(2, 4);
-        assert_eq!(&c.data()[4..], &[0.0; 4]);
+        assert_eq!(&c.data()[5..], &[0.0; 3]);
+    }
+
+    #[test]
+    fn a_request_never_takes_a_buffer_too_small_for_it() {
+        // Mixed sizes coming back in any order: the second round of the
+        // same requests finds a fitting buffer for each and grows nothing.
+        let mut arena = InferenceArena::new();
+        let shapes = [(3, 7), (40, 64), (1, 1), (9, 48), (40, 64), (2, 3)];
+        let round = |arena: &mut InferenceArena, reverse: bool| {
+            let mut live: Vec<Tensor> = shapes.iter().map(|&(r, c)| arena.alloc_scratch(r, c)).collect();
+            if reverse {
+                live.reverse();
+            }
+            live.into_iter().for_each(|t| arena.recycle(t));
+        };
+        round(&mut arena, false);
+        let after_first = (arena.pooled(), arena.pooled_floats());
+        round(&mut arena, true);
+        round(&mut arena, false);
+        assert_eq!((arena.pooled(), arena.pooled_floats()), after_first);
     }
 
     #[test]

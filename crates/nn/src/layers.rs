@@ -1,9 +1,11 @@
 //! Dense layers and multi-layer perceptrons.
 //!
 //! Every layer offers two execution paths (see the crate docs): the
-//! tape-recording `forward`, which supports `backward` and is the training
-//! ground truth, and the tape-free `forward_inference`, which runs the
-//! same arithmetic through the fused affine kernel on arena buffers.
+//! tape-recording `forward`, one generic affine node per layer, and the
+//! tape-free [`Mlp::forward_arena`], which runs the same arithmetic through
+//! the fused affine kernel on arena buffers — recycling its hidden
+//! activations for inference, or retaining them for the tape's fused GNN
+//! nodes, whose hand-written backward replays them.
 
 use crate::inference::InferenceArena;
 use crate::init::Initializer;
@@ -68,7 +70,8 @@ impl Linear {
     pub fn forward_inference(&self, arena: &mut InferenceArena, store: &ParamStore, x: &Tensor, relu: bool) -> Tensor {
         let w = store.value(self.w);
         let b = store.value(self.b);
-        let mut out = arena.alloc_zeroed(x.rows(), w.cols());
+        // `affine_into` zero-fills its output itself.
+        let mut out = arena.alloc_scratch(x.rows(), w.cols());
         Tensor::affine_into(x, w, b, relu, &mut out);
         out
     }
@@ -129,11 +132,26 @@ impl Mlp {
     /// fused affine+ReLU kernel; intermediates are recycled immediately,
     /// so a whole MLP pass allocates nothing in steady state.
     pub fn forward_inference(&self, arena: &mut InferenceArena, store: &ParamStore, x: &Tensor) -> Tensor {
+        self.forward_arena(arena, store, x, None)
+    }
+
+    /// [`Mlp::forward_inference`] that can keep what a backward pass
+    /// needs: with `saved`, every hidden activation (the output of each
+    /// layer but the last, in layer order) is pushed onto it instead of
+    /// being recycled. One body, so the training forward *is* the
+    /// inference forward plus retained activations.
+    pub fn forward_arena(
+        &self,
+        arena: &mut InferenceArena,
+        store: &ParamStore,
+        x: &Tensor,
+        mut saved: Option<&mut Vec<Tensor>>,
+    ) -> Tensor {
         let last = self.layers.len() - 1;
         let mut cur = self.layers[0].forward_inference(arena, store, x, last != 0);
         for (i, layer) in self.layers.iter().enumerate().skip(1) {
             let next = layer.forward_inference(arena, store, &cur, i != last);
-            arena.recycle(cur);
+            arena.retire(cur, saved.as_deref_mut());
             cur = next;
         }
         cur

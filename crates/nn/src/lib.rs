@@ -8,9 +8,13 @@
 //!   branch-free matmul kernels and a fused affine(+ReLU) op;
 //! * [`tape::Tape`] — reverse-mode autodiff over a fixed op set, including
 //!   the graph primitives `gather_rows` and `segment_sum` used for
-//!   "sum the hidden states of the children" and the final graph readout;
-//! * [`inference::InferenceArena`] — tape-free forward execution on a
-//!   recycling buffer pool (see *Execution paths* below);
+//!   "sum the hidden states of the children" and the final graph readout,
+//!   and two fused nodes that record a whole GNN step each;
+//! * [`wave`] — those two steps, defined once for inference and training:
+//!   per-type encoding into the initial state, and one message-passing
+//!   wave;
+//! * [`inference::InferenceArena`] — the recycling buffer pool both
+//!   execution paths run on (see *Execution paths* below);
 //! * [`layers::Mlp`] — per-node-type encoders, update networks and output
 //!   heads;
 //! * [`loss`] — MSLE (the paper's regression loss), BCE-with-logits (the
@@ -19,32 +23,40 @@
 //! * [`init::Initializer`] — deterministic seeded initialization, the basis
 //!   of the paper's seed-varied ensembles.
 //!
-//! # Execution paths: tape vs. inference arena
+//! # Execution paths: when to use the tape, when the arena alone
 //!
-//! The crate deliberately maintains **two** forward implementations:
+//! There is one definition of the GNN's arithmetic — [`wave::encode_scatter`],
+//! [`wave::wave_update`] and [`Mlp::forward_arena`], all running the fused
+//! affine kernel on arena buffers — and two ways to run it:
 //!
-//! 1. **Tape path** ([`Tape`] + `Mlp::forward`): every op records a node
-//!    holding its result so `Tape::backward` can replay the graph in
-//!    reverse. Pinned parameters are **borrowed** from the [`ParamStore`]
-//!    (zero-clone), hidden layers record one fused affine+ReLU node, and
-//!    `backward` accumulates into preallocated [`tape::Gradients`] buffers
-//!    through a recycling scratch arena — steady-state training allocates
-//!    almost nothing per minibatch. This is the *training ground truth* —
-//!    anything that needs gradients (training, fine-tuning, gradient
-//!    checks) must use it.
-//! 2. **Inference path** ([`inference::InferenceArena`] +
-//!    `Mlp::forward_inference`): forward-only execution with no node
-//!    recording and no retained intermediates. Buffers come from a
-//!    free-list arena and are recycled as soon as a value is dead; hidden
-//!    layers run the fused affine+ReLU kernel. Use it for *all*
-//!    prediction work: model evaluation, ensemble prediction, and the
-//!    placement optimizer's candidate scoring.
+//! 1. **Arena alone** (`Mlp::forward_inference`, the `wave` routines with
+//!    `saved: None`): forward only. Every intermediate goes back to the
+//!    [`InferenceArena`] the moment it is dead, nothing is recorded, and a
+//!    warm arena makes a pass allocation-free. Use it for *all* prediction
+//!    work: model evaluation, ensemble prediction, and the placement
+//!    optimizer's candidate scoring.
+//! 2. **Tape** ([`Tape`]): anything that needs gradients — training,
+//!    fine-tuning, gradient checks. [`Tape::encode_scatter`] and
+//!    [`Tape::wave_update`] run the same `wave` routines with
+//!    `saved: Some(..)`, so the training forward is the inference forward
+//!    plus the activations a backward pass replays (wave inputs and MLP
+//!    hidden layers — not the `[total x hidden]` states), at within a few
+//!    percent of its cost. Their hand-written backward accumulates in the
+//!    order the per-op chain they replace does, transposes each weight
+//!    matrix once per step, and forms no gradient for constant inputs.
+//!    Pinned parameters are **borrowed** from the [`ParamStore`]
+//!    (zero-clone); gradients go to preallocated [`tape::Gradients`]. A
+//!    tape owns the arena it draws every value and every backward scratch
+//!    tensor from ([`Tape::with_arena`] / [`Tape::into_arena`]); a training
+//!    loop threads one arena through its minibatches and, after the first,
+//!    allocates no tensor buffer. The small ops (`gather_rows`,
+//!    `segment_sum`, `concat_cols`, `add`, ...) stay available for ad-hoc
+//!    graphs and as the oracle the fused nodes are held to, bit for bit
+//!    (`tests/wave_parity.rs`).
 //!
-//! Both paths execute the same arithmetic through the same kernels and
-//! agree to float accumulation order (the golden-equivalence tests in
-//! `costream-core` assert agreement within `1e-5` end to end), so models
-//! trained on the tape path can be served on the inference path without
-//! recalibration.
+//! Because both run one routine, tape and arena outputs are bitwise equal
+//! (`costream-core`'s `tests/fastpath.rs`), and models trained on the tape
+//! are served on the arena path without recalibration.
 //!
 //! Everything is deterministic given a seed and has no external
 //! dependencies beyond `rand` and `serde`.
@@ -59,6 +71,7 @@ pub mod loss;
 pub mod optim;
 pub mod tape;
 pub mod tensor;
+pub mod wave;
 
 pub use fused::{StackedLinear, StackedMlp, WeightPrecision};
 pub use inference::InferenceArena;
@@ -66,3 +79,4 @@ pub use init::Initializer;
 pub use layers::{Linear, Mlp};
 pub use tape::{Gradients, NodeId, ParamId, ParamStore, Tape};
 pub use tensor::{kernel_tier, Tensor};
+pub use wave::{EncodeSpec, EncoderPart, WaveGroup, WaveSpec};

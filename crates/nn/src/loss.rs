@@ -30,9 +30,17 @@ fn check(pred: &Tensor, targets: &[f32]) {
 
 /// Mean squared error between raw predictions and targets.
 pub fn mse(pred: &Tensor, targets: &[f32]) -> LossOutput {
+    mse_into(pred, targets, Tensor::zeros(pred.rows(), 1))
+}
+
+/// [`mse`] writing the gradient seed into `seed`, a caller-provided
+/// `rows x 1` buffer (every cell is overwritten) — a training loop draws
+/// it from [`Tape::arena`](crate::tape::Tape::arena), where
+/// [`Tape::backward`](crate::tape::Tape::backward) returns it to.
+pub fn mse_into(pred: &Tensor, targets: &[f32], mut seed: Tensor) -> LossOutput {
     check(pred, targets);
+    assert_eq!(seed.shape(), pred.shape(), "seed shape mismatch");
     let n = targets.len() as f32;
-    let mut seed = Tensor::zeros(pred.rows(), 1);
     let mut loss = 0.0;
     for (i, &t) in targets.iter().enumerate() {
         let d = pred.get(i, 0) - t;
@@ -62,9 +70,15 @@ pub fn msle_inverse(pred_log: f32) -> f32 {
 /// Uses the numerically stable formulation
 /// `max(z, 0) - z*t + ln(1 + exp(-|z|))`.
 pub fn bce_with_logits(pred: &Tensor, targets: &[f32]) -> LossOutput {
+    bce_with_logits_into(pred, targets, Tensor::zeros(pred.rows(), 1))
+}
+
+/// [`bce_with_logits`] writing the gradient seed into a caller-provided
+/// `rows x 1` buffer, like [`mse_into`].
+pub fn bce_with_logits_into(pred: &Tensor, targets: &[f32], mut seed: Tensor) -> LossOutput {
     check(pred, targets);
+    assert_eq!(seed.shape(), pred.shape(), "seed shape mismatch");
     let n = targets.len() as f32;
-    let mut seed = Tensor::zeros(pred.rows(), 1);
     let mut loss = 0.0;
     for (i, &t) in targets.iter().enumerate() {
         let z = pred.get(i, 0);

@@ -28,15 +28,11 @@ impl Sgd {
     /// Applies one update step from the gradients in `grads`. Velocity
     /// update and parameter write are fused into a single pass.
     pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        let ids: Vec<_> = store.ids().collect();
-        if self.velocity.len() != ids.len() {
-            self.velocity = ids
-                .iter()
-                .map(|&id| Tensor::zeros(store.value(id).rows(), store.value(id).cols()))
-                .collect();
+        if self.velocity.len() != store.len() {
+            self.velocity = zeros_like(store);
         }
         let (lr, momentum) = (self.lr, self.momentum);
-        for (slot, id) in ids.into_iter().enumerate() {
+        for (slot, id) in store.ids().enumerate() {
             let g = grads.grad(id);
             let v = &mut self.velocity[slot];
             let p = store.value_mut(id);
@@ -48,8 +44,9 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba) with decoupled gradient clipping left to
-/// the caller via [`Gradients::norm`] / [`Gradients::scale`].
+/// Adam optimizer (Kingma & Ba). Global-norm gradient clipping folds into
+/// the update pass: [`clip_scale`] computes the factor and
+/// [`Adam::step_scaled`] applies it to each gradient as it is read.
 pub struct Adam {
     lr: f32,
     beta1: f32,
@@ -85,16 +82,20 @@ impl Adam {
         self.lr
     }
 
-    /// Applies one Adam step from the gradients in `grads`. Moment updates,
-    /// bias correction and the parameter write are fused into a single pass
-    /// per tensor (one load of `g`, one store of `p`, no temporaries).
+    /// Applies one Adam step from the gradients in `grads`.
     pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        let ids: Vec<_> = store.ids().collect();
-        if self.m.len() != ids.len() {
-            self.m = ids
-                .iter()
-                .map(|&id| Tensor::zeros(store.value(id).rows(), store.value(id).cols()))
-                .collect();
+        self.step_scaled(store, grads, 1.0);
+    }
+
+    /// Applies one Adam step from `grad_scale * grads` without writing
+    /// the scaled gradients anywhere: scaling (by [`clip_scale`]'s factor),
+    /// moment updates, bias correction and the parameter write are one pass
+    /// per tensor (one load of `g`, one store of `p`, no temporaries).
+    /// Bitwise the step taken after scaling `grads` in place — and for a
+    /// scale of exactly `1.0`, the step on `grads` as they are.
+    pub fn step_scaled(&mut self, store: &mut ParamStore, grads: &Gradients, grad_scale: f32) {
+        if self.m.len() != store.len() {
+            self.m = zeros_like(store);
             self.v = self.m.clone();
             self.t = 0;
         }
@@ -102,7 +103,7 @@ impl Adam {
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
         let (lr, eps, beta1, beta2) = (self.lr, self.eps, self.beta1, self.beta2);
-        for (slot, id) in ids.into_iter().enumerate() {
+        for (slot, id) in store.ids().enumerate() {
             let g = grads.grad(id);
             let m = &mut self.m[slot];
             let v = &mut self.v[slot];
@@ -114,6 +115,7 @@ impl Adam {
                 .zip(v.data_mut())
                 .zip(g.data());
             for (((pv, mv), vv), gv) in it {
+                let gv = grad_scale * gv;
                 *mv = beta1 * *mv + (1.0 - beta1) * gv;
                 *vv = beta2 * *vv + (1.0 - beta2) * gv * gv;
                 let mhat = *mv / bc1;
@@ -124,12 +126,23 @@ impl Adam {
     }
 }
 
-/// Clips the global gradient norm in `grads` to at most `max_norm`.
-pub fn clip_grad_norm(grads: &mut Gradients, max_norm: f32) {
+/// The factor that clips the global gradient norm of `grads` to at most
+/// `max_norm`: `max_norm / norm` when the norm exceeds it, else exactly
+/// `1.0`. Hand it to [`Adam::step_scaled`] (or [`Gradients::scale`]).
+pub fn clip_scale(grads: &Gradients, max_norm: f32) -> f32 {
     let n = grads.norm();
     if n > max_norm && n > 0.0 {
-        grads.scale(max_norm / n);
+        max_norm / n
+    } else {
+        1.0
     }
+}
+
+fn zeros_like(store: &ParamStore) -> Vec<Tensor> {
+    store
+        .ids()
+        .map(|id| Tensor::zeros(store.value(id).rows(), store.value(id).cols()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -189,6 +202,38 @@ mod tests {
     }
 
     #[test]
+    fn scaled_step_is_bitwise_the_step_on_scaled_gradients() {
+        let mut init = Initializer::new(5);
+        let mut store_a = ParamStore::new();
+        let ids = [
+            store_a.register("w", init.kaiming(7, 5)),
+            store_a.register("b", init.kaiming(1, 5)),
+        ];
+        let mut store_b = store_a.clone();
+        let mut grads = Gradients::for_store(&store_a);
+        for (k, id) in ids.into_iter().enumerate() {
+            grads.accumulate(id, &init.kaiming(store_a.value(id).rows(), store_a.value(id).cols()));
+            grads.accumulate(
+                id,
+                &Tensor::full(store_a.value(id).rows(), store_a.value(id).cols(), k as f32),
+            );
+        }
+        let scale = clip_scale(&grads, 0.5);
+        assert!(scale < 1.0, "the test needs something to clip");
+        let (mut folded, mut two_pass) = (Adam::new(0.01), Adam::new(0.01));
+        let mut scaled = grads.clone();
+        scaled.scale(scale);
+        for _ in 0..3 {
+            folded.step_scaled(&mut store_a, &grads, scale);
+            two_pass.step(&mut store_b, &scaled);
+        }
+        for id in ids {
+            let bits = |s: &ParamStore| s.value(id).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&store_a), bits(&store_b));
+        }
+    }
+
+    #[test]
     fn clipping_reduces_norm() {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(4);
@@ -199,7 +244,9 @@ mod tests {
         let out = mlp.forward(&mut tape, &store, x);
         let l = mse(tape.value(out), &[1e4]);
         tape.backward(out, l.seed, &mut grads);
-        clip_grad_norm(&mut grads, 1.0);
+        assert!(grads.norm() > 1.0, "the test needs something to clip");
+        grads.scale(clip_scale(&grads, 1.0));
         assert!(grads.norm() <= 1.0 + 1e-4);
+        assert_eq!(clip_scale(&grads, 10.0), 1.0, "inside the bound nothing scales");
     }
 }

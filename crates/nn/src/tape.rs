@@ -16,15 +16,24 @@
 //! updates the store after the tape is dropped.
 //!
 //! The operation set is deliberately small — exactly what the Costream GNN
-//! and the flat-vector MLP baseline need: dense affine maps (fused
-//! matmul+bias+ReLU via [`Tape::affine`]), ReLU/sigmoid non-linearities,
-//! column concatenation, row gathering and segmented row sums (the "sum
-//! over children / sum over graph" primitives of Algorithm 1 in the paper).
+//! needs: dense affine maps (fused matmul+bias+ReLU via [`Tape::affine`]),
+//! ReLU/sigmoid non-linearities, column concatenation, row gathering and
+//! segmented row sums (the "sum over children / sum over graph" primitives
+//! of Algorithm 1 in the paper) — plus two fused nodes that record a whole
+//! step of the GNN at once: [`Tape::encode_scatter`] (every per-type
+//! encoder into the initial state) and [`Tape::wave_update`] (one
+//! message-passing wave). The fused nodes run the very routines inference
+//! runs ([`crate::wave`]) and keep only the activations their hand-written
+//! backward replays; the small ops remain as the oracle they are tested
+//! against, bit for bit.
 
 use crate::inference::InferenceArena;
+use crate::layers::Mlp;
 use crate::tensor::Tensor;
+use crate::wave::{self, EncodeSpec, WaveSpec};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Identifier of a parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -154,9 +163,9 @@ impl Gradients {
     }
 }
 
-/// Index lists in ops are [`Cow`]s: long-lived callers (the GNN trainer,
-/// whose `BatchPlan` outlives the tape) pass borrowed slices and pay
-/// nothing per minibatch; ad-hoc callers pass owned `Vec`s.
+/// Index lists in ops are [`Cow`]s: long-lived callers (whose batch plan
+/// outlives the tape) pass borrowed slices and pay nothing per minibatch;
+/// ad-hoc callers pass owned `Vec`s.
 enum Op<'p> {
     /// Constant input or pinned parameter.
     Leaf(Option<ParamId>),
@@ -195,6 +204,25 @@ enum Op<'p> {
     },
     /// `x * s`.
     Scale(usize, f32),
+    /// Fused per-type encoders scattered into the initial GNN state
+    /// ([`wave::encode_scatter`]); `saved` indexes the retained hidden
+    /// activations.
+    EncodeScatter {
+        spec: &'p dyn EncodeSpec,
+        encoders: &'p [Mlp],
+        store: &'p ParamStore,
+        saved: Range<usize>,
+    },
+    /// One fused message-passing wave ([`wave::wave_update`]) from state
+    /// `cur` and initial state `h0`; `saved` indexes what it retained.
+    WaveUpdate {
+        cur: usize,
+        h0: usize,
+        wave: &'p dyn WaveSpec,
+        updaters: &'p [Mlp],
+        store: &'p ParamStore,
+        saved: Range<usize>,
+    },
 }
 
 /// A node's value: owned by the tape for computed ops, borrowed for the
@@ -210,21 +238,73 @@ struct Node<'p> {
     op: Op<'p>,
 }
 
+fn val<'a>(nodes: &'a [Node<'_>], idx: usize) -> &'a Tensor {
+    match &nodes[idx].value {
+        Value::Owned(t) => t,
+        Value::Param(t) => t,
+    }
+}
+
 /// A single-use computation tape.
 ///
 /// The lifetime `'p` ties the tape to the [`ParamStore`] whose parameters
 /// it has pinned; [`Tape::backward`] writes into a separate [`Gradients`],
 /// so the store only needs to stay immutably borrowed while the tape is
 /// alive.
+///
+/// Every value the tape computes is drawn from the [`InferenceArena`] it
+/// owns. [`Tape::new`] starts from an empty arena; a training loop builds
+/// each minibatch's tape with [`Tape::with_arena`] on the arena the last
+/// one returned from [`Tape::into_arena`], and after the first minibatch
+/// no forward value, retained activation or backward scratch tensor is
+/// allocated again.
 #[derive(Default)]
 pub struct Tape<'p> {
     nodes: Vec<Node<'p>>,
+    /// Activations retained by the fused nodes, indexed by their ops.
+    saved: Vec<Tensor>,
+    arena: InferenceArena,
 }
 
 impl<'p> Tape<'p> {
-    /// Creates an empty tape.
+    /// Creates an empty tape on an empty arena.
     pub fn new() -> Self {
-        Tape { nodes: Vec::new() }
+        Self::default()
+    }
+
+    /// Creates an empty tape that draws its buffers from `arena`.
+    pub fn with_arena(mut arena: InferenceArena) -> Self {
+        Tape {
+            nodes: Vec::new(),
+            saved: std::mem::take(&mut arena.lists.saved),
+            arena,
+        }
+    }
+
+    /// Ends the tape, returning its arena with every buffer the tape held
+    /// recycled into it.
+    pub fn into_arena(self) -> InferenceArena {
+        let Tape {
+            nodes,
+            mut saved,
+            mut arena,
+        } = self;
+        for node in nodes.into_iter().rev() {
+            if let Value::Owned(t) = node.value {
+                arena.recycle(t);
+            }
+        }
+        for t in saved.drain(..).rev() {
+            arena.recycle(t);
+        }
+        arena.lists.saved = saved;
+        arena
+    }
+
+    /// The tape's arena, for drawing a buffer that will be handed back to
+    /// the tape (the loss gradient seed given to [`Tape::backward`]).
+    pub fn arena(&mut self) -> &mut InferenceArena {
+        &mut self.arena
     }
 
     fn push(&mut self, value: Tensor, op: Op<'p>) -> NodeId {
@@ -233,13 +313,6 @@ impl<'p> Tape<'p> {
             op,
         });
         NodeId(self.nodes.len() - 1)
-    }
-
-    fn value_of(&self, idx: usize) -> &Tensor {
-        match &self.nodes[idx].value {
-            Value::Owned(t) => t,
-            Value::Param(t) => t,
-        }
     }
 
     /// Number of nodes recorded so far.
@@ -283,13 +356,15 @@ impl<'p> Tape<'p> {
 
     /// Value of a node.
     pub fn value(&self, id: NodeId) -> &Tensor {
-        self.value_of(id.0)
+        val(&self.nodes, id.0)
     }
 
     /// `a @ b`.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.value_of(a.0).matmul(self.value_of(b.0));
-        self.push(v, Op::MatMul(a.0, b.0))
+        let (av, bv) = (val(&self.nodes, a.0), val(&self.nodes, b.0));
+        let mut out = self.arena.alloc_zeroed(av.rows(), bv.cols());
+        av.matmul_acc(bv, &mut out);
+        self.push(out, Op::MatMul(a.0, b.0))
     }
 
     /// Fused affine map `x @ w + bias`, optionally with ReLU — the same
@@ -298,10 +373,9 @@ impl<'p> Tape<'p> {
     /// bitwise identical to the unfused `matmul` → `add_bias` → `relu`
     /// chain, with three fewer nodes and no intermediate tensors.
     pub fn affine(&mut self, x: NodeId, w: NodeId, bias: NodeId, relu: bool) -> NodeId {
-        let xv = self.value_of(x.0);
-        let wv = self.value_of(w.0);
-        let bv = self.value_of(bias.0);
-        let mut out = Tensor::zeros(xv.rows(), wv.cols());
+        let (xv, wv, bv) = (val(&self.nodes, x.0), val(&self.nodes, w.0), val(&self.nodes, bias.0));
+        // `affine_into` zero-fills its output itself.
+        let mut out = self.arena.alloc_scratch(xv.rows(), wv.cols());
         Tensor::affine_into(xv, wv, bv, relu, &mut out);
         self.push(
             out,
@@ -316,11 +390,10 @@ impl<'p> Tape<'p> {
 
     /// `x + bias`, with `bias` a `1 x cols` row broadcast over rows of `x`.
     pub fn add_bias(&mut self, x: NodeId, bias: NodeId) -> NodeId {
-        let xv = self.value_of(x.0);
-        let bv = self.value_of(bias.0);
+        let (xv, bv) = (val(&self.nodes, x.0), val(&self.nodes, bias.0));
         assert_eq!(bv.rows(), 1, "bias must be a row vector");
         assert_eq!(bv.cols(), xv.cols(), "bias width mismatch");
-        let mut out = xv.clone();
+        let mut out = self.arena.alloc_copy(xv);
         for r in 0..out.rows() {
             let row = out.row_slice_mut(r);
             for (o, b) in row.iter_mut().zip(bv.data()) {
@@ -332,14 +405,14 @@ impl<'p> Tape<'p> {
 
     /// Element-wise `a + b` (same shape).
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let mut out = self.value_of(a.0).clone();
-        out.add_assign(self.value_of(b.0));
+        let mut out = self.arena.alloc_copy(val(&self.nodes, a.0));
+        out.add_assign(val(&self.nodes, b.0));
         self.push(out, Op::Add(a.0, b.0))
     }
 
     /// Element-wise ReLU.
     pub fn relu(&mut self, x: NodeId) -> NodeId {
-        let mut out = self.value_of(x.0).clone();
+        let mut out = self.arena.alloc_copy(val(&self.nodes, x.0));
         for v in out.data_mut() {
             if *v < 0.0 {
                 *v = 0.0;
@@ -350,7 +423,7 @@ impl<'p> Tape<'p> {
 
     /// Element-wise logistic sigmoid.
     pub fn sigmoid(&mut self, x: NodeId) -> NodeId {
-        let mut out = self.value_of(x.0).clone();
+        let mut out = self.arena.alloc_copy(val(&self.nodes, x.0));
         for v in out.data_mut() {
             *v = 1.0 / (1.0 + (-*v).exp());
         }
@@ -359,15 +432,9 @@ impl<'p> Tape<'p> {
 
     /// Concatenates `a` and `b` along columns.
     pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let av = self.value_of(a.0);
-        let bv = self.value_of(b.0);
-        assert_eq!(av.rows(), bv.rows(), "concat_cols row mismatch");
-        let mut out = Tensor::zeros(av.rows(), av.cols() + bv.cols());
-        for r in 0..av.rows() {
-            let dst = out.row_slice_mut(r);
-            dst[..av.cols()].copy_from_slice(av.row_slice(r));
-            dst[av.cols()..].copy_from_slice(bv.row_slice(r));
-        }
+        let (av, bv) = (val(&self.nodes, a.0), val(&self.nodes, b.0));
+        let mut out = self.arena.alloc_scratch(av.rows(), av.cols() + bv.cols());
+        av.concat_cols_into(bv, &mut out);
         self.push(out, Op::ConcatCols(a.0, b.0))
     }
 
@@ -376,11 +443,9 @@ impl<'p> Tape<'p> {
     /// copying the index list; a `Vec` works too for ad-hoc callers.
     pub fn gather_rows(&mut self, x: NodeId, idx: impl Into<Cow<'p, [usize]>>) -> NodeId {
         let idx = idx.into();
-        let xv = self.value_of(x.0);
-        let mut out = Tensor::zeros(idx.len(), xv.cols());
-        for (r, &i) in idx.iter().enumerate() {
-            out.row_slice_mut(r).copy_from_slice(xv.row_slice(i));
-        }
+        let xv = val(&self.nodes, x.0);
+        let mut out = self.arena.alloc_scratch(idx.len(), xv.cols());
+        xv.gather_rows_into(&idx, &mut out);
         self.push(out, Op::GatherRows(x.0, idx))
     }
 
@@ -390,17 +455,10 @@ impl<'p> Tape<'p> {
     /// Borrowed segment lists are recorded without copying.
     pub fn segment_sum(&mut self, x: NodeId, segments: impl Into<Cow<'p, [usize]>>, out_rows: usize) -> NodeId {
         let segments = segments.into();
-        let xv = self.value_of(x.0);
-        assert_eq!(segments.len(), xv.rows(), "one segment id per input row");
-        let mut out = Tensor::zeros(out_rows, xv.cols());
-        for (i, &s) in segments.iter().enumerate() {
-            assert!(s < out_rows, "segment id {} out of range {}", s, out_rows);
-            let src = xv.row_slice(i);
-            let dst = out.row_slice_mut(s);
-            for (d, v) in dst.iter_mut().zip(src) {
-                *d += *v;
-            }
-        }
+        let xv = val(&self.nodes, x.0);
+        assert!(segments.iter().all(|&s| s < out_rows), "segment id out of range");
+        let mut out = self.arena.alloc_zeroed(out_rows, xv.cols());
+        xv.segment_sum_into(&segments, &mut out);
         self.push(out, Op::SegmentSum { input: x.0, segments })
     }
 
@@ -422,229 +480,350 @@ impl<'p> Tape<'p> {
         out_rows: usize,
     ) -> NodeId {
         let (rows, segs) = (rows.into(), segs.into());
-        let xv = self.value_of(x.0);
+        let xv = val(&self.nodes, x.0);
         assert_eq!(rows.len(), segs.len(), "one segment per gathered row");
         assert!(segs.iter().all(|&s| s < out_rows), "segment id out of range");
-        let mut out = Tensor::zeros(out_rows, xv.cols());
+        let mut out = self.arena.alloc_zeroed(out_rows, xv.cols());
         xv.gather_segment_sum_into(&rows, &segs, &mut out);
         self.push(out, Op::GatherSegmentSum { input: x.0, rows, segs })
     }
 
     /// `x * s`.
     pub fn scale(&mut self, x: NodeId, s: f32) -> NodeId {
-        let mut out = self.value_of(x.0).clone();
+        let mut out = self.arena.alloc_copy(val(&self.nodes, x.0));
         out.scale_assign(s);
         self.push(out, Op::Scale(x.0, s))
     }
 
+    /// The initial GNN state as ONE node: every node type's feature rows
+    /// through its encoder MLP, scattered into a `total x hidden` matrix
+    /// ([`wave::encode_scatter`], the routine inference runs). Stands for
+    /// the per-type chain `input_ref` → `Mlp::forward` → `segment_sum` →
+    /// `add` onto zeros; forward value and parameter gradients are bitwise
+    /// those of that chain. The feature matrices are constants, so the
+    /// backward pass forms no gradient for them.
+    pub fn encode_scatter(
+        &mut self,
+        spec: &'p dyn EncodeSpec,
+        encoders: &'p [Mlp],
+        store: &'p ParamStore,
+        total: usize,
+        hidden: usize,
+    ) -> NodeId {
+        let start = self.saved.len();
+        let saved = Some(&mut self.saved);
+        let h0 = wave::encode_scatter(spec, encoders, store, total, hidden, &mut self.arena, saved);
+        let saved = start..self.saved.len();
+        self.push(
+            h0,
+            Op::EncodeScatter {
+                spec,
+                encoders,
+                store,
+                saved,
+            },
+        )
+    }
+
+    /// One message-passing wave as ONE node ([`wave::wave_update`], the
+    /// routine inference runs): the state after updating the wave's target
+    /// rows of `cur` from their children's rows of `cur` and their own
+    /// rows of `h0`. Stands for the chain `gather_segment_sum` ‖
+    /// `gather_rows` → `concat_cols` → per type group (`gather_rows` →
+    /// `Mlp::forward` → `segment_sum` → `add`) → `add` of the carried rows;
+    /// forward value (up to the sign of zero) and every gradient are
+    /// bitwise those of that chain.
+    pub fn wave_update(
+        &mut self,
+        cur: NodeId,
+        h0: NodeId,
+        wave: &'p dyn WaveSpec,
+        updaters: &'p [Mlp],
+        store: &'p ParamStore,
+    ) -> NodeId {
+        let start = self.saved.len();
+        let updated = wave::wave_update(
+            wave,
+            updaters,
+            store,
+            val(&self.nodes, cur.0),
+            val(&self.nodes, h0.0),
+            &mut self.arena,
+            Some(&mut self.saved),
+        );
+        let saved = start..self.saved.len();
+        self.push(
+            updated,
+            Op::WaveUpdate {
+                cur: cur.0,
+                h0: h0.0,
+                wave,
+                updaters,
+                store,
+                saved,
+            },
+        )
+    }
+
     /// Runs the backward pass seeding `d(loss)/d(out) = seed` and
     /// accumulates parameter gradients into `grads` (zero it first unless
-    /// gradient accumulation across batches is intended).
+    /// gradient accumulation across batches is intended). Scratch tensors
+    /// come from, and `seed` ends up in, the tape's own arena.
     ///
     /// # Panics
     /// Panics if `seed` does not match the shape of `out`'s value, or if
     /// `grads` was built for a different store.
-    pub fn backward(&self, out: NodeId, seed: Tensor, grads: &mut Gradients) {
-        self.backward_with_arena(out, seed, grads, &mut InferenceArena::new());
+    pub fn backward(&mut self, out: NodeId, seed: Tensor, grads: &mut Gradients) {
+        run_backward(&self.nodes, &self.saved, out, seed, grads, &mut self.arena);
     }
 
-    /// [`Tape::backward`] with a caller-provided scratch arena. Every
-    /// intermediate node-gradient buffer is drawn from (and recycled back
-    /// into) `arena`, so a training loop that reuses one arena across
-    /// minibatches allocates no tensor buffers in steady state (the only
-    /// remaining per-call allocation is the small per-node bookkeeping
-    /// `Vec` of gradient slots).
+    /// [`Tape::backward`] on a caller-provided scratch arena instead of
+    /// the tape's own: node-gradient buffers, weight transposes and their
+    /// bookkeeping lists are drawn from and recycled into `arena`.
     pub fn backward_with_arena(&self, out: NodeId, seed: Tensor, grads: &mut Gradients, arena: &mut InferenceArena) {
-        assert_eq!(seed.shape(), self.value_of(out.0).shape(), "seed shape mismatch");
-        let mut node_grads: Vec<Option<Tensor>> = (0..self.nodes.len()).map(|_| None).collect();
-        node_grads[out.0] = Some(seed);
-
-        for i in (0..self.nodes.len()).rev() {
-            let g = match node_grads[i].take() {
-                Some(g) => g,
-                None => continue,
-            };
-            match &self.nodes[i].op {
-                Op::Leaf(Some(pid)) => {
-                    grads.accumulate(*pid, &g);
-                    arena.recycle(g);
-                }
-                Op::Leaf(None) => arena.recycle(g),
-                Op::MatMul(a, b) => {
-                    // da += g @ b^T, db += a^T @ g — both accumulate
-                    // straight into the (pooled) gradient slots.
-                    {
-                        let bv = self.value_of(*b);
-                        let da = slot_zeroed(&mut node_grads, *a, g.rows(), bv.rows(), arena);
-                        g.matmul_t_acc(bv, da);
-                    }
-                    {
-                        let av = self.value_of(*a);
-                        let db = slot_zeroed(&mut node_grads, *b, av.cols(), g.cols(), arena);
-                        av.t_matmul_acc(&g, db);
-                    }
-                    arena.recycle(g);
-                }
-                Op::Affine { x, w, bias, relu } => {
-                    // One fused pass: mask g by the ReLU activation mask
-                    // (the node's own output is the activation), reduce the
-                    // bias gradient, then both matmul gradients.
-                    let mut dpre = g;
-                    if *relu {
-                        for (d, v) in dpre.data_mut().iter_mut().zip(self.value_of(i).data()) {
-                            if *v <= 0.0 {
-                                *d = 0.0;
-                            }
-                        }
-                    }
-                    {
-                        let db = slot_zeroed(&mut node_grads, *bias, 1, dpre.cols(), arena);
-                        let dst = db.row_slice_mut(0);
-                        for r in 0..dpre.rows() {
-                            for (d, v) in dst.iter_mut().zip(dpre.row_slice(r)) {
-                                *d += *v;
-                            }
-                        }
-                    }
-                    {
-                        let xv = self.value_of(*x);
-                        let dw = slot_zeroed(&mut node_grads, *w, xv.cols(), dpre.cols(), arena);
-                        xv.t_matmul_acc(&dpre, dw);
-                    }
-                    {
-                        let wv = self.value_of(*w);
-                        let dx = slot_zeroed(&mut node_grads, *x, dpre.rows(), wv.rows(), arena);
-                        dpre.matmul_t_acc(wv, dx);
-                    }
-                    arena.recycle(dpre);
-                }
-                Op::AddBias(x, bias) => {
-                    {
-                        let db = slot_zeroed(&mut node_grads, *bias, 1, g.cols(), arena);
-                        let dst = db.row_slice_mut(0);
-                        for r in 0..g.rows() {
-                            for (d, v) in dst.iter_mut().zip(g.row_slice(r)) {
-                                *d += *v;
-                            }
-                        }
-                    }
-                    give(&mut node_grads, *x, g, arena);
-                }
-                Op::Add(a, b) => {
-                    add_to(&mut node_grads, *a, &g, arena);
-                    give(&mut node_grads, *b, g, arena);
-                }
-                Op::Relu(x) => {
-                    let mut dx = g;
-                    for (d, v) in dx.data_mut().iter_mut().zip(self.value_of(*x).data()) {
-                        if *v <= 0.0 {
-                            *d = 0.0;
-                        }
-                    }
-                    give(&mut node_grads, *x, dx, arena);
-                }
-                Op::Sigmoid(x) => {
-                    let mut dx = g;
-                    for (d, y) in dx.data_mut().iter_mut().zip(self.value_of(i).data()) {
-                        *d *= y * (1.0 - y);
-                    }
-                    give(&mut node_grads, *x, dx, arena);
-                }
-                Op::ConcatCols(a, b) => {
-                    let ac = self.value_of(*a).cols();
-                    let bc = self.value_of(*b).cols();
-                    {
-                        let da = slot_zeroed(&mut node_grads, *a, g.rows(), ac, arena);
-                        for r in 0..g.rows() {
-                            for (d, v) in da.row_slice_mut(r).iter_mut().zip(&g.row_slice(r)[..ac]) {
-                                *d += *v;
-                            }
-                        }
-                    }
-                    {
-                        let db = slot_zeroed(&mut node_grads, *b, g.rows(), bc, arena);
-                        for r in 0..g.rows() {
-                            for (d, v) in db.row_slice_mut(r).iter_mut().zip(&g.row_slice(r)[ac..]) {
-                                *d += *v;
-                            }
-                        }
-                    }
-                    arena.recycle(g);
-                }
-                Op::GatherRows(x, idx) => {
-                    let rows = self.value_of(*x).rows();
-                    let dx = slot_zeroed(&mut node_grads, *x, rows, g.cols(), arena);
-                    for (r, &src_row) in idx.iter().enumerate() {
-                        let src = g.row_slice(r);
-                        let dst = dx.row_slice_mut(src_row);
-                        for (d, v) in dst.iter_mut().zip(src) {
-                            *d += *v;
-                        }
-                    }
-                    arena.recycle(g);
-                }
-                Op::SegmentSum { input, segments } => {
-                    let dx = slot_zeroed(&mut node_grads, *input, segments.len(), g.cols(), arena);
-                    for (r, &s) in segments.iter().enumerate() {
-                        let src = g.row_slice(s);
-                        let dst = dx.row_slice_mut(r);
-                        for (d, v) in dst.iter_mut().zip(src) {
-                            *d += *v;
-                        }
-                    }
-                    arena.recycle(g);
-                }
-                Op::GatherSegmentSum { input, rows, segs } => {
-                    // One pass, no edges x cols intermediate:
-                    // dx[rows[e]] += g[segs[e]].
-                    let in_rows = self.value_of(*input).rows();
-                    let dx = slot_zeroed(&mut node_grads, *input, in_rows, g.cols(), arena);
-                    for (&r, &s) in rows.iter().zip(segs.iter()) {
-                        let src = g.row_slice(s);
-                        let dst = dx.row_slice_mut(r);
-                        for (d, v) in dst.iter_mut().zip(src) {
-                            *d += *v;
-                        }
-                    }
-                    arena.recycle(g);
-                }
-                Op::Scale(x, s) => {
-                    let mut dx = g;
-                    dx.scale_assign(*s);
-                    give(&mut node_grads, *x, dx, arena);
-                }
-            }
-        }
-
-        // Node gradients of pinned parameters were accumulated into `grads`
-        // as their Leaf nodes were visited; everything else has been
-        // recycled back into the arena along the way.
+        run_backward(&self.nodes, &self.saved, out, seed, grads, arena);
     }
 }
 
-/// Ensures `node_grads[idx]` holds a tensor of the given shape (allocating
+/// Scratch state of one backward pass: the arena every temporary is drawn
+/// from, and the weight matrices transposed so far. `dx += dpre @ W^T`
+/// needs `W^T` row-major; a weight used by several nodes (an update MLP
+/// runs once per wave) is transposed once per pass, not once per use.
+pub(crate) struct Scratch<'a> {
+    /// Source and sink of every temporary.
+    pub arena: &'a mut InferenceArena,
+    /// `(address of W, W^T)`. Addresses identify tensors here because
+    /// everything a tape pins or owns outlives the pass unmoved.
+    transposed: Vec<(usize, Tensor)>,
+}
+
+impl<'a> Scratch<'a> {
+    fn new(arena: &'a mut InferenceArena) -> Self {
+        let transposed = std::mem::take(&mut arena.lists.transposed);
+        Scratch { arena, transposed }
+    }
+
+    /// `w^T`, transposed on first request.
+    pub fn transposed(&mut self, w: &Tensor) -> &Tensor {
+        let key = std::ptr::from_ref(w) as usize;
+        let at = match self.transposed.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                let mut wt = self.arena.alloc_scratch(w.cols(), w.rows());
+                w.transpose_into(&mut wt);
+                self.transposed.push((key, wt));
+                self.transposed.len() - 1
+            }
+        };
+        &self.transposed[at].1
+    }
+
+    fn finish(mut self) {
+        for (_, wt) in self.transposed.drain(..) {
+            self.arena.recycle(wt);
+        }
+        self.arena.lists.transposed = self.transposed;
+    }
+}
+
+fn run_backward(
+    nodes: &[Node<'_>],
+    saved: &[Tensor],
+    out: NodeId,
+    seed: Tensor,
+    grads: &mut Gradients,
+    arena: &mut InferenceArena,
+) {
+    assert_eq!(seed.shape(), val(nodes, out.0).shape(), "seed shape mismatch");
+    let mut slots = std::mem::take(&mut arena.lists.slots);
+    slots.resize_with(nodes.len(), || None);
+    slots[out.0] = Some(seed);
+    let mut ctx = Scratch::new(arena);
+
+    for i in (0..nodes.len()).rev() {
+        let g = match slots[i].take() {
+            Some(g) => g,
+            None => continue,
+        };
+        match &nodes[i].op {
+            Op::Leaf(Some(pid)) => {
+                grads.accumulate(*pid, &g);
+                ctx.arena.recycle(g);
+            }
+            Op::Leaf(None) => ctx.arena.recycle(g),
+            Op::MatMul(a, b) => {
+                // da += g @ b^T, db += a^T @ g — both accumulate
+                // straight into the (pooled) gradient slots.
+                let (av, bv) = (val(nodes, *a), val(nodes, *b));
+                let da = slot_zeroed(&mut slots, *a, g.rows(), bv.rows(), ctx.arena);
+                g.matmul_t_acc(bv, da);
+                let db = slot_zeroed(&mut slots, *b, av.cols(), g.cols(), ctx.arena);
+                av.t_matmul_acc(&g, db);
+                ctx.arena.recycle(g);
+            }
+            Op::Affine { x, w, bias, relu } => {
+                // One fused pass: mask g by the ReLU activation mask
+                // (the node's own output is the activation), reduce the
+                // bias gradient, then both matmul gradients.
+                let mut dpre = g;
+                if *relu {
+                    mask_relu(&mut dpre, val(nodes, i));
+                }
+                let db = slot_zeroed(&mut slots, *bias, 1, dpre.cols(), ctx.arena);
+                add_col_sums(db, &dpre);
+                let (xv, wv) = (val(nodes, *x), val(nodes, *w));
+                let dw = slot_zeroed(&mut slots, *w, xv.cols(), dpre.cols(), ctx.arena);
+                xv.t_matmul_acc(&dpre, dw);
+                // A constant input has no use for its gradient.
+                if !matches!(nodes[*x].op, Op::Leaf(None)) {
+                    let dx = slot_zeroed(&mut slots, *x, dpre.rows(), wv.rows(), ctx.arena);
+                    dpre.matmul_acc(ctx.transposed(wv), dx);
+                }
+                ctx.arena.recycle(dpre);
+            }
+            Op::AddBias(x, bias) => {
+                let db = slot_zeroed(&mut slots, *bias, 1, g.cols(), ctx.arena);
+                add_col_sums(db, &g);
+                give(&mut slots, *x, g, ctx.arena);
+            }
+            Op::Add(a, b) => {
+                add_to(&mut slots, *a, &g, ctx.arena);
+                give(&mut slots, *b, g, ctx.arena);
+            }
+            Op::Relu(x) => {
+                let mut dx = g;
+                mask_relu(&mut dx, val(nodes, *x));
+                give(&mut slots, *x, dx, ctx.arena);
+            }
+            Op::Sigmoid(x) => {
+                let mut dx = g;
+                for (d, y) in dx.data_mut().iter_mut().zip(val(nodes, i).data()) {
+                    *d *= y * (1.0 - y);
+                }
+                give(&mut slots, *x, dx, ctx.arena);
+            }
+            Op::ConcatCols(a, b) => {
+                let ac = val(nodes, *a).cols();
+                let bc = val(nodes, *b).cols();
+                let da = slot_zeroed(&mut slots, *a, g.rows(), ac, ctx.arena);
+                add_rows(da, &g, 0, (0..g.rows()).map(|r| (r, r)));
+                let db = slot_zeroed(&mut slots, *b, g.rows(), bc, ctx.arena);
+                add_rows(db, &g, ac, (0..g.rows()).map(|r| (r, r)));
+                ctx.arena.recycle(g);
+            }
+            Op::GatherRows(x, idx) => {
+                let rows = val(nodes, *x).rows();
+                let dx = slot_zeroed(&mut slots, *x, rows, g.cols(), ctx.arena);
+                add_rows(dx, &g, 0, idx.iter().copied().zip(0..));
+                ctx.arena.recycle(g);
+            }
+            Op::SegmentSum { input, segments } => {
+                let dx = slot_zeroed(&mut slots, *input, segments.len(), g.cols(), ctx.arena);
+                add_rows(dx, &g, 0, segments.iter().copied().enumerate());
+                ctx.arena.recycle(g);
+            }
+            Op::GatherSegmentSum { input, rows, segs } => {
+                // One pass, no edges x cols intermediate:
+                // dx[rows[e]] += g[segs[e]].
+                let in_rows = val(nodes, *input).rows();
+                let dx = slot_zeroed(&mut slots, *input, in_rows, g.cols(), ctx.arena);
+                add_rows(dx, &g, 0, rows.iter().copied().zip(segs.iter().copied()));
+                ctx.arena.recycle(g);
+            }
+            Op::Scale(x, s) => {
+                let mut dx = g;
+                dx.scale_assign(*s);
+                give(&mut slots, *x, dx, ctx.arena);
+            }
+            Op::EncodeScatter {
+                spec,
+                encoders,
+                store,
+                saved: at,
+            } => {
+                wave::encode_scatter_backward(*spec, encoders, store, &saved[at.clone()], g, grads, &mut ctx);
+            }
+            Op::WaveUpdate {
+                cur,
+                h0,
+                wave,
+                updaters,
+                store,
+                saved: at,
+            } => {
+                wave::wave_update_backward(
+                    *wave,
+                    updaters,
+                    store,
+                    &saved[at.clone()],
+                    g,
+                    &mut slots,
+                    (*cur, *h0),
+                    grads,
+                    &mut ctx,
+                );
+            }
+        }
+    }
+
+    // Every slot was taken as its node was visited: pinned parameters
+    // accumulated into `grads`, everything else recycled along the way.
+    ctx.finish();
+    slots.clear();
+    arena.lists.slots = slots;
+}
+
+/// Zeroes `dpre` wherever the ReLU output `y` is not positive.
+pub(crate) fn mask_relu(dpre: &mut Tensor, y: &Tensor) {
+    for (d, v) in dpre.data_mut().iter_mut().zip(y.data()) {
+        if *v <= 0.0 {
+            *d = 0.0;
+        }
+    }
+}
+
+/// `db += column sums of dpre`, rows in order.
+pub(crate) fn add_col_sums(db: &mut Tensor, dpre: &Tensor) {
+    let dst = db.row_slice_mut(0);
+    for r in 0..dpre.rows() {
+        for (d, v) in dst.iter_mut().zip(dpre.row_slice(r)) {
+            *d += *v;
+        }
+    }
+}
+
+/// `dst[d] += src[s][col_off .. col_off + dst.cols]` for every `(d, s)`
+/// pair, in order — the backward of every gather, scatter and
+/// concatenation here.
+pub(crate) fn add_rows(dst: &mut Tensor, src: &Tensor, col_off: usize, pairs: impl Iterator<Item = (usize, usize)>) {
+    let width = dst.cols();
+    for (d, s) in pairs {
+        let from = &src.row_slice(s)[col_off..col_off + width];
+        for (dv, sv) in dst.row_slice_mut(d).iter_mut().zip(from) {
+            *dv += *sv;
+        }
+    }
+}
+
+/// Ensures `slots[idx]` holds a tensor of the given shape (allocating
 /// a zeroed one from the arena if empty) and returns it for in-place
 /// accumulation.
-fn slot_zeroed<'g>(
-    node_grads: &'g mut [Option<Tensor>],
+pub(crate) fn slot_zeroed<'g>(
+    slots: &'g mut [Option<Tensor>],
     idx: usize,
     rows: usize,
     cols: usize,
     arena: &mut InferenceArena,
 ) -> &'g mut Tensor {
-    let slot = &mut node_grads[idx];
-    if slot.is_none() {
-        *slot = Some(arena.alloc_zeroed(rows, cols));
-    }
-    let t = slot.as_mut().expect("slot just filled");
+    let t = slots[idx].get_or_insert_with(|| arena.alloc_zeroed(rows, cols));
     debug_assert_eq!(t.shape(), (rows, cols), "gradient shape mismatch");
     t
 }
 
 /// Moves `t` into the gradient slot of `idx`, or adds it and recycles the
 /// buffer when the slot is already populated (the multi-consumer case).
-fn give(node_grads: &mut [Option<Tensor>], idx: usize, t: Tensor, arena: &mut InferenceArena) {
-    match &mut node_grads[idx] {
+fn give(slots: &mut [Option<Tensor>], idx: usize, t: Tensor, arena: &mut InferenceArena) {
+    match &mut slots[idx] {
         Some(g) => {
             g.add_assign(&t);
             arena.recycle(t);
@@ -655,8 +834,8 @@ fn give(node_grads: &mut [Option<Tensor>], idx: usize, t: Tensor, arena: &mut In
 
 /// Adds `src` into the gradient slot of `idx`, allocating a copy from the
 /// arena when the slot is empty.
-fn add_to(node_grads: &mut [Option<Tensor>], idx: usize, src: &Tensor, arena: &mut InferenceArena) {
-    match &mut node_grads[idx] {
+fn add_to(slots: &mut [Option<Tensor>], idx: usize, src: &Tensor, arena: &mut InferenceArena) {
+    match &mut slots[idx] {
         Some(g) => g.add_assign(src),
         slot @ None => *slot = Some(arena.alloc_copy(src)),
     }
@@ -827,7 +1006,7 @@ mod tests {
 
         let mut grads = Gradients::for_store(&store);
         {
-            let (tape, out) = forward(&store, &ids);
+            let (mut tape, out) = forward(&store, &ids);
             let shape = tape.value(out).shape();
             tape.backward(out, Tensor::full(shape.0, shape.1, 1.0), &mut grads);
         }

@@ -221,13 +221,22 @@ impl Tensor {
             let mut bt = cell.borrow_mut();
             bt.clear();
             bt.resize(kd * rb, 0.0);
-            for (j, brow) in other.data.chunks_exact(kd).enumerate() {
-                for (k, &v) in brow.iter().enumerate() {
-                    bt[k * rb + j] = v;
-                }
-            }
+            transpose(&other.data, rb, kd, &mut bt);
             matmul_accumulate(&self.data, m, kd, &bt, rb, &mut out.data);
         });
+    }
+
+    /// Writes `self^T` into `out` (`cols x rows`). The backward pass
+    /// transposes each weight matrix once per step with this and then runs
+    /// `dx += dpre @ W^T` as a plain [`Tensor::matmul_acc`] — the same
+    /// kernel on the same operands as [`Tensor::matmul_t_acc`], which
+    /// re-transposes on every call.
+    ///
+    /// # Panics
+    /// Panics on shape mismatch.
+    pub fn transpose_into(&self, out: &mut Tensor) {
+        assert_eq!(out.shape(), (self.cols, self.rows), "transpose output shape mismatch");
+        transpose(&self.data, self.rows, self.cols, &mut out.data);
     }
 
     /// Fused affine map `out = x @ w + bias`, optionally with ReLU, writing
@@ -514,6 +523,15 @@ impl Tensor {
     /// Returns true when any element is NaN or infinite.
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|v| !v.is_finite())
+    }
+}
+
+/// `dst = src^T` for a row-major `rows x cols` matrix `src`.
+fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    for (j, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (k, &v) in row.iter().enumerate() {
+            dst[k * rows + j] = v;
+        }
     }
 }
 

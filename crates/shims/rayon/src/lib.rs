@@ -12,7 +12,9 @@
 //! serial path, and a thread-local nesting guard makes parallel calls
 //! issued *from inside a worker* run serially — so nested parallelism
 //! (ensemble members × inference chunks) degrades gracefully instead of
-//! spawning `k x cores` threads.
+//! spawning `k x cores` threads. Both short-circuits are decided before
+//! the core count is asked for: `available_parallelism()` reads cgroup
+//! files (~17 µs a call), which a serial call has no reason to pay.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -38,7 +40,7 @@ where
     RA: Send,
     RB: Send,
 {
-    if current_num_threads() <= 1 {
+    if IN_WORKER.with(Cell::get) || current_num_threads() <= 1 {
         return (a(), b());
     }
     std::thread::scope(|s| {
@@ -53,8 +55,14 @@ where
 /// input order in the result.
 fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let n = items.len();
-    let threads = current_num_threads().min(n);
-    if n <= 1 || threads <= 1 || IN_WORKER.with(Cell::get) {
+    // The cheap reasons to stay serial first: asking for the core count is
+    // the expensive one.
+    let threads = if n <= 1 || IN_WORKER.with(Cell::get) {
+        1
+    } else {
+        current_num_threads().min(n)
+    };
+    if threads <= 1 {
         return items.into_iter().map(f).collect();
     }
 

@@ -23,7 +23,8 @@ the gated op moves both. CALIBRATION_OP itself must stay a pure
 single-threaded kernel bench.
 
 Gated ops fall in two classes:
-  * single-threaded benches (train_epoch, and the wire codec rows
+  * single-threaded benches (train_epoch and train_backward_batch16, the
+    backward pass of one 16-graph training step; and the wire codec rows
     wire_encode_request_inline / wire_decode_request_inline: one ~1 KB
     inline-graph request through the JSON shim's text path, no kernels
     underneath) — directly comparable across runners via the double gate;
@@ -53,6 +54,12 @@ import sys
 # See the module docstring for what may be gated.
 GATED = {
     "train_epoch": 1.20,
+    # Backward pass of one 16-graph minibatch on the fused wave nodes —
+    # two thirds of a training step's kernel time. A weight transposed
+    # per use instead of per step, a gradient formed for a constant
+    # input, or a per-op chain coming back into the training forward's
+    # tape reads 1.4-2.3x here.
+    "train_backward_batch16": 1.30,
     # Encoding and decoding one inline `Score` request (a ~1 KB generator
     # graph) — what every never-seen graph pays at the wire before and
     # after the ~10 us the fused kernels need for it. Single-threaded and

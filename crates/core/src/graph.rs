@@ -8,7 +8,7 @@
 //! OPS→HW and HW→OPS message-passing phases of Algorithm 1).
 
 use costream_query::features::{host_features, op_features, NodeType};
-use costream_query::hardware::Cluster;
+use costream_query::hardware::{Cluster, HostId};
 use costream_query::operators::Query;
 use costream_query::placement::Placement;
 use serde::{Deserialize, Serialize};
@@ -178,14 +178,7 @@ impl GraphTemplate {
     /// bitwise identical to [`JointGraph::build`] with the template's
     /// inputs, without recomputing any operator or host features.
     pub fn instantiate(&self, placement: &Placement) -> JointGraph {
-        let mut graph = JointGraph {
-            nodes: self.op_nodes.clone(),
-            dataflow_edges: self.dataflow_edges.clone(),
-            placement_edges: Vec::new(),
-            waves: self.op_waves.clone(),
-        };
-        self.patch(&mut graph, placement);
-        graph
+        self.instantiate_with_host_overrides(placement, &[])
     }
 
     /// Like [`GraphTemplate::instantiate`], but consumes the template so
@@ -206,7 +199,7 @@ impl GraphTemplate {
             placement_edges: Vec::new(),
             waves: op_waves,
         };
-        patch_placement(featurization, &host_feats, n_ops, &mut graph, placement);
+        patch_placement(featurization, &host_feats, &[], n_ops, &mut graph, placement);
         graph
     }
 
@@ -221,57 +214,59 @@ impl GraphTemplate {
     /// Panics when `graph` has a different operator prefix length or
     /// `placement` references a host outside the template's cluster.
     pub fn patch(&self, graph: &mut JointGraph, placement: &Placement) {
+        self.patch_with_host_overrides(graph, placement, &[]);
+    }
+
+    /// The per-host feature rows the template instantiates host nodes
+    /// from (empty under [`Featurization::QueryOnly`]). A contention-aware
+    /// scorer reads the uncontended row here and substitutes degraded
+    /// rows through [`GraphTemplate::patch_with_host_overrides`].
+    pub fn host_feature_rows(&self) -> &[Vec<f32>] {
+        &self.host_feats
+    }
+
+    /// Like [`GraphTemplate::patch`], but a host listed in `overrides`
+    /// gets that row instead of the template's own — the hook multi-query
+    /// co-placement uses to price host contention: only the contended
+    /// hosts of the placement (at most one per operator) are named, every
+    /// other row and the operator prefix are the template's, untouched.
+    /// No overrides is bitwise [`GraphTemplate::patch`].
+    ///
+    /// # Panics
+    /// Panics on the conditions of [`GraphTemplate::patch`].
+    pub fn patch_with_host_overrides(
+        &self,
+        graph: &mut JointGraph,
+        placement: &Placement,
+        overrides: &[(HostId, Vec<f32>)],
+    ) {
         patch_placement(
             self.featurization,
             &self.host_feats,
+            overrides,
             self.op_nodes.len(),
             graph,
             placement,
         );
     }
 
-    /// The per-host feature rows the template instantiates host nodes
-    /// from (empty under [`Featurization::QueryOnly`]). A contention-aware
-    /// scorer reads the uncontended row here and substitutes degraded
-    /// rows through [`GraphTemplate::patch_with_host_features`].
-    pub fn host_feature_rows(&self) -> &[Vec<f32>] {
-        &self.host_feats
-    }
-
-    /// Like [`GraphTemplate::patch`], but instantiates the host-node tail
-    /// from `host_feats` instead of the template's own rows — the hook
-    /// multi-query co-placement uses to price host contention: only the
-    /// occupancy-dependent host rows change per candidate, the operator
-    /// prefix is reused untouched. Passing the template's own rows is
-    /// bitwise identical to [`GraphTemplate::patch`].
+    /// One-shot [`GraphTemplate::patch_with_host_overrides`]: builds the
+    /// joint graph of `placement` with the overridden host rows.
     ///
     /// # Panics
-    /// Panics when `host_feats` does not provide one row per cluster
-    /// host, or on the conditions of [`GraphTemplate::patch`].
-    pub fn patch_with_host_features(&self, graph: &mut JointGraph, placement: &Placement, host_feats: &[Vec<f32>]) {
-        assert_eq!(
-            host_feats.len(),
-            self.host_feats.len(),
-            "one feature row per cluster host"
-        );
-        patch_placement(self.featurization, host_feats, self.op_nodes.len(), graph, placement);
-    }
-
-    /// One-shot [`GraphTemplate::patch_with_host_features`]: builds the
-    /// joint graph of `placement` with the host-node tail taken from
-    /// `host_feats`.
-    ///
-    /// # Panics
-    /// Panics on the conditions of
-    /// [`GraphTemplate::patch_with_host_features`].
-    pub fn instantiate_with_host_features(&self, placement: &Placement, host_feats: &[Vec<f32>]) -> JointGraph {
+    /// Panics on the conditions of [`GraphTemplate::patch`].
+    pub fn instantiate_with_host_overrides(
+        &self,
+        placement: &Placement,
+        overrides: &[(HostId, Vec<f32>)],
+    ) -> JointGraph {
         let mut graph = JointGraph {
             nodes: self.op_nodes.clone(),
             dataflow_edges: self.dataflow_edges.clone(),
             placement_edges: Vec::new(),
             waves: self.op_waves.clone(),
         };
-        self.patch_with_host_features(&mut graph, placement, host_feats);
+        self.patch_with_host_overrides(&mut graph, placement, overrides);
         graph
     }
 }
@@ -283,6 +278,7 @@ impl GraphTemplate {
 fn patch_placement(
     featurization: Featurization,
     host_feats: &[Vec<f32>],
+    overrides: &[(HostId, Vec<f32>)],
     n_ops: usize,
     graph: &mut JointGraph,
     placement: &Placement,
@@ -296,22 +292,25 @@ fn patch_placement(
         return;
     }
     // Host-node layout: one node per *used* host, in ascending host
-    // order, so co-location is structural.
+    // order, so co-location is structural — and a host's node id is its
+    // rank in that list.
     let used = placement.hosts_used();
-    let mut host_node: Vec<Option<usize>> = vec![None; host_feats.len()];
     for &h in &used {
-        host_node[h] = Some(graph.nodes.len());
+        let row = overrides
+            .iter()
+            .find(|(o, _)| *o == h)
+            .map_or(&host_feats[h], |(_, row)| row);
         graph.nodes.push(GraphNode {
             node_type: NodeType::Host,
-            features: host_feats[h].clone(),
+            features: row.clone(),
         });
         graph.waves.push(None);
     }
     for op in 0..n_ops {
-        let h = placement.host_of(op);
-        graph
-            .placement_edges
-            .push((op, host_node[h].expect("used host has a node")));
+        let rank = used
+            .binary_search(&placement.host_of(op))
+            .expect("used host has a node");
+        graph.placement_edges.push((op, n_ops + rank));
     }
 }
 

@@ -18,7 +18,7 @@
 //!   host rows). Only the occupancy-dependent host rows differ from the
 //!   single-query featurization: the operator prefix comes from the same
 //!   per-query [`GraphTemplate`]s, via
-//!   [`GraphTemplate::instantiate_with_host_features`], and a host with
+//!   [`GraphTemplate::instantiate_with_host_overrides`], and a host with
 //!   no external load gets the *identical* (bitwise) row — so an
 //!   uncontended joint placement scores exactly like N independent
 //!   queries, and recurring topologies keep hitting the serving layer's
@@ -45,8 +45,7 @@ use crate::graph::{Featurization, GraphTemplate, JointGraph};
 use crate::interference::{rate_weighted_share, InterferenceModel};
 use crate::search::ranking;
 use crate::search::{
-    resolve_threads, BeamSearch, LocalSearch, PlacementScores, RandomEnumeration, Scorer, SearchStats,
-    SimulatedAnnealing,
+    BeamSearch, LocalSearch, PlacementScores, RandomEnumeration, Scorer, SearchStats, SimulatedAnnealing,
 };
 use costream_dsps::corun::{profile_loads, OpLoad};
 use costream_dsps::{CostMetric, ExecutionProfile};
@@ -55,11 +54,10 @@ use costream_query::hardware::{Cluster, Host, HostId};
 use costream_query::joint::{JointMove, JointNeighborhood, JointPlacement};
 use costream_query::operators::Query;
 use costream_query::placement::neighborhood::VisitState;
-use costream_query::placement::{colocate_on_strongest, sample_valid, Placement};
+use costream_query::placement::{colocate_on_strongest, Placement};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use std::collections::HashSet;
 use std::time::Instant;
 
@@ -162,30 +160,27 @@ impl<'a> JointScorer<'a> {
         self.maximize
     }
 
-    /// The host feature rows query `q` sees under joint placement `jp`:
-    /// the template's uncontended row for hosts without external load,
-    /// and a degraded row — CPU, RAM and bandwidth scaled to the capacity
-    /// share the query effectively keeps (see
-    /// [`JointScorer::contended_share`]) — where co-residents contend.
-    /// Returns `None` when no used host is contended (the plain template
-    /// rows apply, bitwise).
-    fn contended_rows(&self, jp: &JointPlacement, q: usize) -> Option<Vec<Vec<f32>>> {
+    /// The host feature rows of query `q` that joint placement `jp`
+    /// degrades, as `(host, row)` overrides of the template's rows: CPU,
+    /// RAM and bandwidth of every used host with external load scaled to
+    /// the capacity share the query effectively keeps (see
+    /// [`JointScorer::contended_share`]). At most one entry per operator,
+    /// whatever the cluster's width; empty when no used host is contended
+    /// (the plain template rows apply, bitwise).
+    fn contended_rows(&self, jp: &JointPlacement, q: usize) -> Vec<(HostId, Vec<f32>)> {
         if self.featurization != Featurization::Full {
-            return None;
+            return Vec::new();
         }
         let occupancy = jp.occupancy();
-        let mut rows: Option<Vec<Vec<f32>>> = None;
-        for h in jp.query(q).hosts_used() {
-            let own = jp.own_load(q, h);
-            let external = occupancy[h] - own;
-            if external == 0 {
-                continue;
-            }
-            let share = self.contended_share(jp, q, h);
-            let rows = rows.get_or_insert_with(|| self.templates[q].host_feature_rows().to_vec());
-            rows[h] = host_features(&shrunk_host(self.cluster.host(h), share));
-        }
-        rows
+        jp.query(q)
+            .hosts_used()
+            .into_iter()
+            .filter(|&h| occupancy[h] > jp.own_load(q, h))
+            .map(|h| {
+                let share = self.contended_share(jp, q, h);
+                (h, host_features(&shrunk_host(self.cluster.host(h), share)))
+            })
+            .collect()
     }
 
     /// The capacity share query `q` effectively keeps of contended host
@@ -207,10 +202,11 @@ impl<'a> JointScorer<'a> {
     /// rows everywhere else. Public so tests can pin the
     /// uncontended-rows-bitwise-identical invariant directly.
     pub fn host_rows(&self, jp: &JointPlacement, q: usize) -> Vec<Vec<f32>> {
-        match self.contended_rows(jp, q) {
-            Some(rows) => rows,
-            None => self.templates[q].host_feature_rows().to_vec(),
+        let mut rows = self.templates[q].host_feature_rows().to_vec();
+        for (h, row) in self.contended_rows(jp, q) {
+            rows[h] = row;
         }
+        rows
     }
 
     /// Scores a batch of joint candidates: all `candidates.len() * N`
@@ -222,7 +218,7 @@ impl<'a> JointScorer<'a> {
     /// Panics when a candidate's query count does not match the problem,
     /// or the backend returns non-finite or miscounted predictions.
     pub fn evaluate(&self, candidates: &[JointPlacement]) -> Vec<JointCandidateEvaluation> {
-        self.evaluate_with(candidates, 1, &mut SearchStats::default())
+        self.evaluate_with(candidates, &mut SearchStats::default())
     }
 
     /// Featurizes one joint candidate: its N per-query graphs, in query
@@ -231,37 +227,20 @@ impl<'a> JointScorer<'a> {
         let n_q = self.templates.len();
         assert_eq!(jp.len(), n_q, "candidate places {} of {} queries", jp.len(), n_q);
         (0..n_q)
-            .map(|q| match self.contended_rows(jp, q) {
-                Some(rows) => self.templates[q].instantiate_with_host_features(jp.query(q), &rows),
-                None => self.templates[q].instantiate(jp.query(q)),
-            })
+            .map(|q| self.templates[q].instantiate_with_host_overrides(jp.query(q), &self.contended_rows(jp, q)))
             .collect()
     }
 
-    /// [`JointScorer::evaluate`] with an explicit worker fan-out and
-    /// profiling sink: `threads > 1` featurizes candidates across rayon
-    /// workers (per-candidate graph lists are concatenated in candidate
-    /// order, so the batch is bitwise identical to the serial build), and
-    /// wall time is split into `stats.featurize_ns` / `stats.score_ns`.
+    /// [`JointScorer::evaluate`] with a profiling sink: wall time is split
+    /// into `stats.featurize_ns` / `stats.score_ns`.
     pub fn evaluate_with(
         &self,
         candidates: &[JointPlacement],
-        threads: usize,
         stats: &mut SearchStats,
     ) -> Vec<JointCandidateEvaluation> {
         let n_q = self.templates.len();
         let t0 = Instant::now();
-        let graphs: Vec<JointGraph> = if threads > 1 && candidates.len() > 1 {
-            candidates
-                .par_iter()
-                .map(|jp| self.featurize(jp))
-                .collect::<Vec<Vec<JointGraph>>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            candidates.iter().flat_map(|jp| self.featurize(jp)).collect()
-        };
+        let graphs: Vec<JointGraph> = candidates.iter().flat_map(|jp| self.featurize(jp)).collect();
         stats.featurize_ns += t0.elapsed().as_nanos() as u64;
         stats.candidates_scored += candidates.len() as u64;
         stats.score_batches += 1;
@@ -422,23 +401,20 @@ struct JointEvaluator<'a> {
     budget: usize,
     seen: HashSet<Vec<HostId>>,
     evaluated: Vec<JointCandidateEvaluation>,
-    threads: usize,
     stats: SearchStats,
 }
 
 impl<'a> JointEvaluator<'a> {
-    fn new(problem: &JointSearchProblem<'a>, scorer: &'a dyn Scorer, budget: usize, threads: usize) -> Self {
-        let stats = SearchStats {
-            threads: threads.max(1) as u64,
-            ..Default::default()
-        };
+    fn new(problem: &JointSearchProblem<'a>, scorer: &'a dyn Scorer, budget: usize) -> Self {
         JointEvaluator {
             scorer: JointScorer::new(problem, scorer),
             budget: budget.max(1),
             seen: HashSet::new(),
             evaluated: Vec::new(),
-            threads: threads.max(1),
-            stats,
+            stats: SearchStats {
+                threads: 1,
+                ..Default::default()
+            },
         }
     }
 
@@ -476,7 +452,7 @@ impl<'a> JointEvaluator<'a> {
             return Vec::new();
         }
         let start = self.evaluated.len();
-        let scored = self.scorer.evaluate_with(&fresh, self.threads, &mut self.stats);
+        let scored = self.scorer.evaluate_with(&fresh, &mut self.stats);
         self.evaluated.extend(scored);
         (start..self.evaluated.len()).collect()
     }
@@ -536,37 +512,20 @@ impl<'a> JointEvaluator<'a> {
 
 /// One joint-strategy round's neighborhood enumeration: recompute every
 /// query's rule ③ state and fill `buf` with the full cross-query move
-/// list, serial or chunked across workers by `threads` (same bits either
-/// way), folding counters and wall time into `stats`.
+/// list, folding counters and wall time into `stats`.
 fn enumerate_joint_neighbors(
     jnb: &JointNeighborhood<'_>,
     jp: &JointPlacement,
     states: &mut Vec<VisitState>,
     buf: &mut Vec<JointMove>,
-    threads: usize,
     stats: &mut SearchStats,
 ) {
     let t0 = Instant::now();
     jnb.visit_states_into(jp, states);
-    let counts = if threads > 1 {
-        jnb.neighbors_into_par(jp, states, buf)
-    } else {
-        jnb.neighbors_into(jp, states, buf)
-    };
+    let counts = jnb.neighbors_into(jp, states, buf);
     stats.validity_ns += t0.elapsed().as_nanos() as u64;
     stats.moves_generated += counts.generated;
     stats.moves_rejected += counts.rejected;
-}
-
-/// Draws one random joint placement: every query sampled independently
-/// under its own Fig. 5 rules from one rng stream.
-fn sample_joint(problem: &JointSearchProblem<'_>, rng: &mut StdRng) -> Option<JointPlacement> {
-    let placements: Option<Vec<Placement>> = problem
-        .queries
-        .iter()
-        .map(|jq| sample_valid(jq.query, problem.cluster, rng))
-        .collect();
-    Some(JointPlacement::new(problem.cluster.len(), placements?))
 }
 
 /// The always-valid joint fallback: every query co-located on the
@@ -586,7 +545,12 @@ fn fallback_joint(problem: &JointSearchProblem<'_>) -> JointPlacement {
 /// stream (deterministic; attempt-indexed seeds like the single-query
 /// enumeration). Falls back to the co-located placement when sampling
 /// yields nothing.
-fn enumerate_joint(problem: &JointSearchProblem<'_>, k: usize, seed: u64) -> Vec<JointPlacement> {
+fn enumerate_joint(
+    problem: &JointSearchProblem<'_>,
+    jnb: &JointNeighborhood<'_>,
+    k: usize,
+    seed: u64,
+) -> Vec<JointPlacement> {
     let mut out: Vec<JointPlacement> = Vec::new();
     if k == 0 {
         return out;
@@ -597,7 +561,7 @@ fn enumerate_joint(problem: &JointSearchProblem<'_>, k: usize, seed: u64) -> Vec
             break;
         }
         let mut rng = StdRng::seed_from_u64(seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        if let Some(jp) = sample_joint(problem, &mut rng) {
+        if let Some(jp) = jnb.sample_valid(&mut rng) {
             if seen.insert(jp.flattened()) {
                 out.push(jp);
             }
@@ -612,6 +576,7 @@ fn enumerate_joint(problem: &JointSearchProblem<'_>, k: usize, seed: u64) -> Vec
 /// Draws up to one fresh (unseen) joint placement for restarts.
 fn fresh_joint_sample(
     problem: &JointSearchProblem<'_>,
+    jnb: &JointNeighborhood<'_>,
     ev: &JointEvaluator<'_>,
     seed: u64,
     round: u64,
@@ -621,7 +586,7 @@ fn fresh_joint_sample(
             ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
         let mut rng = StdRng::seed_from_u64(s);
-        if let Some(jp) = sample_joint(problem, &mut rng) {
+        if let Some(jp) = jnb.sample_valid(&mut rng) {
             if !ev.is_seen(&jp) {
                 return Some(jp);
             }
@@ -640,6 +605,7 @@ fn fresh_joint_sample(
 fn seed_pool(
     ev: &mut JointEvaluator<'_>,
     problem: &JointSearchProblem<'_>,
+    jnb: &JointNeighborhood<'_>,
     seeds: &[JointPlacement],
     n_random: usize,
     seed: u64,
@@ -647,7 +613,7 @@ fn seed_pool(
     let mut indices = ev.score(seeds.to_vec());
     let fill = n_random.min(ev.remaining());
     if fill > 0 {
-        indices.extend(ev.score(enumerate_joint(problem, fill, seed)));
+        indices.extend(ev.score(enumerate_joint(problem, jnb, fill, seed)));
     }
     if ev.evaluated.is_empty() {
         indices.extend(ev.score(vec![fallback_joint(problem)]));
@@ -670,10 +636,10 @@ impl JointPlacementSearch for RandomEnumeration {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let threads = resolve_threads(None, problem.cluster.len());
-        let mut ev = JointEvaluator::new(problem, scorer, budget, threads);
+        let mut ev = JointEvaluator::new(problem, scorer, budget);
+        let jnb = JointNeighborhood::new(&problem.query_refs(), problem.cluster);
         let n = ev.budget;
-        seed_pool(&mut ev, problem, seeds, n, seed);
+        seed_pool(&mut ev, problem, &jnb, seeds, n, seed);
         ev.finish()
     }
 }
@@ -695,8 +661,7 @@ impl JointPlacementSearch for LocalSearch {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = JointEvaluator::new(problem, scorer, budget, threads);
+        let mut ev = JointEvaluator::new(problem, scorer, budget);
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15EA_2C4B_AD5E);
@@ -704,7 +669,7 @@ impl JointPlacementSearch for LocalSearch {
         let mut restarts: u64 = 0;
 
         let n_random = ranking::seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
-        let mut pool_indices = seed_pool(&mut ev, problem, seeds, n_random, seed);
+        let mut pool_indices = seed_pool(&mut ev, problem, &jnb, seeds, n_random, seed);
         let Some(mut current) = ev.best_in(&pool_indices) else {
             return ev.finish();
         };
@@ -718,7 +683,7 @@ impl JointPlacementSearch for LocalSearch {
         while ev.remaining() > 0 {
             expanded.insert(current);
             let jp = ev.evaluated[current].placement.clone();
-            enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves_buf, threads, &mut ev.stats);
+            enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves_buf, &mut ev.stats);
             moves_buf.shuffle(&mut rng);
             let mut candidates: Vec<JointPlacement> = Vec::new();
             for &mv in &moves_buf {
@@ -752,7 +717,7 @@ impl JointPlacementSearch for LocalSearch {
                         continue;
                     }
                     restarts += 1;
-                    let Some(jp) = fresh_joint_sample(problem, &ev, seed, restarts) else {
+                    let Some(jp) = fresh_joint_sample(problem, &jnb, &ev, seed, restarts) else {
                         break;
                     };
                     let scored = ev.score(vec![jp]);
@@ -783,15 +748,14 @@ impl JointPlacementSearch for BeamSearch {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = JointEvaluator::new(problem, scorer, budget, threads);
+        let mut ev = JointEvaluator::new(problem, scorer, budget);
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEA3_5EA2_C4A6_1D07);
         let width = self.width.max(1);
 
         let n_random = ranking::seed_count(ev.budget, self.seed_share, width).saturating_sub(seeds.len());
-        let scored = seed_pool(&mut ev, problem, seeds, n_random, seed);
+        let scored = seed_pool(&mut ev, problem, &jnb, seeds, n_random, seed);
         let mut beam = ev.top_of(scored, width);
         let mut states: Vec<VisitState> = Vec::new();
         let mut moves_buf: Vec<JointMove> = Vec::new();
@@ -804,8 +768,13 @@ impl JointPlacementSearch for BeamSearch {
             // comparison).
             let mut in_round: HashSet<Vec<HostId>> = HashSet::new();
             for &bi in &beam {
+                // As in the single-query beam: the round already holds a
+                // budget's worth of unseen, distinct candidates.
+                if expansion.len() >= ev.remaining() {
+                    break;
+                }
                 let jp = ev.evaluated[bi].placement.clone();
-                enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves_buf, threads, &mut ev.stats);
+                enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves_buf, &mut ev.stats);
                 moves_buf.shuffle(&mut rng);
                 let mut taken = 0usize;
                 for &mv in &moves_buf {
@@ -853,14 +822,13 @@ impl JointPlacementSearch for SimulatedAnnealing {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = JointEvaluator::new(problem, scorer, budget, threads);
+        let mut ev = JointEvaluator::new(problem, scorer, budget);
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA44E_A1E4_0C0A_57A7);
 
         let n_random = ranking::seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
-        let scored = seed_pool(&mut ev, problem, seeds, n_random, seed);
+        let scored = seed_pool(&mut ev, problem, &jnb, seeds, n_random, seed);
         let Some(mut current) = ev.best_in(&scored) else {
             return ev.finish();
         };
@@ -872,7 +840,7 @@ impl JointPlacementSearch for SimulatedAnnealing {
         let mut flat_buf: Vec<HostId> = Vec::new();
         while ev.remaining() > 0 {
             let jp = ev.evaluated[current].placement.clone();
-            enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves_buf, threads, &mut ev.stats);
+            enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves_buf, &mut ev.stats);
             moves_buf.shuffle(&mut rng);
             let mut next: Option<JointPlacement> = None;
             for &mv in &moves_buf {
@@ -900,7 +868,7 @@ impl JointPlacementSearch for SimulatedAnnealing {
                 }
                 None => {
                     restarts += 1;
-                    let Some(np) = fresh_joint_sample(problem, &ev, seed, restarts) else {
+                    let Some(np) = fresh_joint_sample(problem, &jnb, &ev, seed, restarts) else {
                         break;
                     };
                     let scored = ev.score(vec![np]);
@@ -1157,7 +1125,7 @@ pub fn replan(
                 // Local optimum (or neighborhood exhausted): restart
                 // from a fresh live-host sample.
                 restarts += 1;
-                let Some(np) = fresh_live_sample(problem, &ev, &dead, seed, restarts) else {
+                let Some(np) = fresh_live_sample(&jnb, &ev, &dead, seed, restarts) else {
                     break;
                 };
                 let scored = ev.score(vec![np]);
@@ -1346,7 +1314,7 @@ fn repair_joint(
 /// Draws up to one fresh (unseen) joint placement that touches no dead
 /// host, for replan restarts.
 fn fresh_live_sample(
-    problem: &JointSearchProblem<'_>,
+    jnb: &JointNeighborhood<'_>,
     ev: &ReplanEvaluator<'_>,
     dead: &HashSet<HostId>,
     seed: u64,
@@ -1357,7 +1325,7 @@ fn fresh_live_sample(
             ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
         let mut rng = StdRng::seed_from_u64(s);
-        if let Some(jp) = sample_joint(problem, &mut rng) {
+        if let Some(jp) = jnb.sample_valid(&mut rng) {
             if jp.flattened().iter().all(|h| !dead.contains(h)) && !ev.is_seen(&jp) {
                 return Some(jp);
             }

@@ -13,44 +13,36 @@ use crate::graph::Featurization;
 use crate::search::{EnsembleScorer, PlacementSearch, RandomEnumeration, SearchProblem};
 use costream_query::hardware::Cluster;
 use costream_query::operators::Query;
-use costream_query::placement::{colocate_on_strongest, sample_valid, Placement};
+use costream_query::placement::neighborhood::Neighborhood;
+use costream_query::placement::{colocate_on_strongest, Placement};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Enumerates up to `k` *distinct* placement candidates satisfying the
 /// rules of Fig. 5. The first candidate doubles as the "initial heuristic
 /// placement" baseline of Exp 2.
 ///
-/// Sampling attempts run in parallel: every attempt draws from its own
-/// seed (derived deterministically from `seed` and the attempt index), and
-/// results are merged in attempt order, so the output is identical across
-/// runs and thread counts.
+/// Every sampling attempt draws from its own seed (derived
+/// deterministically from `seed` and the attempt index) and attempts are
+/// consumed in index order until `k` distinct placements are found, so the
+/// output is identical across runs.
 pub fn enumerate_candidates(query: &Query, cluster: &Cluster, k: usize, seed: u64) -> Vec<Placement> {
-    // Generous attempt budget: distinct valid placements can be scarce on
-    // small clusters. Attempts run in rounds of 2k so the common case
-    // (most samples valid and distinct) stops after one round instead of
-    // burning the whole budget.
-    let attempts = k * 20;
-    let round = (2 * k).max(1);
+    enumerate_candidates_in(&Neighborhood::new(query, cluster), k, seed)
+}
+
+/// [`enumerate_candidates`] through a neighbourhood the caller already
+/// built — a search samples its seeds, restarts and moves from one.
+pub(crate) fn enumerate_candidates_in(nb: &Neighborhood<'_>, k: usize, seed: u64) -> Vec<Placement> {
     let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
     let mut out = Vec::new();
-    let mut next_attempt = 0usize;
-    while out.len() < k && next_attempt < attempts {
-        let upto = (next_attempt + round).min(attempts);
-        let sampled: Vec<Option<Placement>> = (next_attempt..upto)
-            .into_par_iter()
-            .map(|a| {
-                let mut rng =
-                    StdRng::seed_from_u64(seed ^ (a as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-                sample_valid(query, cluster, &mut rng)
-            })
-            .collect();
-        next_attempt = upto;
-        for p in sampled.into_iter().flatten() {
-            if out.len() >= k {
-                break;
-            }
+    // Generous attempt budget: distinct valid placements can be scarce on
+    // small clusters.
+    for a in 0..(k * 20) as u64 {
+        if out.len() >= k {
+            break;
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
+        if let Some(p) = nb.sample_valid(&mut rng) {
             // Membership is checked through the borrowed slice key, so a
             // rejected duplicate allocates nothing; only genuinely new
             // assignments are copied into the set.
@@ -61,7 +53,7 @@ pub fn enumerate_candidates(query: &Query, cluster: &Cluster, k: usize, seed: u6
         }
     }
     if out.is_empty() {
-        out.push(colocate_on_strongest(query, cluster));
+        out.push(colocate_on_strongest(nb.query(), nb.cluster()));
     }
     out
 }

@@ -22,15 +22,18 @@
 //!   not once per candidate), and the Fig. 4 sanity-filter selection rule.
 //!
 //! Every strategy is deterministic for fixed inputs and seed, independent
-//! of thread counts and of how the scorer batches its requests: candidate
-//! generation order is fixed, all randomness flows through seeded
-//! [`StdRng`] streams, and the prediction kernels are batch-composition
-//! invariant (a guarantee the serving layer's golden tests pin down).
+//! of how the scorer batches its requests: candidate generation order is
+//! fixed, all randomness flows through seeded [`StdRng`] streams, and the
+//! prediction kernels are batch-composition invariant (a guarantee the
+//! serving layer's golden tests pin down). Deciding *which* candidates to
+//! score runs on the caller's thread: a 512-host neighbourhood enumerates
+//! in tens of microseconds and a candidate featurizes in under one, so no
+//! hand-off to a worker can pay for itself.
 
 use crate::ensemble::Ensemble;
 use crate::graph::{Featurization, GraphTemplate, JointGraph};
 use crate::model::{inference_chunk, map_spans};
-use crate::optimizer::{enumerate_candidates, CandidateEvaluation, OptimizationResult};
+use crate::optimizer::{enumerate_candidates_in, CandidateEvaluation, OptimizationResult};
 use crate::plan::BatchPlan;
 use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
@@ -44,40 +47,6 @@ use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
-
-/// Environment knob overriding the worker fan-out of parallel candidate
-/// evaluation (see [`resolve_threads`]). `1` forces the serial walk;
-/// larger values take the chunked parallel path (workers are still
-/// bounded by the machine's cores). Strategy structs' `threads` field
-/// wins over the environment.
-pub const SEARCH_THREADS_ENV: &str = "COSTREAM_SEARCH_THREADS";
-
-/// Cluster width at which search defaults to parallel neighborhood
-/// enumeration and featurization. Below it the serial walk wins: per-call
-/// worker spawn costs more than an 8-host neighborhood, and the existing
-/// narrow-cluster bench gates must not regress.
-const WIDE_CLUSTER_THRESHOLD: usize = 64;
-
-/// Resolves the worker fan-out for parallel candidate evaluation: an
-/// explicit strategy override wins, then [`SEARCH_THREADS_ENV`], then a
-/// width heuristic (all cores at [`WIDE_CLUSTER_THRESHOLD`]+ hosts,
-/// serial below). Search results are bitwise identical for every
-/// resolution — the fan-out only changes wall time.
-pub(crate) fn resolve_threads(explicit: Option<usize>, cluster_hosts: usize) -> usize {
-    if let Some(n) = explicit {
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var(SEARCH_THREADS_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    if cluster_hosts >= WIDE_CLUSTER_THRESHOLD {
-        rayon::current_num_threads().max(1)
-    } else {
-        1
-    }
-}
 
 /// Profiling counters of one search run, threaded through every strategy
 /// (single-query and joint) and exposed on
@@ -104,14 +73,16 @@ pub struct SearchStats {
     pub featurize_ns: u64,
     /// Nanoseconds spent in the scorer backend.
     pub score_ns: u64,
-    /// Resolved worker fan-out the run used (1 = serial walk).
+    /// Threads the run decided on: always 1, the caller's (kept for the
+    /// readers of this struct; the scorer backend may still fan out).
     pub threads: u64,
 }
 
 impl SearchStats {
-    /// Total incremental validity checks performed — the throughput unit
-    /// of the wide-cluster search benches (candidates/s = checks over
-    /// wall time).
+    /// Total candidate moves judged by the incremental validity rules
+    /// (a host class's one check judges all its hosts) — the throughput
+    /// unit of the wide-cluster search benches (candidates/s = moves
+    /// judged over wall time).
     pub fn validity_checks(&self) -> u64 {
         self.moves_generated + self.moves_rejected
     }
@@ -284,22 +255,20 @@ struct Evaluator<'a> {
     template: GraphTemplate,
     maximize: bool,
     budget: usize,
-    threads: usize,
     stats: SearchStats,
     seen: HashSet<Vec<usize>>,
     evaluated: Vec<CandidateEvaluation>,
 }
 
 impl<'a> Evaluator<'a> {
-    fn new(problem: &SearchProblem<'_>, scorer: &'a dyn Scorer, budget: usize, threads: usize) -> Self {
+    fn new(problem: &SearchProblem<'_>, scorer: &'a dyn Scorer, budget: usize) -> Self {
         Evaluator {
             scorer,
             template: GraphTemplate::new(problem.query, problem.cluster, problem.est_sels, problem.featurization),
             maximize: scorer.target_metric() == CostMetric::Throughput,
             budget: budget.max(1),
-            threads: threads.max(1),
             stats: SearchStats {
-                threads: threads.max(1) as u64,
+                threads: 1,
                 ..SearchStats::default()
             },
             seen: HashSet::new(),
@@ -340,14 +309,7 @@ impl<'a> Evaluator<'a> {
             return Vec::new();
         }
         let t_feat = Instant::now();
-        // Featurization is a pure per-candidate function of the template,
-        // so chunking it across workers preserves results bitwise.
-        let graphs: Vec<JointGraph> = if self.threads > 1 && fresh.len() > 1 {
-            use rayon::prelude::*;
-            fresh.par_iter().map(|p| self.template.instantiate(p)).collect()
-        } else {
-            fresh.iter().map(|p| self.template.instantiate(p)).collect()
-        };
+        let graphs: Vec<JointGraph> = fresh.iter().map(|p| self.template.instantiate(p)).collect();
         self.stats.featurize_ns += t_feat.elapsed().as_nanos() as u64;
         let t_score = Instant::now();
         let scores = self.scorer.score_batch(graphs);
@@ -435,24 +397,18 @@ impl<'a> Evaluator<'a> {
 }
 
 /// One strategy round's neighborhood enumeration: recompute the rule ③
-/// state and fill `buf` with the full move list, serial or chunked across
-/// workers by `threads` (same bits either way), folding counters and wall
+/// state and fill `buf` with the full move list, folding counters and wall
 /// time into `stats`.
 fn enumerate_neighbors(
     nb: &Neighborhood<'_>,
     p: &Placement,
     state: &mut VisitState,
     buf: &mut Vec<Move>,
-    threads: usize,
     stats: &mut SearchStats,
 ) {
     let t0 = Instant::now();
     nb.visit_state_into(p, state);
-    let counts = if threads > 1 {
-        nb.neighbors_into_par(p, state, buf)
-    } else {
-        nb.neighbors_into(p, state, buf)
-    };
+    let counts = nb.neighbors_into(p, state, buf);
     stats.validity_ns += t0.elapsed().as_nanos() as u64;
     stats.moves_generated += counts.generated;
     stats.moves_rejected += counts.rejected;
@@ -526,19 +482,19 @@ pub(crate) mod ranking {
 }
 
 /// Draws up to one fresh (unseen) valid placement from a seeded stream.
-fn fresh_sample(problem: &SearchProblem<'_>, ev: &Evaluator<'_>, seed: u64, round: u64) -> Option<Placement> {
+fn fresh_sample(nb: &Neighborhood<'_>, ev: &Evaluator<'_>, seed: u64, round: u64) -> Option<Placement> {
     for attempt in 0..32u64 {
         let s = seed
             ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
             ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
         let mut rng = StdRng::seed_from_u64(s);
-        if let Some(p) = costream_query::placement::sample_valid(problem.query, problem.cluster, &mut rng) {
+        if let Some(p) = nb.sample_valid(&mut rng) {
             if !ev.is_seen(&p) {
                 return Some(p);
             }
         }
     }
-    let fallback = costream_query::placement::colocate_on_strongest(problem.query, problem.cluster);
+    let fallback = costream_query::placement::colocate_on_strongest(nb.query(), nb.cluster());
     if ev.is_seen(&fallback) {
         None
     } else {
@@ -558,9 +514,9 @@ impl PlacementSearch for RandomEnumeration {
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(None, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
-        let candidates = enumerate_candidates(problem.query, problem.cluster, ev.budget, seed);
+        let mut ev = Evaluator::new(problem, scorer, budget);
+        let nb = Neighborhood::new(problem.query, problem.cluster);
+        let candidates = enumerate_candidates_in(&nb, ev.budget, seed);
         ev.score(candidates);
         ev.finish()
     }
@@ -583,11 +539,6 @@ pub struct BeamSearch {
     /// placements before refinement (clamped to keep at least `width`
     /// seeds and at least one refinement round).
     pub seed_share: f64,
-    /// Worker fan-out for neighborhood enumeration and featurization:
-    /// `None` defers to [`SEARCH_THREADS_ENV`] / the cluster-width
-    /// heuristic, `Some(1)` pins the serial walk. Results are bitwise
-    /// identical for every setting.
-    pub threads: Option<usize>,
 }
 
 impl Default for BeamSearch {
@@ -596,7 +547,6 @@ impl Default for BeamSearch {
             width: 4,
             expand: 8,
             seed_share: 0.5,
-            threads: None,
         }
     }
 }
@@ -607,14 +557,13 @@ impl PlacementSearch for BeamSearch {
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
+        let mut ev = Evaluator::new(problem, scorer, budget);
         let nb = Neighborhood::new(problem.query, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEA3_5EA2_C4A6_1D07);
         let width = self.width.max(1);
 
         let n_seeds = ranking::seed_count(ev.budget, self.seed_share, width);
-        let seeds = enumerate_candidates(problem.query, problem.cluster, n_seeds, seed);
+        let seeds = enumerate_candidates_in(&nb, n_seeds, seed);
         let scored = ev.score(seeds);
         let mut beam = ev.top_of(scored, width);
 
@@ -624,8 +573,14 @@ impl PlacementSearch for BeamSearch {
         while ev.remaining() > 0 {
             let mut expansion: Vec<Placement> = Vec::new();
             for &bi in &beam {
+                // Every entry is unseen and distinct within the round, so
+                // `score` takes exactly the first `remaining` and the search
+                // ends: what later members would add is never looked at.
+                if expansion.len() >= ev.remaining() {
+                    break;
+                }
                 let p = ev.evaluated[bi].placement.clone();
-                enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, threads, &mut ev.stats);
+                enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, &mut ev.stats);
                 moves_buf.shuffle(&mut rng);
                 let mut taken = 0usize;
                 for &mv in moves_buf.iter() {
@@ -670,11 +625,6 @@ pub struct LocalSearch {
     /// Fraction of the budget spent on the exploration pool (clamped to
     /// keep at least one seed and at least one refinement round).
     pub seed_share: f64,
-    /// Worker fan-out for neighborhood enumeration and featurization:
-    /// `None` defers to [`SEARCH_THREADS_ENV`] / the cluster-width
-    /// heuristic, `Some(1)` pins the serial walk. Results are bitwise
-    /// identical for every setting.
-    pub threads: Option<usize>,
 }
 
 impl Default for LocalSearch {
@@ -682,7 +632,6 @@ impl Default for LocalSearch {
         LocalSearch {
             sample_size: 8,
             seed_share: 0.5,
-            threads: None,
         }
     }
 }
@@ -693,8 +642,7 @@ impl PlacementSearch for LocalSearch {
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
+        let mut ev = Evaluator::new(problem, scorer, budget);
         let nb = Neighborhood::new(problem.query, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15EA_2C4B_AD5E);
         let sample = self.sample_size.max(1);
@@ -704,7 +652,7 @@ impl PlacementSearch for LocalSearch {
         // baseline enumerates (the first pool member is therefore the
         // "initial heuristic placement" of the other strategies too).
         let n_seeds = ranking::seed_count(ev.budget, self.seed_share, 1);
-        let pool = enumerate_candidates(problem.query, problem.cluster, n_seeds, seed);
+        let pool = enumerate_candidates_in(&nb, n_seeds, seed);
         let mut pool_indices = ev.score(pool);
         let Some(mut current) = ev.best_in(&pool_indices) else {
             return ev.finish();
@@ -720,7 +668,7 @@ impl PlacementSearch for LocalSearch {
         while ev.remaining() > 0 {
             expanded.insert(current);
             let p = ev.evaluated[current].placement.clone();
-            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, threads, &mut ev.stats);
+            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, &mut ev.stats);
             moves_buf.shuffle(&mut rng);
             let mut candidates: Vec<Placement> = Vec::new();
             for &mv in moves_buf.iter() {
@@ -757,7 +705,7 @@ impl PlacementSearch for LocalSearch {
                         continue;
                     }
                     restarts += 1;
-                    let Some(p) = fresh_sample(problem, &ev, seed, restarts) else {
+                    let Some(p) = fresh_sample(&nb, &ev, seed, restarts) else {
                         break;
                     };
                     let scored = ev.score(vec![p]);
@@ -794,11 +742,6 @@ pub struct SimulatedAnnealing {
     /// placements from the baseline's exact stream (clamped to keep at
     /// least one seed and at least one annealing step).
     pub seed_share: f64,
-    /// Worker fan-out for neighborhood enumeration and featurization:
-    /// `None` defers to [`SEARCH_THREADS_ENV`] / the cluster-width
-    /// heuristic, `Some(1)` pins the serial walk. Results are bitwise
-    /// identical for every setting.
-    pub threads: Option<usize>,
 }
 
 impl Default for SimulatedAnnealing {
@@ -807,7 +750,6 @@ impl Default for SimulatedAnnealing {
             initial_temp: 0.4,
             cooling: 0.9,
             seed_share: 0.25,
-            threads: None,
         }
     }
 }
@@ -831,13 +773,12 @@ impl PlacementSearch for SimulatedAnnealing {
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let threads = resolve_threads(self.threads, problem.cluster.len());
-        let mut ev = Evaluator::new(problem, scorer, budget, threads);
+        let mut ev = Evaluator::new(problem, scorer, budget);
         let nb = Neighborhood::new(problem.query, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA44E_A1E4_0C0A_57A7);
 
         let n_seeds = ranking::seed_count(ev.budget, self.seed_share, 1);
-        let pool = enumerate_candidates(problem.query, problem.cluster, n_seeds, seed);
+        let pool = enumerate_candidates_in(&nb, n_seeds, seed);
         let scored = ev.score(pool);
         let Some(mut current) = ev.best_in(&scored) else {
             return ev.finish();
@@ -850,7 +791,7 @@ impl PlacementSearch for SimulatedAnnealing {
         let mut edit_buf: Vec<usize> = Vec::new();
         while ev.remaining() > 0 {
             let p = ev.evaluated[current].placement.clone();
-            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, threads, &mut ev.stats);
+            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, &mut ev.stats);
             moves_buf.shuffle(&mut rng);
             let mut next: Option<Placement> = None;
             for &mv in moves_buf.iter() {
@@ -874,7 +815,7 @@ impl PlacementSearch for SimulatedAnnealing {
                     // Every neighbor already scored: restart the chain
                     // from a fresh random placement.
                     restarts += 1;
-                    let Some(p) = fresh_sample(problem, &ev, seed, restarts) else {
+                    let Some(p) = fresh_sample(&nb, &ev, seed, restarts) else {
                         break;
                     };
                     let scored = ev.score(vec![p]);

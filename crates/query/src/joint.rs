@@ -26,6 +26,7 @@ use crate::hardware::{Cluster, HostId};
 use crate::operators::{OpId, Query};
 use crate::placement::neighborhood::{Move, MoveCounts, MoveScratch, Neighborhood, VisitState};
 use crate::placement::Placement;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// A placement of several queries on one shared cluster: one
@@ -199,8 +200,8 @@ pub struct JointNeighborhood<'a> {
     queries: Vec<&'a Query>,
     cluster: &'a Cluster,
     nbs: Vec<Neighborhood<'a>>,
-    // One max-query-sized scratch shared by the serial enumeration entry
-    // points (locked once per enumeration); parallel units bring their own.
+    // One max-query-sized scratch shared by the enumeration entry points
+    // (locked once per enumeration).
     scratch: std::sync::Mutex<MoveScratch>,
 }
 
@@ -223,10 +224,13 @@ impl<'a> JointNeighborhood<'a> {
         self.queries.len()
     }
 
-    /// A fresh scratch sized for the widest query in this move space.
-    pub fn make_scratch(&self) -> MoveScratch {
-        let max_ops = self.queries.iter().map(|q| q.len()).max().unwrap_or(0);
-        MoveScratch::new(max_ops, self.cluster.len().div_ceil(64).max(1))
+    /// Draws one random joint placement: every query sampled
+    /// independently under its own Fig. 5 rules
+    /// ([`Neighborhood::sample_valid`]) from one rng stream, in problem
+    /// order, stopping at the first query that dead-ends.
+    pub fn sample_valid(&self, rng: &mut StdRng) -> Option<JointPlacement> {
+        let placements: Option<Vec<Placement>> = self.nbs.iter().map(|nb| nb.sample_valid(rng)).collect();
+        Some(JointPlacement::new(self.cluster.len(), placements?))
     }
 
     /// The rule ③ visit state of every query's placement, computed once
@@ -256,8 +260,7 @@ impl<'a> JointNeighborhood<'a> {
     }
 
     /// [`JointNeighborhood::is_valid_move`] with caller-provided working
-    /// buffers — the re-entrant form parallel enumeration uses, one
-    /// scratch per worker, without touching the shared lock.
+    /// buffers, without touching the shared lock.
     pub fn is_valid_move_with(
         &self,
         jp: &JointPlacement,
@@ -292,7 +295,8 @@ impl<'a> JointNeighborhood<'a> {
     }
 
     /// One relocation unit: every candidate host for operator `op` of
-    /// query `q`, in ascending host order.
+    /// query `q`, in ascending host order — the query's own relocation
+    /// unit (one full check per used host and per class of unused ones).
     fn relocations_of(
         &self,
         q: usize,
@@ -302,21 +306,9 @@ impl<'a> JointNeighborhood<'a> {
         scratch: &mut MoveScratch,
         f: &mut impl FnMut(JointMove),
     ) -> MoveCounts {
-        let mut counts = MoveCounts::default();
-        let cur = jp.query(q).host_of(op);
-        for to in 0..self.cluster.len() {
-            if to == cur {
-                continue;
-            }
-            let mv = JointMove::Relocate { query: q, op, to };
-            if self.is_valid_move_with(jp, states, mv, scratch) {
-                counts.generated += 1;
-                f(mv);
-            } else {
-                counts.rejected += 1;
-            }
-        }
-        counts
+        self.nbs[q].relocations_of(op, jp.query(q), &states[q], scratch, &mut |to| {
+            f(JointMove::Relocate { query: q, op, to })
+        })
     }
 
     /// One intra-query swap unit: every swap within query `q` whose first
@@ -376,44 +368,6 @@ impl<'a> JointNeighborhood<'a> {
         counts
     }
 
-    /// The enumeration units of the joint move space, in the exact order
-    /// the serial walk visits them — the chunking grain of
-    /// [`JointNeighborhood::neighbors_into_par`].
-    fn units(&self) -> Vec<JointUnit> {
-        let mut units = Vec::new();
-        for (q, query) in self.queries.iter().enumerate() {
-            for op in 0..query.len() {
-                units.push(JointUnit::Reloc { q, op });
-            }
-        }
-        for (q, query) in self.queries.iter().enumerate() {
-            for a in 0..query.len() {
-                units.push(JointUnit::Intra { q, a });
-            }
-        }
-        for qa in 0..self.queries.len() {
-            for qb in (qa + 1)..self.queries.len() {
-                units.push(JointUnit::Cross { qa, qb });
-            }
-        }
-        units
-    }
-
-    fn run_unit(
-        &self,
-        unit: JointUnit,
-        jp: &JointPlacement,
-        states: &[VisitState],
-        scratch: &mut MoveScratch,
-        f: &mut impl FnMut(JointMove),
-    ) -> MoveCounts {
-        match unit {
-            JointUnit::Reloc { q, op } => self.relocations_of(q, op, jp, states, scratch, f),
-            JointUnit::Intra { q, a } => self.intra_swaps_of(q, a, jp, states, scratch, f),
-            JointUnit::Cross { qa, qb } => self.cross_swaps_of(qa, qb, jp, states, scratch, f),
-        }
-    }
-
     /// Streams the full joint neighborhood through `f` in the same
     /// deterministic order as [`JointNeighborhood::neighbors`], without
     /// materializing a move list.
@@ -450,36 +404,6 @@ impl<'a> JointNeighborhood<'a> {
         self.for_each_neighbor(jp, states, |mv| out.push(mv))
     }
 
-    /// The full joint neighborhood computed by chunking the enumeration
-    /// units across rayon workers, each with its own scratch, and
-    /// concatenating unit results in unit order — bitwise identical to
-    /// [`JointNeighborhood::neighbors_into`] for any worker count.
-    pub fn neighbors_into_par(
-        &self,
-        jp: &JointPlacement,
-        states: &[VisitState],
-        out: &mut Vec<JointMove>,
-    ) -> MoveCounts {
-        use rayon::prelude::*;
-        let units = self.units();
-        let unit_results: Vec<(Vec<JointMove>, MoveCounts)> = units
-            .into_par_iter()
-            .map(|unit| {
-                let mut scratch = self.make_scratch();
-                let mut unit_out = Vec::new();
-                let counts = self.run_unit(unit, jp, states, &mut scratch, &mut |mv| unit_out.push(mv));
-                (unit_out, counts)
-            })
-            .collect();
-        out.clear();
-        let mut counts = MoveCounts::default();
-        for (unit_out, unit_counts) in unit_results {
-            out.extend_from_slice(&unit_out);
-            counts.absorb(unit_counts);
-        }
-        counts
-    }
-
     /// The full joint neighborhood of `jp`, in deterministic order: all
     /// valid relocations by (query, op, host), then all valid intra-query
     /// swaps by (query, a, b), then all valid cross-query swaps by
@@ -489,16 +413,6 @@ impl<'a> JointNeighborhood<'a> {
         self.neighbors_into(jp, states, &mut out);
         out
     }
-}
-
-/// One chunk of the joint enumeration: a unit's candidates are generated
-/// serially by one worker, so concatenating units in order reproduces the
-/// serial walk exactly.
-#[derive(Clone, Copy)]
-enum JointUnit {
-    Reloc { q: usize, op: OpId },
-    Intra { q: usize, a: OpId },
-    Cross { qa: usize, qb: usize },
 }
 
 #[cfg(test)]

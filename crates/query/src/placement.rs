@@ -4,7 +4,6 @@
 use crate::hardware::{CapabilityBin, Cluster, HostId};
 use crate::operators::{OpId, Query};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
 /// An operator placement `ω_i → n_j`: one host per operator.
@@ -155,32 +154,7 @@ impl Placement {
 /// walk dead-ends (possible when two join branches exhaust the eligible
 /// hosts between them).
 pub fn sample_valid(query: &Query, cluster: &Cluster, rng: &mut StdRng) -> Option<Placement> {
-    let order = query.topo_order().expect("valid query");
-    let mut assignment: Vec<HostId> = vec![usize::MAX; query.len()];
-    let mut visited: Vec<Vec<HostId>> = vec![Vec::new(); query.len()];
-    let bins: Vec<CapabilityBin> = cluster.hosts().iter().map(CapabilityBin::classify).collect();
-    for &op in &order {
-        let ups = query.upstream(op);
-        let candidates: Vec<HostId> = (0..cluster.len())
-            .filter(|&h| {
-                ups.iter().all(|&u| {
-                    let ok_bin = bins[h] >= bins[assignment[u]];
-                    let ok_cycle = h == assignment[u] || !visited[u].contains(&h);
-                    ok_bin && ok_cycle
-                })
-            })
-            .collect();
-        let chosen = *candidates.choose(rng)?;
-        assignment[op] = chosen;
-        let mut v = vec![chosen];
-        for &u in &ups {
-            v.extend(visited[u].iter().copied());
-        }
-        v.sort_unstable();
-        v.dedup();
-        visited[op] = v;
-    }
-    Some(Placement::new(assignment))
+    neighborhood::Neighborhood::new(query, cluster).sample_valid(rng)
 }
 
 /// Neighborhood moves over placements: the candidate generators of the
@@ -197,6 +171,8 @@ pub fn sample_valid(query: &Query, cluster: &Cluster, rng: &mut StdRng) -> Optio
 /// kept its visited set, and every edge outside it was already valid.
 pub mod neighborhood {
     use super::{CapabilityBin, Cluster, HostId, OpId, Placement, Query};
+    use rand::rngs::StdRng;
+    use rand::Rng;
 
     /// A single placement edit.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -245,9 +221,10 @@ pub mod neighborhood {
 
     /// Counters of one neighborhood enumeration: `generated` candidate
     /// edits passed the incremental Fig. 5 checks and were emitted,
-    /// `rejected` failed them. Degenerate edits that are skipped without a
-    /// check (relocating to the current host, swapping co-located
-    /// operators) count toward neither.
+    /// `rejected` failed them — a relocation judged by its host class's
+    /// one check counts like one judged by its own. Degenerate edits that
+    /// are skipped without a check (relocating to the current host,
+    /// swapping co-located operators) count toward neither.
     #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
     pub struct MoveCounts {
         /// Valid edits emitted.
@@ -257,7 +234,7 @@ pub mod neighborhood {
     }
 
     impl MoveCounts {
-        /// Total incremental validity checks performed.
+        /// Total candidate edits judged.
         pub fn checked(&self) -> u64 {
             self.generated + self.rejected
         }
@@ -282,13 +259,17 @@ pub mod neighborhood {
     /// bitmask per operator (bit `h` = host `h` visited). The mask of
     /// operator `op` occupies `masks[op * words .. (op + 1) * words]`,
     /// with `words = ceil(cluster.len() / 64)` — so clusters of any width
-    /// take the incremental validity path. Computed once per placement by
-    /// [`Neighborhood::visit_state`] and reused for every candidate edit
-    /// of that placement.
+    /// take the incremental validity path. `used` is one more mask of the
+    /// same width: the hosts the placement uses at all, which is what
+    /// splits a relocation's targets into hosts with a verdict of their
+    /// own and host classes (see [`Neighborhood`]). Computed once per
+    /// placement by [`Neighborhood::visit_state`] and reused for every
+    /// candidate edit of that placement.
     #[derive(Clone, Debug)]
     pub struct VisitState {
         words: usize,
         masks: Vec<u64>,
+        used: Vec<u64>,
     }
 
     impl VisitState {
@@ -299,6 +280,7 @@ pub mod neighborhood {
             VisitState {
                 words: 0,
                 masks: Vec::new(),
+                used: Vec::new(),
             }
         }
     }
@@ -309,10 +291,10 @@ pub mod neighborhood {
         }
     }
 
-    /// Rule ③ working buffers. A `Neighborhood` keeps one behind a lock
-    /// for the convenience APIs; parallel enumeration hands each worker
-    /// its own so cone recomputation never allocates in steady state and
-    /// never contends.
+    /// Rule ③ working buffers, so cone recomputation never allocates in
+    /// steady state. A `Neighborhood` keeps one behind a lock for its own
+    /// entry points; a [`JointNeighborhood`](crate::joint::JointNeighborhood)
+    /// brings one sized for its widest query.
     pub struct MoveScratch {
         in_cone: Vec<bool>,
         new_mask: Vec<u64>,
@@ -340,21 +322,46 @@ pub mod neighborhood {
         }
     }
 
-    /// Precomputed query/cluster structure shared by all neighbor checks:
-    /// topological order, per-host capability bins and the dataflow
-    /// adjacency. Build once per (query, cluster), reuse across every
-    /// placement the search visits.
+    /// Precomputed query/cluster structure shared by all neighbor checks
+    /// and by [`Neighborhood::sample_valid`]: topological order, per-host
+    /// capability bins (and, per bin, the hosts at or above it) and the
+    /// dataflow adjacency. Build once per (query, cluster), reuse across
+    /// every placement the search visits.
+    ///
+    /// # Host equivalence classes
+    ///
+    /// The Fig. 5 rules can tell two hosts apart only by their capability
+    /// bin and by whether the placement already uses them: for
+    /// `Relocate { op, to }` with `to` used by no operator of `p`, the
+    /// verdict depends on `bin(to)` alone.
+    ///
+    /// * Rule ② reads `to` only through `bins[to]`.
+    /// * Rule ③ at `op` tests bit `to` of its upstreams' masks, which hold
+    ///   used hosts only, so the test passes for every unused `to`.
+    /// * Rule ③ at any other cone member `v` tests bit `host(v)`, a used
+    ///   host: the bit `to` that `op` adds to the cone masks is never read.
+    ///
+    /// So an enumeration runs the full check once per bin among the unused
+    /// hosts and once per used host — O(ops × (bins + used hosts)) checks a
+    /// neighbourhood, whatever the cluster's width — and replays the
+    /// verdict for the rest of the class, in the same host order.
     pub struct Neighborhood<'a> {
         query: &'a Query,
         cluster: &'a Cluster,
         order: Vec<OpId>,
         bins: Vec<CapabilityBin>,
+        /// Per bin (as index), its hosts as a `words`-wide bitmask: the
+        /// classes of a relocation unit.
+        in_bin: [Vec<u64>; 3],
+        /// Per bin (as index), the hosts of that bin or a stronger one,
+        /// ascending: rule ②'s candidate list for an operator whose
+        /// strongest upstream sits in that bin.
+        at_least: [Vec<HostId>; 3],
         ups: Vec<Vec<OpId>>,
         downs: Vec<Vec<OpId>>,
         words: usize,
-        // A `Mutex`, not a `RefCell`, so the neighborhood is `Sync` and can
-        // be shared across enumeration workers. Serial entry points lock it
-        // once per enumeration, never per check.
+        // A `Mutex`, not a `RefCell`, so the neighborhood stays `Sync`.
+        // Entry points lock it once per enumeration, never per check.
         scratch: std::sync::Mutex<MoveScratch>,
     }
 
@@ -362,30 +369,52 @@ pub mod neighborhood {
         /// Precomputes the structure for one (query, cluster) pair.
         pub fn new(query: &'a Query, cluster: &'a Cluster) -> Self {
             let order = query.topo_order().expect("valid query");
-            let bins = cluster.hosts().iter().map(CapabilityBin::classify).collect();
-            let ups: Vec<Vec<OpId>> = (0..query.len()).map(|op| query.upstream(op)).collect();
-            let downs: Vec<Vec<OpId>> = (0..query.len()).map(|op| query.downstream(op)).collect();
             let words = cluster.len().div_ceil(64).max(1);
+            let bins: Vec<CapabilityBin> = cluster.hosts().iter().map(CapabilityBin::classify).collect();
+            let mut in_bin: [Vec<u64>; 3] = std::array::from_fn(|_| vec![0; words]);
+            let mut at_least: [Vec<HostId>; 3] = std::array::from_fn(|_| Vec::with_capacity(bins.len()));
+            for (h, &bin) in bins.iter().enumerate() {
+                in_bin[bin as usize][h / 64] |= 1u64 << (h % 64);
+                for hosts in &mut at_least[..=bin as usize] {
+                    hosts.push(h);
+                }
+            }
+            // One pass over the edges keeps each operator's neighbours in
+            // edge order, as `Query::upstream` / `downstream` list them.
+            let mut ups: Vec<Vec<OpId>> = vec![Vec::new(); query.len()];
+            let mut downs: Vec<Vec<OpId>> = vec![Vec::new(); query.len()];
+            for &(a, b) in query.edges() {
+                ups[b].push(a);
+                downs[a].push(b);
+            }
             Neighborhood {
                 query,
                 cluster,
                 order,
                 bins,
+                in_bin,
+                at_least,
                 ups,
                 downs,
                 words,
-                scratch: std::sync::Mutex::new(MoveScratch::new(query.len(), words)),
+                // Grows to (operators × words) on the first check.
+                scratch: std::sync::Mutex::new(MoveScratch::new(0, 0)),
             }
+        }
+
+        /// The query this neighborhood was built for.
+        pub fn query(&self) -> &'a Query {
+            self.query
+        }
+
+        /// The cluster this neighborhood was built for.
+        pub fn cluster(&self) -> &'a Cluster {
+            self.cluster
         }
 
         /// Bitmask words per operator: `ceil(cluster.len() / 64)`.
         pub fn mask_words(&self) -> usize {
             self.words
-        }
-
-        /// A fresh scratch correctly sized for this neighborhood's checks.
-        pub fn make_scratch(&self) -> MoveScratch {
-            MoveScratch::new(self.query.len(), self.words)
         }
 
         /// Computes the visited-host bitmasks of a placement (rule ③
@@ -404,6 +433,11 @@ pub mod neighborhood {
         pub fn visit_state_into(&self, placement: &Placement, state: &mut VisitState) {
             let words = self.words;
             state.words = words;
+            state.used.clear();
+            state.used.resize(words, 0);
+            for &h in placement.assignment() {
+                state.used[h / 64] |= 1u64 << (h % 64);
+            }
             let masks = &mut state.masks;
             masks.clear();
             masks.resize(self.query.len() * words, 0);
@@ -420,6 +454,65 @@ pub mod neighborhood {
             }
         }
 
+        /// Attempts to construct one random placement satisfying the rules
+        /// of Fig. 5: walks the query in topological order and chooses
+        /// uniformly among the hosts that keep the placement valid — those
+        /// of the strongest upstream's bin or above (rule ②) minus the
+        /// hosts an upstream's data has passed through and left (rule ③).
+        /// The candidates are never listed: one `gen_range(0..len)` draw
+        /// picks a rank among the survivors, and the rank is selected by
+        /// skipping the ≤ `n_ops` excluded positions. Returns `None`
+        /// without drawing when an operator has no candidate (possible when
+        /// two join branches exhaust the eligible hosts between them).
+        pub fn sample_valid(&self, rng: &mut StdRng) -> Option<Placement> {
+            let mut assignment: Vec<HostId> = vec![usize::MAX; self.query.len()];
+            let mut visited: Vec<Vec<HostId>> = vec![Vec::new(); self.query.len()];
+            let mut excluded: Vec<HostId> = Vec::new();
+            for &op in &self.order {
+                let ups = &self.ups[op];
+                let min_bin = ups
+                    .iter()
+                    .map(|&u| self.bins[assignment[u]])
+                    .max()
+                    .unwrap_or(CapabilityBin::Edge);
+                let eligible = &self.at_least[min_bin as usize];
+                excluded.clear();
+                for &u in ups {
+                    let left = visited[u]
+                        .iter()
+                        .filter(|&&h| h != assignment[u] && self.bins[h] >= min_bin);
+                    excluded.extend(left);
+                }
+                excluded.sort_unstable();
+                excluded.dedup();
+                let len = eligible.len() - excluded.len();
+                if len == 0 {
+                    return None;
+                }
+                // The rank among the survivors becomes an index into
+                // `eligible` by stepping over every excluded position at
+                // or below it, in ascending order.
+                let mut k = rng.gen_range(0..len);
+                for h in &excluded {
+                    let pos = eligible.binary_search(h).expect("excluded hosts are eligible");
+                    if pos > k {
+                        break;
+                    }
+                    k += 1;
+                }
+                let chosen = eligible[k];
+                assignment[op] = chosen;
+                let mut v = vec![chosen];
+                for &u in ups {
+                    v.extend(visited[u].iter().copied());
+                }
+                v.sort_unstable();
+                v.dedup();
+                visited[op] = v;
+            }
+            Some(Placement::new(assignment))
+        }
+
         /// Checks whether applying `mv` to the (valid) placement `p`
         /// yields another valid placement, re-validating only what the
         /// edit can affect. `state` must be `self.visit_state(p)`.
@@ -429,8 +522,7 @@ pub mod neighborhood {
         }
 
         /// [`Neighborhood::is_valid_move`] with caller-provided working
-        /// buffers — the re-entrant form parallel enumeration uses, one
-        /// scratch per worker, without touching the shared lock.
+        /// buffers, without touching the neighborhood's own lock.
         pub fn is_valid_move_with(
             &self,
             p: &Placement,
@@ -533,30 +625,53 @@ pub mod neighborhood {
             true
         }
 
-        /// One relocation unit: every candidate host for operator `op`,
-        /// in ascending host order, streamed through `f`.
-        fn relocations_of(
+        /// One relocation unit: every valid target host for operator `op`,
+        /// in ascending host order, streamed through `f`. A host the
+        /// placement uses gets the full check; the unused ones share one
+        /// full check per capability bin (the class invariant on
+        /// [`Neighborhood`]), so the valid targets of 64 hosts are a few
+        /// mask operations and the cost of a unit is its checks plus the
+        /// moves it emits. Every host considered is counted.
+        pub(crate) fn relocations_of(
             &self,
             op: OpId,
             p: &Placement,
             state: &VisitState,
             scratch: &mut MoveScratch,
-            f: &mut impl FnMut(Move),
+            f: &mut impl FnMut(HostId),
         ) -> MoveCounts {
-            let mut counts = MoveCounts::default();
             let cur = p.host_of(op);
-            for to in 0..self.cluster.len() {
-                if to == cur {
-                    continue;
+            let mut check = |to: HostId| self.is_valid_move_with(p, state, Move::Relocate { op, to }, scratch);
+            let mut unused_verdict: [Option<bool>; 3] = [None; 3];
+            let mut generated = 0u64;
+            for w in 0..self.words {
+                let used = state.used[w];
+                let mut valid = 0u64;
+                for (verdict, hosts) in unused_verdict.iter_mut().zip(&self.in_bin) {
+                    let class = hosts[w] & !used;
+                    // The class's first member stands for all of it.
+                    if class != 0 && *verdict.get_or_insert_with(|| check(w * 64 + class.trailing_zeros() as usize)) {
+                        valid |= class;
+                    }
                 }
-                let mv = Move::Relocate { op, to };
-                let ok = self.is_valid_move_with(p, state, mv, scratch);
-                counts.note(ok);
-                if ok {
-                    f(mv);
+                let mut rest = used;
+                while rest != 0 {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    if w * 64 + bit != cur && check(w * 64 + bit) {
+                        valid |= 1 << bit;
+                    }
+                }
+                generated += u64::from(valid.count_ones());
+                while valid != 0 {
+                    f(w * 64 + valid.trailing_zeros() as usize);
+                    valid &= valid - 1;
                 }
             }
-            counts
+            MoveCounts {
+                generated,
+                rejected: (self.cluster.len() - 1) as u64 - generated,
+            }
         }
 
         /// One swap unit: every swap with first operand `a`, in ascending
@@ -591,7 +706,7 @@ pub mod neighborhood {
             let mut scratch = self.scratch.lock().expect("neighborhood scratch lock");
             let mut counts = MoveCounts::default();
             for op in 0..self.query.len() {
-                counts.absorb(self.relocations_of(op, p, state, &mut scratch, &mut f));
+                counts.absorb(self.relocations_of(op, p, state, &mut scratch, &mut |to| f(Move::Relocate { op, to })));
             }
             counts
         }
@@ -615,7 +730,7 @@ pub mod neighborhood {
             let mut scratch = self.scratch.lock().expect("neighborhood scratch lock");
             let mut counts = MoveCounts::default();
             for op in 0..self.query.len() {
-                counts.absorb(self.relocations_of(op, p, state, &mut scratch, &mut f));
+                counts.absorb(self.relocations_of(op, p, state, &mut scratch, &mut |to| f(Move::Relocate { op, to })));
             }
             for a in 0..self.query.len() {
                 counts.absorb(self.swaps_of(a, p, state, &mut scratch, &mut f));
@@ -629,40 +744,6 @@ pub mod neighborhood {
         pub fn neighbors_into(&self, p: &Placement, state: &VisitState, out: &mut Vec<Move>) -> MoveCounts {
             out.clear();
             self.for_each_neighbor(p, state, |mv| out.push(mv))
-        }
-
-        /// The full neighborhood computed by chunking the candidate space
-        /// across rayon workers: one unit per operator for relocations,
-        /// one per first operand for swaps, each worker with its own
-        /// [`MoveScratch`]. Unit results are concatenated in unit order,
-        /// so the output is bitwise identical to
-        /// [`Neighborhood::neighbors_into`] for any worker count.
-        pub fn neighbors_into_par(&self, p: &Placement, state: &VisitState, out: &mut Vec<Move>) -> MoveCounts {
-            use rayon::prelude::*;
-            let n = self.query.len();
-            // Unit u < n: relocations of operator u; unit n + a: swaps
-            // whose first operand is a (the last one is empty — kept so
-            // unit indices stay trivially in serial order).
-            let unit_results: Vec<(Vec<Move>, MoveCounts)> = (0..2 * n)
-                .into_par_iter()
-                .map(|u| {
-                    let mut scratch = self.make_scratch();
-                    let mut unit_out = Vec::new();
-                    let counts = if u < n {
-                        self.relocations_of(u, p, state, &mut scratch, &mut |mv| unit_out.push(mv))
-                    } else {
-                        self.swaps_of(u - n, p, state, &mut scratch, &mut |mv| unit_out.push(mv))
-                    };
-                    (unit_out, counts)
-                })
-                .collect();
-            out.clear();
-            let mut counts = MoveCounts::default();
-            for (unit_out, unit_counts) in unit_results {
-                out.extend_from_slice(&unit_out);
-                counts.absorb(unit_counts);
-            }
-            counts
         }
 
         /// All valid single-operator relocations of `p`, in ascending

@@ -13,13 +13,14 @@
 //! issued *from inside a worker* run serially — so nested parallelism
 //! (ensemble members × inference chunks) degrades gracefully instead of
 //! spawning `k x cores` threads. Both short-circuits are decided before
-//! the core count is asked for: `available_parallelism()` reads cgroup
-//! files (~17 µs a call), which a serial call has no reason to pay.
+//! the core count is asked for, and the core count is read once per
+//! process: `available_parallelism()` reads cgroup files (~17 µs a call),
+//! which no call after the first has a reason to pay.
 
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 thread_local! {
     /// True while the current thread is a `parallel_map` worker; nested
@@ -27,9 +28,11 @@ thread_local! {
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Number of worker threads a parallel operation will use.
+/// Number of worker threads a parallel operation will use: the machine's
+/// available parallelism, as it read the first time anyone asked.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
 /// Runs two closures, potentially in parallel, returning both results.
@@ -220,6 +223,16 @@ mod tests {
         let v: Vec<usize> = (0..10).collect();
         let sums: Vec<usize> = v.par_chunks(3).map(|c| c.iter().sum()).collect();
         assert_eq!(sums, vec![3, 12, 21, 9]);
+    }
+
+    #[test]
+    fn thread_count_is_read_once_and_stays_put() {
+        let first = current_num_threads();
+        assert!(first >= 1);
+        assert_eq!(current_num_threads(), first);
+        // Other threads see the same cached reading.
+        let elsewhere = std::thread::spawn(current_num_threads).join().expect("reader thread");
+        assert_eq!(elsewhere, first);
     }
 
     #[test]

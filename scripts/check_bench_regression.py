@@ -125,8 +125,8 @@ CALIBRATION_OP = "matmul_256x64x48_updater_in_big"
 # = base/fresh grows), so one gate loop covers both without anyone
 # inverting a number by hand. All metric gates sit behind the core-count
 # guard: the searches producing them are runner-class product paths
-# (fused kernels under every score, worker fan-out at 64+ hosts), so on
-# a width mismatch they are skipped with a note instead of failing
+# (fused kernels, dispatched on ISA tier, under every score), so on a
+# width mismatch they are skipped with a note instead of failing
 # spuriously.
 GATED_METRICS = {
     # Best joint total found at the fixed budget with contended hosts
@@ -143,21 +143,12 @@ GATED_METRICS = {
     # replan search underneath is the joint search's scoring path, hence
     # the shared core-count guard.
     "replay_drift_adaptive_total_cost": (1.10, "lower"),
-    # Incremental validity checks per second of the full 256-host
-    # parallel placement search — the wide-cluster search-throughput
-    # number the parallel evaluation path exists for. Higher is better.
+    # Hosts and swaps considered by the Fig. 5 rules per second of a
+    # whole 256-host LocalSearch (validity by host class, rank-select
+    # sampling, everything on the caller's thread) — the wide-cluster
+    # search-throughput number. Higher is better; a per-host sweep, a
+    # per-draw host filter or a thread spawn coming back shows here.
     "search_wide_256_candidates_per_s": (1.30, "higher"),
-}
-
-# Absolute metric floors: op -> (minimum value, minimum runner cores).
-# Unlike GATED_METRICS these do not compare against the baseline file —
-# they assert a property of the fresh run alone, and only on runners
-# wide enough for the property to be meaningful.
-ABS_METRICS = {
-    # Parallel-over-sequential wall-time ratio of the bitwise-identical
-    # 256-host search. On a single-core runner the rayon shim degenerates
-    # to the serial walk (~1x), so the floor only applies at 4+ cores.
-    "search_wide_256_speedup": (3.0, 4),
 }
 
 
@@ -242,19 +233,6 @@ def main():
         if regressed:
             failed = True
 
-    for op, (floor, min_cores) in ABS_METRICS.items():
-        if fresh_cores is None or fresh_cores < min_cores:
-            print(f"{op}: skipped (needs a {min_cores}+ core runner, this one has {fresh_cores})")
-            continue
-        if op not in fresh_metrics:
-            print(f"{op}: MISSING from fresh metrics")
-            failed = True
-            continue
-        ok = fresh_metrics[op] >= floor
-        status = "OK" if ok else "BELOW FLOOR"
-        print(f"{op}: {fresh_metrics[op]:.2f} (floor {floor:.2f} at {min_cores}+ cores) {status}")
-        if not ok:
-            failed = True
     sys.exit(1 if failed else 0)
 
 

@@ -427,8 +427,9 @@ fn run_loop(
                     predicted = outcome.steady_cost;
                     detector.rearm();
                 }
-                Err(ReplanError::NoLiveHosts) => {
-                    // Nowhere to place anything: keep the (unservable)
+                Err(ReplanError::NoLiveHosts | ReplanError::QueryCountMismatch { .. }) => {
+                    // Nowhere to place anything (or an incumbent that is
+                    // not this problem's): keep the (unservable)
                     // incumbent, record the failure, and re-arm so the
                     // cool-down spaces out retries while the cluster is
                     // gone. The controller survives total cluster loss.

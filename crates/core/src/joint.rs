@@ -1,9 +1,15 @@
-//! Multi-query co-placement with contention-aware scoring.
+//! The one search core: co-placement of N queries with contention-aware
+//! scoring, N = 1 included.
 //!
-//! The per-query optimizer of [`crate::search`] prices each query as if
-//! it had the cluster to itself; real clusters run *many* queries at
-//! once, and co-resident operators shift each other's costs. This module
-//! optimizes a **set** of queries jointly:
+//! The paper has one placement procedure (§V, Figs. 4–5): enumerate under
+//! the co-location / capability / acyclicity rules, score with the target,
+//! success and backpressure models, filter, pick. This module implements
+//! it once. Real clusters run *many* queries at once, and co-resident
+//! operators shift each other's costs, so the procedure is written over a
+//! **set** of queries; a single query is the set of one
+//! ([`crate::search::PlacementSearch`] is a thin adapter onto this
+//! module), and migration-aware re-placement ([`replan`]) ranks through
+//! the same evaluator with one more term in its key. The parts:
 //!
 //! * a [`JointSearchProblem`] bundles N queries (with their estimated
 //!   selectivities) on one shared cluster;
@@ -23,14 +29,17 @@
 //!   uncontended joint placement scores exactly like N independent
 //!   queries, and recurring topologies keep hitting the serving layer's
 //!   plan cache;
-//! * the existing search strategies ([`RandomEnumeration`],
-//!   [`BeamSearch`], [`LocalSearch`], [`SimulatedAnnealing`]) are
-//!   adapted to the joint move space through the
-//!   [`JointPlacementSearch`] trait, walking the cross-query
-//!   relocate/swap neighborhood of
+//! * the search strategies ([`RandomEnumeration`], [`BeamSearch`],
+//!   [`LocalSearch`], [`SimulatedAnnealing`]) each have their one loop
+//!   here, behind the [`JointPlacementSearch`] trait, walking the
+//!   cross-query relocate/swap neighborhood of
 //!   [`costream_query::joint::JointNeighborhood`] with incremental
 //!   validity checks per touched query and incrementally maintained
-//!   occupancy.
+//!   occupancy;
+//! * one internal evaluator serves all of them and [`replan`]: budget
+//!   accounting, duplicate suppression, scoring, the Fig. 4 selection
+//!   rule, the restart sampler, and the ranking key — the signed total
+//!   cost, plus the horizon-amortized migration charge under replan.
 //!
 //! Budget is counted in **joint candidates scored** (each costs N graph
 //! predictions), so a joint search at budget `B` spends the same scoring
@@ -166,9 +175,10 @@ impl<'a> JointScorer<'a> {
     /// the capacity share the query effectively keeps (see
     /// [`JointScorer::contended_share`]). At most one entry per operator,
     /// whatever the cluster's width; empty when no used host is contended
-    /// (the plain template rows apply, bitwise).
+    /// (the plain template rows apply, bitwise) — always, for a lone
+    /// query: no co-resident exists, so its hosts are not even looked at.
     fn contended_rows(&self, jp: &JointPlacement, q: usize) -> Vec<(HostId, Vec<f32>)> {
-        if self.featurization != Featurization::Full {
+        if self.featurization != Featurization::Full || self.templates.len() == 1 {
             return Vec::new();
         }
         let occupancy = jp.occupancy();
@@ -393,24 +403,43 @@ pub trait JointPlacementSearch: Sync {
     ) -> JointOptimizationResult;
 }
 
-/// Shared joint-strategy bookkeeping, mirroring the single-query
-/// evaluator: budget accounting, duplicate suppression over flattened
-/// assignments, contention-aware scoring and the Fig. 4 selection rule.
-struct JointEvaluator<'a> {
+/// The one-time charge [`replan`] adds to the ranking key: each scored
+/// candidate's modeled migration cost from the *running* incumbent (not
+/// the repaired baseline — the system migrates from what is actually
+/// running), amortized over the horizon.
+struct Migration<'a> {
+    model: MigrationCostModel,
+    /// Amortization horizon, epochs (clamped ≥ 1).
+    horizon: f64,
+    queries: Vec<&'a Query>,
+    incumbent: &'a JointPlacement,
+    /// Modeled cost per scored candidate, in scoring order.
+    cost_ms: Vec<f64>,
+}
+
+/// The bookkeeping every search shares — the four strategies (at any
+/// query count, one included) and [`replan`]: budget accounting,
+/// duplicate suppression over flattened assignments, contention-aware
+/// scoring, the Fig. 4 selection rule and the ranking objective (signed
+/// total cost, plus the amortized [`Migration`] charge under replan).
+struct Evaluator<'a> {
     scorer: JointScorer<'a>,
     budget: usize,
     seen: HashSet<Vec<HostId>>,
     evaluated: Vec<JointCandidateEvaluation>,
+    /// `Some` under [`replan`] only.
+    migration: Option<Migration<'a>>,
     stats: SearchStats,
 }
 
-impl<'a> JointEvaluator<'a> {
+impl<'a> Evaluator<'a> {
     fn new(problem: &JointSearchProblem<'a>, scorer: &'a dyn Scorer, budget: usize) -> Self {
-        JointEvaluator {
+        Evaluator {
             scorer: JointScorer::new(problem, scorer),
             budget: budget.max(1),
             seen: HashSet::new(),
             evaluated: Vec::new(),
+            migration: None,
             stats: SearchStats {
                 threads: 1,
                 ..Default::default()
@@ -451,24 +480,44 @@ impl<'a> JointEvaluator<'a> {
         if fresh.is_empty() {
             return Vec::new();
         }
+        if let Some(m) = &mut self.migration {
+            let cluster = self.scorer.cluster;
+            let charges = fresh
+                .iter()
+                .map(|jp| m.model.cost_ms(&m.queries, cluster, m.incumbent, jp));
+            m.cost_ms.extend(charges);
+        }
         let start = self.evaluated.len();
         let scored = self.scorer.evaluate_with(&fresh, &mut self.stats);
         self.evaluated.extend(scored);
         (start..self.evaluated.len()).collect()
     }
 
-    /// Signed total-cost key: lower is always better.
+    /// Scores one candidate; `None` when it was a duplicate.
+    fn score_one(&mut self, candidate: JointPlacement) -> Option<usize> {
+        self.score(vec![candidate]).first().copied()
+    }
+
+    /// The ranking key, lower is always better: the signed total cost,
+    /// plus under [`replan`] the horizon-amortized migration cost. Both
+    /// are latency-shaped milliseconds for the default metric; for a
+    /// maximized metric (throughput) the migration term acts as a
+    /// switching penalty in the same signed space. The steady cost recurs
+    /// every epoch while the migration is paid once, so a plan expected
+    /// to run for `horizon` epochs is charged `migration / horizon` per
+    /// epoch — zero stays zero, so the incumbent's key is
+    /// horizon-invariant.
     fn key(&self, i: usize) -> f64 {
         let total = self.evaluated[i].total_cost();
-        if self.scorer.maximize {
-            -total
-        } else {
-            total
+        let signed = if self.scorer.maximize { -total } else { total };
+        match &self.migration {
+            None => signed,
+            Some(m) => signed + m.cost_ms[i] / m.horizon,
         }
     }
 
-    /// Strict "candidate `a` beats candidate `b`" on the joint
-    /// (all-viable, total signed cost) ranking (see [`ranking::better`]).
+    /// Strict "candidate `a` beats candidate `b`" on the (all-viable,
+    /// key) ranking (see [`ranking::better`]).
     fn better(&self, a: usize, b: usize) -> bool {
         ranking::better(
             self.evaluated[a].all_viable(),
@@ -478,6 +527,7 @@ impl<'a> JointEvaluator<'a> {
         )
     }
 
+    /// The best of `indices` (first wins ties); `None` when empty.
     fn best_in(&self, indices: &[usize]) -> Option<usize> {
         let mut best: Option<usize> = None;
         for &i in indices {
@@ -495,10 +545,16 @@ impl<'a> JointEvaluator<'a> {
         ranking::top_of(indices, k, |i| self.evaluated[i].all_viable(), |i| self.key(i))
     }
 
-    fn finish(self) -> JointOptimizationResult {
-        assert!(!self.evaluated.is_empty(), "search must score at least one candidate");
+    /// Final Fig. 4 selection: the best viable candidate ever scored,
+    /// falling back to the least-bad overall when the sanity filters
+    /// removed everything.
+    fn best(&self) -> usize {
         let all: Vec<usize> = (0..self.evaluated.len()).collect();
-        let best = self.best_in(&all).expect("non-empty");
+        self.best_in(&all).expect("search must score at least one candidate")
+    }
+
+    fn finish(self) -> JointOptimizationResult {
+        let best = self.best();
         let all_filtered = !self.evaluated.iter().any(JointCandidateEvaluation::all_viable);
         JointOptimizationResult {
             best: self.evaluated[best].placement.clone(),
@@ -507,6 +563,31 @@ impl<'a> JointEvaluator<'a> {
             all_filtered,
             stats: self.stats,
         }
+    }
+
+    /// Draws up to one fresh (unseen) joint placement whose hosts all
+    /// pass `live` from a seeded stream — the restart point of a stalled
+    /// walk.
+    fn fresh_sample(
+        &self,
+        jnb: &JointNeighborhood<'_>,
+        live: impl Fn(HostId) -> bool,
+        seed: u64,
+        round: u64,
+    ) -> Option<JointPlacement> {
+        for attempt in 0..32u64 {
+            let s = seed
+                ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
+            let mut rng = StdRng::seed_from_u64(s);
+            if let Some(jp) = jnb.sample_valid(&mut rng) {
+                let flat = jp.flattened();
+                if flat.iter().all(|&h| live(h)) && !self.is_seen_flat(&flat) {
+                    return Some(jp);
+                }
+            }
+        }
+        None
     }
 }
 
@@ -542,9 +623,9 @@ fn fallback_joint(problem: &JointSearchProblem<'_>) -> JointPlacement {
 }
 
 /// Enumerates up to `k` distinct random joint placements from a seeded
-/// stream (deterministic; attempt-indexed seeds like the single-query
-/// enumeration). Falls back to the co-located placement when sampling
-/// yields nothing.
+/// stream (deterministic; attempt-indexed seeds, the stream of
+/// [`crate::optimizer::enumerate_candidates`] at one query). Falls back to
+/// the co-located placement when sampling yields nothing.
 fn enumerate_joint(
     problem: &JointSearchProblem<'_>,
     jnb: &JointNeighborhood<'_>,
@@ -573,37 +654,26 @@ fn enumerate_joint(
     out
 }
 
-/// Draws up to one fresh (unseen) joint placement for restarts.
-fn fresh_joint_sample(
+/// Restarts a strategy's stalled walk: scores a fresh sample from
+/// anywhere on the cluster, else the co-located fallback while it is
+/// still unscored, and returns its index; `None` when neither is left.
+fn restart(
     problem: &JointSearchProblem<'_>,
     jnb: &JointNeighborhood<'_>,
-    ev: &JointEvaluator<'_>,
+    ev: &mut Evaluator<'_>,
     seed: u64,
     round: u64,
-) -> Option<JointPlacement> {
-    for attempt in 0..32u64 {
-        let s = seed
-            ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
-        let mut rng = StdRng::seed_from_u64(s);
-        if let Some(jp) = jnb.sample_valid(&mut rng) {
-            if !ev.is_seen(&jp) {
-                return Some(jp);
-            }
-        }
-    }
-    let fallback = fallback_joint(problem);
-    if ev.is_seen(&fallback) {
-        None
-    } else {
-        Some(fallback)
-    }
+) -> Option<usize> {
+    let jp = ev
+        .fresh_sample(jnb, |_| true, seed, round)
+        .or_else(|| Some(fallback_joint(problem)).filter(|jp| !ev.is_seen(jp)))?;
+    ev.score_one(jp)
 }
 
 /// Seeds the evaluator: explicit warm-start seeds first, then random
 /// joint placements up to `n_random`, then the fallback if still empty.
 fn seed_pool(
-    ev: &mut JointEvaluator<'_>,
+    ev: &mut Evaluator<'_>,
     problem: &JointSearchProblem<'_>,
     jnb: &JointNeighborhood<'_>,
     seeds: &[JointPlacement],
@@ -636,7 +706,7 @@ impl JointPlacementSearch for RandomEnumeration {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let mut ev = JointEvaluator::new(problem, scorer, budget);
+        let mut ev = Evaluator::new(problem, scorer, budget);
         let jnb = JointNeighborhood::new(&problem.query_refs(), problem.cluster);
         let n = ev.budget;
         seed_pool(&mut ev, problem, &jnb, seeds, n, seed);
@@ -649,10 +719,10 @@ impl JointPlacementSearch for LocalSearch {
         "local"
     }
 
-    /// Hill climbing with restarts over the cross-query move space:
-    /// exactly the single-query procedure, with [`JointNeighborhood`]
-    /// generating relocations and (cross-query) swaps and occupancy
-    /// maintained incrementally by [`JointPlacement::apply`].
+    /// Hill climbing with restarts over the cross-query move space, with
+    /// [`JointNeighborhood`] generating relocations and (cross-query)
+    /// swaps and occupancy maintained incrementally by
+    /// [`JointPlacement::apply`].
     fn search_joint_seeded(
         &self,
         problem: &JointSearchProblem<'_>,
@@ -661,18 +731,22 @@ impl JointPlacementSearch for LocalSearch {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let mut ev = JointEvaluator::new(problem, scorer, budget);
+        let mut ev = Evaluator::new(problem, scorer, budget);
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15EA_2C4B_AD5E);
         let sample = self.sample_size.max(1);
         let mut restarts: u64 = 0;
 
+        // Exploration pool: the seeds, then the seeded stream the baseline
+        // enumerates (its first member is therefore the "initial heuristic
+        // placement" of the other strategies too).
         let n_random = ranking::seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
         let mut pool_indices = seed_pool(&mut ev, problem, &jnb, seeds, n_random, seed);
         let Some(mut current) = ev.best_in(&pool_indices) else {
             return ev.finish();
         };
+        // Restart order: best pool members first.
         pool_indices = ev.top_of(pool_indices, usize::MAX);
         let mut next_pool = 0usize;
         let mut expanded: HashSet<usize> = HashSet::new();
@@ -708,6 +782,9 @@ impl JointPlacementSearch for LocalSearch {
             match next {
                 Some(idx) => current = idx,
                 None => {
+                    // Local optimum (or neighborhood exhausted): restart
+                    // from the best unexpanded pool member, then from
+                    // fresh random placements once the pool is spent.
                     while next_pool < pool_indices.len() && expanded.contains(&pool_indices[next_pool]) {
                         next_pool += 1;
                     }
@@ -717,11 +794,7 @@ impl JointPlacementSearch for LocalSearch {
                         continue;
                     }
                     restarts += 1;
-                    let Some(jp) = fresh_joint_sample(problem, &jnb, &ev, seed, restarts) else {
-                        break;
-                    };
-                    let scored = ev.score(vec![jp]);
-                    let Some(idx) = scored.first().copied() else {
+                    let Some(idx) = restart(problem, &jnb, &mut ev, seed, restarts) else {
                         break;
                     };
                     current = idx;
@@ -748,7 +821,7 @@ impl JointPlacementSearch for BeamSearch {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let mut ev = JointEvaluator::new(problem, scorer, budget);
+        let mut ev = Evaluator::new(problem, scorer, budget);
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEA3_5EA2_C4A6_1D07);
@@ -768,8 +841,9 @@ impl JointPlacementSearch for BeamSearch {
             // comparison).
             let mut in_round: HashSet<Vec<HostId>> = HashSet::new();
             for &bi in &beam {
-                // As in the single-query beam: the round already holds a
-                // budget's worth of unseen, distinct candidates.
+                // Every entry is unseen and distinct within the round, so
+                // `score` takes exactly the first `remaining` and the search
+                // ends: what later members would add is never looked at.
                 if expansion.len() >= ev.remaining() {
                     break;
                 }
@@ -811,9 +885,9 @@ impl JointPlacementSearch for SimulatedAnnealing {
     }
 
     /// Simulated annealing over the cross-query move space: one chain,
-    /// Metropolis acceptance on the relative total-cost delta (with the
-    /// same viability-class shift as the single-query strategy), restart
-    /// on exhaustion. Best-ever-scored is returned.
+    /// Metropolis acceptance on the relative total-cost delta (see
+    /// [`ranking::anneal_accepts`]), restart on exhaustion.
+    /// Best-ever-scored is returned.
     fn search_joint_seeded(
         &self,
         problem: &JointSearchProblem<'_>,
@@ -822,7 +896,7 @@ impl JointPlacementSearch for SimulatedAnnealing {
         budget: usize,
         seed: u64,
     ) -> JointOptimizationResult {
-        let mut ev = JointEvaluator::new(problem, scorer, budget);
+        let mut ev = Evaluator::new(problem, scorer, budget);
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA44E_A1E4_0C0A_57A7);
@@ -852,8 +926,7 @@ impl JointPlacementSearch for SimulatedAnnealing {
             }
             match next {
                 Some(np) => {
-                    let scored = ev.score(vec![np]);
-                    let Some(cand) = scored.first().copied() else {
+                    let Some(cand) = ev.score_one(np) else {
                         break;
                     };
                     let accept = ranking::anneal_accepts(
@@ -867,12 +940,10 @@ impl JointPlacementSearch for SimulatedAnnealing {
                     }
                 }
                 None => {
+                    // Every neighbor already scored: restart the chain
+                    // from a fresh random placement.
                     restarts += 1;
-                    let Some(np) = fresh_joint_sample(problem, &jnb, &ev, seed, restarts) else {
-                        break;
-                    };
-                    let scored = ev.score(vec![np]);
-                    let Some(idx) = scored.first().copied() else {
+                    let Some(idx) = restart(problem, &jnb, &mut ev, seed, restarts) else {
                         break;
                     };
                     current = idx;
@@ -1048,10 +1119,9 @@ pub struct ReplanOutcome {
 /// Returns [`ReplanError::NoLiveHosts`] when `dead_hosts` covers the
 /// whole cluster — there is nowhere to place anything, and crashing the
 /// controller loop over it would turn a dead cluster into a dead
-/// controller.
-///
-/// # Panics
-/// Panics when the incumbent's query count does not match the problem.
+/// controller — and [`ReplanError::QueryCountMismatch`] when the
+/// incumbent does not place exactly the problem's queries. Ids in
+/// `dead_hosts` that name no host of the cluster are ignored.
 pub fn replan(
     problem: &JointSearchProblem<'_>,
     scorer: &dyn Scorer,
@@ -1060,13 +1130,15 @@ pub fn replan(
     cfg: &ReplanConfig,
     seed: u64,
 ) -> Result<ReplanOutcome, ReplanError> {
-    assert_eq!(
-        incumbent.len(),
-        problem.queries.len(),
-        "incumbent/problem query count mismatch"
-    );
-    let dead: HashSet<HostId> = dead_hosts.iter().copied().collect();
-    if dead.len() >= problem.cluster.len() {
+    if incumbent.len() != problem.queries.len() {
+        return Err(ReplanError::QueryCountMismatch {
+            expected: problem.queries.len(),
+            got: incumbent.len(),
+        });
+    }
+    let n_hosts = problem.cluster.len();
+    let dead: HashSet<HostId> = dead_hosts.iter().copied().filter(|&h| h < n_hosts).collect();
+    if dead.len() >= n_hosts {
         return Err(ReplanError::NoLiveHosts);
     }
     let refs = problem.query_refs();
@@ -1075,79 +1147,65 @@ pub fn replan(
 
     let (start, repaired) = repair_joint(problem, incumbent, &dead);
 
-    let mut ev = ReplanEvaluator {
-        scorer: JointScorer::new(problem, scorer),
-        migration: cfg.migration,
+    let mut ev = Evaluator::new(problem, scorer, cfg.budget);
+    ev.migration = Some(Migration {
+        model: cfg.migration,
         // NaN-safe clamp: f64::max returns the non-NaN operand.
         horizon: cfg.horizon_epochs.max(1.0),
-        refs: refs.clone(),
+        queries: refs,
         incumbent,
-        budget: cfg.budget.max(1),
-        seen: HashSet::new(),
-        evaluated: Vec::new(),
-        migration_ms: Vec::new(),
-    };
+        cost_ms: Vec::new(),
+    });
 
     // The do-nothing (or forced-repair) baseline is always scored first;
     // best-ever-scored selection below makes it the floor.
-    let mut current = ev.score(vec![start])[0];
-    let mut best = current;
+    let mut current = ev
+        .score_one(start)
+        .expect("nothing is a duplicate of the first candidate");
     let mut restarts = 0u64;
+    let mut states: Vec<VisitState> = Vec::new();
+    let mut moves: Vec<JointMove> = Vec::new();
     while ev.remaining() > 0 {
         let jp = ev.evaluated[current].placement.clone();
-        let states = jnb.visit_states(&jp);
-        let mut moves: Vec<JointMove> = jnb
-            .neighbors(&jp, &states)
-            .into_iter()
-            .filter(|mv| match *mv {
-                // The base placement never occupies a dead host (the
-                // start is repaired and relocations below never target
-                // one), so swaps only exchange live hosts.
-                JointMove::Relocate { to, .. } => !dead.contains(&to),
-                JointMove::Swap { .. } => true,
-            })
-            .collect();
+        enumerate_joint_neighbors(&jnb, &jp, &mut states, &mut moves, &mut ev.stats);
+        // The base placement never occupies a dead host (the start is
+        // repaired and no relocation kept here targets one), so swaps
+        // only exchange live hosts.
+        moves.retain(|mv| !matches!(*mv, JointMove::Relocate { to, .. } if dead.contains(&to)));
         moves.shuffle(&mut rng);
         let candidates: Vec<JointPlacement> = moves
-            .into_iter()
+            .iter()
             .take(cfg.sample_size.max(1))
-            .map(|mv| jp.apply(mv))
+            .map(|&mv| jp.apply(mv))
             .collect();
         let scored = ev.score(candidates);
         match ev.best_in(&scored) {
-            Some(i) if ev.better(i, current) => {
-                current = i;
-                if ev.better(current, best) {
-                    best = current;
-                }
-            }
+            Some(i) if ev.better(i, current) => current = i,
             _ => {
                 // Local optimum (or neighborhood exhausted): restart
                 // from a fresh live-host sample.
                 restarts += 1;
-                let Some(np) = fresh_live_sample(&jnb, &ev, &dead, seed, restarts) else {
-                    break;
-                };
-                let scored = ev.score(vec![np]);
-                let Some(idx) = scored.first().copied() else {
+                let Some(idx) = ev
+                    .fresh_sample(&jnb, |h| !dead.contains(&h), seed, restarts)
+                    .and_then(|np| ev.score_one(np))
+                else {
                     break;
                 };
                 current = idx;
-                if ev.better(current, best) {
-                    best = current;
-                }
             }
         }
     }
 
+    let best = ev.best();
     let chosen = &ev.evaluated[best];
+    let migration = ev.migration.as_ref().expect("replan ranks with the migration term");
     Ok(ReplanOutcome {
         plan: chosen.placement.clone(),
         migrated: chosen.placement.flattened() != incumbent.flattened(),
         repaired,
         steady_cost: chosen.total_cost(),
         viable: chosen.all_viable(),
-        migration_cost_ms: ev.migration_ms[best],
+        migration_cost_ms: migration.cost_ms[best],
         incumbent_steady_cost: ev.evaluated[0].total_cost(),
         incumbent_viable: ev.evaluated[0].all_viable(),
     })
@@ -1160,106 +1218,29 @@ pub enum ReplanError {
     /// caller keeps the (unservable) incumbent and should surface the
     /// outage instead of crashing.
     NoLiveHosts,
+    /// The incumbent places `got` queries, the problem has `expected`:
+    /// the two do not describe the same running system.
+    QueryCountMismatch {
+        /// Queries in the problem.
+        expected: usize,
+        /// Queries the incumbent places.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for ReplanError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ReplanError::NoLiveHosts => write!(f, "replan impossible: no live hosts in the cluster"),
+            ReplanError::QueryCountMismatch { expected, got } => write!(
+                f,
+                "replan impossible: the incumbent places {got} queries, the problem has {expected}"
+            ),
         }
     }
 }
 
 impl std::error::Error for ReplanError {}
-
-/// Replan bookkeeping: like [`JointEvaluator`], but the ranking key adds
-/// each candidate's modeled migration cost from the *original* incumbent
-/// (not the repaired baseline — the system migrates from what is
-/// actually running).
-struct ReplanEvaluator<'a> {
-    scorer: JointScorer<'a>,
-    migration: MigrationCostModel,
-    /// Amortization horizon, epochs (clamped ≥ 1).
-    horizon: f64,
-    refs: Vec<&'a Query>,
-    incumbent: &'a JointPlacement,
-    budget: usize,
-    seen: HashSet<Vec<HostId>>,
-    evaluated: Vec<JointCandidateEvaluation>,
-    migration_ms: Vec<f64>,
-}
-
-impl ReplanEvaluator<'_> {
-    fn remaining(&self) -> usize {
-        self.budget - self.evaluated.len()
-    }
-
-    fn is_seen(&self, jp: &JointPlacement) -> bool {
-        self.seen.contains(&jp.flattened())
-    }
-
-    fn score(&mut self, candidates: Vec<JointPlacement>) -> Vec<usize> {
-        let mut fresh: Vec<JointPlacement> = Vec::new();
-        for jp in candidates {
-            if fresh.len() >= self.remaining() {
-                break;
-            }
-            let key = jp.flattened();
-            if self.seen.contains(&key) {
-                continue;
-            }
-            self.seen.insert(key);
-            fresh.push(jp);
-        }
-        if fresh.is_empty() {
-            return Vec::new();
-        }
-        let start = self.evaluated.len();
-        for jp in &fresh {
-            self.migration_ms.push(
-                self.migration
-                    .cost_ms(&self.refs, self.scorer.cluster, self.incumbent, jp),
-            );
-        }
-        self.evaluated.extend(self.scorer.evaluate(&fresh));
-        (start..self.evaluated.len()).collect()
-    }
-
-    /// The replan objective: signed steady-state cost plus the
-    /// horizon-amortized migration cost. Both are latency-shaped
-    /// milliseconds for the default metric; for a maximized metric
-    /// (throughput) the migration term acts as a switching penalty in
-    /// the same signed space. The steady cost recurs every epoch while
-    /// the migration is paid once, so a plan expected to run for
-    /// `horizon` epochs is charged `migration / horizon` per epoch —
-    /// zero stays zero, so the incumbent's key is horizon-invariant.
-    fn key(&self, i: usize) -> f64 {
-        let total = self.evaluated[i].total_cost();
-        let signed = if self.scorer.maximize { -total } else { total };
-        signed + self.migration_ms[i] / self.horizon
-    }
-
-    fn better(&self, a: usize, b: usize) -> bool {
-        ranking::better(
-            self.evaluated[a].all_viable(),
-            self.key(a),
-            self.evaluated[b].all_viable(),
-            self.key(b),
-        )
-    }
-
-    fn best_in(&self, indices: &[usize]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for &i in indices {
-            best = match best {
-                None => Some(i),
-                Some(b) if self.better(i, b) => Some(i),
-                keep => keep,
-            };
-        }
-        best
-    }
-}
 
 /// Moves the incumbent off dead hosts with as little churn as possible:
 /// dead-hosted operators go to the strongest live host; when that edit
@@ -1309,29 +1290,6 @@ fn repair_joint(
         })
         .collect();
     (JointPlacement::new(problem.cluster.len(), placements), touched)
-}
-
-/// Draws up to one fresh (unseen) joint placement that touches no dead
-/// host, for replan restarts.
-fn fresh_live_sample(
-    jnb: &JointNeighborhood<'_>,
-    ev: &ReplanEvaluator<'_>,
-    dead: &HashSet<HostId>,
-    seed: u64,
-    round: u64,
-) -> Option<JointPlacement> {
-    for attempt in 0..32u64 {
-        let s = seed
-            ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
-        let mut rng = StdRng::seed_from_u64(s);
-        if let Some(jp) = jnb.sample_valid(&mut rng) {
-            if jp.flattened().iter().all(|h| !dead.contains(h)) && !ev.is_seen(&jp) {
-                return Some(jp);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -1737,6 +1695,47 @@ mod tests {
         assert_eq!(outcome.plan.flattened(), again.plan.flattened());
         assert_eq!(outcome.steady_cost.to_bits(), again.steady_cost.to_bits());
         assert_eq!(outcome.migration_cost_ms.to_bits(), again.migration_cost_ms.to_bits());
+    }
+
+    #[test]
+    fn replan_ignores_dead_ids_outside_the_cluster_and_rejects_a_foreign_incumbent() {
+        let corpus = test_fixtures::corpus(60, 99);
+        let fx = test_fixtures::trio(&corpus, 3, 2);
+        let scorer = fx.scorer();
+        let (queries, cluster, sels) = problem_fixture(107);
+        let jqs = JointQuery::zip(&queries, &sels);
+        let problem = JointSearchProblem {
+            queries: &jqs,
+            cluster: &cluster,
+            featurization: Featurization::Full,
+            interference: None,
+        };
+        let incumbent = LocalSearch::default().search_joint(&problem, &scorer, 10, 5).best;
+        let cfg = ReplanConfig::default();
+
+        // As many phantom deaths as the cluster has hosts: every real host
+        // is still alive, so the call is the `dead_hosts = []` call.
+        let phantoms: Vec<HostId> = (cluster.len()..2 * cluster.len()).collect();
+        let want = replan(&problem, &scorer, &incumbent, &[], &cfg, 5).expect("live hosts");
+        let got = replan(&problem, &scorer, &incumbent, &phantoms, &cfg, 5).expect("phantom ids kill no host");
+        assert_eq!(got.plan, want.plan);
+        assert_eq!(
+            (got.migrated, got.repaired, got.viable, got.incumbent_viable),
+            (want.migrated, want.repaired, want.viable, want.incumbent_viable)
+        );
+        assert_eq!(got.steady_cost.to_bits(), want.steady_cost.to_bits());
+        assert_eq!(got.migration_cost_ms.to_bits(), want.migration_cost_ms.to_bits());
+        assert_eq!(
+            got.incumbent_steady_cost.to_bits(),
+            want.incumbent_steady_cost.to_bits()
+        );
+
+        // An incumbent of another problem is an error value, not a panic.
+        let foreign = JointPlacement::new(cluster.len(), incumbent.placements()[..1].to_vec());
+        assert_eq!(
+            replan(&problem, &scorer, &foreign, &[], &cfg, 5).err(),
+            Some(ReplanError::QueryCountMismatch { expected: 2, got: 1 })
+        );
     }
 
     #[test]

@@ -28,11 +28,11 @@
 //!   [`search::Scorer`] backend abstraction (direct ensembles or the
 //!   serving layer) and the [`search::PlacementSearch`] strategies
 //!   (random enumeration, beam search, hill climbing with restarts,
-//!   simulated annealing);
-//! * [`joint`] — multi-query co-placement: contention-aware joint
-//!   scoring of several queries on one shared cluster and the
-//!   [`joint::JointPlacementSearch`] strategies over the cross-query
-//!   move space;
+//!   simulated annealing), each an adapter onto the one search core;
+//! * [`joint`] — that core: contention-aware scoring and the
+//!   [`joint::JointPlacementSearch`] strategies over N queries sharing
+//!   a cluster (a single query is N = 1), plus migration-aware
+//!   [`joint::replan`] through the same evaluator;
 //! * [`qerror`] — the q-error / accuracy evaluation metrics of §VII;
 //! * [`reorder`] — cost-based operator reordering (the extension the
 //!   paper's outlook proposes);

@@ -27,12 +27,7 @@ use rand::SeedableRng;
 /// consumed in index order until `k` distinct placements are found, so the
 /// output is identical across runs.
 pub fn enumerate_candidates(query: &Query, cluster: &Cluster, k: usize, seed: u64) -> Vec<Placement> {
-    enumerate_candidates_in(&Neighborhood::new(query, cluster), k, seed)
-}
-
-/// [`enumerate_candidates`] through a neighbourhood the caller already
-/// built — a search samples its seeds, restarts and moves from one.
-pub(crate) fn enumerate_candidates_in(nb: &Neighborhood<'_>, k: usize, seed: u64) -> Vec<Placement> {
+    let nb = Neighborhood::new(query, cluster);
     let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
     let mut out = Vec::new();
     // Generous attempt budget: distinct valid placements can be scarce on
@@ -53,7 +48,7 @@ pub(crate) fn enumerate_candidates_in(nb: &Neighborhood<'_>, k: usize, seed: u64
         }
     }
     if out.is_empty() {
-        out.push(colocate_on_strongest(nb.query(), nb.cluster()));
+        out.push(colocate_on_strongest(query, cluster));
     }
     out
 }

@@ -2,7 +2,7 @@
 //!
 //! The seed-era optimizer had exactly one strategy baked in: sample `k`
 //! random valid placements, featurize each from scratch, score once, pick
-//! the best. This module splits that monolith into three swappable parts:
+//! the best. This module splits that monolith into swappable parts:
 //!
 //! * a [`Scorer`] — the backend that turns candidate [`JointGraph`]s into
 //!   predicted cost / success / backpressure triples. [`EnsembleScorer`]
@@ -12,18 +12,22 @@
 //!   candidate batches through the serving layer;
 //! * a [`PlacementSearch`] strategy — how the placement space is explored
 //!   under a fixed scoring budget. [`RandomEnumeration`] is the paper's
-//!   baseline (and the seed behavior, bit for bit), [`BeamSearch`] and
-//!   [`LocalSearch`] walk the move/swap neighborhood of
-//!   `costream_query::placement::neighborhood` with incremental validity
-//!   checks;
-//! * shared bookkeeping (the internal evaluator) — budget accounting,
-//!   duplicate suppression, delta re-featurization through a
-//!   [`GraphTemplate`] (operator features are computed once per search,
-//!   not once per candidate), and the Fig. 4 sanity-filter selection rule.
+//!   baseline (and the seed behavior, bit for bit); [`BeamSearch`],
+//!   [`LocalSearch`] and [`SimulatedAnnealing`] walk the move/swap
+//!   neighborhood of `costream_query::placement::neighborhood` with
+//!   incremental validity checks;
+//! * one search core, in [`crate::joint`]: each strategy is implemented
+//!   once, over N queries sharing a cluster, and placing a single query is
+//!   the N = 1 case — every [`PlacementSearch`] impl here is a few-line
+//!   adapter onto it. The core's evaluator does the shared bookkeeping:
+//!   budget accounting, duplicate suppression, delta re-featurization
+//!   through a [`GraphTemplate`](crate::graph::GraphTemplate) (operator
+//!   features are computed once per search, not once per candidate), and
+//!   the Fig. 4 sanity-filter selection rule.
 //!
 //! Every strategy is deterministic for fixed inputs and seed, independent
 //! of how the scorer batches its requests: candidate generation order is
-//! fixed, all randomness flows through seeded [`StdRng`] streams, and the
+//! fixed, all randomness flows through seeded `StdRng` streams, and the
 //! prediction kernels are batch-composition invariant (a guarantee the
 //! serving layer's golden tests pin down). Deciding *which* candidates to
 //! score runs on the caller's thread: a 512-host neighbourhood enumerates
@@ -31,22 +35,17 @@
 //! hand-off to a worker can pay for itself.
 
 use crate::ensemble::Ensemble;
-use crate::graph::{Featurization, GraphTemplate, JointGraph};
+use crate::graph::{Featurization, JointGraph};
+use crate::joint::{JointPlacementSearch, JointQuery, JointSearchProblem};
 use crate::model::{inference_chunk, map_spans};
-use crate::optimizer::{enumerate_candidates_in, CandidateEvaluation, OptimizationResult};
+use crate::optimizer::{CandidateEvaluation, OptimizationResult};
 use crate::plan::BatchPlan;
 use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
 use costream_query::hardware::Cluster;
+use costream_query::joint::JointPlacement;
 use costream_query::operators::Query;
-use costream_query::placement::neighborhood::{Move, Neighborhood, VisitState};
-use costream_query::placement::Placement;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Instant;
 
 /// Profiling counters of one search run, threaded through every strategy
 /// (single-query and joint) and exposed on
@@ -248,176 +247,54 @@ pub trait PlacementSearch: Sync {
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult;
 }
 
-/// Shared strategy bookkeeping: budget accounting, duplicate suppression,
-/// template-based delta featurization and the Fig. 4 selection rule.
-struct Evaluator<'a> {
-    scorer: &'a dyn Scorer,
-    template: GraphTemplate,
-    maximize: bool,
+/// The single-query adapter: a [`SearchProblem`] *is* the one-query
+/// [`JointSearchProblem`] — no co-resident exists, so no host row is ever
+/// degraded and `interference` has nothing to price — and every
+/// [`PlacementSearch`] impl below runs its strategy's one implementation
+/// ([`crate::joint`]) on it, then unwraps query 0 of every candidate.
+/// `core/tests/search_digest.rs` holds the adapter to the joint run at
+/// N = 1: same candidates, same order, same bits, same counters.
+fn search_one_query(
+    strategy: &impl JointPlacementSearch,
+    problem: &SearchProblem<'_>,
+    scorer: &dyn Scorer,
     budget: usize,
-    stats: SearchStats,
-    seen: HashSet<Vec<usize>>,
-    evaluated: Vec<CandidateEvaluation>,
-}
-
-impl<'a> Evaluator<'a> {
-    fn new(problem: &SearchProblem<'_>, scorer: &'a dyn Scorer, budget: usize) -> Self {
-        Evaluator {
-            scorer,
-            template: GraphTemplate::new(problem.query, problem.cluster, problem.est_sels, problem.featurization),
-            maximize: scorer.target_metric() == CostMetric::Throughput,
-            budget: budget.max(1),
-            stats: SearchStats {
-                threads: 1,
-                ..SearchStats::default()
-            },
-            seen: HashSet::new(),
-            evaluated: Vec::new(),
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.budget - self.evaluated.len()
-    }
-
-    fn is_seen(&self, p: &Placement) -> bool {
-        self.seen.contains(p.assignment())
-    }
-
-    /// Duplicate probe against a raw assignment, so strategies can test a
-    /// candidate edit without materializing the placement.
-    fn is_seen_slice(&self, assignment: &[usize]) -> bool {
-        self.seen.contains(assignment)
-    }
-
-    /// Scores the not-yet-seen placements of `candidates` (in order, up
-    /// to the remaining budget) in one batch. Returns the indices of the
-    /// newly evaluated candidates.
-    fn score(&mut self, candidates: Vec<Placement>) -> Vec<usize> {
-        let mut fresh: Vec<Placement> = Vec::new();
-        for p in candidates {
-            if fresh.len() >= self.remaining() {
-                break;
-            }
-            if self.seen.contains(p.assignment()) {
-                continue;
-            }
-            self.seen.insert(p.assignment().to_vec());
-            fresh.push(p);
-        }
-        if fresh.is_empty() {
-            return Vec::new();
-        }
-        let t_feat = Instant::now();
-        let graphs: Vec<JointGraph> = fresh.iter().map(|p| self.template.instantiate(p)).collect();
-        self.stats.featurize_ns += t_feat.elapsed().as_nanos() as u64;
-        let t_score = Instant::now();
-        let scores = self.scorer.score_batch(graphs);
-        self.stats.score_ns += t_score.elapsed().as_nanos() as u64;
-        self.stats.score_batches += 1;
-        self.stats.max_batch = self.stats.max_batch.max(fresh.len() as u64);
-        self.stats.candidates_scored += fresh.len() as u64;
-        assert_eq!(scores.len(), fresh.len(), "scorer must return one result per graph");
-        let start = self.evaluated.len();
-        for (placement, s) in fresh.into_iter().zip(scores) {
-            // Same contract the pre-search optimizer enforced: ranking
-            // NaNs would silently pick an arbitrary placement (and
-            // `better`/`top_of` would disagree on their order).
-            assert!(
-                s.cost.is_finite() && s.success.is_finite() && s.backpressure.is_finite(),
-                "finite predictions"
-            );
-            self.evaluated.push(CandidateEvaluation {
-                placement,
-                predicted_cost: s.cost,
-                predicted_success: s.success,
-                predicted_backpressure: s.backpressure,
-            });
-        }
-        (start..self.evaluated.len()).collect()
-    }
-
-    fn viable(e: &CandidateEvaluation) -> bool {
-        e.viable()
-    }
-
-    /// Signed cost key: lower is always better.
-    fn key(&self, i: usize) -> f64 {
-        if self.maximize {
-            -self.evaluated[i].predicted_cost
-        } else {
-            self.evaluated[i].predicted_cost
-        }
-    }
-
-    /// Strict "candidate `a` beats candidate `b`" (see [`ranking::better`]).
-    fn better(&self, a: usize, b: usize) -> bool {
-        ranking::better(
-            Self::viable(&self.evaluated[a]),
-            self.key(a),
-            Self::viable(&self.evaluated[b]),
-            self.key(b),
-        )
-    }
-
-    /// The best of `indices` (first wins ties); `None` when empty.
-    fn best_in(&self, indices: &[usize]) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for &i in indices {
-            best = match best {
-                None => Some(i),
-                Some(b) if self.better(i, b) => Some(i),
-                keep => keep,
-            };
-        }
-        best
-    }
-
-    /// The `k` best of `indices`, best first (stable: earlier-scored
-    /// candidates win ties).
-    fn top_of(&self, indices: Vec<usize>, k: usize) -> Vec<usize> {
-        ranking::top_of(indices, k, |i| Self::viable(&self.evaluated[i]), |i| self.key(i))
-    }
-
-    /// Final Fig. 4 selection: best viable candidate, falling back to the
-    /// least-bad overall when the sanity filters removed everything.
-    fn finish(self) -> OptimizationResult {
-        assert!(!self.evaluated.is_empty(), "search must score at least one candidate");
-        let all: Vec<usize> = (0..self.evaluated.len()).collect();
-        let best = self.best_in(&all).expect("non-empty");
-        let all_filtered = !self.evaluated.iter().any(Self::viable);
-        OptimizationResult {
-            best: self.evaluated[best].placement.clone(),
-            initial: self.evaluated[0].placement.clone(),
-            candidates: self.evaluated,
-            all_filtered,
-            stats: self.stats,
-        }
+    seed: u64,
+) -> OptimizationResult {
+    let queries = [JointQuery {
+        query: problem.query,
+        est_sels: problem.est_sels,
+    }];
+    let joint = JointSearchProblem {
+        queries: &queries,
+        cluster: problem.cluster,
+        featurization: problem.featurization,
+        interference: None,
+    };
+    let r = strategy.search_joint(&joint, scorer, budget, seed);
+    let only = |jp: JointPlacement| jp.into_placements().pop().expect("one query, one placement");
+    OptimizationResult {
+        best: only(r.best),
+        initial: only(r.initial),
+        candidates: r
+            .candidates
+            .into_iter()
+            .map(|c| CandidateEvaluation {
+                placement: only(c.placement),
+                predicted_cost: c.per_query[0].cost,
+                predicted_success: c.per_query[0].success,
+                predicted_backpressure: c.per_query[0].backpressure,
+            })
+            .collect(),
+        all_filtered: r.all_filtered,
+        stats: r.stats,
     }
 }
 
-/// One strategy round's neighborhood enumeration: recompute the rule ③
-/// state and fill `buf` with the full move list, folding counters and wall
-/// time into `stats`.
-fn enumerate_neighbors(
-    nb: &Neighborhood<'_>,
-    p: &Placement,
-    state: &mut VisitState,
-    buf: &mut Vec<Move>,
-    stats: &mut SearchStats,
-) {
-    let t0 = Instant::now();
-    nb.visit_state_into(p, state);
-    let counts = nb.neighbors_into(p, state, buf);
-    stats.validity_ns += t0.elapsed().as_nanos() as u64;
-    stats.moves_generated += counts.generated;
-    stats.moves_rejected += counts.rejected;
-}
-
-/// Ranking and acceptance primitives shared by the single-query
-/// evaluator and the joint evaluator of [`crate::joint`], so the Fig. 4
-/// selection semantics and the annealing acceptance rule live in exactly
-/// one place and the two search spaces cannot silently diverge.
+/// Ranking and acceptance primitives of the search core in
+/// [`crate::joint`]: the Fig. 4 selection semantics, the exploration
+/// split and the annealing acceptance rule, as pure functions of
+/// `(viable, signed key)` pairs.
 pub(crate) mod ranking {
     use rand::rngs::StdRng;
     use rand::Rng;
@@ -462,7 +339,7 @@ pub(crate) mod ranking {
             .min(budget.saturating_sub(1).max(1))
     }
 
-    /// The annealing move rule (single-query and joint): improvements
+    /// The annealing move rule: improvements
     /// under [`better`] always move; worsenings move with the Metropolis
     /// probability on the relative cost delta, shifted by a fixed
     /// penalty when the move leaves the Fig. 4-viable region. (A move
@@ -481,27 +358,6 @@ pub(crate) mod ranking {
     }
 }
 
-/// Draws up to one fresh (unseen) valid placement from a seeded stream.
-fn fresh_sample(nb: &Neighborhood<'_>, ev: &Evaluator<'_>, seed: u64, round: u64) -> Option<Placement> {
-    for attempt in 0..32u64 {
-        let s = seed
-            ^ round.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ attempt.wrapping_mul(0xD1B5_4A32_D192_ED03).wrapping_add(1);
-        let mut rng = StdRng::seed_from_u64(s);
-        if let Some(p) = nb.sample_valid(&mut rng) {
-            if !ev.is_seen(&p) {
-                return Some(p);
-            }
-        }
-    }
-    let fallback = costream_query::placement::colocate_on_strongest(nb.query(), nb.cluster());
-    if ev.is_seen(&fallback) {
-        None
-    } else {
-        Some(fallback)
-    }
-}
-
 /// The paper's baseline strategy (and the seed-era `optimize()` behavior):
 /// enumerate `budget` distinct random valid placements under the Fig. 5
 /// rules, score them all once, pick the best.
@@ -514,11 +370,7 @@ impl PlacementSearch for RandomEnumeration {
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let mut ev = Evaluator::new(problem, scorer, budget);
-        let nb = Neighborhood::new(problem.query, problem.cluster);
-        let candidates = enumerate_candidates_in(&nb, ev.budget, seed);
-        ev.score(candidates);
-        ev.finish()
+        search_one_query(self, problem, scorer, budget, seed)
     }
 }
 
@@ -557,56 +409,7 @@ impl PlacementSearch for BeamSearch {
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let mut ev = Evaluator::new(problem, scorer, budget);
-        let nb = Neighborhood::new(problem.query, problem.cluster);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xBEA3_5EA2_C4A6_1D07);
-        let width = self.width.max(1);
-
-        let n_seeds = ranking::seed_count(ev.budget, self.seed_share, width);
-        let seeds = enumerate_candidates_in(&nb, n_seeds, seed);
-        let scored = ev.score(seeds);
-        let mut beam = ev.top_of(scored, width);
-
-        let mut state = VisitState::empty();
-        let mut moves_buf: Vec<Move> = Vec::new();
-        let mut edit_buf: Vec<usize> = Vec::new();
-        while ev.remaining() > 0 {
-            let mut expansion: Vec<Placement> = Vec::new();
-            for &bi in &beam {
-                // Every entry is unseen and distinct within the round, so
-                // `score` takes exactly the first `remaining` and the search
-                // ends: what later members would add is never looked at.
-                if expansion.len() >= ev.remaining() {
-                    break;
-                }
-                let p = ev.evaluated[bi].placement.clone();
-                enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, &mut ev.stats);
-                moves_buf.shuffle(&mut rng);
-                let mut taken = 0usize;
-                for &mv in moves_buf.iter() {
-                    if taken >= self.expand.max(1) {
-                        break;
-                    }
-                    mv.apply_into(&p, &mut edit_buf);
-                    if ev.is_seen_slice(&edit_buf) || expansion.iter().any(|e| e.assignment() == edit_buf.as_slice()) {
-                        continue;
-                    }
-                    expansion.push(Placement::new(edit_buf.clone()));
-                    taken += 1;
-                }
-            }
-            if expansion.is_empty() {
-                break;
-            }
-            let scored = ev.score(expansion);
-            if scored.is_empty() {
-                break;
-            }
-            let mut pool = beam;
-            pool.extend(scored);
-            beam = ev.top_of(pool, width);
-        }
-        ev.finish()
+        search_one_query(self, problem, scorer, budget, seed)
     }
 }
 
@@ -642,81 +445,7 @@ impl PlacementSearch for LocalSearch {
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let mut ev = Evaluator::new(problem, scorer, budget);
-        let nb = Neighborhood::new(problem.query, problem.cluster);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15EA_2C4B_AD5E);
-        let sample = self.sample_size.max(1);
-        let mut restarts: u64 = 0;
-
-        // Exploration pool, drawn from the same seeded stream the
-        // baseline enumerates (the first pool member is therefore the
-        // "initial heuristic placement" of the other strategies too).
-        let n_seeds = ranking::seed_count(ev.budget, self.seed_share, 1);
-        let pool = enumerate_candidates_in(&nb, n_seeds, seed);
-        let mut pool_indices = ev.score(pool);
-        let Some(mut current) = ev.best_in(&pool_indices) else {
-            return ev.finish();
-        };
-        // Restart order: best pool members first.
-        pool_indices = ev.top_of(pool_indices, usize::MAX);
-        let mut next_pool = 0usize;
-        let mut expanded: HashSet<usize> = HashSet::new();
-
-        let mut state = VisitState::empty();
-        let mut moves_buf: Vec<Move> = Vec::new();
-        let mut edit_buf: Vec<usize> = Vec::new();
-        while ev.remaining() > 0 {
-            expanded.insert(current);
-            let p = ev.evaluated[current].placement.clone();
-            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, &mut ev.stats);
-            moves_buf.shuffle(&mut rng);
-            let mut candidates: Vec<Placement> = Vec::new();
-            for &mv in moves_buf.iter() {
-                if candidates.len() >= sample {
-                    break;
-                }
-                mv.apply_into(&p, &mut edit_buf);
-                if !ev.is_seen_slice(&edit_buf) {
-                    candidates.push(Placement::new(edit_buf.clone()));
-                }
-            }
-
-            let mut next: Option<usize> = None;
-            if !candidates.is_empty() {
-                let scored = ev.score(candidates);
-                if let Some(best) = ev.best_in(&scored) {
-                    if ev.better(best, current) {
-                        next = Some(best);
-                    }
-                }
-            }
-            match next {
-                Some(idx) => current = idx,
-                None => {
-                    // Local optimum (or neighborhood exhausted): restart
-                    // from the best unexpanded pool member, then from
-                    // fresh random placements once the pool is spent.
-                    while next_pool < pool_indices.len() && expanded.contains(&pool_indices[next_pool]) {
-                        next_pool += 1;
-                    }
-                    if next_pool < pool_indices.len() {
-                        current = pool_indices[next_pool];
-                        next_pool += 1;
-                        continue;
-                    }
-                    restarts += 1;
-                    let Some(p) = fresh_sample(&nb, &ev, seed, restarts) else {
-                        break;
-                    };
-                    let scored = ev.score(vec![p]);
-                    let Some(idx) = scored.first().copied() else {
-                        break;
-                    };
-                    current = idx;
-                }
-            }
-        }
-        ev.finish()
+        search_one_query(self, problem, scorer, budget, seed)
     }
 }
 
@@ -754,80 +483,13 @@ impl Default for SimulatedAnnealing {
     }
 }
 
-impl SimulatedAnnealing {
-    /// Whether the chain moves from candidate `current` to freshly scored
-    /// `cand` at temperature `temp` (see [`ranking::anneal_accepts`]).
-    fn accepts(ev: &Evaluator<'_>, current: usize, cand: usize, temp: f64, rng: &mut StdRng) -> bool {
-        ranking::anneal_accepts(
-            (Evaluator::viable(&ev.evaluated[current]), ev.key(current)),
-            (Evaluator::viable(&ev.evaluated[cand]), ev.key(cand)),
-            temp,
-            rng,
-        )
-    }
-}
-
 impl PlacementSearch for SimulatedAnnealing {
     fn name(&self) -> &'static str {
         "anneal"
     }
 
     fn search(&self, problem: &SearchProblem<'_>, scorer: &dyn Scorer, budget: usize, seed: u64) -> OptimizationResult {
-        let mut ev = Evaluator::new(problem, scorer, budget);
-        let nb = Neighborhood::new(problem.query, problem.cluster);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xA44E_A1E4_0C0A_57A7);
-
-        let n_seeds = ranking::seed_count(ev.budget, self.seed_share, 1);
-        let pool = enumerate_candidates_in(&nb, n_seeds, seed);
-        let scored = ev.score(pool);
-        let Some(mut current) = ev.best_in(&scored) else {
-            return ev.finish();
-        };
-
-        let mut temp = self.initial_temp.max(1e-6);
-        let mut restarts: u64 = 0;
-        let mut state = VisitState::empty();
-        let mut moves_buf: Vec<Move> = Vec::new();
-        let mut edit_buf: Vec<usize> = Vec::new();
-        while ev.remaining() > 0 {
-            let p = ev.evaluated[current].placement.clone();
-            enumerate_neighbors(&nb, &p, &mut state, &mut moves_buf, &mut ev.stats);
-            moves_buf.shuffle(&mut rng);
-            let mut next: Option<Placement> = None;
-            for &mv in moves_buf.iter() {
-                mv.apply_into(&p, &mut edit_buf);
-                if !ev.is_seen_slice(&edit_buf) {
-                    next = Some(Placement::new(edit_buf.clone()));
-                    break;
-                }
-            }
-            match next {
-                Some(np) => {
-                    let scored = ev.score(vec![np]);
-                    let Some(cand) = scored.first().copied() else {
-                        break;
-                    };
-                    if Self::accepts(&ev, current, cand, temp, &mut rng) {
-                        current = cand;
-                    }
-                }
-                None => {
-                    // Every neighbor already scored: restart the chain
-                    // from a fresh random placement.
-                    restarts += 1;
-                    let Some(p) = fresh_sample(&nb, &ev, seed, restarts) else {
-                        break;
-                    };
-                    let scored = ev.score(vec![p]);
-                    let Some(idx) = scored.first().copied() else {
-                        break;
-                    };
-                    current = idx;
-                }
-            }
-            temp = (temp * self.cooling.clamp(0.0, 1.0)).max(1e-4);
-        }
-        ev.finish()
+        search_one_query(self, problem, scorer, budget, seed)
     }
 }
 

@@ -162,3 +162,116 @@ fn joint_search_is_bitwise_deterministic_across_runs() {
         }
     }
 }
+
+/// Degenerate inputs through every entry of the search core — the four
+/// strategies as single-query and as joint searches, and `replan`: each
+/// returns a defined result (at least one candidate, a valid best, no more
+/// candidates than `budget.max(1)`) instead of panicking or spinning.
+#[test]
+fn degenerate_inputs_return_defined_results() {
+    use costream_query::builder::QueryBuilder;
+    use costream_query::datatypes::DataType;
+    use costream_query::generator::WorkloadGenerator;
+    use costream_query::selectivity::SelectivityEstimator;
+
+    let corpus = test_fixtures::corpus(60, 63);
+    let trio = test_fixtures::trio(&corpus, 2, 2);
+    let scorer = trio.scorer();
+
+    let mut g = WorkloadGenerator::new(64, FeatureRanges::training());
+    let typical: Vec<_> = (0..2).map(|_| g.query()).collect();
+    // The smallest query `Query::validate` admits: one source into the sink.
+    let smallest = vec![QueryBuilder::new().source(500.0, &[DataType::Int]).sink()];
+    let one_host = g.cluster(1);
+    let four_hosts = g.cluster(4);
+
+    // (label, queries, cluster, budget, seeds scored first by the joint runs)
+    let cases = [
+        ("one host", &typical, &one_host, 8usize, 0usize),
+        ("budget 0", &typical, &four_hosts, 0, 0),
+        ("smallest query", &smallest, &four_hosts, 8, 0),
+        ("more seeds than budget", &typical, &four_hosts, 2, 5),
+    ];
+    for (label, queries, cluster, budget, n_seeds) in cases {
+        let sels: Vec<Vec<f64>> = queries
+            .iter()
+            .map(|q| SelectivityEstimator::realistic(65).estimate_query(q))
+            .collect();
+        let jqs = JointQuery::zip(queries, &sels);
+        let problem = JointSearchProblem {
+            queries: &jqs,
+            cluster,
+            featurization: Featurization::Full,
+            interference: None,
+        };
+        let refs = problem.query_refs();
+        let seeds: Vec<JointPlacement> = RandomEnumeration
+            .search_joint(&problem, &scorer, n_seeds, 3)
+            .candidates
+            .into_iter()
+            .take(n_seeds)
+            .map(|c| c.placement)
+            .collect();
+        let cap = budget.max(1);
+
+        let singles: [&dyn PlacementSearch; 4] = [
+            &RandomEnumeration,
+            &BeamSearch::default(),
+            &LocalSearch::default(),
+            &SimulatedAnnealing::default(),
+        ];
+        let joints: [&dyn JointPlacementSearch; 4] = [
+            &RandomEnumeration,
+            &BeamSearch::default(),
+            &LocalSearch::default(),
+            &SimulatedAnnealing::default(),
+        ];
+        for (single, joint) in singles.into_iter().zip(joints) {
+            let ctx = format!("{label}: {}", joint.name());
+            let one = SearchProblem {
+                query: &queries[0],
+                cluster,
+                est_sels: &sels[0],
+                featurization: Featurization::Full,
+            };
+            let s = single.search(&one, &scorer, budget, 9);
+            assert!(
+                (1..=cap).contains(&s.candidates.len()),
+                "{ctx}: single scored {}",
+                s.candidates.len()
+            );
+            assert!(s.best.is_valid(&queries[0], cluster), "{ctx}: single best invalid");
+            assert!(
+                s.candidates.iter().any(|c| c.placement == s.best),
+                "{ctx}: single best unscored"
+            );
+
+            let j = joint.search_joint_seeded(&problem, &scorer, &seeds, budget, 9);
+            assert!(
+                (1..=cap).contains(&j.candidates.len()),
+                "{ctx}: joint scored {}",
+                j.candidates.len()
+            );
+            assert!(j.best.is_valid(&refs, cluster), "{ctx}: joint best invalid");
+            assert!(
+                j.candidates.iter().any(|c| c.placement == j.best),
+                "{ctx}: joint best unscored"
+            );
+            if let Some(first) = seeds.first() {
+                assert_eq!(&j.initial, first, "{ctx}: seeds are scored first");
+            }
+        }
+
+        let incumbent = RandomEnumeration.search_joint(&problem, &scorer, 1, 5).best;
+        let cfg = ReplanConfig {
+            budget,
+            ..ReplanConfig::default()
+        };
+        let o = replan(&problem, &scorer, &incumbent, &[], &cfg, 9).expect("every host is live");
+        assert!(o.plan.is_valid(&refs, cluster), "{label}: replan plan invalid");
+        assert_eq!(o.migrated, o.plan != incumbent, "{label}: replan migrated flag");
+        if budget == 0 {
+            assert_eq!(o.plan, incumbent, "{label}: a one-candidate replan stays put");
+        }
+    }
+}

@@ -9,7 +9,11 @@
 //! order — and the chosen plan into an FNV-1a digest. The values were
 //! recorded on the per-host enumeration and the filter-and-`choose` sampler
 //! that preceded host equivalence classes; a change that moves one means
-//! some search now walks differently.
+//! some search now walks differently. One implementation serves all three
+//! callers pinned here — single-query search is the joint search at one
+//! query, `replan` ranks through the same evaluator — and
+//! `single_query_search_is_the_joint_search_at_one_query` holds the
+//! single-query adapter to the one-query joint run.
 //!
 //! The scores come from a trained trio, so the digests belong to the
 //! `avx2+fma` kernel tier, like `train_digest.rs`.
@@ -150,6 +154,73 @@ fn single_query_streams_are_pinned() {
             ("anneal/256h/b16", 0xe50f7b8c40b85217),
         ],
     );
+}
+
+/// The identity the single-query adapter rests on: a one-query joint search
+/// and the `PlacementSearch` run score the same candidates, in the same
+/// order, with the same bits, return the same plan and count the same work.
+/// Structural, so it holds on every kernel tier.
+#[test]
+fn single_query_search_is_the_joint_search_at_one_query() {
+    let scorer = TRIO.scorer();
+    let (q, narrow, sels) = test_fixtures::workload(311, 8);
+    let wide = test_fixtures::wide_cluster(256);
+    let stream = |hosts: Vec<usize>, s: PlacementScores| {
+        (hosts, s.cost.to_bits(), s.success.to_bits(), s.backpressure.to_bits())
+    };
+    let counters = |s: &SearchStats| {
+        [
+            s.moves_generated,
+            s.moves_rejected,
+            s.candidates_scored,
+            s.score_batches,
+            s.max_batch,
+        ]
+    };
+    for (cluster, label) in [(&narrow, "8h"), (&wide, "256h")] {
+        let problem = SearchProblem {
+            query: &q,
+            cluster,
+            est_sels: &sels,
+            featurization: Featurization::Full,
+        };
+        let jqs = [JointQuery {
+            query: &q,
+            est_sels: &sels,
+        }];
+        let joint_problem = JointSearchProblem {
+            queries: &jqs,
+            cluster,
+            featurization: Featurization::Full,
+            interference: None,
+        };
+        for ((name, single), (_, joint)) in single_strategies().into_iter().zip(joint_strategies()) {
+            for budget in [1usize, 2, 16, 64] {
+                let ctx = format!("{name}/{label}/b{budget}");
+                let s = single.search(&problem, &scorer, budget, 23);
+                let j = joint.search_joint(&joint_problem, &scorer, budget, 23);
+                let s_stream: Vec<_> = s
+                    .candidates
+                    .iter()
+                    .map(|c| stream(c.placement.assignment().to_vec(), c.scores()))
+                    .collect();
+                let j_stream: Vec<_> = j
+                    .candidates
+                    .iter()
+                    .map(|c| stream(c.placement.flattened(), c.per_query[0]))
+                    .collect();
+                assert_eq!(s_stream, j_stream, "{ctx}: candidate streams");
+                assert_eq!(s.best.assignment(), j.best.flattened().as_slice(), "{ctx}: best");
+                assert_eq!(
+                    s.initial.assignment(),
+                    j.initial.flattened().as_slice(),
+                    "{ctx}: initial"
+                );
+                assert_eq!(s.all_filtered, j.all_filtered, "{ctx}: all_filtered");
+                assert_eq!(counters(&s.stats), counters(&j.stats), "{ctx}: counters");
+            }
+        }
+    }
 }
 
 fn joint_cases(cluster: &Cluster, label: &str, interference: Option<&InterferenceModel>) -> Vec<(String, u64)> {

@@ -68,6 +68,11 @@ impl JointPlacement {
         &self.per_query
     }
 
+    /// The per-query placements, by value.
+    pub fn into_placements(self) -> Vec<Placement> {
+        self.per_query
+    }
+
     /// Per-host operator occupancy across all queries (index = host id).
     pub fn occupancy(&self) -> &[usize] {
         &self.occupancy

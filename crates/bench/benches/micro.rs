@@ -200,9 +200,7 @@ fn bench_inference(c: &mut Criterion) {
 /// `ensemble_fused_batch64` is the CI-gated number; the acceptance
 /// criterion measures it against `ensemble_sequential_batch64` (the
 /// per-member loop the workers ran before fusion — expect ≥ 1.5x on one
-/// core). The opt-in int8 view is recorded alongside; it trades some
-/// time for weight footprint (weights dequantize on the fly into the
-/// f32 FMA kernel), so do not expect it to beat the exact fused path.
+/// core).
 fn bench_ensemble_fused(c: &mut Criterion) {
     let corpus = Corpus::generate(64, 13, FeatureRanges::training(), &SimConfig::default());
     let cfg = TrainConfig {
@@ -214,16 +212,12 @@ fn bench_ensemble_fused(c: &mut Criterion) {
     let refs: Vec<&JointGraph> = graphs.iter().collect();
     let plans = vec![ensemble.members()[0].model().plan(&refs)];
     let fused = ensemble.fused();
-    let int8 = ensemble.fused_calibrated(&plans);
     let mut arena = InferenceArena::new();
     c.bench_function("ensemble_sequential_batch64", |b| {
         b.iter(|| ensemble.predict_plans_arena(black_box(&plans), &mut arena))
     });
     c.bench_function("ensemble_fused_batch64", |b| {
         b.iter(|| fused.predict_plans_arena(black_box(&plans), &mut arena))
-    });
-    c.bench_function("ensemble_fused_int8_batch64", |b| {
-        b.iter(|| int8.predict_plans_arena(black_box(&plans), &mut arena))
     });
 }
 

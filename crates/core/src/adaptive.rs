@@ -9,10 +9,7 @@
 //! 1. each **epoch**, the running [`JointPlacement`] is simulated as a
 //!    **co-run** (via [`simulate_corun_with_drift`]) on the real
 //!    cluster — shared CPU water-fill, shared egress budgets, shared
-//!    heap — under the epoch's window of the [`DriftScenario`]. (Before
-//!    the co-run engine existed this was approximated per query on the
-//!    heuristic [`effective_cluster`](crate::joint::effective_cluster)
-//!    view; the simulator now measures multi-tenant physics directly.)
+//!    heap — under the epoch's window of the [`DriftScenario`].
 //!    A deploy-time calibration run of the same co-run in a drift-free
 //!    world flags **born-bad** plans — unhealthy before any drift, which
 //!    first-observation calibration would otherwise silently absorb;
@@ -312,11 +309,8 @@ fn run_loop(
 
     // One epoch's ground truth: the whole joint placement simulated as a
     // **co-run** on the real (drifting) cluster — shared CPU water-fill,
-    // shared egress budgets, shared heap. Before the co-run engine the
-    // loop approximated this per query on the heuristic
-    // [`effective_cluster`] view; the simulator now measures the
-    // multi-tenant physics directly, so observed truth no longer inherits
-    // the pricing heuristic's guesses. The observation is the summed
+    // shared egress budgets, shared heap — so observed truth does not
+    // inherit the pricing heuristic's guesses. The observation is the summed
     // per-query end-to-end latency (Definition 3: includes broker wait,
     // so drift absorbed as backlog growth stays visible), with a failed
     // query charged the whole epoch.

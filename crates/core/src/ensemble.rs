@@ -13,7 +13,7 @@
 //! the bitwise tests hold the production path to.
 
 use crate::dataset::{Corpus, CorpusItem};
-use crate::fused::{FusedEnsemble, Precision};
+use crate::fused::FusedEnsemble;
 use crate::graph::{Featurization, JointGraph};
 use crate::model::ModelConfig;
 use crate::plan::{BatchPlan, PlanCache};
@@ -129,29 +129,12 @@ impl Ensemble {
         combine_member_major(self.metric, per_member.len(), &flat)
     }
 
-    /// The member-fused inference view of this ensemble (exact f32
-    /// weights — bitwise identical to [`Ensemble::predict_plans_arena`],
-    /// see [`crate::fused`]), stacked on the first call and shared by
-    /// every later one.
+    /// The member-fused inference view of this ensemble (bitwise
+    /// identical to [`Ensemble::predict_plans_arena`], see
+    /// [`crate::fused`]), stacked on the first call and shared by every
+    /// later one.
     pub fn fused(&self) -> &FusedEnsemble {
-        self.fused.get_or_init(|| FusedEnsemble::build(self, Precision::Exact))
-    }
-
-    /// Builds the member-fused view at an explicit serving precision.
-    /// [`Precision::Int8`] trades bitwise identity for quantized weights;
-    /// it is opt-in and callers must gate it with a q-error check.
-    /// Prefer [`Ensemble::fused_calibrated`] when representative plans
-    /// are available — data-free rounding drifts much further.
-    pub fn fused_with_precision(&self, precision: Precision) -> FusedEnsemble {
-        FusedEnsemble::build(self, precision)
-    }
-
-    /// Builds an int8 fused view whose quantization is *calibrated*
-    /// against the activations the model produces on `plans` (greedy
-    /// data-aware rounding; see [`crate::fused`]). Still approximate —
-    /// gate behind a q-error bound like any int8 view.
-    pub fn fused_calibrated(&self, plans: &[BatchPlan]) -> FusedEnsemble {
-        FusedEnsemble::build_calibrated(self, plans)
+        self.fused.get_or_init(|| FusedEnsemble::build(self))
     }
 
     /// Combined prediction for corpus items.

@@ -959,31 +959,6 @@ impl JointPlacementSearch for SimulatedAnnealing {
 // Migration-aware re-placement (the runtime elasticity loop's search step)
 // ---------------------------------------------------------------------------
 
-/// The cluster query `q` *effectively* runs on under joint placement
-/// `jp`: hosts shared with co-resident queries are degraded to the
-/// query's rate-weighted proportional share of CPU, RAM and bandwidth —
-/// the same fallback contention model [`JointScorer`] prices candidates
-/// with. The adaptive controller simulates each query of a joint
-/// placement on this view, so simulated truth and model predictions
-/// disagree only where the model mispredicts, not because they assumed
-/// different hardware. Deliberately *not* the learned model: this is the
-/// truth proxy the learned model is judged against.
-pub fn effective_cluster(cluster: &Cluster, queries: &[&Query], jp: &JointPlacement, q: usize) -> Cluster {
-    assert_eq!(queries.len(), jp.len(), "one query per placement");
-    let loads: Vec<Vec<OpLoad>> = queries.iter().map(|query| profile_loads(query)).collect();
-    let occupancy = jp.occupancy();
-    let mut hosts: Vec<Host> = cluster.hosts().to_vec();
-    for h in jp.query(q).hosts_used() {
-        let own = jp.own_load(q, h);
-        let external = occupancy[h] - own;
-        if external > 0 {
-            let (own_loads, ext_loads) = resident_loads(&loads, jp, q, h);
-            hosts[h] = shrunk_host(cluster.host(h), rate_weighted_share(&own_loads, &ext_loads));
-        }
-    }
-    Cluster::new(hosts)
-}
-
 /// Models what moving operators between hosts costs at runtime: each
 /// moved operator pauses its subgraph for a fixed window plus the time
 /// to ship its state (windowed tuples, from the simulator's

@@ -77,12 +77,12 @@ pub mod prelude {
     };
     pub use crate::dataset::{Corpus, CorpusItem};
     pub use crate::ensemble::Ensemble;
-    pub use crate::fused::{int8_self_test, FusedEnsemble, Int8SelfTest, Precision};
+    pub use crate::fused::FusedEnsemble;
     pub use crate::graph::{Featurization, GraphTemplate, JointGraph};
     pub use crate::interference::{proportional_inflation, rate_weighted_share, InterferenceModel, INTERFERENCE_DIM};
     pub use crate::joint::{
-        effective_cluster, replan, JointCandidateEvaluation, JointOptimizationResult, JointPlacementSearch, JointQuery,
-        JointScorer, JointSearchProblem, MigrationCostModel, ReplanConfig, ReplanError, ReplanOutcome,
+        replan, JointCandidateEvaluation, JointOptimizationResult, JointPlacementSearch, JointQuery, JointScorer,
+        JointSearchProblem, MigrationCostModel, ReplanConfig, ReplanError, ReplanOutcome,
     };
     pub use crate::model::{GnnModel, ModelConfig, Scheme};
     pub use crate::optimizer::{enumerate_candidates, OptimizationResult, PlacementOptimizer};

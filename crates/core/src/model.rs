@@ -275,10 +275,9 @@ impl GnnModel {
     /// Runs on the tape-free fast path, chunked and fanned out like every
     /// other inference entry point ([`map_spans`]).
     pub fn predict_raw(&self, graphs: &[&JointGraph]) -> Vec<f32> {
-        let chunk = inference_chunk();
-        map_spans(graphs, chunk, |span| {
+        map_spans(graphs, |span| {
             let mut arena = InferenceArena::new();
-            span.chunks(chunk)
+            span.chunks(INFERENCE_CHUNK)
                 .flat_map(|c| self.forward_inference(&self.plan(c), &mut arena))
                 .collect()
         })
@@ -353,73 +352,21 @@ impl WaveSpec for WavePlan {
 /// serving layer chunks its coalesced batches at the same width so served
 /// results are bitwise identical to the direct prediction path.
 ///
-/// This is the *default*; [`inference_chunk`] lets wider runners override
-/// it per process via `COSTREAM_INFERENCE_CHUNK`. Per-graph predictions
-/// are bitwise independent of how graphs are chunked into batches (graphs
-/// only interact through per-graph segment sums), so sweeping the chunk
-/// size changes throughput, never results.
+/// Per-graph predictions are bitwise independent of how graphs are
+/// chunked into batches (graphs only interact through per-graph segment
+/// sums), so the width sets throughput, never results.
 pub const INFERENCE_CHUNK: usize = 64;
 
-/// An invalid `COSTREAM_INFERENCE_CHUNK` setting.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ChunkConfigError {
-    /// A chunk size of zero would make chunked iteration diverge.
-    Zero,
-    /// The value did not parse as an unsigned integer.
-    Invalid(String),
-}
-
-impl std::fmt::Display for ChunkConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChunkConfigError::Zero => write!(f, "chunk size must be at least 1"),
-            ChunkConfigError::Invalid(v) => write!(f, "not an unsigned integer: {v:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ChunkConfigError {}
-
-/// Parses an inference chunk-size override. `None` (variable unset) means
-/// the [`INFERENCE_CHUNK`] default; `Some` must be a positive integer.
-pub fn parse_inference_chunk(raw: Option<&str>) -> Result<usize, ChunkConfigError> {
-    match raw {
-        None => Ok(INFERENCE_CHUNK),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(0) => Err(ChunkConfigError::Zero),
-            Ok(n) => Ok(n),
-            Err(_) => Err(ChunkConfigError::Invalid(v.to_string())),
-        },
-    }
-}
-
-/// The effective graphs-per-chunk width: `COSTREAM_INFERENCE_CHUNK` when
-/// set and valid, [`INFERENCE_CHUNK`] otherwise (invalid settings warn on
-/// stderr rather than aborting a serving process).
-pub fn inference_chunk() -> usize {
-    let raw = std::env::var("COSTREAM_INFERENCE_CHUNK").ok();
-    match parse_inference_chunk(raw.as_deref()) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("warning: ignoring COSTREAM_INFERENCE_CHUNK: {e}");
-            INFERENCE_CHUNK
-        }
-    }
-}
-
-/// Scores `graphs` in `chunk`-wide plans, `score` taking a *span* (a whole
-/// number of chunks) at a time. At most one chunk — every round of a
+/// Scores `graphs` in [`INFERENCE_CHUNK`]-wide plans, `score` taking a
+/// *span* (a whole number of chunks) at a time. At most one chunk — every round of a
 /// placement search — runs inline, without even asking for the core count;
 /// more are dealt to the workers in contiguous, evenly sized spans.
-pub(crate) fn map_spans<T: Send>(
-    graphs: &[&JointGraph],
-    chunk: usize,
-    score: impl Fn(&[&JointGraph]) -> Vec<T> + Sync,
-) -> Vec<T> {
-    if graphs.len() <= chunk {
+pub(crate) fn map_spans<T: Send>(graphs: &[&JointGraph], score: impl Fn(&[&JointGraph]) -> Vec<T> + Sync) -> Vec<T> {
+    if graphs.len() <= INFERENCE_CHUNK {
         return score(graphs);
     }
-    let span = graphs.len().div_ceil(chunk).div_ceil(rayon::current_num_threads()) * chunk;
+    let chunks = graphs.len().div_ceil(INFERENCE_CHUNK);
+    let span = chunks.div_ceil(rayon::current_num_threads()) * INFERENCE_CHUNK;
     let per_span: Vec<Vec<T>> = graphs.par_chunks(span).map(&score).collect();
     per_span.into_iter().flatten().collect()
 }

@@ -37,7 +37,7 @@
 use crate::ensemble::Ensemble;
 use crate::graph::{Featurization, JointGraph};
 use crate::joint::{JointPlacementSearch, JointQuery, JointSearchProblem};
-use crate::model::{inference_chunk, map_spans};
+use crate::model::{map_spans, INFERENCE_CHUNK};
 use crate::optimizer::{CandidateEvaluation, OptimizationResult};
 use crate::plan::BatchPlan;
 use costream_dsps::CostMetric;
@@ -145,8 +145,6 @@ pub trait Scorer: Sync {
 pub struct EnsembleScorer<'a> {
     /// Target, success and backpressure ensembles, in that order.
     trio: [&'a Ensemble; 3],
-    /// Graphs per chunk plan, resolved once rather than per batch.
-    chunk: usize,
     /// Warm arenas, one per caller ever inside `score_batch` at once;
     /// locked to pop or push one, never across a forward pass.
     arenas: Mutex<Vec<InferenceArena>>,
@@ -175,7 +173,6 @@ impl<'a> EnsembleScorer<'a> {
         );
         EnsembleScorer {
             trio,
-            chunk: inference_chunk(),
             arenas: Mutex::new(Vec::new()),
         }
     }
@@ -198,10 +195,10 @@ impl Scorer for EnsembleScorer<'_> {
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores> {
         let cfg = self.trio[0].model_config();
         let refs: Vec<&JointGraph> = graphs.iter().collect();
-        map_spans(&refs, self.chunk, |span| {
+        map_spans(&refs, |span| {
             let mut arena = self.arenas().pop().unwrap_or_default();
             let plans: Vec<BatchPlan> = span
-                .chunks(self.chunk)
+                .chunks(INFERENCE_CHUNK)
                 .map(|c| BatchPlan::build(c, cfg.scheme, cfg.traditional_rounds))
                 .collect();
             let [cost, success, backpressure] = self.trio.map(|e| e.fused().predict_plans_arena(&plans, &mut arena));

@@ -30,25 +30,6 @@
 //!    heads could cross the SIMD threshold and change rounding (FMA
 //!    contracts one rounding step).
 //!
-//! Splitting a layer's reduction into column *sections* (the updater's
-//! `[Σ_children ‖ own]` input keeps the two halves in separate member
-//! blocks) is also exact: the f32 store/load of the partial accumulator
-//! between the two accumulating kernel calls does not round.
-//!
-//! # Quantized views
-//!
-//! [`StackedLinear::stack`] with [`WeightPrecision::Int8`] stores
-//! symmetric int8-quantized weights with a **per-output-channel** scale
-//! (`max_r |w[r, c]| / 127` per member per column — a per-tensor scale
-//! lets one outlier channel blow up every other channel's step size,
-//! which exponentiates into unbounded q-error through the log-space
-//! denormalization). Compute stays f32: the working weight copy holds
-//! the *integer-valued* dequantized weights, products accumulate exactly
-//! in f32 (integers up to 2^24 are exact), and the channel's scale is
-//! applied once per output element in the epilogue, before bias and
-//! ReLU. This path trades bitwise identity for an error bound — callers
-//! gate it with a q-error test against the exact path.
-//!
 //! # Serving fast path
 //!
 //! [`StackedMlp::forward_into`] is the serving entry point: it runs each
@@ -69,152 +50,14 @@ use crate::tensor::{
     FusedLayer, Tensor,
 };
 
-/// Numeric representation of the stacked weights.
+/// Numeric representation of the stacked weights: bit-exact f32 copies.
+// One variant, kept only because `benchmark/src/layers.rs` passes
+// `WeightPrecision::Exact` to `StackedMlp::stack` and only a `[benchmark]`
+// PR may edit that file; it goes with that argument.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WeightPrecision {
     /// Bit-exact f32 copies of the members' weights.
     Exact,
-    /// Per-output-channel symmetric int8 weight quantization (f32
-    /// accumulate, scale applied at the layer epilogue).
-    Int8,
-}
-
-/// Activation samples captured for one layer by
-/// [`StackedMlp::forward_observing`]: row-major `[rows, width]` copies
-/// of the layer's input (`width` is the per-member input width for a
-/// shared-input first layer, `k * in_w` member-major otherwise), capped
-/// at the parent [`MlpObs`]'s row budget.
-#[derive(Clone, Debug, Default)]
-pub struct LayerObs {
-    /// Columns per captured row.
-    pub width: usize,
-    /// Captured row count (bounded by the cap).
-    pub rows: usize,
-    /// `rows * width` values, row-major.
-    pub data: Vec<f32>,
-}
-
-/// Per-layer input-activation observations for one stacked MLP, used to
-/// calibrate int8 quantization ([`StackedMlp::stack_calibrated`]).
-/// Collect by running representative inputs through the *exact* view's
-/// [`StackedMlp::forward_observing`].
-#[derive(Clone, Debug)]
-pub struct MlpObs {
-    /// One entry per MLP layer (input side), grown lazily.
-    pub layers: Vec<LayerObs>,
-    cap: usize,
-}
-
-impl MlpObs {
-    /// An empty observation set keeping at most `cap` rows per layer.
-    pub fn new(cap: usize) -> Self {
-        MlpObs {
-            layers: Vec::new(),
-            cap,
-        }
-    }
-
-    /// Appends layer `li`'s input rows (physical rows `rows` of `src`
-    /// when given) until the row budget is exhausted.
-    fn observe(&mut self, li: usize, src: &Tensor, rows: Option<&[usize]>) {
-        while self.layers.len() <= li {
-            self.layers.push(LayerObs::default());
-        }
-        let lo = &mut self.layers[li];
-        let width = src.cols();
-        if lo.rows == 0 {
-            lo.width = width;
-        } else {
-            debug_assert_eq!(lo.width, width, "layer observed at two widths");
-        }
-        let m = rows.map_or(src.rows(), <[usize]>::len);
-        for i in 0..m {
-            if lo.rows >= self.cap {
-                return;
-            }
-            let off = rows.map_or(i, |r| r[i]) * width;
-            lo.data.extend_from_slice(&src.data()[off..off + width]);
-            lo.rows += 1;
-        }
-    }
-}
-
-/// Data-free int8 rounding with per-column error feedback: the running
-/// rounding residual along the input dimension is carried into the next
-/// row's decision, so each column's quantization error is noise-shaped
-/// to (near-)zero mean. Post-ReLU activations are non-negative, which
-/// makes a *biased* per-column error add up coherently across the
-/// reduction — killing the DC component is worth far more than the
-/// per-weight rounding optimum.
-fn quantize_error_feedback(mw: &Tensor, ch_scale: &[f32]) -> Vec<i8> {
-    let (in_w, out_w) = (mw.rows(), mw.cols());
-    let mut q = vec![0i8; in_w * out_w];
-    let mut carry = vec![0.0f32; out_w];
-    for r in 0..in_w {
-        for c in 0..out_w {
-            let v = mw.get(r, c) + carry[c];
-            let qi = (v / ch_scale[c]).round().clamp(-127.0, 127.0) as i8;
-            carry[c] = v - qi as f32 * ch_scale[c];
-            q[r * out_w + c] = qi;
-        }
-    }
-    q
-}
-
-/// Greedy data-aware int8 rounding (GPFQ-style): for each output
-/// channel, rows are quantized in order while a residual vector over the
-/// calibration samples tracks the accumulated output error
-/// `u = Σ_j (w_j - q_j·s) x_j`; each row's level is chosen to minimize
-/// `‖u + (w_r - q_r·s) x_r‖₂` on the samples. This aligns the
-/// quantization error to be (near-)orthogonal to the activations the
-/// layer actually sees — both the mean *and* the sample-correlated error
-/// components shrink, which data-free rounding cannot do.
-fn quantize_calibrated(mw: &Tensor, ch_scale: &[f32], lo: &LayerObs, member: usize) -> Vec<i8> {
-    let (in_w, out_w) = (mw.rows(), mw.cols());
-    let (n, width) = (lo.rows, lo.width);
-    // Shared-input captures hold one `in_w` block; member-major captures
-    // hold `k` of them — pick this member's window.
-    let xoff = if width == in_w { 0 } else { member * in_w };
-    debug_assert!(xoff + in_w <= width, "calibration width mismatch");
-    // Transpose this member's samples to per-channel columns.
-    let xt: Vec<Vec<f32>> = (0..in_w)
-        .map(|r| (0..n).map(|i| lo.data[i * width + xoff + r]).collect())
-        .collect();
-    let xx: Vec<f32> = xt.iter().map(|x| x.iter().map(|v| v * v).sum()).collect();
-    let mut q = vec![0i8; in_w * out_w];
-    let mut u = vec![0.0f32; n];
-    for c in 0..out_w {
-        u.iter_mut().for_each(|v| *v = 0.0);
-        let s = ch_scale[c];
-        for r in 0..in_w {
-            let wv = mw.get(r, c);
-            let x = &xt[r];
-            let plain = (wv / s).round().clamp(-127.0, 127.0);
-            if xx[r] > 0.0 {
-                let dot: f32 = u.iter().zip(x).map(|(a, b)| a * b).sum();
-                // Clamp to one level around plain rounding: the greedy
-                // fit sees only the calibration subspace, and with fewer
-                // samples than input channels an unconstrained fit can
-                // trade unbounded off-sample error for in-sample gains.
-                // One level is enough to cancel the correlated error
-                // component while capping any weight's deviation at
-                // 1.5 steps.
-                let qi = ((wv + dot / xx[r]) / s)
-                    .round()
-                    .clamp((plain - 1.0).max(-127.0), (plain + 1.0).min(127.0)) as i8;
-                let d = wv - qi as f32 * s;
-                for (ui, &xi) in u.iter_mut().zip(x) {
-                    *ui += d * xi;
-                }
-                q[r * out_w + c] = qi;
-            } else {
-                // Channel never fires on the calibration set: its error
-                // is invisible to the residual — round it plainly.
-                q[r * out_w + c] = plain as i8;
-            }
-        }
-    }
-    q
 }
 
 /// `k` members' [`Linear`] layers stacked column-wise into one tensor.
@@ -227,13 +70,6 @@ pub struct StackedLinear {
     w: Tensor,
     /// `[1, k*out_w]`.
     b: Tensor,
-    /// Per-output-channel dequantization scales, `k*out_w` entries
-    /// aligned with the bias layout ([`WeightPrecision::Int8`] only).
-    scales: Option<Vec<f32>>,
-    /// The int8 weights themselves (member-major, each `in_w * out_w`),
-    /// kept as the quantized source of truth (footprint accounting, and
-    /// what an integer GEMM would consume).
-    qweights: Option<Vec<i8>>,
 }
 
 impl StackedLinear {
@@ -242,22 +78,13 @@ impl StackedLinear {
     ///
     /// # Panics
     /// Panics when `members` is empty or shapes disagree.
-    pub fn stack(members: &[(&ParamStore, &Linear)], precision: WeightPrecision) -> Self {
-        Self::stack_inner(members, precision, None)
-    }
-
-    /// Shared stacking body. `calib`, when given (int8 only), switches
-    /// quantization from data-free error-feedback rounding to greedy
-    /// data-aware rounding against the captured input samples.
-    fn stack_inner(members: &[(&ParamStore, &Linear)], precision: WeightPrecision, calib: Option<&LayerObs>) -> Self {
+    pub fn stack(members: &[(&ParamStore, &Linear)], _precision: WeightPrecision) -> Self {
         assert!(!members.is_empty(), "stacking zero members");
         let k = members.len();
         let (in_w, out_w) = (members[0].1.in_dim(), members[0].1.out_dim());
         let wide = k * out_w;
         let mut w = Tensor::zeros(in_w, wide);
         let mut b = Tensor::zeros(1, wide);
-        let mut scales = Vec::with_capacity(k * out_w);
-        let mut qweights = Vec::with_capacity(k * in_w * out_w);
         for (m, (store, layer)) in members.iter().enumerate() {
             assert_eq!(
                 (layer.in_dim(), layer.out_dim()),
@@ -266,65 +93,16 @@ impl StackedLinear {
             );
             let mw = store.value(layer.weight_id());
             let mb = store.value(layer.bias_id());
-            match precision {
-                WeightPrecision::Exact => {
-                    for r in 0..in_w {
-                        for c in 0..out_w {
-                            w.set(r, m * out_w + c, mw.get(r, c));
-                        }
-                    }
-                }
-                WeightPrecision::Int8 => {
-                    // One symmetric scale per *output channel*: column
-                    // `c`'s step size depends only on that column's own
-                    // weight range (a per-tensor scale lets one outlier
-                    // channel coarsen every other channel's step).
-                    let ch_scale: Vec<f32> = (0..out_w)
-                        .map(|c| {
-                            let max = (0..in_w).fold(0.0f32, |acc, r| acc.max(mw.get(r, c).abs()));
-                            if max > 0.0 {
-                                max / 127.0
-                            } else {
-                                1.0
-                            }
-                        })
-                        .collect();
-                    let qm = match calib {
-                        Some(lo) => quantize_calibrated(mw, &ch_scale, lo, m),
-                        None => quantize_error_feedback(mw, &ch_scale),
-                    };
-                    for r in 0..in_w {
-                        for c in 0..out_w {
-                            let qv = qm[r * out_w + c];
-                            qweights.push(qv);
-                            // The working weight copy holds the
-                            // integer-valued dequantized weights; the
-                            // scale applies at the epilogue.
-                            w.set(r, m * out_w + c, qv as f32);
-                        }
-                    }
-                    scales.extend_from_slice(&ch_scale);
+            for r in 0..in_w {
+                for c in 0..out_w {
+                    w.set(r, m * out_w + c, mw.get(r, c));
                 }
             }
-            // Biases stay exact in both precisions (they are `out_w`
-            // scalars per member — quantizing them buys nothing).
             for c in 0..out_w {
                 b.set(0, m * out_w + c, mb.get(0, c));
             }
         }
-        let (scales, qweights) = match precision {
-            WeightPrecision::Exact => (None, None),
-            WeightPrecision::Int8 => (Some(scales), Some(qweights)),
-        };
-        StackedLinear {
-            k,
-            in_w,
-            out_w,
-            w,
-            b,
-            scales,
-            qweights,
-        }
+        StackedLinear { k, in_w, out_w, w, b }
     }
 
     /// Member count.
@@ -340,12 +118,6 @@ impl StackedLinear {
     /// Per-member output width.
     pub fn out_w(&self) -> usize {
         self.out_w
-    }
-
-    /// Bytes the int8 weights occupy (0 for exact views) — the serving
-    /// footprint an integer GEMM backend would load.
-    pub fn quantized_bytes(&self) -> usize {
-        self.qweights.as_ref().map_or(0, Vec::len)
     }
 
     /// Wide affine map over a *shared* input: every member reads the same
@@ -389,44 +161,29 @@ impl StackedLinear {
     }
 
     /// Member-blocked affine map: `x` is `[rows, k*in_w]` member-major.
-    /// `sections > 1` declares that each member's `in_w` input columns
-    /// are split into `sections` equal slices living in *separate*
-    /// member-major blocks: section `s` of member `m` sits at column
-    /// `s*k*(in_w/sections) + m*(in_w/sections)`. The updater first layer
-    /// uses `sections = 2` for its `[Σ_children_all ‖ own_all]` input.
-    ///
-    /// Runs one `n = out_w` strided kernel call per member per section
-    /// (accumulating across sections), so the dispatch tier and the
-    /// per-element accumulation order match a sequential per-member call
-    /// exactly.
-    pub fn forward_stacked(&self, arena: &mut InferenceArena, x: &Tensor, sections: usize, relu: bool) -> Tensor {
+    /// Runs one `n = out_w` strided kernel call per member, so the
+    /// dispatch tier and the per-element accumulation order match a
+    /// sequential per-member call exactly.
+    pub fn forward_stacked(&self, arena: &mut InferenceArena, x: &Tensor, relu: bool) -> Tensor {
         assert_eq!(x.cols(), self.k * self.in_w, "stacked input width mismatch");
-        assert!(
-            sections > 0 && self.in_w.is_multiple_of(sections),
-            "sections must divide in_w"
-        );
-        let sec_w = self.in_w / sections;
         let wide = self.k * self.out_w;
         let rows = x.rows();
         let mut out = arena.alloc_zeroed(rows, wide);
         for m in 0..self.k {
-            for s in 0..sections {
-                let a_off = s * self.k * sec_w + m * sec_w;
-                let b_off = (s * sec_w) * wide + m * self.out_w;
-                let o_off = m * self.out_w;
-                matmul_accumulate_strided(
-                    &x.data()[a_off..],
-                    x.cols(),
-                    1,
-                    rows,
-                    sec_w,
-                    &self.w.data()[b_off..],
-                    wide,
-                    self.out_w,
-                    &mut out.data_mut()[o_off..],
-                    wide,
-                );
-            }
+            let a_off = m * self.in_w;
+            let o_off = m * self.out_w;
+            matmul_accumulate_strided(
+                &x.data()[a_off..],
+                x.cols(),
+                1,
+                rows,
+                self.in_w,
+                &self.w.data()[o_off..],
+                wide,
+                self.out_w,
+                &mut out.data_mut()[o_off..],
+                wide,
+            );
         }
         self.epilogue(&mut out, relu);
         out
@@ -491,7 +248,6 @@ impl StackedLinear {
                         b_rs: wide,
                         n: wide,
                         bias: self.b.data(),
-                        scale: self.scales.as_deref(),
                         relu,
                         out_rs,
                         out_rows,
@@ -511,10 +267,6 @@ impl StackedLinear {
                             b_rs: wide,
                             n: self.out_w,
                             bias: &self.b.data()[mi * self.out_w..(mi + 1) * self.out_w],
-                            scale: self
-                                .scales
-                                .as_deref()
-                                .map(|s| &s[mi * self.out_w..(mi + 1) * self.out_w]),
                             relu,
                             out_rs,
                             out_rows,
@@ -535,7 +287,7 @@ impl StackedLinear {
         let tmp = if shared {
             self.forward_shared(arena, x, relu)
         } else {
-            self.forward_stacked(arena, x, 1, relu)
+            self.forward_stacked(arena, x, relu)
         };
         match out_rows {
             Some(rows) => out.scatter_copy_rows(&tmp, rows),
@@ -547,34 +299,20 @@ impl StackedLinear {
         }
     }
 
-    /// Bias (+ReLU) epilogue; the int8 view applies the per-channel
-    /// dequantization scale first. The exact path performs the identical
-    /// per-element operations as [`Tensor::affine_into`]'s tail.
+    /// Bias (+ReLU) epilogue: the identical per-element operations as
+    /// [`Tensor::affine_into`]'s tail.
     fn epilogue(&self, out: &mut Tensor, relu: bool) {
         let wide = self.k * self.out_w;
         let bias = self.b.data();
-        match &self.scales {
-            None => {
-                for r in 0..out.rows() {
-                    let row = &mut out.data_mut()[r * wide..(r + 1) * wide];
-                    if relu {
-                        for (o, &b) in row.iter_mut().zip(bias) {
-                            *o = (*o + b).max(0.0);
-                        }
-                    } else {
-                        for (o, &b) in row.iter_mut().zip(bias) {
-                            *o += b;
-                        }
-                    }
+        for r in 0..out.rows() {
+            let row = &mut out.data_mut()[r * wide..(r + 1) * wide];
+            if relu {
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o = (*o + b).max(0.0);
                 }
-            }
-            Some(scales) => {
-                for r in 0..out.rows() {
-                    let row = &mut out.data_mut()[r * wide..(r + 1) * wide];
-                    for ((o, &s), &b) in row.iter_mut().zip(scales).zip(bias) {
-                        let v = *o * s + b;
-                        *o = if relu { v.max(0.0) } else { v };
-                    }
+            } else {
+                for (o, &b) in row.iter_mut().zip(bias) {
+                    *o += b;
                 }
             }
         }
@@ -593,66 +331,19 @@ impl StackedMlp {
     /// # Panics
     /// Panics when `members` is empty or layer counts/shapes disagree.
     pub fn stack(members: &[(&ParamStore, &Mlp)], precision: WeightPrecision) -> Self {
-        Self::stack_calibrated(members, precision, None)
-    }
-
-    /// Like [`StackedMlp::stack`], but quantizing against captured
-    /// activation samples (see [`MlpObs`]): each layer whose calibration
-    /// inputs are non-empty uses greedy data-aware rounding instead of
-    /// data-free error-feedback rounding. No-op at
-    /// [`WeightPrecision::Exact`].
-    ///
-    /// Calibration is *progressive within the MLP*: only the first
-    /// layer's captured inputs are used directly; each subsequent
-    /// layer's calibration inputs are produced by forwarding those
-    /// samples through the **already-quantized** preceding layers, so
-    /// every layer is rounded against the activations it will actually
-    /// see at serve time (not the exact model's).
-    pub fn stack_calibrated(members: &[(&ParamStore, &Mlp)], precision: WeightPrecision, obs: Option<&MlpObs>) -> Self {
         assert!(!members.is_empty(), "stacking zero members");
         let depth = members[0].1.layers().len();
         assert!(
             members.iter().all(|(_, m)| m.layers().len() == depth),
             "member MLP depth mismatch"
         );
-        let per_layer =
-            |l: usize| -> Vec<(&ParamStore, &Linear)> { members.iter().map(|(s, m)| (*s, &m.layers()[l])).collect() };
-        let seed = obs
-            .filter(|_| precision == WeightPrecision::Int8)
-            .and_then(|o| o.layers.first())
-            .filter(|lo| lo.rows > 0);
-        let Some(first) = seed else {
-            // No usable calibration: per-layer data-free stacking.
-            let layers = (0..depth)
-                .map(|l| StackedLinear::stack_inner(&per_layer(l), precision, None))
-                .collect();
-            return StackedMlp { layers };
-        };
-        let mut arena = InferenceArena::new();
-        let mut layers: Vec<StackedLinear> = Vec::with_capacity(depth);
-        let mut cal = Tensor::from_vec(first.rows, first.width, first.data.clone());
-        for l in 0..depth {
-            let pm = per_layer(l);
-            let lo = LayerObs {
-                width: cal.cols(),
-                rows: cal.rows(),
-                data: cal.data().to_vec(),
-            };
-            let sl = StackedLinear::stack_inner(&pm, precision, Some(&lo));
-            if l + 1 < depth {
-                // Shared-width inputs take the wide shared kernel; the
-                // output is member-major either way. Hidden layers are
-                // always ReLU-activated.
-                let next = if cal.cols() == sl.in_w() {
-                    sl.forward_shared(&mut arena, &cal, true)
-                } else {
-                    sl.forward_stacked(&mut arena, &cal, 1, true)
-                };
-                arena.recycle(cal);
-                cal = next;
-            }
-            layers.push(sl);
-        }
+        let layers = (0..depth)
+            .map(|l| {
+                let per_layer: Vec<(&ParamStore, &Linear)> =
+                    members.iter().map(|(s, m)| (*s, &m.layers()[l])).collect();
+                StackedLinear::stack(&per_layer, precision)
+            })
+            .collect();
         StackedMlp { layers }
     }
 
@@ -666,11 +357,6 @@ impl StackedMlp {
         self.layers.last().expect("non-empty").out_w()
     }
 
-    /// Total bytes of int8 weights across layers (0 for exact views).
-    pub fn quantized_bytes(&self) -> usize {
-        self.layers.iter().map(StackedLinear::quantized_bytes).sum()
-    }
-
     /// Forward pass over a *shared* input (first layer wide, subsequent
     /// layers member-blocked). Mirrors `Mlp::forward_inference` per
     /// member: ReLU on all but the last layer, intermediates recycled.
@@ -678,20 +364,7 @@ impl StackedMlp {
         let last = self.layers.len() - 1;
         let mut cur = self.layers[0].forward_shared(arena, x, last != 0);
         for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let next = layer.forward_stacked(arena, &cur, 1, i != last);
-            arena.recycle(cur);
-            cur = next;
-        }
-        cur
-    }
-
-    /// Forward pass over a member-major stacked input; `first_sections`
-    /// is forwarded to the first layer's [`StackedLinear::forward_stacked`].
-    pub fn forward_stacked(&self, arena: &mut InferenceArena, x: &Tensor, first_sections: usize) -> Tensor {
-        let last = self.layers.len() - 1;
-        let mut cur = self.layers[0].forward_stacked(arena, x, first_sections, last != 0);
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let next = layer.forward_stacked(arena, &cur, 1, i != last);
+            let next = layer.forward_stacked(arena, &cur, i != last);
             arena.recycle(cur);
             cur = next;
         }
@@ -710,7 +383,7 @@ impl StackedMlp {
     /// those physical rows of `x` without materializing the gather
     /// (`m = x_rows.len()`).
     ///
-    /// At exact precision the result is bitwise identical to gathering
+    /// The result is bitwise identical to gathering
     /// `x_rows`, running each member's `Mlp::forward_inference`, and
     /// scatter-copying into `dst` — with none of those passes actually
     /// executed (see [`StackedLinear::forward_layer`]).
@@ -723,38 +396,6 @@ impl StackedMlp {
         dst: &mut Tensor,
         dst_rows: Option<&[usize]>,
     ) {
-        self.forward_into_inner(arena, x, shared_input, x_rows, dst, dst_rows, None);
-    }
-
-    /// [`StackedMlp::forward_into`] plus activation capture: each layer's
-    /// input rows are appended to `obs` before the layer runs. Used to
-    /// collect quantization calibration samples from the exact view
-    /// (see [`StackedMlp::stack_calibrated`]); not a hot-path method.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_observing(
-        &self,
-        arena: &mut InferenceArena,
-        x: &Tensor,
-        shared_input: bool,
-        x_rows: Option<&[usize]>,
-        dst: &mut Tensor,
-        dst_rows: Option<&[usize]>,
-        obs: &mut MlpObs,
-    ) {
-        self.forward_into_inner(arena, x, shared_input, x_rows, dst, dst_rows, Some(obs));
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn forward_into_inner(
-        &self,
-        arena: &mut InferenceArena,
-        x: &Tensor,
-        shared_input: bool,
-        x_rows: Option<&[usize]>,
-        dst: &mut Tensor,
-        dst_rows: Option<&[usize]>,
-        mut obs: Option<&mut MlpObs>,
-    ) {
         let last = self.layers.len() - 1;
         let m = x_rows.map_or(x.rows(), <[usize]>::len);
         let mut cur: Option<Tensor> = None;
@@ -764,9 +405,6 @@ impl StackedMlp {
                 None => (x, shared_input, x_rows),
                 Some(c) => (c, false, None),
             };
-            if let Some(o) = obs.as_deref_mut() {
-                o.observe(li, src, rows);
-            }
             if li == last {
                 layer.forward_layer(arena, src, shared, rows, relu, dst, dst_rows);
             } else {
@@ -849,7 +487,7 @@ mod tests {
                 }
             }
             for relu in [false, true] {
-                let fused = stacked.forward_stacked(&mut arena, &x, 1, relu);
+                let fused = stacked.forward_stacked(&mut arena, &x, relu);
                 for (m, (store, layer)) in ms.iter().enumerate() {
                     let seq = layer.forward_inference(&mut arena, store, &per_member_x[m], relu);
                     for r in 0..rows {
@@ -903,47 +541,6 @@ mod tests {
         }
     }
 
-    /// Splitting the reduction into two member-major sections (the
-    /// updater-input layout) must be bitwise-exact: the f32 partial
-    /// accumulator store between the section calls does not round.
-    #[test]
-    fn sectioned_input_bitwise_matches_contiguous() {
-        let (k, in_w, out_w, rows) = (3, 16, 48, 12);
-        let ms = members(k, in_w, out_w);
-        let refs: Vec<(&ParamStore, &Linear)> = ms.iter().map(|(s, l)| (s, l)).collect();
-        let stacked = StackedLinear::stack(&refs, WeightPrecision::Exact);
-        let mut arena = InferenceArena::new();
-        let half = in_w / 2;
-
-        // Per-member contiguous inputs, and the same values laid out as
-        // two member-major section blocks [S0_all | S1_all].
-        let per_member_x: Vec<Tensor> = (0..k).map(|m| pseudo_random(rows, in_w, 40 + m as u64)).collect();
-        let mut sectioned = Tensor::zeros(rows, k * in_w);
-        for (m, xm) in per_member_x.iter().enumerate() {
-            for r in 0..rows {
-                for c in 0..in_w {
-                    let (s, cc) = (c / half, c % half);
-                    sectioned.set(r, s * k * half + m * half + cc, xm.get(r, c));
-                }
-            }
-        }
-        let fused = stacked.forward_stacked(&mut arena, &sectioned, 2, true);
-        for (m, (store, layer)) in ms.iter().enumerate() {
-            let seq = layer.forward_inference(&mut arena, store, &per_member_x[m], true);
-            for r in 0..rows {
-                for c in 0..out_w {
-                    assert_eq!(
-                        fused.get(r, m * out_w + c).to_bits(),
-                        seq.get(r, c).to_bits(),
-                        "member {m} ({r},{c})"
-                    );
-                }
-            }
-            arena.recycle(seq);
-        }
-        arena.recycle(fused);
-    }
-
     /// Full stacked MLPs agree with sequential member MLPs bitwise.
     #[test]
     fn stacked_mlp_bitwise_matches_sequential() {
@@ -970,76 +567,5 @@ mod tests {
             arena.recycle(seq);
         }
         arena.recycle(fused);
-    }
-
-    /// int8 views are close to (but generally not bitwise-equal with)
-    /// exact: per-element relative error stays within the coarse bound
-    /// expected of 8-bit symmetric weight quantization, and the
-    /// quantized weights really are stored as int8.
-    #[test]
-    fn int8_stack_is_close_and_stores_int8() {
-        let (k, rows) = (2, 10);
-        let widths = [16, 48, 32];
-        let ms = mlp_members(k, &widths);
-        let refs: Vec<(&ParamStore, &Mlp)> = ms.iter().map(|(s, m)| (s, m)).collect();
-        let exact = StackedMlp::stack(&refs, WeightPrecision::Exact);
-        let q8 = StackedMlp::stack(&refs, WeightPrecision::Int8);
-        assert_eq!(exact.quantized_bytes(), 0);
-        assert_eq!(q8.quantized_bytes(), k * (16 * 48 + 48 * 32));
-        let mut arena = InferenceArena::new();
-        let x = pseudo_random(rows, widths[0], 9);
-        let ye = exact.forward_shared(&mut arena, &x);
-        let yq = q8.forward_shared(&mut arena, &x);
-        let mut max_rel = 0.0f32;
-        for (a, b) in ye.data().iter().zip(yq.data()) {
-            let rel = (a - b).abs() / (1.0 + a.abs());
-            max_rel = max_rel.max(rel);
-        }
-        assert!(max_rel < 0.05, "int8 drifted too far: {max_rel}");
-        assert_ne!(ye.data(), yq.data(), "quantization should perturb something");
-    }
-
-    /// Calibrated rounding must beat data-free rounding on its own
-    /// objective: the layer-output L2 error over fresh samples from the
-    /// same distribution as the calibration set.
-    #[test]
-    fn calibrated_rounding_beats_data_free() {
-        let (in_w, out_w) = (48, 32);
-        let ms = members(1, in_w, out_w);
-        let refs: Vec<(&ParamStore, &Linear)> = ms.iter().map(|(s, l)| (s, l)).collect();
-        // Post-ReLU-like non-negative calibration samples.
-        let n = 200;
-        let sample = |rows: usize, seed: u64| {
-            let data: Vec<f32> = (0..rows * in_w)
-                .map(|i| (((i as f32 * 0.137 + seed as f32 * 0.59).sin() * 1.3) + 0.4).max(0.0))
-                .collect();
-            Tensor::from_vec(rows, in_w, data)
-        };
-        let cal = sample(n, 3);
-        let mut obs = MlpObs::new(4096);
-        obs.observe(0, &cal, None);
-
-        let plain = StackedLinear::stack(&refs, WeightPrecision::Int8);
-        let lo = &obs.layers[0];
-        let calibrated = StackedLinear::stack_inner(&refs, WeightPrecision::Int8, Some(lo));
-        let exact = StackedLinear::stack(&refs, WeightPrecision::Exact);
-
-        // Held-out samples (different seed, same distribution).
-        let test = sample(n, 11);
-        let mut arena = InferenceArena::new();
-        let ye = exact.forward_shared(&mut arena, &test, false);
-        let yp = plain.forward_shared(&mut arena, &test, false);
-        let yc = calibrated.forward_shared(&mut arena, &test, false);
-        let l2 = |a: &Tensor, b: &Tensor| -> f64 {
-            a.data()
-                .iter()
-                .zip(b.data())
-                .map(|(x, y)| ((x - y) as f64).powi(2))
-                .sum::<f64>()
-                .sqrt()
-        };
-        let (ep, ec) = (l2(&ye, &yp), l2(&ye, &yc));
-        eprintln!("data-free L2 {ep:.4e}  calibrated L2 {ec:.4e}");
-        assert!(ec < ep, "calibrated rounding ({ec}) should beat data-free ({ep})");
     }
 }

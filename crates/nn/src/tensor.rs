@@ -900,8 +900,7 @@ pub(crate) fn matmul_accumulate_scalar(
 
 /// Descriptor for one serving-only fused layer call:
 /// `out[out_row(i)][j] = epilogue(Σ_k a[a_row(i)][k] * b[k][j])`, where the
-/// epilogue is bias add (after an optional per-channel dequantization
-/// scale) and optional ReLU, folded into the register store.
+/// epilogue is bias add and optional ReLU, folded into the register store.
 ///
 /// Unlike [`matmul_accumulate_strided`] this kernel has *assign*
 /// semantics — the accumulators start at `+0.0` instead of loading `out`
@@ -911,8 +910,8 @@ pub(crate) fn matmul_accumulate_scalar(
 ///
 /// # Bitwise identity
 ///
-/// For [`FusedLayer::scale`]` == None` the result is bitwise identical to
-/// zero-fill + [`matmul_accumulate_strided`] (AVX2 tier) + the
+/// The result is bitwise identical to zero-fill +
+/// [`matmul_accumulate_strided`] (AVX2 tier) + the
 /// [`Tensor::affine_into`] bias/ReLU tail, for every reachable input:
 ///
 /// * `fma(a, b, +0.0)` equals `fma(a, b, load(out))` when `out` was
@@ -930,10 +929,6 @@ pub(crate) fn matmul_accumulate_scalar(
 ///   destination. (This kernel only ever runs where the sequential
 ///   dispatch would pick AVX2, see [`fused_layer_fast`] — the scalar
 ///   *tier*'s two-rounding `+=` is not replicated here.)
-///
-/// The int8 epilogue (`scale == Some`) is `acc * scale + bias` with two
-/// roundings (mul then add, matching the portable epilogue) — that path
-/// is approximate by design and carries no bitwise claim.
 #[derive(Clone, Copy)]
 pub(crate) struct FusedLayer<'a> {
     /// Input base (possibly a member column window of a wider matrix),
@@ -949,10 +944,8 @@ pub(crate) struct FusedLayer<'a> {
     pub b: &'a [f32],
     pub b_rs: usize,
     pub n: usize,
-    /// Bias window (`n` entries) and optional per-channel dequantization
-    /// scales (`n` entries, int8 views only).
+    /// Bias window (`n` entries).
     pub bias: &'a [f32],
-    pub scale: Option<&'a [f32]>,
     pub relu: bool,
     /// Output window, row stride `out_rs`; logical row `i` writes
     /// physical row `out_rows[i]` when a map is given.
@@ -984,9 +977,6 @@ pub(crate) fn fused_layer_fast(l: &FusedLayer<'_>, out: &mut [f32]) -> bool {
         return false;
     }
     assert!(l.bias.len() >= l.n, "bias window too short");
-    if let Some(s) = l.scale {
-        assert!(s.len() >= l.n, "scale window too short");
-    }
     if let Some(r) = l.a_rows {
         assert!(r.len() >= l.m, "input row map too short");
     }
@@ -1015,7 +1005,7 @@ pub(crate) fn fused_layer_fast(l: &FusedLayer<'_>, out: &mut [f32]) -> bool {
 /// AVX-512 fused layer kernel: 6-row x 48-column assign tiles (18 fma
 /// accumulators + 3 `b` vectors in zmm), a 16-wide column block, and a
 /// *masked* column tail, with row fringes of 1..=5 rows sharing the same
-/// column structure. Bias / scale / ReLU are applied in registers before
+/// column structure. Bias / ReLU are applied in registers before
 /// the store, exactly like the AVX2 tier.
 ///
 /// # Bitwise identity
@@ -1056,10 +1046,7 @@ unsafe fn fused_layer_avx512(l: &FusedLayer<'_>, out: &mut [f32]) {
     macro_rules! fin {
         ($acc:expr, $j:expr) => {{
             let bv = _mm512_loadu_ps(biasp.add($j));
-            let mut v = match l.scale {
-                Some(s) => _mm512_add_ps(_mm512_mul_ps($acc, _mm512_loadu_ps(s.as_ptr().add($j))), bv),
-                None => _mm512_add_ps($acc, bv),
-            };
+            let mut v = _mm512_add_ps($acc, bv);
             if l.relu {
                 v = _mm512_max_ps(v, zero);
             }
@@ -1070,13 +1057,7 @@ unsafe fn fused_layer_avx512(l: &FusedLayer<'_>, out: &mut [f32]) {
     macro_rules! fin_m {
         ($acc:expr, $j:expr, $mask:expr) => {{
             let bv = _mm512_maskz_loadu_ps($mask, biasp.add($j));
-            let mut v = match l.scale {
-                Some(s) => _mm512_add_ps(
-                    _mm512_mul_ps($acc, _mm512_maskz_loadu_ps($mask, s.as_ptr().add($j))),
-                    bv,
-                ),
-                None => _mm512_add_ps($acc, bv),
-            };
+            let mut v = _mm512_add_ps($acc, bv);
             if l.relu {
                 v = _mm512_max_ps(v, zero);
             }
@@ -1160,7 +1141,7 @@ unsafe fn fused_layer_avx512(l: &FusedLayer<'_>, out: &mut [f32]) {
 /// AVX2+FMA fused layer kernel: 4-row x 24-column assign tiles (12 fma
 /// accumulators + 3 `b` vectors — the widest tile that still fits ymm),
 /// with 8-wide and scalar column fringes and a 1-row fringe. Bias /
-/// scale / ReLU are applied in registers before the store.
+/// ReLU are applied in registers before the store.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn fused_layer_avx2(l: &FusedLayer<'_>, out: &mut [f32]) {
@@ -1192,10 +1173,7 @@ unsafe fn fused_layer_avx2(l: &FusedLayer<'_>, out: &mut [f32]) {
     macro_rules! fin {
         ($acc:expr, $j:expr) => {{
             let bv = _mm256_loadu_ps(biasp.add($j));
-            let mut v = match l.scale {
-                Some(s) => _mm256_add_ps(_mm256_mul_ps($acc, _mm256_loadu_ps(s.as_ptr().add($j))), bv),
-                None => _mm256_add_ps($acc, bv),
-            };
+            let mut v = _mm256_add_ps($acc, bv);
             if l.relu {
                 v = _mm256_max_ps(v, zero);
             }
@@ -1204,10 +1182,7 @@ unsafe fn fused_layer_avx2(l: &FusedLayer<'_>, out: &mut [f32]) {
     }
     macro_rules! fin1 {
         ($acc:expr, $j:expr) => {{
-            let v = match l.scale {
-                Some(s) => $acc * s[$j] + l.bias[$j],
-                None => $acc + l.bias[$j],
-            };
+            let v = $acc + l.bias[$j];
             if l.relu {
                 v.max(0.0)
             } else {

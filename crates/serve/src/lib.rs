@@ -35,12 +35,6 @@
 //!   members' weights are stacked once at startup, so every wave runs
 //!   one wider matmul per layer and the plan bookkeeping executes once
 //!   per batch instead of once per member.
-//! * Opt-in **int8 serving** (`COSTREAM_SERVE_PRECISION=int8`): weights
-//!   of the GNN body are quantized per output channel with f32
-//!   accumulation, gated by a startup self-test — the service measures
-//!   the quantized view's q-error against the exact path on a probe
-//!   workload and falls back to exact f32 when it exceeds
-//!   [`ServeConfig::int8_q_bound`]. Never the default.
 //! * [`ServeScorer`] plugs three services (target metric + the
 //!   success/backpressure sanity models) into the placement-search
 //!   subsystem of [`costream::search`]: concurrent optimizer runs
@@ -48,8 +42,8 @@
 //!   inside the services — the serving layer is the optimizer's
 //!   backend, not just a demo.
 //!
-//! At the default exact precision, serving is **bitwise identical** to
-//! the direct prediction path: the worker chunks coalesced batches at
+//! Serving is **bitwise identical** to the direct prediction path: the
+//! worker chunks coalesced batches at
 //! the same width as `Ensemble::predict_graphs`, the fused view
 //! preserves every kernel's per-element accumulation order (see
 //! [`costream::fused`] for the identity argument), and member
@@ -75,7 +69,6 @@
 mod scorer;
 mod service;
 
-pub use costream::fused::Precision;
 pub use costream::plan::CacheStats;
 pub use scorer::ServeScorer;
 pub use service::{
@@ -114,24 +107,6 @@ pub struct ServeConfig {
     pub bulk_queue_cap: usize,
     /// Capacity (distinct batch topologies) of the shared plan cache.
     pub plan_cache_cap: usize,
-    /// *Requested* serving precision. Defaults to the
-    /// `COSTREAM_SERVE_PRECISION` environment variable (`"exact"` or
-    /// `"int8"`) when set, else [`Precision::Exact`] — int8 is strictly
-    /// opt-in and never the default. Requesting [`Precision::Int8`]
-    /// triggers a startup self-test
-    /// ([`costream::fused::int8_self_test`]); the service only serves
-    /// int8 when the measured q-error stays within [`int8_q_bound`],
-    /// and otherwise falls back to exact f32 (the *effective* precision
-    /// is [`ScoringService::precision`]). An unparsable variable warns
-    /// on stderr and serves exact rather than aborting the process.
-    ///
-    /// [`int8_q_bound`]: ServeConfig::int8_q_bound
-    pub precision: Precision,
-    /// Worst-case q-error the int8 startup self-test may measure before
-    /// the service refuses int8 and falls back to exact f32. Defaults to
-    /// the `COSTREAM_SERVE_INT8_QBOUND` environment variable when set
-    /// (and parsable), else `1.05`. Ignored at [`Precision::Exact`].
-    pub int8_q_bound: f64,
 }
 
 impl Default for ServeConfig {
@@ -142,42 +117,35 @@ impl Default for ServeConfig {
             queue_cap: 1024,
             bulk_queue_cap: 1024,
             plan_cache_cap: 128,
-            precision: default_precision(),
-            int8_q_bound: default_int8_q_bound(),
         }
     }
 }
 
-/// Requested-precision default: `COSTREAM_SERVE_PRECISION` when set and
-/// valid (CI uses this to run the golden suites under the int8 gate),
-/// else exact f32. Invalid values warn and serve exact — a serving
-/// process must not abort over a malformed tuning knob.
-fn default_precision() -> Precision {
-    match std::env::var("COSTREAM_SERVE_PRECISION") {
-        Ok(v) => v.parse().unwrap_or_else(|e| {
-            eprintln!("warning: ignoring COSTREAM_SERVE_PRECISION: {e}");
-            Precision::Exact
-        }),
-        Err(_) => Precision::Exact,
+/// Parses a `COSTREAM_SERVE_WORKERS` setting. `None` (variable unset)
+/// means no override; `Some` must be an unsigned integer.
+fn parse_workers(raw: Option<&str>) -> Result<Option<usize>, String> {
+    match raw {
+        None => Ok(None),
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) => Ok(Some(n)),
+            Err(_) => Err(format!("not an unsigned integer: {v:?}")),
+        },
     }
-}
-
-/// Int8 self-test bound default: `COSTREAM_SERVE_INT8_QBOUND` when set
-/// and parsable, else 1.05.
-fn default_int8_q_bound() -> f64 {
-    std::env::var("COSTREAM_SERVE_INT8_QBOUND")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .unwrap_or(1.05)
 }
 
 /// Worker-count default: `COSTREAM_SERVE_WORKERS` when set (CI uses this
 /// to exercise the multi-worker batching paths on narrow containers),
-/// else the machine's available parallelism.
+/// else the machine's available parallelism. An unparsable setting warns
+/// on stderr (once per process) and falls back rather than aborting a
+/// serving process.
 fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("COSTREAM_SERVE_WORKERS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n;
+    let raw = std::env::var("COSTREAM_SERVE_WORKERS").ok();
+    match parse_workers(raw.as_deref()) {
+        Ok(Some(n)) => return n,
+        Ok(None) => {}
+        Err(e) => {
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| eprintln!("warning: ignoring COSTREAM_SERVE_WORKERS: {e}"));
         }
     }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -260,3 +228,26 @@ impl fmt::Display for SwapError {
 }
 
 impl std::error::Error for SwapError {}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_workers;
+
+    /// `COSTREAM_SERVE_WORKERS` parsing: unset, valid settings (`0` is
+    /// the admission-control test's "never drain"), and the typos
+    /// `default_workers` warns about instead of silently ignoring.
+    #[test]
+    fn workers_knob_parsing() {
+        assert_eq!(parse_workers(None), Ok(None));
+        assert_eq!(parse_workers(Some("4")), Ok(Some(4)));
+        assert_eq!(parse_workers(Some(" 2 ")), Ok(Some(2)));
+        assert_eq!(parse_workers(Some("0")), Ok(Some(0)));
+        for typo in ["four", "-1", "4x", ""] {
+            let warning = parse_workers(Some(typo)).expect_err(typo);
+            assert!(
+                warning.contains(&format!("{typo:?}")),
+                "warning must quote the value: {warning}"
+            );
+        }
+    }
+}

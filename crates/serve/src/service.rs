@@ -29,9 +29,9 @@
 
 use crate::{ServeConfig, ServeError, SwapError};
 use costream::ensemble::Ensemble;
-use costream::fused::{int8_self_test, FusedEnsemble, Precision};
+use costream::fused::FusedEnsemble;
 use costream::graph::{Featurization, JointGraph};
-use costream::model::{inference_chunk, Scheme};
+use costream::model::{Scheme, INFERENCE_CHUNK};
 use costream::plan::{plan_signature, CacheStats, PlanCache, PlanSignature};
 use costream_nn::InferenceArena;
 use costream_query::hardware::Cluster;
@@ -137,64 +137,22 @@ pub struct Scored {
 }
 
 /// One immutable served-model snapshot: the ensemble (which owns its
-/// exact member-fused view), the int8 view when one is live, and the
-/// version number. Workers take an `Arc<ModelState>` per batch, so a swap
-/// never tears a batch and every response is attributable to exactly one
-/// version.
+/// member-fused view) and the version number. Workers take an
+/// `Arc<ModelState>` per batch, so a swap never tears a batch and every
+/// response is attributable to exactly one version.
 pub struct ModelState {
     /// The served ensemble.
     pub ensemble: Ensemble,
-    /// The calibrated int8 view, when int8 was requested and the startup
-    /// self-test passed; `None` serves the ensemble's own exact view.
-    int8: Option<FusedEnsemble>,
     /// Monotonic model version (starts at 1).
     pub version: u64,
-    /// `Some(measured_q)` when int8 was requested but its self-test
-    /// exceeded the configured bound and this snapshot fell back to
-    /// exact.
-    pub int8_fallback_q: Option<f64>,
 }
 
 impl ModelState {
-    /// The member-fused view the workers score with, at the *effective*
-    /// precision: the int8 view when one is live, else the exact view
-    /// the ensemble itself owns — the same one in-process prediction and
+    /// The member-fused view the workers score with: the one the
+    /// ensemble itself owns — the same one in-process prediction and
     /// placement search run.
     pub fn fused(&self) -> &FusedEnsemble {
-        self.int8.as_ref().unwrap_or_else(|| self.ensemble.fused())
-    }
-}
-
-/// Builds the serving view of an ensemble at the configured precision.
-/// Exact stacking is unconditional (bitwise identical to the sequential
-/// ensemble); int8 must first survive the self-test against the
-/// configured q-error bound, else the snapshot warns and serves exact
-/// f32 — a precision knob must degrade gracefully, not degrade
-/// predictions silently.
-fn build_model(ensemble: Ensemble, cfg: &ServeConfig, version: u64) -> ModelState {
-    // Stack the exact view now, not under the first request.
-    ensemble.fused();
-    let (int8, int8_fallback_q) = match cfg.precision {
-        Precision::Exact => (None, None),
-        Precision::Int8 => {
-            let probe = int8_self_test(&ensemble);
-            if probe.max_q <= cfg.int8_q_bound {
-                (Some(probe.view), None)
-            } else {
-                eprintln!(
-                    "warning: int8 serving self-test failed (q-error {:.4} > bound {:.4}); \
-                     falling back to exact f32",
-                    probe.max_q, cfg.int8_q_bound
-                );
-                (None, Some(probe.max_q))
-            }
-        }
-    };
-    ModelState {
-        ensemble,
-        int8,
-        version,
-        int8_fallback_q,
+        self.ensemble.fused()
     }
 }
 
@@ -466,7 +424,9 @@ impl ScoringService {
         assert!(cfg.queue_cap > 0, "queue_cap must be >= 1");
         assert!(cfg.bulk_queue_cap > 0, "bulk_queue_cap must be >= 1");
         let cache = PlanCache::new(cfg.plan_cache_cap);
-        let model = build_model(ensemble, &cfg, 1);
+        // Stack the fused view now, not under the first request.
+        ensemble.fused();
+        let model = ModelState { ensemble, version: 1 };
         let model_cfg = model.ensemble.model_config();
         let shared = Arc::new(Shared {
             featurization: model.ensemble.featurization(),
@@ -541,32 +501,15 @@ impl ScoringService {
         if !ensemble.model_config().plan_congruent(current.ensemble.model_config()) {
             return Err(SwapError::ConfigMismatch);
         }
-        // Build the serving view outside the write lock (stacking — and
-        // the int8 self-test, when requested — are the expensive part);
-        // the version is assigned under the lock so concurrent swaps
-        // serialize cleanly.
-        let staged = build_model(ensemble, &self.shared.cfg, 0);
+        // Stack the fused view outside the write lock (it is the
+        // expensive part); the version is assigned under the lock so
+        // concurrent swaps serialize cleanly.
+        ensemble.fused();
         let mut guard = self.shared.model.write().unwrap_or_else(|e| e.into_inner());
         let version = guard.version + 1;
-        *guard = Arc::new(ModelState { version, ..staged });
+        *guard = Arc::new(ModelState { ensemble, version });
         self.shared.stats.swaps.fetch_add(1, Ordering::Relaxed);
         Ok(version)
-    }
-
-    /// The *effective* serving precision of the current model snapshot:
-    /// [`Precision::Int8`] only when it was requested **and** the
-    /// self-test stayed within
-    /// [`ServeConfig::int8_q_bound`](crate::ServeConfig::int8_q_bound);
-    /// [`Precision::Exact`] otherwise.
-    pub fn precision(&self) -> Precision {
-        self.shared.model().fused().precision()
-    }
-
-    /// The q-error the int8 self-test measured when it *failed* and the
-    /// current snapshot fell back to exact f32 — `None` when int8 was
-    /// never requested or is actively serving.
-    pub fn int8_fallback_q(&self) -> Option<f64> {
-        self.shared.model().int8_fallback_q
     }
 
     /// Snapshot of the serving counters (including plan-cache hit/miss
@@ -808,12 +751,6 @@ impl ScoreClient {
         self.shared.model().version
     }
 
-    /// The effective serving precision (see
-    /// [`ScoringService::precision`]).
-    pub fn precision(&self) -> Precision {
-        self.shared.model().fused().precision()
-    }
-
     /// Snapshot of the service's plan-cache counters (see
     /// [`ScoringService::cache_stats`]).
     pub fn cache_stats(&self) -> CacheStats {
@@ -883,10 +820,6 @@ fn worker_thread(sh: &Shared) {
 /// recycled.
 fn worker_loop(sh: &Shared) {
     let mut arena = InferenceArena::new();
-    // Resolved once per worker: the chunk width is a process-wide
-    // environment knob (`COSTREAM_INFERENCE_CHUNK`), constant for the
-    // worker's lifetime.
-    let chunk_w = inference_chunk();
     while let Some(mut batch) = collect_batch(sh) {
         if batch.is_empty() {
             // Everything we drained was past its deadline.
@@ -904,7 +837,7 @@ fn worker_loop(sh: &Shared) {
         // batch composition.
         batch.sort_by_key(|r| r.sig);
         for run in batch.chunk_by(|a, b| a.sig == b.sig) {
-            for chunk in run.chunks(chunk_w) {
+            for chunk in run.chunks(INFERENCE_CHUNK) {
                 score_chunk(sh, &model, chunk, &mut arena);
             }
         }
@@ -996,8 +929,7 @@ fn score_chunk(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: 
 /// One fused forward for a chunk: plan via the shared topology cache,
 /// then all ensemble members at once through the member-fused view on
 /// this worker's arena (bitwise identical to the sequential
-/// `Ensemble::predict_plans_arena` at exact precision — see
-/// [`costream::fused`]).
+/// `Ensemble::predict_plans_arena` — see [`costream::fused`]).
 fn score_graphs(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: &mut InferenceArena) -> Vec<f64> {
     let graphs: Vec<&JointGraph> = chunk.iter().map(|r| r.graph.as_ref()).collect();
     let plan = sh.cache.get_or_build(&graphs, sh.scheme, sh.traditional_rounds);

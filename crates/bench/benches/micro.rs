@@ -469,9 +469,8 @@ fn bench_serving(c: &mut Criterion) {
 /// split over interactive and bulk connections against a 2-shard
 /// front-end, with the loadgen's chaos thread injecting connection
 /// faults (malformed frames, oversized headers, mid-frame disconnects)
-/// the whole time. Records per-lane p50/p99 plus the per-window latency
-/// trajectories (`front_{lane}_p{50,99}_w{i}`); `front_interactive_p99`
-/// is the CI-gated QoS number (behind the core-count guard — a
+/// the whole time. Records per-lane p50/p99 (`front_{lane}_p{50,99}`);
+/// `front_interactive_p99` is the CI-gated QoS number (behind the core-count guard — a
 /// multi-connection threaded server's tail is runner-class-dependent).
 fn bench_front_load(c: &mut Criterion) {
     use costream_front::loadgen::{self, LoadgenConfig};
@@ -535,10 +534,6 @@ fn bench_front_load(c: &mut Criterion) {
     for (lane, r) in [("interactive", &report.interactive), ("bulk", &report.bulk)] {
         criterion::register_result(&format!("front_{lane}_p50"), r.p50_ns as f64);
         criterion::register_result(&format!("front_{lane}_p99"), r.p99_ns as f64);
-        for (w, (&p50, &p99)) in r.window_p50_ns.iter().zip(&r.window_p99_ns).enumerate() {
-            criterion::register_result(&format!("front_{lane}_p50_w{w}"), p50 as f64);
-            criterion::register_result(&format!("front_{lane}_p99_w{w}"), p99 as f64);
-        }
         eprintln!(
             "  front {lane}: {} sent, {} ok, {} overloaded, {} shed, {} other; p50 {:.0} µs, p99 {:.0} µs",
             r.sent,

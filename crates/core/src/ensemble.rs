@@ -16,7 +16,7 @@ use crate::dataset::{Corpus, CorpusItem};
 use crate::fused::FusedEnsemble;
 use crate::graph::{Featurization, JointGraph};
 use crate::model::ModelConfig;
-use crate::plan::{BatchPlan, PlanCache};
+use crate::plan::BatchPlan;
 #[cfg(test)]
 use crate::train::train_metric;
 use crate::train::{prepare_training, train_prepared, TrainConfig, TrainedModel};
@@ -100,16 +100,9 @@ impl Ensemble {
     /// positive) for classification metrics.
     ///
     /// Runs the member-fused production path: chunk → plan → one fused
-    /// pass per chunk (see [`FusedEnsemble::predict_graphs_with`]).
+    /// pass per chunk (see [`FusedEnsemble::predict_graphs`]).
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        self.predict_graphs_with(graphs, None)
-    }
-
-    /// Like [`Ensemble::predict_graphs`], but chunk plan *topologies* are
-    /// looked up in (and inserted into) the given [`PlanCache`], so
-    /// recurring graph shapes skip plan construction entirely.
-    pub fn predict_graphs_with(&self, graphs: &[&JointGraph], cache: Option<&PlanCache>) -> Vec<f64> {
-        self.fused().predict_graphs_with(graphs, cache)
+        self.fused().predict_graphs(graphs)
     }
 
     /// Combined prediction for prebuilt chunk plans, with members run

@@ -44,7 +44,7 @@
 use crate::ensemble::{combine_member_major, Ensemble};
 use crate::graph::{Featurization, JointGraph};
 use crate::model::{map_spans, ModelConfig, INFERENCE_CHUNK};
-use crate::plan::{BatchPlan, PlanCache};
+use crate::plan::BatchPlan;
 use costream_dsps::CostMetric;
 use costream_nn::fused::{StackedMlp, WeightPrecision};
 use costream_nn::loss::{msle_inverse, sigmoid};
@@ -143,25 +143,16 @@ impl FusedEnsemble {
         combine_member_major(self.metric, self.k, &flat)
     }
 
-    /// Combined prediction for prepared graphs (plans built here, chunked
-    /// at [`INFERENCE_CHUNK`]).
+    /// Combined prediction for prepared graphs, the body of
+    /// [`Ensemble::predict_graphs`]: chunk at [`INFERENCE_CHUNK`] → plan →
+    /// fused pass. Each chunk's plan is built once and serves every member
+    /// in one pass; [`map_spans`] fans the chunks out, one arena per span.
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        self.predict_graphs_with(graphs, None)
-    }
-
-    /// Chunk → plan → fused pass, the body of
-    /// [`Ensemble::predict_graphs_with`]: each chunk's plan is built (or
-    /// fetched from `cache`) once and serves every member in one pass;
-    /// [`map_spans`] fans the chunks out, one arena per span.
-    pub fn predict_graphs_with(&self, graphs: &[&JointGraph], cache: Option<&PlanCache>) -> Vec<f64> {
         let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
         map_spans(graphs, |span| {
             let plans: Vec<BatchPlan> = span
                 .chunks(INFERENCE_CHUNK)
-                .map(|c| match cache {
-                    Some(cache) => cache.get_or_build(c, scheme, rounds),
-                    None => BatchPlan::build(c, scheme, rounds),
-                })
+                .map(|c| BatchPlan::build(c, scheme, rounds))
                 .collect();
             self.predict_plans_arena(&plans, &mut InferenceArena::new())
         })

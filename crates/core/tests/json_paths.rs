@@ -12,7 +12,7 @@ use serde::{json, Deserialize, Serialize, Value};
 /// The tree path, spelled out: value tree, then its compact rendering.
 fn via_tree(value: &impl Serialize) -> String {
     let mut out = String::new();
-    json::write_value(&value.to_value(), &mut out, None);
+    json::write_value(&value.to_value(), &mut out);
     out
 }
 

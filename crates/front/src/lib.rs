@@ -37,8 +37,8 @@
 //!
 //! A reusable load generator ([`loadgen`]) drives a front-end with
 //! mixed-lane pipelined traffic and optional connection-level fault
-//! injection, recording per-lane latency-percentile trajectories — the
-//! bench harness uses it for the sustained million-request run.
+//! injection, recording per-lane latency percentiles — the bench harness
+//! uses it for the sustained million-request run.
 
 #![warn(missing_docs)]
 
@@ -62,19 +62,14 @@ pub struct FrontConfig {
     /// Each shard gets its own worker pool and queue budgets from
     /// [`FrontConfig::serve`].
     pub shards: usize,
-    /// Per-shard serving configuration (workers, batch shape, lane
-    /// queue budgets, precision).
+    /// Per-shard serving configuration (workers, lane queue budgets,
+    /// plan-cache capacity).
     pub serve: ServeConfig,
     /// Maximum accepted frame payload, bytes. A frame header declaring
     /// more is answered with a typed `Oversized` error and the
     /// connection is closed (the stream cannot be resynchronized
     /// without consuming the payload).
     pub max_frame_bytes: usize,
-    /// Maximum responses in flight per connection: the reader stops
-    /// pulling new frames while this many submitted requests are
-    /// unanswered — per-connection backpressure, so one pipelining
-    /// client cannot queue unbounded work.
-    pub max_pipeline: usize,
 }
 
 impl Default for FrontConfig {
@@ -83,7 +78,6 @@ impl Default for FrontConfig {
             shards: 2,
             serve: ServeConfig::default(),
             max_frame_bytes: 8 << 20,
-            max_pipeline: 128,
         }
     }
 }

@@ -5,8 +5,8 @@
 //! dozen bytes, so a sustained million-request run is scoring-bound, not
 //! serialization-bound. Interactive and bulk connections run
 //! concurrently with independent deadlines; per-request latencies are
-//! recorded and reduced to overall and per-window p50/p99 trajectories
-//! (the bench harness persists those into `BENCH_micro.json`).
+//! recorded and reduced to per-lane p50/p99 (the bench harness persists
+//! those into `BENCH_micro.json`).
 //!
 //! With [`LoadgenConfig::faults`] enabled, a chaos thread continuously
 //! attacks the front-end *while the measured traffic runs*: malformed
@@ -38,9 +38,6 @@ pub struct LoadgenConfig {
     pub interactive_deadline_us: Option<u64>,
     /// Relative deadline for bulk requests, µs.
     pub bulk_deadline_us: Option<u64>,
-    /// Latency-trajectory windows per lane (percentiles are computed
-    /// per window in completion order).
-    pub windows: usize,
     /// Run the connection-level chaos thread alongside the load.
     pub faults: bool,
 }
@@ -54,7 +51,6 @@ impl Default for LoadgenConfig {
             pipeline_depth: 32,
             interactive_deadline_us: Some(1_000_000),
             bulk_deadline_us: Some(20_000),
-            windows: 10,
             faults: false,
         }
     }
@@ -77,10 +73,6 @@ pub struct LaneReport {
     pub p50_ns: u64,
     /// Overall p99 latency, nanoseconds.
     pub p99_ns: u64,
-    /// Per-window p50 trajectory, nanoseconds.
-    pub window_p50_ns: Vec<u64>,
-    /// Per-window p99 trajectory, nanoseconds.
-    pub window_p99_ns: Vec<u64>,
 }
 
 /// The full run outcome.
@@ -102,7 +94,7 @@ struct ThreadOutcome {
     overloaded: u64,
     shed: u64,
     other_errors: u64,
-    /// (completion index, latency ns) per scored response.
+    /// Latency, ns, of each scored response.
     latencies_ns: Vec<u64>,
 }
 
@@ -159,8 +151,8 @@ pub fn run(addr: SocketAddr, pool: &[JointGraph], cfg: &LoadgenConfig) -> LoadRe
     });
 
     LoadReport {
-        interactive: reduce(interactive, cfg.windows),
-        bulk: reduce(bulk, cfg.windows),
+        interactive: reduce(interactive),
+        bulk: reduce(bulk),
         elapsed: started.elapsed(),
         chaos_rounds,
     }
@@ -252,12 +244,8 @@ fn chaos_loop(addr: SocketAddr, stop: &AtomicBool) -> u64 {
     rounds
 }
 
-fn reduce(outcomes: Vec<ThreadOutcome>, windows: usize) -> LaneReport {
+fn reduce(outcomes: Vec<ThreadOutcome>) -> LaneReport {
     let mut report = LaneReport::default();
-    // Interleave the threads' completion-ordered latencies into shared
-    // windows: window w of the lane = the w-th fraction of every
-    // thread's run, so the trajectory reflects lane-wide time progress.
-    let mut window_samples: Vec<Vec<u64>> = vec![Vec::new(); windows.max(1)];
     let mut all = Vec::new();
     for o in outcomes {
         report.sent += o.sent;
@@ -265,19 +253,10 @@ fn reduce(outcomes: Vec<ThreadOutcome>, windows: usize) -> LaneReport {
         report.overloaded += o.overloaded;
         report.shed += o.shed;
         report.other_errors += o.other_errors;
-        let n = o.latencies_ns.len().max(1);
-        for (i, ns) in o.latencies_ns.iter().enumerate() {
-            let w = (i * windows.max(1)) / n;
-            window_samples[w.min(windows.saturating_sub(1))].push(*ns);
-        }
         all.extend(o.latencies_ns);
     }
     report.p50_ns = percentile(&mut all, 0.50);
     report.p99_ns = percentile(&mut all, 0.99);
-    for mut w in window_samples {
-        report.window_p50_ns.push(percentile(&mut w, 0.50));
-        report.window_p99_ns.push(percentile(&mut w, 0.99));
-    }
     report
 }
 

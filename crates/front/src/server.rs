@@ -55,16 +55,22 @@ enum Job {
     Scored { id: u64, pending: Pending },
 }
 
+/// Maximum responses in flight per connection: the reader stops pulling
+/// new frames while this many submitted requests are unanswered —
+/// per-connection backpressure, so one pipelining client cannot queue
+/// unbounded work.
+const MAX_PIPELINE: usize = 128;
+
 /// Bounded FIFO between a connection's reader and writer. The bound is
-/// the pipeline depth: a reader blocked here stops consuming frames,
-/// which is exactly the backpressure the protocol promises.
+/// the pipeline depth ([`MAX_PIPELINE`]): a reader blocked here stops
+/// consuming frames, which is exactly the backpressure the protocol
+/// promises.
 struct JobQueue {
     state: Mutex<JobState>,
     /// Signalled when a job is pushed or the queue closes.
     items: Condvar,
     /// Signalled when a job is popped (space for the reader).
     space: Condvar,
-    cap: usize,
 }
 
 struct JobState {
@@ -76,7 +82,7 @@ struct JobState {
 }
 
 impl JobQueue {
-    fn new(cap: usize) -> Self {
+    fn new() -> Self {
         JobQueue {
             state: Mutex::new(JobState {
                 jobs: std::collections::VecDeque::new(),
@@ -85,7 +91,6 @@ impl JobQueue {
             }),
             items: Condvar::new(),
             space: Condvar::new(),
-            cap: cap.max(1),
         }
     }
 
@@ -93,7 +98,7 @@ impl JobQueue {
     /// `false` when the writer is gone and the job was discarded.
     fn push(&self, job: Job) -> bool {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while st.jobs.len() >= self.cap && !st.dead {
+        while st.jobs.len() >= MAX_PIPELINE && !st.dead {
             st = self.space.wait(st).unwrap_or_else(|e| e.into_inner());
         }
         if st.dead {
@@ -392,7 +397,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
         let Ok(registry_handle) = stream.try_clone() else {
             continue;
         };
-        let queue = Arc::new(JobQueue::new(shared.cfg.max_pipeline));
+        let queue = Arc::new(JobQueue::new());
         let reader = {
             let shared = Arc::clone(shared);
             let queue = Arc::clone(&queue);

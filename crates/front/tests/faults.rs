@@ -30,7 +30,6 @@ fn front_config() -> FrontConfig {
         shards: 2,
         serve,
         max_frame_bytes: 1 << 20,
-        ..FrontConfig::default()
     }
 }
 

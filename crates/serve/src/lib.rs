@@ -18,9 +18,10 @@
 //! * A batching core (bounded MPSC submission queue + worker threads
 //!   driving the tape-free fast path, oneshot-style response slots)
 //!   coalesces whatever is queued into one fused batch per tick, bounded
-//!   by [`ServeConfig::max_batch`] — kernel and plan costs amortize
-//!   across concurrent callers exactly like they do across a training
-//!   epoch. Batches are sized by backlog, never by a timer: an idle
+//!   by the inference chunk width
+//!   ([`INFERENCE_CHUNK`](costream::model::INFERENCE_CHUNK)) — kernel and
+//!   plan costs amortize across concurrent callers exactly like they do
+//!   across a training epoch. Batches are sized by backlog, never by a timer: an idle
 //!   service scores a lone request at once, and what arrives while the
 //!   workers are busy is the next batch.
 //! * A topology-keyed [`PlanCache`](costream::plan::PlanCache), shared
@@ -81,8 +82,9 @@ use std::fmt;
 /// Tuning knobs of the batching core.
 ///
 /// The serving model is a *tick* loop that batches **by backlog**: a
-/// worker that finds the queue non-empty drains what is there (up to
-/// `max_batch`) and scores it as one fused batch, without waiting for
+/// worker that finds the queue non-empty drains what is there (up to one
+/// inference chunk, [`costream::model::INFERENCE_CHUNK`]) and scores it as
+/// one fused batch, without waiting for
 /// company. Under load requests queue up while the workers score, so
 /// batches grow with the backlog by themselves; on an idle service a lone
 /// request is answered in a forward pass plus two thread wake-ups.
@@ -94,8 +96,6 @@ pub struct ServeConfig {
     /// machine's available parallelism. `0` is allowed and means "never
     /// drain" — useful only for testing admission control.
     pub workers: usize,
-    /// Maximum requests coalesced into one scoring batch.
-    pub max_batch: usize,
     /// Bound of the **interactive-lane** submission queue
     /// ([`Lane::Interactive`], the default lane); submissions beyond it
     /// are rejected with [`ServeError::Overloaded`].
@@ -113,7 +113,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             workers: default_workers(),
-            max_batch: 64,
             queue_cap: 1024,
             bulk_queue_cap: 1024,
             plan_cache_cap: 128,

@@ -418,9 +418,8 @@ impl ScoringService {
     /// ensemble (served as model version 1).
     ///
     /// # Panics
-    /// Panics when `max_batch`, `queue_cap` or `plan_cache_cap` is zero.
+    /// Panics when `queue_cap` or `plan_cache_cap` is zero.
     pub fn start(ensemble: Ensemble, cfg: ServeConfig) -> Self {
-        assert!(cfg.max_batch > 0, "max_batch must be >= 1");
         assert!(cfg.queue_cap > 0, "queue_cap must be >= 1");
         assert!(cfg.bulk_queue_cap > 0, "bulk_queue_cap must be >= 1");
         let cache = PlanCache::new(cfg.plan_cache_cap);
@@ -845,7 +844,7 @@ fn worker_loop(sh: &Shared) {
 }
 
 /// One batching tick, sized **by backlog**: blocks until at least one
-/// request is queued, then drains what is there — up to `max_batch`,
+/// request is queued, then drains what is there — up to `INFERENCE_CHUNK`,
 /// interactive lane strictly first, shedding expired requests as it
 /// goes — and returns it to be scored at once. There is no fill wait:
 /// whatever arrives while the workers are busy (or during an idle
@@ -854,7 +853,6 @@ fn worker_loop(sh: &Shared) {
 /// wake-ups. Returns `None` on shutdown, or when draining and the queue
 /// is empty.
 fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
-    let cfg = &sh.cfg;
     let mut q = sh.lock_queue();
     loop {
         if q.shutdown || (q.draining && q.queued() == 0) {
@@ -869,13 +867,13 @@ fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
         }
         q = sh.ready.wait(q).unwrap_or_else(|e| e.into_inner());
     }
-    // Drain up to `max_batch` live requests: interactive strictly before
-    // bulk, and anything already past its deadline is shed here — before
-    // it can occupy a batch slot.
+    // Drain up to one inference chunk of live requests: interactive
+    // strictly before bulk, and anything already past its deadline is shed
+    // here — before it can occupy a batch slot.
     let now = Instant::now();
-    let mut batch = Vec::with_capacity(q.queued().min(cfg.max_batch));
+    let mut batch = Vec::with_capacity(q.queued().min(INFERENCE_CHUNK));
     for lane in Lane::ALL {
-        while batch.len() < cfg.max_batch {
+        while batch.len() < INFERENCE_CHUNK {
             let Some(req) = q.lanes[lane.idx()].pop_front() else {
                 break;
             };

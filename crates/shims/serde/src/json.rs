@@ -1,5 +1,6 @@
-//! The JSON text layer both trait paths share: a pull [`Reader`] over a
-//! `&str`, the string escaper, and the renderer of a [`Value`] tree.
+//! The JSON text layer: a pull [`Reader`] over a `&str`, the string and
+//! float printers, and the renderer of a [`Value`] tree that the traits'
+//! bridge methods go through.
 //!
 //! The reader touches each input byte once. A string is scanned as runs up
 //! to the next `"` or `\` and borrowed from the input when it has no
@@ -129,11 +130,8 @@ impl<'a> Reader<'a> {
             return Err(DeError::msg(format!("expected value at offset {start}")));
         }
         if !is_float {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(if i >= 0 { Value::UInt(i as u64) } else { Value::Int(i) });
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
+            if let Some(int) = integer(text) {
+                return Ok(int);
             }
         }
         match text.parse::<f64>() {
@@ -380,6 +378,17 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The integer a number token without `.`, `e` or `E` stands for, when one
+/// fits: [`Value::UInt`] if non-negative, else [`Value::Int`]. Any other
+/// number token is a [`Value::Float`].
+fn integer(text: &str) -> Option<Value> {
+    match text.parse::<i64>() {
+        Ok(i) if i >= 0 => Some(Value::UInt(i as u64)),
+        Ok(i) => Some(Value::Int(i)),
+        Err(_) => text.parse::<u64>().ok().map(Value::UInt),
+    }
+}
+
 /// Appends `s` as a JSON string: quoted, with `"`, `\` and control
 /// characters escaped. Everything else is copied in runs.
 pub fn write_str(s: &str, out: &mut String) {
@@ -416,13 +425,10 @@ pub fn write_f64(f: f64, out: &mut String) {
     }
 }
 
-/// Appends a [`Value`] tree: compact when `indent` is `None`, otherwise one
-/// item per line, `indent` spaces per level.
-pub fn write_value(v: &Value, out: &mut String, indent: Option<usize>) {
-    write_value_at(v, out, indent, 0);
-}
-
-fn write_value_at(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+/// Appends a [`Value`] tree as compact JSON. A [`Value::Float`] is written
+/// as a float token (`1.0`, not `1`), so [`Reader::number`] reads it back
+/// as the float it is and not as an integer.
+pub fn write_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -432,7 +438,14 @@ fn write_value_at(v: &Value, out: &mut String, indent: Option<usize>, depth: usi
         Value::UInt(u) => {
             let _ = write!(out, "{u}");
         }
-        Value::Float(f) => write_f64(*f, out),
+        Value::Float(f) => {
+            let start = out.len();
+            write_f64(*f, out);
+            let token = &out[start..];
+            if !token.contains('.') && integer(token).is_some() {
+                out.push_str(".0");
+            }
+        }
         Value::Str(s) => write_str(s, out),
         Value::Array(items) => {
             out.push('[');
@@ -440,11 +453,7 @@ fn write_value_at(v: &Value, out: &mut String, indent: Option<usize>, depth: usi
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
-                write_value_at(item, out, indent, depth + 1);
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, depth);
+                write_value(item, out);
             }
             out.push(']');
         }
@@ -454,27 +463,11 @@ fn write_value_at(v: &Value, out: &mut String, indent: Option<usize>, depth: usi
                 if i > 0 {
                     out.push(',');
                 }
-                newline_indent(out, indent, depth + 1);
                 write_str(k, out);
                 out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value_at(item, out, indent, depth + 1);
-            }
-            if !fields.is_empty() {
-                newline_indent(out, indent, depth);
+                write_value(item, out);
             }
             out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(step) = indent {
-        out.push('\n');
-        for _ in 0..step * depth {
-            out.push(' ');
         }
     }
 }
@@ -528,6 +521,24 @@ mod tests {
         assert!(matches!(r.string(), Ok(Cow::Borrowed("plain"))));
         assert!(matches!(r.string(), Ok(Cow::Owned(s)) if s == "tab\there"));
         assert!(r.end().is_ok());
+    }
+
+    #[test]
+    fn a_float_is_written_as_a_float_token() {
+        let text = |v: Value| {
+            let mut out = String::new();
+            write_value(&v, &mut out);
+            out
+        };
+        assert_eq!(text(Value::Float(1.0)), "1.0");
+        assert_eq!(text(Value::Float(-0.0)), "-0.0");
+        assert_eq!(text(Value::Float(0.5)), "0.5");
+        // Past `u64`, the digits alone already read back as a float.
+        assert_eq!(text(Value::Float(1e30)), "1000000000000000000000000000000");
+        assert_eq!(text(Value::UInt(1)), "1");
+        for v in [1.0, -0.0, 1e18, 1e30] {
+            assert_eq!(parse(&text(Value::Float(v))).unwrap(), Value::Float(v));
+        }
     }
 
     #[test]

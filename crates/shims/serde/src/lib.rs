@@ -11,20 +11,22 @@
 //! become single-key objects (externally tagged), and newtype structs are
 //! transparent.
 //!
-//! # Two methods per trait
+//! # One path, and a bridge
 //!
-//! Each trait has a text method and a tree method. [`Serialize::write_json`]
-//! appends JSON text and [`Deserialize::read_json`] pulls tokens from a
-//! [`json::Reader`]; the derive and every impl in this crate define them
-//! directly, so `serde_json::to_string` / `from_str` build no tree, allocate
-//! no key and print no number through a temporary. [`Serialize::to_value`]
-//! and [`Deserialize::from_value`] go through a [`Value`] tree. The tree
-//! stays for two callers: pretty printing, which needs to know a
-//! container's contents before it indents them, and hand-written impls
-//! (a map type, say), which can be written against [`Value`] alone because
-//! the text methods default to a bridge through it. The derive emits both
-//! pairs; nothing chooses between them at run time, and the shim's
-//! differential tests hold them to one language and one output.
+//! Serialization is JSON text. [`Serialize::write_json`] appends it and
+//! [`Deserialize::read_json`] pulls tokens from a [`json::Reader`]; the
+//! derive and every impl in this crate define exactly these, so
+//! `serde_json::to_string` / `from_str` build no tree, allocate no key and
+//! print no number through a temporary.
+//!
+//! [`Serialize::to_value`] and [`Deserialize::from_value`] are a bridge to
+//! the [`Value`] tree for hand-written impls (a map type, say, which the
+//! derive does not cover). Each trait's two methods default to each other
+//! through text, so an impl defines either one per trait: text types get
+//! the tree by parsing what they write, and a type written against
+//! [`Value`] alone gets the text methods by rendering its tree. The bridge
+//! accepts exactly what the text path accepts: a float stays a float
+//! token across it, so an integer field rejects `1.0` either way.
 
 pub mod json;
 
@@ -54,16 +56,6 @@ pub enum Value {
     Object(Vec<(String, Value)>),
 }
 
-impl Value {
-    /// Looks up a key in an object value.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-}
-
 /// Deserialization error: a human-readable description of the mismatch.
 #[derive(Clone, Debug)]
 pub struct DeError(pub String);
@@ -83,75 +75,79 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Types that can render themselves as JSON text or as a [`Value`].
+/// Types that can render themselves as JSON text. Define either method;
+/// each default goes through the other.
 pub trait Serialize {
-    /// Serializes `self` into the value tree.
-    fn to_value(&self) -> Value;
-
-    /// Appends `self` as compact JSON: the same bytes as rendering
-    /// [`Serialize::to_value`], which is what the default body does.
+    /// Appends `self` as compact JSON. The default renders
+    /// [`Serialize::to_value`].
     fn write_json(&self, out: &mut String) {
-        json::write_value(&self.to_value(), out, None);
+        json::write_value(&self.to_value(), out);
+    }
+
+    /// `self` as a value tree. The default parses what
+    /// [`Serialize::write_json`] writes, so the tree holds what the text
+    /// path reads back (a float printed as `2` is the integer `2`).
+    ///
+    /// # Panics
+    /// When that text nests deeper than [`json::MAX_DEPTH`].
+    fn to_value(&self) -> Value {
+        let mut text = String::new();
+        self.write_json(&mut text);
+        json::Reader::new(&text).value().expect("own JSON output parses")
     }
 }
 
-/// Types that can be rebuilt from JSON text or from a [`Value`].
+/// Types that can be rebuilt from JSON text. Define either method; each
+/// default goes through the other.
 pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, DeError>;
-
-    /// Rebuilds `Self` from the reader's next value, accepting what
-    /// [`Deserialize::from_value`] accepts of the parsed tree, which is
-    /// what the default body does.
+    /// Rebuilds `Self` from the reader's next value. The default parses a
+    /// [`Value`] and hands it to [`Deserialize::from_value`].
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
         Self::from_value(&r.value()?)
+    }
+
+    /// Rebuilds `Self` from a value tree. The default renders the tree and
+    /// reads it back with [`Deserialize::read_json`].
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let mut text = String::new();
+        json::write_value(v, &mut text);
+        Self::read_json(&mut json::Reader::new(&text))
     }
 }
 
 impl Serialize for Value {
+    fn write_json(&self, out: &mut String) {
+        json::write_value(self, out);
+    }
+
     fn to_value(&self) -> Value {
         self.clone()
     }
 }
 
 impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(v.clone())
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
         r.value()
+    }
+
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        Ok(v.clone())
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push_str(if *self { "true" } else { "false" });
     }
 }
 
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(DeError::msg(format!("expected bool, got {other:?}"))),
-        }
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
         r.bool()
     }
@@ -160,19 +156,15 @@ impl Deserialize for bool {
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Int(*self as i64) }
             fn write_json(&self, out: &mut String) { let _ = write!(out, "{self}"); }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Int(i) => Ok(*i as $t),
-                    Value::UInt(u) => Ok(*u as $t),
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                match r.number()? {
+                    Value::Int(i) => Ok(i as $t),
+                    Value::UInt(u) => Ok(u as $t),
                     other => Err(DeError::msg(format!("expected integer, got {other:?}"))),
                 }
-            }
-            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
-                Self::from_value(&r.number()?)
             }
         }
     )*};
@@ -182,19 +174,14 @@ impl_signed!(i8, i16, i32, i64, isize);
 macro_rules! impl_unsigned {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::UInt(*self as u64) }
             fn write_json(&self, out: &mut String) { let _ = write!(out, "{self}"); }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::UInt(u) => Ok(*u as $t),
-                    Value::Int(i) if *i >= 0 => Ok(*i as $t),
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                match r.number()? {
+                    Value::UInt(u) => Ok(u as $t),
                     other => Err(DeError::msg(format!("expected unsigned integer, got {other:?}"))),
                 }
-            }
-            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
-                Self::from_value(&r.number()?)
             }
         }
     )*};
@@ -204,26 +191,21 @@ impl_unsigned!(u8, u16, u32, u64, usize);
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let f = *self as f64;
-                if f.is_finite() { Value::Float(f) } else { Value::Null }
-            }
-            // An `f32` prints as its `f64` widening, like the tree path:
-            // stored models and wire frames keep their bytes.
+            // An `f32` prints as its `f64` widening: stored models and wire
+            // frames keep their bytes.
             fn write_json(&self, out: &mut String) { json::write_f64(*self as f64, out); }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Float(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    Value::UInt(u) => Ok(*u as $t),
-                    Value::Null => Ok(<$t>::NAN),
+            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+                if r.null()? {
+                    return Ok(<$t>::NAN);
+                }
+                match r.number()? {
+                    Value::Float(f) => Ok(f as $t),
+                    Value::Int(i) => Ok(i as $t),
+                    Value::UInt(u) => Ok(u as $t),
                     other => Err(DeError::msg(format!("expected number, got {other:?}"))),
                 }
-            }
-            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
-                if r.null()? { Ok(<$t>::NAN) } else { Self::from_value(&r.number()?) }
             }
         }
     )*};
@@ -231,66 +213,36 @@ macro_rules! impl_float {
 impl_float!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-
     fn write_json(&self, out: &mut String) {
         json::write_str(self, out);
     }
 }
 
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(DeError::msg(format!("expected string, got {other:?}"))),
-        }
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
         r.string().map(Cow::into_owned)
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn write_json(&self, out: &mut String) {
         json::write_str(self, out);
     }
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn write_json(&self, out: &mut String) {
         (**self).write_json(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        Ok(Box::new(T::from_value(v)?))
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
         T::read_json(r).map(Box::new)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
-        }
-    }
-
     fn write_json(&self, out: &mut String) {
         match self {
             Some(inner) => inner.write_json(out),
@@ -300,13 +252,6 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
         if r.null()? {
             Ok(None)
@@ -317,23 +262,12 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        self.as_slice().to_value()
-    }
-
     fn write_json(&self, out: &mut String) {
         self.as_slice().write_json(out);
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::msg(format!("expected array, got {other:?}"))),
-        }
-    }
-
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
         let mut items = Vec::new();
         let mut more = r.begin_array()?;
@@ -346,10 +280,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push('[');
         for (i, item) in self.iter().enumerate() {
@@ -365,9 +295,6 @@ impl<T: Serialize> Serialize for [T] {
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
             fn write_json(&self, out: &mut String) {
                 $(
                     out.push(if $n == 0 { '[' } else { ',' });
@@ -377,14 +304,6 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                match v {
-                    Value::Array(items) => {
-                        Ok(($($t::from_value(items.get($n).ok_or_else(|| DeError::msg("tuple too short"))?)?,)+))
-                    }
-                    other => Err(DeError::msg(format!("expected tuple array, got {other:?}"))),
-                }
-            }
             fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
                 let mut more = r.begin_array()?;
                 let tuple = ($(de_helpers::read_elem::<$t>(r, &mut more, $n)?,)+);
@@ -405,28 +324,7 @@ impl_tuple! {
 /// expands to. Not intended for direct use.
 pub mod de_helpers {
     use super::json::Reader;
-    use super::{DeError, Deserialize, Value};
-
-    /// Extracts and deserializes a named struct field.
-    pub fn field<T: Deserialize>(v: &Value, name: &str) -> Result<T, DeError> {
-        match v.get(name) {
-            Some(inner) => T::from_value(inner).map_err(|e| DeError::msg(format!("field `{name}`: {}", e.0))),
-            None => Err(DeError::msg(format!("missing field `{name}`"))),
-        }
-    }
-
-    /// Extracts and deserializes one element of a tuple-struct array.
-    pub fn elem<T: Deserialize>(v: &Value, idx: usize) -> Result<T, DeError> {
-        match v {
-            Value::Array(items) => {
-                let inner = items
-                    .get(idx)
-                    .ok_or_else(|| DeError::msg(format!("missing tuple element {idx}")))?;
-                T::from_value(inner)
-            }
-            other => Err(DeError::msg(format!("expected tuple array, got {other:?}"))),
-        }
-    }
+    use super::{DeError, Deserialize};
 
     /// Reads the value of a named field the reader stands at.
     pub fn read_field<T: Deserialize>(r: &mut Reader<'_>, name: &str) -> Result<T, DeError> {
@@ -462,15 +360,6 @@ pub mod de_helpers {
     pub fn not_a_variant(type_name: &str) -> DeError {
         DeError::msg(format!("expected enum variant of {type_name}"))
     }
-
-    /// Splits an externally-tagged enum value into `(variant, payload)`.
-    pub fn enum_variant(v: &Value) -> Result<(&str, Option<&Value>), DeError> {
-        match v {
-            Value::Str(name) => Ok((name.as_str(), None)),
-            Value::Object(fields) if fields.len() == 1 => Ok((fields[0].0.as_str(), Some(&fields[0].1))),
-            other => Err(DeError::msg(format!("expected enum variant, got {other:?}"))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -485,6 +374,9 @@ mod tests {
         assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
         let t: (usize, usize) = Deserialize::from_value(&(3usize, 4usize).to_value()).unwrap();
         assert_eq!(t, (3, 4));
+        // An integer takes no float, as `from_str` rejects `1.0` for one.
+        assert!(u32::from_value(&Value::Float(1.0)).is_err());
+        assert_eq!(f64::from_value(&Value::UInt(1)).unwrap(), 1.0);
     }
 
     #[test]

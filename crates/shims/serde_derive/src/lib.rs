@@ -11,14 +11,12 @@
 //! * enums with unit and tuple variants, externally tagged exactly like
 //!   serde-JSON (`"Variant"` / `{"Variant": payload}`).
 //!
-//! Each derive emits both methods of its trait: the tree method
-//! (`to_value` / `from_value`) and the text method (`write_json` /
-//! `read_json`). `serde_json::to_string` / `from_str` take the text pair;
-//! the tree pair serves pretty printing and hand-written impls that call a
-//! derived type's `to_value` / `from_value`. The two are held to the same
-//! bytes and the same accepted language (fields in any order, unknown
-//! fields skipped, the first of a repeated key wins, a missing field is an
-//! error naming it) by the differential tests in the `serde_json` shim.
+//! Each derive emits one method, the text one: `write_json` appends JSON,
+//! `read_json` pulls it from the shim's `json::Reader`. The accepted
+//! language: fields in any order, unknown fields skipped, the first of a
+//! repeated key wins, a missing field is an error naming it. A derived
+//! type's `Value` tree, for a hand-written impl that asks for it, comes
+//! from the trait's default bridge through this text.
 //!
 //! Generic types are intentionally unsupported and produce a compile
 //! error pointing here.
@@ -273,80 +271,10 @@ fn count_tuple_fields(stream: TokenStream) -> usize {
 
 fn gen_serialize(input: &Input) -> String {
     let name = &input.name;
-    let body = match &input.shape {
-        Shape::Named(fields) => {
-            let mut pushes = String::new();
-            for f in fields.iter().filter(|f| !f.skip) {
-                pushes.push_str(&format!(
-                    "__fields.push((\"{n}\".to_string(), ::serde::Serialize::to_value(&self.{n})));\n",
-                    n = f.name
-                ));
-            }
-            format!(
-                "let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                 {pushes}\
-                 ::serde::Value::Object(__fields)"
-            )
-        }
-        Shape::Tuple(fields) if fields.len() == 1 => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Shape::Tuple(fields) => {
-            let elems: Vec<String> = (0..fields.len())
-                .map(|k| format!("::serde::Serialize::to_value(&self.{k})"))
-                .collect();
-            format!("::serde::Value::Array(vec![{}])", elems.join(", "))
-        }
-        Shape::Unit => "::serde::Value::Null".to_string(),
-        Shape::Enum(variants) => {
-            let mut arms = String::new();
-            for v in variants {
-                match &v.shape {
-                    VariantShape::Unit => arms.push_str(&format!(
-                        "{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),\n",
-                        v = v.name
-                    )),
-                    VariantShape::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{v}(__p0) => ::serde::Value::Object(vec![(\"{v}\".to_string(), ::serde::Serialize::to_value(__p0))]),\n",
-                        v = v.name
-                    )),
-                    VariantShape::Tuple(n) => {
-                        let binds: Vec<String> = (0..*n).map(|k| format!("__p{k}")).collect();
-                        let elems: Vec<String> =
-                            binds.iter().map(|b| format!("::serde::Serialize::to_value({b})")).collect();
-                        arms.push_str(&format!(
-                            "{name}::{v}({binds}) => ::serde::Value::Object(vec![(\"{v}\".to_string(), ::serde::Value::Array(vec![{elems}]))]),\n",
-                            v = v.name,
-                            binds = binds.join(", "),
-                            elems = elems.join(", ")
-                        ));
-                    }
-                    VariantShape::Struct(fields) => {
-                        let binds = fields.join(", ");
-                        let pushes: Vec<String> = fields
-                            .iter()
-                            .map(|f| {
-                                format!("__inner.push((\"{f}\".to_string(), ::serde::Serialize::to_value({f})));")
-                            })
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{v} {{ {binds} }} => {{\n\
-                                 let mut __inner: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n\
-                                 {pushes}\n\
-                                 ::serde::Value::Object(vec![(\"{v}\".to_string(), ::serde::Value::Object(__inner))])\n\
-                             }}\n",
-                            v = v.name,
-                            pushes = pushes.join("\n")
-                        ));
-                    }
-                }
-            }
-            format!("match self {{\n{arms}}}")
-        }
-    };
     let text = gen_write_json(input);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n\
              fn write_json(&self, __out: &mut ::std::string::String) {{\n{text}\n}}\n\
          }}"
     )
@@ -433,87 +361,10 @@ fn gen_write_json(input: &Input) -> String {
 
 fn gen_deserialize(input: &Input) -> String {
     let name = &input.name;
-    let body = match &input.shape {
-        Shape::Named(fields) => {
-            let mut inits = String::new();
-            for f in fields {
-                if f.skip {
-                    inits.push_str(&format!("{n}: ::std::default::Default::default(),\n", n = f.name));
-                } else {
-                    inits.push_str(&format!(
-                        "{n}: ::serde::de_helpers::field(__v, \"{n}\")?,\n",
-                        n = f.name
-                    ));
-                }
-            }
-            format!("::std::result::Result::Ok({name} {{\n{inits}}})")
-        }
-        Shape::Tuple(fields) if fields.len() == 1 => {
-            format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
-        }
-        Shape::Tuple(fields) => {
-            let elems: Vec<String> = (0..fields.len())
-                .map(|k| format!("::serde::de_helpers::elem(__v, {k})?"))
-                .collect();
-            format!("::std::result::Result::Ok({name}({}))", elems.join(", "))
-        }
-        Shape::Unit => format!("::std::result::Result::Ok({name})"),
-        Shape::Enum(variants) => {
-            let mut arms = String::new();
-            for v in variants {
-                match &v.shape {
-                    VariantShape::Unit => arms.push_str(&format!(
-                        "\"{v}\" => ::std::result::Result::Ok({name}::{v}),\n",
-                        v = v.name
-                    )),
-                    VariantShape::Tuple(1) => arms.push_str(&format!(
-                        "\"{v}\" => {{\n\
-                             let __p = __payload.ok_or_else(|| ::serde::DeError::msg(\"variant `{v}` expects a payload\"))?;\n\
-                             ::std::result::Result::Ok({name}::{v}(::serde::Deserialize::from_value(__p)?))\n\
-                         }}\n",
-                        v = v.name
-                    )),
-                    VariantShape::Tuple(n) => {
-                        let elems: Vec<String> =
-                            (0..*n).map(|k| format!("::serde::de_helpers::elem(__p, {k})?")).collect();
-                        arms.push_str(&format!(
-                            "\"{v}\" => {{\n\
-                                 let __p = __payload.ok_or_else(|| ::serde::DeError::msg(\"variant `{v}` expects a payload\"))?;\n\
-                                 ::std::result::Result::Ok({name}::{v}({elems}))\n\
-                             }}\n",
-                            v = v.name,
-                            elems = elems.join(", ")
-                        ));
-                    }
-                    VariantShape::Struct(fields) => {
-                        let inits: Vec<String> = fields
-                            .iter()
-                            .map(|f| format!("{f}: ::serde::de_helpers::field(__p, \"{f}\")?,"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "\"{v}\" => {{\n\
-                                 let __p = __payload.ok_or_else(|| ::serde::DeError::msg(\"variant `{v}` expects a payload\"))?;\n\
-                                 ::std::result::Result::Ok({name}::{v} {{ {inits} }})\n\
-                             }}\n",
-                            v = v.name,
-                            inits = inits.join("\n")
-                        ));
-                    }
-                }
-            }
-            format!(
-                "let (__variant, __payload) = ::serde::de_helpers::enum_variant(__v)?;\n\
-                 match __variant {{\n{arms}\
-                 other => ::std::result::Result::Err(::serde::DeError::msg(format!(\"unknown variant `{{other}}` of {name}\"))),\n\
-                 }}"
-            )
-        }
-    };
     let text = gen_read_json(input);
     format!(
         "#[automatically_derived]\n\
          impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n}}\n\
              fn read_json(__r: &mut ::serde::json::Reader<'_>) -> ::std::result::Result<Self, ::serde::DeError> {{\n{text}\n}}\n\
          }}"
     )
@@ -521,8 +372,8 @@ fn gen_deserialize(input: &Input) -> String {
 
 /// An expression that reads an object into `ctor { field: .. }`: one slot
 /// per live field, filled by the first occurrence of its key; other keys and
-/// repeats are skipped. Like the tree path's `de_helpers::field`, a value
-/// that is not an object has no fields, so every live field is then missing.
+/// repeats are skipped. A value that is not an object has no fields, so
+/// every live field is then missing.
 fn gen_read_fields(ctor: &str, fields: &[Field]) -> String {
     let (mut slots, mut arms, mut inits) = (String::new(), String::new(), String::new());
     for (k, f) in fields.iter().enumerate() {
@@ -554,7 +405,7 @@ fn gen_read_fields(ctor: &str, fields: &[Field]) -> String {
 }
 
 /// An expression that reads an array into `ctor(..)`; elements past the
-/// `n`th are skipped, as the tree path ignores them.
+/// `n`th are skipped.
 fn gen_read_elems(ctor: &str, n: usize) -> String {
     if n == 0 {
         return format!("{{ __r.skip_value()?; {ctor}() }}");
@@ -584,8 +435,8 @@ fn gen_read_json(input: &Input) -> String {
     format!("::std::result::Result::Ok({value})")
 }
 
-/// `"Variant"` or `{"Variant": payload}` with exactly one key. As on the
-/// tree path, a unit variant ignores a payload and the other shapes need one.
+/// `"Variant"` or `{"Variant": payload}` with exactly one key. A unit
+/// variant ignores a payload; the other shapes need one.
 fn gen_read_enum(name: &str, variants: &[Variant]) -> String {
     let mut bare = String::new();
     let mut tagged = String::new();

@@ -1,13 +1,11 @@
-//! Vendored stand-in for `serde_json`: the three entry points over the
+//! Vendored stand-in for `serde_json`: the two entry points over the
 //! serde shim's JSON layer (`serde::json`).
 //!
 //! [`to_string`] and [`from_str`] take the text methods of the traits
 //! (`Serialize::write_json`, `Deserialize::read_json`): one pass over the
-//! value or the input, no `Value` tree in between. [`to_string_pretty`] is
-//! the one caller of the tree (`Serialize::to_value`): an indenting printer
-//! has to know whether a container is empty before it opens it. Hand-written
-//! impls that define only the tree methods work with all three through the
-//! traits' default bodies.
+//! value or the input, no `Value` tree in between. A hand-written impl
+//! that defines only the tree methods (`to_value` / `from_value`) works
+//! with both through the traits' default bridge.
 //!
 //! Numbers print through Rust's shortest-round-trip float formatting, so
 //! `f32`/`f64` values survive a serialize → parse cycle exactly. Non-finite
@@ -16,7 +14,7 @@
 //! "number out of range"). Arrays and objects nest at most
 //! `serde::json::MAX_DEPTH` deep.
 
-use serde::json::{self, Reader};
+use serde::json::Reader;
 use serde::{DeError, Deserialize, Serialize};
 use std::fmt;
 
@@ -45,13 +43,6 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     Ok(out)
 }
 
-/// Serializes a value to 2-space-indented JSON.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    json::write_value(&value.to_value(), &mut out, Some(2));
-    Ok(out)
-}
-
 /// Parses a value from JSON text.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut reader = Reader::new(s);
@@ -63,6 +54,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     #[test]
     fn scalars_roundtrip() {
@@ -103,12 +95,59 @@ mod tests {
         assert_eq!(from_str::<Option<Vec<f32>>>(&s).unwrap(), o);
     }
 
+    #[derive(Debug, serde::Serialize, serde::Deserialize)]
+    struct Metric {
+        value: f64,
+        unit: String,
+    }
+
+    /// Name → metric in report order, written against `Value` alone (the
+    /// derive covers no map types): only the tree methods are defined, and
+    /// `to_string` / `from_str` reach it through the traits' bridge.
+    #[derive(Debug)]
+    struct Metrics(Vec<(String, Metric)>);
+
+    impl Serialize for Metrics {
+        fn to_value(&self) -> Value {
+            Value::Object(self.0.iter().map(|(k, v)| (k.clone(), v.to_value())).collect())
+        }
+    }
+
+    impl Deserialize for Metrics {
+        fn from_value(v: &Value) -> Result<Self, DeError> {
+            match v {
+                Value::Object(fields) => fields
+                    .iter()
+                    .map(|(k, v)| Ok((k.clone(), Metric::from_value(v)?)))
+                    .collect::<Result<Vec<_>, DeError>>()
+                    .map(Metrics),
+                other => Err(DeError::msg(format!("expected metrics object, got {other:?}"))),
+            }
+        }
+    }
+
     #[test]
-    fn pretty_output_is_parseable() {
-        let v: Vec<Vec<u8>> = vec![vec![1], vec![2, 3]];
-        let s = to_string_pretty(&v).unwrap();
-        assert!(s.contains('\n'));
-        assert_eq!(from_str::<Vec<Vec<u8>>>(&s).unwrap(), v);
+    fn a_tree_only_impl_round_trips_through_the_text_entry_points() {
+        let metric = |value: f64, unit: &str| Metric {
+            value,
+            unit: unit.into(),
+        };
+        let m = Metrics(vec![
+            ("rate".into(), metric(2.5, "1/s")),
+            ("count".into(), metric(3.0, "count")),
+            ("gap".into(), metric(f64::NAN, "ms")),
+        ]);
+        let text = to_string(&m).unwrap();
+        let want = r#"{"rate":{"value":2.5,"unit":"1/s"},"count":{"value":3,"unit":"count"},"gap":{"value":null,"unit":"ms"}}"#;
+        assert_eq!(text, want);
+        let back: Metrics = from_str(&text).unwrap();
+        assert_eq!(to_string(&back).unwrap(), want);
+        assert_eq!((back.0[0].1.value, back.0[1].1.value), (2.5, 3.0));
+        assert!(back.0[2].1.value.is_nan());
+        // A member's text rules hold through the bridge: `value` takes an
+        // integer token, `unit` does not.
+        assert!(from_str::<Metrics>(r#"{"x":{"value":1,"unit":2}}"#).is_err());
+        assert!(from_str::<Metrics>("[]").is_err());
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! # costream-bench — the experiment harness
 //!
 //! Regenerates every table and figure of the Costream evaluation (§VII)
-//! against the bundled substrates. See `DESIGN.md` for the per-experiment
-//! index and `EXPERIMENTS.md` for recorded paper-vs-measured results.
+//! against the bundled substrates. Each `exp*` module's docs say which
+//! table or figure it reproduces, and its report prints the paper's
+//! numbers beside the measured ones.
 //!
 //! Run with `cargo run -p costream-bench --release --bin experiments -- all`
 //! or name a single experiment (`exp1`, `exp2`, `exp3`, `exp4`, `exp5`,

@@ -33,13 +33,29 @@
 //!   member combination uses the identical member-ascending f64
 //!   summation order ([`crate::ensemble`]'s `combine_member_major`).
 //!
-//! Beyond running the bookkeeping once, the fused pass also skips the
-//! sequential path's per-wave state copy: group outputs depend only on
-//! the wave input assembled *before* any target row is written (and
-//! `h0` is kept separately for own-state gathers), so targets scatter
-//! directly into the live state matrix — and the layer kernel writes
-//! them there itself, so the per-group output tensor, its zero-fill and
-//! the scatter pass all disappear.
+//! # One state row per distinct node state
+//!
+//! The fused pass does not run the plan node by node. It runs the plan's
+//! hash-consed slot schedule (`crate::plan`'s module docs): a candidate
+//! batch from a placement search repeats most of its encoder rows and
+//! wave updates, and each distinct one is one *slot*; a wave update that
+//! nothing reads (in the Costream scheme, every HW→OPS update) gets none.
+//! The state is one
+//! `[n_slots, k·hidden]` matrix in which every slot is written exactly
+//! once — encoders and updaters compute only the distinct rows, through
+//! `StackedMlp::forward_into`'s input and output row maps straight into
+//! their slots; a wave assembles inputs for its distinct targets only;
+//! the readout pools each node's final slot per graph. There is no `h0`
+//! copy and no per-wave state copy: a wave's new slots are read by later
+//! waves only, so the layer kernel writes them in place.
+//!
+//! The result is still bitwise the sequential path's. Every kernel row is
+//! one single-accumulator chain over its own input row, so a row computed
+//! once and read by every node that shares its key holds the bits each
+//! of those nodes' own computation would have produced: equal keys mean
+//! equal inputs, summed in equal order; and a row nothing reads never
+//! reaches an output. A batch with nothing to merge lowers to one slot
+//! per node plus one per live wave target.
 
 use crate::ensemble::{combine_member_major, Ensemble};
 use crate::graph::{Featurization, JointGraph};
@@ -159,9 +175,10 @@ impl FusedEnsemble {
     }
 
     /// One fused forward pass: returns the member-major raw outputs
-    /// `[n_graphs, k]` (log-space cost or logit per member). Mirrors
-    /// `GnnModel::forward_inference` with every state matrix `k` members
-    /// wide.
+    /// `[n_graphs, k]` (log-space cost or logit per member). Computes what
+    /// `GnnModel::forward_inference` computes, `k` members wide, over the
+    /// plan's slot schedule: each distinct node state that something
+    /// reads, once.
     fn forward_raw(&self, plan: &BatchPlan, arena: &mut InferenceArena) -> Tensor {
         assert_eq!(
             plan.topo.scheme, self.config.scheme,
@@ -175,7 +192,7 @@ impl FusedEnsemble {
         }
         let h = self.config.hidden;
         let kh = self.k * h;
-        let total = plan.topo.total;
+        let schedule = plan.slots();
 
         // The caller recycles the result last, so it is taken first: the
         // arena is a stack, and releasing in reverse order of taking hands
@@ -183,60 +200,52 @@ impl FusedEnsemble {
         // buffers would trade roles and each grow to the largest's size.
         let mut out = arena.alloc_scratch(plan.topo.n_graphs, self.k);
 
-        // ---- per-type encoders: one *shared-input* pass per type
-        // (features are member-independent), final layer scattered
-        // straight into the k-wide h0 rows. Every node belongs to exactly
-        // one type's encoder group, so the groups tile h0 completely and
-        // it can start as unzeroed scratch; an assign of the encoder
-        // output is bit-equal to the sequential scatter-add onto zeroed
-        // rows (the output is never `-0.0`, see `FusedLayer`'s docs).
-        let covered: usize = plan.topo.encoders.iter().map(|e| e.globals.len()).sum();
-        let mut h0 = if covered == total {
-            arena.alloc_scratch(total, kh)
-        } else {
-            arena.alloc_zeroed(total, kh)
-        };
-        for (ep, feats) in plan.topo.encoders.iter().zip(&plan.features) {
-            self.encoders[ep.type_index].forward_into(arena, feats, true, None, &mut h0, Some(&ep.globals));
+        // One k-wide row per slot. Every slot is written exactly once,
+        // before anything reads it, so the matrix starts as unzeroed
+        // scratch; an assign of a kernel output is bit-equal to the
+        // sequential scatter-add onto zeroed rows (the output is never
+        // `-0.0`, see `FusedLayer`'s docs).
+        let mut state = arena.alloc_scratch(schedule.stats.slots(), kh);
+
+        // ---- per-type encoders: one *shared-input* pass per type over
+        // its distinct feature rows (features are member-independent),
+        // final layer written straight into the rows' slots.
+        for (call, feats) in schedule.encoders().zip(&plan.features) {
+            self.encoders[call.type_index].forward_into(arena, feats, true, call.rows, &mut state, Some(call.slots));
         }
 
-        // ---- message passing. The wave input interleaves per member:
-        // member `m` owns the contiguous `2*hidden` block
-        // `[Σ_children_m ‖ own_m]`, assembled by one block-windowed
-        // gather/segment-sum pass each — so the updater's first layer
-        // reads each member's full reduction in one contiguous window,
-        // exactly like the sequential concat input.
-        let mut cur = arena.alloc_copy(&h0);
-        for wave in &plan.topo.waves {
-            let mut inp = arena.alloc_scratch(wave.targets.len(), 2 * kh);
-            cur.gather_segment_sum_into_blocks(&wave.child_rows, &wave.segs, self.k, &mut inp, 0);
-            h0.gather_rows_into_blocks(&wave.targets, self.k, &mut inp, h);
-
-            // Each group's rows go through its type's updater MLP and
-            // scatter straight into `cur` — no per-wave state copy, no
-            // materialized sub-gather. Group outputs are functions of
-            // `inp` (fully materialized above) and target indices are
-            // unique within a wave, so overwriting target rows in place
-            // equals the sequential copy+overwrite.
-            for group in &wave.groups {
-                let rows = if group.is_identity {
-                    None
-                } else {
-                    Some(group.rows.as_slice())
-                };
-                self.updaters[group.type_index].forward_into(arena, &inp, false, rows, &mut cur, Some(&group.globals));
+        // ---- message passing over each wave's distinct targets. The
+        // wave input interleaves per member: member `m` owns the
+        // contiguous `2*hidden` block `[Σ_children_m ‖ own_m]`, assembled
+        // by one block-windowed gather/segment-sum pass each — so the
+        // updater's first layer reads each member's full reduction in one
+        // contiguous window, exactly like the sequential concat input.
+        // The wave's new slots are read by later waves only, so each
+        // group's updater writes them in place.
+        for wave in schedule.waves() {
+            let mut inp = arena.alloc_scratch(wave.rows, 2 * kh);
+            state.gather_segment_sum_into_blocks(wave.child_slots, wave.segs, self.k, &mut inp, 0);
+            state.gather_rows_into_blocks(wave.own, self.k, &mut inp, h);
+            for call in wave.calls() {
+                self.updaters[call.type_index].forward_into(
+                    arena,
+                    &inp,
+                    false,
+                    call.rows,
+                    &mut state,
+                    Some(call.slots),
+                );
             }
             arena.recycle(inp);
         }
 
-        // ---- readout: pool all node states per graph (once, k-wide),
-        // then the stacked output MLP → `[n_graphs, k]`.
+        // ---- readout: pool each node's final slot per graph, in node
+        // order (once, k-wide), then the stacked output MLP → `[n_graphs, k]`.
         let mut pooled = arena.alloc_zeroed(plan.topo.n_graphs, kh);
-        cur.segment_sum_into(&plan.topo.graph_of, &mut pooled);
+        state.gather_segment_sum_into(&schedule.final_slots, &plan.topo.graph_of, &mut pooled);
         self.readout.forward_into(arena, &pooled, false, None, &mut out, None);
         arena.recycle(pooled);
-        arena.recycle(cur);
-        arena.recycle(h0);
+        arena.recycle(state);
         out
     }
 }

@@ -15,7 +15,9 @@
 //! * [`plan`] — precomputed [`plan::BatchPlan`]s: per-batch gather/scatter
 //!   bookkeeping built once and reused across epochs and ensemble members,
 //!   plus the topology-keyed [`plan::PlanCache`] that lets serving layers
-//!   skip plan construction for recurring graph shapes;
+//!   skip plan construction for recurring graph shapes, and the
+//!   hash-consed slot schedule the fused pass runs (each distinct node
+//!   state once per batch);
 //! * [`dataset`] — benchmark corpora (§VI): generation against the
 //!   simulator, 80/10/10 splits, balanced classification subsets;
 //! * [`train`] — per-metric training (MSLE regression / BCE

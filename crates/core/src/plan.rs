@@ -28,16 +28,60 @@
 //! graph shapes skips all topology construction and only restacks the
 //! feature rows. The cache is thread-safe (one lock around the LRU map,
 //! topologies shared by `Arc`) and exposes hit/miss counters.
+//!
+//! # Hash-consed slot schedules
+//!
+//! The batches a placement search scores are neighbours of one another:
+//! a candidate's node states depend on its placement only through the
+//! OPS→HW / HW→OPS edges and the dataflow downstream of them (Algorithm 1,
+//! §III-B), so most of a batch's encoder rows and wave updates repeat a
+//! computation another candidate already makes. The fused inference pass
+//! therefore does not run a plan node by node; it runs the plan's *slot
+//! schedule*, computed lazily once per plan after the feature restack and
+//! shared by every ensemble scoring the plan (the search's trio, the
+//! serving cache's hit path). A slot is one distinct node state:
+//!
+//! * an encoder row's slot is keyed by (node type, the exact `f32` bits of
+//!   its features) — `-0.0` and `+0.0`, or two NaN payloads, never merge;
+//! * a wave target's slot is keyed by (its own `h0` slot, the ordered list
+//!   of its children's current slots). The node type is part of the own
+//!   slot's key, so it needs no field of its own.
+//!
+//! Only *live* wave targets get a slot: those whose new state the readout
+//! or a later wave reads. The rest are structural dead code — in the
+//! Costream scheme every HW→OPS update, because own halves read `h0` and
+//! the dataflow waves overwrite each operator before anything reads it
+//! (the sequential path computes them and throws them away).
+//!
+//! Keys are interned through 64-bit fingerprints in an open-addressed
+//! table; fingerprints only route, and two keys merge only after an exact
+//! comparison. (Fingerprints start from a per-process random state, so a
+//! batch from the wire cannot be crafted to make every probe collide.)
+//! If no encoder row repeats, no two targets share an own
+//! slot, and the lowering stops there: every live wave target gets a fresh
+//! slot and no wave key is hashed. Skipping a merge never changes a bit — it
+//! only repeats work — so the shortcut is sound whatever the graphs.
+//!
+//! Why a merge is bitwise exact: every kernel row the pass runs is one
+//! single-accumulator chain over its own input row, independent of its
+//! batch neighbours (see `costream_nn::fused`). Equal encoder keys are
+//! equal input rows. Equal wave keys are equal inputs too: the child half
+//! sums the same slots in the same (edge) order from zero, and the own
+//! half copies the same `h0` row. The readout pools each node's final slot
+//! in node order, the same additions in the same order as pooling the
+//! per-node state. A dead row reaches no output, so dropping it changes
+//! no bit either.
 
 use crate::graph::JointGraph;
 use crate::model::Scheme;
 use costream_nn::Tensor;
 use costream_query::features::NodeType;
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-node-type encoder routing: the global row index each encoded row
 /// of one type scatters to. The stacked feature rows themselves live on
@@ -113,6 +157,8 @@ pub struct BatchPlan {
     /// Stacked `n_nodes_of_type x feature_width` encoder inputs, parallel
     /// to `topo.encoders`.
     pub(crate) features: Vec<Tensor>,
+    /// The hash-consed slot schedule, lowered on first inference use.
+    slots: OnceLock<SlotSchedule>,
 }
 
 impl BatchPlan {
@@ -139,8 +185,7 @@ impl BatchPlan {
     /// Panics on an empty batch.
     pub fn build(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize) -> Self {
         let topo = Arc::new(PlanTopology::build(graphs, scheme, traditional_rounds));
-        let features = stack_features(&topo, graphs);
-        BatchPlan { topo, features }
+        Self::with_topology(topo, graphs)
     }
 
     /// Assembles a plan from a cached topology by restacking only the
@@ -150,7 +195,26 @@ impl BatchPlan {
         debug_assert_eq!(topo.n_graphs, graphs.len());
         debug_assert_eq!(topo.total, graphs.iter().map(|g| g.len()).sum::<usize>());
         let features = stack_features(&topo, graphs);
-        BatchPlan { topo, features }
+        BatchPlan {
+            topo,
+            features,
+            slots: OnceLock::new(),
+        }
+    }
+
+    /// The plan's slot schedule, lowered on first use and shared by every
+    /// later pass over this plan.
+    pub(crate) fn slots(&self) -> &SlotSchedule {
+        self.slots
+            .get_or_init(|| SlotSchedule::lower(&self.topo, &self.features, u64::MAX))
+    }
+
+    /// Lowers the plan to its hash-consed slot schedule afresh and reports
+    /// how much merged (see the module docs). The fused inference pass
+    /// lowers each plan once and keeps the schedule; this entry point
+    /// exists to time and inspect that lowering.
+    pub fn hash_cons(&self) -> SlotStats {
+        SlotSchedule::lower(&self.topo, &self.features, u64::MAX).stats
     }
 }
 
@@ -374,6 +438,454 @@ impl WavePlan {
             groups,
             keep,
         }
+    }
+}
+
+/// One MLP call of the slot schedule: ranges of the schedule's index list
+/// naming the input rows it computes and the state slot each lands in.
+#[derive(Clone, Debug, PartialEq)]
+struct SlotCall {
+    /// Index into `NodeType::ALL` (selects the MLP).
+    type_index: usize,
+    /// Input rows to compute; `None` computes every input row in order.
+    rows: Option<Range<usize>>,
+    /// State slot written by each computed row.
+    slots: Range<usize>,
+}
+
+/// One message-passing wave of the slot schedule: only its distinct
+/// targets, one wave-input row each (ranges of the schedule's index list).
+#[derive(Clone, Debug, PartialEq)]
+struct SlotWave {
+    /// Wave-input rows (distinct targets).
+    rows: usize,
+    /// Slot of the child each contributing edge reads, in edge order.
+    child_slots: Range<usize>,
+    /// Wave-input row each edge accumulates into.
+    segs: Range<usize>,
+    /// `h0` slot of each wave-input row (its own-state half).
+    own: Range<usize>,
+    /// The wave's calls, one per node type present (range of `calls`).
+    calls: Range<usize>,
+}
+
+/// A plan lowered to distinct node states (see the module docs): the fused
+/// pass keeps one `[n_slots, k·hidden]` state matrix and writes every slot
+/// exactly once. Row maps live in one flat list so a lowering allocates a
+/// handful of buffers, not a few per wave.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct SlotSchedule {
+    /// Every row map, concatenated; calls and waves hold ranges into it.
+    index: Vec<usize>,
+    /// The encoder calls (parallel to the topology's encoders and the
+    /// plan's features), then every wave's calls.
+    calls: Vec<SlotCall>,
+    n_encoders: usize,
+    waves: Vec<SlotWave>,
+    /// Each node's slot after the last wave (readout input, node order).
+    pub final_slots: Vec<usize>,
+    /// Row and slot counts.
+    pub stats: SlotStats,
+}
+
+/// One MLP call as the fused pass reads it.
+pub(crate) struct CallView<'a> {
+    /// Index into `NodeType::ALL` (selects the MLP).
+    pub type_index: usize,
+    /// Input rows to compute; `None` computes every input row in order.
+    pub rows: Option<&'a [usize]>,
+    /// State slot written by each computed row.
+    pub slots: &'a [usize],
+}
+
+/// One wave as the fused pass reads it.
+pub(crate) struct WaveView<'a> {
+    /// Wave-input rows.
+    pub rows: usize,
+    /// Slot of the child each contributing edge reads.
+    pub child_slots: &'a [usize],
+    /// Wave-input row each edge accumulates into.
+    pub segs: &'a [usize],
+    /// `h0` slot of each wave-input row.
+    pub own: &'a [usize],
+    schedule: &'a SlotSchedule,
+    calls: &'a [SlotCall],
+}
+
+impl<'a> WaveView<'a> {
+    /// The wave's updater calls, one per node type present.
+    pub fn calls(&self) -> impl Iterator<Item = CallView<'a>> + '_ {
+        self.calls.iter().map(|c| self.schedule.view(c))
+    }
+}
+
+/// What hash-consing one plan merged: node-state rows the per-node pass
+/// would compute against the distinct ones the slot schedule computes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SlotStats {
+    /// Encoder rows of the plan (its node count).
+    pub encoder_rows: usize,
+    /// Distinct encoder rows (slots the encoders write).
+    pub distinct_encoder_rows: usize,
+    /// Wave-target rows across all waves (what a per-node pass computes).
+    pub wave_rows: usize,
+    /// Wave-target rows whose new state something reads.
+    pub live_wave_rows: usize,
+    /// Distinct live wave-target rows (slots the updaters write).
+    pub distinct_wave_rows: usize,
+}
+
+impl SlotStats {
+    /// Rows of the fused pass's state matrix: every distinct row once.
+    pub fn slots(&self) -> usize {
+        self.distinct_encoder_rows + self.distinct_wave_rows
+    }
+}
+
+/// Open-addressed fingerprint → slot table. A fingerprint only routes a
+/// probe; the caller's exact key comparison decides every merge.
+struct SlotTable {
+    /// `(fingerprint, slot)`, `slot == usize::MAX` for an empty entry.
+    entries: Vec<(u64, usize)>,
+    /// The per-process start of every fingerprint ([`fingerprint_key`]).
+    key: u64,
+    /// ANDed into every fingerprint: `u64::MAX` in production; `0` in a
+    /// test forces every key to collide and leaves all merging to the
+    /// exact checks.
+    fp_mask: u64,
+}
+
+impl SlotTable {
+    fn new(fp_mask: u64) -> Self {
+        SlotTable {
+            entries: Vec::new(),
+            key: fingerprint_key(),
+            fp_mask,
+        }
+    }
+
+    /// Empties the table and sizes it for `keys` keys (load ≤ 1/2).
+    fn reset(&mut self, keys: usize) {
+        let cap = (2 * keys).max(16).next_power_of_two();
+        self.entries.clear();
+        self.entries.resize(cap, (0, usize::MAX));
+    }
+
+    /// The slot of a recorded key equal to the probed one (`same(slot)`
+    /// decides equality), or `fresh`, recorded under `fp`.
+    fn intern(&mut self, fp: u64, fresh: usize, mut same: impl FnMut(usize) -> bool) -> usize {
+        let fp = fp & self.fp_mask;
+        let mask = self.entries.len() - 1;
+        let mut i = (fp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        loop {
+            let (f, slot) = self.entries[i];
+            if slot == usize::MAX {
+                self.entries[i] = (fp, fresh);
+                return fresh;
+            }
+            if f == fp && same(slot) {
+                return slot;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Fingerprint of an encoder key: node type and feature bits, two
+    /// features per step.
+    fn row_fingerprint(&self, type_index: usize, row: &[f32]) -> u64 {
+        let mut h = fp_step(self.key, type_index as u64);
+        let mut pairs = row.chunks_exact(2);
+        for p in &mut pairs {
+            h = fp_step(h, u64::from(p[0].to_bits()) | u64::from(p[1].to_bits()) << 32);
+        }
+        if let [x] = pairs.remainder() {
+            h = fp_step(h, u64::from(x.to_bits()));
+        }
+        h
+    }
+
+    /// Fingerprint of a wave key: own slot, child count and child slots.
+    fn wave_fingerprint(&self, own: usize, children: &[usize]) -> u64 {
+        let h = fp_step(fp_step(self.key, own as u64), children.len() as u64);
+        children.iter().fold(h, |h, &c| fp_step(h, c as u64))
+    }
+}
+
+/// The state every fingerprint starts from, drawn once per process. Feature
+/// values arrive from outside the program (wire requests), so a fixed
+/// start would let a batch be crafted offline to make every probe collide:
+/// that costs time (never a bit, the exact check decides), and the random
+/// start takes it away.
+fn fingerprint_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().build_hasher().finish())
+}
+
+fn fp_step(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+}
+
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// Appends `items` to `index` and returns where they landed.
+fn push_range(index: &mut Vec<usize>, items: impl IntoIterator<Item = usize>) -> Range<usize> {
+    let start = index.len();
+    index.extend(items);
+    start..index.len()
+}
+
+/// Which wave targets' new states anything reads, one flag per target of
+/// every wave in order. The readout reads each node's last state, and a
+/// wave reads the current state of its live targets' children; own halves
+/// read `h0`, never a wave's output. A dead target — in the Costream scheme
+/// every HW→OPS update, which the dataflow waves overwrite before anything
+/// reads it — gets no slot and no row.
+fn live_targets(topo: &PlanTopology) -> Vec<bool> {
+    let mut live = vec![false; topo.waves.iter().map(|w| w.targets.len()).sum()];
+    // Whether the state each node holds at this point of the walk is read.
+    let mut read = vec![true; topo.total];
+    let mut end = live.len();
+    for w in topo.waves.iter().rev() {
+        let wave_live = &mut live[end - w.targets.len()..end];
+        end -= w.targets.len();
+        for (l, &t) in wave_live.iter_mut().zip(&w.targets) {
+            *l = read[t];
+            read[t] = false;
+        }
+        for (&c, &seg) in w.child_rows.iter().zip(&w.segs) {
+            if wave_live[seg] {
+                read[c] = true;
+            }
+        }
+    }
+    live
+}
+
+impl SlotSchedule {
+    /// Lowers a plan; `fp_mask` as in [`SlotTable`].
+    fn lower(topo: &PlanTopology, features: &[Tensor], fp_mask: u64) -> Self {
+        let wave_rows: usize = topo.waves.iter().map(|w| w.targets.len()).sum();
+        let edges: usize = topo.waves.iter().map(|w| w.child_rows.len()).sum();
+        let mut s = SlotSchedule {
+            // What either lowering can emit at most: encoder rows and
+            // slots, then per wave target own, rows and slots, and per
+            // edge child slot and segment.
+            index: Vec::with_capacity(2 * topo.total + 3 * wave_rows + 2 * edges),
+            calls: Vec::with_capacity(topo.encoders.len() + topo.waves.iter().map(|w| w.groups.len()).sum::<usize>()),
+            n_encoders: topo.encoders.len(),
+            waves: Vec::with_capacity(topo.waves.len()),
+            final_slots: Vec::new(),
+            stats: SlotStats {
+                encoder_rows: topo.total,
+                wave_rows,
+                ..SlotStats::default()
+            },
+        };
+        let mut table = SlotTable::new(fp_mask);
+
+        // ---- encoder rows, keyed by (type, feature bits). A call's fresh
+        // slots are consecutive, so its slot map is a run of ids. ----
+        table.reset(topo.total);
+        let mut h0 = vec![0usize; topo.total];
+        // (encoder, feature row) that first produced each encoder slot.
+        let mut origin: Vec<(usize, usize)> = Vec::with_capacity(topo.total);
+        for (e, (ep, feats)) in topo.encoders.iter().zip(features).enumerate() {
+            let first = origin.len();
+            let rows_start = s.index.len();
+            for (r, &node) in ep.globals.iter().enumerate() {
+                let row = feats.row_slice(r);
+                let fresh = origin.len();
+                let slot = table.intern(table.row_fingerprint(ep.type_index, row), fresh, |slot| {
+                    let (e2, r2) = origin[slot];
+                    e2 == e && same_bits(features[e2].row_slice(r2), row)
+                });
+                if slot == fresh {
+                    origin.push((e, r));
+                    s.index.push(r);
+                }
+                h0[node] = slot;
+            }
+            let rows = if origin.len() - first < ep.globals.len() {
+                Some(rows_start..s.index.len())
+            } else {
+                s.index.truncate(rows_start);
+                None
+            };
+            let slots = push_range(&mut s.index, first..origin.len());
+            s.calls.push(SlotCall {
+                type_index: ep.type_index,
+                rows,
+                slots,
+            });
+        }
+        s.stats.distinct_encoder_rows = origin.len();
+
+        // A wave key can repeat only if an encoder row does: with every own
+        // slot distinct no two targets share a key, and the waves are not
+        // hashed at all.
+        let merge = origin.len() < topo.total;
+        let mut cur = h0.clone();
+        s.lower_waves(topo, &h0, &mut cur, merge.then_some(&mut table));
+        s.final_slots = cur;
+        s
+    }
+
+    /// Lowers the waves. A wave computes one input row per live target (see
+    /// [`live_targets`]) that needs a slot of its own: with a merge table, a
+    /// target is interned by (own slot, child slots in edge order) against
+    /// every earlier wave's targets too, and only the first of equal keys is
+    /// computed; without one, every live target gets a fresh slot. A wave's
+    /// fresh slots are consecutive in target order, so wave-input row `r`
+    /// writes slot `base + r`.
+    fn lower_waves(&mut self, topo: &PlanTopology, h0: &[usize], cur: &mut [usize], mut merge: Option<&mut SlotTable>) {
+        let live = live_targets(topo);
+        self.stats.live_wave_rows = live.iter().filter(|&&l| l).count();
+        let base_all = self.stats.distinct_encoder_rows;
+        if let Some(table) = merge.as_mut() {
+            table.reset(self.stats.live_wave_rows);
+        }
+        // Key of wave slot `base_all + i`: own slot and the range of its
+        // child slots in `index` (each fresh target's, as emitted).
+        let mut keys: Vec<(usize, Range<usize>)> = Vec::with_capacity(self.stats.live_wave_rows);
+        // Per-wave scratch: child slots bucketed by target (CSR), each
+        // target's group, the fresh targets and each live target's new slot.
+        let (mut start, mut fill, mut by_target) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut group_of, mut fresh, mut after) = (Vec::new(), Vec::new(), Vec::new());
+        let mut live_off = 0;
+        for w in &topo.waves {
+            let n = w.targets.len();
+            let live = &live[live_off..live_off + n];
+            live_off += n;
+            start.clear();
+            start.resize(n + 1, 0);
+            for &seg in &w.segs {
+                start[seg + 1] += 1;
+            }
+            for p in 0..n {
+                start[p + 1] += start[p];
+            }
+            fill.clear();
+            fill.extend_from_slice(&start[..n]);
+            by_target.clear();
+            by_target.resize(w.child_rows.len(), 0);
+            for (&c, &seg) in w.child_rows.iter().zip(&w.segs) {
+                by_target[fill[seg]] = cur[c];
+                fill[seg] += 1;
+            }
+            group_of.clear();
+            group_of.resize(n, 0);
+            for (gi, g) in w.groups.iter().enumerate() {
+                for &r in &g.rows {
+                    group_of[r] = gi;
+                }
+            }
+
+            // Key every live target on its pre-wave children; a fresh
+            // one's child slots go straight into `index`, where its key
+            // points.
+            let base = base_all + keys.len();
+            let child_start = self.index.len();
+            fresh.clear();
+            after.clear();
+            for (p, &t) in w.targets.iter().enumerate() {
+                if !live[p] {
+                    continue;
+                }
+                let own = h0[t];
+                let children = &by_target[start[p]..start[p + 1]];
+                let new = base_all + keys.len();
+                let slot = match merge.as_mut() {
+                    Some(table) => {
+                        let index = &self.index;
+                        table.intern(table.wave_fingerprint(own, children), new, |slot| {
+                            let (o, kids) = &keys[slot - base_all];
+                            *o == own && index[kids.clone()] == *children
+                        })
+                    }
+                    None => new,
+                };
+                if slot == new {
+                    let kids = push_range(&mut self.index, children.iter().copied());
+                    keys.push((own, kids));
+                    fresh.push(p);
+                }
+                after.push((t, slot));
+            }
+            // The new slots become current only once every key is built.
+            for &(t, slot) in &after {
+                cur[t] = slot;
+            }
+            if fresh.is_empty() {
+                continue;
+            }
+
+            let child_slots = child_start..self.index.len();
+            let segs = push_range(
+                &mut self.index,
+                fresh
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(row, &p)| std::iter::repeat_n(row, start[p + 1] - start[p])),
+            );
+            let own = push_range(&mut self.index, fresh.iter().map(|&p| h0[w.targets[p]]));
+            let first_call = self.calls.len();
+            for (gi, g) in w.groups.iter().enumerate() {
+                let rows = push_range(
+                    &mut self.index,
+                    fresh
+                        .iter()
+                        .enumerate()
+                        .filter(|&(_, &p)| group_of[p] == gi)
+                        .map(|(r, _)| r),
+                );
+                if rows.is_empty() {
+                    continue;
+                }
+                let slots = self.index.len()..self.index.len() + rows.len();
+                self.index.extend_from_within(rows.clone());
+                self.index[slots.clone()].iter_mut().for_each(|r| *r += base);
+                self.calls.push(SlotCall {
+                    type_index: g.type_index,
+                    rows: (rows.len() < fresh.len()).then_some(rows),
+                    slots,
+                });
+            }
+            self.waves.push(SlotWave {
+                rows: fresh.len(),
+                child_slots,
+                segs,
+                own,
+                calls: first_call..self.calls.len(),
+            });
+        }
+        self.stats.distinct_wave_rows = keys.len();
+    }
+
+    fn view<'a>(&'a self, call: &'a SlotCall) -> CallView<'a> {
+        CallView {
+            type_index: call.type_index,
+            rows: call.rows.clone().map(|r| &self.index[r]),
+            slots: &self.index[call.slots.clone()],
+        }
+    }
+
+    /// The encoder calls, parallel to the plan's stacked features.
+    pub fn encoders(&self) -> impl Iterator<Item = CallView<'_>> {
+        self.calls[..self.n_encoders].iter().map(|c| self.view(c))
+    }
+
+    /// The waves that compute at least one new slot, in order.
+    pub fn waves(&self) -> impl Iterator<Item = WaveView<'_>> {
+        self.waves.iter().map(|w| WaveView {
+            rows: w.rows,
+            child_slots: &self.index[w.child_slots.clone()],
+            segs: &self.index[w.segs.clone()],
+            own: &self.index[w.own.clone()],
+            schedule: self,
+            calls: &self.calls[w.calls.clone()],
+        })
     }
 }
 
@@ -788,6 +1300,86 @@ mod tests {
         let direct = BatchPlan::build(&[&masked], Scheme::Costream, 0);
         for (a, b) in pm.features.iter().zip(&direct.features) {
             assert_eq!(a.data(), b.data(), "hit path must restack the new features");
+        }
+    }
+
+    fn plan_of(gs: &[JointGraph], scheme: Scheme) -> BatchPlan {
+        let refs: Vec<&JointGraph> = gs.iter().collect();
+        BatchPlan::build(&refs, scheme, 2)
+    }
+
+    #[test]
+    fn signed_zeros_and_nan_payloads_never_merge() {
+        let g = graphs(1, Featurization::Full).remove(0);
+        // Two copies of one graph whose first feature differs only as `a`
+        // vs `b`: every other row of the second copy merges.
+        let stats = |a: f32, b: f32| {
+            let (mut x, mut y) = (g.clone(), g.clone());
+            x.nodes[0].features[0] = a;
+            y.nodes[0].features[0] = b;
+            plan_of(&[x, y], Scheme::Costream).hash_cons()
+        };
+        let equal = stats(0.0, 0.0);
+        let (quiet_nan, payload_nan) = (f32::from_bits(0x7fc0_0001), f32::from_bits(0x7fc0_0002));
+        assert_eq!(stats(quiet_nan, quiet_nan), equal, "equal bits merge, NaN or not");
+        for (a, b) in [(0.0, -0.0), (quiet_nan, payload_nan)] {
+            let split = stats(a, b);
+            assert_eq!(
+                split.distinct_encoder_rows,
+                equal.distinct_encoder_rows + 1,
+                "{a:?} vs {b:?}: rows equal as floats but not in bits must not merge"
+            );
+            assert!(split.distinct_wave_rows > equal.distinct_wave_rows);
+        }
+    }
+
+    #[test]
+    fn forced_fingerprint_collisions_are_resolved_by_the_exact_check() {
+        let gs = graphs(3, Featurization::Full);
+        let repeats = [
+            gs[0].clone(),
+            gs[1].clone(),
+            gs[0].clone(),
+            gs[2].clone(),
+            gs[1].clone(),
+        ];
+        for scheme in [Scheme::Costream, Scheme::Traditional] {
+            for batch in [&gs[..], &repeats[..]] {
+                let plan = plan_of(batch, scheme);
+                let routed = SlotSchedule::lower(&plan.topo, &plan.features, u64::MAX);
+                // Every fingerprint 0: each probe walks every recorded key,
+                // and only exact equality may merge.
+                let collided = SlotSchedule::lower(&plan.topo, &plan.features, 0);
+                assert_eq!(collided, routed, "{scheme:?}, {} graphs", batch.len());
+            }
+            let stats = plan_of(&repeats, scheme).hash_cons();
+            assert!(stats.distinct_wave_rows < stats.wave_rows, "the repeats must merge");
+        }
+    }
+
+    #[test]
+    fn an_all_distinct_batch_gets_one_slot_per_node_and_live_wave_target() {
+        // Generated graphs may repeat a row (two sinks, twin hosts), so
+        // every node gets a first feature of its own.
+        let mut gs = graphs(4, Featurization::Full);
+        for (i, node) in gs.iter_mut().flat_map(|g| &mut g.nodes).enumerate() {
+            node.features[0] = i as f32;
+        }
+        let ops: usize = gs.iter().map(JointGraph::n_ops).sum();
+        for scheme in [Scheme::Costream, Scheme::Traditional] {
+            let plan = plan_of(&gs, scheme);
+            let stats = plan.hash_cons();
+            assert_eq!(stats.distinct_encoder_rows, plan.total_nodes(), "no row repeats");
+            let targets: usize = plan.topo.waves.iter().map(|w| w.targets.len()).sum();
+            assert_eq!(stats.wave_rows, targets);
+            // Every node of a Traditional round has a neighbour that reads
+            // it next round. In the Costream scheme the dataflow waves
+            // overwrite every operator's HW→OPS update before anything
+            // reads it.
+            let dead = if scheme == Scheme::Costream { ops } else { 0 };
+            assert_eq!(stats.live_wave_rows, targets - dead, "{scheme:?}");
+            assert_eq!(stats.distinct_wave_rows, stats.live_wave_rows, "{scheme:?}");
+            assert_eq!(stats.slots(), plan.total_nodes() + stats.live_wave_rows, "{scheme:?}");
         }
     }
 }

@@ -22,7 +22,6 @@
 pub mod benchmarks;
 pub mod builder;
 pub mod datatypes;
-pub mod dot;
 pub mod features;
 pub mod generator;
 pub mod hardware;

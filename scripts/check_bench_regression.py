@@ -149,6 +149,13 @@ GATED_METRICS = {
     # search-throughput number. Higher is better; a per-host sweep, a
     # per-draw host filter or a thread spawn coming back shows here.
     "search_wide_256_candidates_per_s": (1.30, "higher"),
+    # Distinct wave rows / wave rows over the batches of one
+    # optimizer_search LocalSearch run: the share of node-state updates
+    # the fused pass's hash-consed slot schedule actually computes.
+    # Deterministic for fixed inputs; a lowering that silently stops
+    # merging (a key that grew a per-candidate field, a fingerprint that
+    # never matches) reads 1.0 here while every bitwise test stays green.
+    "search_unique_row_share": (1.10, "lower"),
 }
 
 

@@ -629,8 +629,9 @@ fn bench_enumeration(c: &mut Criterion) {
 /// `score_ns / candidates_scored`, the fastest of 20 searches — i.e. the
 /// in-process production path (one plan, three fused passes per batch)
 /// at a search's real batch sizes. `search_unique_row_share` (CI-gated)
-/// is the share of that search's wave rows the fused pass's slot schedule
-/// computes, and `plan_hash_cons_b10` times the lowering that finds them.
+/// is the share of that search's wave rows the fused pass computes under
+/// the search's memo (each distinct node state once per search), and
+/// `plan_hash_cons_b10` times the one-batch lowering.
 fn bench_optimizer_search(c: &mut Criterion) {
     use costream::search::{
         BeamSearch, EnsembleScorer, LocalSearch, PlacementSearch, RandomEnumeration, SearchProblem,
@@ -699,43 +700,46 @@ fn bench_optimizer_search(c: &mut Criterion) {
         .fold(f64::INFINITY, f64::min);
     criterion::register_result("search_score_per_candidate", per_candidate);
 
-    // What the fused pass's hash-consing finds in that search's batches:
-    // the share of wave rows that are distinct (gated — a lowering that
-    // stops merging reads 1.0) and the lowering's cost on a 10-candidate
+    // What the search's memo computed of that search's wave rows (gated —
+    // a lowering that stops merging, within a batch or across batches,
+    // reads more) and the one-batch lowering's cost on a 10-candidate
     // batch.
     let recording = Recording {
         inner: &scorer,
         batches: std::sync::Mutex::new(Vec::new()),
+        memo: std::sync::Mutex::new(Default::default()),
     };
     LocalSearch::default().search(&problem, &recording, BUDGET, SEED);
+    let memo = *recording.memo.lock().expect("recording lock");
     let batches = recording.batches.into_inner().expect("recording lock");
+    criterion::register_metric(
+        "search_unique_row_share",
+        memo.distinct_wave_rows as f64 / memo.wave_rows as f64,
+        "share",
+    );
     let config = *target.model_config();
-    let plan_of = |graphs: &[JointGraph]| {
-        let refs: Vec<&JointGraph> = graphs.iter().collect();
-        BatchPlan::build(&refs, config.scheme, config.traditional_rounds)
-    };
-    let (rows, distinct) = batches
-        .iter()
-        .map(|b| plan_of(b).hash_cons())
-        .fold((0, 0), |(r, d), s| (r + s.wave_rows, d + s.distinct_wave_rows));
-    criterion::register_metric("search_unique_row_share", distinct as f64 / rows as f64, "share");
     let b10 = batches
         .iter()
         .find(|b| b.len() >= 10)
         .expect("a LocalSearch round scores at least 10 candidates");
-    let plan = plan_of(&b10[..10]);
+    let refs: Vec<&JointGraph> = b10[..10].iter().collect();
+    let plan = BatchPlan::build(&refs, config.scheme, config.traditional_rounds);
     eprintln!(
-        "  hash-consing over {} search batches: {distinct} of {rows} wave rows distinct; a 10-candidate batch: {:?}",
+        "  search memo over {} batches: {} of {} wave rows computed; a 10-candidate batch alone: {:?}",
         batches.len(),
+        memo.distinct_wave_rows,
+        memo.wave_rows,
         plan.hash_cons()
     );
     c.bench_function("plan_hash_cons_b10", |b| b.iter(|| black_box(&plan).hash_cons()));
 }
 
-/// A scorer that keeps a copy of every batch it scores.
+/// A scorer that keeps a copy of every batch it scores, and what the
+/// search's memo held after the last one.
 struct Recording<'a, S> {
     inner: &'a S,
     batches: std::sync::Mutex<Vec<Vec<JointGraph>>>,
+    memo: std::sync::Mutex<costream::plan::SlotStats>,
 }
 
 impl<S: Scorer> Scorer for Recording<'_, S> {
@@ -746,6 +750,13 @@ impl<S: Scorer> Scorer for Recording<'_, S> {
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores> {
         self.batches.lock().expect("recording lock").push(graphs.clone());
         self.inner.score_batch(graphs)
+    }
+
+    fn score_batch_in(&self, graphs: Vec<JointGraph>, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
+        self.batches.lock().expect("recording lock").push(graphs.clone());
+        let scores = self.inner.score_batch_in(graphs, memo);
+        *self.memo.lock().expect("recording lock") = memo.stats();
+        scores
     }
 }
 

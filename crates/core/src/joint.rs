@@ -54,7 +54,7 @@ use crate::graph::{Featurization, GraphTemplate, JointGraph};
 use crate::interference::{rate_weighted_share, InterferenceModel};
 use crate::search::ranking;
 use crate::search::{
-    BeamSearch, LocalSearch, PlacementScores, RandomEnumeration, Scorer, SearchStats, SimulatedAnnealing,
+    BeamSearch, LocalSearch, PlacementScores, RandomEnumeration, ScoreMemo, Scorer, SearchStats, SimulatedAnnealing,
 };
 use costream_dsps::corun::{profile_loads, OpLoad};
 use costream_dsps::{CostMetric, ExecutionProfile};
@@ -248,6 +248,17 @@ impl<'a> JointScorer<'a> {
         candidates: &[JointPlacement],
         stats: &mut SearchStats,
     ) -> Vec<JointCandidateEvaluation> {
+        self.evaluate_in(candidates, stats, &mut ScoreMemo::new())
+    }
+
+    /// [`JointScorer::evaluate_with`] for one batch of a search, scored
+    /// through the search's memo.
+    fn evaluate_in(
+        &self,
+        candidates: &[JointPlacement],
+        stats: &mut SearchStats,
+        memo: &mut ScoreMemo,
+    ) -> Vec<JointCandidateEvaluation> {
         let n_q = self.templates.len();
         let t0 = Instant::now();
         let graphs: Vec<JointGraph> = candidates.iter().flat_map(|jp| self.featurize(jp)).collect();
@@ -256,7 +267,7 @@ impl<'a> JointScorer<'a> {
         stats.score_batches += 1;
         stats.max_batch = stats.max_batch.max(candidates.len() as u64);
         let t1 = Instant::now();
-        let scores = self.scorer.score_batch(graphs);
+        let scores = self.scorer.score_batch_in(graphs, memo);
         stats.score_ns += t1.elapsed().as_nanos() as u64;
         assert_eq!(
             scores.len(),
@@ -424,6 +435,9 @@ struct Migration<'a> {
 /// total cost, plus the amortized [`Migration`] charge under replan).
 struct Evaluator<'a> {
     scorer: JointScorer<'a>,
+    /// Every node state the scorer computed for this search; dropped with
+    /// the evaluator, so nothing scored survives the search.
+    memo: ScoreMemo,
     budget: usize,
     seen: HashSet<Vec<HostId>>,
     evaluated: Vec<JointCandidateEvaluation>,
@@ -436,6 +450,7 @@ impl<'a> Evaluator<'a> {
     fn new(problem: &JointSearchProblem<'a>, scorer: &'a dyn Scorer, budget: usize) -> Self {
         Evaluator {
             scorer: JointScorer::new(problem, scorer),
+            memo: ScoreMemo::new(),
             budget: budget.max(1),
             seen: HashSet::new(),
             evaluated: Vec::new(),
@@ -488,7 +503,7 @@ impl<'a> Evaluator<'a> {
             m.cost_ms.extend(charges);
         }
         let start = self.evaluated.len();
-        let scored = self.scorer.evaluate_with(&fresh, &mut self.stats);
+        let scored = self.scorer.evaluate_in(&fresh, &mut self.stats, &mut self.memo);
         self.evaluated.extend(scored);
         (start..self.evaluated.len()).collect()
     }

@@ -17,7 +17,8 @@
 //!   plus the topology-keyed [`plan::PlanCache`] that lets serving layers
 //!   skip plan construction for recurring graph shapes, and the
 //!   hash-consed slot schedule the fused pass runs (each distinct node
-//!   state once per batch);
+//!   state once per batch, or once per search through the search's
+//!   [`search::ScoreMemo`]);
 //! * [`dataset`] — benchmark corpora (§VI): generation against the
 //!   simulator, 80/10/10 splits, balanced classification subsets;
 //! * [`train`] — per-metric training (MSLE regression / BCE
@@ -35,10 +36,7 @@
 //!   [`joint::JointPlacementSearch`] strategies over N queries sharing
 //!   a cluster (a single query is N = 1), plus migration-aware
 //!   [`joint::replan`] through the same evaluator;
-//! * [`qerror`] — the q-error / accuracy evaluation metrics of §VII;
-//! * [`reorder`] — cost-based operator reordering (the extension the
-//!   paper's outlook proposes);
-//! * [`money`] — monetary cost estimation for cloud deployments (§IX).
+//! * [`qerror`] — the q-error / accuracy evaluation metrics of §VII.
 //!
 //! ```no_run
 //! use costream::prelude::*;
@@ -62,11 +60,9 @@ pub mod graph;
 pub mod interference;
 pub mod joint;
 pub mod model;
-pub mod money;
 pub mod optimizer;
 pub mod plan;
 pub mod qerror;
-pub mod reorder;
 pub mod search;
 #[doc(hidden)]
 pub mod test_fixtures;
@@ -91,8 +87,8 @@ pub mod prelude {
     pub use crate::plan::{plan_signature, BatchPlan, CacheStats, PlanCache, PlanSignature};
     pub use crate::qerror::{accuracy, q_error, QErrorSummary};
     pub use crate::search::{
-        BeamSearch, EnsembleScorer, LocalSearch, PlacementScores, PlacementSearch, RandomEnumeration, Scorer,
-        SearchProblem, SearchStats, SimulatedAnnealing,
+        BeamSearch, EnsembleScorer, LocalSearch, PlacementScores, PlacementSearch, RandomEnumeration, ScoreMemo,
+        Scorer, SearchProblem, SearchStats, SimulatedAnnealing,
     };
     pub use crate::train::{fine_tune, train_metric, TrainConfig, TrainedModel};
     pub use costream_dsps::{

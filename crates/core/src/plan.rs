@@ -29,17 +29,25 @@
 //! feature rows. The cache is thread-safe (one lock around the LRU map,
 //! topologies shared by `Arc`) and exposes hit/miss counters.
 //!
+//! A topology is built in one linear pass over the batch: node types are
+//! read once, encoder and wave type groups come from counting sorts, the
+//! dataflow waves' targets and edges are bucketed by wave in one sweep,
+//! and one `pos_of` scratch serves every wave, reset only where a wave
+//! wrote it. Every list comes out in the same (type, graph, node or edge)
+//! order a wave-by-wave rescan produces, so training, the sequential
+//! oracle and every digest see the same plans.
+//!
 //! # Hash-consed slot schedules
 //!
 //! The batches a placement search scores are neighbours of one another:
 //! a candidate's node states depend on its placement only through the
 //! OPS→HW / HW→OPS edges and the dataflow downstream of them (Algorithm 1,
 //! §III-B), so most of a batch's encoder rows and wave updates repeat a
-//! computation another candidate already makes. The fused inference pass
-//! therefore does not run a plan node by node; it runs the plan's *slot
-//! schedule*, computed lazily once per plan after the feature restack and
-//! shared by every ensemble scoring the plan (the search's trio, the
-//! serving cache's hit path). A slot is one distinct node state:
+//! computation another candidate already makes — in the same batch or in
+//! an earlier batch of the same search. The fused inference pass
+//! therefore does not run a plan node by node; it runs a *slot schedule*,
+//! the plan lowered into a `SlotMemo` that holds every distinct node
+//! state seen so far. A slot is one distinct node state:
 //!
 //! * an encoder row's slot is keyed by (node type, the exact `f32` bits of
 //!   its features) — `-0.0` and `+0.0`, or two NaN payloads, never merge;
@@ -53,24 +61,46 @@
 //! the dataflow waves overwrite each operator before anything reads it
 //! (the sequential path computes them and throws them away).
 //!
-//! Keys are interned through 64-bit fingerprints in an open-addressed
-//! table; fingerprints only route, and two keys merge only after an exact
+//! Keys are interned through 64-bit fingerprints in open-addressed
+//! tables; fingerprints only route, and two keys merge only after an exact
 //! comparison. (Fingerprints start from a per-process random state, so a
 //! batch from the wire cannot be crafted to make every probe collide.)
-//! If no encoder row repeats, no two targets share an own
-//! slot, and the lowering stops there: every live wave target gets a fresh
-//! slot and no wave key is hashed. Skipping a merge never changes a bit — it
-//! only repeats work — so the shortcut is sound whatever the graphs.
 //!
-//! Why a merge is bitwise exact: every kernel row the pass runs is one
-//! single-accumulator chain over its own input row, independent of its
-//! batch neighbours (see `costream_nn::fused`). Equal encoder keys are
-//! equal input rows. Equal wave keys are equal inputs too: the child half
-//! sums the same slots in the same (edge) order from zero, and the own
-//! half copies the same `h0` row. The readout pools each node's final slot
-//! in node order, the same additions in the same order as pooling the
-//! per-node state. A dead row reaches no output, so dropping it changes
-//! no bit either.
+//! # A memo's lifetime
+//!
+//! A memo lives for one batch or for one search, never longer:
+//!
+//! * **One batch** — [`BatchPlan`]'s own schedule, lowered lazily once per
+//!   plan after the feature restack and shared by every ensemble scoring
+//!   it (the serving cache's hit path, `Ensemble::predict_*`). Nothing
+//!   outlives the lowering, so if no encoder row repeats (no two targets
+//!   can then share an own slot) the lowering stops there: every live wave
+//!   target gets a fresh slot and no wave key is hashed. Skipping a merge
+//!   never changes a bit — it only repeats work — so the shortcut is sound
+//!   whatever the graphs.
+//! * **One search** — the in-process scorer lowers each chunk of each
+//!   batch into the memo its search's evaluator owns, so a batch's schedule
+//!   holds only the slots no earlier batch of the search computed, and the
+//!   fused pass keeps their rows in a state matrix the memo owns. Every key
+//!   is recorded, since a later batch may reach it. A constant slot cap
+//!   restarts the memo, which bounds its memory; a restart only repeats
+//!   work.
+//!
+//! The slots index rows computed with one ensemble's weights, so a memo
+//! must not outlive the search that filled it: a new model, or another
+//! scorer, would read states its weights never produced. (The scorer
+//! hands a memo's buffers back to its pool emptied when the search ends.)
+//!
+//! Why a merge is bitwise exact — within a batch or across batches: every
+//! kernel row the pass runs is one single-accumulator chain over its own
+//! input row, independent of its batch neighbours (see
+//! `costream_nn::fused`), so a row's bits depend on its input row alone,
+//! not on the batch that computed it. Equal encoder keys are equal input
+//! rows. Equal wave keys are equal inputs too: the child half sums the same
+//! slots in the same (edge) order from zero, and the own half copies the
+//! same `h0` row. The readout pools each node's final slot in node order,
+//! the same additions in the same order as pooling the per-node state. A
+//! dead row reaches no output, so dropping it changes no bit either.
 
 use crate::graph::JointGraph;
 use crate::model::Scheme;
@@ -86,7 +116,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Per-node-type encoder routing: the global row index each encoded row
 /// of one type scatters to. The stacked feature rows themselves live on
 /// the [`BatchPlan`] (they change per batch; the routing does not).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct EncoderPlan {
     /// Index into `NodeType::ALL` (selects the encoder MLP).
     pub type_index: usize,
@@ -96,7 +126,7 @@ pub(crate) struct EncoderPlan {
 
 /// One group of same-typed targets inside a wave, routed through the
 /// update MLP of that type.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct TypeGroup {
     /// Index into `NodeType::ALL` (selects the updater MLP).
     pub type_index: usize,
@@ -111,7 +141,7 @@ pub(crate) struct TypeGroup {
 
 /// One message-passing update: which edges feed which targets, how target
 /// rows split by node type, and which rows carry over untouched.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct WavePlan {
     /// Source node (global index) of each contributing edge.
     pub child_rows: Vec<usize>,
@@ -129,7 +159,7 @@ pub(crate) struct WavePlan {
 /// The structural (feature-free) part of a batch plan: everything that
 /// depends only on graph *shapes*, shared behind an `Arc` so the plan
 /// cache and all ensemble members reuse one copy.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub(crate) struct PlanTopology {
     /// Message-passing scheme the topology was built for.
     pub scheme: Scheme,
@@ -157,7 +187,7 @@ pub struct BatchPlan {
     /// Stacked `n_nodes_of_type x feature_width` encoder inputs, parallel
     /// to `topo.encoders`.
     pub(crate) features: Vec<Tensor>,
-    /// The hash-consed slot schedule, lowered on first inference use.
+    /// The plan's one-batch slot schedule, lowered on first inference use.
     slots: OnceLock<SlotSchedule>,
 }
 
@@ -202,19 +232,25 @@ impl BatchPlan {
         }
     }
 
-    /// The plan's slot schedule, lowered on first use and shared by every
-    /// later pass over this plan.
-    pub(crate) fn slots(&self) -> &SlotSchedule {
-        self.slots
-            .get_or_init(|| SlotSchedule::lower(&self.topo, &self.features, u64::MAX))
+    /// Lowers the plan into `memo`: the schedule computes only the slots
+    /// the memo does not hold yet, and records them there.
+    pub(crate) fn lower_into(&self, memo: &mut SlotMemo) -> SlotSchedule {
+        memo.lower(&self.topo, &self.features)
     }
 
-    /// Lowers the plan to its hash-consed slot schedule afresh and reports
+    /// The plan's schedule in a one-batch memo, lowered on first use and
+    /// shared by every later pass over this plan.
+    pub(crate) fn slots(&self) -> &SlotSchedule {
+        self.slots
+            .get_or_init(|| self.lower_into(&mut SlotMemo::one_batch(u64::MAX)))
+    }
+
+    /// Lowers the plan to its one-batch slot schedule afresh and reports
     /// how much merged (see the module docs). The fused inference pass
     /// lowers each plan once and keeps the schedule; this entry point
     /// exists to time and inspect that lowering.
     pub fn hash_cons(&self) -> SlotStats {
-        SlotSchedule::lower(&self.topo, &self.features, u64::MAX).stats
+        self.lower_into(&mut SlotMemo::one_batch(u64::MAX)).stats
     }
 }
 
@@ -251,126 +287,119 @@ fn stack_features(topo: &PlanTopology, graphs: &[&JointGraph]) -> Vec<Tensor> {
 }
 
 impl PlanTopology {
-    /// Builds the structural bookkeeping for a batch of graphs.
+    /// Builds the structural bookkeeping for a batch of graphs, in one
+    /// linear pass (see the module docs).
     ///
     /// # Panics
     /// Panics on an empty batch.
     fn build(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize) -> Self {
         assert!(!graphs.is_empty(), "empty batch");
 
+        // ---- node types and readout segments, once per batch ----
         let mut offsets = Vec::with_capacity(graphs.len());
-        let mut total = 0usize;
-        for g in graphs {
-            offsets.push(total);
-            total += g.len();
+        let mut types: Vec<usize> = Vec::new();
+        let mut graph_of: Vec<usize> = Vec::new();
+        for (gi, g) in graphs.iter().enumerate() {
+            offsets.push(types.len());
+            // `NodeType::ALL` lists the variants in declaration order, so
+            // the discriminant doubles as the type index.
+            types.extend(g.nodes.iter().map(|n| n.node_type as usize));
+            graph_of.extend(std::iter::repeat_n(gi, g.len()));
         }
+        let total = types.len();
 
         // ---- encoder groups, in NodeType::ALL order ----
-        let mut encoders = Vec::new();
-        for (ti, t) in NodeType::ALL.iter().enumerate() {
-            let mut globals: Vec<usize> = Vec::new();
-            for (gi, g) in graphs.iter().enumerate() {
-                for (li, node) in g.nodes.iter().enumerate() {
-                    if node.node_type == *t {
-                        globals.push(offsets[gi] + li);
-                    }
-                }
-            }
-            if globals.is_empty() {
-                continue;
-            }
-            encoders.push(EncoderPlan {
-                type_index: ti,
-                globals,
-            });
-        }
-
-        let node_type = |global: usize| -> NodeType {
-            let gi = match offsets.binary_search(&global) {
-                Ok(i) => i,
-                Err(i) => i - 1,
-            };
-            graphs[gi].nodes[global - offsets[gi]].node_type
-        };
+        let encoders = split_by_type(total, |g| types[g])
+            .into_iter()
+            .map(|(type_index, globals)| EncoderPlan { type_index, globals })
+            .collect();
 
         // ---- wave schedule ----
+        let mut scratch = WaveScratch {
+            types: &types,
+            pos_of: vec![usize::MAX; total],
+        };
         let mut waves = Vec::new();
+        let globalized = |edges: fn(&JointGraph) -> &[(usize, usize)]| -> Vec<(usize, usize)> {
+            graphs
+                .iter()
+                .zip(&offsets)
+                .flat_map(|(g, &off)| edges(g).iter().map(move |&(a, b)| (off + a, off + b)))
+                .collect()
+        };
         match scheme {
             Scheme::Costream => {
-                let mut host_targets: Vec<usize> = Vec::new();
-                let mut ophw_edges: Vec<(usize, usize)> = Vec::new();
-                let mut hwop_edges: Vec<(usize, usize)> = Vec::new();
-                for (gi, g) in graphs.iter().enumerate() {
-                    for (li, node) in g.nodes.iter().enumerate() {
-                        if node.node_type == NodeType::Host {
-                            host_targets.push(offsets[gi] + li);
-                        }
-                    }
-                    for &(op, hn) in &g.placement_edges {
-                        ophw_edges.push((offsets[gi] + op, offsets[gi] + hn));
-                        hwop_edges.push((offsets[gi] + hn, offsets[gi] + op));
-                    }
-                }
+                const HOST: usize = NodeType::Host as usize;
+                let host_targets: Vec<usize> = (0..total).filter(|&g| types[g] == HOST).collect();
                 if !host_targets.is_empty() {
-                    // Phase 1: OPS→HW.
-                    waves.push(Arc::new(WavePlan::build(host_targets, &ophw_edges, total, &node_type)));
-                    // Phase 2: HW→OPS.
-                    let mut op_targets: Vec<usize> = Vec::new();
-                    for (gi, g) in graphs.iter().enumerate() {
-                        for (li, node) in g.nodes.iter().enumerate() {
-                            if node.node_type != NodeType::Host {
-                                op_targets.push(offsets[gi] + li);
-                            }
-                        }
-                    }
-                    waves.push(Arc::new(WavePlan::build(op_targets, &hwop_edges, total, &node_type)));
+                    // Phase 1: OPS→HW over the placement edges (op, host).
+                    let ophw = globalized(|g| &g.placement_edges);
+                    waves.push(Arc::new(scratch.wave(host_targets, &ophw)));
+                    // Phase 2: HW→OPS, the same edges reversed.
+                    let hwop: Vec<(usize, usize)> = ophw.iter().map(|&(op, hn)| (hn, op)).collect();
+                    let op_targets = (0..total).filter(|&g| types[g] != HOST).collect();
+                    waves.push(Arc::new(scratch.wave(op_targets, &hwop)));
                 }
-                // Phase 3: SOURCES→OPS, in topological waves.
+
+                // Phase 3: SOURCES→OPS, in topological waves. Targets and
+                // dataflow edges are bucketed by wave in one counting sort
+                // (an edge belongs to its target's wave), each bucket in
+                // (graph, node) / (graph, edge) order.
                 let n_waves = graphs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
-                for w in 0..n_waves {
-                    let mut targets: Vec<usize> = Vec::new();
-                    let mut edges: Vec<(usize, usize)> = Vec::new();
-                    for (gi, g) in graphs.iter().enumerate() {
-                        for (li, wave) in g.waves.iter().enumerate() {
-                            if *wave == Some(w) {
-                                targets.push(offsets[gi] + li);
-                            }
-                        }
-                        for &(a, b) in &g.dataflow_edges {
-                            if g.waves[b] == Some(w) {
-                                edges.push((offsets[gi] + a, offsets[gi] + b));
-                            }
+                let (mut t_start, mut e_start) = (vec![0usize; n_waves + 1], vec![0usize; n_waves + 1]);
+                for g in graphs {
+                    for &w in g.waves.iter().flatten() {
+                        t_start[w + 1] += 1;
+                    }
+                    for &(_, b) in &g.dataflow_edges {
+                        if let Some(w) = g.waves[b] {
+                            e_start[w + 1] += 1;
                         }
                     }
-                    if targets.is_empty() {
+                }
+                for w in 0..n_waves {
+                    t_start[w + 1] += t_start[w];
+                    e_start[w + 1] += e_start[w];
+                }
+                let (mut t_fill, mut e_fill) = (t_start.clone(), e_start.clone());
+                let mut targets = vec![0usize; t_start[n_waves]];
+                let mut edges = vec![(0usize, 0usize); e_start[n_waves]];
+                for (g, &off) in graphs.iter().zip(&offsets) {
+                    for (li, &wave) in g.waves.iter().enumerate() {
+                        if let Some(w) = wave {
+                            targets[t_fill[w]] = off + li;
+                            t_fill[w] += 1;
+                        }
+                    }
+                    for &(a, b) in &g.dataflow_edges {
+                        if let Some(w) = g.waves[b] {
+                            edges[e_fill[w]] = (off + a, off + b);
+                            e_fill[w] += 1;
+                        }
+                    }
+                }
+                for w in 0..n_waves {
+                    let wave_targets = &targets[t_start[w]..t_start[w + 1]];
+                    if wave_targets.is_empty() {
                         continue;
                     }
-                    waves.push(Arc::new(WavePlan::build(targets, &edges, total, &node_type)));
+                    let wave_edges = &edges[e_start[w]..e_start[w + 1]];
+                    waves.push(Arc::new(scratch.wave(wave_targets.to_vec(), wave_edges)));
                 }
             }
             Scheme::Traditional => {
                 let mut edges: Vec<(usize, usize)> = Vec::new();
-                let mut targets: Vec<usize> = Vec::new();
-                for (gi, g) in graphs.iter().enumerate() {
-                    for li in 0..g.len() {
-                        targets.push(offsets[gi] + li);
-                    }
+                for (g, &off) in graphs.iter().zip(&offsets) {
                     for &(a, b) in g.dataflow_edges.iter().chain(&g.placement_edges) {
-                        edges.push((offsets[gi] + a, offsets[gi] + b));
-                        edges.push((offsets[gi] + b, offsets[gi] + a));
+                        edges.push((off + a, off + b));
+                        edges.push((off + b, off + a));
                     }
                 }
-                let round = Arc::new(WavePlan::build(targets, &edges, total, &node_type));
+                let round = Arc::new(scratch.wave((0..total).collect(), &edges));
                 for _ in 0..traditional_rounds {
                     waves.push(Arc::clone(&round));
                 }
             }
-        }
-
-        // ---- readout segments ----
-        let mut graph_of: Vec<usize> = Vec::with_capacity(total);
-        for (gi, g) in graphs.iter().enumerate() {
-            graph_of.extend(std::iter::repeat_n(gi, g.len()));
         }
 
         PlanTopology {
@@ -385,52 +414,59 @@ impl PlanTopology {
     }
 }
 
-impl WavePlan {
-    fn build(
-        targets: Vec<usize>,
-        edges: &[(usize, usize)],
-        total: usize,
-        node_type: &impl Fn(usize) -> NodeType,
-    ) -> Self {
-        // Edge → segment translation (the old `wave_input` bookkeeping).
-        // Dense position table instead of a HashMap: node ids are compact.
-        let mut pos_of = vec![usize::MAX; total];
+/// `0..n` split by node type (`type_of`, an index into `NodeType::ALL`)
+/// with a counting sort: one list per type present, in `NodeType::ALL`
+/// order, each in ascending order.
+fn split_by_type(n: usize, type_of: impl Fn(usize) -> usize) -> Vec<(usize, Vec<usize>)> {
+    let mut counts = [0usize; NodeType::ALL.len()];
+    for i in 0..n {
+        counts[type_of(i)] += 1;
+    }
+    let mut lists = counts.map(Vec::with_capacity);
+    for i in 0..n {
+        lists[type_of(i)].push(i);
+    }
+    lists.into_iter().enumerate().filter(|(_, l)| !l.is_empty()).collect()
+}
+
+/// What every wave of one topology build shares: the batch's node types
+/// and one position table, `usize::MAX` everywhere between waves.
+struct WaveScratch<'a> {
+    types: &'a [usize],
+    pos_of: Vec<usize>,
+}
+
+impl WaveScratch<'_> {
+    /// One wave: the edges `(child, target)` that reach one of `targets`
+    /// (in edge order) become its CSR segments, the targets split by type,
+    /// and every other node carries over.
+    fn wave(&mut self, targets: Vec<usize>, edges: &[(usize, usize)]) -> WavePlan {
         for (p, &g) in targets.iter().enumerate() {
-            pos_of[g] = p;
+            self.pos_of[g] = p;
         }
-        let mut child_rows: Vec<usize> = Vec::new();
-        let mut segs: Vec<usize> = Vec::new();
+        let mut child_rows = Vec::with_capacity(edges.len());
+        let mut segs = Vec::with_capacity(edges.len());
         for &(child, target) in edges {
-            let p = pos_of[target];
+            let p = self.pos_of[target];
             if p != usize::MAX {
                 child_rows.push(child);
                 segs.push(p);
             }
         }
-
-        // Per-type routing of target rows (the old `update_wave_typed`
-        // bookkeeping), in NodeType::ALL order. Types resolved once per
-        // target row rather than once per row per type.
-        let row_types: Vec<NodeType> = targets.iter().map(|&g| node_type(g)).collect();
-        let mut groups = Vec::new();
-        for (ti, t) in NodeType::ALL.iter().enumerate() {
-            let rows: Vec<usize> = (0..targets.len()).filter(|&r| row_types[r] == *t).collect();
-            if rows.is_empty() {
-                continue;
-            }
-            let globals: Vec<usize> = rows.iter().map(|&r| targets[r]).collect();
-            let is_identity = rows.len() == targets.len();
-            groups.push(TypeGroup {
-                type_index: ti,
-                rows,
-                globals,
-                is_identity,
-            });
+        let mut keep = Vec::with_capacity(self.pos_of.len() - targets.len());
+        keep.extend((0..self.pos_of.len()).filter(|&g| self.pos_of[g] == usize::MAX));
+        for &g in &targets {
+            self.pos_of[g] = usize::MAX;
         }
-
-        // Untouched rows carried forward from the previous state.
-        let keep: Vec<usize> = (0..total).filter(|&g| pos_of[g] == usize::MAX).collect();
-
+        let groups = split_by_type(targets.len(), |r| self.types[targets[r]])
+            .into_iter()
+            .map(|(type_index, rows)| TypeGroup {
+                type_index,
+                globals: rows.iter().map(|&r| targets[r]).collect(),
+                is_identity: rows.len() == targets.len(),
+                rows,
+            })
+            .collect();
         WavePlan {
             child_rows,
             segs,
@@ -453,11 +489,11 @@ struct SlotCall {
     slots: Range<usize>,
 }
 
-/// One message-passing wave of the slot schedule: only its distinct
-/// targets, one wave-input row each (ranges of the schedule's index list).
+/// One message-passing wave of the slot schedule: only its new targets,
+/// one wave-input row each (ranges of the schedule's index list).
 #[derive(Clone, Debug, PartialEq)]
 struct SlotWave {
-    /// Wave-input rows (distinct targets).
+    /// Wave-input rows (new distinct targets).
     rows: usize,
     /// Slot of the child each contributing edge reads, in edge order.
     child_slots: Range<usize>,
@@ -469,10 +505,11 @@ struct SlotWave {
     calls: Range<usize>,
 }
 
-/// A plan lowered to distinct node states (see the module docs): the fused
-/// pass keeps one `[n_slots, k·hidden]` state matrix and writes every slot
-/// exactly once. Row maps live in one flat list so a lowering allocates a
-/// handful of buffers, not a few per wave.
+/// A plan lowered into a [`SlotMemo`] (see the module docs): the fused
+/// pass keeps one `[state_rows, k·hidden]` state matrix and writes each of
+/// the schedule's new slots exactly once; the slots an earlier batch of the
+/// memo computed are already there. Row maps live in one flat list so a
+/// lowering allocates a handful of buffers, not a few per wave.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct SlotSchedule {
     /// Every row map, concatenated; calls and waves hold ranges into it.
@@ -484,7 +521,9 @@ pub(crate) struct SlotSchedule {
     waves: Vec<SlotWave>,
     /// Each node's slot after the last wave (readout input, node order).
     pub final_slots: Vec<usize>,
-    /// Row and slot counts.
+    /// Rows the state matrix needs: every slot the memo holds.
+    pub state_rows: usize,
+    /// Row and slot counts of this batch (the new slots only).
     pub stats: SlotStats,
 }
 
@@ -519,8 +558,9 @@ impl<'a> WaveView<'a> {
     }
 }
 
-/// What hash-consing one plan merged: node-state rows the per-node pass
-/// would compute against the distinct ones the slot schedule computes.
+/// What hash-consing merged: node-state rows the per-node pass would
+/// compute against the distinct ones the slot schedule computes — for one
+/// plan ([`BatchPlan::hash_cons`]), or summed over the batches of a memo.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SlotStats {
     /// Encoder rows of the plan (its node count).
@@ -542,11 +582,24 @@ impl SlotStats {
     }
 }
 
-/// Open-addressed fingerprint → slot table. A fingerprint only routes a
+impl std::ops::AddAssign for SlotStats {
+    fn add_assign(&mut self, other: SlotStats) {
+        self.encoder_rows += other.encoder_rows;
+        self.distinct_encoder_rows += other.distinct_encoder_rows;
+        self.wave_rows += other.wave_rows;
+        self.live_wave_rows += other.live_wave_rows;
+        self.distinct_wave_rows += other.distinct_wave_rows;
+    }
+}
+
+/// Open-addressed fingerprint → key-id table. A fingerprint only routes a
 /// probe; the caller's exact key comparison decides every merge.
+#[derive(Debug)]
 struct SlotTable {
-    /// `(fingerprint, slot)`, `slot == usize::MAX` for an empty entry.
+    /// `(fingerprint, key id)`, `id == usize::MAX` for an empty entry.
     entries: Vec<(u64, usize)>,
+    /// Occupied entries.
+    len: usize,
     /// The per-process start of every fingerprint ([`fingerprint_key`]).
     key: u64,
     /// ANDed into every fingerprint: `u64::MAX` in production; `0` in a
@@ -559,32 +612,60 @@ impl SlotTable {
     fn new(fp_mask: u64) -> Self {
         SlotTable {
             entries: Vec::new(),
+            len: 0,
             key: fingerprint_key(),
             fp_mask,
         }
     }
 
-    /// Empties the table and sizes it for `keys` keys (load ≤ 1/2).
-    fn reset(&mut self, keys: usize) {
-        let cap = (2 * keys).max(16).next_power_of_two();
-        self.entries.clear();
-        self.entries.resize(cap, (0, usize::MAX));
+    /// Empties the table, keeping its capacity.
+    fn clear(&mut self) {
+        self.entries.fill((0, usize::MAX));
+        self.len = 0;
     }
 
-    /// The slot of a recorded key equal to the probed one (`same(slot)`
-    /// decides equality), or `fresh`, recorded under `fp`.
+    /// Makes room for `more` keys at load ≤ 1/2, rehashing if it grows.
+    fn reserve(&mut self, more: usize) {
+        let cap = (2 * (self.len + more)).max(16).next_power_of_two();
+        if cap <= self.entries.len() {
+            return;
+        }
+        let old = std::mem::replace(&mut self.entries, vec![(0, usize::MAX); cap]);
+        for (fp, id) in old.into_iter().filter(|&(_, id)| id != usize::MAX) {
+            let i = self.free_entry(fp);
+            self.entries[i] = (fp, id);
+        }
+    }
+
+    fn start(&self, fp: u64) -> usize {
+        (fp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & (self.entries.len() - 1)
+    }
+
+    fn free_entry(&self, fp: u64) -> usize {
+        let mask = self.entries.len() - 1;
+        let mut i = self.start(fp);
+        while self.entries[i].1 != usize::MAX {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// The id of a recorded key equal to the probed one (`same(id)`
+    /// decides equality), or `fresh`, recorded under `fp`. The caller has
+    /// reserved room for it.
     fn intern(&mut self, fp: u64, fresh: usize, mut same: impl FnMut(usize) -> bool) -> usize {
         let fp = fp & self.fp_mask;
         let mask = self.entries.len() - 1;
-        let mut i = (fp.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize & mask;
+        let mut i = self.start(fp);
         loop {
-            let (f, slot) = self.entries[i];
-            if slot == usize::MAX {
+            let (f, id) = self.entries[i];
+            if id == usize::MAX {
                 self.entries[i] = (fp, fresh);
+                self.len += 1;
                 return fresh;
             }
-            if f == fp && same(slot) {
-                return slot;
+            if f == fp && same(id) {
+                return id;
             }
             i = (i + 1) & mask;
         }
@@ -625,10 +706,6 @@ fn fp_step(h: u64, word: u64) -> u64 {
     (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
-fn same_bits(a: &[f32], b: &[f32]) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
 /// Appends `items` to `index` and returns where they landed.
 fn push_range(index: &mut Vec<usize>, items: impl IntoIterator<Item = usize>) -> Range<usize> {
     let start = index.len();
@@ -663,94 +740,211 @@ fn live_targets(topo: &PlanTopology) -> Vec<bool> {
     live
 }
 
-impl SlotSchedule {
-    /// Lowers a plan; `fp_mask` as in [`SlotTable`].
-    fn lower(topo: &PlanTopology, features: &[Tensor], fp_mask: u64) -> Self {
+/// An encoder slot's key: node type and the bits of its feature row.
+#[derive(Debug)]
+struct EncoderKey {
+    type_index: usize,
+    /// Range of the row in [`SlotMemo::rows`].
+    row: Range<usize>,
+    slot: usize,
+}
+
+/// A wave slot's key: own `h0` slot and the ordered child slots.
+#[derive(Debug)]
+struct WaveKey {
+    own: usize,
+    /// Range of the child slots in [`SlotMemo::kids`].
+    kids: Range<usize>,
+    slot: usize,
+}
+
+/// Every distinct node state a batch, or a search's batches, computed so
+/// far: the encoder and wave keys, interned through fingerprint tables,
+/// and the slot each was given (see the module docs for its lifetime).
+/// Lowering a plan into it yields a [`SlotSchedule`] of the new slots only.
+#[derive(Debug)]
+pub(crate) struct SlotMemo {
+    encoders: SlotTable,
+    encoder_keys: Vec<EncoderKey>,
+    /// Feature row of every encoder key, concatenated (compared by bits).
+    rows: Vec<f32>,
+    waves: SlotTable,
+    wave_keys: Vec<WaveKey>,
+    /// Child slots of every wave key, concatenated.
+    kids: Vec<usize>,
+    /// Slots given out: the state matrix rows the memo's slots index.
+    n_slots: usize,
+    /// A lowering that could take the memo past this many slots restarts
+    /// it first (a search memo's memory bound).
+    cap: usize,
+    /// Whether later batches lower into this memo too, so every key must
+    /// be recorded; `false` for a one-batch memo.
+    outlives_batch: bool,
+}
+
+impl SlotMemo {
+    fn new(cap: usize, fp_mask: u64, outlives_batch: bool) -> Self {
+        SlotMemo {
+            encoders: SlotTable::new(fp_mask),
+            encoder_keys: Vec::new(),
+            rows: Vec::new(),
+            waves: SlotTable::new(fp_mask),
+            wave_keys: Vec::new(),
+            kids: Vec::new(),
+            n_slots: 0,
+            cap,
+            outlives_batch,
+        }
+    }
+
+    /// A memo for one plan's lowering; `fp_mask` as in [`SlotTable`].
+    pub(crate) fn one_batch(fp_mask: u64) -> Self {
+        SlotMemo::new(usize::MAX, fp_mask, false)
+    }
+
+    /// A memo for the batches of one search; [`SlotMemo::set_limits`]
+    /// gives it its slot cap.
+    pub(crate) fn search() -> Self {
+        SlotMemo::new(usize::MAX, u64::MAX, true)
+    }
+
+    /// Sets the slot cap of an empty memo — a lowering that could take it
+    /// past `cap` slots restarts it first — and its fingerprint mask, as in
+    /// [`SlotTable`].
+    pub(crate) fn set_limits(&mut self, cap: usize, fp_mask: u64) {
+        debug_assert_eq!(self.n_slots, 0, "limits change only on an empty memo");
+        self.cap = cap;
+        self.encoders.fp_mask = fp_mask;
+        self.waves.fp_mask = fp_mask;
+    }
+
+    /// Forgets every slot, keeping every buffer's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.encoders.clear();
+        self.encoder_keys.clear();
+        self.rows.clear();
+        self.waves.clear();
+        self.wave_keys.clear();
+        self.kids.clear();
+        self.n_slots = 0;
+    }
+
+    /// Capacity of every buffer the memo recycles (test instrumentation:
+    /// a warm memo that repeats a search grows none of them).
+    #[cfg(test)]
+    pub(crate) fn capacities(&self) -> [usize; 6] {
+        [
+            self.encoders.entries.capacity(),
+            self.encoder_keys.capacity(),
+            self.rows.capacity(),
+            self.waves.entries.capacity(),
+            self.wave_keys.capacity(),
+            self.kids.capacity(),
+        ]
+    }
+
+    /// Lowers one plan: every encoder row and live wave target is interned
+    /// against the memo's keys, and only those with no equal key get a new
+    /// slot (and a row of the schedule).
+    fn lower(&mut self, topo: &PlanTopology, features: &[Tensor]) -> SlotSchedule {
         let wave_rows: usize = topo.waves.iter().map(|w| w.targets.len()).sum();
+        if self.n_slots > 0 && self.n_slots.saturating_add(topo.total + wave_rows) > self.cap {
+            self.clear();
+        }
         let edges: usize = topo.waves.iter().map(|w| w.child_rows.len()).sum();
         let mut s = SlotSchedule {
-            // What either lowering can emit at most: encoder rows and
-            // slots, then per wave target own, rows and slots, and per
-            // edge child slot and segment.
+            // What the lowering can emit at most: encoder rows and slots,
+            // then per wave target own, rows and slots, and per edge child
+            // slot and segment.
             index: Vec::with_capacity(2 * topo.total + 3 * wave_rows + 2 * edges),
             calls: Vec::with_capacity(topo.encoders.len() + topo.waves.iter().map(|w| w.groups.len()).sum::<usize>()),
             n_encoders: topo.encoders.len(),
             waves: Vec::with_capacity(topo.waves.len()),
             final_slots: Vec::new(),
+            state_rows: 0,
             stats: SlotStats {
                 encoder_rows: topo.total,
                 wave_rows,
                 ..SlotStats::default()
             },
         };
-        let mut table = SlotTable::new(fp_mask);
 
-        // ---- encoder rows, keyed by (type, feature bits). A call's fresh
+        // ---- encoder rows, keyed by (type, feature bits). A call's new
         // slots are consecutive, so its slot map is a run of ids. ----
-        table.reset(topo.total);
+        self.encoders.reserve(topo.total);
+        self.encoder_keys.reserve(topo.total);
+        self.rows.reserve(features.iter().map(|f| f.data().len()).sum());
+        let first = self.n_slots;
         let mut h0 = vec![0usize; topo.total];
-        // (encoder, feature row) that first produced each encoder slot.
-        let mut origin: Vec<(usize, usize)> = Vec::with_capacity(topo.total);
-        for (e, (ep, feats)) in topo.encoders.iter().zip(features).enumerate() {
-            let first = origin.len();
+        for (ep, feats) in topo.encoders.iter().zip(features) {
+            let call_first = self.n_slots;
             let rows_start = s.index.len();
             for (r, &node) in ep.globals.iter().enumerate() {
                 let row = feats.row_slice(r);
-                let fresh = origin.len();
-                let slot = table.intern(table.row_fingerprint(ep.type_index, row), fresh, |slot| {
-                    let (e2, r2) = origin[slot];
-                    e2 == e && same_bits(features[e2].row_slice(r2), row)
+                let fresh = self.encoder_keys.len();
+                let fp = self.encoders.row_fingerprint(ep.type_index, row);
+                let (keys, rows) = (&self.encoder_keys, &self.rows);
+                let k = self.encoders.intern(fp, fresh, |k| {
+                    let key = &keys[k];
+                    key.type_index == ep.type_index && same_bits(&rows[key.row.clone()], row)
                 });
-                if slot == fresh {
-                    origin.push((e, r));
+                if k == fresh {
+                    let start = self.rows.len();
+                    self.rows.extend_from_slice(row);
+                    self.encoder_keys.push(EncoderKey {
+                        type_index: ep.type_index,
+                        row: start..self.rows.len(),
+                        slot: self.n_slots,
+                    });
+                    self.n_slots += 1;
                     s.index.push(r);
                 }
-                h0[node] = slot;
+                h0[node] = self.encoder_keys[k].slot;
             }
-            let rows = if origin.len() - first < ep.globals.len() {
+            let rows = if self.n_slots - call_first < ep.globals.len() {
                 Some(rows_start..s.index.len())
             } else {
                 s.index.truncate(rows_start);
                 None
             };
-            let slots = push_range(&mut s.index, first..origin.len());
+            let slots = push_range(&mut s.index, call_first..self.n_slots);
             s.calls.push(SlotCall {
                 type_index: ep.type_index,
                 rows,
                 slots,
             });
         }
-        s.stats.distinct_encoder_rows = origin.len();
+        s.stats.distinct_encoder_rows = self.n_slots - first;
 
         // A wave key can repeat only if an encoder row does: with every own
-        // slot distinct no two targets share a key, and the waves are not
-        // hashed at all.
-        let merge = origin.len() < topo.total;
+        // slot new no two targets share a key, and a one-batch memo, which
+        // no later batch reads, hashes no wave at all.
+        let merge = self.outlives_batch || s.stats.distinct_encoder_rows < topo.total;
         let mut cur = h0.clone();
-        s.lower_waves(topo, &h0, &mut cur, merge.then_some(&mut table));
+        self.lower_waves(&mut s, topo, &h0, &mut cur, merge);
         s.final_slots = cur;
+        s.state_rows = self.n_slots;
         s
     }
 
     /// Lowers the waves. A wave computes one input row per live target (see
-    /// [`live_targets`]) that needs a slot of its own: with a merge table, a
+    /// [`live_targets`]) that needs a slot of its own: when merging, a
     /// target is interned by (own slot, child slots in edge order) against
-    /// every earlier wave's targets too, and only the first of equal keys is
-    /// computed; without one, every live target gets a fresh slot. A wave's
-    /// fresh slots are consecutive in target order, so wave-input row `r`
-    /// writes slot `base + r`.
-    fn lower_waves(&mut self, topo: &PlanTopology, h0: &[usize], cur: &mut [usize], mut merge: Option<&mut SlotTable>) {
+    /// every key the memo holds, and only the first of equal keys is
+    /// computed; otherwise every live target gets a new slot. A wave's new
+    /// slots are consecutive in target order, so wave-input row `r` writes
+    /// slot `base + r`.
+    fn lower_waves(&mut self, s: &mut SlotSchedule, topo: &PlanTopology, h0: &[usize], cur: &mut [usize], merge: bool) {
         let live = live_targets(topo);
-        self.stats.live_wave_rows = live.iter().filter(|&&l| l).count();
-        let base_all = self.stats.distinct_encoder_rows;
-        if let Some(table) = merge.as_mut() {
-            table.reset(self.stats.live_wave_rows);
+        s.stats.live_wave_rows = live.iter().filter(|&&l| l).count();
+        let first = self.n_slots;
+        if merge {
+            self.waves.reserve(s.stats.live_wave_rows);
+            self.wave_keys.reserve(s.stats.live_wave_rows);
+            self.kids.reserve(topo.waves.iter().map(|w| w.child_rows.len()).sum());
         }
-        // Key of wave slot `base_all + i`: own slot and the range of its
-        // child slots in `index` (each fresh target's, as emitted).
-        let mut keys: Vec<(usize, Range<usize>)> = Vec::with_capacity(self.stats.live_wave_rows);
         // Per-wave scratch: child slots bucketed by target (CSR), each
-        // target's group, the fresh targets and each live target's new slot.
+        // target's group, the new targets and each live target's new slot.
         let (mut start, mut fill, mut by_target) = (Vec::new(), Vec::new(), Vec::new());
         let (mut group_of, mut fresh, mut after) = (Vec::new(), Vec::new(), Vec::new());
         let mut live_off = 0;
@@ -782,11 +976,10 @@ impl SlotSchedule {
                 }
             }
 
-            // Key every live target on its pre-wave children; a fresh
-            // one's child slots go straight into `index`, where its key
-            // points.
-            let base = base_all + keys.len();
-            let child_start = self.index.len();
+            // Key every live target on its pre-wave children; a new one's
+            // child slots go straight into the schedule's index.
+            let base = self.n_slots;
+            let child_start = s.index.len();
             fresh.clear();
             after.clear();
             for (p, &t) in w.targets.iter().enumerate() {
@@ -795,20 +988,25 @@ impl SlotSchedule {
                 }
                 let own = h0[t];
                 let children = &by_target[start[p]..start[p + 1]];
-                let new = base_all + keys.len();
-                let slot = match merge.as_mut() {
-                    Some(table) => {
-                        let index = &self.index;
-                        table.intern(table.wave_fingerprint(own, children), new, |slot| {
-                            let (o, kids) = &keys[slot - base_all];
-                            *o == own && index[kids.clone()] == *children
-                        })
+                let new = self.n_slots;
+                let slot = if merge {
+                    let fresh_key = self.wave_keys.len();
+                    let fp = self.waves.wave_fingerprint(own, children);
+                    let (keys, kids) = (&self.wave_keys, &self.kids);
+                    let k = self.waves.intern(fp, fresh_key, |k| {
+                        keys[k].own == own && kids[keys[k].kids.clone()] == *children
+                    });
+                    if k == fresh_key {
+                        let kids = push_range(&mut self.kids, children.iter().copied());
+                        self.wave_keys.push(WaveKey { own, kids, slot: new });
                     }
-                    None => new,
+                    self.wave_keys[k].slot
+                } else {
+                    new
                 };
                 if slot == new {
-                    let kids = push_range(&mut self.index, children.iter().copied());
-                    keys.push((own, kids));
+                    self.n_slots += 1;
+                    s.index.extend_from_slice(children);
                     fresh.push(p);
                 }
                 after.push((t, slot));
@@ -821,19 +1019,19 @@ impl SlotSchedule {
                 continue;
             }
 
-            let child_slots = child_start..self.index.len();
+            let child_slots = child_start..s.index.len();
             let segs = push_range(
-                &mut self.index,
+                &mut s.index,
                 fresh
                     .iter()
                     .enumerate()
                     .flat_map(|(row, &p)| std::iter::repeat_n(row, start[p + 1] - start[p])),
             );
-            let own = push_range(&mut self.index, fresh.iter().map(|&p| h0[w.targets[p]]));
-            let first_call = self.calls.len();
+            let own = push_range(&mut s.index, fresh.iter().map(|&p| h0[w.targets[p]]));
+            let first_call = s.calls.len();
             for (gi, g) in w.groups.iter().enumerate() {
                 let rows = push_range(
-                    &mut self.index,
+                    &mut s.index,
                     fresh
                         .iter()
                         .enumerate()
@@ -843,26 +1041,33 @@ impl SlotSchedule {
                 if rows.is_empty() {
                     continue;
                 }
-                let slots = self.index.len()..self.index.len() + rows.len();
-                self.index.extend_from_within(rows.clone());
-                self.index[slots.clone()].iter_mut().for_each(|r| *r += base);
-                self.calls.push(SlotCall {
+                let slots = s.index.len()..s.index.len() + rows.len();
+                s.index.extend_from_within(rows.clone());
+                s.index[slots.clone()].iter_mut().for_each(|r| *r += base);
+                s.calls.push(SlotCall {
                     type_index: g.type_index,
                     rows: (rows.len() < fresh.len()).then_some(rows),
                     slots,
                 });
             }
-            self.waves.push(SlotWave {
+            s.waves.push(SlotWave {
                 rows: fresh.len(),
                 child_slots,
                 segs,
                 own,
-                calls: first_call..self.calls.len(),
+                calls: first_call..s.calls.len(),
             });
         }
-        self.stats.distinct_wave_rows = keys.len();
+        s.stats.distinct_wave_rows = self.n_slots - first;
     }
+}
 
+/// Bitwise equality of two feature rows.
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+impl SlotSchedule {
     fn view<'a>(&'a self, call: &'a SlotCall) -> CallView<'a> {
         CallView {
             type_index: call.type_index,
@@ -871,7 +1076,8 @@ impl SlotSchedule {
         }
     }
 
-    /// The encoder calls, parallel to the plan's stacked features.
+    /// The encoder calls, parallel to the plan's stacked features. A call
+    /// whose rows an earlier batch of the memo computed has no slots.
     pub fn encoders(&self) -> impl Iterator<Item = CallView<'_>> {
         self.calls[..self.n_encoders].iter().map(|c| self.view(c))
     }
@@ -1121,8 +1327,12 @@ mod tests {
     use costream_query::selectivity::SelectivityEstimator;
 
     fn graphs(n: usize, featurization: Featurization) -> Vec<JointGraph> {
-        let mut g = WorkloadGenerator::new(19, FeatureRanges::training());
-        let mut e = SelectivityEstimator::realistic(20);
+        graphs_from(19, n, featurization)
+    }
+
+    fn graphs_from(seed: u64, n: usize, featurization: Featurization) -> Vec<JointGraph> {
+        let mut g = WorkloadGenerator::new(seed, FeatureRanges::training());
+        let mut e = SelectivityEstimator::realistic(seed + 1);
         (0..n)
             .map(|_| {
                 let (q, c, p) = g.workload_item();
@@ -1346,10 +1556,10 @@ mod tests {
         for scheme in [Scheme::Costream, Scheme::Traditional] {
             for batch in [&gs[..], &repeats[..]] {
                 let plan = plan_of(batch, scheme);
-                let routed = SlotSchedule::lower(&plan.topo, &plan.features, u64::MAX);
+                let routed = plan.lower_into(&mut SlotMemo::one_batch(u64::MAX));
                 // Every fingerprint 0: each probe walks every recorded key,
                 // and only exact equality may merge.
-                let collided = SlotSchedule::lower(&plan.topo, &plan.features, 0);
+                let collided = plan.lower_into(&mut SlotMemo::one_batch(0));
                 assert_eq!(collided, routed, "{scheme:?}, {} graphs", batch.len());
             }
             let stats = plan_of(&repeats, scheme).hash_cons();
@@ -1380,6 +1590,210 @@ mod tests {
             assert_eq!(stats.live_wave_rows, targets - dead, "{scheme:?}");
             assert_eq!(stats.distinct_wave_rows, stats.live_wave_rows, "{scheme:?}");
             assert_eq!(stats.slots(), plan.total_nodes() + stats.live_wave_rows, "{scheme:?}");
+        }
+    }
+
+    /// The wave-by-wave topology build the linear pass replaced, kept as
+    /// its oracle: every dataflow wave rescans every graph, and every wave
+    /// gets a batch-sized position table of its own.
+    fn reference_topology(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize) -> PlanTopology {
+        let mut offsets = Vec::with_capacity(graphs.len());
+        let mut total = 0usize;
+        for g in graphs {
+            offsets.push(total);
+            total += g.len();
+        }
+        let mut encoders = Vec::new();
+        for (ti, t) in NodeType::ALL.iter().enumerate() {
+            let mut globals: Vec<usize> = Vec::new();
+            for (gi, g) in graphs.iter().enumerate() {
+                for (li, node) in g.nodes.iter().enumerate() {
+                    if node.node_type == *t {
+                        globals.push(offsets[gi] + li);
+                    }
+                }
+            }
+            if !globals.is_empty() {
+                encoders.push(EncoderPlan {
+                    type_index: ti,
+                    globals,
+                });
+            }
+        }
+        let node_type = |global: usize| -> NodeType {
+            let gi = match offsets.binary_search(&global) {
+                Ok(i) => i,
+                Err(i) => i - 1,
+            };
+            graphs[gi].nodes[global - offsets[gi]].node_type
+        };
+        let mut waves = Vec::new();
+        match scheme {
+            Scheme::Costream => {
+                let mut host_targets: Vec<usize> = Vec::new();
+                let mut ophw_edges: Vec<(usize, usize)> = Vec::new();
+                let mut hwop_edges: Vec<(usize, usize)> = Vec::new();
+                for (gi, g) in graphs.iter().enumerate() {
+                    for (li, node) in g.nodes.iter().enumerate() {
+                        if node.node_type == NodeType::Host {
+                            host_targets.push(offsets[gi] + li);
+                        }
+                    }
+                    for &(op, hn) in &g.placement_edges {
+                        ophw_edges.push((offsets[gi] + op, offsets[gi] + hn));
+                        hwop_edges.push((offsets[gi] + hn, offsets[gi] + op));
+                    }
+                }
+                if !host_targets.is_empty() {
+                    waves.push(Arc::new(reference_wave(host_targets, &ophw_edges, total, &node_type)));
+                    let mut op_targets: Vec<usize> = Vec::new();
+                    for (gi, g) in graphs.iter().enumerate() {
+                        for (li, node) in g.nodes.iter().enumerate() {
+                            if node.node_type != NodeType::Host {
+                                op_targets.push(offsets[gi] + li);
+                            }
+                        }
+                    }
+                    waves.push(Arc::new(reference_wave(op_targets, &hwop_edges, total, &node_type)));
+                }
+                let n_waves = graphs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
+                for w in 0..n_waves {
+                    let mut targets: Vec<usize> = Vec::new();
+                    let mut edges: Vec<(usize, usize)> = Vec::new();
+                    for (gi, g) in graphs.iter().enumerate() {
+                        for (li, wave) in g.waves.iter().enumerate() {
+                            if *wave == Some(w) {
+                                targets.push(offsets[gi] + li);
+                            }
+                        }
+                        for &(a, b) in &g.dataflow_edges {
+                            if g.waves[b] == Some(w) {
+                                edges.push((offsets[gi] + a, offsets[gi] + b));
+                            }
+                        }
+                    }
+                    if !targets.is_empty() {
+                        waves.push(Arc::new(reference_wave(targets, &edges, total, &node_type)));
+                    }
+                }
+            }
+            Scheme::Traditional => {
+                let mut edges: Vec<(usize, usize)> = Vec::new();
+                let mut targets: Vec<usize> = Vec::new();
+                for (gi, g) in graphs.iter().enumerate() {
+                    for li in 0..g.len() {
+                        targets.push(offsets[gi] + li);
+                    }
+                    for &(a, b) in g.dataflow_edges.iter().chain(&g.placement_edges) {
+                        edges.push((offsets[gi] + a, offsets[gi] + b));
+                        edges.push((offsets[gi] + b, offsets[gi] + a));
+                    }
+                }
+                let round = Arc::new(reference_wave(targets, &edges, total, &node_type));
+                for _ in 0..traditional_rounds {
+                    waves.push(Arc::clone(&round));
+                }
+            }
+        }
+        let mut graph_of: Vec<usize> = Vec::with_capacity(total);
+        for (gi, g) in graphs.iter().enumerate() {
+            graph_of.extend(std::iter::repeat_n(gi, g.len()));
+        }
+        PlanTopology {
+            scheme,
+            traditional_rounds,
+            total,
+            n_graphs: graphs.len(),
+            encoders,
+            waves,
+            graph_of,
+        }
+    }
+
+    fn reference_wave(
+        targets: Vec<usize>,
+        edges: &[(usize, usize)],
+        total: usize,
+        node_type: &impl Fn(usize) -> NodeType,
+    ) -> WavePlan {
+        let mut pos_of = vec![usize::MAX; total];
+        for (p, &g) in targets.iter().enumerate() {
+            pos_of[g] = p;
+        }
+        let mut child_rows: Vec<usize> = Vec::new();
+        let mut segs: Vec<usize> = Vec::new();
+        for &(child, target) in edges {
+            let p = pos_of[target];
+            if p != usize::MAX {
+                child_rows.push(child);
+                segs.push(p);
+            }
+        }
+        let row_types: Vec<NodeType> = targets.iter().map(|&g| node_type(g)).collect();
+        let mut groups = Vec::new();
+        for (ti, t) in NodeType::ALL.iter().enumerate() {
+            let rows: Vec<usize> = (0..targets.len()).filter(|&r| row_types[r] == *t).collect();
+            if rows.is_empty() {
+                continue;
+            }
+            let globals: Vec<usize> = rows.iter().map(|&r| targets[r]).collect();
+            let is_identity = rows.len() == targets.len();
+            groups.push(TypeGroup {
+                type_index: ti,
+                rows,
+                globals,
+                is_identity,
+            });
+        }
+        let keep: Vec<usize> = (0..total).filter(|&g| pos_of[g] == usize::MAX).collect();
+        WavePlan {
+            child_rows,
+            segs,
+            targets,
+            groups,
+            keep,
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The linear-pass topology is field for field the wave-by-wave
+        /// rescan's: encoders, every wave's edge segments, targets, type
+        /// groups and keep-list, and the readout segments — for both
+        /// schemes, all three featurizations (`QueryOnly` batches have no
+        /// host node, so no phase 1 or phase 2 wave) and 1–70 graphs.
+        #[test]
+        fn linear_topology_build_equals_the_wave_by_wave_rescan(
+            seed in 0u64..1_000_000,
+            n in 1usize..71,
+            scheme in 0usize..2,
+            featurization in 0usize..3,
+            rounds in 1usize..4,
+        ) {
+            let scheme = [Scheme::Costream, Scheme::Traditional][scheme];
+            let featurization = [Featurization::QueryOnly, Featurization::HardwareNodes, Featurization::Full][featurization];
+            let gs = graphs_from(seed, n, featurization);
+            let refs: Vec<&JointGraph> = gs.iter().collect();
+            let built = PlanTopology::build(&refs, scheme, rounds);
+            let want = reference_topology(&refs, scheme, rounds);
+            prop_assert_eq!(&built.encoders, &want.encoders);
+            prop_assert_eq!(built.waves.len(), want.waves.len());
+            for (w, (a, b)) in built.waves.iter().zip(&want.waves).enumerate() {
+                prop_assert_eq!(&a.child_rows, &b.child_rows, "wave {} child_rows", w);
+                prop_assert_eq!(&a.segs, &b.segs, "wave {} segs", w);
+                prop_assert_eq!(&a.targets, &b.targets, "wave {} targets", w);
+                prop_assert_eq!(&a.groups, &b.groups, "wave {} groups", w);
+                prop_assert_eq!(&a.keep, &b.keep, "wave {} keep", w);
+            }
+            prop_assert_eq!(&built.graph_of, &want.graph_of);
+            prop_assert!(built == want, "{:?} {:?}: some other field differs", scheme, featurization);
+            if featurization == Featurization::QueryOnly && scheme == Scheme::Costream {
+                let max_waves = gs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
+                prop_assert!(built.waves.len() <= max_waves, "no host, no phase 1 or 2 wave");
+            }
         }
     }
 }

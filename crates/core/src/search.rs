@@ -7,9 +7,10 @@
 //! * a [`Scorer`] — the backend that turns candidate [`JointGraph`]s into
 //!   predicted cost / success / backpressure triples. [`EnsembleScorer`]
 //!   runs the three ensembles' fused views over one shared plan per
-//!   chunk, in-process; `costream-serve` provides a `ScoreClient`-backed
-//!   implementation so *concurrent* optimizer runs coalesce their
-//!   candidate batches through the serving layer;
+//!   chunk, in-process, and keeps every node state a search computed in
+//!   that search's [`ScoreMemo`]; `costream-serve` provides a
+//!   `ScoreClient`-backed implementation so *concurrent* optimizer runs
+//!   coalesce their candidate batches through the serving layer;
 //! * a [`PlacementSearch`] strategy — how the placement space is explored
 //!   under a fixed scoring budget. [`RandomEnumeration`] is the paper's
 //!   baseline (and the seed behavior, bit for bit); [`BeamSearch`],
@@ -37,15 +38,15 @@
 use crate::ensemble::Ensemble;
 use crate::graph::{Featurization, JointGraph};
 use crate::joint::{JointPlacementSearch, JointQuery, JointSearchProblem};
-use crate::model::{map_spans, INFERENCE_CHUNK};
+use crate::model::INFERENCE_CHUNK;
 use crate::optimizer::{CandidateEvaluation, OptimizationResult};
-use crate::plan::BatchPlan;
+use crate::plan::{BatchPlan, SlotMemo, SlotStats};
 use costream_dsps::CostMetric;
-use costream_nn::InferenceArena;
+use costream_nn::{InferenceArena, Tensor};
 use costream_query::hardware::Cluster;
 use costream_query::joint::JointPlacement;
 use costream_query::operators::Query;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Profiling counters of one search run, threaded through every strategy
 /// (single-query and joint) and exposed on
@@ -134,20 +135,142 @@ pub trait Scorer: Sync {
 
     /// Scores a batch of candidate graphs, one result per graph in order.
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores>;
+
+    /// [`Scorer::score_batch`] for one batch of a search, with the memo
+    /// that search owns: a scorer that keeps node states (the in-process
+    /// [`EnsembleScorer`]) computes each state once across all the
+    /// search's batches. The scores are bitwise those of `score_batch`. By
+    /// default the memo is unused.
+    fn score_batch_in(&self, graphs: Vec<JointGraph>, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
+        let _ = memo;
+        self.score_batch(graphs)
+    }
+}
+
+/// Slots a search memo holds before a batch that could pass this restarts
+/// it: ≈ 4.7 MB of state rows for a k = 3 trio at hidden width 32.
+const MEMO_SLOT_CAP: usize = 4096;
+
+/// What one search keeps across its scoring batches: every distinct node
+/// state the scorer computed for it (see `crate::plan`'s module docs).
+/// The search's evaluator owns one and drops it with the search, so no
+/// state survives a search; [`replan`](crate::joint::replan) owns one too.
+///
+/// The memo's buffers — slot tables, one state matrix per ensemble of the
+/// trio, the inference arena — come warm from the [`EnsembleScorer`] that
+/// first scores through the memo and go back to it, emptied, when the memo
+/// drops (or when another scorer takes it over), so a repeated search
+/// allocates nothing new.
+pub struct ScoreMemo {
+    warm: Warm,
+    /// The pool of the scorer whose states `warm` holds; `None` until an
+    /// in-process scorer first scores through the memo.
+    home: Option<Arc<Mutex<Vec<Warm>>>>,
+    slot_cap: usize,
+    fp_mask: u64,
+    /// Rows lowered and slots computed, summed over every batch.
+    stats: SlotStats,
+}
+
+/// The buffers a [`ScoreMemo`] borrows from its scorer's pool.
+struct Warm {
+    slots: SlotMemo,
+    /// One state matrix per ensemble of the trio.
+    states: [Tensor; 3],
+    arena: InferenceArena,
+}
+
+impl Default for Warm {
+    fn default() -> Self {
+        Warm {
+            slots: SlotMemo::search(),
+            states: std::array::from_fn(|_| Tensor::zeros(0, 0)),
+            arena: InferenceArena::new(),
+        }
+    }
+}
+
+impl ScoreMemo {
+    /// An empty memo, for one search.
+    pub fn new() -> Self {
+        Self::with_limits(MEMO_SLOT_CAP, u64::MAX)
+    }
+
+    /// An empty memo that restarts at `slot_cap` slots and ANDs `fp_mask`
+    /// into every fingerprint (`0` makes every key collide, leaving all
+    /// merging to the exact checks). Test instrumentation only.
+    #[doc(hidden)]
+    pub fn with_limits(slot_cap: usize, fp_mask: u64) -> Self {
+        ScoreMemo {
+            warm: Warm::default(),
+            home: None,
+            slot_cap,
+            fp_mask,
+            stats: SlotStats::default(),
+        }
+    }
+
+    /// Rows lowered and slots computed so far, summed over every batch
+    /// scored through the memo (zero for a scorer that keeps no states).
+    pub fn stats(&self) -> SlotStats {
+        self.stats
+    }
+
+    /// The memo's buffers for the scorer owning `pool`: a memo new to that
+    /// scorer hands its old buffers back and takes a warm set from the
+    /// pool, so slots never cross from one scorer's weights to another's.
+    fn warm_for(&mut self, pool: &Arc<Mutex<Vec<Warm>>>) -> &mut Warm {
+        if !self.home.as_ref().is_some_and(|home| Arc::ptr_eq(home, pool)) {
+            self.release();
+            self.warm = lock(pool).pop().unwrap_or_default();
+            self.warm.slots.set_limits(self.slot_cap, self.fp_mask);
+            self.home = Some(Arc::clone(pool));
+        }
+        &mut self.warm
+    }
+
+    /// Empties the memo's buffers into the pool they came from. Runs in
+    /// `drop`, so a poisoned pool just lets the buffers go.
+    fn release(&mut self) {
+        if let Some(home) = self.home.take() {
+            let mut warm = std::mem::take(&mut self.warm);
+            warm.slots.clear();
+            if let Ok(mut pool) = home.lock() {
+                pool.push(warm);
+            }
+        }
+    }
+}
+
+impl Default for ScoreMemo {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Drop for ScoreMemo {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+fn lock(pool: &Mutex<Vec<Warm>>) -> MutexGuard<'_, Vec<Warm>> {
+    pool.lock().expect("callers only pop or push under this lock")
 }
 
 /// The direct scoring backend: the three ensembles in-process, on the
 /// member-fused production path ([`Ensemble::fused`]). A candidate batch
-/// is lowered to its chunk [`BatchPlan`]s **once**; all three fused views
-/// run over those plans on an arena kept warm across batches, and a batch
-/// of one chunk spawns no thread. Bitwise, the scores are those of three
-/// [`Ensemble::predict_graphs`] calls.
+/// is lowered chunk by chunk into the search's [`ScoreMemo`], on the
+/// caller's thread: each chunk's [`BatchPlan`] is built once, its schedule
+/// holds only the node states no earlier batch of the search computed,
+/// and all three fused views run it. Bitwise, the scores are those of
+/// three [`Ensemble::predict_graphs`] calls.
 pub struct EnsembleScorer<'a> {
     /// Target, success and backpressure ensembles, in that order.
     trio: [&'a Ensemble; 3],
-    /// Warm arenas, one per caller ever inside `score_batch` at once;
-    /// locked to pop or push one, never across a forward pass.
-    arenas: Mutex<Vec<InferenceArena>>,
+    /// Warm memo buffers, one set per memo ever alive at once; locked to
+    /// pop or push one, never across a forward pass.
+    pool: Arc<Mutex<Vec<Warm>>>,
 }
 
 impl<'a> EnsembleScorer<'a> {
@@ -173,7 +296,7 @@ impl<'a> EnsembleScorer<'a> {
         );
         EnsembleScorer {
             trio,
-            arenas: Mutex::new(Vec::new()),
+            pool: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -182,8 +305,19 @@ impl<'a> EnsembleScorer<'a> {
         self.trio[0]
     }
 
-    fn arenas(&self) -> MutexGuard<'_, Vec<InferenceArena>> {
-        self.arenas.lock().expect("callers only pop or push under this lock")
+    /// Per pooled buffer set: the arena's pooled floats, then the size of
+    /// every buffer a memo recycles (test instrumentation).
+    #[cfg(test)]
+    fn pooled(&self) -> Vec<Vec<usize>> {
+        lock(&self.pool)
+            .iter()
+            .map(|w| {
+                let mut sizes = vec![w.arena.pooled_floats()];
+                sizes.extend(w.states.iter().map(Tensor::len));
+                sizes.extend(w.slots.capacities());
+                sizes
+            })
+            .collect()
     }
 }
 
@@ -192,25 +326,32 @@ impl Scorer for EnsembleScorer<'_> {
         self.trio[0].metric
     }
 
+    /// [`Scorer::score_batch_in`] on a fresh memo.
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores> {
+        self.score_batch_in(graphs, &mut ScoreMemo::new())
+    }
+
+    fn score_batch_in(&self, graphs: Vec<JointGraph>, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
         let cfg = self.trio[0].model_config();
         let refs: Vec<&JointGraph> = graphs.iter().collect();
-        map_spans(&refs, |span| {
-            let mut arena = self.arenas().pop().unwrap_or_default();
-            let plans: Vec<BatchPlan> = span
-                .chunks(INFERENCE_CHUNK)
-                .map(|c| BatchPlan::build(c, cfg.scheme, cfg.traditional_rounds))
-                .collect();
-            let [cost, success, backpressure] = self.trio.map(|e| e.fused().predict_plans_arena(&plans, &mut arena));
-            self.arenas().push(arena);
-            (0..span.len())
-                .map(|i| PlacementScores {
-                    cost: cost[i],
-                    success: success[i],
-                    backpressure: backpressure[i],
-                })
-                .collect()
-        })
+        let mut scores = Vec::with_capacity(graphs.len());
+        for chunk in refs.chunks(INFERENCE_CHUNK) {
+            let plan = BatchPlan::build(chunk, cfg.scheme, cfg.traditional_rounds);
+            let warm = memo.warm_for(&self.pool);
+            let schedule = plan.lower_into(&mut warm.slots);
+            let [cost, success, backpressure] = std::array::from_fn(|i| {
+                self.trio[i]
+                    .fused()
+                    .predict_in_memo(&plan, &schedule, &mut warm.states[i], &mut warm.arena)
+            });
+            memo.stats += schedule.stats;
+            scores.extend((0..chunk.len()).map(|i| PlacementScores {
+                cost: cost[i],
+                success: success[i],
+                backpressure: backpressure[i],
+            }));
+        }
+        scores
     }
 }
 
@@ -671,8 +812,7 @@ mod tests {
         let fx = trio_for(Scheme::Costream, Featurization::Full);
         let scorer = fx.scorer();
         let batch = sample_graphs(10, 63, Featurization::Full);
-        let pooled =
-            |s: &EnsembleScorer<'_>| -> Vec<usize> { s.arenas().iter().map(InferenceArena::pooled_floats).collect() };
+        let pooled = |s: &EnsembleScorer<'_>| -> Vec<usize> { s.pooled().iter().map(|w| w[0]).collect() };
         scorer.score_batch(batch.clone());
         let warm = pooled(&scorer);
         assert_eq!(warm.len(), 1, "one caller, one arena");
@@ -680,6 +820,32 @@ mod tests {
         for _ in 0..5 {
             scorer.score_batch(batch.clone());
             assert_eq!(pooled(&scorer), warm, "a same-shape batch must not grow the arena");
+        }
+    }
+
+    #[test]
+    fn repeated_searches_reuse_warm_buffers() {
+        let fx = trio_for(Scheme::Costream, Featurization::Full);
+        let scorer = fx.scorer();
+        let (q, c, sels) = test_fixtures::workload(66, 8);
+        let problem = SearchProblem {
+            query: &q,
+            cluster: &c,
+            est_sels: &sels,
+            featurization: Featurization::Full,
+        };
+        let first = LocalSearch::default().search(&problem, &scorer, 32, 5);
+        let warm = scorer.pooled();
+        assert_eq!(warm.len(), 1, "one search, one buffer set");
+        assert!(warm[0].iter().all(|&size| size > 0), "every buffer was used: {warm:?}");
+        for _ in 0..3 {
+            let again = LocalSearch::default().search(&problem, &scorer, 32, 5);
+            assert_eq!(again.candidates.len(), first.candidates.len());
+            assert_eq!(
+                scorer.pooled(),
+                warm,
+                "a repeated search must grow neither the arena nor any memo buffer"
+            );
         }
     }
 
@@ -705,7 +871,7 @@ mod tests {
                 });
             }
         });
-        let kept = scorer.arenas().len();
+        let kept = scorer.pooled().len();
         assert!(
             (1..=CALLERS).contains(&kept),
             "{kept} arenas kept for {CALLERS} callers"

@@ -24,10 +24,12 @@ single-threaded kernel bench.
 
 Gated ops fall in two classes:
   * single-threaded benches (train_epoch and train_backward_batch16, the
-    backward pass of one 16-graph training step; and the wire codec rows
+    backward pass of one 16-graph training step; the wire codec rows
     wire_encode_request_inline / wire_decode_request_inline: one ~1 KB
     inline-graph request through the JSON shim's text path, no kernels
-    underneath) — directly comparable across runners via the double gate;
+    underneath; and batch_plan_build_64, one 64-graph plan's topology
+    and feature stack, no kernels either) — directly comparable across
+    runners via the double gate;
   * product-level runner-class benches — the metrics this repo exists
     to protect. serve_throughput (8 pipelined clients against the
     batching scoring service), serve_p50_latency_1client (one
@@ -67,6 +69,12 @@ GATED = {
     # re-validating string scan coming back shows here as 2-4x.
     "wire_encode_request_inline": 1.30,
     "wire_decode_request_inline": 1.30,
+    # One 64-graph BatchPlan: the topology's single linear pass plus the
+    # feature restack — what every plan-cache miss and every search chunk
+    # pays. Single-threaded and kernel-free, so not in THREADED. A wave
+    # schedule that rescans every graph per wave, or a batch-sized table
+    # allocated per wave, coming back reads ~2x here.
+    "batch_plan_build_64": 1.30,
     "serve_throughput": 1.30,
     # Median round trip of one closed-loop caller against an otherwise
     # idle service: a forward pass plus two thread wake-ups, since the
@@ -149,12 +157,13 @@ GATED_METRICS = {
     # search-throughput number. Higher is better; a per-host sweep, a
     # per-draw host filter or a thread spawn coming back shows here.
     "search_wide_256_candidates_per_s": (1.30, "higher"),
-    # Distinct wave rows / wave rows over the batches of one
+    # Wave rows computed under the search's memo / wave rows, over one
     # optimizer_search LocalSearch run: the share of node-state updates
-    # the fused pass's hash-consed slot schedule actually computes.
-    # Deterministic for fixed inputs; a lowering that silently stops
-    # merging (a key that grew a per-candidate field, a fingerprint that
-    # never matches) reads 1.0 here while every bitwise test stays green.
+    # the fused pass actually computes when each distinct state is
+    # computed once per search. Deterministic for fixed inputs; a lowering
+    # that silently stops merging (a key that grew a per-candidate field, a
+    # fingerprint that never matches, a memo reset per batch) reads more
+    # here while every bitwise test stays green.
     "search_unique_row_share": (1.10, "lower"),
 }
 

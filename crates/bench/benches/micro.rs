@@ -193,6 +193,17 @@ fn bench_inference(c: &mut Criterion) {
         b.iter(|| model.model().forward_inference(black_box(&plan), &mut arena))
     });
     c.bench_function("batch_plan_build_64", |b| b.iter(|| model.model().plan(&refs)));
+    // The serving worker's plan on a warm cache: 64 mixed-shape graphs
+    // whose fragments are all cached, looked up by the signatures their
+    // requests carry, confirmed, stitched and restacked.
+    let cfg = model.model().config();
+    let (scheme, rounds) = (cfg.scheme, cfg.traditional_rounds);
+    let sigs: Vec<PlanSignature> = refs.iter().map(|g| plan_signature(&[g], scheme, rounds)).collect();
+    let cache = PlanCache::default();
+    cache.get_or_build_signed(&refs, &sigs, scheme, rounds);
+    c.bench_function("plan_stitch_64", |b| {
+        b.iter(|| cache.get_or_build_signed(&refs, &sigs, scheme, rounds))
+    });
 }
 
 /// Member-fused vs sequential ensemble inference (k = 3) over one cached

@@ -14,8 +14,9 @@
 //!   path;
 //! * [`plan`] — precomputed [`plan::BatchPlan`]s: per-batch gather/scatter
 //!   bookkeeping built once and reused across epochs and ensemble members,
-//!   plus the topology-keyed [`plan::PlanCache`] that lets serving layers
-//!   skip plan construction for recurring graph shapes, and the
+//!   plus the [`plan::PlanCache`] of per-graph topology fragments that
+//!   lets serving layers plan a batch of any shapes by stitching instead
+//!   of traversing the graphs, and the
 //!   hash-consed slot schedule the fused pass runs (each distinct node
 //!   state once per batch, or once per search through the search's
 //!   [`search::ScoreMemo`]);

@@ -222,7 +222,7 @@ impl GnnModel {
         let h0 = tape.encode_scatter(plan, &self.encoders, &self.store, plan.topo.total, self.config.hidden);
         let mut cur = h0;
         for wave in &plan.topo.waves {
-            cur = tape.wave_update(cur, h0, &**wave, &self.updaters, &self.store);
+            cur = tape.wave_update(cur, h0, wave, &self.updaters, &self.store);
         }
         // Readout: sum all node states per graph, then the output MLP.
         let pooled = tape.segment_sum(cur, &plan.topo.graph_of, plan.topo.n_graphs);
@@ -247,7 +247,7 @@ impl GnnModel {
         let mut cur: Option<Tensor> = None;
         for wave in &plan.topo.waves {
             let before = cur.as_ref().unwrap_or(&h0);
-            let after = wave_update(&**wave, &self.updaters, &self.store, before, &h0, arena, None);
+            let after = wave_update(wave, &self.updaters, &self.store, before, &h0, arena, None);
             if let Some(before) = cur.replace(after) {
                 arena.recycle(before);
             }
@@ -301,15 +301,15 @@ impl GnnModel {
 /// indices are positions in `NodeType::ALL`, like [`GnnModel`]'s encoders.
 impl EncodeSpec for BatchPlan {
     fn parts(&self) -> usize {
-        self.topo.encoders.len()
+        self.topo.n_encoders()
     }
 
     fn part(&self, i: usize) -> EncoderPart<'_> {
-        let ep = &self.topo.encoders[i];
+        let (mlp, globals) = self.topo.encoder(i);
         EncoderPart {
-            mlp: ep.type_index,
+            mlp,
             features: &self.features[i],
-            globals: &ep.globals,
+            globals,
         }
     }
 }
@@ -317,31 +317,31 @@ impl EncodeSpec for BatchPlan {
 /// One planned wave, as the shared wave routine reads it.
 impl WaveSpec for WavePlan {
     fn child_rows(&self) -> &[usize] {
-        &self.child_rows
+        WavePlan::child_rows(self)
     }
 
     fn segs(&self) -> &[usize] {
-        &self.segs
+        WavePlan::segs(self)
     }
 
     fn targets(&self) -> &[usize] {
-        &self.targets
+        WavePlan::targets(self)
     }
 
     fn keep(&self) -> &[usize] {
-        &self.keep
+        WavePlan::keep(self)
     }
 
     fn groups(&self) -> usize {
-        self.groups.len()
+        self.n_groups()
     }
 
     fn group(&self, i: usize) -> WaveGroup<'_> {
-        let g = &self.groups[i];
+        let g = WavePlan::group(self, i);
         WaveGroup {
             mlp: g.type_index,
-            rows: &g.rows,
-            globals: &g.globals,
+            rows: g.rows,
+            globals: g.globals,
             is_identity: g.is_identity,
         }
     }

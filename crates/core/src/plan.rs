@@ -1,4 +1,4 @@
-//! Precomputed batch execution plans and the topology-keyed plan cache.
+//! Precomputed batch execution plans and the fragment-keyed plan cache.
 //!
 //! `GnnModel::forward` used to re-derive all gather/scatter bookkeeping —
 //! per-type encoder row groups, message-passing edge segments, the wave
@@ -23,11 +23,29 @@
 //! * The stacked encoder feature matrices — one tensor per node type,
 //!   cheap to rebuild and different for every batch.
 //!
-//! The [`PlanCache`] exploits the split: it keys topologies by a
-//! structural [`PlanSignature`], so a serving layer scoring recurring
-//! graph shapes skips all topology construction and only restacks the
-//! feature rows. The cache is thread-safe (one lock around the LRU map,
-//! topologies shared by `Arc`) and exposes hit/miss counters.
+//! # Fragments and stitching
+//!
+//! Within a batch, graphs share only the weights, so a batch topology is
+//! its graphs' own topologies laid side by side: every list a graph
+//! contributes is the list it would have alone, shifted by the nodes, wave
+//! targets and segments of the graphs before it. The [`PlanCache`] caches
+//! those per-graph *fragments* — one per distinct graph shape, keyed by the
+//! one-graph [`PlanSignature`] a serving layer computes per request — and
+//! [`stitches`](PlanTopology::stitch) a batch topology from them: an
+//! O(nodes + edges) concatenation with no graph traversal, equal field for
+//! field to [`PlanTopology::build`] on the same graphs. Any mix of shapes
+//! is then one plan and one fused pass, and a shape is a cache hit in any
+//! batch once it has been seen in one. The signature only routes a lookup:
+//! a hit is confirmed by comparing the graph's node types, edge lists and
+//! waves with the copy the fragment keeps, and a mismatch rebuilds. The
+//! cache is thread-safe (one lock around the LRU map, fragments shared by
+//! `Arc`) and counts hits and misses per graph.
+//!
+//! A fragment keeps every wave its graph could take part in, whether or
+//! not the graph has a target in it (the host phases, and every dataflow
+//! wave below its depth), so wave `k` of any two fragments is the same
+//! batch wave; stitching drops the waves no graph of the batch has a target
+//! in, as the batch build does.
 //!
 //! A topology is built in one linear pass over the batch: node types are
 //! read once, encoder and wave type groups come from counting sorts, the
@@ -36,6 +54,15 @@
 //! wrote it. Every list comes out in the same (type, graph, node or edge)
 //! order a wave-by-wave rescan produces, so training, the sequential
 //! oracle and every digest see the same plans.
+//!
+//! A topology's lists all live in one buffer ([`TopoIndex`]) that its
+//! encoders and waves hold ranges of, so a build or a stitch allocates a
+//! handful of vectors, not a few per wave and node type: on the serving
+//! path allocation, not copying, is what a plan costs. A wave's keep-list
+//! (the nodes it leaves alone) is not built with the topology: every build lists a
+//! wave's targets in ascending order, so its only readers — the per-node
+//! passes of training and `GnnModel::forward_inference`, never the fused
+//! pass — derive it on first use.
 //!
 //! # Hash-consed slot schedules
 //!
@@ -113,53 +140,134 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Per-node-type encoder routing: the global row index each encoded row
-/// of one type scatters to. The stacked feature rows themselves live on
-/// the [`BatchPlan`] (they change per batch; the routing does not).
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct EncoderPlan {
-    /// Index into `NodeType::ALL` (selects the encoder MLP).
-    pub type_index: usize,
-    /// Global node index of each feature row.
-    pub globals: Vec<usize>,
+/// Every index list of one topology, concatenated: encoders and waves
+/// hold ranges into it, so a topology is a handful of allocations however
+/// many waves and node types it has — building or stitching one is a few
+/// linear writes, not a few dozen small vectors.
+#[derive(Debug)]
+struct TopoIndex {
+    items: Vec<usize>,
+    groups: Vec<GroupRanges>,
+}
+
+/// Where one type group's lists sit in the [`TopoIndex`].
+#[derive(Clone, Debug)]
+struct GroupRanges {
+    type_index: usize,
+    rows: Range<usize>,
+    globals: Range<usize>,
+}
+
+/// Where one wave's lists sit in the [`TopoIndex`].
+#[derive(Clone, Debug)]
+struct WaveRanges {
+    child_rows: Range<usize>,
+    segs: Range<usize>,
+    targets: Range<usize>,
+    /// Range of [`TopoIndex::groups`].
+    groups: Range<usize>,
 }
 
 /// One group of same-typed targets inside a wave, routed through the
 /// update MLP of that type.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct TypeGroup {
+#[derive(Debug, PartialEq)]
+pub(crate) struct TypeGroup<'a> {
     /// Index into `NodeType::ALL` (selects the updater MLP).
     pub type_index: usize,
     /// Row indices into the wave's input matrix.
-    pub rows: Vec<usize>,
+    pub rows: &'a [usize],
     /// Global node index each updated row scatters to.
-    pub globals: Vec<usize>,
+    pub globals: &'a [usize],
     /// True when `rows` is the identity permutation of the whole wave
     /// input — the gather can then be skipped entirely.
     pub is_identity: bool,
 }
 
 /// One message-passing update: which edges feed which targets, how target
-/// rows split by node type, and which rows carry over untouched.
-#[derive(Clone, Debug, PartialEq)]
+/// rows split by node type, and which rows carry over untouched — ranges
+/// of its topology's shared index. Cloning shares the index, so the
+/// repeated rounds of [`Scheme::Traditional`] are one set of lists.
+#[derive(Clone, Debug)]
 pub(crate) struct WavePlan {
+    index: Arc<TopoIndex>,
+    at: WaveRanges,
+    /// Node count of the topology.
+    nodes: usize,
+    /// The nodes the wave does not update, derived on first use: the fused
+    /// pass never reads them, and they are most of a wave's entries.
+    keep: OnceLock<Vec<usize>>,
+}
+
+impl WavePlan {
     /// Source node (global index) of each contributing edge.
-    pub child_rows: Vec<usize>,
+    pub fn child_rows(&self) -> &[usize] {
+        &self.index.items[self.at.child_rows.clone()]
+    }
+
     /// Position in `targets` each edge accumulates into (CSR-style
     /// segment ids, one per edge).
-    pub segs: Vec<usize>,
+    pub fn segs(&self) -> &[usize] {
+        &self.index.items[self.at.segs.clone()]
+    }
+
     /// Global node indices updated by this wave.
-    pub targets: Vec<usize>,
-    /// Target rows grouped by node type.
-    pub groups: Vec<TypeGroup>,
+    pub fn targets(&self) -> &[usize] {
+        &self.index.items[self.at.targets.clone()]
+    }
+
     /// Global node indices *not* updated by this wave (carried forward).
-    pub keep: Vec<usize>,
+    pub fn keep(&self) -> &[usize] {
+        self.keep.get_or_init(|| {
+            // Every build lists a wave's targets in ascending order, so the
+            // rest of the nodes is one merge away.
+            let targets = self.targets();
+            debug_assert!(targets.is_sorted(), "wave targets ascend");
+            let mut next = targets.iter().copied().peekable();
+            (0..self.nodes).filter(|&g| next.next_if_eq(&g).is_none()).collect()
+        })
+    }
+
+    /// Number of type groups.
+    pub fn n_groups(&self) -> usize {
+        self.at.groups.len()
+    }
+
+    /// The `i`-th type group, in `NodeType::ALL` order.
+    pub fn group(&self, i: usize) -> TypeGroup<'_> {
+        let g = &self.index.groups[self.at.groups.start + i];
+        TypeGroup {
+            type_index: g.type_index,
+            rows: &self.index.items[g.rows.clone()],
+            globals: &self.index.items[g.globals.clone()],
+            is_identity: g.rows.len() == self.at.targets.len(),
+        }
+    }
+
+    fn group_ranges(&self) -> &[GroupRanges] {
+        &self.index.groups[self.at.groups.clone()]
+    }
+
+    /// The target rows grouped by node type, in `NodeType::ALL` order.
+    pub fn groups(&self) -> impl Iterator<Item = TypeGroup<'_>> {
+        (0..self.n_groups()).map(|i| self.group(i))
+    }
+}
+
+/// Two waves are equal when their lists are, wherever they sit.
+impl PartialEq for WavePlan {
+    fn eq(&self, other: &Self) -> bool {
+        self.child_rows() == other.child_rows()
+            && self.segs() == other.segs()
+            && self.targets() == other.targets()
+            && self.keep() == other.keep()
+            && self.groups().eq(other.groups())
+    }
 }
 
 /// The structural (feature-free) part of a batch plan: everything that
 /// depends only on graph *shapes*, shared behind an `Arc` so the plan
 /// cache and all ensemble members reuse one copy.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct PlanTopology {
     /// Message-passing scheme the topology was built for.
     pub scheme: Scheme,
@@ -169,13 +277,120 @@ pub(crate) struct PlanTopology {
     pub total: usize,
     /// Number of graphs in the batch.
     pub n_graphs: usize,
-    /// Encoder routing per node type (types absent from the batch omitted).
-    pub encoders: Vec<EncoderPlan>,
-    /// Ordered update waves. `Arc` so the repeated rounds of
-    /// [`Scheme::Traditional`] share one wave instead of deep copies.
-    pub waves: Vec<Arc<WavePlan>>,
+    /// The lists the encoders and waves index.
+    index: Arc<TopoIndex>,
+    /// Per node type present, in `NodeType::ALL` order: the type index
+    /// (selects the encoder MLP) and the range of its rows' global node
+    /// indices.
+    encoders: Vec<(usize, Range<usize>)>,
+    /// Ordered update waves.
+    pub waves: Vec<WavePlan>,
     /// Graph id of every node (readout segments).
     pub graph_of: Vec<usize>,
+}
+
+impl PlanTopology {
+    /// Number of node types present (encoder calls).
+    pub fn n_encoders(&self) -> usize {
+        self.encoders.len()
+    }
+
+    /// The `i`-th encoder's type index and the global node index of each of
+    /// its feature rows. The stacked rows themselves live on the
+    /// [`BatchPlan`] (they change per batch; the routing does not).
+    pub fn encoder(&self, i: usize) -> (usize, &[usize]) {
+        let (type_index, globals) = &self.encoders[i];
+        (*type_index, &self.index.items[globals.clone()])
+    }
+
+    /// Every encoder, in `NodeType::ALL` order.
+    pub fn encoders(&self) -> impl Iterator<Item = (usize, &[usize])> {
+        (0..self.n_encoders()).map(|i| self.encoder(i))
+    }
+}
+
+/// Two topologies are equal when every list is, wherever it sits.
+impl PartialEq for PlanTopology {
+    fn eq(&self, other: &Self) -> bool {
+        self.scheme == other.scheme
+            && self.traditional_rounds == other.traditional_rounds
+            && self.total == other.total
+            && self.n_graphs == other.n_graphs
+            && self.encoders().eq(other.encoders())
+            && self.waves == other.waves
+            && self.graph_of == other.graph_of
+    }
+}
+
+/// Writes a topology's lists into one [`TopoIndex`], section by section.
+struct TopoBuilder {
+    index: TopoIndex,
+    encoders: Vec<(usize, Range<usize>)>,
+    waves: Vec<WaveRanges>,
+}
+
+impl TopoBuilder {
+    /// A builder whose index holds `items` entries without growing.
+    fn with_capacity(items: usize) -> Self {
+        TopoBuilder {
+            index: TopoIndex {
+                items: Vec::with_capacity(items),
+                groups: Vec::new(),
+            },
+            encoders: Vec::with_capacity(NodeType::ALL.len()),
+            waves: Vec::new(),
+        }
+    }
+
+    /// Makes room for `waves` waves once the encoders are in: a wave has
+    /// at most one group per node type present.
+    fn reserve_waves(&mut self, waves: usize) {
+        self.waves.reserve_exact(waves);
+        self.index.groups.reserve_exact(waves * self.encoders.len());
+    }
+
+    /// Records a type group whose lists were just appended.
+    fn group(&mut self, type_index: usize, rows: Range<usize>, globals: Range<usize>) {
+        self.index.groups.push(GroupRanges {
+            type_index,
+            rows,
+            globals,
+        });
+    }
+
+    /// The topology, every recorded wave appearing `repeat` times in a row
+    /// (the rounds of [`Scheme::Traditional`]; 1 otherwise).
+    fn finish(
+        self,
+        scheme: Scheme,
+        traditional_rounds: usize,
+        n_graphs: usize,
+        graph_of: Vec<usize>,
+        repeat: usize,
+    ) -> PlanTopology {
+        let index = Arc::new(self.index);
+        let waves = self
+            .waves
+            .into_iter()
+            .flat_map(|at| std::iter::repeat_n(at, repeat))
+            .map(|at| WavePlan {
+                index: Arc::clone(&index),
+                at,
+                nodes: graph_of.len(),
+                keep: OnceLock::new(),
+            })
+            .collect();
+        PlanTopology {
+            scheme,
+            traditional_rounds,
+            total: graph_of.len(),
+            n_graphs,
+            index,
+            encoders: self.encoders,
+            waves,
+            graph_of,
+        }
+    }
 }
 
 /// The full precomputed execution plan for one batch of joint graphs:
@@ -218,9 +433,9 @@ impl BatchPlan {
         Self::with_topology(topo, graphs)
     }
 
-    /// Assembles a plan from a cached topology by restacking only the
-    /// feature rows — the plan-cache hit path. The topology's structure
-    /// must match the graphs (guaranteed by a [`PlanSignature`] match).
+    /// Assembles a plan from a built or stitched topology by stacking the
+    /// feature rows. The topology's structure must match the graphs (a
+    /// plan-cache fragment is checked against its graph exactly).
     fn with_topology(topo: Arc<PlanTopology>, graphs: &[&JointGraph]) -> Self {
         debug_assert_eq!(topo.n_graphs, graphs.len());
         debug_assert_eq!(topo.total, graphs.iter().map(|g| g.len()).sum::<usize>());
@@ -259,30 +474,39 @@ impl BatchPlan {
 /// graph order, then node order) — in a single pass over the nodes:
 /// appending each node's features to its type's bucket visits every
 /// bucket in (graph, node) order, which is exactly the per-type order of
-/// the multi-pass build. This is the plan-cache hit path, so it runs
-/// once per served batch.
+/// the multi-pass build. This runs once per served batch.
+///
+/// # Panics
+/// Panics on a feature row of the wrong width for its node type: it would
+/// shift every later row of that type, and the graphs of a batch share
+/// the stack.
 fn stack_features(topo: &PlanTopology, graphs: &[&JointGraph]) -> Vec<Tensor> {
     let mut slot_of = [usize::MAX; NodeType::ALL.len()];
     let mut buckets: Vec<Vec<f32>> = topo
-        .encoders
-        .iter()
+        .encoders()
         .enumerate()
-        .map(|(slot, ep)| {
-            slot_of[ep.type_index] = slot;
-            Vec::with_capacity(ep.globals.len() * NodeType::ALL[ep.type_index].feature_width())
+        .map(|(slot, (type_index, globals))| {
+            slot_of[type_index] = slot;
+            Vec::with_capacity(globals.len() * NodeType::ALL[type_index].feature_width())
         })
         .collect();
     for g in graphs {
         for node in &g.nodes {
+            assert_eq!(
+                node.features.len(),
+                node.node_type.feature_width(),
+                "feature row of the wrong width"
+            );
             // `NodeType::ALL` lists the variants in declaration order, so
             // the discriminant doubles as the type index.
             buckets[slot_of[node.node_type as usize]].extend_from_slice(&node.features);
         }
     }
-    topo.encoders
-        .iter()
+    topo.encoders()
         .zip(buckets)
-        .map(|(ep, rows)| Tensor::from_vec(ep.globals.len(), NodeType::ALL[ep.type_index].feature_width(), rows))
+        .map(|((type_index, globals), rows)| {
+            Tensor::from_vec(globals.len(), NodeType::ALL[type_index].feature_width(), rows)
+        })
         .collect()
 }
 
@@ -293,33 +517,54 @@ impl PlanTopology {
     /// # Panics
     /// Panics on an empty batch.
     fn build(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize) -> Self {
+        Self::linear(graphs, scheme, traditional_rounds, false)
+    }
+
+    /// The linear pass. `every_wave` keeps the host phases and every
+    /// dataflow wave whether or not a node of the batch is its target —
+    /// the fragment layout (see the module docs).
+    fn linear(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize, every_wave: bool) -> Self {
         assert!(!graphs.is_empty(), "empty batch");
 
         // ---- node types and readout segments, once per batch ----
+        let total: usize = graphs.iter().map(|g| g.len()).sum();
         let mut offsets = Vec::with_capacity(graphs.len());
-        let mut types: Vec<usize> = Vec::new();
-        let mut graph_of: Vec<usize> = Vec::new();
+        let mut types: Vec<usize> = Vec::with_capacity(total);
+        let mut graph_of: Vec<usize> = Vec::with_capacity(total);
+        let (mut n_dataflow, mut n_placement, mut n_waves) = (0, 0, 0);
         for (gi, g) in graphs.iter().enumerate() {
             offsets.push(types.len());
             // `NodeType::ALL` lists the variants in declaration order, so
             // the discriminant doubles as the type index.
             types.extend(g.nodes.iter().map(|n| n.node_type as usize));
             graph_of.extend(std::iter::repeat_n(gi, g.len()));
+            n_dataflow += g.dataflow_edges.len();
+            n_placement += g.placement_edges.len();
+            n_waves = n_waves.max(g.n_waves());
         }
-        let total = types.len();
+        // What the lists take at most: the encoders cover every node once;
+        // each target is listed once, and once more in its group's rows and
+        // globals; and each kept edge is a child row and a segment. A node
+        // is a target of one host phase and of at most one dataflow wave.
+        let items = match scheme {
+            Scheme::Costream => 7 * total + 4 * n_placement + 2 * n_dataflow,
+            Scheme::Traditional => 4 * total + 4 * (n_dataflow + n_placement),
+        };
+        let mut b = TopoBuilder::with_capacity(items);
 
         // ---- encoder groups, in NodeType::ALL order ----
-        let encoders = split_by_type(total, |g| types[g])
-            .into_iter()
-            .map(|(type_index, globals)| EncoderPlan { type_index, globals })
-            .collect();
+        b.encoders
+            .extend(present(split_by_type(&mut b.index.items, total, |_, g| types[g])));
+        b.reserve_waves(match scheme {
+            Scheme::Costream => 2 + n_waves,
+            Scheme::Traditional => 1,
+        });
 
         // ---- wave schedule ----
         let mut scratch = WaveScratch {
             types: &types,
             pos_of: vec![usize::MAX; total],
         };
-        let mut waves = Vec::new();
         let globalized = |edges: fn(&JointGraph) -> &[(usize, usize)]| -> Vec<(usize, usize)> {
             graphs
                 .iter()
@@ -327,25 +572,22 @@ impl PlanTopology {
                 .flat_map(|(g, &off)| edges(g).iter().map(move |&(a, b)| (off + a, off + b)))
                 .collect()
         };
-        match scheme {
+        let repeat = match scheme {
             Scheme::Costream => {
                 const HOST: usize = NodeType::Host as usize;
-                let host_targets: Vec<usize> = (0..total).filter(|&g| types[g] == HOST).collect();
-                if !host_targets.is_empty() {
+                if every_wave || types.contains(&HOST) {
                     // Phase 1: OPS→HW over the placement edges (op, host).
                     let ophw = globalized(|g| &g.placement_edges);
-                    waves.push(Arc::new(scratch.wave(host_targets, &ophw)));
+                    scratch.wave(&mut b, (0..total).filter(|&g| types[g] == HOST), &ophw);
                     // Phase 2: HW→OPS, the same edges reversed.
                     let hwop: Vec<(usize, usize)> = ophw.iter().map(|&(op, hn)| (hn, op)).collect();
-                    let op_targets = (0..total).filter(|&g| types[g] != HOST).collect();
-                    waves.push(Arc::new(scratch.wave(op_targets, &hwop)));
+                    scratch.wave(&mut b, (0..total).filter(|&g| types[g] != HOST), &hwop);
                 }
 
                 // Phase 3: SOURCES→OPS, in topological waves. Targets and
                 // dataflow edges are bucketed by wave in one counting sort
                 // (an edge belongs to its target's wave), each bucket in
                 // (graph, node) / (graph, edge) order.
-                let n_waves = graphs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
                 let (mut t_start, mut e_start) = (vec![0usize; n_waves + 1], vec![0usize; n_waves + 1]);
                 for g in graphs {
                     for &w in g.waves.iter().flatten() {
@@ -380,53 +622,254 @@ impl PlanTopology {
                 }
                 for w in 0..n_waves {
                     let wave_targets = &targets[t_start[w]..t_start[w + 1]];
-                    if wave_targets.is_empty() {
+                    if wave_targets.is_empty() && !every_wave {
                         continue;
                     }
                     let wave_edges = &edges[e_start[w]..e_start[w + 1]];
-                    waves.push(Arc::new(scratch.wave(wave_targets.to_vec(), wave_edges)));
+                    scratch.wave(&mut b, wave_targets.iter().copied(), wave_edges);
                 }
+                1
             }
             Scheme::Traditional => {
-                let mut edges: Vec<(usize, usize)> = Vec::new();
+                let mut edges: Vec<(usize, usize)> = Vec::with_capacity(2 * (n_dataflow + n_placement));
                 for (g, &off) in graphs.iter().zip(&offsets) {
                     for &(a, b) in g.dataflow_edges.iter().chain(&g.placement_edges) {
                         edges.push((off + a, off + b));
                         edges.push((off + b, off + a));
                     }
                 }
-                let round = Arc::new(scratch.wave((0..total).collect(), &edges));
-                for _ in 0..traditional_rounds {
-                    waves.push(Arc::clone(&round));
-                }
+                scratch.wave(&mut b, 0..total, &edges);
+                traditional_rounds
+            }
+        };
+        b.finish(scheme, traditional_rounds, graphs.len(), graph_of, repeat)
+    }
+
+    /// The topology of a batch, concatenated from its graphs' fragments
+    /// (see the module docs): equal, list for list, to
+    /// [`PlanTopology::build`] on the same graphs.
+    fn stitch(frags: &[&Fragment], scheme: Scheme, traditional_rounds: usize) -> Self {
+        let mut offsets = Vec::with_capacity(frags.len());
+        let mut total = 0;
+        for f in frags {
+            offsets.push(total);
+            total += f.topo.total;
+        }
+        let mut graph_of = Vec::with_capacity(total);
+        for (gi, f) in frags.iter().enumerate() {
+            graph_of.extend(std::iter::repeat_n(gi, f.topo.total));
+        }
+        // Every list of the batch is the fragments' lists concatenated.
+        let depth = frags.iter().map(|f| f.topo.waves.len()).max().unwrap_or(0);
+        let items = frags.iter().map(|f| f.topo.index.items.len()).sum();
+        let mut b = TopoBuilder::with_capacity(items);
+
+        // Each type's encoder rows, graph by graph: sized in one pass over
+        // the fragments, written in a second.
+        let mut counts = [0usize; NodeType::ALL.len()];
+        for f in frags {
+            for (t, globals) in &f.topo.encoders {
+                counts[*t] += globals.len();
             }
         }
-
-        PlanTopology {
-            scheme,
-            traditional_rounds,
-            total,
-            n_graphs: graphs.len(),
-            encoders,
-            waves,
-            graph_of,
+        let split = by_type(&mut b.index.items, counts);
+        let mut fill = split.clone().map(|r| r.start);
+        for (f, &off) in frags.iter().zip(&offsets) {
+            for (t, globals) in &f.topo.encoders {
+                fill[*t] = shifted(&mut b.index.items, fill[*t], &f.topo.index.items[globals.clone()], off);
+            }
         }
+        b.encoders.extend(present(split));
+        b.reserve_waves(depth);
+
+        let has_targets = |k: usize| {
+            frags
+                .iter()
+                .any(|f| f.topo.waves.get(k).is_some_and(|w| !w.targets().is_empty()))
+        };
+        let repeat = match scheme {
+            Scheme::Costream => {
+                // Waves 0 and 1 are the host phases, which every fragment
+                // has; then the dataflow waves, as deep as the deepest graph.
+                if has_targets(0) {
+                    stitch_wave(&mut b, frags, &offsets, 0);
+                    stitch_wave(&mut b, frags, &offsets, 1);
+                }
+                for k in (2..depth).filter(|&k| has_targets(k)) {
+                    stitch_wave(&mut b, frags, &offsets, k);
+                }
+                1
+            }
+            Scheme::Traditional => {
+                if traditional_rounds > 0 {
+                    stitch_wave(&mut b, frags, &offsets, 0);
+                }
+                traditional_rounds
+            }
+        };
+        b.finish(scheme, traditional_rounds, frags.len(), graph_of, repeat)
     }
 }
 
-/// `0..n` split by node type (`type_of`, an index into `NodeType::ALL`)
-/// with a counting sort: one list per type present, in `NodeType::ALL`
-/// order, each in ascending order.
-fn split_by_type(n: usize, type_of: impl Fn(usize) -> usize) -> Vec<(usize, Vec<usize>)> {
+/// Wave `k` of a batch from wave `k` of each fragment: targets and edges
+/// shifted by the graph's node offset, segments and type-group rows by the
+/// targets before it. A graph without a wave `k` adds nothing to it.
+fn stitch_wave(b: &mut TopoBuilder, frags: &[&Fragment], offsets: &[usize], k: usize) {
+    let parts = || frags.iter().zip(offsets).map(|(f, &off)| (off, f.topo.waves.get(k)));
+    // Sized in one pass over the fragments and written in a second, each
+    // fragment's lists all at once: the child rows, segments and targets,
+    // then one rows and one globals section per type any graph has a
+    // target of. Rows and segments shift by the targets before each
+    // graph, everything else by its nodes.
+    let (mut edges, mut n_targets, mut counts) = (0, 0, [0usize; NodeType::ALL.len()]);
+    for w in parts().filter_map(|(_, w)| w) {
+        edges += w.at.child_rows.len();
+        n_targets += w.at.targets.len();
+        for g in w.group_ranges() {
+            counts[g.type_index] += g.rows.len();
+        }
+    }
+    let items = &mut b.index.items;
+    let child_rows = items.len()..items.len() + edges;
+    let segs = child_rows.end..child_rows.end + edges;
+    let targets = segs.end..segs.end + n_targets;
+    items.resize(targets.end, 0);
+    let (rows, globals) = (by_type(items, counts), by_type(items, counts));
+    let (mut child_fill, mut seg_fill, mut target_fill) = (child_rows.start, segs.start, targets.start);
+    let (mut rows_fill, mut globals_fill) = (rows.clone().map(|r| r.start), globals.clone().map(|r| r.start));
+    for (off, w) in parts() {
+        let Some(w) = w else { continue };
+        let base = target_fill - targets.start;
+        child_fill = shifted(items, child_fill, w.child_rows(), off);
+        seg_fill = shifted(items, seg_fill, w.segs(), base);
+        target_fill = shifted(items, target_fill, w.targets(), off);
+        let src = &w.index.items;
+        for g in w.group_ranges() {
+            let t = g.type_index;
+            rows_fill[t] = shifted(items, rows_fill[t], &src[g.rows.clone()], base);
+            globals_fill[t] = shifted(items, globals_fill[t], &src[g.globals.clone()], off);
+        }
+    }
+    let first_group = b.index.groups.len();
+    for ((t, rows), (_, globals)) in present(rows).zip(present(globals)) {
+        b.group(t, rows, globals);
+    }
+    b.waves.push(WaveRanges {
+        child_rows,
+        segs,
+        targets,
+        groups: first_group..b.index.groups.len(),
+    });
+}
+
+/// One graph's share of a batch topology, as the [`PlanCache`] keeps it:
+/// the graph's structure, compared in full on every hit, and its topology
+/// in the fragment layout (see the module docs).
+#[derive(Debug)]
+struct Fragment {
+    types: Vec<NodeType>,
+    dataflow_edges: Vec<(usize, usize)>,
+    placement_edges: Vec<(usize, usize)>,
+    waves: Vec<Option<usize>>,
+    topo: Arc<PlanTopology>,
+    /// Whether `topo` is also [`PlanTopology::build`] of the graph alone
+    /// (no wave of the layout lacks a target), so a one-graph batch runs
+    /// it as it is.
+    alone: bool,
+}
+
+impl Fragment {
+    /// # Panics
+    /// Panics on a malformed graph — an edge endpoint past its node list,
+    /// or a wave list of another length. In a batch such an index would
+    /// reach a neighbour's nodes; alone, it fails only its own request.
+    fn build(g: &JointGraph, scheme: Scheme, traditional_rounds: usize) -> Self {
+        let n = g.len();
+        assert!(
+            g.waves.len() == n
+                && g.dataflow_edges
+                    .iter()
+                    .chain(&g.placement_edges)
+                    .all(|&(a, b)| a < n && b < n),
+            "malformed graph: an edge or wave list does not fit its {n} nodes"
+        );
+        let topo = PlanTopology::linear(&[g], scheme, traditional_rounds, true);
+        // The host phases stay together once the first has a target.
+        let alone = scheme == Scheme::Traditional
+            || topo
+                .waves
+                .iter()
+                .enumerate()
+                .all(|(k, w)| k == 1 || !w.targets().is_empty());
+        Fragment {
+            types: g.nodes.iter().map(|node| node.node_type).collect(),
+            dataflow_edges: g.dataflow_edges.clone(),
+            placement_edges: g.placement_edges.clone(),
+            waves: g.waves.clone(),
+            topo: Arc::new(topo),
+            alone,
+        }
+    }
+
+    /// Whether the fragment is exactly the one `g` builds.
+    fn fits(&self, g: &JointGraph, scheme: Scheme, traditional_rounds: usize) -> bool {
+        self.topo.scheme == scheme
+            && self.topo.traditional_rounds == traditional_rounds
+            && self.types.len() == g.nodes.len()
+            && self.types.iter().zip(&g.nodes).all(|(&t, node)| t == node.node_type)
+            && self.dataflow_edges == g.dataflow_edges
+            && self.placement_edges == g.placement_edges
+            && self.waves == g.waves
+    }
+}
+
+/// Appends room for `counts[t]` entries per node type, in `NodeType::ALL`
+/// order, and returns each type's range (empty for a count of 0).
+fn by_type(items: &mut Vec<usize>, counts: [usize; NodeType::ALL.len()]) -> [Range<usize>; NodeType::ALL.len()] {
+    let mut start = items.len();
+    let ranges = counts.map(|c| {
+        start += c;
+        start - c..start
+    });
+    items.resize(start, 0);
+    ranges
+}
+
+/// Writes `src + off` into `items` from `at` on and returns where it
+/// stopped.
+fn shifted(items: &mut [usize], at: usize, src: &[usize], off: usize) -> usize {
+    let end = at + src.len();
+    for (dst, &s) in items[at..end].iter_mut().zip(src) {
+        *dst = s + off;
+    }
+    end
+}
+
+/// Appends `0..n` sorted by node type (`type_of(items, i)`, an index into
+/// `NodeType::ALL`) with a counting sort, each type's list ascending, and
+/// returns the range of each type (empty for a type absent).
+fn split_by_type(
+    items: &mut Vec<usize>,
+    n: usize,
+    type_of: impl Fn(&[usize], usize) -> usize,
+) -> [Range<usize>; NodeType::ALL.len()] {
     let mut counts = [0usize; NodeType::ALL.len()];
     for i in 0..n {
-        counts[type_of(i)] += 1;
+        counts[type_of(items, i)] += 1;
     }
-    let mut lists = counts.map(Vec::with_capacity);
+    let split = by_type(items, counts);
+    let mut fill = split.clone().map(|r| r.start);
     for i in 0..n {
-        lists[type_of(i)].push(i);
+        let t = type_of(items, i);
+        items[fill[t]] = i;
+        fill[t] += 1;
     }
-    lists.into_iter().enumerate().filter(|(_, l)| !l.is_empty()).collect()
+    split
+}
+
+/// The non-empty ranges of a [`split_by_type`], with their type index.
+fn present(split: [Range<usize>; NodeType::ALL.len()]) -> impl Iterator<Item = (usize, Range<usize>)> {
+    split.into_iter().enumerate().filter(|(_, r)| !r.is_empty())
 }
 
 /// What every wave of one topology build shares: the batch's node types
@@ -437,43 +880,41 @@ struct WaveScratch<'a> {
 }
 
 impl WaveScratch<'_> {
-    /// One wave: the edges `(child, target)` that reach one of `targets`
-    /// (in edge order) become its CSR segments, the targets split by type,
-    /// and every other node carries over.
-    fn wave(&mut self, targets: Vec<usize>, edges: &[(usize, usize)]) -> WavePlan {
-        for (p, &g) in targets.iter().enumerate() {
-            self.pos_of[g] = p;
+    /// One wave, appended to `b`: the edges `(child, target)` that reach
+    /// one of `targets` (in edge order) become its CSR segments, the
+    /// targets split by type, and every other node carries over.
+    fn wave(&mut self, b: &mut TopoBuilder, targets: impl IntoIterator<Item = usize>, edges: &[(usize, usize)]) {
+        let pos_of = &mut self.pos_of;
+        let items = &mut b.index.items;
+        let targets = push_range(items, targets);
+        for (p, i) in targets.clone().enumerate() {
+            pos_of[items[i]] = p;
         }
-        let mut child_rows = Vec::with_capacity(edges.len());
-        let mut segs = Vec::with_capacity(edges.len());
-        for &(child, target) in edges {
-            let p = self.pos_of[target];
-            if p != usize::MAX {
-                child_rows.push(child);
-                segs.push(p);
+        let reached = || edges.iter().filter(|&&(_, target)| pos_of[target] != usize::MAX);
+        let child_rows = push_range(items, reached().map(|&(child, _)| child));
+        let segs = push_range(items, reached().map(|&(_, target)| pos_of[target]));
+        for i in targets.clone() {
+            pos_of[items[i]] = usize::MAX;
+        }
+        let types = self.types;
+        let first_group = b.index.groups.len();
+        let split = split_by_type(items, targets.len(), |items, r| types[items[targets.start + r]]);
+        for (type_index, rows) in present(split) {
+            let items = &mut b.index.items;
+            let start = items.len();
+            for i in rows.clone() {
+                let global = items[targets.start + items[i]];
+                items.push(global);
             }
+            let globals = start..items.len();
+            b.group(type_index, rows, globals);
         }
-        let mut keep = Vec::with_capacity(self.pos_of.len() - targets.len());
-        keep.extend((0..self.pos_of.len()).filter(|&g| self.pos_of[g] == usize::MAX));
-        for &g in &targets {
-            self.pos_of[g] = usize::MAX;
-        }
-        let groups = split_by_type(targets.len(), |r| self.types[targets[r]])
-            .into_iter()
-            .map(|(type_index, rows)| TypeGroup {
-                type_index,
-                globals: rows.iter().map(|&r| targets[r]).collect(),
-                is_identity: rows.len() == targets.len(),
-                rows,
-            })
-            .collect();
-        WavePlan {
+        b.waves.push(WaveRanges {
             child_rows,
             segs,
             targets,
-            groups,
-            keep,
-        }
+            groups: first_group..b.index.groups.len(),
+        });
     }
 }
 
@@ -720,18 +1161,18 @@ fn push_range(index: &mut Vec<usize>, items: impl IntoIterator<Item = usize>) ->
 /// every HW→OPS update, which the dataflow waves overwrite before anything
 /// reads it — gets no slot and no row.
 fn live_targets(topo: &PlanTopology) -> Vec<bool> {
-    let mut live = vec![false; topo.waves.iter().map(|w| w.targets.len()).sum()];
+    let mut live = vec![false; topo.waves.iter().map(|w| w.targets().len()).sum()];
     // Whether the state each node holds at this point of the walk is read.
     let mut read = vec![true; topo.total];
     let mut end = live.len();
     for w in topo.waves.iter().rev() {
-        let wave_live = &mut live[end - w.targets.len()..end];
-        end -= w.targets.len();
-        for (l, &t) in wave_live.iter_mut().zip(&w.targets) {
+        let wave_live = &mut live[end - w.targets().len()..end];
+        end -= w.targets().len();
+        for (l, &t) in wave_live.iter_mut().zip(w.targets()) {
             *l = read[t];
             read[t] = false;
         }
-        for (&c, &seg) in w.child_rows.iter().zip(&w.segs) {
+        for (&c, &seg) in w.child_rows().iter().zip(w.segs()) {
             if wave_live[seg] {
                 read[c] = true;
             }
@@ -847,18 +1288,18 @@ impl SlotMemo {
     /// against the memo's keys, and only those with no equal key get a new
     /// slot (and a row of the schedule).
     fn lower(&mut self, topo: &PlanTopology, features: &[Tensor]) -> SlotSchedule {
-        let wave_rows: usize = topo.waves.iter().map(|w| w.targets.len()).sum();
+        let wave_rows: usize = topo.waves.iter().map(|w| w.targets().len()).sum();
         if self.n_slots > 0 && self.n_slots.saturating_add(topo.total + wave_rows) > self.cap {
             self.clear();
         }
-        let edges: usize = topo.waves.iter().map(|w| w.child_rows.len()).sum();
+        let edges: usize = topo.waves.iter().map(|w| w.child_rows().len()).sum();
         let mut s = SlotSchedule {
             // What the lowering can emit at most: encoder rows and slots,
             // then per wave target own, rows and slots, and per edge child
             // slot and segment.
             index: Vec::with_capacity(2 * topo.total + 3 * wave_rows + 2 * edges),
-            calls: Vec::with_capacity(topo.encoders.len() + topo.waves.iter().map(|w| w.groups.len()).sum::<usize>()),
-            n_encoders: topo.encoders.len(),
+            calls: Vec::with_capacity(topo.n_encoders() + topo.waves.iter().map(WavePlan::n_groups).sum::<usize>()),
+            n_encoders: topo.n_encoders(),
             waves: Vec::with_capacity(topo.waves.len()),
             final_slots: Vec::new(),
             state_rows: 0,
@@ -876,23 +1317,23 @@ impl SlotMemo {
         self.rows.reserve(features.iter().map(|f| f.data().len()).sum());
         let first = self.n_slots;
         let mut h0 = vec![0usize; topo.total];
-        for (ep, feats) in topo.encoders.iter().zip(features) {
+        for ((type_index, globals), feats) in topo.encoders().zip(features) {
             let call_first = self.n_slots;
             let rows_start = s.index.len();
-            for (r, &node) in ep.globals.iter().enumerate() {
+            for (r, &node) in globals.iter().enumerate() {
                 let row = feats.row_slice(r);
                 let fresh = self.encoder_keys.len();
-                let fp = self.encoders.row_fingerprint(ep.type_index, row);
+                let fp = self.encoders.row_fingerprint(type_index, row);
                 let (keys, rows) = (&self.encoder_keys, &self.rows);
                 let k = self.encoders.intern(fp, fresh, |k| {
                     let key = &keys[k];
-                    key.type_index == ep.type_index && same_bits(&rows[key.row.clone()], row)
+                    key.type_index == type_index && same_bits(&rows[key.row.clone()], row)
                 });
                 if k == fresh {
                     let start = self.rows.len();
                     self.rows.extend_from_slice(row);
                     self.encoder_keys.push(EncoderKey {
-                        type_index: ep.type_index,
+                        type_index,
                         row: start..self.rows.len(),
                         slot: self.n_slots,
                     });
@@ -901,7 +1342,7 @@ impl SlotMemo {
                 }
                 h0[node] = self.encoder_keys[k].slot;
             }
-            let rows = if self.n_slots - call_first < ep.globals.len() {
+            let rows = if self.n_slots - call_first < globals.len() {
                 Some(rows_start..s.index.len())
             } else {
                 s.index.truncate(rows_start);
@@ -909,7 +1350,7 @@ impl SlotMemo {
             };
             let slots = push_range(&mut s.index, call_first..self.n_slots);
             s.calls.push(SlotCall {
-                type_index: ep.type_index,
+                type_index,
                 rows,
                 slots,
             });
@@ -941,7 +1382,7 @@ impl SlotMemo {
         if merge {
             self.waves.reserve(s.stats.live_wave_rows);
             self.wave_keys.reserve(s.stats.live_wave_rows);
-            self.kids.reserve(topo.waves.iter().map(|w| w.child_rows.len()).sum());
+            self.kids.reserve(topo.waves.iter().map(|w| w.child_rows().len()).sum());
         }
         // Per-wave scratch: child slots bucketed by target (CSR), each
         // target's group, the new targets and each live target's new slot.
@@ -949,12 +1390,12 @@ impl SlotMemo {
         let (mut group_of, mut fresh, mut after) = (Vec::new(), Vec::new(), Vec::new());
         let mut live_off = 0;
         for w in &topo.waves {
-            let n = w.targets.len();
+            let n = w.targets().len();
             let live = &live[live_off..live_off + n];
             live_off += n;
             start.clear();
             start.resize(n + 1, 0);
-            for &seg in &w.segs {
+            for &seg in w.segs() {
                 start[seg + 1] += 1;
             }
             for p in 0..n {
@@ -963,15 +1404,15 @@ impl SlotMemo {
             fill.clear();
             fill.extend_from_slice(&start[..n]);
             by_target.clear();
-            by_target.resize(w.child_rows.len(), 0);
-            for (&c, &seg) in w.child_rows.iter().zip(&w.segs) {
+            by_target.resize(w.child_rows().len(), 0);
+            for (&c, &seg) in w.child_rows().iter().zip(w.segs()) {
                 by_target[fill[seg]] = cur[c];
                 fill[seg] += 1;
             }
             group_of.clear();
             group_of.resize(n, 0);
-            for (gi, g) in w.groups.iter().enumerate() {
-                for &r in &g.rows {
+            for (gi, g) in w.groups().enumerate() {
+                for &r in g.rows {
                     group_of[r] = gi;
                 }
             }
@@ -982,7 +1423,7 @@ impl SlotMemo {
             let child_start = s.index.len();
             fresh.clear();
             after.clear();
-            for (p, &t) in w.targets.iter().enumerate() {
+            for (p, &t) in w.targets().iter().enumerate() {
                 if !live[p] {
                     continue;
                 }
@@ -1027,9 +1468,9 @@ impl SlotMemo {
                     .enumerate()
                     .flat_map(|(row, &p)| std::iter::repeat_n(row, start[p + 1] - start[p])),
             );
-            let own = push_range(&mut s.index, fresh.iter().map(|&p| h0[w.targets[p]]));
+            let own = push_range(&mut s.index, fresh.iter().map(|&p| h0[w.targets()[p]]));
             let first_call = s.calls.len();
-            for (gi, g) in w.groups.iter().enumerate() {
+            for (gi, g) in w.groups().enumerate() {
                 let rows = push_range(
                     &mut s.index,
                     fresh
@@ -1095,15 +1536,16 @@ impl SlotSchedule {
     }
 }
 
-/// Structural signature of one batch of graphs: a collision-resistant key
-/// over everything a [`PlanTopology`] depends on — node types, edge
-/// lists, scheme and round count — and nothing the feature *values* can
-/// change. Two batches with equal signatures share a topology.
+/// Structural signature of a batch of graphs — in serving, of one graph:
+/// a hash over the node types, edge lists, scheme and round count a
+/// [`PlanTopology`] depends on, and nothing the feature *values* can
+/// change. Equal structures have equal signatures.
 ///
-/// The `Ord` impl is an arbitrary total order; serving layers use it to
-/// group same-shaped requests into runs so coalesced batches of mixed
-/// shapes still hit the cache per shape.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A signature only routes: it picks a [`PlanCache`] entry or a serving
+/// shard. Its hash has fixed keys, so a client can search offline for
+/// two shapes that collide; the cache therefore confirms every hit by
+/// comparing the structure itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct PlanSignature {
     hash: u64,
     n_graphs: u32,
@@ -1144,18 +1586,18 @@ pub fn plan_signature(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds
 /// serving internals.
 #[derive(Clone, Copy, Debug)]
 pub struct CacheStats {
-    /// Lookups served from a cached topology.
+    /// Graphs whose topology fragment was served from the cache.
     pub hits: u64,
-    /// Lookups that built the topology from scratch.
+    /// Graphs whose topology fragment was built.
     pub misses: u64,
-    /// Topologies currently cached.
+    /// Fragments (distinct graph shapes) currently cached.
     pub len: usize,
-    /// Maximum number of cached topologies.
+    /// Maximum number of cached fragments.
     pub capacity: usize,
 }
 
 impl CacheStats {
-    /// Total lookups.
+    /// Total lookups (graphs planned through the cache).
     pub fn lookups(&self) -> u64 {
         self.hits + self.misses
     }
@@ -1171,40 +1613,56 @@ impl CacheStats {
 }
 
 struct CacheSlot {
-    topo: Arc<PlanTopology>,
+    frag: Arc<Fragment>,
     last_used: u64,
 }
 
 struct CacheInner {
-    map: HashMap<PlanSignature, CacheSlot>,
+    /// Keyed by the masked signature hash (see [`PlanCache::key`]).
+    map: HashMap<u64, CacheSlot>,
     tick: u64,
 }
 
-/// A thread-safe LRU cache of [`PlanTopology`]s keyed by structural
-/// signature.
+/// A thread-safe LRU cache of per-graph topology fragments, keyed by
+/// one-graph [`PlanSignature`]s and confirmed by exact comparison (see the
+/// module docs).
 ///
-/// [`PlanCache::get_or_build`] returns a ready-to-run [`BatchPlan`]: on a
-/// hit only the batch's feature rows are restacked (topology construction
-/// — the expensive graph traversal — is skipped entirely); on a miss the
-/// full plan is built and its topology inserted, evicting the
-/// least-recently-used entry at capacity. Hit/miss counters are exposed
-/// for serving-layer metrics.
+/// [`PlanCache::get_or_build`] returns a ready-to-run [`BatchPlan`] for a
+/// batch of any shapes: it builds and inserts only the fragments it lacks,
+/// evicting the least-recently-used at capacity, stitches the batch
+/// topology from them and stacks the feature rows. Hits and misses count
+/// per graph.
 pub struct PlanCache {
     capacity: usize,
+    /// ANDed into every signature hash before it keys the map.
+    sig_mask: u64,
     inner: Mutex<CacheInner>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl PlanCache {
-    /// Creates a cache holding at most `capacity` topologies.
+    /// Creates a cache holding at most `capacity` fragments (distinct
+    /// graph shapes).
     ///
     /// # Panics
     /// Panics if `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
+        Self::with_signature_mask(capacity, u64::MAX)
+    }
+
+    /// A cache that ANDs `mask` into every signature before it keys a
+    /// fragment: `0` makes every shape collide, leaving every hit to the
+    /// exact check. Test instrumentation only.
+    ///
+    /// # Panics
+    /// Panics if `capacity == 0`.
+    #[doc(hidden)]
+    pub fn with_signature_mask(capacity: usize, mask: u64) -> Self {
         assert!(capacity > 0, "plan cache needs capacity >= 1");
         PlanCache {
             capacity,
+            sig_mask: mask,
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
                 tick: 0,
@@ -1214,55 +1672,108 @@ impl PlanCache {
         }
     }
 
-    /// Returns a plan for the batch, reusing a cached topology when one
-    /// with the same structural signature exists.
+    fn key(&self, sig: &PlanSignature) -> u64 {
+        sig.hash & self.sig_mask
+    }
+
+    /// Returns a plan for the batch, stitched from cached fragments where
+    /// the graphs' shapes have been seen (see
+    /// [`PlanCache::get_or_build_signed`]).
     ///
     /// # Panics
     /// Panics on an empty batch (as [`BatchPlan::build`] does).
     pub fn get_or_build(&self, graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize) -> BatchPlan {
-        let sig = plan_signature(graphs, scheme, traditional_rounds);
-        let cached = {
+        let sigs: Vec<PlanSignature> = graphs
+            .iter()
+            .map(|g| plan_signature(&[g], scheme, traditional_rounds))
+            .collect();
+        self.get_or_build_signed(graphs, &sigs, scheme, traditional_rounds)
+    }
+
+    /// [`PlanCache::get_or_build`] for a caller that already holds each
+    /// graph's one-graph signature (`plan_signature(&[g], ..)`, parallel to
+    /// `graphs`) — a serving layer computes it per request at submission.
+    ///
+    /// # Panics
+    /// Panics on an empty batch, on `sigs` of another length, and on a
+    /// malformed graph (an edge or wave list that does not fit its nodes).
+    pub fn get_or_build_signed(
+        &self,
+        graphs: &[&JointGraph],
+        sigs: &[PlanSignature],
+        scheme: Scheme,
+        traditional_rounds: usize,
+    ) -> BatchPlan {
+        assert!(!graphs.is_empty(), "empty batch");
+        assert_eq!(graphs.len(), sigs.len(), "one signature per graph");
+        let keys: Vec<u64> = sigs.iter().map(|s| self.key(s)).collect();
+        let mut frags: Vec<Option<Arc<Fragment>>> = {
             let mut inner = self.inner.lock().expect("plan cache lock");
             inner.tick += 1;
             let tick = inner.tick;
-            inner.map.get_mut(&sig).map(|slot| {
-                slot.last_used = tick;
-                Arc::clone(&slot.topo)
-            })
+            keys.iter()
+                .map(|k| {
+                    inner.map.get_mut(k).map(|slot| {
+                        slot.last_used = tick;
+                        Arc::clone(&slot.frag)
+                    })
+                })
+                .collect()
         };
-        if let Some(topo) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return BatchPlan::with_topology(topo, graphs);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock: topology construction is the expensive
-        // part, and concurrent misses for different shapes shouldn't
-        // serialize. A racing duplicate build of the same shape is benign
-        // (last insert wins; both plans are valid).
-        let plan = BatchPlan::build(graphs, scheme, traditional_rounds);
-        let mut inner = self.inner.lock().expect("plan cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        if !inner.map.contains_key(&sig) && inner.map.len() >= self.capacity {
-            // Evict the least-recently-used slot. O(len) scan — capacity
-            // is small and misses are the rare path by design.
-            if let Some(&lru) = inner
-                .map
+        // Confirm and build outside the lock: concurrent misses for
+        // different shapes shouldn't serialize. A racing duplicate build of
+        // one shape is benign (last insert wins; both fragments are valid).
+        let mut built: Vec<(u64, Arc<Fragment>)> = Vec::new();
+        let mut hits = 0;
+        for ((g, &key), frag) in graphs.iter().zip(&keys).zip(&mut frags) {
+            if frag.as_ref().is_some_and(|f| f.fits(g, scheme, traditional_rounds)) {
+                hits += 1;
+                continue;
+            }
+            // A shape new to the cache may repeat within the batch.
+            if let Some((_, f)) = built
                 .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(sig, _)| sig)
+                .find(|(k, f)| *k == key && f.fits(g, scheme, traditional_rounds))
             {
-                inner.map.remove(&lru);
+                *frag = Some(Arc::clone(f));
+                hits += 1;
+                continue;
+            }
+            let f = Arc::new(Fragment::build(g, scheme, traditional_rounds));
+            built.push((key, Arc::clone(&f)));
+            *frag = Some(f);
+        }
+        if !built.is_empty() {
+            let mut inner = self.inner.lock().expect("plan cache lock");
+            inner.tick += 1;
+            let tick = inner.tick;
+            for (key, frag) in &built {
+                let frag = Arc::clone(frag);
+                inner.map.insert(*key, CacheSlot { frag, last_used: tick });
+            }
+            // Evict the least-recently-used fragments past capacity, all in
+            // one scan of the map.
+            let excess = inner.map.len().saturating_sub(self.capacity);
+            if excess > 0 {
+                let mut by_age: Vec<(u64, u64)> = inner.map.iter().map(|(&key, slot)| (slot.last_used, key)).collect();
+                by_age.select_nth_unstable(excess - 1);
+                for (_, key) in &by_age[..excess] {
+                    inner.map.remove(key);
+                }
             }
         }
-        inner.map.insert(
-            sig,
-            CacheSlot {
-                topo: Arc::clone(&plan.topo),
-                last_used: tick,
-            },
-        );
-        plan
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+        self.misses.fetch_add(built.len() as u64, Ordering::Relaxed);
+
+        let frags: Vec<&Fragment> = frags
+            .iter()
+            .map(|f| f.as_deref().expect("every graph has a fragment"))
+            .collect();
+        let topo = match frags[..] {
+            [f] if f.alone => Arc::clone(&f.topo),
+            _ => Arc::new(PlanTopology::stitch(&frags, scheme, traditional_rounds)),
+        };
+        BatchPlan::with_topology(topo, graphs)
     }
 
     /// Snapshot of the cache's effectiveness counters.
@@ -1275,12 +1786,13 @@ impl PlanCache {
         }
     }
 
-    /// Number of topology hits so far.
+    /// Graphs whose fragment was cached (or built earlier in their batch)
+    /// so far.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of topology misses (full plan builds) so far.
+    /// Graphs whose fragment had to be built so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
@@ -1295,7 +1807,7 @@ impl PlanCache {
         }
     }
 
-    /// Number of cached topologies.
+    /// Number of cached fragments.
     pub fn len(&self) -> usize {
         self.inner.lock().expect("plan cache lock").map.len()
     }
@@ -1305,14 +1817,14 @@ impl PlanCache {
         self.len() == 0
     }
 
-    /// Maximum number of cached topologies.
+    /// Maximum number of cached fragments.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 }
 
 impl Default for PlanCache {
-    /// A cache sized for a serving layer: 128 distinct batch shapes.
+    /// A cache sized for a serving layer: 128 distinct graph shapes.
     fn default() -> Self {
         PlanCache::new(128)
     }
@@ -1353,10 +1865,10 @@ mod tests {
         // Every node appears in exactly one encoder group, and the
         // stacked features match the routing lists row for row.
         let mut seen = vec![false; total];
-        for (ep, feats) in plan.topo.encoders.iter().zip(&plan.features) {
-            assert_eq!(feats.rows(), ep.globals.len());
-            assert_eq!(feats.cols(), NodeType::ALL[ep.type_index].feature_width());
-            for &g in &ep.globals {
+        for ((type_index, globals), feats) in plan.topo.encoders().zip(&plan.features) {
+            assert_eq!(feats.rows(), globals.len());
+            assert_eq!(feats.cols(), NodeType::ALL[type_index].feature_width());
+            for &g in globals {
                 assert!(!seen[g], "node {g} encoded twice");
                 seen[g] = true;
             }
@@ -1372,20 +1884,20 @@ mod tests {
         let plan = BatchPlan::build(&refs, Scheme::Costream, 0);
         assert!(!plan.topo.waves.is_empty());
         for wave in &plan.topo.waves {
-            assert_eq!(wave.child_rows.len(), wave.segs.len());
+            assert_eq!(wave.child_rows().len(), wave.segs().len());
             // targets ∪ keep = all nodes, disjoint.
             let mut marks = vec![0u8; plan.total_nodes()];
-            for &t in &wave.targets {
+            for &t in wave.targets() {
                 marks[t] += 1;
             }
-            for &k in &wave.keep {
+            for &k in wave.keep() {
                 marks[k] += 1;
             }
             assert!(marks.iter().all(|&m| m == 1), "targets/keep must partition nodes");
             // Groups partition the target rows.
-            let group_rows: usize = wave.groups.iter().map(|g| g.rows.len()).sum();
-            assert_eq!(group_rows, wave.targets.len());
-            for g in &wave.groups {
+            let group_rows: usize = wave.groups().map(|g| g.rows.len()).sum();
+            assert_eq!(group_rows, wave.targets().len());
+            for g in wave.groups() {
                 assert_eq!(g.rows.len(), g.globals.len());
             }
         }
@@ -1407,8 +1919,8 @@ mod tests {
         let refs: Vec<&JointGraph> = gs.iter().collect();
         let plan = BatchPlan::build(&refs, Scheme::Traditional, 3);
         assert_eq!(plan.topo.waves.len(), 3);
-        assert_eq!(plan.topo.waves[0].targets.len(), plan.total_nodes());
-        assert!(plan.topo.waves[0].keep.is_empty());
+        assert_eq!(plan.topo.waves[0].targets().len(), plan.total_nodes());
+        assert!(plan.topo.waves[0].keep().is_empty());
     }
 
     #[test]
@@ -1457,13 +1969,22 @@ mod tests {
         let gs = graphs(2, Featurization::Full);
         let refs: Vec<&JointGraph> = gs.iter().collect();
         let cache = PlanCache::new(4);
+        // Hits and misses count per graph: a batch of two new shapes is two
+        // misses, and the same batch again two hits.
         let a = cache.get_or_build(&refs, Scheme::Costream, 0);
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
         let b = cache.get_or_build(&refs, Scheme::Costream, 0);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-        assert!(Arc::ptr_eq(&a.topo, &b.topo), "hit must share the cached topology");
-        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        assert_eq!(a.topo, b.topo);
+        assert_eq!(cache.len(), 2);
         assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+        // A one-graph batch runs its fragment's topology itself.
+        let c = cache.get_or_build(&refs[..1], Scheme::Costream, 0);
+        let d = cache.get_or_build(&refs[..1], Scheme::Costream, 0);
+        assert!(
+            Arc::ptr_eq(&c.topo, &d.topo),
+            "a one-graph hit must share the cached topology"
+        );
     }
 
     #[test]
@@ -1511,6 +2032,66 @@ mod tests {
         for (a, b) in pm.features.iter().zip(&direct.features) {
             assert_eq!(a.data(), b.data(), "hit path must restack the new features");
         }
+    }
+
+    /// Signatures only route: a fragment serves a graph only when its
+    /// structure is the graph's, whatever key the two share.
+    #[test]
+    fn fragment_hits_are_confirmed_exactly() {
+        let gs = graphs(3, Featurization::Full);
+        let built = |refs: &[&JointGraph]| PlanTopology::build(refs, Scheme::Costream, 0);
+
+        // Every shape keyed alike: one slot, and each lookup compares.
+        let cache = PlanCache::with_signature_mask(8, 0);
+        let batch = [&gs[0], &gs[1], &gs[0], &gs[2]];
+        let plan = cache.get_or_build(&batch, Scheme::Costream, 0);
+        assert_eq!(*plan.topo, built(&batch));
+        // The repeat of gs[0] finds the fragment built earlier in its batch.
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+        assert_eq!(cache.len(), 1);
+        let plan = cache.get_or_build(&[&gs[1]], Scheme::Costream, 0);
+        assert_eq!(*plan.topo, built(&[&gs[1]]));
+        assert_eq!(
+            (cache.hits(), cache.misses()),
+            (1, 4),
+            "the slot holds gs[2], not gs[1]"
+        );
+
+        // The signature does not hash the waves; the exact check does.
+        let mut deeper = gs[0].clone();
+        for w in deeper.waves.iter_mut().flatten().filter(|w| **w > 0) {
+            *w += 1;
+        }
+        let sig = |g: &JointGraph| plan_signature(&[g], Scheme::Costream, 0);
+        assert_eq!(sig(&gs[0]), sig(&deeper));
+        let cache = PlanCache::new(8);
+        cache.get_or_build(&[&gs[0]], Scheme::Costream, 0);
+        let plan = cache.get_or_build(&[&deeper], Scheme::Costream, 0);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(*plan.topo, built(&[&deeper]));
+        // A fragment serves only the scheme and round count it was built for.
+        let cache = PlanCache::new(8);
+        cache.get_or_build(&[&gs[0]], Scheme::Traditional, 2);
+        let plan = cache.get_or_build(&[&gs[0]], Scheme::Traditional, 3);
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(*plan.topo, PlanTopology::build(&[&gs[0]], Scheme::Traditional, 3));
+    }
+
+    #[test]
+    fn malformed_graphs_fail_in_their_own_fragment() {
+        let gs = graphs(2, Featurization::Full);
+        let mut edge_past_the_end = gs[1].clone();
+        edge_past_the_end.placement_edges.push((0, gs[1].len()));
+        let mut short_waves = gs[1].clone();
+        short_waves.waves.pop();
+        let cache = PlanCache::new(8);
+        for bad in [edge_past_the_end, short_waves] {
+            let batch = [&gs[0], &bad];
+            let build = || cache.get_or_build(&batch, Scheme::Costream, 0);
+            let plan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
+            assert!(plan.is_err(), "a malformed graph must not reach a stitched plan");
+        }
+        assert_eq!(cache.len(), 0, "a batch that failed inserts nothing");
     }
 
     fn plan_of(gs: &[JointGraph], scheme: Scheme) -> BatchPlan {
@@ -1580,7 +2161,7 @@ mod tests {
             let plan = plan_of(&gs, scheme);
             let stats = plan.hash_cons();
             assert_eq!(stats.distinct_encoder_rows, plan.total_nodes(), "no row repeats");
-            let targets: usize = plan.topo.waves.iter().map(|w| w.targets.len()).sum();
+            let targets: usize = plan.topo.waves.iter().map(|w| w.targets().len()).sum();
             assert_eq!(stats.wave_rows, targets);
             // Every node of a Traditional round has a neighbour that reads
             // it next round. In the Costream scheme the dataflow waves
@@ -1593,10 +2174,56 @@ mod tests {
         }
     }
 
+    /// A topology as plain lists: what the oracle below produces, and what
+    /// every topology is compared through.
+    #[derive(Debug, PartialEq)]
+    struct Lists {
+        total: usize,
+        n_graphs: usize,
+        encoders: Vec<(usize, Vec<usize>)>,
+        waves: Vec<WaveLists>,
+        graph_of: Vec<usize>,
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct WaveLists {
+        child_rows: Vec<usize>,
+        segs: Vec<usize>,
+        targets: Vec<usize>,
+        /// `(type index, rows, globals, is_identity)` per type group.
+        groups: Vec<(usize, Vec<usize>, Vec<usize>, bool)>,
+        keep: Vec<usize>,
+    }
+
+    impl PlanTopology {
+        fn lists(&self) -> Lists {
+            Lists {
+                total: self.total,
+                n_graphs: self.n_graphs,
+                encoders: self.encoders().map(|(t, g)| (t, g.to_vec())).collect(),
+                waves: self
+                    .waves
+                    .iter()
+                    .map(|w| WaveLists {
+                        child_rows: w.child_rows().to_vec(),
+                        segs: w.segs().to_vec(),
+                        targets: w.targets().to_vec(),
+                        groups: w
+                            .groups()
+                            .map(|g| (g.type_index, g.rows.to_vec(), g.globals.to_vec(), g.is_identity))
+                            .collect(),
+                        keep: w.keep().to_vec(),
+                    })
+                    .collect(),
+                graph_of: self.graph_of.clone(),
+            }
+        }
+    }
+
     /// The wave-by-wave topology build the linear pass replaced, kept as
     /// its oracle: every dataflow wave rescans every graph, and every wave
     /// gets a batch-sized position table of its own.
-    fn reference_topology(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize) -> PlanTopology {
+    fn reference_topology(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize) -> Lists {
         let mut offsets = Vec::with_capacity(graphs.len());
         let mut total = 0usize;
         for g in graphs {
@@ -1614,10 +2241,7 @@ mod tests {
                 }
             }
             if !globals.is_empty() {
-                encoders.push(EncoderPlan {
-                    type_index: ti,
-                    globals,
-                });
+                encoders.push((ti, globals));
             }
         }
         let node_type = |global: usize| -> NodeType {
@@ -1645,7 +2269,7 @@ mod tests {
                     }
                 }
                 if !host_targets.is_empty() {
-                    waves.push(Arc::new(reference_wave(host_targets, &ophw_edges, total, &node_type)));
+                    waves.push(reference_wave(host_targets, &ophw_edges, total, &node_type));
                     let mut op_targets: Vec<usize> = Vec::new();
                     for (gi, g) in graphs.iter().enumerate() {
                         for (li, node) in g.nodes.iter().enumerate() {
@@ -1654,7 +2278,7 @@ mod tests {
                             }
                         }
                     }
-                    waves.push(Arc::new(reference_wave(op_targets, &hwop_edges, total, &node_type)));
+                    waves.push(reference_wave(op_targets, &hwop_edges, total, &node_type));
                 }
                 let n_waves = graphs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
                 for w in 0..n_waves {
@@ -1673,7 +2297,7 @@ mod tests {
                         }
                     }
                     if !targets.is_empty() {
-                        waves.push(Arc::new(reference_wave(targets, &edges, total, &node_type)));
+                        waves.push(reference_wave(targets, &edges, total, &node_type));
                     }
                 }
             }
@@ -1689,19 +2313,15 @@ mod tests {
                         edges.push((offsets[gi] + b, offsets[gi] + a));
                     }
                 }
-                let round = Arc::new(reference_wave(targets, &edges, total, &node_type));
-                for _ in 0..traditional_rounds {
-                    waves.push(Arc::clone(&round));
-                }
+                let round = reference_wave(targets, &edges, total, &node_type);
+                waves.extend(std::iter::repeat_n(round, traditional_rounds));
             }
         }
         let mut graph_of: Vec<usize> = Vec::with_capacity(total);
         for (gi, g) in graphs.iter().enumerate() {
             graph_of.extend(std::iter::repeat_n(gi, g.len()));
         }
-        PlanTopology {
-            scheme,
-            traditional_rounds,
+        Lists {
             total,
             n_graphs: graphs.len(),
             encoders,
@@ -1715,7 +2335,7 @@ mod tests {
         edges: &[(usize, usize)],
         total: usize,
         node_type: &impl Fn(usize) -> NodeType,
-    ) -> WavePlan {
+    ) -> WaveLists {
         let mut pos_of = vec![usize::MAX; total];
         for (p, &g) in targets.iter().enumerate() {
             pos_of[g] = p;
@@ -1738,15 +2358,10 @@ mod tests {
             }
             let globals: Vec<usize> = rows.iter().map(|&r| targets[r]).collect();
             let is_identity = rows.len() == targets.len();
-            groups.push(TypeGroup {
-                type_index: ti,
-                rows,
-                globals,
-                is_identity,
-            });
+            groups.push((ti, rows, globals, is_identity));
         }
         let keep: Vec<usize> = (0..total).filter(|&g| pos_of[g] == usize::MAX).collect();
-        WavePlan {
+        WaveLists {
             child_rows,
             segs,
             targets,
@@ -1756,6 +2371,22 @@ mod tests {
     }
 
     use proptest::prelude::*;
+
+    /// `got == want`, list by list, naming the first list that differs.
+    fn same_lists(got: &Lists, want: &Lists) -> Result<(), TestCaseError> {
+        prop_assert_eq!(&got.encoders, &want.encoders);
+        prop_assert_eq!(got.waves.len(), want.waves.len());
+        for (w, (a, b)) in got.waves.iter().zip(&want.waves).enumerate() {
+            prop_assert_eq!(&a.child_rows, &b.child_rows, "wave {} child_rows", w);
+            prop_assert_eq!(&a.segs, &b.segs, "wave {} segs", w);
+            prop_assert_eq!(&a.targets, &b.targets, "wave {} targets", w);
+            prop_assert_eq!(&a.groups, &b.groups, "wave {} groups", w);
+            prop_assert_eq!(&a.keep, &b.keep, "wave {} keep", w);
+        }
+        prop_assert_eq!(&got.graph_of, &want.graph_of);
+        prop_assert!(got == want, "some other field differs");
+        Ok(())
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -1778,21 +2409,71 @@ mod tests {
             let gs = graphs_from(seed, n, featurization);
             let refs: Vec<&JointGraph> = gs.iter().collect();
             let built = PlanTopology::build(&refs, scheme, rounds);
-            let want = reference_topology(&refs, scheme, rounds);
-            prop_assert_eq!(&built.encoders, &want.encoders);
-            prop_assert_eq!(built.waves.len(), want.waves.len());
-            for (w, (a, b)) in built.waves.iter().zip(&want.waves).enumerate() {
-                prop_assert_eq!(&a.child_rows, &b.child_rows, "wave {} child_rows", w);
-                prop_assert_eq!(&a.segs, &b.segs, "wave {} segs", w);
-                prop_assert_eq!(&a.targets, &b.targets, "wave {} targets", w);
-                prop_assert_eq!(&a.groups, &b.groups, "wave {} groups", w);
-                prop_assert_eq!(&a.keep, &b.keep, "wave {} keep", w);
-            }
-            prop_assert_eq!(&built.graph_of, &want.graph_of);
-            prop_assert!(built == want, "{:?} {:?}: some other field differs", scheme, featurization);
+            same_lists(&built.lists(), &reference_topology(&refs, scheme, rounds))?;
+            prop_assert_eq!((built.scheme, built.traditional_rounds), (scheme, rounds));
             if featurization == Featurization::QueryOnly && scheme == Scheme::Costream {
                 let max_waves = gs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
                 prop_assert!(built.waves.len() <= max_waves, "no host, no phase 1 or 2 wave");
+            }
+        }
+
+        /// A topology stitched from cached fragments is field for field the
+        /// batch build's, and so are the stacked features — for 1–70 graphs
+        /// drawn in any order from a pool of up to 8 shapes (so batches mix
+        /// repeats and distinct shapes of different depths), both schemes
+        /// (Traditional at 2 and 3 rounds) and all three featurizations,
+        /// also mixed in one batch (host-free `QueryOnly` graphs next to
+        /// graphs with hosts). Some pool graphs get an empty dataflow wave,
+        /// and a quarter of the runs key every shape alike. The cache holds
+        /// 4 fragments, so it also evicts between and within batches. Every
+        /// pool graph is also planned alone.
+        #[test]
+        fn stitched_topology_equals_the_batch_build(
+            seed in 0u64..1_000_000,
+            picks in proptest::collection::vec(0usize..8, 1..71),
+            distinct in 1usize..9,
+            scheme in 0usize..3,
+            featurization in 0usize..4,
+            gaps in 0usize..2,
+            collide in 0usize..4,
+        ) {
+            let (scheme, rounds) = [(Scheme::Costream, 0), (Scheme::Traditional, 2), (Scheme::Traditional, 3)][scheme];
+            let featurizations = [Featurization::QueryOnly, Featurization::HardwareNodes, Featurization::Full];
+            let mut g = WorkloadGenerator::new(seed, FeatureRanges::training());
+            let mut e = SelectivityEstimator::realistic(seed + 1);
+            let pool: Vec<JointGraph> = (0..distinct)
+                .map(|i| {
+                    let (q, c, p) = g.workload_item();
+                    let sels = e.estimate_query(&q);
+                    let f = featurizations[if featurization == 3 { i % 3 } else { featurization }];
+                    let mut graph = JointGraph::build(&q, &c, &p, &sels, f);
+                    if gaps == 1 && i % 2 == 1 {
+                        for w in graph.waves.iter_mut().flatten().filter(|w| **w > 0) {
+                            *w += 1;
+                        }
+                    }
+                    graph
+                })
+                .collect();
+            let batch: Vec<&JointGraph> = picks.iter().map(|&i| &pool[i % distinct]).collect();
+            let reversed: Vec<&JointGraph> = batch.iter().rev().copied().collect();
+            let cache = PlanCache::with_signature_mask(4, if collide == 0 { 0 } else { u64::MAX });
+            let want = BatchPlan::build(&batch, scheme, rounds);
+            for warm in [&batch[..0], &reversed[..]] {
+                if !warm.is_empty() {
+                    cache.get_or_build(warm, scheme, rounds);
+                }
+                let plan = cache.get_or_build(&batch, scheme, rounds);
+                for (a, b) in plan.features.iter().zip(&want.features) {
+                    prop_assert!(same_bits(a.data(), b.data()), "stacked features differ");
+                }
+                same_lists(&plan.topo.lists(), &want.topo.lists())?;
+                prop_assert!(*plan.topo == *want.topo, "{:?} x{}: some other field differs", scheme, rounds);
+            }
+            // Each shape alone, where a fragment may run as it is.
+            for g in &pool {
+                let plan = cache.get_or_build(&[g], scheme, rounds);
+                same_lists(&plan.topo.lists(), &PlanTopology::build(&[g], scheme, rounds).lists())?;
             }
         }
     }

@@ -57,8 +57,9 @@ use costream_serve::ServeConfig;
 #[derive(Clone, Debug)]
 pub struct FrontConfig {
     /// Independent `ScoringService` shards. Requests route by
-    /// `hash(plan_signature) % shards`, so recurring graph shapes always
-    /// land on the same shard and its plan-cache LRU stays hot on them.
+    /// `hash(plan_signature) % shards`, so a recurring graph shape always
+    /// lands on the same shard and that shard's fragment cache stays hot
+    /// on it, whatever the shapes batched with it.
     /// Each shard gets its own worker pool and queue budgets from
     /// [`FrontConfig::serve`].
     pub shards: usize,

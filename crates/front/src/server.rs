@@ -435,8 +435,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
 }
 
 /// Routes a graph to its shard: hash of the structural plan signature,
-/// so recurring shapes deterministically reuse the same shard's plan
-/// cache.
+/// so a recurring shape deterministically reuses the same shard's
+/// fragment cache.
 fn shard_of(graph: &JointGraph, route: RouteKey, shards: usize) -> usize {
     let sig = plan_signature(&[graph], route.scheme, route.traditional_rounds);
     let mut h = DefaultHasher::new();

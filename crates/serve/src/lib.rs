@@ -24,9 +24,10 @@
 //!   across a training epoch. Batches are sized by backlog, never by a timer: an idle
 //!   service scores a lone request at once, and what arrives while the
 //!   workers are busy is the next batch.
-//! * A topology-keyed [`PlanCache`](costream::plan::PlanCache), shared
-//!   across workers and all ensemble members, lets recurring graph
-//!   shapes skip `BatchPlan` construction entirely.
+//! * A [`PlanCache`](costream::plan::PlanCache) of per-graph topology
+//!   fragments, shared across workers and all ensemble members: a batch of
+//!   any shapes is one plan stitched from them, and a shape seen before
+//!   skips topology construction in whatever batch it recurs.
 //! * Admission control: when the queue is full, callers get
 //!   [`ServeError::Overloaded`] immediately instead of unbounded latency.
 //! * Each worker owns a recycled
@@ -43,10 +44,10 @@
 //!   inside the services — the serving layer is the optimizer's
 //!   backend, not just a demo.
 //!
-//! Serving is **bitwise identical** to the direct prediction path: the
-//! worker chunks coalesced batches at
-//! the same width as `Ensemble::predict_graphs`, the fused view
-//! preserves every kernel's per-element accumulation order (see
+//! Serving is **bitwise identical** to the direct prediction path: a
+//! stitched plan equals the one `Ensemble::predict_graphs` builds for the
+//! same graphs, a graph's rows never depend on its batch neighbours, the
+//! fused view preserves every kernel's per-element accumulation order (see
 //! [`costream::fused`] for the identity argument), and member
 //! combination is order-identical shared code — the golden tests in
 //! `tests/golden.rs` assert exact equality under heavy concurrency for
@@ -105,7 +106,9 @@ pub struct ServeConfig {
     /// and gets rejected without consuming interactive admission
     /// capacity — and vice versa.
     pub bulk_queue_cap: usize,
-    /// Capacity (distinct batch topologies) of the shared plan cache.
+    /// Capacity of the shared plan cache, in distinct *graph* shapes: one
+    /// topology fragment per shape, stitched into the plan of any batch the
+    /// shape recurs in.
     pub plan_cache_cap: usize,
 }
 
@@ -190,7 +193,7 @@ impl std::error::Error for ServeError {}
 ///
 /// A swap must be invisible to everything already in flight: queued
 /// requests carry plan signatures precomputed under the current model's
-/// config, the shared plan cache holds topologies keyed the same way,
+/// config, the shared plan cache holds fragments built the same way,
 /// and clients compare scores across versions — so the replacement must
 /// predict the same metric, featurize identically, and be plan-congruent
 /// (see [`costream::model::ModelConfig::plan_congruent`]). Different

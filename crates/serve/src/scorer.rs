@@ -7,10 +7,10 @@
 //! *pipelined* requests before waiting on any of them. That shape is what
 //! makes the serving layer the optimizer's backend rather than a demo:
 //! when many optimizer runs execute concurrently (the multi-tenant
-//! scenario), their in-flight candidate batches coalesce into fused
-//! batches inside the services, and structurally congruent candidates
-//! (same used-host layout) share plan topologies through the services'
-//! [`PlanCache`](costream::plan::PlanCache).
+//! scenario), their in-flight candidate batches coalesce into one fused
+//! pass per service batch whatever their shapes, and structurally
+//! congruent candidates (same used-host layout) share one topology
+//! fragment in the services' [`PlanCache`](costream::plan::PlanCache).
 //!
 //! Served scores are bitwise identical to the direct
 //! [`EnsembleScorer`](costream::search::EnsembleScorer) path (the serving
@@ -24,8 +24,8 @@
 //! batch as one pipelined burst, so N tenants' *joint* searches coalesce
 //! exactly like single-query ones. Each request's occupancy snapshot
 //! travels inside its featurized host rows (contention-degraded only
-//! where hosts are shared), which keeps uncontended topologies
-//! cache-identical to their single-query shapes. The joint golden tests
+//! where hosts are shared), so an uncontended graph keeps the structure,
+//! and the cached fragment, of its single-query shape. The joint golden tests
 //! pin serve-backed joint search bitwise-equal to the direct path across
 //! worker counts and concurrent tenants.
 

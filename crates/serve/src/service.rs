@@ -16,7 +16,7 @@
 //!   [`ScoringService::swap_model`] atomically replaces the model, so a
 //!   retrained ensemble goes live with zero downtime and every request is
 //!   scored against exactly one version (reported in [`Scored::version`]).
-//! * **Worker respawn** — a worker that panics outside the per-chunk
+//! * **Worker respawn** — a worker that panics outside the per-batch
 //!   catch (the batching tick itself) is caught at the top of the worker
 //!   thread and the loop restarts, so capacity never silently shrinks;
 //!   queue locks recover from poisoning. Requests lost mid-tick are
@@ -182,9 +182,9 @@ impl Slot {
 }
 
 /// A queued request: the featurized graph, its structural signature
-/// (computed on the submitting thread; used to group same-shaped
-/// requests into cache-friendly runs), its lane/deadline, and its
-/// response slot.
+/// (computed on the submitting thread; the worker's plan-cache key for
+/// the graph's topology fragment), its lane/deadline, and its response
+/// slot.
 ///
 /// The `Drop` guard answers [`ServeError::Internal`] if the request is
 /// dropped unanswered — the safety net that keeps callers from hanging
@@ -358,13 +358,13 @@ pub struct ServeStats {
     /// closed-loop caller shows as bucket 0, a pipelined burst as one
     /// large bucket).
     pub batch_hist: [u64; BATCH_HIST_BUCKETS],
-    /// Worker loops restarted after a panic outside the per-chunk catch.
+    /// Worker loops restarted after a panic outside the per-batch catch.
     pub worker_respawns: u64,
     /// Successful model hot swaps.
     pub swaps: u64,
-    /// Plan-cache topology hits.
+    /// Scored graphs whose topology fragment came from the plan cache.
     pub plan_cache_hits: u64,
-    /// Plan-cache topology misses (full plan builds).
+    /// Scored graphs whose topology fragment had to be built.
     pub plan_cache_misses: u64,
     /// Per-lane breakdown, indexed like [`Lane::ALL`].
     pub interactive: LaneStats,
@@ -382,7 +382,8 @@ impl ServeStats {
         }
     }
 
-    /// Fraction of plan lookups served from the cache (0.0 when unused).
+    /// Fraction of scored graphs whose fragment came from the cache (0.0
+    /// when unused).
     pub fn plan_cache_hit_rate(&self) -> f64 {
         let total = self.plan_cache_hits + self.plan_cache_misses;
         if total == 0 {
@@ -420,9 +421,13 @@ impl ScoringService {
     /// # Panics
     /// Panics when `queue_cap` or `plan_cache_cap` is zero.
     pub fn start(ensemble: Ensemble, cfg: ServeConfig) -> Self {
+        let cache = PlanCache::new(cfg.plan_cache_cap);
+        Self::start_with_cache(ensemble, cfg, cache)
+    }
+
+    fn start_with_cache(ensemble: Ensemble, cfg: ServeConfig, cache: PlanCache) -> Self {
         assert!(cfg.queue_cap > 0, "queue_cap must be >= 1");
         assert!(cfg.bulk_queue_cap > 0, "bulk_queue_cap must be >= 1");
-        let cache = PlanCache::new(cfg.plan_cache_cap);
         // Stack the fused view now, not under the first request.
         ensemble.fused();
         let model = ModelState { ensemble, version: 1 };
@@ -485,7 +490,7 @@ impl ScoringService {
     /// plan-congruent config (see
     /// [`ModelConfig::plan_congruent`](costream::model::ModelConfig::plan_congruent))
     /// — queued requests carry precomputed plan signatures and the plan
-    /// cache holds topologies keyed under the current scheme/round
+    /// cache holds topology fragments built for the current scheme/round
     /// count, both of which must stay valid across the swap.
     ///
     /// Returns the new version on success.
@@ -607,7 +612,7 @@ impl ScoringService {
     }
 
     /// Test/fault-injection hook: makes one worker panic at the top of
-    /// its next batching tick — *outside* the per-chunk unwind guard —
+    /// its next batching tick — *outside* the per-batch unwind guard —
     /// exercising the respawn path. Hidden from docs; not part of the
     /// serving API.
     #[doc(hidden)]
@@ -793,7 +798,7 @@ impl Pending {
 }
 
 /// Worker thread body: run the batching loop, and when it panics outside
-/// the per-chunk catch (a bug in the tick itself, or an injected test
+/// the per-batch catch (a bug in the tick itself, or an injected test
 /// panic), restart it instead of silently shrinking serving capacity.
 /// Requests a panicking tick had already drained are answered
 /// [`ServeError::Internal`] by the [`QueuedRequest`] drop guard during
@@ -819,7 +824,7 @@ fn worker_thread(sh: &Shared) {
 /// recycled.
 fn worker_loop(sh: &Shared) {
     let mut arena = InferenceArena::new();
-    while let Some(mut batch) = collect_batch(sh) {
+    while let Some(batch) = collect_batch(sh) {
         if batch.is_empty() {
             // Everything we drained was past its deadline.
             continue;
@@ -830,16 +835,9 @@ fn worker_loop(sh: &Shared) {
         let model = sh.model();
         sh.stats.batched_graphs.fetch_add(batch.len() as u64, Ordering::Relaxed);
         sh.stats.batch_hist[batch_hist_bucket(batch.len())].fetch_add(1, Ordering::Relaxed);
-        // Group same-shaped requests into runs (the stable sort keeps
-        // per-shape submission order): a mixed-shape batch then hits the
-        // plan cache once per shape instead of missing on every distinct
-        // batch composition.
-        batch.sort_by_key(|r| r.sig);
-        for run in batch.chunk_by(|a, b| a.sig == b.sig) {
-            for chunk in run.chunks(INFERENCE_CHUNK) {
-                score_chunk(sh, &model, chunk, &mut arena);
-            }
-        }
+        // A batch is at most one inference chunk of any shapes: one plan
+        // stitched from per-graph fragments, one fused pass.
+        score_batch(sh, &model, &batch, &mut arena);
     }
 }
 
@@ -887,21 +885,20 @@ fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
     Some(batch)
 }
 
-/// Scores one same-shape chunk under an unwind guard and fills its
-/// response slots. A panic (most likely a malformed request graph —
-/// out-of-range edge indices or wrong feature widths; `JointGraph`
-/// fields are public) falls back to scoring the chunk's requests
-/// *individually*, so only the offending request fails with
-/// [`ServeError::Internal`] while co-batched requests still get their
-/// scores; the worker survives either way.
-fn score_chunk(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: &mut InferenceArena) {
+/// Scores one batch under an unwind guard and fills its response slots. A
+/// panic (most likely a malformed request graph — out-of-range edge
+/// indices or wrong feature widths; `JointGraph` fields are public) falls
+/// back to scoring the batch's requests *individually*, so only the
+/// offending request fails with [`ServeError::Internal`] while co-batched
+/// requests still get their scores; the worker survives either way.
+fn score_batch(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], arena: &mut InferenceArena) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| score_graphs(sh, model, chunk, arena))) {
+    match catch_unwind(AssertUnwindSafe(|| score_graphs(sh, model, batch, arena))) {
         Ok(scores) => {
             // Counters land before the slots fill (inside `answer`) so a
             // caller that just received its score observes them already
             // updated.
-            for (req, score) in chunk.iter().zip(scores) {
+            for (req, score) in batch.iter().zip(scores) {
                 req.answer(Ok(Scored {
                     score,
                     version: model.version,
@@ -909,7 +906,7 @@ fn score_chunk(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: 
             }
         }
         Err(_) => {
-            for req in chunk {
+            for req in batch {
                 match catch_unwind(AssertUnwindSafe(|| {
                     score_graphs(sh, model, std::slice::from_ref(req), arena)
                 })) {
@@ -924,12 +921,64 @@ fn score_chunk(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: 
     }
 }
 
-/// One fused forward for a chunk: plan via the shared topology cache,
-/// then all ensemble members at once through the member-fused view on
-/// this worker's arena (bitwise identical to the sequential
+/// One fused forward for a batch: a plan stitched from the shared
+/// fragment cache, looked up by the signatures the requests carry, then
+/// all ensemble members at once through the member-fused view on this
+/// worker's arena (bitwise identical to the sequential
 /// `Ensemble::predict_plans_arena` — see [`costream::fused`]).
-fn score_graphs(sh: &Shared, model: &ModelState, chunk: &[QueuedRequest], arena: &mut InferenceArena) -> Vec<f64> {
-    let graphs: Vec<&JointGraph> = chunk.iter().map(|r| r.graph.as_ref()).collect();
-    let plan = sh.cache.get_or_build(&graphs, sh.scheme, sh.traditional_rounds);
+fn score_graphs(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], arena: &mut InferenceArena) -> Vec<f64> {
+    let graphs: Vec<&JointGraph> = batch.iter().map(|r| r.graph.as_ref()).collect();
+    let sigs: Vec<PlanSignature> = batch.iter().map(|r| r.sig).collect();
+    let plan = sh
+        .cache
+        .get_or_build_signed(&graphs, &sigs, sh.scheme, sh.traditional_rounds);
     model.fused().predict_plans_arena(std::slice::from_ref(&plan), arena)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use costream::prelude::*;
+    use costream::test_fixtures;
+
+    /// With every signature keyed alike, each fragment lookup is decided by
+    /// the exact structural check alone. A batch mixing every shape of a
+    /// corpus, queued before the worker starts so that it is one batch,
+    /// still scores bitwise equal to `Ensemble::predict_graphs`.
+    #[test]
+    fn colliding_signatures_still_score_mixed_batches_bitwise() {
+        let corpus = test_fixtures::corpus(24, 78);
+        let cfg = TrainConfig {
+            epochs: 2,
+            batch_size: 16,
+            ..Default::default()
+        };
+        let ensemble = Ensemble::train(&corpus, CostMetric::Throughput, &cfg, 2);
+        let graphs: Vec<JointGraph> = corpus.items.iter().map(|i| i.graph(ensemble.featurization())).collect();
+        let refs: Vec<&JointGraph> = graphs.iter().collect();
+        let direct = ensemble.predict_graphs(&refs);
+
+        let cfg = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        let cache = PlanCache::with_signature_mask(cfg.plan_cache_cap, 0);
+        let service = ScoringService::start_with_cache(ensemble, cfg, cache);
+        let client = service.client();
+        for round in 0..2 {
+            let pending: Vec<Pending> = graphs.iter().map(|g| client.submit(g.clone()).expect("fits")).collect();
+            let shared = Arc::clone(&service.shared);
+            let worker = std::thread::spawn(move || {
+                let batch = collect_batch(&shared).expect("queued work");
+                score_batch(&shared, &shared.model(), &batch, &mut InferenceArena::new());
+            });
+            worker.join().expect("worker");
+            for (i, p) in pending.into_iter().enumerate() {
+                assert!(p.wait() == Ok(direct[i]), "round {round}, graph {i}");
+            }
+        }
+        let stats = service.cache_stats();
+        assert_eq!(stats.lookups(), 2 * graphs.len() as u64);
+        assert!(stats.misses > 2, "distinct shapes must have missed under the mask");
+    }
 }

@@ -149,6 +149,45 @@ fn plan_cache_hits_on_recurring_shapes_and_is_shared() {
     assert!((stats.plan_cache_hit_rate() - 0.75).abs() < 1e-12);
 }
 
+/// The plan cache counts per graph shape, not per batch composition: k
+/// distinct shapes submitted twice in one pipelined burst are k misses and
+/// k hits however the worker happens to batch them (repeats in one batch
+/// share the fragment built for the first), and every score is bitwise.
+#[test]
+fn distinct_shapes_pipelined_twice_miss_once_and_hit_once_each() {
+    let corpus = corpus(77);
+    let ensemble = quick_ensemble(&corpus, Scheme::Costream, 2);
+    let (scheme, rounds) = (Scheme::Costream, ensemble.model_config().traditional_rounds);
+    let mut seen = std::collections::HashSet::new();
+    let graphs: Vec<JointGraph> = scheme_graphs(&corpus, &ensemble)
+        .into_iter()
+        .filter(|g| seen.insert(plan_signature(&[g], scheme, rounds)))
+        .collect();
+    let k = graphs.len();
+    assert!(k > 1, "the corpus must hold several shapes");
+    let refs: Vec<&JointGraph> = graphs.iter().collect();
+    let direct = ensemble.predict_graphs(&refs);
+
+    // One worker: two workers planning one new shape at once may both
+    // build it (counted twice), which is not what this test is about.
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let service = ScoringService::start(ensemble, cfg);
+    let client = service.client();
+    let pending: Vec<_> = graphs
+        .iter()
+        .chain(&graphs)
+        .map(|g| client.submit(g.clone()).expect("fits"))
+        .collect();
+    for (i, p) in pending.into_iter().enumerate() {
+        assert!(p.wait() == Ok(direct[i % k]), "request {i}");
+    }
+    let stats = service.stats();
+    assert_eq!((stats.plan_cache_misses, stats.plan_cache_hits), (k as u64, k as u64));
+}
+
 #[test]
 fn overload_rejects_instead_of_queueing_unboundedly() {
     let corpus = corpus(74);
@@ -180,7 +219,8 @@ fn malformed_graphs_fail_individually_without_killing_the_worker() {
     let corpus = corpus(76);
     let ensemble = quick_ensemble(&corpus, Scheme::Costream, 1);
     let good = corpus.items[0].graph(ensemble.featurization());
-    let direct = ensemble.predict_graphs(&[&good]);
+    let other = corpus.items[1].graph(ensemble.featurization());
+    let direct = ensemble.predict_graphs(&[&good, &other]);
     let service = ScoringService::start(ensemble, test_config());
     let client = service.client();
 
@@ -190,11 +230,21 @@ fn malformed_graphs_fail_individually_without_killing_the_worker() {
     // and keep the worker alive.
     let mut bad_edges = good.clone();
     bad_edges.dataflow_edges.push((0, 9999));
-    assert_eq!(client.score(bad_edges).err(), Some(ServeError::Internal));
+    assert_eq!(client.score(bad_edges.clone()).err(), Some(ServeError::Internal));
     assert!(client.score(good.clone()).is_ok(), "worker must survive the panic");
 
+    // Shapes no longer split a batch: a malformed graph of another shape,
+    // pipelined between good ones, may share their fused pass. The
+    // fallback still fails only the offender.
+    let p_good = client.submit(good.clone()).expect("fits");
+    let p_bad = client.submit(bad_edges).expect("fits");
+    let p_other = client.submit(other.clone()).expect("fits");
+    assert!(p_good.wait() == Ok(direct[0]));
+    assert_eq!(p_bad.wait(), Err(ServeError::Internal));
+    assert!(p_other.wait() == Ok(direct[1]));
+
     // A wrong-width feature vector shares the good graph's *structural*
-    // signature, so the two coalesce into the same fused chunk. The
+    // signature, so the two may share a fused pass. The
     // panic fallback rescores individually: the valid request still gets
     // its (bitwise-correct) score, only the malformed one fails.
     let mut bad_features = good.clone();

@@ -27,9 +27,10 @@ Gated ops fall in two classes:
     backward pass of one 16-graph training step; the wire codec rows
     wire_encode_request_inline / wire_decode_request_inline: one ~1 KB
     inline-graph request through the JSON shim's text path, no kernels
-    underneath; and batch_plan_build_64, one 64-graph plan's topology
-    and feature stack, no kernels either) — directly comparable across
-    runners via the double gate;
+    underneath; batch_plan_build_64, one 64-graph plan's topology
+    and feature stack, no kernels either; and plan_stitch_64, the same
+    plan stitched from cached per-graph fragments) — directly comparable
+    across runners via the double gate;
   * product-level runner-class benches — the metrics this repo exists
     to protect. serve_throughput (8 pipelined clients against the
     batching scoring service), serve_p50_latency_1client (one
@@ -75,6 +76,12 @@ GATED = {
     # schedule that rescans every graph per wave, or a batch-sized table
     # allocated per wave, coming back reads ~2x here.
     "batch_plan_build_64": 1.30,
+    # The same 64 graphs planned from a warm fragment cache: lookups by
+    # precomputed signature, exact structure checks, the offset stitch and
+    # the feature restack — what every served batch pays. Single-threaded
+    # and kernel-free, so not in THREADED. A stitch that traverses the
+    # graphs again, or a fragment check that re-hashes them, reads ~2x.
+    "plan_stitch_64": 1.30,
     "serve_throughput": 1.30,
     # Median round trip of one closed-loop caller against an otherwise
     # idle service: a forward pass plus two thread wake-ups, since the

@@ -1,6 +1,6 @@
-//! Member-fused ensemble inference — the one production forward path:
-//! `costream-serve`'s workers, the placement search's `EnsembleScorer`
-//! and every `Ensemble::predict_*` call run it.
+//! Member-fused ensemble inference and the one scoring engine that runs
+//! it: `costream-serve`'s workers, the placement search's `EnsembleScorer`
+//! and every `Ensemble::predict_*` call score through a [`ScoreEngine`].
 //!
 //! The reference path, [`crate::ensemble::Ensemble::predict_plans_arena`],
 //! runs its `k` members sequentially: every member repeats the *same*
@@ -49,14 +49,27 @@
 //! slots are read by later waves only, so the layer kernel writes them in
 //! place.
 //!
-//! Where the matrix lives follows the memo's lifetime. A plan's own
-//! one-batch schedule ([`FusedEnsemble::predict_plans_arena`], the serving
-//! path) runs on a matrix of this pass, taken from and returned to the
-//! arena. A search's memo keeps one matrix per ensemble across the search's
-//! batches: each batch writes only the slots no earlier batch computed, at
-//! the rows the memo gave them, and reads the rest where earlier batches
-//! left them. That is why the memo must not outlive its search — its rows
-//! are this ensemble's states, and only this scorer's.
+//! # One engine
+//!
+//! The memo and its state matrices live in a [`ScoreEngine`], the one
+//! thing every caller scores through: it lowers a plan into its memo once
+//! and runs each ensemble it is given over the schedule, on that
+//! ensemble's own matrix of the engine, with scratch from the engine's
+//! arena. Callers differ only in the memo's lifetime (`crate::plan`'s
+//! module docs):
+//!
+//! * the serving worker keeps one one-batch engine for its life: arena,
+//!   memo tables and state matrix stay warm, and the memo forgets every
+//!   slot before each batch, so a model swap never meets a stale row;
+//! * [`FusedEnsemble::predict_graphs`] runs one one-batch engine per span
+//!   of chunks, and [`FusedEnsemble::predict_plans_arena`] one per call
+//!   on the caller's arena;
+//! * a search's `ScoreMemo` holds a search engine, whose memo and matrices
+//!   persist across the search's batches: each batch writes only the slots
+//!   no earlier batch computed, at the rows the memo gave them, and reads
+//!   the rest where earlier batches left them. That is why the memo must
+//!   not outlive its search — its rows are this trio's states, and only
+//!   this scorer's.
 //!
 //! The result is still bitwise the sequential path's. Every kernel row is
 //! one single-accumulator chain over its own input row, so a row computed
@@ -70,7 +83,7 @@
 use crate::ensemble::{combine_member_major, Ensemble};
 use crate::graph::{Featurization, JointGraph};
 use crate::model::{map_spans, ModelConfig, INFERENCE_CHUNK};
-use crate::plan::{BatchPlan, SlotSchedule};
+use crate::plan::{BatchPlan, SlotMemo, SlotSchedule, SlotStats};
 use costream_dsps::CostMetric;
 use costream_nn::fused::{StackedMlp, WeightPrecision};
 use costream_nn::loss::{msle_inverse, sigmoid};
@@ -146,40 +159,52 @@ impl FusedEnsemble {
 
     /// Combined ensemble prediction for prebuilt chunk plans on a
     /// caller-held arena — the fused drop-in for
-    /// [`Ensemble::predict_plans_arena`] (bitwise identical). Each plan
-    /// runs its own one-batch slot schedule.
+    /// [`Ensemble::predict_plans_arena`] (bitwise identical): a one-batch
+    /// [`ScoreEngine`] on `arena` for the length of the call.
     pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
-        let n: usize = plans.iter().map(BatchPlan::len).sum();
-        let mut flat = Vec::with_capacity(n * self.k);
-        for plan in plans {
-            let raw = self.forward_raw(plan, plan.slots(), None, arena);
-            self.denormalize_into(&raw, &mut flat);
-            arena.recycle(raw);
-        }
-        combine_member_major(self.metric, self.k, &flat)
+        let mut engine = ScoreEngine::new(SlotMemo::one_batch(u64::MAX), std::mem::take(arena));
+        let scores = plans
+            .iter()
+            .flat_map(|plan| {
+                let (_, [scores]) = engine.score(plan, [self]);
+                scores
+            })
+            .collect();
+        *arena = engine.into_arena();
+        scores
     }
 
-    /// Combined prediction for one plan lowered into a search's memo
-    /// (`schedule`): the pass computes the schedule's new slots into
-    /// `state`, the memo's state matrix for this ensemble, which already
-    /// holds every slot an earlier batch of the memo computed.
-    pub(crate) fn predict_in_memo(
+    /// Combined prediction for prepared graphs, the body of
+    /// [`Ensemble::predict_graphs`]: chunk at [`INFERENCE_CHUNK`] → plan →
+    /// fused pass. Each chunk's plan is built once and serves every member
+    /// in one pass; [`map_spans`] fans the chunks out, one one-batch
+    /// [`ScoreEngine`] per span.
+    pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
+        let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
+        map_spans(graphs, |span| {
+            let mut engine = ScoreEngine::one_batch();
+            span.chunks(INFERENCE_CHUNK)
+                .flat_map(|c| {
+                    let (_, [scores]) = engine.score(&BatchPlan::build(c, scheme, rounds), [self]);
+                    scores
+                })
+                .collect()
+        })
+    }
+
+    /// Combined prediction for one plan over its schedule in a memo: the
+    /// pass computes the schedule's new slots into `state`, the memo's
+    /// state matrix for this ensemble, which already holds every slot an
+    /// earlier batch of the memo computed.
+    fn predict(
         &self,
         plan: &BatchPlan,
         schedule: &SlotSchedule,
         state: &mut Tensor,
         arena: &mut InferenceArena,
     ) -> Vec<f64> {
-        let raw = self.forward_raw(plan, schedule, Some(state), arena);
+        let raw = self.forward_raw(plan, schedule, state, arena);
         let mut flat = Vec::with_capacity(plan.len() * self.k);
-        self.denormalize_into(&raw, &mut flat);
-        arena.recycle(raw);
-        combine_member_major(self.metric, self.k, &flat)
-    }
-
-    /// Appends every member's denormalized prediction for each raw output
-    /// row, member-major.
-    fn denormalize_into(&self, raw: &Tensor, flat: &mut Vec<f64>) {
         for r in 0..raw.rows() {
             for (m, &(mean, std)) in self.denorm.iter().enumerate() {
                 let z = raw.get(r, m);
@@ -192,34 +217,21 @@ impl FusedEnsemble {
                 });
             }
         }
-    }
-
-    /// Combined prediction for prepared graphs, the body of
-    /// [`Ensemble::predict_graphs`]: chunk at [`INFERENCE_CHUNK`] → plan →
-    /// fused pass. Each chunk's plan is built once and serves every member
-    /// in one pass; [`map_spans`] fans the chunks out, one arena per span.
-    pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
-        map_spans(graphs, |span| {
-            let plans: Vec<BatchPlan> = span
-                .chunks(INFERENCE_CHUNK)
-                .map(|c| BatchPlan::build(c, scheme, rounds))
-                .collect();
-            self.predict_plans_arena(&plans, &mut InferenceArena::new())
-        })
+        arena.recycle(raw);
+        combine_member_major(self.metric, self.k, &flat)
     }
 
     /// One fused forward pass: returns the member-major raw outputs
     /// `[n_graphs, k]` (log-space cost or logit per member). Computes what
     /// `GnnModel::forward_inference` computes, `k` members wide, over the
     /// plan's slot schedule: each new distinct node state that something
-    /// reads, once, into `held` (a search memo's state matrix, grown to the
-    /// schedule's rows) or, without one, into a state matrix of this pass.
+    /// reads, once, into `state` (the memo's matrix for this ensemble,
+    /// grown to the schedule's rows).
     fn forward_raw(
         &self,
         plan: &BatchPlan,
         schedule: &SlotSchedule,
-        held: Option<&mut Tensor>,
+        state: &mut Tensor,
         arena: &mut InferenceArena,
     ) -> Tensor {
         assert_eq!(
@@ -242,19 +254,12 @@ impl FusedEnsemble {
         let mut out = arena.alloc_scratch(plan.topo.n_graphs, self.k);
 
         // One k-wide row per slot. Every slot is written exactly once,
-        // before anything reads it, so the matrix starts as unzeroed
-        // scratch; an assign of a kernel output is bit-equal to the
-        // sequential scatter-add onto zeroed rows (the output is never
-        // `-0.0`, see `FusedLayer`'s docs). A held matrix keeps the rows
-        // earlier batches wrote.
-        let mut own_state = None;
-        let state = match held {
-            Some(state) => {
-                grow_rows(state, schedule.state_rows, kh);
-                state
-            }
-            None => own_state.insert(arena.alloc_scratch(schedule.state_rows, kh)),
-        };
+        // before anything reads it, so no row needs zeroing first; an
+        // assign of a kernel output is bit-equal to the sequential
+        // scatter-add onto zeroed rows (the output is never `-0.0`, see
+        // `FusedLayer`'s docs). The rows earlier batches of the memo wrote
+        // stay where they are.
+        grow_rows(state, schedule.state_rows, kh, arena);
 
         // ---- per-type encoders: one *shared-input* pass per type over
         // its new distinct feature rows (features are member-independent),
@@ -290,22 +295,150 @@ impl FusedEnsemble {
         state.gather_segment_sum_into(&schedule.final_slots, &plan.topo.graph_of, &mut pooled);
         self.readout.forward_into(arena, &pooled, false, None, &mut out, None);
         arena.recycle(pooled);
-        if let Some(state) = own_state {
-            arena.recycle(state);
-        }
         out
     }
 }
 
-/// Grows a held state matrix to at least `rows` rows of width `cols`,
-/// keeping every row it holds (a matrix of another width starts over).
-fn grow_rows(state: &mut Tensor, rows: usize, cols: usize) {
+/// Grows a state matrix to at least `rows` rows of width `cols`, keeping
+/// every row it holds. A matrix that holds no rows of that width starts
+/// from an `arena` buffer (so an engine built per call on a warm arena
+/// allocates nothing); one that does grows in place, its capacity
+/// doubling, so a search memo's matrix is copied only O(log slots) times
+/// and leaves no outgrown buffer behind in the arena.
+fn grow_rows(state: &mut Tensor, rows: usize, cols: usize, arena: &mut InferenceArena) {
     if state.cols() == cols && state.rows() >= rows {
         return;
     }
-    let keep = if state.cols() == cols { state.rows() } else { 0 };
-    let mut data = std::mem::replace(state, Tensor::zeros(0, 0)).into_data();
-    data.truncate(keep * cols);
+    let old = std::mem::replace(state, Tensor::zeros(0, 0));
+    let mut data = if old.cols() == cols && !old.is_empty() {
+        old.into_data()
+    } else {
+        arena.recycle(old);
+        arena.alloc_scratch(rows, cols).into_data()
+    };
     data.resize(rows * cols, 0.0);
     *state = Tensor::from_vec(rows, cols, data);
+}
+
+/// The one scoring engine: a slot memo, one state matrix per ensemble
+/// scored through it, and the arena every pass takes its scratch from.
+/// [`ScoreEngine::score`] lowers a plan into the memo once and runs each
+/// given ensemble's fused pass over the schedule — the serving worker, the
+/// search scorer and `predict_graphs` all score this way, and differ only
+/// in how long the memo lives (see the module docs).
+///
+/// Bitwise, a plan's scores do not depend on the engine, on what it scored
+/// before or on its memo's lifetime: they are those of
+/// [`Ensemble::predict_plans_arena`] on the same plan.
+pub struct ScoreEngine {
+    slots: SlotMemo,
+    /// One state matrix per position of [`ScoreEngine::score`]'s models.
+    states: Vec<Tensor>,
+    arena: InferenceArena,
+}
+
+impl ScoreEngine {
+    fn new(slots: SlotMemo, arena: InferenceArena) -> Self {
+        ScoreEngine {
+            slots,
+            states: Vec::new(),
+            arena,
+        }
+    }
+
+    /// An engine whose memo lasts one plan: it forgets every slot before
+    /// each [`score`](ScoreEngine::score), so one engine may serve any
+    /// model from one batch to the next (a serving worker keeps one for
+    /// its life, across hot swaps). Its buffers stay warm.
+    pub fn one_batch() -> Self {
+        Self::new(SlotMemo::one_batch(u64::MAX), InferenceArena::new())
+    }
+
+    /// An engine whose memo spans the plans scored through it until
+    /// [`restart`](ScoreEngine::restart)ed or capped — one search's,
+    /// always with the same ensembles in the same positions.
+    pub(crate) fn search() -> Self {
+        Self::new(SlotMemo::search(), InferenceArena::new())
+    }
+
+    /// Forgets every slot, keeping every buffer, and gives the memo a slot
+    /// cap and fingerprint mask (see `SlotMemo::restart`).
+    pub(crate) fn restart(&mut self, cap: usize, fp_mask: u64) {
+        self.slots.restart(cap, fp_mask);
+    }
+
+    /// Scores one plan with each of `models`: one lowering into the memo,
+    /// then one fused pass per model over its schedule. Returns what the
+    /// lowering added to the memo and each model's combined predictions,
+    /// in plan order.
+    ///
+    /// # Panics
+    /// Panics if a model's scheme or round count is not the plan's.
+    pub fn score<const N: usize>(
+        &mut self,
+        plan: &BatchPlan,
+        models: [&FusedEnsemble; N],
+    ) -> (SlotStats, [Vec<f64>; N]) {
+        let schedule = plan.lower_into(&mut self.slots);
+        if self.states.len() < N {
+            self.states.resize_with(N, || Tensor::zeros(0, 0));
+        }
+        let (states, arena) = (&mut self.states, &mut self.arena);
+        let scores = std::array::from_fn(|i| models[i].predict(plan, &schedule, &mut states[i], arena));
+        (schedule.stats, scores)
+    }
+
+    /// The arena, with the state matrices handed back to it.
+    fn into_arena(mut self) -> InferenceArena {
+        for state in self.states {
+            self.arena.recycle(state);
+        }
+        self.arena
+    }
+
+    /// The arena's pooled floats, then the size of every buffer a memo
+    /// recycles (test instrumentation).
+    #[cfg(test)]
+    pub(crate) fn buffer_sizes(&self) -> Vec<usize> {
+        let mut sizes = vec![self.arena.pooled_floats()];
+        sizes.extend(self.states.iter().map(Tensor::len));
+        sizes.extend(self.slots.capacities());
+        sizes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_fixtures;
+    use crate::train::TrainConfig;
+
+    /// A serving worker's engine: once it has scored a sequence of batches,
+    /// scoring the sequence again grows none of its buffers — arena, state
+    /// matrix or memo tables — although its memo starts over at every batch.
+    #[test]
+    fn a_warm_one_batch_engine_grows_no_buffer() {
+        let corpus = test_fixtures::corpus(24, 79);
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..Default::default()
+        };
+        let e = Ensemble::train(&corpus, CostMetric::ProcessingLatency, &cfg, 2);
+        let graphs: Vec<JointGraph> = corpus.items.iter().map(|i| i.graph(e.featurization())).collect();
+        let refs: Vec<&JointGraph> = graphs.iter().collect();
+        let plans: Vec<BatchPlan> = [0..24, 3..4, 5..17, 20..24]
+            .into_iter()
+            .map(|r| e.members()[0].model().plan(&refs[r]))
+            .collect();
+        let mut engine = ScoreEngine::one_batch();
+        let first: Vec<_> = plans.iter().map(|p| engine.score(p, [e.fused()])).collect();
+        let warm = engine.buffer_sizes();
+        assert!(warm.iter().all(|&size| size > 0), "every buffer was used: {warm:?}");
+        for _ in 0..3 {
+            for (p, want) in plans.iter().zip(&first) {
+                assert_eq!(&engine.score(p, [e.fused()]), want);
+            }
+            assert_eq!(engine.buffer_sizes(), warm, "a repeated sequence must grow no buffer");
+        }
+    }
 }

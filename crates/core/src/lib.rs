@@ -19,7 +19,8 @@
 //!   of traversing the graphs, and the
 //!   hash-consed slot schedule the fused pass runs (each distinct node
 //!   state once per batch, or once per search through the search's
-//!   [`search::ScoreMemo`]);
+//!   [`search::ScoreMemo`]) — every caller scores through the one engine,
+//!   [`fused::ScoreEngine`];
 //! * [`dataset`] — benchmark corpora (§VI): generation against the
 //!   simulator, 80/10/10 splits, balanced classification subsets;
 //! * [`train`] — per-metric training (MSLE regression / BCE

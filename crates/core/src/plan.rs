@@ -95,28 +95,31 @@
 //!
 //! # A memo's lifetime
 //!
-//! A memo lives for one batch or for one search, never longer:
+//! Every fused pass runs on a memo: the one scoring engine
+//! ([`ScoreEngine`](crate::fused::ScoreEngine)) lowers each plan into the
+//! memo it owns and keeps the memo's slots in one state matrix per
+//! ensemble. What differs between callers is only how long the memo lives —
+//! one batch or one search, never longer:
 //!
-//! * **One batch** — [`BatchPlan`]'s own schedule, lowered lazily once per
-//!   plan after the feature restack and shared by every ensemble scoring
-//!   it (the serving cache's hit path, `Ensemble::predict_*`). Nothing
-//!   outlives the lowering, so if no encoder row repeats (no two targets
-//!   can then share an own slot) the lowering stops there: every live wave
-//!   target gets a fresh slot and no wave key is hashed. Skipping a merge
-//!   never changes a bit — it only repeats work — so the shortcut is sound
-//!   whatever the graphs.
+//! * **One batch** — the serving worker's engine, `predict_graphs`' and
+//!   every `predict_plans_arena` call's. The memo forgets every slot before
+//!   each lowering, so nothing outlives a plan (not even a model swap
+//!   between two batches can reach a stale row), and if no encoder row
+//!   repeats (no two targets can then share an own slot) the lowering stops
+//!   there: every live wave target gets a fresh slot and no wave key is
+//!   hashed. Skipping a merge never changes a bit — it only repeats work —
+//!   so the shortcut is sound whatever the graphs.
 //! * **One search** — the in-process scorer lowers each chunk of each
 //!   batch into the memo its search's evaluator owns, so a batch's schedule
 //!   holds only the slots no earlier batch of the search computed, and the
-//!   fused pass keeps their rows in a state matrix the memo owns. Every key
-//!   is recorded, since a later batch may reach it. A constant slot cap
-//!   restarts the memo, which bounds its memory; a restart only repeats
-//!   work.
+//!   state matrices keep their rows across batches. Every key is recorded,
+//!   since a later batch may reach it. A constant slot cap restarts the
+//!   memo, which bounds its memory; a restart only repeats work.
 //!
-//! The slots index rows computed with one ensemble's weights, so a memo
-//! must not outlive the search that filled it: a new model, or another
-//! scorer, would read states its weights never produced. (The scorer
-//! hands a memo's buffers back to its pool emptied when the search ends.)
+//! The slots index rows computed with one ensemble's weights, so a search
+//! memo must not outlive the search that filled it: a new model, or another
+//! scorer, would read states its weights never produced. (The scorer's
+//! pool restarts a memo's buffers empty before another search takes them.)
 //!
 //! Why a merge is bitwise exact — within a batch or across batches: every
 //! kernel row the pass runs is one single-accumulator chain over its own
@@ -402,8 +405,6 @@ pub struct BatchPlan {
     /// Stacked `n_nodes_of_type x feature_width` encoder inputs, parallel
     /// to `topo.encoders`.
     pub(crate) features: Vec<Tensor>,
-    /// The plan's one-batch slot schedule, lowered on first inference use.
-    slots: OnceLock<SlotSchedule>,
 }
 
 impl BatchPlan {
@@ -440,11 +441,7 @@ impl BatchPlan {
         debug_assert_eq!(topo.n_graphs, graphs.len());
         debug_assert_eq!(topo.total, graphs.iter().map(|g| g.len()).sum::<usize>());
         let features = stack_features(&topo, graphs);
-        BatchPlan {
-            topo,
-            features,
-            slots: OnceLock::new(),
-        }
+        BatchPlan { topo, features }
     }
 
     /// Lowers the plan into `memo`: the schedule computes only the slots
@@ -453,17 +450,10 @@ impl BatchPlan {
         memo.lower(&self.topo, &self.features)
     }
 
-    /// The plan's schedule in a one-batch memo, lowered on first use and
-    /// shared by every later pass over this plan.
-    pub(crate) fn slots(&self) -> &SlotSchedule {
-        self.slots
-            .get_or_init(|| self.lower_into(&mut SlotMemo::one_batch(u64::MAX)))
-    }
-
-    /// Lowers the plan to its one-batch slot schedule afresh and reports
-    /// how much merged (see the module docs). The fused inference pass
-    /// lowers each plan once and keeps the schedule; this entry point
-    /// exists to time and inspect that lowering.
+    /// Lowers the plan to its one-batch slot schedule and reports how much
+    /// merged (see the module docs) — the lowering every pass of a
+    /// one-batch [`ScoreEngine`](crate::fused::ScoreEngine) starts with,
+    /// exposed to time and inspect it.
     pub fn hash_cons(&self) -> SlotStats {
         self.lower_into(&mut SlotMemo::one_batch(u64::MAX)).stats
     }
@@ -1059,20 +1049,32 @@ impl SlotTable {
         }
     }
 
-    /// Empties the table, keeping its capacity.
+    /// Empties the table, keeping its capacity. The next [`reserve`]
+    /// sizes it for that lowering alone, so a memo reused for small
+    /// batches after a large one does not sweep the large table.
+    ///
+    /// [`reserve`]: SlotTable::reserve
     fn clear(&mut self) {
-        self.entries.fill((0, usize::MAX));
+        self.entries.clear();
         self.len = 0;
     }
 
-    /// Makes room for `more` keys at load ≤ 1/2, rehashing if it grows.
+    /// Makes room for `more` keys at load ≤ 1/2, rehashing in place if it
+    /// grows.
     fn reserve(&mut self, more: usize) {
         let cap = (2 * (self.len + more)).max(16).next_power_of_two();
         if cap <= self.entries.len() {
             return;
         }
-        let old = std::mem::replace(&mut self.entries, vec![(0, usize::MAX); cap]);
-        for (fp, id) in old.into_iter().filter(|&(_, id)| id != usize::MAX) {
+        let old: Vec<(u64, usize)> = self
+            .entries
+            .iter()
+            .copied()
+            .filter(|&(_, id)| id != usize::MAX)
+            .collect();
+        self.entries.clear();
+        self.entries.resize(cap, (0, usize::MAX));
+        for (fp, id) in old {
             let i = self.free_entry(fp);
             self.entries[i] = (fp, id);
         }
@@ -1218,8 +1220,9 @@ pub(crate) struct SlotMemo {
     /// A lowering that could take the memo past this many slots restarts
     /// it first (a search memo's memory bound).
     cap: usize,
-    /// Whether later batches lower into this memo too, so every key must
-    /// be recorded; `false` for a one-batch memo.
+    /// Whether later batches read this memo's slots, so every key must be
+    /// recorded; `false` for a one-batch memo, which forgets them all
+    /// before each lowering.
     outlives_batch: bool,
 }
 
@@ -1238,29 +1241,30 @@ impl SlotMemo {
         }
     }
 
-    /// A memo for one plan's lowering; `fp_mask` as in [`SlotTable`].
+    /// A memo that forgets every slot before each lowering, so no plan
+    /// reads another's; `fp_mask` as in [`SlotTable`].
     pub(crate) fn one_batch(fp_mask: u64) -> Self {
         SlotMemo::new(usize::MAX, fp_mask, false)
     }
 
-    /// A memo for the batches of one search; [`SlotMemo::set_limits`]
-    /// gives it its slot cap.
+    /// A memo for the batches of one search; [`SlotMemo::restart`] gives
+    /// it its slot cap.
     pub(crate) fn search() -> Self {
         SlotMemo::new(usize::MAX, u64::MAX, true)
     }
 
-    /// Sets the slot cap of an empty memo — a lowering that could take it
-    /// past `cap` slots restarts it first — and its fingerprint mask, as in
-    /// [`SlotTable`].
-    pub(crate) fn set_limits(&mut self, cap: usize, fp_mask: u64) {
-        debug_assert_eq!(self.n_slots, 0, "limits change only on an empty memo");
+    /// Forgets every slot and sets the slot cap — a lowering that could
+    /// take the memo past `cap` slots restarts it first — and the
+    /// fingerprint mask, as in [`SlotTable`].
+    pub(crate) fn restart(&mut self, cap: usize, fp_mask: u64) {
+        self.clear();
         self.cap = cap;
         self.encoders.fp_mask = fp_mask;
         self.waves.fp_mask = fp_mask;
     }
 
     /// Forgets every slot, keeping every buffer's capacity.
-    pub(crate) fn clear(&mut self) {
+    fn clear(&mut self) {
         self.encoders.clear();
         self.encoder_keys.clear();
         self.rows.clear();
@@ -1289,7 +1293,7 @@ impl SlotMemo {
     /// slot (and a row of the schedule).
     fn lower(&mut self, topo: &PlanTopology, features: &[Tensor]) -> SlotSchedule {
         let wave_rows: usize = topo.waves.iter().map(|w| w.targets().len()).sum();
-        if self.n_slots > 0 && self.n_slots.saturating_add(topo.total + wave_rows) > self.cap {
+        if !self.outlives_batch || self.n_slots.saturating_add(topo.total + wave_rows) > self.cap {
             self.clear();
         }
         let edges: usize = topo.waves.iter().map(|w| w.child_rows().len()).sum();

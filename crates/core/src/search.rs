@@ -7,8 +7,9 @@
 //! * a [`Scorer`] — the backend that turns candidate [`JointGraph`]s into
 //!   predicted cost / success / backpressure triples. [`EnsembleScorer`]
 //!   runs the three ensembles' fused views over one shared plan per
-//!   chunk, in-process, and keeps every node state a search computed in
-//!   that search's [`ScoreMemo`]; `costream-serve` provides a
+//!   chunk, in-process, through the search's [`ScoreMemo`] — the one
+//!   scoring engine ([`ScoreEngine`]) with a memo that keeps every node
+//!   state the search computed; `costream-serve` provides a
 //!   `ScoreClient`-backed implementation so *concurrent* optimizer runs
 //!   coalesce their candidate batches through the serving layer;
 //! * a [`PlacementSearch`] strategy — how the placement space is explored
@@ -36,13 +37,13 @@
 //! hand-off to a worker can pay for itself.
 
 use crate::ensemble::Ensemble;
+use crate::fused::ScoreEngine;
 use crate::graph::{Featurization, JointGraph};
 use crate::joint::{JointPlacementSearch, JointQuery, JointSearchProblem};
 use crate::model::INFERENCE_CHUNK;
 use crate::optimizer::{CandidateEvaluation, OptimizationResult};
-use crate::plan::{BatchPlan, SlotMemo, SlotStats};
+use crate::plan::{BatchPlan, SlotStats};
 use costream_dsps::CostMetric;
-use costream_nn::{InferenceArena, Tensor};
 use costream_query::hardware::Cluster;
 use costream_query::joint::JointPlacement;
 use costream_query::operators::Query;
@@ -156,38 +157,20 @@ const MEMO_SLOT_CAP: usize = 4096;
 /// The search's evaluator owns one and drops it with the search, so no
 /// state survives a search; [`replan`](crate::joint::replan) owns one too.
 ///
-/// The memo's buffers — slot tables, one state matrix per ensemble of the
-/// trio, the inference arena — come warm from the [`EnsembleScorer`] that
-/// first scores through the memo and go back to it, emptied, when the memo
-/// drops (or when another scorer takes it over), so a repeated search
-/// allocates nothing new.
+/// The memo is a search [`ScoreEngine`] — slot tables, one state matrix per
+/// ensemble of the trio, the inference arena — that comes warm from the
+/// [`EnsembleScorer`] first scoring through the memo, restarted empty, and
+/// goes back to it when the memo drops (or when another scorer takes it
+/// over), so a repeated search allocates nothing new.
 pub struct ScoreMemo {
-    warm: Warm,
-    /// The pool of the scorer whose states `warm` holds; `None` until an
+    engine: ScoreEngine,
+    /// The pool of the scorer whose states `engine` holds; `None` until an
     /// in-process scorer first scores through the memo.
-    home: Option<Arc<Mutex<Vec<Warm>>>>,
+    home: Option<Arc<Mutex<Vec<ScoreEngine>>>>,
     slot_cap: usize,
     fp_mask: u64,
     /// Rows lowered and slots computed, summed over every batch.
     stats: SlotStats,
-}
-
-/// The buffers a [`ScoreMemo`] borrows from its scorer's pool.
-struct Warm {
-    slots: SlotMemo,
-    /// One state matrix per ensemble of the trio.
-    states: [Tensor; 3],
-    arena: InferenceArena,
-}
-
-impl Default for Warm {
-    fn default() -> Self {
-        Warm {
-            slots: SlotMemo::search(),
-            states: std::array::from_fn(|_| Tensor::zeros(0, 0)),
-            arena: InferenceArena::new(),
-        }
-    }
 }
 
 impl ScoreMemo {
@@ -202,7 +185,7 @@ impl ScoreMemo {
     #[doc(hidden)]
     pub fn with_limits(slot_cap: usize, fp_mask: u64) -> Self {
         ScoreMemo {
-            warm: Warm::default(),
+            engine: ScoreEngine::search(),
             home: None,
             slot_cap,
             fp_mask,
@@ -216,27 +199,27 @@ impl ScoreMemo {
         self.stats
     }
 
-    /// The memo's buffers for the scorer owning `pool`: a memo new to that
-    /// scorer hands its old buffers back and takes a warm set from the
+    /// The memo's engine for the scorer owning `pool`: a memo new to that
+    /// scorer hands its old engine back and takes a warm one from the
     /// pool, so slots never cross from one scorer's weights to another's.
-    fn warm_for(&mut self, pool: &Arc<Mutex<Vec<Warm>>>) -> &mut Warm {
+    fn engine_for(&mut self, pool: &Arc<Mutex<Vec<ScoreEngine>>>) -> &mut ScoreEngine {
         if !self.home.as_ref().is_some_and(|home| Arc::ptr_eq(home, pool)) {
             self.release();
-            self.warm = lock(pool).pop().unwrap_or_default();
-            self.warm.slots.set_limits(self.slot_cap, self.fp_mask);
+            self.engine = lock(pool).pop().unwrap_or_else(ScoreEngine::search);
+            self.engine.restart(self.slot_cap, self.fp_mask);
             self.home = Some(Arc::clone(pool));
         }
-        &mut self.warm
+        &mut self.engine
     }
 
-    /// Empties the memo's buffers into the pool they came from. Runs in
-    /// `drop`, so a poisoned pool just lets the buffers go.
+    /// Hands the memo's engine back to the pool it came from (the next
+    /// memo to take it restarts it). Runs in `drop`, so a poisoned pool
+    /// just lets the engine go.
     fn release(&mut self) {
         if let Some(home) = self.home.take() {
-            let mut warm = std::mem::take(&mut self.warm);
-            warm.slots.clear();
+            let engine = std::mem::replace(&mut self.engine, ScoreEngine::search());
             if let Ok(mut pool) = home.lock() {
-                pool.push(warm);
+                pool.push(engine);
             }
         }
     }
@@ -254,23 +237,24 @@ impl Drop for ScoreMemo {
     }
 }
 
-fn lock(pool: &Mutex<Vec<Warm>>) -> MutexGuard<'_, Vec<Warm>> {
+fn lock(pool: &Mutex<Vec<ScoreEngine>>) -> MutexGuard<'_, Vec<ScoreEngine>> {
     pool.lock().expect("callers only pop or push under this lock")
 }
 
 /// The direct scoring backend: the three ensembles in-process, on the
 /// member-fused production path ([`Ensemble::fused`]). A candidate batch
-/// is lowered chunk by chunk into the search's [`ScoreMemo`], on the
-/// caller's thread: each chunk's [`BatchPlan`] is built once, its schedule
-/// holds only the node states no earlier batch of the search computed,
-/// and all three fused views run it. Bitwise, the scores are those of
-/// three [`Ensemble::predict_graphs`] calls.
+/// is scored chunk by chunk through the search's [`ScoreMemo`], on the
+/// caller's thread: each chunk's [`BatchPlan`] is built once and scored by
+/// the memo's [`ScoreEngine`], whose schedule holds only the node states no
+/// earlier batch of the search computed, for all three fused views.
+/// Bitwise, the scores are those of three [`Ensemble::predict_graphs`]
+/// calls.
 pub struct EnsembleScorer<'a> {
     /// Target, success and backpressure ensembles, in that order.
     trio: [&'a Ensemble; 3],
-    /// Warm memo buffers, one set per memo ever alive at once; locked to
-    /// pop or push one, never across a forward pass.
-    pool: Arc<Mutex<Vec<Warm>>>,
+    /// Warm search engines, one per memo ever alive at once; locked to pop
+    /// or push one, never across a forward pass.
+    pool: Arc<Mutex<Vec<ScoreEngine>>>,
 }
 
 impl<'a> EnsembleScorer<'a> {
@@ -305,19 +289,11 @@ impl<'a> EnsembleScorer<'a> {
         self.trio[0]
     }
 
-    /// Per pooled buffer set: the arena's pooled floats, then the size of
+    /// Per pooled engine: the arena's pooled floats, then the size of
     /// every buffer a memo recycles (test instrumentation).
     #[cfg(test)]
     fn pooled(&self) -> Vec<Vec<usize>> {
-        lock(&self.pool)
-            .iter()
-            .map(|w| {
-                let mut sizes = vec![w.arena.pooled_floats()];
-                sizes.extend(w.states.iter().map(Tensor::len));
-                sizes.extend(w.slots.capacities());
-                sizes
-            })
-            .collect()
+        lock(&self.pool).iter().map(ScoreEngine::buffer_sizes).collect()
     }
 }
 
@@ -337,14 +313,9 @@ impl Scorer for EnsembleScorer<'_> {
         let mut scores = Vec::with_capacity(graphs.len());
         for chunk in refs.chunks(INFERENCE_CHUNK) {
             let plan = BatchPlan::build(chunk, cfg.scheme, cfg.traditional_rounds);
-            let warm = memo.warm_for(&self.pool);
-            let schedule = plan.lower_into(&mut warm.slots);
-            let [cost, success, backpressure] = std::array::from_fn(|i| {
-                self.trio[i]
-                    .fused()
-                    .predict_in_memo(&plan, &schedule, &mut warm.states[i], &mut warm.arena)
-            });
-            memo.stats += schedule.stats;
+            let (stats, [cost, success, backpressure]) =
+                memo.engine_for(&self.pool).score(&plan, self.trio.map(Ensemble::fused));
+            memo.stats += stats;
             scores.extend((0..chunk.len()).map(|i| PlacementScores {
                 cost: cost[i],
                 success: success[i],
@@ -637,6 +608,7 @@ mod tests {
     use crate::model::{Scheme, INFERENCE_CHUNK};
     use crate::test_fixtures;
     use crate::train::TrainConfig;
+    use costream_nn::InferenceArena;
     use costream_query::generator::WorkloadGenerator;
     use costream_query::ranges::FeatureRanges;
     use costream_query::selectivity::SelectivityEstimator;

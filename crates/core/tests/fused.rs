@@ -3,9 +3,11 @@
 //! The fused path ([`costream::fused::FusedEnsemble`]) must be **bitwise
 //! identical** to the sequential `Ensemble::predict_plans_arena` —
 //! across random plan topologies, batch sizes, member counts and both
-//! message-passing schemes.
+//! message-passing schemes, and whatever a reused [`ScoreEngine`] scored
+//! before.
 
 use costream::ensemble::Ensemble;
+use costream::fused::ScoreEngine;
 use costream::graph::{Featurization, JointGraph};
 use costream::model::{Scheme, INFERENCE_CHUNK};
 use costream::plan::BatchPlan;
@@ -191,6 +193,55 @@ fn predictions_are_chunk_width_invariant() {
             .collect();
         let scored = e.fused().predict_plans_arena(&plans, &mut InferenceArena::new());
         assert_bitwise_eq(&scored, &baseline, &format!("chunk width {width}"));
+    }
+}
+
+/// One one-batch engine, as a serving worker keeps it, scores any sequence
+/// of plans — sizes and shapes changing from batch to batch, the model
+/// swapped between batches and back, several models on one plan — each
+/// bitwise equal to the sequential path on that plan alone: no slot and
+/// no state row of one batch reaches the next.
+#[test]
+fn one_engine_scores_any_sequence_of_plans_and_models_bitwise() {
+    let costream = regression_ensemble(Scheme::Costream);
+    let two = sub_ensemble(costream, 2);
+    let traditional = regression_ensemble(Scheme::Traditional);
+    let vote = classification_ensemble();
+    let mut engine = ScoreEngine::one_batch();
+    let steps: [(&Ensemble, usize, u64); 8] = [
+        (costream, 17, 400),
+        (&two, 17, 400),
+        (costream, 1, 401),
+        (vote, INFERENCE_CHUNK, 402),
+        (traditional, 9, 403),
+        (costream, 5, 404),
+        (&two, 33, 405),
+        (costream, 17, 400),
+    ];
+    for (step, &(e, n, seed)) in steps.iter().enumerate() {
+        let gs = graphs(n, seed);
+        let plan = plans_for(e, &gs).remove(0);
+        let want = e.predict_plans_arena(std::slice::from_ref(&plan), &mut InferenceArena::new());
+        let (stats, [got]) = engine.score(&plan, [e.fused()]);
+        assert_bitwise_eq(&got, &want, &format!("step {step}"));
+        assert_eq!(
+            stats.encoder_rows,
+            plan.total_nodes(),
+            "step {step}: one batch, every row lowered"
+        );
+    }
+
+    // Several models over one lowering: each scores as it would alone.
+    let gs = graphs(21, 406);
+    let plan = plans_for(costream, &gs).remove(0);
+    let (_, [a, b, c]) = engine.score(&plan, [costream.fused(), two.fused(), vote.fused()]);
+    for (got, e) in [(a, costream), (b, &two), (c, vote)] {
+        let want = e.predict_plans_arena(std::slice::from_ref(&plan), &mut InferenceArena::new());
+        assert_bitwise_eq(
+            &got,
+            &want,
+            &format!("trio member {:?} k {}", e.metric, e.members().len()),
+        );
     }
 }
 

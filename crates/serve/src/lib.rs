@@ -30,13 +30,15 @@
 //!   skips topology construction in whatever batch it recurs.
 //! * Admission control: when the queue is full, callers get
 //!   [`ServeError::Overloaded`] immediately instead of unbounded latency.
-//! * Each worker owns a recycled
-//!   [`InferenceArena`](costream_nn::InferenceArena), and one coalesced
-//!   batch serves *all* ensemble members through the **member-fused**
-//!   view ([`FusedEnsemble`](costream::fused::FusedEnsemble)): the
-//!   members' weights are stacked once at startup, so every wave runs
-//!   one wider matmul per layer and the plan bookkeeping executes once
-//!   per batch instead of once per member.
+//! * Each worker owns one warm
+//!   [`ScoreEngine`](costream::fused::ScoreEngine) — the scoring engine
+//!   in-process search and `Ensemble::predict_graphs` run too, here with a
+//!   memo that lasts one batch — and one coalesced batch serves *all*
+//!   ensemble members through the **member-fused** view
+//!   ([`FusedEnsemble`](costream::fused::FusedEnsemble)): the members'
+//!   weights are stacked once at startup, so every wave runs one wider
+//!   matmul per layer and the plan bookkeeping executes once per batch
+//!   instead of once per member.
 //! * [`ServeScorer`] plugs three services (target metric + the
 //!   success/backpressure sanity models) into the placement-search
 //!   subsystem of [`costream::search`]: concurrent optimizer runs

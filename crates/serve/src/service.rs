@@ -29,11 +29,10 @@
 
 use crate::{ServeConfig, ServeError, SwapError};
 use costream::ensemble::Ensemble;
-use costream::fused::FusedEnsemble;
+use costream::fused::{FusedEnsemble, ScoreEngine};
 use costream::graph::{Featurization, JointGraph};
 use costream::model::{Scheme, INFERENCE_CHUNK};
 use costream::plan::{plan_signature, CacheStats, PlanCache, PlanSignature};
-use costream_nn::InferenceArena;
 use costream_query::hardware::Cluster;
 use costream_query::operators::Query;
 use costream_query::placement::Placement;
@@ -819,11 +818,12 @@ fn worker_thread(sh: &Shared) {
 }
 
 /// The batching loop: collect a micro-batch per tick, score it, repeat
-/// until shutdown. The arena lives as long as the loop, so after the
-/// first few batches every scratch buffer of the forward pass is
-/// recycled.
+/// until shutdown. The worker's one-batch scoring engine lives as long as
+/// the loop, so after the first few batches its arena, memo tables and
+/// state matrix are all reused; its memo forgets every slot before each
+/// batch, so it never carries a state across a model swap.
 fn worker_loop(sh: &Shared) {
-    let mut arena = InferenceArena::new();
+    let mut engine = ScoreEngine::one_batch();
     while let Some(batch) = collect_batch(sh) {
         if batch.is_empty() {
             // Everything we drained was past its deadline.
@@ -837,7 +837,7 @@ fn worker_loop(sh: &Shared) {
         sh.stats.batch_hist[batch_hist_bucket(batch.len())].fetch_add(1, Ordering::Relaxed);
         // A batch is at most one inference chunk of any shapes: one plan
         // stitched from per-graph fragments, one fused pass.
-        score_batch(sh, &model, &batch, &mut arena);
+        score_batch(sh, &model, &batch, &mut engine);
     }
 }
 
@@ -891,9 +891,9 @@ fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
 /// back to scoring the batch's requests *individually*, so only the
 /// offending request fails with [`ServeError::Internal`] while co-batched
 /// requests still get their scores; the worker survives either way.
-fn score_batch(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], arena: &mut InferenceArena) {
+fn score_batch(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], engine: &mut ScoreEngine) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| score_graphs(sh, model, batch, arena))) {
+    match catch_unwind(AssertUnwindSafe(|| score_graphs(sh, model, batch, engine))) {
         Ok(scores) => {
             // Counters land before the slots fill (inside `answer`) so a
             // caller that just received its score observes them already
@@ -908,7 +908,7 @@ fn score_batch(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], arena: 
         Err(_) => {
             for req in batch {
                 match catch_unwind(AssertUnwindSafe(|| {
-                    score_graphs(sh, model, std::slice::from_ref(req), arena)
+                    score_graphs(sh, model, std::slice::from_ref(req), engine)
                 })) {
                     Ok(scores) => req.answer(Ok(Scored {
                         score: scores[0],
@@ -923,16 +923,17 @@ fn score_batch(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], arena: 
 
 /// One fused forward for a batch: a plan stitched from the shared
 /// fragment cache, looked up by the signatures the requests carry, then
-/// all ensemble members at once through the member-fused view on this
-/// worker's arena (bitwise identical to the sequential
-/// `Ensemble::predict_plans_arena` — see [`costream::fused`]).
-fn score_graphs(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], arena: &mut InferenceArena) -> Vec<f64> {
+/// all ensemble members at once through the worker's scoring engine
+/// (bitwise identical to the sequential `Ensemble::predict_plans_arena` —
+/// see [`costream::fused`]).
+fn score_graphs(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], engine: &mut ScoreEngine) -> Vec<f64> {
     let graphs: Vec<&JointGraph> = batch.iter().map(|r| r.graph.as_ref()).collect();
     let sigs: Vec<PlanSignature> = batch.iter().map(|r| r.sig).collect();
     let plan = sh
         .cache
         .get_or_build_signed(&graphs, &sigs, sh.scheme, sh.traditional_rounds);
-    model.fused().predict_plans_arena(std::slice::from_ref(&plan), arena)
+    let (_, [scores]) = engine.score(&plan, [model.fused()]);
+    scores
 }
 
 #[cfg(test)]
@@ -970,7 +971,7 @@ mod tests {
             let shared = Arc::clone(&service.shared);
             let worker = std::thread::spawn(move || {
                 let batch = collect_batch(&shared).expect("queued work");
-                score_batch(&shared, &shared.model(), &batch, &mut InferenceArena::new());
+                score_batch(&shared, &shared.model(), &batch, &mut ScoreEngine::one_batch());
             });
             worker.join().expect("worker");
             for (i, p) in pending.into_iter().enumerate() {
@@ -980,5 +981,56 @@ mod tests {
         let stats = service.cache_stats();
         assert_eq!(stats.lookups(), 2 * graphs.len() as u64);
         assert!(stats.misses > 2, "distinct shapes must have missed under the mask");
+    }
+
+    /// A worker scores every batch of its life through one engine. Through
+    /// one engine, the same mixed batch scored under the served model, a
+    /// hot-swapped one of another member count and the first again matches
+    /// each model's own `Ensemble::predict_graphs` bitwise: no slot and no
+    /// state row crosses a batch or a swap.
+    #[test]
+    fn one_worker_engine_scores_across_hot_swaps_bitwise() {
+        let corpus = test_fixtures::corpus(24, 81);
+        let train = |seed, k| {
+            let cfg = TrainConfig {
+                epochs: 2,
+                batch_size: 16,
+                seed,
+                ..Default::default()
+            };
+            Ensemble::train(&corpus, CostMetric::Throughput, &cfg, k)
+        };
+        let models = [train(1, 1), train(2, 2), train(1, 1)];
+        let graphs: Vec<JointGraph> = corpus
+            .items
+            .iter()
+            .map(|i| i.graph(models[0].featurization()))
+            .collect();
+        let refs: Vec<&JointGraph> = graphs.iter().collect();
+        let direct: Vec<Vec<f64>> = models.iter().map(|m| m.predict_graphs(&refs)).collect();
+        assert_ne!(direct[0], direct[1], "fixture must distinguish the models");
+
+        let cfg = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        let [first, rest @ ..] = models;
+        let service = ScoringService::start(first, cfg);
+        let client = service.client();
+        let mut engine = ScoreEngine::one_batch();
+        for (step, want) in direct.iter().enumerate() {
+            if step > 0 {
+                service.swap_model(rest[step - 1].clone()).expect("plan-congruent swap");
+            }
+            let pending: Vec<Pending> = graphs.iter().map(|g| client.submit(g.clone()).expect("fits")).collect();
+            let batch = collect_batch(&service.shared).expect("queued work");
+            assert_eq!(batch.len(), graphs.len(), "one batch");
+            score_batch(&service.shared, &service.shared.model(), &batch, &mut engine);
+            for (i, p) in pending.into_iter().enumerate() {
+                let scored = p.wait_scored().expect("scored");
+                assert_eq!(scored.version, step as u64 + 1);
+                assert!(scored.score == want[i], "step {step}, graph {i}");
+            }
+        }
     }
 }

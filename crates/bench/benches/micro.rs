@@ -8,6 +8,7 @@
 //! throughput) so the performance trajectory is tracked from PR 1 onward.
 
 use costream::optimizer::enumerate_candidates;
+use costream::oracle;
 use costream::prelude::*;
 use costream::train::{prepare_training, train_prepared};
 use costream_baselines::{Gbdt, GbdtConfig, Objective};
@@ -72,9 +73,9 @@ fn bench_matmul_kernels(c: &mut Criterion) {
 }
 
 /// Training-path benches: one minibatch step of `fit`, split where its
-/// cost splits — tape forward (against the tape-free forward on the same
-/// plan: the training forward is the inference pass plus retained
-/// activations), backward, and the clipped Adam update — and one whole
+/// cost splits — tape forward (against the sequential oracle on the same
+/// plan: the training forward is that pass plus retained activations),
+/// backward, and the clipped Adam update — and one whole
 /// training epoch over a 48-item corpus. `train_epoch` and
 /// `train_backward_batch16` are CI-gated.
 fn bench_training_path(c: &mut Criterion) {
@@ -95,7 +96,7 @@ fn bench_training_path(c: &mut Criterion) {
         })
     });
     c.bench_function("train_forward_batch16_tape_free", |b| {
-        b.iter(|| model.forward_inference(black_box(&batch.plan), &mut arena))
+        b.iter(|| oracle::forward(&model, black_box(&batch.plan), &mut arena))
     });
     {
         // Backward replays retained activations and leaves them as they
@@ -169,8 +170,8 @@ fn bench_featurize(c: &mut Criterion) {
     });
 }
 
-/// GNN inference on the tape-free fast path (the training forward has
-/// its own rows in `bench_training_path`).
+/// Single-model GNN inference: the one fused pass, one member wide (the
+/// training forward has its own rows in `bench_training_path`).
 fn bench_inference(c: &mut Criterion) {
     let corpus = Corpus::generate(64, 4, FeatureRanges::training(), &SimConfig::default());
     let cfg = TrainConfig {
@@ -188,9 +189,10 @@ fn bench_inference(c: &mut Criterion) {
     c.bench_function("gnn_inference_batch64", |b| b.iter(|| model.predict_graphs(&refs)));
     // Plan reuse: the steady-state serving cost once plans are cached.
     let plan = model.model().plan(&refs);
+    let view = model.fused();
     let mut arena = InferenceArena::new();
     c.bench_function("gnn_inference_batch64_cached_plan", |b| {
-        b.iter(|| model.model().forward_inference(black_box(&plan), &mut arena))
+        b.iter(|| view.predict_plans_arena(black_box(std::slice::from_ref(&plan)), &mut arena))
     });
     c.bench_function("batch_plan_build_64", |b| b.iter(|| model.model().plan(&refs)));
     // The serving worker's plan on a warm cache: 64 mixed-shape graphs
@@ -210,8 +212,8 @@ fn bench_inference(c: &mut Criterion) {
 /// 64-graph chunk plan — the serving worker's steady-state scoring cost.
 /// `ensemble_fused_batch64` is the CI-gated number; the acceptance
 /// criterion measures it against `ensemble_sequential_batch64` (the
-/// per-member loop the workers ran before fusion — expect ≥ 1.5x on one
-/// core).
+/// sequential oracle: the per-member loop the workers ran before fusion —
+/// expect ≥ 1.5x on one core).
 fn bench_ensemble_fused(c: &mut Criterion) {
     let corpus = Corpus::generate(64, 13, FeatureRanges::training(), &SimConfig::default());
     let cfg = TrainConfig {
@@ -225,7 +227,7 @@ fn bench_ensemble_fused(c: &mut Criterion) {
     let fused = ensemble.fused();
     let mut arena = InferenceArena::new();
     c.bench_function("ensemble_sequential_batch64", |b| {
-        b.iter(|| ensemble.predict_plans_arena(black_box(&plans), &mut arena))
+        b.iter(|| oracle::predict_ensemble(&ensemble, black_box(&plans), &mut arena))
     });
     c.bench_function("ensemble_fused_batch64", |b| {
         b.iter(|| fused.predict_plans_arena(black_box(&plans), &mut arena))

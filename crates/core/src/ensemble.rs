@@ -5,23 +5,20 @@
 //! inference time regression predictions are averaged and classification
 //! predictions are combined by majority vote.
 //!
-//! Two forward paths exist. The **production path** is the member-fused
-//! view ([`Ensemble::fused`]): every `predict_*` entry point here, the
-//! placement search's [`EnsembleScorer`](crate::search::EnsembleScorer)
-//! and `costream-serve`'s workers run it. The **reference path** is the
-//! sequential member loop [`Ensemble::predict_plans_arena`], the oracle
-//! the bitwise tests hold the production path to.
+//! An ensemble predicts through its member-fused view ([`Ensemble::fused`]),
+//! the one forward pass of [`crate::fused`]: every `predict_*` entry point
+//! here, the placement search's
+//! [`EnsembleScorer`](crate::search::EnsembleScorer) and
+//! `costream-serve`'s workers run it.
 
 use crate::dataset::{Corpus, CorpusItem};
 use crate::fused::FusedEnsemble;
 use crate::graph::{Featurization, JointGraph};
 use crate::model::ModelConfig;
-use crate::plan::BatchPlan;
 #[cfg(test)]
 use crate::train::train_metric;
 use crate::train::{prepare_training, train_prepared, TrainConfig, TrainedModel};
 use costream_dsps::CostMetric;
-use costream_nn::InferenceArena;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -61,11 +58,23 @@ impl Ensemble {
     /// Wraps already-trained models.
     ///
     /// # Panics
-    /// Panics if the members are empty or predict different metrics.
+    /// Panics if the members are empty, predict different metrics, were
+    /// trained on different featurizations or have configurations that are
+    /// not [plan-congruent](ModelConfig::plan_congruent): one fused view
+    /// runs every member on member 0's graphs and plans.
     pub fn from_members(members: Vec<TrainedModel>) -> Self {
         assert!(!members.is_empty(), "empty ensemble");
-        let metric = members[0].metric;
+        let (metric, featurization, config) =
+            (members[0].metric, members[0].featurization, members[0].model().config());
         assert!(members.iter().all(|m| m.metric == metric), "mixed-metric ensemble");
+        assert!(
+            members.iter().all(|m| m.featurization == featurization),
+            "mixed-featurization ensemble"
+        );
+        assert!(
+            members.iter().all(|m| m.model().config().plan_congruent(config)),
+            "plan-incongruent ensemble"
+        );
         Ensemble {
             metric,
             members,
@@ -105,29 +114,10 @@ impl Ensemble {
         self.fused().predict_graphs(graphs)
     }
 
-    /// Combined prediction for prebuilt chunk plans, with members run
-    /// *sequentially* on a caller-held arena — the **reference path**: no
-    /// production caller runs it. Its arithmetic (kernels, accumulation
-    /// order, member combination) is what [`crate::fused`] reproduces bit
-    /// for bit, so it and [`Ensemble::predict_graphs`] agree bitwise on
-    /// the same chunk plans.
-    pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
-        let per_member: Vec<Vec<f64>> = self
-            .members
-            .iter()
-            .map(|m| m.predict_plans_arena(plans, arena))
-            .collect();
-        let n = per_member[0].len();
-        let flat: Vec<f64> = (0..n).flat_map(|i| per_member.iter().map(move |p| p[i])).collect();
-        combine_member_major(self.metric, per_member.len(), &flat)
-    }
-
-    /// The member-fused inference view of this ensemble (bitwise
-    /// identical to [`Ensemble::predict_plans_arena`], see
-    /// [`crate::fused`]), stacked on the first call and shared by every
-    /// later one.
+    /// The member-fused inference view of this ensemble, stacked on the
+    /// first call and shared by every later one.
     pub fn fused(&self) -> &FusedEnsemble {
-        self.fused.get_or_init(|| FusedEnsemble::build(self))
+        self.fused.get_or_init(|| FusedEnsemble::build(&self.members))
     }
 
     /// Combined prediction for corpus items.
@@ -139,10 +129,9 @@ impl Ensemble {
 }
 
 /// Combines *member-major* flat predictions — `flat` is `[n, k]`
-/// row-major with member `m` in column `m`, what both forward paths
-/// produce — into the mean (regression) or the majority-vote fraction
-/// (classification) per row. Summation is member-ascending on an f64
-/// accumulator.
+/// row-major with member `m` in column `m` — into the mean (regression)
+/// or the majority-vote fraction (classification) per row. Summation is
+/// member-ascending on an f64 accumulator.
 pub(crate) fn combine_member_major(metric: CostMetric, k: usize, flat: &[f64]) -> Vec<f64> {
     debug_assert_eq!(flat.len() % k, 0);
     if metric.is_regression() {
@@ -230,6 +219,41 @@ mod tests {
         let corpus = Corpus::generate(40, 35, FeatureRanges::training(), &SimConfig::default());
         let a = train_metric(&corpus, CostMetric::Throughput, &quick_cfg());
         let b = train_metric(&corpus, CostMetric::Success, &quick_cfg());
+        let _ = Ensemble::from_members(vec![a, b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "mixed-featurization")]
+    fn mixed_featurization_members_rejected() {
+        let corpus = Corpus::generate(40, 35, FeatureRanges::training(), &SimConfig::default());
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..quick_cfg()
+        };
+        let a = train_metric(&corpus, CostMetric::Throughput, &cfg);
+        let b = train_metric(
+            &corpus,
+            CostMetric::Throughput,
+            &TrainConfig {
+                featurization: Featurization::QueryOnly,
+                ..cfg
+            },
+        );
+        let _ = Ensemble::from_members(vec![a, b]);
+    }
+
+    #[test]
+    #[should_panic(expected = "plan-incongruent")]
+    fn plan_incongruent_members_rejected() {
+        let corpus = Corpus::generate(40, 35, FeatureRanges::training(), &SimConfig::default());
+        let cfg = TrainConfig {
+            epochs: 1,
+            ..quick_cfg()
+        };
+        let a = train_metric(&corpus, CostMetric::Throughput, &cfg);
+        let mut traditional = cfg;
+        traditional.model.scheme = crate::model::Scheme::Traditional;
+        let b = train_metric(&corpus, CostMetric::Throughput, &traditional);
         let _ = Ensemble::from_members(vec![a, b]);
     }
 }

@@ -1,23 +1,24 @@
-//! Member-fused ensemble inference and the one scoring engine that runs
-//! it: `costream-serve`'s workers, the placement search's `EnsembleScorer`
-//! and every `Ensemble::predict_*` call score through a [`ScoreEngine`].
+//! The one inference pass and the one engine that runs it. Every
+//! prediction — `costream-serve`'s workers, the placement search's
+//! `EnsembleScorer`, `Ensemble::predict_*` and `TrainedModel::predict_*` —
+//! runs a [`FusedEnsemble`], a view that stacks k trained models (an
+//! ensemble's members, or one model at k = 1), through a [`ScoreEngine`].
+//! Besides it there is only the training tape.
 //!
-//! The reference path, [`crate::ensemble::Ensemble::predict_plans_arena`],
-//! runs its `k` members sequentially: every member repeats the *same*
-//! plan-dependent bookkeeping — encoder scatter-adds, per-wave
-//! gather/segment-sum assembly of `[Σ_children ‖ own]`, target-row
-//! scatters, readout pooling — because only the weights differ between
-//! members. [`FusedEnsemble`] restructures that loop: the members'
-//! weight matrices are stacked column-wise
-//! ([`costream_nn::fused::StackedMlp`]), the hidden state becomes one
-//! member-major `[nodes, k·hidden]` matrix, and each wave runs **one
-//! wider matmul per layer** while all bookkeeping executes once per
-//! batch instead of `k` times.
+//! Run member by member, an ensemble repeats the *same* plan bookkeeping
+//! (encoder scatters, per-wave gather/segment-sum assembly of
+//! `[Σ_children ‖ own]`, readout pooling) because only the weights differ.
+//! The fused pass stacks the members' weight matrices column-wise
+//! ([`costream_nn::fused::StackedMlp`]), carries the state as one
+//! member-major `[rows, k·hidden]` matrix, and runs **one wider matmul per
+//! layer** while all bookkeeping executes once per batch.
 //!
-//! # Bitwise identity with the sequential path
+//! # Bitwise identity with the sequential oracle
 //!
-//! The fused path is **bitwise identical** to
-//! `Ensemble::predict_plans_arena` on the same plans:
+//! The sequential oracle (the hidden `oracle` module, test support only)
+//! runs each model node by node through the routines the training tape
+//! records. The fused pass is **bitwise identical** to it on the same
+//! plans, raw outputs and predictions alike:
 //!
 //! * every matmul preserves the sequential kernels' per-element
 //!   accumulation order and dispatch tier: member-blocked calls run at
@@ -25,79 +26,57 @@
 //!   semantics, folded epilogue and row indirection are each proven
 //!   bit-equal to the zero-fill / bias-pass / gather / scatter ops they
 //!   replace (see `costream_nn`'s `FusedLayer` docs);
-//! * the remaining bookkeeping ops (block-windowed gather/segment-sum,
-//!   `segment_sum_into`, …) process each member's column block
-//!   independently in the same edge order — widening the rows changes
-//!   which columns travel together, not what is added to what;
+//! * the remaining bookkeeping ops process each member's column block
+//!   independently in the same edge order;
 //! * denormalization applies the identical per-member f32 ops, and
-//!   member combination uses the identical member-ascending f64
-//!   summation order ([`crate::ensemble`]'s `combine_member_major`).
+//!   member combination the identical member-ascending f64 summation
+//!   ([`crate::ensemble`]'s `combine_member_major`).
 //!
 //! # One state row per distinct node state
 //!
-//! The fused pass does not run the plan node by node. It runs a
-//! hash-consed slot schedule (`crate::plan`'s module docs): a candidate
-//! batch from a placement search repeats most of its encoder rows and
-//! wave updates, and each distinct one is one *slot*; a wave update that
-//! nothing reads (in the Costream scheme, every HW→OPS update) gets none.
-//! The state is one `[slots, k·hidden]` matrix in which every slot is
-//! written exactly once — encoders and updaters compute only the new
-//! distinct rows, through `StackedMlp::forward_into`'s input and output
-//! row maps straight into their slots; a wave assembles inputs for its new
-//! distinct targets only; the readout pools each node's final slot per
-//! graph. There is no `h0` copy and no per-wave state copy: a wave's new
-//! slots are read by later waves only, so the layer kernel writes them in
-//! place.
+//! The pass runs the plan's hash-consed slot schedule (`crate::plan`'s
+//! module docs), not its nodes: each distinct encoder row or wave update
+//! is one *slot*, and a wave update nothing reads (in the Costream scheme,
+//! every HW→OPS update) gets none. Every slot of the `[slots, k·hidden]`
+//! state is written exactly once — encoders and updaters compute only the
+//! new distinct rows, through `StackedMlp::forward_into`'s row maps
+//! straight into their slots — and the readout pools each node's final
+//! slot per graph. Every kernel row is one single-accumulator chain over
+//! its own input row, so a row computed once and read by every node that
+//! shares its key holds the bits each node's own computation would have:
+//! equal keys mean equal inputs, summed in equal order.
 //!
 //! # One engine
 //!
-//! The memo and its state matrices live in a [`ScoreEngine`], the one
-//! thing every caller scores through: it lowers a plan into its memo once
-//! and runs each ensemble it is given over the schedule, on that
-//! ensemble's own matrix of the engine, with scratch from the engine's
-//! arena. Callers differ only in the memo's lifetime (`crate::plan`'s
-//! module docs):
-//!
-//! * the serving worker keeps one one-batch engine for its life: arena,
-//!   memo tables and state matrix stay warm, and the memo forgets every
-//!   slot before each batch, so a model swap never meets a stale row;
-//! * [`FusedEnsemble::predict_graphs`] runs one one-batch engine per span
-//!   of chunks, and [`FusedEnsemble::predict_plans_arena`] one per call
-//!   on the caller's arena;
-//! * a search's `ScoreMemo` holds a search engine, whose memo and matrices
-//!   persist across the search's batches: each batch writes only the slots
-//!   no earlier batch computed, at the rows the memo gave them, and reads
-//!   the rest where earlier batches left them. That is why the memo must
-//!   not outlive its search — its rows are this trio's states, and only
-//!   this scorer's.
-//!
-//! The result is still bitwise the sequential path's. Every kernel row is
-//! one single-accumulator chain over its own input row, so a row computed
-//! once — in this batch or an earlier one — and read by every node that
-//! shares its key holds the bits each of those nodes' own computation
-//! would have produced: equal keys mean equal inputs, summed in equal
-//! order; and a row nothing reads never reaches an output. A batch with
-//! nothing to merge lowers to one slot per node plus one per live wave
-//! target.
+//! A [`ScoreEngine`] owns the slot memo, one state matrix per view and the
+//! arena. It lowers a plan into its memo once and runs each view over the
+//! schedule; a pass ends in the view's `[n, k]` raw rows (log-space cost
+//! or logit per member), which [`ScoreEngine::score`] denormalizes and
+//! combines and [`FusedEnsemble::raw_graphs`] returns as they are. Callers
+//! differ only in the memo's lifetime (`crate::plan`'s module docs): one
+//! batch — a serving worker's engine, kept warm for its life, and every
+//! `predict_*` / `raw_graphs` call's — or one search, through the
+//! `ScoreMemo` the search's evaluator owns, whose rows are this trio's
+//! states and must not outlive the search.
 
-use crate::ensemble::{combine_member_major, Ensemble};
-use crate::graph::{Featurization, JointGraph};
-use crate::model::{map_spans, ModelConfig, INFERENCE_CHUNK};
+use crate::ensemble::combine_member_major;
+use crate::graph::JointGraph;
+use crate::model::{ModelConfig, INFERENCE_CHUNK};
 use crate::plan::{BatchPlan, SlotMemo, SlotSchedule, SlotStats};
+use crate::train::TrainedModel;
 use costream_dsps::CostMetric;
 use costream_nn::fused::{StackedMlp, WeightPrecision};
 use costream_nn::loss::{msle_inverse, sigmoid};
 use costream_nn::{InferenceArena, Tensor};
+use rayon::prelude::*;
 
-/// A member-fused inference view over a trained [`Ensemble`].
-///
-/// Holds stacked copies of the members' weights (the members themselves
-/// stay the training/golden ground truth). The ensemble stacks its
-/// view once and keeps it ([`Ensemble::fused`]); every caller shares it.
+/// A member-fused inference view over k trained models of one metric:
+/// stacked copies of their weights. An ensemble
+/// ([`Ensemble::fused`](crate::ensemble::Ensemble::fused)) and a single
+/// model ([`TrainedModel::fused`], k = 1) each stack theirs once and keep it.
 #[derive(Clone, Debug)]
 pub struct FusedEnsemble {
     metric: CostMetric,
-    featurization: Featurization,
     config: ModelConfig,
     k: usize,
     /// Per node type, indexed like `NodeType::ALL`.
@@ -109,12 +88,12 @@ pub struct FusedEnsemble {
 }
 
 impl FusedEnsemble {
-    /// Stacks the ensemble's members.
-    pub(crate) fn build(ensemble: &Ensemble) -> Self {
-        let members = ensemble.members();
+    /// Stacks `members`, which the caller has checked share a metric, a
+    /// featurization and a plan-congruent configuration.
+    pub(crate) fn build(members: &[TrainedModel]) -> Self {
         let k = members.len();
         let n_types = members[0].model().encoders().len();
-        let stack_type = |pick: &dyn Fn(&crate::train::TrainedModel) -> &costream_nn::Mlp| {
+        let stack_type = |pick: &dyn Fn(&TrainedModel) -> &costream_nn::Mlp| {
             let per: Vec<_> = members.iter().map(|m| (m.model().store(), pick(m))).collect();
             StackedMlp::stack(&per, WeightPrecision::Exact)
         };
@@ -126,9 +105,8 @@ impl FusedEnsemble {
             .collect();
         let readout = stack_type(&|m| m.model().readout());
         FusedEnsemble {
-            metric: ensemble.metric,
-            featurization: ensemble.featurization(),
-            config: *ensemble.model_config(),
+            metric: members[0].metric,
+            config: *members[0].model().config(),
             k,
             encoders,
             updaters,
@@ -137,30 +115,9 @@ impl FusedEnsemble {
         }
     }
 
-    /// The metric every member predicts.
-    pub fn metric(&self) -> CostMetric {
-        self.metric
-    }
-
-    /// Featurization the members' graphs were built with.
-    pub fn featurization(&self) -> Featurization {
-        self.featurization
-    }
-
-    /// The members' shared GNN hyper-parameters.
-    pub fn model_config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    /// Member count.
-    pub fn size(&self) -> usize {
-        self.k
-    }
-
-    /// Combined ensemble prediction for prebuilt chunk plans on a
-    /// caller-held arena — the fused drop-in for
-    /// [`Ensemble::predict_plans_arena`] (bitwise identical): a one-batch
-    /// [`ScoreEngine`] on `arena` for the length of the call.
+    /// Combined prediction for prebuilt chunk plans on a caller-held
+    /// arena: a one-batch [`ScoreEngine`] on `arena` for the length of the
+    /// call.
     pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
         let mut engine = ScoreEngine::new(SlotMemo::one_batch(u64::MAX), std::mem::take(arena));
         let scores = plans
@@ -175,58 +132,58 @@ impl FusedEnsemble {
     }
 
     /// Combined prediction for prepared graphs, the body of
-    /// [`Ensemble::predict_graphs`]: chunk at [`INFERENCE_CHUNK`] → plan →
-    /// fused pass. Each chunk's plan is built once and serves every member
-    /// in one pass; [`map_spans`] fans the chunks out, one one-batch
-    /// [`ScoreEngine`] per span.
+    /// `Ensemble::predict_graphs`: the raw rows of
+    /// [`FusedEnsemble::raw_graphs`], denormalized and combined.
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
-        map_spans(graphs, |span| {
-            let mut engine = ScoreEngine::one_batch();
-            span.chunks(INFERENCE_CHUNK)
-                .flat_map(|c| {
-                    let (_, [scores]) = engine.score(&BatchPlan::build(c, scheme, rounds), [self]);
-                    scores
-                })
-                .collect()
-        })
+        self.combine(&self.raw_graphs(graphs))
     }
 
-    /// Combined prediction for one plan over its schedule in a memo: the
-    /// pass computes the schedule's new slots into `state`, the memo's
-    /// state matrix for this ensemble, which already holds every slot an
-    /// earlier batch of the memo computed.
-    fn predict(
-        &self,
-        plan: &BatchPlan,
-        schedule: &SlotSchedule,
-        state: &mut Tensor,
-        arena: &mut InferenceArena,
-    ) -> Vec<f64> {
-        let raw = self.forward_raw(plan, schedule, state, arena);
-        let mut flat = Vec::with_capacity(plan.len() * self.k);
-        for r in 0..raw.rows() {
-            for (m, &(mean, std)) in self.denorm.iter().enumerate() {
-                let z = raw.get(r, m);
-                // Identical per-member f32 ops to the sequential path's
-                // `TrainedModel::denormalize`.
-                flat.push(if self.metric.is_regression() {
+    /// Member-major raw outputs for prepared graphs, `[n, k]` row-major
+    /// (log-space cost or logit per member): chunk at [`INFERENCE_CHUNK`]
+    /// → plan → fused pass. One chunk runs inline; more are dealt to the
+    /// workers in contiguous spans, one one-batch [`ScoreEngine`] each.
+    pub fn raw_graphs(&self, graphs: &[&JointGraph]) -> Vec<f32> {
+        let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
+        let score = |span: &[&JointGraph]| -> Vec<f32> {
+            let mut engine = ScoreEngine::one_batch();
+            span.chunks(INFERENCE_CHUNK)
+                .flat_map(|c| engine.raw(&BatchPlan::build(c, scheme, rounds), self))
+                .collect()
+        };
+        if graphs.len() <= INFERENCE_CHUNK {
+            return score(graphs);
+        }
+        let chunks = graphs.len().div_ceil(INFERENCE_CHUNK);
+        let span = chunks.div_ceil(rayon::current_num_threads()) * INFERENCE_CHUNK;
+        let per_span: Vec<Vec<f32>> = graphs.par_chunks(span).map(score).collect();
+        per_span.concat()
+    }
+
+    /// Member-major raw rows → per-member predictions: `msle_inverse` of
+    /// the destandardized log cost, or the sigmoid of the logit.
+    pub(crate) fn denormalize(&self, raw: &[f32]) -> Vec<f64> {
+        raw.iter()
+            .zip(self.denorm.iter().cycle())
+            .map(|(&z, &(mean, std))| {
+                if self.metric.is_regression() {
                     msle_inverse(z * std + mean) as f64
                 } else {
                     sigmoid(z) as f64
-                });
-            }
-        }
-        arena.recycle(raw);
-        combine_member_major(self.metric, self.k, &flat)
+                }
+            })
+            .collect()
+    }
+
+    /// Member-major raw rows → one combined prediction per row.
+    fn combine(&self, raw: &[f32]) -> Vec<f64> {
+        combine_member_major(self.metric, self.k, &self.denormalize(raw))
     }
 
     /// One fused forward pass: returns the member-major raw outputs
-    /// `[n_graphs, k]` (log-space cost or logit per member). Computes what
-    /// `GnnModel::forward_inference` computes, `k` members wide, over the
-    /// plan's slot schedule: each new distinct node state that something
-    /// reads, once, into `state` (the memo's matrix for this ensemble,
-    /// grown to the schedule's rows).
+    /// `[n_graphs, k]` (log-space cost or logit per member), computed over
+    /// the plan's slot schedule: each new distinct node state that
+    /// something reads, once, into `state` (the memo's matrix for this
+    /// view, grown to the schedule's rows).
     fn forward_raw(
         &self,
         plan: &BatchPlan,
@@ -234,16 +191,7 @@ impl FusedEnsemble {
         state: &mut Tensor,
         arena: &mut InferenceArena,
     ) -> Tensor {
-        assert_eq!(
-            plan.topo.scheme, self.config.scheme,
-            "plan built for a different message-passing scheme"
-        );
-        if plan.topo.scheme == crate::model::Scheme::Traditional {
-            assert_eq!(
-                plan.topo.traditional_rounds, self.config.traditional_rounds,
-                "plan built for different round count"
-            );
-        }
+        self.config.check_plan(plan);
         let h = self.config.hidden;
         let kh = self.k * h;
 
@@ -320,16 +268,16 @@ fn grow_rows(state: &mut Tensor, rows: usize, cols: usize, arena: &mut Inference
     *state = Tensor::from_vec(rows, cols, data);
 }
 
-/// The one scoring engine: a slot memo, one state matrix per ensemble
-/// scored through it, and the arena every pass takes its scratch from.
+/// The one scoring engine: a slot memo, one state matrix per view scored
+/// through it, and the arena every pass takes its scratch from.
 /// [`ScoreEngine::score`] lowers a plan into the memo once and runs each
-/// given ensemble's fused pass over the schedule — the serving worker, the
-/// search scorer and `predict_graphs` all score this way, and differ only
-/// in how long the memo lives (see the module docs).
+/// given view's fused pass over the schedule — the serving worker, the
+/// search scorer and every `predict_*` call score this way, and differ
+/// only in how long the memo lives (see the module docs).
 ///
 /// Bitwise, a plan's scores do not depend on the engine, on what it scored
-/// before or on its memo's lifetime: they are those of
-/// [`Ensemble::predict_plans_arena`] on the same plan.
+/// before or on its memo's lifetime: they are the sequential oracle's on
+/// the same plan.
 pub struct ScoreEngine {
     slots: SlotMemo,
     /// One state matrix per position of [`ScoreEngine::score`]'s models.
@@ -379,13 +327,35 @@ impl ScoreEngine {
         plan: &BatchPlan,
         models: [&FusedEnsemble; N],
     ) -> (SlotStats, [Vec<f64>; N]) {
+        self.run(plan, models, FusedEnsemble::combine)
+    }
+
+    /// One model's member-major raw rows for one plan, `[n_graphs, k]`.
+    fn raw(&mut self, plan: &BatchPlan, model: &FusedEnsemble) -> Vec<f32> {
+        let (_, [raw]) = self.run(plan, [model], |_, raw| raw.to_vec());
+        raw
+    }
+
+    /// Lowers `plan` into the memo, runs each model's pass over the
+    /// schedule and hands its raw rows to `finish`.
+    fn run<const N: usize, T>(
+        &mut self,
+        plan: &BatchPlan,
+        models: [&FusedEnsemble; N],
+        finish: impl Fn(&FusedEnsemble, &[f32]) -> T,
+    ) -> (SlotStats, [T; N]) {
         let schedule = plan.lower_into(&mut self.slots);
         if self.states.len() < N {
             self.states.resize_with(N, || Tensor::zeros(0, 0));
         }
         let (states, arena) = (&mut self.states, &mut self.arena);
-        let scores = std::array::from_fn(|i| models[i].predict(plan, &schedule, &mut states[i], arena));
-        (schedule.stats, scores)
+        let out = std::array::from_fn(|i| {
+            let raw = models[i].forward_raw(plan, &schedule, &mut states[i], arena);
+            let done = finish(models[i], raw.data());
+            arena.recycle(raw);
+            done
+        });
+        (schedule.stats, out)
     }
 
     /// The arena, with the state matrices handed back to it.
@@ -410,6 +380,7 @@ impl ScoreEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::Ensemble;
     use crate::test_fixtures;
     use crate::train::TrainConfig;
 

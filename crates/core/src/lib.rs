@@ -10,8 +10,9 @@
 //!   featurization ablations of Exp 7a;
 //! * [`model`] — the GNN with the paper's three-phase message-passing
 //!   scheme (Algorithm 1) and the traditional-scheme ablation of Exp 7b,
-//!   with a tape-recording training path and a tape-free inference fast
-//!   path;
+//!   with its tape-recording training forward;
+//! * [`fused`] — the one inference pass: every single model and every
+//!   ensemble predicts through a member-fused view run by one engine;
 //! * [`plan`] — precomputed [`plan::BatchPlan`]s: per-batch gather/scatter
 //!   bookkeeping built once and reused across epochs and ensemble members,
 //!   plus the [`plan::PlanCache`] of per-graph topology fragments that
@@ -63,6 +64,8 @@ pub mod interference;
 pub mod joint;
 pub mod model;
 pub mod optimizer;
+#[doc(hidden)]
+pub mod oracle;
 pub mod plan;
 pub mod qerror;
 pub mod search;

@@ -7,15 +7,20 @@
 //! `h'_v = MLP'_T([Σ_{u∈children(v)} h'_u ‖ h_v])`; finally a sum readout
 //! over all node states feeds the output MLP. The *traditional* synchronous
 //! scheme of the Exp 7b ablation is available behind [`Scheme`].
+//!
+//! A [`GnnModel`] runs one pass itself: the tape-recording training
+//! forward. Inference is the one fused pass of [`crate::fused`] — a
+//! trained model predicts through its one-member view
+//! ([`crate::train::TrainedModel::fused`]), an ensemble through its
+//! k-member view — and the node-by-node pass survives only as the
+//! sequential oracle of the bitwise tests (the hidden `oracle` module).
 
 use crate::graph::JointGraph;
 use crate::plan::{BatchPlan, WavePlan};
-use costream_nn::wave::{encode_scatter, wave_update};
 use costream_nn::{
-    EncodeSpec, EncoderPart, InferenceArena, Initializer, Mlp, NodeId, ParamStore, Tape, Tensor, WaveGroup, WaveSpec,
+    EncodeSpec, EncoderPart, InferenceArena, Initializer, Mlp, NodeId, ParamStore, Tape, WaveGroup, WaveSpec,
 };
 use costream_query::features::NodeType;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Message-passing scheme (Exp 7b ablation, Fig. 13).
@@ -90,6 +95,21 @@ impl ModelConfig {
             && self.readout_hidden == other.readout_hidden
             && self.scheme == other.scheme
             && self.traditional_rounds == other.traditional_rounds
+    }
+
+    /// Asserts that `plan` was built for this configuration's message
+    /// passing: every forward pass over a plan checks this first.
+    pub(crate) fn check_plan(&self, plan: &BatchPlan) {
+        assert_eq!(
+            plan.topo.scheme, self.scheme,
+            "plan built for a different message-passing scheme"
+        );
+        if self.scheme == Scheme::Traditional {
+            assert_eq!(
+                plan.topo.traditional_rounds, self.traditional_rounds,
+                "plan built for different round count"
+            );
+        }
     }
 }
 
@@ -193,13 +213,12 @@ impl GnnModel {
     /// Tape-recording forward pass driven by a precomputed [`BatchPlan`]:
     /// the training forward. The returned tape supports `backward`.
     ///
-    /// It is the inference pass plus retained activations. The tape holds
-    /// one fused node for the per-type encoders and one per message-passing
-    /// wave, each running the routine [`GnnModel::forward_inference`] runs
-    /// (`costream_nn::wave`) and keeping only what its hand-written
-    /// backward replays, then the readout as small ops (a segment sum and
-    /// the output MLP's affine nodes). Gradients are bitwise those of the
-    /// per-op chain the fused nodes replace.
+    /// The tape holds one fused node for the per-type encoders and one per
+    /// message-passing wave, each running a `costream_nn::wave` routine and
+    /// keeping only what its hand-written backward replays, then the
+    /// readout as small ops (a segment sum and the output MLP's affine
+    /// nodes). Gradients are bitwise those of the per-op chain the fused
+    /// nodes replace; outputs are bitwise those of inference.
     ///
     /// The tape borrows both this model's parameters (zero-clone pinning)
     /// and the plan's feature matrices and index lists (zero-copy op
@@ -217,7 +236,7 @@ impl GnnModel {
     /// minibatch's tape returned ([`Tape::into_arena`]); after the first
     /// minibatch nothing the tape holds is allocated again.
     pub fn forward_with_plan_in<'m>(&'m self, plan: &'m BatchPlan, arena: InferenceArena) -> (Tape<'m>, NodeId) {
-        self.check_plan(plan);
+        self.config.check_plan(plan);
         let mut tape = Tape::with_arena(arena);
         let h0 = tape.encode_scatter(plan, &self.encoders, &self.store, plan.topo.total, self.config.hidden);
         let mut cur = h0;
@@ -228,72 +247,6 @@ impl GnnModel {
         let pooled = tape.segment_sum(cur, &plan.topo.graph_of, plan.topo.n_graphs);
         let out = self.readout.forward(&mut tape, &self.store, pooled);
         (tape, out)
-    }
-
-    /// Tape-free forward pass on arena buffers: the inference fast path.
-    ///
-    /// Runs the routines [`GnnModel::forward_with_plan`] records
-    /// (`costream_nn::wave`) without a tape: no nodes, no parameter
-    /// clones, every intermediate recycled at once — so it cannot be used
-    /// for training, and its outputs are bitwise the tape's. Returns one
-    /// raw output per graph.
-    ///
-    /// # Panics
-    /// Panics when the plan was built for a different scheme.
-    pub fn forward_inference(&self, plan: &BatchPlan, arena: &mut InferenceArena) -> Vec<f32> {
-        self.check_plan(plan);
-        let h = self.config.hidden;
-        let h0 = encode_scatter(plan, &self.encoders, &self.store, plan.topo.total, h, arena, None);
-        let mut cur: Option<Tensor> = None;
-        for wave in &plan.topo.waves {
-            let before = cur.as_ref().unwrap_or(&h0);
-            let after = wave_update(wave, &self.updaters, &self.store, before, &h0, arena, None);
-            if let Some(before) = cur.replace(after) {
-                arena.recycle(before);
-            }
-        }
-
-        // ---- readout ----
-        let mut pooled = arena.alloc_zeroed(plan.topo.n_graphs, h);
-        cur.as_ref()
-            .unwrap_or(&h0)
-            .segment_sum_into(&plan.topo.graph_of, &mut pooled);
-        let out = self.readout.forward_inference(arena, &self.store, &pooled);
-        let result = out.data().to_vec();
-        arena.recycle(out);
-        arena.recycle(pooled);
-        if let Some(cur) = cur {
-            arena.recycle(cur);
-        }
-        arena.recycle(h0);
-        result
-    }
-
-    /// Raw scalar outputs for a batch of graphs (log-space cost or logit,
-    /// depending on what the model was trained for).
-    ///
-    /// Runs on the tape-free fast path, chunked and fanned out like every
-    /// other inference entry point ([`map_spans`]).
-    pub fn predict_raw(&self, graphs: &[&JointGraph]) -> Vec<f32> {
-        map_spans(graphs, |span| {
-            let mut arena = InferenceArena::new();
-            span.chunks(INFERENCE_CHUNK)
-                .flat_map(|c| self.forward_inference(&self.plan(c), &mut arena))
-                .collect()
-        })
-    }
-
-    fn check_plan(&self, plan: &BatchPlan) {
-        assert_eq!(
-            plan.topo.scheme, self.config.scheme,
-            "plan built for a different message-passing scheme"
-        );
-        if self.config.scheme == Scheme::Traditional {
-            assert_eq!(
-                plan.topo.traditional_rounds, self.config.traditional_rounds,
-                "plan built for different round count"
-            );
-        }
     }
 }
 
@@ -357,24 +310,12 @@ impl WaveSpec for WavePlan {
 /// sums), so the width sets throughput, never results.
 pub const INFERENCE_CHUNK: usize = 64;
 
-/// Scores `graphs` in [`INFERENCE_CHUNK`]-wide plans, `score` taking a
-/// *span* (a whole number of chunks) at a time. At most one chunk — every round of a
-/// placement search — runs inline, without even asking for the core count;
-/// more are dealt to the workers in contiguous, evenly sized spans.
-pub(crate) fn map_spans<T: Send>(graphs: &[&JointGraph], score: impl Fn(&[&JointGraph]) -> Vec<T> + Sync) -> Vec<T> {
-    if graphs.len() <= INFERENCE_CHUNK {
-        return score(graphs);
-    }
-    let chunks = graphs.len().div_ceil(INFERENCE_CHUNK);
-    let span = chunks.div_ceil(rayon::current_num_threads()) * INFERENCE_CHUNK;
-    let per_span: Vec<Vec<T>> = graphs.par_chunks(span).map(&score).collect();
-    per_span.into_iter().flatten().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::Featurization;
+    use crate::train::TrainedModel;
+    use costream_dsps::CostMetric;
     use costream_query::generator::WorkloadGenerator;
     use costream_query::ranges::FeatureRanges;
     use costream_query::selectivity::SelectivityEstimator;
@@ -391,12 +332,20 @@ mod tests {
             .collect()
     }
 
+    /// Raw outputs of `model` on the production route: its one-member
+    /// fused view.
+    fn raw(model: &GnnModel, graphs: &[&JointGraph]) -> Vec<f32> {
+        TrainedModel::new(CostMetric::Throughput, Featurization::Full, (0.0, 1.0), model.clone())
+            .fused()
+            .raw_graphs(graphs)
+    }
+
     #[test]
     fn forward_produces_one_output_per_graph() {
         let gs = graphs(5, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default());
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let out = model.predict_raw(&refs);
+        let out = raw(&model, &refs);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -406,7 +355,7 @@ mod tests {
         let gs = graphs(3, Featurization::QueryOnly);
         let model = GnnModel::new(ModelConfig::default());
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let out = model.predict_raw(&refs);
+        let out = raw(&model, &refs);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|v| v.is_finite()));
     }
@@ -416,21 +365,24 @@ mod tests {
         let gs = graphs(3, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default().with_scheme(Scheme::Traditional));
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let out = model.predict_raw(&refs);
+        let out = raw(&model, &refs);
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|v| v.is_finite()));
     }
 
+    /// Chunking never changes results: a graph scored in a batch and alone
+    /// gives the same bits.
     #[test]
     fn batching_matches_single_graph_forward() {
         let gs = graphs(4, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default());
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        let batched = model.predict_raw(&refs);
+        let batched = raw(&model, &refs);
         for (i, g) in gs.iter().enumerate() {
-            let single = model.predict_raw(&[g]);
-            assert!(
-                (batched[i] - single[0]).abs() < 1e-4,
+            let single = raw(&model, &[g]);
+            assert_eq!(
+                batched[i].to_bits(),
+                single[0].to_bits(),
                 "graph {i}: batched {} vs single {}",
                 batched[i],
                 single[0]
@@ -443,7 +395,7 @@ mod tests {
         let gs = graphs(1, Featurization::Full);
         let a = GnnModel::new(ModelConfig::default().with_seed(1));
         let b = GnnModel::new(ModelConfig::default().with_seed(2));
-        assert_ne!(a.predict_raw(&[&gs[0]]), b.predict_raw(&[&gs[0]]));
+        assert_ne!(raw(&a, &[&gs[0]]), raw(&b, &[&gs[0]]));
     }
 
     #[test]
@@ -460,9 +412,7 @@ mod tests {
         let g1 = JointGraph::build(&q, &c, &p1, &sels, Featurization::Full);
         let g2 = JointGraph::build(&q, &c, &p2, &sels, Featurization::Full);
         let model = GnnModel::new(ModelConfig::default());
-        let o1 = model.predict_raw(&[&g1]);
-        let o2 = model.predict_raw(&[&g2]);
-        assert_ne!(o1, o2);
+        assert_ne!(raw(&model, &[&g1]), raw(&model, &[&g2]));
     }
 
     #[test]
@@ -478,6 +428,6 @@ mod tests {
         let json = serde_json::to_string(&model).expect("serialize");
         let restored: GnnModel = serde_json::from_str(&json).expect("deserialize");
         let refs: Vec<&JointGraph> = gs.iter().collect();
-        assert_eq!(model.predict_raw(&refs), restored.predict_raw(&refs));
+        assert_eq!(raw(&model, &refs), raw(&restored, &refs));
     }
 }

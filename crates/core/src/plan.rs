@@ -9,8 +9,8 @@
 //!
 //! A [`BatchPlan`] captures it once per batch: the trainer builds plans
 //! up front and reuses them for all epochs and all ensemble members, and
-//! the inference fast path drives `forward_inference` straight from a
-//! plan with zero per-call graph traversal.
+//! the fused inference pass lowers a plan to its slot schedule (below)
+//! with zero per-call graph traversal.
 //!
 //! # Topology vs. features
 //!
@@ -61,7 +61,7 @@
 //! path allocation, not copying, is what a plan costs. A wave's keep-list
 //! (the nodes it leaves alone) is not built with the topology: every build lists a
 //! wave's targets in ascending order, so its only readers — the per-node
-//! passes of training and `GnnModel::forward_inference`, never the fused
+//! passes of training and the sequential test oracle, never the fused
 //! pass — derive it on first use.
 //!
 //! # Hash-consed slot schedules
@@ -86,7 +86,7 @@
 //! or a later wave reads. The rest are structural dead code — in the
 //! Costream scheme every HW→OPS update, because own halves read `h0` and
 //! the dataflow waves overwrite each operator before anything reads it
-//! (the sequential path computes them and throws them away).
+//! (the sequential oracle computes them and throws them away).
 //!
 //! Keys are interned through 64-bit fingerprints in open-addressed
 //! tables; fingerprints only route, and two keys merge only after an exact
@@ -101,10 +101,11 @@
 //! ensemble. What differs between callers is only how long the memo lives —
 //! one batch or one search, never longer:
 //!
-//! * **One batch** — the serving worker's engine, `predict_graphs`' and
-//!   every `predict_plans_arena` call's. The memo forgets every slot before
-//!   each lowering, so nothing outlives a plan (not even a model swap
-//!   between two batches can reach a stale row), and if no encoder row
+//! * **One batch** — the serving worker's engine, and every
+//!   `predict_graphs`, `raw_graphs` and `predict_plans_arena` call's. The
+//!   memo forgets every slot before each lowering, so nothing outlives a
+//!   plan (not even a model swap between two batches can reach a stale
+//!   row), and if no encoder row
 //!   repeats (no two targets can then share an own slot) the lowering stops
 //!   there: every live wave target gets a fresh slot and no wave key is
 //!   hashed. Skipping a merge never changes a bit — it only repeats work —

@@ -721,7 +721,7 @@ mod tests {
             .collect()
     }
 
-    /// The sequential reference path: per ensemble, member after member
+    /// The sequential oracle: per ensemble, member after member
     /// over plans chunked at the default width.
     fn oracle(fx: &test_fixtures::Trio, graphs: &[JointGraph]) -> Vec<[u64; 3]> {
         let refs: Vec<&JointGraph> = graphs.iter().collect();
@@ -732,7 +732,7 @@ mod tests {
                     .chunks(INFERENCE_CHUNK)
                     .map(|c| e.members()[0].model().plan(c))
                     .collect();
-                e.predict_plans_arena(&plans, &mut InferenceArena::new())
+                crate::oracle::predict_ensemble(e, &plans, &mut InferenceArena::new())
             })
             .collect();
         (0..graphs.len())

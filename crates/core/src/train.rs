@@ -2,18 +2,20 @@
 //! fine-tuning procedure of Exp 5b.
 
 use crate::dataset::{Corpus, CorpusItem};
+use crate::fused::FusedEnsemble;
 use crate::graph::{Featurization, JointGraph};
 use crate::model::{GnnModel, ModelConfig};
 use crate::plan::BatchPlan;
 use crate::qerror::{accuracy, QErrorSummary};
 use costream_dsps::CostMetric;
-use costream_nn::loss::{bce_with_logits, bce_with_logits_into, mse, mse_into, msle_inverse, sigmoid};
+use costream_nn::loss::{bce_with_logits, bce_with_logits_into, mse, mse_into};
 use costream_nn::optim::{clip_scale, Adam};
 use costream_nn::{Gradients, InferenceArena, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Training hyper-parameters.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -76,14 +78,38 @@ pub struct TrainedModel {
     /// Standard deviation of the `log1p` targets on the training set.
     target_std: f32,
     model: GnnModel,
+    /// Stacked on first use; a deserialized model restacks it, and
+    /// [`fine_tune`] drops it with the weights it stacked.
+    #[serde(skip)]
+    fused: OnceLock<FusedEnsemble>,
 }
 
 impl TrainedModel {
+    pub(crate) fn new(metric: CostMetric, featurization: Featurization, denorm: (f32, f32), model: GnnModel) -> Self {
+        let (target_mean, target_std) = denorm;
+        TrainedModel {
+            metric,
+            featurization,
+            target_mean,
+            target_std,
+            model,
+            fused: OnceLock::new(),
+        }
+    }
+
     /// Predicts the metric for prepared joint graphs: original cost units
     /// for regression metrics, probability of the positive class for
-    /// classification metrics. Runs on the tape-free inference fast path.
+    /// classification metrics. Runs the one fused pass, one member wide.
     pub fn predict_graphs(&self, graphs: &[&JointGraph]) -> Vec<f64> {
-        self.denormalize(self.model.predict_raw(graphs))
+        let view = self.fused();
+        view.denormalize(&view.raw_graphs(graphs))
+    }
+
+    /// This model's one-member fused inference view ([`crate::fused`]),
+    /// stacked on first use and kept until [`fine_tune`] moves the weights.
+    pub fn fused(&self) -> &FusedEnsemble {
+        self.fused
+            .get_or_init(|| FusedEnsemble::build(std::slice::from_ref(self)))
     }
 
     /// The underlying GNN (exposed for plan construction and diagnostics).
@@ -91,36 +117,10 @@ impl TrainedModel {
         &self.model
     }
 
-    /// Predicts the metric for prebuilt chunk plans on a caller-held
-    /// arena — one member's share of the sequential reference path
-    /// ([`Ensemble::predict_plans_arena`](crate::ensemble::Ensemble::predict_plans_arena)).
-    pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
-        self.denormalize(
-            plans
-                .iter()
-                .flat_map(|p| self.model.forward_inference(p, arena))
-                .collect(),
-        )
-    }
-
-    /// `(target_mean, target_std)` of the training-set `log1p` targets —
-    /// what [`TrainedModel::predict_plans_arena`] applies before
-    /// `msle_inverse`. Exposed so [`crate::fused`] can replicate the
-    /// denormalization bit for bit.
+    /// `(target_mean, target_std)` of the training-set `log1p` targets,
+    /// which denormalization applies before `msle_inverse`.
     pub(crate) fn denorm_params(&self) -> (f32, f32) {
         (self.target_mean, self.target_std)
-    }
-
-    fn denormalize(&self, raw: Vec<f32>) -> Vec<f64> {
-        raw.into_iter()
-            .map(|z| {
-                if self.metric.is_regression() {
-                    msle_inverse(z * self.target_std + self.target_mean) as f64
-                } else {
-                    sigmoid(z) as f64
-                }
-            })
-            .collect()
     }
 
     /// Predicts the metric for corpus items.
@@ -290,13 +290,12 @@ pub fn train_metric(corpus: &Corpus, metric: CostMetric, cfg: &TrainConfig) -> T
 pub fn train_prepared(prepared: &PreparedTraining, metric: CostMetric, cfg: &TrainConfig) -> TrainedModel {
     let mut model = GnnModel::new(cfg.model);
     fit(&mut model, &prepared.batches, metric, cfg, cfg.epochs, cfg.lr);
-    TrainedModel {
+    TrainedModel::new(
         metric,
-        featurization: cfg.featurization,
-        target_mean: prepared.target_mean,
-        target_std: prepared.target_std,
+        cfg.featurization,
+        (prepared.target_mean, prepared.target_std),
         model,
-    }
+    )
 }
 
 /// Few-shot fine-tuning (Exp 5b): continues training an existing model on
@@ -320,6 +319,7 @@ pub fn fine_tune(model: &mut TrainedModel, extra: &Corpus, epochs: usize, lr: f3
     };
     let order: Vec<usize> = (0..graphs.len()).collect();
     let batches = lower_batches(&graphs, &targets, &order, cfg.batch_size, model.model.config());
+    model.fused = OnceLock::new();
     fit(&mut model.model, &batches, metric, cfg, epochs, lr);
 }
 
@@ -402,7 +402,7 @@ pub fn mean_loss(model: &TrainedModel, corpus: &Corpus) -> f32 {
     if refs.is_empty() {
         return 0.0;
     }
-    let raw = model.model.predict_raw(&refs);
+    let raw = model.fused().raw_graphs(&refs);
     let pred = Tensor::from_vec(raw.len(), 1, raw);
     if model.metric.is_regression() {
         let targets: Vec<f32> = items
@@ -435,13 +435,12 @@ mod tests {
     #[test]
     fn regression_training_reduces_loss_and_qerror() {
         let corpus = Corpus::generate(150, 21, FeatureRanges::training(), &SimConfig::default());
-        let untrained = TrainedModel {
-            metric: CostMetric::Throughput,
-            featurization: Featurization::Full,
-            target_mean: 0.0,
-            target_std: 1.0,
-            model: GnnModel::new(ModelConfig::default()),
-        };
+        let untrained = TrainedModel::new(
+            CostMetric::Throughput,
+            Featurization::Full,
+            (0.0, 1.0),
+            GnnModel::new(ModelConfig::default()),
+        );
         let loss_before = mean_loss(&untrained, &corpus);
         let model = train_metric(&corpus, CostMetric::Throughput, &quick_cfg());
         let loss_after = mean_loss(&model, &corpus);

@@ -1,14 +1,21 @@
-//! Golden-equivalence tests for the inference fast path.
+//! Golden-equivalence tests for the inference pass.
 //!
-//! The tape-recording `forward_with_plan` is the training forward; the
-//! tape-free `forward_inference` runs the same wave routine without
-//! retaining activations, so the two must agree bit for bit for both
-//! message-passing schemes, and `BatchPlan`s must be safely reusable
+//! The tape-recording `forward_with_plan` is the training forward. The
+//! sequential oracle (`costream::oracle`) runs the same wave routines node
+//! by node without retaining activations, so the two agree bit for bit.
+//! The one production pass — here a trained model's one-member fused view
+//! — merges repeated rows and skips dead ones, and must still give the
+//! oracle's bits: for both message-passing schemes, with and without host
+//! nodes, for regression and classification heads, across chunk
+//! boundaries and after fine-tuning. `BatchPlan`s must be safely reusable
 //! across epochs, batch orders and ensemble members.
 
 use costream::graph::{Featurization, JointGraph};
-use costream::model::{GnnModel, ModelConfig, Scheme};
+use costream::model::{GnnModel, ModelConfig, Scheme, INFERENCE_CHUNK};
 use costream::plan::BatchPlan;
+use costream::train::{fine_tune, train_metric, TrainConfig, TrainedModel};
+use costream::{oracle, test_fixtures};
+use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
 use costream_query::generator::WorkloadGenerator;
 use costream_query::ranges::FeatureRanges;
@@ -29,6 +36,25 @@ fn graphs(n: usize, seed: u64, featurization: Featurization) -> Vec<JointGraph> 
         .collect()
 }
 
+/// A model trained for one epoch on a small corpus.
+fn trained(metric: CostMetric, scheme: Scheme, featurization: Featurization) -> TrainedModel {
+    let mut cfg = TrainConfig {
+        epochs: 1,
+        featurization,
+        ..Default::default()
+    };
+    cfg.model.scheme = scheme;
+    train_metric(&test_fixtures::corpus(24, 91), metric, &cfg)
+}
+
+/// The oracle's raw outputs over plans chunked at the default width.
+fn oracle_raw(model: &GnnModel, refs: &[&JointGraph]) -> Vec<f32> {
+    let mut arena = InferenceArena::new();
+    refs.chunks(INFERENCE_CHUNK)
+        .flat_map(|c| oracle::forward(model, &model.plan(c), &mut arena))
+        .collect()
+}
+
 fn assert_bitwise(tape: &[f32], fast: &[f32], ctx: &str) {
     assert_eq!(tape.len(), fast.len(), "{ctx}: length mismatch");
     for (i, (t, f)) in tape.iter().zip(fast).enumerate() {
@@ -42,7 +68,7 @@ fn assert_bitwise(tape: &[f32], fast: &[f32], ctx: &str) {
 
 /// Golden equivalence on random batches, both schemes, several seeds.
 #[test]
-fn forward_inference_matches_tape_forward() {
+fn oracle_matches_tape_forward() {
     for scheme in [Scheme::Costream, Scheme::Traditional] {
         for seed in 0..4u64 {
             let gs = graphs(12, 100 + seed, Featurization::Full);
@@ -54,17 +80,17 @@ fn forward_inference_matches_tape_forward() {
             let golden = tape.value(out).data().to_vec();
 
             let mut arena = InferenceArena::new();
-            let fast = model.forward_inference(&plan, &mut arena);
+            let fast = oracle::forward(&model, &plan, &mut arena);
 
             assert_bitwise(&golden, &fast, &format!("{scheme:?} seed {seed}"));
         }
     }
 }
 
-/// The fast path must also agree on graphs without host nodes (the
+/// The oracle must also agree on graphs without host nodes (the
 /// QueryOnly featurization skips the OPS→HW / HW→OPS phases entirely).
 #[test]
-fn forward_inference_matches_tape_without_hosts() {
+fn oracle_matches_tape_without_hosts() {
     let gs = graphs(6, 7, Featurization::QueryOnly);
     let refs: Vec<&JointGraph> = gs.iter().collect();
     let model = GnnModel::new(ModelConfig::default());
@@ -72,24 +98,84 @@ fn forward_inference_matches_tape_without_hosts() {
     let (tape, out) = model.forward_with_plan(&plan);
     let golden = tape.value(out).data().to_vec();
     let mut arena = InferenceArena::new();
-    let fast = model.forward_inference(&plan, &mut arena);
+    let fast = oracle::forward(&model, &plan, &mut arena);
     assert_bitwise(&golden, &fast, "query-only");
 }
 
-/// predict_raw (chunked, parallel) must agree with a single monolithic
-/// tape forward across chunk boundaries.
+/// A trained model's raw outputs (its one-member engine, chunked and fanned
+/// out) must agree with a single monolithic tape forward across chunk
+/// boundaries.
 #[test]
-fn chunked_predict_raw_matches_tape() {
+fn chunked_raw_graphs_match_tape() {
     let gs = graphs(70, 11, Featurization::Full); // spans the 64-graph chunk size
     let refs: Vec<&JointGraph> = gs.iter().collect();
-    let model = GnnModel::new(ModelConfig::default());
-    let fast = model.predict_raw(&refs);
-    let plan = model.plan(&refs);
-    let (tape, out) = model.forward_with_plan(&plan);
+    let model = trained(CostMetric::ProcessingLatency, Scheme::Costream, Featurization::Full);
+    let fast = model.fused().raw_graphs(&refs);
+    let plan = model.model().plan(&refs);
+    let (tape, out) = model.model().forward_with_plan(&plan);
     let golden = tape.value(out).data().to_vec();
     // Chunking changes batch composition, not per-graph results: readout
     // sums are per graph, so outputs must agree graph by graph.
     assert_bitwise(&golden, &fast, "chunked");
+}
+
+/// The k = 1 engine's raw row is the oracle's, bit for bit, and so are the
+/// predictions made from it (a classification model's are sigmoid
+/// probabilities, not 0/1 votes): both schemes, with and without host
+/// nodes, regression and classification heads, across a chunk boundary.
+#[test]
+fn one_member_engine_matches_the_oracle_bitwise() {
+    let corpus = test_fixtures::corpus(70, 93);
+    for scheme in [Scheme::Costream, Scheme::Traditional] {
+        for featurization in [Featurization::QueryOnly, Featurization::Full] {
+            let gs: Vec<JointGraph> = corpus.items.iter().map(|i| i.graph(featurization)).collect();
+            let refs: Vec<&JointGraph> = gs.iter().collect();
+            for metric in [CostMetric::ProcessingLatency, CostMetric::Backpressure] {
+                let model = trained(metric, scheme, featurization);
+                let ctx = format!("{scheme:?} {featurization:?} {metric:?}");
+                assert_bitwise(
+                    &oracle_raw(model.model(), &refs),
+                    &model.fused().raw_graphs(&refs),
+                    &ctx,
+                );
+                let plans: Vec<BatchPlan> = refs.chunks(INFERENCE_CHUNK).map(|c| model.model().plan(c)).collect();
+                let want = oracle::predict_model(&model, &plans, &mut InferenceArena::new());
+                let got = model.predict_graphs(&refs);
+                assert_eq!(
+                    got.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+                    "{ctx}: predictions"
+                );
+                assert!(
+                    metric.is_regression() || got.iter().any(|&p| p > 0.0 && p < 1.0),
+                    "{ctx}: every probability saturated, so a 0/1 vote would pass too"
+                );
+            }
+        }
+    }
+}
+
+/// A model that has predicted (and so stacked its view) and is then
+/// fine-tuned predicts from its tuned weights, not from a stale view.
+#[test]
+fn a_fine_tuned_model_predicts_from_its_tuned_weights() {
+    let gs = graphs(20, 13, Featurization::Full);
+    let refs: Vec<&JointGraph> = gs.iter().collect();
+    let mut model = trained(CostMetric::ProcessingLatency, Scheme::Costream, Featurization::Full);
+    let before = model.predict_graphs(&refs);
+    let cfg = TrainConfig {
+        epochs: 1,
+        ..Default::default()
+    };
+    fine_tune(&mut model, &test_fixtures::corpus(16, 92), 2, 1e-2, &cfg);
+    let after = model.predict_graphs(&refs);
+    assert_ne!(before, after, "fine-tuning must move the weights");
+    let plans = vec![model.model().plan(&refs)];
+    let want = oracle::predict_model(&model, &plans, &mut InferenceArena::new());
+    assert_eq!(
+        after.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
+        want.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+    );
 }
 
 /// A plan reused across shuffled "epochs" must keep producing identical
@@ -99,19 +185,23 @@ fn chunked_predict_raw_matches_tape() {
 fn plan_reuse_across_shuffled_epochs_is_stable() {
     let gs = graphs(24, 21, Featurization::Full);
     let refs: Vec<&JointGraph> = gs.iter().collect();
-    let model = GnnModel::new(ModelConfig::default());
+    let model = trained(CostMetric::ProcessingLatency, Scheme::Costream, Featurization::Full);
+    let view = model.fused();
 
     // Batch the graphs into 3 fixed minibatches with one plan each.
-    let plans: Vec<BatchPlan> = refs.chunks(8).map(|c| model.plan(c)).collect();
+    let plans: Vec<BatchPlan> = refs.chunks(8).map(|c| model.model().plan(c)).collect();
     let mut arena = InferenceArena::new();
-    let baseline: Vec<Vec<f32>> = plans.iter().map(|p| model.forward_inference(p, &mut arena)).collect();
+    let baseline: Vec<Vec<f64>> = plans
+        .iter()
+        .map(|p| view.predict_plans_arena(std::slice::from_ref(p), &mut arena))
+        .collect();
 
     let mut rng = StdRng::seed_from_u64(5);
     let mut order: Vec<usize> = (0..plans.len()).collect();
     for epoch in 0..5 {
         order.shuffle(&mut rng);
         for &bi in &order {
-            let again = model.forward_inference(&plans[bi], &mut arena);
+            let again = view.predict_plans_arena(std::slice::from_ref(&plans[bi]), &mut arena);
             assert_eq!(
                 again, baseline[bi],
                 "epoch {epoch}: plan {bi} must yield bit-identical predictions on reuse"
@@ -132,7 +222,7 @@ fn one_plan_serves_all_ensemble_members() {
     let plan = members[0].plan(&refs);
     let mut arena = InferenceArena::new();
     for m in &members {
-        let fast = m.forward_inference(&plan, &mut arena);
+        let fast = oracle::forward(m, &plan, &mut arena);
         let (tape, out) = m.forward_with_plan(&plan);
         assert_bitwise(tape.value(out).data(), &fast, "shared plan");
     }

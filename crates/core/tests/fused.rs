@@ -1,7 +1,7 @@
 //! Golden tests for member-fused ensemble inference.
 //!
 //! The fused path ([`costream::fused::FusedEnsemble`]) must be **bitwise
-//! identical** to the sequential `Ensemble::predict_plans_arena` —
+//! identical** to the sequential oracle (`costream::oracle`) —
 //! across random plan topologies, batch sizes, member counts and both
 //! message-passing schemes, and whatever a reused [`ScoreEngine`] scored
 //! before.
@@ -12,7 +12,7 @@ use costream::graph::{Featurization, JointGraph};
 use costream::model::{Scheme, INFERENCE_CHUNK};
 use costream::plan::BatchPlan;
 use costream::train::TrainConfig;
-use costream::{test_fixtures, Corpus};
+use costream::{oracle, test_fixtures, Corpus};
 use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
 use costream_query::generator::WorkloadGenerator;
@@ -104,7 +104,7 @@ proptest! {
         let e = sub_ensemble(regression_ensemble(scheme), k);
         let gs = graphs(n, seed);
         let plans = plans_for(&e, &gs);
-        let seq = e.predict_plans_arena(&plans, &mut InferenceArena::new());
+        let seq = oracle::predict_ensemble(&e, &plans, &mut InferenceArena::new());
         let fused = e.fused().predict_plans_arena(&plans, &mut InferenceArena::new());
         prop_assert_eq!(fused.len(), seq.len());
         for (i, (f, s)) in fused.iter().zip(&seq).enumerate() {
@@ -128,7 +128,7 @@ fn fused_matches_sequential_classification() {
     for (round, &(n, seed)) in [(17usize, 300u64), (1, 301), (33, 302)].iter().enumerate() {
         let gs = graphs(n, seed);
         let plans = plans_for(e, &gs);
-        let seq = e.predict_plans_arena(&plans, &mut seq_arena);
+        let seq = oracle::predict_ensemble(e, &plans, &mut seq_arena);
         let f = fused.predict_plans_arena(&plans, &mut fused_arena);
         assert_bitwise_eq(&f, &seq, &format!("classification round {round}"));
         // Vote fractions over 4 members are multiples of a quarter.
@@ -138,16 +138,16 @@ fn fused_matches_sequential_classification() {
     }
 }
 
-/// `predict_graphs` (plans built internally) agrees with the sequential
-/// graph path, and multi-chunk batches (> INFERENCE_CHUNK graphs) combine
+/// `predict_graphs` (plans built internally) agrees with the oracle on
+/// chunk plans, and multi-chunk batches (> INFERENCE_CHUNK graphs) combine
 /// across chunk boundaries identically.
 #[test]
 fn fused_predict_graphs_matches_sequential_across_chunks() {
     let e = regression_ensemble(Scheme::Costream);
     let gs = graphs(INFERENCE_CHUNK + 9, 55);
     let refs: Vec<&JointGraph> = gs.iter().collect();
-    let seq = e.predict_graphs(&refs);
-    let fused = e.fused().predict_graphs(&refs);
+    let seq = oracle::predict_ensemble(e, &plans_for(e, &gs), &mut InferenceArena::new());
+    let fused = e.predict_graphs(&refs);
     assert_bitwise_eq(&fused, &seq, "predict_graphs multi-chunk");
 }
 
@@ -158,11 +158,11 @@ fn combine_refactor_is_bitwise_stable() {
     for e in [regression_ensemble(Scheme::Costream), classification_ensemble()] {
         let gs = graphs(11, 91);
         let plans = plans_for(e, &gs);
-        let combined = e.predict_plans_arena(&plans, &mut InferenceArena::new());
+        let combined = oracle::predict_ensemble(e, &plans, &mut InferenceArena::new());
         let per_member: Vec<Vec<f64>> = e
             .members()
             .iter()
-            .map(|m| m.predict_plans_arena(&plans, &mut InferenceArena::new()))
+            .map(|m| oracle::predict_model(m, &plans, &mut InferenceArena::new()))
             .collect();
         let k = e.members().len();
         for (i, c) in combined.iter().enumerate() {
@@ -221,7 +221,7 @@ fn one_engine_scores_any_sequence_of_plans_and_models_bitwise() {
     for (step, &(e, n, seed)) in steps.iter().enumerate() {
         let gs = graphs(n, seed);
         let plan = plans_for(e, &gs).remove(0);
-        let want = e.predict_plans_arena(std::slice::from_ref(&plan), &mut InferenceArena::new());
+        let want = oracle::predict_ensemble(e, std::slice::from_ref(&plan), &mut InferenceArena::new());
         let (stats, [got]) = engine.score(&plan, [e.fused()]);
         assert_bitwise_eq(&got, &want, &format!("step {step}"));
         assert_eq!(
@@ -236,7 +236,7 @@ fn one_engine_scores_any_sequence_of_plans_and_models_bitwise() {
     let plan = plans_for(costream, &gs).remove(0);
     let (_, [a, b, c]) = engine.score(&plan, [costream.fused(), two.fused(), vote.fused()]);
     for (got, e) in [(a, costream), (b, &two), (c, vote)] {
-        let want = e.predict_plans_arena(std::slice::from_ref(&plan), &mut InferenceArena::new());
+        let want = oracle::predict_ensemble(e, std::slice::from_ref(&plan), &mut InferenceArena::new());
         assert_bitwise_eq(
             &got,
             &want,
@@ -274,7 +274,7 @@ fn perf_probe_fused_vs_sequential() {
         t0.elapsed().as_nanos() as f64 / iters as f64
     };
     let mut arena = InferenceArena::new();
-    let seq_ns = time(&mut || e.predict_plans_arena(&plans, &mut arena));
+    let seq_ns = time(&mut || oracle::predict_ensemble(&e, &plans, &mut arena));
     let mut arena = InferenceArena::new();
     let fused_ns = time(&mut || fused.predict_plans_arena(&plans, &mut arena));
     eprintln!(

@@ -8,7 +8,7 @@
 //! searches hand their scorer (single-query LocalSearch, BeamSearch and
 //! SimulatedAnnealing, joint LocalSearch, replan) and a batch of one graph
 //! repeated, and hold the slot-scheduled pass bitwise equal to
-//! `Ensemble::predict_plans_arena` on every one of them — per batch, and
+//! the sequential oracle (`costream::oracle`) on every one of them — per batch, and
 //! through one search memo across all of a search's batches, including
 //! with every fingerprint colliding and with a slot cap the search
 //! overruns — for both message-passing schemes and all three
@@ -17,7 +17,7 @@
 use costream::model::INFERENCE_CHUNK;
 use costream::plan::SlotStats;
 use costream::prelude::*;
-use costream::test_fixtures;
+use costream::{oracle, test_fixtures};
 use costream_nn::InferenceArena;
 use std::sync::{Mutex, OnceLock};
 
@@ -108,7 +108,7 @@ fn assert_bitwise_like_the_oracle(fx: &test_fixtures::Trio, graphs: &[JointGraph
         .collect();
     let bits = |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
     for e in [&fx.target, &fx.success, &fx.backpressure] {
-        let want = bits(e.predict_plans_arena(&plans, &mut InferenceArena::new()));
+        let want = bits(oracle::predict_ensemble(e, &plans, &mut InferenceArena::new()));
         let got = bits(e.fused().predict_plans_arena(&plans, &mut InferenceArena::new()));
         assert_eq!(got, want, "{ctx}: {:?}", e.metric);
     }
@@ -195,7 +195,7 @@ fn oracle_bits(fx: &test_fixtures::Trio, graphs: &[JointGraph]) -> Vec<[u64; 3]>
         .collect();
     let per: Vec<Vec<f64>> = [&fx.target, &fx.success, &fx.backpressure]
         .iter()
-        .map(|e| e.predict_plans_arena(&plans, &mut InferenceArena::new()))
+        .map(|e| oracle::predict_ensemble(e, &plans, &mut InferenceArena::new()))
         .collect();
     (0..graphs.len())
         .map(|i| [per[0][i].to_bits(), per[1][i].to_bits(), per[2][i].to_bits()])

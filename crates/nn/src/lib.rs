@@ -13,8 +13,8 @@
 //! * [`wave`] — those two steps, defined once for inference and training:
 //!   per-type encoding into the initial state, and one message-passing
 //!   wave;
-//! * [`inference::InferenceArena`] — the recycling buffer pool both
-//!   execution paths run on (see *Execution paths* below);
+//! * [`inference::InferenceArena`] — the recycling buffer pool every
+//!   execution path runs on (see *Execution paths* below);
 //! * [`layers::Mlp`] — per-node-type encoders, update networks and output
 //!   heads;
 //! * [`loss`] — MSLE (the paper's regression loss), BCE-with-logits (the
@@ -23,19 +23,20 @@
 //! * [`init::Initializer`] — deterministic seeded initialization, the basis
 //!   of the paper's seed-varied ensembles.
 //!
-//! # Execution paths: when to use the tape, when the arena alone
+//! # Execution paths: the tape, the stacked layers, the arena alone
 //!
 //! There is one definition of the GNN's arithmetic — [`wave::encode_scatter`],
 //! [`wave::wave_update`] and [`Mlp::forward_arena`], all running the fused
-//! affine kernel on arena buffers — and two ways to run it:
+//! affine kernel on arena buffers — and three ways to run it:
 //!
-//! 1. **Arena alone** (`Mlp::forward_inference`, the `wave` routines with
-//!    `saved: None`): forward only. Every intermediate goes back to the
-//!    [`InferenceArena`] the moment it is dead, nothing is recorded, and a
-//!    warm arena makes a pass allocation-free. Use it for *all* prediction
-//!    work: model evaluation, ensemble prediction, and the placement
-//!    optimizer's candidate scoring.
-//! 2. **Tape** ([`Tape`]): anything that needs gradients — training,
+//! 1. **Stacked** ([`fused::StackedMlp`]): forward only, k members wide.
+//!    All prediction work runs it: `costream-core`'s one fused pass, for
+//!    a single model (k = 1) as for an ensemble.
+//! 2. **Arena alone** (`Mlp::forward_inference`, the `wave` routines with
+//!    `saved: None`): forward only, node by node, every intermediate
+//!    recycled the moment it is dead. Its one user is `costream-core`'s
+//!    sequential test oracle, which the stacked path is held to.
+//! 3. **Tape** ([`Tape`]): anything that needs gradients — training,
 //!    fine-tuning, gradient checks. [`Tape::encode_scatter`] and
 //!    [`Tape::wave_update`] run the same `wave` routines with
 //!    `saved: Some(..)`, so the training forward is the inference forward
@@ -54,9 +55,9 @@
 //!    graphs and as the oracle the fused nodes are held to, bit for bit
 //!    (`tests/wave_parity.rs`).
 //!
-//! Because both run one routine, tape and arena outputs are bitwise equal
+//! Because all three run one arithmetic, their outputs are bitwise equal
 //! (`costream-core`'s `tests/fastpath.rs`), and models trained on the tape
-//! are served on the arena path without recalibration.
+//! are served on the stacked path without recalibration.
 //!
 //! Everything is deterministic given a seed and has no external
 //! dependencies beyond `rand` and `serde`.

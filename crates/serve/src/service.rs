@@ -924,8 +924,7 @@ fn score_batch(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], engine:
 /// One fused forward for a batch: a plan stitched from the shared
 /// fragment cache, looked up by the signatures the requests carry, then
 /// all ensemble members at once through the worker's scoring engine
-/// (bitwise identical to the sequential `Ensemble::predict_plans_arena` —
-/// see [`costream::fused`]).
+/// (bitwise identical to the sequential oracle — see [`costream::fused`]).
 fn score_graphs(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], engine: &mut ScoreEngine) -> Vec<f64> {
     let graphs: Vec<&JointGraph> = batch.iter().map(|r| r.graph.as_ref()).collect();
     let sigs: Vec<PlanSignature> = batch.iter().map(|r| r.sig).collect();

@@ -351,11 +351,6 @@ impl Gbdt {
             Objective::BinaryClassification => 1.0 / (1.0 + (-s).exp()),
         }
     }
-
-    /// Number of fitted trees.
-    pub fn n_trees(&self) -> usize {
-        self.trees.len()
-    }
 }
 
 #[cfg(test)]
@@ -520,7 +515,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(m.n_trees() > 0);
+        assert!(!m.trees.is_empty());
         assert!(m.predict(&xs[0]).is_finite());
     }
 }

@@ -62,14 +62,6 @@ pub struct MonitoringRun {
 }
 
 impl MonitoringRun {
-    /// Best latency reached over the whole run.
-    pub fn best_latency_ms(&self) -> f64 {
-        self.trajectory
-            .iter()
-            .map(|p| p.processing_latency_ms)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// First time at which the trajectory reaches `target_ms` (or slightly
     /// better); `None` when it never becomes competitive. This is the
     /// "monitoring overhead" axis of Fig. 10.
@@ -230,7 +222,12 @@ mod tests {
         let run = run_monitoring(&q, &c, &SimConfig::deterministic(), &MonitoringConfig::default(), 2);
         assert!(!run.trajectory.is_empty());
         assert_eq!(run.trajectory[0].elapsed_s, 0.0);
-        assert!(run.best_latency_ms().is_finite());
+        let best = run
+            .trajectory
+            .iter()
+            .map(|p| p.processing_latency_ms)
+            .fold(f64::INFINITY, f64::min);
+        assert!(best.is_finite());
         // Elapsed time is non-decreasing.
         for w in run.trajectory.windows(2) {
             assert!(w[1].elapsed_s >= w[0].elapsed_s);
@@ -246,7 +243,12 @@ mod tests {
             let q = g.query();
             let c = g.cluster(5);
             let run = run_monitoring(&q, &c, &SimConfig::deterministic(), &MonitoringConfig::default(), seed);
-            assert!(run.best_latency_ms() <= run.trajectory[0].processing_latency_ms + 1e-9);
+            let best = run
+                .trajectory
+                .iter()
+                .map(|p| p.processing_latency_ms)
+                .fold(f64::INFINITY, f64::min);
+            assert!(best <= run.trajectory[0].processing_latency_ms + 1e-9);
         }
     }
 

@@ -101,15 +101,26 @@ impl MispredictionDetector {
     /// drifting world moves the observed cost *away from it* in one
     /// direction or the other, and both directions mean the plan's
     /// premises no longer hold.
+    ///
+    /// A q-error is finite and at least 1. Any other `q` (NaN, 0, +∞)
+    /// never becomes the reference and counts as over threshold.
     pub fn observe(&mut self, q: f64) -> bool {
-        let reference = *self.reference.get_or_insert(q);
+        let valid = q.is_finite() && q >= 1.0;
+        let reference = if valid {
+            Some(*self.reference.get_or_insert(q))
+        } else {
+            self.reference
+        };
         if self.cooldown > 0 {
             self.cooldown -= 1;
             self.streak = 0;
             return false;
         }
-        let divergence = (q / reference).max(reference / q);
-        if divergence > self.q_threshold {
+        let over = match reference {
+            Some(r) if valid => (q / r).max(r / q) > self.q_threshold,
+            _ => true,
+        };
+        if over {
             self.streak += 1;
         } else {
             self.streak = 0;
@@ -124,11 +135,6 @@ impl MispredictionDetector {
         self.reference = None;
         self.streak = 0;
         self.cooldown = self.cooldown_epochs;
-    }
-
-    /// The calibrated reference q-error, if any epoch has been observed.
-    pub fn reference(&self) -> Option<f64> {
-        self.reference
     }
 }
 
@@ -466,7 +472,7 @@ mod tests {
         assert!(!d.observe(3.2)); // within 1.5x of reference
         assert!(!d.observe(5.0)); // first bad epoch — hysteresis holds
         assert!(d.observe(5.0)); // second bad epoch — fire
-        assert_eq!(d.reference(), Some(3.0));
+        assert_eq!(d.reference, Some(3.0));
     }
 
     #[test]
@@ -488,7 +494,7 @@ mod tests {
         // Cool-down: even large q-errors are ignored for two epochs, and
         // the first of them recalibrates the reference.
         assert!(!d.observe(10.0));
-        assert_eq!(d.reference(), Some(10.0));
+        assert_eq!(d.reference, Some(10.0));
         assert!(!d.observe(30.0));
         // Cooled down; 12 < 10 * 1.5, so still quiet...
         assert!(!d.observe(12.0));
@@ -508,10 +514,34 @@ mod tests {
     }
 
     #[test]
+    fn a_degenerate_q_never_calibrates_and_counts_as_over_threshold() {
+        // A NaN first q leaves the detector uncalibrated, not disarmed.
+        let mut d = MispredictionDetector::new(1.5, 2, 0);
+        assert!(!d.observe(f64::NAN));
+        assert!(!d.observe(2.0));
+        assert_eq!(d.reference, Some(2.0));
+        assert!(!d.observe(5.0));
+        assert!(d.observe(5.0));
+        // A 0 or +∞ first q is no reference to fire against forever.
+        for bad in [0.0, f64::INFINITY] {
+            let mut d = MispredictionDetector::new(1.5, 2, 0);
+            assert!(!d.observe(bad));
+            assert!(!d.observe(2.0));
+            assert!(!d.observe(2.0));
+            assert_eq!(d.reference, Some(2.0));
+        }
+        // A later NaN extends the streak instead of passing as healthy.
+        let mut d = MispredictionDetector::new(1.5, 2, 0);
+        assert!(!d.observe(2.0));
+        assert!(!d.observe(5.0));
+        assert!(d.observe(f64::NAN));
+    }
+
+    #[test]
     fn constant_q_error_never_fires() {
         // The no-drift shape: identical epochs, whatever the systematic
         // model-vs-simulator bias happens to be.
-        for bias in [0.5, 1.0, 7.0] {
+        for bias in [1.0, 2.5, 7.0] {
             let mut d = MispredictionDetector::new(1.2, 2, 1);
             for _ in 0..50 {
                 assert!(!d.observe(bias));

@@ -7,7 +7,7 @@
 //! test (§VII) and can be balanced by binary label for the classification
 //! evaluations.
 
-use crate::graph::{Featurization, GraphTemplate, JointGraph};
+use crate::graph::{Featurization, JointGraph};
 use costream_dsps::{simulate, CostMetric, CostMetrics, SimConfig};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::hardware::Cluster;
@@ -51,15 +51,6 @@ impl CorpusItem {
     /// of every `predict_items` path.
     pub fn featurize_all(items: &[&CorpusItem], featurization: Featurization) -> Vec<JointGraph> {
         items.iter().map(|i| i.graph(featurization)).collect()
-    }
-
-    /// Builds the placement-invariant featurization template for this
-    /// item's query and cluster: re-featurizing the item under many
-    /// alternative placements (what a placement search does) then only
-    /// patches the placement-dependent rows per candidate instead of
-    /// recomputing the operator features each time.
-    pub fn graph_template(&self, featurization: Featurization) -> GraphTemplate {
-        GraphTemplate::new(&self.query, &self.cluster, &self.est_sels, featurization)
     }
 
     /// Executes one workload on the simulator and records the trace.
@@ -166,20 +157,17 @@ impl Corpus {
         out
     }
 
-    /// Serializes the corpus to JSON.
+    /// Serializes the corpus to JSON — the stored form whose bytes
+    /// `tests/json_paths.rs` pins.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("corpus serializes")
-    }
-
-    /// Restores a corpus from JSON.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::GraphTemplate;
 
     fn small_corpus() -> Corpus {
         Corpus::generate(60, 11, FeatureRanges::training(), &SimConfig::default())
@@ -229,7 +217,7 @@ mod tests {
     fn json_roundtrip() {
         let c = Corpus::generate(5, 17, FeatureRanges::training(), &SimConfig::default());
         let json = c.to_json();
-        let back = Corpus::from_json(&json).expect("roundtrip");
+        let back: Corpus = serde_json::from_str(&json).expect("roundtrip");
         assert_eq!(back.len(), 5);
         // JSON float formatting may differ in the last ulp.
         let (a, b) = (back.items[2].metrics, c.items[2].metrics);
@@ -252,7 +240,7 @@ mod tests {
     fn graph_template_matches_direct_featurization() {
         let c = small_corpus();
         for item in c.items.iter().take(10) {
-            let template = item.graph_template(Featurization::Full);
+            let template = GraphTemplate::new(&item.query, &item.cluster, &item.est_sels, Featurization::Full);
             let direct = item.graph(Featurization::Full);
             let templated = template.instantiate(&item.placement);
             assert_eq!(templated.nodes.len(), direct.nodes.len());

@@ -82,11 +82,6 @@ impl Ensemble {
         }
     }
 
-    /// Number of ensemble members.
-    pub fn size(&self) -> usize {
-        self.members.len()
-    }
-
     /// The individual members.
     pub fn members(&self) -> &[TrainedModel] {
         &self.members
@@ -164,7 +159,7 @@ mod tests {
     fn ensemble_mean_matches_member_mean() {
         let corpus = Corpus::generate(80, 31, FeatureRanges::training(), &SimConfig::default());
         let e = Ensemble::train(&corpus, CostMetric::Throughput, &quick_cfg(), 3);
-        assert_eq!(e.size(), 3);
+        assert_eq!(e.members().len(), 3);
         let items: Vec<&CorpusItem> = corpus.items.iter().take(5).collect();
         let combined = e.predict_items(&items);
         let members: Vec<Vec<f64>> = e.members().iter().map(|m| m.predict_items(&items)).collect();

@@ -80,11 +80,6 @@ impl JointGraph {
         self.nodes.is_empty()
     }
 
-    /// Number of operator nodes (= number of query operators).
-    pub fn n_ops(&self) -> usize {
-        self.nodes.iter().filter(|n| n.node_type != NodeType::Host).count()
-    }
-
     /// Highest wave index plus one (the number of dataflow waves).
     pub fn n_waves(&self) -> usize {
         self.waves.iter().flatten().max().map_or(0, |w| w + 1)
@@ -164,11 +159,6 @@ impl GraphTemplate {
         }
     }
 
-    /// Number of operator nodes.
-    pub fn n_ops(&self) -> usize {
-        self.op_nodes.len()
-    }
-
     /// The featurization the template encodes.
     pub fn featurization(&self) -> Featurization {
         self.featurization
@@ -220,7 +210,8 @@ impl GraphTemplate {
     /// The per-host feature rows the template instantiates host nodes
     /// from (empty under [`Featurization::QueryOnly`]). A contention-aware
     /// scorer reads the uncontended row here and substitutes degraded
-    /// rows through [`GraphTemplate::patch_with_host_overrides`].
+    /// rows through [`GraphTemplate::patch_with_host_overrides`];
+    /// `JointScorer::host_rows` reads it for the contention tests.
     pub fn host_feature_rows(&self) -> &[Vec<f32>] {
         &self.host_feats
     }
@@ -332,8 +323,9 @@ mod tests {
     fn full_graph_has_op_and_host_nodes() {
         let (q, c, p, sels) = item(1);
         let g = JointGraph::build(&q, &c, &p, &sels, Featurization::Full);
-        assert_eq!(g.n_ops(), q.len());
-        assert_eq!(g.len() - g.n_ops(), p.hosts_used().len());
+        let n_ops = g.nodes.iter().filter(|n| n.node_type != NodeType::Host).count();
+        assert_eq!(n_ops, q.len());
+        assert_eq!(g.len() - n_ops, p.hosts_used().len());
         assert_eq!(g.placement_edges.len(), q.len());
         assert_eq!(g.dataflow_edges.len(), q.edges().len());
     }

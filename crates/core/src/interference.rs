@@ -199,7 +199,8 @@ impl InterferenceModel {
     }
 
     /// The fitted coefficient vector (bias, per-resource pressure terms,
-    /// shares, then the row-major class-pair table).
+    /// shares, then the row-major class-pair table) — what the fit-replay
+    /// tests compare bitwise.
     pub fn weights(&self) -> &[f64] {
         &self.weights
     }

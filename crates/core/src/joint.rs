@@ -154,21 +154,6 @@ impl<'a> JointScorer<'a> {
         }
     }
 
-    /// Number of queries per joint candidate.
-    pub fn n_queries(&self) -> usize {
-        self.templates.len()
-    }
-
-    /// The regression metric the per-query cost predictions refer to.
-    pub fn target_metric(&self) -> CostMetric {
-        self.scorer.target_metric()
-    }
-
-    /// True when the target metric is maximized (throughput).
-    pub fn maximize(&self) -> bool {
-        self.maximize
-    }
-
     /// The host feature rows of query `q` that joint placement `jp`
     /// degrades, as `(host, row)` overrides of the template's rows: CPU,
     /// RAM and bandwidth of every used host with external load scaled to

@@ -89,7 +89,7 @@ pub mod prelude {
     };
     pub use crate::model::{GnnModel, ModelConfig, Scheme};
     pub use crate::optimizer::{enumerate_candidates, OptimizationResult, PlacementOptimizer};
-    pub use crate::plan::{plan_signature, BatchPlan, CacheStats, PlanCache, PlanSignature};
+    pub use crate::plan::{plan_signature, BatchPlan, PlanCache, PlanSignature};
     pub use crate::qerror::{accuracy, q_error, QErrorSummary};
     pub use crate::search::{
         BeamSearch, EnsembleScorer, LocalSearch, PlacementScores, PlacementSearch, RandomEnumeration, ScoreMemo,

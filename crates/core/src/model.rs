@@ -182,11 +182,6 @@ impl GnnModel {
         &mut self.store
     }
 
-    /// Total number of trainable scalars.
-    pub fn parameter_count(&self) -> usize {
-        self.store.scalar_count()
-    }
-
     /// Per-type encoder MLPs, indexed like [`NodeType::ALL`] (exposed for
     /// stacked-weight views in [`crate::fused`]).
     pub(crate) fn encoders(&self) -> &[Mlp] {
@@ -225,16 +220,12 @@ impl GnnModel {
     /// recording), so per-minibatch tape construction copies neither —
     /// drop the tape before mutating either.
     ///
+    /// The tape draws its buffers from `arena`. A training loop passes the
+    /// arena the previous minibatch's tape returned ([`Tape::into_arena`]);
+    /// after the first minibatch nothing the tape holds is allocated again.
+    ///
     /// # Panics
     /// Panics when the plan was built for a different scheme.
-    pub fn forward_with_plan<'m>(&'m self, plan: &'m BatchPlan) -> (Tape<'m>, NodeId) {
-        self.forward_with_plan_in(plan, InferenceArena::new())
-    }
-
-    /// [`GnnModel::forward_with_plan`] on a tape that draws its buffers
-    /// from `arena`. A training loop passes the arena the previous
-    /// minibatch's tape returned ([`Tape::into_arena`]); after the first
-    /// minibatch nothing the tape holds is allocated again.
     pub fn forward_with_plan_in<'m>(&'m self, plan: &'m BatchPlan, arena: InferenceArena) -> (Tape<'m>, NodeId) {
         self.config.check_plan(plan);
         let mut tape = Tape::with_arena(arena);
@@ -279,10 +270,6 @@ impl WaveSpec for WavePlan {
 
     fn targets(&self) -> &[usize] {
         WavePlan::targets(self)
-    }
-
-    fn keep(&self) -> &[usize] {
-        WavePlan::keep(self)
     }
 
     fn groups(&self) -> usize {
@@ -405,7 +392,7 @@ mod tests {
         let mut wg = WorkloadGenerator::new(9, FeatureRanges::training());
         let q = wg.query();
         let c = wg.cluster(4);
-        let mut e = SelectivityEstimator::exact(1);
+        let mut e = SelectivityEstimator::new(1, 0.0);
         let sels = e.estimate_query(&q);
         let p1 = costream_query::placement::colocate_on_strongest(&q, &c);
         let p2 = costream_query::Placement::new(vec![0; q.len()]);
@@ -418,7 +405,9 @@ mod tests {
     #[test]
     fn parameter_count_is_substantial() {
         let model = GnnModel::new(ModelConfig::default());
-        assert!(model.parameter_count() > 10_000, "{}", model.parameter_count());
+        let store = model.store();
+        let scalars: usize = store.ids().map(|id| store.value(id).len()).sum();
+        assert!(scalars > 10_000, "{scalars}");
     }
 
     #[test]

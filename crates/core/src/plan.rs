@@ -2,7 +2,7 @@
 //!
 //! `GnnModel::forward` used to re-derive all gather/scatter bookkeeping —
 //! per-type encoder row groups, message-passing edge segments, the wave
-//! schedule, the keep-lists for untouched nodes and the readout segments —
+//! schedule and the readout segments —
 //! from the raw [`JointGraph`]s on *every* minibatch. That bookkeeping
 //! depends only on graph structure, not on model parameters, so it is
 //! identical across every epoch and every seed-varied ensemble member.
@@ -58,11 +58,10 @@
 //! A topology's lists all live in one buffer ([`TopoIndex`]) that its
 //! encoders and waves hold ranges of, so a build or a stitch allocates a
 //! handful of vectors, not a few per wave and node type: on the serving
-//! path allocation, not copying, is what a plan costs. A wave's keep-list
-//! (the nodes it leaves alone) is not built with the topology: every build lists a
-//! wave's targets in ascending order, so its only readers — the per-node
-//! passes of training and the sequential test oracle, never the fused
-//! pass — derive it on first use.
+//! path allocation, not copying, is what a plan costs. A wave keeps no
+//! list of the nodes it leaves alone: every build lists a wave's targets
+//! in ascending order, so the training backward, the one pass that
+//! carries those nodes' gradients row by row, walks the complement.
 //!
 //! # Hash-consed slot schedules
 //!
@@ -195,11 +194,6 @@ pub(crate) struct TypeGroup<'a> {
 pub(crate) struct WavePlan {
     index: Arc<TopoIndex>,
     at: WaveRanges,
-    /// Node count of the topology.
-    nodes: usize,
-    /// The nodes the wave does not update, derived on first use: the fused
-    /// pass never reads them, and they are most of a wave's entries.
-    keep: OnceLock<Vec<usize>>,
 }
 
 impl WavePlan {
@@ -217,18 +211,6 @@ impl WavePlan {
     /// Global node indices updated by this wave.
     pub fn targets(&self) -> &[usize] {
         &self.index.items[self.at.targets.clone()]
-    }
-
-    /// Global node indices *not* updated by this wave (carried forward).
-    pub fn keep(&self) -> &[usize] {
-        self.keep.get_or_init(|| {
-            // Every build lists a wave's targets in ascending order, so the
-            // rest of the nodes is one merge away.
-            let targets = self.targets();
-            debug_assert!(targets.is_sorted(), "wave targets ascend");
-            let mut next = targets.iter().copied().peekable();
-            (0..self.nodes).filter(|&g| next.next_if_eq(&g).is_none()).collect()
-        })
     }
 
     /// Number of type groups.
@@ -263,7 +245,6 @@ impl PartialEq for WavePlan {
         self.child_rows() == other.child_rows()
             && self.segs() == other.segs()
             && self.targets() == other.targets()
-            && self.keep() == other.keep()
             && self.groups().eq(other.groups())
     }
 }
@@ -380,8 +361,6 @@ impl TopoBuilder {
             .map(|at| WavePlan {
                 index: Arc::clone(&index),
                 at,
-                nodes: graph_of.len(),
-                keep: OnceLock::new(),
             })
             .collect();
         PlanTopology {
@@ -417,11 +396,6 @@ impl BatchPlan {
     /// True for an empty plan (never produced by [`BatchPlan::build`]).
     pub fn is_empty(&self) -> bool {
         self.topo.n_graphs == 0
-    }
-
-    /// Total node count across the batch.
-    pub fn total_nodes(&self) -> usize {
-        self.topo.total
     }
 
     /// Builds the plan for a batch of graphs under a message-passing
@@ -1008,7 +982,8 @@ pub struct SlotStats {
 }
 
 impl SlotStats {
-    /// Rows of the fused pass's state matrix: every distinct row once.
+    /// Rows of the fused pass's state matrix: every distinct row once —
+    /// the count the hash-consing tests compare across memos.
     pub fn slots(&self) -> usize {
         self.distinct_encoder_rows + self.distinct_wave_rows
     }
@@ -1585,38 +1560,6 @@ pub fn plan_signature(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds
     }
 }
 
-/// A snapshot of [`PlanCache`] effectiveness counters, exposed so cache
-/// *clients* — e.g. a placement optimizer scoring candidates through the
-/// serving layer — can assert cache behavior without reaching into the
-/// serving internals.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheStats {
-    /// Graphs whose topology fragment was served from the cache.
-    pub hits: u64,
-    /// Graphs whose topology fragment was built.
-    pub misses: u64,
-    /// Fragments (distinct graph shapes) currently cached.
-    pub len: usize,
-    /// Maximum number of cached fragments.
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Total lookups (graphs planned through the cache).
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-
-    /// Fraction of lookups served from the cache (0.0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups() == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups() as f64
-        }
-    }
-}
-
 struct CacheSlot {
     frag: Arc<Fragment>,
     last_used: u64,
@@ -1781,16 +1724,6 @@ impl PlanCache {
         BatchPlan::with_topology(topo, graphs)
     }
 
-    /// Snapshot of the cache's effectiveness counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            len: self.len(),
-            capacity: self.capacity,
-        }
-    }
-
     /// Graphs whose fragment was cached (or built earlier in their batch)
     /// so far.
     pub fn hits(&self) -> u64 {
@@ -1800,31 +1733,6 @@ impl PlanCache {
     /// Graphs whose fragment had to be built so far.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of lookups served from the cache (0.0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits() as f64, self.misses() as f64);
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
-    }
-
-    /// Number of cached fragments.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("plan cache lock").map.len()
-    }
-
-    /// True when nothing is cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Maximum number of cached fragments.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -1847,6 +1755,11 @@ mod tests {
         graphs_from(19, n, featurization)
     }
 
+    /// Fragments the cache holds.
+    fn cached(cache: &PlanCache) -> usize {
+        cache.inner.lock().expect("plan cache lock").map.len()
+    }
+
     fn graphs_from(seed: u64, n: usize, featurization: Featurization) -> Vec<JointGraph> {
         let mut g = WorkloadGenerator::new(seed, FeatureRanges::training());
         let mut e = SelectivityEstimator::realistic(seed + 1);
@@ -1865,7 +1778,7 @@ mod tests {
         let refs: Vec<&JointGraph> = gs.iter().collect();
         let plan = BatchPlan::build(&refs, Scheme::Costream, 0);
         let total: usize = gs.iter().map(|g| g.len()).sum();
-        assert_eq!(plan.total_nodes(), total);
+        assert_eq!(plan.topo.total, total);
         assert_eq!(plan.len(), 4);
         // Every node appears in exactly one encoder group, and the
         // stacked features match the routing lists row for row.
@@ -1890,15 +1803,11 @@ mod tests {
         assert!(!plan.topo.waves.is_empty());
         for wave in &plan.topo.waves {
             assert_eq!(wave.child_rows().len(), wave.segs().len());
-            // targets ∪ keep = all nodes, disjoint.
-            let mut marks = vec![0u8; plan.total_nodes()];
-            for &t in wave.targets() {
-                marks[t] += 1;
-            }
-            for &k in wave.keep() {
-                marks[k] += 1;
-            }
-            assert!(marks.iter().all(|&m| m == 1), "targets/keep must partition nodes");
+            // Targets ascend strictly within the batch, so every other
+            // node is the carried rest the backward pass merge-walks.
+            let targets = wave.targets();
+            assert!(targets.windows(2).all(|p| p[0] < p[1]), "targets must ascend strictly");
+            assert!(targets.iter().all(|&t| t < plan.topo.total));
             // Groups partition the target rows.
             let group_rows: usize = wave.groups().map(|g| g.rows.len()).sum();
             assert_eq!(group_rows, wave.targets().len());
@@ -1924,8 +1833,7 @@ mod tests {
         let refs: Vec<&JointGraph> = gs.iter().collect();
         let plan = BatchPlan::build(&refs, Scheme::Traditional, 3);
         assert_eq!(plan.topo.waves.len(), 3);
-        assert_eq!(plan.topo.waves[0].targets().len(), plan.total_nodes());
-        assert!(plan.topo.waves[0].keep().is_empty());
+        assert_eq!(plan.topo.waves[0].targets().len(), plan.topo.total);
     }
 
     #[test]
@@ -1981,8 +1889,7 @@ mod tests {
         let b = cache.get_or_build(&refs, Scheme::Costream, 0);
         assert_eq!((cache.hits(), cache.misses()), (2, 2));
         assert_eq!(a.topo, b.topo);
-        assert_eq!(cache.len(), 2);
-        assert!((cache.hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(cached(&cache), 2);
         // A one-graph batch runs its fragment's topology itself.
         let c = cache.get_or_build(&refs[..1], Scheme::Costream, 0);
         let d = cache.get_or_build(&refs[..1], Scheme::Costream, 0);
@@ -2011,7 +1918,7 @@ mod tests {
         cache.get_or_build(&b, Scheme::Costream, 0); // miss: {a, b}
         cache.get_or_build(&a, Scheme::Costream, 0); // hit, a freshened
         cache.get_or_build(&c, Scheme::Costream, 0); // miss: evicts b (LRU)
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cached(&cache), 2);
         assert_eq!((cache.hits(), cache.misses()), (1, 3));
         cache.get_or_build(&b, Scheme::Costream, 0); // b was evicted: miss (evicts a, now LRU)
         assert_eq!((cache.hits(), cache.misses()), (1, 4));
@@ -2053,7 +1960,7 @@ mod tests {
         assert_eq!(*plan.topo, built(&batch));
         // The repeat of gs[0] finds the fragment built earlier in its batch.
         assert_eq!((cache.hits(), cache.misses()), (1, 3));
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cached(&cache), 1);
         let plan = cache.get_or_build(&[&gs[1]], Scheme::Costream, 0);
         assert_eq!(*plan.topo, built(&[&gs[1]]));
         assert_eq!(
@@ -2096,7 +2003,7 @@ mod tests {
             let plan = std::panic::catch_unwind(std::panic::AssertUnwindSafe(build));
             assert!(plan.is_err(), "a malformed graph must not reach a stitched plan");
         }
-        assert_eq!(cache.len(), 0, "a batch that failed inserts nothing");
+        assert_eq!(cached(&cache), 0, "a batch that failed inserts nothing");
     }
 
     fn plan_of(gs: &[JointGraph], scheme: Scheme) -> BatchPlan {
@@ -2161,11 +2068,15 @@ mod tests {
         for (i, node) in gs.iter_mut().flat_map(|g| &mut g.nodes).enumerate() {
             node.features[0] = i as f32;
         }
-        let ops: usize = gs.iter().map(JointGraph::n_ops).sum();
+        let ops = gs
+            .iter()
+            .flat_map(|g| &g.nodes)
+            .filter(|n| n.node_type != NodeType::Host)
+            .count();
         for scheme in [Scheme::Costream, Scheme::Traditional] {
             let plan = plan_of(&gs, scheme);
             let stats = plan.hash_cons();
-            assert_eq!(stats.distinct_encoder_rows, plan.total_nodes(), "no row repeats");
+            assert_eq!(stats.distinct_encoder_rows, plan.topo.total, "no row repeats");
             let targets: usize = plan.topo.waves.iter().map(|w| w.targets().len()).sum();
             assert_eq!(stats.wave_rows, targets);
             // Every node of a Traditional round has a neighbour that reads
@@ -2175,7 +2086,7 @@ mod tests {
             let dead = if scheme == Scheme::Costream { ops } else { 0 };
             assert_eq!(stats.live_wave_rows, targets - dead, "{scheme:?}");
             assert_eq!(stats.distinct_wave_rows, stats.live_wave_rows, "{scheme:?}");
-            assert_eq!(stats.slots(), plan.total_nodes() + stats.live_wave_rows, "{scheme:?}");
+            assert_eq!(stats.slots(), plan.topo.total + stats.live_wave_rows, "{scheme:?}");
         }
     }
 
@@ -2197,7 +2108,6 @@ mod tests {
         targets: Vec<usize>,
         /// `(type index, rows, globals, is_identity)` per type group.
         groups: Vec<(usize, Vec<usize>, Vec<usize>, bool)>,
-        keep: Vec<usize>,
     }
 
     impl PlanTopology {
@@ -2217,7 +2127,6 @@ mod tests {
                             .groups()
                             .map(|g| (g.type_index, g.rows.to_vec(), g.globals.to_vec(), g.is_identity))
                             .collect(),
-                        keep: w.keep().to_vec(),
                     })
                     .collect(),
                 graph_of: self.graph_of.clone(),
@@ -2365,13 +2274,11 @@ mod tests {
             let is_identity = rows.len() == targets.len();
             groups.push((ti, rows, globals, is_identity));
         }
-        let keep: Vec<usize> = (0..total).filter(|&g| pos_of[g] == usize::MAX).collect();
         WaveLists {
             child_rows,
             segs,
             targets,
             groups,
-            keep,
         }
     }
 
@@ -2386,7 +2293,6 @@ mod tests {
             prop_assert_eq!(&a.segs, &b.segs, "wave {} segs", w);
             prop_assert_eq!(&a.targets, &b.targets, "wave {} targets", w);
             prop_assert_eq!(&a.groups, &b.groups, "wave {} groups", w);
-            prop_assert_eq!(&a.keep, &b.keep, "wave {} keep", w);
         }
         prop_assert_eq!(&got.graph_of, &want.graph_of);
         prop_assert!(got == want, "some other field differs");

@@ -284,11 +284,6 @@ impl<'a> EnsembleScorer<'a> {
         }
     }
 
-    /// The target ensemble (exposed for featurization queries).
-    pub fn target(&self) -> &Ensemble {
-        self.trio[0]
-    }
-
     /// Per pooled engine: the arena's pooled floats, then the size of
     /// every buffer a memo recycles (test instrumentation).
     #[cfg(test)]

@@ -6,7 +6,7 @@ use crate::fused::FusedEnsemble;
 use crate::graph::{Featurization, JointGraph};
 use crate::model::{GnnModel, ModelConfig};
 use crate::plan::BatchPlan;
-use crate::qerror::{accuracy, QErrorSummary};
+use crate::qerror::QErrorSummary;
 use costream_dsps::CostMetric;
 use costream_nn::loss::{bce_with_logits, bce_with_logits_into, mse, mse_into};
 use costream_nn::optim::{clip_scale, Adam};
@@ -145,25 +145,6 @@ impl TrainedModel {
             .collect();
         QErrorSummary::of(&pairs)
     }
-
-    /// Accuracy over a balanced subset of a corpus.
-    ///
-    /// # Panics
-    /// Panics for regression metrics.
-    pub fn evaluate_classification(&self, corpus: &Corpus, balance_seed: u64) -> f64 {
-        assert!(!self.metric.is_regression());
-        let items = corpus.balanced(self.metric, balance_seed);
-        if items.is_empty() {
-            return 1.0; // degenerate: only one class present
-        }
-        let preds = self.predict_items(&items);
-        let pairs: Vec<(bool, bool)> = items
-            .iter()
-            .zip(&preds)
-            .map(|(i, &p)| (i.metrics.get(self.metric) > 0.5, p > 0.5))
-            .collect();
-        accuracy(&pairs)
-    }
 }
 
 fn training_view(corpus: &Corpus, metric: CostMetric) -> Vec<&CorpusItem> {
@@ -174,20 +155,34 @@ fn training_view(corpus: &Corpus, metric: CostMetric) -> Vec<&CorpusItem> {
     }
 }
 
-/// Standardized training targets: `log1p` + z-scoring for regression
-/// metrics, raw {0,1} for classification.
-fn prepare_targets(items: &[&CorpusItem], metric: CostMetric) -> (Vec<f32>, f32, f32) {
-    if !metric.is_regression() {
-        return (items.iter().map(|i| i.metrics.get(metric) as f32).collect(), 0.0, 1.0);
-    }
-    let logs: Vec<f32> = items
+/// Training targets of `items` for `metric`: the {0, 1} label of a
+/// classification metric, and for a regression metric the cost's `log1p`
+/// in f32, z-scored by `(mean, std)` — `(0.0, 1.0)` leaves it unscaled.
+fn standardized_targets(items: &[&CorpusItem], metric: CostMetric, (mean, std): (f32, f32)) -> Vec<f32> {
+    items
         .iter()
-        .map(|i| (1.0 + i.metrics.get(metric).max(0.0)).ln() as f32)
-        .collect();
+        .map(|i| {
+            let c = i.metrics.get(metric);
+            if metric.is_regression() {
+                ((1.0 + c.max(0.0)).ln() as f32 - mean) / std
+            } else {
+                c as f32
+            }
+        })
+        .collect()
+}
+
+/// Training targets and the `(mean, std)` a regression metric's targets
+/// are standardized by (`(0.0, 1.0)` for classification).
+fn prepare_targets(items: &[&CorpusItem], metric: CostMetric) -> (Vec<f32>, f32, f32) {
+    let logs = standardized_targets(items, metric, (0.0, 1.0));
+    if !metric.is_regression() {
+        return (logs, 0.0, 1.0);
+    }
     let mean = logs.iter().sum::<f32>() / logs.len() as f32;
     let var = logs.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / logs.len() as f32;
     let std = var.sqrt().max(1e-3);
-    (logs.iter().map(|v| (v - mean) / std).collect(), mean, std)
+    (standardized_targets(items, metric, (mean, std)), mean, std)
 }
 
 /// Oversamples the minority class to a balanced index multiset — corpora
@@ -309,14 +304,7 @@ pub fn fine_tune(model: &mut TrainedModel, extra: &Corpus, epochs: usize, lr: f3
     }
     let graphs: Vec<JointGraph> = items.iter().map(|i| i.graph(model.featurization)).collect();
     let metric = model.metric;
-    let targets: Vec<f32> = if metric.is_regression() {
-        items
-            .iter()
-            .map(|i| (((1.0 + i.metrics.get(metric).max(0.0)).ln() as f32) - model.target_mean) / model.target_std)
-            .collect()
-    } else {
-        items.iter().map(|i| i.metrics.get(metric) as f32).collect()
-    };
+    let targets = standardized_targets(&items, metric, (model.target_mean, model.target_std));
     let order: Vec<usize> = (0..graphs.len()).collect();
     let batches = lower_batches(&graphs, &targets, &order, cfg.batch_size, model.model.config());
     model.fused = OnceLock::new();
@@ -392,9 +380,9 @@ impl Trainer {
     }
 }
 
-/// Mean training loss of a model over a corpus — used by tests and for
-/// monitoring convergence. Regression losses are computed in the model's
-/// standardized log-target space.
+/// Mean training loss of a model over a corpus, for monitoring
+/// convergence (the training and fine-tuning tests read it). Regression
+/// losses are computed in the model's standardized log-target space.
 pub fn mean_loss(model: &TrainedModel, corpus: &Corpus) -> f32 {
     let items = training_view(corpus, model.metric);
     let graphs = CorpusItem::featurize_all(&items, model.featurization);
@@ -404,16 +392,10 @@ pub fn mean_loss(model: &TrainedModel, corpus: &Corpus) -> f32 {
     }
     let raw = model.fused().raw_graphs(&refs);
     let pred = Tensor::from_vec(raw.len(), 1, raw);
+    let targets = standardized_targets(&items, model.metric, (model.target_mean, model.target_std));
     if model.metric.is_regression() {
-        let targets: Vec<f32> = items
-            .iter()
-            .map(|i| {
-                (((1.0 + i.metrics.get(model.metric).max(0.0)).ln() as f32) - model.target_mean) / model.target_std
-            })
-            .collect();
         mse(&pred, &targets).loss
     } else {
-        let targets: Vec<f32> = items.iter().map(|i| i.metrics.get(model.metric) as f32).collect();
         bce_with_logits(&pred, &targets).loss
     }
 }
@@ -421,6 +403,7 @@ pub fn mean_loss(model: &TrainedModel, corpus: &Corpus) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::qerror::accuracy;
     use costream_dsps::SimConfig;
     use costream_query::ranges::FeatureRanges;
 
@@ -456,7 +439,14 @@ mod tests {
     fn classification_training_beats_chance_on_train_set() {
         let corpus = Corpus::generate(200, 22, FeatureRanges::training(), &SimConfig::default());
         let model = train_metric(&corpus, CostMetric::Success, &quick_cfg());
-        let acc = model.evaluate_classification(&corpus, 3);
+        let items = corpus.balanced(CostMetric::Success, 3);
+        let preds = model.predict_items(&items);
+        let pairs: Vec<(bool, bool)> = items
+            .iter()
+            .zip(&preds)
+            .map(|(i, &p)| (i.metrics.get(CostMetric::Success) > 0.5, p > 0.5))
+            .collect();
+        let acc = accuracy(&pairs);
         assert!(acc > 0.6, "accuracy {acc}");
     }
 

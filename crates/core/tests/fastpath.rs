@@ -1,6 +1,6 @@
 //! Golden-equivalence tests for the inference pass.
 //!
-//! The tape-recording `forward_with_plan` is the training forward. The
+//! The tape-recording `forward_with_plan_in` is the training forward. The
 //! sequential oracle (`costream::oracle`) runs the same wave routines node
 //! by node without retaining activations, so the two agree bit for bit.
 //! The one production pass — here a trained model's one-member fused view
@@ -76,7 +76,7 @@ fn oracle_matches_tape_forward() {
             let model = GnnModel::new(ModelConfig::default().with_seed(seed).with_scheme(scheme));
 
             let plan = model.plan(&refs);
-            let (tape, out) = model.forward_with_plan(&plan);
+            let (tape, out) = model.forward_with_plan_in(&plan, InferenceArena::new());
             let golden = tape.value(out).data().to_vec();
 
             let mut arena = InferenceArena::new();
@@ -95,7 +95,7 @@ fn oracle_matches_tape_without_hosts() {
     let refs: Vec<&JointGraph> = gs.iter().collect();
     let model = GnnModel::new(ModelConfig::default());
     let plan = model.plan(&refs);
-    let (tape, out) = model.forward_with_plan(&plan);
+    let (tape, out) = model.forward_with_plan_in(&plan, InferenceArena::new());
     let golden = tape.value(out).data().to_vec();
     let mut arena = InferenceArena::new();
     let fast = oracle::forward(&model, &plan, &mut arena);
@@ -112,7 +112,7 @@ fn chunked_raw_graphs_match_tape() {
     let model = trained(CostMetric::ProcessingLatency, Scheme::Costream, Featurization::Full);
     let fast = model.fused().raw_graphs(&refs);
     let plan = model.model().plan(&refs);
-    let (tape, out) = model.model().forward_with_plan(&plan);
+    let (tape, out) = model.model().forward_with_plan_in(&plan, InferenceArena::new());
     let golden = tape.value(out).data().to_vec();
     // Chunking changes batch composition, not per-graph results: readout
     // sums are per graph, so outputs must agree graph by graph.
@@ -223,7 +223,7 @@ fn one_plan_serves_all_ensemble_members() {
     let mut arena = InferenceArena::new();
     for m in &members {
         let fast = oracle::forward(m, &plan, &mut arena);
-        let (tape, out) = m.forward_with_plan(&plan);
+        let (tape, out) = m.forward_with_plan_in(&plan, InferenceArena::new());
         assert_bitwise(tape.value(out).data(), &fast, "shared plan");
     }
 }

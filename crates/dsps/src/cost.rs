@@ -160,12 +160,6 @@ impl ExecutionProfile {
         base * (0.5 + 0.5 * overlap)
     }
 
-    /// Maximum service rate (tuples/s) of an operator given `cores`
-    /// reference cores, before GC slowdown.
-    pub fn max_service_rate(&self, op: OpId, cores: f64) -> f64 {
-        cores * 1000.0 / self.service_cost_ms[op].max(1e-6)
-    }
-
     /// Total window state bytes of an operator at its nominal rates.
     pub fn state_bytes(&self, op: OpId) -> f64 {
         self.window_state_tuples[op] * self.state_tuple_bytes[op]
@@ -297,13 +291,5 @@ mod tests {
         let lo = ExecutionProfile::live_tuples(&w, 100.0);
         let hi = ExecutionProfile::live_tuples(&w, 10_000.0);
         assert!(hi > 50.0 * lo);
-    }
-
-    #[test]
-    fn max_service_rate_scales_with_cores() {
-        let mut g = WorkloadGenerator::new(2, FeatureRanges::training());
-        let q = g.query();
-        let p = ExecutionProfile::of(&q);
-        assert!((p.max_service_rate(0, 2.0) - 2.0 * p.max_service_rate(0, 1.0)).abs() < 1e-6);
     }
 }

@@ -62,7 +62,8 @@ impl Ord for Event {
 
 /// Runs a per-tuple simulation of a *linear* query (sources, filters,
 /// sink only) for `duration_s` seconds with `warmup_s` excluded from the
-/// measurements.
+/// measurements — the independent witness this module's tests
+/// cross-validate the fluid engine against.
 ///
 /// # Panics
 /// Panics if the query contains windowed operators (out of scope) or the

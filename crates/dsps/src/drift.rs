@@ -168,24 +168,6 @@ impl DriftScenario {
         DriftScenario { events }
     }
 
-    /// A preemption schedule for a set of spot/preemptible hosts (the
-    /// `spot_hosts` flags of a generated wide-cluster scenario): each
-    /// flagged host is lost at a deterministic pseudo-random time in
-    /// `[0.2, 0.9] * horizon_s`. Reuses the existing `HostLoss` machinery,
-    /// so everything downstream — degraded simulation, dead-host
-    /// detection, replanning — works unchanged.
-    pub fn spot_preemptions(spot_hosts: &[HostId], horizon_s: f64, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5B07_9CEE_D41F_2A68);
-        let events = spot_hosts
-            .iter()
-            .map(|&host| DriftEvent::HostLoss {
-                host,
-                at_s: horizon_s * rng.gen_range(0.2..0.9),
-            })
-            .collect();
-        DriftScenario { events }
-    }
-
     /// The combined rate factor of source `source` at time `t` (seconds).
     /// `1.0` when no event applies.
     pub fn rate_factor(&self, source: OpId, t: f64) -> f64 {
@@ -390,31 +372,6 @@ mod tests {
         assert_eq!(s.rate_factor(0, 30.0), 3.0);
         assert_eq!(s.rate_factor(0, 1e6), 3.0);
         assert_eq!(s.rate_factor(1, 1e6), 1.0, "other sources unaffected");
-    }
-
-    #[test]
-    fn spot_preemptions_cover_flagged_hosts() {
-        let spots = [3usize, 17, 42];
-        let s = DriftScenario::spot_preemptions(&spots, 600.0, 9);
-        assert_eq!(s.events.len(), spots.len());
-        for (e, &want) in s.events.iter().zip(&spots) {
-            match *e {
-                DriftEvent::HostLoss { host, at_s } => {
-                    assert_eq!(host, want);
-                    assert!(
-                        (120.0..540.0).contains(&at_s),
-                        "onset {at_s} outside [0.2, 0.9] * horizon"
-                    );
-                }
-                other => panic!("expected HostLoss, got {other:?}"),
-            }
-        }
-        // Deterministic per seed; each flagged host eventually dies.
-        assert_eq!(s, DriftScenario::spot_preemptions(&spots, 600.0, 9));
-        for &h in &spots {
-            assert!(!s.host_alive(h, 600.0));
-        }
-        assert!(s.host_alive(0, 600.0));
     }
 
     #[test]

@@ -92,9 +92,6 @@ impl CostMetric {
         CostMetric::ProcessingLatency,
     ];
 
-    /// The classification metrics (accuracy evaluated).
-    pub const CLASSIFICATION: [CostMetric; 2] = [CostMetric::Backpressure, CostMetric::Success];
-
     /// True for T/Lp/Le.
     pub fn is_regression(self) -> bool {
         matches!(
@@ -147,7 +144,10 @@ mod tests {
     fn metric_classes_partition_all() {
         for m in CostMetric::ALL {
             assert_eq!(m.is_regression(), CostMetric::REGRESSION.contains(&m));
-            assert_eq!(!m.is_regression(), CostMetric::CLASSIFICATION.contains(&m));
+            assert_eq!(
+                !m.is_regression(),
+                matches!(m, CostMetric::Backpressure | CostMetric::Success)
+            );
         }
     }
 }

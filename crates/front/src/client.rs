@@ -111,7 +111,8 @@ impl FrontClient {
         self.recv()
     }
 
-    /// Liveness/metadata probe.
+    /// Liveness/metadata probe (the ordering tests' idle-connection
+    /// check).
     ///
     /// # Errors
     /// See [`FrontClient::call`].

@@ -196,11 +196,6 @@ impl FrontStats {
     pub fn worker_respawns(&self) -> u64 {
         self.shards.iter().map(|s| s.worker_respawns).sum()
     }
-
-    /// Completed requests summed over all shards.
-    pub fn completed(&self) -> u64 {
-        self.shards.iter().map(|s| s.completed).sum()
-    }
 }
 
 /// What [`Frontend::shutdown`] achieved.
@@ -281,7 +276,8 @@ impl Frontend {
     }
 
     /// Hot-swaps the served model on **every** shard (see
-    /// [`ScoringService::swap_model`]). All shards serve clones of the
+    /// [`ScoringService::swap_model`], the one model-update path, which
+    /// only the hot-swap tests call). All shards serve clones of the
     /// same ensemble, so compatibility is uniform: either every shard
     /// accepts the replacement or none does.
     ///

@@ -137,7 +137,8 @@ pub enum Response {
 }
 
 impl Response {
-    /// The echoed request id, when the response carries one.
+    /// The echoed request id, when the response carries one — how a
+    /// pipelining client matches answers to requests (`tests/ordering.rs`).
     pub fn id(&self) -> Option<u64> {
         match self {
             Response::Scored { id, .. } | Response::Loaded { id, .. } | Response::Pong { id, .. } => Some(*id),
@@ -222,7 +223,9 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Reads one frame. `Ok(None)` is clean EOF at a frame boundary;
+/// Reads one frame: the format's unbuffered reference decoder, which the
+/// wire property tests pin and the connections' buffered reader matches.
+/// `Ok(None)` is clean EOF at a frame boundary;
 /// EOF anywhere inside a frame is [`FrameError::Truncated`]. A header
 /// declaring more than `max_payload` bytes fails [`FrameError::Oversized`]
 /// *without* consuming the payload.

@@ -93,7 +93,10 @@ fn wire_scores_are_bitwise_identical_to_direct_prediction() {
     }
 
     let stats = front.stats();
-    assert_eq!(stats.completed(), 2 * graphs.len() as u64);
+    assert_eq!(
+        stats.shards.iter().map(|s| s.completed).sum::<u64>(),
+        2 * graphs.len() as u64
+    );
     // Signature sharding: with two shards and 24 distinct shapes, both
     // shards should see traffic (the hash would have to collapse every
     // signature onto one shard otherwise).
@@ -152,7 +155,10 @@ fn hot_swap_under_concurrent_wire_load_is_versioned_and_lossless() {
     });
 
     let stats = front.stats();
-    assert_eq!(stats.completed(), (n_clients * rounds * graphs.len()) as u64);
+    assert_eq!(
+        stats.shards.iter().map(|s| s.completed).sum::<u64>(),
+        (n_clients * rounds * graphs.len()) as u64
+    );
     for shard in &stats.shards {
         assert_eq!(shard.failed, 0);
         assert_eq!(shard.swaps, 1);

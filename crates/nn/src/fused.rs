@@ -110,11 +110,6 @@ impl StackedLinear {
         self.k
     }
 
-    /// Per-member input width.
-    pub fn in_w(&self) -> usize {
-        self.in_w
-    }
-
     /// Per-member output width.
     pub fn out_w(&self) -> usize {
         self.out_w

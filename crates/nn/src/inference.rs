@@ -71,13 +71,15 @@ impl InferenceArena {
         Self::default()
     }
 
-    /// Number of buffers currently pooled (diagnostics/tests).
+    /// Number of buffers currently pooled — what the allocation audits
+    /// (`train_alloc.rs`) hold steady across steps.
     pub fn pooled(&self) -> usize {
         self.bins.iter().map(Vec::len).sum()
     }
 
     /// Total `f32` capacity currently held by pooled buffers — the
-    /// arena's steady-state memory footprint (serving-layer metrics).
+    /// arena's steady-state memory footprint, which the allocation audits
+    /// hold steady.
     pub fn pooled_floats(&self) -> usize {
         self.bins.iter().flatten().map(Vec::capacity).sum()
     }

@@ -21,14 +21,6 @@ impl Initializer {
         }
     }
 
-    /// Xavier/Glorot uniform initialization for a `rows x cols` weight
-    /// matrix: U(-a, a) with `a = sqrt(6 / (rows + cols))`.
-    pub fn xavier(&mut self, rows: usize, cols: usize) -> Tensor {
-        let a = (6.0 / (rows + cols) as f32).sqrt();
-        let data = (0..rows * cols).map(|_| self.rng.gen_range(-a..a)).collect();
-        Tensor::from_vec(rows, cols, data)
-    }
-
     /// He/Kaiming uniform initialization, suited to ReLU activations.
     pub fn kaiming(&mut self, rows: usize, cols: usize) -> Tensor {
         let a = (6.0 / rows as f32).sqrt();
@@ -40,11 +32,6 @@ impl Initializer {
     pub fn zeros(&mut self, rows: usize, cols: usize) -> Tensor {
         Tensor::zeros(rows, cols)
     }
-
-    /// Uniform sample in `[lo, hi)`, exposed for tests and data pipelines.
-    pub fn uniform(&mut self, lo: f32, hi: f32) -> f32 {
-        self.rng.gen_range(lo..hi)
-    }
 }
 
 #[cfg(test)]
@@ -53,22 +40,15 @@ mod tests {
 
     #[test]
     fn seeding_is_deterministic() {
-        let a = Initializer::new(7).xavier(4, 5);
-        let b = Initializer::new(7).xavier(4, 5);
+        let a = Initializer::new(7).kaiming(4, 5);
+        let b = Initializer::new(7).kaiming(4, 5);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = Initializer::new(1).xavier(4, 5);
-        let b = Initializer::new(2).xavier(4, 5);
+        let a = Initializer::new(1).kaiming(4, 5);
+        let b = Initializer::new(2).kaiming(4, 5);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn xavier_within_bound() {
-        let t = Initializer::new(3).xavier(10, 10);
-        let a = (6.0f32 / 20.0).sqrt();
-        assert!(t.data().iter().all(|v| v.abs() <= a));
     }
 }

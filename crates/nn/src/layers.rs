@@ -184,7 +184,8 @@ mod tests {
         assert_eq!(m.out_dim(), 2);
         // 3 layers => 3 weights + 3 biases
         assert_eq!(store.len(), 6);
-        assert_eq!(store.scalar_count(), 6 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2);
+        let scalars: usize = store.ids().map(|id| store.value(id).len()).sum();
+        assert_eq!(scalars, 6 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2);
         let mut tape = Tape::new();
         let x = tape.input(Tensor::zeros(1, 6));
         let y = m.forward(&mut tape, &store, x);

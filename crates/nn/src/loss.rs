@@ -8,9 +8,9 @@
 //! latencies) with the *Mean Squared Logarithmic Error* because their value
 //! ranges span several orders of magnitude (§IV-A). We follow the standard
 //! stable parameterization: the network predicts in `log1p` space and
-//! [`msle`] applies plain MSE there, so
+//! training applies plain [`mse`] there, so
 //! `loss = mean((log1p(y) - z)^2)` with `z` the raw network output. The
-//! prediction in original units is `expm1(z)`.
+//! prediction in original units is `expm1(z)` ([`msle_inverse`]).
 
 use crate::tensor::Tensor;
 
@@ -48,14 +48,6 @@ pub fn mse_into(pred: &Tensor, targets: &[f32], mut seed: Tensor) -> LossOutput 
         seed.set(i, 0, 2.0 * d / n);
     }
     LossOutput { loss, seed }
-}
-
-/// Mean squared logarithmic error; `pred` is interpreted as `log1p(ŷ)` and
-/// `targets` are raw (non-negative) cost values.
-pub fn msle(pred: &Tensor, targets: &[f32]) -> LossOutput {
-    check(pred, targets);
-    let log_targets: Vec<f32> = targets.iter().map(|&y| (1.0 + y.max(0.0)).ln()).collect();
-    mse(pred, &log_targets)
 }
 
 /// Converts a `log1p`-space prediction back into original units, clamped to
@@ -113,17 +105,6 @@ mod tests {
         let out = mse(&pred, &[1.0]);
         assert!(out.seed.get(0, 0) > 0.0, "over-prediction must push down");
         assert!((out.loss - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn msle_matches_paper_definition() {
-        // loss = mean((ln(1+y) - ln(1+ŷ))^2) when pred = ln(1+ŷ)
-        let y_hat = 99.0f32;
-        let y = 9.0f32;
-        let pred = Tensor::from_vec(1, 1, vec![(1.0 + y_hat).ln()]);
-        let out = msle(&pred, &[y]);
-        let expect = ((1.0f32 + y).ln() - (1.0f32 + y_hat).ln()).powi(2);
-        assert!((out.loss - expect).abs() < 1e-5);
     }
 
     #[test]

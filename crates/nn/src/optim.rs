@@ -1,48 +1,12 @@
-//! Gradient-descent optimizers over a [`ParamStore`] + [`Gradients`] pair.
+//! The Adam optimizer over a [`ParamStore`] + [`Gradients`] pair.
 //!
-//! Both optimizers run **fused** update loops: moment update and parameter
+//! It runs a **fused** update loop: moment update and parameter
 //! write happen in one pass over each tensor, reading gradients directly
 //! from the preallocated [`Gradients`] buffers — no per-step tensor clones
 //! anywhere on the training hot path.
 
 use crate::tape::{Gradients, ParamStore};
 use crate::tensor::Tensor;
-
-/// Plain stochastic gradient descent with optional momentum.
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-    velocity: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// Applies one update step from the gradients in `grads`. Velocity
-    /// update and parameter write are fused into a single pass.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        if self.velocity.len() != store.len() {
-            self.velocity = zeros_like(store);
-        }
-        let (lr, momentum) = (self.lr, self.momentum);
-        for (slot, id) in store.ids().enumerate() {
-            let g = grads.grad(id);
-            let v = &mut self.velocity[slot];
-            let p = store.value_mut(id);
-            for ((pv, vv), gv) in p.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                *vv = momentum * *vv + gv;
-                *pv -= lr * *vv;
-            }
-        }
-    }
-}
 
 /// Adam optimizer (Kingma & Ba). Global-norm gradient clipping folds into
 /// the update pass: [`clip_scale`] computes the factor and
@@ -69,17 +33,6 @@ impl Adam {
             m: Vec::new(),
             v: Vec::new(),
         }
-    }
-
-    /// Replaces the learning rate (used by fine-tuning, which continues
-    /// training at a reduced rate).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
     }
 
     /// Applies one Adam step from the gradients in `grads`.
@@ -179,26 +132,10 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_linear_fit() {
-        let mut opt = Sgd::new(0.05, 0.9);
-        let loss = train_quadratic(1, 500, |s, g| opt.step(s, g));
-        assert!(loss < 1e-3, "sgd loss {loss}");
-    }
-
-    #[test]
     fn adam_converges_on_linear_fit() {
         let mut opt = Adam::new(0.01);
         let loss = train_quadratic(2, 500, |s, g| opt.step(s, g));
         assert!(loss < 1e-3, "adam loss {loss}");
-    }
-
-    #[test]
-    fn adam_faster_than_plain_sgd_early() {
-        let mut adam = Adam::new(0.01);
-        let adam_loss = train_quadratic(3, 60, |s, g| adam.step(s, g));
-        let mut sgd = Sgd::new(0.001, 0.0);
-        let sgd_loss = train_quadratic(3, 60, |s, g| sgd.step(s, g));
-        assert!(adam_loss < sgd_loss, "adam {adam_loss} vs sgd {sgd_loss}");
     }
 
     #[test]
@@ -212,11 +149,9 @@ mod tests {
         let mut store_b = store_a.clone();
         let mut grads = Gradients::for_store(&store_a);
         for (k, id) in ids.into_iter().enumerate() {
-            grads.accumulate(id, &init.kaiming(store_a.value(id).rows(), store_a.value(id).cols()));
-            grads.accumulate(
-                id,
-                &Tensor::full(store_a.value(id).rows(), store_a.value(id).cols(), k as f32),
-            );
+            let (r, c) = store_a.value(id).shape();
+            grads.accumulate(id, &init.kaiming(r, c));
+            grads.accumulate(id, &Tensor::from_vec(r, c, vec![k as f32; r * c]));
         }
         let scale = clip_scale(&grads, 0.5);
         assert!(scale < 1.0, "the test needs something to clip");

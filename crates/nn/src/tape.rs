@@ -77,11 +77,6 @@ impl ParamStore {
         self.params.is_empty()
     }
 
-    /// Total number of scalar parameters.
-    pub fn scalar_count(&self) -> usize {
-        self.params.iter().map(Tensor::len).sum()
-    }
-
     /// Immutable access to a parameter value.
     pub fn value(&self, id: ParamId) -> &Tensor {
         &self.params[id.0]
@@ -155,7 +150,9 @@ impl Gradients {
         self.bufs.iter().map(Tensor::sq_norm).sum::<f32>().sqrt()
     }
 
-    /// Scales all gradients in place (used for gradient clipping).
+    /// Scales all gradients in place: the two-pass form of the clip that
+    /// [`Adam::step_scaled`](crate::optim::Adam::step_scaled) folds into its
+    /// update, kept as the reference the optimizer tests hold that fold to.
     pub fn scale(&mut self, s: f32) {
         for g in &mut self.bufs {
             g.scale_assign(s);
@@ -579,7 +576,9 @@ impl<'p> Tape<'p> {
 
     /// [`Tape::backward`] on a caller-provided scratch arena instead of
     /// the tape's own: node-gradient buffers, weight transposes and their
-    /// bookkeeping lists are drawn from and recycled into `arena`.
+    /// bookkeeping lists are drawn from and recycled into `arena`. The
+    /// tape-parity tests run it on one reused arena to show that reuse
+    /// moves no gradient bit.
     pub fn backward_with_arena(&self, out: NodeId, seed: Tensor, grads: &mut Gradients, arena: &mut InferenceArena) {
         run_backward(&self.nodes, &self.saved, out, seed, grads, arena);
     }
@@ -864,7 +863,7 @@ mod tests {
         let x = tape.input(Tensor::from_vec(1, 2, vec![5.0, 6.0]));
         let w = tape.param(&store, ids[0]);
         let y = tape.matmul(x, w);
-        tape.backward(y, Tensor::full(1, 2, 1.0), &mut grads);
+        tape.backward(y, Tensor::from_vec(1, 2, vec![1.0; 2]), &mut grads);
         assert_eq!(grads.grad(ids[0]).data(), &[5.0, 5.0, 6.0, 6.0]);
     }
 
@@ -921,7 +920,7 @@ mod tests {
         let h = tape_a.matmul(xa, wa);
         let h = tape_a.add_bias(h, ba);
         let ya = tape_a.relu(h);
-        tape_a.backward(ya, Tensor::full(2, 4, 1.0), &mut grads_a);
+        tape_a.backward(ya, Tensor::from_vec(2, 4, vec![1.0; 8]), &mut grads_a);
 
         // Fused affine.
         let mut grads_b = Gradients::for_store(&store);
@@ -930,7 +929,7 @@ mod tests {
         let wb = tape_b.param(&store, ids[0]);
         let bb = tape_b.param(&store, ids[1]);
         let yb = tape_b.affine(xb, wb, bb, true);
-        tape_b.backward(yb, Tensor::full(2, 4, 1.0), &mut grads_b);
+        tape_b.backward(yb, Tensor::from_vec(2, 4, vec![1.0; 8]), &mut grads_b);
 
         assert_eq!(tape_a.value(ya).data(), tape_b.value(yb).data());
         assert_eq!(grads_a.grad(ids[0]).data(), grads_b.grad(ids[0]).data());
@@ -952,13 +951,13 @@ mod tests {
         let wa = tape_a.param(&store, ids[0]);
         let g = tape_a.gather_rows(wa, rows.clone());
         let ya = tape_a.segment_sum(g, segs.clone(), 3);
-        tape_a.backward(ya, Tensor::full(3, 3, 1.0), &mut grads_a);
+        tape_a.backward(ya, Tensor::from_vec(3, 3, vec![1.0; 9]), &mut grads_a);
 
         let mut grads_b = Gradients::for_store(&store);
         let mut tape_b = Tape::new();
         let wb = tape_b.param(&store, ids[0]);
         let yb = tape_b.gather_segment_sum(wb, rows, segs, 3);
-        tape_b.backward(yb, Tensor::full(3, 3, 1.0), &mut grads_b);
+        tape_b.backward(yb, Tensor::from_vec(3, 3, vec![1.0; 9]), &mut grads_b);
 
         assert_eq!(tape_a.value(ya).data(), tape_b.value(yb).data());
         assert_eq!(grads_a.grad(ids[0]).data(), grads_b.grad(ids[0]).data());
@@ -1001,14 +1000,18 @@ mod tests {
 
         let loss_of = |store: &ParamStore| -> f32 {
             let (tape, out) = forward(store, &ids);
-            tape.value(out).sum()
+            tape.value(out).data().iter().sum::<f32>()
         };
 
         let mut grads = Gradients::for_store(&store);
         {
             let (mut tape, out) = forward(&store, &ids);
             let shape = tape.value(out).shape();
-            tape.backward(out, Tensor::full(shape.0, shape.1, 1.0), &mut grads);
+            tape.backward(
+                out,
+                Tensor::from_vec(shape.0, shape.1, vec![1.0; shape.0 * shape.1]),
+                &mut grads,
+            );
         }
 
         let eps = 1e-3;
@@ -1043,7 +1046,7 @@ mod tests {
             let x = tape.input(Tensor::from_vec(1, 1, vec![1.0]));
             let w = tape.param(&store, ids[0]);
             let y = tape.matmul(x, w);
-            tape.backward(y, Tensor::full(1, 1, 1.0), &mut grads);
+            tape.backward(y, Tensor::from_vec(1, 1, vec![1.0; 1]), &mut grads);
         }
         assert_eq!(grads.grad(ids[0]).data(), &[3.0]);
         grads.zero();
@@ -1059,7 +1062,7 @@ mod tests {
         let w = tape.param(&store, ids[0]);
         let g = tape.gather_rows(w, vec![0]);
         let y = tape.matmul(x, g);
-        tape.backward(y, Tensor::full(1, 2, 1.0), &mut grads);
+        tape.backward(y, Tensor::from_vec(1, 2, vec![1.0; 2]), &mut grads);
         let n = grads.norm();
         assert!((n - (9.0f32 + 9.0).sqrt()).abs() < 1e-5);
         grads.scale(0.5);
@@ -1080,7 +1083,7 @@ mod tests {
             let h = tape.matmul(x, w);
             let r = tape.relu(h);
             let s = tape.segment_sum(r, vec![0, 1, 0], 2);
-            tape.backward_with_arena(s, Tensor::full(2, 2, 1.0), &mut grads, arena);
+            tape.backward_with_arena(s, Tensor::from_vec(2, 2, vec![1.0; 4]), &mut grads, arena);
             grads.grad(ids[0]).data().to_vec()
         };
         let first = run(&mut arena);

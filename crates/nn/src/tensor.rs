@@ -50,15 +50,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a `rows x cols` tensor filled with `value`.
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Tensor {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Creates a tensor from a row-major data vector.
     ///
     /// # Panics
@@ -73,12 +64,6 @@ impl Tensor {
             data.len()
         );
         Tensor { rows, cols, data }
-    }
-
-    /// Creates a `1 x n` row vector.
-    pub fn row(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Tensor { rows: 1, cols, data }
     }
 
     /// Number of rows.
@@ -420,20 +405,6 @@ impl Tensor {
         }
     }
 
-    /// Adds the rows `idx` of `other` into the same rows of `self`
-    /// (the "carry forward untouched nodes" step of a message-passing
-    /// wave).
-    pub fn add_rows_at(&mut self, other: &Tensor, idx: &[usize]) {
-        assert_eq!(self.shape(), other.shape(), "add_rows_at shape mismatch");
-        for &i in idx {
-            let s = &other.data[i * self.cols..(i + 1) * self.cols];
-            let d = &mut self.data[i * self.cols..(i + 1) * self.cols];
-            for (dv, sv) in d.iter_mut().zip(s) {
-                *dv += *sv;
-            }
-        }
-    }
-
     /// Segmented row sum into a caller-provided (zeroed) buffer: row `s` of
     /// `out` accumulates all rows `i` of `self` with `segments[i] == s`.
     pub fn segment_sum_into(&self, segments: &[usize], out: &mut Tensor) {
@@ -501,28 +472,9 @@ impl Tensor {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
-        self.data.iter().sum()
-    }
-
-    /// Mean of all elements; 0.0 for empty tensors.
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Squared L2 norm of all elements.
     pub fn sq_norm(&self) -> f32 {
         self.data.iter().map(|v| v * v).sum()
-    }
-
-    /// Returns true when any element is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|v| !v.is_finite())
     }
 }
 
@@ -1348,9 +1300,9 @@ mod tests {
         let mut a = Tensor::from_vec(1, 4, vec![1.0, 2.0, 3.0, 4.0]);
         let b = Tensor::from_vec(1, 4, vec![1.0, 1.0, 1.0, 1.0]);
         a.add_assign(&b);
-        assert_eq!(a.sum(), 14.0);
+        assert_eq!(a.data().iter().sum::<f32>(), 14.0);
         a.scale_assign(0.5);
-        assert_eq!(a.mean(), 1.75);
+        assert_eq!(a.data().iter().sum::<f32>() / 4.0, 1.75);
     }
 
     #[test]
@@ -1581,20 +1533,8 @@ mod tests {
         acc.scatter_add_rows(&g, &[1, 1]);
         assert_eq!(acc.data(), &[0.0, 0.0, 101.0, 202.0, 0.0, 0.0]);
 
-        let mut carried = Tensor::zeros(3, 2);
-        carried.add_rows_at(&x, &[0, 2]);
-        assert_eq!(carried.data(), &[1.0, 2.0, 0.0, 0.0, 100.0, 200.0]);
-
         let mut cat = Tensor::zeros(3, 4);
         x.concat_cols_into(&x, &mut cat);
         assert_eq!(cat.row_slice(1), &[10.0, 20.0, 10.0, 20.0]);
-    }
-
-    #[test]
-    fn non_finite_detection() {
-        let mut a = Tensor::zeros(1, 2);
-        assert!(!a.has_non_finite());
-        a.set(0, 1, f32::NAN);
-        assert!(a.has_non_finite());
     }
 }

@@ -15,7 +15,8 @@
 //! the list instead. The hand-written backward of each step lives beside
 //! its forward and accumulates in exactly the order the per-op chain
 //! (`gather_segment_sum` → `gather_rows` → `concat_cols` → per-group
-//! `gather_rows` → MLP → `segment_sum` → `add`, plus the `keep` carry) does,
+//! `gather_rows` → MLP → `segment_sum` → `add`, plus the carry of every
+//! row the wave leaves alone) does,
 //! so gradients are bitwise those of that chain.
 //!
 //! The index lists come from the caller's batch plan through two small
@@ -58,16 +59,14 @@ pub struct WaveGroup<'a> {
 }
 
 /// One message-passing wave: which edges feed which targets, how the
-/// targets split over update MLPs, and which state rows carry over.
+/// targets split over update MLPs; every other state row carries over.
 pub trait WaveSpec {
     /// State row of the child at the source of each edge.
     fn child_rows(&self) -> &[usize];
     /// Position in [`WaveSpec::targets`] each edge accumulates into.
     fn segs(&self) -> &[usize];
-    /// State rows this wave updates (unique).
+    /// State rows this wave updates, strictly ascending.
     fn targets(&self) -> &[usize];
-    /// State rows this wave leaves alone: the complement of the targets.
-    fn keep(&self) -> &[usize];
     /// Number of type groups; every target row is in exactly one.
     fn groups(&self) -> usize;
     /// The `i`-th type group.
@@ -185,10 +184,14 @@ pub(crate) fn wave_update_backward(
     ctx: &mut Scratch<'_>,
 ) {
     let (total, h) = g.shape();
-    // Carried rows pass their gradient straight through.
-    if !wave.keep().is_empty() {
+    // Carried rows — every row outside the ascending targets, found by a
+    // merge walk — pass their gradient straight through, in row order.
+    let targets = wave.targets();
+    if targets.len() < total {
         let d_cur = slot_zeroed(slots, cur, total, h, ctx.arena);
-        add_rows(d_cur, &g, 0, wave.keep().iter().map(|&k| (k, k)));
+        let mut next = targets.iter().copied().peekable();
+        let carried = (0..total).filter(|&r| next.next_if_eq(&r).is_none());
+        add_rows(d_cur, &g, 0, carried.map(|r| (r, r)));
     }
 
     // Groups in reverse, each through its MLP into the wave-input gradient.

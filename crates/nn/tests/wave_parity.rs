@@ -52,9 +52,6 @@ impl WaveSpec for Wave {
     fn targets(&self) -> &[usize] {
         &self.targets
     }
-    fn keep(&self) -> &[usize] {
-        &self.keep
-    }
     fn groups(&self) -> usize {
         self.groups.len()
     }

@@ -30,7 +30,9 @@ use crate::operators::{
     AggFunction, AggSpec, FilterFunction, FilterSpec, JoinSpec, OpId, OpKind, Query, SourceSpec, WindowSpec,
 };
 
-/// Incrementally builds a [`Query`].
+/// Incrementally builds a [`Query`] by hand — how the simulator, search
+/// and builder tests assemble the exact shapes they check (the generator
+/// samples the workloads everything else runs).
 ///
 /// The builder maintains a stack of *open heads* (stream ends not yet
 /// consumed). Unary operators pop one head and push their own id; joins
@@ -46,11 +48,6 @@ impl QueryBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of open stream heads.
-    pub fn open_heads(&self) -> usize {
-        self.heads.len()
     }
 
     /// Adds a data source with the given event rate and schema, opening a

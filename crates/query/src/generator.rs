@@ -65,11 +65,6 @@ impl WorkloadGenerator {
         }
     }
 
-    /// The feature ranges this generator samples from.
-    pub fn ranges(&self) -> &FeatureRanges {
-        &self.ranges
-    }
-
     fn pick<T: Copy>(&mut self, values: &[T]) -> T {
         *values.choose(&mut self.rng).expect("non-empty range")
     }

@@ -224,11 +224,6 @@ impl<'a> JointNeighborhood<'a> {
         }
     }
 
-    /// Number of queries in the move space.
-    pub fn n_queries(&self) -> usize {
-        self.queries.len()
-    }
-
     /// Draws one random joint placement: every query sampled
     /// independently under its own Fig. 5 rules
     /// ([`Neighborhood::sample_valid`]) from one rng stream, in problem
@@ -239,7 +234,8 @@ impl<'a> JointNeighborhood<'a> {
     }
 
     /// The rule ③ visit state of every query's placement, computed once
-    /// per joint placement and reused for every candidate edit.
+    /// per joint placement and reused for every candidate edit (the
+    /// collected form the property tests use; search refills one buffer).
     pub fn visit_states(&self, jp: &JointPlacement) -> Vec<VisitState> {
         let mut states = Vec::new();
         self.visit_states_into(jp, &mut states);
@@ -258,7 +254,8 @@ impl<'a> JointNeighborhood<'a> {
     /// Checks whether applying `mv` to the (valid) joint placement `jp`
     /// yields another valid joint placement, re-validating only the
     /// touched queries incrementally. `states` must be
-    /// `self.visit_states(jp)`.
+    /// `self.visit_states(jp)`. The property tests hold this to full
+    /// revalidation; search runs [`JointNeighborhood::is_valid_move_with`].
     pub fn is_valid_move(&self, jp: &JointPlacement, states: &[VisitState], mv: JointMove) -> bool {
         let mut scratch = self.scratch.lock().expect("joint neighborhood scratch lock");
         self.is_valid_move_with(jp, states, mv, &mut scratch)
@@ -412,7 +409,8 @@ impl<'a> JointNeighborhood<'a> {
     /// The full joint neighborhood of `jp`, in deterministic order: all
     /// valid relocations by (query, op, host), then all valid intra-query
     /// swaps by (query, a, b), then all valid cross-query swaps by
-    /// (qa, qb, a, b). `states` must be `self.visit_states(jp)`.
+    /// (qa, qb, a, b). `states` must be `self.visit_states(jp)`. The
+    /// collected form the property tests compare against.
     pub fn neighbors(&self, jp: &JointPlacement, states: &[VisitState]) -> Vec<JointMove> {
         let mut out = Vec::new();
         self.neighbors_into(jp, states, &mut out);

@@ -326,14 +326,6 @@ impl Query {
         self.edges.iter().filter(|&&(a, _)| a == id).map(|&(_, b)| b).collect()
     }
 
-    /// Ids of all sources.
-    pub fn sources(&self) -> Vec<OpId> {
-        self.ops()
-            .filter(|(_, o)| matches!(o, OpKind::Source(_)))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Id of the sink.
     pub fn sink(&self) -> OpId {
         self.ops()
@@ -488,7 +480,6 @@ mod tests {
     #[test]
     fn linear_query_valid() {
         let q = linear_query();
-        assert_eq!(q.sources(), vec![0]);
         assert_eq!(q.sink(), 2);
         assert_eq!(q.upstream(1), vec![0]);
         assert_eq!(q.downstream(1), vec![2]);

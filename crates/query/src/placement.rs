@@ -78,16 +78,6 @@ impl Placement {
         &self.assignment
     }
 
-    /// Operators co-located on `host`.
-    pub fn ops_on_host(&self, host: HostId) -> Vec<OpId> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, &h)| h == host)
-            .map(|(o, _)| o)
-            .collect()
-    }
-
     /// Distinct hosts used by this placement.
     pub fn hosts_used(&self) -> Vec<HostId> {
         let mut hs: Vec<HostId> = self.assignment.clone();
@@ -202,9 +192,8 @@ pub mod neighborhood {
         }
 
         /// Writes the edited assignment into `out` (cleared first) without
-        /// constructing a `Placement` — the allocation-free form search
-        /// strategies use to test a candidate against their dedup set
-        /// before deciding to materialize it.
+        /// constructing a `Placement` — the allocation-free form the
+        /// allocation audit (`tests/alloc_audit.rs`) applies candidates in.
         pub fn apply_into(&self, placement: &Placement, out: &mut Vec<HostId>) {
             out.clear();
             out.extend_from_slice(placement.assignment());
@@ -402,21 +391,6 @@ pub mod neighborhood {
             }
         }
 
-        /// The query this neighborhood was built for.
-        pub fn query(&self) -> &'a Query {
-            self.query
-        }
-
-        /// The cluster this neighborhood was built for.
-        pub fn cluster(&self) -> &'a Cluster {
-            self.cluster
-        }
-
-        /// Bitmask words per operator: `ceil(cluster.len() / 64)`.
-        pub fn mask_words(&self) -> usize {
-            self.words
-        }
-
         /// Computes the visited-host bitmasks of a placement (rule ③
         /// state). `placement` is expected to be valid; the masks of an
         /// invalid placement are still well-defined but incremental
@@ -515,7 +489,9 @@ pub mod neighborhood {
 
         /// Checks whether applying `mv` to the (valid) placement `p`
         /// yields another valid placement, re-validating only what the
-        /// edit can affect. `state` must be `self.visit_state(p)`.
+        /// edit can affect. `state` must be `self.visit_state(p)`. The
+        /// property tests hold this to full revalidation; search runs
+        /// [`Neighborhood::is_valid_move_with`].
         pub fn is_valid_move(&self, p: &Placement, state: &VisitState, mv: Move) -> bool {
             let mut scratch = self.scratch.lock().expect("neighborhood scratch lock");
             self.is_valid_move_with(p, state, mv, &mut scratch)
@@ -699,30 +675,6 @@ pub mod neighborhood {
             counts
         }
 
-        /// Streams all valid single-operator relocations of `p` through
-        /// `f`, in ascending (operator, host) order, without materializing
-        /// a move list. `state` must be `self.visit_state(p)`.
-        pub fn for_each_move(&self, p: &Placement, state: &VisitState, mut f: impl FnMut(Move)) -> MoveCounts {
-            let mut scratch = self.scratch.lock().expect("neighborhood scratch lock");
-            let mut counts = MoveCounts::default();
-            for op in 0..self.query.len() {
-                counts.absorb(self.relocations_of(op, p, state, &mut scratch, &mut |to| f(Move::Relocate { op, to })));
-            }
-            counts
-        }
-
-        /// Streams all valid host swaps of `p` through `f` (pairs on the
-        /// same host are no-ops and skipped), in ascending (a, b) order.
-        /// `state` must be `self.visit_state(p)`.
-        pub fn for_each_swap(&self, p: &Placement, state: &VisitState, mut f: impl FnMut(Move)) -> MoveCounts {
-            let mut scratch = self.scratch.lock().expect("neighborhood scratch lock");
-            let mut counts = MoveCounts::default();
-            for a in 0..self.query.len() {
-                counts.absorb(self.swaps_of(a, p, state, &mut scratch, &mut f));
-            }
-            counts
-        }
-
         /// Streams the full neighborhood — all valid relocations, then
         /// all valid swaps — through `f` in the same deterministic order
         /// as [`Neighborhood::neighbors`].
@@ -746,25 +698,10 @@ pub mod neighborhood {
             self.for_each_neighbor(p, state, |mv| out.push(mv))
         }
 
-        /// All valid single-operator relocations of `p`, in ascending
-        /// (operator, host) order. `state` must be `self.visit_state(p)`.
-        pub fn moves(&self, p: &Placement, state: &VisitState) -> Vec<Move> {
-            let mut out = Vec::new();
-            self.for_each_move(p, state, |mv| out.push(mv));
-            out
-        }
-
-        /// All valid host swaps of operator pairs of `p` (pairs on the
-        /// same host are no-ops and skipped), in ascending (a, b) order.
-        /// `state` must be `self.visit_state(p)`.
-        pub fn swaps(&self, p: &Placement, state: &VisitState) -> Vec<Move> {
-            let mut out = Vec::new();
-            self.for_each_swap(p, state, |mv| out.push(mv));
-            out
-        }
-
         /// The full neighborhood: all valid relocations, then all valid
-        /// swaps — a deterministic candidate order for search strategies.
+        /// swaps — a deterministic candidate order. The collected form the
+        /// property tests compare; search streams it
+        /// ([`Neighborhood::for_each_neighbor`]).
         pub fn neighbors(&self, p: &Placement, state: &VisitState) -> Vec<Move> {
             let mut out = Vec::new();
             self.neighbors_into(p, state, &mut out);
@@ -849,7 +786,6 @@ mod tests {
         let c = edge_fog_cloud();
         let p = Placement::new(vec![1, 1, 1, 1]);
         assert!(p.is_valid(&q, &c));
-        assert_eq!(p.ops_on_host(1).len(), 4);
         assert_eq!(p.hosts_used(), vec![1]);
     }
 

@@ -29,11 +29,6 @@ impl SelectivityEstimator {
         }
     }
 
-    /// An exact (oracle) estimator.
-    pub fn exact(seed: u64) -> Self {
-        Self::new(seed, 0.0)
-    }
-
     /// A realistic default: ~15% relative error.
     pub fn realistic(seed: u64) -> Self {
         Self::new(seed, 0.15)
@@ -72,7 +67,7 @@ mod tests {
 
     #[test]
     fn exact_estimator_is_identity() {
-        let mut e = SelectivityEstimator::exact(0);
+        let mut e = SelectivityEstimator::new(0, 0.0);
         for s in [0.001, 0.5, 1.0] {
             assert_eq!(e.estimate(s), s);
         }

@@ -38,9 +38,8 @@ fn main() {
                 let candidates = enumerate_candidates(&query, &cluster, 12, c);
                 let mut best = (f64::NEG_INFINITY, 0);
                 for (i, placement) in candidates.iter().enumerate() {
-                    let score = client
-                        .score_placement(&query, &cluster, placement, &est_sels)
-                        .expect("service alive");
+                    let graph = JointGraph::build(&query, &cluster, placement, &est_sels, client.featurization());
+                    let score = client.score(graph).expect("service alive");
                     if score > best.0 {
                         best = (score, i);
                     }

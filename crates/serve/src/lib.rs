@@ -12,9 +12,9 @@
 //! batching architecture of learned-model servers — in front of an
 //! ensemble:
 //!
-//! * Clients submit [`ScoreRequest`]s (a prebuilt
-//!   [`JointGraph`](costream::graph::JointGraph), or a query + placement
-//!   to featurize) through a cheap, cloneable [`ScoreClient`] handle.
+//! * Clients submit featurized
+//!   [`JointGraph`](costream::graph::JointGraph)s, owned or shared, through
+//!   a cheap, cloneable [`ScoreClient`] handle.
 //! * A batching core (bounded MPSC submission queue + worker threads
 //!   driving the tape-free fast path, oneshot-style response slots)
 //!   coalesces whatever is queued into one fused batch per tick, bounded
@@ -73,11 +73,9 @@
 mod scorer;
 mod service;
 
-pub use costream::plan::CacheStats;
 pub use scorer::ServeScorer;
 pub use service::{
-    DrainOutcome, Lane, LaneStats, ModelState, Pending, ScoreClient, ScoreRequest, Scored, ScoringService, ServeStats,
-    SubmitOptions,
+    DrainOutcome, Lane, LaneStats, ModelState, Pending, ScoreClient, Scored, ScoringService, ServeStats, SubmitOptions,
 };
 
 use std::fmt;
@@ -94,10 +92,9 @@ use std::fmt;
 /// [`ServeStats::batch_hist`] shows which sizes the traffic produced.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// Worker threads draining the queue. Defaults to the
-    /// `COSTREAM_SERVE_WORKERS` environment variable when set, else the
-    /// machine's available parallelism. `0` is allowed and means "never
-    /// drain" — useful only for testing admission control.
+    /// Worker threads draining the queue. Defaults to the machine's
+    /// available parallelism. `0` is allowed and means "never drain" —
+    /// useful only for testing admission control.
     pub workers: usize,
     /// Bound of the **interactive-lane** submission queue
     /// ([`Lane::Interactive`], the default lane); submissions beyond it
@@ -117,42 +114,12 @@ pub struct ServeConfig {
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: default_workers(),
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue_cap: 1024,
             bulk_queue_cap: 1024,
             plan_cache_cap: 128,
         }
     }
-}
-
-/// Parses a `COSTREAM_SERVE_WORKERS` setting. `None` (variable unset)
-/// means no override; `Some` must be an unsigned integer.
-fn parse_workers(raw: Option<&str>) -> Result<Option<usize>, String> {
-    match raw {
-        None => Ok(None),
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) => Ok(Some(n)),
-            Err(_) => Err(format!("not an unsigned integer: {v:?}")),
-        },
-    }
-}
-
-/// Worker-count default: `COSTREAM_SERVE_WORKERS` when set (CI uses this
-/// to exercise the multi-worker batching paths on narrow containers),
-/// else the machine's available parallelism. An unparsable setting warns
-/// on stderr (once per process) and falls back rather than aborting a
-/// serving process.
-fn default_workers() -> usize {
-    let raw = std::env::var("COSTREAM_SERVE_WORKERS").ok();
-    match parse_workers(raw.as_deref()) {
-        Ok(Some(n)) => return n,
-        Ok(None) => {}
-        Err(e) => {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| eprintln!("warning: ignoring COSTREAM_SERVE_WORKERS: {e}"));
-        }
-    }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
 /// Why a scoring request was not served.
@@ -232,26 +199,3 @@ impl fmt::Display for SwapError {
 }
 
 impl std::error::Error for SwapError {}
-
-#[cfg(test)]
-mod tests {
-    use super::parse_workers;
-
-    /// `COSTREAM_SERVE_WORKERS` parsing: unset, valid settings (`0` is
-    /// the admission-control test's "never drain"), and the typos
-    /// `default_workers` warns about instead of silently ignoring.
-    #[test]
-    fn workers_knob_parsing() {
-        assert_eq!(parse_workers(None), Ok(None));
-        assert_eq!(parse_workers(Some("4")), Ok(Some(4)));
-        assert_eq!(parse_workers(Some(" 2 ")), Ok(Some(2)));
-        assert_eq!(parse_workers(Some("0")), Ok(Some(0)));
-        for typo in ["four", "-1", "4x", ""] {
-            let warning = parse_workers(Some(typo)).expect_err(typo);
-            assert!(
-                warning.contains(&format!("{typo:?}")),
-                "warning must quote the value: {warning}"
-            );
-        }
-    }
-}

@@ -32,52 +32,12 @@ use costream::ensemble::Ensemble;
 use costream::fused::{FusedEnsemble, ScoreEngine};
 use costream::graph::{Featurization, JointGraph};
 use costream::model::{Scheme, INFERENCE_CHUNK};
-use costream::plan::{plan_signature, CacheStats, PlanCache, PlanSignature};
-use costream_query::hardware::Cluster;
-use costream_query::operators::Query;
-use costream_query::placement::Placement;
+use costream::plan::{plan_signature, PlanCache, PlanSignature};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// One scoring request: a joint graph (owned or shared) or a placed
-/// query to featurize (with the ensemble's featurization) at submission
-/// time.
-#[derive(Clone, Debug)]
-pub enum ScoreRequest {
-    /// Score an already-featurized joint graph.
-    Graph(JointGraph),
-    /// Score a shared graph without copying it — the hot-path variant
-    /// for callers that score the same (or pooled) graphs repeatedly.
-    Shared(Arc<JointGraph>),
-    /// Featurize `query` under `placement` on `cluster` (with the
-    /// estimated per-operator selectivities), then score it.
-    Placement {
-        /// The streaming query.
-        query: Query,
-        /// The hardware it would run on.
-        cluster: Cluster,
-        /// The operator placement to score.
-        placement: Placement,
-        /// Estimated selectivity per operator (§IV-B: the model never
-        /// sees true selectivities).
-        est_sels: Vec<f64>,
-    },
-}
-
-impl From<JointGraph> for ScoreRequest {
-    fn from(graph: JointGraph) -> Self {
-        ScoreRequest::Graph(graph)
-    }
-}
-
-impl From<Arc<JointGraph>> for ScoreRequest {
-    fn from(graph: Arc<JointGraph>) -> Self {
-        ScoreRequest::Shared(graph)
-    }
-}
 
 /// Quality-of-service lane of a request. Workers drain interactive work
 /// strictly before bulk work, and each lane has its own admission budget
@@ -482,7 +442,9 @@ impl ScoringService {
     /// Hot-swaps the served model: subsequent batches score against
     /// `ensemble` while in-flight batches finish on the snapshot they
     /// already hold — zero downtime, and every response carries the
-    /// version that produced it ([`Scored::version`]).
+    /// version that produced it ([`Scored::version`]). It is a running
+    /// service's one model-update path; nothing in this repository calls
+    /// it outside the hot-swap tests that pin it.
     ///
     /// The replacement must be *serving-compatible* with the current
     /// model: same metric, same featurization, and a
@@ -543,12 +505,6 @@ impl ScoringService {
             interactive,
             bulk,
         }
-    }
-
-    /// Snapshot of the shared plan cache's effectiveness counters —
-    /// lets optimizer-as-client callers assert cache behavior directly.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
     }
 
     /// Gracefully drains the service: admission closes immediately
@@ -643,40 +599,26 @@ impl ScoreClient {
         self.shared.featurization
     }
 
-    /// Submits a request without blocking on the result. Featurization
-    /// (for [`ScoreRequest::Placement`]) happens on the calling thread,
-    /// so it parallelizes across clients instead of serializing in the
-    /// workers. Defaults: [`Lane::Interactive`], no deadline — see
-    /// [`ScoreClient::submit_with`].
+    /// Submits a featurized graph without blocking on the result. Pass an
+    /// `Arc` to score a shared graph without copying it; a caller that
+    /// featurizes ([`JointGraph::build`] with [`ScoreClient::featurization`])
+    /// does so on its own thread, so featurization parallelizes across
+    /// clients instead of serializing in the workers. Defaults:
+    /// [`Lane::Interactive`], no deadline — see [`ScoreClient::submit_with`].
     ///
     /// # Errors
     /// [`ServeError::Overloaded`] when the lane's queue is at capacity,
     /// [`ServeError::ShutDown`] when the service stopped or is draining.
-    pub fn submit(&self, request: impl Into<ScoreRequest>) -> Result<Pending, ServeError> {
-        self.submit_with(request, SubmitOptions::default())
+    pub fn submit(&self, graph: impl Into<Arc<JointGraph>>) -> Result<Pending, ServeError> {
+        self.submit_with(graph, SubmitOptions::default())
     }
 
     /// Submits a request on an explicit lane and/or with a deadline.
     ///
     /// # Errors
     /// See [`ScoreClient::submit`].
-    pub fn submit_with(&self, request: impl Into<ScoreRequest>, opts: SubmitOptions) -> Result<Pending, ServeError> {
-        let graph = match request.into() {
-            ScoreRequest::Graph(g) => Arc::new(g),
-            ScoreRequest::Shared(g) => g,
-            ScoreRequest::Placement {
-                query,
-                cluster,
-                placement,
-                est_sels,
-            } => Arc::new(JointGraph::build(
-                &query,
-                &cluster,
-                &placement,
-                &est_sels,
-                self.featurization(),
-            )),
-        };
+    pub fn submit_with(&self, graph: impl Into<Arc<JointGraph>>, opts: SubmitOptions) -> Result<Pending, ServeError> {
+        let graph = graph.into();
         let slot = Arc::new(Slot::new());
         let sig = plan_signature(&[graph.as_ref()], self.shared.scheme, self.shared.traditional_rounds);
         let lane = opts.lane;
@@ -714,34 +656,8 @@ impl ScoreClient {
     /// # Errors
     /// See [`ScoreClient::submit`]; additionally fails with
     /// [`ServeError::ShutDown`] when the service stops mid-flight.
-    pub fn score(&self, request: impl Into<ScoreRequest>) -> Result<f64, ServeError> {
-        self.submit(request)?.wait()
-    }
-
-    /// Submits with explicit options and blocks until scored, returning
-    /// the version-tagged result.
-    ///
-    /// # Errors
-    /// See [`ScoreClient::submit`]; additionally
-    /// [`ServeError::DeadlineExceeded`] when the request was shed.
-    pub fn score_with(&self, request: impl Into<ScoreRequest>, opts: SubmitOptions) -> Result<Scored, ServeError> {
-        self.submit_with(request, opts)?.wait_scored()
-    }
-
-    /// Featurizes a placed query and blocks until it is scored — the
-    /// placement-optimizer-facing convenience wrapper.
-    ///
-    /// # Errors
-    /// See [`ScoreClient::score`].
-    pub fn score_placement(
-        &self,
-        query: &Query,
-        cluster: &Cluster,
-        placement: &Placement,
-        est_sels: &[f64],
-    ) -> Result<f64, ServeError> {
-        let graph = JointGraph::build(query, cluster, placement, est_sels, self.featurization());
-        self.score(graph)
+    pub fn score(&self, graph: impl Into<Arc<JointGraph>>) -> Result<f64, ServeError> {
+        self.submit(graph)?.wait()
     }
 
     /// The metric the served ensemble predicts (swap-stable).
@@ -752,12 +668,6 @@ impl ScoreClient {
     /// The current model version (see [`ScoringService::model_version`]).
     pub fn model_version(&self) -> u64 {
         self.shared.model().version
-    }
-
-    /// Snapshot of the service's plan-cache counters (see
-    /// [`ScoringService::cache_stats`]).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.shared.cache.stats()
     }
 }
 
@@ -977,9 +887,12 @@ mod tests {
                 assert!(p.wait() == Ok(direct[i]), "round {round}, graph {i}");
             }
         }
-        let stats = service.cache_stats();
-        assert_eq!(stats.lookups(), 2 * graphs.len() as u64);
-        assert!(stats.misses > 2, "distinct shapes must have missed under the mask");
+        let stats = service.stats();
+        assert_eq!(stats.plan_cache_hits + stats.plan_cache_misses, 2 * graphs.len() as u64);
+        assert!(
+            stats.plan_cache_misses > 2,
+            "distinct shapes must have missed under the mask"
+        );
     }
 
     /// A worker scores every batch of its life through one engine. Through

@@ -8,7 +8,8 @@
 
 use costream::prelude::*;
 use costream::test_fixtures;
-use costream_serve::{ScoreRequest, ScoringService, ServeConfig, ServeError};
+use costream_serve::{ScoringService, ServeConfig, ServeError};
+use std::sync::Arc;
 
 fn corpus(seed: u64) -> Corpus {
     test_fixtures::corpus(24, seed)
@@ -24,13 +25,13 @@ fn quick_ensemble(corpus: &Corpus, scheme: Scheme, k: usize) -> Ensemble {
     Ensemble::train(corpus, CostMetric::Throughput, &cfg, k)
 }
 
-/// Config used by the tests: worker count comes from the environment
-/// (the CI multi-thread job sets `COSTREAM_SERVE_WORKERS=4`), floored at
-/// one so the service always drains.
+/// Config used by the tests: four workers, more than most runners have
+/// cores, so the multi-worker batching paths run on any machine.
 fn test_config() -> ServeConfig {
-    let mut cfg = ServeConfig::default();
-    cfg.workers = cfg.workers.max(1);
-    cfg
+    ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    }
 }
 
 fn scheme_graphs(corpus: &Corpus, ensemble: &Ensemble) -> Vec<JointGraph> {
@@ -107,17 +108,15 @@ fn placement_requests_match_prefeaturized_graphs() {
     let client = service.client();
     for item in corpus.items.iter().take(5) {
         let via_graph = client.score(item.graph(client.featurization())).expect("service alive");
-        let via_placement = client
-            .score_placement(&item.query, &item.cluster, &item.placement, &item.est_sels)
-            .expect("service alive");
-        let via_request = client
-            .score(ScoreRequest::Placement {
-                query: item.query.clone(),
-                cluster: item.cluster.clone(),
-                placement: item.placement.clone(),
-                est_sels: item.est_sels.clone(),
-            })
-            .expect("service alive");
+        let placed = JointGraph::build(
+            &item.query,
+            &item.cluster,
+            &item.placement,
+            &item.est_sels,
+            client.featurization(),
+        );
+        let via_placement = client.score(placed.clone()).expect("service alive");
+        let via_request = client.score(Arc::new(placed)).expect("service alive");
         assert!(via_graph == via_placement);
         assert!(via_graph == via_request);
     }

@@ -4,7 +4,7 @@
 
 use costream::prelude::*;
 use costream::test_fixtures;
-use costream_serve::{Lane, ScoringService, ServeConfig, ServeError, SubmitOptions, SwapError};
+use costream_serve::{Lane, Pending, ScoringService, ServeConfig, ServeError, SubmitOptions, SwapError};
 use std::time::{Duration, Instant};
 
 fn corpus(seed: u64) -> Corpus {
@@ -161,7 +161,10 @@ fn expired_requests_are_shed_with_typed_error() {
         deadline: Some(Instant::now()),
     };
     assert_eq!(
-        client.score_with(graph.clone(), expired).err(),
+        client
+            .submit_with(graph.clone(), expired)
+            .and_then(Pending::wait_scored)
+            .err(),
         Some(ServeError::DeadlineExceeded)
     );
     // A generous deadline scores normally, version-tagged.
@@ -169,7 +172,10 @@ fn expired_requests_are_shed_with_typed_error() {
         lane: Lane::Interactive,
         deadline: Some(Instant::now() + Duration::from_secs(60)),
     };
-    let scored = client.score_with(graph.clone(), live).expect("not shed");
+    let scored = client
+        .submit_with(graph.clone(), live)
+        .and_then(Pending::wait_scored)
+        .expect("not shed");
     assert_eq!(scored.version, 1);
 
     let stats = service.stats();
@@ -192,8 +198,10 @@ fn hot_swap_is_atomic_versioned_and_bitwise() {
     let direct2 = e2.predict_graphs(&refs);
     assert_ne!(direct1, direct2, "fixture must distinguish the versions");
 
-    let mut cfg = ServeConfig::default();
-    cfg.workers = cfg.workers.max(1);
+    let cfg = ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    };
     let service = ScoringService::start(e1, cfg);
     assert_eq!(service.model_version(), 1);
 
@@ -211,7 +219,8 @@ fn hot_swap_is_atomic_versioned_and_bitwise() {
                     // every response bitwise-matches exactly one of the
                     // two versions — the no-torn-reads contract.
                     let scored = client
-                        .score_with(graphs[i].clone(), Default::default())
+                        .submit(graphs[i].clone())
+                        .and_then(Pending::wait_scored)
                         .expect("swap must not fail requests");
                     match scored.version {
                         1 => assert!(scored.score == direct1[i], "v1 response must be bitwise v1"),
@@ -237,7 +246,7 @@ fn hot_swap_is_atomic_versioned_and_bitwise() {
     // After the swap, everything scores as v2, bitwise.
     let client = service.client();
     for (i, g) in graphs.iter().enumerate() {
-        let scored = client.score_with(g.clone(), Default::default()).expect("alive");
+        let scored = client.submit(g.clone()).and_then(Pending::wait_scored).expect("alive");
         assert_eq!(scored.version, 2);
         assert!(scored.score == direct2[i]);
     }
@@ -321,7 +330,11 @@ fn closed_loop_caller_is_scored_alone_every_time() {
     let corpus = corpus(98);
     let ensemble = quick_ensemble(&corpus, 0);
     let graph = corpus.items[0].graph(ensemble.featurization());
-    let service = ScoringService::start(ensemble, ServeConfig::default());
+    let cfg = ServeConfig {
+        workers: 4,
+        ..ServeConfig::default()
+    };
+    let service = ScoringService::start(ensemble, cfg);
     let client = service.client();
     for _ in 0..200 {
         client.score(graph.clone()).expect("alive");

@@ -169,15 +169,14 @@ fn main() {
 
     // 6. Serving-layer effectiveness while the tenants ran.
     let stats = lp_service.stats();
-    let cache = lp_service.cache_stats();
     println!(
         "\nlatency service: {} requests in {} fused batches (mean {:.1}), plan cache {} hits / {} misses ({:.0}% hit rate)",
         stats.completed,
         stats.batches,
         stats.mean_batch(),
-        cache.hits,
-        cache.misses,
-        100.0 * cache.hit_rate(),
+        stats.plan_cache_hits,
+        stats.plan_cache_misses,
+        100.0 * stats.plan_cache_hit_rate(),
     );
 
     // 7. Multi-query co-placement: three tenants' queries placed

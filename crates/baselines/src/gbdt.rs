@@ -17,27 +17,23 @@
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
+/// Maximum tree depth.
+pub const MAX_DEPTH: usize = 5;
+/// Minimum samples in a leaf.
+pub const MIN_LEAF: usize = 4;
+/// Shrinkage applied to every tree's contribution.
+pub const LEARNING_RATE: f64 = 0.1;
+
 /// Hyper-parameters for gradient boosting.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct GbdtConfig {
     /// Number of boosting rounds (trees).
     pub n_trees: usize,
-    /// Maximum tree depth.
-    pub max_depth: usize,
-    /// Minimum samples in a leaf.
-    pub min_leaf: usize,
-    /// Shrinkage applied to every tree's contribution.
-    pub learning_rate: f64,
 }
 
 impl Default for GbdtConfig {
     fn default() -> Self {
-        GbdtConfig {
-            n_trees: 150,
-            max_depth: 5,
-            min_leaf: 4,
-            learning_rate: 0.1,
-        }
+        GbdtConfig { n_trees: 150 }
     }
 }
 
@@ -178,24 +174,16 @@ impl BinnedDataset {
 /// one O(rows) accumulation pass per feature (parallel over features)
 /// followed by an O(bins) boundary scan — the pre-sorted bins make
 /// per-node sorting unnecessary.
-fn build_tree(
-    binned: &BinnedDataset,
-    grads: &[f64],
-    hess: &[f64],
-    rows: &[usize],
-    depth: usize,
-    cfg: &GbdtConfig,
-) -> Node {
+fn build_tree(binned: &BinnedDataset, grads: &[f64], hess: &[f64], rows: &[usize], depth: usize) -> Node {
     let g_sum: f64 = rows.iter().map(|&r| grads[r]).sum();
     let h_sum: f64 = rows.iter().map(|&r| hess[r]).sum();
     let leaf = || Node::Leaf {
         value: -g_sum / (h_sum + 1e-9),
     };
-    if depth >= cfg.max_depth || rows.len() < 2 * cfg.min_leaf {
+    if depth >= MAX_DEPTH || rows.len() < 2 * MIN_LEAF {
         return leaf();
     }
     let parent_score = g_sum * g_sum / (h_sum + 1e-9);
-    let min_leaf = cfg.min_leaf.max(1);
 
     // Per-feature best split: (gain, boundary bin); merged in feature
     // order below so the result is deterministic regardless of thread
@@ -221,7 +209,7 @@ fn build_tree(
             gl += hg;
             hl += hh;
             cl += hc;
-            if cl < min_leaf || rows.len() - cl < min_leaf {
+            if cl < MIN_LEAF || rows.len() - cl < MIN_LEAF {
                 continue;
             }
             let gr = g_sum - gl;
@@ -263,8 +251,8 @@ fn build_tree(
             Node::Split {
                 feature,
                 threshold: binned.thresholds[feature][boundary],
-                left: Box::new(build_tree(binned, grads, hess, &l, depth + 1, cfg)),
-                right: Box::new(build_tree(binned, grads, hess, &r, depth + 1, cfg)),
+                left: Box::new(build_tree(binned, grads, hess, &l, depth + 1)),
+                right: Box::new(build_tree(binned, grads, hess, &r, depth + 1)),
             }
         }
     }
@@ -286,7 +274,6 @@ pub struct Gbdt {
     objective: Objective,
     base_score: f64,
     trees: Vec<Node>,
-    learning_rate: f64,
 }
 
 impl Gbdt {
@@ -323,9 +310,9 @@ impl Gbdt {
                     )
                 }
             };
-            let tree = build_tree(&binned, &grads, &hess, &rows, 0, cfg);
+            let tree = build_tree(&binned, &grads, &hess, &rows, 0);
             for (i, x) in xs.iter().enumerate() {
-                scores[i] += cfg.learning_rate * tree.predict(x);
+                scores[i] += LEARNING_RATE * tree.predict(x);
             }
             trees.push(tree);
         }
@@ -333,13 +320,12 @@ impl Gbdt {
             objective,
             base_score,
             trees,
-            learning_rate: cfg.learning_rate,
         }
     }
 
     /// Raw score (regression value or logit) of one sample.
     pub fn score(&self, x: &[f64]) -> f64 {
-        self.base_score + self.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        self.base_score + LEARNING_RATE * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
     }
 
     /// Prediction: the raw value for regression, the positive-class
@@ -385,15 +371,7 @@ mod tests {
         let (xs, ys) = synthetic(200, 2);
         let mut last = f64::INFINITY;
         for n_trees in [1, 10, 50] {
-            let m = Gbdt::fit(
-                &xs,
-                &ys,
-                Objective::Regression,
-                &GbdtConfig {
-                    n_trees,
-                    ..Default::default()
-                },
-            );
+            let m = Gbdt::fit(&xs, &ys, Objective::Regression, &GbdtConfig { n_trees });
             let mse: f64 = xs.iter().zip(&ys).map(|(x, y)| (m.predict(x) - y).powi(2)).sum::<f64>() / xs.len() as f64;
             assert!(mse < last, "mse {mse} not below {last} at {n_trees} trees");
             last = mse;
@@ -506,15 +484,7 @@ mod tests {
     #[test]
     fn min_leaf_respected_on_tiny_data() {
         let (xs, ys) = synthetic(6, 5);
-        let m = Gbdt::fit(
-            &xs,
-            &ys,
-            Objective::Regression,
-            &GbdtConfig {
-                min_leaf: 4,
-                ..Default::default()
-            },
-        );
+        let m = Gbdt::fit(&xs, &ys, Objective::Regression, &GbdtConfig::default());
         assert!(!m.trees.is_empty());
         assert!(m.predict(&xs[0]).is_finite());
     }

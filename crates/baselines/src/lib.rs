@@ -16,4 +16,4 @@ pub mod monitoring;
 
 pub use flat::{flat_features, FlatVectorModel, FLAT_WIDTH};
 pub use gbdt::{Gbdt, GbdtConfig, Objective};
-pub use monitoring::{run_monitoring, MonitoringConfig, MonitoringRun};
+pub use monitoring::{run_monitoring, MonitoringRun};

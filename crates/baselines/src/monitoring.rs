@@ -17,30 +17,16 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-/// Configuration of the monitoring scheduler.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct MonitoringConfig {
-    /// Seconds of execution observed before each rescheduling decision.
-    pub observe_s: f64,
-    /// Fixed redeployment time per migration round (worker restart,
-    /// rewiring), seconds.
-    pub redeploy_s: f64,
-    /// Maximum rescheduling rounds.
-    pub max_rounds: usize,
-    /// Relative improvement below which the scheduler stops adapting.
-    pub min_improvement: f64,
-}
-
-impl Default for MonitoringConfig {
-    fn default() -> Self {
-        MonitoringConfig {
-            observe_s: 20.0,
-            redeploy_s: 12.0,
-            max_rounds: 6,
-            min_improvement: 0.03,
-        }
-    }
-}
+/// Seconds of execution the scheduler observes before each rescheduling
+/// decision.
+pub const OBSERVE_S: f64 = 20.0;
+/// Fixed redeployment time per migration round (worker restart,
+/// rewiring), seconds.
+pub const REDEPLOY_S: f64 = 12.0;
+/// Maximum rescheduling rounds.
+pub const MAX_ROUNDS: usize = 6;
+/// Relative improvement below which the scheduler stops adapting.
+pub const MIN_IMPROVEMENT: f64 = 0.03;
 
 /// One step of the monitoring trajectory.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -74,14 +60,8 @@ impl MonitoringRun {
 }
 
 /// Runs the online monitoring scheduler for one query.
-pub fn run_monitoring(
-    query: &Query,
-    cluster: &Cluster,
-    sim: &SimConfig,
-    cfg: &MonitoringConfig,
-    seed: u64,
-) -> MonitoringRun {
-    run_monitoring_under_drift(query, cluster, sim, cfg, seed, &DriftScenario::none())
+pub fn run_monitoring(query: &Query, cluster: &Cluster, sim: &SimConfig, seed: u64) -> MonitoringRun {
+    run_monitoring_under_drift(query, cluster, sim, seed, &DriftScenario::none())
 }
 
 /// Runs the online monitoring scheduler while a [`DriftScenario`]
@@ -95,7 +75,6 @@ pub fn run_monitoring_under_drift(
     query: &Query,
     cluster: &Cluster,
     sim: &SimConfig,
-    cfg: &MonitoringConfig,
     seed: u64,
     scenario: &DriftScenario,
 ) -> MonitoringRun {
@@ -108,7 +87,7 @@ pub fn run_monitoring_under_drift(
     let mut trajectory = Vec::new();
     let mut last_latency = f64::INFINITY;
 
-    for round in 0..=cfg.max_rounds {
+    for round in 0..=MAX_ROUNDS {
         let result = simulate_with_drift(
             query,
             cluster,
@@ -127,13 +106,13 @@ pub fn run_monitoring_under_drift(
             processing_latency_ms: latency,
         });
 
-        if round == cfg.max_rounds {
+        if round == MAX_ROUNDS {
             break;
         }
         // Converged?
         if latency.is_finite() && last_latency.is_finite() && last_latency != f64::INFINITY {
             let improvement = (last_latency - latency) / last_latency.max(1e-9);
-            if improvement.abs() < cfg.min_improvement && round > 0 {
+            if improvement.abs() < MIN_IMPROVEMENT && round > 0 {
                 break;
             }
         }
@@ -198,7 +177,7 @@ pub fn run_monitoring_under_drift(
             .map(|h| h.bandwidth_mbits * 1e6 / 8.0)
             .fold(f64::INFINITY, f64::min)
             .max(1.0);
-        elapsed += cfg.observe_s + cfg.redeploy_s + state_bytes / min_bw_bytes;
+        elapsed += OBSERVE_S + REDEPLOY_S + state_bytes / min_bw_bytes;
         placement = Placement::new(assignment);
     }
 
@@ -219,7 +198,7 @@ mod tests {
         let mut g = WorkloadGenerator::new(1, FeatureRanges::training());
         let q = g.query();
         let c = g.cluster(4);
-        let run = run_monitoring(&q, &c, &SimConfig::deterministic(), &MonitoringConfig::default(), 2);
+        let run = run_monitoring(&q, &c, &SimConfig::deterministic(), 2);
         assert!(!run.trajectory.is_empty());
         assert_eq!(run.trajectory[0].elapsed_s, 0.0);
         let best = run
@@ -242,7 +221,7 @@ mod tests {
         for seed in 0..5 {
             let q = g.query();
             let c = g.cluster(5);
-            let run = run_monitoring(&q, &c, &SimConfig::deterministic(), &MonitoringConfig::default(), seed);
+            let run = run_monitoring(&q, &c, &SimConfig::deterministic(), seed);
             let best = run
                 .trajectory
                 .iter()
@@ -257,12 +236,11 @@ mod tests {
         let mut g = WorkloadGenerator::new(7, FeatureRanges::training());
         let q = g.query();
         let c = g.cluster(4);
-        let plain = run_monitoring(&q, &c, &SimConfig::deterministic(), &MonitoringConfig::default(), 5);
+        let plain = run_monitoring(&q, &c, &SimConfig::deterministic(), 5);
         let drifted = run_monitoring_under_drift(
             &q,
             &c,
             &SimConfig::deterministic(),
-            &MonitoringConfig::default(),
             5,
             &costream_dsps::DriftScenario::none(),
         );
@@ -280,7 +258,7 @@ mod tests {
         let mut g = WorkloadGenerator::new(9, FeatureRanges::training());
         let q = g.query();
         let c = g.cluster(4);
-        let plain = run_monitoring(&q, &c, &SimConfig::deterministic(), &MonitoringConfig::default(), 3);
+        let plain = run_monitoring(&q, &c, &SimConfig::deterministic(), 3);
         // Slow every host to 10% from t=0: whatever the scheduler does,
         // its observations cannot match the undrifted run.
         let events = (0..c.len())
@@ -294,7 +272,6 @@ mod tests {
             &q,
             &c,
             &SimConfig::deterministic(),
-            &MonitoringConfig::default(),
             3,
             &costream_dsps::DriftScenario::new(events),
         );

@@ -10,7 +10,7 @@
 use costream::optimizer::enumerate_candidates;
 use costream::oracle;
 use costream::prelude::*;
-use costream::train::{prepare_training, train_prepared};
+use costream::train::{prepare_training, train_prepared, GRAD_CLIP, LEARNING_RATE};
 use costream_baselines::{Gbdt, GbdtConfig, Objective};
 use costream_dsps::simulate;
 use costream_nn::loss::mse;
@@ -112,10 +112,10 @@ fn bench_training_path(c: &mut Criterion) {
             })
         });
     }
-    let mut opt = Adam::new(cfg.lr);
+    let mut opt = Adam::new(LEARNING_RATE);
     c.bench_function("train_step_batch16", |b| {
         b.iter(|| {
-            let scale = clip_scale(&grads, cfg.grad_clip);
+            let scale = clip_scale(&grads, GRAD_CLIP);
             opt.step_scaled(model.store_mut(), &grads, scale);
         })
     });
@@ -256,10 +256,7 @@ fn bench_gbdt(c: &mut Criterion) {
         .map(|_| (0..26).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect();
     let ys: Vec<f64> = xs.iter().map(|x| x[0] * 3.0 + x[1]).collect();
-    let cfg = GbdtConfig {
-        n_trees: 30,
-        ..Default::default()
-    };
+    let cfg = GbdtConfig { n_trees: 30 };
     c.bench_function("gbdt_fit_500x26", |b| {
         b.iter(|| Gbdt::fit(&xs, &ys, Objective::Regression, &cfg))
     });
@@ -486,7 +483,7 @@ fn bench_serving(c: &mut Criterion) {
 /// `front_interactive_p99` is the CI-gated QoS number (behind the core-count guard — a
 /// multi-connection threaded server's tail is runner-class-dependent).
 fn bench_front_load(c: &mut Criterion) {
-    use costream_front::loadgen::{self, LoadgenConfig};
+    use costream_front::loadgen;
     use costream_front::{FrontConfig, Frontend};
     use costream_serve::ServeConfig;
     use std::time::Duration;
@@ -534,15 +531,7 @@ fn bench_front_load(c: &mut Criterion) {
     )
     .expect("bind front-end");
 
-    let report = loadgen::run(
-        front.addr(),
-        &pool,
-        &LoadgenConfig {
-            requests,
-            faults: true,
-            ..LoadgenConfig::default()
-        },
-    );
+    let report = loadgen::run(front.addr(), &pool, requests);
 
     for (lane, r) in [("interactive", &report.interactive), ("bulk", &report.bulk)] {
         criterion::register_result(&format!("front_{lane}_p50"), r.p50_ns as f64);
@@ -679,7 +668,7 @@ fn bench_optimizer_search(c: &mut Criterion) {
 
     const BUDGET: usize = 32;
     const SEED: u64 = 17;
-    let strategies: [&dyn PlacementSearch; 3] = [&RandomEnumeration, &BeamSearch::default(), &LocalSearch::default()];
+    let strategies: [&dyn PlacementSearch; 3] = [&RandomEnumeration, &BeamSearch, &LocalSearch];
     let mut best_costs = Vec::new();
     for strategy in strategies {
         c.bench_function(&format!("optimizer_search_{}", strategy.name()), |b| {
@@ -707,7 +696,7 @@ fn bench_optimizer_search(c: &mut Criterion) {
 
     let per_candidate = (0..20)
         .map(|_| {
-            let stats = LocalSearch::default().search(&problem, &scorer, BUDGET, SEED).stats;
+            let stats = LocalSearch.search(&problem, &scorer, BUDGET, SEED).stats;
             stats.score_ns as f64 / stats.candidates_scored as f64
         })
         .fold(f64::INFINITY, f64::min);
@@ -722,7 +711,7 @@ fn bench_optimizer_search(c: &mut Criterion) {
         batches: std::sync::Mutex::new(Vec::new()),
         memo: std::sync::Mutex::new(Default::default()),
     };
-    LocalSearch::default().search(&problem, &recording, BUDGET, SEED);
+    LocalSearch.search(&problem, &recording, BUDGET, SEED);
     let memo = *recording.memo.lock().expect("recording lock");
     let batches = recording.batches.into_inner().expect("recording lock");
     criterion::register_metric(
@@ -865,12 +854,12 @@ fn bench_joint_placement(c: &mut Criterion) {
                     est_sels: s,
                     featurization: Featurization::Full,
                 };
-                LocalSearch::default().search(&sp, &scorer, BUDGET, SEED).best
+                LocalSearch.search(&sp, &scorer, BUDGET, SEED).best
             })
             .collect(),
     );
 
-    let strategy = LocalSearch::default();
+    let strategy = LocalSearch;
     c.bench_function("joint_placement", |b| {
         b.iter(|| strategy.search_joint_seeded(&problem, &scorer, std::slice::from_ref(&combined), BUDGET, SEED))
     });
@@ -993,7 +982,7 @@ fn bench_search_wide(c: &mut Criterion) {
     const BUDGET: usize = 16;
     const SEED: u64 = 35;
     const REPS: usize = 3;
-    let local = LocalSearch::default();
+    let local = LocalSearch;
     // Checks per second of the fastest of `REPS` runs, after a warm-up.
     let checks_per_s = |run: &dyn Fn() -> SearchStats| {
         run();

@@ -6,7 +6,7 @@
 use crate::harness::{flat_predict, median, Models, Scale};
 use costream::optimizer::enumerate_candidates;
 use costream::prelude::*;
-use costream_baselines::{run_monitoring, MonitoringConfig};
+use costream_baselines::run_monitoring;
 use costream_dsps::{simulate, CostMetric};
 use costream_query::generator::{QueryTemplate, WorkloadGenerator};
 use costream_query::selectivity::SelectivityEstimator;
@@ -163,7 +163,7 @@ pub fn run_2b(models: &Models, scale: &Scale) -> Exp2bResult {
             sim.duration_s * 1000.0
         };
 
-        let run = run_monitoring(&query, &cluster, &sim, &MonitoringConfig::default(), seed);
+        let run = run_monitoring(&query, &cluster, &sim, seed);
         let slowdown = run.trajectory[0].processing_latency_ms / lp_costream.max(1e-3);
         let overhead = run.time_to_reach(lp_costream);
         println!(

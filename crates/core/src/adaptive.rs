@@ -18,9 +18,10 @@
 //!    as a q-error. The detector self-calibrates: the first observation
 //!    sets the reference (absorbing the systematic simulator-vs-model
 //!    bias), and only a *sustained* relative divergence —
-//!    `max(q/reference, reference/q) > q_threshold` for `hysteresis`
-//!    consecutive epochs — fires. A cool-down after each re-planning
-//!    keeps a single drift event from triggering a migration storm;
+//!    `max(q/reference, reference/q)` above [`Q_THRESHOLD`] for
+//!    [`HYSTERESIS`] consecutive epochs — fires. A cool-down of
+//!    [`COOLDOWN_EPOCHS`] after each re-planning keeps a single drift
+//!    event from triggering a migration storm;
 //! 3. on firing, the controller refreshes its telemetry (drifted rates,
 //!    scaled selectivity estimates, degraded hosts, dead hosts) and
 //!    runs the migration-aware [`replan`] warm-started from the
@@ -55,48 +56,26 @@ const MIN_EST_SEL: f64 = 1e-4;
 
 /// Detects sustained divergence between observed and predicted cost.
 ///
-/// Stateful: feed one q-error per epoch via [`observe`](Self::observe);
-/// call [`rearm`](Self::rearm) after acting on a firing.
-#[derive(Clone, Debug)]
+/// Stateful: start uncalibrated from [`Default`], feed one q-error per
+/// epoch via [`observe`](Self::observe); call [`rearm`](Self::rearm)
+/// after acting on a firing. Fires on [`Q_THRESHOLD`] divergence
+/// sustained [`HYSTERESIS`] epochs, quiet for [`COOLDOWN_EPOCHS`] after
+/// each rearm.
+#[derive(Clone, Debug, Default)]
 pub struct MispredictionDetector {
-    /// Relative degradation (vs the calibrated reference q-error) that
-    /// counts as a misprediction. Must exceed 1.
-    pub q_threshold: f64,
-    /// Consecutive over-threshold epochs required before firing —
-    /// hysteresis against one-epoch transients.
-    pub hysteresis: usize,
-    /// Epochs after a [`rearm`](Self::rearm) during which observations
-    /// are ignored (the system settles into the new plan).
-    pub cooldown_epochs: usize,
     reference: Option<f64>,
     streak: usize,
     cooldown: usize,
 }
 
 impl MispredictionDetector {
-    /// A detector with the given knobs, initially uncalibrated.
-    pub fn new(q_threshold: f64, hysteresis: usize, cooldown_epochs: usize) -> Self {
-        assert!(
-            q_threshold > 1.0,
-            "a threshold <= 1 would fire on the calibration epoch"
-        );
-        MispredictionDetector {
-            q_threshold,
-            hysteresis: hysteresis.max(1),
-            cooldown_epochs,
-            reference: None,
-            streak: 0,
-            cooldown: 0,
-        }
-    }
-
     /// Feeds one epoch's q-error; returns whether the detector fires.
     ///
     /// The first observation after construction or [`rearm`](Self::rearm)
     /// calibrates the reference — a systematic model-vs-reality bias
     /// (the simulator is not the model) therefore never fires by
     /// itself; only *divergence relative to calibration* does. The test
-    /// is two-sided (`max(q/ref, ref/q) > q_threshold`): whether the
+    /// is two-sided (`max(q/ref, ref/q) > Q_THRESHOLD`): whether the
     /// model's prediction sat above or below reality at plan time, a
     /// drifting world moves the observed cost *away from it* in one
     /// direction or the other, and both directions mean the plan's
@@ -117,7 +96,7 @@ impl MispredictionDetector {
             return false;
         }
         let over = match reference {
-            Some(r) if valid => (q / r).max(r / q) > self.q_threshold,
+            Some(r) if valid => (q / r).max(r / q) > Q_THRESHOLD,
             _ => true,
         };
         if over {
@@ -125,7 +104,7 @@ impl MispredictionDetector {
         } else {
             self.streak = 0;
         }
-        self.streak >= self.hysteresis
+        self.streak >= HYSTERESIS
     }
 
     /// Resets calibration after a re-planning: the next observation
@@ -134,38 +113,30 @@ impl MispredictionDetector {
     pub fn rearm(&mut self) {
         self.reference = None;
         self.streak = 0;
-        self.cooldown = self.cooldown_epochs;
+        self.cooldown = COOLDOWN_EPOCHS;
     }
 }
+
+/// Control-loop epoch length (seconds of simulated wall clock).
+pub const EPOCH_S: f64 = 60.0;
+/// Number of epochs a controller run lasts.
+pub const N_EPOCHS: usize = 8;
+/// Detector: relative degradation (vs the calibrated reference q-error)
+/// that counts as a misprediction. Exceeds 1, so the calibration epoch
+/// never fires.
+pub const Q_THRESHOLD: f64 = 1.5;
+/// Detector: consecutive over-threshold epochs required before firing —
+/// hysteresis against one-epoch transients.
+pub const HYSTERESIS: usize = 2;
+/// Detector: epochs after a re-planning during which observations are
+/// ignored (the system settles into the new plan).
+pub const COOLDOWN_EPOCHS: usize = 1;
 
 /// Knobs of the adaptive controller.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct AdaptiveConfig {
-    /// Control-loop epoch length (seconds of simulated wall clock).
-    pub epoch_s: f64,
-    /// Number of epochs to run.
-    pub n_epochs: usize,
-    /// Detector: relative q-error degradation that counts as drift.
-    pub q_threshold: f64,
-    /// Detector: consecutive bad epochs before firing.
-    pub hysteresis: usize,
-    /// Detector: quiet epochs after each re-planning.
-    pub cooldown_epochs: usize,
     /// The migration-aware re-placement search.
     pub replan: ReplanConfig,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            epoch_s: 60.0,
-            n_epochs: 8,
-            q_threshold: 1.5,
-            hysteresis: 2,
-            cooldown_epochs: 1,
-            replan: ReplanConfig::default(),
-        }
-    }
 }
 
 /// One epoch of the adaptation trajectory.
@@ -175,7 +146,7 @@ pub struct EpochRecord {
     pub t0_s: f64,
     /// Observed cost over the epoch: summed per-query end-to-end
     /// latency (ms), with a failed query charged the whole epoch
-    /// (`epoch_s × 1000` ms).
+    /// ([`EPOCH_S`] × 1000 ms).
     pub observed_cost_ms: f64,
     /// The model's predicted steady-state cost the incumbent was chosen
     /// on (ms).
@@ -288,7 +259,7 @@ fn run_loop(
     assert_eq!(problem.queries.len(), problem.est_sels.len());
     assert_eq!(initial.len(), problem.queries.len());
     let mut incumbent = initial;
-    let mut detector = MispredictionDetector::new(cfg.q_threshold, cfg.hysteresis, cfg.cooldown_epochs);
+    let mut detector = MispredictionDetector::default();
 
     // The prediction the incumbent is held against: its model-predicted
     // steady-state cost under the telemetry available at plan time.
@@ -307,8 +278,8 @@ fn run_loop(
     // scenario's window, so a drift-free run observes *identical*
     // epochs and the detector stays silent by construction.
     let sim = SimConfig {
-        duration_s: cfg.epoch_s,
-        warmup_s: (0.25 * cfg.epoch_s).min(SimConfig::default().warmup_s),
+        duration_s: EPOCH_S,
+        warmup_s: (0.25 * EPOCH_S).min(SimConfig::default().warmup_s),
         seed,
         ..SimConfig::deterministic()
     };
@@ -333,7 +304,7 @@ fn run_loop(
                 if r.metrics.success {
                     r.metrics.e2e_latency_ms
                 } else {
-                    cfg.epoch_s * 1000.0
+                    EPOCH_S * 1000.0
                 }
             })
             .sum()
@@ -359,12 +330,12 @@ fn run_loop(
             .any(|r| !r.metrics.success)
     };
 
-    let mut epochs = Vec::with_capacity(cfg.n_epochs);
+    let mut epochs = Vec::with_capacity(N_EPOCHS);
     let mut n_firings = 0;
     let mut n_migrations = 0;
     let mut n_replan_failures = 0;
-    for epoch in 0..cfg.n_epochs {
-        let t0 = epoch as f64 * cfg.epoch_s;
+    for epoch in 0..N_EPOCHS {
+        let t0 = epoch as f64 * EPOCH_S;
         let window = scenario.shifted(t0);
         let observed = observe_epoch(&incumbent, &window);
         let q = q_error(observed, predicted);
@@ -375,7 +346,7 @@ fn run_loop(
         if fired {
             n_firings += 1;
             // Refresh telemetry at the epoch boundary and re-plan.
-            let t_now = (epoch as f64 + 1.0) * cfg.epoch_s;
+            let t_now = (epoch as f64 + 1.0) * EPOCH_S;
             let drifted_queries: Vec<Query> = problem
                 .queries
                 .iter()
@@ -405,7 +376,7 @@ fn run_loop(
             // a stricter bar than early ones. The configured horizon acts
             // as a floor so a caller can force longer-sighted replans.
             let mut replan_cfg = cfg.replan;
-            let remaining = cfg.n_epochs.saturating_sub(epoch + 1) as f64;
+            let remaining = N_EPOCHS.saturating_sub(epoch + 1) as f64;
             replan_cfg.horizon_epochs = remaining.max(cfg.replan.horizon_epochs);
             match replan(
                 &jsp,
@@ -467,7 +438,7 @@ mod tests {
 
     #[test]
     fn detector_calibrates_then_fires_on_sustained_degradation() {
-        let mut d = MispredictionDetector::new(1.5, 2, 0);
+        let mut d = MispredictionDetector::default();
         assert!(!d.observe(3.0)); // calibration: reference = 3.0
         assert!(!d.observe(3.2)); // within 1.5x of reference
         assert!(!d.observe(5.0)); // first bad epoch — hysteresis holds
@@ -477,7 +448,7 @@ mod tests {
 
     #[test]
     fn detector_tolerates_transients() {
-        let mut d = MispredictionDetector::new(1.5, 2, 0);
+        let mut d = MispredictionDetector::default();
         assert!(!d.observe(1.0));
         for _ in 0..10 {
             assert!(!d.observe(4.0)); // spike...
@@ -487,19 +458,26 @@ mod tests {
 
     #[test]
     fn rearm_recalibrates_and_cools_down() {
-        let mut d = MispredictionDetector::new(1.5, 1, 2);
+        assert_eq!((Q_THRESHOLD, HYSTERESIS, COOLDOWN_EPOCHS), (1.5, 2, 1));
+        let mut d = MispredictionDetector::default();
         assert!(!d.observe(1.0));
+        assert!(!d.observe(2.0));
         assert!(d.observe(2.0));
         d.rearm();
-        // Cool-down: even large q-errors are ignored for two epochs, and
-        // the first of them recalibrates the reference.
+        // The cool-down epoch still recalibrates the reference.
         assert!(!d.observe(10.0));
         assert_eq!(d.reference, Some(10.0));
-        assert!(!d.observe(30.0));
         // Cooled down; 12 < 10 * 1.5, so still quiet...
         assert!(!d.observe(12.0));
         // ...but sustained degradation relative to the new reference fires.
+        assert!(!d.observe(16.0));
         assert!(d.observe(16.0));
+        // Cool-down: even an over-threshold q is ignored, so two in a row
+        // after a rearm are a streak of one, not a firing.
+        d.rearm();
+        assert!(!d.observe(f64::NAN));
+        assert!(!d.observe(f64::NAN));
+        assert!(d.observe(f64::NAN));
     }
 
     #[test]
@@ -507,7 +485,7 @@ mod tests {
         // The model over-predicted at plan time (reference q is large,
         // pred >> obs): a degrading world *shrinks* q. That divergence
         // must fire just like growth would.
-        let mut d = MispredictionDetector::new(1.5, 2, 0);
+        let mut d = MispredictionDetector::default();
         assert!(!d.observe(100.0)); // calibration
         assert!(!d.observe(20.0)); // first divergent epoch
         assert!(d.observe(20.0)); // sustained — fire
@@ -516,7 +494,7 @@ mod tests {
     #[test]
     fn a_degenerate_q_never_calibrates_and_counts_as_over_threshold() {
         // A NaN first q leaves the detector uncalibrated, not disarmed.
-        let mut d = MispredictionDetector::new(1.5, 2, 0);
+        let mut d = MispredictionDetector::default();
         assert!(!d.observe(f64::NAN));
         assert!(!d.observe(2.0));
         assert_eq!(d.reference, Some(2.0));
@@ -524,14 +502,14 @@ mod tests {
         assert!(d.observe(5.0));
         // A 0 or +∞ first q is no reference to fire against forever.
         for bad in [0.0, f64::INFINITY] {
-            let mut d = MispredictionDetector::new(1.5, 2, 0);
+            let mut d = MispredictionDetector::default();
             assert!(!d.observe(bad));
             assert!(!d.observe(2.0));
             assert!(!d.observe(2.0));
             assert_eq!(d.reference, Some(2.0));
         }
         // A later NaN extends the streak instead of passing as healthy.
-        let mut d = MispredictionDetector::new(1.5, 2, 0);
+        let mut d = MispredictionDetector::default();
         assert!(!d.observe(2.0));
         assert!(!d.observe(5.0));
         assert!(d.observe(f64::NAN));
@@ -542,7 +520,7 @@ mod tests {
         // The no-drift shape: identical epochs, whatever the systematic
         // model-vs-simulator bias happens to be.
         for bias in [1.0, 2.5, 7.0] {
-            let mut d = MispredictionDetector::new(1.2, 2, 1);
+            let mut d = MispredictionDetector::default();
             for _ in 0..50 {
                 assert!(!d.observe(bias));
             }

@@ -55,6 +55,8 @@ use crate::interference::{rate_weighted_share, InterferenceModel};
 use crate::search::ranking;
 use crate::search::{
     BeamSearch, LocalSearch, PlacementScores, RandomEnumeration, ScoreMemo, Scorer, SearchStats, SimulatedAnnealing,
+    ANNEAL_COOLING, ANNEAL_INITIAL_TEMP, ANNEAL_SEED_SHARE, BEAM_EXPAND, BEAM_SEED_SHARE, BEAM_WIDTH,
+    LOCAL_SAMPLE_SIZE, LOCAL_SEED_SHARE,
 };
 use costream_dsps::corun::{profile_loads, OpLoad};
 use costream_dsps::{CostMetric, ExecutionProfile};
@@ -622,34 +624,66 @@ fn fallback_joint(problem: &JointSearchProblem<'_>) -> JointPlacement {
     )
 }
 
-/// Enumerates up to `k` distinct random joint placements from a seeded
-/// stream (deterministic; attempt-indexed seeds, the stream of
-/// [`crate::optimizer::enumerate_candidates`] at one query). Falls back to
-/// the co-located placement when sampling yields nothing.
+/// Enumerates up to `k` distinct random joint placements: [`enumerate_distinct`]
+/// over [`JointNeighborhood::sample_valid`], falling back to the co-located
+/// placement when sampling yields nothing.
 fn enumerate_joint(
     problem: &JointSearchProblem<'_>,
     jnb: &JointNeighborhood<'_>,
     k: usize,
     seed: u64,
 ) -> Vec<JointPlacement> {
-    let mut out: Vec<JointPlacement> = Vec::new();
+    enumerate_distinct(
+        k,
+        seed,
+        |rng| jnb.sample_valid(rng),
+        JointPlacement::flatten_into,
+        || fallback_joint(problem),
+    )
+}
+
+/// The one random enumeration: up to `k` distinct samples from a seeded
+/// stream. Every sampling attempt draws from its own seed (derived from
+/// `seed` and the attempt index) and attempts are consumed in index order,
+/// so the output is deterministic. `key` writes a sample's flattened
+/// assignment, the duplicate-suppression key. When `k > 0` and sampling
+/// yields nothing, the result is `fallback()` alone. At one query,
+/// [`JointNeighborhood::sample_valid`] draws exactly like
+/// `Neighborhood::sample_valid`, so the joint enumerator and
+/// [`crate::optimizer::enumerate_candidates`] yield the same stream.
+pub(crate) fn enumerate_distinct<T>(
+    k: usize,
+    seed: u64,
+    mut sample: impl FnMut(&mut StdRng) -> Option<T>,
+    key: impl Fn(&T, &mut Vec<HostId>),
+    fallback: impl FnOnce() -> T,
+) -> Vec<T> {
+    let mut out: Vec<T> = Vec::new();
     if k == 0 {
         return out;
     }
     let mut seen: HashSet<Vec<HostId>> = HashSet::new();
+    let mut buf: Vec<HostId> = Vec::new();
+    // Generous attempt budget: distinct valid placements can be scarce on
+    // small clusters.
     for a in 0..(k * 20) as u64 {
         if out.len() >= k {
             break;
         }
         let mut rng = StdRng::seed_from_u64(seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        if let Some(jp) = jnb.sample_valid(&mut rng) {
-            if seen.insert(jp.flattened()) {
-                out.push(jp);
+        if let Some(x) = sample(&mut rng) {
+            // Membership is probed through a reused key buffer, so a
+            // rejected duplicate allocates no key; only genuinely new
+            // assignments are copied into the set.
+            key(&x, &mut buf);
+            if !seen.contains(buf.as_slice()) {
+                seen.insert(buf.clone());
+                out.push(x);
             }
         }
     }
     if out.is_empty() {
-        out.push(fallback_joint(problem));
+        out.push(fallback());
     }
     out
 }
@@ -735,13 +769,12 @@ impl JointPlacementSearch for LocalSearch {
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0x10CA_15EA_2C4B_AD5E);
-        let sample = self.sample_size.max(1);
         let mut restarts: u64 = 0;
 
         // Exploration pool: the seeds, then the seeded stream the baseline
         // enumerates (its first member is therefore the "initial heuristic
         // placement" of the other strategies too).
-        let n_random = ranking::seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
+        let n_random = ranking::seed_count(ev.budget, LOCAL_SEED_SHARE, 1).saturating_sub(seeds.len());
         let mut pool_indices = seed_pool(&mut ev, problem, &jnb, seeds, n_random, seed);
         let Some(mut current) = ev.best_in(&pool_indices) else {
             return ev.finish();
@@ -761,7 +794,7 @@ impl JointPlacementSearch for LocalSearch {
             moves_buf.shuffle(&mut rng);
             let mut candidates: Vec<JointPlacement> = Vec::new();
             for &mv in &moves_buf {
-                if candidates.len() >= sample {
+                if candidates.len() >= LOCAL_SAMPLE_SIZE {
                     break;
                 }
                 jp.flattened_after(mv, &mut flat_buf);
@@ -810,9 +843,9 @@ impl JointPlacementSearch for BeamSearch {
         "beam"
     }
 
-    /// Beam search over the cross-query move space: keep the `width`
-    /// best joint candidates, expand each by up to `expand` unseen
-    /// neighbors per round, re-rank, repeat.
+    /// Beam search over the cross-query move space: keep the
+    /// [`BEAM_WIDTH`] best joint candidates, expand each by up to
+    /// [`BEAM_EXPAND`] unseen neighbors per round, re-rank, repeat.
     fn search_joint_seeded(
         &self,
         problem: &JointSearchProblem<'_>,
@@ -825,11 +858,9 @@ impl JointPlacementSearch for BeamSearch {
         let refs = problem.query_refs();
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xBEA3_5EA2_C4A6_1D07);
-        let width = self.width.max(1);
-
-        let n_random = ranking::seed_count(ev.budget, self.seed_share, width).saturating_sub(seeds.len());
+        let n_random = ranking::seed_count(ev.budget, BEAM_SEED_SHARE, BEAM_WIDTH).saturating_sub(seeds.len());
         let scored = seed_pool(&mut ev, problem, &jnb, seeds, n_random, seed);
-        let mut beam = ev.top_of(scored, width);
+        let mut beam = ev.top_of(scored, BEAM_WIDTH);
         let mut states: Vec<VisitState> = Vec::new();
         let mut moves_buf: Vec<JointMove> = Vec::new();
         let mut flat_buf: Vec<HostId> = Vec::new();
@@ -852,7 +883,7 @@ impl JointPlacementSearch for BeamSearch {
                 moves_buf.shuffle(&mut rng);
                 let mut taken = 0usize;
                 for &mv in &moves_buf {
-                    if taken >= self.expand.max(1) {
+                    if taken >= BEAM_EXPAND {
                         break;
                     }
                     jp.flattened_after(mv, &mut flat_buf);
@@ -873,7 +904,7 @@ impl JointPlacementSearch for BeamSearch {
             }
             let mut pool = beam;
             pool.extend(scored);
-            beam = ev.top_of(pool, width);
+            beam = ev.top_of(pool, BEAM_WIDTH);
         }
         ev.finish()
     }
@@ -901,13 +932,13 @@ impl JointPlacementSearch for SimulatedAnnealing {
         let jnb = JointNeighborhood::new(&refs, problem.cluster);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xA44E_A1E4_0C0A_57A7);
 
-        let n_random = ranking::seed_count(ev.budget, self.seed_share, 1).saturating_sub(seeds.len());
+        let n_random = ranking::seed_count(ev.budget, ANNEAL_SEED_SHARE, 1).saturating_sub(seeds.len());
         let scored = seed_pool(&mut ev, problem, &jnb, seeds, n_random, seed);
         let Some(mut current) = ev.best_in(&scored) else {
             return ev.finish();
         };
 
-        let mut temp = self.initial_temp.max(1e-6);
+        let mut temp = ANNEAL_INITIAL_TEMP;
         let mut restarts: u64 = 0;
         let mut states: Vec<VisitState> = Vec::new();
         let mut moves_buf: Vec<JointMove> = Vec::new();
@@ -949,7 +980,7 @@ impl JointPlacementSearch for SimulatedAnnealing {
                     current = idx;
                 }
             }
-            temp = (temp * self.cooling.clamp(0.0, 1.0)).max(1e-4);
+            temp = (temp * ANNEAL_COOLING).max(1e-4);
         }
         ev.finish()
     }
@@ -1422,9 +1453,9 @@ mod tests {
         let refs = problem.query_refs();
         for strategy in [
             &RandomEnumeration as &dyn JointPlacementSearch,
-            &BeamSearch::default(),
-            &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
+            &BeamSearch,
+            &LocalSearch,
+            &SimulatedAnnealing,
         ] {
             let budget = 12;
             let a = strategy.search_joint(&problem, &scorer, budget, 7);
@@ -1469,7 +1500,7 @@ mod tests {
         let seed_jp = fallback_joint(&problem);
         let js = JointScorer::new(&problem, &scorer);
         let seed_eval = js.evaluate(std::slice::from_ref(&seed_jp));
-        let r = LocalSearch::default().search_joint_seeded(&problem, &scorer, std::slice::from_ref(&seed_jp), 10, 3);
+        let r = LocalSearch.search_joint_seeded(&problem, &scorer, std::slice::from_ref(&seed_jp), 10, 3);
         assert_eq!(r.initial, seed_jp, "first scored candidate is the seed");
         let best = r.best_evaluation();
         // The seed was scored, so the best can only match or beat it
@@ -1528,7 +1559,7 @@ mod tests {
                 featurization: Featurization::Full,
                 interference: None,
             };
-            let incumbent = LocalSearch::default().search_joint(&problem, &scorer, 10, seed).best;
+            let incumbent = LocalSearch.search_joint(&problem, &scorer, 10, seed).best;
             let outcome =
                 replan(&problem, &scorer, &incumbent, &[], &ReplanConfig::default(), seed).expect("live hosts");
             assert!(!outcome.repaired, "no dead hosts, nothing to repair");
@@ -1577,7 +1608,7 @@ mod tests {
                 featurization: Featurization::Full,
                 interference: None,
             };
-            let incumbent = LocalSearch::default().search_joint(&problem, &scorer, 10, seed).best;
+            let incumbent = LocalSearch.search_joint(&problem, &scorer, 10, seed).best;
             let myopic = ReplanConfig {
                 migration: prohibitive,
                 horizon_epochs: 1.0,
@@ -1651,7 +1682,7 @@ mod tests {
             featurization: Featurization::Full,
             interference: None,
         };
-        let incumbent = LocalSearch::default().search_joint(&problem, &scorer, 10, 5).best;
+        let incumbent = LocalSearch.search_joint(&problem, &scorer, 10, 5).best;
         // Kill the incumbent's most-loaded host: the repair path and the
         // exclusion filter both have to act.
         let dead = (0..cluster.len())
@@ -1685,7 +1716,7 @@ mod tests {
             featurization: Featurization::Full,
             interference: None,
         };
-        let incumbent = LocalSearch::default().search_joint(&problem, &scorer, 10, 5).best;
+        let incumbent = LocalSearch.search_joint(&problem, &scorer, 10, 5).best;
         let cfg = ReplanConfig::default();
 
         // As many phantom deaths as the cluster has hosts: every real host

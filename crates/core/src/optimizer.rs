@@ -10,17 +10,20 @@
 
 use crate::ensemble::Ensemble;
 use crate::graph::Featurization;
+use crate::joint::enumerate_distinct;
 use crate::search::{EnsembleScorer, PlacementSearch, RandomEnumeration, SearchProblem};
 use costream_query::hardware::Cluster;
 use costream_query::operators::Query;
 use costream_query::placement::neighborhood::Neighborhood;
 use costream_query::placement::{colocate_on_strongest, Placement};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// Enumerates up to `k` *distinct* placement candidates satisfying the
-/// rules of Fig. 5. The first candidate doubles as the "initial heuristic
-/// placement" baseline of Exp 2.
+/// rules of Fig. 5: the attempt-seeded loop the joint enumerator of
+/// [`crate::joint`] runs, over one query's neighborhood, so a single-query
+/// search seeds from exactly this stream. The first
+/// candidate doubles as the "initial heuristic placement" baseline of
+/// Exp 2; when `k > 0` and sampling finds nothing, the query co-located on
+/// the strongest host is the only candidate.
 ///
 /// Every sampling attempt draws from its own seed (derived
 /// deterministically from `seed` and the attempt index) and attempts are
@@ -28,29 +31,16 @@ use rand::SeedableRng;
 /// output is identical across runs.
 pub fn enumerate_candidates(query: &Query, cluster: &Cluster, k: usize, seed: u64) -> Vec<Placement> {
     let nb = Neighborhood::new(query, cluster);
-    let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-    let mut out = Vec::new();
-    // Generous attempt budget: distinct valid placements can be scarce on
-    // small clusters.
-    for a in 0..(k * 20) as u64 {
-        if out.len() >= k {
-            break;
-        }
-        let mut rng = StdRng::seed_from_u64(seed ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        if let Some(p) = nb.sample_valid(&mut rng) {
-            // Membership is checked through the borrowed slice key, so a
-            // rejected duplicate allocates nothing; only genuinely new
-            // assignments are copied into the set.
-            if !seen.contains(p.assignment()) {
-                seen.insert(p.assignment().to_vec());
-                out.push(p);
-            }
-        }
-    }
-    if out.is_empty() {
-        out.push(colocate_on_strongest(query, cluster));
-    }
-    out
+    enumerate_distinct(
+        k,
+        seed,
+        |rng| nb.sample_valid(rng),
+        |p, key| {
+            key.clear();
+            key.extend_from_slice(p.assignment());
+        },
+        || colocate_on_strongest(query, cluster),
+    )
 }
 
 /// Cost predictions for one placement candidate.
@@ -212,6 +202,14 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.assignment(), y.assignment());
         }
+    }
+
+    #[test]
+    fn enumerating_zero_candidates_yields_none() {
+        let mut g = WorkloadGenerator::new(41, FeatureRanges::training());
+        let q = g.query();
+        let c = g.cluster(5);
+        assert!(enumerate_candidates(&q, &c, 0, 1).is_empty());
     }
 
     #[test]

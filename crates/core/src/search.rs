@@ -17,7 +17,9 @@
 //!   baseline (and the seed behavior, bit for bit); [`BeamSearch`],
 //!   [`LocalSearch`] and [`SimulatedAnnealing`] walk the move/swap
 //!   neighborhood of `costream_query::placement::neighborhood` with
-//!   incremental validity checks;
+//!   incremental validity checks. Every strategy is a unit struct: its
+//!   tuning is a set of named constants in this module ([`BEAM_WIDTH`],
+//!   [`LOCAL_SAMPLE_SIZE`], [`ANNEAL_INITIAL_TEMP`], ...);
 //! * one search core, in [`crate::joint`]: each strategy is implemented
 //!   once, over N queries sharing a cluster, and placing a single query is
 //!   the N = 1 case — every [`PlacementSearch`] impl here is a few-line
@@ -478,34 +480,25 @@ impl PlacementSearch for RandomEnumeration {
     }
 }
 
-/// Beam search over the move/swap neighborhood: spend `seed_share` of the
-/// budget on random-valid exploration (the same stream the baseline
-/// enumerates), then keep the `width` best candidates found and expand
-/// each by up to `expand` unseen neighbors per round, re-rank, repeat
-/// until the scoring budget is spent or the frontier dries up. The
-/// explore-then-refine split is what keeps beam competitive with pure
-/// enumeration on wide landscapes while still exploiting local structure.
-#[derive(Clone, Copy, Debug)]
-pub struct BeamSearch {
-    /// Candidates kept per round.
-    pub width: usize,
-    /// Neighbors expanded per beam member per round.
-    pub expand: usize,
-    /// Fraction of the budget spent seeding the beam with random valid
-    /// placements before refinement (clamped to keep at least `width`
-    /// seeds and at least one refinement round).
-    pub seed_share: f64,
-}
+/// Candidates a [`BeamSearch`] keeps per round.
+pub const BEAM_WIDTH: usize = 4;
+/// Neighbors a [`BeamSearch`] expands per beam member per round.
+pub const BEAM_EXPAND: usize = 8;
+/// Fraction of the budget a [`BeamSearch`] spends seeding the beam with
+/// random valid placements before refinement (clamped to keep at least
+/// [`BEAM_WIDTH`] seeds and at least one refinement round).
+pub const BEAM_SEED_SHARE: f64 = 0.5;
 
-impl Default for BeamSearch {
-    fn default() -> Self {
-        BeamSearch {
-            width: 4,
-            expand: 8,
-            seed_share: 0.5,
-        }
-    }
-}
+/// Beam search over the move/swap neighborhood: spend
+/// [`BEAM_SEED_SHARE`] of the budget on random-valid exploration (the
+/// same stream the baseline enumerates), then keep the [`BEAM_WIDTH`]
+/// best candidates found and expand each by up to [`BEAM_EXPAND`] unseen
+/// neighbors per round, re-rank, repeat until the scoring budget is spent
+/// or the frontier dries up. The explore-then-refine split is what keeps
+/// beam competitive with pure enumeration on wide landscapes while still
+/// exploiting local structure.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BeamSearch;
 
 impl PlacementSearch for BeamSearch {
     fn name(&self) -> &'static str {
@@ -517,31 +510,22 @@ impl PlacementSearch for BeamSearch {
     }
 }
 
-/// Hill climbing with restarts: spend `seed_share` of the budget on a
-/// random-valid exploration pool (the same stream the baseline
+/// Neighbors a [`LocalSearch`] scores per hill-climbing round.
+pub const LOCAL_SAMPLE_SIZE: usize = 8;
+/// Fraction of the budget a [`LocalSearch`] spends on the exploration pool
+/// (clamped to keep at least one seed and at least one refinement round).
+pub const LOCAL_SEED_SHARE: f64 = 0.5;
+
+/// Hill climbing with restarts: spend [`LOCAL_SEED_SHARE`] of the budget
+/// on a random-valid exploration pool (the same stream the baseline
 /// enumerates), then greedily follow the best improving neighbor of the
-/// best pool member (scoring `sample_size` unseen neighbors per round);
-/// at a local optimum, restart from the best not-yet-expanded pool
-/// member, falling back to fresh random placements when the pool is
+/// best pool member (scoring [`LOCAL_SAMPLE_SIZE`] unseen neighbors per
+/// round); at a local optimum, restart from the best not-yet-expanded
+/// pool member, falling back to fresh random placements when the pool is
 /// exhausted. The best candidate *ever* scored is returned, so restarts
 /// never lose progress.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalSearch {
-    /// Neighbors scored per hill-climbing round.
-    pub sample_size: usize,
-    /// Fraction of the budget spent on the exploration pool (clamped to
-    /// keep at least one seed and at least one refinement round).
-    pub seed_share: f64,
-}
-
-impl Default for LocalSearch {
-    fn default() -> Self {
-        LocalSearch {
-            sample_size: 8,
-            seed_share: 0.5,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LocalSearch;
 
 impl PlacementSearch for LocalSearch {
     fn name(&self) -> &'static str {
@@ -553,39 +537,32 @@ impl PlacementSearch for LocalSearch {
     }
 }
 
+/// Starting temperature of a [`SimulatedAnnealing`] chain, in units of
+/// relative cost worsening (0.4 means an initial ~37% chance of accepting
+/// a 40% cost increase).
+pub const ANNEAL_INITIAL_TEMP: f64 = 0.4;
+/// Geometric cooling factor a [`SimulatedAnnealing`] chain applies per
+/// scored neighbor.
+pub const ANNEAL_COOLING: f64 = 0.9;
+/// Fraction of the budget a [`SimulatedAnnealing`] chain spends seeding
+/// itself with random valid placements from the baseline's exact stream
+/// (clamped to keep at least one seed and at least one annealing step).
+pub const ANNEAL_SEED_SHARE: f64 = 0.25;
+
 /// Simulated annealing: a single chain that always accepts improving
 /// neighbors and accepts *worsening* ones with probability
-/// `exp(-delta / T)` under a geometrically cooling temperature `T` —
-/// early on the walk crosses cost barriers hill climbing cannot, late it
-/// behaves greedily. `delta` is the relative cost worsening (scale-free:
+/// `exp(-delta / T)` under a geometrically cooling temperature `T`
+/// (from [`ANNEAL_INITIAL_TEMP`], by [`ANNEAL_COOLING`]) — early on the
+/// walk crosses cost barriers hill climbing cannot, late it behaves
+/// greedily. `delta` is the relative cost worsening (scale-free:
 /// normalized by the current candidate's cost magnitude), shifted by a
 /// fixed penalty when the move leaves the Fig. 4-viable region (moves
 /// *into* it always count as improvements). The best candidate *ever*
 /// scored is returned (via the shared evaluator), so accepting bad moves
 /// never loses progress. Worth trying over [`LocalSearch`] on wide
 /// clusters whose plateaus stall greedy climbing.
-#[derive(Clone, Copy, Debug)]
-pub struct SimulatedAnnealing {
-    /// Starting temperature, in units of relative cost worsening (0.4
-    /// means an initial ~37% chance of accepting a 40% cost increase).
-    pub initial_temp: f64,
-    /// Geometric cooling factor applied per scored neighbor.
-    pub cooling: f64,
-    /// Fraction of the budget spent seeding the chain with random valid
-    /// placements from the baseline's exact stream (clamped to keep at
-    /// least one seed and at least one annealing step).
-    pub seed_share: f64,
-}
-
-impl Default for SimulatedAnnealing {
-    fn default() -> Self {
-        SimulatedAnnealing {
-            initial_temp: 0.4,
-            cooling: 0.9,
-            seed_share: 0.25,
-        }
-    }
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SimulatedAnnealing;
 
 impl PlacementSearch for SimulatedAnnealing {
     fn name(&self) -> &'static str {
@@ -623,9 +600,9 @@ mod tests {
         let budget = 24;
         for strategy in [
             &RandomEnumeration as &dyn PlacementSearch,
-            &BeamSearch::default(),
-            &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
+            &BeamSearch,
+            &LocalSearch,
+            &SimulatedAnnealing,
         ] {
             let r = strategy.search(&problem, &scorer, budget, 9);
             assert!(r.candidates.len() <= budget, "{} overspent", strategy.name());
@@ -667,9 +644,9 @@ mod tests {
         };
         for strategy in [
             &RandomEnumeration as &dyn PlacementSearch,
-            &BeamSearch::default(),
-            &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
+            &BeamSearch,
+            &LocalSearch,
+            &SimulatedAnnealing,
         ] {
             let a = strategy.search(&problem, &scorer, 16, 3);
             let bb = strategy.search(&problem, &scorer, 16, 3);
@@ -801,12 +778,12 @@ mod tests {
             est_sels: &sels,
             featurization: Featurization::Full,
         };
-        let first = LocalSearch::default().search(&problem, &scorer, 32, 5);
+        let first = LocalSearch.search(&problem, &scorer, 32, 5);
         let warm = scorer.pooled();
         assert_eq!(warm.len(), 1, "one search, one buffer set");
         assert!(warm[0].iter().all(|&size| size > 0), "every buffer was used: {warm:?}");
         for _ in 0..3 {
-            let again = LocalSearch::default().search(&problem, &scorer, 32, 5);
+            let again = LocalSearch.search(&problem, &scorer, 32, 5);
             assert_eq!(again.candidates.len(), first.candidates.len());
             assert_eq!(
                 scorer.pooled(),

@@ -140,9 +140,9 @@ fn search_batches_score_bitwise_like_the_sequential_oracle() {
                 featurization,
                 interference: None,
             };
-            LocalSearch::default().search(&problem, &recorder, 32, 23);
-            BeamSearch::default().search(&problem, &recorder, 32, 23);
-            LocalSearch::default().search_joint(&joint, &recorder, 16, 29);
+            LocalSearch.search(&problem, &recorder, 32, 23);
+            BeamSearch.search(&problem, &recorder, 32, 23);
+            LocalSearch.search_joint(&joint, &recorder, 16, 29);
 
             let (batches, _) = recorder.take();
             let (mut live, mut distinct) = (0, 0);
@@ -248,16 +248,16 @@ fn recorded_streams(
     };
     let recorder = Recorder::new(fx.scorer());
     let mut streams = Vec::new();
-    LocalSearch::default().search(&problem, &recorder, 32, 23);
+    LocalSearch.search(&problem, &recorder, 32, 23);
     let (b, m) = recorder.take();
     streams.push(("local", b, m));
-    BeamSearch::default().search(&problem, &recorder, 32, 23);
+    BeamSearch.search(&problem, &recorder, 32, 23);
     let (b, m) = recorder.take();
     streams.push(("beam", b, m));
-    SimulatedAnnealing::default().search(&problem, &recorder, 32, 23);
+    SimulatedAnnealing.search(&problem, &recorder, 32, 23);
     let (b, m) = recorder.take();
     streams.push(("anneal", b, m));
-    let incumbent = LocalSearch::default().search_joint(&joint, &recorder, 16, 29).best;
+    let incumbent = LocalSearch.search_joint(&joint, &recorder, 16, 29).best;
     let (b, m) = recorder.take();
     streams.push(("joint local", b, m));
     replan(&joint, &recorder, &incumbent, &[0], &ReplanConfig::default(), 31).expect("live hosts remain");
@@ -353,7 +353,7 @@ fn no_state_survives_a_search() {
     };
     let mut runs = Vec::new();
     for _ in 0..3 {
-        let r = LocalSearch::default().search(&problem, &recorder, 32, 23);
+        let r = LocalSearch.search(&problem, &recorder, 32, 23);
         let (_, memo) = recorder.take();
         runs.push((r.best.assignment().to_vec(), memo));
     }

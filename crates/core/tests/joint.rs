@@ -57,7 +57,7 @@ fn independent_combined(fx: &Fixture, scorer: &EnsembleScorer<'_>, budget: usize
                 est_sels: sels,
                 featurization: Featurization::Full,
             };
-            LocalSearch::default().search(&problem, scorer, budget, seed).best
+            LocalSearch.search(&problem, scorer, budget, seed).best
         })
         .collect();
     JointPlacement::new(fx.cluster.len(), placements)
@@ -87,8 +87,7 @@ fn joint_search_matches_or_beats_independent_at_equal_budget() {
         // budget * n_queries graph predictions), warm-started with the
         // independent combination — scored first, so `candidates[0]` IS
         // the independent baseline's contention-aware evaluation.
-        let r =
-            LocalSearch::default().search_joint_seeded(&problem, &scorer, std::slice::from_ref(&combined), budget, 7);
+        let r = LocalSearch.search_joint_seeded(&problem, &scorer, std::slice::from_ref(&combined), budget, 7);
         assert_eq!(r.initial, combined, "fixture {i}: seed must be scored first");
         assert!(r.candidates.len() <= budget, "fixture {i}: overspent");
         assert!(r.best.is_valid(&refs, &fx.cluster), "fixture {i}: invalid best");
@@ -134,9 +133,9 @@ fn joint_search_is_bitwise_deterministic_across_runs() {
 
     for strategy in [
         &RandomEnumeration as &dyn JointPlacementSearch,
-        &BeamSearch::default(),
-        &LocalSearch::default(),
-        &SimulatedAnnealing::default(),
+        &BeamSearch,
+        &LocalSearch,
+        &SimulatedAnnealing,
     ] {
         let a = strategy.search_joint(&problem, &scorer, 12, 5);
         let b = strategy.search_joint(&problem, &scorer, 12, 5);
@@ -214,18 +213,9 @@ fn degenerate_inputs_return_defined_results() {
             .collect();
         let cap = budget.max(1);
 
-        let singles: [&dyn PlacementSearch; 4] = [
-            &RandomEnumeration,
-            &BeamSearch::default(),
-            &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
-        ];
-        let joints: [&dyn JointPlacementSearch; 4] = [
-            &RandomEnumeration,
-            &BeamSearch::default(),
-            &LocalSearch::default(),
-            &SimulatedAnnealing::default(),
-        ];
+        let singles: [&dyn PlacementSearch; 4] = [&RandomEnumeration, &BeamSearch, &LocalSearch, &SimulatedAnnealing];
+        let joints: [&dyn JointPlacementSearch; 4] =
+            [&RandomEnumeration, &BeamSearch, &LocalSearch, &SimulatedAnnealing];
         for (single, joint) in singles.into_iter().zip(joints) {
             let ctx = format!("{label}: {}", joint.name());
             let one = SearchProblem {

@@ -93,8 +93,8 @@ fn neighborhood_strategies_match_or_beat_random_at_equal_budget() {
             featurization: Featurization::Full,
         };
         let random = RandomEnumeration.search(&problem, &scorer, budget, 7);
-        let beam = BeamSearch::default().search(&problem, &scorer, budget, 7);
-        let local = LocalSearch::default().search(&problem, &scorer, budget, 7);
+        let beam = BeamSearch.search(&problem, &scorer, budget, 7);
+        let local = LocalSearch.search(&problem, &scorer, budget, 7);
 
         let best_cost = |r: &OptimizationResult| r.best_evaluation().predicted_cost;
         let (rc, bc, lc) = (best_cost(&random), best_cost(&beam), best_cost(&local));
@@ -141,8 +141,8 @@ fn annealing_matches_or_beats_local_search_on_wide_cluster_at_equal_budget() {
     let best = |r: &OptimizationResult| r.best_evaluation().predicted_cost;
     for seed in [3u64, 7, 11] {
         let random = RandomEnumeration.search(&problem, &scorer, budget, seed);
-        let local = LocalSearch::default().search(&problem, &scorer, budget, seed);
-        let anneal = SimulatedAnnealing::default().search(&problem, &scorer, budget, seed);
+        let local = LocalSearch.search(&problem, &scorer, budget, seed);
+        let anneal = SimulatedAnnealing.search(&problem, &scorer, budget, seed);
         assert!(anneal.candidates.len() <= budget);
 
         let (rc, lc, ac) = (best(&random), best(&local), best(&anneal));
@@ -154,7 +154,7 @@ fn annealing_matches_or_beats_local_search_on_wide_cluster_at_equal_budget() {
 
         // Determinism: the annealing chain (including its Metropolis
         // coin flips) is a pure function of (inputs, seed).
-        let again = SimulatedAnnealing::default().search(&problem, &scorer, budget, seed);
+        let again = SimulatedAnnealing.search(&problem, &scorer, budget, seed);
         assert_eq!(anneal.best.assignment(), again.best.assignment());
         assert_eq!(anneal.candidates.len(), again.candidates.len());
         for (x, y) in anneal.candidates.iter().zip(&again.candidates) {

@@ -79,18 +79,18 @@ fn digest_joint(r: &JointOptimizationResult) -> u64 {
 fn single_strategies() -> [(&'static str, Box<dyn PlacementSearch>); 4] {
     [
         ("random", Box::new(RandomEnumeration)),
-        ("beam", Box::new(BeamSearch::default())),
-        ("local", Box::new(LocalSearch::default())),
-        ("anneal", Box::new(SimulatedAnnealing::default())),
+        ("beam", Box::new(BeamSearch)),
+        ("local", Box::new(LocalSearch)),
+        ("anneal", Box::new(SimulatedAnnealing)),
     ]
 }
 
 fn joint_strategies() -> [(&'static str, Box<dyn JointPlacementSearch>); 4] {
     [
         ("random", Box::new(RandomEnumeration)),
-        ("beam", Box::new(BeamSearch::default())),
-        ("local", Box::new(LocalSearch::default())),
-        ("anneal", Box::new(SimulatedAnnealing::default())),
+        ("beam", Box::new(BeamSearch)),
+        ("local", Box::new(LocalSearch)),
+        ("anneal", Box::new(SimulatedAnnealing)),
     ]
 }
 
@@ -282,7 +282,7 @@ fn replan_stream_is_pinned() {
         featurization: Featurization::Full,
         interference: None,
     };
-    let incumbent: JointPlacement = LocalSearch::default().search_joint(&problem, &scorer, 12, 31).best;
+    let incumbent: JointPlacement = LocalSearch.search_joint(&problem, &scorer, 12, 31).best;
     let dead = (0..cluster.len())
         .max_by_key(|&h| (incumbent.occupancy()[h], std::cmp::Reverse(h)))
         .expect("cluster has hosts");

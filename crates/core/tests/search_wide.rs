@@ -68,9 +68,9 @@ proptest! {
         let (q, narrow, sels) = test_fixtures::workload(300 + seed, 8);
         let wide = test_fixtures::wide_cluster(256);
         let strategies: [(&str, Box<dyn PlacementSearch>); 3] = [
-            ("beam", Box::new(BeamSearch::default())),
-            ("local", Box::new(LocalSearch::default())),
-            ("anneal", Box::new(SimulatedAnnealing::default())),
+            ("beam", Box::new(BeamSearch)),
+            ("local", Box::new(LocalSearch)),
+            ("anneal", Box::new(SimulatedAnnealing)),
         ];
         for (cluster, budget, label) in [(&narrow, 16usize, "8 hosts"), (&wide, 10, "256 hosts")] {
             let problem = SearchProblem {
@@ -108,9 +108,9 @@ proptest! {
             interference: None,
         };
         let strategies: [(&str, Box<dyn JointPlacementSearch>); 3] = [
-            ("beam", Box::new(BeamSearch::default())),
-            ("local", Box::new(LocalSearch::default())),
-            ("anneal", Box::new(SimulatedAnnealing::default())),
+            ("beam", Box::new(BeamSearch)),
+            ("local", Box::new(LocalSearch)),
+            ("anneal", Box::new(SimulatedAnnealing)),
         ];
         for (name, strategy) in &strategies {
             let a = strategy.search_joint(&problem, &scorer, 8, seed);
@@ -160,7 +160,7 @@ fn beam_round_enumerates_only_what_its_budget_can_use() {
         featurization: Featurization::Full,
     };
     for (budget, rounds) in [(16usize, 1u64), (64, 4)] {
-        let r = BeamSearch::default().search(&problem, &scorer, budget, 23);
+        let r = BeamSearch.search(&problem, &scorer, budget, 23);
         assert_eq!(r.candidates.len(), budget, "single, budget {budget}: spent");
         assert_eq!(enumerations(&r.stats, q.len()), rounds, "single, budget {budget}");
     }
@@ -175,7 +175,7 @@ fn beam_round_enumerates_only_what_its_budget_can_use() {
     };
     let n_ops: usize = queries.iter().map(|q| q.len()).sum();
     for (budget, rounds) in [(16usize, 1u64), (64, 4)] {
-        let r = BeamSearch::default().search_joint(&joint, &scorer, budget, 29);
+        let r = BeamSearch.search_joint(&joint, &scorer, budget, 29);
         assert_eq!(r.candidates.len(), budget, "joint, budget {budget}: spent");
         assert_eq!(enumerations(&r.stats, n_ops), rounds, "joint, budget {budget}");
     }

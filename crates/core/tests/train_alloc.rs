@@ -17,7 +17,7 @@
 
 use costream::dataset::Corpus;
 use costream::model::GnnModel;
-use costream::train::{prepare_training, TrainConfig, Trainer};
+use costream::train::{prepare_training, TrainConfig, Trainer, LEARNING_RATE};
 use costream_dsps::{CostMetric, SimConfig};
 use costream_query::ranges::FeatureRanges;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -66,7 +66,7 @@ fn steady_state_training_step_allocates_no_tensor_buffer() {
     let prepared = prepare_training(&corpus, metric, &cfg);
     let batch = &prepared.batches[0];
     let mut model = GnnModel::new(cfg.model);
-    let mut trainer = Trainer::new(&model, metric, cfg.lr, cfg.grad_clip);
+    let mut trainer = Trainer::new(&model, metric, LEARNING_RATE);
 
     // Minibatch 1 sizes everything: arena buffers, Adam's moments.
     trainer.step(&mut model, batch);

@@ -137,10 +137,6 @@ pub struct CorunConfig {
     pub queries_per_scenario: usize,
     /// Base RNG seed for workload generation.
     pub seed: u64,
-    /// Simulation protocol. Defaults to the noise-free deterministic
-    /// config so the solo and co-run runs draw identical service costs
-    /// and the inflation label isolates contention.
-    pub sim: SimConfig,
 }
 
 impl Default for CorunConfig {
@@ -149,7 +145,6 @@ impl Default for CorunConfig {
             scenarios: 48,
             queries_per_scenario: 2,
             seed: 7,
-            sim: SimConfig::deterministic(),
         }
     }
 }
@@ -164,7 +159,9 @@ impl Default for CorunConfig {
 /// contention, cross-host edges active). Each member is then simulated
 /// solo and co-run on the *same* cluster and placement, and every member
 /// whose solo and co-run executions both succeed yields one
-/// [`CorunSample`] labeled with its end-to-end latency inflation.
+/// [`CorunSample`] labeled with its end-to-end latency inflation. Both
+/// runs use the noise-free [`SimConfig::deterministic`] protocol, so they
+/// draw identical service costs and the label isolates contention.
 /// Failed runs (either side) are skipped: a crash has no finite label —
 /// the blast-radius coupling is pinned by engine tests instead.
 pub fn generate_corpus(cfg: &CorunConfig) -> Vec<CorunSample> {
@@ -175,6 +172,7 @@ pub fn generate_corpus(cfg: &CorunConfig) -> Vec<CorunSample> {
         cfg.queries_per_scenario >= 2,
         "need co-residents to measure interference"
     );
+    let sim = SimConfig::deterministic();
     let mut samples = Vec::new();
     for s in 0..cfg.scenarios {
         let mut g = WorkloadGenerator::new(cfg.seed.wrapping_add(s as u64), FeatureRanges::training());
@@ -206,10 +204,10 @@ pub fn generate_corpus(cfg: &CorunConfig) -> Vec<CorunSample> {
         let solo: Vec<_> = queries
             .iter()
             .zip(&placements)
-            .map(|(q, p)| simulate_corun(&[(q, p)], &cluster, &cfg.sim).pop().expect("one member"))
+            .map(|(q, p)| simulate_corun(&[(q, p)], &cluster, &sim).pop().expect("one member"))
             .collect();
         let members: Vec<(&Query, &Placement)> = queries.iter().zip(placements.iter()).collect();
-        let corun = simulate_corun(&members, &cluster, &cfg.sim);
+        let corun = simulate_corun(&members, &cluster, &sim);
 
         // Per-member loads resident on the shared host.
         let resident_loads: Vec<Vec<OpLoad>> = queries

@@ -25,7 +25,7 @@
 //! window residence) plus network latencies — the "oldest contributing
 //! input tuple" reading of Definitions 2/3.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, BACKPRESSURE_THRESHOLD, QUEUE_CAPACITY, TICK_S};
 use crate::cost::ExecutionProfile;
 use crate::drift::DriftScenario;
 use crate::memory;
@@ -262,7 +262,7 @@ pub fn simulate_corun_with_drift(
         .map(|i| profile_cost_ms[i] * lognormal(&mut rng, config.cost_noise_sigma))
         .collect();
 
-    let dt = config.dt_s;
+    let dt = TICK_S;
     let ticks = config.ticks();
     let warmup_ticks = (config.warmup_s / dt).ceil() as usize;
 
@@ -299,7 +299,6 @@ pub fn simulate_corun_with_drift(
         })
         .collect();
 
-    let mut lat_samples = 0usize;
     let mut measured_ticks = 0usize;
 
     let mut processed = vec![0.0f64; n];
@@ -330,7 +329,7 @@ pub fn simulate_corun_with_drift(
                 if !host_alive[host_of[i]] {
                     0.0
                 } else {
-                    mu[i] + (config.queue_capacity - queue[i]).max(0.0) / dt
+                    mu[i] + (QUEUE_CAPACITY - queue[i]).max(0.0) / dt
                 }
             })
             .collect();
@@ -427,7 +426,7 @@ pub fn simulate_corun_with_drift(
                     }
                 }
                 None => {
-                    queue[i] = (queue[i] + (arrivals[i] - processed[i]) * dt).clamp(0.0, config.queue_capacity);
+                    queue[i] = (queue[i] + (arrivals[i] - processed[i]) * dt).clamp(0.0, QUEUE_CAPACITY);
                 }
             }
         }
@@ -552,7 +551,6 @@ pub fn simulate_corun_with_drift(
             }
         }
         if measuring {
-            lat_samples += 1;
             measured_ticks += 1;
         }
 
@@ -589,8 +587,8 @@ pub fn simulate_corun_with_drift(
     }
 
     // Host utilization means for the traces.
+    let mt = measured_ticks as f64;
     if measured_ticks > 0 {
-        let mt = measured_ticks as f64;
         for mb in ms.iter_mut() {
             for v in mb
                 .trace
@@ -612,43 +610,33 @@ pub fn simulate_corun_with_drift(
         }
     }
 
-    let measured_s = (measured_ticks as f64 * dt).max(1e-9);
+    let measured_s = mt * dt;
     let has_rate_events = drift.has_rate_events();
     ms.into_iter()
         .map(|mb| {
-            if crashed {
+            // A run that ends before its warm-up does (a zero, negative or
+            // NaN duration included) measured nothing: it has no label.
+            if crashed || measured_ticks == 0 {
                 return SimResult {
                     metrics: CostMetrics::failed(),
                     trace: mb.trace,
                 };
             }
             let throughput = mb.sink_measured / measured_s;
-            let lp_s = if lat_samples > 0 {
-                mb.lp_sum / lat_samples as f64
-            } else {
-                config.duration_s
-            };
-            let le_s = if lat_samples > 0 {
-                mb.le_sum / lat_samples as f64
-            } else {
-                config.duration_s
-            };
-            let r = if measured_ticks > 0 {
-                mb.bp_rate_sum / measured_ticks as f64
-            } else {
-                0.0
-            };
+            let lp_s = mb.lp_sum / mt;
+            let le_s = mb.le_sum / mt;
+            let r = mb.bp_rate_sum / mt;
             // Under rate drift the nominal ingest is not the right
             // backpressure basis; use the time-averaged offered rate
             // instead. Without rate events the static sum is kept so
             // drift-free runs stay bitwise identical (a mean of identical
             // float sums need not round-trip).
-            let desired_basis = if has_rate_events && measured_ticks > 0 {
-                mb.desired_dyn_sum / measured_ticks as f64
+            let desired_basis = if has_rate_events {
+                mb.desired_dyn_sum / mt
             } else {
                 mb.desired_total
             };
-            let backpressure = r > config.backpressure_threshold * desired_basis.max(1e-9);
+            let backpressure = r > BACKPRESSURE_THRESHOLD * desired_basis.max(1e-9);
             let success = mb.sink_total >= 1.0;
 
             // Label noise: per member, in member order, after all cost
@@ -738,6 +726,30 @@ mod tests {
             "Lp = {}",
             r.metrics.processing_latency_ms
         );
+    }
+
+    #[test]
+    fn a_run_that_ends_before_its_warmup_measures_nothing() {
+        let q = filter_query(1000.0, 0.5);
+        let c = Cluster::new(vec![strong_host()]);
+        let p = Placement::new(vec![0, 0, 0]);
+        let warmup_s = SimConfig::default().warmup_s;
+        for duration_s in [0.0, f64::NAN, -1.0, 0.5 * warmup_s, warmup_s] {
+            let cfg = SimConfig {
+                duration_s,
+                ..SimConfig::deterministic()
+            };
+            let m = simulate(&q, &c, &p, &cfg).metrics;
+            assert!(!m.success, "duration {duration_s}: nothing measured, no success");
+            for v in [
+                m.throughput,
+                m.processing_latency_ms,
+                m.e2e_latency_ms,
+                m.backpressure_rate,
+            ] {
+                assert!(v.is_finite() && v >= 0.0, "duration {duration_s}: metric {v}");
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! recorded and reduced to per-lane p50/p99 (the bench harness persists
 //! those into `BENCH_micro.json`).
 //!
-//! With [`LoadgenConfig::faults`] enabled, a chaos thread continuously
-//! attacks the front-end *while the measured traffic runs*: malformed
+//! A chaos thread continuously attacks the front-end *while the
+//! measured traffic runs*: malformed
 //! frames, oversized headers, and mid-frame disconnects. The report
 //! counts the chaos rounds; the measured connections assert nothing
 //! about them — the point is that the numbers hold up while the faults
@@ -22,39 +22,16 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-/// Load-generator knobs.
-#[derive(Clone, Debug)]
-pub struct LoadgenConfig {
-    /// Total requests across all connections (split evenly).
-    pub requests: u64,
-    /// Interactive-lane connections.
-    pub interactive_conns: usize,
-    /// Bulk-lane connections.
-    pub bulk_conns: usize,
-    /// Requests each connection keeps in flight.
-    pub pipeline_depth: usize,
-    /// Relative deadline for interactive requests, µs (None = no
-    /// deadline).
-    pub interactive_deadline_us: Option<u64>,
-    /// Relative deadline for bulk requests, µs.
-    pub bulk_deadline_us: Option<u64>,
-    /// Run the connection-level chaos thread alongside the load.
-    pub faults: bool,
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> Self {
-        LoadgenConfig {
-            requests: 100_000,
-            interactive_conns: 2,
-            bulk_conns: 2,
-            pipeline_depth: 32,
-            interactive_deadline_us: Some(1_000_000),
-            bulk_deadline_us: Some(20_000),
-            faults: false,
-        }
-    }
-}
+/// Interactive-lane connections.
+pub const INTERACTIVE_CONNS: usize = 2;
+/// Bulk-lane connections.
+pub const BULK_CONNS: usize = 2;
+/// Requests each connection keeps in flight.
+pub const PIPELINE_DEPTH: usize = 32;
+/// Relative deadline for interactive requests, µs.
+pub const INTERACTIVE_DEADLINE_US: u64 = 1_000_000;
+/// Relative deadline for bulk requests, µs.
+pub const BULK_DEADLINE_US: u64 = 20_000;
 
 /// Per-lane outcome counts and latency percentiles.
 #[derive(Clone, Debug, Default)]
@@ -84,7 +61,7 @@ pub struct LoadReport {
     pub bulk: LaneReport,
     /// Wall-clock duration of the measured phase.
     pub elapsed: Duration,
-    /// Chaos-thread attack rounds completed (0 when faults are off).
+    /// Chaos-thread attack rounds completed.
     pub chaos_rounds: u64,
 }
 
@@ -98,40 +75,34 @@ struct ThreadOutcome {
     latencies_ns: Vec<u64>,
 }
 
-/// Drives `cfg.requests` pipelined requests against `addr`, split over
-/// the configured connections, and reduces per-lane latency
-/// percentiles.
+/// Drives `requests` pipelined requests against `addr`, split evenly
+/// over [`INTERACTIVE_CONNS`] interactive and [`BULK_CONNS`] bulk
+/// connections, with the chaos thread running alongside, and reduces
+/// per-lane latency percentiles.
 ///
 /// # Panics
 /// Panics when the pool is empty, a connection cannot be established,
 /// or the pool upload fails — load generation is a harness, not a
 /// production path, and a broken fixture should fail loudly.
-pub fn run(addr: SocketAddr, pool: &[JointGraph], cfg: &LoadgenConfig) -> LoadReport {
+pub fn run(addr: SocketAddr, pool: &[JointGraph], requests: u64) -> LoadReport {
     assert!(!pool.is_empty(), "load generator needs a graph pool");
-    assert!(cfg.interactive_conns + cfg.bulk_conns > 0, "no connections configured");
-    let conns = cfg.interactive_conns + cfg.bulk_conns;
-    let per_conn = (cfg.requests / conns as u64).max(1);
+    let conns = INTERACTIVE_CONNS + BULK_CONNS;
+    let per_conn = (requests / conns as u64).max(1);
 
     let stop_chaos = AtomicBool::new(false);
     let started = Instant::now();
     let (interactive, bulk, chaos_rounds) = std::thread::scope(|s| {
-        let chaos = cfg.faults.then(|| {
-            let stop = &stop_chaos;
-            s.spawn(move || chaos_loop(addr, stop))
-        });
+        let stop = &stop_chaos;
+        let chaos = s.spawn(move || chaos_loop(addr, stop));
         let mut interactive_handles = Vec::new();
         let mut bulk_handles = Vec::new();
         for c in 0..conns {
-            let lane = if c < cfg.interactive_conns {
-                WireLane::Interactive
+            let (lane, deadline_us) = if c < INTERACTIVE_CONNS {
+                (WireLane::Interactive, INTERACTIVE_DEADLINE_US)
             } else {
-                WireLane::Bulk
+                (WireLane::Bulk, BULK_DEADLINE_US)
             };
-            let deadline_us = match lane {
-                WireLane::Interactive => cfg.interactive_deadline_us,
-                WireLane::Bulk => cfg.bulk_deadline_us,
-            };
-            let handle = s.spawn(move || connection_loop(addr, pool, lane, deadline_us, per_conn, cfg.pipeline_depth));
+            let handle = s.spawn(move || connection_loop(addr, pool, lane, deadline_us, per_conn));
             match lane {
                 WireLane::Interactive => interactive_handles.push(handle),
                 WireLane::Bulk => bulk_handles.push(handle),
@@ -146,7 +117,7 @@ pub fn run(addr: SocketAddr, pool: &[JointGraph], cfg: &LoadgenConfig) -> LoadRe
             .map(|h| h.join().expect("loadgen connection thread"))
             .collect();
         stop_chaos.store(true, Ordering::SeqCst);
-        let chaos_rounds = chaos.map(|h| h.join().expect("chaos thread")).unwrap_or(0);
+        let chaos_rounds = chaos.join().expect("chaos thread");
         (interactive, bulk, chaos_rounds)
     });
 
@@ -162,9 +133,8 @@ fn connection_loop(
     addr: SocketAddr,
     pool: &[JointGraph],
     lane: WireLane,
-    deadline_us: Option<u64>,
+    deadline_us: u64,
     requests: u64,
-    depth: usize,
 ) -> ThreadOutcome {
     let mut client = FrontClient::connect(addr).expect("loadgen connect");
     match client.load_pool(0, 0, pool.to_vec()).expect("pool upload") {
@@ -181,15 +151,14 @@ fn connection_loop(
     };
     // In-flight send timestamps, FIFO (the server answers per-connection
     // traffic in submission order).
-    let mut in_flight: std::collections::VecDeque<Instant> = std::collections::VecDeque::with_capacity(depth);
-    let depth = depth.max(1) as u64;
+    let mut in_flight: std::collections::VecDeque<Instant> = std::collections::VecDeque::with_capacity(PIPELINE_DEPTH);
     let mut received = 0u64;
     while received < requests {
-        while out.sent < requests && (out.sent - received) < depth {
+        while out.sent < requests && (out.sent - received) < PIPELINE_DEPTH as u64 {
             let req = Request {
                 id: out.sent,
                 lane,
-                deadline_us,
+                deadline_us: Some(deadline_us),
                 body: RequestBody::ScorePooled {
                     slot: (out.sent % pool.len() as u64) as u32,
                 },
@@ -260,8 +229,10 @@ fn reduce(outcomes: Vec<ThreadOutcome>) -> LaneReport {
     report
 }
 
-/// Nearest-rank percentile over `samples` (sorted in place); 0 when
-/// empty.
+/// The sample at index `round((n - 1) * q)` of `samples` (sorted in
+/// place); 0 when empty. This is not the nearest-rank rule (rank
+/// `ceil(q * n)`) of `costream::qerror::percentile`: the p50 of four
+/// samples is the third here and the second there.
 fn percentile(samples: &mut [u64], q: f64) -> u64 {
     if samples.is_empty() {
         return 0;

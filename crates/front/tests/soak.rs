@@ -10,7 +10,7 @@
 
 use costream::prelude::*;
 use costream::test_fixtures;
-use costream_front::loadgen::{self, LoadgenConfig};
+use costream_front::loadgen;
 use costream_front::{FrontConfig, Frontend};
 use costream_serve::ServeConfig;
 
@@ -43,15 +43,7 @@ fn sustained_mixed_lane_load_with_faults_holds_up() {
     )
     .expect("bind");
 
-    let report = loadgen::run(
-        front.addr(),
-        &pool,
-        &LoadgenConfig {
-            requests,
-            faults: true,
-            ..LoadgenConfig::default()
-        },
-    );
+    let report = loadgen::run(front.addr(), &pool, requests);
 
     // Every measured request got exactly one typed answer.
     for (name, lane) in [("interactive", &report.interactive), ("bulk", &report.bulk)] {

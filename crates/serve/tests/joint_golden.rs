@@ -70,9 +70,9 @@ fn serve_backed_joint_search_matches_direct_bitwise() {
 
     for strategy in [
         &RandomEnumeration as &dyn JointPlacementSearch,
-        &BeamSearch::default(),
-        &LocalSearch::default(),
-        &SimulatedAnnealing::default(),
+        &BeamSearch,
+        &LocalSearch,
+        &SimulatedAnnealing,
     ] {
         let want = strategy.search_joint(&problem, &direct, 10, 4);
         for workers in [1usize, 4] {
@@ -109,7 +109,7 @@ fn serve_backed_joint_search_matches_direct_under_learned_model() {
 
     for strategy in [
         &RandomEnumeration as &dyn JointPlacementSearch,
-        &LocalSearch::default() as &dyn JointPlacementSearch,
+        &LocalSearch as &dyn JointPlacementSearch,
     ] {
         let want = strategy.search_joint(&problem, &direct, 10, 4);
         for workers in [1usize, 4] {
@@ -151,7 +151,7 @@ fn concurrent_joint_tenants_are_isolated_and_coalesce() {
             featurization: Featurization::Full,
             interference: None,
         };
-        LocalSearch::default().search_joint(&problem, scorer, 12, seed)
+        LocalSearch.search_joint(&problem, scorer, 12, seed)
     };
 
     let expected: Vec<JointOptimizationResult> = tenants

@@ -69,11 +69,7 @@ fn serve_backed_search_matches_direct_search_bitwise() {
         featurization: Featurization::Full,
     };
 
-    for strategy in [
-        &RandomEnumeration as &dyn PlacementSearch,
-        &BeamSearch::default(),
-        &LocalSearch::default(),
-    ] {
+    for strategy in [&RandomEnumeration as &dyn PlacementSearch, &BeamSearch, &LocalSearch] {
         let want = strategy.search(&problem, &direct, 20, 4);
         for workers in [1usize, 4] {
             let [st, ss, sb] = services(&t, &s, &b, workers);
@@ -111,7 +107,7 @@ fn concurrent_tenant_searches_are_isolated_and_coalesce() {
                 est_sels: sels,
                 featurization: Featurization::Full,
             };
-            LocalSearch::default().search(&problem, &direct, 16, *seed)
+            LocalSearch.search(&problem, &direct, 16, *seed)
         })
         .collect();
 
@@ -128,7 +124,7 @@ fn concurrent_tenant_searches_are_isolated_and_coalesce() {
                         est_sels: sels,
                         featurization: Featurization::Full,
                     };
-                    LocalSearch::default().search(&problem, &scorer, 16, *seed)
+                    LocalSearch.search(&problem, &scorer, 16, *seed)
                 })
             })
             .collect();
@@ -163,7 +159,7 @@ fn optimizer_client_observes_plan_cache_effectiveness() {
         featurization: Featurization::Full,
     };
 
-    let first = LocalSearch::default().search(&problem, &scorer, 16, 8);
+    let first = LocalSearch.search(&problem, &scorer, 16, 8);
     let after_first = st.stats();
     assert!(
         after_first.plan_cache_hits + after_first.plan_cache_misses > 0,
@@ -172,7 +168,7 @@ fn optimizer_client_observes_plan_cache_effectiveness() {
 
     // Second identical search: every candidate topology was seen before,
     // so the target service answers from cached topologies only.
-    let second = LocalSearch::default().search(&problem, &scorer, 16, 8);
+    let second = LocalSearch.search(&problem, &scorer, 16, 8);
     let after_second = st.stats();
     assert_eq!(first.best.assignment(), second.best.assignment());
     assert_eq!(

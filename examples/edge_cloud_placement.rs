@@ -132,7 +132,7 @@ fn main() {
                     est_sels: &sels,
                     featurization: Featurization::Full,
                 };
-                let r = LocalSearch::default().search(&problem, &tenant_scorer, budget, 80 + tenant);
+                let r = LocalSearch.search(&problem, &tenant_scorer, budget, 80 + tenant);
                 println!(
                     "tenant {tenant}: scored {} candidates, best predicted Lp {:.0} ms",
                     r.candidates.len(),
@@ -150,7 +150,7 @@ fn main() {
         // Equal scoring budget, two strategies: the paper's baseline vs
         // hill climbing over the move/swap neighborhood.
         let random = RandomEnumeration.search(&problem, &scorer, budget, 2);
-        let local = LocalSearch::default().search(&problem, &scorer, budget, 2);
+        let local = LocalSearch.search(&problem, &scorer, budget, 2);
         (random, local)
     });
 
@@ -215,17 +215,12 @@ fn main() {
                         est_sels: s,
                         featurization: Featurization::Full,
                     };
-                    LocalSearch::default().search(&sp, &scorer, per_query_budget, 5).best
+                    LocalSearch.search(&sp, &scorer, per_query_budget, 5).best
                 })
                 .collect(),
         );
-        let joint = LocalSearch::default().search_joint_seeded(
-            &problem,
-            &scorer,
-            std::slice::from_ref(&combined),
-            per_query_budget,
-            5,
-        );
+        let joint =
+            LocalSearch.search_joint_seeded(&problem, &scorer, std::slice::from_ref(&combined), per_query_budget, 5);
         let independent_total = joint.candidates[0].total_cost();
         let joint_total = joint.best_evaluation().total_cost();
         println!(

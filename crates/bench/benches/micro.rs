@@ -629,11 +629,13 @@ fn bench_enumeration(c: &mut Criterion) {
 /// timing). `search_score_per_candidate` (CI-gated) is what one candidate
 /// costs inside the scorer during that LocalSearch — `SearchStats`'
 /// `score_ns / candidates_scored`, the fastest of 20 searches — i.e. the
-/// in-process production path (one plan, three fused passes per batch)
-/// at a search's real batch sizes. `search_unique_row_share` (CI-gated)
-/// is the share of that search's wave rows the fused pass computes under
-/// the search's memo (each distinct node state once per search), and
-/// `plan_hash_cons_b10` times the one-batch lowering.
+/// in-process production path (the batch's placements lowered straight
+/// into the search's memo, then three fused passes) at a search's real
+/// batch sizes; the lowering is part of it. `search_unique_row_share`
+/// (CI-gated) is the share of that search's wave rows the fused pass
+/// computes under the search's memo (each distinct node state once per
+/// search), and `placement_lower_b10` times the placement lowering of 10
+/// of that search's recorded candidates into a fresh search memo.
 fn bench_optimizer_search(c: &mut Criterion) {
     use costream::search::{
         BeamSearch, EnsembleScorer, LocalSearch, PlacementSearch, RandomEnumeration, SearchProblem,
@@ -704,7 +706,7 @@ fn bench_optimizer_search(c: &mut Criterion) {
 
     // What the search's memo computed of that search's wave rows (gated —
     // a lowering that stops merging, within a batch or across batches,
-    // reads more) and the one-batch lowering's cost on a 10-candidate
+    // reads more) and the placement lowering's cost on a 10-candidate
     // batch.
     let recording = Recording {
         inner: &scorer,
@@ -720,27 +722,27 @@ fn bench_optimizer_search(c: &mut Criterion) {
         "share",
     );
     let config = *target.model_config();
-    let b10 = batches
-        .iter()
+    let n_batches = batches.len();
+    let mut b10 = batches
+        .into_iter()
         .find(|b| b.len() >= 10)
         .expect("a LocalSearch round scores at least 10 candidates");
-    let refs: Vec<&JointGraph> = b10[..10].iter().collect();
-    let plan = BatchPlan::build(&refs, config.scheme, config.traditional_rounds);
+    b10.truncate(10);
+    let lower = |b: &CandidateBatch| b.hash_cons(config.scheme, config.traditional_rounds);
     eprintln!(
-        "  search memo over {} batches: {} of {} wave rows computed; a 10-candidate batch alone: {:?}",
-        batches.len(),
+        "  search memo over {n_batches} batches: {} of {} wave rows computed; a 10-candidate batch alone: {:?}",
         memo.distinct_wave_rows,
         memo.wave_rows,
-        plan.hash_cons()
+        lower(&b10)
     );
-    c.bench_function("plan_hash_cons_b10", |b| b.iter(|| black_box(&plan).hash_cons()));
+    c.bench_function("placement_lower_b10", |b| b.iter(|| lower(black_box(&b10))));
 }
 
-/// A scorer that keeps a copy of every batch it scores, and what the
-/// search's memo held after the last one.
+/// A scorer that keeps a copy of every candidate batch a search asks it
+/// to score, and what the search's memo held after the last one.
 struct Recording<'a, S> {
     inner: &'a S,
-    batches: std::sync::Mutex<Vec<Vec<JointGraph>>>,
+    batches: std::sync::Mutex<Vec<CandidateBatch>>,
     memo: std::sync::Mutex<costream::plan::SlotStats>,
 }
 
@@ -750,13 +752,12 @@ impl<S: Scorer> Scorer for Recording<'_, S> {
     }
 
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores> {
-        self.batches.lock().expect("recording lock").push(graphs.clone());
         self.inner.score_batch(graphs)
     }
 
-    fn score_batch_in(&self, graphs: Vec<JointGraph>, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
-        self.batches.lock().expect("recording lock").push(graphs.clone());
-        let scores = self.inner.score_batch_in(graphs, memo);
+    fn score_batch_in(&self, batch: &CandidateBatch, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
+        self.batches.lock().expect("recording lock").push(batch.clone());
+        let scores = self.inner.score_batch_in(batch, memo);
         *self.memo.lock().expect("recording lock") = memo.stats();
         scores
     }

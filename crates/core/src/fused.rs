@@ -34,8 +34,8 @@
 //!
 //! # One state row per distinct node state
 //!
-//! The pass runs the plan's hash-consed slot schedule (`crate::plan`'s
-//! module docs), not its nodes: each distinct encoder row or wave update
+//! The pass runs a hash-consed slot schedule (`crate::plan`'s module
+//! docs), not a plan's nodes: each distinct encoder row or wave update
 //! is one *slot*, and a wave update nothing reads (in the Costream scheme,
 //! every HW→OPS update) gets none. Every slot of the `[slots, k·hidden]`
 //! state is written exactly once — encoders and updaters compute only the
@@ -49,8 +49,9 @@
 //! # One engine
 //!
 //! A [`ScoreEngine`] owns the slot memo, one state matrix per view and the
-//! arena. It lowers a plan into its memo once and runs each view over the
-//! schedule; a pass ends in the view's `[n, k]` raw rows (log-space cost
+//! arena. It lowers a plan — or, for a search, a candidate batch straight
+//! from its placements, with no graph and no plan built — into its memo
+//! once and runs each view over the schedule; a pass ends in the view's `[n, k]` raw rows (log-space cost
 //! or logit per member), which [`ScoreEngine::score`] denormalizes and
 //! combines and [`FusedEnsemble::raw_graphs`] returns as they are. Callers
 //! differ only in the memo's lifetime (`crate::plan`'s module docs): one
@@ -60,7 +61,7 @@
 //! states and must not outlive the search.
 
 use crate::ensemble::combine_member_major;
-use crate::graph::JointGraph;
+use crate::graph::{CandidateBatch, JointGraph};
 use crate::model::{ModelConfig, INFERENCE_CHUNK};
 use crate::plan::{BatchPlan, SlotMemo, SlotSchedule, SlotStats};
 use crate::train::TrainedModel;
@@ -181,17 +182,11 @@ impl FusedEnsemble {
 
     /// One fused forward pass: returns the member-major raw outputs
     /// `[n_graphs, k]` (log-space cost or logit per member), computed over
-    /// the plan's slot schedule: each new distinct node state that
-    /// something reads, once, into `state` (the memo's matrix for this
-    /// view, grown to the schedule's rows).
-    fn forward_raw(
-        &self,
-        plan: &BatchPlan,
-        schedule: &SlotSchedule,
-        state: &mut Tensor,
-        arena: &mut InferenceArena,
-    ) -> Tensor {
-        self.config.check_plan(plan);
+    /// a slot schedule — a plan's or a candidate batch's: each new distinct
+    /// node state that something reads, once, into `state` (the memo's
+    /// matrix for this view, grown to the schedule's rows).
+    fn forward_raw(&self, schedule: &SlotSchedule, state: &mut Tensor, arena: &mut InferenceArena) -> Tensor {
+        self.config.check_scheme(schedule.scheme, schedule.traditional_rounds);
         let h = self.config.hidden;
         let kh = self.k * h;
 
@@ -199,7 +194,7 @@ impl FusedEnsemble {
         // arena is a stack, and releasing in reverse order of taking hands
         // every buffer back to the same role next pass. Taken last, the
         // buffers would trade roles and each grow to the largest's size.
-        let mut out = arena.alloc_scratch(plan.topo.n_graphs, self.k);
+        let mut out = arena.alloc_scratch(schedule.n_graphs, self.k);
 
         // One k-wide row per slot. Every slot is written exactly once,
         // before anything reads it, so no row needs zeroing first; an
@@ -212,7 +207,7 @@ impl FusedEnsemble {
         // ---- per-type encoders: one *shared-input* pass per type over
         // its new distinct feature rows (features are member-independent),
         // final layer written straight into the rows' slots.
-        for (call, feats) in schedule.encoders().zip(&plan.features) {
+        for (call, feats) in schedule.encoders() {
             if call.slots.is_empty() {
                 continue;
             }
@@ -239,8 +234,8 @@ impl FusedEnsemble {
 
         // ---- readout: pool each node's final slot per graph, in node
         // order (once, k-wide), then the stacked output MLP → `[n_graphs, k]`.
-        let mut pooled = arena.alloc_zeroed(plan.topo.n_graphs, kh);
-        state.gather_segment_sum_into(&schedule.final_slots, &plan.topo.graph_of, &mut pooled);
+        let mut pooled = arena.alloc_zeroed(schedule.n_graphs, kh);
+        state.gather_segment_sum_into(&schedule.final_slots, &schedule.graph_of, &mut pooled);
         self.readout.forward_into(arena, &pooled, false, None, &mut out, None);
         arena.recycle(pooled);
         out
@@ -327,30 +322,75 @@ impl ScoreEngine {
         plan: &BatchPlan,
         models: [&FusedEnsemble; N],
     ) -> (SlotStats, [Vec<f64>; N]) {
-        self.run(plan, models, FusedEnsemble::combine)
+        let schedule = plan.lower_into(&mut self.slots);
+        self.run(&schedule, models, FusedEnsemble::combine)
+    }
+
+    /// [`ScoreEngine::score`] for prepared graphs, chunk by chunk at
+    /// [`INFERENCE_CHUNK`]: one plan per chunk, lowered into the memo.
+    /// Returns what the lowerings added and each model's predictions, in
+    /// graph order.
+    pub(crate) fn score_graphs<const N: usize>(
+        &mut self,
+        graphs: &[&JointGraph],
+        models: [&FusedEnsemble; N],
+    ) -> (SlotStats, [Vec<f64>; N]) {
+        let config = models[0].config;
+        let mut stats = SlotStats::default();
+        let mut out: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(graphs.len()));
+        for chunk in graphs.chunks(INFERENCE_CHUNK) {
+            let plan = BatchPlan::build(chunk, config.scheme, config.traditional_rounds);
+            let (chunk_stats, scores) = self.score(&plan, models);
+            stats += chunk_stats;
+            for (all, chunk_scores) in out.iter_mut().zip(scores) {
+                all.extend(chunk_scores);
+            }
+        }
+        (stats, out)
+    }
+
+    /// Scores graphs `graphs` of a candidate batch with each of `models`:
+    /// one placement lowering into the memo (no graph, no plan), then one
+    /// fused pass per model. Bitwise, the scores are those of
+    /// [`ScoreEngine::score`] on the plan of the same graphs.
+    ///
+    /// # Panics
+    /// Panics on a one-batch engine, or if the models differ in scheme or
+    /// round count.
+    pub(crate) fn score_candidates<const N: usize>(
+        &mut self,
+        batch: &CandidateBatch,
+        graphs: std::ops::Range<usize>,
+        models: [&FusedEnsemble; N],
+    ) -> (SlotStats, [Vec<f64>; N]) {
+        let config = models[0].config;
+        let schedule = self
+            .slots
+            .lower_candidates(batch, graphs, config.scheme, config.traditional_rounds);
+        self.run(&schedule, models, FusedEnsemble::combine)
     }
 
     /// One model's member-major raw rows for one plan, `[n_graphs, k]`.
     fn raw(&mut self, plan: &BatchPlan, model: &FusedEnsemble) -> Vec<f32> {
-        let (_, [raw]) = self.run(plan, [model], |_, raw| raw.to_vec());
+        let schedule = plan.lower_into(&mut self.slots);
+        let (_, [raw]) = self.run(&schedule, [model], |_, raw| raw.to_vec());
         raw
     }
 
-    /// Lowers `plan` into the memo, runs each model's pass over the
-    /// schedule and hands its raw rows to `finish`.
+    /// Runs each model's pass over `schedule` and hands its raw rows to
+    /// `finish`; returns what the lowering added to the memo too.
     fn run<const N: usize, T>(
         &mut self,
-        plan: &BatchPlan,
+        schedule: &SlotSchedule,
         models: [&FusedEnsemble; N],
         finish: impl Fn(&FusedEnsemble, &[f32]) -> T,
     ) -> (SlotStats, [T; N]) {
-        let schedule = plan.lower_into(&mut self.slots);
         if self.states.len() < N {
             self.states.resize_with(N, || Tensor::zeros(0, 0));
         }
         let (states, arena) = (&mut self.states, &mut self.arena);
         let out = std::array::from_fn(|i| {
-            let raw = models[i].forward_raw(plan, &schedule, &mut states[i], arena);
+            let raw = models[i].forward_raw(schedule, &mut states[i], arena);
             let done = finish(models[i], raw.data());
             arena.recycle(raw);
             done
@@ -374,6 +414,13 @@ impl ScoreEngine {
         sizes.extend(self.states.iter().map(Tensor::len));
         sizes.extend(self.slots.capacities());
         sizes
+    }
+
+    /// The size of every buffer the placement lowering keeps (test
+    /// instrumentation).
+    #[cfg(test)]
+    pub(crate) fn placement_buffer_sizes(&self) -> Vec<usize> {
+        self.slots.placement_capacities()
     }
 }
 

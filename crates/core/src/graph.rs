@@ -8,10 +8,13 @@
 //! OPS→HW and HW→OPS message-passing phases of Algorithm 1).
 
 use costream_query::features::{host_features, op_features, NodeType};
-use costream_query::hardware::{Cluster, HostId};
+use costream_query::hardware::{Cluster, Host, HostId};
+use costream_query::joint::JointPlacement;
 use costream_query::operators::Query;
 use costream_query::placement::Placement;
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Which parts of the joint representation are encoded — the featurization
 /// ablation of Exp 7a (Fig. 12).
@@ -96,23 +99,40 @@ impl JointGraph {
 /// A search strategy that scores hundreds of placements of *one* query
 /// would recompute all of it per candidate through [`JointGraph::build`].
 ///
-/// A `GraphTemplate` computes the invariant parts once;
-/// [`GraphTemplate::instantiate`] then produces the joint graph of any
-/// placement by appending the used-host nodes and the placement edges —
-/// and [`GraphTemplate::patch`] does the same *in place* on an existing
-/// graph, reusing its allocations and leaving the operator prefix
-/// untouched. This is the canonical featurization path:
+/// A `GraphTemplate` computes the operator part once and keeps the
+/// cluster's hosts, whose feature rows it computes only for the hosts a
+/// placement uses (a 512-host cluster costs one copy of its host list, not
+/// 512 feature rows); [`GraphTemplate::instantiate`] then produces the
+/// joint graph of any placement by appending the used-host nodes and the
+/// placement edges — and [`GraphTemplate::patch`] does the same *in place*
+/// on an existing graph, reusing its allocations and leaving the operator
+/// prefix untouched. This is the canonical featurization path:
 /// [`JointGraph::build`] is a one-shot template-and-instantiate, so the
 /// two can never diverge, and golden tests additionally pin `patch`
-/// chains bitwise-equal to fresh builds.
+/// chains bitwise-equal to fresh builds. The in-process placement search
+/// never instantiates: it lowers (template, placement) pairs of a
+/// [`CandidateBatch`] straight into its scoring memo (`crate::plan`).
 #[derive(Clone, Debug)]
 pub struct GraphTemplate {
+    /// Shared by the template's clones and by no other template: a search
+    /// memo interns a template's operator rows once, under this id.
+    id: u64,
     featurization: Featurization,
     op_nodes: Vec<GraphNode>,
     dataflow_edges: Vec<(usize, usize)>,
     op_waves: Vec<Option<usize>>,
-    /// Per cluster host (used or not), the feature vector its node gets.
-    host_feats: Vec<Vec<f32>>,
+    /// The cluster's hosts (none under [`Featurization::QueryOnly`]); a
+    /// host's feature row is computed when a placement uses it.
+    hosts: Vec<Host>,
+}
+
+/// The feature row host `h` of `hosts` gets under `featurization` — the
+/// one place a host row is computed, for graphs and search memos alike.
+fn host_row(featurization: Featurization, hosts: &[Host], h: HostId) -> Vec<f32> {
+    match featurization {
+        Featurization::Full => host_features(&hosts[h]),
+        Featurization::HardwareNodes | Featurization::QueryOnly => vec![1.0; NodeType::Host.feature_width()],
+    }
 }
 
 impl GraphTemplate {
@@ -141,21 +161,17 @@ impl GraphTemplate {
                 .unwrap_or(0);
             op_waves[op] = Some(w);
         }
-        let host_feats = match featurization {
-            Featurization::QueryOnly => Vec::new(),
-            Featurization::Full => cluster.hosts().iter().map(host_features).collect(),
-            Featurization::HardwareNodes => cluster
-                .hosts()
-                .iter()
-                .map(|_| vec![1.0; NodeType::Host.feature_width()])
-                .collect(),
-        };
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         GraphTemplate {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             featurization,
             op_nodes,
             dataflow_edges: query.edges().to_vec(),
             op_waves,
-            host_feats,
+            hosts: match featurization {
+                Featurization::QueryOnly => Vec::new(),
+                Featurization::Full | Featurization::HardwareNodes => cluster.hosts().to_vec(),
+            },
         }
     }
 
@@ -180,7 +196,8 @@ impl GraphTemplate {
             op_nodes,
             dataflow_edges,
             op_waves,
-            host_feats,
+            hosts,
+            ..
         } = self;
         let n_ops = op_nodes.len();
         let mut graph = JointGraph {
@@ -189,7 +206,7 @@ impl GraphTemplate {
             placement_edges: Vec::new(),
             waves: op_waves,
         };
-        patch_placement(featurization, &host_feats, &[], n_ops, &mut graph, placement);
+        patch_placement(featurization, &hosts, &[], n_ops, &mut graph, placement);
         graph
     }
 
@@ -207,25 +224,66 @@ impl GraphTemplate {
         self.patch_with_host_overrides(graph, placement, &[]);
     }
 
-    /// The per-host feature rows the template instantiates host nodes
-    /// from (empty under [`Featurization::QueryOnly`]). A contention-aware
-    /// scorer reads the uncontended row here and substitutes degraded
-    /// rows through [`GraphTemplate::patch_with_host_overrides`];
-    /// `JointScorer::host_rows` reads it for the contention tests.
-    pub fn host_feature_rows(&self) -> &[Vec<f32>] {
-        &self.host_feats
+    /// The number of host rows the template can give out: the cluster's
+    /// width, or 0 under [`Featurization::QueryOnly`].
+    pub(crate) fn n_hosts(&self) -> usize {
+        self.hosts.len()
+    }
+
+    /// The feature row host `h`'s node gets when no override replaces it
+    /// — computed on every call, bitwise what [`JointGraph::build`] puts
+    /// there.
+    pub(crate) fn host_row(&self, h: HostId) -> Vec<f32> {
+        host_row(self.featurization, &self.hosts, h)
+    }
+
+    /// The template's id (see the field).
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// The operator nodes, in operator order.
+    pub(crate) fn op_nodes(&self) -> &[GraphNode] {
+        &self.op_nodes
+    }
+
+    /// The template's structure on one host: every operator placed on
+    /// host node `n_ops` (no host node under
+    /// [`Featurization::QueryOnly`]), no feature row filled in. A search
+    /// memo builds the topology of this graph once per template and reads
+    /// every candidate's waves off it (`crate::plan`).
+    pub(crate) fn one_host_shape(&self) -> JointGraph {
+        let n_ops = self.op_nodes.len();
+        let shape = |node_type| GraphNode {
+            node_type,
+            features: Vec::new(),
+        };
+        let mut nodes: Vec<GraphNode> = self.op_nodes.iter().map(|n| shape(n.node_type)).collect();
+        let mut waves = self.op_waves.clone();
+        let mut placement_edges = Vec::new();
+        if self.featurization != Featurization::QueryOnly {
+            nodes.push(shape(NodeType::Host));
+            waves.push(None);
+            placement_edges.extend((0..n_ops).map(|op| (op, n_ops)));
+        }
+        JointGraph {
+            nodes,
+            dataflow_edges: self.dataflow_edges.clone(),
+            placement_edges,
+            waves,
+        }
     }
 
     /// Like [`GraphTemplate::patch`], but a host listed in `overrides`
-    /// gets that row instead of the template's own — the hook multi-query
-    /// co-placement uses to price host contention: only the contended
-    /// hosts of the placement (at most one per operator) are named, every
-    /// other row and the operator prefix are the template's, untouched.
-    /// No overrides is bitwise [`GraphTemplate::patch`].
+    /// gets that row instead of the template's own — how a
+    /// [`CandidateBatch`]'s graphs carry host contention: only the
+    /// contended hosts of the placement (at most one per operator) are
+    /// named, every other row and the operator prefix are the template's,
+    /// untouched. No overrides is bitwise [`GraphTemplate::patch`].
     ///
     /// # Panics
     /// Panics on the conditions of [`GraphTemplate::patch`].
-    pub fn patch_with_host_overrides(
+    fn patch_with_host_overrides(
         &self,
         graph: &mut JointGraph,
         placement: &Placement,
@@ -233,7 +291,7 @@ impl GraphTemplate {
     ) {
         patch_placement(
             self.featurization,
-            &self.host_feats,
+            &self.hosts,
             overrides,
             self.op_nodes.len(),
             graph,
@@ -246,11 +304,7 @@ impl GraphTemplate {
     ///
     /// # Panics
     /// Panics on the conditions of [`GraphTemplate::patch`].
-    pub fn instantiate_with_host_overrides(
-        &self,
-        placement: &Placement,
-        overrides: &[(HostId, Vec<f32>)],
-    ) -> JointGraph {
+    fn instantiate_with_host_overrides(&self, placement: &Placement, overrides: &[(HostId, Vec<f32>)]) -> JointGraph {
         let mut graph = JointGraph {
             nodes: self.op_nodes.clone(),
             dataflow_edges: self.dataflow_edges.clone(),
@@ -268,7 +322,7 @@ impl GraphTemplate {
 /// for `placement`, leaving the `n_ops`-long operator prefix untouched.
 fn patch_placement(
     featurization: Featurization,
-    host_feats: &[Vec<f32>],
+    hosts: &[Host],
     overrides: &[(HostId, Vec<f32>)],
     n_ops: usize,
     graph: &mut JointGraph,
@@ -287,13 +341,13 @@ fn patch_placement(
     // rank in that list.
     let used = placement.hosts_used();
     for &h in &used {
-        let row = overrides
-            .iter()
-            .find(|(o, _)| *o == h)
-            .map_or(&host_feats[h], |(_, row)| row);
+        let features = match overrides.iter().find(|(o, _)| *o == h) {
+            Some((_, row)) => row.clone(),
+            None => host_row(featurization, hosts, h),
+        };
         graph.nodes.push(GraphNode {
             node_type: NodeType::Host,
-            features: row.clone(),
+            features,
         });
         graph.waves.push(None);
     }
@@ -302,6 +356,108 @@ fn patch_placement(
             .binary_search(&placement.host_of(op))
             .expect("used host has a node");
         graph.placement_edges.push((op, n_ops + rank));
+    }
+}
+
+/// One scoring batch of placement-search candidates, not yet featurized:
+/// the per-query templates of a search, one [`JointPlacement`] per
+/// candidate and each graph's contention-degraded host rows. Graph `i` of
+/// the batch is query `i % N` of candidate `i / N` (N queries).
+///
+/// The in-process scorer lowers a batch from its placements straight into
+/// the search's memo, building no [`JointGraph`];
+/// [`CandidateBatch::graphs`] instantiates the graphs for a backend that
+/// needs them (the default [`Scorer::score_batch_in`]), bitwise the graphs
+/// the lowering stands for.
+///
+/// [`Scorer::score_batch_in`]: crate::search::Scorer::score_batch_in
+#[derive(Clone, Debug)]
+pub struct CandidateBatch {
+    templates: Arc<[GraphTemplate]>,
+    candidates: Vec<JointPlacement>,
+    /// Every graph's host-row overrides, concatenated in graph order.
+    overrides: Vec<(HostId, Vec<f32>)>,
+    /// Where each graph's overrides end in `overrides`.
+    override_ends: Vec<usize>,
+}
+
+impl CandidateBatch {
+    /// A batch of `candidates` over `templates`, graph `(c, q)` with the
+    /// host rows `overrides(candidate, q)` names replaced.
+    ///
+    /// # Panics
+    /// Panics when a candidate does not place one query per template.
+    pub(crate) fn new(
+        templates: Arc<[GraphTemplate]>,
+        candidates: Vec<JointPlacement>,
+        mut overrides: impl FnMut(&JointPlacement, usize) -> Vec<(HostId, Vec<f32>)>,
+    ) -> Self {
+        let n_q = templates.len();
+        let mut batch = CandidateBatch {
+            templates,
+            candidates: Vec::new(),
+            overrides: Vec::new(),
+            override_ends: Vec::with_capacity(candidates.len() * n_q),
+        };
+        for jp in &candidates {
+            assert_eq!(jp.len(), n_q, "candidate places {} of {} queries", jp.len(), n_q);
+            for q in 0..n_q {
+                batch.overrides.extend(overrides(jp, q));
+                batch.override_ends.push(batch.overrides.len());
+            }
+        }
+        batch.candidates = candidates;
+        batch
+    }
+
+    /// Number of graphs: candidates times queries.
+    pub fn len(&self) -> usize {
+        self.override_ends.len()
+    }
+
+    /// True for a batch without candidates.
+    pub fn is_empty(&self) -> bool {
+        self.override_ends.is_empty()
+    }
+
+    /// Keeps the first `candidates` candidates and drops the rest.
+    pub fn truncate(&mut self, candidates: usize) {
+        self.candidates.truncate(candidates);
+        self.override_ends
+            .truncate(self.candidates.len() * self.templates.len());
+        self.overrides.truncate(self.override_ends.last().copied().unwrap_or(0));
+    }
+
+    /// The batch's joint graphs, in batch order.
+    pub fn graphs(&self) -> Vec<JointGraph> {
+        (0..self.len())
+            .map(|i| {
+                self.template(i)
+                    .instantiate_with_host_overrides(self.placement(i), self.overrides(i))
+            })
+            .collect()
+    }
+
+    /// The template of graph `i`.
+    pub(crate) fn template(&self, i: usize) -> &GraphTemplate {
+        &self.templates[i % self.templates.len()]
+    }
+
+    /// The placement of graph `i`.
+    pub(crate) fn placement(&self, i: usize) -> &Placement {
+        let n_q = self.templates.len();
+        self.candidates[i / n_q].query(i % n_q)
+    }
+
+    /// The host rows graph `i` gets instead of its template's.
+    pub(crate) fn overrides(&self, i: usize) -> &[(HostId, Vec<f32>)] {
+        let start = if i == 0 { 0 } else { self.override_ends[i - 1] };
+        &self.overrides[start..self.override_ends[i]]
+    }
+
+    /// The candidates, in batch order.
+    pub(crate) fn into_candidates(self) -> Vec<JointPlacement> {
+        self.candidates
     }
 }
 

@@ -14,21 +14,22 @@
 //! * a [`JointSearchProblem`] bundles N queries (with their estimated
 //!   selectivities) on one shared cluster;
 //! * a [`JointScorer`] prices **host contention**: each query's joint
-//!   graph is featurized with the host rows *degraded* by co-resident
-//!   load — a host shared with other queries contributes only the
-//!   query's proportional share of its CPU/RAM/bandwidth — and scored
-//!   through any [`Scorer`] backend (the direct [`EnsembleScorer`]
+//!   graph sees the host rows *degraded* by co-resident load — a host
+//!   shared with other queries contributes only the query's
+//!   proportional share of its CPU/RAM/bandwidth — and is scored through
+//!   any [`Scorer`] backend (the direct [`EnsembleScorer`]
 //!   (crate::search::EnsembleScorer), or `costream-serve`'s
 //!   `ServeScorer` so N tenants' candidate batches coalesce server-side;
 //!   the occupancy snapshot travels inside each request's featurized
-//!   host rows). Only the occupancy-dependent host rows differ from the
-//!   single-query featurization: the operator prefix comes from the same
-//!   per-query [`GraphTemplate`]s, via
-//!   [`GraphTemplate::instantiate_with_host_overrides`], and a host with
-//!   no external load gets the *identical* (bitwise) row — so an
-//!   uncontended joint placement scores exactly like N independent
-//!   queries, and recurring topologies keep hitting the serving layer's
-//!   plan cache;
+//!   host rows). A batch goes to the backend as a [`CandidateBatch`]:
+//!   the per-query [`GraphTemplate`]s, the candidates' placements and
+//!   only the occupancy-dependent host rows, at most one per operator.
+//!   No graph is built here: the in-process scorer lowers the placements
+//!   straight into the search's memo, and a graph-based backend builds
+//!   the graphs itself. A host with no external load gets the
+//!   *identical* (bitwise) row — so an uncontended joint placement
+//!   scores exactly like N independent queries, and recurring topologies
+//!   keep hitting the serving layer's plan cache;
 //! * the search strategies ([`RandomEnumeration`], [`BeamSearch`],
 //!   [`LocalSearch`], [`SimulatedAnnealing`]) each have their one loop
 //!   here, behind the [`JointPlacementSearch`] trait, walking the
@@ -50,7 +51,7 @@
 //! ranking: every seed is scored, and the best candidate ever scored is
 //! returned.
 
-use crate::graph::{Featurization, GraphTemplate, JointGraph};
+use crate::graph::{CandidateBatch, Featurization, GraphTemplate};
 use crate::interference::{rate_weighted_share, InterferenceModel};
 use crate::search::ranking;
 use crate::search::{
@@ -70,6 +71,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One query of a joint co-placement problem.
@@ -122,14 +124,15 @@ impl<'a> JointSearchProblem<'a> {
     }
 }
 
-/// Contention-aware scoring of joint placements: featurizes each query
-/// under occupancy-degraded host features and batches all graphs of all
-/// candidates through one [`Scorer`] call.
+/// Contention-aware scoring of joint placements: prices each query's
+/// occupancy-degraded host rows and hands all graphs of all candidates to
+/// one [`Scorer`] call, as one [`CandidateBatch`].
 pub struct JointScorer<'a> {
     scorer: &'a dyn Scorer,
     cluster: &'a Cluster,
     featurization: Featurization,
-    templates: Vec<GraphTemplate>,
+    /// One per query, shared with every batch the scorer hands out.
+    templates: Arc<[GraphTemplate]>,
     /// Per-query, per-operator nominal resource loads, for contention
     /// pricing (rate-weighted share or learned interference).
     loads: Vec<Vec<OpLoad>>,
@@ -140,7 +143,7 @@ pub struct JointScorer<'a> {
 impl<'a> JointScorer<'a> {
     /// Builds the per-query [`GraphTemplate`]s once for the whole search.
     pub fn new(problem: &JointSearchProblem<'a>, scorer: &'a dyn Scorer) -> Self {
-        let templates = problem
+        let templates: Arc<[GraphTemplate]> = problem
             .queries
             .iter()
             .map(|jq| GraphTemplate::new(jq.query, problem.cluster, jq.est_sels, problem.featurization))
@@ -199,7 +202,8 @@ impl<'a> JointScorer<'a> {
     /// rows everywhere else. Public so tests can pin the
     /// uncontended-rows-bitwise-identical invariant directly.
     pub fn host_rows(&self, jp: &JointPlacement, q: usize) -> Vec<Vec<f32>> {
-        let mut rows = self.templates[q].host_feature_rows().to_vec();
+        let template = &self.templates[q];
+        let mut rows: Vec<Vec<f32>> = (0..template.n_hosts()).map(|h| template.host_row(h)).collect();
         for (h, row) in self.contended_rows(jp, q) {
             rows[h] = row;
         }
@@ -218,53 +222,44 @@ impl<'a> JointScorer<'a> {
         self.evaluate_with(candidates, &mut SearchStats::default())
     }
 
-    /// Featurizes one joint candidate: its N per-query graphs, in query
-    /// order, under the candidate's occupancy.
-    fn featurize(&self, jp: &JointPlacement) -> Vec<JointGraph> {
-        let n_q = self.templates.len();
-        assert_eq!(jp.len(), n_q, "candidate places {} of {} queries", jp.len(), n_q);
-        (0..n_q)
-            .map(|q| self.templates[q].instantiate_with_host_overrides(jp.query(q), &self.contended_rows(jp, q)))
-            .collect()
-    }
-
     /// [`JointScorer::evaluate`] with a profiling sink: wall time is split
-    /// into `stats.featurize_ns` / `stats.score_ns`.
+    /// into `stats.featurize_ns` (contended-row pricing) / `stats.score_ns`.
     pub fn evaluate_with(
         &self,
         candidates: &[JointPlacement],
         stats: &mut SearchStats,
     ) -> Vec<JointCandidateEvaluation> {
-        self.evaluate_in(candidates, stats, &mut ScoreMemo::new())
+        self.evaluate_in(candidates.to_vec(), stats, &mut ScoreMemo::new())
     }
 
     /// [`JointScorer::evaluate_with`] for one batch of a search, scored
-    /// through the search's memo.
+    /// through the search's memo: the candidates travel to the scorer as
+    /// placements, with only their contended host rows priced here.
     fn evaluate_in(
         &self,
-        candidates: &[JointPlacement],
+        candidates: Vec<JointPlacement>,
         stats: &mut SearchStats,
         memo: &mut ScoreMemo,
     ) -> Vec<JointCandidateEvaluation> {
         let n_q = self.templates.len();
+        let n_candidates = candidates.len() as u64;
         let t0 = Instant::now();
-        let graphs: Vec<JointGraph> = candidates.iter().flat_map(|jp| self.featurize(jp)).collect();
+        let batch = CandidateBatch::new(Arc::clone(&self.templates), candidates, |jp, q| {
+            self.contended_rows(jp, q)
+        });
         stats.featurize_ns += t0.elapsed().as_nanos() as u64;
-        stats.candidates_scored += candidates.len() as u64;
+        stats.candidates_scored += n_candidates;
         stats.score_batches += 1;
-        stats.max_batch = stats.max_batch.max(candidates.len() as u64);
+        stats.max_batch = stats.max_batch.max(n_candidates);
         let t1 = Instant::now();
-        let scores = self.scorer.score_batch_in(graphs, memo);
+        let scores = self.scorer.score_batch_in(&batch, memo);
         stats.score_ns += t1.elapsed().as_nanos() as u64;
-        assert_eq!(
-            scores.len(),
-            candidates.len() * n_q,
-            "scorer must return one result per graph"
-        );
-        candidates
-            .iter()
+        assert_eq!(scores.len(), batch.len(), "scorer must return one result per graph");
+        batch
+            .into_candidates()
+            .into_iter()
             .zip(scores.chunks(n_q.max(1)))
-            .map(|(jp, per_query)| {
+            .map(|(placement, per_query)| {
                 for s in per_query {
                     assert!(
                         s.cost.is_finite() && s.success.is_finite() && s.backpressure.is_finite(),
@@ -272,7 +267,7 @@ impl<'a> JointScorer<'a> {
                     );
                 }
                 JointCandidateEvaluation {
-                    placement: jp.clone(),
+                    placement,
                     per_query: per_query.to_vec(),
                 }
             })
@@ -490,7 +485,7 @@ impl<'a> Evaluator<'a> {
             m.cost_ms.extend(charges);
         }
         let start = self.evaluated.len();
-        let scored = self.scorer.evaluate_in(&fresh, &mut self.stats, &mut self.memo);
+        let scored = self.scorer.evaluate_in(fresh, &mut self.stats, &mut self.memo);
         self.evaluated.extend(scored);
         (start..self.evaluated.len()).collect()
     }

@@ -81,7 +81,7 @@ pub mod prelude {
     pub use crate::dataset::{Corpus, CorpusItem};
     pub use crate::ensemble::Ensemble;
     pub use crate::fused::FusedEnsemble;
-    pub use crate::graph::{Featurization, GraphTemplate, JointGraph};
+    pub use crate::graph::{CandidateBatch, Featurization, GraphTemplate, JointGraph};
     pub use crate::interference::{proportional_inflation, rate_weighted_share, InterferenceModel, INTERFERENCE_DIM};
     pub use crate::joint::{
         replan, JointCandidateEvaluation, JointOptimizationResult, JointPlacementSearch, JointQuery, JointScorer,

@@ -100,13 +100,16 @@ impl ModelConfig {
     /// Asserts that `plan` was built for this configuration's message
     /// passing: every forward pass over a plan checks this first.
     pub(crate) fn check_plan(&self, plan: &BatchPlan) {
-        assert_eq!(
-            plan.topo.scheme, self.scheme,
-            "plan built for a different message-passing scheme"
-        );
+        self.check_scheme(plan.topo.scheme, plan.topo.traditional_rounds);
+    }
+
+    /// Asserts that a plan or slot schedule built for `scheme` and
+    /// `traditional_rounds` suits this configuration's message passing.
+    pub(crate) fn check_scheme(&self, scheme: Scheme, traditional_rounds: usize) {
+        assert_eq!(scheme, self.scheme, "plan built for a different message-passing scheme");
         if self.scheme == Scheme::Traditional {
             assert_eq!(
-                plan.topo.traditional_rounds, self.traditional_rounds,
+                traditional_rounds, self.traditional_rounds,
                 "plan built for different round count"
             );
         }

@@ -72,8 +72,9 @@
 //! computation another candidate already makes — in the same batch or in
 //! an earlier batch of the same search. The fused inference pass
 //! therefore does not run a plan node by node; it runs a *slot schedule*,
-//! the plan lowered into a `SlotMemo` that holds every distinct node
-//! state seen so far. A slot is one distinct node state:
+//! a plan — or, in a search, a batch of placements (below) — lowered into
+//! a `SlotMemo` that holds every distinct node state seen so far. A slot
+//! is one distinct node state:
 //!
 //! * an encoder row's slot is keyed by (node type, the exact `f32` bits of
 //!   its features) — `-0.0` and `+0.0`, or two NaN payloads, never merge;
@@ -95,9 +96,9 @@
 //! # A memo's lifetime
 //!
 //! Every fused pass runs on a memo: the one scoring engine
-//! ([`ScoreEngine`](crate::fused::ScoreEngine)) lowers each plan into the
-//! memo it owns and keeps the memo's slots in one state matrix per
-//! ensemble. What differs between callers is only how long the memo lives —
+//! ([`ScoreEngine`](crate::fused::ScoreEngine)) lowers each plan or
+//! candidate batch into the memo it owns and keeps the memo's slots in one
+//! state matrix per ensemble. What differs between callers is only how long the memo lives —
 //! one batch or one search, never longer:
 //!
 //! * **One batch** — the serving worker's engine, and every
@@ -110,11 +111,12 @@
 //!   hashed. Skipping a merge never changes a bit — it only repeats work —
 //!   so the shortcut is sound whatever the graphs.
 //! * **One search** — the in-process scorer lowers each chunk of each
-//!   batch into the memo its search's evaluator owns, so a batch's schedule
-//!   holds only the slots no earlier batch of the search computed, and the
-//!   state matrices keep their rows across batches. Every key is recorded,
-//!   since a later batch may reach it. A constant slot cap restarts the
-//!   memo, which bounds its memory; a restart only repeats work.
+//!   batch, straight from its placements, into the memo its search's
+//!   evaluator owns, so a batch's schedule holds only the slots no earlier
+//!   batch of the search computed, and the state matrices keep their rows
+//!   across batches. Every key is recorded, since a later batch may reach
+//!   it. A constant slot cap restarts the memo, which bounds its memory; a
+//!   restart only repeats work.
 //!
 //! The slots index rows computed with one ensemble's weights, so a search
 //! memo must not outlive the search that filled it: a new model, or another
@@ -131,11 +133,45 @@
 //! same `h0` row. The readout pools each node's final slot in node order,
 //! the same additions in the same order as pooling the per-node state. A
 //! dead row reaches no output, so dropping it changes no bit either.
+//!
+//! # Lowering placements
+//!
+//! A search's candidates are placements of a few queries, each with a
+//! [`GraphTemplate`]; what tells them apart is only which host each
+//! operator sits on (and, with co-resident queries, a contended host's
+//! degraded row). The search memo therefore never sees a [`JointGraph`]
+//! or a [`BatchPlan`]: it lowers a [`CandidateBatch`] chunk from (template,
+//! placement, override rows) directly, into the same keys a plan of the
+//! same graphs would produce.
+//!
+//! * Per template, once per search, the memo builds the topology of the
+//!   template's *one-host shape* — every operator on one host node — and
+//!   reads off each wave target's children, whether it is live
+//!   ([`live_targets`]), and whether its key can depend on the placement:
+//!   a host's own row does, and so does every key that reads a placed
+//!   state. A candidate graph is that shape with the host node standing
+//!   for each host it uses, on the operators placed there.
+//! * Per template, once per memo generation (a slot-cap restart begins a
+//!   new one), its operator rows are interned, and so are the keys of its
+//!   live targets no placement can change — in the Costream scheme every
+//!   dataflow target, since HW→OPS is dead. Each candidate graph takes
+//!   those slots as they are.
+//! * A plain host row is interned once per template and host, computed
+//!   from the host the first time a candidate uses it; a contended row
+//!   is interned by its bits.
+//! * Each graph's placed targets are keyed on its own slots, wave by wave
+//!   across the chunk, exactly as the plan lowering keys them.
+//!
+//! The keys, and so the slots, the merges and every count in
+//! [`SlotStats`], are those of the plan of the same graphs; only the
+//! slots' numbering and the order of a wave's rows differ, which no bit
+//! depends on.
 
-use crate::graph::JointGraph;
+use crate::graph::{CandidateBatch, GraphTemplate, JointGraph};
 use crate::model::Scheme;
 use costream_nn::Tensor;
 use costream_query::features::NodeType;
+use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, RandomState};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
@@ -421,7 +457,7 @@ impl BatchPlan {
 
     /// Lowers the plan into `memo`: the schedule computes only the slots
     /// the memo does not hold yet, and records them there.
-    pub(crate) fn lower_into(&self, memo: &mut SlotMemo) -> SlotSchedule {
+    pub(crate) fn lower_into(&self, memo: &mut SlotMemo) -> SlotSchedule<'_> {
         memo.lower(&self.topo, &self.features)
     }
 
@@ -431,6 +467,18 @@ impl BatchPlan {
     /// exposed to time and inspect it.
     pub fn hash_cons(&self) -> SlotStats {
         self.lower_into(&mut SlotMemo::one_batch(u64::MAX)).stats
+    }
+}
+
+impl CandidateBatch {
+    /// Lowers the batch, as one chunk, into a fresh search memo — what the
+    /// first batch of a search costs the in-process scorer before its
+    /// fused pass — and reports what merged. Exposed to time and inspect
+    /// the placement lowering, like [`BatchPlan::hash_cons`] the plan's.
+    pub fn hash_cons(&self, scheme: Scheme, traditional_rounds: usize) -> SlotStats {
+        let mut memo = SlotMemo::search();
+        memo.lower_candidates(self, 0..self.len(), scheme, traditional_rounds)
+            .stats
     }
 }
 
@@ -911,22 +959,32 @@ struct SlotWave {
     calls: Range<usize>,
 }
 
-/// A plan lowered into a [`SlotMemo`] (see the module docs): the fused
-/// pass keeps one `[state_rows, k·hidden]` state matrix and writes each of
-/// the schedule's new slots exactly once; the slots an earlier batch of the
-/// memo computed are already there. Row maps live in one flat list so a
-/// lowering allocates a handful of buffers, not a few per wave.
+/// A plan or a candidate batch lowered into a [`SlotMemo`] (see the
+/// module docs): the fused pass keeps one `[state_rows, k·hidden]` state
+/// matrix and writes each of the schedule's new slots exactly once; the
+/// slots an earlier batch of the memo computed are already there. Row maps
+/// live in one flat list so a lowering allocates a handful of buffers, not
+/// a few per wave. A plan's schedule borrows the plan's stacked features
+/// and readout segments; a candidate batch's owns the rows it gathered.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct SlotSchedule {
+pub(crate) struct SlotSchedule<'a> {
+    /// Message-passing scheme and rounds the schedule was lowered for.
+    pub scheme: Scheme,
+    pub traditional_rounds: usize,
     /// Every row map, concatenated; calls and waves hold ranges into it.
     index: Vec<usize>,
-    /// The encoder calls (parallel to the topology's encoders and the
-    /// plan's features), then every wave's calls.
+    /// The encoder calls (parallel to `inputs`), then every wave's calls.
     calls: Vec<SlotCall>,
     n_encoders: usize,
+    /// Each encoder call's input rows.
+    inputs: Cow<'a, [Tensor]>,
     waves: Vec<SlotWave>,
     /// Each node's slot after the last wave (readout input, node order).
     pub final_slots: Vec<usize>,
+    /// Graph of each node (readout segments), parallel to `final_slots`.
+    pub graph_of: Cow<'a, [usize]>,
+    /// Graphs the readout pools (rows of the pass's output).
+    pub n_graphs: usize,
     /// Rows the state matrix needs: every slot the memo holds.
     pub state_rows: usize,
     /// Row and slot counts of this batch (the new slots only).
@@ -953,7 +1011,7 @@ pub(crate) struct WaveView<'a> {
     pub segs: &'a [usize],
     /// `h0` slot of each wave-input row.
     pub own: &'a [usize],
-    schedule: &'a SlotSchedule,
+    schedule: &'a SlotSchedule<'a>,
     calls: &'a [SlotCall],
 }
 
@@ -1177,10 +1235,222 @@ struct WaveKey {
     slot: usize,
 }
 
+/// One new wave-input row of a schedule being built: its node type, its
+/// own `h0` slot, the slot it writes and how many child slots it sums (the
+/// child slots themselves are already in the schedule's index, row after
+/// row).
+#[derive(Clone, Copy, Debug)]
+struct FreshRow {
+    type_index: usize,
+    own: usize,
+    slot: usize,
+    kids: usize,
+}
+
+/// A live wave target of a template's one-host shape
+/// ([`GraphTemplate::one_host_shape`]), as the placement lowering reads it.
+#[derive(Clone, Debug)]
+struct ShapeTarget {
+    /// Shape node: an operator, or `n_ops` — the host node, which stands
+    /// for every host a candidate uses.
+    node: usize,
+    type_index: usize,
+    /// Its children (shape nodes, in edge order): a range of
+    /// [`TemplateCache::kids`].
+    kids: Range<usize>,
+}
+
+/// One wave of a template's shape: its live targets whose keys can depend
+/// on the placement (a host's own row does, and so does every key that
+/// reads a placed state), then those whose keys cannot — ranges of
+/// [`TemplateCache::targets`]. Dead targets are not listed.
+#[derive(Clone, Debug)]
+struct ShapeWave {
+    placed: Range<usize>,
+    unplaced: Range<usize>,
+}
+
+/// One template's entry in a search memo: the waves of its one-host shape,
+/// read once per search, and the slots its rows got in the memo's current
+/// generation. The `h0`, `cur`, `fixed` and `hosts` ranges index
+/// [`TemplateCache::slots`].
+#[derive(Clone, Debug)]
+struct TemplateEntry {
+    /// [`GraphTemplate::id`].
+    id: u64,
+    n_ops: usize,
+    /// Whether the shape has a host node (not under `QueryOnly`).
+    has_hosts: bool,
+    /// The shape's live targets, a range of [`TemplateCache::targets`],
+    /// and its waves, a range of [`TemplateCache::waves`].
+    targets: Range<usize>,
+    waves: Range<usize>,
+    /// Per candidate graph: wave targets `op_rows + host_rows · used
+    /// hosts`, of which `live_op_rows + live_host_rows · used hosts` live.
+    op_rows: usize,
+    host_rows: usize,
+    live_op_rows: usize,
+    live_host_rows: usize,
+    /// Live targets no placement can change (all of them operators).
+    unplaced_rows: usize,
+    /// The memo generation the slots below belong to (`None`: none yet).
+    generation: Option<u64>,
+    /// Shape waves whose unplaced targets hold slots in this generation.
+    fixed_waves: usize,
+    /// Each operator's encoder slot.
+    h0: Range<usize>,
+    /// Each operator's current slot in the unplaced walk.
+    cur: Range<usize>,
+    /// Per live shape target, its slot when it is unplaced.
+    fixed: Range<usize>,
+    /// Per cluster host, its plain row's slot (`usize::MAX` until a
+    /// candidate uses the host).
+    hosts: Range<usize>,
+}
+
+/// What a search memo knows of the templates it lowered candidates of:
+/// every entry's lists, concatenated, so a repeated search reuses them.
+#[derive(Debug, Default)]
+struct TemplateCache {
+    entries: Vec<TemplateEntry>,
+    waves: Vec<ShapeWave>,
+    targets: Vec<ShapeTarget>,
+    kids: Vec<usize>,
+    slots: Vec<usize>,
+}
+
+impl TemplateCache {
+    /// Forgets every template, keeping the buffers.
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.waves.clear();
+        self.targets.clear();
+        self.kids.clear();
+        self.slots.clear();
+    }
+
+    /// The entry of `template`, its shape read when first seen: the shape's
+    /// topology (wave `k` is the same wave for every template of one
+    /// featurization: the host phases when the shape has a host node, then
+    /// one wave per dataflow depth), which targets [`live_targets`] keeps,
+    /// and which keys can
+    /// depend on the placement — a target's is placed when its own row is a
+    /// host's or it reads a placed state. In the Costream scheme that is the
+    /// OPS→HW phase only: HW→OPS is dead, and every dataflow key reads
+    /// operator states alone.
+    fn entry(&mut self, template: &GraphTemplate, scheme: Scheme, traditional_rounds: usize) -> usize {
+        if let Some(e) = self.entries.iter().position(|e| e.id == template.id()) {
+            return e;
+        }
+        let shape = template.one_host_shape();
+        let n_ops = template.op_nodes().len();
+        let topo = PlanTopology::build(&[&shape], scheme, traditional_rounds);
+        let live = live_targets(&topo);
+        // Whether the state each shape node holds at this point is placed.
+        let mut placed_now: Vec<bool> = (0..shape.len()).map(|v| v >= n_ops).collect();
+        let (targets_start, waves_start) = (self.targets.len(), self.waves.len());
+        let mut rows = [[0usize; 2]; 2];
+        let (mut after, mut unplaced) = (Vec::new(), Vec::new());
+        let mut live_at = live.iter();
+        for w in &topo.waves {
+            let first = self.targets.len();
+            for (p, &t) in w.targets().iter().enumerate() {
+                let live = *live_at.next().expect("one flag per target");
+                rows[usize::from(t >= n_ops)][usize::from(live)] += 1;
+                if !live {
+                    continue;
+                }
+                let start = self.kids.len();
+                self.kids.extend(
+                    w.child_rows()
+                        .iter()
+                        .zip(w.segs())
+                        .filter(|&(_, &seg)| seg == p)
+                        .map(|(&c, _)| c),
+                );
+                let placed = t >= n_ops || self.kids[start..].iter().any(|&c| placed_now[c]);
+                after.push((t, placed));
+                let target = ShapeTarget {
+                    node: t,
+                    type_index: shape.nodes[t].node_type as usize,
+                    kids: start..self.kids.len(),
+                };
+                if placed {
+                    self.targets.push(target);
+                } else {
+                    unplaced.push(target);
+                }
+            }
+            let split = self.targets.len();
+            self.targets.append(&mut unplaced);
+            for (t, placed) in after.drain(..) {
+                placed_now[t] = placed;
+            }
+            self.waves.push(ShapeWave {
+                placed: first..split,
+                unplaced: split..self.targets.len(),
+            });
+        }
+        let n_targets = self.targets.len() - targets_start;
+        let mut take = |n: usize| {
+            let start = self.slots.len();
+            self.slots.resize(start + n, usize::MAX);
+            start..self.slots.len()
+        };
+        let (h0, cur, fixed, hosts) = (take(n_ops), take(n_ops), take(n_targets), take(template.n_hosts()));
+        self.entries.push(TemplateEntry {
+            id: template.id(),
+            n_ops,
+            has_hosts: shape.len() > n_ops,
+            targets: targets_start..self.targets.len(),
+            waves: waves_start..self.waves.len(),
+            op_rows: rows[0][0] + rows[0][1],
+            host_rows: rows[1][0] + rows[1][1],
+            live_op_rows: rows[0][1],
+            live_host_rows: rows[1][1],
+            unplaced_rows: self.waves[waves_start..].iter().map(|w| w.unplaced.len()).sum(),
+            generation: None,
+            fixed_waves: 0,
+            h0,
+            cur,
+            fixed,
+            hosts,
+        });
+        self.entries.len() - 1
+    }
+}
+
+/// What one placement lowering works in, kept by the memo so a repeated
+/// search allocates none of it: per graph of the chunk, its template entry,
+/// its used hosts (ascending), each operator's host rank, and every node's
+/// `h0` and current slot.
+#[derive(Debug, Default)]
+struct PlacedScratch {
+    entry: Vec<usize>,
+    /// One graph's used hosts, ascending.
+    used: Vec<usize>,
+    hosts: Vec<usize>,
+    /// Where each graph's used hosts end in `hosts`.
+    host_ends: Vec<usize>,
+    /// First node of each graph in `h0` / `cur` (its operators' in `rank`
+    /// start at `rank_start`).
+    node_start: Vec<usize>,
+    rank_start: Vec<usize>,
+    rank: Vec<usize>,
+    h0: Vec<usize>,
+    cur: Vec<usize>,
+    /// One key's child slots.
+    kids: Vec<usize>,
+    /// One wave's new current slots, `(node, slot)`.
+    after: Vec<(usize, usize)>,
+    fresh: Vec<FreshRow>,
+}
+
 /// Every distinct node state a batch, or a search's batches, computed so
 /// far: the encoder and wave keys, interned through fingerprint tables,
 /// and the slot each was given (see the module docs for its lifetime).
-/// Lowering a plan into it yields a [`SlotSchedule`] of the new slots only.
+/// Lowering a plan or a candidate batch into it yields a [`SlotSchedule`]
+/// of the new slots only.
 #[derive(Debug)]
 pub(crate) struct SlotMemo {
     encoders: SlotTable,
@@ -1193,6 +1463,9 @@ pub(crate) struct SlotMemo {
     kids: Vec<usize>,
     /// Slots given out: the state matrix rows the memo's slots index.
     n_slots: usize,
+    /// Counts the times the memo forgot its slots: a template's slots
+    /// belong to one generation.
+    generation: u64,
     /// A lowering that could take the memo past this many slots restarts
     /// it first (a search memo's memory bound).
     cap: usize,
@@ -1200,6 +1473,9 @@ pub(crate) struct SlotMemo {
     /// recorded; `false` for a one-batch memo, which forgets them all
     /// before each lowering.
     outlives_batch: bool,
+    /// The templates of the candidates lowered so far (a search memo's).
+    templates: TemplateCache,
+    scratch: PlacedScratch,
 }
 
 impl SlotMemo {
@@ -1212,8 +1488,11 @@ impl SlotMemo {
             wave_keys: Vec::new(),
             kids: Vec::new(),
             n_slots: 0,
+            generation: 0,
             cap,
             outlives_batch,
+            templates: TemplateCache::default(),
+            scratch: PlacedScratch::default(),
         }
     }
 
@@ -1229,17 +1508,19 @@ impl SlotMemo {
         SlotMemo::new(usize::MAX, u64::MAX, true)
     }
 
-    /// Forgets every slot and sets the slot cap — a lowering that could
-    /// take the memo past `cap` slots restarts it first — and the
-    /// fingerprint mask, as in [`SlotTable`].
+    /// Forgets every slot and every template, and sets the slot cap — a
+    /// lowering that could take the memo past `cap` slots restarts it
+    /// first — and the fingerprint mask, as in [`SlotTable`].
     pub(crate) fn restart(&mut self, cap: usize, fp_mask: u64) {
         self.clear();
+        self.templates.clear();
         self.cap = cap;
         self.encoders.fp_mask = fp_mask;
         self.waves.fp_mask = fp_mask;
     }
 
-    /// Forgets every slot, keeping every buffer's capacity.
+    /// Forgets every slot, keeping every buffer's capacity (and each
+    /// template's shape: only its slots go stale).
     fn clear(&mut self) {
         self.encoders.clear();
         self.encoder_keys.clear();
@@ -1248,10 +1529,12 @@ impl SlotMemo {
         self.wave_keys.clear();
         self.kids.clear();
         self.n_slots = 0;
+        self.generation += 1;
     }
 
-    /// Capacity of every buffer the memo recycles (test instrumentation:
-    /// a warm memo that repeats a search grows none of them).
+    /// Capacity of every buffer the memo's keys live in (test
+    /// instrumentation: a warm memo that repeats a search grows none of
+    /// them).
     #[cfg(test)]
     pub(crate) fn capacities(&self) -> [usize; 6] {
         [
@@ -1264,24 +1547,101 @@ impl SlotMemo {
         ]
     }
 
+    /// Capacity of every buffer the placement lowering keeps (test
+    /// instrumentation, like [`SlotMemo::capacities`]).
+    #[cfg(test)]
+    pub(crate) fn placement_capacities(&self) -> Vec<usize> {
+        let (t, p) = (&self.templates, &self.scratch);
+        vec![
+            t.entries.capacity(),
+            t.waves.capacity(),
+            t.targets.capacity(),
+            t.kids.capacity(),
+            t.slots.capacity(),
+            p.entry.capacity(),
+            p.used.capacity(),
+            p.hosts.capacity(),
+            p.host_ends.capacity(),
+            p.node_start.capacity(),
+            p.rank_start.capacity(),
+            p.rank.capacity(),
+            p.h0.capacity(),
+            p.cur.capacity(),
+            p.kids.capacity(),
+            p.after.capacity(),
+            p.fresh.capacity(),
+        ]
+    }
+
+    /// The slot of encoder key (`type_index`, bits of `row`), and whether
+    /// it is new. The caller has reserved room for it.
+    fn intern_row(&mut self, type_index: usize, row: &[f32]) -> (usize, bool) {
+        let fresh = self.encoder_keys.len();
+        let fp = self.encoders.row_fingerprint(type_index, row);
+        let (keys, rows) = (&self.encoder_keys, &self.rows);
+        let k = self.encoders.intern(fp, fresh, |k| {
+            let key = &keys[k];
+            key.type_index == type_index && same_bits(&rows[key.row.clone()], row)
+        });
+        if k != fresh {
+            return (self.encoder_keys[k].slot, false);
+        }
+        let start = self.rows.len();
+        self.rows.extend_from_slice(row);
+        self.encoder_keys.push(EncoderKey {
+            type_index,
+            row: start..self.rows.len(),
+            slot: self.n_slots,
+        });
+        self.n_slots += 1;
+        (self.n_slots - 1, true)
+    }
+
+    /// The slot of wave key (`own`, `children`), and whether it is new.
+    /// The caller has reserved room for it.
+    fn intern_wave(&mut self, own: usize, children: &[usize]) -> (usize, bool) {
+        let fresh = self.wave_keys.len();
+        let fp = self.waves.wave_fingerprint(own, children);
+        let (keys, kids) = (&self.wave_keys, &self.kids);
+        let k = self.waves.intern(fp, fresh, |k| {
+            keys[k].own == own && kids[keys[k].kids.clone()] == *children
+        });
+        if k != fresh {
+            return (self.wave_keys[k].slot, false);
+        }
+        let kids = push_range(&mut self.kids, children.iter().copied());
+        self.wave_keys.push(WaveKey {
+            own,
+            kids,
+            slot: self.n_slots,
+        });
+        self.n_slots += 1;
+        (self.n_slots - 1, true)
+    }
+
     /// Lowers one plan: every encoder row and live wave target is interned
     /// against the memo's keys, and only those with no equal key get a new
     /// slot (and a row of the schedule).
-    fn lower(&mut self, topo: &PlanTopology, features: &[Tensor]) -> SlotSchedule {
+    fn lower<'a>(&mut self, topo: &'a PlanTopology, features: &'a [Tensor]) -> SlotSchedule<'a> {
         let wave_rows: usize = topo.waves.iter().map(|w| w.targets().len()).sum();
         if !self.outlives_batch || self.n_slots.saturating_add(topo.total + wave_rows) > self.cap {
             self.clear();
         }
         let edges: usize = topo.waves.iter().map(|w| w.child_rows().len()).sum();
         let mut s = SlotSchedule {
+            scheme: topo.scheme,
+            traditional_rounds: topo.traditional_rounds,
             // What the lowering can emit at most: encoder rows and slots,
             // then per wave target own, rows and slots, and per edge child
             // slot and segment.
             index: Vec::with_capacity(2 * topo.total + 3 * wave_rows + 2 * edges),
             calls: Vec::with_capacity(topo.n_encoders() + topo.waves.iter().map(WavePlan::n_groups).sum::<usize>()),
             n_encoders: topo.n_encoders(),
+            inputs: Cow::Borrowed(features),
             waves: Vec::with_capacity(topo.waves.len()),
             final_slots: Vec::new(),
+            graph_of: Cow::Borrowed(&topo.graph_of),
+            n_graphs: topo.n_graphs,
             state_rows: 0,
             stats: SlotStats {
                 encoder_rows: topo.total,
@@ -1301,26 +1661,11 @@ impl SlotMemo {
             let call_first = self.n_slots;
             let rows_start = s.index.len();
             for (r, &node) in globals.iter().enumerate() {
-                let row = feats.row_slice(r);
-                let fresh = self.encoder_keys.len();
-                let fp = self.encoders.row_fingerprint(type_index, row);
-                let (keys, rows) = (&self.encoder_keys, &self.rows);
-                let k = self.encoders.intern(fp, fresh, |k| {
-                    let key = &keys[k];
-                    key.type_index == type_index && same_bits(&rows[key.row.clone()], row)
-                });
-                if k == fresh {
-                    let start = self.rows.len();
-                    self.rows.extend_from_slice(row);
-                    self.encoder_keys.push(EncoderKey {
-                        type_index,
-                        row: start..self.rows.len(),
-                        slot: self.n_slots,
-                    });
-                    self.n_slots += 1;
+                let (slot, fresh) = self.intern_row(type_index, feats.row_slice(r));
+                if fresh {
                     s.index.push(r);
                 }
-                h0[node] = self.encoder_keys[k].slot;
+                h0[node] = slot;
             }
             let rows = if self.n_slots - call_first < globals.len() {
                 Some(rows_start..s.index.len())
@@ -1352,9 +1697,7 @@ impl SlotMemo {
     /// [`live_targets`]) that needs a slot of its own: when merging, a
     /// target is interned by (own slot, child slots in edge order) against
     /// every key the memo holds, and only the first of equal keys is
-    /// computed; otherwise every live target gets a new slot. A wave's new
-    /// slots are consecutive in target order, so wave-input row `r` writes
-    /// slot `base + r`.
+    /// computed; otherwise every live target gets a new slot.
     fn lower_waves(&mut self, s: &mut SlotSchedule, topo: &PlanTopology, h0: &[usize], cur: &mut [usize], merge: bool) {
         let live = live_targets(topo);
         s.stats.live_wave_rows = live.iter().filter(|&&l| l).count();
@@ -1365,9 +1708,9 @@ impl SlotMemo {
             self.kids.reserve(topo.waves.iter().map(|w| w.child_rows().len()).sum());
         }
         // Per-wave scratch: child slots bucketed by target (CSR), each
-        // target's group, the new targets and each live target's new slot.
+        // target's node type, the new rows and each live target's new slot.
         let (mut start, mut fill, mut by_target) = (Vec::new(), Vec::new(), Vec::new());
-        let (mut group_of, mut fresh, mut after) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut type_of, mut fresh, mut after) = (Vec::new(), Vec::new(), Vec::new());
         let mut live_off = 0;
         for w in &topo.waves {
             let n = w.targets().len();
@@ -1389,17 +1732,16 @@ impl SlotMemo {
                 by_target[fill[seg]] = cur[c];
                 fill[seg] += 1;
             }
-            group_of.clear();
-            group_of.resize(n, 0);
-            for (gi, g) in w.groups().enumerate() {
+            type_of.clear();
+            type_of.resize(n, 0);
+            for g in w.groups() {
                 for &r in g.rows {
-                    group_of[r] = gi;
+                    type_of[r] = g.type_index;
                 }
             }
 
             // Key every live target on its pre-wave children; a new one's
             // child slots go straight into the schedule's index.
-            let base = self.n_slots;
             let child_start = s.index.len();
             fresh.clear();
             after.clear();
@@ -1409,26 +1751,20 @@ impl SlotMemo {
                 }
                 let own = h0[t];
                 let children = &by_target[start[p]..start[p + 1]];
-                let new = self.n_slots;
-                let slot = if merge {
-                    let fresh_key = self.wave_keys.len();
-                    let fp = self.waves.wave_fingerprint(own, children);
-                    let (keys, kids) = (&self.wave_keys, &self.kids);
-                    let k = self.waves.intern(fp, fresh_key, |k| {
-                        keys[k].own == own && kids[keys[k].kids.clone()] == *children
-                    });
-                    if k == fresh_key {
-                        let kids = push_range(&mut self.kids, children.iter().copied());
-                        self.wave_keys.push(WaveKey { own, kids, slot: new });
-                    }
-                    self.wave_keys[k].slot
+                let (slot, new) = if merge {
+                    self.intern_wave(own, children)
                 } else {
-                    new
-                };
-                if slot == new {
                     self.n_slots += 1;
+                    (self.n_slots - 1, true)
+                };
+                if new {
                     s.index.extend_from_slice(children);
-                    fresh.push(p);
+                    fresh.push(FreshRow {
+                        type_index: type_of[p],
+                        own,
+                        slot,
+                        kids: children.len(),
+                    });
                 }
                 after.push((t, slot));
             }
@@ -1436,50 +1772,310 @@ impl SlotMemo {
             for &(t, slot) in &after {
                 cur[t] = slot;
             }
-            if fresh.is_empty() {
-                continue;
-            }
-
-            let child_slots = child_start..s.index.len();
-            let segs = push_range(
-                &mut s.index,
-                fresh
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(row, &p)| std::iter::repeat_n(row, start[p + 1] - start[p])),
-            );
-            let own = push_range(&mut s.index, fresh.iter().map(|&p| h0[w.targets()[p]]));
-            let first_call = s.calls.len();
-            for (gi, g) in w.groups().enumerate() {
-                let rows = push_range(
-                    &mut s.index,
-                    fresh
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &p)| group_of[p] == gi)
-                        .map(|(r, _)| r),
-                );
-                if rows.is_empty() {
-                    continue;
-                }
-                let slots = s.index.len()..s.index.len() + rows.len();
-                s.index.extend_from_within(rows.clone());
-                s.index[slots.clone()].iter_mut().for_each(|r| *r += base);
-                s.calls.push(SlotCall {
-                    type_index: g.type_index,
-                    rows: (rows.len() < fresh.len()).then_some(rows),
-                    slots,
-                });
-            }
-            s.waves.push(SlotWave {
-                rows: fresh.len(),
-                child_slots,
-                segs,
-                own,
-                calls: first_call..s.calls.len(),
-            });
+            s.push_wave(child_start, &fresh);
         }
         s.stats.distinct_wave_rows = self.n_slots - first;
+    }
+
+    /// Lowers graphs `graphs` of a candidate batch straight from their
+    /// placements (see the module docs): no graph and no plan is built. A
+    /// template's operator rows, and the keys of its targets no placement
+    /// can change, are interned once per memo generation; a plain host row
+    /// once per host, an override row by its bits; and each graph's placed
+    /// targets per graph. Wave `k` of the schedule holds every new slot of
+    /// shape wave `k`, across the chunk, as a plan of the same graphs would.
+    ///
+    /// # Panics
+    /// Panics when the memo lasts one batch, or a placement does not fit
+    /// its template (operator count, host ids).
+    pub(crate) fn lower_candidates(
+        &mut self,
+        batch: &CandidateBatch,
+        graphs: Range<usize>,
+        scheme: Scheme,
+        traditional_rounds: usize,
+    ) -> SlotSchedule<'static> {
+        assert!(self.outlives_batch, "candidates lower into a search memo");
+        let mut cache = std::mem::take(&mut self.templates);
+        let mut sc = std::mem::take(&mut self.scratch);
+        let s = self.lower_placed(&mut cache, &mut sc, batch, graphs, scheme, traditional_rounds);
+        self.templates = cache;
+        self.scratch = sc;
+        s
+    }
+
+    /// The body of [`SlotMemo::lower_candidates`], with the template cache
+    /// and the scratch taken out of the memo.
+    fn lower_placed(
+        &mut self,
+        cache: &mut TemplateCache,
+        sc: &mut PlacedScratch,
+        batch: &CandidateBatch,
+        graphs: Range<usize>,
+        scheme: Scheme,
+        traditional_rounds: usize,
+    ) -> SlotSchedule<'static> {
+        // ---- per graph: its template, used hosts and host ranks ----
+        for v in [
+            &mut sc.entry,
+            &mut sc.hosts,
+            &mut sc.host_ends,
+            &mut sc.node_start,
+            &mut sc.rank_start,
+        ] {
+            v.clear();
+        }
+        sc.rank.clear();
+        // Nodes, wave targets and live ones; and the wave keys the
+        // lowering may intern (placed targets, plus the unplaced ones of a
+        // template new to this generation).
+        let (mut total, mut wave_rows, mut live_rows, mut keyed) = (0, 0, 0, 0);
+        for i in graphs.clone() {
+            let (template, placement) = (batch.template(i), batch.placement(i));
+            let e = cache.entry(template, scheme, traditional_rounds);
+            let entry = &cache.entries[e];
+            let assignment = placement.assignment();
+            assert_eq!(assignment.len(), entry.n_ops, "placement arity mismatch");
+            sc.used.clear();
+            sc.rank_start.push(sc.rank.len());
+            if entry.has_hosts {
+                sc.used.extend_from_slice(assignment);
+                sc.used.sort_unstable();
+                sc.used.dedup();
+                assert!(
+                    sc.used.last().is_none_or(|&h| h < template.n_hosts()),
+                    "placement references a host outside the template's cluster"
+                );
+                let used = &sc.used;
+                sc.rank.extend(
+                    assignment
+                        .iter()
+                        .map(|h| used.binary_search(h).expect("used host has a rank")),
+                );
+            }
+            sc.hosts.extend_from_slice(&sc.used);
+            let u = sc.used.len();
+            sc.entry.push(e);
+            sc.host_ends.push(sc.hosts.len());
+            sc.node_start.push(total);
+            total += entry.n_ops + u;
+            wave_rows += entry.op_rows + u * entry.host_rows;
+            live_rows += entry.live_op_rows + u * entry.live_host_rows;
+            keyed += entry.live_op_rows - entry.unplaced_rows + u * entry.live_host_rows;
+        }
+        if self.n_slots.saturating_add(total + wave_rows) > self.cap {
+            self.clear();
+        }
+        let generation = self.generation;
+        let mut s = SlotSchedule {
+            scheme,
+            traditional_rounds,
+            // Room for what a typical chunk emits: a slot per new encoder
+            // row, and per new wave row its own, row, slot and segment
+            // plus the child slots (about one per node).
+            index: Vec::with_capacity(2 * total + 4 * keyed),
+            calls: Vec::new(),
+            n_encoders: 0,
+            inputs: Cow::Owned(Vec::new()),
+            waves: Vec::new(),
+            final_slots: Vec::new(),
+            graph_of: Cow::Owned(Vec::new()),
+            n_graphs: graphs.len(),
+            state_rows: 0,
+            stats: SlotStats {
+                encoder_rows: total,
+                wave_rows,
+                live_wave_rows: live_rows,
+                ..SlotStats::default()
+            },
+        };
+
+        // ---- encoder rows: a template's operators once per generation,
+        // then each graph's hosts. ----
+        self.encoders.reserve(total);
+        self.encoder_keys.reserve(total);
+        let first = self.n_slots;
+        let mut new_rows: [(Vec<f32>, Vec<usize>); NodeType::ALL.len()] = Default::default();
+        let mut intern_row = |memo: &mut SlotMemo, type_index: usize, row: &[f32]| {
+            let (slot, fresh) = memo.intern_row(type_index, row);
+            if fresh {
+                new_rows[type_index].0.extend_from_slice(row);
+                new_rows[type_index].1.push(slot);
+            }
+            slot
+        };
+        const HOST: usize = NodeType::Host as usize;
+        sc.h0.clear();
+        for (g, i) in graphs.clone().enumerate() {
+            let template = batch.template(i);
+            let entry = &mut cache.entries[sc.entry[g]];
+            if entry.generation != Some(generation) {
+                entry.generation = Some(generation);
+                entry.fixed_waves = 0;
+                keyed += entry.unplaced_rows;
+                cache.slots[entry.fixed.clone()].fill(usize::MAX);
+                cache.slots[entry.hosts.clone()].fill(usize::MAX);
+                for (op, node) in template.op_nodes().iter().enumerate() {
+                    let slot = intern_row(self, node.node_type as usize, &node.features);
+                    cache.slots[entry.h0.start + op] = slot;
+                    cache.slots[entry.cur.start + op] = slot;
+                }
+            }
+            sc.h0.extend_from_slice(&cache.slots[entry.h0.clone()]);
+            let used = if g == 0 { 0 } else { sc.host_ends[g - 1] }..sc.host_ends[g];
+            for &h in &sc.hosts[used] {
+                let slot = match batch.overrides(i).iter().find(|(o, _)| *o == h) {
+                    Some((_, row)) => {
+                        assert_eq!(
+                            row.len(),
+                            NodeType::Host.feature_width(),
+                            "feature row of the wrong width"
+                        );
+                        intern_row(self, HOST, row)
+                    }
+                    None => {
+                        let plain = &mut cache.slots[entry.hosts.start + h];
+                        if *plain == usize::MAX {
+                            *plain = intern_row(self, HOST, &template.host_row(h));
+                        }
+                        *plain
+                    }
+                };
+                sc.h0.push(slot);
+            }
+        }
+        for (type_index, (rows, slots)) in new_rows.into_iter().enumerate() {
+            if slots.is_empty() {
+                continue;
+            }
+            let input = Tensor::from_vec(slots.len(), NodeType::ALL[type_index].feature_width(), rows);
+            let slots = push_range(&mut s.index, slots);
+            s.calls.push(SlotCall {
+                type_index,
+                rows: None,
+                slots,
+            });
+            s.inputs.to_mut().push(input);
+        }
+        s.n_encoders = s.calls.len();
+        s.stats.distinct_encoder_rows = self.n_slots - first;
+
+        // ---- waves, shape wave by shape wave across the chunk: a key is
+        // built on its graph's pre-wave slots, and the new ones become
+        // current once the graph's wave is keyed. ----
+        self.waves.reserve(keyed);
+        self.wave_keys.reserve(keyed);
+        let first = self.n_slots;
+        sc.cur.clear();
+        sc.cur.extend_from_slice(&sc.h0);
+        let n_waves = sc
+            .entry
+            .iter()
+            .map(|&e| cache.entries[e].waves.len())
+            .max()
+            .unwrap_or(0);
+        for k in 0..n_waves {
+            let child_start = s.index.len();
+            sc.fresh.clear();
+            for g in 0..graphs.len() {
+                let e = sc.entry[g];
+                let entry = &cache.entries[e];
+                if k >= entry.waves.len() {
+                    continue;
+                }
+                let wave = cache.waves[entry.waves.start + k].clone();
+                let n_ops = entry.n_ops;
+                // Target `j`'s slot in `fixed` (parallel to `targets`).
+                let (fixed, targets) = (entry.fixed.start, entry.targets.start);
+                let fixed_of = move |j: usize| fixed + j - targets;
+
+                // The template's unplaced targets, keyed once per generation
+                // on the template's own operator slots.
+                if entry.fixed_waves == k {
+                    let (h0, cur) = (entry.h0.start, entry.cur.start);
+                    for j in wave.unplaced.clone() {
+                        let t = &cache.targets[j];
+                        sc.kids.clear();
+                        sc.kids
+                            .extend(cache.kids[t.kids.clone()].iter().map(|&c| cache.slots[cur + c]));
+                        let own = cache.slots[h0 + t.node];
+                        let (slot, new) = self.intern_wave(own, &sc.kids);
+                        if new {
+                            s.index.extend_from_slice(&sc.kids);
+                            sc.fresh.push(FreshRow {
+                                type_index: t.type_index,
+                                own,
+                                slot,
+                                kids: sc.kids.len(),
+                            });
+                        }
+                        cache.slots[fixed_of(j)] = slot;
+                        sc.after.push((t.node, slot));
+                    }
+                    for (v, slot) in sc.after.drain(..) {
+                        cache.slots[cur + v] = slot;
+                    }
+                    cache.entries[e].fixed_waves = k + 1;
+                }
+
+                // The graph's placed targets, keyed on its pre-wave slots —
+                // the host node once per used host, on the operators placed
+                // there; then its unplaced ones take the template's slots.
+                let (nodes, ranks) = (sc.node_start[g], sc.rank_start[g]);
+                let used = sc.host_ends[g] - if g == 0 { 0 } else { sc.host_ends[g - 1] };
+                for j in wave.placed {
+                    let t = &cache.targets[j];
+                    let kids = &cache.kids[t.kids.clone()];
+                    let on_hosts = if t.node < n_ops { 0..1 } else { 0..used };
+                    for r in on_hosts {
+                        let (node, host) = if t.node < n_ops {
+                            (t.node, sc.rank[ranks + t.node])
+                        } else {
+                            (n_ops + r, r)
+                        };
+                        sc.kids.clear();
+                        for &c in kids {
+                            if c == n_ops {
+                                sc.kids.push(sc.cur[nodes + n_ops + host]);
+                            } else if t.node < n_ops || sc.rank[ranks + c] == r {
+                                sc.kids.push(sc.cur[nodes + c]);
+                            }
+                        }
+                        let own = sc.h0[nodes + node];
+                        let (slot, new) = self.intern_wave(own, &sc.kids);
+                        if new {
+                            s.index.extend_from_slice(&sc.kids);
+                            sc.fresh.push(FreshRow {
+                                type_index: t.type_index,
+                                own,
+                                slot,
+                                kids: sc.kids.len(),
+                            });
+                        }
+                        sc.after.push((node, slot));
+                    }
+                }
+                for j in wave.unplaced {
+                    sc.cur[nodes + cache.targets[j].node] = cache.slots[fixed_of(j)];
+                }
+                for (v, slot) in sc.after.drain(..) {
+                    sc.cur[nodes + v] = slot;
+                }
+            }
+            s.push_wave(child_start, &sc.fresh);
+        }
+        s.stats.distinct_wave_rows = self.n_slots - first;
+
+        // ---- readout: each graph's nodes in node order ----
+        s.final_slots = sc.cur.clone();
+        let graph_of = s.graph_of.to_mut();
+        graph_of.reserve_exact(total);
+        for g in 0..graphs.len() {
+            let end = sc.node_start.get(g + 1).copied().unwrap_or(total);
+            graph_of.extend(std::iter::repeat_n(g, end - sc.node_start[g]));
+        }
+        s.state_rows = self.n_slots;
+        s
     }
 }
 
@@ -1488,7 +2084,59 @@ fn same_bits(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-impl SlotSchedule {
+impl SlotSchedule<'_> {
+    /// Appends one wave of `fresh` rows, whose child slots the index holds
+    /// from `child_start` on, row after row: its segments, own slots and
+    /// one updater call per node type present. A wave with no new row is
+    /// left out.
+    fn push_wave(&mut self, child_start: usize, fresh: &[FreshRow]) {
+        if fresh.is_empty() {
+            return;
+        }
+        let child_slots = child_start..self.index.len();
+        let segs = push_range(
+            &mut self.index,
+            fresh
+                .iter()
+                .enumerate()
+                .flat_map(|(row, f)| std::iter::repeat_n(row, f.kids)),
+        );
+        let own = push_range(&mut self.index, fresh.iter().map(|f| f.own));
+        let mut present = [false; NodeType::ALL.len()];
+        for f in fresh {
+            present[f.type_index] = true;
+        }
+        let first_call = self.calls.len();
+        for type_index in (0..NodeType::ALL.len()).filter(|&t| present[t]) {
+            let rows = push_range(
+                &mut self.index,
+                fresh
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| f.type_index == type_index)
+                    .map(|(r, _)| r),
+            );
+            let start = self.index.len();
+            for r in rows.clone() {
+                let slot = fresh[self.index[r]].slot;
+                self.index.push(slot);
+            }
+            let slots = start..self.index.len();
+            self.calls.push(SlotCall {
+                type_index,
+                rows: (rows.len() < fresh.len()).then_some(rows),
+                slots,
+            });
+        }
+        self.waves.push(SlotWave {
+            rows: fresh.len(),
+            child_slots,
+            segs,
+            own,
+            calls: first_call..self.calls.len(),
+        });
+    }
+
     fn view<'a>(&'a self, call: &'a SlotCall) -> CallView<'a> {
         CallView {
             type_index: call.type_index,
@@ -1497,10 +2145,13 @@ impl SlotSchedule {
         }
     }
 
-    /// The encoder calls, parallel to the plan's stacked features. A call
-    /// whose rows an earlier batch of the memo computed has no slots.
-    pub fn encoders(&self) -> impl Iterator<Item = CallView<'_>> {
-        self.calls[..self.n_encoders].iter().map(|c| self.view(c))
+    /// The encoder calls, each with its input rows. A call whose rows an
+    /// earlier batch of the memo computed has no slots.
+    pub fn encoders(&self) -> impl Iterator<Item = (CallView<'_>, &Tensor)> {
+        self.calls[..self.n_encoders]
+            .iter()
+            .map(|c| self.view(c))
+            .zip(self.inputs.iter())
     }
 
     /// The waves that compute at least one new slot, in order.

@@ -4,14 +4,17 @@
 //! random valid placements, featurize each from scratch, score once, pick
 //! the best. This module splits that monolith into swappable parts:
 //!
-//! * a [`Scorer`] — the backend that turns candidate [`JointGraph`]s into
+//! * a [`Scorer`] — the backend that turns a search's candidates (a
+//!   [`CandidateBatch`] of placements, or prepared [`JointGraph`]s) into
 //!   predicted cost / success / backpressure triples. [`EnsembleScorer`]
-//!   runs the three ensembles' fused views over one shared plan per
-//!   chunk, in-process, through the search's [`ScoreMemo`] — the one
-//!   scoring engine ([`ScoreEngine`]) with a memo that keeps every node
-//!   state the search computed; `costream-serve` provides a
-//!   `ScoreClient`-backed implementation so *concurrent* optimizer runs
-//!   coalesce their candidate batches through the serving layer;
+//!   lowers each chunk of placements straight into the search's
+//!   [`ScoreMemo`] — the one scoring engine ([`ScoreEngine`]) with a memo
+//!   that keeps every node state the search computed — and runs the three
+//!   ensembles' fused views over that one schedule, in-process, building
+//!   no graph and no plan; `costream-serve` provides a
+//!   `ScoreClient`-backed implementation (which builds the graphs) so
+//!   *concurrent* optimizer runs coalesce their candidate batches through
+//!   the serving layer;
 //! * a [`PlacementSearch`] strategy — how the placement space is explored
 //!   under a fixed scoring budget. [`RandomEnumeration`] is the paper's
 //!   baseline (and the seed behavior, bit for bit); [`BeamSearch`],
@@ -24,10 +27,10 @@
 //!   once, over N queries sharing a cluster, and placing a single query is
 //!   the N = 1 case — every [`PlacementSearch`] impl here is a few-line
 //!   adapter onto it. The core's evaluator does the shared bookkeeping:
-//!   budget accounting, duplicate suppression, delta re-featurization
-//!   through a [`GraphTemplate`](crate::graph::GraphTemplate) (operator
-//!   features are computed once per search, not once per candidate), and
-//!   the Fig. 4 sanity-filter selection rule.
+//!   budget accounting, duplicate suppression, batching candidates over
+//!   one [`GraphTemplate`](crate::graph::GraphTemplate) per query
+//!   (operator features are computed once per search, not once per
+//!   candidate), and the Fig. 4 sanity-filter selection rule.
 //!
 //! Every strategy is deterministic for fixed inputs and seed, independent
 //! of how the scorer batches its requests: candidate generation order is
@@ -35,16 +38,16 @@
 //! prediction kernels are batch-composition invariant (a guarantee the
 //! serving layer's golden tests pin down). Deciding *which* candidates to
 //! score runs on the caller's thread: a 512-host neighbourhood enumerates
-//! in tens of microseconds and a candidate featurizes in under one, so no
+//! in tens of microseconds and a candidate lowers in under one, so no
 //! hand-off to a worker can pay for itself.
 
 use crate::ensemble::Ensemble;
 use crate::fused::ScoreEngine;
-use crate::graph::{Featurization, JointGraph};
+use crate::graph::{CandidateBatch, Featurization, JointGraph};
 use crate::joint::{JointPlacementSearch, JointQuery, JointSearchProblem};
 use crate::model::INFERENCE_CHUNK;
 use crate::optimizer::{CandidateEvaluation, OptimizationResult};
-use crate::plan::{BatchPlan, SlotStats};
+use crate::plan::SlotStats;
 use costream_dsps::CostMetric;
 use costream_query::hardware::Cluster;
 use costream_query::joint::JointPlacement;
@@ -56,8 +59,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// [`OptimizationResult::stats`](crate::optimizer::OptimizationResult) /
 /// [`JointOptimizationResult`](crate::joint::JointOptimizationResult).
 /// Where search wall time goes at wide cluster widths: move generation
-/// (`validity_ns`), delta featurization (`featurize_ns`) or model
-/// inference (`score_ns`).
+/// (`validity_ns`), contended-row pricing (`featurize_ns`) or the scorer
+/// backend (`score_ns`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Valid neighborhood moves generated across all rounds.
@@ -72,9 +75,13 @@ pub struct SearchStats {
     pub max_batch: u64,
     /// Nanoseconds spent generating + validity-checking moves.
     pub validity_ns: u64,
-    /// Nanoseconds spent featurizing candidates (template instantiation).
+    /// Nanoseconds spent pricing candidates' contended host rows (the
+    /// joint scorer's share of featurization; near zero for a lone query,
+    /// which has no co-resident).
     pub featurize_ns: u64,
-    /// Nanoseconds spent in the scorer backend.
+    /// Nanoseconds spent in the scorer backend — for the in-process
+    /// scorer, lowering the candidates' placements into the search's memo
+    /// and the fused passes.
     pub score_ns: u64,
     /// Threads the run decided on: always 1, the caller's (kept for the
     /// readers of this struct; the scorer backend may still fan out).
@@ -139,14 +146,17 @@ pub trait Scorer: Sync {
     /// Scores a batch of candidate graphs, one result per graph in order.
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores>;
 
-    /// [`Scorer::score_batch`] for one batch of a search, with the memo
-    /// that search owns: a scorer that keeps node states (the in-process
-    /// [`EnsembleScorer`]) computes each state once across all the
-    /// search's batches. The scores are bitwise those of `score_batch`. By
-    /// default the memo is unused.
-    fn score_batch_in(&self, graphs: Vec<JointGraph>, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
+    /// Scores one batch of a search — its candidates as placements, one
+    /// result per graph of [`CandidateBatch::graphs`] in order — with the
+    /// memo that search owns. The scores are bitwise those of
+    /// `score_batch` on the batch's graphs. By default the memo is unused
+    /// and the graphs are built and handed to `score_batch`; the
+    /// in-process [`EnsembleScorer`] lowers the placements into the memo
+    /// instead, building no graph, and computes each node state once
+    /// across all the search's batches.
+    fn score_batch_in(&self, batch: &CandidateBatch, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
         let _ = memo;
-        self.score_batch(graphs)
+        self.score_batch(batch.graphs())
     }
 }
 
@@ -244,13 +254,13 @@ fn lock(pool: &Mutex<Vec<ScoreEngine>>) -> MutexGuard<'_, Vec<ScoreEngine>> {
 }
 
 /// The direct scoring backend: the three ensembles in-process, on the
-/// member-fused production path ([`Ensemble::fused`]). A candidate batch
-/// is scored chunk by chunk through the search's [`ScoreMemo`], on the
-/// caller's thread: each chunk's [`BatchPlan`] is built once and scored by
-/// the memo's [`ScoreEngine`], whose schedule holds only the node states no
-/// earlier batch of the search computed, for all three fused views.
-/// Bitwise, the scores are those of three [`Ensemble::predict_graphs`]
-/// calls.
+/// member-fused production path ([`Ensemble::fused`]). A search's
+/// candidate batch is scored chunk by chunk through the search's
+/// [`ScoreMemo`], on the caller's thread: each chunk of placements is
+/// lowered straight into the memo's [`ScoreEngine`] — no graph, no plan —
+/// whose schedule holds only the node states no earlier batch of the
+/// search computed, for all three fused views. Bitwise, the scores are
+/// those of three [`Ensemble::predict_graphs`] calls on the batch's graphs.
 pub struct EnsembleScorer<'a> {
     /// Target, success and backpressure ensembles, in that order.
     trio: [&'a Ensemble; 3],
@@ -287,10 +297,14 @@ impl<'a> EnsembleScorer<'a> {
     }
 
     /// Per pooled engine: the arena's pooled floats, then the size of
-    /// every buffer a memo recycles (test instrumentation).
+    /// every buffer a memo recycles, the placement lowering's included
+    /// (test instrumentation).
     #[cfg(test)]
     fn pooled(&self) -> Vec<Vec<usize>> {
-        lock(&self.pool).iter().map(ScoreEngine::buffer_sizes).collect()
+        lock(&self.pool)
+            .iter()
+            .map(|engine| [engine.buffer_sizes(), engine.placement_buffer_sizes()].concat())
+            .collect()
     }
 }
 
@@ -299,28 +313,40 @@ impl Scorer for EnsembleScorer<'_> {
         self.trio[0].metric
     }
 
-    /// [`Scorer::score_batch_in`] on a fresh memo.
+    /// The three fused views over the graphs' chunk plans, through a
+    /// fresh memo.
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores> {
-        self.score_batch_in(graphs, &mut ScoreMemo::new())
+        let refs: Vec<&JointGraph> = graphs.iter().collect();
+        let (_, scores) = ScoreMemo::new()
+            .engine_for(&self.pool)
+            .score_graphs(&refs, self.trio.map(Ensemble::fused));
+        triples(scores).collect()
     }
 
-    fn score_batch_in(&self, graphs: Vec<JointGraph>, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
-        let cfg = self.trio[0].model_config();
-        let refs: Vec<&JointGraph> = graphs.iter().collect();
-        let mut scores = Vec::with_capacity(graphs.len());
-        for chunk in refs.chunks(INFERENCE_CHUNK) {
-            let plan = BatchPlan::build(chunk, cfg.scheme, cfg.traditional_rounds);
-            let (stats, [cost, success, backpressure]) =
-                memo.engine_for(&self.pool).score(&plan, self.trio.map(Ensemble::fused));
+    fn score_batch_in(&self, batch: &CandidateBatch, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
+        let mut scores = Vec::with_capacity(batch.len());
+        for start in (0..batch.len()).step_by(INFERENCE_CHUNK) {
+            let chunk = start..batch.len().min(start + INFERENCE_CHUNK);
+            let (stats, trio) =
+                memo.engine_for(&self.pool)
+                    .score_candidates(batch, chunk, self.trio.map(Ensemble::fused));
             memo.stats += stats;
-            scores.extend((0..chunk.len()).map(|i| PlacementScores {
-                cost: cost[i],
-                success: success[i],
-                backpressure: backpressure[i],
-            }));
+            scores.extend(triples(trio));
         }
         scores
     }
+}
+
+/// Per graph, its (cost, success, backpressure) predictions.
+fn triples([cost, success, backpressure]: [Vec<f64>; 3]) -> impl Iterator<Item = PlacementScores> {
+    cost.into_iter()
+        .zip(success)
+        .zip(backpressure)
+        .map(|((cost, success), backpressure)| PlacementScores {
+            cost,
+            success,
+            backpressure,
+        })
 }
 
 /// One placement-optimization problem instance.
@@ -578,6 +604,7 @@ impl PlacementSearch for SimulatedAnnealing {
 mod tests {
     use super::*;
     use crate::model::{Scheme, INFERENCE_CHUNK};
+    use crate::plan::BatchPlan;
     use crate::test_fixtures;
     use crate::train::TrainConfig;
     use costream_nn::InferenceArena;
@@ -767,6 +794,11 @@ mod tests {
         }
     }
 
+    /// The pooled buffer set — arena, state matrices, the memo's tables
+    /// and every buffer the placement lowering keeps (template shapes and
+    /// slots, per-graph hosts, ranks and slots, key and wave scratch) —
+    /// is warm after one single-query and one contended joint search, and
+    /// repeating both grows none of it.
     #[test]
     fn repeated_searches_reuse_warm_buffers() {
         let fx = trio_for(Scheme::Costream, Featurization::Full);
@@ -778,17 +810,28 @@ mod tests {
             est_sels: &sels,
             featurization: Featurization::Full,
         };
+        let (queries, joint_cluster, joint_sels) = test_fixtures::multi_query_workload(67, 3, 4);
+        let jqs = JointQuery::zip(&queries, &joint_sels);
+        let joint = JointSearchProblem {
+            queries: &jqs,
+            cluster: &joint_cluster,
+            featurization: Featurization::Full,
+            interference: None,
+        };
         let first = LocalSearch.search(&problem, &scorer, 32, 5);
+        let first_joint = LocalSearch.search_joint(&joint, &scorer, 16, 7);
         let warm = scorer.pooled();
-        assert_eq!(warm.len(), 1, "one search, one buffer set");
+        assert_eq!(warm.len(), 1, "one search at a time, one buffer set");
         assert!(warm[0].iter().all(|&size| size > 0), "every buffer was used: {warm:?}");
         for _ in 0..3 {
             let again = LocalSearch.search(&problem, &scorer, 32, 5);
             assert_eq!(again.candidates.len(), first.candidates.len());
+            let again_joint = LocalSearch.search_joint(&joint, &scorer, 16, 7);
+            assert_eq!(again_joint.candidates.len(), first_joint.candidates.len());
             assert_eq!(
                 scorer.pooled(),
                 warm,
-                "a repeated search must grow neither the arena nor any memo buffer"
+                "a repeated search must grow neither the arena nor any memo or lowering buffer"
             );
         }
     }

@@ -53,11 +53,11 @@ fn trio(scheme: Scheme, featurization: Featurization) -> &'static test_fixtures:
     })
 }
 
-/// A scorer that keeps a copy of every batch it is asked to score, and
-/// what the search's memo held after the last one.
+/// A scorer that keeps a copy of every candidate batch a search asks it
+/// to score, and what the search's memo held after the last one.
 struct Recorder<'a> {
     inner: EnsembleScorer<'a>,
-    batches: Mutex<Vec<Vec<JointGraph>>>,
+    batches: Mutex<Vec<CandidateBatch>>,
     memo: Mutex<SlotStats>,
 }
 
@@ -72,7 +72,7 @@ impl<'a> Recorder<'a> {
 
     /// The batches recorded since the last take, and the memo's counts
     /// after the last of them.
-    fn take(&self) -> (Vec<Vec<JointGraph>>, SlotStats) {
+    fn take(&self) -> (Vec<CandidateBatch>, SlotStats) {
         let batches = std::mem::take(&mut *self.batches.lock().expect("recorder lock"));
         (batches, std::mem::take(&mut *self.memo.lock().expect("recorder lock")))
     }
@@ -84,13 +84,12 @@ impl Scorer for Recorder<'_> {
     }
 
     fn score_batch(&self, graphs: Vec<JointGraph>) -> Vec<PlacementScores> {
-        self.batches.lock().expect("recorder lock").push(graphs.clone());
         self.inner.score_batch(graphs)
     }
 
-    fn score_batch_in(&self, graphs: Vec<JointGraph>, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
-        self.batches.lock().expect("recorder lock").push(graphs.clone());
-        let scores = self.inner.score_batch_in(graphs, memo);
+    fn score_batch_in(&self, batch: &CandidateBatch, memo: &mut ScoreMemo) -> Vec<PlacementScores> {
+        self.batches.lock().expect("recorder lock").push(batch.clone());
+        let scores = self.inner.score_batch_in(batch, memo);
         *self.memo.lock().expect("recorder lock") = memo.stats();
         scores
     }
@@ -148,7 +147,7 @@ fn search_batches_score_bitwise_like_the_sequential_oracle() {
             let (mut live, mut distinct) = (0, 0);
             for (i, batch) in batches.iter().enumerate() {
                 let ctx = format!("{scheme:?} {featurization:?} batch {i} ({} graphs)", batch.len());
-                let (l, d) = assert_bitwise_like_the_oracle(fx, batch, &ctx);
+                let (l, d) = assert_bitwise_like_the_oracle(fx, &batch.graphs(), &ctx);
                 live += l;
                 distinct += d;
             }
@@ -214,13 +213,18 @@ fn bits(scores: &[PlacementScores]) -> Vec<[u64; 3]> {
 fn replay(
     scorer: &EnsembleScorer<'_>,
     fx: &test_fixtures::Trio,
-    batches: &[Vec<JointGraph>],
+    batches: &[CandidateBatch],
     mut memo: ScoreMemo,
     ctx: &str,
 ) -> SlotStats {
     for (i, batch) in batches.iter().enumerate() {
-        let got = bits(&scorer.score_batch_in(batch.clone(), &mut memo));
-        assert_eq!(got, oracle_bits(fx, batch), "{ctx}: batch {i} ({} graphs)", batch.len());
+        let got = bits(&scorer.score_batch_in(batch, &mut memo));
+        assert_eq!(
+            got,
+            oracle_bits(fx, &batch.graphs()),
+            "{ctx}: batch {i} ({} graphs)",
+            batch.len()
+        );
     }
     memo.stats()
 }
@@ -230,7 +234,7 @@ fn replay(
 fn recorded_streams(
     fx: &test_fixtures::Trio,
     featurization: Featurization,
-) -> Vec<(&'static str, Vec<Vec<JointGraph>>, SlotStats)> {
+) -> Vec<(&'static str, Vec<CandidateBatch>, SlotStats)> {
     let (q, cluster, sels) = test_fixtures::workload(311, 8);
     let (queries, joint_cluster, joint_sels) = test_fixtures::multi_query_workload(523, 3, 8);
     let jqs = JointQuery::zip(&queries, &joint_sels);
@@ -286,7 +290,8 @@ fn a_search_memo_scores_every_stream_bitwise_and_computes_each_state_once() {
 
                 // One memo across the search computes exactly the distinct
                 // rows of one plan over all of its graphs.
-                let all: Vec<&JointGraph> = batches.iter().flatten().collect();
+                let graphs: Vec<JointGraph> = batches.iter().flat_map(CandidateBatch::graphs).collect();
+                let all: Vec<&JointGraph> = graphs.iter().collect();
                 let whole = fx.target.members()[0].model().plan(&all).hash_cons();
                 assert_eq!(searched.slots(), whole.slots(), "{ctx}: slots");
                 assert_eq!(
@@ -297,7 +302,8 @@ fn a_search_memo_scores_every_stream_bitwise_and_computes_each_state_once() {
                 let per_batch: usize = batches
                     .iter()
                     .map(|b| {
-                        let refs: Vec<&JointGraph> = b.iter().collect();
+                        let graphs = b.graphs();
+                        let refs: Vec<&JointGraph> = graphs.iter().collect();
                         fx.target.members()[0].model().plan(&refs).hash_cons().slots()
                     })
                     .sum();

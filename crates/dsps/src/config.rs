@@ -30,8 +30,9 @@ pub const BACKPRESSURE_THRESHOLD: f64 = 0.01;
 /// for 4 minutes of stream time with labels collected after a warm-up
 /// period, long enough for several window emissions and for the broker's
 /// rate control to settle. A run that ends before its warm-up does (any
-/// `duration_s` not above `warmup_s`, NaN and negative ones included)
-/// measures nothing and reports failed metrics.
+/// `duration_s` not above `warmup_s`, NaN and negative ones included), and
+/// a run that never ends (an infinite `duration_s`), measures nothing and
+/// reports failed metrics.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct SimConfig {
     /// Simulated execution time in seconds.
@@ -78,8 +79,12 @@ impl SimConfig {
         self
     }
 
-    /// Number of simulation ticks.
+    /// Number of simulation ticks: none for a non-finite duration, which
+    /// would otherwise saturate to `usize::MAX` ticks and never return.
     pub fn ticks(&self) -> usize {
+        if !self.duration_s.is_finite() {
+            return 0;
+        }
         (self.duration_s / TICK_S).ceil() as usize
     }
 }

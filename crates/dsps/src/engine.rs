@@ -753,6 +753,44 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_never_ends_returns_failed_metrics() {
+        let q = filter_query(1000.0, 0.5);
+        let c = Cluster::new(vec![strong_host()]);
+        let p = Placement::new(vec![0, 0, 0]);
+        let cfg = SimConfig {
+            duration_s: f64::INFINITY,
+            ..SimConfig::deterministic()
+        };
+        // On its own thread, so a run that does not return fails the
+        // timeout instead of hanging the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut metrics = vec![simulate(&q, &c, &p, &cfg).metrics];
+            metrics.extend(
+                simulate_corun(&[(&q, &p), (&q, &p)], &c, &cfg)
+                    .into_iter()
+                    .map(|r| r.metrics),
+            );
+            let _ = done.send(metrics);
+        });
+        let metrics = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("an infinite duration must return, not run forever");
+        assert_eq!(metrics.len(), 3, "one single run, two co-run members");
+        for m in metrics {
+            assert!(!m.success, "nothing measured, no success");
+            for v in [
+                m.throughput,
+                m.processing_latency_ms,
+                m.e2e_latency_ms,
+                m.backpressure_rate,
+            ] {
+                assert!(v.is_finite() && v >= 0.0, "metric {v}");
+            }
+        }
+    }
+
+    #[test]
     fn weak_cpu_causes_backpressure() {
         let q = filter_query(25600.0, 0.5);
         let c = Cluster::new(vec![weak_host()]);

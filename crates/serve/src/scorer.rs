@@ -18,6 +18,13 @@
 //! returns exactly the placement the direct path would — regardless of
 //! worker counts or how requests interleave.
 //!
+//! A search hands its scorer candidates as placements (a
+//! [`CandidateBatch`](costream::graph::CandidateBatch)); the in-process
+//! scorer lowers them without building a graph, but a `ServeScorer` must
+//! put graphs on the wire, so it builds them itself: it keeps the default
+//! `Scorer::score_batch_in`, which instantiates the batch's graphs
+//! (`CandidateBatch::graphs`) and scores them through `score_batch`.
+//!
 //! Multi-query co-placement routes through here unchanged: a
 //! [`JointScorer`](costream::joint::JointScorer) built over a
 //! `ServeScorer` submits all `candidates × queries` graphs of a joint

@@ -39,8 +39,8 @@ Gated ops fall in two classes:
     optimizer_search_local (one budgeted LocalSearch placement search),
     search_score_per_candidate (what one candidate costs in its scorer)
     and ensemble_fused_batch64 are not: a search scores single-chunk
-    batches inline on the caller's thread, one plan and three
-    member-fused passes each, and nothing fans out — but all three run
+    batches inline on the caller's thread, one placement lowering and
+    three member-fused passes each, and nothing fans out — but all three run
     the fused kernels, which dispatch on ISA tier. Either way the
     numbers depend on the runner class beyond what calibration cancels,
     so their allowed factors are wider, and they are gated ONLY when
@@ -95,8 +95,9 @@ GATED = {
     # are single chunks, scored inline on the fused path).
     "optimizer_search_local": 1.30,
     # Scorer time per candidate inside that search (SearchStats'
-    # score_ns / candidates_scored, fastest of 20 searches): one shared
-    # plan and three member-fused passes per ~8-candidate batch.
+    # score_ns / candidates_scored, fastest of 20 searches): the batch's
+    # placements lowered into the search's memo and three member-fused
+    # passes per ~8-candidate batch.
     "search_score_per_candidate": 1.30,
     # Member-fused k=3 ensemble inference over one cached 64-graph chunk
     # plan — the serving worker's steady-state scoring cost and the

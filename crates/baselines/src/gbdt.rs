@@ -4,17 +4,17 @@
 //! Histogram-based regression trees boosted on squared loss (regression)
 //! or logistic loss (binary classification), LightGBM-style: every
 //! feature column is sorted **once per fit** and discretized into at most
-//! [`MAX_BINS`] value-boundary bins; each tree node then accumulates
+//! `MAX_BINS` (255) value-boundary bins; each tree node then accumulates
 //! per-bin (gradient, hessian, count) statistics in one O(rows) pass and
-//! scans the bins for the best split — no per-node re-sorting. The
-//! per-feature histogram build + scan fans out over the rayon pool.
+//! scans the bins for the best split — no per-node re-sorting. Every step
+//! runs on the caller's thread: no benchmark workload fits a GBDT, so no
+//! measurement pays for a parallel one.
 //!
 //! Non-finite features are handled by total-ordering: NaN (either sign)
 //! and `+inf` sort into a terminal bin that every split sends to the
 //! right subtree, matching `x <= threshold` routing at predict time —
 //! no `partial_cmp` panics on NaN features.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Maximum tree depth.
@@ -102,13 +102,12 @@ struct BinnedDataset {
 impl BinnedDataset {
     /// Sorts every feature column once (by total order, so NaN features
     /// cannot panic) and assigns value-boundary bins of roughly
-    /// `rows / MAX_BINS` elements. Features are processed in parallel.
+    /// `rows / MAX_BINS` elements.
     fn build(xs: &[Vec<f64>]) -> Self {
         let n = xs.len();
         let n_features = xs[0].len();
         let target = n.div_ceil(MAX_BINS).max(1);
         let per_feature: Vec<(Vec<u16>, Vec<f64>)> = (0..n_features)
-            .into_par_iter()
             .map(|f| {
                 let mut order: Vec<u32> = (0..n as u32).collect();
                 order.sort_unstable_by(|&a, &b| bin_key(xs[a as usize][f]).total_cmp(&bin_key(xs[b as usize][f])));
@@ -171,9 +170,8 @@ impl BinnedDataset {
 
 /// Builds one regression tree on (gradient, hessian) statistics; the leaf
 /// value is the Newton step `-Σg / Σh`. Split search is histogram-based:
-/// one O(rows) accumulation pass per feature (parallel over features)
-/// followed by an O(bins) boundary scan — the pre-sorted bins make
-/// per-node sorting unnecessary.
+/// one O(rows) accumulation pass per feature followed by an O(bins)
+/// boundary scan — the pre-sorted bins make per-node sorting unnecessary.
 fn build_tree(binned: &BinnedDataset, grads: &[f64], hess: &[f64], rows: &[usize], depth: usize) -> Node {
     let g_sum: f64 = rows.iter().map(|&r| grads[r]).sum();
     let h_sum: f64 = rows.iter().map(|&r| hess[r]).sum();
@@ -186,8 +184,7 @@ fn build_tree(binned: &BinnedDataset, grads: &[f64], hess: &[f64], rows: &[usize
     let parent_score = g_sum * g_sum / (h_sum + 1e-9);
 
     // Per-feature best split: (gain, boundary bin); merged in feature
-    // order below so the result is deterministic regardless of thread
-    // count.
+    // order below.
     let scan_feature = |f: usize| -> Option<(f64, usize)> {
         let n_bins = binned.thresholds[f].len() + 1;
         if n_bins < 2 {
@@ -221,15 +218,7 @@ fn build_tree(binned: &BinnedDataset, grads: &[f64], hess: &[f64], rows: &[usize
         }
         best
     };
-    // Fan out over features only when the histogram pass is big enough to
-    // amortize worker startup — deep nodes with a handful of rows would
-    // otherwise pay more for threads than for the O(rows) scan itself.
-    const PAR_SPLIT_MIN_ROWS: usize = 512;
-    let per_feature: Vec<Option<(f64, usize)>> = if rows.len() < PAR_SPLIT_MIN_ROWS {
-        (0..binned.n_features()).map(scan_feature).collect()
-    } else {
-        (0..binned.n_features()).into_par_iter().map(scan_feature).collect()
-    };
+    let per_feature: Vec<Option<(f64, usize)>> = (0..binned.n_features()).map(scan_feature).collect();
 
     let mut best: Option<(usize, usize, f64)> = None; // (feature, boundary bin, gain)
     for (f, cand) in per_feature.into_iter().enumerate() {

@@ -41,7 +41,10 @@ impl Ensemble {
     /// The corpus is lowered to minibatch execution plans *once*; the
     /// members — which differ only in their weight-init and
     /// batch-order-shuffle seeds — then train from the shared plans in
-    /// parallel (they are embarrassingly parallel).
+    /// parallel (they are embarrassingly parallel). This is the library's
+    /// one fan-out: the only one a benchmark metric (`setup_s`,
+    /// `train_samples_per_s`) showed faster on two cores. Each member is
+    /// bitwise the model a serial loop would train.
     ///
     /// # Panics
     /// Panics if `k == 0`.
@@ -166,6 +169,37 @@ mod tests {
         for i in 0..items.len() {
             let mean = members.iter().map(|m| m[i]).sum::<f64>() / 3.0;
             assert!((combined[i] - mean).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn fanned_out_members_are_the_serially_trained_models_bitwise() {
+        let corpus = Corpus::generate(60, 36, FeatureRanges::training(), &SimConfig::default());
+        let cfg = TrainConfig {
+            epochs: 3,
+            seed: 7,
+            ..quick_cfg()
+        };
+        let metric = CostMetric::ProcessingLatency;
+        // More members than a two-core runner has threads, so one thread
+        // trains several.
+        let e = Ensemble::train(&corpus, metric, &cfg, 3);
+        let prepared = prepare_training(&corpus, metric, &cfg);
+        let bits = |m: &TrainedModel| -> Vec<u32> {
+            let store = m.model().store();
+            store
+                .ids()
+                .flat_map(|id| store.value(id).data().iter().map(|v| v.to_bits()))
+                .collect()
+        };
+        for (i, member) in e.members().iter().enumerate() {
+            let serial = train_prepared(&prepared, metric, &cfg.with_seed(cfg.seed.wrapping_add(1 + i as u64)));
+            assert_eq!(bits(member), bits(&serial), "member {i}'s weights");
+            assert_eq!(
+                member.denorm_params(),
+                serial.denorm_params(),
+                "member {i}'s target scaling"
+            );
         }
     }
 

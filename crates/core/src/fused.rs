@@ -69,7 +69,6 @@ use costream_dsps::CostMetric;
 use costream_nn::fused::{StackedMlp, WeightPrecision};
 use costream_nn::loss::{msle_inverse, sigmoid};
 use costream_nn::{InferenceArena, Tensor};
-use rayon::prelude::*;
 
 /// A member-fused inference view over k trained models of one metric:
 /// stacked copies of their weights. An ensemble
@@ -120,7 +119,7 @@ impl FusedEnsemble {
     /// arena: a one-batch [`ScoreEngine`] on `arena` for the length of the
     /// call.
     pub fn predict_plans_arena(&self, plans: &[BatchPlan], arena: &mut InferenceArena) -> Vec<f64> {
-        let mut engine = ScoreEngine::new(SlotMemo::one_batch(u64::MAX), std::mem::take(arena));
+        let mut engine = ScoreEngine::with_arena(std::mem::take(arena));
         let scores = plans
             .iter()
             .flat_map(|plan| {
@@ -141,23 +140,17 @@ impl FusedEnsemble {
 
     /// Member-major raw outputs for prepared graphs, `[n, k]` row-major
     /// (log-space cost or logit per member): chunk at [`INFERENCE_CHUNK`]
-    /// → plan → fused pass. One chunk runs inline; more are dealt to the
-    /// workers in contiguous spans, one one-batch [`ScoreEngine`] each.
+    /// → plan → fused pass, every chunk on the caller's thread through one
+    /// [`ScoreEngine`]. (Dealing the chunks to two cores saved the one
+    /// benchmark call with more than one chunk too little to show in its
+    /// `setup_s`.)
     pub fn raw_graphs(&self, graphs: &[&JointGraph]) -> Vec<f32> {
         let (scheme, rounds) = (self.config.scheme, self.config.traditional_rounds);
-        let score = |span: &[&JointGraph]| -> Vec<f32> {
-            let mut engine = ScoreEngine::one_batch();
-            span.chunks(INFERENCE_CHUNK)
-                .flat_map(|c| engine.raw(&BatchPlan::build(c, scheme, rounds), self))
-                .collect()
-        };
-        if graphs.len() <= INFERENCE_CHUNK {
-            return score(graphs);
-        }
-        let chunks = graphs.len().div_ceil(INFERENCE_CHUNK);
-        let span = chunks.div_ceil(rayon::current_num_threads()) * INFERENCE_CHUNK;
-        let per_span: Vec<Vec<f32>> = graphs.par_chunks(span).map(score).collect();
-        per_span.concat()
+        let mut engine = ScoreEngine::one_batch();
+        graphs
+            .chunks(INFERENCE_CHUNK)
+            .flat_map(|c| engine.raw(&BatchPlan::build(c, scheme, rounds), self))
+            .collect()
     }
 
     /// Member-major raw rows → per-member predictions: `msle_inverse` of
@@ -281,27 +274,22 @@ pub struct ScoreEngine {
 }
 
 impl ScoreEngine {
-    fn new(slots: SlotMemo, arena: InferenceArena) -> Self {
+    fn with_arena(arena: InferenceArena) -> Self {
         ScoreEngine {
-            slots,
+            slots: SlotMemo::new(u64::MAX),
             states: Vec::new(),
             arena,
         }
     }
 
-    /// An engine whose memo lasts one plan: it forgets every slot before
-    /// each [`score`](ScoreEngine::score), so one engine may serve any
-    /// model from one batch to the next (a serving worker keeps one for
-    /// its life, across hot swaps). Its buffers stay warm.
+    /// A new engine. Its memo forgets every slot before each plan it
+    /// [`score`](ScoreEngine::score)s, so one engine may serve any model
+    /// from one batch to the next (a serving worker keeps one for its
+    /// life, across hot swaps); only a search's candidate batches share
+    /// slots, from one restart to the next, always with the same
+    /// ensembles in the same positions. Its buffers stay warm.
     pub fn one_batch() -> Self {
-        Self::new(SlotMemo::one_batch(u64::MAX), InferenceArena::new())
-    }
-
-    /// An engine whose memo spans the plans scored through it until
-    /// [`restart`](ScoreEngine::restart)ed or capped — one search's,
-    /// always with the same ensembles in the same positions.
-    pub(crate) fn search() -> Self {
-        Self::new(SlotMemo::search(), InferenceArena::new())
+        Self::with_arena(InferenceArena::new())
     }
 
     /// Forgets every slot, keeping every buffer, and gives the memo a slot
@@ -355,8 +343,7 @@ impl ScoreEngine {
     /// [`ScoreEngine::score`] on the plan of the same graphs.
     ///
     /// # Panics
-    /// Panics on a one-batch engine, or if the models differ in scheme or
-    /// round count.
+    /// Panics if the models differ in scheme or round count.
     pub(crate) fn score_candidates<const N: usize>(
         &mut self,
         batch: &CandidateBatch,

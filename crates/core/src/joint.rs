@@ -17,8 +17,8 @@
 //!   graph sees the host rows *degraded* by co-resident load — a host
 //!   shared with other queries contributes only the query's
 //!   proportional share of its CPU/RAM/bandwidth — and is scored through
-//!   any [`Scorer`] backend (the direct [`EnsembleScorer`]
-//!   (crate::search::EnsembleScorer), or `costream-serve`'s
+//!   any [`Scorer`] backend (the direct
+//!   [`EnsembleScorer`](crate::search::EnsembleScorer), or `costream-serve`'s
 //!   `ServeScorer` so N tenants' candidate batches coalesce server-side;
 //!   the occupancy snapshot travels inside each request's featurized
 //!   host rows). A batch goes to the backend as a [`CandidateBatch`]:
@@ -912,7 +912,7 @@ impl JointPlacementSearch for SimulatedAnnealing {
 
     /// Simulated annealing over the cross-query move space: one chain,
     /// Metropolis acceptance on the relative total-cost delta (see
-    /// [`ranking::anneal_accepts`]), restart on exhaustion.
+    /// `ranking::anneal_accepts`), restart on exhaustion.
     /// Best-ever-scored is returned.
     fn search_joint_seeded(
         &self,

@@ -81,7 +81,7 @@ impl ModelConfig {
 
     /// Whether two configurations produce interchangeable *serving*
     /// artifacts: identical layer shapes and identical
-    /// [`BatchPlan`](crate::plan::BatchPlan) topologies (plan signatures
+    /// [`BatchPlan`] topologies (plan signatures
     /// hash the message-passing scheme and round count). The seed is
     /// deliberately ignored — it only varies the weight init, which is
     /// exactly what a hot model swap replaces. The serving layer refuses

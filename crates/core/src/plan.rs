@@ -16,7 +16,7 @@
 //!
 //! A plan splits into two parts with very different lifetimes:
 //!
-//! * [`PlanTopology`] — everything derived from graph *structure* (node
+//! * `PlanTopology` — everything derived from graph *structure* (node
 //!   types, edge lists, wave schedule, readout segments). Immutable,
 //!   shared behind an `Arc`, and reusable for any batch whose graphs have
 //!   the same shapes — even when the feature *values* differ.
@@ -31,9 +31,9 @@
 //! targets and segments of the graphs before it. The [`PlanCache`] caches
 //! those per-graph *fragments* — one per distinct graph shape, keyed by the
 //! one-graph [`PlanSignature`] a serving layer computes per request — and
-//! [`stitches`](PlanTopology::stitch) a batch topology from them: an
+//! stitches (`PlanTopology::stitch`) a batch topology from them: an
 //! O(nodes + edges) concatenation with no graph traversal, equal field for
-//! field to [`PlanTopology::build`] on the same graphs. Any mix of shapes
+//! field to `PlanTopology::build` on the same graphs. Any mix of shapes
 //! is then one plan and one fused pass, and a shape is a cache hit in any
 //! batch once it has been seen in one. The signature only routes a lookup:
 //! a hit is confirmed by comparing the graph's node types, edge lists and
@@ -55,7 +55,7 @@
 //! order a wave-by-wave rescan produces, so training, the sequential
 //! oracle and every digest see the same plans.
 //!
-//! A topology's lists all live in one buffer ([`TopoIndex`]) that its
+//! A topology's lists all live in one buffer (`TopoIndex`) that its
 //! encoders and waves hold ranges of, so a build or a stitch allocates a
 //! handful of vectors, not a few per wave and node type: on the serving
 //! path allocation, not copying, is what a plan costs. A wave keeps no
@@ -98,23 +98,23 @@
 //! Every fused pass runs on a memo: the one scoring engine
 //! ([`ScoreEngine`](crate::fused::ScoreEngine)) lowers each plan or
 //! candidate batch into the memo it owns and keeps the memo's slots in one
-//! state matrix per ensemble. What differs between callers is only how long the memo lives —
-//! one batch or one search, never longer:
+//! state matrix per ensemble. What is lowered decides how long the slots
+//! live — one batch or one search, never longer:
 //!
-//! * **One batch** — the serving worker's engine, and every
+//! * **One batch** — every plan: the serving worker's, and every
 //!   `predict_graphs`, `raw_graphs` and `predict_plans_arena` call's. The
-//!   memo forgets every slot before each lowering, so nothing outlives a
+//!   memo forgets every slot before it lowers a plan, so nothing outlives a
 //!   plan (not even a model swap between two batches can reach a stale
 //!   row), and if no encoder row
 //!   repeats (no two targets can then share an own slot) the lowering stops
 //!   there: every live wave target gets a fresh slot and no wave key is
 //!   hashed. Skipping a merge never changes a bit — it only repeats work —
 //!   so the shortcut is sound whatever the graphs.
-//! * **One search** — the in-process scorer lowers each chunk of each
-//!   batch, straight from its placements, into the memo its search's
-//!   evaluator owns, so a batch's schedule holds only the slots no earlier
-//!   batch of the search computed, and the state matrices keep their rows
-//!   across batches. Every key is recorded, since a later batch may reach
+//! * **One search** — a search's candidates: the in-process scorer lowers
+//!   each chunk of each batch, straight from its placements, into the memo
+//!   its search's evaluator owns, so a batch's schedule holds only the
+//!   slots no earlier batch of the search computed, and the state matrices
+//!   keep their rows across batches. Every key is recorded, since a later batch may reach
 //!   it. A constant slot cap restarts the memo, which bounds its memory; a
 //!   restart only repeats work.
 //!
@@ -147,7 +147,7 @@
 //! * Per template, once per search, the memo builds the topology of the
 //!   template's *one-host shape* — every operator on one host node — and
 //!   reads off each wave target's children, whether it is live
-//!   ([`live_targets`]), and whether its key can depend on the placement:
+//!   (`live_targets`), and whether its key can depend on the placement:
 //!   a host's own row does, and so does every key that reads a placed
 //!   state. A candidate graph is that shape with the host node standing
 //!   for each host it uses, on the operators placed there.
@@ -413,7 +413,7 @@ impl TopoBuilder {
 }
 
 /// The full precomputed execution plan for one batch of joint graphs:
-/// a shared [`PlanTopology`] plus the batch's stacked encoder features.
+/// a shared `PlanTopology` plus the batch's stacked encoder features.
 #[derive(Clone, Debug)]
 pub struct BatchPlan {
     /// Shared structural bookkeeping.
@@ -461,12 +461,12 @@ impl BatchPlan {
         memo.lower(&self.topo, &self.features)
     }
 
-    /// Lowers the plan to its one-batch slot schedule and reports how much
-    /// merged (see the module docs) — the lowering every pass of a
-    /// one-batch [`ScoreEngine`](crate::fused::ScoreEngine) starts with,
+    /// Lowers the plan to its slot schedule and reports how much merged
+    /// (see the module docs) — the lowering every pass of a
+    /// [`ScoreEngine`](crate::fused::ScoreEngine) over a plan starts with,
     /// exposed to time and inspect it.
     pub fn hash_cons(&self) -> SlotStats {
-        self.lower_into(&mut SlotMemo::one_batch(u64::MAX)).stats
+        self.lower_into(&mut SlotMemo::new(u64::MAX)).stats
     }
 }
 
@@ -476,7 +476,7 @@ impl CandidateBatch {
     /// fused pass — and reports what merged. Exposed to time and inspect
     /// the placement lowering, like [`BatchPlan::hash_cons`] the plan's.
     pub fn hash_cons(&self, scheme: Scheme, traditional_rounds: usize) -> SlotStats {
-        let mut memo = SlotMemo::search();
+        let mut memo = SlotMemo::new(u64::MAX);
         memo.lower_candidates(self, 0..self.len(), scheme, traditional_rounds)
             .stats
     }
@@ -1466,20 +1466,17 @@ pub(crate) struct SlotMemo {
     /// Counts the times the memo forgot its slots: a template's slots
     /// belong to one generation.
     generation: u64,
-    /// A lowering that could take the memo past this many slots restarts
-    /// it first (a search memo's memory bound).
+    /// A candidate lowering that could take the memo past this many slots
+    /// restarts it first (a search memo's memory bound).
     cap: usize,
-    /// Whether later batches read this memo's slots, so every key must be
-    /// recorded; `false` for a one-batch memo, which forgets them all
-    /// before each lowering.
-    outlives_batch: bool,
     /// The templates of the candidates lowered so far (a search memo's).
     templates: TemplateCache,
     scratch: PlacedScratch,
 }
 
 impl SlotMemo {
-    fn new(cap: usize, fp_mask: u64, outlives_batch: bool) -> Self {
+    /// An empty memo with no slot cap; `fp_mask` as in [`SlotTable`].
+    pub(crate) fn new(fp_mask: u64) -> Self {
         SlotMemo {
             encoders: SlotTable::new(fp_mask),
             encoder_keys: Vec::new(),
@@ -1489,23 +1486,10 @@ impl SlotMemo {
             kids: Vec::new(),
             n_slots: 0,
             generation: 0,
-            cap,
-            outlives_batch,
+            cap: usize::MAX,
             templates: TemplateCache::default(),
             scratch: PlacedScratch::default(),
         }
-    }
-
-    /// A memo that forgets every slot before each lowering, so no plan
-    /// reads another's; `fp_mask` as in [`SlotTable`].
-    pub(crate) fn one_batch(fp_mask: u64) -> Self {
-        SlotMemo::new(usize::MAX, fp_mask, false)
-    }
-
-    /// A memo for the batches of one search; [`SlotMemo::restart`] gives
-    /// it its slot cap.
-    pub(crate) fn search() -> Self {
-        SlotMemo::new(usize::MAX, u64::MAX, true)
     }
 
     /// Forgets every slot and every template, and sets the slot cap — a
@@ -1619,14 +1603,13 @@ impl SlotMemo {
         (self.n_slots - 1, true)
     }
 
-    /// Lowers one plan: every encoder row and live wave target is interned
-    /// against the memo's keys, and only those with no equal key get a new
-    /// slot (and a row of the schedule).
+    /// Lowers one plan, alone: the memo forgets every slot first, then
+    /// every encoder row and live wave target is interned against the
+    /// plan's own keys, and only those with no equal key get a new slot
+    /// (and a row of the schedule).
     fn lower<'a>(&mut self, topo: &'a PlanTopology, features: &'a [Tensor]) -> SlotSchedule<'a> {
+        self.clear();
         let wave_rows: usize = topo.waves.iter().map(|w| w.targets().len()).sum();
-        if !self.outlives_batch || self.n_slots.saturating_add(topo.total + wave_rows) > self.cap {
-            self.clear();
-        }
         let edges: usize = topo.waves.iter().map(|w| w.child_rows().len()).sum();
         let mut s = SlotSchedule {
             scheme: topo.scheme,
@@ -1683,9 +1666,9 @@ impl SlotMemo {
         s.stats.distinct_encoder_rows = self.n_slots - first;
 
         // A wave key can repeat only if an encoder row does: with every own
-        // slot new no two targets share a key, and a one-batch memo, which
-        // no later batch reads, hashes no wave at all.
-        let merge = self.outlives_batch || s.stats.distinct_encoder_rows < topo.total;
+        // slot new no two targets share a key, and no later batch reads a
+        // plan's slots, so then no wave is hashed at all.
+        let merge = s.stats.distinct_encoder_rows < topo.total;
         let mut cur = h0.clone();
         self.lower_waves(&mut s, topo, &h0, &mut cur, merge);
         s.final_slots = cur;
@@ -1786,8 +1769,8 @@ impl SlotMemo {
     /// shape wave `k`, across the chunk, as a plan of the same graphs would.
     ///
     /// # Panics
-    /// Panics when the memo lasts one batch, or a placement does not fit
-    /// its template (operator count, host ids).
+    /// Panics if a placement does not fit its template (operator count,
+    /// host ids).
     pub(crate) fn lower_candidates(
         &mut self,
         batch: &CandidateBatch,
@@ -1795,7 +1778,6 @@ impl SlotMemo {
         scheme: Scheme,
         traditional_rounds: usize,
     ) -> SlotSchedule<'static> {
-        assert!(self.outlives_batch, "candidates lower into a search memo");
         let mut cache = std::mem::take(&mut self.templates);
         let mut sc = std::mem::take(&mut self.scratch);
         let s = self.lower_placed(&mut cache, &mut sc, batch, graphs, scheme, traditional_rounds);
@@ -2169,7 +2151,7 @@ impl SlotSchedule<'_> {
 
 /// Structural signature of a batch of graphs — in serving, of one graph:
 /// a hash over the node types, edge lists, scheme and round count a
-/// [`PlanTopology`] depends on, and nothing the feature *values* can
+/// `PlanTopology` depends on, and nothing the feature *values* can
 /// change. Equal structures have equal signatures.
 ///
 /// A signature only routes: it picks a [`PlanCache`] entry or a serving
@@ -2700,10 +2682,10 @@ mod tests {
         for scheme in [Scheme::Costream, Scheme::Traditional] {
             for batch in [&gs[..], &repeats[..]] {
                 let plan = plan_of(batch, scheme);
-                let routed = plan.lower_into(&mut SlotMemo::one_batch(u64::MAX));
+                let routed = plan.lower_into(&mut SlotMemo::new(u64::MAX));
                 // Every fingerprint 0: each probe walks every recorded key,
                 // and only exact equality may merge.
-                let collided = plan.lower_into(&mut SlotMemo::one_batch(0));
+                let collided = plan.lower_into(&mut SlotMemo::new(0));
                 assert_eq!(collided, routed, "{scheme:?}, {} graphs", batch.len());
             }
             let stats = plan_of(&repeats, scheme).hash_cons();

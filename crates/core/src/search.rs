@@ -169,7 +169,7 @@ const MEMO_SLOT_CAP: usize = 4096;
 /// The search's evaluator owns one and drops it with the search, so no
 /// state survives a search; [`replan`](crate::joint::replan) owns one too.
 ///
-/// The memo is a search [`ScoreEngine`] — slot tables, one state matrix per
+/// The memo is a [`ScoreEngine`] — slot tables, one state matrix per
 /// ensemble of the trio, the inference arena — that comes warm from the
 /// [`EnsembleScorer`] first scoring through the memo, restarted empty, and
 /// goes back to it when the memo drops (or when another scorer takes it
@@ -197,7 +197,7 @@ impl ScoreMemo {
     #[doc(hidden)]
     pub fn with_limits(slot_cap: usize, fp_mask: u64) -> Self {
         ScoreMemo {
-            engine: ScoreEngine::search(),
+            engine: ScoreEngine::one_batch(),
             home: None,
             slot_cap,
             fp_mask,
@@ -217,7 +217,7 @@ impl ScoreMemo {
     fn engine_for(&mut self, pool: &Arc<Mutex<Vec<ScoreEngine>>>) -> &mut ScoreEngine {
         if !self.home.as_ref().is_some_and(|home| Arc::ptr_eq(home, pool)) {
             self.release();
-            self.engine = lock(pool).pop().unwrap_or_else(ScoreEngine::search);
+            self.engine = lock(pool).pop().unwrap_or_else(ScoreEngine::one_batch);
             self.engine.restart(self.slot_cap, self.fp_mask);
             self.home = Some(Arc::clone(pool));
         }
@@ -229,7 +229,7 @@ impl ScoreMemo {
     /// just lets the engine go.
     fn release(&mut self) {
         if let Some(home) = self.home.take() {
-            let engine = std::mem::replace(&mut self.engine, ScoreEngine::search());
+            let engine = std::mem::replace(&mut self.engine, ScoreEngine::one_batch());
             if let Ok(mut pool) = home.lock() {
                 pool.push(engine);
             }

@@ -63,7 +63,11 @@ impl Ord for Event {
 /// Runs a per-tuple simulation of a *linear* query (sources, filters,
 /// sink only) for `duration_s` seconds with `warmup_s` excluded from the
 /// measurements — the independent witness this module's tests
-/// cross-validate the fluid engine against.
+/// cross-validate the fluid engine against. A run that ends before its
+/// warm-up does (`duration_s` not above `warmup_s`, NaN included) or never
+/// ends (an infinite `duration_s`) measures nothing, as
+/// [`SimConfig`](crate::config::SimConfig) documents for the fluid engine:
+/// no throughput, infinite latency, nothing delivered.
 ///
 /// # Panics
 /// Panics if the query contains windowed operators (out of scope) or the
@@ -81,6 +85,13 @@ pub fn simulate_des(
             matches!(op, OpKind::Source(_) | OpKind::Filter(_) | OpKind::Sink),
             "the DES cross-validator only supports linear source/filter/sink queries"
         );
+    }
+    if !(duration_s.is_finite() && duration_s > warmup_s) {
+        return DesResult {
+            throughput: 0.0,
+            mean_latency_ms: f64::INFINITY,
+            delivered: 0,
+        };
     }
     let profile = ExecutionProfile::of(query);
     let sink = query.sink();
@@ -180,9 +191,8 @@ pub fn simulate_des(
         }
     }
 
-    let measured = (duration_s - warmup_s).max(1e-9);
     DesResult {
-        throughput: delivered as f64 / measured,
+        throughput: delivered as f64 / (duration_s - warmup_s),
         mean_latency_ms: if delivered > 0 {
             latency_sum / delivered as f64 * 1000.0
         } else {
@@ -300,6 +310,22 @@ mod tests {
         let colocated = simulate_des(&q, &far, &Placement::new(vec![1, 1, 1]), 60.0, 10.0);
         let spread = simulate_des(&q, &far, &Placement::new(vec![0, 1, 1]), 60.0, 10.0);
         assert!(spread.mean_latency_ms > colocated.mean_latency_ms + 70.0);
+    }
+
+    #[test]
+    fn a_run_that_never_ends_or_ends_in_its_warm_up_measures_nothing() {
+        let q = linear(1000.0, 0.5);
+        let p = Placement::new(vec![0, 0, 0]);
+        for (duration_s, warmup_s) in [(f64::INFINITY, 10.0), (f64::NAN, 10.0), (10.0, 10.0), (5.0, 10.0)] {
+            let r = simulate_des(&q, &strong(), &p, duration_s, warmup_s);
+            assert_eq!(r.throughput, 0.0, "duration {duration_s}, warm-up {warmup_s}");
+            assert_eq!(
+                r.mean_latency_ms,
+                f64::INFINITY,
+                "duration {duration_s}, warm-up {warmup_s}"
+            );
+            assert_eq!(r.delivered, 0, "duration {duration_s}, warm-up {warmup_s}");
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //!    sequential call exactly. The one shared-input *wide* call
 //!    ([`StackedLinear::forward_shared`], `n = k*out_w`) forces the
 //!    scalar kernel whenever `out_w` alone would have taken it
-//!    ([`crate::tensor::simd_min_width`]) — otherwise fusing `k` narrow
+//!    (`tensor::simd_min_width`) — otherwise fusing `k` narrow
 //!    heads could cross the SIMD threshold and change rounding (FMA
 //!    contracts one rounding step).
 //!
@@ -381,7 +381,7 @@ impl StackedMlp {
     /// The result is bitwise identical to gathering
     /// `x_rows`, running each member's `Mlp::forward_inference`, and
     /// scatter-copying into `dst` — with none of those passes actually
-    /// executed (see [`StackedLinear::forward_layer`]).
+    /// executed (see `StackedLinear::forward_layer`).
     pub fn forward_into(
         &self,
         arena: &mut InferenceArena,

@@ -2,7 +2,7 @@
 //! one shared cluster, and the cross-query edit neighborhood a joint
 //! optimizer searches.
 //!
-//! A single-query [`Placement`](crate::placement::Placement) maps one
+//! A single-query [`Placement`] maps one
 //! query's operators to hosts; real clusters run many queries at once,
 //! and co-resident operators shift each other's costs. A
 //! [`JointPlacement`] bundles one placement per query together with the

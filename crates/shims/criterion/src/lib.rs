@@ -177,9 +177,9 @@ pub fn register_metric(name: &str, value: f64, unit: &str) {
 }
 
 /// Writes all registered results as JSON: a `meta` header recording the
-/// runner (core count matters — several benched paths work-share over the
-/// rayon pool, so ns/iter is only comparable between runners of equal
-/// width) followed by the `results` array. Called automatically by the
+/// runner (core count matters — ensemble training fans its members out
+/// over the cores and the serving benches run a worker per core, so
+/// ns/iter is only comparable between runners of equal width) followed by the `results` array. Called automatically by the
 /// `criterion_main!` expansion.
 pub fn write_results() {
     let results = RESULTS.lock().expect("results lock");

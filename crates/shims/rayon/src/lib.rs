@@ -1,62 +1,51 @@
 //! Vendored stand-in for `rayon`.
 //!
-//! Implements the parallel-iterator subset this workspace uses —
-//! `into_par_iter()` / `par_iter()` / `par_chunks()` followed by `map` and
-//! `collect`, plus [`join`] — on top of `std::thread::scope`. `map` is
-//! *eager*: it distributes items over a work-sharing index queue across
-//! `available_parallelism()` threads and materializes the results in input
-//! order, which matches rayon's semantics for the pure per-item closures
-//! used here (no `for_each` side-effect ordering is relied upon).
+//! Implements the one parallel-iterator chain this workspace calls —
+//! `(0..n).into_par_iter().map(f).collect()` — on top of
+//! `std::thread::scope`. `map` is *eager*: it splits the range into one
+//! contiguous run per thread, maps the first run on the caller's thread and
+//! each other run on a thread of its own, and concatenates the results in
+//! input order, which matches rayon's semantics for pure per-item closures.
 //!
 //! Single-item inputs and single-core machines short-circuit to the
 //! serial path, and a thread-local nesting guard makes parallel calls
-//! issued *from inside a worker* run serially — so nested parallelism
-//! (ensemble members × inference chunks) degrades gracefully instead of
-//! spawning `k x cores` threads. Both short-circuits are decided before
-//! the core count is asked for, and the core count is read once per
-//! process: `available_parallelism()` reads cgroup files (~17 µs a call),
-//! which no call after the first has a reason to pay.
+//! issued *from inside a run* (the caller's included) run serially — so
+//! nested parallelism degrades gracefully instead of spawning
+//! `k x cores` threads. Both short-circuits are decided before the core
+//! count is asked for, and the core count is read once per process:
+//! `available_parallelism()` reads cgroup files (~17 µs a call), which no
+//! call after the first has a reason to pay.
 
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 thread_local! {
-    /// True while the current thread is a `parallel_map` worker; nested
-    /// parallel calls on such a thread stay serial.
+    /// True while the current thread maps a run of a `parallel_map`;
+    /// nested parallel calls on such a thread stay serial.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Number of worker threads a parallel operation will use: the machine's
+/// Number of threads a parallel operation will use: the machine's
 /// available parallelism, as it read the first time anyone asked.
-pub fn current_num_threads() -> usize {
+fn current_num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
 }
 
-/// Runs two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if IN_WORKER.with(Cell::get) || current_num_threads() <= 1 {
-        return (a(), b());
+/// Clears the caller's nesting flag when its run ends, unwinding included.
+struct CallerRun;
+
+impl Drop for CallerRun {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(false));
     }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("joined closure panicked");
-        (ra, rb)
-    })
 }
 
-/// Distributes `items` over worker threads and applies `f`, preserving
-/// input order in the result.
-fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+/// Maps `items` over contiguous runs, one per thread, the first on the
+/// caller's thread, preserving input order in the result. A panicking item
+/// panics the caller once every run has ended.
+fn parallel_map<R: Send>(items: Range<usize>, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let n = items.len();
     // The cheap reasons to stay serial first: asking for the core count is
     // the expensive one.
@@ -66,137 +55,78 @@ fn parallel_map<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> V
         current_num_threads().min(n)
     };
     if threads <= 1 {
-        return items.into_iter().map(f).collect();
+        return items.map(f).collect();
     }
 
-    // Items move to whichever worker claims their index; results land in
-    // their original slot.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
+    let run = n.div_ceil(threads);
     let f = &f;
+    IN_WORKER.with(|w| w.set(true));
+    let _caller = CallerRun;
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                IN_WORKER.with(|w| w.set(true));
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = slots[i].lock().expect("item slot").take().expect("item claimed once");
-                    let r = f(item);
-                    *results[i].lock().expect("result slot") = Some(r);
-                }
-            });
+        let others: Vec<_> = (items.start + run..items.end)
+            .step_by(run)
+            .map(|start| {
+                let end = items.end.min(start + run);
+                s.spawn(move || {
+                    IN_WORKER.with(|w| w.set(true));
+                    (start..end).map(f).collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        let mut out: Vec<R> = Vec::with_capacity(n);
+        out.extend((items.start..items.start + run).map(f));
+        for other in others {
+            out.extend(
+                other
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
         }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("result lock").expect("worker filled every slot"))
-        .collect()
+        out
+    })
 }
 
-/// An eager parallel iterator: holds the already-materialized items.
-pub struct ParIter<T> {
-    items: Vec<T>,
+/// A parallel iterator over a range of indices.
+pub struct Iter {
+    range: Range<usize>,
 }
 
-impl<T: Send> ParIter<T> {
-    /// Applies `f` to every item in parallel, preserving order.
-    pub fn map<R: Send, F: Fn(T) -> R + Sync + Send>(self, f: F) -> ParIter<R> {
-        ParIter {
-            items: parallel_map(self.items, f),
+impl Iter {
+    /// Applies `f` to every index in parallel, preserving order.
+    pub fn map<R: Send, F: Fn(usize) -> R + Sync>(self, f: F) -> Map<R> {
+        Map {
+            items: parallel_map(self.range, f),
         }
     }
+}
 
+/// The results of [`Iter::map`], already computed in input order.
+pub struct Map<R> {
+    items: Vec<R>,
+}
+
+impl<R> Map<R> {
     /// Collects the results.
-    pub fn collect<C: FromIterator<T>>(self) -> C {
+    pub fn collect<C: FromIterator<R>>(self) -> C {
         self.items.into_iter().collect()
     }
 }
 
-/// Conversion of owned collections into a parallel iterator.
+/// Conversion into a parallel iterator (`.into_par_iter()`).
 pub trait IntoParallelIterator {
-    /// Item type.
-    type Item: Send;
-
     /// Converts into a parallel iterator.
-    fn into_par_iter(self) -> ParIter<Self::Item>;
-}
-
-impl<T: Send> IntoParallelIterator for Vec<T> {
-    type Item = T;
-
-    fn into_par_iter(self) -> ParIter<T> {
-        ParIter { items: self }
-    }
+    fn into_par_iter(self) -> Iter;
 }
 
 impl IntoParallelIterator for Range<usize> {
-    type Item = usize;
-
-    fn into_par_iter(self) -> ParIter<usize> {
-        ParIter { items: self.collect() }
-    }
-}
-
-impl IntoParallelIterator for Range<u64> {
-    type Item = u64;
-
-    fn into_par_iter(self) -> ParIter<u64> {
-        ParIter { items: self.collect() }
-    }
-}
-
-/// Borrowing conversion (`.par_iter()`).
-pub trait IntoParallelRefIterator<'data> {
-    /// Item type (a reference).
-    type Item: Send + 'data;
-
-    /// Parallel iterator over references.
-    fn par_iter(&'data self) -> ParIter<Self::Item>;
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for [T] {
-    type Item = &'data T;
-
-    fn par_iter(&'data self) -> ParIter<&'data T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-impl<'data, T: Sync + 'data> IntoParallelRefIterator<'data> for Vec<T> {
-    type Item = &'data T;
-
-    fn par_iter(&'data self) -> ParIter<&'data T> {
-        ParIter {
-            items: self.iter().collect(),
-        }
-    }
-}
-
-/// Parallel chunking of slices (`.par_chunks(n)`).
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel iterator over non-overlapping chunks of `size` elements
-    /// (last chunk may be shorter).
-    fn par_chunks(&self, size: usize) -> ParIter<&[T]>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, size: usize) -> ParIter<&[T]> {
-        assert!(size > 0, "chunk size must be positive");
-        ParIter {
-            items: self.chunks(size).collect(),
-        }
+    fn into_par_iter(self) -> Iter {
+        Iter { range: self }
     }
 }
 
 /// Common imports.
 pub mod prelude {
-    pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParallelSlice};
+    pub use crate::IntoParallelIterator;
 }
 
 #[cfg(test)]
@@ -211,18 +141,14 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_borrows() {
-        let v = vec![1u64, 2, 3, 4];
-        let doubled: Vec<u64> = v.par_iter().map(|&x| x * 2).collect();
-        assert_eq!(doubled, vec![2, 4, 6, 8]);
-        assert_eq!(v.len(), 4, "original still usable");
-    }
-
-    #[test]
-    fn par_chunks_cover_slice() {
-        let v: Vec<usize> = (0..10).collect();
-        let sums: Vec<usize> = v.par_chunks(3).map(|c| c.iter().sum()).collect();
-        assert_eq!(sums, vec![3, 12, 21, 9]);
+    fn order_holds_when_the_runs_are_uneven() {
+        // Item counts that are no multiple of the thread count, and a range
+        // that does not start at zero: the last run is short.
+        let threads = current_num_threads();
+        for n in [threads + 1, 2 * threads + 1, 3 * threads - 1, 7] {
+            let out: Vec<usize> = (5..5 + n).into_par_iter().map(|i| i * i).collect();
+            assert_eq!(out, (5..5 + n).map(|i| i * i).collect::<Vec<_>>(), "{n} items");
+        }
     }
 
     #[test]
@@ -236,28 +162,63 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 40 + 2, || "ok");
-        assert_eq!((a, b), (42, "ok"));
-    }
-
-    #[test]
     fn nested_parallel_calls_stay_serial() {
-        // Inner par_iter inside a worker must not spawn another thread
-        // fleet; it should still compute correctly.
-        let outer: Vec<Vec<u64>> = (0..4u64)
+        // An inner call inside any run — the caller's first run included —
+        // must not spawn another thread fleet; it still computes correctly.
+        let outer: Vec<Vec<usize>> = (0..4usize)
             .into_par_iter()
-            .map(|i| (0..8u64).into_par_iter().map(move |j| i * 10 + j).collect())
+            .map(|i| {
+                let inner = (0..8usize)
+                    .into_par_iter()
+                    .map(move |j| (i * 10 + j, std::thread::current().id()))
+                    .collect::<Vec<_>>();
+                let here = std::thread::current().id();
+                assert!(
+                    inner.iter().all(|&(_, t)| t == here),
+                    "run {i}: a nested call left its thread"
+                );
+                inner.into_iter().map(|(v, _)| v).collect()
+            })
             .collect();
         assert_eq!(outer.len(), 4);
         assert_eq!(outer[2][3], 23);
+        assert!(!IN_WORKER.with(Cell::get), "the caller's nesting flag is cleared");
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller_who_fans_out_again() {
+        let threads = current_num_threads();
+        for bad in [0, 2 * threads - 1] {
+            let caught = std::panic::catch_unwind(|| {
+                (0..2 * threads)
+                    .into_par_iter()
+                    .map(|i| {
+                        assert_ne!(i, bad, "item {i} fails");
+                        i
+                    })
+                    .collect::<Vec<_>>()
+            });
+            assert!(caught.is_err(), "item {bad}'s panic reaches the caller");
+            assert!(
+                !IN_WORKER.with(Cell::get),
+                "the nesting flag is restored after item {bad}'s panic"
+            );
+        }
+        // The caller fans out again: some item runs off the caller's thread
+        // when there is more than one core.
+        let caller = std::thread::current().id();
+        let ids: Vec<std::thread::ThreadId> = (0..2 * threads)
+            .into_par_iter()
+            .map(|_| std::thread::current().id())
+            .collect();
+        assert_eq!(ids.iter().any(|&t| t != caller), threads > 1);
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let none: Vec<u8> = Vec::<u8>::new().into_par_iter().map(|x| x).collect();
+        let none: Vec<usize> = (0..0usize).into_par_iter().map(|x| x).collect();
         assert!(none.is_empty());
-        let one: Vec<u8> = vec![7u8].into_par_iter().map(|x| x + 1).collect();
+        let one: Vec<usize> = (7..8usize).into_par_iter().map(|x| x + 1).collect();
         assert_eq!(one, vec![8]);
     }
 }

@@ -212,11 +212,22 @@ impl GnnModel {
     /// the training forward. The returned tape supports `backward`.
     ///
     /// The tape holds one fused node for the per-type encoders and one per
-    /// message-passing wave, each running a `costream_nn::wave` routine and
-    /// keeping only what its hand-written backward replays, then the
-    /// readout as small ops (a segment sum and the output MLP's affine
-    /// nodes). Gradients are bitwise those of the per-op chain the fused
-    /// nodes replace; outputs are bitwise those of inference.
+    /// message-passing wave that has a live target, each running a
+    /// `costream_nn::wave` routine and keeping only what its hand-written
+    /// backward replays, then the readout as small ops (a segment sum and
+    /// the output MLP's affine nodes). Gradients are bitwise those of the
+    /// per-op chain the fused nodes replace; outputs are bitwise those of
+    /// inference.
+    ///
+    /// A wave none of whose targets' new states anything reads is not
+    /// recorded — in the Costream scheme the HW→OPS wave, whose rows the
+    /// dataflow waves overwrite unread; a wave with one live target runs
+    /// whole. The liveness flags come with the plan's topology. Skipping
+    /// moves no output bit, and no gradient bit but the sign of an exactly
+    /// zero sum: a dead row's upstream gradient is exactly zero, and each
+    /// weight-gradient element is one accumulation chain over rows. The
+    /// sequential oracle (`costream::oracle`) alone still computes the
+    /// unread rows, as the witness.
     ///
     /// The tape borrows both this model's parameters (zero-clone pinning)
     /// and the plan's feature matrices and index lists (zero-copy op
@@ -234,8 +245,10 @@ impl GnnModel {
         let mut tape = Tape::with_arena(arena);
         let h0 = tape.encode_scatter(plan, &self.encoders, &self.store, plan.topo.total, self.config.hidden);
         let mut cur = h0;
-        for wave in &plan.topo.waves {
-            cur = tape.wave_update(cur, h0, wave, &self.updaters, &self.store);
+        for (wave, live) in plan.topo.live_waves() {
+            if live.contains(&true) {
+                cur = tape.wave_update(cur, h0, wave, &self.updaters, &self.store);
+            }
         }
         // Readout: sum all node states per graph, then the output MLP.
         let pooled = tape.segment_sum(cur, &plan.topo.graph_of, plan.topo.n_graphs);

@@ -1,9 +1,18 @@
 //! The sequential oracle the bitwise tests hold the one production pass
 //! ([`crate::fused`]) to: each model node by node, member after member,
 //! through the `costream_nn::wave` routines the training tape records —
-//! every encoder row and wave update (unread HW→OPS rows included), nothing
-//! shared or merged. `#[doc(hidden)]` test support: CI fails if a non-test
-//! line under `crates/*/src`, `src` or `examples` outside this file names it.
+//! every encoder row and wave update, nothing shared or merged.
+//!
+//! It is the one pass that still computes the rows nothing reads: the
+//! fused pass gives a dead wave target no slot, and the training forward
+//! records no wave without a live target (in the Costream scheme the
+//! HW→OPS wave, which the dataflow waves overwrite unread). The oracle runs
+//! those waves anyway, as the witness that skipping them moves no bit; and
+//! it hands a test the waves and MLPs to record the full training tape
+//! itself ([`waves`], [`mlps`]).
+//!
+//! `#[doc(hidden)]` test support: CI fails if a non-test line under
+//! `crates/*/src`, `src` or `examples` outside this file names it.
 
 use crate::ensemble::{combine_member_major, Ensemble};
 use crate::model::GnnModel;
@@ -11,7 +20,21 @@ use crate::plan::BatchPlan;
 use crate::train::TrainedModel;
 use costream_nn::loss::{msle_inverse, sigmoid};
 use costream_nn::wave::{encode_scatter, wave_update};
-use costream_nn::{InferenceArena, Tensor};
+use costream_nn::{InferenceArena, Mlp, Tensor, WaveSpec};
+
+/// Every wave of `plan`, in order, and whether any of its targets is live
+/// — the waves the training forward records.
+pub fn waves(plan: &BatchPlan) -> impl Iterator<Item = (&dyn WaveSpec, bool)> {
+    plan.topo
+        .live_waves()
+        .map(|(w, live)| (w as &dyn WaveSpec, live.contains(&true)))
+}
+
+/// A model's encoders and updaters (indexed like `NodeType::ALL`) and its
+/// readout MLP.
+pub fn mlps(model: &GnnModel) -> (&[Mlp], &[Mlp], &Mlp) {
+    (model.encoders(), model.updaters(), model.readout())
+}
 
 /// One model's raw output per graph of `plan` (log-space cost or logit).
 ///

@@ -85,8 +85,13 @@
 //! Only *live* wave targets get a slot: those whose new state the readout
 //! or a later wave reads. The rest are structural dead code — in the
 //! Costream scheme every HW→OPS update, because own halves read `h0` and
-//! the dataflow waves overwrite each operator before anything reads it
-//! (the sequential oracle computes them and throws them away).
+//! the dataflow waves overwrite each operator before anything reads it.
+//! A topology reads which targets are live once, when it is built or
+//! stitched (`live_targets`), and keeps the flags: the lowering reads them
+//! here, and the training forward records no wave without a live target
+//! (it runs a partly live wave whole). Only the sequential oracle
+//! (`costream::oracle`) still computes the dead rows, and throws them
+//! away: it is the witness that skipping them moves no bit.
 //!
 //! Keys are interned through 64-bit fingerprints in open-addressed
 //! tables; fingerprints only route, and two keys merge only after an exact
@@ -308,6 +313,10 @@ pub(crate) struct PlanTopology {
     pub waves: Vec<WavePlan>,
     /// Graph id of every node (readout segments).
     pub graph_of: Vec<usize>,
+    /// Whether anything reads each wave target's new state, one flag per
+    /// target of every wave in order ([`live_targets`], read once when the
+    /// topology is built or stitched).
+    live: Vec<bool>,
 }
 
 impl PlanTopology {
@@ -328,6 +337,16 @@ impl PlanTopology {
     pub fn encoders(&self) -> impl Iterator<Item = (usize, &[usize])> {
         (0..self.n_encoders()).map(|i| self.encoder(i))
     }
+
+    /// Every wave, in order, with its targets' liveness flags.
+    pub fn live_waves(&self) -> impl Iterator<Item = (&WavePlan, &[bool])> {
+        let mut rest = &self.live[..];
+        self.waves.iter().map(move |w| {
+            let (live, tail) = rest.split_at(w.targets().len());
+            rest = tail;
+            (w, live)
+        })
+    }
 }
 
 /// Two topologies are equal when every list is, wherever it sits.
@@ -340,6 +359,7 @@ impl PartialEq for PlanTopology {
             && self.encoders().eq(other.encoders())
             && self.waves == other.waves
             && self.graph_of == other.graph_of
+            && self.live == other.live
     }
 }
 
@@ -399,7 +419,7 @@ impl TopoBuilder {
                 at,
             })
             .collect();
-        PlanTopology {
+        let mut topo = PlanTopology {
             scheme,
             traditional_rounds,
             total: graph_of.len(),
@@ -408,7 +428,10 @@ impl TopoBuilder {
             encoders: self.encoders,
             waves,
             graph_of,
-        }
+            live: Vec::new(),
+        };
+        topo.live = live_targets(&topo);
+        topo
     }
 }
 
@@ -1195,7 +1218,10 @@ fn push_range(index: &mut Vec<usize>, items: impl IntoIterator<Item = usize>) ->
 /// wave reads the current state of its live targets' children; own halves
 /// read `h0`, never a wave's output. A dead target — in the Costream scheme
 /// every HW→OPS update, which the dataflow waves overwrite before anything
-/// reads it — gets no slot and no row.
+/// reads it — gets no slot and no row, and a wave with no live target is
+/// not recorded on the training tape. Run once per topology
+/// ([`TopoBuilder::finish`]), whether built, stitched or a fragment; the
+/// sequential oracle alone computes the dead rows.
 fn live_targets(topo: &PlanTopology) -> Vec<bool> {
     let mut live = vec![false; topo.waves.iter().map(|w| w.targets().len()).sum()];
     // Whether the state each node holds at this point of the walk is read.
@@ -1345,17 +1371,14 @@ impl TemplateCache {
         let shape = template.one_host_shape();
         let n_ops = template.op_nodes().len();
         let topo = PlanTopology::build(&[&shape], scheme, traditional_rounds);
-        let live = live_targets(&topo);
         // Whether the state each shape node holds at this point is placed.
         let mut placed_now: Vec<bool> = (0..shape.len()).map(|v| v >= n_ops).collect();
         let (targets_start, waves_start) = (self.targets.len(), self.waves.len());
         let mut rows = [[0usize; 2]; 2];
         let (mut after, mut unplaced) = (Vec::new(), Vec::new());
-        let mut live_at = live.iter();
-        for w in &topo.waves {
+        for (w, live) in topo.live_waves() {
             let first = self.targets.len();
-            for (p, &t) in w.targets().iter().enumerate() {
-                let live = *live_at.next().expect("one flag per target");
+            for (p, (&t, &live)) in w.targets().iter().zip(live).enumerate() {
                 rows[usize::from(t >= n_ops)][usize::from(live)] += 1;
                 if !live {
                     continue;
@@ -1682,8 +1705,7 @@ impl SlotMemo {
     /// every key the memo holds, and only the first of equal keys is
     /// computed; otherwise every live target gets a new slot.
     fn lower_waves(&mut self, s: &mut SlotSchedule, topo: &PlanTopology, h0: &[usize], cur: &mut [usize], merge: bool) {
-        let live = live_targets(topo);
-        s.stats.live_wave_rows = live.iter().filter(|&&l| l).count();
+        s.stats.live_wave_rows = topo.live.iter().filter(|&&l| l).count();
         let first = self.n_slots;
         if merge {
             self.waves.reserve(s.stats.live_wave_rows);
@@ -1694,11 +1716,8 @@ impl SlotMemo {
         // target's node type, the new rows and each live target's new slot.
         let (mut start, mut fill, mut by_target) = (Vec::new(), Vec::new(), Vec::new());
         let (mut type_of, mut fresh, mut after) = (Vec::new(), Vec::new(), Vec::new());
-        let mut live_off = 0;
-        for w in &topo.waves {
+        for (w, live) in topo.live_waves() {
             let n = w.targets().len();
-            let live = &live[live_off..live_off + n];
-            live_off += n;
             start.clear();
             start.resize(n + 1, 0);
             for &seg in w.segs() {

@@ -8,7 +8,9 @@
 //! oracle's bits: for both message-passing schemes, with and without host
 //! nodes, for regression and classification heads, across chunk
 //! boundaries and after fine-tuning. `BatchPlan`s must be safely reusable
-//! across epochs, batch orders and ensemble members.
+//! across epochs, batch orders and ensemble members. The training forward
+//! records no wave without a live target; a tape recorded over every wave
+//! holds that skip to the same outputs and gradients.
 
 use costream::graph::{Featurization, JointGraph};
 use costream::model::{GnnModel, ModelConfig, Scheme, INFERENCE_CHUNK};
@@ -16,7 +18,8 @@ use costream::plan::BatchPlan;
 use costream::train::{fine_tune, train_metric, TrainConfig, TrainedModel};
 use costream::{oracle, test_fixtures};
 use costream_dsps::CostMetric;
-use costream_nn::InferenceArena;
+use costream_nn::loss::mse;
+use costream_nn::{Gradients, InferenceArena, Tape, WaveSpec};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::ranges::FeatureRanges;
 use costream_query::selectivity::SelectivityEstimator;
@@ -225,5 +228,77 @@ fn one_plan_serves_all_ensemble_members() {
         let fast = oracle::forward(m, &plan, &mut arena);
         let (tape, out) = m.forward_with_plan_in(&plan, InferenceArena::new());
         assert_bitwise(tape.value(out).data(), &fast, "shared plan");
+    }
+}
+
+/// The training forward records a wave only if one of its targets is live
+/// — in the Costream scheme every wave but HW→OPS; under Traditional and
+/// without host nodes every wave — and one step's parameter gradients are
+/// bitwise those of a tape recorded over every wave of the same plan, up
+/// to the sign of an exactly-zero sum (printed, if any flips).
+#[test]
+fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
+    let cases = [
+        (Scheme::Costream, Featurization::Full, vec![1]),
+        (Scheme::Traditional, Featurization::Full, vec![]),
+        (Scheme::Costream, Featurization::QueryOnly, vec![]),
+    ];
+    for (case, (scheme, featurization, want_dead)) in cases.into_iter().enumerate() {
+        let ctx = format!("{scheme:?} {featurization:?}");
+        let gs = graphs(12, 300 + case as u64, featurization);
+        let refs: Vec<&JointGraph> = gs.iter().collect();
+        let model = GnnModel::new(ModelConfig::default().with_seed(case as u64).with_scheme(scheme));
+        let plan = model.plan(&refs);
+        let waves: Vec<(&dyn WaveSpec, bool)> = oracle::waves(&plan).collect();
+        let dead: Vec<usize> = (0..waves.len()).filter(|&i| !waves[i].1).collect();
+        assert_eq!(dead, want_dead, "{ctx}: dead waves");
+
+        // The tape over every wave, dead ones included.
+        let (encoders, updaters, readout) = oracle::mlps(&model);
+        let graph_of: Vec<usize> = gs.iter().enumerate().flat_map(|(i, g)| vec![i; g.len()]).collect();
+        let n_graphs = gs.len();
+        let store = model.store();
+        let mut full = Tape::new();
+        let h0 = full.encode_scatter(&plan, encoders, store, graph_of.len(), model.config().hidden);
+        let mut cur = h0;
+        for &(wave, _) in &waves {
+            cur = full.wave_update(cur, h0, wave, updaters, store);
+        }
+        let pooled = full.segment_sum(cur, graph_of, n_graphs);
+        let full_out = readout.forward(&mut full, store, pooled);
+
+        let (mut tape, out) = model.forward_with_plan_in(&plan, InferenceArena::new());
+        // One `WaveUpdate` node per wave with a live target: the tapes
+        // differ by exactly the dead waves' nodes.
+        assert_eq!(full.len() - tape.len(), dead.len(), "{ctx}: recorded waves");
+        assert_bitwise(tape.value(out).data(), full.value(full_out).data(), &ctx);
+
+        let targets: Vec<f32> = (0..n_graphs).map(|i| i as f32 * 0.25 - 1.0).collect();
+        let seed = |t: &Tape, o| mse(t.value(o), &targets).seed;
+        let (mut got, mut want) = (Gradients::for_store(store), Gradients::for_store(store));
+        let s = seed(&tape, out);
+        tape.backward(out, s, &mut got);
+        let s = seed(&full, full_out);
+        full.backward(full_out, s, &mut want);
+        let mut flipped_zeros = 0;
+        for id in store.ids() {
+            for (i, (g, w)) in got.grad(id).data().iter().zip(want.grad(id).data()).enumerate() {
+                if g.to_bits() == w.to_bits() {
+                    continue;
+                }
+                assert!(
+                    *g == 0.0 && *w == 0.0,
+                    "{ctx}: {} [{i}] diverges: skipping {g} vs every wave {w}",
+                    store.name(id)
+                );
+                println!("{ctx}: {} [{i}]: zero sign flipped ({g} vs {w})", store.name(id));
+                flipped_zeros += 1;
+            }
+        }
+        println!(
+            "{ctx}: {} dead of {} waves, {flipped_zeros} flipped zero signs",
+            dead.len(),
+            waves.len()
+        );
     }
 }

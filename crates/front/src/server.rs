@@ -179,8 +179,9 @@ struct ConnHandle {
 pub struct FrontStats {
     /// Connections accepted over the front-end's lifetime.
     pub connections: u64,
-    /// Frames whose payload was not a decodable request (answered with
-    /// a typed `BadRequest` error; connection kept).
+    /// Frames whose payload was not a decodable request, or held a graph
+    /// with a non-finite feature (answered with a typed `BadRequest`
+    /// error; connection kept).
     pub bad_requests: u64,
     /// Frames declaring an over-limit payload (answered with a typed
     /// `Oversized` error; connection closed).
@@ -501,6 +502,13 @@ fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u3
             shards: shared.clients.len() as u32,
         }),
         RequestBody::LoadPool { base_slot, graphs } => {
+            if let Some((g, node, feature)) = graphs
+                .iter()
+                .enumerate()
+                .find_map(|(g, graph)| non_finite_feature(graph).map(|(node, feature)| (g, node, feature)))
+            {
+                return bad_graph(req.id, &format!("graph {g} of the upload: "), node, feature, shared);
+            }
             let count = graphs.len() as u32;
             for (i, graph) in graphs.into_iter().enumerate() {
                 let shard = shard_of(&graph, shared.route, shared.clients.len());
@@ -509,6 +517,9 @@ fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u3
             Job::Ready(Response::Loaded { id: req.id, count })
         }
         RequestBody::Score { graph } => {
+            if let Some((node, feature)) = non_finite_feature(&graph) {
+                return bad_graph(req.id, "", node, feature, shared);
+            }
             let shard = shard_of(&graph, shared.route, shared.clients.len());
             submit(req.id, Arc::new(graph), shard, opts, shared)
         }
@@ -521,6 +532,29 @@ fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u3
             }),
         },
     }
+}
+
+/// The first feature of `graph` that is NaN or infinite, as (node, index in
+/// its row). The decoder reads `null` as NaN and a number past `f32::MAX`
+/// as infinite, and the model would score either to a finite, wrong cost.
+fn non_finite_feature(graph: &JointGraph) -> Option<(usize, usize)> {
+    graph
+        .nodes
+        .iter()
+        .enumerate()
+        .find_map(|(n, node)| node.features.iter().position(|f| !f.is_finite()).map(|i| (n, i)))
+}
+
+/// The typed answer to a graph with a non-finite feature: the request was
+/// decodable, but the front-end does not score it (the connection keeps
+/// serving).
+fn bad_graph(id: u64, what: &str, node: usize, feature: usize, shared: &FrontShared) -> Job {
+    shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
+    Job::Ready(Response::Error {
+        id: Some(id),
+        kind: ErrorKind::BadRequest,
+        detail: format!("{what}feature {feature} of node {node} is not a finite f32"),
+    })
 }
 
 fn submit(id: u64, graph: Arc<JointGraph>, shard: usize, opts: SubmitOptions, shared: &Arc<FrontShared>) -> Job {

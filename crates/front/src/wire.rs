@@ -157,8 +157,10 @@ pub enum ErrorKind {
     DeadlineExceeded,
     /// The front-end is draining or stopped.
     ShuttingDown,
-    /// The frame payload was not a decodable [`Request`]. The framing
-    /// itself was intact, so the connection keeps serving.
+    /// The frame payload was not a decodable [`Request`], or a graph it
+    /// carries has a non-finite feature (`null` decodes to NaN, a number
+    /// past `f32::MAX` to infinity). The framing itself was intact, so the
+    /// connection keeps serving.
     BadRequest,
     /// The frame header declared a payload larger than the server
     /// accepts. The connection is closed after this response (the

@@ -225,6 +225,104 @@ fn bad_slot_and_malformed_graph_fail_typed_not_fatal() {
 }
 
 #[test]
+fn a_graph_with_a_non_finite_feature_is_a_bad_request_not_a_score() {
+    let corpus = corpus(127);
+    let ensemble = quick_ensemble(&corpus);
+    let mut good = corpus.items[0].graph(ensemble.featurization());
+    // A sentinel the encoder writes once, where the hostile values go.
+    const SENTINEL: &str = "0.3125";
+    good.nodes[0].features[0] = 0.3125;
+    let front = Frontend::start(ensemble, front_config()).expect("bind");
+    let mut client = FrontClient::connect(front.addr()).expect("connect");
+    let score = |client: &mut FrontClient, id: u64| {
+        let resp = client
+            .call(&Request {
+                id,
+                lane: WireLane::Interactive,
+                deadline_us: None,
+                body: RequestBody::Score { graph: good.clone() },
+            })
+            .expect("answered");
+        match resp {
+            Response::Scored { id: got, score, .. } if got == id => score,
+            other => panic!("clean graph answered {other:?}"),
+        }
+    };
+    let clean = score(&mut client, 1);
+    let bad_request = |client: &mut FrontClient, id: u64, what: &str| match client.recv().expect("answered") {
+        Response::Error { id: got, kind, detail } => {
+            assert_eq!((got, kind), (Some(id), ErrorKind::BadRequest), "{what}: {detail}");
+            assert!(detail.contains("not a finite"), "{what}: {detail}");
+        }
+        other => panic!("{what} answered {other:?}"),
+    };
+
+    // `null` decodes to NaN, 1e39 and f64::MAX to +inf.
+    let text = |body: RequestBody, id: u64| {
+        let req = Request {
+            id,
+            lane: WireLane::Interactive,
+            deadline_us: None,
+            body,
+        };
+        String::from_utf8(wire::encode_request(&req)).expect("JSON is UTF-8")
+    };
+    let upload = |id: u64| {
+        text(
+            RequestBody::LoadPool {
+                base_slot: 0,
+                graphs: vec![good.clone(), good.clone()],
+            },
+            id,
+        )
+    };
+    let inline = text(RequestBody::Score { graph: good.clone() }, 10);
+    assert_eq!(inline.matches(SENTINEL).count(), 1, "{inline}");
+    for (k, hostile) in ["null", "1e39", "1.7976931348623157e308"].into_iter().enumerate() {
+        let id = 10 + k as u64;
+        let frame = text(RequestBody::Score { graph: good.clone() }, id).replacen(SENTINEL, hostile, 1);
+        wire::write_frame(client.stream_mut(), frame.as_bytes()).expect("write");
+        bad_request(&mut client, id, &format!("Score with {hostile}"));
+
+        // The second graph of an upload: the whole upload is refused.
+        let id = 20 + k as u64;
+        let clean_upload = upload(id);
+        let at = clean_upload.rfind(SENTINEL).expect("the second graph's sentinel");
+        let frame = format!(
+            "{}{hostile}{}",
+            &clean_upload[..at],
+            &clean_upload[at + SENTINEL.len()..]
+        );
+        wire::write_frame(client.stream_mut(), frame.as_bytes()).expect("write");
+        bad_request(&mut client, id, &format!("LoadPool with {hostile}"));
+    }
+
+    // A refused upload filled no slot, not even the clean first graph's.
+    let resp = client
+        .call(&Request {
+            id: 30,
+            lane: WireLane::Interactive,
+            deadline_us: None,
+            body: RequestBody::ScorePooled { slot: 0 },
+        })
+        .expect("answered");
+    assert!(
+        matches!(
+            resp,
+            Response::Error {
+                kind: ErrorKind::BadSlot,
+                id: Some(30),
+                ..
+            }
+        ),
+        "got {resp:?}"
+    );
+    // The connection still scores, and the clean graph's score is unmoved.
+    assert_eq!(score(&mut client, 31).to_bits(), clean.to_bits());
+    assert_eq!(front.stats().bad_requests, 6);
+}
+
+#[test]
 fn overload_with_mixed_lanes_answers_every_request_typed() {
     let corpus = corpus(125);
     let ensemble = quick_ensemble(&corpus);

@@ -15,7 +15,7 @@ use costream_baselines::{Gbdt, GbdtConfig, Objective};
 use costream_dsps::simulate;
 use costream_nn::loss::mse;
 use costream_nn::optim::{clip_scale, Adam};
-use costream_nn::{Gradients, InferenceArena, Tensor};
+use costream_nn::{Gradients, InferenceArena, Tensor, TrainingPass};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::selectivity::SelectivityEstimator;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -73,10 +73,10 @@ fn bench_matmul_kernels(c: &mut Criterion) {
 }
 
 /// Training-path benches: one minibatch step of `fit`, split where its
-/// cost splits — tape forward (against the sequential oracle on the same
-/// plan: the training forward is that pass plus retained activations),
-/// backward, and the clipped Adam update — and one whole
-/// training epoch over a 48-item corpus. `train_epoch` and
+/// cost splits — the training pass's forward (against the sequential
+/// oracle on the same plan: the training forward is that pass plus
+/// retained activations), its backward, and the clipped Adam update — and
+/// one whole training epoch over a 48-item corpus. `train_epoch` and
 /// `train_backward_batch16` are CI-gated.
 fn bench_training_path(c: &mut Criterion) {
     eprintln!("kernel tier: {}", costream_nn::kernel_tier());
@@ -87,28 +87,22 @@ fn bench_training_path(c: &mut Criterion) {
     let mut model = GnnModel::new(cfg.model);
     let mut grads = Gradients::for_store(model.store());
     let mut arena = InferenceArena::new();
+    let mut pass = TrainingPass::default();
     c.bench_function("train_forward_batch16", |b| {
-        b.iter(|| {
-            let (tape, out) = model.forward_with_plan_in(&batch.plan, std::mem::take(&mut arena));
-            let first = tape.value(out).data()[0];
-            arena = tape.into_arena();
-            first
-        })
+        b.iter(|| model.train_forward(&batch.plan, &mut pass, &mut arena).data()[0])
     });
     c.bench_function("train_forward_batch16_tape_free", |b| {
         b.iter(|| oracle::forward(&model, black_box(&batch.plan), &mut arena))
     });
     {
-        // Backward replays retained activations and leaves them as they
-        // were, so one tape serves every iteration.
-        let (mut tape, out) = model.forward_with_plan_in(&batch.plan, std::mem::take(&mut arena));
-        criterion::register_metric("train_tape_nodes_batch16", tape.len() as f64, "nodes");
-        let seed = mse(tape.value(out), &batch.targets).seed;
+        // Backward only reads what the forward retained, so one forward
+        // serves every iteration.
+        let seed = mse(model.train_forward(&batch.plan, &mut pass, &mut arena), &batch.targets).seed;
         c.bench_function("train_backward_batch16", |b| {
             b.iter(|| {
                 grads.zero();
-                let seed = tape.arena().alloc_copy(&seed);
-                tape.backward(out, seed, &mut grads);
+                let seed = arena.alloc_copy(&seed);
+                model.train_backward(&batch.plan, &mut pass, seed, &mut grads, &mut arena);
             })
         });
     }

@@ -3,7 +3,8 @@
 //! `EnsembleScorer`, `Ensemble::predict_*` and `TrainedModel::predict_*` —
 //! runs a [`FusedEnsemble`], a view that stacks k trained models (an
 //! ensemble's members, or one model at k = 1), through a [`ScoreEngine`].
-//! Besides it there is only the training tape.
+//! Besides it there is only the training pass, which runs the same
+//! routines and keeps what its backward replays.
 //!
 //! Run member by member, an ensemble repeats the *same* plan bookkeeping
 //! (encoder scatters, per-wave gather/segment-sum assembly of
@@ -16,8 +17,8 @@
 //! # Bitwise identity with the sequential oracle
 //!
 //! The sequential oracle (the hidden `oracle` module, test support only)
-//! runs each model node by node through the routines the training tape
-//! records. The fused pass is **bitwise identical** to it on the same
+//! runs each model node by node through the routines the training pass
+//! chains. The fused pass is **bitwise identical** to it on the same
 //! plans, raw outputs and predictions alike:
 //!
 //! * every matmul preserves the sequential kernels' per-element

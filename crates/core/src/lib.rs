@@ -10,7 +10,7 @@
 //!   featurization ablations of Exp 7a;
 //! * [`model`] — the GNN with the paper's three-phase message-passing
 //!   scheme (Algorithm 1) and the traditional-scheme ablation of Exp 7b,
-//!   with its tape-recording training forward;
+//!   with its one training pass (forward and backward);
 //! * [`fused`] — the one inference pass: every single model and every
 //!   ensemble predicts through a member-fused view run by one engine;
 //! * [`plan`] — precomputed [`plan::BatchPlan`]s: per-batch gather/scatter

@@ -8,9 +8,10 @@
 //! over all node states feeds the output MLP. The *traditional* synchronous
 //! scheme of the Exp 7b ablation is available behind [`Scheme`].
 //!
-//! A [`GnnModel`] runs one pass itself: the tape-recording training
-//! forward. Inference is the one fused pass of [`crate::fused`] — a
-//! trained model predicts through its one-member view
+//! A [`GnnModel`] runs one pass itself: the training pass
+//! ([`GnnModel::train_forward`] and [`GnnModel::train_backward`]).
+//! Inference is the one fused pass of [`crate::fused`] — a trained model
+//! predicts through its one-member view
 //! ([`crate::train::TrainedModel::fused`]), an ensemble through its
 //! k-member view — and the node-by-node pass survives only as the
 //! sequential oracle of the bitwise tests (the hidden `oracle` module).
@@ -18,7 +19,8 @@
 use crate::graph::JointGraph;
 use crate::plan::{BatchPlan, WavePlan};
 use costream_nn::{
-    EncodeSpec, EncoderPart, InferenceArena, Initializer, Mlp, NodeId, ParamStore, Tape, WaveGroup, WaveSpec,
+    BatchSpec, EncodeSpec, EncoderPart, Gnn, Gradients, InferenceArena, Initializer, Mlp, ParamStore, Tensor,
+    TrainingPass, WaveGroup, WaveSpec,
 };
 use costream_query::features::NodeType;
 use serde::{Deserialize, Serialize};
@@ -208,53 +210,67 @@ impl GnnModel {
         BatchPlan::build(graphs, self.config.scheme, self.config.traditional_rounds)
     }
 
-    /// Tape-recording forward pass driven by a precomputed [`BatchPlan`]:
-    /// the training forward. The returned tape supports `backward`.
+    /// The weights as the training pass reads them.
+    pub(crate) fn gnn(&self) -> Gnn<'_> {
+        Gnn {
+            store: &self.store,
+            encoders: &self.encoders,
+            updaters: &self.updaters,
+            readout: &self.readout,
+        }
+    }
+
+    /// The training forward over a precomputed [`BatchPlan`]: `pass` runs
+    /// the encoders, every wave with a live target, the pool and the
+    /// readout, keeps what its backward replays, and returns the raw
+    /// output per graph — bitwise that of inference.
     ///
-    /// The tape holds one fused node for the per-type encoders and one per
-    /// message-passing wave that has a live target, each running a
-    /// `costream_nn::wave` routine and keeping only what its hand-written
-    /// backward replays, then the readout as small ops (a segment sum and
-    /// the output MLP's affine nodes). Gradients are bitwise those of the
-    /// per-op chain the fused nodes replace; outputs are bitwise those of
-    /// inference.
-    ///
-    /// A wave none of whose targets' new states anything reads is not
-    /// recorded — in the Costream scheme the HW→OPS wave, whose rows the
-    /// dataflow waves overwrite unread; a wave with one live target runs
-    /// whole. The liveness flags come with the plan's topology. Skipping
-    /// moves no output bit, and no gradient bit but the sign of an exactly
-    /// zero sum: a dead row's upstream gradient is exactly zero, and each
+    /// A wave none of whose targets' new states anything reads is not run
+    /// — in the Costream scheme the HW→OPS wave, whose rows the dataflow
+    /// waves overwrite unread; a wave with one live target runs whole. The
+    /// liveness flags come with the plan's topology. Skipping moves no
+    /// output bit, and no gradient bit but the sign of an exactly zero sum:
+    /// a dead row's upstream gradient is exactly zero, and each
     /// weight-gradient element is one accumulation chain over rows. The
     /// sequential oracle (`costream::oracle`) alone still computes the
     /// unread rows, as the witness.
     ///
-    /// The tape borrows both this model's parameters (zero-clone pinning)
-    /// and the plan's feature matrices and index lists (zero-copy op
-    /// recording), so per-minibatch tape construction copies neither —
-    /// drop the tape before mutating either.
-    ///
-    /// The tape draws its buffers from `arena`. A training loop passes the
-    /// arena the previous minibatch's tape returned ([`Tape::into_arena`]);
-    /// after the first minibatch nothing the tape holds is allocated again.
+    /// Buffers come from `arena`; a training loop passes the same arena
+    /// and pass to every minibatch, and after the first nothing is
+    /// allocated again.
     ///
     /// # Panics
     /// Panics when the plan was built for a different scheme.
-    pub fn forward_with_plan_in<'m>(&'m self, plan: &'m BatchPlan, arena: InferenceArena) -> (Tape<'m>, NodeId) {
+    pub fn train_forward<'p>(
+        &self,
+        plan: &BatchPlan,
+        pass: &'p mut TrainingPass,
+        arena: &mut InferenceArena,
+    ) -> &'p Tensor {
         self.config.check_plan(plan);
-        let mut tape = Tape::with_arena(arena);
-        let h0 = tape.encode_scatter(plan, &self.encoders, &self.store, plan.topo.total, self.config.hidden);
-        let mut cur = h0;
-        for (wave, live) in plan.topo.live_waves() {
-            if live.contains(&true) {
-                cur = tape.wave_update(cur, h0, wave, &self.updaters, &self.store);
-            }
-        }
-        // Readout: sum all node states per graph, then the output MLP.
-        let pooled = tape.segment_sum(cur, &plan.topo.graph_of, plan.topo.n_graphs);
-        let out = self.readout.forward(&mut tape, &self.store, pooled);
-        (tape, out)
+        pass.forward(self.gnn(), plan, training_waves(plan), arena)
     }
+
+    /// The backward of the last [`GnnModel::train_forward`] over the same
+    /// `plan`, seeded with `d(loss)/d(output) = seed`: accumulates every
+    /// parameter gradient into `grads`.
+    pub fn train_backward(
+        &self,
+        plan: &BatchPlan,
+        pass: &mut TrainingPass,
+        seed: Tensor,
+        grads: &mut Gradients,
+        arena: &mut InferenceArena,
+    ) {
+        pass.backward(self.gnn(), plan, training_waves(plan), seed, grads, arena);
+    }
+}
+
+/// The waves of `plan` the training pass runs.
+fn training_waves(plan: &BatchPlan) -> impl DoubleEndedIterator<Item = &dyn WaveSpec> {
+    plan.topo
+        .waves_with_live()
+        .filter_map(|(w, live)| live.then_some(w as &dyn WaveSpec))
 }
 
 /// A plan's encoder routing, as the shared encoding routine reads it: MLP
@@ -271,6 +287,17 @@ impl EncodeSpec for BatchPlan {
             features: &self.features[i],
             globals,
         }
+    }
+}
+
+/// A plan's pooling, as the training pass reads it.
+impl BatchSpec for BatchPlan {
+    fn graph_of(&self) -> &[usize] {
+        &self.topo.graph_of
+    }
+
+    fn n_graphs(&self) -> usize {
+        self.topo.n_graphs
     }
 }
 

@@ -88,8 +88,8 @@
 //! the dataflow waves overwrite each operator before anything reads it.
 //! A topology reads which targets are live once, when it is built or
 //! stitched (`live_targets`), and keeps the flags: the lowering reads them
-//! here, and the training forward records no wave without a live target
-//! (it runs a partly live wave whole). Only the sequential oracle
+//! here, and the training pass runs no wave without a live target (it runs
+//! a partly live wave whole). Only the sequential oracle
 //! (`costream::oracle`) still computes the dead rows, and throws them
 //! away: it is the witness that skipping them moves no bit.
 //!
@@ -317,6 +317,8 @@ pub(crate) struct PlanTopology {
     /// target of every wave in order ([`live_targets`], read once when the
     /// topology is built or stitched).
     live: Vec<bool>,
+    /// Whether each wave has a live target.
+    wave_live: Vec<bool>,
 }
 
 impl PlanTopology {
@@ -346,6 +348,12 @@ impl PlanTopology {
             rest = tail;
             (w, live)
         })
+    }
+
+    /// Every wave, in order, and whether it has a live target (the
+    /// training pass runs only those).
+    pub fn waves_with_live(&self) -> impl DoubleEndedIterator<Item = (&WavePlan, bool)> {
+        self.waves.iter().zip(self.wave_live.iter().copied())
     }
 }
 
@@ -429,8 +437,10 @@ impl TopoBuilder {
             waves,
             graph_of,
             live: Vec::new(),
+            wave_live: Vec::new(),
         };
         topo.live = live_targets(&topo);
+        topo.wave_live = topo.live_waves().map(|(_, live)| live.contains(&true)).collect();
         topo
     }
 }
@@ -1219,7 +1229,7 @@ fn push_range(index: &mut Vec<usize>, items: impl IntoIterator<Item = usize>) ->
 /// read `h0`, never a wave's output. A dead target — in the Costream scheme
 /// every HW→OPS update, which the dataflow waves overwrite before anything
 /// reads it — gets no slot and no row, and a wave with no live target is
-/// not recorded on the training tape. Run once per topology
+/// not run by the training pass. Run once per topology
 /// ([`TopoBuilder::finish`]), whether built, stitched or a fragment; the
 /// sequential oracle alone computes the dead rows.
 fn live_targets(topo: &PlanTopology) -> Vec<bool> {

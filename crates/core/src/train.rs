@@ -10,7 +10,7 @@ use crate::qerror::QErrorSummary;
 use costream_dsps::CostMetric;
 use costream_nn::loss::{bce_with_logits, bce_with_logits_into, mse, mse_into};
 use costream_nn::optim::{clip_scale, Adam};
-use costream_nn::{Gradients, InferenceArena, Tensor};
+use costream_nn::{Gradients, InferenceArena, Tensor, TrainingPass};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -329,13 +329,15 @@ fn fit(model: &mut GnnModel, batches: &[PreparedBatch], metric: CostMetric, cfg:
 
 /// The state one training run carries from minibatch to minibatch: the
 /// optimizer's moments, the per-parameter gradient buffers (zeroed in
-/// place) and the arena every tape draws its forward values, retained
-/// activations and backward scratch from. All of it is allocated by the
-/// first minibatch of a given shape; after that a step allocates no tensor
-/// buffer (`tests/train_alloc.rs`).
+/// place), the training pass with what its backward replays, and the arena
+/// the pass draws its forward values, retained activations and backward
+/// scratch from. All of it is allocated by the first minibatches of a
+/// given shape; after that a step allocates nothing
+/// (`tests/train_alloc.rs`).
 pub struct Trainer {
     opt: Adam,
     grads: Gradients,
+    pass: TrainingPass,
     arena: InferenceArena,
     metric: CostMetric,
 }
@@ -346,6 +348,7 @@ impl Trainer {
         Trainer {
             opt: Adam::new(lr),
             grads: Gradients::for_store(model.store()),
+            pass: TrainingPass::default(),
             arena: InferenceArena::new(),
             metric,
         }
@@ -354,18 +357,17 @@ impl Trainer {
     /// One optimizer step on one minibatch: forward, loss, backward,
     /// Adam update clipped at [`GRAD_CLIP`]. Returns the minibatch's mean loss.
     pub fn step(&mut self, model: &mut GnnModel, batch: &PreparedBatch) -> f32 {
-        let (mut tape, out) = model.forward_with_plan_in(&batch.plan, std::mem::take(&mut self.arena));
-        let seed = tape.arena().alloc_scratch(batch.targets.len(), 1);
+        let out = model.train_forward(&batch.plan, &mut self.pass, &mut self.arena);
+        let seed = self.arena.alloc_scratch(batch.targets.len(), 1);
         let loss = if self.metric.is_regression() {
             // Targets are already standardized log costs; plain MSE on
             // them is the paper's MSLE up to the affine normalization.
-            mse_into(tape.value(out), &batch.targets, seed)
+            mse_into(out, &batch.targets, seed)
         } else {
-            bce_with_logits_into(tape.value(out), &batch.targets, seed)
+            bce_with_logits_into(out, &batch.targets, seed)
         };
         self.grads.zero();
-        tape.backward(out, loss.seed, &mut self.grads);
-        self.arena = tape.into_arena();
+        model.train_backward(&batch.plan, &mut self.pass, loss.seed, &mut self.grads, &mut self.arena);
         let scale = clip_scale(&self.grads, GRAD_CLIP);
         self.opt.step_scaled(model.store_mut(), &self.grads, scale);
         loss.loss

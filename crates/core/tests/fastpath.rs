@@ -1,16 +1,17 @@
-//! Golden-equivalence tests for the inference pass.
+//! Golden-equivalence tests for the inference pass and the training pass.
 //!
-//! The tape-recording `forward_with_plan_in` is the training forward. The
-//! sequential oracle (`costream::oracle`) runs the same wave routines node
-//! by node without retaining activations, so the two agree bit for bit.
-//! The one production pass — here a trained model's one-member fused view
-//! — merges repeated rows and skips dead ones, and must still give the
-//! oracle's bits: for both message-passing schemes, with and without host
-//! nodes, for regression and classification heads, across chunk
+//! `GnnModel::train_forward` is the training forward. The sequential
+//! oracle (`costream::oracle`) runs the same wave routines node by node
+//! without retaining activations, so the two agree bit for bit. The one
+//! production inference pass — here a trained model's one-member fused
+//! view — merges repeated rows and skips dead ones, and must still give
+//! the oracle's bits: for both message-passing schemes, with and without
+//! host nodes, for regression and classification heads, across chunk
 //! boundaries and after fine-tuning. `BatchPlan`s must be safely reusable
-//! across epochs, batch orders and ensemble members. The training forward
-//! records no wave without a live target; a tape recorded over every wave
-//! holds that skip to the same outputs and gradients.
+//! across epochs, batch orders and ensemble members. The training pass
+//! runs no wave without a live target; the same pass over every wave holds
+//! that skip to the same outputs and gradients. A pass and arena reused
+//! across plans give the gradients of fresh ones.
 
 use costream::graph::{Featurization, JointGraph};
 use costream::model::{GnnModel, ModelConfig, Scheme, INFERENCE_CHUNK};
@@ -19,7 +20,7 @@ use costream::train::{fine_tune, train_metric, TrainConfig, TrainedModel};
 use costream::{oracle, test_fixtures};
 use costream_dsps::CostMetric;
 use costream_nn::loss::mse;
-use costream_nn::{Gradients, InferenceArena, Tape, WaveSpec};
+use costream_nn::{Gradients, InferenceArena, Tensor, TrainingPass, WaveSpec};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::ranges::FeatureRanges;
 use costream_query::selectivity::SelectivityEstimator;
@@ -58,13 +59,26 @@ fn oracle_raw(model: &GnnModel, refs: &[&JointGraph]) -> Vec<f32> {
         .collect()
 }
 
-fn assert_bitwise(tape: &[f32], fast: &[f32], ctx: &str) {
-    assert_eq!(tape.len(), fast.len(), "{ctx}: length mismatch");
-    for (i, (t, f)) in tape.iter().zip(fast).enumerate() {
+/// The training forward's raw outputs over `plan`, on a fresh pass.
+fn train_raw(model: &GnnModel, plan: &BatchPlan) -> Vec<f32> {
+    let mut pass = TrainingPass::default();
+    model
+        .train_forward(plan, &mut pass, &mut InferenceArena::new())
+        .data()
+        .to_vec()
+}
+
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.data().iter().map(|v| v.to_bits()).collect()
+}
+
+fn assert_bitwise(golden: &[f32], fast: &[f32], ctx: &str) {
+    assert_eq!(golden.len(), fast.len(), "{ctx}: length mismatch");
+    for (i, (g, f)) in golden.iter().zip(fast).enumerate() {
         assert_eq!(
-            t.to_bits(),
+            g.to_bits(),
             f.to_bits(),
-            "{ctx}: output {i} diverges: tape {t} vs fast {f}"
+            "{ctx}: output {i} diverges: golden {g} vs fast {f}"
         );
     }
 }
@@ -79,8 +93,7 @@ fn oracle_matches_tape_forward() {
             let model = GnnModel::new(ModelConfig::default().with_seed(seed).with_scheme(scheme));
 
             let plan = model.plan(&refs);
-            let (tape, out) = model.forward_with_plan_in(&plan, InferenceArena::new());
-            let golden = tape.value(out).data().to_vec();
+            let golden = train_raw(&model, &plan);
 
             let mut arena = InferenceArena::new();
             let fast = oracle::forward(&model, &plan, &mut arena);
@@ -98,15 +111,14 @@ fn oracle_matches_tape_without_hosts() {
     let refs: Vec<&JointGraph> = gs.iter().collect();
     let model = GnnModel::new(ModelConfig::default());
     let plan = model.plan(&refs);
-    let (tape, out) = model.forward_with_plan_in(&plan, InferenceArena::new());
-    let golden = tape.value(out).data().to_vec();
+    let golden = train_raw(&model, &plan);
     let mut arena = InferenceArena::new();
     let fast = oracle::forward(&model, &plan, &mut arena);
     assert_bitwise(&golden, &fast, "query-only");
 }
 
 /// A trained model's raw outputs (its one-member engine, chunked and fanned
-/// out) must agree with a single monolithic tape forward across chunk
+/// out) must agree with a single monolithic training forward across chunk
 /// boundaries.
 #[test]
 fn chunked_raw_graphs_match_tape() {
@@ -115,8 +127,7 @@ fn chunked_raw_graphs_match_tape() {
     let model = trained(CostMetric::ProcessingLatency, Scheme::Costream, Featurization::Full);
     let fast = model.fused().raw_graphs(&refs);
     let plan = model.model().plan(&refs);
-    let (tape, out) = model.model().forward_with_plan_in(&plan, InferenceArena::new());
-    let golden = tape.value(out).data().to_vec();
+    let golden = train_raw(model.model(), &plan);
     // Chunking changes batch composition, not per-graph results: readout
     // sums are per graph, so outputs must agree graph by graph.
     assert_bitwise(&golden, &fast, "chunked");
@@ -226,16 +237,15 @@ fn one_plan_serves_all_ensemble_members() {
     let mut arena = InferenceArena::new();
     for m in &members {
         let fast = oracle::forward(m, &plan, &mut arena);
-        let (tape, out) = m.forward_with_plan_in(&plan, InferenceArena::new());
-        assert_bitwise(tape.value(out).data(), &fast, "shared plan");
+        assert_bitwise(&train_raw(m, &plan), &fast, "shared plan");
     }
 }
 
-/// The training forward records a wave only if one of its targets is live
-/// — in the Costream scheme every wave but HW→OPS; under Traditional and
+/// The training pass runs a wave only if one of its targets is live — in
+/// the Costream scheme every wave but HW→OPS; under Traditional and
 /// without host nodes every wave — and one step's parameter gradients are
-/// bitwise those of a tape recorded over every wave of the same plan, up
-/// to the sign of an exactly-zero sum (printed, if any flips).
+/// bitwise those of the same pass over every wave of the plan, up to the
+/// sign of an exactly-zero sum (printed, if any flips).
 #[test]
 fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
     let cases = [
@@ -253,33 +263,31 @@ fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
         let dead: Vec<usize> = (0..waves.len()).filter(|&i| !waves[i].1).collect();
         assert_eq!(dead, want_dead, "{ctx}: dead waves");
 
-        // The tape over every wave, dead ones included.
-        let (encoders, updaters, readout) = oracle::mlps(&model);
-        let graph_of: Vec<usize> = gs.iter().enumerate().flat_map(|(i, g)| vec![i; g.len()]).collect();
-        let n_graphs = gs.len();
+        // The pass over every wave, dead ones included.
+        let gnn = oracle::gnn(&model);
+        let every_wave = || waves.iter().map(|&(w, _)| w);
+        let mut arena = InferenceArena::new();
+        let mut full = TrainingPass::default();
+        let full_out = full.forward(gnn, &plan, every_wave(), &mut arena).clone();
+
+        let mut pass = TrainingPass::default();
+        let out = model.train_forward(&plan, &mut pass, &mut arena).clone();
+        // The passes differ by exactly the dead waves.
+        assert_eq!(full.waves() - pass.waves(), dead.len(), "{ctx}: waves run");
+        assert_bitwise(out.data(), full_out.data(), &ctx);
+
+        let targets: Vec<f32> = (0..gs.len()).map(|i| i as f32 * 0.25 - 1.0).collect();
         let store = model.store();
-        let mut full = Tape::new();
-        let h0 = full.encode_scatter(&plan, encoders, store, graph_of.len(), model.config().hidden);
-        let mut cur = h0;
-        for &(wave, _) in &waves {
-            cur = full.wave_update(cur, h0, wave, updaters, store);
-        }
-        let pooled = full.segment_sum(cur, graph_of, n_graphs);
-        let full_out = readout.forward(&mut full, store, pooled);
-
-        let (mut tape, out) = model.forward_with_plan_in(&plan, InferenceArena::new());
-        // One `WaveUpdate` node per wave with a live target: the tapes
-        // differ by exactly the dead waves' nodes.
-        assert_eq!(full.len() - tape.len(), dead.len(), "{ctx}: recorded waves");
-        assert_bitwise(tape.value(out).data(), full.value(full_out).data(), &ctx);
-
-        let targets: Vec<f32> = (0..n_graphs).map(|i| i as f32 * 0.25 - 1.0).collect();
-        let seed = |t: &Tape, o| mse(t.value(o), &targets).seed;
         let (mut got, mut want) = (Gradients::for_store(store), Gradients::for_store(store));
-        let s = seed(&tape, out);
-        tape.backward(out, s, &mut got);
-        let s = seed(&full, full_out);
-        full.backward(full_out, s, &mut want);
+        model.train_backward(&plan, &mut pass, mse(&out, &targets).seed, &mut got, &mut arena);
+        full.backward(
+            gnn,
+            &plan,
+            every_wave(),
+            mse(&full_out, &targets).seed,
+            &mut want,
+            &mut arena,
+        );
         let mut flipped_zeros = 0;
         for id in store.ids() {
             for (i, (g, w)) in got.grad(id).data().iter().zip(want.grad(id).data()).enumerate() {
@@ -300,5 +308,45 @@ fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
             dead.len(),
             waves.len()
         );
+    }
+}
+
+/// A training step on a pass and arena warmed by steps over plans of
+/// other shapes gives bitwise the output and gradients of a fresh pass on
+/// a fresh arena (recycled buffers leak no state), and a second backward
+/// over the same forward — what the micro bench times — the same gradients
+/// again.
+#[test]
+fn arena_reuse_matches_fresh_backward() {
+    let model = GnnModel::new(ModelConfig::default().with_seed(3));
+    let plans: Vec<BatchPlan> = [(5, 400), (12, 401), (3, 402)]
+        .into_iter()
+        .map(|(n, seed)| {
+            let gs = graphs(n, seed, Featurization::Full);
+            model.plan(&gs.iter().collect::<Vec<_>>())
+        })
+        .collect();
+    let store = model.store();
+    let step = |pass: &mut TrainingPass, arena: &mut InferenceArena, plan: &BatchPlan| {
+        let out = model.train_forward(plan, pass, arena);
+        let targets: Vec<f32> = (0..out.rows()).map(|i| i as f32 * 0.5 - 1.0).collect();
+        let (out_bits, seed) = (bits(out), mse(out, &targets).seed);
+        let mut grads = Gradients::for_store(store);
+        model.train_backward(plan, pass, seed.clone(), &mut grads, arena);
+        let first: Vec<Vec<u32>> = store.ids().map(|id| bits(grads.grad(id))).collect();
+        grads.zero();
+        model.train_backward(plan, pass, seed, &mut grads, arena);
+        let again: Vec<Vec<u32>> = store.ids().map(|id| bits(grads.grad(id))).collect();
+        assert_eq!(first, again, "a second backward over one forward");
+        (out_bits, first)
+    };
+    let (mut pass, mut arena) = (TrainingPass::default(), InferenceArena::new());
+    for plan in &plans {
+        step(&mut pass, &mut arena, plan);
+    }
+    for (i, plan) in plans.iter().enumerate().rev() {
+        let warm = step(&mut pass, &mut arena, plan);
+        let fresh = step(&mut TrainingPass::default(), &mut InferenceArena::new(), plan);
+        assert!(warm == fresh, "plan {i}: a warm step differs from a fresh one");
     }
 }

@@ -44,7 +44,7 @@
 
 use crate::inference::InferenceArena;
 use crate::layers::{Linear, Mlp};
-use crate::tape::ParamStore;
+use crate::params::ParamStore;
 use crate::tensor::{
     fused_layer_available, fused_layer_fast, matmul_accumulate_scalar, matmul_accumulate_strided, simd_min_width,
     FusedLayer, Tensor,

@@ -1,24 +1,15 @@
-//! Recycling buffer pool for tape-free execution and backward scratch.
+//! Recycling buffer pool for every pass.
 //!
-//! The [`Tape`](crate::tape::Tape) exists to support `backward`: every op
-//! records its result in a node so the reverse pass can replay the graph.
-//! Inference needs none of that — no node recording, no retained
-//! intermediates. This module provides the [`InferenceArena`], a
-//! free-list of `f32` buffers that forward-only code allocates scratch
-//! tensors from and recycles as soon as a value is dead. Together with
-//! the fused [`Tensor::affine_into`] kernel this removes all per-op
-//! allocation and bookkeeping from the hot prediction path.
+//! Forward-only code allocates scratch tensors from an [`InferenceArena`]
+//! and recycles each as soon as its value is dead. Together with the fused
+//! [`Tensor::affine_into`] kernel this removes all per-op allocation from
+//! the hot prediction path.
 //!
-//! The same pool serves training: a [`Tape`](crate::tape::Tape) built with
-//! [`Tape::with_arena`](crate::tape::Tape::with_arena) draws every forward
-//! value, every retained activation and every backward scratch tensor
-//! from it and hands it back through
-//! [`Tape::into_arena`](crate::tape::Tape::into_arena), so a training loop
-//! that threads one arena through its minibatches allocates no tensor
-//! buffer in steady state.
-//!
-//! See the crate-level docs for when to use the tape path versus this
-//! arena path.
+//! The same pool serves training: the
+//! [`TrainingPass`](crate::wave::TrainingPass) draws every forward value,
+//! retained activation and backward scratch tensor from the arena its
+//! caller passes, so a training loop that threads one arena through its
+//! minibatches allocates no tensor buffer in steady state.
 
 use crate::tensor::Tensor;
 
@@ -48,21 +39,6 @@ pub struct InferenceArena {
     /// `[2^c, 2^(c+1))`; a request for `len` floats pops from the
     /// smallest class whose every buffer fits it.
     bins: Vec<Vec<Vec<f32>>>,
-    /// Emptied bookkeeping lists a tape parks here between minibatches.
-    pub(crate) lists: TapeLists,
-}
-
-/// The tape's tensor lists, kept (empty, capacity retained) by the arena a
-/// tape hands back so the next tape built on it grows none of them again.
-/// Untouched by tape-free callers: three empty `Vec`s own no memory.
-#[derive(Default)]
-pub(crate) struct TapeLists {
-    /// Activations retained by fused nodes for the backward pass.
-    pub saved: Vec<Tensor>,
-    /// One gradient slot per tape node.
-    pub slots: Vec<Option<Tensor>>,
-    /// Weight transposes of one backward pass, keyed by tensor address.
-    pub transposed: Vec<(usize, Tensor)>,
 }
 
 impl InferenceArena {

@@ -1,15 +1,15 @@
 //! Dense layers and multi-layer perceptrons.
 //!
-//! Every layer offers two execution paths (see the crate docs): the
-//! tape-recording `forward`, one generic affine node per layer, and the
-//! tape-free [`Mlp::forward_arena`], which runs the same arithmetic through
-//! the fused affine kernel on arena buffers — recycling its hidden
-//! activations for inference, or retaining them for the tape's fused GNN
-//! nodes, whose hand-written backward replays them.
+//! An MLP runs one way: [`Mlp::forward_arena`], the fused affine(+ReLU)
+//! kernel layer by layer on arena buffers — recycling its hidden
+//! activations for inference, or retaining them for the
+//! [`TrainingPass`](crate::wave::TrainingPass), whose hand-written
+//! backward replays them. The stacked k-member form ([`crate::fused`])
+//! runs the same kernel.
 
 use crate::inference::InferenceArena;
 use crate::init::Initializer;
-use crate::tape::{NodeId, ParamId, ParamStore, Tape};
+use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -51,22 +51,7 @@ impl Linear {
         self.b
     }
 
-    /// Records the affine map on the tape (no activation).
-    pub fn forward<'p>(&self, tape: &mut Tape<'p>, store: &'p ParamStore, x: NodeId) -> NodeId {
-        self.forward_fused(tape, store, x, false)
-    }
-
-    /// Records the affine map, optionally fused with ReLU, as a single
-    /// tape node. Parameters are pinned by reference (no clone), and the
-    /// forward value runs through the same [`Tensor::affine_into`] kernel
-    /// as the inference path.
-    pub fn forward_fused<'p>(&self, tape: &mut Tape<'p>, store: &'p ParamStore, x: NodeId, relu: bool) -> NodeId {
-        let w = tape.param(store, self.w);
-        let b = tape.param(store, self.b);
-        tape.affine(x, w, b, relu)
-    }
-
-    /// Tape-free affine map, optionally fused with ReLU, on arena buffers.
+    /// Affine map, optionally fused with ReLU, on arena buffers.
     pub fn forward_inference(&self, arena: &mut InferenceArena, store: &ParamStore, x: &Tensor, relu: bool) -> Tensor {
         let w = store.value(self.w);
         let b = store.value(self.b);
@@ -117,18 +102,7 @@ impl Mlp {
         &self.layers
     }
 
-    /// Records the full forward pass on the tape. Hidden layers record the
-    /// fused affine+ReLU node, mirroring the inference path op for op.
-    pub fn forward<'p>(&self, tape: &mut Tape<'p>, store: &'p ParamStore, x: NodeId) -> NodeId {
-        let mut h = x;
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward_fused(tape, store, h, i != last);
-        }
-        h
-    }
-
-    /// Tape-free forward pass on arena buffers. Hidden layers run the
+    /// Forward pass on arena buffers. Hidden layers run the
     /// fused affine+ReLU kernel; intermediates are recycled immediately,
     /// so a whole MLP pass allocates nothing in steady state.
     pub fn forward_inference(&self, arena: &mut InferenceArena, store: &ParamStore, x: &Tensor) -> Tensor {
@@ -161,7 +135,8 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Gradients;
+    use crate::params::Gradients;
+    use crate::tape::Tape;
     use crate::tensor::Tensor;
 
     #[test]
@@ -169,10 +144,8 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(0);
         let l = Linear::new(&mut store, &mut init, "l", 3, 5);
-        let mut tape = Tape::new();
-        let x = tape.input(Tensor::zeros(4, 3));
-        let y = l.forward(&mut tape, &store, x);
-        assert_eq!(tape.value(y).shape(), (4, 5));
+        let y = l.forward_inference(&mut InferenceArena::new(), &store, &Tensor::zeros(4, 3), false);
+        assert_eq!(y.shape(), (4, 5));
     }
 
     #[test]
@@ -186,10 +159,8 @@ mod tests {
         assert_eq!(store.len(), 6);
         let scalars: usize = store.ids().map(|id| store.value(id).len()).sum();
         assert_eq!(scalars, 6 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2);
-        let mut tape = Tape::new();
-        let x = tape.input(Tensor::zeros(1, 6));
-        let y = m.forward(&mut tape, &store, x);
-        assert_eq!(tape.value(y).shape(), (1, 2));
+        let y = m.forward_inference(&mut InferenceArena::new(), &store, &Tensor::zeros(1, 6));
+        assert_eq!(y.shape(), (1, 2));
     }
 
     #[test]
@@ -202,7 +173,8 @@ mod tests {
 
     #[test]
     fn mlp_can_overfit_xor() {
-        // Sanity check that layers + tape + a hand-rolled SGD step learn.
+        // Sanity check that layers + the oracle tape + a hand-rolled SGD
+        // step learn.
         let mut store = ParamStore::new();
         let mut init = Initializer::new(42);
         let m = Mlp::new(&mut store, &mut init, "m", &[2, 8, 1]);
@@ -214,7 +186,7 @@ mod tests {
             {
                 let mut tape = Tape::new();
                 let x = tape.input(xs.clone());
-                let out = m.forward(&mut tape, &store, x);
+                let out = tape.mlp(&m, &store, x);
                 let pred = tape.value(out);
                 let mut seed = Tensor::zeros(4, 1);
                 let mut loss = 0.0;

@@ -2,7 +2,7 @@
 //!
 //! Each function evaluates the scalar loss for a column of predictions and
 //! returns the gradient seed `d(loss)/d(pred)` to feed into
-//! [`Tape::backward`](crate::tape::Tape::backward).
+//! [`TrainingPass::backward`](crate::wave::TrainingPass::backward).
 //!
 //! The paper trains the regression metrics (throughput and the two
 //! latencies) with the *Mean Squared Logarithmic Error* because their value
@@ -35,8 +35,9 @@ pub fn mse(pred: &Tensor, targets: &[f32]) -> LossOutput {
 
 /// [`mse`] writing the gradient seed into `seed`, a caller-provided
 /// `rows x 1` buffer (every cell is overwritten) — a training loop draws
-/// it from [`Tape::arena`](crate::tape::Tape::arena), where
-/// [`Tape::backward`](crate::tape::Tape::backward) returns it to.
+/// it from the arena it passes to
+/// [`TrainingPass::backward`](crate::wave::TrainingPass::backward), which
+/// returns it there.
 pub fn mse_into(pred: &Tensor, targets: &[f32], mut seed: Tensor) -> LossOutput {
     check(pred, targets);
     assert_eq!(seed.shape(), pred.shape(), "seed shape mismatch");

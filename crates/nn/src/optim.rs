@@ -5,7 +5,7 @@
 //! from the preallocated [`Gradients`] buffers — no per-step tensor clones
 //! anywhere on the training hot path.
 
-use crate::tape::{Gradients, ParamStore};
+use crate::params::{Gradients, ParamStore};
 use crate::tensor::Tensor;
 
 /// Adam optimizer (Kingma & Ba). Global-norm gradient clipping folds into
@@ -120,7 +120,7 @@ mod tests {
             {
                 let mut tape = Tape::new();
                 let x = tape.input(x_t.clone());
-                let out = mlp.forward(&mut tape, &store, x);
+                let out = tape.mlp(&mlp, &store, x);
                 let l = mse(tape.value(out), &ys);
                 last = l.loss;
                 grads.zero();
@@ -176,7 +176,7 @@ mod tests {
         let mut grads = Gradients::for_store(&store);
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_vec(1, 2, vec![100.0, -100.0]));
-        let out = mlp.forward(&mut tape, &store, x);
+        let out = tape.mlp(&mlp, &store, x);
         let l = mse(tape.value(out), &[1e4]);
         tape.backward(out, l.seed, &mut grads);
         assert!(grads.norm() > 1.0, "the test needs something to clip");

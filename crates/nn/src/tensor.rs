@@ -1,6 +1,6 @@
 //! Dense row-major `f32` matrices.
 //!
-//! A [`Tensor`] is the only numeric container used by the autograd tape.
+//! A [`Tensor`] is the only numeric container of the network code.
 //! Everything in Costream's models is small (hidden widths of 32–128,
 //! minibatches of a few hundred graph nodes), so a straightforward dense
 //! representation with tight loops is both simple and fast enough.
@@ -194,7 +194,7 @@ impl Tensor {
     ///
     /// # Panics
     /// Panics on any shape mismatch.
-    pub fn matmul_t_acc(&self, other: &Tensor, out: &mut Tensor) {
+    fn matmul_t_acc(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(
             self.cols, other.cols,
             "matmul_t shape mismatch: {}x{} @ ({}x{})^T",
@@ -214,7 +214,7 @@ impl Tensor {
     /// Writes `self^T` into `out` (`cols x rows`). The backward pass
     /// transposes each weight matrix once per step with this and then runs
     /// `dx += dpre @ W^T` as a plain [`Tensor::matmul_acc`] — the same
-    /// kernel on the same operands as [`Tensor::matmul_t_acc`], which
+    /// kernel on the same operands as [`Tensor::matmul_t`], which
     /// re-transposes on every call.
     ///
     /// # Panics
@@ -225,9 +225,9 @@ impl Tensor {
     }
 
     /// Fused affine map `out = x @ w + bias`, optionally with ReLU, writing
-    /// into a caller-provided buffer. This is the inference-path workhorse:
-    /// one kernel call replaces the tape's matmul + add-bias + relu nodes
-    /// (and their three intermediate allocations).
+    /// into a caller-provided buffer. This is every pass's workhorse: one
+    /// kernel call instead of a matmul, a bias add and a ReLU (and their
+    /// three intermediate tensors).
     ///
     /// # Panics
     /// Panics on any shape mismatch.

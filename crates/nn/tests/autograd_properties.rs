@@ -1,9 +1,10 @@
-//! Property-based tests of the autograd engine: gradients from the tape
-//! must match finite differences for randomly shaped networks, and
-//! optimizer steps must reduce convex losses.
+//! Property-based tests of the per-op oracle tape and the losses: the
+//! tape's gradients must match finite differences for randomly shaped
+//! networks, losses are non-negative, and a segment sum conserves mass.
 
 use costream_nn::loss::mse;
-use costream_nn::{Gradients, Initializer, Mlp, ParamStore, Tape, Tensor};
+use costream_nn::tape::Tape;
+use costream_nn::{Gradients, Initializer, Mlp, ParamStore, Tensor};
 use proptest::prelude::*;
 
 proptest! {
@@ -26,7 +27,7 @@ proptest! {
         let loss_of = |store: &ParamStore| -> f32 {
             let mut tape = Tape::new();
             let x = tape.input(Tensor::from_vec(rows, in_dim, x_data.clone()));
-            let out = mlp.forward(&mut tape, store, x);
+            let out = tape.mlp(&mlp, store, x);
             mse(tape.value(out), &targets).loss
         };
 
@@ -34,7 +35,7 @@ proptest! {
         {
             let mut tape = Tape::new();
             let x = tape.input(Tensor::from_vec(rows, in_dim, x_data.clone()));
-            let out = mlp.forward(&mut tape, &store, x);
+            let out = tape.mlp(&mlp, &store, x);
             let l = mse(tape.value(out), &targets);
             tape.backward(out, l.seed, &mut grads);
         }

@@ -1,17 +1,19 @@
-//! The fused GNN tape nodes against the per-op chain they stand for.
+//! The training pass against the per-op chain it stands for.
 //!
-//! `Tape::encode_scatter` and `Tape::wave_update` each record as one node
-//! what used to be a chain of small ops. The small ops are still on the
-//! tape, so the chain can be written down here as the oracle: on random
-//! typed node sets, random waves and random MLP shapes, the fused pass
-//! must reproduce the chain's outputs and every parameter gradient bit
-//! for bit — including waves that update every row (empty `keep`), waves
-//! whose targets share one type (identity group), single-row groups, waves
-//! without edges, and one wave applied several times in a pass (the
-//! shared rounds of the traditional message-passing scheme).
+//! `TrainingPass` runs each encoding and each wave as one step, with a
+//! hand-written backward, where the per-op oracle tape records a chain of
+//! small ops. The chain is written down here: on random typed node sets,
+//! random waves and random MLP shapes, the pass must reproduce the chain's
+//! outputs and every parameter gradient bit for bit — including waves
+//! that update every row (empty `keep`), waves whose targets share one
+//! type (identity group), single-row groups, waves without edges, and one
+//! wave applied several times in a pass (the shared rounds of the
+//! traditional message-passing scheme).
 
+use costream_nn::tape::{NodeId, Tape};
 use costream_nn::{
-    EncodeSpec, EncoderPart, Gradients, Initializer, Mlp, NodeId, ParamStore, Tape, Tensor, WaveGroup, WaveSpec,
+    BatchSpec, EncodeSpec, EncoderPart, Gnn, Gradients, InferenceArena, Initializer, Mlp, ParamStore, Tensor,
+    TrainingPass, WaveGroup, WaveSpec,
 };
 use proptest::prelude::*;
 
@@ -69,6 +71,9 @@ impl WaveSpec for Wave {
 struct Encoding {
     /// `(type, features, state rows)` per type present.
     parts: Vec<(usize, Tensor, Vec<usize>)>,
+    /// Graph of every state row.
+    graph_of: Vec<usize>,
+    n_graphs: usize,
 }
 
 impl EncodeSpec for Encoding {
@@ -82,6 +87,15 @@ impl EncodeSpec for Encoding {
             features,
             globals,
         }
+    }
+}
+
+impl BatchSpec for Encoding {
+    fn graph_of(&self) -> &[usize] {
+        &self.graph_of
+    }
+    fn n_graphs(&self) -> usize {
+        self.n_graphs
     }
 }
 
@@ -142,8 +156,8 @@ struct Model {
     hidden: usize,
 }
 
-/// The per-op chain: what `GnnModel::forward_with_plan` recorded before
-/// the fused nodes existed.
+/// The per-op chain: what the training forward recorded before it ran as
+/// one pass.
 fn unfused<'p>(
     m: &'p Model,
     enc: &'p Encoding,
@@ -157,7 +171,7 @@ fn unfused<'p>(
     let mut h0 = tape.input(Tensor::zeros(total, m.hidden));
     for (ty, feats, globals) in &enc.parts {
         let x = tape.input_ref(feats);
-        let e = m.encoders[*ty].forward(&mut tape, &m.store, x);
+        let e = tape.mlp(&m.encoders[*ty], &m.store, x);
         let scattered = tape.segment_sum(e, &globals[..], total);
         h0 = tape.add(h0, scattered);
     }
@@ -170,7 +184,7 @@ fn unfused<'p>(
         let mut updated = tape.input(Tensor::zeros(total, m.hidden));
         for group in &wave.groups {
             let sub = tape.gather_rows(inp, &group.rows[..]);
-            let out = m.updaters[group.mlp].forward(&mut tape, &m.store, sub);
+            let out = tape.mlp(&m.updaters[group.mlp], &m.store, sub);
             let scattered = tape.segment_sum(out, &group.globals[..], total);
             updated = tape.add(updated, scattered);
         }
@@ -182,26 +196,7 @@ fn unfused<'p>(
         };
     }
     let pooled = tape.segment_sum(cur, graph_of, n_graphs);
-    let out = m.readout.forward(&mut tape, &m.store, pooled);
-    (tape, out)
-}
-
-fn fused<'p>(
-    m: &'p Model,
-    enc: &'p Encoding,
-    waves: &'p [Wave],
-    order: &'p [usize],
-    graph_of: &'p [usize],
-    n_graphs: usize,
-) -> (Tape<'p>, NodeId) {
-    let mut tape = Tape::new();
-    let h0 = tape.encode_scatter(enc, &m.encoders, &m.store, graph_of.len(), m.hidden);
-    let mut cur = h0;
-    for &w in order {
-        cur = tape.wave_update(cur, h0, &waves[w], &m.updaters, &m.store);
-    }
-    let pooled = tape.segment_sum(cur, graph_of, n_graphs);
-    let out = m.readout.forward(&mut tape, &m.store, pooled);
+    let out = tape.mlp(&m.readout, &m.store, pooled);
     (tape, out)
 }
 
@@ -238,6 +233,8 @@ proptest! {
                     (!globals.is_empty()).then(|| (ty, Tensor::from_vec(globals.len(), width, data), globals))
                 })
                 .collect(),
+            graph_of: graph_of.clone(),
+            n_graphs,
         };
 
         // Every way of picking targets, then a schedule that revisits waves.
@@ -269,14 +266,17 @@ proptest! {
 
         let seed_t = Tensor::from_vec(n_graphs, 1, (0..n_graphs).map(|i| (i as f32 * 0.9 + 0.3).cos()).collect());
         let mut grads_chain = Gradients::for_store(&m.store);
-        let (mut chain, chain_out) = unfused(&m, &enc, &waves, &order, &graph_of, n_graphs);
+        let (chain, chain_out) = unfused(&m, &enc, &waves, &order, &graph_of, n_graphs);
         chain.backward(chain_out, seed_t.clone(), &mut grads_chain);
         let mut grads_fused = Gradients::for_store(&m.store);
-        let (mut tape, out) = fused(&m, &enc, &waves, &order, &graph_of, n_graphs);
-        tape.backward(out, seed_t, &mut grads_fused);
+        let gnn = Gnn { store: &m.store, encoders: &m.encoders, updaters: &m.updaters, readout: &m.readout };
+        let run = || order.iter().map(|&w| &waves[w] as &dyn WaveSpec);
+        let (mut pass, mut arena) = (TrainingPass::default(), InferenceArena::new());
+        let out = pass.forward(gnn, &enc, run(), &mut arena).clone();
+        pass.backward(gnn, &enc, run(), seed_t, &mut grads_fused, &mut arena);
 
-        prop_assert_eq!(bits(tape.value(out)), bits(chain.value(chain_out)), "forward output");
-        prop_assert_eq!(tape.len(), 1 + order.len() + 1 + 3 * m.readout.layers().len(), "one node per step");
+        prop_assert_eq!(bits(&out), bits(chain.value(chain_out)), "forward output");
+        prop_assert_eq!(pass.waves(), order.len(), "one step per wave");
         for id in m.store.ids() {
             prop_assert_eq!(
                 bits(grads_fused.grad(id)),

@@ -16,7 +16,7 @@
 //!   [`JointGraph`](costream::graph::JointGraph)s, owned or shared, through
 //!   a cheap, cloneable [`ScoreClient`] handle.
 //! * A batching core (bounded MPSC submission queue + worker threads
-//!   driving the tape-free fast path, oneshot-style response slots)
+//!   driving the fused inference pass, oneshot-style response slots)
 //!   coalesces whatever is queued into one fused batch per tick, bounded
 //!   by the inference chunk width
 //!   ([`INFERENCE_CHUNK`](costream::model::INFERENCE_CHUNK)) — kernel and

@@ -57,11 +57,10 @@ import sys
 # See the module docstring for what may be gated.
 GATED = {
     "train_epoch": 1.20,
-    # Backward pass of one 16-graph minibatch on the fused wave nodes —
-    # two thirds of a training step's kernel time. A weight transposed
-    # per use instead of per step, a gradient formed for a constant
-    # input, or a per-op chain coming back into the training forward's
-    # tape reads 1.4-2.3x here.
+    # Backward of one 16-graph minibatch in the training pass — two
+    # thirds of a training step's kernel time. A weight transposed per
+    # use instead of per step, a gradient formed for a constant input, or
+    # a per-op chain coming back into training reads 1.4-2.3x here.
     "train_backward_batch16": 1.30,
     # Encoding and decoding one inline `Score` request (a ~1 KB generator
     # graph) — what every never-seen graph pays at the wire before and

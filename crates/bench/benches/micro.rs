@@ -51,6 +51,19 @@ fn bench_matmul_kernels(c: &mut Criterion) {
     c.bench_function("affine_relu_fused_64x64x48", |bch| {
         bch.iter(|| Tensor::affine_into(black_box(&a), black_box(&b), black_box(&bias), true, &mut out))
     });
+    // Row fringes alone, as training's small wave groups run them: a
+    // 3-row affine map (no full row tile on any SIMD body) and the `dx`
+    // product of a 5-row group.
+    let a3 = pseudo_random(3, 64, 25);
+    let mut out3 = Tensor::zeros(3, 48);
+    c.bench_function("affine_relu_fused_3x64x48", |bch| {
+        bch.iter(|| Tensor::affine_into(black_box(&a3), black_box(&b), black_box(&bias), true, &mut out3))
+    });
+    let g5 = pseudo_random(5, 32, 26);
+    let w5 = pseudo_random(32, 48, 27);
+    c.bench_function("matmul_5x32x48", |bch| {
+        bch.iter(|| black_box(&g5).matmul(black_box(&w5)))
+    });
     // Backward-pass kernels at the MLP shapes: `dW = x^T @ dpre` and
     // `dx = dpre @ W^T` for the small (64-node) and big (256-node) batch.
     c.bench_function("t_matmul_64x64_64x48", |bch| {

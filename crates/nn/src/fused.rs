@@ -151,7 +151,7 @@ impl StackedLinear {
                 wide,
             );
         }
-        self.epilogue(&mut out, relu);
+        out.add_bias_relu(self.b.data(), relu);
         out
     }
 
@@ -180,7 +180,7 @@ impl StackedLinear {
                 wide,
             );
         }
-        self.epilogue(&mut out, relu);
+        out.add_bias_relu(self.b.data(), relu);
         out
     }
 
@@ -222,30 +222,27 @@ impl StackedLinear {
         if out_rows.is_none() {
             assert_eq!(out.rows(), m, "layer output rows mismatch");
         }
-        // The wide shared call must not cross a dispatch tier a
-        // sequential per-member call would not have crossed.
-        let fast = if shared {
-            self.out_w >= simd_min_width() && fused_layer_available(wide)
-        } else {
-            fused_layer_available(self.out_w)
-        };
-        if fast {
+        // Gated on the per-member width, so the wide shared call crosses
+        // no dispatch tier a sequential per-member call would not cross.
+        if fused_layer_available(self.out_w) {
             let out_rs = out.cols();
             if shared {
                 fused_layer_fast(
                     &FusedLayer {
                         a: src.data(),
                         a_rs: src.cols(),
+                        a_ks: 1,
                         a_rows: src_rows,
                         m,
                         kd: self.in_w,
                         b: self.w.data(),
                         b_rs: wide,
                         n: wide,
-                        bias: self.b.data(),
-                        relu,
                         out_rs,
                         out_rows,
+                        accumulate: false,
+                        bias: Some(self.b.data()),
+                        relu,
                     },
                     out.data_mut(),
                 );
@@ -255,16 +252,18 @@ impl StackedLinear {
                         &FusedLayer {
                             a: &src.data()[mi * self.in_w..],
                             a_rs: src.cols(),
+                            a_ks: 1,
                             a_rows: src_rows,
                             m,
                             kd: self.in_w,
                             b: &self.w.data()[mi * self.out_w..],
                             b_rs: wide,
                             n: self.out_w,
-                            bias: &self.b.data()[mi * self.out_w..(mi + 1) * self.out_w],
-                            relu,
                             out_rs,
                             out_rows,
+                            accumulate: false,
+                            bias: Some(&self.b.data()[mi * self.out_w..(mi + 1) * self.out_w]),
+                            relu,
                         },
                         &mut out.data_mut()[mi * self.out_w..],
                     );
@@ -291,25 +290,6 @@ impl StackedLinear {
         arena.recycle(tmp);
         if let Some(g) = gathered {
             arena.recycle(g);
-        }
-    }
-
-    /// Bias (+ReLU) epilogue: the identical per-element operations as
-    /// [`Tensor::affine_into`]'s tail.
-    fn epilogue(&self, out: &mut Tensor, relu: bool) {
-        let wide = self.k * self.out_w;
-        let bias = self.b.data();
-        for r in 0..out.rows() {
-            let row = &mut out.data_mut()[r * wide..(r + 1) * wide];
-            if relu {
-                for (o, &b) in row.iter_mut().zip(bias) {
-                    *o = (*o + b).max(0.0);
-                }
-            } else {
-                for (o, &b) in row.iter_mut().zip(bias) {
-                    *o += b;
-                }
-            }
         }
     }
 }

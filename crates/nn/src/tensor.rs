@@ -9,13 +9,18 @@
 //!
 //! All three matmul variants — [`Tensor::matmul`] (`a @ b`, forward),
 //! [`Tensor::t_matmul`] (`a^T @ b`, the weight-gradient kernel) and
-//! [`Tensor::matmul_t`] (`a @ b^T`, the input-gradient kernel) — run
-//! through **one** shared accumulating microkernel, selected at runtime
-//! from three tiers:
+//! [`Tensor::matmul_t`] (`a @ b^T`, the input-gradient kernel) — and the
+//! fused affine map [`Tensor::affine_into`] run through **one** shared
+//! microkernel, selected at runtime from three tiers:
 //!
-//! 1. **AVX2+FMA** (x86-64, runtime-detected): 4-row × 16-column output
-//!    tiles held in `ymm` registers across the full `k` loop.
-//! 2. **NEON** (aarch64, always present): the same tiling at 4 × 8 with
+//! 1. **x86 SIMD** (x86-64 with avx2+fma runtime-detected, `n >= 8`):
+//!    one register-tiled body per ISA behind one call descriptor
+//!    (`FusedLayer`) that training and serving share — AVX-512 (when
+//!    avx512f is also detected) tiles 6 rows x 48 / 16 / masked
+//!    columns, AVX2 tiles 4 rows x 24 / 8 / scalar `mul_add` columns, and
+//!    every row fringe keeps its body's full column structure. Both are
+//!    one rounding family: every element is a single in-order FMA chain.
+//! 2. **NEON** (aarch64, always present): 4-row x 8-column tiles of
 //!    `float32x4_t` registers.
 //! 3. **Scalar** (any target, and the fallback for narrow outputs):
 //!    4-row-blocked lockstep loops that LLVM auto-vectorizes.
@@ -27,8 +32,9 @@
 //! three variants produce bitwise-identical accumulation per machine.
 //!
 //! Which tier is active can be checked with [`kernel_tier`] (the bench
-//! harness prints it), and the dispatch tests in this module assert that
-//! every tier agrees with the scalar reference on this machine.
+//! harness prints it); the dispatch tests in this module hold every tier
+//! to the scalar reference, and the conformance test holds each x86 body
+//! the host supports, called directly, to a `mul_add` chain bitwise.
 
 use serde::{Deserialize, Serialize};
 
@@ -225,9 +231,10 @@ impl Tensor {
     }
 
     /// Fused affine map `out = x @ w + bias`, optionally with ReLU, writing
-    /// into a caller-provided buffer. This is every pass's workhorse: one
-    /// kernel call instead of a matmul, a bias add and a ReLU (and their
-    /// three intermediate tensors).
+    /// into a caller-provided buffer. This is every pass's workhorse: on
+    /// the x86 SIMD tier one `FusedLayer` call seeded from `+0.0` with
+    /// the bias/ReLU epilogue folded into the store; elsewhere a zero
+    /// fill, the accumulating kernel and a bias/ReLU pass.
     ///
     /// # Panics
     /// Panics on any shape mismatch.
@@ -240,22 +247,38 @@ impl Tensor {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, w.cols, "bias width mismatch");
         assert_eq!(out.shape(), (x.rows, w.cols), "affine output shape mismatch");
-        out.fill_zero();
-        matmul_accumulate(&x.data, x.rows, x.cols, &w.data, w.cols, &mut out.data);
         let n = w.cols;
-        if relu {
-            for r in 0..x.rows {
-                let row = &mut out.data[r * n..(r + 1) * n];
-                for (o, &b) in row.iter_mut().zip(&bias.data) {
-                    *o = (*o + b).max(0.0);
-                }
-            }
-        } else {
-            for r in 0..x.rows {
-                let row = &mut out.data[r * n..(r + 1) * n];
-                for (o, &b) in row.iter_mut().zip(&bias.data) {
-                    *o += b;
-                }
+        let call = FusedLayer {
+            a: &x.data,
+            a_rs: x.cols,
+            a_ks: 1,
+            a_rows: None,
+            m: x.rows,
+            kd: x.cols,
+            b: &w.data,
+            b_rs: n,
+            n,
+            out_rs: n,
+            out_rows: None,
+            accumulate: false,
+            bias: Some(&bias.data),
+            relu,
+        };
+        if fused_layer_fast(&call, &mut out.data) {
+            return;
+        }
+        out.fill_zero();
+        matmul_accumulate(&x.data, x.rows, x.cols, &w.data, n, &mut out.data);
+        out.add_bias_relu(&bias.data, relu);
+    }
+
+    /// `row + bias`, then ReLU when `relu`, on every row: the epilogue of
+    /// the tiers without a `FusedLayer` body.
+    pub(crate) fn add_bias_relu(&mut self, bias: &[f32], relu: bool) {
+        assert_eq!(bias.len(), self.cols, "bias width mismatch");
+        for r in 0..self.rows {
+            for (o, &b) in self.row_slice_mut(r).iter_mut().zip(bias) {
+                *o = if relu { (*o + b).max(0.0) } else { *o + b };
             }
         }
     }
@@ -499,6 +522,12 @@ thread_local! {
 /// x86-64, `n < 4` on aarch64) always take the scalar path regardless of
 /// the reported tier; the bench harness prints this value so recorded
 /// numbers can be attributed to a tier.
+///
+/// The name is the *rounding family*, not the instruction set: an
+/// avx512f host reports `"avx2+fma"` too, because its AVX-512 body
+/// computes every element as the same single-rounding FMA chain as the
+/// AVX2 body, bit for bit. The pinned digests (`train_digest`,
+/// `search_digest`) check for this string.
 pub fn kernel_tier() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -547,12 +576,13 @@ fn matmul_accumulate(a: &[f32], m: usize, kd: usize, b: &[f32], n: usize, out: &
 /// *window* of wider matrices — the fused-ensemble path runs one call per
 /// stacked member into that member's column block.
 ///
-/// Dispatches to a runtime-detected AVX2+FMA register-tiled kernel on
-/// x86-64 (4x16 output tiles held in ymm registers across the full `k`
-/// loop), a NEON 4x8 kernel on aarch64, and a portable 4-row-blocked
-/// scalar kernel that LLVM auto-vectorizes everywhere else. There is no
-/// data-dependent `a == 0.0` branch in any inner loop — such a branch
-/// mispredicts heavily on post-ReLU activations and blocks vectorization.
+/// On x86-64 with `n >= 8` and avx2+fma this is one [`FusedLayer`] call
+/// that seeds its accumulators from `out` (see [`fused_layer_fast`]); on
+/// aarch64 with `n >= 4` it runs the NEON 4x8 kernel, and everywhere else
+/// a portable 4-row-blocked scalar kernel that LLVM auto-vectorizes. There
+/// is no data-dependent `a == 0.0` branch in any inner loop — such a
+/// branch mispredicts heavily on post-ReLU activations and blocks
+/// vectorization.
 ///
 /// Per output element every tier accumulates over `k` in order with a
 /// single accumulator, so the forward, inference and backward paths
@@ -560,6 +590,10 @@ fn matmul_accumulate(a: &[f32], m: usize, kd: usize, b: &[f32], n: usize, out: &
 /// same machine; a given element's value is also independent of its
 /// column position within a tile, which is what makes member-blocked
 /// windowed calls bitwise-equal to dense per-member calls.
+///
+/// # Panics
+/// Panics when `a`, `b` or `out` is too short for the strides and shape,
+/// or a window stride is below `n`.
 #[allow(clippy::too_many_arguments)] // flat FFI-style kernel signature
 pub(crate) fn matmul_accumulate_strided(
     a: &[f32],
@@ -573,23 +607,36 @@ pub(crate) fn matmul_accumulate_strided(
     out: &mut [f32],
     out_rs: usize,
 ) {
-    debug_assert!(b_rs >= n && out_rs >= n);
-    debug_assert!(m == 0 || kd == 0 || a.len() > (m - 1) * a_rs + (kd - 1) * a_ks);
-    debug_assert!(kd == 0 || n == 0 || b.len() >= (kd - 1) * b_rs + n);
-    debug_assert!(m == 0 || n == 0 || out.len() >= (m - 1) * out_rs + n);
-    #[cfg(target_arch = "x86_64")]
-    {
-        if n >= 8 && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            // Safety: feature detection succeeded; slice bounds are
-            // checked by the debug asserts above and the loop structure.
-            unsafe { matmul_accumulate_avx2(a, a_rs, a_ks, m, kd, b, b_rs, n, out, out_rs) };
-            return;
-        }
+    let call = FusedLayer {
+        a,
+        a_rs,
+        a_ks,
+        a_rows: None,
+        m,
+        kd,
+        b,
+        b_rs,
+        n,
+        out_rs,
+        out_rows: None,
+        accumulate: true,
+        bias: None,
+        relu: false,
+    };
+    if fused_layer_fast(&call, out) {
+        return;
     }
     #[cfg(target_arch = "aarch64")]
     {
         if n >= 4 && std::arch::is_aarch64_feature_detected!("neon") {
-            // Safety: NEON is mandatory on aarch64 and detection succeeded.
+            let (a_lim, o_lim) = call.row_limits(out.len());
+            if m > 0 {
+                // The kernel walks rows `0..m` densely: the last bounds all.
+                row_base(None, m - 1, a_rs, a_lim);
+                row_base(None, m - 1, out_rs, o_lim);
+            }
+            // SAFETY: NEON was detected just above, and the checks above
+            // bound every address the kernel forms.
             unsafe { matmul_accumulate_neon(a, a_rs, a_ks, m, kd, b, b_rs, n, out, out_rs) };
             return;
         }
@@ -597,107 +644,13 @@ pub(crate) fn matmul_accumulate_strided(
     matmul_accumulate_scalar(a, a_rs, a_ks, m, kd, b, b_rs, n, out, out_rs);
 }
 
-/// AVX2+FMA kernel: 4-row x 16-column output tiles kept in registers
-/// across the whole `k` loop (8 fma accumulators + 2 `b` vectors), with
-/// 8-wide and scalar fringes.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn matmul_accumulate_avx2(
-    a: &[f32],
-    a_rs: usize,
-    a_ks: usize,
-    m: usize,
-    kd: usize,
-    b: &[f32],
-    b_rs: usize,
-    n: usize,
-    out: &mut [f32],
-    out_rs: usize,
-) {
-    use std::arch::x86_64::*;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let op = out.as_mut_ptr();
-    let mut i = 0;
-    while i + 4 <= m {
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut acc = [[_mm256_setzero_ps(); 2]; 4];
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                acc_r[0] = _mm256_loadu_ps(op.add((i + r) * out_rs + j));
-                acc_r[1] = _mm256_loadu_ps(op.add((i + r) * out_rs + j + 8));
-            }
-            for k in 0..kd {
-                let b0 = _mm256_loadu_ps(bp.add(k * b_rs + j));
-                let b1 = _mm256_loadu_ps(bp.add(k * b_rs + j + 8));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add((i + r) * a_rs + k * a_ks));
-                    acc_r[0] = _mm256_fmadd_ps(av, b0, acc_r[0]);
-                    acc_r[1] = _mm256_fmadd_ps(av, b1, acc_r[1]);
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(op.add((i + r) * out_rs + j), acc_r[0]);
-                _mm256_storeu_ps(op.add((i + r) * out_rs + j + 8), acc_r[1]);
-            }
-            j += 16;
-        }
-        while j + 8 <= n {
-            let mut acc = [_mm256_setzero_ps(); 4];
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                *acc_r = _mm256_loadu_ps(op.add((i + r) * out_rs + j));
-            }
-            for k in 0..kd {
-                let b0 = _mm256_loadu_ps(bp.add(k * b_rs + j));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add((i + r) * a_rs + k * a_ks));
-                    *acc_r = _mm256_fmadd_ps(av, b0, *acc_r);
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(op.add((i + r) * out_rs + j), *acc_r);
-            }
-            j += 8;
-        }
-        while j < n {
-            for r in 0..4 {
-                let mut acc = *op.add((i + r) * out_rs + j);
-                for k in 0..kd {
-                    acc = (*ap.add((i + r) * a_rs + k * a_ks)).mul_add(*bp.add(k * b_rs + j), acc);
-                }
-                *op.add((i + r) * out_rs + j) = acc;
-            }
-            j += 1;
-        }
-        i += 4;
-    }
-    while i < m {
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = _mm256_loadu_ps(op.add(i * out_rs + j));
-            for k in 0..kd {
-                let av = _mm256_set1_ps(*ap.add(i * a_rs + k * a_ks));
-                acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(k * b_rs + j)), acc);
-            }
-            _mm256_storeu_ps(op.add(i * out_rs + j), acc);
-            j += 8;
-        }
-        while j < n {
-            let mut acc = *op.add(i * out_rs + j);
-            for k in 0..kd {
-                acc = (*ap.add(i * a_rs + k * a_ks)).mul_add(*bp.add(k * b_rs + j), acc);
-            }
-            *op.add(i * out_rs + j) = acc;
-            j += 1;
-        }
-        i += 1;
-    }
-}
-
 /// NEON kernel: 4-row x 8-column output tiles (8 fma accumulators of
 /// `float32x4_t`), with 4-wide and scalar fringes. NEON is baseline on
 /// aarch64, so unlike AVX2 there is no per-feature fallback concern.
+///
+/// # Safety
+/// The CPU must support NEON, and the call must pass the row checks
+/// [`matmul_accumulate_strided`] makes before it runs this body.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
 #[allow(clippy::too_many_arguments)]
@@ -850,44 +803,51 @@ pub(crate) fn matmul_accumulate_scalar(
     }
 }
 
-/// Descriptor for one serving-only fused layer call:
-/// `out[out_row(i)][j] = epilogue(Σ_k a[a_row(i)][k] * b[k][j])`, where the
-/// epilogue is bias add and optional ReLU, folded into the register store.
+/// Descriptor of one x86 SIMD matmul call — every x86 SIMD matmul goes
+/// through it:
+/// `out[o(i)][j] = epilogue(seed(i, j) + Σ_k a[a(i)][k] * b[k][j])`
+/// for `m` logical rows, `n` columns and a `kd`-deep reduction. Row `i`
+/// reads physical row `a(i) = a_rows[i]` of `a` and writes physical row
+/// `o(i) = out_rows[i]` of `out` when a map is given (else `i`), so a
+/// layer can read gathered rows and scatter its output without
+/// materializing either permutation.
 ///
-/// Unlike [`matmul_accumulate_strided`] this kernel has *assign*
-/// semantics — the accumulators start at `+0.0` instead of loading `out`
-/// — so the destination never needs a zero-fill pass, and the optional
-/// row maps let it read gathered input rows and scatter output rows
-/// without materializing either permutation.
+/// * **Seed.** With `accumulate` every accumulator starts from the
+///   current `out` element ([`matmul_accumulate_strided`], so
+///   `matmul_acc`, `t_matmul_acc` and the ensemble's stacked layers);
+///   without it from `+0.0`, so `out` may be unzeroed scratch
+///   ([`Tensor::affine_into`] and the serving layers).
+/// * **Epilogue.** An optional `bias` add (`n` entries), then an optional
+///   ReLU, applied in registers before the store.
 ///
 /// # Bitwise identity
 ///
-/// The result is bitwise identical to zero-fill +
-/// [`matmul_accumulate_strided`] (AVX2 tier) + the
-/// [`Tensor::affine_into`] bias/ReLU tail, for every reachable input:
+/// Both bodies compute every element as one in-order, single-rounding
+/// FMA chain over `k` from its seed, whichever tile, fringe or lane
+/// width it lands in — lane grouping changes which elements travel
+/// together, never what any element accumulates. Hence:
 ///
-/// * `fma(a, b, +0.0)` equals `fma(a, b, load(out))` when `out` was
-///   zero-filled, so seeding the accumulators from `_mm256_setzero_ps`
-///   instead of loading the zeroed destination changes nothing; the
-///   per-element in-order single-accumulator chain over `k` is the same.
-/// * An accumulator chain seeded from `+0.0` can never become `-0.0`
-///   under round-to-nearest: a sum is `-0.0` only when *both* addends
-///   are `-0.0` (exact cancellation yields `+0.0`), and the seed is
-///   `+0.0` — so by induction the accumulator, and therefore
-///   `acc + bias`, is never `-0.0`, and writing the row through a
-///   scatter map is bit-equal to scatter-*add* onto zeroed rows.
-/// * The scalar column fringe chains `mul_add` from `0.0f32` exactly as
-///   the AVX2 tier's scalar fringe chains it from the zeroed
-///   destination. (This kernel only ever runs where the sequential
-///   dispatch would pick AVX2, see [`fused_layer_fast`] — the scalar
-///   *tier*'s two-rounding `+=` is not replicated here.)
+/// * Seeding `+0.0` equals seeding from a zero-filled destination:
+///   `fma(a, b, +0.0)` is `fma(a, b, load(out))` when `out` holds `+0.0`.
+/// * The ReLU is x86 `max(v, +0.0)`, i.e. `if v > 0.0 { v } else { 0.0 }`.
+///   It equals the scalar tails' `(acc + bias).max(0.0)` for every `v`
+///   but `-0.0`, and `acc + bias` is `-0.0` only when both addends are.
+/// * Written through an output map, an element equals a scatter-add onto
+///   a zeroed row (`+0.0 + v`) unless it is `-0.0`. The ReLU never
+///   yields `-0.0`, and a bias never is: it starts at `+0.0`, and Adam's
+///   `p -= u` reaches `-0.0` only from `p = -0.0`.
+/// * The scalar column fringe of the AVX2 body chains `mul_add` from the
+///   same seed, and the AVX-512 body's masked tail chains the same FMAs.
+///
+/// The scalar *tier*'s two-rounding `+=` is not this family: a call
+/// runs here only where [`fused_layer_available`] holds.
 #[derive(Clone, Copy)]
 pub(crate) struct FusedLayer<'a> {
-    /// Input base (possibly a member column window of a wider matrix),
-    /// row stride `a_rs`; logical row `i` reads physical row
-    /// `a_rows[i]` when a map is given.
+    /// Input base (possibly a member column window of a wider matrix):
+    /// element `(i, k)` is `a[a(i) * a_rs + k * a_ks]`.
     pub a: &'a [f32],
     pub a_rs: usize,
+    pub a_ks: usize,
     pub a_rows: Option<&'a [usize]>,
     /// Logical row count and reduction depth.
     pub m: usize,
@@ -896,186 +856,201 @@ pub(crate) struct FusedLayer<'a> {
     pub b: &'a [f32],
     pub b_rs: usize,
     pub n: usize,
-    /// Bias window (`n` entries).
-    pub bias: &'a [f32],
-    pub relu: bool,
-    /// Output window, row stride `out_rs`; logical row `i` writes
-    /// physical row `out_rows[i]` when a map is given.
+    /// Output window, row stride `out_rs >= n`.
     pub out_rs: usize,
     pub out_rows: Option<&'a [usize]>,
+    /// Seed the accumulators from `out` instead of `+0.0`.
+    pub accumulate: bool,
+    /// Epilogue: bias window (`n` entries), then ReLU.
+    pub bias: Option<&'a [f32]>,
+    pub relu: bool,
+}
+
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+impl FusedLayer<'_> {
+    /// Checks the call's window strides, `b` window and bias against
+    /// their slices, and returns the largest row base offset `a` and an
+    /// `out` of `out_len` elements can take. A kernel that checks every
+    /// row base against these (see [`row_base`]) forms no address outside
+    /// `a`, `b`, `bias` or `out`: that is what makes its raw-pointer loads
+    /// and stores sound.
+    fn row_limits(&self, out_len: usize) -> (usize, usize) {
+        assert!(
+            self.b_rs >= self.n && self.out_rs >= self.n,
+            "window row stride below its width"
+        );
+        if let Some(bias) = self.bias {
+            assert!(bias.len() >= self.n, "bias window too short");
+        }
+        if self.m == 0 || self.n == 0 {
+            // No element is read or written.
+            return (usize::MAX, usize::MAX);
+        }
+        let a_lim = match self.kd.checked_sub(1) {
+            // `a` and `b` are never read.
+            None => usize::MAX,
+            Some(k_last) => {
+                let b_end = k_last.checked_mul(self.b_rs).and_then(|x| x.checked_add(self.n));
+                assert!(b_end.is_some_and(|end| end <= self.b.len()), "weight window too short");
+                let a_span = k_last.checked_mul(self.a_ks).filter(|&span| span < self.a.len());
+                self.a.len() - 1 - a_span.expect("input too short")
+            }
+        };
+        let o_lim = out_len.checked_sub(self.n).expect("output too short");
+        (a_lim, o_lim)
+    }
+}
+
+/// Offset of logical row `i`'s first element on one side of a
+/// [`FusedLayer`] call — its physical row through `map` when there is
+/// one, times the row stride `rs` — checked against that side's limit
+/// from `row_limits`. Inlined into the kernels' row loops, the check is a
+/// compare per row, not a pass over the row maps.
+#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+#[inline(always)]
+fn row_base(map: Option<&[usize]>, i: usize, rs: usize, lim: usize) -> usize {
+    let row = map.map_or(i, |rows| rows[i]);
+    match row.checked_mul(rs) {
+        Some(base) if base <= lim => base,
+        _ => panic!("row {row} lies outside its matrix"),
+    }
 }
 
 /// True when [`fused_layer_fast`] has a kernel for an `n`-column call on
-/// this machine — i.e. exactly when [`matmul_accumulate_strided`] would
-/// dispatch the AVX2 tier, so using the fused kernel never changes which
-/// tier's rounding a call sees.
+/// this machine: x86-64 with `n >=` [`simd_min_width`], exactly where
+/// the dispatch has always left the scalar tier, so routing a call here
+/// never changes which tier's rounding it sees.
 pub(crate) fn fused_layer_available(n: usize) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        n >= 8 && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = n;
-        false
-    }
+    cfg!(target_arch = "x86_64") && n >= simd_min_width()
 }
 
-/// Runs the serving-only fused layer kernel (see [`FusedLayer`]); returns
-/// `false` without touching `out` when no fast kernel applies here
-/// (caller composes the portable fallback from the standard primitives).
+/// Runs one [`FusedLayer`] call on this machine's x86 SIMD body — the
+/// AVX-512 one when avx512f is detected, else the AVX2 one — and returns
+/// `true`; returns `false` without touching `out` when
+/// [`fused_layer_available`] does not hold (the caller then composes the
+/// portable tiers). The one safe entry point to both bodies.
+///
+/// # Panics
+/// Panics when the call's shapes, strides or row maps would reach past
+/// `a`, `b`, `bias` or `out` (checked by the body before it touches
+/// them).
 pub(crate) fn fused_layer_fast(l: &FusedLayer<'_>, out: &mut [f32]) -> bool {
     if !fused_layer_available(l.n) {
         return false;
     }
-    assert!(l.bias.len() >= l.n, "bias window too short");
-    if let Some(r) = l.a_rows {
-        assert!(r.len() >= l.m, "input row map too short");
-    }
-    if let Some(r) = l.out_rows {
-        assert!(r.len() >= l.m, "output row map too short");
-    }
-    debug_assert!(l.b_rs >= l.n && l.b.len() >= l.kd.saturating_sub(1) * l.b_rs + l.n);
-    debug_assert!((0..l.m).all(|i| {
-        let ar = l.a_rows.map_or(i, |r| r[i]);
-        let or = l.out_rows.map_or(i, |r| r[i]);
-        (l.kd == 0 || l.a.len() >= ar * l.a_rs + l.kd) && out.len() >= or * l.out_rs + l.n
-    }));
     #[cfg(target_arch = "x86_64")]
-    // Safety: feature detection succeeded in `fused_layer_available` /
-    // the avx512f check; bounds are guarded by the asserts above.
+    // SAFETY: `fused_layer_available` holds only where avx2+fma were
+    // detected, and avx512f is detected before its body runs.
     unsafe {
         if is_x86_feature_detected!("avx512f") {
-            fused_layer_avx512(l, out);
+            matmul_avx512(l, out);
         } else {
-            fused_layer_avx2(l, out);
+            matmul_avx2(l, out);
         }
-    };
+    }
     true
 }
 
-/// AVX-512 fused layer kernel: 6-row x 48-column assign tiles (18 fma
-/// accumulators + 3 `b` vectors in zmm), a 16-wide column block, and a
-/// *masked* column tail, with row fringes of 1..=5 rows sharing the same
-/// column structure. Bias / ReLU are applied in registers before
-/// the store, exactly like the AVX2 tier.
+/// AVX-512 body of [`FusedLayer`]: tiles of 6 rows x 48 columns (18 fma
+/// accumulators + 3 `b` vectors in zmm), then 16-column tiles and one
+/// *masked* tile for the last `< 16` columns; a fringe of 1..=5 rows
+/// keeps the same column structure as a fixed-size register tile.
 ///
-/// # Bitwise identity
-///
-/// Identical to [`fused_layer_avx2`] (and therefore to the sequential
-/// AVX2 dispatch tier): vector *width* only groups more independent
-/// output elements per instruction — each element still accumulates
-/// through one in-order single-accumulator FMA chain over `k`, each FMA
-/// rounds once, and the masked tail writes FMA-chained elements just as
-/// the AVX2 tier's `mul_add` scalar fringe does. Lane grouping changes
-/// which elements travel together, never what any element accumulates.
+/// # Safety
+/// The CPU must support avx512f. Bounds are the body's own: it checks
+/// the call with `row_limits` and every row base with [`row_base`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn fused_layer_avx512(l: &FusedLayer<'_>, out: &mut [f32]) {
+unsafe fn matmul_avx512(l: &FusedLayer<'_>, out: &mut [f32]) {
     use std::arch::x86_64::*;
-    let ap = l.a.as_ptr();
-    let bp = l.b.as_ptr();
-    let biasp = l.bias.as_ptr();
-    let op = out.as_mut_ptr();
+    let (a_lim, o_lim) = l.row_limits(out.len());
+    let (ap, bp, op) = (l.a.as_ptr(), l.b.as_ptr(), out.as_mut_ptr());
     let zero = _mm512_setzero_ps();
-    macro_rules! a_base {
-        ($i:expr) => {
-            (match l.a_rows {
-                Some(r) => *r.get_unchecked($i),
-                None => $i,
-            }) * l.a_rs
-        };
-    }
-    macro_rules! o_base {
-        ($i:expr) => {
-            (match l.out_rows {
-                Some(r) => *r.get_unchecked($i),
-                None => $i,
-            }) * l.out_rs
-        };
-    }
-    // Folded epilogue on one 16-lane accumulator at column `j`.
-    macro_rules! fin {
-        ($acc:expr, $j:expr) => {{
-            let bv = _mm512_loadu_ps(biasp.add($j));
-            let mut v = _mm512_add_ps($acc, bv);
-            if l.relu {
-                v = _mm512_max_ps(v, zero);
+    // One tile: rows at offsets `$ab` / `$ob`, `$c` 16-lane column
+    // vectors from column `$j` — every lane, or the lanes of `$mask`
+    // when `$masked`. Seed, `k` chain, epilogue, store; the branches on
+    // the call's flags are taken once per tile, not per register.
+    macro_rules! tile {
+        ($c:literal, $j:expr, $masked:literal, $mask:expr, $ab:expr, $ob:expr) => {{
+            const C: usize = $c;
+            let (j, mask, ab, ob): (usize, __mmask16, &[usize], &[usize]) = ($j, $mask, &$ab, &$ob);
+            macro_rules! load {
+                ($p:expr) => {
+                    if $masked {
+                        _mm512_maskz_loadu_ps(mask, $p)
+                    } else {
+                        _mm512_loadu_ps($p)
+                    }
+                };
             }
-            v
+            let mut acc = [[zero; C]; R];
+            if l.accumulate {
+                for r in 0..R {
+                    for c in 0..C {
+                        acc[r][c] = load!(op.add(ob[r] + j + 16 * c));
+                    }
+                }
+            }
+            for k in 0..l.kd {
+                let (ak, bk) = (ap.add(k * l.a_ks), bp.add(k * l.b_rs + j));
+                let mut bv = [zero; C];
+                for c in 0..C {
+                    bv[c] = load!(bk.add(16 * c));
+                }
+                for r in 0..R {
+                    let av = _mm512_set1_ps(*ak.add(ab[r]));
+                    for c in 0..C {
+                        acc[r][c] = _mm512_fmadd_ps(av, bv[c], acc[r][c]);
+                    }
+                }
+            }
+            if let Some(bias) = l.bias {
+                for c in 0..C {
+                    let bv = load!(bias.as_ptr().add(j + 16 * c));
+                    for r in 0..R {
+                        acc[r][c] = _mm512_add_ps(acc[r][c], bv);
+                    }
+                }
+            }
+            for r in 0..R {
+                for c in 0..C {
+                    let v = if l.relu {
+                        _mm512_max_ps(acc[r][c], zero)
+                    } else {
+                        acc[r][c]
+                    };
+                    let p = op.add(ob[r] + j + 16 * c);
+                    if $masked {
+                        _mm512_mask_storeu_ps(p, mask, v);
+                    } else {
+                        _mm512_storeu_ps(p, v);
+                    }
+                }
+            }
         }};
     }
-    // Masked variant for the <16-column tail.
-    macro_rules! fin_m {
-        ($acc:expr, $j:expr, $mask:expr) => {{
-            let bv = _mm512_maskz_loadu_ps($mask, biasp.add($j));
-            let mut v = _mm512_add_ps($acc, bv);
-            if l.relu {
-                v = _mm512_max_ps(v, zero);
-            }
-            v
-        }};
-    }
-    // One row block of `R <= 6` rows (const-generic so each variant
-    // compiles to a fixed register tile).
+    // One block of `$rows` rows from logical row `$i`, a literal so each
+    // block compiles to a fixed register tile.
     macro_rules! row_block {
-        ($rows:expr, $i:expr) => {{
-            let r_n: usize = $rows;
-            let mut ab = [0usize; 6];
-            let mut ob = [0usize; 6];
-            for r in 0..r_n {
-                ab[r] = a_base!($i + r);
-                ob[r] = o_base!($i + r);
+        ($rows:literal, $i:expr) => {{
+            const R: usize = $rows;
+            let mut ab = [0usize; R];
+            let mut ob = [0usize; R];
+            for r in 0..R {
+                ab[r] = row_base(l.a_rows, $i + r, l.a_rs, a_lim);
+                ob[r] = row_base(l.out_rows, $i + r, l.out_rs, o_lim);
             }
             let mut j = 0;
             while j + 48 <= l.n {
-                let mut acc = [[zero; 3]; 6];
-                for k in 0..l.kd {
-                    let bk = bp.add(k * l.b_rs + j);
-                    let b0 = _mm512_loadu_ps(bk);
-                    let b1 = _mm512_loadu_ps(bk.add(16));
-                    let b2 = _mm512_loadu_ps(bk.add(32));
-                    for r in 0..r_n {
-                        let av = _mm512_set1_ps(*ap.add(ab[r] + k));
-                        acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
-                        acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
-                        acc[r][2] = _mm512_fmadd_ps(av, b2, acc[r][2]);
-                    }
-                }
-                for r in 0..r_n {
-                    _mm512_storeu_ps(op.add(ob[r] + j), fin!(acc[r][0], j));
-                    _mm512_storeu_ps(op.add(ob[r] + j + 16), fin!(acc[r][1], j + 16));
-                    _mm512_storeu_ps(op.add(ob[r] + j + 32), fin!(acc[r][2], j + 32));
-                }
+                tile!(3, j, false, 0, ab, ob);
                 j += 48;
             }
             while j + 16 <= l.n {
-                let mut acc = [zero; 6];
-                for k in 0..l.kd {
-                    let b0 = _mm512_loadu_ps(bp.add(k * l.b_rs + j));
-                    for r in 0..r_n {
-                        let av = _mm512_set1_ps(*ap.add(ab[r] + k));
-                        acc[r] = _mm512_fmadd_ps(av, b0, acc[r]);
-                    }
-                }
-                for r in 0..r_n {
-                    _mm512_storeu_ps(op.add(ob[r] + j), fin!(acc[r], j));
-                }
+                tile!(1, j, false, 0, ab, ob);
                 j += 16;
             }
             if j < l.n {
-                let mask: __mmask16 = (1u16 << (l.n - j)) - 1;
-                let mut acc = [zero; 6];
-                for k in 0..l.kd {
-                    let b0 = _mm512_maskz_loadu_ps(mask, bp.add(k * l.b_rs + j));
-                    for r in 0..r_n {
-                        let av = _mm512_set1_ps(*ap.add(ab[r] + k));
-                        acc[r] = _mm512_fmadd_ps(av, b0, acc[r]);
-                    }
-                }
-                for r in 0..r_n {
-                    _mm512_mask_storeu_ps(op.add(ob[r] + j), mask, fin_m!(acc[r], j, mask));
-                }
+                tile!(1, j, true, (1u16 << (l.n - j)) - 1, ab, ob);
             }
         }};
     }
@@ -1084,138 +1059,128 @@ unsafe fn fused_layer_avx512(l: &FusedLayer<'_>, out: &mut [f32]) {
         row_block!(6, i);
         i += 6;
     }
-    let rem = l.m - i;
-    if rem > 0 {
-        row_block!(rem, i);
+    match l.m - i {
+        1 => row_block!(1, i),
+        2 => row_block!(2, i),
+        3 => row_block!(3, i),
+        4 => row_block!(4, i),
+        5 => row_block!(5, i),
+        _ => {}
     }
 }
 
-/// AVX2+FMA fused layer kernel: 4-row x 24-column assign tiles (12 fma
+/// AVX2+FMA body of [`FusedLayer`]: tiles of 4 rows x 24 columns (12 fma
 /// accumulators + 3 `b` vectors — the widest tile that still fits ymm),
-/// with 8-wide and scalar column fringes and a 1-row fringe. Bias /
-/// ReLU are applied in registers before the store.
+/// then 8-column tiles and a scalar `mul_add` column fringe; a fringe of
+/// 1..=3 rows keeps the same column structure as a fixed-size register
+/// tile.
+///
+/// # Safety
+/// The CPU must support avx2 and fma. Bounds are the body's own: it
+/// checks the call with `row_limits` and every row base with
+/// [`row_base`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn fused_layer_avx2(l: &FusedLayer<'_>, out: &mut [f32]) {
+unsafe fn matmul_avx2(l: &FusedLayer<'_>, out: &mut [f32]) {
     use std::arch::x86_64::*;
-    let ap = l.a.as_ptr();
-    let bp = l.b.as_ptr();
-    let biasp = l.bias.as_ptr();
-    let op = out.as_mut_ptr();
+    let (a_lim, o_lim) = l.row_limits(out.len());
+    let (ap, bp, op) = (l.a.as_ptr(), l.b.as_ptr(), out.as_mut_ptr());
     let zero = _mm256_setzero_ps();
-    // Row base offsets through the optional maps (macros, not closures,
-    // so everything stays inside this target_feature body).
-    macro_rules! a_base {
-        ($i:expr) => {
-            (match l.a_rows {
-                Some(r) => *r.get_unchecked($i),
-                None => $i,
-            }) * l.a_rs
-        };
-    }
-    macro_rules! o_base {
-        ($i:expr) => {
-            (match l.out_rows {
-                Some(r) => *r.get_unchecked($i),
-                None => $i,
-            }) * l.out_rs
-        };
-    }
-    // Folded epilogue on one 8-lane accumulator at column `j`.
-    macro_rules! fin {
-        ($acc:expr, $j:expr) => {{
-            let bv = _mm256_loadu_ps(biasp.add($j));
-            let mut v = _mm256_add_ps($acc, bv);
-            if l.relu {
-                v = _mm256_max_ps(v, zero);
+    // One tile: rows at offsets `$ab` / `$ob`, `$c` 8-lane column
+    // vectors from column `$j`. Seed, `k` chain, epilogue, store; the
+    // branches on the call's flags are taken once per tile.
+    macro_rules! tile {
+        ($c:literal, $j:expr, $ab:expr, $ob:expr) => {{
+            const C: usize = $c;
+            let (j, ab, ob): (usize, &[usize], &[usize]) = ($j, &$ab, &$ob);
+            let mut acc = [[zero; C]; R];
+            if l.accumulate {
+                for r in 0..R {
+                    for c in 0..C {
+                        acc[r][c] = _mm256_loadu_ps(op.add(ob[r] + j + 8 * c));
+                    }
+                }
             }
-            v
+            for k in 0..l.kd {
+                let (ak, bk) = (ap.add(k * l.a_ks), bp.add(k * l.b_rs + j));
+                let mut bv = [zero; C];
+                for c in 0..C {
+                    bv[c] = _mm256_loadu_ps(bk.add(8 * c));
+                }
+                for r in 0..R {
+                    let av = _mm256_set1_ps(*ak.add(ab[r]));
+                    for c in 0..C {
+                        acc[r][c] = _mm256_fmadd_ps(av, bv[c], acc[r][c]);
+                    }
+                }
+            }
+            if let Some(bias) = l.bias {
+                for c in 0..C {
+                    let bv = _mm256_loadu_ps(bias.as_ptr().add(j + 8 * c));
+                    for r in 0..R {
+                        acc[r][c] = _mm256_add_ps(acc[r][c], bv);
+                    }
+                }
+            }
+            for r in 0..R {
+                for c in 0..C {
+                    let v = if l.relu {
+                        _mm256_max_ps(acc[r][c], zero)
+                    } else {
+                        acc[r][c]
+                    };
+                    _mm256_storeu_ps(op.add(ob[r] + j + 8 * c), v);
+                }
+            }
         }};
     }
-    macro_rules! fin1 {
-        ($acc:expr, $j:expr) => {{
-            let v = $acc + l.bias[$j];
-            if l.relu {
-                v.max(0.0)
-            } else {
-                v
+    // One block of `$rows` rows from logical row `$i`, a literal so each
+    // block compiles to a fixed register tile.
+    macro_rules! row_block {
+        ($rows:literal, $i:expr) => {{
+            const R: usize = $rows;
+            let mut ab = [0usize; R];
+            let mut ob = [0usize; R];
+            for r in 0..R {
+                ab[r] = row_base(l.a_rows, $i + r, l.a_rs, a_lim);
+                ob[r] = row_base(l.out_rows, $i + r, l.out_rs, o_lim);
+            }
+            let mut j = 0;
+            while j + 24 <= l.n {
+                tile!(3, j, ab, ob);
+                j += 24;
+            }
+            while j + 8 <= l.n {
+                tile!(1, j, ab, ob);
+                j += 8;
+            }
+            while j < l.n {
+                for r in 0..R {
+                    let o = op.add(ob[r] + j);
+                    let mut v = if l.accumulate { *o } else { 0.0f32 };
+                    for k in 0..l.kd {
+                        v = (*ap.add(k * l.a_ks + ab[r])).mul_add(*bp.add(k * l.b_rs + j), v);
+                    }
+                    if let Some(bias) = l.bias {
+                        v += bias[j];
+                    }
+                    // `_mm256_max_ps(v, +0.0)`, lane by lane.
+                    *o = if !l.relu || v > 0.0 { v } else { 0.0 };
+                }
+                j += 1;
             }
         }};
     }
     let mut i = 0;
     while i + 4 <= l.m {
-        let ab = [a_base!(i), a_base!(i + 1), a_base!(i + 2), a_base!(i + 3)];
-        let ob = [o_base!(i), o_base!(i + 1), o_base!(i + 2), o_base!(i + 3)];
-        let mut j = 0;
-        while j + 24 <= l.n {
-            let mut acc = [[zero; 3]; 4];
-            for k in 0..l.kd {
-                let bk = bp.add(k * l.b_rs + j);
-                let b0 = _mm256_loadu_ps(bk);
-                let b1 = _mm256_loadu_ps(bk.add(8));
-                let b2 = _mm256_loadu_ps(bk.add(16));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(ab[r] + k));
-                    acc_r[0] = _mm256_fmadd_ps(av, b0, acc_r[0]);
-                    acc_r[1] = _mm256_fmadd_ps(av, b1, acc_r[1]);
-                    acc_r[2] = _mm256_fmadd_ps(av, b2, acc_r[2]);
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(op.add(ob[r] + j), fin!(acc_r[0], j));
-                _mm256_storeu_ps(op.add(ob[r] + j + 8), fin!(acc_r[1], j + 8));
-                _mm256_storeu_ps(op.add(ob[r] + j + 16), fin!(acc_r[2], j + 16));
-            }
-            j += 24;
-        }
-        while j + 8 <= l.n {
-            let mut acc = [zero; 4];
-            for k in 0..l.kd {
-                let b0 = _mm256_loadu_ps(bp.add(k * l.b_rs + j));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = _mm256_set1_ps(*ap.add(ab[r] + k));
-                    *acc_r = _mm256_fmadd_ps(av, b0, *acc_r);
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                _mm256_storeu_ps(op.add(ob[r] + j), fin!(*acc_r, j));
-            }
-            j += 8;
-        }
-        while j < l.n {
-            for r in 0..4 {
-                let mut acc = 0.0f32;
-                for k in 0..l.kd {
-                    acc = (*ap.add(ab[r] + k)).mul_add(*bp.add(k * l.b_rs + j), acc);
-                }
-                *op.add(ob[r] + j) = fin1!(acc, j);
-            }
-            j += 1;
-        }
+        row_block!(4, i);
         i += 4;
     }
-    while i < l.m {
-        let ab = a_base!(i);
-        let ob = o_base!(i);
-        let mut j = 0;
-        while j + 8 <= l.n {
-            let mut acc = zero;
-            for k in 0..l.kd {
-                let av = _mm256_set1_ps(*ap.add(ab + k));
-                acc = _mm256_fmadd_ps(av, _mm256_loadu_ps(bp.add(k * l.b_rs + j)), acc);
-            }
-            _mm256_storeu_ps(op.add(ob + j), fin!(acc, j));
-            j += 8;
-        }
-        while j < l.n {
-            let mut acc = 0.0f32;
-            for k in 0..l.kd {
-                acc = (*ap.add(ab + k)).mul_add(*bp.add(k * l.b_rs + j), acc);
-            }
-            *op.add(ob + j) = fin1!(acc, j);
-            j += 1;
-        }
-        i += 1;
+    match l.m - i {
+        1 => row_block!(1, i),
+        2 => row_block!(2, i),
+        3 => row_block!(3, i),
+        _ => {}
     }
 }
 
@@ -1536,5 +1501,155 @@ mod tests {
         let mut cat = Tensor::zeros(3, 4);
         x.concat_cols_into(&x, &mut cat);
         assert_eq!(cat.row_slice(1), &[10.0, 20.0, 10.0, 20.0]);
+    }
+
+    /// The checks the SIMD bodies run before they touch memory: the
+    /// limits admit exactly the row bases whose elements lie inside the
+    /// slices, and a row past them, or one whose base overflows, panics.
+    #[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
+    #[test]
+    fn row_checks_admit_exactly_the_rows_inside_the_slices() {
+        // `a`: 3 rows of stride 2, depth 2; `out`: 3 rows of 4 in 12.
+        let call = FusedLayer {
+            a: &[0.0; 6],
+            a_rs: 2,
+            a_ks: 1,
+            a_rows: None,
+            m: 3,
+            kd: 2,
+            b: &[0.0; 8],
+            b_rs: 4,
+            n: 4,
+            out_rs: 4,
+            out_rows: None,
+            accumulate: false,
+            bias: None,
+            relu: false,
+        };
+        let (a_lim, o_lim) = call.row_limits(12);
+        assert_eq!((a_lim, o_lim), (4, 8));
+        assert_eq!(row_base(Some(&[2]), 0, 2, a_lim), 4);
+        assert_eq!(row_base(Some(&[2]), 0, 4, o_lim), 8);
+        for row in [3, usize::MAX] {
+            assert!(std::panic::catch_unwind(|| row_base(Some(&[row]), 0, 4, o_lim)).is_err());
+        }
+        let short_a = FusedLayer { a: &[0.0; 1], ..call };
+        assert!(std::panic::catch_unwind(|| short_a.row_limits(12)).is_err());
+        let short_b = FusedLayer { b: &[0.0; 7], ..call };
+        assert!(std::panic::catch_unwind(|| short_b.row_limits(12)).is_err());
+        assert!(std::panic::catch_unwind(|| call.row_limits(3)).is_err());
+    }
+
+    /// The scalar reference of a [`FusedLayer`] call: per element, a
+    /// `mul_add` chain from its seed in `k` order, then the epilogue.
+    fn fma_chain_reference(l: &FusedLayer<'_>, out: &mut [f32]) {
+        for i in 0..l.m {
+            let ar = l.a_rows.map_or(i, |r| r[i]);
+            let or = l.out_rows.map_or(i, |r| r[i]);
+            for j in 0..l.n {
+                let o = or * l.out_rs + j;
+                let mut acc = if l.accumulate { out[o] } else { 0.0 };
+                for k in 0..l.kd {
+                    acc = l.a[ar * l.a_rs + k * l.a_ks].mul_add(l.b[k * l.b_rs + j], acc);
+                }
+                if let Some(bias) = l.bias {
+                    acc += bias[j];
+                }
+                if l.relu {
+                    acc = if acc > 0.0 { acc } else { 0.0 };
+                }
+                out[o] = acc;
+            }
+        }
+    }
+
+    /// Every x86 SIMD body this host supports, called directly rather
+    /// than through dispatch, equals the `mul_add` chain bitwise — over
+    /// every row fringe of both bodies, column tiles and fringes, an `a`
+    /// read with `a_ks = 1` and strided, `b` / `out` windows wider than
+    /// `n`, row maps, both seeds and every epilogue — and writes no cell
+    /// outside the rows and columns it addresses.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn every_simd_body_equals_the_fma_chain_bitwise() {
+        type Body = unsafe fn(&FusedLayer<'_>, &mut [f32]);
+        let mut bodies: Vec<(&str, Body)> = Vec::new();
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            bodies.push(("avx2", matmul_avx2));
+        }
+        if is_x86_feature_detected!("avx512f") {
+            bodies.push(("avx512", matmul_avx512));
+        }
+        if bodies.is_empty() {
+            eprintln!("skipped: no x86 SIMD body runs on this host");
+            return;
+        }
+        let values = |len: usize, seed: u64| -> Vec<f32> { pseudo_random(1, len, seed).into_data() };
+        let mut calls = 0usize;
+        for m in 0..=13usize {
+            for &n in &[8usize, 9, 15, 16, 17, 23, 24, 25, 47, 48, 49, 64, 97] {
+                for &kd in &[0usize, 1, 7, 48, 64] {
+                    for layout in 0..8u32 {
+                        let (strided, window, maps) = (layout & 1 != 0, layout & 2 != 0, layout & 4 != 0);
+                        let pad = if window { 3 } else { 0 };
+                        // Physical rows behind the logical ones.
+                        let (a_phys, o_phys) = if maps { (m + 2, m + 3) } else { (m, m) };
+                        let (a_rs, a_ks) = if strided { (1, a_phys + pad) } else { (kd + pad, 1) };
+                        let a = values((a_phys + pad) * (kd + pad), (m * 131 + n * 7 + kd) as u64);
+                        let (b_rs, out_rs) = (n + pad, n + 2 * pad);
+                        let b = values(kd * b_rs, (n * 17 + kd) as u64 + 5);
+                        let bias = values(n, n as u64 + 9);
+                        let a_rows: Vec<usize> = (0..m).map(|i| (i * 7 + 1) % a_phys).collect();
+                        let out_rows: Vec<usize> = (0..m).map(|i| o_phys - 1 - i).collect();
+                        let mut before = values(o_phys * out_rs, (m + n + kd) as u64 + 3);
+                        // A seed of -0.0 must chain as -0.0.
+                        if let Some(v) = before.first_mut() {
+                            *v = -0.0;
+                        }
+                        for accumulate in [false, true] {
+                            for (bias, relu) in [(None, false), (Some(&bias[..]), false), (Some(&bias[..]), true)] {
+                                let call = FusedLayer {
+                                    a: &a,
+                                    a_rs,
+                                    a_ks,
+                                    a_rows: maps.then_some(&a_rows[..]),
+                                    m,
+                                    kd,
+                                    b: &b,
+                                    b_rs,
+                                    n,
+                                    out_rs,
+                                    out_rows: maps.then_some(&out_rows[..]),
+                                    accumulate,
+                                    bias,
+                                    relu,
+                                };
+                                let mut want = before.clone();
+                                fma_chain_reference(&call, &mut want);
+                                for (name, body) in &bodies {
+                                    let mut got = before.clone();
+                                    // SAFETY: the body's features were detected
+                                    // above; it checks its own bounds.
+                                    unsafe { body(&call, &mut got) };
+                                    calls += 1;
+                                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                                    assert_eq!(
+                                        bits(&got),
+                                        bits(&want),
+                                        "{name}: m={m} n={n} kd={kd} strided={strided} window={window} \
+                                         maps={maps} accumulate={accumulate} bias={} relu={relu}",
+                                        bias.is_some()
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!(
+            "{calls} body calls held to the fma chain on {:?}",
+            bodies.iter().map(|b| b.0).collect::<Vec<_>>()
+        );
     }
 }

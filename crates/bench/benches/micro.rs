@@ -8,7 +8,6 @@
 //! throughput) so the performance trajectory is tracked from PR 1 onward.
 
 use costream::optimizer::enumerate_candidates;
-use costream::oracle;
 use costream::prelude::*;
 use costream::train::{prepare_training, train_prepared, GRAD_CLIP, LEARNING_RATE};
 use costream_baselines::{Gbdt, GbdtConfig, Objective};
@@ -86,10 +85,9 @@ fn bench_matmul_kernels(c: &mut Criterion) {
 }
 
 /// Training-path benches: one minibatch step of `fit`, split where its
-/// cost splits — the training pass's forward (against the sequential
-/// oracle on the same plan: the training forward is that pass plus
-/// retained activations), its backward, and the clipped Adam update — and
-/// one whole training epoch over a 48-item corpus. `train_epoch` and
+/// cost splits — the training pass's forward, its backward, and the
+/// clipped Adam update — and one whole training epoch over a 48-item
+/// corpus. `train_epoch` and
 /// `train_backward_batch16` are CI-gated.
 fn bench_training_path(c: &mut Criterion) {
     eprintln!("kernel tier: {}", costream_nn::kernel_tier());
@@ -103,9 +101,6 @@ fn bench_training_path(c: &mut Criterion) {
     let mut pass = TrainingPass::default();
     c.bench_function("train_forward_batch16", |b| {
         b.iter(|| model.train_forward(&batch.plan, &mut pass, &mut arena).data()[0])
-    });
-    c.bench_function("train_forward_batch16_tape_free", |b| {
-        b.iter(|| oracle::forward(&model, black_box(&batch.plan), &mut arena))
     });
     {
         // Backward only reads what the forward retained, so one forward
@@ -215,12 +210,9 @@ fn bench_inference(c: &mut Criterion) {
     });
 }
 
-/// Member-fused vs sequential ensemble inference (k = 3) over one cached
-/// 64-graph chunk plan — the serving worker's steady-state scoring cost.
-/// `ensemble_fused_batch64` is the CI-gated number; the acceptance
-/// criterion measures it against `ensemble_sequential_batch64` (the
-/// sequential oracle: the per-member loop the workers ran before fusion —
-/// expect ≥ 1.5x on one core).
+/// Member-fused ensemble inference (k = 3) over one cached 64-graph chunk
+/// plan — the serving worker's steady-state scoring cost.
+/// `ensemble_fused_batch64` is CI-gated.
 fn bench_ensemble_fused(c: &mut Criterion) {
     let corpus = Corpus::generate(64, 13, FeatureRanges::training(), &SimConfig::default());
     let cfg = TrainConfig {
@@ -233,9 +225,6 @@ fn bench_ensemble_fused(c: &mut Criterion) {
     let plans = vec![ensemble.members()[0].model().plan(&refs)];
     let fused = ensemble.fused();
     let mut arena = InferenceArena::new();
-    c.bench_function("ensemble_sequential_batch64", |b| {
-        b.iter(|| oracle::predict_ensemble(&ensemble, black_box(&plans), &mut arena))
-    });
     c.bench_function("ensemble_fused_batch64", |b| {
         b.iter(|| fused.predict_plans_arena(black_box(&plans), &mut arena))
     });

@@ -3,9 +3,10 @@
 //! initial placement) and Fig. 10 (slow-down and monitoring overhead of an
 //! online rescheduling baseline).
 
-use crate::harness::{flat_predict, median, Models, Scale};
+use crate::harness::{flat_predict, Models, Scale};
 use costream::optimizer::enumerate_candidates;
 use costream::prelude::*;
+use costream::qerror::median;
 use costream_baselines::run_monitoring;
 use costream_dsps::{simulate, CostMetric};
 use costream_query::generator::{QueryTemplate, WorkloadGenerator};

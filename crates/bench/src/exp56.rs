@@ -4,6 +4,7 @@
 
 use crate::harness::{eval_ensemble_regression, evaluate_all, MetricRow, Models, Scale};
 use costream::prelude::*;
+use costream::qerror::median;
 use costream::train::fine_tune;
 use costream_dsps::CostMetric;
 use costream_query::benchmarks::BenchmarkQuery;
@@ -190,13 +191,13 @@ pub fn print_fig1(seen: &[MetricRow], unseen_hw: &[MetricRow], exp5: &Exp5Result
     let hw_v = le(unseen_hw);
     let uq: Vec<(f64, f64)> = exp5.by_chain.iter().map(|(_, rows)| le(rows)).collect();
     let uq_v = (
-        crate::harness::median(&uq.iter().map(|v| v.0).collect::<Vec<_>>()),
-        crate::harness::median(&uq.iter().map(|v| v.1).collect::<Vec<_>>()),
+        median(&uq.iter().map(|v| v.0).collect::<Vec<_>>()),
+        median(&uq.iter().map(|v| v.1).collect::<Vec<_>>()),
     );
     let ub: Vec<(f64, f64)> = exp6.by_benchmark.iter().map(|(_, rows)| le(rows)).collect();
     let ub_v = (
-        crate::harness::median(&ub.iter().map(|v| v.0).collect::<Vec<_>>()),
-        crate::harness::median(&ub.iter().map(|v| v.1).collect::<Vec<_>>()),
+        median(&ub.iter().map(|v| v.0).collect::<Vec<_>>()),
+        median(&ub.iter().map(|v| v.1).collect::<Vec<_>>()),
     );
     println!("\n== Fig. 1: median E2E-latency q-error, Costream vs Flat Vector ==");
     println!("(paper: 1.37/13.28, 1.59/63.79, 2.17/444.03, 1.41/17.15)");

@@ -271,11 +271,6 @@ pub fn print_rows(title: &str, rows: &[MetricRow], paper: &[(&str, &str, &str)])
     }
 }
 
-/// Median of a sample (convenience re-export for experiment modules).
-pub fn median(values: &[f64]) -> f64 {
-    costream::qerror::median(values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -17,9 +17,9 @@
 //! # Bitwise identity with the sequential oracle
 //!
 //! The sequential oracle (the hidden `oracle` module, test support only)
-//! runs each model node by node through the routines the training pass
-//! chains. The fused pass is **bitwise identical** to it on the same
-//! plans, raw outputs and predictions alike:
+//! runs each model through the per-op GNN chain the training pass is held
+//! to. The fused pass is **bitwise identical** to it on the same plans,
+//! raw outputs and predictions alike:
 //!
 //! * every matmul preserves the sequential kernels' per-element
 //!   accumulation order and dispatch tier: member-blocked calls run at

@@ -13,8 +13,9 @@
 //! Inference is the one fused pass of [`crate::fused`] — a trained model
 //! predicts through its one-member view
 //! ([`crate::train::TrainedModel::fused`]), an ensemble through its
-//! k-member view — and the node-by-node pass survives only as the
-//! sequential oracle of the bitwise tests (the hidden `oracle` module).
+//! k-member view. Both passes are held to one per-op chain, which the
+//! sequential oracle of the bitwise tests (the hidden `oracle` module)
+//! runs over real plans.
 
 use crate::graph::JointGraph;
 use crate::plan::{BatchPlan, WavePlan};
@@ -223,7 +224,8 @@ impl GnnModel {
     /// The training forward over a precomputed [`BatchPlan`]: `pass` runs
     /// the encoders, every wave with a live target, the pool and the
     /// readout, keeps what its backward replays, and returns the raw
-    /// output per graph — bitwise that of inference.
+    /// output per graph — bitwise that of inference, and of the per-op
+    /// chain both passes are held to.
     ///
     /// A wave none of whose targets' new states anything reads is not run
     /// — in the Costream scheme the HW→OPS wave, whose rows the dataflow
@@ -232,8 +234,8 @@ impl GnnModel {
     /// output bit, and no gradient bit but the sign of an exactly zero sum:
     /// a dead row's upstream gradient is exactly zero, and each
     /// weight-gradient element is one accumulation chain over rows. The
-    /// sequential oracle (`costream::oracle`) alone still computes the
-    /// unread rows, as the witness.
+    /// sequential oracle (`costream::oracle`, that per-op chain over every
+    /// wave) alone still computes the unread rows, as the witness.
     ///
     /// Buffers come from `arena`; a training loop passes the same arena
     /// and pass to every minibatch, and after the first nothing is
@@ -461,5 +463,18 @@ mod tests {
         let restored: GnnModel = serde_json::from_str(&json).expect("deserialize");
         let refs: Vec<&JointGraph> = gs.iter().collect();
         assert_eq!(raw(&model, &refs), raw(&restored, &refs));
+    }
+
+    /// One float too many in a stored weight is a load error, not a model
+    /// that runs on a prefix of the weight's data.
+    #[test]
+    fn a_model_with_an_extra_float_in_a_weight_does_not_load() {
+        let json = serde_json::to_string(&GnnModel::new(ModelConfig::default())).expect("serialize");
+        let at = json.find(r#""data":["#).expect("a stored tensor") + r#""data":["#.len();
+        let corrupt = format!("{}0.5,{}", &json[..at], &json[at..]);
+        let Err(err) = serde_json::from_str::<GnnModel>(&corrupt) else {
+            panic!("a corrupt weight is refused");
+        };
+        assert!(err.to_string().contains("does not match data length"), "{err}");
     }
 }

@@ -607,7 +607,6 @@ mod tests {
     use crate::plan::BatchPlan;
     use crate::test_fixtures;
     use crate::train::TrainConfig;
-    use costream_nn::InferenceArena;
     use costream_query::generator::WorkloadGenerator;
     use costream_query::ranges::FeatureRanges;
     use costream_query::selectivity::SelectivityEstimator;
@@ -731,7 +730,7 @@ mod tests {
                     .chunks(INFERENCE_CHUNK)
                     .map(|c| e.members()[0].model().plan(c))
                     .collect();
-                crate::oracle::predict_ensemble(e, &plans, &mut InferenceArena::new())
+                crate::oracle::predict_ensemble(e, &plans)
             })
             .collect();
         (0..graphs.len())

@@ -1,17 +1,17 @@
 //! Golden-equivalence tests for the inference pass and the training pass.
 //!
 //! `GnnModel::train_forward` is the training forward. The sequential
-//! oracle (`costream::oracle`) runs the same wave routines node by node
-//! without retaining activations, so the two agree bit for bit. The one
+//! oracle (`costream::oracle`) runs the per-op chain (`Tape::gnn`) over
+//! every wave, so the two agree bit for bit. The one
 //! production inference pass — here a trained model's one-member fused
 //! view — merges repeated rows and skips dead ones, and must still give
 //! the oracle's bits: for both message-passing schemes, with and without
 //! host nodes, for regression and classification heads, across chunk
 //! boundaries and after fine-tuning. `BatchPlan`s must be safely reusable
 //! across epochs, batch orders and ensemble members. The training pass
-//! runs no wave without a live target; the same pass over every wave holds
-//! that skip to the same outputs and gradients. A pass and arena reused
-//! across plans give the gradients of fresh ones.
+//! runs no wave without a live target; the same pass and the chain over
+//! every wave hold that skip to the same outputs and gradients. A pass and
+//! arena reused across plans give the gradients of fresh ones.
 
 use costream::graph::{Featurization, JointGraph};
 use costream::model::{GnnModel, ModelConfig, Scheme, INFERENCE_CHUNK};
@@ -20,7 +20,8 @@ use costream::train::{fine_tune, train_metric, TrainConfig, TrainedModel};
 use costream::{oracle, test_fixtures};
 use costream_dsps::CostMetric;
 use costream_nn::loss::mse;
-use costream_nn::{Gradients, InferenceArena, Tensor, TrainingPass, WaveSpec};
+use costream_nn::tape::Tape;
+use costream_nn::{Gradients, InferenceArena, ParamStore, Tensor, TrainingPass, WaveSpec};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::ranges::FeatureRanges;
 use costream_query::selectivity::SelectivityEstimator;
@@ -53,9 +54,8 @@ fn trained(metric: CostMetric, scheme: Scheme, featurization: Featurization) -> 
 
 /// The oracle's raw outputs over plans chunked at the default width.
 fn oracle_raw(model: &GnnModel, refs: &[&JointGraph]) -> Vec<f32> {
-    let mut arena = InferenceArena::new();
     refs.chunks(INFERENCE_CHUNK)
-        .flat_map(|c| oracle::forward(model, &model.plan(c), &mut arena))
+        .flat_map(|c| oracle::forward(model, &model.plan(c)))
         .collect()
 }
 
@@ -95,8 +95,7 @@ fn oracle_matches_tape_forward() {
             let plan = model.plan(&refs);
             let golden = train_raw(&model, &plan);
 
-            let mut arena = InferenceArena::new();
-            let fast = oracle::forward(&model, &plan, &mut arena);
+            let fast = oracle::forward(&model, &plan);
 
             assert_bitwise(&golden, &fast, &format!("{scheme:?} seed {seed}"));
         }
@@ -112,8 +111,7 @@ fn oracle_matches_tape_without_hosts() {
     let model = GnnModel::new(ModelConfig::default());
     let plan = model.plan(&refs);
     let golden = train_raw(&model, &plan);
-    let mut arena = InferenceArena::new();
-    let fast = oracle::forward(&model, &plan, &mut arena);
+    let fast = oracle::forward(&model, &plan);
     assert_bitwise(&golden, &fast, "query-only");
 }
 
@@ -153,7 +151,7 @@ fn one_member_engine_matches_the_oracle_bitwise() {
                     &ctx,
                 );
                 let plans: Vec<BatchPlan> = refs.chunks(INFERENCE_CHUNK).map(|c| model.model().plan(c)).collect();
-                let want = oracle::predict_model(&model, &plans, &mut InferenceArena::new());
+                let want = oracle::predict_model(&model, &plans);
                 let got = model.predict_graphs(&refs);
                 assert_eq!(
                     got.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
@@ -185,7 +183,7 @@ fn a_fine_tuned_model_predicts_from_its_tuned_weights() {
     let after = model.predict_graphs(&refs);
     assert_ne!(before, after, "fine-tuning must move the weights");
     let plans = vec![model.model().plan(&refs)];
-    let want = oracle::predict_model(&model, &plans, &mut InferenceArena::new());
+    let want = oracle::predict_model(&model, &plans);
     assert_eq!(
         after.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
         want.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
@@ -234,18 +232,43 @@ fn one_plan_serves_all_ensemble_members() {
         .map(|s| GnnModel::new(ModelConfig::default().with_seed(s)))
         .collect();
     let plan = members[0].plan(&refs);
-    let mut arena = InferenceArena::new();
     for m in &members {
-        let fast = oracle::forward(m, &plan, &mut arena);
+        let fast = oracle::forward(m, &plan);
         assert_bitwise(&train_raw(m, &plan), &fast, "shared plan");
     }
+}
+
+/// `got`'s gradients against `want`'s, bit for bit up to the sign of an
+/// exactly-zero sum: each flip is printed and counted.
+fn flipped_zero_signs(ctx: &str, store: &ParamStore, got: &Gradients, want: &Gradients, reference: &str) -> usize {
+    let mut flipped_zeros = 0;
+    for id in store.ids() {
+        for (i, (g, w)) in got.grad(id).data().iter().zip(want.grad(id).data()).enumerate() {
+            if g.to_bits() == w.to_bits() {
+                continue;
+            }
+            assert!(
+                *g == 0.0 && *w == 0.0,
+                "{ctx}: {} [{i}] diverges: skipping {g} vs {reference} {w}",
+                store.name(id)
+            );
+            println!(
+                "{ctx}: {} [{i}]: zero sign flipped ({g} vs {reference} {w})",
+                store.name(id)
+            );
+            flipped_zeros += 1;
+        }
+    }
+    flipped_zeros
 }
 
 /// The training pass runs a wave only if one of its targets is live — in
 /// the Costream scheme every wave but HW→OPS; under Traditional and
 /// without host nodes every wave — and one step's parameter gradients are
-/// bitwise those of the same pass over every wave of the plan, up to the
-/// sign of an exactly-zero sum (printed, if any flips).
+/// bitwise those of the same pass over every wave of the plan, and those
+/// of the per-op chain (`Tape::gnn`, the oracle both passes answer to)
+/// over every wave, up to the sign of an exactly-zero sum (printed, if any
+/// flips). The chain's output is the skipping pass's, bit for bit.
 #[test]
 fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
     let cases = [
@@ -288,23 +311,20 @@ fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
             &mut want,
             &mut arena,
         );
-        let mut flipped_zeros = 0;
-        for id in store.ids() {
-            for (i, (g, w)) in got.grad(id).data().iter().zip(want.grad(id).data()).enumerate() {
-                if g.to_bits() == w.to_bits() {
-                    continue;
-                }
-                assert!(
-                    *g == 0.0 && *w == 0.0,
-                    "{ctx}: {} [{i}] diverges: skipping {g} vs every wave {w}",
-                    store.name(id)
-                );
-                println!("{ctx}: {} [{i}]: zero sign flipped ({g} vs {w})", store.name(id));
-                flipped_zeros += 1;
-            }
-        }
+        let flipped_zeros = flipped_zero_signs(&ctx, store, &got, &want, "every wave");
+
+        let mut chain = Tape::new();
+        let chain_out = chain.gnn(gnn, &plan, every_wave());
+        assert_bitwise(
+            chain.value(chain_out).data(),
+            out.data(),
+            &format!("{ctx}: per-op chain"),
+        );
+        let mut chain_grads = Gradients::for_store(store);
+        chain.backward(chain_out, mse(chain.value(chain_out), &targets).seed, &mut chain_grads);
+        let chain_flips = flipped_zero_signs(&ctx, store, &got, &chain_grads, "per-op chain");
         println!(
-            "{ctx}: {} dead of {} waves, {flipped_zeros} flipped zero signs",
+            "{ctx}: {} dead of {} waves, {flipped_zeros} flipped zero signs, {chain_flips} against the per-op chain",
             dead.len(),
             waves.len()
         );

@@ -12,7 +12,7 @@ use costream::graph::{Featurization, JointGraph};
 use costream::model::{Scheme, INFERENCE_CHUNK};
 use costream::plan::BatchPlan;
 use costream::train::TrainConfig;
-use costream::{oracle, test_fixtures, Corpus};
+use costream::{oracle, test_fixtures};
 use costream_dsps::CostMetric;
 use costream_nn::InferenceArena;
 use costream_query::generator::WorkloadGenerator;
@@ -104,7 +104,7 @@ proptest! {
         let e = sub_ensemble(regression_ensemble(scheme), k);
         let gs = graphs(n, seed);
         let plans = plans_for(&e, &gs);
-        let seq = oracle::predict_ensemble(&e, &plans, &mut InferenceArena::new());
+        let seq = oracle::predict_ensemble(&e, &plans);
         let fused = e.fused().predict_plans_arena(&plans, &mut InferenceArena::new());
         prop_assert_eq!(fused.len(), seq.len());
         for (i, (f, s)) in fused.iter().zip(&seq).enumerate() {
@@ -123,12 +123,11 @@ proptest! {
 fn fused_matches_sequential_classification() {
     let e = classification_ensemble();
     let fused = e.fused();
-    let mut seq_arena = InferenceArena::new();
     let mut fused_arena = InferenceArena::new();
     for (round, &(n, seed)) in [(17usize, 300u64), (1, 301), (33, 302)].iter().enumerate() {
         let gs = graphs(n, seed);
         let plans = plans_for(e, &gs);
-        let seq = oracle::predict_ensemble(e, &plans, &mut seq_arena);
+        let seq = oracle::predict_ensemble(e, &plans);
         let f = fused.predict_plans_arena(&plans, &mut fused_arena);
         assert_bitwise_eq(&f, &seq, &format!("classification round {round}"));
         // Vote fractions over 4 members are multiples of a quarter.
@@ -146,7 +145,7 @@ fn fused_predict_graphs_matches_sequential_across_chunks() {
     let e = regression_ensemble(Scheme::Costream);
     let gs = graphs(INFERENCE_CHUNK + 9, 55);
     let refs: Vec<&JointGraph> = gs.iter().collect();
-    let seq = oracle::predict_ensemble(e, &plans_for(e, &gs), &mut InferenceArena::new());
+    let seq = oracle::predict_ensemble(e, &plans_for(e, &gs));
     let fused = e.predict_graphs(&refs);
     assert_bitwise_eq(&fused, &seq, "predict_graphs multi-chunk");
 }
@@ -158,12 +157,8 @@ fn combine_refactor_is_bitwise_stable() {
     for e in [regression_ensemble(Scheme::Costream), classification_ensemble()] {
         let gs = graphs(11, 91);
         let plans = plans_for(e, &gs);
-        let combined = oracle::predict_ensemble(e, &plans, &mut InferenceArena::new());
-        let per_member: Vec<Vec<f64>> = e
-            .members()
-            .iter()
-            .map(|m| oracle::predict_model(m, &plans, &mut InferenceArena::new()))
-            .collect();
+        let combined = oracle::predict_ensemble(e, &plans);
+        let per_member: Vec<Vec<f64>> = e.members().iter().map(|m| oracle::predict_model(m, &plans)).collect();
         let k = e.members().len();
         for (i, c) in combined.iter().enumerate() {
             // The pre-refactor column-major reference combination.
@@ -221,7 +216,7 @@ fn one_engine_scores_any_sequence_of_plans_and_models_bitwise() {
     for (step, &(e, n, seed)) in steps.iter().enumerate() {
         let gs = graphs(n, seed);
         let plan = plans_for(e, &gs).remove(0);
-        let want = oracle::predict_ensemble(e, std::slice::from_ref(&plan), &mut InferenceArena::new());
+        let want = oracle::predict_ensemble(e, std::slice::from_ref(&plan));
         let (stats, [got]) = engine.score(&plan, [e.fused()]);
         assert_bitwise_eq(&got, &want, &format!("step {step}"));
         assert_eq!(
@@ -236,49 +231,11 @@ fn one_engine_scores_any_sequence_of_plans_and_models_bitwise() {
     let plan = plans_for(costream, &gs).remove(0);
     let (_, [a, b, c]) = engine.score(&plan, [costream.fused(), two.fused(), vote.fused()]);
     for (got, e) in [(a, costream), (b, &two), (c, vote)] {
-        let want = oracle::predict_ensemble(e, std::slice::from_ref(&plan), &mut InferenceArena::new());
+        let want = oracle::predict_ensemble(e, std::slice::from_ref(&plan));
         assert_bitwise_eq(
             &got,
             &want,
             &format!("trio member {:?} k {}", e.metric, e.members().len()),
         );
     }
-}
-
-/// Manual perf probe (not part of the gate — the CI-gated numbers come
-/// from `crates/bench`): prints fused vs sequential wall time at the
-/// bench shape (k=3, one cached 48-graph plan, warm arena). Run with
-/// `cargo test --release -p costream-core --test fused -- --ignored`.
-#[test]
-#[ignore]
-fn perf_probe_fused_vs_sequential() {
-    let corpus = Corpus::generate(48, 12, FeatureRanges::training(), &costream_dsps::SimConfig::default());
-    let cfg = TrainConfig {
-        epochs: 2,
-        ..Default::default()
-    };
-    let e = Ensemble::train(&corpus, CostMetric::ProcessingLatency, &cfg, 3);
-    let gs: Vec<JointGraph> = corpus.items.iter().map(|i| i.graph(Featurization::Full)).collect();
-    let plans = plans_for(&e, &gs);
-    let fused = e.fused();
-
-    let time = |f: &mut dyn FnMut() -> Vec<f64>| {
-        for _ in 0..5 {
-            std::hint::black_box(f());
-        }
-        let iters = 30;
-        let t0 = std::time::Instant::now();
-        for _ in 0..iters {
-            std::hint::black_box(f());
-        }
-        t0.elapsed().as_nanos() as f64 / iters as f64
-    };
-    let mut arena = InferenceArena::new();
-    let seq_ns = time(&mut || oracle::predict_ensemble(&e, &plans, &mut arena));
-    let mut arena = InferenceArena::new();
-    let fused_ns = time(&mut || fused.predict_plans_arena(&plans, &mut arena));
-    eprintln!(
-        "sequential {seq_ns:.0} ns, fused {fused_ns:.0} ns ({:.2}x)",
-        seq_ns / fused_ns
-    );
 }

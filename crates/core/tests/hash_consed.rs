@@ -107,7 +107,7 @@ fn assert_bitwise_like_the_oracle(fx: &test_fixtures::Trio, graphs: &[JointGraph
         .collect();
     let bits = |v: Vec<f64>| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
     for e in [&fx.target, &fx.success, &fx.backpressure] {
-        let want = bits(oracle::predict_ensemble(e, &plans, &mut InferenceArena::new()));
+        let want = bits(oracle::predict_ensemble(e, &plans));
         let got = bits(e.fused().predict_plans_arena(&plans, &mut InferenceArena::new()));
         assert_eq!(got, want, "{ctx}: {:?}", e.metric);
     }
@@ -194,7 +194,7 @@ fn oracle_bits(fx: &test_fixtures::Trio, graphs: &[JointGraph]) -> Vec<[u64; 3]>
         .collect();
     let per: Vec<Vec<f64>> = [&fx.target, &fx.success, &fx.backpressure]
         .iter()
-        .map(|e| oracle::predict_ensemble(e, &plans, &mut InferenceArena::new()))
+        .map(|e| oracle::predict_ensemble(e, &plans))
         .collect();
     (0..graphs.len())
         .map(|i| [per[0][i].to_bits(), per[1][i].to_bits(), per[2][i].to_bits()])

@@ -12,7 +12,7 @@
 //! # Bitwise identity with the sequential path
 //!
 //! The fused forward must stay bitwise identical to running the members
-//! sequentially (`Mlp::forward_inference` per member). Two ingredients
+//! sequentially (one kernel call per member and layer). Two ingredients
 //! guarantee this:
 //!
 //! 1. **Per-element accumulation order.** Every microkernel tier
@@ -333,8 +333,8 @@ impl StackedMlp {
     }
 
     /// Forward pass over a *shared* input (first layer wide, subsequent
-    /// layers member-blocked). Mirrors `Mlp::forward_inference` per
-    /// member: ReLU on all but the last layer, intermediates recycled.
+    /// layers member-blocked). Mirrors one MLP forward per member: ReLU on
+    /// all but the last layer; intermediates are recycled.
     pub fn forward_shared(&self, arena: &mut InferenceArena, x: &Tensor) -> Tensor {
         let last = self.layers.len() - 1;
         let mut cur = self.layers[0].forward_shared(arena, x, last != 0);
@@ -359,7 +359,7 @@ impl StackedMlp {
     /// (`m = x_rows.len()`).
     ///
     /// The result is bitwise identical to gathering
-    /// `x_rows`, running each member's `Mlp::forward_inference`, and
+    /// `x_rows`, running each member's MLP layer by layer, and
     /// scatter-copying into `dst` — with none of those passes actually
     /// executed (see `StackedLinear::forward_layer`).
     pub fn forward_into(
@@ -403,6 +403,16 @@ impl StackedMlp {
 mod tests {
     use super::*;
     use crate::init::Initializer;
+    use crate::tape::Tape;
+
+    /// One member's layer through the per-op oracle.
+    fn sequential_layer(store: &ParamStore, layer: &Linear, x: &Tensor, relu: bool) -> Tensor {
+        let mut tape = Tape::new();
+        let x = tape.input_ref(x);
+        let (w, b) = (tape.param(store, layer.weight_id()), tape.param(store, layer.bias_id()));
+        let y = tape.affine(x, w, b, relu);
+        tape.value(y).clone()
+    }
 
     /// `k` independent seed-varied single layers plus their stores.
     fn members(k: usize, in_w: usize, out_w: usize) -> Vec<(ParamStore, Linear)> {
@@ -464,7 +474,7 @@ mod tests {
             for relu in [false, true] {
                 let fused = stacked.forward_stacked(&mut arena, &x, relu);
                 for (m, (store, layer)) in ms.iter().enumerate() {
-                    let seq = layer.forward_inference(&mut arena, store, &per_member_x[m], relu);
+                    let seq = sequential_layer(store, layer, &per_member_x[m], relu);
                     for r in 0..rows {
                         for c in 0..out_w {
                             assert_eq!(
@@ -474,7 +484,6 @@ mod tests {
                             );
                         }
                     }
-                    arena.recycle(seq);
                 }
                 arena.recycle(fused);
             }
@@ -500,7 +509,7 @@ mod tests {
             let x = pseudo_random(rows, in_w, 3);
             let fused = stacked.forward_shared(&mut arena, &x, true);
             for (m, (store, layer)) in ms.iter().enumerate() {
-                let seq = layer.forward_inference(&mut arena, store, &x, true);
+                let seq = sequential_layer(store, layer, &x, true);
                 for r in 0..rows {
                     for c in 0..out_w {
                         assert_eq!(
@@ -510,7 +519,6 @@ mod tests {
                         );
                     }
                 }
-                arena.recycle(seq);
             }
             arena.recycle(fused);
         }
@@ -529,7 +537,10 @@ mod tests {
         let fused = stacked.forward_shared(&mut arena, &x);
         assert_eq!(fused.shape(), (rows, k * 32));
         for (m, (store, mlp)) in ms.iter().enumerate() {
-            let seq = mlp.forward_inference(&mut arena, store, &x);
+            let mut tape = Tape::new();
+            let input = tape.input_ref(&x);
+            let out = tape.mlp(mlp, store, input);
+            let seq = tape.value(out);
             for r in 0..rows {
                 for c in 0..32 {
                     assert_eq!(
@@ -539,7 +550,6 @@ mod tests {
                     );
                 }
             }
-            arena.recycle(seq);
         }
         arena.recycle(fused);
     }

@@ -1,15 +1,17 @@
-//! Recycling buffer pool for every pass.
+//! Recycling buffer pool for both production passes.
 //!
-//! Forward-only code allocates scratch tensors from an [`InferenceArena`]
-//! and recycles each as soon as its value is dead. Together with the fused
-//! [`Tensor::affine_into`] kernel this removes all per-op allocation from
-//! the hot prediction path.
+//! The inference pass (the stacked layers of [`crate::fused`]) allocates
+//! scratch tensors from an [`InferenceArena`] and recycles each as soon as
+//! its value is dead, which removes all per-op allocation from the hot
+//! prediction path.
 //!
 //! The same pool serves training: the
 //! [`TrainingPass`](crate::wave::TrainingPass) draws every forward value,
 //! retained activation and backward scratch tensor from the arena its
 //! caller passes, so a training loop that threads one arena through its
-//! minibatches allocates no tensor buffer in steady state.
+//! minibatches allocates no tensor buffer in steady state. The per-op test
+//! oracle (the hidden `tape` module) allocates its own tensors and takes
+//! no arena.
 
 use crate::tensor::Tensor;
 
@@ -99,15 +101,6 @@ impl InferenceArena {
         let mut t = self.alloc_scratch(src.rows(), src.cols());
         t.copy_from(src);
         t
-    }
-
-    /// The end of an intermediate's forward life: kept on `saved` when a
-    /// backward pass will replay it, recycled otherwise.
-    pub(crate) fn retire(&mut self, t: Tensor, saved: Option<&mut Vec<Tensor>>) {
-        match saved {
-            Some(saved) => saved.push(t),
-            None => self.recycle(t),
-        }
     }
 
     /// Returns a tensor's buffer to the pool.

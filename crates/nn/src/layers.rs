@@ -1,11 +1,10 @@
 //! Dense layers and multi-layer perceptrons.
 //!
-//! An MLP runs one way: [`Mlp::forward_arena`], the fused affine(+ReLU)
-//! kernel layer by layer on arena buffers — recycling its hidden
-//! activations for inference, or retaining them for the
-//! [`TrainingPass`](crate::wave::TrainingPass), whose hand-written
-//! backward replays them. The stacked k-member form ([`crate::fused`])
-//! runs the same kernel.
+//! A single MLP runs one way: `Mlp::forward_arena`, the fused
+//! affine(+ReLU) kernel layer by layer on arena buffers, retaining its
+//! hidden activations for the [`TrainingPass`](crate::wave::TrainingPass),
+//! whose hand-written backward replays them. The stacked k-member form
+//! ([`crate::fused`]) and the per-op test oracle run the same kernel.
 
 use crate::inference::InferenceArena;
 use crate::init::Initializer;
@@ -50,16 +49,6 @@ impl Linear {
     pub fn bias_id(&self) -> ParamId {
         self.b
     }
-
-    /// Affine map, optionally fused with ReLU, on arena buffers.
-    pub fn forward_inference(&self, arena: &mut InferenceArena, store: &ParamStore, x: &Tensor, relu: bool) -> Tensor {
-        let w = store.value(self.w);
-        let b = store.value(self.b);
-        // `affine_into` zero-fills its output itself.
-        let mut out = arena.alloc_scratch(x.rows(), w.cols());
-        Tensor::affine_into(x, w, b, relu, &mut out);
-        out
-    }
 }
 
 /// A multi-layer perceptron with ReLU activations between layers.
@@ -102,33 +91,28 @@ impl Mlp {
         &self.layers
     }
 
-    /// Forward pass on arena buffers. Hidden layers run the
-    /// fused affine+ReLU kernel; intermediates are recycled immediately,
-    /// so a whole MLP pass allocates nothing in steady state.
-    pub fn forward_inference(&self, arena: &mut InferenceArena, store: &ParamStore, x: &Tensor) -> Tensor {
-        self.forward_arena(arena, store, x, None)
-    }
-
-    /// [`Mlp::forward_inference`] that can keep what a backward pass
-    /// needs: with `saved`, every hidden activation (the output of each
-    /// layer but the last, in layer order) is pushed onto it instead of
-    /// being recycled. One body, so the training forward *is* the
-    /// inference forward plus retained activations.
-    pub fn forward_arena(
+    /// Forward pass on arena buffers: every layer runs the fused affine
+    /// kernel, with ReLU on every layer but the last. Each hidden
+    /// activation (the output of each layer but the last, in layer order)
+    /// is pushed onto `saved`, what the training pass's backward replays.
+    pub(crate) fn forward_arena(
         &self,
         arena: &mut InferenceArena,
         store: &ParamStore,
         x: &Tensor,
-        mut saved: Option<&mut Vec<Tensor>>,
+        saved: &mut Vec<Tensor>,
     ) -> Tensor {
         let last = self.layers.len() - 1;
-        let mut cur = self.layers[0].forward_inference(arena, store, x, last != 0);
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let next = layer.forward_inference(arena, store, &cur, i != last);
-            arena.retire(cur, saved.as_deref_mut());
-            cur = next;
+        let mut cur: Option<Tensor> = None;
+        for (i, layer) in self.layers.iter().enumerate() {
+            let input = cur.as_ref().unwrap_or(x);
+            let (w, b) = (store.value(layer.w), store.value(layer.b));
+            // `affine_into` writes every cell of its output.
+            let mut out = arena.alloc_scratch(input.rows(), w.cols());
+            Tensor::affine_into(input, w, b, i != last, &mut out);
+            saved.extend(cur.replace(out));
         }
-        cur
+        cur.expect("an MLP has at least one layer")
     }
 }
 
@@ -144,8 +128,11 @@ mod tests {
         let mut store = ParamStore::new();
         let mut init = Initializer::new(0);
         let l = Linear::new(&mut store, &mut init, "l", 3, 5);
-        let y = l.forward_inference(&mut InferenceArena::new(), &store, &Tensor::zeros(4, 3), false);
-        assert_eq!(y.shape(), (4, 5));
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::zeros(4, 3));
+        let (w, b) = (tape.param(&store, l.weight_id()), tape.param(&store, l.bias_id()));
+        let y = tape.affine(x, w, b, false);
+        assert_eq!(tape.value(y).shape(), (4, 5));
     }
 
     #[test]
@@ -159,8 +146,10 @@ mod tests {
         assert_eq!(store.len(), 6);
         let scalars: usize = store.ids().map(|id| store.value(id).len()).sum();
         assert_eq!(scalars, 6 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2);
-        let y = m.forward_inference(&mut InferenceArena::new(), &store, &Tensor::zeros(1, 6));
-        assert_eq!(y.shape(), (1, 2));
+        let mut tape = Tape::new();
+        let x = tape.input(Tensor::zeros(1, 6));
+        let y = tape.mlp(&m, &store, x);
+        assert_eq!(tape.value(y).shape(), (1, 2));
     }
 
     #[test]

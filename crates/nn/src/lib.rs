@@ -6,10 +6,10 @@
 //!
 //! * [`tensor::Tensor`] — dense row-major `f32` matrices with blocked,
 //!   branch-free matmul kernels and a fused affine(+ReLU) op;
-//! * [`wave`] — the GNN's steps, defined once for inference and training:
-//!   per-type encoding into the initial state and one message-passing
-//!   wave, each with its hand-written backward, and the one
-//!   [`TrainingPass`] that chains them with the pool and readout;
+//! * [`wave`] — the one [`TrainingPass`]: per-type encoding into the
+//!   initial state and the message-passing waves, each step with its
+//!   hand-written backward, chained with the pool and readout, and the
+//!   traits through which a caller's batch plan describes a batch;
 //! * [`inference::InferenceArena`] — the recycling buffer pool every pass
 //!   runs on;
 //! * [`layers::Mlp`] — per-node-type encoders, update networks and output
@@ -22,39 +22,28 @@
 //! * [`init::Initializer`] — deterministic seeded initialization, the basis
 //!   of the paper's seed-varied ensembles.
 //!
-//! # Execution paths: stacked, arena alone, the training pass
+//! # Execution paths: two passes and one per-op oracle
 //!
-//! There is one definition of the GNN's arithmetic — [`wave::encode_scatter`],
-//! [`wave::wave_update`] and [`Mlp::forward_arena`], all running the fused
-//! affine kernel on arena buffers — and it runs in three places:
+//! Two production passes run the GNN on the fused affine kernel and on
+//! arena buffers:
 //!
 //! 1. **Stacked** ([`fused::StackedMlp`]): forward only, k members wide.
 //!    All prediction work runs it: `costream-core`'s one fused pass, for
 //!    a single model (k = 1) as for an ensemble.
-//! 2. **Arena alone** (`Mlp::forward_inference`, the `wave` routines with
-//!    `saved: None`): forward only, node by node, every intermediate
-//!    recycled the moment it is dead. Its one user is `costream-core`'s
-//!    sequential test oracle, which the stacked path is held to.
-//! 3. **The training pass** ([`TrainingPass`]): one fixed forward — encode,
-//!    the caller's waves, pool, readout — running the same routines with
-//!    `saved: Some(..)`, so the training forward is the inference forward
-//!    plus the activations its backward replays (wave inputs and MLP
-//!    hidden layers, not the `[total x hidden]` states); and one fixed
-//!    backward over them. The backward accumulates in the order the per-op
-//!    chain does, transposes each weight matrix once per step and forms no
-//!    gradient for constant inputs. Parameters are read straight from the
-//!    [`ParamStore`]; gradients go to preallocated [`Gradients`]. A
-//!    training loop threads one arena through its minibatches and, after
-//!    the first, allocates nothing.
+//! 2. **The training pass** ([`TrainingPass`]): one fixed forward — encode,
+//!    the caller's waves, pool, readout — that keeps what its backward
+//!    replays (wave inputs and MLP hidden layers, not the states), and one
+//!    fixed backward that transposes each weight once per step and forms
+//!    no gradient for constant inputs. A training loop threads one arena
+//!    through its minibatches and, after the first, allocates nothing.
 //!
-//! Besides these, a per-op reverse-mode tape survives as a test oracle
-//! (the hidden `tape` module, which no production code names): the
-//! bitwise tests write the GNN down op by op on it and hold the training
-//! pass's outputs and gradients to it (`tests/wave_parity.rs`).
-//!
-//! Because all three run one arithmetic, their outputs are bitwise equal
-//! (`costream-core`'s `tests/fastpath.rs`), and models trained by the pass
-//! are served on the stacked path without recalibration.
+//! Both are held to one reference, the per-op chain that the hidden `tape`
+//! module (a test oracle no production code names) records with
+//! `Tape::gnn`: `tests/wave_parity.rs` holds the training pass's outputs
+//! and gradients to it bit for bit, and `costream-core`'s sequential
+//! oracle runs it over real plans, every wave included, to hold the
+//! stacked pass to its outputs. So models trained by the pass are served
+//! on the stacked path without recalibration.
 //!
 //! Everything is deterministic given a seed and has no external
 //! dependencies beyond `rand` and `serde`.

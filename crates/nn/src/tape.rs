@@ -1,28 +1,31 @@
 //! The per-op test oracle: reverse-mode differentiation on a flat tape.
 //!
-//! Training runs one fixed pass ([`crate::wave::TrainingPass`]). This tape
-//! is what the bitwise tests hold that pass to: a [`Tape`] records a chain
-//! of small ops during a forward pass and replays it in reverse to
-//! accumulate gradients, so a test can write the GNN down op by op —
-//! encoders, `gather_segment_sum` ‖ `gather_rows` → `concat_cols` → per
-//! type group `gather_rows` → MLP → `segment_sum` → `add`, the readout —
-//! and compare every output and gradient bit with the pass
-//! (`tests/wave_parity.rs`).
+//! Both production passes are held to one reference, written down here
+//! once: [`Tape::gnn`] records Algorithm 1's GNN op by op — encoders,
+//! `gather_segment_sum` ‖ `gather_rows` → `concat_cols` → per type group
+//! `gather_rows` → MLP → `segment_sum` → `add`, the carried rows, the pool
+//! and the readout. The training pass ([`crate::wave::TrainingPass`]) must
+//! give its outputs and every gradient bit for bit
+//! (`tests/wave_parity.rs`), and costream-core's sequential oracle runs it
+//! over real batch plans, every wave included, to hold the fused inference
+//! pass to its outputs. A [`Tape`] records a chain of small ops during a
+//! forward pass and replays it in reverse to accumulate gradients.
 //!
-//! The op set is exactly what those chains and the finite-difference check
+//! The op set is exactly what that chain and the finite-difference check
 //! record: leaves (constant inputs and **borrowed** parameters from a
 //! [`ParamStore`]), the affine map `x @ w + bias` (+ ReLU) on the kernel
 //! every pass runs ([`Tensor::affine_into`]), element-wise `add`, column
 //! concatenation, row gathering and the segmented row sums. Gradients go
 //! to a [`Gradients`] buffer set.
 //!
-//! `#[doc(hidden)]` test support: CI fails if a code line under
-//! `crates/*/src`, `src` or `examples` outside this file names the tape.
+//! `#[doc(hidden)]` test support: CI's oracle ratchet fails if a code line
+//! under `crates/*/src`, `src` or `examples` outside this file and
+//! costream-core's `oracle.rs` names the tape.
 
 use crate::layers::Mlp;
 use crate::params::{Gradients, ParamId, ParamStore};
 use crate::tensor::Tensor;
-use crate::wave::{add_col_sums, add_rows, mask_relu};
+use crate::wave::{add_col_sums, add_rows, mask_relu, BatchSpec, Gnn, WaveSpec};
 use std::borrow::Cow;
 
 /// Identifier of a node on a [`Tape`].
@@ -139,7 +142,7 @@ impl<'p> Tape<'p> {
 
     /// Records `mlp`'s forward pass on `x`: one affine node per layer, with
     /// ReLU on every layer but the last — the per-op form of
-    /// [`Mlp::forward_arena`].
+    /// `Mlp::forward_arena`.
     pub fn mlp(&mut self, mlp: &Mlp, store: &'p ParamStore, x: NodeId) -> NodeId {
         let last = mlp.layers().len() - 1;
         mlp.layers().iter().enumerate().fold(x, |h, (i, layer)| {
@@ -147,6 +150,56 @@ impl<'p> Tape<'p> {
             let b = self.param(store, layer.bias_id());
             self.affine(h, w, b, i != last)
         })
+    }
+
+    /// Records the GNN over `batch` op by op, on the inputs of
+    /// [`TrainingPass::forward`](crate::wave::TrainingPass::forward), and
+    /// returns its `[n_graphs x 1]` output node. A wave's carried rows are
+    /// found by a mask over its targets, which need not be ascending. Every
+    /// kernel input is a copied `h0` row, a zero-seeded sum or an MLP
+    /// output, so the `+0.0`-seeded `add`s carry no zero's sign into a
+    /// kernel: the chain's bits are the passes' bits.
+    pub fn gnn(
+        &mut self,
+        gnn: Gnn<'p>,
+        batch: &'p dyn BatchSpec,
+        waves: impl IntoIterator<Item = &'p dyn WaveSpec>,
+    ) -> NodeId {
+        let (store, total, hidden) = (gnn.store, batch.graph_of().len(), gnn.readout.in_dim());
+        let mut h0 = self.input(Tensor::zeros(total, hidden));
+        for i in 0..batch.parts() {
+            let part = batch.part(i);
+            let x = self.input_ref(part.features);
+            let encoded = self.mlp(&gnn.encoders[part.mlp], store, x);
+            let scattered = self.segment_sum(encoded, part.globals, total);
+            h0 = self.add(h0, scattered);
+        }
+        let (mut cur, mut is_target) = (h0, vec![false; total]);
+        for wave in waves {
+            let targets = wave.targets();
+            let child_sum = self.gather_segment_sum(cur, wave.child_rows(), wave.segs(), targets.len());
+            let own = self.gather_rows(h0, targets);
+            let inp = self.concat_cols(child_sum, own);
+            let mut updated = self.input(Tensor::zeros(total, hidden));
+            for g in 0..wave.groups() {
+                let group = wave.group(g);
+                let sub = self.gather_rows(inp, group.rows);
+                let out = self.mlp(&gnn.updaters[group.mlp], store, sub);
+                let scattered = self.segment_sum(out, group.globals, total);
+                updated = self.add(updated, scattered);
+            }
+            is_target.fill(false);
+            targets.iter().for_each(|&t| is_target[t] = true);
+            let keep: Vec<usize> = (0..total).filter(|&r| !is_target[r]).collect();
+            cur = if keep.is_empty() {
+                updated
+            } else {
+                let kept = self.gather_segment_sum(cur, keep.clone(), keep, total);
+                self.add(updated, kept)
+            };
+        }
+        let pooled = self.segment_sum(cur, batch.graph_of(), batch.n_graphs());
+        self.mlp(gnn.readout, store, pooled)
     }
 
     /// Element-wise `a + b` (same shape).

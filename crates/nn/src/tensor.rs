@@ -36,14 +36,38 @@
 //! to the scalar reference, and the conformance test holds each x86 body
 //! the host supports, called directly, to a `mul_add` chain bitwise.
 
-use serde::{Deserialize, Serialize};
+use serde::{json, DeError, Deserialize, Serialize};
 
 /// A dense row-major matrix of `f32` values.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct Tensor {
     rows: usize,
     cols: usize,
     data: Vec<f32>,
+}
+
+/// A [`Tensor`] as stored, before its shape is checked.
+#[derive(Deserialize)]
+struct StoredTensor {
+    rows: usize,
+    cols: usize,
+    data: Vec<f32>,
+}
+
+/// A stored tensor loads only if its data fills its shape exactly: a model
+/// file with a float too many or too few in a weight is refused, not run
+/// on a prefix of its data or read out of bounds.
+impl Deserialize for Tensor {
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        let StoredTensor { rows, cols, data } = StoredTensor::read_json(r)?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(DeError::msg(format!(
+                "tensor shape {rows}x{cols} does not match data length {}",
+                data.len()
+            )));
+        }
+        Ok(Tensor { rows, cols, data })
+    }
 }
 
 impl Tensor {
@@ -1229,6 +1253,26 @@ mod tests {
     #[should_panic(expected = "shape")]
     fn from_vec_bad_shape_panics() {
         let _ = Tensor::from_vec(2, 2, vec![1.0]);
+    }
+
+    fn read(text: &str) -> Result<Tensor, DeError> {
+        Tensor::read_json(&mut json::Reader::new(text))
+    }
+
+    #[test]
+    fn a_stored_tensor_with_data_past_its_shape_does_not_load() {
+        let err = read(r#"{"rows":1,"cols":2,"data":[1,2,3]}"#).expect_err("3 floats in a 1x2 tensor");
+        assert!(err.0.contains("1x2"), "{err}");
+        let huge = format!(r#"{{"rows":{},"cols":2,"data":[1,2]}}"#, usize::MAX);
+        assert!(read(&huge).is_err(), "rows x cols overflows");
+        let t = read(r#"{"rows":1,"cols":2,"data":[1,2]}"#).expect("a well-formed tensor loads");
+        assert_eq!(t, Tensor::from_vec(1, 2, vec![1.0, 2.0]));
+    }
+
+    #[test]
+    fn a_stored_tensor_with_data_short_of_its_shape_does_not_load() {
+        assert!(read(r#"{"rows":4,"cols":4,"data":[1]}"#).is_err());
+        assert!(read(r#"{"rows":0,"cols":3,"data":[]}"#).is_ok());
     }
 
     #[test]

@@ -8,17 +8,15 @@
 //! for its target rows and carrying every other row forward, then a sum
 //! pool per graph and the readout MLP.
 //!
-//! [`encode_scatter`] and [`wave_update`] are the only definitions of
-//! the first two steps. Inference calls them with `saved: None` and every
-//! intermediate goes straight back to the arena; the [`TrainingPass`]
-//! calls them with `Some(list)` and the activations its backward needs are
-//! pushed onto the list instead. The hand-written backward of each step
-//! lives beside its forward and accumulates in exactly the order the
+//! The [`TrainingPass`] runs these steps; `encode_scatter` and
+//! `wave_update` are their one definition, and push the activations the
+//! backward needs onto the pass's list. The hand-written backward of each
+//! step lives beside its forward and accumulates in exactly the order the
 //! per-op chain (`gather_segment_sum` → `gather_rows` → `concat_cols` →
 //! per-group `gather_rows` → MLP → `segment_sum` → `add`, plus the carry
 //! of every row the wave leaves alone) does, so gradients are bitwise
-//! those of that chain as the test oracle, the hidden `tape` module,
-//! records it.
+//! those of that chain as the test oracle, the hidden `tape` module's
+//! `Tape::gnn`, records it.
 //!
 //! The index lists come from the caller's batch plan through small
 //! traits, so this crate needs to know nothing about graphs.
@@ -30,7 +28,7 @@ use crate::tensor::Tensor;
 
 /// One node type's share of the encoding step.
 pub struct EncoderPart<'a> {
-    /// Index of the encoder MLP in the slice handed to [`encode_scatter`].
+    /// Index of the encoder MLP in [`Gnn::encoders`].
     pub mlp: usize,
     /// Stacked `rows x feature_width` inputs of this type.
     pub features: &'a Tensor,
@@ -49,7 +47,7 @@ pub trait EncodeSpec {
 
 /// The target rows of one wave that share an update MLP.
 pub struct WaveGroup<'a> {
-    /// Index of the update MLP in the slice handed to [`wave_update`].
+    /// Index of the update MLP in [`Gnn::updaters`].
     pub mlp: usize,
     /// Rows of the wave's `[targets x 2*hidden]` input this group takes.
     pub rows: &'a [usize],
@@ -75,23 +73,22 @@ pub trait WaveSpec {
 }
 
 /// The initial state `h0`: every part's feature rows through its encoder,
-/// scatter-added into a zeroed `[total x hidden]` matrix.
-///
-/// With `saved`, the hidden activations of every encoder are pushed onto
-/// it in part order (what [`encode_scatter`]'s backward replays).
-pub fn encode_scatter(
+/// scatter-added into a zeroed `[total x hidden]` matrix. The hidden
+/// activations of every encoder are pushed onto `saved` in part order
+/// (what [`encode_scatter`]'s backward replays).
+fn encode_scatter(
     spec: &dyn EncodeSpec,
     encoders: &[Mlp],
     store: &ParamStore,
     total: usize,
     hidden: usize,
     arena: &mut InferenceArena,
-    mut saved: Option<&mut Vec<Tensor>>,
+    saved: &mut Vec<Tensor>,
 ) -> Tensor {
     let mut h0 = arena.alloc_zeroed(total, hidden);
     for i in 0..spec.parts() {
         let part = spec.part(i);
-        let enc = encoders[part.mlp].forward_arena(arena, store, part.features, saved.as_deref_mut());
+        let enc = encoders[part.mlp].forward_arena(arena, store, part.features, saved);
         h0.scatter_add_rows(&enc, part.globals);
         arena.recycle(enc);
     }
@@ -129,17 +126,17 @@ fn encode_scatter_backward(
 /// a zeroed state plus scatter-add plus the carried rows, with two fewer
 /// passes over the state matrix.
 ///
-/// With `saved`, what the backward needs is pushed in this order: per
+/// What the backward needs is pushed onto `saved` in this order: per
 /// group its MLP's hidden activations, then its gathered input rows unless
 /// the group is the identity; finally the wave input.
-pub fn wave_update(
+fn wave_update(
     wave: &dyn WaveSpec,
     updaters: &[Mlp],
     store: &ParamStore,
     cur: &Tensor,
     h0: &Tensor,
     arena: &mut InferenceArena,
-    mut saved: Option<&mut Vec<Tensor>>,
+    saved: &mut Vec<Tensor>,
 ) -> Tensor {
     let h = h0.cols();
     // The child-sum half accumulates, so it must start at zero.
@@ -152,18 +149,18 @@ pub fn wave_update(
         let group = wave.group(i);
         let mlp = &updaters[group.mlp];
         let out = if group.is_identity {
-            mlp.forward_arena(arena, store, &inp, saved.as_deref_mut())
+            mlp.forward_arena(arena, store, &inp, saved)
         } else {
             let mut sub = arena.alloc_scratch(group.rows.len(), 2 * h);
             inp.gather_rows_into(group.rows, &mut sub);
-            let out = mlp.forward_arena(arena, store, &sub, saved.as_deref_mut());
-            arena.retire(sub, saved.as_deref_mut());
+            let out = mlp.forward_arena(arena, store, &sub, saved);
+            saved.push(sub);
             out
         };
         updated.scatter_copy_rows(&out, group.globals);
         arena.recycle(out);
     }
-    arena.retire(inp, saved);
+    saved.push(inp);
     updated
 }
 
@@ -355,9 +352,9 @@ pub trait BatchSpec: EncodeSpec {
     fn n_graphs(&self) -> usize;
 }
 
-/// The one training pass: a fixed forward — [`encode_scatter`], the given
-/// waves ([`wave_update`]), a sum pool per graph and the readout MLP — and
-/// its fixed backward over what the forward retained.
+/// The one training pass: a fixed forward — the encoding, the given waves,
+/// a sum pool per graph and the readout MLP — and its fixed backward over
+/// what the forward retained.
 ///
 /// The pass owns what its backward replays: the encoder, wave and readout
 /// activations (the inputs of every MLP layer but the states themselves),
@@ -385,7 +382,8 @@ pub struct TrainingPass {
 impl TrainingPass {
     /// The forward pass over `batch`, running `waves` in order after the
     /// encoding; returns the raw `[n_graphs x 1]` output. Its values are
-    /// bitwise those of inference over the same waves.
+    /// bitwise those of the per-op chain over the same waves, and of
+    /// inference over the same plan.
     pub fn forward<'w>(
         &mut self,
         gnn: Gnn<'_>,
@@ -398,12 +396,12 @@ impl TrainingPass {
         }
         self.ends.clear();
         let (store, total, h) = (gnn.store, batch.graph_of().len(), gnn.readout.in_dim());
-        let h0 = encode_scatter(batch, gnn.encoders, store, total, h, arena, Some(&mut self.saved));
+        let h0 = encode_scatter(batch, gnn.encoders, store, total, h, arena, &mut self.saved);
         self.ends.push(self.saved.len());
         let mut cur: Option<Tensor> = None;
         for wave in waves {
             let before = cur.as_ref().unwrap_or(&h0);
-            let after = wave_update(wave, gnn.updaters, store, before, &h0, arena, Some(&mut self.saved));
+            let after = wave_update(wave, gnn.updaters, store, before, &h0, arena, &mut self.saved);
             self.ends.push(self.saved.len());
             if let Some(before) = cur.replace(after) {
                 arena.recycle(before);
@@ -415,7 +413,7 @@ impl TrainingPass {
         for t in cur.into_iter().chain([h0]) {
             arena.recycle(t);
         }
-        let out = gnn.readout.forward_arena(arena, store, &pooled, Some(&mut self.saved));
+        let out = gnn.readout.forward_arena(arena, store, &pooled, &mut self.saved);
         self.saved.extend([pooled, out]);
         &self.saved[self.saved.len() - 1]
     }

@@ -1,16 +1,17 @@
 //! The training pass against the per-op chain it stands for.
 //!
 //! `TrainingPass` runs each encoding and each wave as one step, with a
-//! hand-written backward, where the per-op oracle tape records a chain of
-//! small ops. The chain is written down here: on random typed node sets,
-//! random waves and random MLP shapes, the pass must reproduce the chain's
-//! outputs and every parameter gradient bit for bit — including waves
-//! that update every row (empty `keep`), waves whose targets share one
-//! type (identity group), single-row groups, waves without edges, and one
-//! wave applied several times in a pass (the shared rounds of the
-//! traditional message-passing scheme).
+//! hand-written backward, where the per-op oracle (`Tape::gnn`) records a
+//! chain of small ops. On random typed node sets, random waves and random
+//! MLP shapes, the pass must reproduce the chain's outputs and every
+//! parameter gradient bit for bit — including waves that update every row
+//! (nothing carried), waves whose targets share one type (identity group),
+//! single-row groups, waves without edges, and one wave applied several
+//! times in a pass (the shared rounds of the traditional message-passing
+//! scheme). costream-core's `tests/fastpath.rs` holds both production
+//! passes to the same chain on real batch plans.
 
-use costream_nn::tape::{NodeId, Tape};
+use costream_nn::tape::Tape;
 use costream_nn::{
     BatchSpec, EncodeSpec, EncoderPart, Gnn, Gradients, InferenceArena, Initializer, Mlp, ParamStore, Tensor,
     TrainingPass, WaveGroup, WaveSpec,
@@ -40,7 +41,6 @@ struct Wave {
     child_rows: Vec<usize>,
     segs: Vec<usize>,
     targets: Vec<usize>,
-    keep: Vec<usize>,
     groups: Vec<Group>,
 }
 
@@ -125,7 +125,6 @@ fn wave(rng: &mut Lcg, types: &[usize], n_types: usize, pick: Targets) -> Wave {
             (0..total).filter(|&r| types[r] == ty).collect()
         }
     };
-    let keep = (0..total).filter(|r| !targets.contains(r)).collect();
     let n_edges = rng.below(2 * targets.len() + 1);
     let child_rows = (0..n_edges).map(|_| rng.below(total)).collect();
     let segs = (0..n_edges).map(|_| rng.below(targets.len())).collect();
@@ -143,7 +142,6 @@ fn wave(rng: &mut Lcg, types: &[usize], n_types: usize, pick: Targets) -> Wave {
         child_rows,
         segs,
         targets,
-        keep,
         groups,
     }
 }
@@ -153,51 +151,6 @@ struct Model {
     encoders: Vec<Mlp>,
     updaters: Vec<Mlp>,
     readout: Mlp,
-    hidden: usize,
-}
-
-/// The per-op chain: what the training forward recorded before it ran as
-/// one pass.
-fn unfused<'p>(
-    m: &'p Model,
-    enc: &'p Encoding,
-    waves: &'p [Wave],
-    order: &'p [usize],
-    graph_of: &'p [usize],
-    n_graphs: usize,
-) -> (Tape<'p>, NodeId) {
-    let total = graph_of.len();
-    let mut tape = Tape::new();
-    let mut h0 = tape.input(Tensor::zeros(total, m.hidden));
-    for (ty, feats, globals) in &enc.parts {
-        let x = tape.input_ref(feats);
-        let e = tape.mlp(&m.encoders[*ty], &m.store, x);
-        let scattered = tape.segment_sum(e, &globals[..], total);
-        h0 = tape.add(h0, scattered);
-    }
-    let mut cur = h0;
-    for &w in order {
-        let wave = &waves[w];
-        let child_sum = tape.gather_segment_sum(cur, &wave.child_rows[..], &wave.segs[..], wave.targets.len());
-        let own = tape.gather_rows(h0, &wave.targets[..]);
-        let inp = tape.concat_cols(child_sum, own);
-        let mut updated = tape.input(Tensor::zeros(total, m.hidden));
-        for group in &wave.groups {
-            let sub = tape.gather_rows(inp, &group.rows[..]);
-            let out = tape.mlp(&m.updaters[group.mlp], &m.store, sub);
-            let scattered = tape.segment_sum(out, &group.globals[..], total);
-            updated = tape.add(updated, scattered);
-        }
-        cur = if wave.keep.is_empty() {
-            updated
-        } else {
-            let kept = tape.gather_segment_sum(cur, &wave.keep[..], &wave.keep[..], total);
-            tape.add(updated, kept)
-        };
-    }
-    let pooled = tape.segment_sum(cur, graph_of, n_graphs);
-    let out = tape.mlp(&m.readout, &m.store, pooled);
-    (tape, out)
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -233,7 +186,7 @@ proptest! {
                     (!globals.is_empty()).then(|| (ty, Tensor::from_vec(globals.len(), width, data), globals))
                 })
                 .collect(),
-            graph_of: graph_of.clone(),
+            graph_of,
             n_graphs,
         };
 
@@ -262,15 +215,16 @@ proptest! {
             .map(|ty| Mlp::new(&mut store, &mut init, &format!("upd{ty}"), &widths(2 * hidden, hidden)))
             .collect();
         let readout = Mlp::new(&mut store, &mut init, "readout", &widths(hidden, 1));
-        let m = Model { store, encoders, updaters, readout, hidden };
+        let m = Model { store, encoders, updaters, readout };
 
         let seed_t = Tensor::from_vec(n_graphs, 1, (0..n_graphs).map(|i| (i as f32 * 0.9 + 0.3).cos()).collect());
-        let mut grads_chain = Gradients::for_store(&m.store);
-        let (chain, chain_out) = unfused(&m, &enc, &waves, &order, &graph_of, n_graphs);
-        chain.backward(chain_out, seed_t.clone(), &mut grads_chain);
-        let mut grads_fused = Gradients::for_store(&m.store);
         let gnn = Gnn { store: &m.store, encoders: &m.encoders, updaters: &m.updaters, readout: &m.readout };
         let run = || order.iter().map(|&w| &waves[w] as &dyn WaveSpec);
+        let mut grads_chain = Gradients::for_store(&m.store);
+        let mut chain = Tape::new();
+        let chain_out = chain.gnn(gnn, &enc, run());
+        chain.backward(chain_out, seed_t.clone(), &mut grads_chain);
+        let mut grads_fused = Gradients::for_store(&m.store);
         let (mut pass, mut arena) = (TrainingPass::default(), InferenceArena::new());
         let out = pass.forward(gnn, &enc, run(), &mut arena).clone();
         pass.backward(gnn, &enc, run(), seed_t, &mut grads_fused, &mut arena);

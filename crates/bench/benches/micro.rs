@@ -85,9 +85,9 @@ fn bench_matmul_kernels(c: &mut Criterion) {
 }
 
 /// Training-path benches: one minibatch step of `fit`, split where its
-/// cost splits — the training pass's forward, its backward, and the
-/// clipped Adam update — and one whole training epoch over a 48-item
-/// corpus. `train_epoch` and
+/// cost splits — the training pass's forward, its backward, the clip norm
+/// and the clipped Adam update — and one whole training epoch over a
+/// 48-item corpus. `train_epoch` and
 /// `train_backward_batch16` are CI-gated.
 fn bench_training_path(c: &mut Criterion) {
     eprintln!("kernel tier: {}", costream_nn::kernel_tier());
@@ -114,6 +114,11 @@ fn bench_training_path(c: &mut Criterion) {
             })
         });
     }
+    // The clip norm alone, on the backward's gradients: `train_step_batch16`
+    // less this row is the Adam update.
+    c.bench_function("train_clip_batch16", |b| {
+        b.iter(|| clip_scale(black_box(&grads), GRAD_CLIP))
+    });
     let mut opt = Adam::new(LEARNING_RATE);
     c.bench_function("train_step_batch16", |b| {
         b.iter(|| {

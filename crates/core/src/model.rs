@@ -24,7 +24,7 @@ use costream_nn::{
     TrainingPass, WaveGroup, WaveSpec,
 };
 use costream_query::features::NodeType;
-use serde::{Deserialize, Serialize};
+use serde::{json, DeError, Deserialize, Serialize};
 
 /// Message-passing scheme (Exp 7b ablation, Fig. 13).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,13 +122,100 @@ impl ModelConfig {
 /// The GNN over joint operator-resource graphs. Output semantics depend on
 /// the trained metric: `log1p(cost)` for regression heads, a logit for
 /// classification heads (see [`crate::train`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct GnnModel {
     config: ModelConfig,
     store: ParamStore,
     encoders: Vec<Mlp>,
     updaters: Vec<Mlp>,
     readout: Mlp,
+}
+
+/// A [`GnnModel`] as stored, before its layers are checked.
+#[derive(Deserialize)]
+struct StoredGnnModel {
+    config: ModelConfig,
+    store: ParamStore,
+    encoders: Vec<Mlp>,
+    updaters: Vec<Mlp>,
+    readout: Mlp,
+}
+
+/// A stored model loads only if it is a model [`GnnModel::new`] could have
+/// built for its config: one encoder and one update MLP per node type, the
+/// layer widths the config and each type's feature width give (so each
+/// MLP's widths chain), and every layer's weight (`in_dim x out_dim`) and
+/// bias (`1 x out_dim`) in the store at those shapes. Anything else is a
+/// load error, not a model whose first prediction reads out of bounds.
+impl Deserialize for GnnModel {
+    fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
+        let StoredGnnModel {
+            config,
+            store,
+            encoders,
+            updaters,
+            readout,
+        } = StoredGnnModel::read_json(r)?;
+        let types = NodeType::ALL.len();
+        if encoders.len() != types || updaters.len() != types {
+            return Err(DeError::msg(format!(
+                "model has {} encoders and {} update MLPs, not one per node type ({types})",
+                encoders.len(),
+                updaters.len()
+            )));
+        }
+        let c = &config;
+        for (t, (enc, upd)) in NodeType::ALL.iter().zip(encoders.iter().zip(&updaters)) {
+            let (enc_widths, upd_widths) = (
+                [t.feature_width(), c.encoder_hidden, c.hidden],
+                [2 * c.hidden, c.update_hidden, c.hidden],
+            );
+            check_mlp(&store, enc, &enc_widths, &format!("encoder {}", t.name()))?;
+            check_mlp(&store, upd, &upd_widths, &format!("update MLP {}", t.name()))?;
+        }
+        check_mlp(&store, &readout, &[c.hidden, c.readout_hidden, 1], "readout")?;
+        Ok(GnnModel {
+            config,
+            store,
+            encoders,
+            updaters,
+            readout,
+        })
+    }
+}
+
+/// `Ok` when `mlp`'s layers have exactly the `widths` and every weight
+/// and bias is in `store` at its layer's shape.
+fn check_mlp(store: &ParamStore, mlp: &Mlp, widths: &[usize], what: &str) -> Result<(), DeError> {
+    let fail = |msg: String| Err(DeError::msg(format!("{what}: {msg}")));
+    if mlp.layers().len() + 1 != widths.len() {
+        return fail(format!(
+            "{} layers, the config gives {}",
+            mlp.layers().len(),
+            widths.len() - 1
+        ));
+    }
+    for (i, (layer, w)) in mlp.layers().iter().zip(widths.windows(2)).enumerate() {
+        if (layer.in_dim(), layer.out_dim()) != (w[0], w[1]) {
+            let got = (layer.in_dim(), layer.out_dim());
+            return fail(format!("layer {i} is {got:?}, the config gives {:?}", (w[0], w[1])));
+        }
+        for (id, shape) in [(layer.weight_id(), (w[0], w[1])), (layer.bias_id(), (1, w[1]))] {
+            if !store.ids().any(|known| known == id) {
+                return fail(format!(
+                    "layer {i} names parameter {id:?}, the store has {}",
+                    store.len()
+                ));
+            }
+            if store.value(id).shape() != shape {
+                let got = store.value(id).shape();
+                return fail(format!(
+                    "layer {i} parameter {id:?} is {got:?}, the layer needs {shape:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 impl GnnModel {
@@ -476,5 +563,39 @@ mod tests {
             panic!("a corrupt weight is refused");
         };
         assert!(err.to_string().contains("does not match data length"), "{err}");
+    }
+
+    /// The stored default model with `from` replaced by `to` once.
+    fn load_edited(from: &str, to: &str) -> Result<GnnModel, serde_json::Error> {
+        let json = serde_json::to_string(&GnnModel::new(ModelConfig::default())).expect("serialize");
+        assert!(json.contains(from), "the stored model has {from}");
+        serde_json::from_str::<GnnModel>(&json.replacen(from, to, 1))
+    }
+
+    /// A weight whose data fills its shape but whose shape is not its
+    /// layer's — the first encoder's `5 x 48` stored as `48 x 5` — is a
+    /// load error, not a model whose first prediction panics.
+    #[test]
+    fn a_model_with_a_transposed_weight_does_not_load() {
+        let width = NodeType::ALL[0].feature_width();
+        let hidden = ModelConfig::default().encoder_hidden;
+        let stored = format!(r#""rows":{width},"cols":{hidden}"#);
+        let err = load_edited(&stored, &format!(r#""rows":{hidden},"cols":{width}"#)).expect_err("refused");
+        assert!(err.to_string().contains("the layer needs"), "{err}");
+    }
+
+    /// A layer naming a parameter the store does not hold, a layer whose
+    /// widths do not chain, and a config the layers were not built for
+    /// are load errors too.
+    #[test]
+    fn a_model_whose_layers_do_not_fit_its_store_or_config_does_not_load() {
+        let err = load_edited(r#""w":0,"#, r#""w":999,"#).expect_err("out-of-range parameter refused");
+        assert!(err.to_string().contains("the store has"), "{err}");
+        let hidden = ModelConfig::default().encoder_hidden;
+        let edited = format!(r#""in_dim":{hidden},"out_dim""#);
+        let err = load_edited(&edited, r#""in_dim":7,"out_dim""#).expect_err("unchained widths refused");
+        assert!(err.to_string().contains("the config gives"), "{err}");
+        let err = load_edited(r#""readout_hidden":32"#, r#""readout_hidden":16"#).expect_err("config mismatch refused");
+        assert!(err.to_string().contains("readout: layer 0"), "{err}");
     }
 }

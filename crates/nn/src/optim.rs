@@ -131,6 +131,41 @@ mod tests {
         last
     }
 
+    /// Adam reads nothing of a zero gradient's sign: steps on gradients
+    /// whose zeros are `+0.0` and on the same gradients with `-0.0` zeros
+    /// leave every parameter bitwise equal, `-0.0` parameters included.
+    /// (The training pass's first-touch weight gradients rest on this.)
+    #[test]
+    fn adam_does_not_read_the_sign_of_a_zero_gradient() {
+        let values = [-0.0f32, 1.5, 0.0, -0.0, 0.25, -2.0];
+        // Every third gradient is `zero`, in turn.
+        let grads_at = |step: usize, zero: f32| {
+            let g = |i: usize| {
+                if (i + step).is_multiple_of(3) {
+                    zero
+                } else {
+                    (i as f32 - 2.5) * 0.1
+                }
+            };
+            Tensor::from_vec(2, 3, (0..6).map(g).collect())
+        };
+        let run = |zero: f32| {
+            let mut store = ParamStore::new();
+            let id = store.register("p", Tensor::from_vec(2, 3, values.to_vec()));
+            let mut grads = Gradients::for_store(&store);
+            let mut opt = Adam::new(0.1);
+            for step in 0..5 {
+                grads.zero();
+                let (buf, _) = grads.buf_mut(id);
+                buf.copy_from(&grads_at(step, zero));
+                let scale = clip_scale(&grads, 0.05);
+                opt.step_scaled(&mut store, &grads, scale);
+            }
+            store.value(id).data().iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+        };
+        assert_eq!(run(0.0), run(-0.0));
+    }
+
     #[test]
     fn adam_converges_on_linear_fit() {
         let mut opt = Adam::new(0.01);

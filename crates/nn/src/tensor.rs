@@ -271,29 +271,51 @@ impl Tensor {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, w.cols, "bias width mismatch");
         assert_eq!(out.shape(), (x.rows, w.cols), "affine output shape mismatch");
+        x.product_into(w, Some(&bias.data), relu, out);
+    }
+
+    /// `out = self @ other`, every cell written: bitwise a zeroed `out`
+    /// plus [`Tensor::matmul_acc`], without the zero fill on the x86 SIMD
+    /// tier (its `FusedLayer` seeds from a `+0.0` register, not a loaded
+    /// `+0.0`). The backward's input-gradient product.
+    ///
+    /// # Panics
+    /// Panics on any shape mismatch.
+    pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
+        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
+        assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape mismatch");
+        self.product_into(other, None, false, out);
+    }
+
+    /// `out = epilogue(self @ w)` for checked shapes: one `FusedLayer`
+    /// call seeded from `+0.0` on the x86 SIMD tier, else a zero fill, the
+    /// accumulating kernel and a bias/ReLU pass when there is a bias.
+    fn product_into(&self, w: &Tensor, bias: Option<&[f32]>, relu: bool, out: &mut Tensor) {
         let n = w.cols;
         let call = FusedLayer {
-            a: &x.data,
-            a_rs: x.cols,
+            a: &self.data,
+            a_rs: self.cols,
             a_ks: 1,
             a_rows: None,
-            m: x.rows,
-            kd: x.cols,
+            m: self.rows,
+            kd: self.cols,
             b: &w.data,
             b_rs: n,
             n,
             out_rs: n,
             out_rows: None,
             accumulate: false,
-            bias: Some(&bias.data),
+            bias,
             relu,
         };
         if fused_layer_fast(&call, &mut out.data) {
             return;
         }
         out.fill_zero();
-        matmul_accumulate(&x.data, x.rows, x.cols, &w.data, n, &mut out.data);
-        out.add_bias_relu(&bias.data, relu);
+        matmul_accumulate(&self.data, self.rows, self.cols, &w.data, n, &mut out.data);
+        if let Some(bias) = bias {
+            out.add_bias_relu(bias, relu);
+        }
     }
 
     /// `row + bias`, then ReLU when `relu`, on every row: the epilogue of
@@ -518,18 +540,33 @@ impl Tensor {
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
-
-    /// Squared L2 norm of all elements.
-    pub fn sq_norm(&self) -> f32 {
-        self.data.iter().map(|v| v * v).sum()
-    }
 }
 
-/// `dst = src^T` for a row-major `rows x cols` matrix `src`.
+/// `dst = src^T` for a row-major `rows x cols` matrix `src`. Four source
+/// rows go per pass, so each pass writes four adjacent floats of every
+/// `dst` row; the slices are cut to their lengths first, so the inner loop
+/// does no bounds check per element. The last `rows % 4` rows go one at a
+/// time.
 fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    for (j, row) in src.chunks_exact(cols.max(1)).enumerate() {
-        for (k, &v) in row.iter().enumerate() {
-            dst[k * rows + j] = v;
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    let (src, dst) = (&src[..rows * cols], &mut dst[..rows * cols]);
+    let mut quads = src.chunks_exact(4 * cols);
+    for (q, quad) in quads.by_ref().enumerate() {
+        let (r0, rest) = quad.split_at(cols);
+        let (r1, rest) = rest.split_at(cols);
+        let (r2, r3) = rest.split_at(cols);
+        let j = 4 * q;
+        let lanes = r0.iter().zip(r1).zip(r2).zip(r3);
+        for (d, (((&a, &b), &c), &e)) in dst.chunks_exact_mut(rows).zip(lanes) {
+            d[j..j + 4].copy_from_slice(&[a, b, c, e]);
+        }
+    }
+    let done = rows - rows % 4;
+    for (j, row) in quads.remainder().chunks_exact(cols).enumerate() {
+        for (d, &v) in dst.chunks_exact_mut(rows).zip(row) {
+            d[done + j] = v;
         }
     }
 }
@@ -1211,6 +1248,29 @@ unsafe fn matmul_avx2(l: &FusedLayer<'_>, out: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `transpose_into` writes exactly `out[c][r] = self[r][c]` for every
+    /// shape up to 9 x 9 — every count of four-row blocks and every
+    /// remainder, empty shapes included — and for a weight's 64 x 48.
+    #[test]
+    fn transpose_into_is_its_definition_for_every_small_shape() {
+        let shapes = (0..=9).flat_map(|r| (0..=9).map(move |c| (r, c))).chain([(64, 48)]);
+        for (rows, cols) in shapes {
+            let data = (0..rows * cols).map(|i| i as f32 * 0.5 - 3.0).collect();
+            let src = Tensor::from_vec(rows, cols, data);
+            let mut out = Tensor::from_vec(cols, rows, vec![f32::NAN; rows * cols]);
+            src.transpose_into(&mut out);
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(
+                        out.get(c, r).to_bits(),
+                        src.get(r, c).to_bits(),
+                        "{rows}x{cols} at ({r}, {c})"
+                    );
+                }
+            }
+        }
+    }
 
     fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         let mut out = Tensor::zeros(a.rows(), b.cols());

@@ -16,14 +16,23 @@
 //! per-group `gather_rows` → MLP → `segment_sum` → `add`, plus the carry
 //! of every row the wave leaves alone) does, so gradients are bitwise
 //! those of that chain as the test oracle, the hidden `tape` module's
-//! `Tape::gnn`, records it.
+//! `Tape::gnn`, records it — up to the sign of a weight-gradient element
+//! that is exactly zero, which nothing reads.
+//!
+//! Both directions write in place where the chain would form a zeroed
+//! temporary and add it. The forward overwrites the target rows of one
+//! state matrix wave after wave. The backward forms the gradient of the
+//! state before a wave in the buffer of the gradient after it, and writes
+//! a parameter's first gradient contribution of a step straight into its
+//! still-zero [`Gradients`] buffer. `wave_update_backward` and
+//! `mlp_backward` say why each keeps the bits.
 //!
 //! The index lists come from the caller's batch plan through small
 //! traits, so this crate needs to know nothing about graphs.
 
 use crate::inference::InferenceArena;
 use crate::layers::Mlp;
-use crate::params::{Gradients, ParamStore};
+use crate::params::{Gradients, ParamId, ParamStore};
 use crate::tensor::Tensor;
 
 /// One node type's share of the encoding step.
@@ -109,22 +118,23 @@ fn encode_scatter_backward(
         let part = spec.part(i);
         let mlp = &encoders[part.mlp];
         let start = end - (mlp.layers().len() - 1);
-        let mut d_enc = ctx.arena.alloc_zeroed(part.globals.len(), g.cols());
-        add_rows(&mut d_enc, &g, 0, part.globals.iter().copied().enumerate());
+        // A copy, not `+0.0 + g`: `g` is a state gradient, never `-0.0`.
+        let mut d_enc = ctx.arena.alloc_scratch(part.globals.len(), g.cols());
+        g.gather_rows_into(part.globals, &mut d_enc);
         mlp_backward(mlp, part.features, &saved[start..end], d_enc, false, ctx);
         end = start;
     }
     ctx.arena.recycle(g);
 }
 
-/// One wave: returns the state after it. `cur` is the state before it and
-/// `h0` the initial state (the `h_v` half of every update input).
+/// One wave: turns `cur`, the state before it, into the state after it.
+/// `h0` is the initial state (the `h_v` half of every update input).
 ///
 /// The wave input `[Σ_children ‖ own]` is assembled directly into one
-/// buffer, and the new state starts as a copy of `cur` whose target rows
-/// are overwritten — target indices are unique within a wave, so this is
-/// a zeroed state plus scatter-add plus the carried rows, with two fewer
-/// passes over the state matrix.
+/// buffer from `cur` before anything is written; then the target rows of
+/// `cur` are overwritten in place — target indices are unique within a
+/// wave, so this is a zeroed state plus scatter-add plus the carried rows,
+/// with no pass over the rows the wave leaves alone.
 ///
 /// What the backward needs is pushed onto `saved` in this order: per
 /// group its MLP's hidden activations, then its gathered input rows unless
@@ -133,18 +143,17 @@ fn wave_update(
     wave: &dyn WaveSpec,
     updaters: &[Mlp],
     store: &ParamStore,
-    cur: &Tensor,
+    cur: &mut Tensor,
     h0: &Tensor,
     arena: &mut InferenceArena,
     saved: &mut Vec<Tensor>,
-) -> Tensor {
+) {
     let h = h0.cols();
     // The child-sum half accumulates, so it must start at zero.
     let mut inp = arena.alloc_zeroed(wave.targets().len(), 2 * h);
     cur.gather_segment_sum_into_cols(wave.child_rows(), wave.segs(), &mut inp, 0);
     h0.gather_rows_into_cols(wave.targets(), &mut inp, h);
 
-    let mut updated = arena.alloc_copy(cur);
     for i in 0..wave.groups() {
         let group = wave.group(i);
         let mlp = &updaters[group.mlp];
@@ -157,42 +166,56 @@ fn wave_update(
             saved.push(sub);
             out
         };
-        updated.scatter_copy_rows(&out, group.globals);
+        cur.scatter_copy_rows(&out, group.globals);
         arena.recycle(out);
     }
     saved.push(inp);
-    updated
 }
 
 /// Backward of [`wave_update`]: `g` is `d(loss)/d(state after the wave)`.
-/// The gradient of the state before it accumulates into `d_cur`, and that
-/// of `h0` into `d_h0`; `d_cur` is `None` when the state before the wave
-/// *is* `h0`, and then both go to `d_h0`, in the order the per-op chain
-/// accumulates them: carried rows, own half, child half.
+/// Returns the gradient of the state before it, formed in `g`'s own
+/// buffer, unless `into_h0` — the state before the wave *is* `h0` — when
+/// it accumulates into `d_h0` instead, after `h0`'s other gradients and in
+/// the order the per-op chain accumulates them: carried rows, own half,
+/// child half. The `h0` half of the wave input always goes to `d_h0`.
+///
+/// Carried in place, a carried row's gradient stays `g`'s row where the
+/// per-op chain forms `+0.0 + g` in a zeroed buffer; target rows are
+/// zeroed and then take the child half, as there. The two agree bit for
+/// bit because a state gradient is never `-0.0`: the pooled gradient and
+/// every later one are sums that start from a `+0.0` buffer (or a `+0.0`
+/// target row) and only add, and a sum is `-0.0` only when both its
+/// operands are.
 fn wave_update_backward(
     wave: &dyn WaveSpec,
     updaters: &[Mlp],
     saved: &[Tensor],
-    g: Tensor,
-    mut d_cur: Option<&mut Tensor>,
+    mut g: Tensor,
+    into_h0: bool,
     d_h0: &mut Tensor,
     ctx: &mut Backward<'_>,
-) {
+) -> Option<Tensor> {
     let (total, h) = g.shape();
-    // Carried rows — every row outside the ascending targets, found by a
-    // merge walk — pass their gradient straight through, in row order.
     let targets = wave.targets();
-    if targets.len() < total {
+    // Carried into `h0`: every row outside the ascending targets, found by
+    // a merge walk, passes its gradient straight through, in row order.
+    if into_h0 && targets.len() < total {
         let mut next = targets.iter().copied().peekable();
         let carried = (0..total).filter(|&r| next.next_if_eq(&r).is_none());
-        let d_carried = d_cur.as_deref_mut().unwrap_or(&mut *d_h0);
-        add_rows(d_carried, &g, 0, carried.map(|r| (r, r)));
+        add_rows(d_h0, &g, 0, carried.map(|r| (r, r)));
     }
 
     // Groups in reverse, each through its MLP into the wave-input gradient.
+    // The groups partition the wave input's rows, so each row of `d_inp`
+    // is one group's input gradient, where the per-op chain holds `+0.0`
+    // plus it: equal but for a `-0.0`, which reads the same here. `d_inp`
+    // is only ever added into state gradients, never `-0.0`, and
+    // `x + -0.0 == x + +0.0` for every `x` but `-0.0`. So an identity
+    // group's input gradient is `d_inp` itself, and other groups' rows are
+    // copied into place.
     let mut end = saved.len() - 1;
     let inp = &saved[end];
-    let mut d_inp = ctx.arena.alloc_zeroed(inp.rows(), inp.cols());
+    let mut d_inp: Option<Tensor> = None;
     for i in (0..wave.groups()).rev() {
         let group = wave.group(i);
         let mlp = &updaters[group.mlp];
@@ -203,29 +226,59 @@ fn wave_update_backward(
             &saved[end]
         };
         let start = end - (mlp.layers().len() - 1);
-        let mut d_out = ctx.arena.alloc_zeroed(group.globals.len(), h);
-        add_rows(&mut d_out, &g, 0, group.globals.iter().copied().enumerate());
+        // A copy, not `+0.0 + g`: a state gradient is never `-0.0`.
+        let mut d_out = ctx.arena.alloc_scratch(group.globals.len(), h);
+        g.gather_rows_into(group.globals, &mut d_out);
         let d_sub = mlp_backward(mlp, x, &saved[start..end], d_out, true, ctx).expect("input gradient was requested");
-        add_rows(&mut d_inp, &d_sub, 0, group.rows.iter().copied().zip(0..));
-        ctx.arena.recycle(d_sub);
+        if group.is_identity {
+            d_inp = Some(d_sub);
+        } else {
+            let d_inp = d_inp.get_or_insert_with(|| ctx.arena.alloc_scratch(inp.rows(), inp.cols()));
+            d_inp.scatter_copy_rows(&d_sub, group.rows);
+            ctx.arena.recycle(d_sub);
+        }
         end = start;
     }
-    ctx.arena.recycle(g);
+    // A wave without targets has no group and an empty input.
+    let d_inp = d_inp.unwrap_or_else(|| ctx.arena.alloc_zeroed(inp.rows(), inp.cols()));
 
     // `[Σ_children ‖ own]`: the own half goes to h0, then the child half
     // along the edges to the previous state.
     add_rows(d_h0, &d_inp, h, targets.iter().copied().zip(0..));
     let edges = wave.child_rows().iter().copied().zip(wave.segs().iter().copied());
-    add_rows(d_cur.unwrap_or(d_h0), &d_inp, 0, edges);
+    let d_cur = if into_h0 {
+        add_rows(d_h0, &d_inp, 0, edges);
+        ctx.arena.recycle(g);
+        None
+    } else {
+        for &t in targets {
+            g.row_slice_mut(t).fill(0.0);
+        }
+        add_rows(&mut g, &d_inp, 0, edges);
+        Some(g)
+    };
     ctx.arena.recycle(d_inp);
+    d_cur
 }
 
 /// Backward of [`Mlp::forward_arena`] for input `x`, retained `hidden`
 /// activations and output gradient `g`: per layer, last to first, the ReLU
-/// mask, the bias and weight gradients (each formed from zero, then added
-/// into `grads` — the order a pinned-parameter leaf accumulates in) and
-/// the input gradient through the once-per-step weight transpose. Returns
-/// `d(loss)/d(x)` when `want_dx`.
+/// mask, the bias and weight gradients and the input gradient through the
+/// once-per-pass weight transpose. Returns `d(loss)/d(x)` when `want_dx`.
+///
+/// A parameter's first contribution since [`Gradients::zero`] is written
+/// straight into its gradient buffer, which is still all `+0.0`: the
+/// column sums start from that `+0.0` and `dw`'s FMA chains load it as
+/// their seed. Every later contribution — an update MLP runs once per
+/// wave — is formed from zero in a temporary and then added, the order a
+/// pinned-parameter leaf of the per-op chain accumulates in. For the bias
+/// this is bit for bit the old `+0.0 + db`, since a sum started from
+/// `+0.0` is never `-0.0`. An FMA chain can underflow to `-0.0`, so a
+/// first-touch `dw` element can differ from `+0.0 + dw` — by a zero's
+/// sign only, and only where the sum is exactly zero. Nothing downstream
+/// reads that sign: the clip norm squares it, and Adam's first moment
+/// `β1·m + (1-β1)·g` is never `-0.0` (it starts at `+0.0`), so adding
+/// `±0.0` to it leaves it unchanged, while the second moment takes `g²`.
 fn mlp_backward(
     mlp: &Mlp,
     x: &Tensor,
@@ -240,20 +293,14 @@ fn mlp_backward(
         if i + 1 < layers.len() {
             mask_relu(&mut g, &hidden[i]);
         }
-        let mut db = ctx.arena.alloc_zeroed(1, g.cols());
-        add_col_sums(&mut db, &g);
-        ctx.grads.accumulate(layer.bias_id(), &db);
-        ctx.arena.recycle(db);
-        let mut dw = ctx.arena.alloc_zeroed(input.cols(), g.cols());
-        input.t_matmul_acc(&g, &mut dw);
-        ctx.grads.accumulate(layer.weight_id(), &dw);
-        ctx.arena.recycle(dw);
+        ctx.contribute(layer.bias_id(), |db| add_col_sums(db, &g));
+        ctx.contribute(layer.weight_id(), |dw| input.t_matmul_acc(&g, dw));
         if i == 0 && !want_dx {
             break;
         }
-        let mut dx = ctx.arena.alloc_zeroed(g.rows(), input.cols());
+        let mut dx = ctx.arena.alloc_scratch(g.rows(), input.cols());
         let store = ctx.store;
-        g.matmul_acc(ctx.transposed(store.value(layer.weight_id())), &mut dx);
+        g.matmul_into(ctx.transposed(store.value(layer.weight_id())), &mut dx);
         ctx.arena.recycle(std::mem::replace(&mut g, dx));
     }
     if want_dx {
@@ -313,6 +360,21 @@ struct Backward<'a> {
 }
 
 impl Backward<'_> {
+    /// `grad(id) += form(zeros)`: `form` writes straight into the gradient
+    /// buffer when that is still all `+0.0`, else into a zeroed temporary
+    /// that is then added (see [`mlp_backward`]).
+    fn contribute(&mut self, id: ParamId, form: impl FnOnce(&mut Tensor)) {
+        let (buf, untouched) = self.grads.buf_mut(id);
+        if untouched {
+            form(buf);
+            return;
+        }
+        let mut delta = self.arena.alloc_zeroed(buf.rows(), buf.cols());
+        form(&mut delta);
+        buf.add_assign(&delta);
+        self.arena.recycle(delta);
+    }
+
     /// `w^T`, transposed on first request.
     fn transposed(&mut self, w: &Tensor) -> &Tensor {
         let key = std::ptr::from_ref(w) as usize;
@@ -358,10 +420,11 @@ pub trait BatchSpec: EncodeSpec {
 ///
 /// The pass owns what its backward replays: the encoder, wave and readout
 /// activations (the inputs of every MLP layer but the states themselves),
-/// the pooled states and the raw output. Each wave's input state goes back
-/// to the arena as soon as the next state exists. The backward only reads
-/// the retained values, so it can run again on the same forward; the next
-/// forward recycles them. Weight transposes live for one backward.
+/// the pooled states and the raw output. The waves update one copy of
+/// `h0` in place, which goes back to the arena after the pool. The
+/// backward only reads the retained values, so it can run again on the
+/// same forward; the next forward recycles them. Weight transposes live
+/// for one backward.
 ///
 /// Buffers come from, and go back to, the arena the caller passes; a
 /// training loop that passes one arena to every step allocates no tensor
@@ -398,14 +461,13 @@ impl TrainingPass {
         let (store, total, h) = (gnn.store, batch.graph_of().len(), gnn.readout.in_dim());
         let h0 = encode_scatter(batch, gnn.encoders, store, total, h, arena, &mut self.saved);
         self.ends.push(self.saved.len());
+        // The waves update one state in place; it starts as a copy of `h0`,
+        // which every wave reads as the own half.
         let mut cur: Option<Tensor> = None;
         for wave in waves {
-            let before = cur.as_ref().unwrap_or(&h0);
-            let after = wave_update(wave, gnn.updaters, store, before, &h0, arena, &mut self.saved);
+            let state = cur.get_or_insert_with(|| arena.alloc_copy(&h0));
+            wave_update(wave, gnn.updaters, store, state, &h0, arena, &mut self.saved);
             self.ends.push(self.saved.len());
-            if let Some(before) = cur.replace(after) {
-                arena.recycle(before);
-            }
         }
         let mut pooled = arena.alloc_zeroed(batch.n_graphs(), h);
         let last = cur.as_ref().unwrap_or(&h0);
@@ -429,10 +491,20 @@ impl TrainingPass {
     /// `batch`, `gnn` and `waves` must be the forward's.
     ///
     /// It walks the forward's steps in reverse: the readout, the pool, each
-    /// wave, the encoders. The initial state `h0` is also the first wave's
-    /// input, so one `d_h0` buffer receives every later wave's own-half
-    /// gradient and then the first wave's carried, own and child halves —
-    /// the order in which the per-op chain's single `h0` node receives them.
+    /// wave, the encoders. One state-gradient buffer goes through the
+    /// waves: each wave zeroes its target rows and adds its child half in
+    /// place, so carried rows are never copied. The initial state `h0` is
+    /// also the first wave's input, so one `d_h0` buffer receives every
+    /// later wave's own-half gradient and then the first wave's carried,
+    /// own and child halves — the order in which the per-op chain's single
+    /// `h0` node receives them.
+    ///
+    /// Each parameter's first contribution since `grads` was zeroed is
+    /// written straight into its buffer, later ones are formed and added;
+    /// a second backward without a `zero()` between adds to the first. The
+    /// gradients equal the per-op chain's bit for bit but for the sign of
+    /// an exactly zero weight-gradient element, which neither the clip
+    /// norm nor Adam reads.
     ///
     /// # Panics
     /// Panics without a forward, on a seed of another shape than the
@@ -477,11 +549,9 @@ impl TrainingPass {
         for k in (1..ends.len()).rev() {
             let wave = waves.next().expect("fewer waves than the forward ran");
             let g = d_state.take().expect("one gradient per wave");
-            // The first wave's input is `h0` itself.
-            let mut d_cur = (k > 1).then(|| ctx.arena.alloc_zeroed(graph_of.len(), h));
             let at = ends[k - 1]..ends[k];
-            wave_update_backward(wave, gnn.updaters, &saved[at], g, d_cur.as_mut(), &mut d_h0, ctx);
-            d_state = d_cur;
+            // The first wave's input is `h0` itself.
+            d_state = wave_update_backward(wave, gnn.updaters, &saved[at], g, k == 1, &mut d_h0, ctx);
         }
         assert!(waves.next().is_none(), "more waves than the forward ran");
         encode_scatter_backward(batch, gnn.encoders, &saved[..ends[0]], d_h0, ctx);
@@ -494,6 +564,141 @@ impl TrainingPass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::Initializer;
+    use crate::tape::Tape;
+
+    /// Six rows of two types in two graphs, each type with its own
+    /// features.
+    struct Batch {
+        parts: Vec<(usize, Tensor, Vec<usize>)>,
+        graph_of: Vec<usize>,
+    }
+
+    impl EncodeSpec for Batch {
+        fn parts(&self) -> usize {
+            self.parts.len()
+        }
+        fn part(&self, i: usize) -> EncoderPart<'_> {
+            let (mlp, features, globals) = &self.parts[i];
+            EncoderPart {
+                mlp: *mlp,
+                features,
+                globals,
+            }
+        }
+    }
+
+    impl BatchSpec for Batch {
+        fn graph_of(&self) -> &[usize] {
+            &self.graph_of
+        }
+        fn n_graphs(&self) -> usize {
+            2
+        }
+    }
+
+    /// A wave updating rows `0, 2, 4` (type 0) from rows `1, 3, 5` (and
+    /// row 2 from row 0) through update MLP 0; rows 1, 3 and 5 carry.
+    struct TypeZeroWave;
+
+    impl WaveSpec for TypeZeroWave {
+        fn child_rows(&self) -> &[usize] {
+            &[1, 3, 5, 0]
+        }
+        fn segs(&self) -> &[usize] {
+            &[0, 1, 2, 1]
+        }
+        fn targets(&self) -> &[usize] {
+            &[0, 2, 4]
+        }
+        fn groups(&self) -> usize {
+            1
+        }
+        fn group(&self, _: usize) -> WaveGroup<'_> {
+            WaveGroup {
+                mlp: 0,
+                rows: &[0, 1, 2],
+                globals: &[0, 2, 4],
+                is_identity: true,
+            }
+        }
+    }
+
+    /// Bitwise equality up to the sign of zeros; returns the number of
+    /// flipped zero signs.
+    fn zero_sign_flips(pass: &Tensor, chain: &Tensor, what: &str) -> usize {
+        let mut flips = 0;
+        for (a, b) in pass.data().iter().zip(chain.data()) {
+            if a.to_bits() != b.to_bits() {
+                assert!(*a == 0.0 && *b == 0.0, "{what}: {a} vs {b}");
+                flips += 1;
+            }
+        }
+        flips
+    }
+
+    /// Update MLP 0 gets one contribution per wave: its first goes straight
+    /// into the zeroed gradient buffer, the later ones are formed and
+    /// added. At 1, 2 and 3 uses, and for a second backward into the same
+    /// buffers without a `zero()` between (which must add, not overwrite),
+    /// every gradient is the per-op chain's; flipped zero signs are
+    /// printed, as `fastpath.rs` does.
+    #[test]
+    fn first_touch_gradients_are_the_per_op_chains_at_one_two_and_three_uses() {
+        let (hidden, types) = (3, [0usize, 1, 0, 1, 0, 0]);
+        let mut store = ParamStore::new();
+        let mut init = Initializer::new(5);
+        let encoders: Vec<Mlp> = (0..2)
+            .map(|t| Mlp::new(&mut store, &mut init, &format!("enc{t}"), &[2 + t, 4, hidden]))
+            .collect();
+        let updaters: Vec<Mlp> = (0..2)
+            .map(|t| Mlp::new(&mut store, &mut init, &format!("upd{t}"), &[2 * hidden, 5, hidden]))
+            .collect();
+        let readout = Mlp::new(&mut store, &mut init, "readout", &[hidden, 4, 1]);
+        let batch = Batch {
+            parts: (0..2)
+                .map(|t| {
+                    let globals: Vec<usize> = (0..types.len()).filter(|&r| types[r] == t).collect();
+                    let data = (0..globals.len() * (2 + t))
+                        .map(|i| (i as f32 * 0.83 + t as f32).sin())
+                        .collect();
+                    (t, Tensor::from_vec(globals.len(), 2 + t, data), globals)
+                })
+                .collect(),
+            graph_of: vec![0, 0, 0, 1, 1, 1],
+        };
+        let gnn = Gnn {
+            store: &store,
+            encoders: &encoders,
+            updaters: &updaters,
+            readout: &readout,
+        };
+        let seed = Tensor::from_vec(2, 1, vec![0.7, -1.3]);
+        let mut flips = 0;
+        for uses in 1..=3 {
+            let waves = || std::iter::repeat_n(&TypeZeroWave as &dyn WaveSpec, uses);
+            let mut chain = Tape::new();
+            let out = chain.gnn(gnn, &batch, waves());
+            let mut grads_chain = Gradients::for_store(&store);
+            let (mut pass, mut arena) = (TrainingPass::default(), InferenceArena::new());
+            pass.forward(gnn, &batch, waves(), &mut arena);
+            let mut grads_pass = Gradients::for_store(&store);
+            for backward in 1..=2 {
+                chain.backward(out, seed.clone(), &mut grads_chain);
+                pass.backward(gnn, &batch, waves(), seed.clone(), &mut grads_pass, &mut arena);
+                for id in store.ids() {
+                    let what = format!("{} at {uses} uses, backward {backward}", store.name(id));
+                    flips += zero_sign_flips(grads_pass.grad(id), grads_chain.grad(id), &what);
+                }
+            }
+            let upd0 = updaters[0].layers()[0].weight_id();
+            assert!(
+                grads_pass.grad(upd0).data().iter().any(|v| *v != 0.0),
+                "update MLP 0 is trained"
+            );
+        }
+        println!("first-touch gradients: {flips} flipped zero signs against the per-op chain");
+    }
 
     /// The mask keeps a gradient where the ReLU output is positive or NaN
     /// and writes `+0.0` where it is `<= 0.0`, both zeros included. A

@@ -15,40 +15,34 @@
 //! sequentially (one kernel call per member and layer). Two ingredients
 //! guarantee this:
 //!
-//! 1. **Per-element accumulation order.** Every microkernel tier
-//!    accumulates each output element with a single accumulator over the
-//!    reduction dimension in order, and the element's value is
-//!    independent of its column position within a tile — so a
-//!    member-blocked strided call (`n = out_w`, writing member `m`'s
-//!    column window) and a dense per-member call produce identical bits.
-//! 2. **Tier dispatch parity.** Dispatch selects SIMD by the *call's*
-//!    output width. Member-blocked calls use `n = out_w`, matching the
-//!    sequential call exactly. The one shared-input *wide* call
-//!    ([`StackedLinear::forward_shared`], `n = k*out_w`) forces the
-//!    scalar kernel whenever `out_w` alone would have taken it
-//!    (`tensor::simd_min_width`) — otherwise fusing `k` narrow
-//!    heads could cross the SIMD threshold and change rounding (FMA
-//!    contracts one rounding step).
+//! 1. **Per-element accumulation order.** Every matmul body accumulates
+//!    each output element with a single accumulator over the reduction
+//!    dimension in order, and the element's value is independent of its
+//!    column position within a tile — so a member-blocked strided call
+//!    (`n = out_w`, writing member `m`'s column window) and a dense
+//!    per-member call produce identical bits.
+//! 2. **Tier dispatch parity.** The dispatcher picks the body, and with
+//!    it the rounding family, by the call's *tier width*. Member-blocked
+//!    calls use `n = out_w` as both, matching the sequential call
+//!    exactly. The one shared-input *wide* call (`n = k*out_w`) passes
+//!    `out_w` as its tier width, so fusing `k` narrow heads never crosses
+//!    the SIMD threshold a per-member call would not cross (FMA contracts
+//!    one rounding step).
 //!
 //! # Serving fast path
 //!
-//! [`StackedMlp::forward_into`] is the serving entry point: it runs each
-//! layer through the assign-semantics fused kernel
-//! (`crate::tensor::FusedLayer`) — no destination zero-fill, bias/ReLU
-//! folded into the store, input rows read through a gather map and final
-//! rows scattered through an output map, so the layer needs no separate
-//! gather/zero/epilogue/scatter passes at all. Calls the kernel has no
-//! fast tier for (narrow heads, non-AVX2 machines) fall back to a
-//! composition of the standard primitives, which keeps every tier's
-//! bitwise story intact (see `FusedLayer`'s docs for the proof).
+//! [`StackedMlp::forward_into`] is the serving entry point: each layer is
+//! one `crate::tensor::FusedLayer` call, or one per member, seeded from
+//! `+0.0` — no destination zero-fill, bias/ReLU folded into the store,
+//! input rows read through a gather map and final rows scattered through
+//! an output map, so the layer needs no separate gather, zero, epilogue
+//! or scatter pass on any tier (see `FusedLayer`'s docs for the proof that
+//! this is bitwise the composed sequence).
 
 use crate::inference::InferenceArena;
 use crate::layers::{Linear, Mlp};
 use crate::params::ParamStore;
-use crate::tensor::{
-    fused_layer_available, fused_layer_fast, matmul_accumulate_scalar, matmul_accumulate_strided, simd_min_width,
-    FusedLayer, Tensor,
-};
+use crate::tensor::{fused_layer, FusedLayer, Tensor};
 
 /// Numeric representation of the stacked weights: bit-exact f32 copies.
 // One variant, kept only because `benchmark/src/layers.rs` passes
@@ -115,95 +109,18 @@ impl StackedLinear {
         self.out_w
     }
 
-    /// Wide affine map over a *shared* input: every member reads the same
-    /// `[rows, in_w]` matrix `x` (the encoder first layer — input
-    /// features are member-independent). One `k*out_w`-wide kernel call,
-    /// scalar-forced when a sequential per-member call would have been
-    /// scalar (see module docs).
-    pub fn forward_shared(&self, arena: &mut InferenceArena, x: &Tensor, relu: bool) -> Tensor {
-        assert_eq!(x.cols(), self.in_w, "shared input width mismatch");
-        let wide = self.k * self.out_w;
-        let mut out = arena.alloc_zeroed(x.rows(), wide);
-        if self.out_w >= simd_min_width() {
-            matmul_accumulate_strided(
-                x.data(),
-                self.in_w,
-                1,
-                x.rows(),
-                self.in_w,
-                self.w.data(),
-                wide,
-                wide,
-                out.data_mut(),
-                wide,
-            );
-        } else {
-            matmul_accumulate_scalar(
-                x.data(),
-                self.in_w,
-                1,
-                x.rows(),
-                self.in_w,
-                self.w.data(),
-                wide,
-                wide,
-                out.data_mut(),
-                wide,
-            );
-        }
-        out.add_bias_relu(self.b.data(), relu);
-        out
-    }
-
-    /// Member-blocked affine map: `x` is `[rows, k*in_w]` member-major.
-    /// Runs one `n = out_w` strided kernel call per member, so the
-    /// dispatch tier and the per-element accumulation order match a
-    /// sequential per-member call exactly.
-    pub fn forward_stacked(&self, arena: &mut InferenceArena, x: &Tensor, relu: bool) -> Tensor {
-        assert_eq!(x.cols(), self.k * self.in_w, "stacked input width mismatch");
-        let wide = self.k * self.out_w;
-        let rows = x.rows();
-        let mut out = arena.alloc_zeroed(rows, wide);
-        for m in 0..self.k {
-            let a_off = m * self.in_w;
-            let o_off = m * self.out_w;
-            matmul_accumulate_strided(
-                &x.data()[a_off..],
-                x.cols(),
-                1,
-                rows,
-                self.in_w,
-                &self.w.data()[o_off..],
-                wide,
-                self.out_w,
-                &mut out.data_mut()[o_off..],
-                wide,
-            );
-        }
-        out.add_bias_relu(self.b.data(), relu);
-        out
-    }
-
-    /// Serving fast-path layer call: computes this layer over `m` logical
-    /// rows of `src` and writes the epilogued result into `out`, where
-    /// `m = src_rows.len()` when an input gather map is given (else
-    /// `src.rows()`), and logical output row `i` lands at physical row
-    /// `out_rows[i]` when a scatter map is given (else `i`). `shared`
-    /// declares a member-independent input (`src` is `[rows, in_w]`, one
-    /// wide kernel call); otherwise `src` is `[rows, k*in_w]`
+    /// Computes this layer over `m` logical rows of `src` and writes the
+    /// epilogued result into `out`, where `m = src_rows.len()` when an
+    /// input gather map is given (else `src.rows()`), and logical output
+    /// row `i` lands at physical row `out_rows[i]` when a scatter map is
+    /// given (else `i`). `shared` declares a member-independent input
+    /// (`src` is `[rows, in_w]`: one `k*out_w`-wide call on the tier of
+    /// an `out_w`-wide one); otherwise `src` is `[rows, k*in_w]`
     /// member-major (one `n = out_w` call per member, matching the
-    /// sequential dispatch tier).
-    ///
-    /// Uses the assign-semantics fused kernel when available — `out` may
-    /// be unzeroed scratch; every addressed cell is overwritten. Where no
-    /// fast kernel applies (narrow heads, non-AVX2 machines, or a shared
-    /// call whose per-member width sits below [`simd_min_width`]), the
-    /// call decomposes into the standard gather + matmul + epilogue +
-    /// scatter primitives, preserving each tier's bitwise behaviour.
-    #[allow(clippy::too_many_arguments)]
+    /// sequential call). `out` may be unzeroed scratch: every addressed
+    /// cell is overwritten.
     fn forward_layer(
         &self,
-        arena: &mut InferenceArena,
         src: &Tensor,
         shared: bool,
         src_rows: Option<&[usize]>,
@@ -222,74 +139,36 @@ impl StackedLinear {
         if out_rows.is_none() {
             assert_eq!(out.rows(), m, "layer output rows mismatch");
         }
-        // Gated on the per-member width, so the wide shared call crosses
-        // no dispatch tier a sequential per-member call would not cross.
-        if fused_layer_available(self.out_w) {
-            let out_rs = out.cols();
-            if shared {
-                fused_layer_fast(
-                    &FusedLayer {
-                        a: src.data(),
-                        a_rs: src.cols(),
-                        a_ks: 1,
-                        a_rows: src_rows,
-                        m,
-                        kd: self.in_w,
-                        b: self.w.data(),
-                        b_rs: wide,
-                        n: wide,
-                        out_rs,
-                        out_rows,
-                        accumulate: false,
-                        bias: Some(self.b.data()),
-                        relu,
-                    },
-                    out.data_mut(),
-                );
-            } else {
-                for mi in 0..self.k {
-                    fused_layer_fast(
-                        &FusedLayer {
-                            a: &src.data()[mi * self.in_w..],
-                            a_rs: src.cols(),
-                            a_ks: 1,
-                            a_rows: src_rows,
-                            m,
-                            kd: self.in_w,
-                            b: &self.w.data()[mi * self.out_w..],
-                            b_rs: wide,
-                            n: self.out_w,
-                            out_rs,
-                            out_rows,
-                            accumulate: false,
-                            bias: Some(&self.b.data()[mi * self.out_w..(mi + 1) * self.out_w]),
-                            relu,
-                        },
-                        &mut out.data_mut()[mi * self.out_w..],
-                    );
-                }
-            }
+        let call = FusedLayer {
+            a: src.data(),
+            a_rs: src.cols(),
+            a_ks: 1,
+            a_rows: src_rows,
+            m,
+            kd: self.in_w,
+            b: self.w.data(),
+            b_rs: wide,
+            n: wide,
+            out_rs: wide,
+            out_rows,
+            accumulate: false,
+            bias: Some(self.b.data()),
+            relu,
+        };
+        if shared {
+            fused_layer(&call, self.out_w, out.data_mut());
             return;
         }
-        // Portable fallback: same ops the sequential path would run.
-        let gathered = src_rows.map(|rows| {
-            let mut g = arena.alloc_zeroed(rows.len(), src.cols());
-            src.gather_rows_into(rows, &mut g);
-            g
-        });
-        let x = gathered.as_ref().unwrap_or(src);
-        let tmp = if shared {
-            self.forward_shared(arena, x, relu)
-        } else {
-            self.forward_stacked(arena, x, relu)
-        };
-        match out_rows {
-            Some(rows) => out.scatter_copy_rows(&tmp, rows),
-            None => out.copy_from(&tmp),
-        }
-        arena.recycle(tmp);
-        if let Some(g) = gathered {
-            arena.recycle(g);
+        for mi in 0..self.k {
+            let (a0, o0) = (mi * self.in_w, mi * self.out_w);
+            let member = FusedLayer {
+                a: &src.data()[a0..],
+                b: &self.w.data()[o0..],
+                n: self.out_w,
+                bias: Some(&self.b.data()[o0..o0 + self.out_w]),
+                ..call
+            };
+            fused_layer(&member, self.out_w, &mut out.data_mut()[o0..]);
         }
     }
 }
@@ -332,18 +211,13 @@ impl StackedMlp {
         self.layers.last().expect("non-empty").out_w()
     }
 
-    /// Forward pass over a *shared* input (first layer wide, subsequent
-    /// layers member-blocked). Mirrors one MLP forward per member: ReLU on
-    /// all but the last layer; intermediates are recycled.
+    /// Forward pass over a *shared* input into a new `[rows, k*out_w]`
+    /// arena tensor: [`StackedMlp::forward_into`] with every row of `x`
+    /// and no scatter map.
     pub fn forward_shared(&self, arena: &mut InferenceArena, x: &Tensor) -> Tensor {
-        let last = self.layers.len() - 1;
-        let mut cur = self.layers[0].forward_shared(arena, x, last != 0);
-        for (i, layer) in self.layers.iter().enumerate().skip(1) {
-            let next = layer.forward_stacked(arena, &cur, i != last);
-            arena.recycle(cur);
-            cur = next;
-        }
-        cur
+        let mut out = arena.alloc_scratch(x.rows(), self.k() * self.out_w());
+        self.forward_into(arena, x, true, None, &mut out, None);
+        out
     }
 
     /// Serving fast path: forwards `m` logical rows of `x` through the
@@ -361,7 +235,7 @@ impl StackedMlp {
     /// The result is bitwise identical to gathering
     /// `x_rows`, running each member's MLP layer by layer, and
     /// scatter-copying into `dst` — with none of those passes actually
-    /// executed (see `StackedLinear::forward_layer`).
+    /// executed: each layer is one `FusedLayer` call, or one per member.
     pub fn forward_into(
         &self,
         arena: &mut InferenceArena,
@@ -381,12 +255,12 @@ impl StackedMlp {
                 Some(c) => (c, false, None),
             };
             if li == last {
-                layer.forward_layer(arena, src, shared, rows, relu, dst, dst_rows);
+                layer.forward_layer(src, shared, rows, relu, dst, dst_rows);
             } else {
                 // Intermediates are unzeroed scratch: `forward_layer`
                 // overwrites every cell.
                 let mut nxt = arena.alloc_scratch(m, layer.k() * layer.out_w());
-                layer.forward_layer(arena, src, shared, rows, relu, &mut nxt, None);
+                layer.forward_layer(src, shared, rows, relu, &mut nxt, None);
                 if let Some(c) = cur.take() {
                     arena.recycle(c);
                 }
@@ -444,6 +318,17 @@ mod tests {
         Tensor::from_vec(rows, cols, data)
     }
 
+    /// One stacked layer over every row of `x`, as `forward_into` runs it.
+    fn layer_forward(layer: &StackedLinear, x: &Tensor, shared: bool, relu: bool) -> Tensor {
+        let mut out = Tensor::from_vec(
+            x.rows(),
+            layer.k() * layer.out_w(),
+            vec![f32::NAN; x.rows() * layer.k() * layer.out_w()],
+        );
+        layer.forward_layer(x, shared, None, relu, &mut out, None);
+        out
+    }
+
     /// Member-blocked stacked calls must be bitwise-equal to dense
     /// sequential per-member calls, across widths that land on every
     /// dispatch tier (wide SIMD, fringe, scalar).
@@ -459,7 +344,6 @@ mod tests {
             let ms = members(k, in_w, out_w);
             let refs: Vec<(&ParamStore, &Linear)> = ms.iter().map(|(s, l)| (s, l)).collect();
             let stacked = StackedLinear::stack(&refs, WeightPrecision::Exact);
-            let mut arena = InferenceArena::new();
 
             // Member-major stacked input [rows, k*in_w].
             let per_member_x: Vec<Tensor> = (0..k).map(|m| pseudo_random(rows, in_w, 7 + m as u64)).collect();
@@ -472,7 +356,7 @@ mod tests {
                 }
             }
             for relu in [false, true] {
-                let fused = stacked.forward_stacked(&mut arena, &x, relu);
+                let fused = layer_forward(&stacked, &x, false, relu);
                 for (m, (store, layer)) in ms.iter().enumerate() {
                     let seq = sequential_layer(store, layer, &per_member_x[m], relu);
                     for r in 0..rows {
@@ -485,7 +369,6 @@ mod tests {
                         }
                     }
                 }
-                arena.recycle(fused);
             }
         }
     }
@@ -505,9 +388,8 @@ mod tests {
             let ms = members(k, in_w, out_w);
             let refs: Vec<(&ParamStore, &Linear)> = ms.iter().map(|(s, l)| (s, l)).collect();
             let stacked = StackedLinear::stack(&refs, WeightPrecision::Exact);
-            let mut arena = InferenceArena::new();
             let x = pseudo_random(rows, in_w, 3);
-            let fused = stacked.forward_shared(&mut arena, &x, true);
+            let fused = layer_forward(&stacked, &x, true, true);
             for (m, (store, layer)) in ms.iter().enumerate() {
                 let seq = sequential_layer(store, layer, &x, true);
                 for r in 0..rows {
@@ -520,7 +402,6 @@ mod tests {
                     }
                 }
             }
-            arena.recycle(fused);
         }
     }
 

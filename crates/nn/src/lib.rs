@@ -4,8 +4,9 @@
 //! stack exists for Rust, so this crate provides the (small) slice of deep
 //! learning that the paper's Algorithm 1 actually needs, built from scratch:
 //!
-//! * [`tensor::Tensor`] — dense row-major `f32` matrices with blocked,
-//!   branch-free matmul kernels and a fused affine(+ReLU) op;
+//! * [`tensor::Tensor`] — dense row-major `f32` matrices whose every
+//!   matmul is one call of one descriptor (bias/ReLU epilogue included),
+//!   dispatched to a register-tiled body per tier;
 //! * [`wave`] — the one [`TrainingPass`]: per-type encoding into the
 //!   initial state and the message-passing waves, each step with its
 //!   hand-written backward, chained with the pool and readout, and the
@@ -18,7 +19,7 @@
 //!   accumulates into;
 //! * [`loss`] — MSLE (the paper's regression loss), BCE-with-logits (the
 //!   classification loss for backpressure/query-success) and plain MSE;
-//! * [`optim`] — Adam and SGD with global-norm gradient clipping;
+//! * [`optim`] — Adam with global-norm gradient clipping;
 //! * [`init::Initializer`] — deterministic seeded initialization, the basis
 //!   of the paper's seed-varied ensembles.
 //!

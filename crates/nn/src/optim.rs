@@ -35,11 +35,6 @@ impl Adam {
         }
     }
 
-    /// Applies one Adam step from the gradients in `grads`.
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Gradients) {
-        self.step_scaled(store, grads, 1.0);
-    }
-
     /// Applies one Adam step from `grad_scale * grads` without writing
     /// the scaled gradients anywhere: scaling (by [`clip_scale`]'s factor),
     /// moment updates, bias correction and the parameter write are one pass
@@ -169,7 +164,7 @@ mod tests {
     #[test]
     fn adam_converges_on_linear_fit() {
         let mut opt = Adam::new(0.01);
-        let loss = train_quadratic(2, 500, |s, g| opt.step(s, g));
+        let loss = train_quadratic(2, 500, |s, g| opt.step_scaled(s, g, 1.0));
         assert!(loss < 1e-3, "adam loss {loss}");
     }
 
@@ -195,7 +190,7 @@ mod tests {
         scaled.scale(scale);
         for _ in 0..3 {
             folded.step_scaled(&mut store_a, &grads, scale);
-            two_pass.step(&mut store_b, &scaled);
+            two_pass.step_scaled(&mut store_b, &scaled, 1.0);
         }
         for id in ids {
             let bits = |s: &ParamStore| s.value(id).data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();

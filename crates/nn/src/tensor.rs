@@ -7,34 +7,41 @@
 //!
 //! # Kernel dispatch tiers
 //!
-//! All three matmul variants — [`Tensor::matmul`] (`a @ b`, forward),
-//! [`Tensor::t_matmul`] (`a^T @ b`, the weight-gradient kernel) and
-//! [`Tensor::matmul_t`] (`a @ b^T`, the input-gradient kernel) — and the
-//! fused affine map [`Tensor::affine_into`] run through **one** shared
-//! microkernel, selected at runtime from three tiers:
+//! Every matmul — [`Tensor::matmul`] (`a @ b`), [`Tensor::t_matmul`]
+//! (`a^T @ b`, the weight-gradient kernel), [`Tensor::matmul_t`]
+//! (`a @ b^T`), the fused affine map [`Tensor::affine_into`] and the
+//! member-stacked layers of [`crate::fused`] — is one `FusedLayer` call
+//! (`a` strides, `b`/`out` windows, row maps, a `+0.0` or load seed, an
+//! optional bias/ReLU epilogue) through one dispatcher, which picks the
+//! body from the machine and the call's tier width:
 //!
-//! 1. **x86 SIMD** (x86-64 with avx2+fma runtime-detected, `n >= 8`):
-//!    one register-tiled body per ISA behind one call descriptor
-//!    (`FusedLayer`) that training and serving share — AVX-512 (when
-//!    avx512f is also detected) tiles 6 rows x 48 / 16 / masked
-//!    columns, AVX2 tiles 4 rows x 24 / 8 / scalar `mul_add` columns, and
-//!    every row fringe keeps its body's full column structure. Both are
-//!    one rounding family: every element is a single in-order FMA chain.
-//! 2. **NEON** (aarch64, always present): 4-row x 8-column tiles of
-//!    `float32x4_t` registers.
-//! 3. **Scalar** (any target, and the fallback for narrow outputs):
-//!    4-row-blocked lockstep loops that LLVM auto-vectorizes.
+//! 1. **x86 SIMD** (x86-64 with avx2+fma runtime-detected, width `>= 8`):
+//!    one register-tiled body per ISA — AVX-512 (when avx512f is also
+//!    detected) tiles 6 rows x 48 / 16 / masked columns, AVX2 tiles 4 rows
+//!    x 24 / 8 / scalar `mul_add` columns, and every row fringe keeps its
+//!    body's full column structure. Both are one rounding family: every
+//!    element is a single in-order FMA chain.
+//! 2. **NEON** (aarch64, width `>= 4`): 4-row x 8-column tiles of
+//!    `float32x4_t` registers, for the calls it serves — accumulate-seeded,
+//!    no row map, no epilogue.
+//! 3. **Portable** (everything else), in safe code: 4-row x 8-column
+//!    register tiles and a one-column fringe. Per element it computes the
+//!    chain this machine's tier computes for that width: the `mul_add`
+//!    chain on aarch64 from 4 columns (what NEON computes), else
+//!    the two-rounding `acc + a * b` (every x86 call under 8 columns,
+//!    aarch64 under 4, every target without a SIMD tier).
 //!
-//! `t_matmul` reaches the shared kernel through a strided view of `a`
+//! `t_matmul` reaches the dispatcher through a strided view of `a`
 //! (reading `a[k * ca + i]` instead of `a[i * kd + k]` — the transpose is
-//! never materialized), and `matmul_t` transposes its small right-hand
-//! operand (a weight matrix) once and then runs the same kernel, so all
-//! three variants produce bitwise-identical accumulation per machine.
+//! never materialized), and `matmul_t` transposes its right-hand operand
+//! and then runs `matmul`, so all three variants produce bitwise-identical
+//! accumulation per machine.
 //!
 //! Which tier is active can be checked with [`kernel_tier`] (the bench
 //! harness prints it); the dispatch tests in this module hold every tier
-//! to the scalar reference, and the conformance test holds each x86 body
-//! the host supports, called directly, to a `mul_add` chain bitwise.
+//! to the portable body's two-rounding chain to round-off, and the
+//! conformance tests hold each x86 body the host supports and the portable
+//! body, called directly, to their written-out chains bitwise.
 
 use serde::{json, DeError, Deserialize, Serialize};
 
@@ -178,7 +185,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape mismatch");
-        matmul_accumulate(&self.data, self.rows, self.cols, &other.data, other.cols, &mut out.data);
+        fused_layer(&self.dense(other), other.cols, &mut out.data);
     }
 
     /// Matrix product `self^T @ other` without materializing the transpose.
@@ -189,10 +196,10 @@ impl Tensor {
     }
 
     /// Accumulating transposed product `out += self^T @ other`, the
-    /// weight-gradient kernel of the backward pass. Runs the shared
-    /// microkernel over a strided view of `self` (element `(i, k)` of
-    /// `self^T` is `self[k * cols + i]`), so no transpose is materialized
-    /// and the accumulation order matches [`Tensor::matmul_acc`] exactly.
+    /// weight-gradient kernel of the backward pass. One dispatched call
+    /// over a strided view of `self` (element `(i, k)` of `self^T` is
+    /// `self[k * cols + i]`), so no transpose is materialized and the
+    /// accumulation order matches [`Tensor::matmul_acc`] exactly.
     ///
     /// # Panics
     /// Panics on any shape mismatch.
@@ -203,8 +210,14 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.cols, other.cols), "t_matmul output shape mismatch");
-        let (rows, ca, cb) = (self.rows, self.cols, other.cols);
-        matmul_accumulate_strided(&self.data, 1, ca, ca, rows, &other.data, cb, cb, &mut out.data, cb);
+        let call = FusedLayer {
+            a_rs: 1,
+            a_ks: self.cols,
+            m: self.cols,
+            kd: self.rows,
+            ..self.dense(other)
+        };
+        fused_layer(&call, other.cols, &mut out.data);
     }
 
     /// Matrix product `self @ other^T`.
@@ -214,13 +227,11 @@ impl Tensor {
         out
     }
 
-    /// Accumulating product `out += self @ other^T`, the input-gradient
-    /// kernel of the backward pass. `other` is a weight matrix (small —
-    /// at most `hidden x 2*hidden`), so it is transposed once into a
-    /// thread-local scratch buffer (reused across calls, keeping tensor
-    /// allocations off the steady-state backward path) and the shared
-    /// microkernel does the heavy lifting, keeping the accumulation order
-    /// identical to [`Tensor::matmul_acc`].
+    /// Accumulating product `out += self @ other^T`: `other` is transposed
+    /// into a new tensor and the product runs as [`Tensor::matmul_acc`],
+    /// so the accumulation order is identical to it. The backward pass
+    /// does not use it: it transposes each weight once per step
+    /// ([`Tensor::transpose_into`]) and forms `dx` with one product.
     ///
     /// # Panics
     /// Panics on any shape mismatch.
@@ -231,21 +242,16 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.rows, other.rows), "matmul_t output shape mismatch");
-        let (m, kd, rb) = (self.rows, self.cols, other.rows);
-        TRANSPOSE_SCRATCH.with(|cell| {
-            let mut bt = cell.borrow_mut();
-            bt.clear();
-            bt.resize(kd * rb, 0.0);
-            transpose(&other.data, rb, kd, &mut bt);
-            matmul_accumulate(&self.data, m, kd, &bt, rb, &mut out.data);
-        });
+        let mut bt = Tensor::zeros(other.cols, other.rows);
+        other.transpose_into(&mut bt);
+        self.matmul_acc(&bt, out);
     }
 
     /// Writes `self^T` into `out` (`cols x rows`). The backward pass
-    /// transposes each weight matrix once per step with this and then runs
-    /// `dx += dpre @ W^T` as a plain [`Tensor::matmul_acc`] — the same
-    /// kernel on the same operands as [`Tensor::matmul_t`], which
-    /// re-transposes on every call.
+    /// transposes each weight matrix once per step with this and then forms
+    /// `dx = dpre @ W^T` as one product — the same call on the same
+    /// operands as [`Tensor::matmul_t`], which re-transposes on every
+    /// call.
     ///
     /// # Panics
     /// Panics on shape mismatch.
@@ -255,10 +261,9 @@ impl Tensor {
     }
 
     /// Fused affine map `out = x @ w + bias`, optionally with ReLU, writing
-    /// into a caller-provided buffer. This is every pass's workhorse: on
-    /// the x86 SIMD tier one `FusedLayer` call seeded from `+0.0` with
-    /// the bias/ReLU epilogue folded into the store; elsewhere a zero
-    /// fill, the accumulating kernel and a bias/ReLU pass.
+    /// into a caller-provided buffer. This is every pass's workhorse: one
+    /// `FusedLayer` call seeded from `+0.0` with the bias/ReLU epilogue
+    /// folded into the store, so `out` may be unzeroed scratch.
     ///
     /// # Panics
     /// Panics on any shape mismatch.
@@ -271,28 +276,36 @@ impl Tensor {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, w.cols, "bias width mismatch");
         assert_eq!(out.shape(), (x.rows, w.cols), "affine output shape mismatch");
-        x.product_into(w, Some(&bias.data), relu, out);
+        let call = FusedLayer {
+            accumulate: false,
+            bias: Some(&bias.data),
+            relu,
+            ..x.dense(w)
+        };
+        fused_layer(&call, w.cols, &mut out.data);
     }
 
     /// `out = self @ other`, every cell written: bitwise a zeroed `out`
-    /// plus [`Tensor::matmul_acc`], without the zero fill on the x86 SIMD
-    /// tier (its `FusedLayer` seeds from a `+0.0` register, not a loaded
-    /// `+0.0`). The backward's input-gradient product.
+    /// plus [`Tensor::matmul_acc`], without the zero fill (the call seeds
+    /// from `+0.0`, not a loaded `+0.0`). The backward's input-gradient
+    /// product.
     ///
     /// # Panics
     /// Panics on any shape mismatch.
     pub(crate) fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape mismatch");
-        self.product_into(other, None, false, out);
+        let call = FusedLayer {
+            accumulate: false,
+            ..self.dense(other)
+        };
+        fused_layer(&call, other.cols, &mut out.data);
     }
 
-    /// `out = epilogue(self @ w)` for checked shapes: one `FusedLayer`
-    /// call seeded from `+0.0` on the x86 SIMD tier, else a zero fill, the
-    /// accumulating kernel and a bias/ReLU pass when there is a bias.
-    fn product_into(&self, w: &Tensor, bias: Option<&[f32]>, relu: bool, out: &mut Tensor) {
-        let n = w.cols;
-        let call = FusedLayer {
+    /// The call `out += self @ w` over whole tensors (shapes checked by the
+    /// caller): no window, no row map, seeded from `out`, no epilogue.
+    fn dense<'a>(&'a self, w: &'a Tensor) -> FusedLayer<'a> {
+        FusedLayer {
             a: &self.data,
             a_rs: self.cols,
             a_ks: 1,
@@ -300,32 +313,13 @@ impl Tensor {
             m: self.rows,
             kd: self.cols,
             b: &w.data,
-            b_rs: n,
-            n,
-            out_rs: n,
+            b_rs: w.cols,
+            n: w.cols,
+            out_rs: w.cols,
             out_rows: None,
-            accumulate: false,
-            bias,
-            relu,
-        };
-        if fused_layer_fast(&call, &mut out.data) {
-            return;
-        }
-        out.fill_zero();
-        matmul_accumulate(&self.data, self.rows, self.cols, &w.data, n, &mut out.data);
-        if let Some(bias) = bias {
-            out.add_bias_relu(bias, relu);
-        }
-    }
-
-    /// `row + bias`, then ReLU when `relu`, on every row: the epilogue of
-    /// the tiers without a `FusedLayer` body.
-    pub(crate) fn add_bias_relu(&mut self, bias: &[f32], relu: bool) {
-        assert_eq!(bias.len(), self.cols, "bias width mismatch");
-        for r in 0..self.rows {
-            for (o, &b) in self.row_slice_mut(r).iter_mut().zip(bias) {
-                *o = if relu { (*o + b).max(0.0) } else { *o + b };
-            }
+            accumulate: true,
+            bias: None,
+            relu: false,
         }
     }
 
@@ -571,43 +565,31 @@ fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     }
 }
 
-thread_local! {
-    /// Reused weight-transpose scratch for [`Tensor::matmul_t_acc`]: the
-    /// per-call buffer would otherwise be the only steady-state
-    /// allocation left on the backward hot path.
-    static TRANSPOSE_SCRATCH: std::cell::RefCell<Vec<f32>> = const { std::cell::RefCell::new(Vec::new()) };
-}
-
-/// Name of the microkernel tier runtime dispatch selects on this machine:
-/// `"avx2+fma"`, `"neon"` or `"scalar"`. Narrow outputs (`n < 8` on
-/// x86-64, `n < 4` on aarch64) always take the scalar path regardless of
-/// the reported tier; the bench harness prints this value so recorded
-/// numbers can be attributed to a tier.
+/// Name of the rounding family runtime dispatch selects on this machine
+/// for calls of SIMD width: `"avx2+fma"`, `"neon"` or `"scalar"`. Narrow
+/// calls (under 8 columns on x86-64, under 4 on aarch64) take the portable
+/// body's two-rounding chain regardless of the reported tier; the bench
+/// harness prints this value so recorded numbers can be attributed to a
+/// tier.
 ///
 /// The name is the *rounding family*, not the instruction set: an
 /// avx512f host reports `"avx2+fma"` too, because its AVX-512 body
 /// computes every element as the same single-rounding FMA chain as the
-/// AVX2 body, bit for bit. The pinned digests (`train_digest`,
-/// `search_digest`) check for this string.
+/// AVX2 body, bit for bit, and on aarch64 the calls NEON does not serve
+/// run the portable body's `mul_add` chain, which is NEON's. The pinned
+/// digests (`train_digest`, `search_digest`) check for this string.
 pub fn kernel_tier() -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-        return "avx2+fma";
+    match simd_min_width() {
+        8 => "avx2+fma",
+        4 => "neon",
+        _ => "scalar",
     }
-    #[cfg(target_arch = "aarch64")]
-    if std::arch::is_aarch64_feature_detected!("neon") {
-        return "neon";
-    }
-    "scalar"
 }
 
-/// Smallest per-call output width `n` at which the dispatcher leaves the
-/// scalar tier on this machine. The fused-ensemble path uses this to keep
-/// a *wide* (`k * out_w`-column) shared-input matmul on the exact tier a
-/// sequential per-member (`out_w`-column) call would have taken, so the
-/// two stay bitwise identical even when `out_w` sits below the SIMD
-/// threshold but `k * out_w` does not.
-pub(crate) fn simd_min_width() -> usize {
+/// Smallest tier width at which [`fused_layer`] leaves the two-rounding
+/// chain on this machine: 8 with avx2+fma on x86-64, 4 with NEON on
+/// aarch64, never elsewhere.
+fn simd_min_width() -> usize {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
         return 8;
@@ -619,99 +601,13 @@ pub(crate) fn simd_min_width() -> usize {
     usize::MAX
 }
 
-/// Accumulating matmul microkernel: `out += a @ b` with `a` of shape
-/// `m x kd` and `b` of shape `kd x n`, all row-major.
-fn matmul_accumulate(a: &[f32], m: usize, kd: usize, b: &[f32], n: usize, out: &mut [f32]) {
-    debug_assert_eq!(a.len(), m * kd);
-    matmul_accumulate_strided(a, kd, 1, m, kd, b, n, n, out, n);
-}
-
-/// The shared accumulating microkernel behind all three matmul variants:
-/// `out[i * out_rs + j] += Σ_k a[i * a_rs + k * a_ks] * b[k * b_rs + j]`
-/// for an `m x n` output and a `kd`-deep reduction. `a` is read through
-/// (row, k) strides so the same kernel serves `a @ b` (`a_rs = kd,
-/// a_ks = 1`) and `a^T @ b` (`a_rs = 1, a_ks = ca`) without materializing
-/// a transpose — only scalar broadcasts of `a` are loaded, so striding
-/// costs nothing. `b` and `out` carry their own row strides (`b_rs`,
-/// `out_rs`, both `>= n`) so one call can read and write an `n`-column
-/// *window* of wider matrices — the fused-ensemble path runs one call per
-/// stacked member into that member's column block.
-///
-/// On x86-64 with `n >= 8` and avx2+fma this is one [`FusedLayer`] call
-/// that seeds its accumulators from `out` (see [`fused_layer_fast`]); on
-/// aarch64 with `n >= 4` it runs the NEON 4x8 kernel, and everywhere else
-/// a portable 4-row-blocked scalar kernel that LLVM auto-vectorizes. There
-/// is no data-dependent `a == 0.0` branch in any inner loop — such a
-/// branch mispredicts heavily on post-ReLU activations and blocks
-/// vectorization.
-///
-/// Per output element every tier accumulates over `k` in order with a
-/// single accumulator, so the forward, inference and backward paths
-/// (which all share this function) agree bitwise with each other on the
-/// same machine; a given element's value is also independent of its
-/// column position within a tile, which is what makes member-blocked
-/// windowed calls bitwise-equal to dense per-member calls.
-///
-/// # Panics
-/// Panics when `a`, `b` or `out` is too short for the strides and shape,
-/// or a window stride is below `n`.
-#[allow(clippy::too_many_arguments)] // flat FFI-style kernel signature
-pub(crate) fn matmul_accumulate_strided(
-    a: &[f32],
-    a_rs: usize,
-    a_ks: usize,
-    m: usize,
-    kd: usize,
-    b: &[f32],
-    b_rs: usize,
-    n: usize,
-    out: &mut [f32],
-    out_rs: usize,
-) {
-    let call = FusedLayer {
-        a,
-        a_rs,
-        a_ks,
-        a_rows: None,
-        m,
-        kd,
-        b,
-        b_rs,
-        n,
-        out_rs,
-        out_rows: None,
-        accumulate: true,
-        bias: None,
-        relu: false,
-    };
-    if fused_layer_fast(&call, out) {
-        return;
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if n >= 4 && std::arch::is_aarch64_feature_detected!("neon") {
-            let (a_lim, o_lim) = call.row_limits(out.len());
-            if m > 0 {
-                // The kernel walks rows `0..m` densely: the last bounds all.
-                row_base(None, m - 1, a_rs, a_lim);
-                row_base(None, m - 1, out_rs, o_lim);
-            }
-            // SAFETY: NEON was detected just above, and the checks above
-            // bound every address the kernel forms.
-            unsafe { matmul_accumulate_neon(a, a_rs, a_ks, m, kd, b, b_rs, n, out, out_rs) };
-            return;
-        }
-    }
-    matmul_accumulate_scalar(a, a_rs, a_ks, m, kd, b, b_rs, n, out, out_rs);
-}
-
 /// NEON kernel: 4-row x 8-column output tiles (8 fma accumulators of
 /// `float32x4_t`), with 4-wide and scalar fringes. NEON is baseline on
 /// aarch64, so unlike AVX2 there is no per-feature fallback concern.
 ///
 /// # Safety
 /// The CPU must support NEON, and the call must pass the row checks
-/// [`matmul_accumulate_strided`] makes before it runs this body.
+/// [`fused_layer`] makes before it runs this body.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
 #[allow(clippy::too_many_arguments)]
@@ -807,65 +703,76 @@ unsafe fn matmul_accumulate_neon(
     }
 }
 
-/// Portable fallback kernel (also the non-SIMD path for narrow outputs).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn matmul_accumulate_scalar(
-    a: &[f32],
-    a_rs: usize,
-    a_ks: usize,
-    m: usize,
-    kd: usize,
-    b: &[f32],
-    b_rs: usize,
-    n: usize,
-    out: &mut [f32],
-    out_rs: usize,
-) {
-    let mut i = 0;
-    while i + 4 <= m {
-        // Four disjoint strided row windows (split_at_mut keeps the
-        // borrow checker happy; the last window only needs `n` columns).
-        let (o0, rest) = out[i * out_rs..].split_at_mut(out_rs);
-        let (o1, rest) = rest.split_at_mut(out_rs);
-        let (o2, rest) = rest.split_at_mut(out_rs);
-        let (o0, o1, o2, o3) = (&mut o0[..n], &mut o1[..n], &mut o2[..n], &mut rest[..n]);
-        for k in 0..kd {
-            let a0 = a[i * a_rs + k * a_ks];
-            let a1 = a[(i + 1) * a_rs + k * a_ks];
-            let a2 = a[(i + 2) * a_rs + k * a_ks];
-            let a3 = a[(i + 3) * a_rs + k * a_ks];
-            let brow = &b[k * b_rs..k * b_rs + n];
-            // Lockstep zips let LLVM drop every bounds check and vectorize.
-            let it = o0
-                .iter_mut()
-                .zip(o1.iter_mut())
-                .zip(o2.iter_mut())
-                .zip(o3.iter_mut())
-                .zip(brow);
-            for ((((v0, v1), v2), v3), &bv) in it {
-                *v0 += a0 * bv;
-                *v1 += a1 * bv;
-                *v2 += a2 * bv;
-                *v3 += a3 * bv;
-            }
-        }
-        i += 4;
-    }
-    while i < m {
-        let orow = &mut out[i * out_rs..i * out_rs + n];
-        for k in 0..kd {
-            let av = a[i * a_rs + k * a_ks];
-            let brow = &b[k * b_rs..k * b_rs + n];
-            for (o, &bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
-            }
-        }
-        i += 1;
+/// Portable body of [`FusedLayer`], in safe code: blocks of 4 rows (a
+/// fringe block repeats its last row and stores only its own), 8-column
+/// register tiles, then one column at a time. Every element is one chain
+/// over `k` in order from its seed — `a.mul_add(b, acc)` when `fma`, else
+/// `acc + a * b`, rounded twice — then `+ bias`, then `max(0.0)`.
+///
+/// # Panics
+/// Panics on the calls the SIMD bodies refuse: a window stride below `n`,
+/// or a call reaching past `a`, `b`, `bias` or `out`.
+fn matmul_portable(l: &FusedLayer<'_>, fma: bool, out: &mut [f32]) {
+    if fma {
+        portable_rows(l, out, |acc: f32, a: f32, b: f32| a.mul_add(b, acc));
+    } else {
+        portable_rows(l, out, |acc: f32, a: f32, b: f32| acc + a * b);
     }
 }
 
-/// Descriptor of one x86 SIMD matmul call — every x86 SIMD matmul goes
-/// through it:
+/// [`matmul_portable`]'s row blocks, with `step(acc, a, b)` as the chain.
+fn portable_rows(l: &FusedLayer<'_>, out: &mut [f32], step: impl Fn(f32, f32, f32) -> f32 + Copy) {
+    let (a_lim, o_lim) = l.row_limits(out.len());
+    for i in (0..l.m).step_by(4) {
+        let rows = (l.m - i).min(4);
+        let ab: [usize; 4] = std::array::from_fn(|r| row_base(l.a_rows, i + r.min(rows - 1), l.a_rs, a_lim));
+        let ob: [usize; 4] = std::array::from_fn(|r| row_base(l.out_rows, i + r.min(rows - 1), l.out_rs, o_lim));
+        let mut j = 0;
+        while j + 8 <= l.n {
+            portable_tile::<8>(l, (&ab, &ob, rows, j), out, step);
+            j += 8;
+        }
+        while j < l.n {
+            portable_tile::<1>(l, (&ab, &ob, rows, j), out, step);
+            j += 1;
+        }
+    }
+}
+
+/// One `4 x W` register tile of [`matmul_portable`] at column `j`: seed,
+/// `k` chain, epilogue, then a store of the block's first `rows` rows.
+#[inline(always)]
+fn portable_tile<const W: usize>(
+    l: &FusedLayer<'_>,
+    (ab, ob, rows, j): (&[usize; 4], &[usize; 4], usize, usize),
+    out: &mut [f32],
+    step: impl Fn(f32, f32, f32) -> f32,
+) {
+    let mut acc = [[0.0f32; W]; 4];
+    if l.accumulate {
+        for (acc_r, &o) in acc.iter_mut().zip(ob) {
+            acc_r.copy_from_slice(&out[o + j..o + j + W]);
+        }
+    }
+    for k in 0..l.kd {
+        let bk = &l.b[k * l.b_rs + j..k * l.b_rs + j + W];
+        for (acc_r, &a) in acc.iter_mut().zip(ab) {
+            let av = l.a[a + k * l.a_ks];
+            for (v, &bv) in acc_r.iter_mut().zip(bk) {
+                *v = step(*v, av, bv);
+            }
+        }
+    }
+    for (acc_r, &o) in acc.iter().zip(ob).take(rows) {
+        for (c, (dst, &v)) in out[o + j..o + j + W].iter_mut().zip(acc_r).enumerate() {
+            let v = l.bias.map_or(v, |bias| v + bias[j + c]);
+            *dst = if l.relu { v.max(0.0) } else { v };
+        }
+    }
+}
+
+/// Descriptor of one matmul call — every matmul, training's and
+/// serving's, on every tier, is one [`fused_layer`] call of it:
 /// `out[o(i)][j] = epilogue(seed(i, j) + Σ_k a[a(i)][k] * b[k][j])`
 /// for `m` logical rows, `n` columns and a `kd`-deep reduction. Row `i`
 /// reads physical row `a(i) = a_rows[i]` of `a` and writes physical row
@@ -874,34 +781,35 @@ pub(crate) fn matmul_accumulate_scalar(
 /// materializing either permutation.
 ///
 /// * **Seed.** With `accumulate` every accumulator starts from the
-///   current `out` element ([`matmul_accumulate_strided`], so
-///   `matmul_acc`, `t_matmul_acc` and the ensemble's stacked layers);
-///   without it from `+0.0`, so `out` may be unzeroed scratch
-///   ([`Tensor::affine_into`] and the serving layers).
+///   current `out` element (`matmul_acc`, `t_matmul_acc`); without it
+///   from `+0.0`, so `out` may be unzeroed scratch
+///   ([`Tensor::affine_into`], [`Tensor::matmul_into`] and the stacked
+///   layers).
 /// * **Epilogue.** An optional `bias` add (`n` entries), then an optional
-///   ReLU, applied in registers before the store.
+///   ReLU.
 ///
 /// # Bitwise identity
 ///
-/// Both bodies compute every element as one in-order, single-rounding
-/// FMA chain over `k` from its seed, whichever tile, fringe or lane
-/// width it lands in — lane grouping changes which elements travel
-/// together, never what any element accumulates. Hence:
+/// Every body computes every element as one in-order chain over `k` from
+/// its seed, whichever tile, fringe or lane width it lands in — lane
+/// grouping changes which elements travel together, never what any
+/// element accumulates. The chain is the machine's rounding family for
+/// the call's tier width: a single-rounding FMA chain on the x86 bodies,
+/// NEON and the portable body's `mul_add` chain; the two-rounding
+/// `acc + a * b` on the portable body elsewhere. Hence:
 ///
 /// * Seeding `+0.0` equals seeding from a zero-filled destination:
-///   `fma(a, b, +0.0)` is `fma(a, b, load(out))` when `out` holds `+0.0`.
-/// * The ReLU is x86 `max(v, +0.0)`, i.e. `if v > 0.0 { v } else { 0.0 }`.
-///   It equals the scalar tails' `(acc + bias).max(0.0)` for every `v`
-///   but `-0.0`, and `acc + bias` is `-0.0` only when both addends are.
+///   `fma(a, b, +0.0)` is `fma(a, b, load(out))` when `out` holds `+0.0`,
+///   and `+0.0 + a * b` is the same sum either way.
+/// * The x86 ReLU is `max(v, +0.0)`, i.e. `if v > 0.0 { v } else { 0.0 }`;
+///   the portable body's is `v.max(0.0)`. They differ only at `v = -0.0`,
+///   and `acc + bias` is `-0.0` only when both addends are.
 /// * Written through an output map, an element equals a scatter-add onto
 ///   a zeroed row (`+0.0 + v`) unless it is `-0.0`. The ReLU never
 ///   yields `-0.0`, and a bias never is: it starts at `+0.0`, and Adam's
 ///   `p -= u` reaches `-0.0` only from `p = -0.0`.
 /// * The scalar column fringe of the AVX2 body chains `mul_add` from the
 ///   same seed, and the AVX-512 body's masked tail chains the same FMAs.
-///
-/// The scalar *tier*'s two-rounding `+=` is not this family: a call
-/// runs here only where [`fused_layer_available`] holds.
 #[derive(Clone, Copy)]
 pub(crate) struct FusedLayer<'a> {
     /// Input base (possibly a member column window of a wider matrix):
@@ -927,14 +835,14 @@ pub(crate) struct FusedLayer<'a> {
     pub relu: bool,
 }
 
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 impl FusedLayer<'_> {
     /// Checks the call's window strides, `b` window and bias against
     /// their slices, and returns the largest row base offset `a` and an
     /// `out` of `out_len` elements can take. A kernel that checks every
     /// row base against these (see [`row_base`]) forms no address outside
-    /// `a`, `b`, `bias` or `out`: that is what makes its raw-pointer loads
-    /// and stores sound.
+    /// `a`, `b`, `bias` or `out`: that is what makes the SIMD bodies'
+    /// raw-pointer loads and stores sound. The portable body runs the same
+    /// checks, so every body refuses the same calls.
     fn row_limits(&self, out_len: usize) -> (usize, usize) {
         assert!(
             self.b_rs >= self.n && self.out_rs >= self.n,
@@ -967,7 +875,6 @@ impl FusedLayer<'_> {
 /// one, times the row stride `rs` — checked against that side's limit
 /// from `row_limits`. Inlined into the kernels' row loops, the check is a
 /// compare per row, not a pass over the row maps.
-#[cfg(any(target_arch = "x86_64", target_arch = "aarch64"))]
 #[inline(always)]
 fn row_base(map: Option<&[usize]>, i: usize, rs: usize, lim: usize) -> usize {
     let row = map.map_or(i, |rows| rows[i]);
@@ -977,39 +884,51 @@ fn row_base(map: Option<&[usize]>, i: usize, rs: usize, lim: usize) -> usize {
     }
 }
 
-/// True when [`fused_layer_fast`] has a kernel for an `n`-column call on
-/// this machine: x86-64 with `n >=` [`simd_min_width`], exactly where
-/// the dispatch has always left the scalar tier, so routing a call here
-/// never changes which tier's rounding it sees.
-pub(crate) fn fused_layer_available(n: usize) -> bool {
-    cfg!(target_arch = "x86_64") && n >= simd_min_width()
-}
-
-/// Runs one [`FusedLayer`] call on this machine's x86 SIMD body — the
-/// AVX-512 one when avx512f is detected, else the AVX2 one — and returns
-/// `true`; returns `false` without touching `out` when
-/// [`fused_layer_available`] does not hold (the caller then composes the
-/// portable tiers). The one safe entry point to both bodies.
+/// Runs one [`FusedLayer`] call — the one dispatcher of every matmul.
+/// `tier_n` is the width whose tier the call takes: its own `n`, or for a
+/// member-stacked layer's one wide call over a shared input, the
+/// per-member width, so fusing `k` members crosses no tier a per-member
+/// call would not cross. From [`simd_min_width`] on it runs the x86 body
+/// (AVX-512 when avx512f is detected, else AVX2) or NEON where NEON serves
+/// the call; every other call runs the portable body, on the `mul_add`
+/// chain where the width is NEON's and on the two-rounding chain below it.
 ///
 /// # Panics
-/// Panics when the call's shapes, strides or row maps would reach past
-/// `a`, `b`, `bias` or `out` (checked by the body before it touches
-/// them).
-pub(crate) fn fused_layer_fast(l: &FusedLayer<'_>, out: &mut [f32]) -> bool {
-    if !fused_layer_available(l.n) {
-        return false;
-    }
+/// Panics when a window stride is below `n`, or the call's shapes,
+/// strides or row maps would reach past `a`, `b`, `bias` or `out`
+/// (checked before the call touches them).
+pub(crate) fn fused_layer(l: &FusedLayer<'_>, tier_n: usize, out: &mut [f32]) {
+    let simd = tier_n >= simd_min_width();
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: `fused_layer_available` holds only where avx2+fma were
-    // detected, and avx512f is detected before its body runs.
-    unsafe {
-        if is_x86_feature_detected!("avx512f") {
-            matmul_avx512(l, out);
-        } else {
-            matmul_avx2(l, out);
+    if simd {
+        // SAFETY: on x86-64 `simd_min_width` is finite only where avx2
+        // and fma were detected, and avx512f is detected before its body
+        // runs; each body checks its own bounds.
+        unsafe {
+            if is_x86_feature_detected!("avx512f") {
+                matmul_avx512(l, out);
+            } else {
+                matmul_avx2(l, out);
+            }
         }
+        return;
     }
-    true
+    #[cfg(target_arch = "aarch64")]
+    if simd && l.accumulate && l.a_rows.is_none() && l.out_rows.is_none() && l.bias.is_none() && !l.relu {
+        let (a_lim, o_lim) = l.row_limits(out.len());
+        if l.m > 0 {
+            // The kernel walks rows `0..m` densely: the last bounds all.
+            row_base(None, l.m - 1, l.a_rs, a_lim);
+            row_base(None, l.m - 1, l.out_rs, o_lim);
+        }
+        // SAFETY: on aarch64 `simd_min_width` is finite only where NEON
+        // was detected, and the checks above bound every address the
+        // kernel forms.
+        unsafe { matmul_accumulate_neon(l.a, l.a_rs, l.a_ks, l.m, l.kd, l.b, l.b_rs, l.n, out, l.out_rs) };
+        return;
+    }
+    // Past the x86 arm, `simd` holds only on aarch64: NEON's family.
+    matmul_portable(l, simd, out);
 }
 
 /// AVX-512 body of [`FusedLayer`]: tiles of 6 rows x 48 columns (18 fma
@@ -1500,9 +1419,10 @@ mod tests {
         }
     }
 
-    /// Every SIMD tier must agree with the scalar reference kernel to f32
-    /// round-off (FMA contracts one rounding step, so the comparison is
-    /// tolerance-based; the dispatch itself is exact per machine).
+    /// Every SIMD tier must agree with the portable body's two-rounding
+    /// chain to f32 round-off (FMA contracts one rounding step, so the
+    /// comparison is tolerance-based; the dispatch itself is exact per
+    /// machine).
     #[test]
     fn dispatched_kernels_match_scalar_reference() {
         for &(m, k, n) in &[(4, 8, 16), (7, 26, 48), (64, 64, 48), (5, 13, 9), (64, 64, 33)] {
@@ -1511,7 +1431,7 @@ mod tests {
             // Forward orientation.
             let fast = a.matmul(&b);
             let mut slow = Tensor::zeros(m, n);
-            matmul_accumulate_scalar(a.data(), k, 1, m, k, b.data(), n, n, slow.data_mut(), n);
+            matmul_portable(&a.dense(&b), false, slow.data_mut());
             for (x, y) in fast.data().iter().zip(slow.data()) {
                 assert!((x - y).abs() < 1e-4 * (1.0 + y.abs()), "matmul {m}x{k}x{n}: {x} vs {y}");
             }
@@ -1519,7 +1439,14 @@ mod tests {
             // (k x n)^T @ (k x n) = n x n through both paths.
             let tf = b.t_matmul(&b);
             let mut ts = Tensor::zeros(n, n);
-            matmul_accumulate_scalar(b.data(), 1, n, n, k, b.data(), n, n, ts.data_mut(), n);
+            let strided = FusedLayer {
+                a_rs: 1,
+                a_ks: n,
+                m: n,
+                kd: k,
+                ..b.dense(&b)
+            };
+            matmul_portable(&strided, false, ts.data_mut());
             for (x, y) in tf.data().iter().zip(ts.data()) {
                 assert!((x - y).abs() < 1e-4 * (1.0 + y.abs()), "t_matmul {k}x{n}^T: {x} vs {y}");
             }
@@ -1753,6 +1680,124 @@ mod tests {
         }
         eprintln!(
             "{calls} body calls held to the fma chain on {:?}",
+            bodies.iter().map(|b| b.0).collect::<Vec<_>>()
+        );
+    }
+
+    /// The two-rounding chain written out: per element `acc += a * b` in
+    /// `k` order from its seed, then `+ bias`, then `max(0.0)`.
+    fn two_rounding_reference(l: &FusedLayer<'_>, out: &mut [f32]) {
+        for i in 0..l.m {
+            let ar = l.a_rows.map_or(i, |r| r[i]);
+            let or = l.out_rows.map_or(i, |r| r[i]);
+            for j in 0..l.n {
+                let o = or * l.out_rs + j;
+                let mut acc = if l.accumulate { out[o] } else { 0.0 };
+                for k in 0..l.kd {
+                    acc += l.a[ar * l.a_rs + k * l.a_ks] * l.b[k * l.b_rs + j];
+                }
+                if let Some(bias) = l.bias {
+                    acc += bias[j];
+                }
+                if l.relu {
+                    acc = acc.max(0.0);
+                }
+                out[o] = acc;
+            }
+        }
+    }
+
+    /// The portable body, called directly, computes each of its chains
+    /// bitwise: the two-rounding one as written out above, the `mul_add`
+    /// one as `fma_chain_reference` and, from 8 columns, as every x86 body
+    /// this host runs — over every fringe of its 4-row blocks, 8-column
+    /// tiles and one-column fringe, an `a` read with `a_ks = 1` and
+    /// strided, `b` / `out` windows wider than `n`, row maps, both seeds
+    /// and every epilogue — and writes no cell outside the rows and
+    /// columns it addresses.
+    #[test]
+    fn the_portable_body_computes_each_chain_bitwise() {
+        type Body = unsafe fn(&FusedLayer<'_>, &mut [f32]);
+        #[allow(unused_mut)] // no x86 body off x86-64
+        let mut bodies: Vec<(&str, Body)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+            bodies.push(("avx2", matmul_avx2));
+            if is_x86_feature_detected!("avx512f") {
+                bodies.push(("avx512", matmul_avx512));
+            }
+        }
+        let values = |len: usize, seed: u64| -> Vec<f32> { pseudo_random(1, len, seed).into_data() };
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (mut calls, mut simd_calls) = (0usize, 0usize);
+        for m in 0..=9usize {
+            for n in (0..=9usize).chain([16, 33]) {
+                for &kd in &[0usize, 1, 7, 48] {
+                    for layout in 0..8u32 {
+                        let (strided, window, maps) = (layout & 1 != 0, layout & 2 != 0, layout & 4 != 0);
+                        let pad = if window { 3 } else { 0 };
+                        // Physical rows behind the logical ones.
+                        let (a_phys, o_phys) = if maps { (m + 2, m + 3) } else { (m, m) };
+                        let (a_rs, a_ks) = if strided { (1, a_phys + pad) } else { (kd + pad, 1) };
+                        let a = values((a_phys + pad) * (kd + pad), (m * 131 + n * 7 + kd) as u64);
+                        let (b_rs, out_rs) = (n + pad, n + 2 * pad);
+                        let b = values(kd * b_rs, (n * 17 + kd) as u64 + 5);
+                        let bias = values(n, n as u64 + 9);
+                        let a_rows: Vec<usize> = (0..m).map(|i| (i * 7 + 1) % a_phys).collect();
+                        let out_rows: Vec<usize> = (0..m).map(|i| o_phys - 1 - i).collect();
+                        let mut before = values(o_phys * out_rs, (m + n + kd) as u64 + 3);
+                        // A seed of -0.0 must chain as -0.0.
+                        if let Some(v) = before.first_mut() {
+                            *v = -0.0;
+                        }
+                        for accumulate in [false, true] {
+                            for (bias, relu) in [(None, false), (Some(&bias[..]), false), (Some(&bias[..]), true)] {
+                                let call = FusedLayer {
+                                    a: &a,
+                                    a_rs,
+                                    a_ks,
+                                    a_rows: maps.then_some(&a_rows[..]),
+                                    m,
+                                    kd,
+                                    b: &b,
+                                    b_rs,
+                                    n,
+                                    out_rs,
+                                    out_rows: maps.then_some(&out_rows[..]),
+                                    accumulate,
+                                    bias,
+                                    relu,
+                                };
+                                let what = format!(
+                                    "m={m} n={n} kd={kd} strided={strided} window={window} maps={maps} \
+                                     accumulate={accumulate} bias={} relu={relu}",
+                                    bias.is_some()
+                                );
+                                let (mut want, mut got) = (before.clone(), before.clone());
+                                two_rounding_reference(&call, &mut want);
+                                matmul_portable(&call, false, &mut got);
+                                assert_eq!(bits(&got), bits(&want), "two-rounding chain: {what}");
+                                let (mut want, mut got) = (before.clone(), before.clone());
+                                fma_chain_reference(&call, &mut want);
+                                matmul_portable(&call, true, &mut got);
+                                assert_eq!(bits(&got), bits(&want), "mul_add chain: {what}");
+                                calls += 2;
+                                for (name, body) in bodies.iter().filter(|_| n >= 8) {
+                                    let mut simd = before.clone();
+                                    // SAFETY: the body's features were detected
+                                    // above; it checks its own bounds.
+                                    unsafe { body(&call, &mut simd) };
+                                    assert_eq!(bits(&simd), bits(&got), "{name} vs the mul_add chain: {what}");
+                                    simd_calls += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        eprintln!(
+            "{calls} portable calls held to their chains, {simd_calls} x86 body calls to the mul_add chain on {:?}",
             bodies.iter().map(|b| b.0).collect::<Vec<_>>()
         );
     }

@@ -21,23 +21,20 @@
 //!    column position within a tile — so a member-blocked strided call
 //!    (`n = out_w`, writing member `m`'s column window) and a dense
 //!    per-member call produce identical bits.
-//! 2. **Tier dispatch parity.** The dispatcher picks the body, and with
-//!    it the rounding family, by the call's *tier width*. Member-blocked
-//!    calls use `n = out_w` as both, matching the sequential call
-//!    exactly. The one shared-input *wide* call (`n = k*out_w`) passes
-//!    `out_w` as its tier width, so fusing `k` narrow heads never crosses
-//!    the SIMD threshold a per-member call would not cross (FMA contracts
-//!    one rounding step).
+//! 2. **Same width, same body.** The dispatcher picks the body, and with
+//!    it the rounding family, by the call's width `n`. Every stacked call,
+//!    over a shared input or a member-major one, is one member's
+//!    `n = out_w` call, so it takes the body the sequential call takes.
 //!
 //! # Serving fast path
 //!
 //! [`StackedMlp::forward_into`] is the serving entry point: each layer is
-//! one `crate::tensor::FusedLayer` call, or one per member, seeded from
-//! `+0.0` — no destination zero-fill, bias/ReLU folded into the store,
-//! input rows read through a gather map and final rows scattered through
-//! an output map, so the layer needs no separate gather, zero, epilogue
-//! or scatter pass on any tier (see `FusedLayer`'s docs for the proof that
-//! this is bitwise the composed sequence).
+//! one `crate::tensor::FusedLayer` call per member, seeded from `+0.0` —
+//! no destination zero-fill, bias/ReLU folded into the store, input rows
+//! read through a gather map and final rows scattered through an output
+//! map, so the layer needs no separate gather, zero, epilogue or scatter
+//! pass on any tier (see `FusedLayer`'s docs for the proof that this is
+//! bitwise the composed sequence).
 
 use crate::inference::InferenceArena;
 use crate::layers::{Linear, Mlp};
@@ -113,12 +110,11 @@ impl StackedLinear {
     /// epilogued result into `out`, where `m = src_rows.len()` when an
     /// input gather map is given (else `src.rows()`), and logical output
     /// row `i` lands at physical row `out_rows[i]` when a scatter map is
-    /// given (else `i`). `shared` declares a member-independent input
-    /// (`src` is `[rows, in_w]`: one `k*out_w`-wide call on the tier of
-    /// an `out_w`-wide one); otherwise `src` is `[rows, k*in_w]`
-    /// member-major (one `n = out_w` call per member, matching the
-    /// sequential call). `out` may be unzeroed scratch: every addressed
-    /// cell is overwritten.
+    /// given (else `i`). One `n = out_w` call per member, matching the
+    /// sequential call: `shared` declares a member-independent input (`src`
+    /// is `[rows, in_w]`, every member reads all of it); otherwise `src` is
+    /// `[rows, k*in_w]` member-major. `out` may be unzeroed scratch: every
+    /// addressed cell is overwritten.
     fn forward_layer(
         &self,
         src: &Tensor,
@@ -139,36 +135,25 @@ impl StackedLinear {
         if out_rows.is_none() {
             assert_eq!(out.rows(), m, "layer output rows mismatch");
         }
-        let call = FusedLayer {
-            a: src.data(),
-            a_rs: src.cols(),
-            a_ks: 1,
-            a_rows: src_rows,
-            m,
-            kd: self.in_w,
-            b: self.w.data(),
-            b_rs: wide,
-            n: wide,
-            out_rs: wide,
-            out_rows,
-            accumulate: false,
-            bias: Some(self.b.data()),
-            relu,
-        };
-        if shared {
-            fused_layer(&call, self.out_w, out.data_mut());
-            return;
-        }
         for mi in 0..self.k {
-            let (a0, o0) = (mi * self.in_w, mi * self.out_w);
+            let (a0, o0) = (if shared { 0 } else { mi * self.in_w }, mi * self.out_w);
             let member = FusedLayer {
                 a: &src.data()[a0..],
+                a_rs: src.cols(),
+                a_ks: 1,
+                a_rows: src_rows,
+                m,
+                kd: self.in_w,
                 b: &self.w.data()[o0..],
+                b_rs: wide,
                 n: self.out_w,
+                out_rs: wide,
+                out_rows,
+                accumulate: false,
                 bias: Some(&self.b.data()[o0..o0 + self.out_w]),
-                ..call
+                relu,
             };
-            fused_layer(&member, self.out_w, &mut out.data_mut()[o0..]);
+            fused_layer(&member, &mut out.data_mut()[o0..]);
         }
     }
 }
@@ -373,9 +358,9 @@ mod tests {
         }
     }
 
-    /// The shared-input wide call must match sequential per-member calls
+    /// A shared-input layer must match sequential per-member calls
     /// bitwise, including when the per-member width is below the SIMD
-    /// threshold but the fused width is not (the scalar-force gate).
+    /// threshold but the stacked width `k*out_w` is not.
     #[test]
     fn shared_linear_bitwise_matches_sequential() {
         for &(k, in_w, out_w, rows) in &[

@@ -13,23 +13,21 @@
 //! member-stacked layers of [`crate::fused`] — is one `FusedLayer` call
 //! (`a` strides, `b`/`out` windows, row maps, a `+0.0` or load seed, an
 //! optional bias/ReLU epilogue) through one dispatcher, which picks the
-//! body from the machine and the call's tier width:
+//! body from the machine and the call's width `n`:
 //!
-//! 1. **x86 SIMD** (x86-64 with avx2+fma runtime-detected, width `>= 8`):
+//! 1. **x86 SIMD** (x86-64 with avx2+fma runtime-detected, `n >= 8`):
 //!    one register-tiled body per ISA — AVX-512 (when avx512f is also
 //!    detected) tiles 6 rows x 48 / 16 / masked columns, AVX2 tiles 4 rows
 //!    x 24 / 8 / scalar `mul_add` columns, and every row fringe keeps its
 //!    body's full column structure. Both are one rounding family: every
 //!    element is a single in-order FMA chain.
-//! 2. **NEON** (aarch64, width `>= 4`): 4-row x 8-column tiles of
-//!    `float32x4_t` registers, for the calls it serves — accumulate-seeded,
-//!    no row map, no epilogue.
-//! 3. **Portable** (everything else), in safe code: 4-row x 8-column
-//!    register tiles and a one-column fringe. Per element it computes the
-//!    chain this machine's tier computes for that width: the `mul_add`
-//!    chain on aarch64 from 4 columns (what NEON computes), else
-//!    the two-rounding `acc + a * b` (every x86 call under 8 columns,
-//!    aarch64 under 4, every target without a SIMD tier).
+//! 2. **NEON** (aarch64, `n >= 4`): 4 rows x 8 / 4 / scalar `mul_add`
+//!    columns of `float32x4_t` registers, the same FMA chain. CI builds
+//!    no aarch64 target, so no test here compiles or runs this body.
+//! 3. **Portable** (every narrower call, and every target without a SIMD
+//!    tier), in safe code: 4-row x 8-column register tiles and a
+//!    one-column fringe, each element the two-rounding chain
+//!    `acc + a * b`.
 //!
 //! `t_matmul` reaches the dispatcher through a strided view of `a`
 //! (reading `a[k * ca + i]` instead of `a[i * kd + k]` — the transpose is
@@ -185,7 +183,7 @@ impl Tensor {
             self.rows, self.cols, other.rows, other.cols
         );
         assert_eq!(out.shape(), (self.rows, other.cols), "matmul output shape mismatch");
-        fused_layer(&self.dense(other), other.cols, &mut out.data);
+        fused_layer(&self.dense(other), &mut out.data);
     }
 
     /// Matrix product `self^T @ other` without materializing the transpose.
@@ -217,7 +215,7 @@ impl Tensor {
             kd: self.rows,
             ..self.dense(other)
         };
-        fused_layer(&call, other.cols, &mut out.data);
+        fused_layer(&call, &mut out.data);
     }
 
     /// Matrix product `self @ other^T`.
@@ -282,7 +280,7 @@ impl Tensor {
             relu,
             ..x.dense(w)
         };
-        fused_layer(&call, w.cols, &mut out.data);
+        fused_layer(&call, &mut out.data);
     }
 
     /// `out = self @ other`, every cell written: bitwise a zeroed `out`
@@ -299,7 +297,7 @@ impl Tensor {
             accumulate: false,
             ..self.dense(other)
         };
-        fused_layer(&call, other.cols, &mut out.data);
+        fused_layer(&call, &mut out.data);
     }
 
     /// The call `out += self @ w` over whole tensors (shapes checked by the
@@ -575,9 +573,8 @@ fn transpose(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
 /// The name is the *rounding family*, not the instruction set: an
 /// avx512f host reports `"avx2+fma"` too, because its AVX-512 body
 /// computes every element as the same single-rounding FMA chain as the
-/// AVX2 body, bit for bit, and on aarch64 the calls NEON does not serve
-/// run the portable body's `mul_add` chain, which is NEON's. The pinned
-/// digests (`train_digest`, `search_digest`) check for this string.
+/// AVX2 body, bit for bit. The pinned digests (`train_digest`,
+/// `search_digest`) check for this string.
 pub fn kernel_tier() -> &'static str {
     match simd_min_width() {
         8 => "avx2+fma",
@@ -586,9 +583,9 @@ pub fn kernel_tier() -> &'static str {
     }
 }
 
-/// Smallest tier width at which [`fused_layer`] leaves the two-rounding
-/// chain on this machine: 8 with avx2+fma on x86-64, 4 with NEON on
-/// aarch64, never elsewhere.
+/// Smallest width at which [`fused_layer`] runs a SIMD body instead of
+/// the portable two-rounding chain: 8 with avx2+fma on x86-64, 4 with
+/// NEON on aarch64, never elsewhere.
 fn simd_min_width() -> usize {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -601,127 +598,130 @@ fn simd_min_width() -> usize {
     usize::MAX
 }
 
-/// NEON kernel: 4-row x 8-column output tiles (8 fma accumulators of
-/// `float32x4_t`), with 4-wide and scalar fringes. NEON is baseline on
-/// aarch64, so unlike AVX2 there is no per-feature fallback concern.
+/// NEON body of [`FusedLayer`]: tiles of 4 rows x 8 columns (8 fma
+/// accumulators of `float32x4_t`), then 4-column tiles and a scalar
+/// `mul_add` column fringe; a fringe of 1..=3 rows keeps the same column
+/// structure as a fixed-size register tile. NEON is baseline on aarch64,
+/// so unlike AVX2 there is no per-feature fallback concern.
 ///
 /// # Safety
-/// The CPU must support NEON, and the call must pass the row checks
-/// [`fused_layer`] makes before it runs this body.
+/// The CPU must support NEON. Bounds are the body's own: it checks the
+/// call with `row_limits` and every row base with [`row_base`].
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "neon")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn matmul_accumulate_neon(
-    a: &[f32],
-    a_rs: usize,
-    a_ks: usize,
-    m: usize,
-    kd: usize,
-    b: &[f32],
-    b_rs: usize,
-    n: usize,
-    out: &mut [f32],
-    out_rs: usize,
-) {
+unsafe fn matmul_neon(l: &FusedLayer<'_>, out: &mut [f32]) {
     use std::arch::aarch64::*;
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let op = out.as_mut_ptr();
+    let (a_lim, o_lim) = l.row_limits(out.len());
+    let (ap, bp, op) = (l.a.as_ptr(), l.b.as_ptr(), out.as_mut_ptr());
+    let zero = vdupq_n_f32(0.0);
+    // One tile: rows at offsets `$ab` / `$ob`, `$c` 4-lane column
+    // vectors from column `$j`. Seed, `k` chain, epilogue, store; the
+    // branches on the call's flags are taken once per tile.
+    macro_rules! tile {
+        ($c:literal, $j:expr, $ab:expr, $ob:expr) => {{
+            const C: usize = $c;
+            let (j, ab, ob): (usize, &[usize], &[usize]) = ($j, &$ab, &$ob);
+            let mut acc = [[zero; C]; R];
+            if l.accumulate {
+                for r in 0..R {
+                    for c in 0..C {
+                        acc[r][c] = vld1q_f32(op.add(ob[r] + j + 4 * c));
+                    }
+                }
+            }
+            for k in 0..l.kd {
+                let (ak, bk) = (ap.add(k * l.a_ks), bp.add(k * l.b_rs + j));
+                let mut bv = [zero; C];
+                for c in 0..C {
+                    bv[c] = vld1q_f32(bk.add(4 * c));
+                }
+                for r in 0..R {
+                    let av = *ak.add(ab[r]);
+                    for c in 0..C {
+                        acc[r][c] = vfmaq_n_f32(acc[r][c], bv[c], av);
+                    }
+                }
+            }
+            if let Some(bias) = l.bias {
+                for c in 0..C {
+                    let bv = vld1q_f32(bias.as_ptr().add(j + 4 * c));
+                    for r in 0..R {
+                        acc[r][c] = vaddq_f32(acc[r][c], bv);
+                    }
+                }
+            }
+            for r in 0..R {
+                for c in 0..C {
+                    // `fmaxnm`: what `f32::max` compiles to on aarch64.
+                    let v = if l.relu {
+                        vmaxnmq_f32(acc[r][c], zero)
+                    } else {
+                        acc[r][c]
+                    };
+                    vst1q_f32(op.add(ob[r] + j + 4 * c), v);
+                }
+            }
+        }};
+    }
+    // One block of `$rows` rows from logical row `$i`, a literal so each
+    // block compiles to a fixed register tile.
+    macro_rules! row_block {
+        ($rows:literal, $i:expr) => {{
+            const R: usize = $rows;
+            let mut ab = [0usize; R];
+            let mut ob = [0usize; R];
+            for r in 0..R {
+                ab[r] = row_base(l.a_rows, $i + r, l.a_rs, a_lim);
+                ob[r] = row_base(l.out_rows, $i + r, l.out_rs, o_lim);
+            }
+            let mut j = 0;
+            while j + 8 <= l.n {
+                tile!(2, j, ab, ob);
+                j += 8;
+            }
+            while j + 4 <= l.n {
+                tile!(1, j, ab, ob);
+                j += 4;
+            }
+            while j < l.n {
+                for r in 0..R {
+                    let o = op.add(ob[r] + j);
+                    let mut v = if l.accumulate { *o } else { 0.0f32 };
+                    for k in 0..l.kd {
+                        v = (*ap.add(k * l.a_ks + ab[r])).mul_add(*bp.add(k * l.b_rs + j), v);
+                    }
+                    if let Some(bias) = l.bias {
+                        v += bias[j];
+                    }
+                    *o = if l.relu { v.max(0.0) } else { v };
+                }
+                j += 1;
+            }
+        }};
+    }
     let mut i = 0;
-    while i + 4 <= m {
-        let mut j = 0;
-        while j + 8 <= n {
-            let mut acc = [[vdupq_n_f32(0.0); 2]; 4];
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                acc_r[0] = vld1q_f32(op.add((i + r) * out_rs + j));
-                acc_r[1] = vld1q_f32(op.add((i + r) * out_rs + j + 4));
-            }
-            for k in 0..kd {
-                let b0 = vld1q_f32(bp.add(k * b_rs + j));
-                let b1 = vld1q_f32(bp.add(k * b_rs + j + 4));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = *ap.add((i + r) * a_rs + k * a_ks);
-                    acc_r[0] = vfmaq_n_f32(acc_r[0], b0, av);
-                    acc_r[1] = vfmaq_n_f32(acc_r[1], b1, av);
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                vst1q_f32(op.add((i + r) * out_rs + j), acc_r[0]);
-                vst1q_f32(op.add((i + r) * out_rs + j + 4), acc_r[1]);
-            }
-            j += 8;
-        }
-        while j + 4 <= n {
-            let mut acc = [vdupq_n_f32(0.0); 4];
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                *acc_r = vld1q_f32(op.add((i + r) * out_rs + j));
-            }
-            for k in 0..kd {
-                let b0 = vld1q_f32(bp.add(k * b_rs + j));
-                for (r, acc_r) in acc.iter_mut().enumerate() {
-                    let av = *ap.add((i + r) * a_rs + k * a_ks);
-                    *acc_r = vfmaq_n_f32(*acc_r, b0, av);
-                }
-            }
-            for (r, acc_r) in acc.iter().enumerate() {
-                vst1q_f32(op.add((i + r) * out_rs + j), *acc_r);
-            }
-            j += 4;
-        }
-        while j < n {
-            for r in 0..4 {
-                let mut acc = *op.add((i + r) * out_rs + j);
-                for k in 0..kd {
-                    acc = (*ap.add((i + r) * a_rs + k * a_ks)).mul_add(*bp.add(k * b_rs + j), acc);
-                }
-                *op.add((i + r) * out_rs + j) = acc;
-            }
-            j += 1;
-        }
+    while i + 4 <= l.m {
+        row_block!(4, i);
         i += 4;
     }
-    while i < m {
-        let mut j = 0;
-        while j + 4 <= n {
-            let mut acc = vld1q_f32(op.add(i * out_rs + j));
-            for k in 0..kd {
-                let av = *ap.add(i * a_rs + k * a_ks);
-                acc = vfmaq_n_f32(acc, vld1q_f32(bp.add(k * b_rs + j)), av);
-            }
-            vst1q_f32(op.add(i * out_rs + j), acc);
-            j += 4;
-        }
-        while j < n {
-            let mut acc = *op.add(i * out_rs + j);
-            for k in 0..kd {
-                acc = (*ap.add(i * a_rs + k * a_ks)).mul_add(*bp.add(k * b_rs + j), acc);
-            }
-            *op.add(i * out_rs + j) = acc;
-            j += 1;
-        }
-        i += 1;
+    match l.m - i {
+        1 => row_block!(1, i),
+        2 => row_block!(2, i),
+        3 => row_block!(3, i),
+        _ => {}
     }
 }
 
 /// Portable body of [`FusedLayer`], in safe code: blocks of 4 rows (a
 /// fringe block repeats its last row and stores only its own), 8-column
-/// register tiles, then one column at a time. Every element is one chain
-/// over `k` in order from its seed — `a.mul_add(b, acc)` when `fma`, else
-/// `acc + a * b`, rounded twice — then `+ bias`, then `max(0.0)`.
+/// register tiles, then one column at a time. Every element is one
+/// two-rounding chain `acc + a * b` over `k` in order from its seed, then
+/// `+ bias`, then `max(0.0)`.
 ///
 /// # Panics
 /// Panics on the calls the SIMD bodies refuse: a window stride below `n`,
 /// or a call reaching past `a`, `b`, `bias` or `out`.
-fn matmul_portable(l: &FusedLayer<'_>, fma: bool, out: &mut [f32]) {
-    if fma {
-        portable_rows(l, out, |acc: f32, a: f32, b: f32| a.mul_add(b, acc));
-    } else {
-        portable_rows(l, out, |acc: f32, a: f32, b: f32| acc + a * b);
-    }
-}
-
-/// [`matmul_portable`]'s row blocks, with `step(acc, a, b)` as the chain.
-fn portable_rows(l: &FusedLayer<'_>, out: &mut [f32], step: impl Fn(f32, f32, f32) -> f32 + Copy) {
+fn matmul_portable(l: &FusedLayer<'_>, out: &mut [f32]) {
     let (a_lim, o_lim) = l.row_limits(out.len());
     for i in (0..l.m).step_by(4) {
         let rows = (l.m - i).min(4);
@@ -729,11 +729,11 @@ fn portable_rows(l: &FusedLayer<'_>, out: &mut [f32], step: impl Fn(f32, f32, f3
         let ob: [usize; 4] = std::array::from_fn(|r| row_base(l.out_rows, i + r.min(rows - 1), l.out_rs, o_lim));
         let mut j = 0;
         while j + 8 <= l.n {
-            portable_tile::<8>(l, (&ab, &ob, rows, j), out, step);
+            portable_tile::<8>(l, (&ab, &ob, rows, j), out);
             j += 8;
         }
         while j < l.n {
-            portable_tile::<1>(l, (&ab, &ob, rows, j), out, step);
+            portable_tile::<1>(l, (&ab, &ob, rows, j), out);
             j += 1;
         }
     }
@@ -746,7 +746,6 @@ fn portable_tile<const W: usize>(
     l: &FusedLayer<'_>,
     (ab, ob, rows, j): (&[usize; 4], &[usize; 4], usize, usize),
     out: &mut [f32],
-    step: impl Fn(f32, f32, f32) -> f32,
 ) {
     let mut acc = [[0.0f32; W]; 4];
     if l.accumulate {
@@ -759,7 +758,7 @@ fn portable_tile<const W: usize>(
         for (acc_r, &a) in acc.iter_mut().zip(ab) {
             let av = l.a[a + k * l.a_ks];
             for (v, &bv) in acc_r.iter_mut().zip(bk) {
-                *v = step(*v, av, bv);
+                *v += av * bv;
             }
         }
     }
@@ -793,23 +792,24 @@ fn portable_tile<const W: usize>(
 /// Every body computes every element as one in-order chain over `k` from
 /// its seed, whichever tile, fringe or lane width it lands in — lane
 /// grouping changes which elements travel together, never what any
-/// element accumulates. The chain is the machine's rounding family for
-/// the call's tier width: a single-rounding FMA chain on the x86 bodies,
-/// NEON and the portable body's `mul_add` chain; the two-rounding
-/// `acc + a * b` on the portable body elsewhere. Hence:
+/// element accumulates. The chain is the body's rounding family: a
+/// single-rounding FMA chain on the x86 bodies and NEON, the two-rounding
+/// `acc + a * b` on the portable body. Hence:
 ///
 /// * Seeding `+0.0` equals seeding from a zero-filled destination:
 ///   `fma(a, b, +0.0)` is `fma(a, b, load(out))` when `out` holds `+0.0`,
 ///   and `+0.0 + a * b` is the same sum either way.
 /// * The x86 ReLU is `max(v, +0.0)`, i.e. `if v > 0.0 { v } else { 0.0 }`;
-///   the portable body's is `v.max(0.0)`. They differ only at `v = -0.0`,
-///   and `acc + bias` is `-0.0` only when both addends are.
+///   NEON's (`fmaxnm`) and the portable body's are `v.max(0.0)`. They
+///   differ only at `v = -0.0`, and `acc + bias` is `-0.0` only when both
+///   addends are.
 /// * Written through an output map, an element equals a scatter-add onto
 ///   a zeroed row (`+0.0 + v`) unless it is `-0.0`. The ReLU never
 ///   yields `-0.0`, and a bias never is: it starts at `+0.0`, and Adam's
 ///   `p -= u` reaches `-0.0` only from `p = -0.0`.
-/// * The scalar column fringe of the AVX2 body chains `mul_add` from the
-///   same seed, and the AVX-512 body's masked tail chains the same FMAs.
+/// * The scalar column fringes of the AVX2 and NEON bodies chain
+///   `mul_add` from the same seed, and the AVX-512 body's masked tail
+///   chains the same FMAs.
 #[derive(Clone, Copy)]
 pub(crate) struct FusedLayer<'a> {
     /// Input base (possibly a member column window of a wider matrix):
@@ -885,50 +885,34 @@ fn row_base(map: Option<&[usize]>, i: usize, rs: usize, lim: usize) -> usize {
 }
 
 /// Runs one [`FusedLayer`] call — the one dispatcher of every matmul.
-/// `tier_n` is the width whose tier the call takes: its own `n`, or for a
-/// member-stacked layer's one wide call over a shared input, the
-/// per-member width, so fusing `k` members crosses no tier a per-member
-/// call would not cross. From [`simd_min_width`] on it runs the x86 body
-/// (AVX-512 when avx512f is detected, else AVX2) or NEON where NEON serves
-/// the call; every other call runs the portable body, on the `mul_add`
-/// chain where the width is NEON's and on the two-rounding chain below it.
+/// From [`simd_min_width`] columns on it runs this machine's SIMD body
+/// (on x86-64 AVX-512 when avx512f is detected, else AVX2; on aarch64
+/// NEON); every narrower call, and every call on a target without a SIMD
+/// tier, runs the portable body's two-rounding chain.
 ///
 /// # Panics
 /// Panics when a window stride is below `n`, or the call's shapes,
 /// strides or row maps would reach past `a`, `b`, `bias` or `out`
 /// (checked before the call touches them).
-pub(crate) fn fused_layer(l: &FusedLayer<'_>, tier_n: usize, out: &mut [f32]) {
-    let simd = tier_n >= simd_min_width();
+pub(crate) fn fused_layer(l: &FusedLayer<'_>, out: &mut [f32]) {
+    if l.n < simd_min_width() {
+        return matmul_portable(l, out);
+    }
+    // SAFETY: `simd_min_width` is finite only where avx2 and fma (x86-64)
+    // or NEON (aarch64) were detected, avx512f is detected before its body
+    // runs, and each body checks its own bounds.
     #[cfg(target_arch = "x86_64")]
-    if simd {
-        // SAFETY: on x86-64 `simd_min_width` is finite only where avx2
-        // and fma were detected, and avx512f is detected before its body
-        // runs; each body checks its own bounds.
-        unsafe {
-            if is_x86_feature_detected!("avx512f") {
-                matmul_avx512(l, out);
-            } else {
-                matmul_avx2(l, out);
-            }
+    unsafe {
+        if is_x86_feature_detected!("avx512f") {
+            matmul_avx512(l, out);
+        } else {
+            matmul_avx2(l, out);
         }
-        return;
     }
     #[cfg(target_arch = "aarch64")]
-    if simd && l.accumulate && l.a_rows.is_none() && l.out_rows.is_none() && l.bias.is_none() && !l.relu {
-        let (a_lim, o_lim) = l.row_limits(out.len());
-        if l.m > 0 {
-            // The kernel walks rows `0..m` densely: the last bounds all.
-            row_base(None, l.m - 1, l.a_rs, a_lim);
-            row_base(None, l.m - 1, l.out_rs, o_lim);
-        }
-        // SAFETY: on aarch64 `simd_min_width` is finite only where NEON
-        // was detected, and the checks above bound every address the
-        // kernel forms.
-        unsafe { matmul_accumulate_neon(l.a, l.a_rs, l.a_ks, l.m, l.kd, l.b, l.b_rs, l.n, out, l.out_rs) };
-        return;
+    unsafe {
+        matmul_neon(l, out);
     }
-    // Past the x86 arm, `simd` holds only on aarch64: NEON's family.
-    matmul_portable(l, simd, out);
 }
 
 /// AVX-512 body of [`FusedLayer`]: tiles of 6 rows x 48 columns (18 fma
@@ -1431,7 +1415,7 @@ mod tests {
             // Forward orientation.
             let fast = a.matmul(&b);
             let mut slow = Tensor::zeros(m, n);
-            matmul_portable(&a.dense(&b), false, slow.data_mut());
+            matmul_portable(&a.dense(&b), slow.data_mut());
             for (x, y) in fast.data().iter().zip(slow.data()) {
                 assert!((x - y).abs() < 1e-4 * (1.0 + y.abs()), "matmul {m}x{k}x{n}: {x} vs {y}");
             }
@@ -1446,7 +1430,7 @@ mod tests {
                 kd: k,
                 ..b.dense(&b)
             };
-            matmul_portable(&strided, false, ts.data_mut());
+            matmul_portable(&strided, ts.data_mut());
             for (x, y) in tf.data().iter().zip(ts.data()) {
                 assert!((x - y).abs() < 1e-4 * (1.0 + y.abs()), "t_matmul {k}x{n}^T: {x} vs {y}");
             }
@@ -1707,29 +1691,17 @@ mod tests {
         }
     }
 
-    /// The portable body, called directly, computes each of its chains
-    /// bitwise: the two-rounding one as written out above, the `mul_add`
-    /// one as `fma_chain_reference` and, from 8 columns, as every x86 body
-    /// this host runs — over every fringe of its 4-row blocks, 8-column
-    /// tiles and one-column fringe, an `a` read with `a_ks = 1` and
-    /// strided, `b` / `out` windows wider than `n`, row maps, both seeds
-    /// and every epilogue — and writes no cell outside the rows and
-    /// columns it addresses.
+    /// The portable body, called directly, computes its two-rounding
+    /// chain bitwise as written out above — over every fringe of its 4-row
+    /// blocks, 8-column tiles and one-column fringe, an `a` read with
+    /// `a_ks = 1` and strided, `b` / `out` windows wider than `n`, row
+    /// maps, both seeds and every epilogue — and writes no cell outside
+    /// the rows and columns it addresses.
     #[test]
-    fn the_portable_body_computes_each_chain_bitwise() {
-        type Body = unsafe fn(&FusedLayer<'_>, &mut [f32]);
-        #[allow(unused_mut)] // no x86 body off x86-64
-        let mut bodies: Vec<(&str, Body)> = Vec::new();
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            bodies.push(("avx2", matmul_avx2));
-            if is_x86_feature_detected!("avx512f") {
-                bodies.push(("avx512", matmul_avx512));
-            }
-        }
+    fn the_portable_body_computes_its_chain_bitwise() {
         let values = |len: usize, seed: u64| -> Vec<f32> { pseudo_random(1, len, seed).into_data() };
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let (mut calls, mut simd_calls) = (0usize, 0usize);
+        let mut calls = 0usize;
         for m in 0..=9usize {
             for n in (0..=9usize).chain([16, 33]) {
                 for &kd in &[0usize, 1, 7, 48] {
@@ -1768,37 +1740,23 @@ mod tests {
                                     bias,
                                     relu,
                                 };
-                                let what = format!(
+                                let (mut want, mut got) = (before.clone(), before.clone());
+                                two_rounding_reference(&call, &mut want);
+                                matmul_portable(&call, &mut got);
+                                assert_eq!(
+                                    bits(&got),
+                                    bits(&want),
                                     "m={m} n={n} kd={kd} strided={strided} window={window} maps={maps} \
                                      accumulate={accumulate} bias={} relu={relu}",
                                     bias.is_some()
                                 );
-                                let (mut want, mut got) = (before.clone(), before.clone());
-                                two_rounding_reference(&call, &mut want);
-                                matmul_portable(&call, false, &mut got);
-                                assert_eq!(bits(&got), bits(&want), "two-rounding chain: {what}");
-                                let (mut want, mut got) = (before.clone(), before.clone());
-                                fma_chain_reference(&call, &mut want);
-                                matmul_portable(&call, true, &mut got);
-                                assert_eq!(bits(&got), bits(&want), "mul_add chain: {what}");
-                                calls += 2;
-                                for (name, body) in bodies.iter().filter(|_| n >= 8) {
-                                    let mut simd = before.clone();
-                                    // SAFETY: the body's features were detected
-                                    // above; it checks its own bounds.
-                                    unsafe { body(&call, &mut simd) };
-                                    assert_eq!(bits(&simd), bits(&got), "{name} vs the mul_add chain: {what}");
-                                    simd_calls += 1;
-                                }
+                                calls += 1;
                             }
                         }
                     }
                 }
             }
         }
-        eprintln!(
-            "{calls} portable calls held to their chains, {simd_calls} x86 body calls to the mul_add chain on {:?}",
-            bodies.iter().map(|b| b.0).collect::<Vec<_>>()
-        );
+        eprintln!("{calls} portable calls held to the two-rounding chain");
     }
 }

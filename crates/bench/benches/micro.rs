@@ -14,7 +14,7 @@ use costream_baselines::{Gbdt, GbdtConfig, Objective};
 use costream_dsps::simulate;
 use costream_nn::loss::mse;
 use costream_nn::optim::{clip_scale, Adam};
-use costream_nn::{Gradients, InferenceArena, Tensor, TrainingPass};
+use costream_nn::{Gradients, InferenceArena, Tensor, TrainingPass, Window};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::selectivity::SelectivityEstimator;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -156,7 +156,31 @@ fn bench_graph_primitives(c: &mut Criterion) {
     c.bench_function("gather_segment_sum_2048edges", |bch| {
         bch.iter(|| {
             out.fill_zero();
-            black_box(&x).gather_segment_sum_into(black_box(&rows), black_box(&segs), &mut out);
+            let edges = black_box(&segs).iter().copied().zip(black_box(&rows).iter().copied());
+            out.add_rows(black_box(&x), edges, Window::cols(32));
+        })
+    });
+    // The fused pass's wave input at k = 3, hidden 32: a zeroed
+    // `[64, 3 * 64]` buffer, each member's child sums added into the first
+    // half of its block over 128 edges, and each target's own state
+    // copied into the second half. Ungated.
+    let (k, h) = (3, 32);
+    let state = pseudo_random(512, k * h, 26);
+    let child_slots: Vec<usize> = (0..128).map(|i| (i * 37) % 512).collect();
+    let wave_segs: Vec<usize> = (0..128).map(|i| (i * 5) % 64).collect();
+    let own: Vec<usize> = (0..64).map(|i| (i * 11 + 3) % 512).collect();
+    let mut arena = InferenceArena::new();
+    let half = Window::cols(h).blocks(k);
+    c.bench_function("wave_input_k3_64rows", |bch| {
+        bch.iter(|| {
+            let mut inp = arena.alloc_zeroed(64, 2 * k * h);
+            let edges = black_box(&wave_segs)
+                .iter()
+                .copied()
+                .zip(black_box(&child_slots).iter().copied());
+            inp.add_rows(black_box(&state), edges, half);
+            inp.copy_rows(&state, (0..).zip(black_box(&own).iter().copied()), half.dst(h));
+            arena.recycle(black_box(inp));
         })
     });
 }

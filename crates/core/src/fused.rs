@@ -6,13 +6,15 @@
 //! Besides it there is only the training pass, which runs the same
 //! routines and keeps what its backward replays.
 //!
-//! Run member by member, an ensemble repeats the *same* plan bookkeeping
-//! (encoder scatters, per-wave gather/segment-sum assembly of
-//! `[Σ_children ‖ own]`, readout pooling) because only the weights differ.
-//! The fused pass stacks the members' weight matrices column-wise
+//! Run member by member, an ensemble repeats the *same* row movement
+//! (encoder scatters, per-wave assembly of `[Σ_children ‖ own]`, readout
+//! pooling) because only the weights differ. The fused pass stacks the
+//! members' weight matrices column-wise
 //! ([`costream_nn::fused::StackedMlp`]), carries the state as one
 //! member-major `[rows, k·hidden]` matrix, and runs **one wider matmul per
-//! layer** while all bookkeeping executes once per batch.
+//! layer**, while each row movement is one `Tensor::copy_rows` or
+//! `Tensor::add_rows` call per batch, its column window repeated over the
+//! k member blocks.
 //!
 //! # Bitwise identity with the sequential oracle
 //!
@@ -27,8 +29,9 @@
 //!   semantics, folded epilogue and row indirection are each proven
 //!   bit-equal to the zero-fill / bias-pass / gather / scatter ops they
 //!   replace (see `costream_nn`'s `FusedLayer` docs);
-//! * the remaining bookkeeping ops process each member's column block
-//!   independently in the same edge order;
+//! * the wave input and the pool are `add_rows` / `copy_rows` calls whose
+//!   window repeats over the member blocks, so each member's columns take
+//!   exactly its own sequential additions, in the same edge order;
 //! * denormalization applies the identical per-member f32 ops, and
 //!   member combination the identical member-ascending f64 summation
 //!   ([`crate::ensemble`]'s `combine_member_major`).
@@ -69,7 +72,7 @@ use crate::train::TrainedModel;
 use costream_dsps::CostMetric;
 use costream_nn::fused::{StackedMlp, WeightPrecision};
 use costream_nn::loss::{msle_inverse, sigmoid};
-use costream_nn::{InferenceArena, Tensor};
+use costream_nn::{InferenceArena, Tensor, Window};
 
 /// A member-fused inference view over k trained models of one metric:
 /// stacked copies of their weights. An ensemble
@@ -211,15 +214,22 @@ impl FusedEnsemble {
         // ---- message passing over each wave's new distinct targets. The
         // wave input interleaves per member: member `m` owns the
         // contiguous `2*hidden` block `[Σ_children_m ‖ own_m]`, assembled
-        // by one block-windowed gather/segment-sum pass each — so the
+        // by one `add_rows` over the edges and one `copy_rows` over the
+        // targets, each windowed over the k member blocks — so the
         // updater's first layer reads each member's full reduction in one
         // contiguous window, exactly like the sequential concat input.
+        // The child sums start from the zeroed buffer, as training's do.
         // The wave's new slots are read by later waves only, so each
         // group's updater writes them in place.
+        let half = Window::cols(h).blocks(self.k);
         for wave in schedule.waves() {
-            let mut inp = arena.alloc_scratch(wave.rows, 2 * kh);
-            state.gather_segment_sum_into_blocks(wave.child_slots, wave.segs, self.k, &mut inp, 0);
-            state.gather_rows_into_blocks(wave.own, self.k, &mut inp, h);
+            let mut inp = arena.alloc_zeroed(wave.rows, 2 * kh);
+            inp.add_rows(
+                state,
+                wave.segs.iter().copied().zip(wave.child_slots.iter().copied()),
+                half,
+            );
+            inp.copy_rows(state, (0..).zip(wave.own.iter().copied()), half.dst(h));
             for call in wave.calls() {
                 self.updaters[call.type_index].forward_into(arena, &inp, false, call.rows, state, Some(call.slots));
             }
@@ -229,7 +239,12 @@ impl FusedEnsemble {
         // ---- readout: pool each node's final slot per graph, in node
         // order (once, k-wide), then the stacked output MLP → `[n_graphs, k]`.
         let mut pooled = arena.alloc_zeroed(schedule.n_graphs, kh);
-        state.gather_segment_sum_into(&schedule.final_slots, &schedule.graph_of, &mut pooled);
+        let nodes = schedule
+            .graph_of
+            .iter()
+            .copied()
+            .zip(schedule.final_slots.iter().copied());
+        pooled.add_rows(state, nodes, Window::cols(kh));
         self.readout.forward_into(arena, &pooled, false, None, &mut out, None);
         arena.recycle(pooled);
         out

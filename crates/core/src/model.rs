@@ -18,10 +18,10 @@
 //! runs over real plans.
 
 use crate::graph::JointGraph;
-use crate::plan::{BatchPlan, WavePlan};
+use crate::plan::BatchPlan;
 use costream_nn::{
     BatchSpec, EncodeSpec, EncoderPart, Gnn, Gradients, InferenceArena, Initializer, Mlp, ParamStore, Tensor,
-    TrainingPass, WaveGroup, WaveSpec,
+    TrainingPass, WaveSpec,
 };
 use costream_query::features::NodeType;
 use serde::{json, DeError, Deserialize, Serialize};
@@ -387,35 +387,6 @@ impl BatchSpec for BatchPlan {
 
     fn n_graphs(&self) -> usize {
         self.topo.n_graphs
-    }
-}
-
-/// One planned wave, as the shared wave routine reads it.
-impl WaveSpec for WavePlan {
-    fn child_rows(&self) -> &[usize] {
-        WavePlan::child_rows(self)
-    }
-
-    fn segs(&self) -> &[usize] {
-        WavePlan::segs(self)
-    }
-
-    fn targets(&self) -> &[usize] {
-        WavePlan::targets(self)
-    }
-
-    fn groups(&self) -> usize {
-        self.n_groups()
-    }
-
-    fn group(&self, i: usize) -> WaveGroup<'_> {
-        let g = WavePlan::group(self, i);
-        WaveGroup {
-            mlp: g.type_index,
-            rows: g.rows,
-            globals: g.globals,
-            is_identity: g.is_identity,
-        }
     }
 }
 

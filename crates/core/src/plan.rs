@@ -174,7 +174,7 @@
 
 use crate::graph::{CandidateBatch, GraphTemplate, JointGraph};
 use crate::model::Scheme;
-use costream_nn::Tensor;
+use costream_nn::{Tensor, WaveGroup, WaveSpec};
 use costream_query::features::NodeType;
 use std::borrow::Cow;
 use std::collections::hash_map::{DefaultHasher, RandomState};
@@ -212,71 +212,54 @@ struct WaveRanges {
     groups: Range<usize>,
 }
 
-/// One group of same-typed targets inside a wave, routed through the
-/// update MLP of that type.
-#[derive(Debug, PartialEq)]
-pub(crate) struct TypeGroup<'a> {
-    /// Index into `NodeType::ALL` (selects the updater MLP).
-    pub type_index: usize,
-    /// Row indices into the wave's input matrix.
-    pub rows: &'a [usize],
-    /// Global node index each updated row scatters to.
-    pub globals: &'a [usize],
-    /// True when `rows` is the identity permutation of the whole wave
-    /// input — the gather can then be skipped entirely.
-    pub is_identity: bool,
-}
-
 /// One message-passing update: which edges feed which targets, how target
 /// rows split by node type, and which rows carry over untouched — ranges
 /// of its topology's shared index. Cloning shares the index, so the
-/// repeated rounds of [`Scheme::Traditional`] are one set of lists.
+/// repeated rounds of [`Scheme::Traditional`] are one set of lists. Its
+/// lists are read through [`WaveSpec`], as the training pass reads them;
+/// a group's MLP index is its position in `NodeType::ALL`.
 #[derive(Clone, Debug)]
 pub(crate) struct WavePlan {
     index: Arc<TopoIndex>,
     at: WaveRanges,
 }
 
-impl WavePlan {
-    /// Source node (global index) of each contributing edge.
-    pub fn child_rows(&self) -> &[usize] {
+impl WaveSpec for WavePlan {
+    fn child_rows(&self) -> &[usize] {
         &self.index.items[self.at.child_rows.clone()]
     }
 
-    /// Position in `targets` each edge accumulates into (CSR-style
-    /// segment ids, one per edge).
-    pub fn segs(&self) -> &[usize] {
+    fn segs(&self) -> &[usize] {
         &self.index.items[self.at.segs.clone()]
     }
 
-    /// Global node indices updated by this wave.
-    pub fn targets(&self) -> &[usize] {
+    fn targets(&self) -> &[usize] {
         &self.index.items[self.at.targets.clone()]
     }
 
-    /// Number of type groups.
-    pub fn n_groups(&self) -> usize {
+    fn groups(&self) -> usize {
         self.at.groups.len()
     }
 
-    /// The `i`-th type group, in `NodeType::ALL` order.
-    pub fn group(&self, i: usize) -> TypeGroup<'_> {
+    fn group(&self, i: usize) -> WaveGroup<'_> {
         let g = &self.index.groups[self.at.groups.start + i];
-        TypeGroup {
-            type_index: g.type_index,
+        WaveGroup {
+            mlp: g.type_index,
             rows: &self.index.items[g.rows.clone()],
             globals: &self.index.items[g.globals.clone()],
             is_identity: g.rows.len() == self.at.targets.len(),
         }
     }
+}
 
+impl WavePlan {
     fn group_ranges(&self) -> &[GroupRanges] {
         &self.index.groups[self.at.groups.clone()]
     }
 
     /// The target rows grouped by node type, in `NodeType::ALL` order.
-    pub fn groups(&self) -> impl Iterator<Item = TypeGroup<'_>> {
-        (0..self.n_groups()).map(|i| self.group(i))
+    pub fn groups(&self) -> impl Iterator<Item = WaveGroup<'_>> {
+        (0..self.at.groups.len()).map(|i| self.group(i))
     }
 }
 
@@ -1651,7 +1634,7 @@ impl SlotMemo {
             // then per wave target own, rows and slots, and per edge child
             // slot and segment.
             index: Vec::with_capacity(2 * topo.total + 3 * wave_rows + 2 * edges),
-            calls: Vec::with_capacity(topo.n_encoders() + topo.waves.iter().map(WavePlan::n_groups).sum::<usize>()),
+            calls: Vec::with_capacity(topo.n_encoders() + topo.waves.iter().map(WaveSpec::groups).sum::<usize>()),
             n_encoders: topo.n_encoders(),
             inputs: Cow::Borrowed(features),
             waves: Vec::with_capacity(topo.waves.len()),
@@ -1748,7 +1731,7 @@ impl SlotMemo {
             type_of.resize(n, 0);
             for g in w.groups() {
                 for &r in g.rows {
-                    type_of[r] = g.type_index;
+                    type_of[r] = g.mlp;
                 }
             }
 
@@ -2787,7 +2770,7 @@ mod tests {
                         targets: w.targets().to_vec(),
                         groups: w
                             .groups()
-                            .map(|g| (g.type_index, g.rows.to_vec(), g.globals.to_vec(), g.is_identity))
+                            .map(|g| (g.mlp, g.rows.to_vec(), g.globals.to_vec(), g.is_identity))
                             .collect(),
                     })
                     .collect(),

@@ -217,6 +217,9 @@ pub struct FrontReport {
 /// [`Frontend::shutdown`] for a graceful drain.
 pub struct Frontend {
     shards: Vec<ScoringService>,
+    /// Held across a swap's loop over the shards, so concurrent swaps
+    /// take effect one after another on every shard alike.
+    swap: Mutex<()>,
     shared: Arc<FrontShared>,
     acceptor: Option<JoinHandle<()>>,
     addr: SocketAddr,
@@ -264,6 +267,7 @@ impl Frontend {
         };
         Ok(Frontend {
             shards,
+            swap: Mutex::new(()),
             shared,
             acceptor: Some(acceptor),
             addr,
@@ -280,12 +284,15 @@ impl Frontend {
     /// [`ScoringService::swap_model`], the one model-update path, which
     /// only the hot-swap tests call). All shards serve clones of the
     /// same ensemble, so compatibility is uniform: either every shard
-    /// accepts the replacement or none does.
+    /// accepts the replacement or none does. Concurrent calls are
+    /// serialized, so once they return every shard serves the ensemble of
+    /// the last one, at the same version.
     ///
     /// # Errors
     /// The first shard's [`SwapError`] when the replacement is not
     /// serving-compatible (no shard is swapped in that case).
     pub fn swap_model(&self, ensemble: &Ensemble) -> Result<u64, SwapError> {
+        let _one_swap_at_a_time = self.swap.lock().unwrap_or_else(|e| e.into_inner());
         let mut version = 0;
         for shard in &self.shards {
             version = shard.swap_model(ensemble.clone())?;

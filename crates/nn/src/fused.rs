@@ -1,13 +1,15 @@
 //! Member-fused ensemble layers: stacked-weight parameter views.
 //!
 //! A `k`-member ensemble runs `k` structurally identical MLPs over the
-//! same plan bookkeeping. This module concatenates the members' weight
-//! matrices **column-wise** — member `m`'s `in x out` weights become the
-//! columns `m*out .. (m+1)*out` of one `[in, k*out]` tensor, biases
-//! likewise — so the ensemble state can be carried as one *member-major*
-//! wide matrix (`[rows, k*width]`, member `m` in column block `m`) and
-//! every gather/scatter/segment-sum of the plan executes once instead of
-//! `k` times.
+//! same row movement of one plan. This module concatenates the members'
+//! weight matrices **column-wise** — member `m`'s `in x out` weights
+//! become the columns `m*out .. (m+1)*out` of one `[in, k*out]` tensor,
+//! biases likewise — so the ensemble state can be carried as one
+//! *member-major* wide matrix (`[rows, k*width]`, member `m` in column
+//! block `m`) and every gather, scatter and segment sum of the plan is
+//! one [`Tensor::copy_rows`] or [`Tensor::add_rows`] call whose
+//! [`Window`](crate::tensor::Window) repeats over the `k` blocks, instead
+//! of `k` calls.
 //!
 //! # Bitwise identity with the sequential path
 //!

@@ -68,5 +68,5 @@ pub use inference::InferenceArena;
 pub use init::Initializer;
 pub use layers::{Linear, Mlp};
 pub use params::{Gradients, ParamId, ParamStore};
-pub use tensor::{kernel_tier, Tensor};
+pub use tensor::{kernel_tier, Tensor, Window};
 pub use wave::{BatchSpec, EncodeSpec, EncoderPart, Gnn, TrainingPass, WaveGroup, WaveSpec};

@@ -15,8 +15,10 @@
 //! record: leaves (constant inputs and **borrowed** parameters from a
 //! [`ParamStore`]), the affine map `x @ w + bias` (+ ReLU) on the kernel
 //! every pass runs ([`Tensor::affine_into`]), element-wise `add`, column
-//! concatenation, row gathering and the segmented row sums. Gradients go
-//! to a [`Gradients`] buffer set.
+//! concatenation, row gathering and the segmented row sums; each of the
+//! last four, forward and backward, is [`Tensor::copy_rows`] or
+//! [`Tensor::add_rows`] over its index lists, the routines both passes
+//! run. Gradients go to a [`Gradients`] buffer set.
 //!
 //! `#[doc(hidden)]` test support: CI's oracle ratchet fails if a code line
 //! under `crates/*/src`, `src` or `examples` outside this file and
@@ -24,8 +26,8 @@
 
 use crate::layers::Mlp;
 use crate::params::{Gradients, ParamId, ParamStore};
-use crate::tensor::Tensor;
-use crate::wave::{add_col_sums, add_rows, mask_relu, BatchSpec, Gnn, WaveSpec};
+use crate::tensor::{Tensor, Window};
+use crate::wave::{mask_relu, BatchSpec, Gnn, WaveSpec};
 use std::borrow::Cow;
 
 /// Identifier of a node on a [`Tape`].
@@ -212,8 +214,11 @@ impl<'p> Tape<'p> {
     /// Concatenates `a` and `b` along columns.
     pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (av, bv) = (val(&self.nodes, a.0), val(&self.nodes, b.0));
-        let mut out = Tensor::zeros(av.rows(), av.cols() + bv.cols());
-        av.concat_cols_into(bv, &mut out);
+        assert_eq!(av.rows(), bv.rows(), "concat row mismatch");
+        let (ac, same) = (av.cols(), || (0..av.rows()).map(|r| (r, r)));
+        let mut out = Tensor::zeros(av.rows(), ac + bv.cols());
+        out.copy_rows(av, same(), Window::cols(ac));
+        out.copy_rows(bv, same(), Window::cols(bv.cols()).dst(ac));
         self.push_owned(out, Op::ConcatCols(a.0, b.0))
     }
 
@@ -222,7 +227,7 @@ impl<'p> Tape<'p> {
         let idx = idx.into();
         let xv = val(&self.nodes, x.0);
         let mut out = Tensor::zeros(idx.len(), xv.cols());
-        xv.gather_rows_into(&idx, &mut out);
+        out.copy_rows(xv, (0..).zip(idx.iter().copied()), Window::cols(xv.cols()));
         self.push_owned(out, Op::GatherRows(x.0, idx))
     }
 
@@ -232,9 +237,9 @@ impl<'p> Tape<'p> {
     pub fn segment_sum(&mut self, x: NodeId, segments: impl Into<Cow<'p, [usize]>>, out_rows: usize) -> NodeId {
         let segments = segments.into();
         let xv = val(&self.nodes, x.0);
-        assert!(segments.iter().all(|&s| s < out_rows), "segment id out of range");
+        assert_eq!(segments.len(), xv.rows(), "one segment id per input row");
         let mut out = Tensor::zeros(out_rows, xv.cols());
-        xv.segment_sum_into(&segments, &mut out);
+        out.add_rows(xv, segments.iter().copied().zip(0..), Window::cols(xv.cols()));
         self.push_owned(out, Op::SegmentSum { input: x.0, segments })
     }
 
@@ -256,9 +261,9 @@ impl<'p> Tape<'p> {
         let (rows, segs) = (rows.into(), segs.into());
         let xv = val(&self.nodes, x.0);
         assert_eq!(rows.len(), segs.len(), "one segment per gathered row");
-        assert!(segs.iter().all(|&s| s < out_rows), "segment id out of range");
         let mut out = Tensor::zeros(out_rows, xv.cols());
-        xv.gather_segment_sum_into(&rows, &segs, &mut out);
+        let edges = segs.iter().copied().zip(rows.iter().copied());
+        out.add_rows(xv, edges, Window::cols(xv.cols()));
         self.push_owned(out, Op::GatherSegmentSum { input: x.0, rows, segs })
     }
 
@@ -287,7 +292,9 @@ impl<'p> Tape<'p> {
                     if *relu {
                         mask_relu(&mut dpre, val(nodes, i));
                     }
-                    add_col_sums(slot_zeroed(&mut slots, *bias, 1, dpre.cols()), &dpre);
+                    let every_row = (0..dpre.rows()).map(|r| (0, r));
+                    let db = slot_zeroed(&mut slots, *bias, 1, dpre.cols());
+                    db.add_rows(&dpre, every_row, Window::cols(dpre.cols()));
                     let (xv, wv) = (val(nodes, *x), val(nodes, *w));
                     xv.t_matmul_acc(&dpre, slot_zeroed(&mut slots, *w, xv.cols(), dpre.cols()));
                     // A constant input has no use for its gradient.
@@ -310,21 +317,24 @@ impl<'p> Tape<'p> {
                 Op::ConcatCols(a, b) => {
                     let (ac, bc) = (val(nodes, *a).cols(), val(nodes, *b).cols());
                     let same = || (0..g.rows()).map(|r| (r, r));
-                    add_rows(slot_zeroed(&mut slots, *a, g.rows(), ac), &g, 0, same());
-                    add_rows(slot_zeroed(&mut slots, *b, g.rows(), bc), &g, ac, same());
+                    let da = slot_zeroed(&mut slots, *a, g.rows(), ac);
+                    da.add_rows(&g, same(), Window::cols(ac));
+                    let db = slot_zeroed(&mut slots, *b, g.rows(), bc);
+                    db.add_rows(&g, same(), Window::cols(bc).src(ac));
                 }
                 Op::GatherRows(x, idx) => {
                     let dx = slot_zeroed(&mut slots, *x, val(nodes, *x).rows(), g.cols());
-                    add_rows(dx, &g, 0, idx.iter().copied().zip(0..));
+                    dx.add_rows(&g, idx.iter().copied().zip(0..), Window::cols(g.cols()));
                 }
                 Op::SegmentSum { input, segments } => {
                     let dx = slot_zeroed(&mut slots, *input, segments.len(), g.cols());
-                    add_rows(dx, &g, 0, segments.iter().copied().enumerate());
+                    dx.add_rows(&g, (0..).zip(segments.iter().copied()), Window::cols(g.cols()));
                 }
                 Op::GatherSegmentSum { input, rows, segs } => {
                     // dx[rows[e]] += g[segs[e]], no edges x cols intermediate.
                     let dx = slot_zeroed(&mut slots, *input, val(nodes, *input).rows(), g.cols());
-                    add_rows(dx, &g, 0, rows.iter().copied().zip(segs.iter().copied()));
+                    let edges = rows.iter().copied().zip(segs.iter().copied());
+                    dx.add_rows(&g, edges, Window::cols(g.cols()));
                 }
             }
         }

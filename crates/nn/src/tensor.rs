@@ -35,6 +35,15 @@
 //! and then runs `matmul`, so all three variants produce bitwise-identical
 //! accumulation per machine.
 //!
+//! # Row movement
+//!
+//! Every gather, scatter, segment sum, concatenation and column sum of
+//! both passes and of the per-op oracle, forward and backward, is one of
+//! two routines over `(destination row, source row)` pairs and a
+//! [`Window`] of columns repeated over member blocks:
+//! [`Tensor::copy_rows`] stores, [`Tensor::add_rows`] accumulates, pairs
+//! in the given order.
+//!
 //! Which tier is active can be checked with [`kernel_tier`] (the bench
 //! harness prints it); the dispatch tests in this module hold every tier
 //! to the portable body's two-rounding chain to round-off, and the
@@ -72,6 +81,54 @@ impl Deserialize for Tensor {
             )));
         }
         Ok(Tensor { rows, cols, data })
+    }
+}
+
+/// The columns of a row that [`Tensor::copy_rows`] and
+/// [`Tensor::add_rows`] move: the destination's and the source's rows
+/// each split into `k` equal member blocks, and in every block `width`
+/// columns move, from column `src` of the source block to column `dst` of
+/// the destination block. [`Window::cols`] is one block with both offsets
+/// at 0, a whole row when `width` is the row's.
+///
+/// A member-major ensemble state (`[rows, k*h]`, member `m` in block `m`)
+/// assembles its `[Σ_children ‖ own]` wave input (`[targets, k*2h]`) with
+/// `Window::cols(h).blocks(k)` for the child sums and
+/// `Window::cols(h).blocks(k).dst(h)` for the own half; the backward of a
+/// concatenation reads one half back with `.src(offset)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Window {
+    k: usize,
+    dst: usize,
+    src: usize,
+    width: usize,
+}
+
+impl Window {
+    /// `width` columns of one block, at column 0 on both sides.
+    pub const fn cols(width: usize) -> Self {
+        Window {
+            k: 1,
+            dst: 0,
+            src: 0,
+            width,
+        }
+    }
+
+    /// The same window in each of `k` member blocks per row.
+    pub const fn blocks(self, k: usize) -> Self {
+        Window { k, ..self }
+    }
+
+    /// The same window, written from column `dst` of each destination
+    /// block.
+    pub const fn dst(self, dst: usize) -> Self {
+        Window { dst, ..self }
+    }
+
+    /// The same window, read from column `src` of each source block.
+    pub const fn src(self, src: usize) -> Self {
+        Window { src, ..self }
     }
 }
 
@@ -335,179 +392,45 @@ impl Tensor {
         self.data.copy_from_slice(&other.data);
     }
 
-    /// Writes rows of `self` selected by `idx` (repetition allowed) into
-    /// `out`, which must be `idx.len() x self.cols`.
-    pub fn gather_rows_into(&self, idx: &[usize], out: &mut Tensor) {
-        assert_eq!(out.shape(), (idx.len(), self.cols), "gather output shape mismatch");
-        for (r, &i) in idx.iter().enumerate() {
-            out.row_slice_mut(r).copy_from_slice(self.row_slice(i));
-        }
-    }
-
-    /// Overwrites row `idx[r]` of `self` with row `r` of `src` (for
-    /// unique indices this equals scatter-add into zeroed rows, minus the
-    /// zeroing and accumulation passes).
+    /// Row movement by store: for every `(d, s)` in `pairs`, in order,
+    /// the source columns of `win` in row `s` of `src` overwrite its
+    /// destination columns in row `d` of `self`, block by block (see
+    /// [`Window`]). Every other cell keeps its bits; a destination row
+    /// named twice ends with its last pair's source. Allocates nothing.
     ///
     /// # Panics
-    /// Panics when widths differ or an index is out of range.
-    pub fn scatter_copy_rows(&mut self, src: &Tensor, idx: &[usize]) {
-        assert_eq!(self.cols, src.cols, "scatter width mismatch");
-        assert_eq!(src.rows, idx.len(), "one target row per source row");
-        for (r, &dst) in idx.iter().enumerate() {
-            let s = &src.data[r * src.cols..(r + 1) * src.cols];
-            self.data[dst * self.cols..(dst + 1) * self.cols].copy_from_slice(s);
-        }
+    /// Panics when the window does not fit both widths, or a row of a
+    /// pair is out of range (unless the window is empty).
+    pub fn copy_rows(&mut self, src: &Tensor, pairs: impl IntoIterator<Item = (usize, usize)>, win: Window) {
+        move_rows(self, src, pairs, win, |d, s| d.copy_from_slice(s));
     }
 
-    /// Fused gather + segmented sum into a *column window* of `out`:
-    /// `out[segs[e]][col_off..col_off + self.cols] += self[rows[e]]`.
-    /// Lets a message-passing wave assemble `[Σ_children ‖ own]` without
-    /// materializing either half.
-    pub fn gather_segment_sum_into_cols(&self, rows: &[usize], segs: &[usize], out: &mut Tensor, col_off: usize) {
-        assert_eq!(rows.len(), segs.len(), "one segment per gathered row");
-        assert!(col_off + self.cols <= out.cols, "column window out of range");
-        for (&src_row, &dst_row) in rows.iter().zip(segs) {
-            let src = &self.data[src_row * self.cols..(src_row + 1) * self.cols];
-            let base = dst_row * out.cols + col_off;
-            let dst = &mut out.data[base..base + self.cols];
-            for (d, v) in dst.iter_mut().zip(src) {
-                *d += *v;
-            }
-        }
-    }
-
-    /// Gather rows into a *column window* of `out`:
-    /// `out[r][col_off..col_off + self.cols] = self[idx[r]]`.
-    pub fn gather_rows_into_cols(&self, idx: &[usize], out: &mut Tensor, col_off: usize) {
-        assert_eq!(out.rows, idx.len(), "one output row per index");
-        assert!(col_off + self.cols <= out.cols, "column window out of range");
-        for (r, &i) in idx.iter().enumerate() {
-            let base = r * out.cols + col_off;
-            out.data[base..base + self.cols].copy_from_slice(self.row_slice(i));
-        }
-    }
-
-    /// Member-major fused gather + segmented sum into per-member *block
-    /// windows*: `self` is `[rows, k*h]` member-major and `out` is
-    /// `[targets, k*block_w]`; member `m`'s sum lands at columns
-    /// `m*block_w + col_off .. + h`, i.e.
-    /// `out[segs[e]][m*block_w + col_off ..] += self[rows[e]][m*h ..]`.
-    ///
-    /// The target windows are **zeroed first** (the wave-input buffer is
-    /// handed out unzeroed scratch), then accumulated in edge order — the
-    /// identical per-element addition chain as a zeroed buffer plus
-    /// [`Tensor::gather_segment_sum_into_cols`] per member.
-    pub fn gather_segment_sum_into_blocks(
-        &self,
-        rows: &[usize],
-        segs: &[usize],
-        k: usize,
-        out: &mut Tensor,
-        col_off: usize,
-    ) {
-        assert_eq!(rows.len(), segs.len(), "one segment per gathered row");
-        assert_eq!(self.cols % k, 0, "member count must divide source width");
-        assert_eq!(out.cols % k, 0, "member count must divide output width");
-        let h = self.cols / k;
-        let bw = out.cols / k;
-        assert!(col_off + h <= bw, "block window out of range");
-        for r in 0..out.rows {
-            let row = &mut out.data[r * out.cols..(r + 1) * out.cols];
-            for m in 0..k {
-                row[m * bw + col_off..m * bw + col_off + h].fill(0.0);
-            }
-        }
-        for (&src_row, &dst_row) in rows.iter().zip(segs) {
-            let src = &self.data[src_row * self.cols..(src_row + 1) * self.cols];
-            let dst = &mut out.data[dst_row * out.cols..(dst_row + 1) * out.cols];
-            for m in 0..k {
-                let s = &src[m * h..(m + 1) * h];
-                let d = &mut dst[m * bw + col_off..m * bw + col_off + h];
-                for (dv, sv) in d.iter_mut().zip(s) {
-                    *dv += *sv;
-                }
-            }
-        }
-    }
-
-    /// Member-major gather into per-member *block windows*:
-    /// `out[r][m*block_w + col_off .. + h] = self[idx[r]][m*h ..]` with
-    /// `self` `[rows, k*h]` member-major and `out` `[idx.len(), k*block_w]`.
-    /// Pure copies — exact, like [`Tensor::gather_rows_into_cols`].
-    pub fn gather_rows_into_blocks(&self, idx: &[usize], k: usize, out: &mut Tensor, col_off: usize) {
-        assert_eq!(out.rows, idx.len(), "one output row per index");
-        assert_eq!(self.cols % k, 0, "member count must divide source width");
-        assert_eq!(out.cols % k, 0, "member count must divide output width");
-        let h = self.cols / k;
-        let bw = out.cols / k;
-        assert!(col_off + h <= bw, "block window out of range");
-        for (r, &i) in idx.iter().enumerate() {
-            let src = &self.data[i * self.cols..(i + 1) * self.cols];
-            let dst = &mut out.data[r * out.cols..(r + 1) * out.cols];
-            for m in 0..k {
-                dst[m * bw + col_off..m * bw + col_off + h].copy_from_slice(&src[m * h..(m + 1) * h]);
-            }
-        }
-    }
-
-    /// Adds row `r` of `src` into row `idx[r]` of `self`.
+    /// Row movement by accumulation: for every `(d, s)` in `pairs`, in
+    /// order, the source columns of `win` in row `s` of `src` are added
+    /// element-wise into its destination columns in row `d` of `self`,
+    /// block by block (see [`Window`]). Each element receives its
+    /// additions in pair order — one `f32` add per pair that names its
+    /// row — so a gather, scatter, segment sum or column sum written as
+    /// pairs keeps the bits of the loop it replaces. Every cell outside
+    /// the window keeps its bits. Allocates nothing.
     ///
     /// # Panics
-    /// Panics when widths differ or an index is out of range.
-    pub fn scatter_add_rows(&mut self, src: &Tensor, idx: &[usize]) {
-        assert_eq!(self.cols, src.cols, "scatter width mismatch");
-        assert_eq!(src.rows, idx.len(), "one target row per source row");
-        for (r, &dst) in idx.iter().enumerate() {
-            let s = &src.data[r * src.cols..(r + 1) * src.cols];
-            let d = &mut self.data[dst * self.cols..(dst + 1) * self.cols];
+    /// Panics when the window does not fit both widths, or a row of a
+    /// pair is out of range (unless the window is empty).
+    pub fn add_rows(&mut self, src: &Tensor, pairs: impl IntoIterator<Item = (usize, usize)>, win: Window) {
+        move_rows(self, src, pairs, win, |d, s| {
             for (dv, sv) in d.iter_mut().zip(s) {
                 *dv += *sv;
             }
-        }
+        });
     }
 
     /// Segmented row sum into a caller-provided (zeroed) buffer: row `s` of
     /// `out` accumulates all rows `i` of `self` with `segments[i] == s`.
+    // Kept only because `benchmark/src/layers.rs` times it; it goes with
+    // that call in the next PR that may edit the benchmark.
     pub fn segment_sum_into(&self, segments: &[usize], out: &mut Tensor) {
-        assert_eq!(segments.len(), self.rows, "one segment id per input row");
-        assert_eq!(out.cols, self.cols, "segment output width mismatch");
-        for (i, &s) in segments.iter().enumerate() {
-            let src = &self.data[i * self.cols..(i + 1) * self.cols];
-            let dst = &mut out.data[s * out.cols..(s + 1) * out.cols];
-            for (d, v) in dst.iter_mut().zip(src) {
-                *d += *v;
-            }
-        }
-    }
-
-    /// Fused gather + segmented sum: `out[segs[e]] += self[rows[e]]` for
-    /// every edge `e`. Equivalent to `gather_rows` followed by
-    /// `segment_sum` without materializing the gathered matrix.
-    pub fn gather_segment_sum_into(&self, rows: &[usize], segs: &[usize], out: &mut Tensor) {
-        assert_eq!(rows.len(), segs.len(), "one segment per gathered row");
-        assert_eq!(out.cols, self.cols, "gather-segment output width mismatch");
-        for (&src_row, &dst_row) in rows.iter().zip(segs) {
-            let src = &self.data[src_row * self.cols..(src_row + 1) * self.cols];
-            let dst = &mut out.data[dst_row * out.cols..(dst_row + 1) * out.cols];
-            for (d, v) in dst.iter_mut().zip(src) {
-                *d += *v;
-            }
-        }
-    }
-
-    /// Writes `[self | other]` (column concatenation) into `out`.
-    pub fn concat_cols_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(self.rows, other.rows, "concat row mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.rows, self.cols + other.cols),
-            "concat output shape mismatch"
-        );
-        for r in 0..self.rows {
-            let dst = out.row_slice_mut(r);
-            dst[..self.cols].copy_from_slice(self.row_slice(r));
-            dst[self.cols..].copy_from_slice(other.row_slice(r));
-        }
+        out.add_rows(self, segments.iter().copied().zip(0..), Window::cols(self.cols));
     }
 
     /// Element-wise in-place addition.
@@ -531,6 +454,38 @@ impl Tensor {
     /// Fills the tensor with zeros.
     pub fn fill_zero(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
+    }
+}
+
+/// The one body of [`Tensor::copy_rows`] and [`Tensor::add_rows`]:
+/// `op(destination window, source window)` per pair, then per member
+/// block, in order. Every window is a checked slice, so a row out of
+/// range panics (an empty window moves nothing and checks nothing). The
+/// first block is peeled off the block loop: written as one loop, the
+/// common one-block case timed ≈ 30 % slower than a plain row loop.
+fn move_rows(
+    dst: &mut Tensor,
+    src: &Tensor,
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+    win: Window,
+    op: impl Fn(&mut [f32], &[f32]),
+) {
+    let (dc, sc, w) = (dst.cols, src.cols, win.width);
+    assert!(win.k > 0, "a window spans at least one member block");
+    assert!(
+        dc % win.k == 0 && sc % win.k == 0,
+        "member count must divide both widths"
+    );
+    let (dbw, sbw) = (dc / win.k, sc / win.k);
+    assert!(win.dst + w <= dbw, "destination window out of range");
+    assert!(win.src + w <= sbw, "source window out of range");
+    for (d, s) in pairs {
+        let (mut at, mut of) = (d * dc + win.dst, s * sc + win.src);
+        op(&mut dst.data[at..at + w], &src.data[of..of + w]);
+        for _ in 1..win.k {
+            (at, of) = (at + dbw, of + sbw);
+            op(&mut dst.data[at..at + w], &src.data[of..of + w]);
+        }
     }
 }
 
@@ -1494,28 +1449,138 @@ mod tests {
         assert_eq!(fused.data(), unfused.data());
     }
 
+    /// [`Tensor::copy_rows`] (`add: false`) or [`Tensor::add_rows`]
+    /// written out: one element at a time, pairs in order, blocks in
+    /// order.
+    fn move_rows_reference(dst: &mut Tensor, src: &Tensor, pairs: &[(usize, usize)], win: Window, add: bool) {
+        let (dbw, sbw) = (dst.cols() / win.k, src.cols() / win.k);
+        for &(d, s) in pairs {
+            for m in 0..win.k {
+                for c in 0..win.width {
+                    let v = src.get(s, m * sbw + win.src + c);
+                    let at = m * dbw + win.dst + c;
+                    let new = if add { dst.get(d, at) + v } else { v };
+                    dst.set(d, at, new);
+                }
+            }
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Both routines are their written-out loops, bit for bit, over one,
+    /// two and three member blocks, zero and non-zero window offsets on
+    /// either side, empty and repeating pair lists, and destinations
+    /// prefilled with NaN: a copy writes exactly its window, and an add
+    /// leaves every cell outside it bit-identical. The source values
+    /// mix magnitudes from 1e-3 to 1e8 of both signs, so a sum into a
+    /// repeated destination row depends on its order (checked below):
+    /// a routine that reordered its pairs would fail. The pair lists
+    /// include the cases of the gather, scatter, segment-sum and
+    /// concatenation loops these two replaced, with their values.
     #[test]
-    fn gather_scatter_segment_helpers() {
+    fn copy_rows_and_add_rows_are_their_written_out_loops() {
+        // The replaced loops' cases, on their own 3 x 2 matrix: a gather,
+        // a segment sum (which is also the edge sum with rows 0, 1, 2),
+        // a scatter-add of two rows into one and a concatenation.
         let x = Tensor::from_vec(3, 2, vec![1.0, 2.0, 10.0, 20.0, 100.0, 200.0]);
         let mut g = Tensor::zeros(2, 2);
-        x.gather_rows_into(&[2, 0], &mut g);
+        g.copy_rows(&x, [(0, 2), (1, 0)], Window::cols(2));
         assert_eq!(g.data(), &[100.0, 200.0, 1.0, 2.0]);
-
         let mut seg = Tensor::zeros(2, 2);
         x.segment_sum_into(&[0, 1, 0], &mut seg);
         assert_eq!(seg.data(), &[101.0, 202.0, 10.0, 20.0]);
-
-        let mut fused = Tensor::zeros(2, 2);
-        x.gather_segment_sum_into(&[0, 1, 2], &[0, 1, 0], &mut fused);
-        assert_eq!(fused.data(), seg.data());
-
         let mut acc = Tensor::zeros(3, 2);
-        acc.scatter_add_rows(&g, &[1, 1]);
+        acc.add_rows(&g, [(1, 0), (1, 1)], Window::cols(2));
         assert_eq!(acc.data(), &[0.0, 0.0, 101.0, 202.0, 0.0, 0.0]);
-
         let mut cat = Tensor::zeros(3, 4);
-        x.concat_cols_into(&x, &mut cat);
+        let same = || (0..3).map(|r| (r, r));
+        cat.copy_rows(&x, same(), Window::cols(2));
+        cat.copy_rows(&x, same(), Window::cols(2).dst(2));
         assert_eq!(cat.row_slice(1), &[10.0, 20.0, 10.0, 20.0]);
+
+        let pair_lists: Vec<Vec<(usize, usize)>> = vec![
+            vec![],
+            vec![(0, 2), (1, 0)],
+            vec![(0, 0), (1, 1), (0, 2)],
+            vec![(1, 0), (1, 1)],
+            (0..3).map(|r| (r, r)).collect(),
+            vec![(2, 0), (2, 1), (2, 2), (2, 3), (0, 3), (2, 0), (1, 2), (0, 0), (0, 1)],
+            (0..4).map(|s| (0, s)).collect(),
+        ];
+        let magnitudes = [1.0e8f32, 1.0, -1.0e8, 3.0e-3, 7.0e7, -3.25, -7.0e7, 0.5];
+        let mut order_matters = false;
+        for k in 1..=3 {
+            for (dst_w, src_w, dst, src, width) in [(2, 2, 0, 0, 2), (5, 3, 2, 1, 2), (4, 6, 0, 3, 3), (3, 3, 1, 0, 1)]
+            {
+                let win = Window::cols(width).blocks(k).dst(dst).src(src);
+                let src_data = (0..4 * k * src_w)
+                    .map(|i| magnitudes[i % magnitudes.len()] * (1.0 + i as f32 / 64.0))
+                    .collect();
+                let source = Tensor::from_vec(4, k * src_w, src_data);
+                let in_window = |c: usize| (dst..dst + width).contains(&(c % dst_w));
+                for pairs in &pair_lists {
+                    for add in [false, true] {
+                        // NaN everywhere a copy must not read back; an add
+                        // starts its window from finite values.
+                        let prefill = (0..3 * k * dst_w)
+                            .map(|i| {
+                                if add && in_window(i % (k * dst_w)) {
+                                    0.25 * i as f32
+                                } else {
+                                    f32::NAN
+                                }
+                            })
+                            .collect();
+                        let prefilled = Tensor::from_vec(3, k * dst_w, prefill);
+                        let (mut want, mut got) = (prefilled.clone(), prefilled.clone());
+                        move_rows_reference(&mut want, &source, pairs, win, add);
+                        if add {
+                            got.add_rows(&source, pairs.iter().copied(), win);
+                        } else {
+                            got.copy_rows(&source, pairs.iter().copied(), win);
+                        }
+                        let case = format!("k {k}, {win:?}, pairs {pairs:?}, add {add}");
+                        assert_eq!(bits(&got), bits(&want), "{case}");
+                        let mut reversed = prefilled;
+                        let back: Vec<_> = pairs.iter().rev().copied().collect();
+                        move_rows_reference(&mut reversed, &source, &back, win, add);
+                        order_matters |= add && bits(&reversed) != bits(&want);
+                    }
+                }
+            }
+        }
+        assert!(order_matters, "some sum must depend on the order of its pairs");
+    }
+
+    /// A pair naming a row past either tensor, a window past either
+    /// block, or a member count that does not divide a width panics,
+    /// for a copy and for an add alike.
+    #[test]
+    fn rows_and_windows_out_of_range_panic() {
+        let src = Tensor::zeros(2, 4);
+        let cases = [
+            ((2, 0), Window::cols(4)),
+            ((0, 2), Window::cols(4)),
+            ((0, 0), Window::cols(4).dst(1)),
+            ((0, 0), Window::cols(2).src(3)),
+            ((0, 0), Window::cols(1).blocks(3)),
+        ];
+        for ((d, s), win) in cases {
+            for add in [false, true] {
+                let moved = std::panic::catch_unwind(|| {
+                    let mut dst = Tensor::zeros(2, 4);
+                    if add {
+                        dst.add_rows(&src, [(d, s)], win);
+                    } else {
+                        dst.copy_rows(&src, [(d, s)], win);
+                    }
+                });
+                assert!(moved.is_err(), "pair ({d}, {s}), {win:?}, add {add} must panic");
+            }
+        }
     }
 
     /// The checks the SIMD bodies run before they touch memory: the

@@ -27,13 +27,20 @@
 //! still-zero [`Gradients`] buffer. `wave_update_backward` and
 //! `mlp_backward` say why each keeps the bits.
 //!
+//! Every row movement of both directions — the encode scatter, the wave
+//! input's child sums and own half, each group's gather and scatter, the
+//! pool, a bias's column sum and the backward of each — is one
+//! [`Tensor::copy_rows`] or [`Tensor::add_rows`] call over `(destination,
+//! source)` row pairs, the per-op chain's own order, so this file writes
+//! no row loop.
+//!
 //! The index lists come from the caller's batch plan through small
 //! traits, so this crate needs to know nothing about graphs.
 
 use crate::inference::InferenceArena;
 use crate::layers::Mlp;
 use crate::params::{Gradients, ParamId, ParamStore};
-use crate::tensor::Tensor;
+use crate::tensor::{Tensor, Window};
 
 /// One node type's share of the encoding step.
 pub struct EncoderPart<'a> {
@@ -55,6 +62,7 @@ pub trait EncodeSpec {
 }
 
 /// The target rows of one wave that share an update MLP.
+#[derive(Debug, PartialEq)]
 pub struct WaveGroup<'a> {
     /// Index of the update MLP in [`Gnn::updaters`].
     pub mlp: usize,
@@ -98,7 +106,7 @@ fn encode_scatter(
     for i in 0..spec.parts() {
         let part = spec.part(i);
         let enc = encoders[part.mlp].forward_arena(arena, store, part.features, saved);
-        h0.scatter_add_rows(&enc, part.globals);
+        h0.add_rows(&enc, part.globals.iter().copied().zip(0..), Window::cols(hidden));
         arena.recycle(enc);
     }
     h0
@@ -120,7 +128,7 @@ fn encode_scatter_backward(
         let start = end - (mlp.layers().len() - 1);
         // A copy, not `+0.0 + g`: `g` is a state gradient, never `-0.0`.
         let mut d_enc = ctx.arena.alloc_scratch(part.globals.len(), g.cols());
-        g.gather_rows_into(part.globals, &mut d_enc);
+        d_enc.copy_rows(&g, (0..).zip(part.globals.iter().copied()), Window::cols(g.cols()));
         mlp_backward(mlp, part.features, &saved[start..end], d_enc, false, ctx);
         end = start;
     }
@@ -151,8 +159,10 @@ fn wave_update(
     let h = h0.cols();
     // The child-sum half accumulates, so it must start at zero.
     let mut inp = arena.alloc_zeroed(wave.targets().len(), 2 * h);
-    cur.gather_segment_sum_into_cols(wave.child_rows(), wave.segs(), &mut inp, 0);
-    h0.gather_rows_into_cols(wave.targets(), &mut inp, h);
+    let edges = wave.segs().iter().copied().zip(wave.child_rows().iter().copied());
+    inp.add_rows(cur, edges, Window::cols(h));
+    let own = (0..).zip(wave.targets().iter().copied());
+    inp.copy_rows(h0, own, Window::cols(h).dst(h));
 
     for i in 0..wave.groups() {
         let group = wave.group(i);
@@ -161,12 +171,12 @@ fn wave_update(
             mlp.forward_arena(arena, store, &inp, saved)
         } else {
             let mut sub = arena.alloc_scratch(group.rows.len(), 2 * h);
-            inp.gather_rows_into(group.rows, &mut sub);
+            sub.copy_rows(&inp, (0..).zip(group.rows.iter().copied()), Window::cols(2 * h));
             let out = mlp.forward_arena(arena, store, &sub, saved);
             saved.push(sub);
             out
         };
-        cur.scatter_copy_rows(&out, group.globals);
+        cur.copy_rows(&out, group.globals.iter().copied().zip(0..), Window::cols(h));
         arena.recycle(out);
     }
     saved.push(inp);
@@ -202,7 +212,7 @@ fn wave_update_backward(
     if into_h0 && targets.len() < total {
         let mut next = targets.iter().copied().peekable();
         let carried = (0..total).filter(|&r| next.next_if_eq(&r).is_none());
-        add_rows(d_h0, &g, 0, carried.map(|r| (r, r)));
+        d_h0.add_rows(&g, carried.map(|r| (r, r)), Window::cols(h));
     }
 
     // Groups in reverse, each through its MLP into the wave-input gradient.
@@ -228,13 +238,13 @@ fn wave_update_backward(
         let start = end - (mlp.layers().len() - 1);
         // A copy, not `+0.0 + g`: a state gradient is never `-0.0`.
         let mut d_out = ctx.arena.alloc_scratch(group.globals.len(), h);
-        g.gather_rows_into(group.globals, &mut d_out);
+        d_out.copy_rows(&g, (0..).zip(group.globals.iter().copied()), Window::cols(h));
         let d_sub = mlp_backward(mlp, x, &saved[start..end], d_out, true, ctx).expect("input gradient was requested");
         if group.is_identity {
             d_inp = Some(d_sub);
         } else {
             let d_inp = d_inp.get_or_insert_with(|| ctx.arena.alloc_scratch(inp.rows(), inp.cols()));
-            d_inp.scatter_copy_rows(&d_sub, group.rows);
+            d_inp.copy_rows(&d_sub, group.rows.iter().copied().zip(0..), Window::cols(2 * h));
             ctx.arena.recycle(d_sub);
         }
         end = start;
@@ -244,17 +254,19 @@ fn wave_update_backward(
 
     // `[Σ_children ‖ own]`: the own half goes to h0, then the child half
     // along the edges to the previous state.
-    add_rows(d_h0, &d_inp, h, targets.iter().copied().zip(0..));
+    d_h0.add_rows(&d_inp, targets.iter().copied().zip(0..), Window::cols(h).src(h));
     let edges = wave.child_rows().iter().copied().zip(wave.segs().iter().copied());
     let d_cur = if into_h0 {
-        add_rows(d_h0, &d_inp, 0, edges);
+        d_h0.add_rows(&d_inp, edges, Window::cols(h));
         ctx.arena.recycle(g);
         None
     } else {
-        for &t in targets {
-            g.row_slice_mut(t).fill(0.0);
-        }
-        add_rows(&mut g, &d_inp, 0, edges);
+        // The targets were overwritten, so their rows pass nothing back:
+        // each is set to a zero row before the child half adds in.
+        let zero = ctx.arena.alloc_zeroed(1, h);
+        g.copy_rows(&zero, targets.iter().map(|&t| (t, 0)), Window::cols(h));
+        ctx.arena.recycle(zero);
+        g.add_rows(&d_inp, edges, Window::cols(h));
         Some(g)
     };
     ctx.arena.recycle(d_inp);
@@ -293,7 +305,9 @@ fn mlp_backward(
         if i + 1 < layers.len() {
             mask_relu(&mut g, &hidden[i]);
         }
-        ctx.contribute(layer.bias_id(), |db| add_col_sums(db, &g));
+        ctx.contribute(layer.bias_id(), |db| {
+            db.add_rows(&g, (0..g.rows()).map(|r| (0, r)), Window::cols(g.cols()))
+        });
         ctx.contribute(layer.weight_id(), |dw| input.t_matmul_acc(&g, dw));
         if i == 0 && !want_dx {
             break;
@@ -318,29 +332,6 @@ fn mlp_backward(
 pub(crate) fn mask_relu(dpre: &mut Tensor, y: &Tensor) {
     for (d, v) in dpre.data_mut().iter_mut().zip(y.data()) {
         *d = if *v <= 0.0 { 0.0 } else { *d };
-    }
-}
-
-/// `db += column sums of dpre`, rows in order.
-pub(crate) fn add_col_sums(db: &mut Tensor, dpre: &Tensor) {
-    let dst = db.row_slice_mut(0);
-    for r in 0..dpre.rows() {
-        for (d, v) in dst.iter_mut().zip(dpre.row_slice(r)) {
-            *d += *v;
-        }
-    }
-}
-
-/// `dst[d] += src[s][col_off .. col_off + dst.cols]` for every `(d, s)`
-/// pair, in order — the backward of every gather, scatter and
-/// concatenation here.
-pub(crate) fn add_rows(dst: &mut Tensor, src: &Tensor, col_off: usize, pairs: impl Iterator<Item = (usize, usize)>) {
-    let width = dst.cols();
-    for (d, s) in pairs {
-        let from = &src.row_slice(s)[col_off..col_off + width];
-        for (dv, sv) in dst.row_slice_mut(d).iter_mut().zip(from) {
-            *dv += *sv;
-        }
     }
 }
 
@@ -471,7 +462,7 @@ impl TrainingPass {
         }
         let mut pooled = arena.alloc_zeroed(batch.n_graphs(), h);
         let last = cur.as_ref().unwrap_or(&h0);
-        last.segment_sum_into(batch.graph_of(), &mut pooled);
+        pooled.add_rows(last, batch.graph_of().iter().copied().zip(0..), Window::cols(h));
         for t in cur.into_iter().chain([h0]) {
             arena.recycle(t);
         }
@@ -536,7 +527,7 @@ impl TrainingPass {
         let d_pooled = mlp_backward(gnn.readout, pooled, readout_saved, seed, true, ctx).expect("input gradient");
         let (graph_of, h) = (batch.graph_of(), d_pooled.cols());
         let mut d_last = ctx.arena.alloc_zeroed(graph_of.len(), h);
-        add_rows(&mut d_last, &d_pooled, 0, graph_of.iter().copied().enumerate());
+        d_last.add_rows(&d_pooled, (0..).zip(graph_of.iter().copied()), Window::cols(h));
         ctx.arena.recycle(d_pooled);
 
         // `d_state` is the gradient of the state after wave `k`; without a

@@ -71,7 +71,7 @@ pub fn run_monitoring(query: &Query, cluster: &Cluster, sim: &SimConfig, seed: u
 /// same drifting world as the model-driven adaptive controller it is
 /// compared against. With the empty scenario this is exactly
 /// [`run_monitoring`] — bitwise, trajectory for trajectory.
-pub fn run_monitoring_under_drift(
+fn run_monitoring_under_drift(
     query: &Query,
     cluster: &Cluster,
     sim: &SimConfig,

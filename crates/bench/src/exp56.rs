@@ -15,7 +15,7 @@ use rand::SeedableRng;
 
 /// Builds a corpus of filter-chain queries of a fixed chain length
 /// (the unseen pattern of Exp 5).
-pub fn filter_chain_corpus(chain_len: usize, n: usize, seed: u64) -> Corpus {
+fn filter_chain_corpus(chain_len: usize, n: usize, seed: u64) -> Corpus {
     let mut wg = WorkloadGenerator::new(seed, FeatureRanges::training());
     let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1));
     let workloads: Vec<_> = (0..n)
@@ -130,7 +130,7 @@ pub struct Exp6Result {
 
 /// Builds the evaluation corpus for one real-world benchmark query: `n`
 /// instances with random rates and random valid placements (§VII-F).
-pub fn benchmark_corpus(bench: BenchmarkQuery, n: usize, seed: u64) -> Corpus {
+fn benchmark_corpus(bench: BenchmarkQuery, n: usize, seed: u64) -> Corpus {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut wg = WorkloadGenerator::new(seed.wrapping_add(1), FeatureRanges::training());
     let workloads: Vec<_> = (0..n)

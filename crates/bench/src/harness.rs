@@ -116,7 +116,7 @@ pub fn train_all(train: &Corpus, scale: &Scale) -> Models {
 
 /// Trains one flat-vector baseline model. Classification metrics get the
 /// same minority oversampling the GNN training applies.
-pub fn train_flat(train: &Corpus, metric: CostMetric) -> FlatVectorModel {
+fn train_flat(train: &Corpus, metric: CostMetric) -> FlatVectorModel {
     let items: Vec<&CorpusItem> = if metric.is_regression() {
         train.successful()
     } else {
@@ -164,7 +164,7 @@ pub fn eval_ensemble_regression(e: &Ensemble, corpus: &Corpus) -> QErrorSummary 
 }
 
 /// Accuracy of an ensemble over a balanced subset of a corpus.
-pub fn eval_ensemble_classification(e: &Ensemble, corpus: &Corpus, seed: u64) -> f64 {
+fn eval_ensemble_classification(e: &Ensemble, corpus: &Corpus, seed: u64) -> f64 {
     let items = corpus.balanced(e.metric, seed);
     if items.is_empty() {
         return 1.0;
@@ -180,7 +180,7 @@ pub fn eval_ensemble_classification(e: &Ensemble, corpus: &Corpus, seed: u64) ->
 }
 
 /// Q-error summary of a flat baseline over the successful items.
-pub fn eval_flat_regression(m: &FlatVectorModel, corpus: &Corpus) -> QErrorSummary {
+fn eval_flat_regression(m: &FlatVectorModel, corpus: &Corpus) -> QErrorSummary {
     let items = corpus.successful();
     let preds = flat_predict(m, &items);
     QErrorSummary::of(
@@ -193,7 +193,7 @@ pub fn eval_flat_regression(m: &FlatVectorModel, corpus: &Corpus) -> QErrorSumma
 }
 
 /// Accuracy of a flat baseline over a balanced subset.
-pub fn eval_flat_classification(m: &FlatVectorModel, corpus: &Corpus, seed: u64) -> f64 {
+fn eval_flat_classification(m: &FlatVectorModel, corpus: &Corpus, seed: u64) -> f64 {
     let items = corpus.balanced(m.metric, seed);
     if items.is_empty() {
         return 1.0;

@@ -13,7 +13,7 @@
 //!    A deploy-time calibration run of the same co-run in a drift-free
 //!    world flags **born-bad** plans — unhealthy before any drift, which
 //!    first-observation calibration would otherwise silently absorb;
-//! 2. a [`MispredictionDetector`] compares the observed cost against
+//! 2. a `MispredictionDetector` compares the observed cost against
 //!    the cost the model predicted when the incumbent plan was chosen,
 //!    as a q-error. The detector self-calibrates: the first observation
 //!    sets the reference (absorbing the systematic simulator-vs-model
@@ -62,7 +62,7 @@ const MIN_EST_SEL: f64 = 1e-4;
 /// sustained [`HYSTERESIS`] epochs, quiet for [`COOLDOWN_EPOCHS`] after
 /// each rearm.
 #[derive(Clone, Debug, Default)]
-pub struct MispredictionDetector {
+pub(crate) struct MispredictionDetector {
     reference: Option<f64>,
     streak: usize,
     cooldown: usize,
@@ -83,7 +83,7 @@ impl MispredictionDetector {
     ///
     /// A q-error is finite and at least 1. Any other `q` (NaN, 0, +∞)
     /// never becomes the reference and counts as over threshold.
-    pub fn observe(&mut self, q: f64) -> bool {
+    fn observe(&mut self, q: f64) -> bool {
         let valid = q.is_finite() && q >= 1.0;
         let reference = if valid {
             Some(*self.reference.get_or_insert(q))
@@ -110,7 +110,7 @@ impl MispredictionDetector {
     /// Resets calibration after a re-planning: the next observation
     /// recalibrates the reference, and a cool-down suppresses firings
     /// while the new plan settles.
-    pub fn rearm(&mut self) {
+    fn rearm(&mut self) {
         self.reference = None;
         self.streak = 0;
         self.cooldown = COOLDOWN_EPOCHS;
@@ -189,7 +189,7 @@ pub struct AdaptiveRun {
 
 impl AdaptiveRun {
     /// Summed observed cost across epochs (ms).
-    pub fn total_observed_ms(&self) -> f64 {
+    fn total_observed_ms(&self) -> f64 {
         self.epochs.iter().map(|e| e.observed_cost_ms).sum()
     }
 

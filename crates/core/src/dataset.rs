@@ -54,7 +54,7 @@ impl CorpusItem {
     }
 
     /// Executes one workload on the simulator and records the trace.
-    pub fn execute(
+    fn execute(
         query: Query,
         cluster: Cluster,
         placement: Placement,

@@ -190,7 +190,7 @@ impl GraphTemplate {
     /// Like [`GraphTemplate::instantiate`], but consumes the template so
     /// the operator prefix moves into the graph instead of being cloned —
     /// the one-shot path [`JointGraph::build`] uses.
-    pub fn into_instance(self, placement: &Placement) -> JointGraph {
+    fn into_instance(self, placement: &Placement) -> JointGraph {
         let GraphTemplate {
             featurization,
             op_nodes,

@@ -219,20 +219,10 @@ impl<'a> JointScorer<'a> {
     /// Panics when a candidate's query count does not match the problem,
     /// or the backend returns non-finite or miscounted predictions.
     pub fn evaluate(&self, candidates: &[JointPlacement]) -> Vec<JointCandidateEvaluation> {
-        self.evaluate_with(candidates, &mut SearchStats::default())
+        self.evaluate_in(candidates.to_vec(), &mut SearchStats::default(), &mut ScoreMemo::new())
     }
 
-    /// [`JointScorer::evaluate`] with a profiling sink: wall time is split
-    /// into `stats.featurize_ns` (contended-row pricing) / `stats.score_ns`.
-    pub fn evaluate_with(
-        &self,
-        candidates: &[JointPlacement],
-        stats: &mut SearchStats,
-    ) -> Vec<JointCandidateEvaluation> {
-        self.evaluate_in(candidates.to_vec(), stats, &mut ScoreMemo::new())
-    }
-
-    /// [`JointScorer::evaluate_with`] for one batch of a search, scored
+    /// [`JointScorer::evaluate`] for one batch of a search, scored
     /// through the search's memo: the candidates travel to the scorer as
     /// placements, with only their contended host rows priced here.
     fn evaluate_in(

@@ -75,9 +75,7 @@ pub mod train;
 
 /// Convenience re-exports for typical usage.
 pub mod prelude {
-    pub use crate::adaptive::{
-        run_adaptive, run_static, AdaptiveConfig, AdaptiveProblem, AdaptiveRun, EpochRecord, MispredictionDetector,
-    };
+    pub use crate::adaptive::{run_adaptive, run_static, AdaptiveConfig, AdaptiveProblem, AdaptiveRun, EpochRecord};
     pub use crate::dataset::{Corpus, CorpusItem};
     pub use crate::ensemble::Ensemble;
     pub use crate::fused::FusedEnsemble;

@@ -142,28 +142,13 @@ impl<'a> PlacementOptimizer<'a> {
         featurization: Featurization,
         seed: u64,
     ) -> OptimizationResult {
-        self.optimize_with(&RandomEnumeration, query, cluster, est_sels, featurization, seed)
-    }
-
-    /// Runs the placement procedure with an explicit search strategy
-    /// (e.g. [`crate::search::LocalSearch`] or
-    /// [`crate::search::BeamSearch`]) at the same scoring budget `k`.
-    pub fn optimize_with(
-        &self,
-        strategy: &dyn PlacementSearch,
-        query: &Query,
-        cluster: &Cluster,
-        est_sels: &[f64],
-        featurization: Featurization,
-        seed: u64,
-    ) -> OptimizationResult {
         let problem = SearchProblem {
             query,
             cluster,
             est_sels,
             featurization,
         };
-        strategy.search(&problem, &self.scorer, self.k, seed)
+        RandomEnumeration.search(&problem, &self.scorer, self.k, seed)
     }
 }
 

@@ -324,7 +324,7 @@ impl PlanTopology {
     }
 
     /// Every wave, in order, with its targets' liveness flags.
-    pub fn live_waves(&self) -> impl Iterator<Item = (&WavePlan, &[bool])> {
+    fn live_waves(&self) -> impl Iterator<Item = (&WavePlan, &[bool])> {
         let mut rest = &self.live[..];
         self.waves.iter().map(move |w| {
             let (live, tail) = rest.split_at(w.targets().len());

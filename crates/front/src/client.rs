@@ -72,7 +72,7 @@ impl FrontClient {
             stream,
             // Generous client-side bound; the server enforces its own.
             max_frame_bytes: 64 << 20,
-            frames: FrameReader::new(),
+            frames: FrameReader::default(),
             out: Vec::new(),
             json: String::new(),
         })

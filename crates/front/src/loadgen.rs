@@ -18,6 +18,7 @@
 use crate::client::FrontClient;
 use crate::wire::{Request, RequestBody, Response, WireLane};
 use costream::graph::JointGraph;
+use costream::qerror::percentile;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -46,9 +47,10 @@ pub struct LaneReport {
     pub shed: u64,
     /// Any other error responses.
     pub other_errors: u64,
-    /// Overall p50 latency, nanoseconds (scored responses only).
+    /// Overall p50 latency, nanoseconds (scored responses only; nearest
+    /// rank, as [`costream::qerror::percentile`]; 0 when none was scored).
     pub p50_ns: u64,
-    /// Overall p99 latency, nanoseconds.
+    /// Overall p99 latency, nanoseconds (same rule).
     pub p99_ns: u64,
 }
 
@@ -72,7 +74,7 @@ struct ThreadOutcome {
     shed: u64,
     other_errors: u64,
     /// Latency, ns, of each scored response.
-    latencies_ns: Vec<u64>,
+    latencies_ns: Vec<f64>,
 }
 
 /// Drives `requests` pipelined requests against `addr`, split evenly
@@ -173,7 +175,7 @@ fn connection_loop(
         match response {
             Response::Scored { .. } => {
                 out.ok += 1;
-                out.latencies_ns.push(sent_at.elapsed().as_nanos() as u64);
+                out.latencies_ns.push(sent_at.elapsed().as_nanos() as f64);
             }
             Response::Error { kind, .. } => match kind {
                 crate::wire::ErrorKind::Overloaded => out.overloaded += 1,
@@ -224,20 +226,10 @@ fn reduce(outcomes: Vec<ThreadOutcome>) -> LaneReport {
         report.other_errors += o.other_errors;
         all.extend(o.latencies_ns);
     }
-    report.p50_ns = percentile(&mut all, 0.50);
-    report.p99_ns = percentile(&mut all, 0.99);
+    // The workspace's one percentile rule (nearest rank); an empty lane
+    // reads 0.
+    let lane_percentile = |p| if all.is_empty() { 0 } else { percentile(&all, p) as u64 };
+    report.p50_ns = lane_percentile(0.50);
+    report.p99_ns = lane_percentile(0.99);
     report
-}
-
-/// The sample at index `round((n - 1) * q)` of `samples` (sorted in
-/// place); 0 when empty. This is not the nearest-rank rule (rank
-/// `ceil(q * n)`) of `costream::qerror::percentile`: the p50 of four
-/// samples is the third here and the second there.
-fn percentile(samples: &mut [u64], q: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let rank = ((samples.len() as f64 - 1.0) * q).round() as usize;
-    samples[rank.min(samples.len() - 1)]
 }

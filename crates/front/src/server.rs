@@ -7,8 +7,11 @@
 //! * each connection gets a **reader** (buffered frames → decode → route
 //!   → submit) and a **writer** (await pending scores in submission
 //!   order → encode → write, gathering the responses that are already
-//!   known into one `write`), coupled by a bounded job queue — the
-//!   per-connection pipeline bound doubles as backpressure on the reader;
+//!   known into one `write`), coupled by a [`sync_channel`] of
+//!   `MAX_PIPELINE` jobs: the pipeline bound doubles as backpressure on
+//!   the reader, and whichever side ends first (the reader returning or
+//!   unwinding, the writer losing its peer) drops its end of the channel,
+//!   which disconnects the other;
 //! * scoring itself happens in the shards' own worker pools
 //!   ([`costream_serve::ScoringService`]).
 //!
@@ -34,7 +37,8 @@ use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -55,98 +59,11 @@ enum Job {
     Scored { id: u64, pending: Pending },
 }
 
-/// Maximum responses in flight per connection: the reader stops pulling
-/// new frames while this many submitted requests are unanswered —
-/// per-connection backpressure, so one pipelining client cannot queue
-/// unbounded work.
+/// Maximum responses in flight per connection, the capacity of its job
+/// channel: the reader stops pulling new frames while this many submitted
+/// requests are unanswered — per-connection backpressure, so one
+/// pipelining client cannot queue unbounded work.
 const MAX_PIPELINE: usize = 128;
-
-/// Bounded FIFO between a connection's reader and writer. The bound is
-/// the pipeline depth ([`MAX_PIPELINE`]): a reader blocked here stops
-/// consuming frames, which is exactly the backpressure the protocol
-/// promises.
-struct JobQueue {
-    state: Mutex<JobState>,
-    /// Signalled when a job is pushed or the queue closes.
-    items: Condvar,
-    /// Signalled when a job is popped (space for the reader).
-    space: Condvar,
-}
-
-struct JobState {
-    jobs: std::collections::VecDeque<Job>,
-    /// Reader finished: writer exits once the queue empties.
-    closed: bool,
-    /// Writer failed (peer gone): reader should stop pulling frames.
-    dead: bool,
-}
-
-impl JobQueue {
-    fn new() -> Self {
-        JobQueue {
-            state: Mutex::new(JobState {
-                jobs: std::collections::VecDeque::new(),
-                closed: false,
-                dead: false,
-            }),
-            items: Condvar::new(),
-            space: Condvar::new(),
-        }
-    }
-
-    /// Pushes a job, blocking while the pipeline is full. Returns
-    /// `false` when the writer is gone and the job was discarded.
-    fn push(&self, job: Job) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while st.jobs.len() >= MAX_PIPELINE && !st.dead {
-            st = self.space.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-        if st.dead {
-            return false;
-        }
-        st.jobs.push_back(job);
-        self.items.notify_one();
-        true
-    }
-
-    /// Pops the next job, blocking until one arrives or the queue is
-    /// closed and empty.
-    fn pop(&self) -> Option<Job> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(job) = st.jobs.pop_front() {
-                self.space.notify_one();
-                return Some(job);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.items.wait(st).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Pops the next job if one is queued; never blocks.
-    fn try_pop(&self) -> Option<Job> {
-        let job = self.state.lock().unwrap_or_else(|e| e.into_inner()).jobs.pop_front();
-        if job.is_some() {
-            self.space.notify_one();
-        }
-        job
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.closed = true;
-        self.items.notify_all();
-    }
-
-    fn mark_dead(&self) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        st.dead = true;
-        st.jobs.clear();
-        self.space.notify_all();
-    }
-}
 
 #[derive(Default)]
 struct FrontCounters {
@@ -401,23 +318,21 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
         let Ok(registry_handle) = stream.try_clone() else {
             continue;
         };
-        let queue = Arc::new(JobQueue::new());
+        let (tx, rx) = sync_channel(MAX_PIPELINE);
         let reader = {
             let shared = Arc::clone(shared);
-            let queue = Arc::clone(&queue);
             let mut stream = read_half;
             std::thread::Builder::new()
                 .name("costream-front-read".into())
-                .spawn(move || reader_loop(&mut stream, &shared, &queue))
+                .spawn(move || reader_loop(&mut stream, &shared, tx))
                 .expect("spawn connection reader")
         };
         let writer = {
-            let queue = Arc::clone(&queue);
             let mut stream = stream;
             std::thread::Builder::new()
                 .name("costream-front-write".into())
                 .spawn(move || {
-                    writer_loop(&mut stream, &queue);
+                    writer_loop(&mut stream, rx);
                     // The registry also holds a clone of this stream, so
                     // dropping ours would not send FIN. Shut the socket
                     // down explicitly (affects all clones) — everything
@@ -448,11 +363,14 @@ fn shard_of(graph: &JointGraph, route: RouteKey, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, queue: &Arc<JobQueue>) {
+/// Reads, decodes and submits a connection's frames until EOF, a frame
+/// error or the writer's end of `jobs` is gone. Returning (or unwinding)
+/// drops `jobs`, which tells the writer that nothing more is coming.
+fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, jobs: SyncSender<Job>) {
     // Per-connection graph pool for `ScorePooled`: slot → (graph, shard).
     // Dropped with the connection.
     let mut pool: HashMap<u32, (Arc<JointGraph>, usize)> = HashMap::new();
-    let mut frames = FrameReader::new();
+    let mut frames = FrameReader::default();
     loop {
         match frames.next_frame(stream, shared.cfg.max_frame_bytes) {
             Ok(None) => break, // Clean close (or drain's read-shutdown).
@@ -470,7 +388,7 @@ fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, queue: &Arc<Jo
                         })
                     }
                 };
-                if !queue.push(job) {
+                if jobs.send(job).is_err() {
                     break; // Writer is gone; nobody to answer to.
                 }
             }
@@ -478,7 +396,7 @@ fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, queue: &Arc<Jo
                 // The payload was never consumed, so the stream cannot
                 // be resynchronized: answer typed, then close.
                 shared.counters.oversized.fetch_add(1, Ordering::Relaxed);
-                queue.push(Job::Ready(Response::Error {
+                let _ = jobs.send(Job::Ready(Response::Error {
                     id: None,
                     kind: ErrorKind::Oversized,
                     detail: format!("frame declares {declared} bytes, max is {max}"),
@@ -494,7 +412,6 @@ fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, queue: &Arc<Jo
             Err(FrameError::Malformed(_)) => unreachable!("the frame reader does not decode payloads"),
         }
     }
-    queue.close();
 }
 
 fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u32, (Arc<JointGraph>, usize)>) -> Job {
@@ -575,14 +492,12 @@ fn submit(id: u64, graph: Arc<JointGraph>, shard: usize, opts: SubmitOptions, sh
     }
 }
 
-/// Writes what `out` holds; `false` when the peer is gone (queued jobs are
-/// then discarded and the reader told to stop pulling frames).
-fn flush(out: &mut Vec<u8>, stream: &mut TcpStream, queue: &JobQueue) -> bool {
+/// Writes what `out` holds; `false` when the peer is gone (the writer then
+/// returns, and dropping its receiver discards the queued jobs and tells
+/// the reader to stop pulling frames).
+fn flush(out: &mut Vec<u8>, stream: &mut TcpStream) -> bool {
     let written = out.is_empty() || stream.write_all(out).is_ok();
     out.clear();
-    if !written {
-        queue.mark_dead();
-    }
     written
 }
 
@@ -591,19 +506,19 @@ fn flush(out: &mut Vec<u8>, stream: &mut TcpStream, queue: &JobQueue) -> bool {
 /// depth 32 a micro-batch's worth of answers leaves in one `write`), and the
 /// buffer is written out before the writer parks, whether on an empty queue
 /// or on an unanswered job: no response ever waits for a later one.
-fn writer_loop(stream: &mut TcpStream, queue: &Arc<JobQueue>) {
+fn writer_loop(stream: &mut TcpStream, jobs: Receiver<Job>) {
     let mut out: Vec<u8> = Vec::new();
     let mut json = String::new();
     loop {
-        let job = match queue.try_pop() {
-            Some(job) => job,
-            None => {
-                if !flush(&mut out, stream, queue) {
+        let job = match jobs.try_recv() {
+            Ok(job) => job,
+            Err(_) => {
+                if !flush(&mut out, stream) {
                     return;
                 }
-                match queue.pop() {
-                    Some(job) => job,
-                    None => return,
+                match jobs.recv() {
+                    Ok(job) => job,
+                    Err(_) => return, // The reader is done and every job answered.
                 }
             }
         };
@@ -613,7 +528,7 @@ fn writer_loop(stream: &mut TcpStream, queue: &Arc<JobQueue>) {
                 let result = match pending.try_scored() {
                     Some(result) => result,
                     None => {
-                        if !flush(&mut out, stream, queue) {
+                        if !flush(&mut out, stream) {
                             return;
                         }
                         pending.wait_scored()
@@ -634,7 +549,7 @@ fn writer_loop(stream: &mut TcpStream, queue: &Arc<JobQueue>) {
             }
         };
         wire::append_frame(&mut out, &mut json, &response).expect("a response is far below 4 GiB");
-        if out.len() >= wire::IO_BUF_BYTES && !flush(&mut out, stream, queue) {
+        if out.len() >= wire::IO_BUF_BYTES && !flush(&mut out, stream) {
             return;
         }
     }

@@ -1,10 +1,11 @@
 //! The wire protocol: framing and message types.
 //!
 //! A frame is a 4-byte **big-endian** payload length followed by that
-//! many bytes of JSON. The decoder is total: any byte stream yields a
-//! sequence of frames ending in clean EOF, [`FrameError::Truncated`],
-//! [`FrameError::Oversized`], or an I/O error — never a panic (pinned
-//! by the proptest suite).
+//! many bytes of JSON. The one decoder, [`FrameReader`], is total: any
+//! byte stream yields a sequence of frames ending in clean EOF,
+//! [`FrameError::Truncated`], [`FrameError::Oversized`], or an I/O error —
+//! never a panic (pinned by the proptest suite, through readers that hand
+//! out any number of bytes per call).
 //!
 //! Messages are externally-tagged JSON enums ([`Request`] /
 //! [`Response`]). Scores are `f64` and the vendored `serde_json` prints
@@ -225,58 +226,20 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// Reads one frame: the format's unbuffered reference decoder, which the
-/// wire property tests pin and the connections' buffered reader matches.
-/// `Ok(None)` is clean EOF at a frame boundary;
-/// EOF anywhere inside a frame is [`FrameError::Truncated`]. A header
-/// declaring more than `max_payload` bytes fails [`FrameError::Oversized`]
-/// *without* consuming the payload.
-///
-/// # Errors
-/// See [`FrameError`].
-pub fn read_frame(r: &mut impl Read, max_payload: usize) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut header = [0u8; HEADER_BYTES];
-    let mut got = 0;
-    while got < HEADER_BYTES {
-        match r.read(&mut header[got..]) {
-            Ok(0) => return if got == 0 { Ok(None) } else { Err(FrameError::Truncated) },
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    let declared = u32::from_be_bytes(header);
-    if declared as usize > max_payload {
-        return Err(FrameError::Oversized {
-            declared,
-            max: max_payload,
-        });
-    }
-    let mut payload = vec![0u8; declared as usize];
-    let mut got = 0;
-    while got < payload.len() {
-        match r.read(&mut payload[got..]) {
-            Ok(0) => return Err(FrameError::Truncated),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(Some(payload))
-}
+/// Size of a [`FrameReader`]'s buffer, and the amount of encoded responses
+/// a connection's writer gathers before it writes regardless: room for a
+/// pipeline's worth of ~1 KB inline-graph frames per `read`, or a few
+/// hundred pooled ones.
+pub const IO_BUF_BYTES: usize = 64 << 10;
 
-/// Size of a connection's read buffer, and the amount of encoded responses
-/// its writer gathers before it writes regardless: room for a pipeline's
-/// worth of ~1 KB inline-graph frames per `read`, or a few hundred pooled
-/// ones.
-pub(crate) const IO_BUF_BYTES: usize = 64 << 10;
-
-/// Frames off a stream through one buffer: a `read` brings in whatever the
-/// peer has sent, up to [`IO_BUF_BYTES`], so a frame's header and payload
-/// (and, from a pipelining peer, the frames behind it) cost one system call
-/// instead of two each. Same contract as [`read_frame`], one frame at a
-/// time; a frame larger than the buffer is read into storage of its own.
-pub(crate) struct FrameReader {
+/// The frame decoder: the server's connections and [`crate::FrontClient`]
+/// read every frame through one. It frames off a stream through one
+/// buffer: a `read` brings in whatever the peer has sent, up to
+/// [`IO_BUF_BYTES`], so a frame's header and payload (and, from a
+/// pipelining peer, the frames behind it) cost one system call instead of
+/// two each. A frame larger than the buffer is read into storage of its
+/// own.
+pub struct FrameReader {
     buf: Box<[u8]>,
     /// `buf[start..end]` is read and not yet handed out.
     start: usize,
@@ -285,8 +248,8 @@ pub(crate) struct FrameReader {
     big: Vec<u8>,
 }
 
-impl FrameReader {
-    pub(crate) fn new() -> Self {
+impl Default for FrameReader {
+    fn default() -> Self {
         FrameReader {
             buf: vec![0; IO_BUF_BYTES].into_boxed_slice(),
             start: 0,
@@ -294,7 +257,9 @@ impl FrameReader {
             big: Vec::new(),
         }
     }
+}
 
+impl FrameReader {
     /// Reads until `want` bytes are buffered, or EOF (then fewer are).
     fn fill(&mut self, r: &mut impl Read, want: usize) -> io::Result<()> {
         debug_assert!(want <= self.buf.len());
@@ -318,9 +283,12 @@ impl FrameReader {
     /// clean EOF at a frame boundary.
     ///
     /// # Errors
-    /// As [`read_frame`]: `Truncated`, `Oversized` (payload not consumed)
-    /// or `Io`.
-    pub(crate) fn next_frame(&mut self, r: &mut impl Read, max_payload: usize) -> Result<Option<&[u8]>, FrameError> {
+    /// [`FrameError::Truncated`] when the stream ends inside a frame;
+    /// [`FrameError::Oversized`] when the header declares more than
+    /// `max_payload` bytes, *without* consuming the payload (the header
+    /// stays unconsumed too, so a retry fails the same way);
+    /// [`FrameError::Io`] when the transport fails.
+    pub fn next_frame(&mut self, r: &mut impl Read, max_payload: usize) -> Result<Option<&[u8]>, FrameError> {
         self.big = Vec::new();
         self.fill(r, HEADER_BYTES)?;
         let header = match self.end - self.start {

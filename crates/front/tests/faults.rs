@@ -9,6 +9,8 @@ use costream_front::{FrontClient, FrontConfig, Frontend};
 use costream_serve::ServeConfig;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 fn corpus(seed: u64) -> Corpus {
     test_fixtures::corpus(24, seed)
@@ -399,4 +401,78 @@ fn overload_with_mixed_lanes_answers_every_request_typed() {
     assert_eq!(outcomes[2], bulk_shed, "only bulk requests may be shed in this setup");
     // The front-end survives the overload.
     assert!(client.ping(0).is_ok());
+}
+
+/// A peer that pipelines far past the per-connection bound and hangs up
+/// without reading a single answer. Pooled frames decode faster than the
+/// shards score them, so the connection's reader runs ahead and parks on a
+/// full job channel; once the peer is gone only the writer's failed write
+/// can end the connection, by dropping its end of the channel. The
+/// front-end keeps serving, and a graceful shutdown still drains — within
+/// a bound, so a wedged connection fails this test instead of hanging the
+/// suite.
+#[test]
+fn a_peer_that_pipelines_past_the_bound_and_hangs_up_is_torn_down() {
+    let corpus = corpus(128);
+    let ensemble = quick_ensemble(&corpus);
+    let graphs: Vec<JointGraph> = corpus.items.iter().map(|i| i.graph(ensemble.featurization())).collect();
+    let front = Frontend::start(ensemble, front_config()).expect("bind");
+
+    let mut frames = Vec::new();
+    let upload = Request {
+        id: 0,
+        lane: WireLane::Bulk,
+        deadline_us: None,
+        body: RequestBody::LoadPool {
+            base_slot: 0,
+            graphs: graphs.clone(),
+        },
+    };
+    wire::write_frame(&mut frames, &wire::encode_request(&upload)).expect("in-memory write");
+    for id in 0..4096u64 {
+        let req = Request {
+            id,
+            lane: WireLane::Bulk,
+            deadline_us: None,
+            body: RequestBody::ScorePooled {
+                slot: (id as usize % graphs.len()) as u32,
+            },
+        };
+        wire::write_frame(&mut frames, &wire::encode_request(&req)).expect("in-memory write");
+    }
+    let mut rude = TcpStream::connect(front.addr()).expect("connect");
+    rude.set_write_timeout(Some(Duration::from_secs(10)))
+        .expect("write timeout");
+    rude.write_all(&frames).expect("the front-end reads while it answers");
+    // Hang up mid-stream, once the shards have answered an eighth of it:
+    // the reader, ahead of them, is then parked with frames left to read.
+    let since = Instant::now();
+    while front.stats().shards.iter().map(|s| s.completed).sum::<u64>() < 512 {
+        assert!(
+            since.elapsed() < Duration::from_secs(10),
+            "the pipelined requests stalled"
+        );
+        std::thread::yield_now();
+    }
+    drop(rude);
+
+    let mut fresh = FrontClient::connect(front.addr()).expect("acceptor alive");
+    let resp = fresh
+        .call(&Request {
+            id: 1,
+            lane: WireLane::Interactive,
+            deadline_us: None,
+            body: RequestBody::Score {
+                graph: graphs[0].clone(),
+            },
+        })
+        .expect("answered");
+    assert!(matches!(resp, Response::Scored { id: 1, .. }), "got {resp:?}");
+
+    let (done, report) = mpsc::channel();
+    std::thread::spawn(move || done.send(front.shutdown(Duration::from_secs(5))));
+    let report = report
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown must not wedge on the torn-down connection");
+    assert!(report.drained, "{report:?}");
 }

@@ -104,7 +104,7 @@ impl StackedLinear {
     }
 
     /// Per-member output width.
-    pub fn out_w(&self) -> usize {
+    fn out_w(&self) -> usize {
         self.out_w
     }
 
@@ -194,7 +194,7 @@ impl StackedMlp {
     }
 
     /// Per-member output width of the final layer.
-    pub fn out_w(&self) -> usize {
+    fn out_w(&self) -> usize {
         self.layers.last().expect("non-empty").out_w()
     }
 

@@ -212,7 +212,7 @@ impl<'p> Tape<'p> {
     }
 
     /// Concatenates `a` and `b` along columns.
-    pub fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
+    fn concat_cols(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (av, bv) = (val(&self.nodes, a.0), val(&self.nodes, b.0));
         assert_eq!(av.rows(), bv.rows(), "concat row mismatch");
         let (ac, same) = (av.cols(), || (0..av.rows()).map(|r| (r, r)));
@@ -223,7 +223,7 @@ impl<'p> Tape<'p> {
     }
 
     /// Selects rows of `x` by `idx` (repetition allowed).
-    pub fn gather_rows(&mut self, x: NodeId, idx: impl Into<Cow<'p, [usize]>>) -> NodeId {
+    fn gather_rows(&mut self, x: NodeId, idx: impl Into<Cow<'p, [usize]>>) -> NodeId {
         let idx = idx.into();
         let xv = val(&self.nodes, x.0);
         let mut out = Tensor::zeros(idx.len(), xv.cols());
@@ -251,7 +251,7 @@ impl<'p> Tape<'p> {
     /// # Panics
     /// Panics when `rows` and `segs` differ in length or a segment id is
     /// out of range.
-    pub fn gather_segment_sum(
+    fn gather_segment_sum(
         &mut self,
         x: NodeId,
         rows: impl Into<Cow<'p, [usize]>>,

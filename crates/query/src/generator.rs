@@ -70,7 +70,7 @@ impl WorkloadGenerator {
     }
 
     /// Samples a query template according to the benchmark distribution.
-    pub fn sample_template(&mut self) -> QueryTemplate {
+    fn sample_template(&mut self) -> QueryTemplate {
         let x: f64 = self.rng.gen();
         let mut acc = 0.0;
         for (t, p) in QueryTemplate::DISTRIBUTION {
@@ -114,7 +114,7 @@ impl WorkloadGenerator {
     }
 
     /// Samples a window configuration from the ranges.
-    pub fn sample_window(&mut self) -> WindowSpec {
+    fn sample_window(&mut self) -> WindowSpec {
         let window_type = if self.rng.gen_bool(0.5) {
             WindowType::Sliding
         } else {
@@ -302,7 +302,7 @@ impl WorkloadGenerator {
 
     /// Samples a cluster sized for a query (one host per 1–2 operators,
     /// at least 2), mirroring the paper's clusters of small machine groups.
-    pub fn cluster_for(&mut self, query: &Query) -> Cluster {
+    fn cluster_for(&mut self, query: &Query) -> Cluster {
         let n = self.rng.gen_range(2..=query.len().max(3));
         self.cluster(n)
     }
@@ -344,7 +344,7 @@ impl WorkloadGenerator {
     /// the scale the paper's testbed could not reach — hundreds of hosts
     /// across sites — generated from the same transferable feature space
     /// the models were trained on.
-    pub fn wide_scenario(&mut self, spec: &WideClusterSpec) -> WideScenario {
+    fn wide_scenario(&mut self, spec: &WideClusterSpec) -> WideScenario {
         assert!(spec.hosts > 0, "a scenario needs at least one host");
         assert!(spec.geo_tiers > 0, "at least one geo tier");
         let mut hosts = Vec::with_capacity(spec.hosts);

@@ -69,15 +69,7 @@ impl ServeScorer {
     /// # Panics
     /// Panics if the served ensembles' metrics do not match their roles.
     pub fn new(target: &ScoringService, success: &ScoringService, backpressure: &ScoringService) -> Self {
-        Self::from_clients(target.client(), success.client(), backpressure.client())
-    }
-
-    /// Creates a scorer from pre-cloned client handles (e.g. handed to a
-    /// tenant thread that never sees the services themselves).
-    ///
-    /// # Panics
-    /// Panics if the served ensembles' metrics do not match their roles.
-    pub fn from_clients(target: ScoreClient, success: ScoreClient, backpressure: ScoreClient) -> Self {
+        let (target, success, backpressure) = (target.client(), success.client(), backpressure.client());
         let metric = target.metric();
         assert!(metric.is_regression(), "target must be a regression metric");
         assert_eq!(success.metric(), CostMetric::Success);

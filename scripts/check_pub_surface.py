@@ -4,11 +4,13 @@
 Fails (exit 1) on either of two findings.
 
 1. A `pub fn` defined under `crates/*/src` (shims excluded, `#[cfg(test)]`
-   code excluded) is named nowhere outside its own file's `#[cfg(test)]`
-   code. A name counts wherever it appears in the workspace's Rust code
+   code excluded) is named by no file but its own. A name counts wherever
+   it appears in the workspace's Rust code
    (`crates/*/{src,tests,examples,benches}`, `src`, `tests`, `examples`,
    `benchmark/src`) except in comments, string literals, `use`
-   declarations and `fn NAME` definitions.
+   declarations and `fn NAME` definitions. Calls from the defining file
+   do not count, production or test: what only its own file calls needs
+   no `pub`.
 
 2. A `pub` field of a struct with a hand-written `impl Default` under
    `crates/*/src` is written by no code outside that `Default` impl,
@@ -290,7 +292,7 @@ def main():
             if inside(spans, m.start()):
                 continue
             name = m.group(1)
-            named = any(f != rel or not inside(spans, pos) for f, pos in uses.get(name, []))
+            named = any(f != rel for f, _ in uses.get(name, []))
             if not named:
                 unused.append((rel, code.count("\n", 0, m.start()) + 1, name))
 
@@ -319,13 +321,16 @@ def main():
     for rel, line, name in unused:
         seen.add((rel, name))
         if (rel, name) not in ALLOW:
-            print(f"{rel}:{line}: pub fn {name} is named by nothing outside its file's tests")
+            print(f"{rel}:{line}: pub fn {name} is named by no file but its own")
             fns_failed = True
     for key in sorted(set(ALLOW) - seen):
         print(f"{key[0]}: allowlisted pub fn {key[1]} is gone or now named elsewhere: drop its ALLOW entry")
         fns_failed = True
     if fns_failed:
-        print("delete the function (and the tests that only it needed), or allowlist it with a reason")
+        print(
+            "make it private (or fold a one-line wrapper into its caller), delete it if nothing calls it, "
+            "or allowlist it with a reason"
+        )
     return 1 if fields_failed or fns_failed else 0
 
 

@@ -1,7 +1,7 @@
 //! Exp 1 — general prediction accuracy: Table III (overall test set),
 //! Fig. 7 (grouped by hardware range) and Fig. 8 (grouped by query type).
 
-use crate::harness::{evaluate_all, print_rows, Models, Scale};
+use crate::harness::{eval_classification, eval_regression, evaluate_all, print_rows, Models, Scale};
 use costream::prelude::*;
 use costream_dsps::CostMetric;
 
@@ -85,30 +85,9 @@ pub fn run(models: &Models, test: &Corpus, scale: &Scale) -> Exp1Result {
         if items.len() < 3 {
             continue;
         }
-        let preds = le.predict_items(&items);
-        let q = QErrorSummary::of(
-            &items
-                .iter()
-                .zip(&preds)
-                .map(|(i, &p)| (i.metrics.e2e_latency_ms, p))
-                .collect::<Vec<_>>(),
-        );
+        let q = eval_regression(&items, CostMetric::E2eLatency, &le.predict_items(&items));
         let all_items: Vec<&CorpusItem> = test.items.iter().filter(|i| query_type_label(i) == label).collect();
-        let spreds = {
-            let graphs: Vec<_> = all_items
-                .iter()
-                .map(|i| i.graph(costream::Featurization::Full))
-                .collect();
-            let refs: Vec<&costream::JointGraph> = graphs.iter().collect();
-            succ.predict_graphs(&refs)
-        };
-        let acc = accuracy(
-            &all_items
-                .iter()
-                .zip(&spreds)
-                .map(|(i, &p)| (i.metrics.success, p > 0.5))
-                .collect::<Vec<_>>(),
-        );
+        let acc = eval_classification(&all_items, CostMetric::Success, &succ.predict_items(&all_items));
         println!(
             "{label:<18} E2E-lat Q50 {:.2}   success acc {:.1}%  (n={})",
             q.q50,
@@ -149,14 +128,7 @@ pub fn run(models: &Models, test: &Corpus, scale: &Scale) -> Exp1Result {
             if items.len() < 3 {
                 continue;
             }
-            let preds = le.predict_items(&items);
-            let q = QErrorSummary::of(
-                &items
-                    .iter()
-                    .zip(&preds)
-                    .map(|(i, &p)| (i.metrics.e2e_latency_ms, p))
-                    .collect::<Vec<_>>(),
-            );
+            let q = eval_regression(&items, CostMetric::E2eLatency, &le.predict_items(&items));
             let bucket = format!("({:.0}, {:.0}]", w[0].max(0.0), w[1].min(1e9));
             println!("{name:<20} {bucket:<18} Q50 {:.2}  (n={})", q.q50, items.len());
             by_hardware.push((name.to_string(), bucket, q.q50));

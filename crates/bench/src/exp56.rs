@@ -2,7 +2,7 @@
 //! few-shot fine-tuning) and Exp 6 (Table VI-B: unseen real-world
 //! benchmarks).
 
-use crate::harness::{eval_ensemble_regression, evaluate_all, MetricRow, Models, Scale};
+use crate::harness::{eval_regression, evaluate_all, MetricRow, Models, Scale};
 use costream::prelude::*;
 use costream::qerror::median;
 use costream::train::fine_tune;
@@ -101,18 +101,13 @@ pub fn run_5(models: &Models, train: &Corpus, scale: &Scale) -> Exp5Result {
 
     let mut finetune = Vec::new();
     for (chain_len, corpus) in &chains {
-        let before = eval_ensemble_regression(models.ensemble(CostMetric::Throughput), corpus);
-        let after = {
-            let items = corpus.successful();
-            let preds = tuned.predict_items(&items);
-            QErrorSummary::of(
-                &items
-                    .iter()
-                    .zip(&preds)
-                    .map(|(i, &p)| (i.metrics.throughput, p))
-                    .collect::<Vec<_>>(),
-            )
-        };
+        let items = corpus.successful();
+        let before = eval_regression(
+            &items,
+            CostMetric::Throughput,
+            &models.ensemble(CostMetric::Throughput).predict_items(&items),
+        );
+        let after = eval_regression(&items, CostMetric::Throughput, &tuned.predict_items(&items));
         println!(
             "{chain_len}-filter chain: Q50 {:.2} -> {:.2}   Q95 {:.2} -> {:.2}",
             before.q50, after.q50, before.q95, after.q95

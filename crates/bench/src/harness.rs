@@ -150,60 +150,26 @@ pub fn flat_predict(model: &FlatVectorModel, items: &[&CorpusItem]) -> Vec<f64> 
         .collect()
 }
 
-/// Q-error summary of an ensemble over the successful items of a corpus.
-pub fn eval_ensemble_regression(e: &Ensemble, corpus: &Corpus) -> QErrorSummary {
-    let items = corpus.successful();
-    let preds = e.predict_items(&items);
+/// Q-error summary of regression predictions (`preds[i]` for `items[i]`)
+/// against the items' measured `metric`.
+pub(crate) fn eval_regression(items: &[&CorpusItem], metric: CostMetric, preds: &[f64]) -> QErrorSummary {
     QErrorSummary::of(
         &items
             .iter()
-            .zip(&preds)
-            .map(|(i, &p)| (i.metrics.get(e.metric), p))
+            .zip(preds)
+            .map(|(i, &p)| (i.metrics.get(metric), p))
             .collect::<Vec<_>>(),
     )
 }
 
-/// Accuracy of an ensemble over a balanced subset of a corpus.
-fn eval_ensemble_classification(e: &Ensemble, corpus: &Corpus, seed: u64) -> f64 {
-    let items = corpus.balanced(e.metric, seed);
-    if items.is_empty() {
-        return 1.0;
-    }
-    let preds = e.predict_items(&items);
+/// Accuracy of classification predictions (`preds[i]` for `items[i]`,
+/// positive above 0.5) against the items' measured `metric`.
+pub(crate) fn eval_classification(items: &[&CorpusItem], metric: CostMetric, preds: &[f64]) -> f64 {
     accuracy(
         &items
             .iter()
-            .zip(&preds)
-            .map(|(i, &p)| (i.metrics.get(e.metric) > 0.5, p > 0.5))
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Q-error summary of a flat baseline over the successful items.
-fn eval_flat_regression(m: &FlatVectorModel, corpus: &Corpus) -> QErrorSummary {
-    let items = corpus.successful();
-    let preds = flat_predict(m, &items);
-    QErrorSummary::of(
-        &items
-            .iter()
-            .zip(&preds)
-            .map(|(i, &p)| (i.metrics.get(m.metric), p))
-            .collect::<Vec<_>>(),
-    )
-}
-
-/// Accuracy of a flat baseline over a balanced subset.
-fn eval_flat_classification(m: &FlatVectorModel, corpus: &Corpus, seed: u64) -> f64 {
-    let items = corpus.balanced(m.metric, seed);
-    if items.is_empty() {
-        return 1.0;
-    }
-    let preds = flat_predict(m, &items);
-    accuracy(
-        &items
-            .iter()
-            .zip(&preds)
-            .map(|(i, &p)| (i.metrics.get(m.metric) > 0.5, p > 0.5))
+            .zip(preds)
+            .map(|(i, &p)| (i.metrics.get(metric) > 0.5, p > 0.5))
             .collect::<Vec<_>>(),
     )
 }
@@ -219,22 +185,34 @@ pub struct MetricRow {
     pub flat: (f64, f64),
 }
 
-/// Evaluates all five metrics on one corpus against both model families.
+/// Evaluates all five metrics on one corpus against both model families:
+/// Q-errors over the successful items for regression metrics, accuracy
+/// over a balanced subset for classification metrics (1.0 when the
+/// subset is empty).
 pub fn evaluate_all(models: &Models, corpus: &Corpus, seed: u64) -> Vec<MetricRow> {
     CostMetric::ALL
         .iter()
         .map(|&m| {
+            let (ensemble, flat) = (models.ensemble(m), models.flat(m));
             if m.is_regression() {
-                let c = eval_ensemble_regression(models.ensemble(m), corpus);
-                let f = eval_flat_regression(models.flat(m), corpus);
+                let items = corpus.successful();
+                let c = eval_regression(&items, m, &ensemble.predict_items(&items));
+                let f = eval_regression(&items, m, &flat_predict(flat, &items));
                 MetricRow {
                     metric: m,
                     costream: (c.q50, c.q95),
                     flat: (f.q50, f.q95),
                 }
             } else {
-                let c = eval_ensemble_classification(models.ensemble(m), corpus, seed);
-                let f = eval_flat_classification(models.flat(m), corpus, seed);
+                let items = corpus.balanced(m, seed);
+                let (c, f) = if items.is_empty() {
+                    (1.0, 1.0)
+                } else {
+                    (
+                        eval_classification(&items, m, &ensemble.predict_items(&items)),
+                        eval_classification(&items, m, &flat_predict(flat, &items)),
+                    )
+                };
                 MetricRow {
                     metric: m,
                     costream: (c, f64::NAN),

@@ -19,7 +19,6 @@ use crate::model::ModelConfig;
 use crate::train::train_metric;
 use crate::train::{prepare_training, train_prepared, TrainConfig, TrainedModel};
 use costream_dsps::CostMetric;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
@@ -41,20 +40,21 @@ impl Ensemble {
     /// The corpus is lowered to minibatch execution plans *once*; the
     /// members — which differ only in their weight-init and
     /// batch-order-shuffle seeds — then train from the shared plans in
-    /// parallel (they are embarrassingly parallel). This is the library's
-    /// one fan-out: the only one a benchmark metric (`setup_s`,
-    /// `train_samples_per_s`) showed faster on two cores. Each member is
-    /// bitwise the model a serial loop would train.
+    /// parallel (they are embarrassingly parallel): one contiguous run of
+    /// members per available core on `std::thread::scope`, the first run on
+    /// the caller's thread. This is the library's one fan-out: the only one
+    /// a benchmark metric (`setup_s`, `train_samples_per_s`) showed faster
+    /// on two cores. Each member is bitwise the model a serial loop would
+    /// train, and a member's panic reaches the caller with its own payload.
     ///
     /// # Panics
     /// Panics if `k == 0`.
     pub fn train(corpus: &Corpus, metric: CostMetric, cfg: &TrainConfig, k: usize) -> Self {
         assert!(k > 0, "an ensemble needs at least one member");
         let prepared = prepare_training(corpus, metric, cfg);
-        let members = (0..k)
-            .into_par_iter()
-            .map(|i| train_prepared(&prepared, metric, &cfg.with_seed(cfg.seed.wrapping_add(1 + i as u64))))
-            .collect();
+        let members = fan_out(k, |i| {
+            train_prepared(&prepared, metric, &cfg.with_seed(cfg.seed.wrapping_add(1 + i as u64)))
+        });
         Self::from_members(members)
     }
 
@@ -124,6 +124,34 @@ impl Ensemble {
         let refs: Vec<&JointGraph> = graphs.iter().collect();
         self.predict_graphs(&refs)
     }
+}
+
+/// Maps `f` over `0..n` in one contiguous run of items per available core
+/// (`std::thread::scope`), the first run on the caller's thread, and
+/// returns the results in item order. A panicking item's payload is
+/// re-raised in the caller once every run has ended.
+fn fan_out<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get()).min(n);
+    if threads <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let run = n.div_ceil(threads);
+    let f = &f;
+    std::thread::scope(|s| {
+        let others: Vec<_> = (run..n)
+            .step_by(run)
+            .map(|start| s.spawn(move || (start..n.min(start + run)).map(f).collect::<Vec<R>>()))
+            .collect();
+        let mut out: Vec<R> = (0..run).map(f).collect();
+        for other in others {
+            out.extend(
+                other
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        out
+    })
 }
 
 /// Combines *member-major* flat predictions — `flat` is `[n, k]`
@@ -200,6 +228,34 @@ mod tests {
                 serial.denorm_params(),
                 "member {i}'s target scaling"
             );
+        }
+    }
+
+    #[test]
+    fn fan_out_keeps_item_order_when_the_runs_are_uneven() {
+        // One item, one per core on two cores, and more items than cores:
+        // the last run is short.
+        for n in [1, 2, 3, 5] {
+            let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * i)).collect();
+            assert_eq!(fan_out(n, |i| (i, i * i)), want, "{n} items");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_with_its_own_payload() {
+        // Item 0 runs on the caller's thread; item 4 on a spawned one
+        // wherever there is more than one core.
+        for bad in [0, 4] {
+            let caught = std::panic::catch_unwind(|| {
+                fan_out(5, |i| {
+                    if i == bad {
+                        std::panic::panic_any(format!("item {i} fails"));
+                    }
+                    i
+                })
+            })
+            .expect_err("the item's panic reaches the caller");
+            assert_eq!(caught.downcast_ref::<String>(), Some(&format!("item {bad} fails")));
         }
     }
 

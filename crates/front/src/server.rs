@@ -503,9 +503,11 @@ fn flush(out: &mut Vec<u8>, stream: &mut TcpStream) -> bool {
 
 /// Answers a connection's jobs in submission order. Responses that are
 /// already known are gathered into one buffer and written together (at
-/// depth 32 a micro-batch's worth of answers leaves in one `write`), and the
-/// buffer is written out before the writer parks, whether on an empty queue
-/// or on an unanswered job: no response ever waits for a later one.
+/// depth 32 a micro-batch's worth of answers leaves in one `write`): a
+/// scored job's answer is taken with [`Pending::try_scored`] if it is
+/// already there. The buffer is written out before the writer parks,
+/// whether on an empty queue or on an unanswered job (in
+/// [`Pending::wait_scored`]): no response ever waits for a later one.
 fn writer_loop(stream: &mut TcpStream, jobs: Receiver<Job>) {
     let mut out: Vec<u8> = Vec::new();
     let mut json = String::new();

@@ -314,7 +314,8 @@ impl<'a> JointNeighborhood<'a> {
     }
 
     /// One intra-query swap unit: every swap within query `q` whose first
-    /// operand is `a`, in ascending second-operand order.
+    /// operand is `a`, in ascending second-operand order — the query's own
+    /// swap unit.
     fn intra_swaps_of(
         &self,
         q: usize,
@@ -324,20 +325,9 @@ impl<'a> JointNeighborhood<'a> {
         scratch: &mut MoveScratch,
         f: &mut impl FnMut(JointMove),
     ) -> MoveCounts {
-        let mut counts = MoveCounts::default();
-        for b in (a + 1)..self.queries[q].len() {
-            if jp.query(q).host_of(a) == jp.query(q).host_of(b) {
-                continue;
-            }
-            let mv = JointMove::Swap { qa: q, a, qb: q, b };
-            if self.is_valid_move_with(jp, states, mv, scratch) {
-                counts.generated += 1;
-                f(mv);
-            } else {
-                counts.rejected += 1;
-            }
-        }
-        counts
+        self.nbs[q].swaps_of(a, jp.query(q), &states[q], scratch, &mut |b| {
+            f(JointMove::Swap { qa: q, a, qb: q, b })
+        })
     }
 
     /// One cross-query swap unit: every exchange between queries `qa` and

@@ -650,26 +650,26 @@ pub mod neighborhood {
             }
         }
 
-        /// One swap unit: every swap with first operand `a`, in ascending
-        /// second-operand order, streamed through `f`.
-        fn swaps_of(
+        /// One swap unit: the second operand `b` of every valid swap with
+        /// first operand `a`, in ascending order, streamed through `f`.
+        /// Same-host swaps are no-ops and skipped without a check.
+        pub(crate) fn swaps_of(
             &self,
             a: OpId,
             p: &Placement,
             state: &VisitState,
             scratch: &mut MoveScratch,
-            f: &mut impl FnMut(Move),
+            f: &mut impl FnMut(OpId),
         ) -> MoveCounts {
             let mut counts = MoveCounts::default();
             for b in (a + 1)..self.query.len() {
                 if p.host_of(a) == p.host_of(b) {
                     continue;
                 }
-                let mv = Move::Swap { a, b };
-                let ok = self.is_valid_move_with(p, state, mv, scratch);
+                let ok = self.is_valid_move_with(p, state, Move::Swap { a, b }, scratch);
                 counts.note(ok);
                 if ok {
-                    f(mv);
+                    f(b);
                 }
             }
             counts
@@ -685,7 +685,7 @@ pub mod neighborhood {
                 counts.absorb(self.relocations_of(op, p, state, &mut scratch, &mut |to| f(Move::Relocate { op, to })));
             }
             for a in 0..self.query.len() {
-                counts.absorb(self.swaps_of(a, p, state, &mut scratch, &mut f));
+                counts.absorb(self.swaps_of(a, p, state, &mut scratch, &mut |b| f(Move::Swap { a, b })));
             }
             counts
         }

@@ -16,7 +16,8 @@
 //!   [`JointGraph`](costream::graph::JointGraph)s, owned or shared, through
 //!   a cheap, cloneable [`ScoreClient`] handle.
 //! * A batching core (bounded MPSC submission queue + worker threads
-//!   driving the fused inference pass, oneshot-style response slots)
+//!   driving the fused inference pass, one `std::sync::mpsc` channel
+//!   per request for its answer)
 //!   coalesces whatever is queued into one fused batch per tick, bounded
 //!   by the inference chunk width
 //!   ([`INFERENCE_CHUNK`](costream::model::INFERENCE_CHUNK)) — kernel and

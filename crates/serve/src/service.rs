@@ -1,4 +1,4 @@
-//! The batching core: submission queue, worker tick loop, response slots.
+//! The batching core: submission queue, worker tick loop, answer channels.
 //!
 //! Production-robustness additions on top of the original micro-batcher:
 //!
@@ -35,6 +35,7 @@ use costream::model::{Scheme, INFERENCE_CHUNK};
 use costream::plan::{plan_signature, PlanCache, PlanSignature};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -115,35 +116,13 @@ impl ModelState {
     }
 }
 
-/// Oneshot response slot a blocked caller parks on.
-struct Slot {
-    state: Mutex<Option<Result<Scored, ServeError>>>,
-    ready: Condvar,
-}
-
-impl Slot {
-    fn new() -> Self {
-        Slot {
-            state: Mutex::new(None),
-            ready: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) -> Result<Scored, ServeError> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = *state {
-                return result;
-            }
-            state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-}
+/// A request's answer, as its [`Pending`] receives it.
+type Answer = Result<Scored, ServeError>;
 
 /// A queued request: the featurized graph, its structural signature
 /// (computed on the submitting thread; the worker's plan-cache key for
-/// the graph's topology fragment), its lane/deadline, and its response
-/// slot.
+/// the graph's topology fragment), its lane/deadline, and the sending end
+/// of its one-answer channel.
 ///
 /// The `Drop` guard answers [`ServeError::Internal`] if the request is
 /// dropped unanswered — the safety net that keeps callers from hanging
@@ -153,30 +132,32 @@ struct QueuedRequest {
     sig: PlanSignature,
     lane: Lane,
     deadline: Option<Instant>,
-    slot: Arc<Slot>,
+    /// Taken by the first answer.
+    reply: Option<SyncSender<Answer>>,
     stats: Arc<StatsInner>,
 }
 
 impl QueuedRequest {
-    /// Answers the request exactly once (first answer wins) and keeps
-    /// the counters consistent: they are bumped under the slot lock
-    /// *before* the waiting caller is woken, so a client that has its
-    /// score already observes itself counted (`answered` is also what
-    /// the drain path waits on).
-    fn answer(&self, result: Result<Scored, ServeError>) {
+    /// Answers the request exactly once: the first answer takes the
+    /// sender, so a later one (the drop guard's) finds nothing to send on.
+    /// The counters are bumped *before* the send, and a channel's send
+    /// happens before the receive that gets it, so a client that has its
+    /// score already observes itself counted (`answered` is also what the
+    /// drain path waits on).
+    fn answer(&mut self, result: Answer) {
+        let Some(reply) = self.reply.take() else {
+            return;
+        };
         let counter = match &result {
             Ok(_) => &self.stats.completed[self.lane.idx()],
             Err(ServeError::DeadlineExceeded) => &self.stats.shed[self.lane.idx()],
             Err(_) => &self.stats.failed,
         };
-        let mut state = self.slot.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.is_some() {
-            return;
-        }
         counter.fetch_add(1, Ordering::Relaxed);
         self.stats.answered.fetch_add(1, Ordering::Relaxed);
-        *state = Some(result);
-        self.slot.ready.notify_all();
+        // The one message fits the channel's one place, so this never
+        // blocks; it fails only when the caller dropped its `Pending`.
+        let _ = reply.send(result);
     }
 
     /// Whether the deadline (if any) has passed at `now`.
@@ -558,7 +539,7 @@ impl ScoringService {
         let mut q = self.shared.lock_queue();
         let mut failed = 0;
         for lane in &mut q.lanes {
-            for req in lane.drain(..) {
+            for mut req in lane.drain(..) {
                 req.answer(Err(ServeError::ShutDown));
                 failed += 1;
             }
@@ -619,7 +600,7 @@ impl ScoreClient {
     /// See [`ScoreClient::submit`].
     pub fn submit_with(&self, graph: impl Into<Arc<JointGraph>>, opts: SubmitOptions) -> Result<Pending, ServeError> {
         let graph = graph.into();
-        let slot = Arc::new(Slot::new());
+        let (reply, answer) = sync_channel(1);
         let sig = plan_signature(&[graph.as_ref()], self.shared.scheme, self.shared.traditional_rounds);
         let lane = opts.lane;
         let cap = match lane {
@@ -640,7 +621,7 @@ impl ScoreClient {
                 sig,
                 lane,
                 deadline: opts.deadline,
-                slot: Arc::clone(&slot),
+                reply: Some(reply),
                 stats: Arc::clone(&self.shared.stats),
             });
             // Counted while the queue lock is held, so `submitted` can
@@ -648,7 +629,7 @@ impl ScoreClient {
             self.shared.stats.submitted[lane.idx()].fetch_add(1, Ordering::Relaxed);
         }
         self.shared.ready.notify_one();
-        Ok(Pending { slot })
+        Ok(Pending { answer })
     }
 
     /// Submits a request and blocks until it is scored.
@@ -674,7 +655,7 @@ impl ScoreClient {
 /// A submitted-but-unanswered request; [`Pending::wait`] parks until the
 /// batch containing it is scored.
 pub struct Pending {
-    slot: Arc<Slot>,
+    answer: Receiver<Answer>,
 }
 
 impl Pending {
@@ -685,7 +666,7 @@ impl Pending {
     /// [`ServeError::ShutDown`] when the service stopped before scoring,
     /// [`ServeError::DeadlineExceeded`] when the request was shed.
     pub fn wait(self) -> Result<f64, ServeError> {
-        self.slot.wait().map(|s| s.score)
+        self.wait_scored().map(|s| s.score)
     }
 
     /// Like [`Pending::wait`], but returns the score together with the
@@ -694,15 +675,19 @@ impl Pending {
     /// # Errors
     /// See [`Pending::wait`].
     pub fn wait_scored(self) -> Result<Scored, ServeError> {
-        self.slot.wait()
+        // The request's drop guard answers before its sender can go, so
+        // the channel cannot disconnect unanswered; should it, that reads
+        // as an internal failure rather than a hang.
+        self.answer.recv().unwrap_or(Err(ServeError::Internal))
     }
 
-    /// The answer if the request already has one, without blocking: what
-    /// [`Pending::wait_scored`] would return at once. A caller that holds
-    /// several `Pending`s (a connection's writer) uses it to collect the
-    /// answered ones before it parks on the first that is not.
+    /// Takes the answer if the request already has one, without blocking:
+    /// what [`Pending::wait_scored`] would return at once. `None` means no
+    /// answer yet, and the answer can still be waited for. A caller that
+    /// holds several `Pending`s (a connection's writer) uses it to collect
+    /// the answered ones before it parks on the first that is not.
     pub fn try_scored(&self) -> Option<Result<Scored, ServeError>> {
-        *self.slot.state.lock().unwrap_or_else(|e| e.into_inner())
+        self.answer.try_recv().ok()
     }
 }
 
@@ -734,7 +719,7 @@ fn worker_thread(sh: &Shared) {
 /// batch, so it never carries a state across a model swap.
 fn worker_loop(sh: &Shared) {
     let mut engine = ScoreEngine::one_batch();
-    while let Some(batch) = collect_batch(sh) {
+    while let Some(mut batch) = collect_batch(sh) {
         if batch.is_empty() {
             // Everything we drained was past its deadline.
             continue;
@@ -747,7 +732,7 @@ fn worker_loop(sh: &Shared) {
         sh.stats.batch_hist[batch_hist_bucket(batch.len())].fetch_add(1, Ordering::Relaxed);
         // A batch is at most one inference chunk of any shapes: one plan
         // stitched from per-graph fragments, one fused pass.
-        score_batch(sh, &model, &batch, &mut engine);
+        score_batch(sh, &model, &mut batch, &mut engine);
     }
 }
 
@@ -782,7 +767,7 @@ fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
     let mut batch = Vec::with_capacity(q.queued().min(INFERENCE_CHUNK));
     for lane in Lane::ALL {
         while batch.len() < INFERENCE_CHUNK {
-            let Some(req) = q.lanes[lane.idx()].pop_front() else {
+            let Some(mut req) = q.lanes[lane.idx()].pop_front() else {
                 break;
             };
             if req.expired(now) {
@@ -795,20 +780,20 @@ fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
     Some(batch)
 }
 
-/// Scores one batch under an unwind guard and fills its response slots. A
+/// Scores one batch under an unwind guard and answers its requests. A
 /// panic (most likely a malformed request graph — out-of-range edge
 /// indices or wrong feature widths; `JointGraph` fields are public) falls
 /// back to scoring the batch's requests *individually*, so only the
 /// offending request fails with [`ServeError::Internal`] while co-batched
 /// requests still get their scores; the worker survives either way.
-fn score_batch(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], engine: &mut ScoreEngine) {
+fn score_batch(sh: &Shared, model: &ModelState, batch: &mut [QueuedRequest], engine: &mut ScoreEngine) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     match catch_unwind(AssertUnwindSafe(|| score_graphs(sh, model, batch, engine))) {
         Ok(scores) => {
-            // Counters land before the slots fill (inside `answer`) so a
-            // caller that just received its score observes them already
+            // Counters land before the answers go out (inside `answer`) so
+            // a caller that just received its score observes them already
             // updated.
-            for (req, score) in batch.iter().zip(scores) {
+            for (req, score) in batch.iter_mut().zip(scores) {
                 req.answer(Ok(Scored {
                     score,
                     version: model.version,
@@ -879,8 +864,8 @@ mod tests {
             let pending: Vec<Pending> = graphs.iter().map(|g| client.submit(g.clone()).expect("fits")).collect();
             let shared = Arc::clone(&service.shared);
             let worker = std::thread::spawn(move || {
-                let batch = collect_batch(&shared).expect("queued work");
-                score_batch(&shared, &shared.model(), &batch, &mut ScoreEngine::one_batch());
+                let mut batch = collect_batch(&shared).expect("queued work");
+                score_batch(&shared, &shared.model(), &mut batch, &mut ScoreEngine::one_batch());
             });
             worker.join().expect("worker");
             for (i, p) in pending.into_iter().enumerate() {
@@ -893,6 +878,94 @@ mod tests {
             stats.plan_cache_misses > 2,
             "distinct shapes must have missed under the mask"
         );
+    }
+
+    /// `try_scored` takes the answer: `None` before the request is scored,
+    /// the answer once it is, `None` after that. A request that
+    /// `try_scored` found unanswered still gets its answer from
+    /// `wait_scored`, here parked before the batch is scored.
+    #[test]
+    fn try_scored_takes_the_answer_once_and_an_unanswered_request_can_still_wait() {
+        let corpus = test_fixtures::corpus(8, 79);
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 16,
+            ..Default::default()
+        };
+        let ensemble = Ensemble::train(&corpus, CostMetric::Throughput, &cfg, 1);
+        let graph = corpus.items[0].graph(ensemble.featurization());
+        let want = Scored {
+            score: ensemble.predict_graphs(&[&graph])[0],
+            version: 1,
+        };
+        let cfg = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        let service = ScoringService::start(ensemble, cfg);
+        let client = service.client();
+        let polled = client.submit(graph.clone()).expect("fits");
+        let waited = client.submit(graph).expect("fits");
+        assert_eq!(polled.try_scored(), None, "no answer before the batch is scored");
+        assert_eq!(waited.try_scored(), None, "no answer before the batch is scored");
+        let waiter = std::thread::spawn(move || waited.wait_scored());
+        let mut batch = collect_batch(&service.shared).expect("queued work");
+        assert_eq!(batch.len(), 2, "one batch");
+        score_batch(
+            &service.shared,
+            &service.shared.model(),
+            &mut batch,
+            &mut ScoreEngine::one_batch(),
+        );
+        assert_eq!(polled.try_scored(), Some(Ok(want)));
+        assert_eq!(polled.try_scored(), None, "the answer is taken once");
+        assert_eq!(waiter.join().expect("waiter"), Ok(want));
+    }
+
+    /// The drop guard: a request answered and then dropped keeps its
+    /// answer (the guard's `Internal` loses), and a request lost in a tick
+    /// that panics after draining it is answered `Internal` during the
+    /// unwind. The counters already say so when the caller has its answer.
+    #[test]
+    fn the_drop_guard_answers_only_a_request_lost_unanswered() {
+        let corpus = test_fixtures::corpus(8, 80);
+        let cfg = TrainConfig {
+            epochs: 1,
+            batch_size: 16,
+            ..Default::default()
+        };
+        let ensemble = Ensemble::train(&corpus, CostMetric::Throughput, &cfg, 1);
+        let graph = corpus.items[0].graph(ensemble.featurization());
+        let cfg = ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        };
+        let service = ScoringService::start(ensemble, cfg);
+        let client = service.client();
+
+        let scored = client.submit(graph.clone()).expect("fits");
+        let mut batch = collect_batch(&service.shared).expect("queued work");
+        score_batch(
+            &service.shared,
+            &service.shared.model(),
+            &mut batch,
+            &mut ScoreEngine::one_batch(),
+        );
+        drop(batch);
+        assert!(scored.wait().is_ok(), "the score, not the guard's Internal");
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.failed), (1, 0));
+
+        let lost = client.submit(graph).expect("fits");
+        let shared = Arc::clone(&service.shared);
+        let tick = std::thread::spawn(move || {
+            let _batch = collect_batch(&shared).expect("queued work");
+            panic!("a tick panics with its batch drained");
+        });
+        assert!(tick.join().is_err(), "the tick panicked");
+        assert_eq!(lost.wait(), Err(ServeError::Internal));
+        let stats = service.stats();
+        assert_eq!((stats.completed, stats.failed), (1, 1));
     }
 
     /// A worker scores every batch of its life through one engine. Through
@@ -935,9 +1008,9 @@ mod tests {
                 service.swap_model(rest[step - 1].clone()).expect("plan-congruent swap");
             }
             let pending: Vec<Pending> = graphs.iter().map(|g| client.submit(g.clone()).expect("fits")).collect();
-            let batch = collect_batch(&service.shared).expect("queued work");
+            let mut batch = collect_batch(&service.shared).expect("queued work");
             assert_eq!(batch.len(), graphs.len(), "one batch");
-            score_batch(&service.shared, &service.shared.model(), &batch, &mut engine);
+            score_batch(&service.shared, &service.shared.model(), &mut batch, &mut engine);
             for (i, p) in pending.into_iter().enumerate() {
                 let scored = p.wait_scored().expect("scored");
                 assert_eq!(scored.version, step as u64 + 1);

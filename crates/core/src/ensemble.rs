@@ -130,7 +130,7 @@ impl Ensemble {
 /// (`std::thread::scope`), the first run on the caller's thread, and
 /// returns the results in item order. A panicking item's payload is
 /// re-raised in the caller once every run has ended.
-fn fan_out<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+pub(crate) fn fan_out<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     let threads = std::thread::available_parallelism().map_or(1, |t| t.get()).min(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
@@ -228,16 +228,6 @@ mod tests {
                 serial.denorm_params(),
                 "member {i}'s target scaling"
             );
-        }
-    }
-
-    #[test]
-    fn fan_out_keeps_item_order_when_the_runs_are_uneven() {
-        // One item, one per core on two cores, and more items than cores:
-        // the last run is short.
-        for n in [1, 2, 3, 5] {
-            let want: Vec<(usize, usize)> = (0..n).map(|i| (i, i * i)).collect();
-            assert_eq!(fan_out(n, |i| (i, i * i)), want, "{n} items");
         }
     }
 

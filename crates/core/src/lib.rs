@@ -101,3 +101,34 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+
+#[cfg(test)]
+mod tests {
+    //! The member fan-out's item order (`ensemble::fan_out`).
+    use crate::ensemble::fan_out;
+
+    #[test]
+    fn map_preserves_order() {
+        assert_eq!(fan_out(1000, |i| i * 2), (0..1000).map(|i| i * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn order_holds_when_the_runs_are_uneven() {
+        // Item counts that are no multiple of the core count: the last run
+        // is short.
+        let cores = std::thread::available_parallelism().map_or(1, |t| t.get());
+        for n in [cores + 1, 2 * cores + 1, 3 * cores - 1, 7] {
+            assert_eq!(
+                fan_out(n, |i| i * i),
+                (0..n).map(|i| i * i).collect::<Vec<_>>(),
+                "{n} items"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_and_single_inputs() {
+        assert!(fan_out(0, |i| i).is_empty());
+        assert_eq!(fan_out(1, |i| i + 8), vec![8]);
+    }
+}

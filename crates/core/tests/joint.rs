@@ -168,9 +168,9 @@ fn joint_search_is_bitwise_deterministic_across_runs() {
 /// candidates than `budget.max(1)`) instead of panicking or spinning.
 #[test]
 fn degenerate_inputs_return_defined_results() {
-    use costream_query::builder::QueryBuilder;
-    use costream_query::datatypes::DataType;
+    use costream_query::datatypes::{DataType, TupleSchema};
     use costream_query::generator::WorkloadGenerator;
+    use costream_query::operators::{OpKind, Query, SourceSpec};
     use costream_query::selectivity::SelectivityEstimator;
 
     let corpus = test_fixtures::corpus(60, 63);
@@ -180,7 +180,11 @@ fn degenerate_inputs_return_defined_results() {
     let mut g = WorkloadGenerator::new(64, FeatureRanges::training());
     let typical: Vec<_> = (0..2).map(|_| g.query()).collect();
     // The smallest query `Query::validate` admits: one source into the sink.
-    let smallest = vec![QueryBuilder::new().source(500.0, &[DataType::Int]).sink()];
+    let source = OpKind::Source(SourceSpec {
+        event_rate: 500.0,
+        schema: TupleSchema::new(vec![DataType::Int]),
+    });
+    let smallest = vec![Query::new(vec![source, OpKind::Sink], vec![(0, 1)])];
     let one_host = g.cluster(1);
     let four_hosts = g.cluster(4);
 

@@ -207,16 +207,24 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::simulate;
-    use costream_query::builder::QueryBuilder;
-    use costream_query::datatypes::DataType;
+    use costream_query::datatypes::{DataType, TupleSchema};
     use costream_query::hardware::Host;
-    use costream_query::operators::FilterFunction;
+    use costream_query::operators::{FilterFunction, FilterSpec, SourceSpec};
+
+    fn source(rate: f64, attributes: usize) -> OpKind {
+        OpKind::Source(SourceSpec {
+            event_rate: rate,
+            schema: TupleSchema::new(vec![DataType::Int; attributes]),
+        })
+    }
 
     fn linear(rate: f64, sel: f64) -> Query {
-        QueryBuilder::new()
-            .source(rate, &[DataType::Int, DataType::Int, DataType::Int])
-            .filter(FilterFunction::Less, DataType::Int, sel)
-            .sink()
+        let filter = OpKind::Filter(FilterSpec {
+            function: FilterFunction::Less,
+            literal_type: DataType::Int,
+            selectivity: sel,
+        });
+        Query::new(vec![source(rate, 3), filter, OpKind::Sink], vec![(0, 1), (1, 2)])
     }
 
     fn strong() -> Cluster {
@@ -331,17 +339,20 @@ mod tests {
     #[test]
     #[should_panic(expected = "only supports linear")]
     fn windowed_queries_rejected() {
-        use costream_query::operators::{AggFunction, WindowPolicy, WindowSpec, WindowType};
-        let w = WindowSpec {
-            window_type: WindowType::Tumbling,
-            policy: WindowPolicy::CountBased,
-            size: 5.0,
-            slide: 5.0,
-        };
-        let q = QueryBuilder::new()
-            .source(10.0, &[DataType::Int])
-            .aggregate(AggFunction::Mean, DataType::Int, None, w, 0.5)
-            .sink();
+        use costream_query::operators::{AggFunction, AggSpec, WindowPolicy, WindowSpec, WindowType};
+        let aggregate = OpKind::WindowAggregate(AggSpec {
+            function: AggFunction::Mean,
+            agg_type: DataType::Int,
+            group_by: None,
+            window: WindowSpec {
+                window_type: WindowType::Tumbling,
+                policy: WindowPolicy::CountBased,
+                size: 5.0,
+                slide: 5.0,
+            },
+            selectivity: 0.5,
+        });
+        let q = Query::new(vec![source(10.0, 1), aggregate, OpKind::Sink], vec![(0, 1), (1, 2)]);
         let p = Placement::new(vec![0, 0, 0]);
         let _ = simulate_des(&q, &strong(), &p, 10.0, 1.0);
     }

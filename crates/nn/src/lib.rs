@@ -6,7 +6,8 @@
 //!
 //! * [`tensor::Tensor`] — dense row-major `f32` matrices whose every
 //!   matmul is one call of one descriptor (bias/ReLU epilogue included),
-//!   dispatched to a register-tiled body per tier;
+//!   dispatched to one register tile that every SIMD tier instantiates
+//!   with its own lane type, or to the portable body;
 //! * [`wave`] — the one [`TrainingPass`]: per-type encoding into the
 //!   initial state and the message-passing waves, each step with its
 //!   hand-written backward, chained with the pool and readout, and the

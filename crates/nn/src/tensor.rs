@@ -15,16 +15,23 @@
 //! optional bias/ReLU epilogue) through one dispatcher, which picks the
 //! body from the machine and the call's width `n`:
 //!
-//! 1. **x86 SIMD** (x86-64 with avx2+fma runtime-detected, `n >= 8`):
-//!    one register-tiled body per ISA — AVX-512 (when avx512f is also
-//!    detected) tiles 6 rows x 48 / 16 / masked columns, AVX2 tiles 4 rows
-//!    x 24 / 8 / scalar `mul_add` columns, and every row fringe keeps its
-//!    body's full column structure. Both are one rounding family: every
-//!    element is a single in-order FMA chain.
-//! 2. **NEON** (aarch64, `n >= 4`): 4 rows x 8 / 4 / scalar `mul_add`
-//!    columns of `float32x4_t` registers, the same FMA chain. CI builds
-//!    no aarch64 target, so no test here compiles or runs this body.
-//! 3. **Portable** (every narrower call, and every target without a SIMD
+//! 1. **SIMD** (x86-64 with avx2+fma runtime-detected and `n >= 8`, or
+//!    aarch64 and `n >= 4`): one register tile, written once as a generic
+//!    body over a lane type, which each ISA supplies with its register
+//!    operations (splat, load, store, FMA, add, ReLU, and on AVX-512 the
+//!    masked load and store) and a one-line `#[target_feature]` entry
+//!    that fixes the tile geometry:
+//!    * AVX-512 (when avx512f is also detected): 6 rows x 48 / 16 /
+//!      masked columns of zmm registers;
+//!    * AVX2: 4 rows x 24 / 8 / scalar `mul_add` columns of ymm;
+//!    * NEON: 4 rows x 8 / 4 / scalar `mul_add` columns of `float32x4_t`.
+//!
+//!    Every row fringe keeps its body's full column structure. All three
+//!    are one rounding family: every element is a single in-order FMA
+//!    chain. No target built here compiles NEON's register operations (CI
+//!    has no aarch64 target), but its tile geometry runs on every host in
+//!    the conformance test, through stand-in lanes of plain `f32`s.
+//! 2. **Portable** (every narrower call, and every target without a SIMD
 //!    tier), in safe code: 4-row x 8-column register tiles and a
 //!    one-column fringe, each element the two-rounding chain
 //!    `acc + a * b`.
@@ -47,8 +54,9 @@
 //! Which tier is active can be checked with [`kernel_tier`] (the bench
 //! harness prints it); the dispatch tests in this module hold every tier
 //! to the portable body's two-rounding chain to round-off, and the
-//! conformance tests hold each x86 body the host supports and the portable
-//! body, called directly, to their written-out chains bitwise.
+//! conformance tests hold the SIMD tile in every tier's geometry, each
+//! x86 entry the host supports and the portable body, called directly,
+//! to their written-out chains bitwise.
 
 use serde::{json, DeError, Deserialize, Serialize};
 
@@ -553,120 +561,6 @@ fn simd_min_width() -> usize {
     usize::MAX
 }
 
-/// NEON body of [`FusedLayer`]: tiles of 4 rows x 8 columns (8 fma
-/// accumulators of `float32x4_t`), then 4-column tiles and a scalar
-/// `mul_add` column fringe; a fringe of 1..=3 rows keeps the same column
-/// structure as a fixed-size register tile. NEON is baseline on aarch64,
-/// so unlike AVX2 there is no per-feature fallback concern.
-///
-/// # Safety
-/// The CPU must support NEON. Bounds are the body's own: it checks the
-/// call with `row_limits` and every row base with [`row_base`].
-#[cfg(target_arch = "aarch64")]
-#[target_feature(enable = "neon")]
-unsafe fn matmul_neon(l: &FusedLayer<'_>, out: &mut [f32]) {
-    use std::arch::aarch64::*;
-    let (a_lim, o_lim) = l.row_limits(out.len());
-    let (ap, bp, op) = (l.a.as_ptr(), l.b.as_ptr(), out.as_mut_ptr());
-    let zero = vdupq_n_f32(0.0);
-    // One tile: rows at offsets `$ab` / `$ob`, `$c` 4-lane column
-    // vectors from column `$j`. Seed, `k` chain, epilogue, store; the
-    // branches on the call's flags are taken once per tile.
-    macro_rules! tile {
-        ($c:literal, $j:expr, $ab:expr, $ob:expr) => {{
-            const C: usize = $c;
-            let (j, ab, ob): (usize, &[usize], &[usize]) = ($j, &$ab, &$ob);
-            let mut acc = [[zero; C]; R];
-            if l.accumulate {
-                for r in 0..R {
-                    for c in 0..C {
-                        acc[r][c] = vld1q_f32(op.add(ob[r] + j + 4 * c));
-                    }
-                }
-            }
-            for k in 0..l.kd {
-                let (ak, bk) = (ap.add(k * l.a_ks), bp.add(k * l.b_rs + j));
-                let mut bv = [zero; C];
-                for c in 0..C {
-                    bv[c] = vld1q_f32(bk.add(4 * c));
-                }
-                for r in 0..R {
-                    let av = *ak.add(ab[r]);
-                    for c in 0..C {
-                        acc[r][c] = vfmaq_n_f32(acc[r][c], bv[c], av);
-                    }
-                }
-            }
-            if let Some(bias) = l.bias {
-                for c in 0..C {
-                    let bv = vld1q_f32(bias.as_ptr().add(j + 4 * c));
-                    for r in 0..R {
-                        acc[r][c] = vaddq_f32(acc[r][c], bv);
-                    }
-                }
-            }
-            for r in 0..R {
-                for c in 0..C {
-                    // `fmaxnm`: what `f32::max` compiles to on aarch64.
-                    let v = if l.relu {
-                        vmaxnmq_f32(acc[r][c], zero)
-                    } else {
-                        acc[r][c]
-                    };
-                    vst1q_f32(op.add(ob[r] + j + 4 * c), v);
-                }
-            }
-        }};
-    }
-    // One block of `$rows` rows from logical row `$i`, a literal so each
-    // block compiles to a fixed register tile.
-    macro_rules! row_block {
-        ($rows:literal, $i:expr) => {{
-            const R: usize = $rows;
-            let mut ab = [0usize; R];
-            let mut ob = [0usize; R];
-            for r in 0..R {
-                ab[r] = row_base(l.a_rows, $i + r, l.a_rs, a_lim);
-                ob[r] = row_base(l.out_rows, $i + r, l.out_rs, o_lim);
-            }
-            let mut j = 0;
-            while j + 8 <= l.n {
-                tile!(2, j, ab, ob);
-                j += 8;
-            }
-            while j + 4 <= l.n {
-                tile!(1, j, ab, ob);
-                j += 4;
-            }
-            while j < l.n {
-                for r in 0..R {
-                    let o = op.add(ob[r] + j);
-                    let mut v = if l.accumulate { *o } else { 0.0f32 };
-                    for k in 0..l.kd {
-                        v = (*ap.add(k * l.a_ks + ab[r])).mul_add(*bp.add(k * l.b_rs + j), v);
-                    }
-                    if let Some(bias) = l.bias {
-                        v += bias[j];
-                    }
-                    *o = if l.relu { v.max(0.0) } else { v };
-                }
-                j += 1;
-            }
-        }};
-    }
-    let mut i = 0;
-    while i + 4 <= l.m {
-        row_block!(4, i);
-        i += 4;
-    }
-    match l.m - i {
-        1 => row_block!(1, i),
-        2 => row_block!(2, i),
-        3 => row_block!(3, i),
-        _ => {}
-    }
-}
-
 /// Portable body of [`FusedLayer`], in safe code: blocks of 4 rows (a
 /// fringe block repeats its last row and stores only its own), 8-column
 /// register tiles, then one column at a time. Every element is one
@@ -748,23 +642,26 @@ fn portable_tile<const W: usize>(
 /// its seed, whichever tile, fringe or lane width it lands in — lane
 /// grouping changes which elements travel together, never what any
 /// element accumulates. The chain is the body's rounding family: a
-/// single-rounding FMA chain on the x86 bodies and NEON, the two-rounding
+/// single-rounding FMA chain on the SIMD tile (every lane type, and
+/// `f32::mul_add` in its scalar column fringe), the two-rounding
 /// `acc + a * b` on the portable body. Hence:
 ///
 /// * Seeding `+0.0` equals seeding from a zero-filled destination:
 ///   `fma(a, b, +0.0)` is `fma(a, b, load(out))` when `out` holds `+0.0`,
 ///   and `+0.0 + a * b` is the same sum either way.
-/// * The x86 ReLU is `max(v, +0.0)`, i.e. `if v > 0.0 { v } else { 0.0 }`;
-///   NEON's (`fmaxnm`) and the portable body's are `v.max(0.0)`. They
-///   differ only at `v = -0.0`, and `acc + bias` is `-0.0` only when both
-///   addends are.
+/// * The x86 ReLU is `max(v, +0.0)`, i.e. `if v > 0.0 { v } else { 0.0 }`,
+///   and so is the tile's scalar column fringe on every tier. NEON's
+///   registers use `fmaxnm`, which is that too on every value a chain
+///   yields (it takes `+0.0` over `-0.0` and a number over a quiet NaN).
+///   The portable body's `v.max(0.0)` may differ from it only at
+///   `v = -0.0`, and `acc + bias` is `-0.0` only when both addends are.
 /// * Written through an output map, an element equals a scatter-add onto
 ///   a zeroed row (`+0.0 + v`) unless it is `-0.0`. The ReLU never
 ///   yields `-0.0`, and a bias never is: it starts at `+0.0`, and Adam's
 ///   `p -= u` reaches `-0.0` only from `p = -0.0`.
-/// * The scalar column fringes of the AVX2 and NEON bodies chain
-///   `mul_add` from the same seed, and the AVX-512 body's masked tail
-///   chains the same FMAs.
+/// * The scalar column fringe of the AVX2 and NEON entries chains
+///   `mul_add` from the same seed, and the AVX-512 entry's masked tail
+///   chains the same FMAs, its masked-off lanes neither read nor written.
 #[derive(Clone, Copy)]
 pub(crate) struct FusedLayer<'a> {
     /// Input base (possibly a member column window of a wider matrix):
@@ -840,10 +737,10 @@ fn row_base(map: Option<&[usize]>, i: usize, rs: usize, lim: usize) -> usize {
 }
 
 /// Runs one [`FusedLayer`] call — the one dispatcher of every matmul.
-/// From [`simd_min_width`] columns on it runs this machine's SIMD body
-/// (on x86-64 AVX-512 when avx512f is detected, else AVX2; on aarch64
-/// NEON); every narrower call, and every call on a target without a SIMD
-/// tier, runs the portable body's two-rounding chain.
+/// From [`simd_min_width`] columns on it runs this machine's entry of the
+/// one SIMD tile (on x86-64 AVX-512 when avx512f is detected, else AVX2;
+/// on aarch64 NEON); every narrower call, and every call on a target
+/// without a SIMD tier, runs the portable body's two-rounding chain.
 ///
 /// # Panics
 /// Panics when a window stride is below `n`, or the call's shapes,
@@ -870,236 +767,320 @@ pub(crate) fn fused_layer(l: &FusedLayer<'_>, out: &mut [f32]) {
     }
 }
 
-/// AVX-512 body of [`FusedLayer`]: tiles of 6 rows x 48 columns (18 fma
-/// accumulators + 3 `b` vectors in zmm), then 16-column tiles and one
-/// *masked* tile for the last `< 16` columns; a fringe of 1..=5 rows
-/// keeps the same column structure as a fixed-size register tile.
+/// AVX-512 entry of [`FusedLayer`]: the one tile in zmm registers, 6-row
+/// blocks of 48 columns (18 accumulators and 3 `b` registers), then
+/// 16-column tiles, then one masked tile for the last `< 16` columns.
 ///
 /// # Safety
-/// The CPU must support avx512f. Bounds are the body's own: it checks
-/// the call with `row_limits` and every row base with [`row_base`].
+/// The CPU must support avx512f.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 unsafe fn matmul_avx512(l: &FusedLayer<'_>, out: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let (a_lim, o_lim) = l.row_limits(out.len());
-    let (ap, bp, op) = (l.a.as_ptr(), l.b.as_ptr(), out.as_mut_ptr());
-    let zero = _mm512_setzero_ps();
-    // One tile: rows at offsets `$ab` / `$ob`, `$c` 16-lane column
-    // vectors from column `$j` — every lane, or the lanes of `$mask`
-    // when `$masked`. Seed, `k` chain, epilogue, store; the branches on
-    // the call's flags are taken once per tile, not per register.
-    macro_rules! tile {
-        ($c:literal, $j:expr, $masked:literal, $mask:expr, $ab:expr, $ob:expr) => {{
-            const C: usize = $c;
-            let (j, mask, ab, ob): (usize, __mmask16, &[usize], &[usize]) = ($j, $mask, &$ab, &$ob);
-            macro_rules! load {
-                ($p:expr) => {
-                    if $masked {
-                        _mm512_maskz_loadu_ps(mask, $p)
-                    } else {
-                        _mm512_loadu_ps($p)
-                    }
-                };
-            }
-            let mut acc = [[zero; C]; R];
-            if l.accumulate {
-                for r in 0..R {
-                    for c in 0..C {
-                        acc[r][c] = load!(op.add(ob[r] + j + 16 * c));
-                    }
-                }
-            }
-            for k in 0..l.kd {
-                let (ak, bk) = (ap.add(k * l.a_ks), bp.add(k * l.b_rs + j));
-                let mut bv = [zero; C];
-                for c in 0..C {
-                    bv[c] = load!(bk.add(16 * c));
-                }
-                for r in 0..R {
-                    let av = _mm512_set1_ps(*ak.add(ab[r]));
-                    for c in 0..C {
-                        acc[r][c] = _mm512_fmadd_ps(av, bv[c], acc[r][c]);
-                    }
-                }
-            }
-            if let Some(bias) = l.bias {
-                for c in 0..C {
-                    let bv = load!(bias.as_ptr().add(j + 16 * c));
-                    for r in 0..R {
-                        acc[r][c] = _mm512_add_ps(acc[r][c], bv);
-                    }
-                }
-            }
-            for r in 0..R {
-                for c in 0..C {
-                    let v = if l.relu {
-                        _mm512_max_ps(acc[r][c], zero)
-                    } else {
-                        acc[r][c]
-                    };
-                    let p = op.add(ob[r] + j + 16 * c);
-                    if $masked {
-                        _mm512_mask_storeu_ps(p, mask, v);
-                    } else {
-                        _mm512_storeu_ps(p, v);
-                    }
-                }
-            }
-        }};
-    }
-    // One block of `$rows` rows from logical row `$i`, a literal so each
-    // block compiles to a fixed register tile.
-    macro_rules! row_block {
-        ($rows:literal, $i:expr) => {{
-            const R: usize = $rows;
-            let mut ab = [0usize; R];
-            let mut ob = [0usize; R];
-            for r in 0..R {
-                ab[r] = row_base(l.a_rows, $i + r, l.a_rs, a_lim);
-                ob[r] = row_base(l.out_rows, $i + r, l.out_rs, o_lim);
-            }
-            let mut j = 0;
-            while j + 48 <= l.n {
-                tile!(3, j, false, 0, ab, ob);
-                j += 48;
-            }
-            while j + 16 <= l.n {
-                tile!(1, j, false, 0, ab, ob);
-                j += 16;
-            }
-            if j < l.n {
-                tile!(1, j, true, (1u16 << (l.n - j)) - 1, ab, ob);
-            }
-        }};
-    }
-    let mut i = 0;
-    while i + 6 <= l.m {
-        row_block!(6, i);
-        i += 6;
-    }
-    match l.m - i {
-        1 => row_block!(1, i),
-        2 => row_block!(2, i),
-        3 => row_block!(3, i),
-        4 => row_block!(4, i),
-        5 => row_block!(5, i),
-        _ => {}
-    }
+    register_tiled::<std::arch::x86_64::__m512, 6, 3>(l, out)
 }
 
-/// AVX2+FMA body of [`FusedLayer`]: tiles of 4 rows x 24 columns (12 fma
-/// accumulators + 3 `b` vectors — the widest tile that still fits ymm),
-/// then 8-column tiles and a scalar `mul_add` column fringe; a fringe of
-/// 1..=3 rows keeps the same column structure as a fixed-size register
-/// tile.
+/// AVX2+FMA entry of [`FusedLayer`]: the one tile in ymm registers, 4-row
+/// blocks of 24 columns (12 accumulators and 3 `b` registers, the widest
+/// tile that fits ymm), then 8-column tiles, then a scalar `mul_add`
+/// column fringe.
 ///
 /// # Safety
-/// The CPU must support avx2 and fma. Bounds are the body's own: it
-/// checks the call with `row_limits` and every row base with
-/// [`row_base`].
+/// The CPU must support avx2 and fma.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn matmul_avx2(l: &FusedLayer<'_>, out: &mut [f32]) {
+    register_tiled::<std::arch::x86_64::__m256, 4, 3>(l, out)
+}
+
+/// NEON entry of [`FusedLayer`]: the one tile in `float32x4_t` registers,
+/// 4-row blocks of 8 columns, then 4-column tiles, then a scalar `mul_add`
+/// column fringe. NEON is baseline on aarch64, so unlike AVX2 there is no
+/// per-feature fallback concern.
+///
+/// # Safety
+/// The CPU must support NEON.
+#[cfg(target_arch = "aarch64")]
+#[target_feature(enable = "neon")]
+unsafe fn matmul_neon(l: &FusedLayer<'_>, out: &mut [f32]) {
+    register_tiled::<std::arch::aarch64::float32x4_t, 4, 2>(l, out)
+}
+
+/// The register operations of one SIMD tier: all that [`register_tiled`]
+/// asks of it. A lane type is one register of `W` `f32` lanes; pointers
+/// need no alignment.
+///
+/// The methods are `unsafe` because they may run only inlined into their
+/// tier's `#[target_feature]` entry, and because they read or write `W`
+/// floats at `p` (the first `n` for `load_first` and `store_first`),
+/// which the tile checks with [`row_base`] before it forms the pointer.
+#[cfg_attr(not(any(target_arch = "x86_64", target_arch = "aarch64")), allow(dead_code))]
+trait Lanes: Copy {
+    /// Lanes per register.
+    const W: usize;
+    /// Whether the columns past the last whole register run as one masked
+    /// tile (`load_first`, `store_first`) rather than one `mul_add` chain
+    /// per element.
+    const MASKED: bool = false;
+    /// `v` in every lane.
+    unsafe fn splat(v: f32) -> Self;
+    unsafe fn load(p: *const f32) -> Self;
+    unsafe fn store(self, p: *mut f32);
+    /// The first `n < W` lanes from `p`, the others `+0.0`; nothing past
+    /// them is read.
+    unsafe fn load_first(_n: usize, _p: *const f32) -> Self {
+        unreachable!("only a masked tier loads part of a register")
+    }
+    /// The first `n < W` lanes to `p`; nothing past them is written.
+    unsafe fn store_first(self, _n: usize, _p: *mut f32) {
+        unreachable!("only a masked tier stores part of a register")
+    }
+    /// `a * b + acc` per lane, rounded once.
+    unsafe fn fma(a: Self, b: Self, acc: Self) -> Self;
+    unsafe fn add(self, other: Self) -> Self;
+    /// The tier's ReLU per lane (see [`FusedLayer`] on `-0.0`).
+    unsafe fn relu(self) -> Self;
+}
+
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::Lanes;
     use std::arch::x86_64::*;
-    let (a_lim, o_lim) = l.row_limits(out.len());
-    let (ap, bp, op) = (l.a.as_ptr(), l.b.as_ptr(), out.as_mut_ptr());
-    let zero = _mm256_setzero_ps();
-    // One tile: rows at offsets `$ab` / `$ob`, `$c` 8-lane column
-    // vectors from column `$j`. Seed, `k` chain, epilogue, store; the
-    // branches on the call's flags are taken once per tile.
-    macro_rules! tile {
-        ($c:literal, $j:expr, $ab:expr, $ob:expr) => {{
-            const C: usize = $c;
-            let (j, ab, ob): (usize, &[usize], &[usize]) = ($j, &$ab, &$ob);
-            let mut acc = [[zero; C]; R];
-            if l.accumulate {
-                for r in 0..R {
-                    for c in 0..C {
-                        acc[r][c] = _mm256_loadu_ps(op.add(ob[r] + j + 8 * c));
-                    }
-                }
-            }
+
+    impl Lanes for __m512 {
+        const W: usize = 16;
+        const MASKED: bool = true;
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm512_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm512_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm512_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn load_first(n: usize, p: *const f32) -> Self {
+            _mm512_maskz_loadu_ps((1 << n) - 1, p)
+        }
+        #[inline(always)]
+        unsafe fn store_first(self, n: usize, p: *mut f32) {
+            _mm512_mask_storeu_ps(p, (1 << n) - 1, self)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, acc: Self) -> Self {
+            _mm512_fmadd_ps(a, b, acc)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            _mm512_add_ps(self, other)
+        }
+        /// `max(v, +0.0)`: `if v > 0.0 { v } else { 0.0 }`.
+        #[inline(always)]
+        unsafe fn relu(self) -> Self {
+            _mm512_max_ps(self, _mm512_setzero_ps())
+        }
+    }
+
+    impl Lanes for __m256 {
+        const W: usize = 8;
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            _mm256_set1_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            _mm256_loadu_ps(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            _mm256_storeu_ps(p, self)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, acc: Self) -> Self {
+            _mm256_fmadd_ps(a, b, acc)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            _mm256_add_ps(self, other)
+        }
+        /// `max(v, +0.0)`: `if v > 0.0 { v } else { 0.0 }`.
+        #[inline(always)]
+        unsafe fn relu(self) -> Self {
+            _mm256_max_ps(self, _mm256_setzero_ps())
+        }
+    }
+}
+
+#[cfg(target_arch = "aarch64")]
+mod neon {
+    use super::Lanes;
+    use std::arch::aarch64::*;
+
+    impl Lanes for float32x4_t {
+        const W: usize = 4;
+        #[inline(always)]
+        unsafe fn splat(v: f32) -> Self {
+            vdupq_n_f32(v)
+        }
+        #[inline(always)]
+        unsafe fn load(p: *const f32) -> Self {
+            vld1q_f32(p)
+        }
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f32) {
+            vst1q_f32(p, self)
+        }
+        #[inline(always)]
+        unsafe fn fma(a: Self, b: Self, acc: Self) -> Self {
+            vfmaq_f32(acc, a, b)
+        }
+        #[inline(always)]
+        unsafe fn add(self, other: Self) -> Self {
+            vaddq_f32(self, other)
+        }
+        /// `fmaxnm(v, +0.0)`, what `f32::max` compiles to on aarch64.
+        #[inline(always)]
+        unsafe fn relu(self) -> Self {
+            vmaxnmq_f32(self, vdupq_n_f32(0.0))
+        }
+    }
+}
+
+/// The one register-tiled body of every SIMD tier, over lane type `L`:
+/// blocks of `ROWS` rows, each a row of tiles `WIDE` registers wide, then
+/// one register wide, then the tier's column fringe (see
+/// [`register_tiled_rows`]); then one fringe block of the last
+/// `m % ROWS` rows with the same column structure, so every block is a
+/// fixed-size register tile. Every element is one in-order `L::fma` chain
+/// from its seed.
+///
+/// # Safety
+/// `L`'s instructions must be enabled: it runs inlined into its tier's
+/// `#[target_feature]` entry. Bounds are the body's own: it checks the
+/// call with `row_limits` and every row base with [`row_base`].
+#[cfg_attr(not(any(target_arch = "x86_64", target_arch = "aarch64")), allow(dead_code))]
+#[inline(always)]
+unsafe fn register_tiled<L: Lanes, const ROWS: usize, const WIDE: usize>(l: &FusedLayer<'_>, out: &mut [f32]) {
+    const { assert!(4 <= ROWS && ROWS <= 6, "the row fringe has blocks of 1 to 5 rows") };
+    let lim = l.row_limits(out.len());
+    let op = out.as_mut_ptr();
+    let mut i = 0;
+    while i + ROWS <= l.m {
+        register_tiled_rows::<L, ROWS, WIDE>(l, lim, i, op);
+        i += ROWS;
+    }
+    // A guard on `ROWS` keeps a body from compiling a fringe block it
+    // can never run.
+    match l.m - i {
+        0 => {}
+        1 => register_tiled_rows::<L, 1, WIDE>(l, lim, i, op),
+        2 => register_tiled_rows::<L, 2, WIDE>(l, lim, i, op),
+        3 => register_tiled_rows::<L, 3, WIDE>(l, lim, i, op),
+        4 if ROWS > 4 => register_tiled_rows::<L, 4, WIDE>(l, lim, i, op),
+        5 if ROWS > 5 => register_tiled_rows::<L, 5, WIDE>(l, lim, i, op),
+        _ => unreachable!("a row fringe is shorter than a block"),
+    }
+}
+
+/// One block of [`register_tiled`]: logical rows `i..i + R`, every column.
+/// `WIDE`-register tiles, then one-register tiles, then the columns left:
+/// one masked tile on a masked tier, else one `mul_add` chain per element
+/// (`f32::mul_add` is the same single-rounding FMA).
+#[cfg_attr(not(any(target_arch = "x86_64", target_arch = "aarch64")), allow(dead_code))]
+#[inline(always)]
+unsafe fn register_tiled_rows<L: Lanes, const R: usize, const WIDE: usize>(
+    l: &FusedLayer<'_>,
+    (a_lim, o_lim): (usize, usize),
+    i: usize,
+    op: *mut f32,
+) {
+    let ab: [usize; R] = std::array::from_fn(|r| row_base(l.a_rows, i + r, l.a_rs, a_lim));
+    let ob: [usize; R] = std::array::from_fn(|r| row_base(l.out_rows, i + r, l.out_rs, o_lim));
+    let rows = (&ab, &ob);
+    let mut j = 0;
+    while j + WIDE * L::W <= l.n {
+        register_tile::<L, R, WIDE, false>(l, rows, j, L::W, op);
+        j += WIDE * L::W;
+    }
+    while j + L::W <= l.n {
+        register_tile::<L, R, 1, false>(l, rows, j, L::W, op);
+        j += L::W;
+    }
+    if L::MASKED {
+        if j < l.n {
+            register_tile::<L, R, 1, true>(l, rows, j, l.n - j, op);
+        }
+        return;
+    }
+    let (ap, bp) = (l.a.as_ptr(), l.b.as_ptr());
+    for j in j..l.n {
+        for (&a, &o) in ab.iter().zip(&ob) {
+            let o = op.add(o + j);
+            let mut v = if l.accumulate { *o } else { 0.0f32 };
             for k in 0..l.kd {
-                let (ak, bk) = (ap.add(k * l.a_ks), bp.add(k * l.b_rs + j));
-                let mut bv = [zero; C];
-                for c in 0..C {
-                    bv[c] = _mm256_loadu_ps(bk.add(8 * c));
-                }
-                for r in 0..R {
-                    let av = _mm256_set1_ps(*ak.add(ab[r]));
-                    for c in 0..C {
-                        acc[r][c] = _mm256_fmadd_ps(av, bv[c], acc[r][c]);
-                    }
-                }
+                v = (*ap.add(k * l.a_ks + a)).mul_add(*bp.add(k * l.b_rs + j), v);
             }
             if let Some(bias) = l.bias {
-                for c in 0..C {
-                    let bv = _mm256_loadu_ps(bias.as_ptr().add(j + 8 * c));
-                    for r in 0..R {
-                        acc[r][c] = _mm256_add_ps(acc[r][c], bv);
-                    }
-                }
+                v += bias[j];
             }
-            for r in 0..R {
-                for c in 0..C {
-                    let v = if l.relu {
-                        _mm256_max_ps(acc[r][c], zero)
-                    } else {
-                        acc[r][c]
-                    };
-                    _mm256_storeu_ps(op.add(ob[r] + j + 8 * c), v);
-                }
-            }
-        }};
+            // The x86 ReLU, `max(v, +0.0)`, on one element.
+            *o = if !l.relu || v > 0.0 { v } else { 0.0 };
+        }
     }
-    // One block of `$rows` rows from logical row `$i`, a literal so each
-    // block compiles to a fixed register tile.
-    macro_rules! row_block {
-        ($rows:literal, $i:expr) => {{
-            const R: usize = $rows;
-            let mut ab = [0usize; R];
-            let mut ob = [0usize; R];
-            for r in 0..R {
-                ab[r] = row_base(l.a_rows, $i + r, l.a_rs, a_lim);
-                ob[r] = row_base(l.out_rows, $i + r, l.out_rs, o_lim);
+}
+
+/// One `R x C`-register tile of [`register_tiled`] at column `j`: seed,
+/// `k` chain, epilogue, store. With `MASK` the one register holds only
+/// the first `lanes` columns (a masked tier's column fringe). The
+/// branches on the call's flags are taken once per tile, not per
+/// register.
+#[cfg_attr(not(any(target_arch = "x86_64", target_arch = "aarch64")), allow(dead_code))]
+#[inline(always)]
+unsafe fn register_tile<L: Lanes, const R: usize, const C: usize, const MASK: bool>(
+    l: &FusedLayer<'_>,
+    (ab, ob): (&[usize; R], &[usize; R]),
+    j: usize,
+    lanes: usize,
+    op: *mut f32,
+) {
+    let load = |p: *const f32| if MASK { L::load_first(lanes, p) } else { L::load(p) };
+    let (ap, bp) = (l.a.as_ptr(), l.b.as_ptr());
+    let mut acc: [[L; C]; R] = if l.accumulate {
+        std::array::from_fn(|r| std::array::from_fn(|c| load(op.add(ob[r] + j + c * L::W))))
+    } else {
+        [[L::splat(0.0); C]; R]
+    };
+    for k in 0..l.kd {
+        let (ak, bk) = (ap.add(k * l.a_ks), bp.add(k * l.b_rs + j));
+        let bv: [L; C] = std::array::from_fn(|c| load(bk.add(c * L::W)));
+        for (acc_r, &a) in acc.iter_mut().zip(ab) {
+            let av = L::splat(*ak.add(a));
+            for (v, &b) in acc_r.iter_mut().zip(&bv) {
+                *v = L::fma(av, b, *v);
             }
-            let mut j = 0;
-            while j + 24 <= l.n {
-                tile!(3, j, ab, ob);
-                j += 24;
-            }
-            while j + 8 <= l.n {
-                tile!(1, j, ab, ob);
-                j += 8;
-            }
-            while j < l.n {
-                for r in 0..R {
-                    let o = op.add(ob[r] + j);
-                    let mut v = if l.accumulate { *o } else { 0.0f32 };
-                    for k in 0..l.kd {
-                        v = (*ap.add(k * l.a_ks + ab[r])).mul_add(*bp.add(k * l.b_rs + j), v);
-                    }
-                    if let Some(bias) = l.bias {
-                        v += bias[j];
-                    }
-                    // `_mm256_max_ps(v, +0.0)`, lane by lane.
-                    *o = if !l.relu || v > 0.0 { v } else { 0.0 };
-                }
-                j += 1;
-            }
-        }};
+        }
     }
-    let mut i = 0;
-    while i + 4 <= l.m {
-        row_block!(4, i);
-        i += 4;
+    if let Some(bias) = l.bias {
+        let bv: [L; C] = std::array::from_fn(|c| load(bias.as_ptr().add(j + c * L::W)));
+        for acc_r in &mut acc {
+            for (v, &b) in acc_r.iter_mut().zip(&bv) {
+                *v = v.add(b);
+            }
+        }
     }
-    match l.m - i {
-        1 => row_block!(1, i),
-        2 => row_block!(2, i),
-        3 => row_block!(3, i),
-        _ => {}
+    for (acc_r, &o) in acc.iter().zip(ob) {
+        for (c, &v) in acc_r.iter().enumerate() {
+            let v = if l.relu { v.relu() } else { v };
+            let p = op.add(o + j + c * L::W);
+            if MASK {
+                v.store_first(lanes, p)
+            } else {
+                v.store(p)
+            }
+        }
     }
 }
 
@@ -1643,31 +1624,73 @@ mod tests {
         }
     }
 
-    /// Every x86 SIMD body this host supports, called directly rather
-    /// than through dispatch, equals the `mul_add` chain bitwise — over
-    /// every row fringe of both bodies, column tiles and fringes, an `a`
-    /// read with `a_ks = 1` and strided, `b` / `out` windows wider than
-    /// `n`, row maps, both seeds and every epilogue — and writes no cell
-    /// outside the rows and columns it addresses.
-    #[cfg(target_arch = "x86_64")]
+    /// A stand-in register of `N` plain `f32` lanes, so the one tile runs
+    /// in every tier's geometry on any host: lane-wise `mul_add` is the
+    /// FMA and the ReLU is the x86 one. The 16-lane stand-in is AVX-512's
+    /// and masked, as AVX-512 is.
+    impl<const N: usize> Lanes for [f32; N] {
+        const W: usize = N;
+        const MASKED: bool = N == 16;
+        unsafe fn splat(v: f32) -> Self {
+            [v; N]
+        }
+        unsafe fn load(p: *const f32) -> Self {
+            Self::load_first(N, p)
+        }
+        unsafe fn store(self, p: *mut f32) {
+            self.store_first(N, p)
+        }
+        unsafe fn load_first(n: usize, p: *const f32) -> Self {
+            std::array::from_fn(|i| if i < n { *p.add(i) } else { 0.0 })
+        }
+        unsafe fn store_first(self, n: usize, p: *mut f32) {
+            for (i, v) in self.into_iter().enumerate().take(n) {
+                *p.add(i) = v;
+            }
+        }
+        unsafe fn fma(a: Self, b: Self, acc: Self) -> Self {
+            std::array::from_fn(|i| a[i].mul_add(b[i], acc[i]))
+        }
+        unsafe fn add(self, other: Self) -> Self {
+            std::array::from_fn(|i| self[i] + other[i])
+        }
+        unsafe fn relu(self) -> Self {
+            self.map(|v| if v > 0.0 { v } else { 0.0 })
+        }
+    }
+
+    /// The one register tile equals the `mul_add` chain bitwise in every
+    /// tier's geometry — NEON's (4 rows x 2 registers of 4, `mul_add`
+    /// fringe), AVX2's (4 x 3 of 8, `mul_add` fringe) and AVX-512's (6 x 3
+    /// of 16, masked fringe), each through the stand-in lanes on any host —
+    /// and so does every x86 entry this host supports, called directly
+    /// rather than through dispatch. The matrix covers every row fringe
+    /// of every geometry, column tiles and fringes, an `a` read with
+    /// `a_ks = 1` and strided, `b` / `out` windows wider than `n`, row
+    /// maps, both seeds and every epilogue; a body writes no cell outside
+    /// the rows and columns it addresses, nor past the `out` it is given.
     #[test]
     fn every_simd_body_equals_the_fma_chain_bitwise() {
         type Body = unsafe fn(&FusedLayer<'_>, &mut [f32]);
-        let mut bodies: Vec<(&str, Body)> = Vec::new();
-        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            bodies.push(("avx2", matmul_avx2));
-        }
-        if is_x86_feature_detected!("avx512f") {
-            bodies.push(("avx512", matmul_avx512));
-        }
-        if bodies.is_empty() {
-            eprintln!("skipped: no x86 SIMD body runs on this host");
-            return;
+        #[allow(unused_mut)] // no x86 entry joins on other hosts
+        let mut bodies: Vec<(&str, Body)> = vec![
+            ("neon stand-in", register_tiled::<[f32; 4], 4, 2>),
+            ("avx2 stand-in", register_tiled::<[f32; 8], 4, 3>),
+            ("avx512 stand-in", register_tiled::<[f32; 16], 6, 3>),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                bodies.push(("avx2", matmul_avx2));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                bodies.push(("avx512", matmul_avx512));
+            }
         }
         let values = |len: usize, seed: u64| -> Vec<f32> { pseudo_random(1, len, seed).into_data() };
         let mut calls = 0usize;
         for m in 0..=13usize {
-            for &n in &[8usize, 9, 15, 16, 17, 23, 24, 25, 47, 48, 49, 64, 97] {
+            for &n in &[4usize, 5, 8, 9, 15, 16, 17, 23, 24, 25, 47, 48, 49, 64, 97] {
                 for &kd in &[0usize, 1, 7, 48, 64] {
                     for layout in 0..8u32 {
                         let (strided, window, maps) = (layout & 1 != 0, layout & 2 != 0, layout & 4 != 0);
@@ -1681,11 +1704,12 @@ mod tests {
                         let bias = values(n, n as u64 + 9);
                         let a_rows: Vec<usize> = (0..m).map(|i| (i * 7 + 1) % a_phys).collect();
                         let out_rows: Vec<usize> = (0..m).map(|i| o_phys - 1 - i).collect();
-                        let mut before = values(o_phys * out_rs, (m + n + kd) as u64 + 3);
+                        // The body gets the first `out_len` cells; the rest
+                        // is a guard it must not write.
+                        let out_len = o_phys * out_rs;
+                        let mut before = values(out_len + 16, (m + n + kd) as u64 + 3);
                         // A seed of -0.0 must chain as -0.0.
-                        if let Some(v) = before.first_mut() {
-                            *v = -0.0;
-                        }
+                        before[0] = -0.0;
                         for accumulate in [false, true] {
                             for (bias, relu) in [(None, false), (Some(&bias[..]), false), (Some(&bias[..]), true)] {
                                 let call = FusedLayer {
@@ -1708,9 +1732,10 @@ mod tests {
                                 fma_chain_reference(&call, &mut want);
                                 for (name, body) in &bodies {
                                     let mut got = before.clone();
-                                    // SAFETY: the body's features were detected
-                                    // above; it checks its own bounds.
-                                    unsafe { body(&call, &mut got) };
+                                    // SAFETY: an x86 entry's features were
+                                    // detected above, a stand-in needs none, and
+                                    // the tile checks its own bounds.
+                                    unsafe { body(&call, &mut got[..out_len]) };
                                     calls += 1;
                                     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                                     assert_eq!(

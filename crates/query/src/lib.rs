@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod benchmarks;
-pub mod builder;
 pub mod datatypes;
 pub mod features;
 pub mod generator;

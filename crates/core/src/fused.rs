@@ -40,12 +40,10 @@
 //!
 //! The pass runs a hash-consed slot schedule (`crate::plan`'s module
 //! docs), not a plan's nodes: each distinct encoder row or wave update
-//! is one *slot*, and a wave update nothing reads (in the Costream scheme,
-//! every HW→OPS update) gets none. Every slot of the `[slots, k·hidden]`
-//! state is written exactly once — encoders and updaters compute only the
-//! new distinct rows, through `StackedMlp::forward_into`'s row maps
-//! straight into their slots — and the readout pools each node's final
-//! slot per graph. Every kernel row is one single-accumulator chain over
+//! is one *slot*. Every slot of the `[slots, k·hidden]` state is written
+//! exactly once — encoders and updaters compute only the new distinct
+//! rows, through `StackedMlp::forward_into`'s row maps straight into their
+//! slots — and the readout pools each node's final slot per graph. Every kernel row is one single-accumulator chain over
 //! its own input row, so a row computed once and read by every node that
 //! shares its key holds the bits each node's own computation would have:
 //! equal keys mean equal inputs, summed in equal order.

@@ -4,8 +4,9 @@
 //! and the hardware nodes into one learnable graph: operator vertices carry
 //! the operator/data features of Table I, host vertices carry the hardware
 //! features, and directed edge sets describe (a) the logical data flow and
-//! (b) the operator placement (op ↔ host, in both directions, used by the
-//! OPS→HW and HW→OPS message-passing phases of Algorithm 1).
+//! (b) the operator placement (op → host, used by the OPS→HW
+//! message-passing phase of Algorithm 1; its HW→OPS phase is not built,
+//! see [`Scheme::Costream`](crate::model::Scheme::Costream)).
 
 use costream_query::features::{host_features, op_features, NodeType};
 use costream_query::hardware::{Cluster, Host, HostId};
@@ -46,11 +47,17 @@ pub struct JointGraph {
     pub nodes: Vec<GraphNode>,
     /// Logical data-flow edges `(from, to)` between operator nodes.
     pub dataflow_edges: Vec<(usize, usize)>,
-    /// Placement edges `(op, host)`; traversed op→host in the OPS→HW phase
-    /// and host→op in the HW→OPS phase.
+    /// Placement edges `(op, host)`, traversed op→host in the OPS→HW phase.
     pub placement_edges: Vec<(usize, usize)>,
     /// Topological wave of each operator node along the data flow
     /// (sources are wave 0); `None` for host nodes.
+    ///
+    /// The Costream scheme builds no HW→OPS phase, which is exact only when
+    /// the waves order the dataflow: every operator is then a target of a
+    /// dataflow wave, and every child's state is its dataflow update before
+    /// a wave reads it. [`JointGraph::wave_fault`] checks that; a graph that
+    /// fails it would score as if Algorithm 1's HW→OPS phase were missing,
+    /// and the front end refuses it.
     pub waves: Vec<Option<usize>>,
 }
 
@@ -81,6 +88,26 @@ impl JointGraph {
     /// True when the graph has no nodes.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// The first way in which the graph's waves fail to order its dataflow
+    /// (see [`JointGraph::waves`]), or `None` when they order it: one wave
+    /// entry per node, a wave on every operator node and on no host node,
+    /// and every dataflow edge within the node list and from a lower wave
+    /// to a higher one. Every graph [`JointGraph::build`] makes passes.
+    pub fn wave_fault(&self) -> Option<String> {
+        let n = self.nodes.len();
+        if self.waves.len() != n {
+            return Some(format!("{} wave entries for {n} nodes", self.waves.len()));
+        }
+        if let Some(v) = (0..n).find(|&v| (self.nodes[v].node_type == NodeType::Host) == self.waves[v].is_some()) {
+            let has = if self.waves[v].is_some() { "has" } else { "has no" };
+            return Some(format!("node {v} ({:?}) {has} wave", self.nodes[v].node_type));
+        }
+        self.dataflow_edges.iter().find_map(|&(a, b)| {
+            let ordered = a < n && b < n && matches!((self.waves[a], self.waves[b]), (Some(x), Some(y)) if x < y);
+            (!ordered).then(|| format!("dataflow edge ({a}, {b}) does not run from a lower wave to a higher one"))
+        })
     }
 
     /// Highest wave index plus one (the number of dataflow waves).

@@ -21,7 +21,7 @@ use crate::graph::JointGraph;
 use crate::plan::BatchPlan;
 use costream_nn::{
     BatchSpec, EncodeSpec, EncoderPart, Gnn, Gradients, InferenceArena, Initializer, Mlp, ParamStore, Tensor,
-    TrainingPass, WaveSpec,
+    TrainingPass,
 };
 use costream_query::features::NodeType;
 use serde::{json, DeError, Deserialize, Serialize};
@@ -29,7 +29,14 @@ use serde::{json, DeError, Deserialize, Serialize};
 /// Message-passing scheme (Exp 7b ablation, Fig. 13).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Scheme {
-    /// The paper's scheme: OPS→HW, HW→OPS, SOURCES→OPS (Algorithm 1).
+    /// The paper's scheme (Algorithm 1): OPS→HW, then SOURCES→OPS in
+    /// topological waves. Algorithm 1's HW→OPS phase between them is not
+    /// built: every update's own half reads the node's encoder state `h0`,
+    /// and every operator is a target of a later dataflow wave, so an
+    /// HW→OPS update would be overwritten before anything read it. The
+    /// hardware reaches the readout through the host nodes' pooled states.
+    /// (That holds for a graph whose waves order its dataflow,
+    /// [`JointGraph::wave_fault`].)
     Costream,
     /// Traditional GNN: several rounds in which every node is updated from
     /// all of its neighbours simultaneously, regardless of node type.
@@ -309,20 +316,10 @@ impl GnnModel {
     }
 
     /// The training forward over a precomputed [`BatchPlan`]: `pass` runs
-    /// the encoders, every wave with a live target, the pool and the
-    /// readout, keeps what its backward replays, and returns the raw
-    /// output per graph — bitwise that of inference, and of the per-op
-    /// chain both passes are held to.
-    ///
-    /// A wave none of whose targets' new states anything reads is not run
-    /// — in the Costream scheme the HW→OPS wave, whose rows the dataflow
-    /// waves overwrite unread; a wave with one live target runs whole. The
-    /// liveness flags come with the plan's topology. Skipping moves no
-    /// output bit, and no gradient bit but the sign of an exactly zero sum:
-    /// a dead row's upstream gradient is exactly zero, and each
-    /// weight-gradient element is one accumulation chain over rows. The
-    /// sequential oracle (`costream::oracle`, that per-op chain over every
-    /// wave) alone still computes the unread rows, as the witness.
+    /// the encoders, every wave of the plan, the pool and the readout,
+    /// keeps what its backward replays, and returns the raw output per
+    /// graph — bitwise that of inference, and of the per-op chain both
+    /// passes are held to (`costream::oracle`).
     ///
     /// Buffers come from `arena`; a training loop passes the same arena
     /// and pass to every minibatch, and after the first nothing is
@@ -337,7 +334,7 @@ impl GnnModel {
         arena: &mut InferenceArena,
     ) -> &'p Tensor {
         self.config.check_plan(plan);
-        pass.forward(self.gnn(), plan, training_waves(plan), arena)
+        pass.forward(self.gnn(), plan, plan.waves(), arena)
     }
 
     /// The backward of the last [`GnnModel::train_forward`] over the same
@@ -351,15 +348,8 @@ impl GnnModel {
         grads: &mut Gradients,
         arena: &mut InferenceArena,
     ) {
-        pass.backward(self.gnn(), plan, training_waves(plan), seed, grads, arena);
+        pass.backward(self.gnn(), plan, plan.waves(), seed, grads, arena);
     }
-}
-
-/// The waves of `plan` the training pass runs.
-fn training_waves(plan: &BatchPlan) -> impl DoubleEndedIterator<Item = &dyn WaveSpec> {
-    plan.topo
-        .waves_with_live()
-        .filter_map(|(w, live)| live.then_some(w as &dyn WaveSpec))
 }
 
 /// A plan's encoder routing, as the shared encoding routine reads it: MLP

@@ -6,13 +6,9 @@
 //! `tests/wave_parity.rs`, so one independent reference stands behind
 //! both.
 //!
-//! It is the one pass that still computes the rows nothing reads: the
-//! fused pass gives a dead wave target no slot, and the training pass runs
-//! no wave without a live target (in the Costream scheme the HW→OPS wave,
-//! which the dataflow waves overwrite unread). The oracle runs those waves
-//! anyway, as the witness that skipping them moves no bit; and it hands a
-//! test the waves and weights to run the training pass or the chain over
-//! every wave itself ([`waves`], [`gnn`]).
+//! It runs every wave of a plan, as both production passes do, and hands
+//! a test the waves and weights to run the training pass or the chain
+//! itself ([`waves`], [`gnn`]).
 //!
 //! `#[doc(hidden)]` test support: CI's oracle ratchet fails if a non-test
 //! line under `crates/*/src`, `src` or `examples` outside this file and
@@ -26,10 +22,9 @@ use costream_nn::loss::{msle_inverse, sigmoid};
 use costream_nn::tape::Tape;
 use costream_nn::{Gnn, WaveSpec};
 
-/// Every wave of `plan`, in order, and whether any of its targets is live
-/// — the waves the training pass runs.
-pub fn waves(plan: &BatchPlan) -> impl DoubleEndedIterator<Item = (&dyn WaveSpec, bool)> {
-    plan.topo.waves_with_live().map(|(w, live)| (w as &dyn WaveSpec, live))
+/// Every wave of `plan`, in order — the waves the training pass runs.
+pub fn waves(plan: &BatchPlan) -> impl DoubleEndedIterator<Item = &dyn WaveSpec> {
+    plan.waves()
 }
 
 /// A model's weights as the training pass reads them.
@@ -38,14 +33,14 @@ pub fn gnn(model: &GnnModel) -> Gnn<'_> {
 }
 
 /// One model's raw output per graph of `plan` (log-space cost or logit),
-/// from the per-op chain over every wave of the plan.
+/// from the per-op chain over the plan's waves.
 ///
 /// # Panics
 /// Panics when the plan was built for a different scheme.
 pub fn forward(model: &GnnModel, plan: &BatchPlan) -> Vec<f32> {
     model.config().check_plan(plan);
     let mut tape = Tape::new();
-    let out = tape.gnn(model.gnn(), plan, waves(plan).map(|(w, _)| w));
+    let out = tape.gnn(model.gnn(), plan, plan.waves());
     tape.value(out).data().to_vec()
 }
 

@@ -42,7 +42,7 @@
 //! `Arc`) and counts hits and misses per graph.
 //!
 //! A fragment keeps every wave its graph could take part in, whether or
-//! not the graph has a target in it (the host phases, and every dataflow
+//! not the graph has a target in it (the host phase, and every dataflow
 //! wave below its depth), so wave `k` of any two fragments is the same
 //! batch wave; stitching drops the waves no graph of the batch has a target
 //! in, as the batch build does.
@@ -66,15 +66,15 @@
 //! # Hash-consed slot schedules
 //!
 //! The batches a placement search scores are neighbours of one another:
-//! a candidate's node states depend on its placement only through the
-//! OPS→HW / HW→OPS edges and the dataflow downstream of them (Algorithm 1,
-//! §III-B), so most of a batch's encoder rows and wave updates repeat a
-//! computation another candidate already makes — in the same batch or in
-//! an earlier batch of the same search. The fused inference pass
-//! therefore does not run a plan node by node; it runs a *slot schedule*,
-//! a plan — or, in a search, a batch of placements (below) — lowered into
-//! a `SlotMemo` that holds every distinct node state seen so far. A slot
-//! is one distinct node state:
+//! a candidate's node states depend on its placement only through its
+//! placement edges and the states they reach (in the Costream scheme, the
+//! host nodes' alone; Algorithm 1, §III-B), so most of a batch's encoder
+//! rows and wave updates repeat a computation another candidate already
+//! makes — in the same batch or in an earlier batch of the same search.
+//! The fused inference pass therefore does not run a plan node by node; it
+//! runs a *slot schedule*, a plan — or, in a search, a batch of placements
+//! (below) — lowered into a `SlotMemo` that holds every distinct node state
+//! seen so far. A slot is one distinct node state:
 //!
 //! * an encoder row's slot is keyed by (node type, the exact `f32` bits of
 //!   its features) — `-0.0` and `+0.0`, or two NaN payloads, never merge;
@@ -82,16 +82,12 @@
 //!   of its children's current slots). The node type is part of the own
 //!   slot's key, so it needs no field of its own.
 //!
-//! Only *live* wave targets get a slot: those whose new state the readout
-//! or a later wave reads. The rest are structural dead code — in the
-//! Costream scheme every HW→OPS update, because own halves read `h0` and
-//! the dataflow waves overwrite each operator before anything reads it.
-//! A topology reads which targets are live once, when it is built or
-//! stitched (`live_targets`), and keeps the flags: the lowering reads them
-//! here, and the training pass runs no wave without a live target (it runs
-//! a partly live wave whole). Only the sequential oracle
-//! (`costream::oracle`) still computes the dead rows, and throws them
-//! away: it is the witness that skipping them moves no bit.
+//! Every wave target's new state is read, by the readout or by a later
+//! wave: the Costream topology has no HW→OPS wave (see
+//! [`Scheme::Costream`]), so in a graph whose waves order its dataflow
+//! ([`JointGraph::wave_fault`]) no wave of either scheme computes a row
+//! nothing reads, and the lowering, the training pass and the sequential
+//! oracle all run every wave of a topology.
 //!
 //! Keys are interned through 64-bit fingerprints in open-addressed
 //! tables; fingerprints only route, and two keys merge only after an exact
@@ -112,7 +108,7 @@
 //!   plan (not even a model swap between two batches can reach a stale
 //!   row), and if no encoder row
 //!   repeats (no two targets can then share an own slot) the lowering stops
-//!   there: every live wave target gets a fresh slot and no wave key is
+//!   there: every wave target gets a fresh slot and no wave key is
 //!   hashed. Skipping a merge never changes a bit — it only repeats work —
 //!   so the shortcut is sound whatever the graphs.
 //! * **One search** — a search's candidates: the in-process scorer lowers
@@ -136,8 +132,7 @@
 //! rows. Equal wave keys are equal inputs too: the child half sums the same
 //! slots in the same (edge) order from zero, and the own half copies the
 //! same `h0` row. The readout pools each node's final slot in node order,
-//! the same additions in the same order as pooling the per-node state. A
-//! dead row reaches no output, so dropping it changes no bit either.
+//! the same additions in the same order as pooling the per-node state.
 //!
 //! # Lowering placements
 //!
@@ -151,16 +146,15 @@
 //!
 //! * Per template, once per search, the memo builds the topology of the
 //!   template's *one-host shape* — every operator on one host node — and
-//!   reads off each wave target's children, whether it is live
-//!   (`live_targets`), and whether its key can depend on the placement:
-//!   a host's own row does, and so does every key that reads a placed
-//!   state. A candidate graph is that shape with the host node standing
-//!   for each host it uses, on the operators placed there.
+//!   reads off each wave target's children and whether its key can depend
+//!   on the placement: a host's own row does, and so does every key that
+//!   reads a placed state. A candidate graph is that shape with the host
+//!   node standing for each host it uses, on the operators placed there.
 //! * Per template, once per memo generation (a slot-cap restart begins a
 //!   new one), its operator rows are interned, and so are the keys of its
-//!   live targets no placement can change — in the Costream scheme every
-//!   dataflow target, since HW→OPS is dead. Each candidate graph takes
-//!   those slots as they are.
+//!   targets no placement can change — in the Costream scheme every
+//!   dataflow target, since dataflow keys read operator states alone. Each
+//!   candidate graph takes those slots as they are.
 //! * A plain host row is interned once per template and host, computed
 //!   from the host the first time a candidate uses it; a contended row
 //!   is interned by its bits.
@@ -296,12 +290,6 @@ pub(crate) struct PlanTopology {
     pub waves: Vec<WavePlan>,
     /// Graph id of every node (readout segments).
     pub graph_of: Vec<usize>,
-    /// Whether anything reads each wave target's new state, one flag per
-    /// target of every wave in order ([`live_targets`], read once when the
-    /// topology is built or stitched).
-    live: Vec<bool>,
-    /// Whether each wave has a live target.
-    wave_live: Vec<bool>,
 }
 
 impl PlanTopology {
@@ -322,22 +310,6 @@ impl PlanTopology {
     pub fn encoders(&self) -> impl Iterator<Item = (usize, &[usize])> {
         (0..self.n_encoders()).map(|i| self.encoder(i))
     }
-
-    /// Every wave, in order, with its targets' liveness flags.
-    fn live_waves(&self) -> impl Iterator<Item = (&WavePlan, &[bool])> {
-        let mut rest = &self.live[..];
-        self.waves.iter().map(move |w| {
-            let (live, tail) = rest.split_at(w.targets().len());
-            rest = tail;
-            (w, live)
-        })
-    }
-
-    /// Every wave, in order, and whether it has a live target (the
-    /// training pass runs only those).
-    pub fn waves_with_live(&self) -> impl DoubleEndedIterator<Item = (&WavePlan, bool)> {
-        self.waves.iter().zip(self.wave_live.iter().copied())
-    }
 }
 
 /// Two topologies are equal when every list is, wherever it sits.
@@ -350,7 +322,6 @@ impl PartialEq for PlanTopology {
             && self.encoders().eq(other.encoders())
             && self.waves == other.waves
             && self.graph_of == other.graph_of
-            && self.live == other.live
     }
 }
 
@@ -410,7 +381,7 @@ impl TopoBuilder {
                 at,
             })
             .collect();
-        let mut topo = PlanTopology {
+        PlanTopology {
             scheme,
             traditional_rounds,
             total: graph_of.len(),
@@ -419,12 +390,7 @@ impl TopoBuilder {
             encoders: self.encoders,
             waves,
             graph_of,
-            live: Vec::new(),
-            wave_live: Vec::new(),
-        };
-        topo.live = live_targets(&topo);
-        topo.wave_live = topo.live_waves().map(|(_, live)| live.contains(&true)).collect();
-        topo
+        }
     }
 }
 
@@ -469,6 +435,12 @@ impl BatchPlan {
         debug_assert_eq!(topo.total, graphs.iter().map(|g| g.len()).sum::<usize>());
         let features = stack_features(&topo, graphs);
         BatchPlan { topo, features }
+    }
+
+    /// Every wave of the plan, in order, as the training pass and the
+    /// per-op chain read them.
+    pub(crate) fn waves(&self) -> impl DoubleEndedIterator<Item = &dyn WaveSpec> {
+        self.topo.waves.iter().map(|w| w as &dyn WaveSpec)
     }
 
     /// Lowers the plan into `memo`: the schedule computes only the slots
@@ -549,7 +521,7 @@ impl PlanTopology {
         Self::linear(graphs, scheme, traditional_rounds, false)
     }
 
-    /// The linear pass. `every_wave` keeps the host phases and every
+    /// The linear pass. `every_wave` keeps the host phase and every
     /// dataflow wave whether or not a node of the batch is its target —
     /// the fragment layout (see the module docs).
     fn linear(graphs: &[&JointGraph], scheme: Scheme, traditional_rounds: usize, every_wave: bool) -> Self {
@@ -573,10 +545,11 @@ impl PlanTopology {
         }
         // What the lists take at most: the encoders cover every node once;
         // each target is listed once, and once more in its group's rows and
-        // globals; and each kept edge is a child row and a segment. A node
-        // is a target of one host phase and of at most one dataflow wave.
+        // globals; and each kept edge is a child row and a segment. A host
+        // is a target of the host phase, an operator of at most one
+        // dataflow wave.
         let items = match scheme {
-            Scheme::Costream => 7 * total + 4 * n_placement + 2 * n_dataflow,
+            Scheme::Costream => 4 * total + 2 * (n_placement + n_dataflow),
             Scheme::Traditional => 4 * total + 4 * (n_dataflow + n_placement),
         };
         let mut b = TopoBuilder::with_capacity(items);
@@ -585,7 +558,7 @@ impl PlanTopology {
         b.encoders
             .extend(present(split_by_type(&mut b.index.items, total, |_, g| types[g])));
         b.reserve_waves(match scheme {
-            Scheme::Costream => 2 + n_waves,
+            Scheme::Costream => 1 + n_waves,
             Scheme::Traditional => 1,
         });
 
@@ -606,11 +579,9 @@ impl PlanTopology {
                 const HOST: usize = NodeType::Host as usize;
                 if every_wave || types.contains(&HOST) {
                     // Phase 1: OPS→HW over the placement edges (op, host).
+                    // Phase 2 (HW→OPS) is not built: see `Scheme::Costream`.
                     let ophw = globalized(|g| &g.placement_edges);
                     scratch.wave(&mut b, (0..total).filter(|&g| types[g] == HOST), &ophw);
-                    // Phase 2: HW→OPS, the same edges reversed.
-                    let hwop: Vec<(usize, usize)> = ophw.iter().map(|&(op, hn)| (hn, op)).collect();
-                    scratch.wave(&mut b, (0..total).filter(|&g| types[g] != HOST), &hwop);
                 }
 
                 // Phase 3: SOURCES→OPS, in topological waves. Targets and
@@ -718,13 +689,9 @@ impl PlanTopology {
         };
         let repeat = match scheme {
             Scheme::Costream => {
-                // Waves 0 and 1 are the host phases, which every fragment
-                // has; then the dataflow waves, as deep as the deepest graph.
-                if has_targets(0) {
-                    stitch_wave(&mut b, frags, &offsets, 0);
-                    stitch_wave(&mut b, frags, &offsets, 1);
-                }
-                for k in (2..depth).filter(|&k| has_targets(k)) {
+                // Wave 0 is the host phase, which every fragment has; then
+                // the dataflow waves, as deep as the deepest graph.
+                for k in (0..depth).filter(|&k| has_targets(k)) {
                     stitch_wave(&mut b, frags, &offsets, k);
                 }
                 1
@@ -823,13 +790,7 @@ impl Fragment {
             "malformed graph: an edge or wave list does not fit its {n} nodes"
         );
         let topo = PlanTopology::linear(&[g], scheme, traditional_rounds, true);
-        // The host phases stay together once the first has a target.
-        let alone = scheme == Scheme::Traditional
-            || topo
-                .waves
-                .iter()
-                .enumerate()
-                .all(|(k, w)| k == 1 || !w.targets().is_empty());
+        let alone = scheme == Scheme::Traditional || topo.waves.iter().all(|w| !w.targets().is_empty());
         Fragment {
             types: g.nodes.iter().map(|node| node.node_type).collect(),
             dataflow_edges: g.dataflow_edges.clone(),
@@ -1049,9 +1010,7 @@ pub struct SlotStats {
     pub distinct_encoder_rows: usize,
     /// Wave-target rows across all waves (what a per-node pass computes).
     pub wave_rows: usize,
-    /// Wave-target rows whose new state something reads.
-    pub live_wave_rows: usize,
-    /// Distinct live wave-target rows (slots the updaters write).
+    /// Distinct wave-target rows (slots the updaters write).
     pub distinct_wave_rows: usize,
 }
 
@@ -1068,7 +1027,6 @@ impl std::ops::AddAssign for SlotStats {
         self.encoder_rows += other.encoder_rows;
         self.distinct_encoder_rows += other.distinct_encoder_rows;
         self.wave_rows += other.wave_rows;
-        self.live_wave_rows += other.live_wave_rows;
         self.distinct_wave_rows += other.distinct_wave_rows;
     }
 }
@@ -1206,36 +1164,6 @@ fn push_range(index: &mut Vec<usize>, items: impl IntoIterator<Item = usize>) ->
     start..index.len()
 }
 
-/// Which wave targets' new states anything reads, one flag per target of
-/// every wave in order. The readout reads each node's last state, and a
-/// wave reads the current state of its live targets' children; own halves
-/// read `h0`, never a wave's output. A dead target — in the Costream scheme
-/// every HW→OPS update, which the dataflow waves overwrite before anything
-/// reads it — gets no slot and no row, and a wave with no live target is
-/// not run by the training pass. Run once per topology
-/// ([`TopoBuilder::finish`]), whether built, stitched or a fragment; the
-/// sequential oracle alone computes the dead rows.
-fn live_targets(topo: &PlanTopology) -> Vec<bool> {
-    let mut live = vec![false; topo.waves.iter().map(|w| w.targets().len()).sum()];
-    // Whether the state each node holds at this point of the walk is read.
-    let mut read = vec![true; topo.total];
-    let mut end = live.len();
-    for w in topo.waves.iter().rev() {
-        let wave_live = &mut live[end - w.targets().len()..end];
-        end -= w.targets().len();
-        for (l, &t) in wave_live.iter_mut().zip(w.targets()) {
-            *l = read[t];
-            read[t] = false;
-        }
-        for (&c, &seg) in w.child_rows().iter().zip(w.segs()) {
-            if wave_live[seg] {
-                read[c] = true;
-            }
-        }
-    }
-    live
-}
-
 /// An encoder slot's key: node type and the bits of its feature row.
 #[derive(Debug)]
 struct EncoderKey {
@@ -1266,7 +1194,7 @@ struct FreshRow {
     kids: usize,
 }
 
-/// A live wave target of a template's one-host shape
+/// A wave target of a template's one-host shape
 /// ([`GraphTemplate::one_host_shape`]), as the placement lowering reads it.
 #[derive(Clone, Debug)]
 struct ShapeTarget {
@@ -1279,10 +1207,10 @@ struct ShapeTarget {
     kids: Range<usize>,
 }
 
-/// One wave of a template's shape: its live targets whose keys can depend
-/// on the placement (a host's own row does, and so does every key that
-/// reads a placed state), then those whose keys cannot — ranges of
-/// [`TemplateCache::targets`]. Dead targets are not listed.
+/// One wave of a template's shape: its targets whose keys can depend on
+/// the placement (a host's own row does, and so does every key that reads
+/// a placed state), then those whose keys cannot — ranges of
+/// [`TemplateCache::targets`].
 #[derive(Clone, Debug)]
 struct ShapeWave {
     placed: Range<usize>,
@@ -1300,17 +1228,15 @@ struct TemplateEntry {
     n_ops: usize,
     /// Whether the shape has a host node (not under `QueryOnly`).
     has_hosts: bool,
-    /// The shape's live targets, a range of [`TemplateCache::targets`],
-    /// and its waves, a range of [`TemplateCache::waves`].
+    /// The shape's targets, a range of [`TemplateCache::targets`], and its
+    /// waves, a range of [`TemplateCache::waves`].
     targets: Range<usize>,
     waves: Range<usize>,
     /// Per candidate graph: wave targets `op_rows + host_rows · used
-    /// hosts`, of which `live_op_rows + live_host_rows · used hosts` live.
+    /// hosts`.
     op_rows: usize,
     host_rows: usize,
-    live_op_rows: usize,
-    live_host_rows: usize,
-    /// Live targets no placement can change (all of them operators).
+    /// Targets no placement can change (all of them operators).
     unplaced_rows: usize,
     /// The memo generation the slots below belong to (`None`: none yet).
     generation: Option<u64>,
@@ -1320,7 +1246,7 @@ struct TemplateEntry {
     h0: Range<usize>,
     /// Each operator's current slot in the unplaced walk.
     cur: Range<usize>,
-    /// Per live shape target, its slot when it is unplaced.
+    /// Per shape target, its slot when it is unplaced.
     fixed: Range<usize>,
     /// Per cluster host, its plain row's slot (`usize::MAX` until a
     /// candidate uses the host).
@@ -1350,13 +1276,11 @@ impl TemplateCache {
 
     /// The entry of `template`, its shape read when first seen: the shape's
     /// topology (wave `k` is the same wave for every template of one
-    /// featurization: the host phases when the shape has a host node, then
-    /// one wave per dataflow depth), which targets [`live_targets`] keeps,
-    /// and which keys can
-    /// depend on the placement — a target's is placed when its own row is a
-    /// host's or it reads a placed state. In the Costream scheme that is the
-    /// OPS→HW phase only: HW→OPS is dead, and every dataflow key reads
-    /// operator states alone.
+    /// featurization: the host phase when the shape has a host node, then
+    /// one wave per dataflow depth) and which keys can depend on the
+    /// placement — a target's is placed when its own row is a host's or it
+    /// reads a placed state. In the Costream scheme that is the OPS→HW
+    /// phase only: every dataflow key reads operator states alone.
     fn entry(&mut self, template: &GraphTemplate, scheme: Scheme, traditional_rounds: usize) -> usize {
         if let Some(e) = self.entries.iter().position(|e| e.id == template.id()) {
             return e;
@@ -1367,15 +1291,12 @@ impl TemplateCache {
         // Whether the state each shape node holds at this point is placed.
         let mut placed_now: Vec<bool> = (0..shape.len()).map(|v| v >= n_ops).collect();
         let (targets_start, waves_start) = (self.targets.len(), self.waves.len());
-        let mut rows = [[0usize; 2]; 2];
+        let mut rows = [0usize; 2];
         let (mut after, mut unplaced) = (Vec::new(), Vec::new());
-        for (w, live) in topo.live_waves() {
+        for w in &topo.waves {
             let first = self.targets.len();
-            for (p, (&t, &live)) in w.targets().iter().zip(live).enumerate() {
-                rows[usize::from(t >= n_ops)][usize::from(live)] += 1;
-                if !live {
-                    continue;
-                }
+            for (p, &t) in w.targets().iter().enumerate() {
+                rows[usize::from(t >= n_ops)] += 1;
                 let start = self.kids.len();
                 self.kids.extend(
                     w.child_rows()
@@ -1420,10 +1341,8 @@ impl TemplateCache {
             has_hosts: shape.len() > n_ops,
             targets: targets_start..self.targets.len(),
             waves: waves_start..self.waves.len(),
-            op_rows: rows[0][0] + rows[0][1],
-            host_rows: rows[1][0] + rows[1][1],
-            live_op_rows: rows[0][1],
-            live_host_rows: rows[1][1],
+            op_rows: rows[0],
+            host_rows: rows[1],
             unplaced_rows: self.waves[waves_start..].iter().map(|w| w.unplaced.len()).sum(),
             generation: None,
             fixed_waves: 0,
@@ -1620,7 +1539,7 @@ impl SlotMemo {
     }
 
     /// Lowers one plan, alone: the memo forgets every slot first, then
-    /// every encoder row and live wave target is interned against the
+    /// every encoder row and wave target is interned against the
     /// plan's own keys, and only those with no equal key get a new slot
     /// (and a row of the schedule).
     fn lower<'a>(&mut self, topo: &'a PlanTopology, features: &'a [Tensor]) -> SlotSchedule<'a> {
@@ -1692,24 +1611,23 @@ impl SlotMemo {
         s
     }
 
-    /// Lowers the waves. A wave computes one input row per live target (see
-    /// [`live_targets`]) that needs a slot of its own: when merging, a
-    /// target is interned by (own slot, child slots in edge order) against
-    /// every key the memo holds, and only the first of equal keys is
-    /// computed; otherwise every live target gets a new slot.
+    /// Lowers the waves. A wave computes one input row per target that
+    /// needs a slot of its own: when merging, a target is interned by (own
+    /// slot, child slots in edge order) against every key the memo holds,
+    /// and only the first of equal keys is computed; otherwise every target
+    /// gets a new slot.
     fn lower_waves(&mut self, s: &mut SlotSchedule, topo: &PlanTopology, h0: &[usize], cur: &mut [usize], merge: bool) {
-        s.stats.live_wave_rows = topo.live.iter().filter(|&&l| l).count();
         let first = self.n_slots;
         if merge {
-            self.waves.reserve(s.stats.live_wave_rows);
-            self.wave_keys.reserve(s.stats.live_wave_rows);
+            self.waves.reserve(s.stats.wave_rows);
+            self.wave_keys.reserve(s.stats.wave_rows);
             self.kids.reserve(topo.waves.iter().map(|w| w.child_rows().len()).sum());
         }
         // Per-wave scratch: child slots bucketed by target (CSR), each
-        // target's node type, the new rows and each live target's new slot.
+        // target's node type, the new rows and each target's new slot.
         let (mut start, mut fill, mut by_target) = (Vec::new(), Vec::new(), Vec::new());
         let (mut type_of, mut fresh, mut after) = (Vec::new(), Vec::new(), Vec::new());
-        for (w, live) in topo.live_waves() {
+        for w in &topo.waves {
             let n = w.targets().len();
             start.clear();
             start.resize(n + 1, 0);
@@ -1735,15 +1653,12 @@ impl SlotMemo {
                 }
             }
 
-            // Key every live target on its pre-wave children; a new one's
-            // child slots go straight into the schedule's index.
+            // Key every target on its pre-wave children; a new one's child
+            // slots go straight into the schedule's index.
             let child_start = s.index.len();
             fresh.clear();
             after.clear();
             for (p, &t) in w.targets().iter().enumerate() {
-                if !live[p] {
-                    continue;
-                }
                 let own = h0[t];
                 let children = &by_target[start[p]..start[p + 1]];
                 let (slot, new) = if merge {
@@ -1820,10 +1735,10 @@ impl SlotMemo {
             v.clear();
         }
         sc.rank.clear();
-        // Nodes, wave targets and live ones; and the wave keys the
-        // lowering may intern (placed targets, plus the unplaced ones of a
-        // template new to this generation).
-        let (mut total, mut wave_rows, mut live_rows, mut keyed) = (0, 0, 0, 0);
+        // Nodes and wave targets; and the wave keys the lowering may intern
+        // (placed targets, plus the unplaced ones of a template new to this
+        // generation).
+        let (mut total, mut wave_rows, mut keyed) = (0, 0, 0);
         for i in graphs.clone() {
             let (template, placement) = (batch.template(i), batch.placement(i));
             let e = cache.entry(template, scheme, traditional_rounds);
@@ -1854,8 +1769,7 @@ impl SlotMemo {
             sc.node_start.push(total);
             total += entry.n_ops + u;
             wave_rows += entry.op_rows + u * entry.host_rows;
-            live_rows += entry.live_op_rows + u * entry.live_host_rows;
-            keyed += entry.live_op_rows - entry.unplaced_rows + u * entry.live_host_rows;
+            keyed += entry.op_rows - entry.unplaced_rows + u * entry.host_rows;
         }
         if self.n_slots.saturating_add(total + wave_rows) > self.cap {
             self.clear();
@@ -1879,7 +1793,6 @@ impl SlotMemo {
             stats: SlotStats {
                 encoder_rows: total,
                 wave_rows,
-                live_wave_rows: live_rows,
                 ..SlotStats::default()
             },
         };
@@ -2713,25 +2626,97 @@ mod tests {
         for (i, node) in gs.iter_mut().flat_map(|g| &mut g.nodes).enumerate() {
             node.features[0] = i as f32;
         }
-        let ops = gs
-            .iter()
-            .flat_map(|g| &g.nodes)
-            .filter(|n| n.node_type != NodeType::Host)
-            .count();
         for scheme in [Scheme::Costream, Scheme::Traditional] {
             let plan = plan_of(&gs, scheme);
             let stats = plan.hash_cons();
             assert_eq!(stats.distinct_encoder_rows, plan.topo.total, "no row repeats");
             let targets: usize = plan.topo.waves.iter().map(|w| w.targets().len()).sum();
             assert_eq!(stats.wave_rows, targets);
-            // Every node of a Traditional round has a neighbour that reads
-            // it next round. In the Costream scheme the dataflow waves
-            // overwrite every operator's HW→OPS update before anything
-            // reads it.
-            let dead = if scheme == Scheme::Costream { ops } else { 0 };
-            assert_eq!(stats.live_wave_rows, targets - dead, "{scheme:?}");
-            assert_eq!(stats.distinct_wave_rows, stats.live_wave_rows, "{scheme:?}");
-            assert_eq!(stats.slots(), plan.topo.total + stats.live_wave_rows, "{scheme:?}");
+            assert_eq!(stats.distinct_wave_rows, stats.wave_rows, "{scheme:?}");
+            assert_eq!(stats.slots(), plan.topo.total + stats.wave_rows, "{scheme:?}");
+        }
+    }
+
+    /// Which wave targets' new states anything reads, one flag per target
+    /// of every wave in order — the reference that no topology computes a
+    /// row nothing reads. The readout reads each node's last state, and a
+    /// wave reads the current state of its live targets' children; own
+    /// halves read `h0`, never a wave's output.
+    fn live_targets(topo: &PlanTopology) -> Vec<bool> {
+        let mut live = vec![false; topo.waves.iter().map(|w| w.targets().len()).sum()];
+        // Whether the state each node holds at this point of the walk is read.
+        let mut read = vec![true; topo.total];
+        let mut end = live.len();
+        for w in topo.waves.iter().rev() {
+            let wave_live = &mut live[end - w.targets().len()..end];
+            end -= w.targets().len();
+            for (l, &t) in wave_live.iter_mut().zip(w.targets()) {
+                *l = read[t];
+                read[t] = false;
+            }
+            for (&c, &seg) in w.child_rows().iter().zip(w.segs()) {
+                if wave_live[seg] {
+                    read[c] = true;
+                }
+            }
+        }
+        live
+    }
+
+    /// Every target of every topology is read — a batch build, a plan
+    /// stitched from cached fragments (at least half of them hits) and each
+    /// template's one-host shape, in the Costream scheme under every
+    /// featurization and in the Traditional one — so a wave nothing reads
+    /// cannot creep back into any of them. A Costream topology of graphs
+    /// with hosts is the host phase and one wave per dataflow depth.
+    #[test]
+    fn every_wave_target_of_every_topology_is_read() {
+        let all_read = |topo: &PlanTopology, what: &str| {
+            let live = live_targets(topo);
+            assert!(
+                live.iter().all(|&l| l),
+                "{what}: {} unread wave targets",
+                live.iter().filter(|&&l| !l).count()
+            );
+        };
+        for (scheme, rounds) in [(Scheme::Costream, 0), (Scheme::Traditional, 2)] {
+            for featurization in [
+                Featurization::QueryOnly,
+                Featurization::HardwareNodes,
+                Featurization::Full,
+            ] {
+                let ctx = format!("{scheme:?} {featurization:?}");
+                let mut gen = WorkloadGenerator::new(29, FeatureRanges::training());
+                let mut est = SelectivityEstimator::realistic(30);
+                let (templates, gs): (Vec<GraphTemplate>, Vec<JointGraph>) = (0..12)
+                    .map(|_| {
+                        let (q, c, p) = gen.workload_item();
+                        let template = GraphTemplate::new(&q, &c, &est.estimate_query(&q), featurization);
+                        let graph = template.instantiate(&p);
+                        (template, graph)
+                    })
+                    .unzip();
+                let refs: Vec<&JointGraph> = gs.iter().collect();
+                let built = BatchPlan::build(&refs, scheme, rounds);
+                all_read(&built.topo, &format!("{ctx}: batch build"));
+                let cache = PlanCache::new(16);
+                cache.get_or_build(&refs[..6], scheme, rounds);
+                let stitched = cache.get_or_build(&refs, scheme, rounds);
+                assert!(
+                    cache.hits() >= 6,
+                    "{ctx}: the second batch reuses the first's fragments"
+                );
+                all_read(&stitched.topo, &format!("{ctx}: stitched"));
+                for (i, template) in templates.iter().enumerate() {
+                    let shape = PlanTopology::build(&[&template.one_host_shape()], scheme, rounds);
+                    all_read(&shape, &format!("{ctx}: template {i}'s shape"));
+                }
+                if scheme == Scheme::Costream {
+                    let depth = gs.iter().map(JointGraph::n_waves).max().unwrap_or(0);
+                    let host_phase = usize::from(featurization != Featurization::QueryOnly);
+                    assert_eq!(built.topo.waves.len(), host_phase + depth, "{ctx}: waves");
+                }
+            }
         }
     }
 
@@ -2815,7 +2800,6 @@ mod tests {
             Scheme::Costream => {
                 let mut host_targets: Vec<usize> = Vec::new();
                 let mut ophw_edges: Vec<(usize, usize)> = Vec::new();
-                let mut hwop_edges: Vec<(usize, usize)> = Vec::new();
                 for (gi, g) in graphs.iter().enumerate() {
                     for (li, node) in g.nodes.iter().enumerate() {
                         if node.node_type == NodeType::Host {
@@ -2824,20 +2808,10 @@ mod tests {
                     }
                     for &(op, hn) in &g.placement_edges {
                         ophw_edges.push((offsets[gi] + op, offsets[gi] + hn));
-                        hwop_edges.push((offsets[gi] + hn, offsets[gi] + op));
                     }
                 }
                 if !host_targets.is_empty() {
                     waves.push(reference_wave(host_targets, &ophw_edges, total, &node_type));
-                    let mut op_targets: Vec<usize> = Vec::new();
-                    for (gi, g) in graphs.iter().enumerate() {
-                        for (li, node) in g.nodes.iter().enumerate() {
-                            if node.node_type != NodeType::Host {
-                                op_targets.push(offsets[gi] + li);
-                            }
-                        }
-                    }
-                    waves.push(reference_wave(op_targets, &hwop_edges, total, &node_type));
                 }
                 let n_waves = graphs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
                 for w in 0..n_waves {
@@ -2951,7 +2925,7 @@ mod tests {
         /// rescan's: encoders, every wave's edge segments, targets, type
         /// groups and keep-list, and the readout segments — for both
         /// schemes, all three featurizations (`QueryOnly` batches have no
-        /// host node, so no phase 1 or phase 2 wave) and 1–70 graphs.
+        /// host node, so no host-phase wave) and 1–70 graphs.
         #[test]
         fn linear_topology_build_equals_the_wave_by_wave_rescan(
             seed in 0u64..1_000_000,
@@ -2969,7 +2943,7 @@ mod tests {
             prop_assert_eq!((built.scheme, built.traditional_rounds), (scheme, rounds));
             if featurization == Featurization::QueryOnly && scheme == Scheme::Costream {
                 let max_waves = gs.iter().map(|g| g.n_waves()).max().unwrap_or(0);
-                prop_assert!(built.waves.len() <= max_waves, "no host, no phase 1 or 2 wave");
+                prop_assert!(built.waves.len() <= max_waves, "no host, no host-phase wave");
             }
         }
 

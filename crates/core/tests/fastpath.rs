@@ -2,16 +2,14 @@
 //!
 //! `GnnModel::train_forward` is the training forward. The sequential
 //! oracle (`costream::oracle`) runs the per-op chain (`Tape::gnn`) over
-//! every wave, so the two agree bit for bit. The one
-//! production inference pass — here a trained model's one-member fused
-//! view — merges repeated rows and skips dead ones, and must still give
-//! the oracle's bits: for both message-passing schemes, with and without
-//! host nodes, for regression and classification heads, across chunk
-//! boundaries and after fine-tuning. `BatchPlan`s must be safely reusable
-//! across epochs, batch orders and ensemble members. The training pass
-//! runs no wave without a live target; the same pass and the chain over
-//! every wave hold that skip to the same outputs and gradients. A pass and
-//! arena reused across plans give the gradients of fresh ones.
+//! the same waves, so the two agree bit for bit, outputs and gradients.
+//! The one production inference pass — here a trained model's one-member
+//! fused view — merges repeated rows, and must still give the oracle's
+//! bits: for both message-passing schemes, with and without host nodes,
+//! for regression and classification heads, across chunk boundaries and
+//! after fine-tuning. `BatchPlan`s must be safely reusable across epochs,
+//! batch orders and ensemble members. A pass and arena reused across plans
+//! give the gradients of fresh ones.
 
 use costream::graph::{Featurization, JointGraph};
 use costream::model::{GnnModel, ModelConfig, Scheme, INFERENCE_CHUNK};
@@ -21,7 +19,7 @@ use costream::{oracle, test_fixtures};
 use costream_dsps::CostMetric;
 use costream_nn::loss::mse;
 use costream_nn::tape::Tape;
-use costream_nn::{Gradients, InferenceArena, ParamStore, Tensor, TrainingPass, WaveSpec};
+use costream_nn::{Gradients, InferenceArena, ParamStore, Tensor, TrainingPass};
 use costream_query::generator::WorkloadGenerator;
 use costream_query::ranges::FeatureRanges;
 use costream_query::selectivity::SelectivityEstimator;
@@ -249,7 +247,7 @@ fn flipped_zero_signs(ctx: &str, store: &ParamStore, got: &Gradients, want: &Gra
             }
             assert!(
                 *g == 0.0 && *w == 0.0,
-                "{ctx}: {} [{i}] diverges: skipping {g} vs {reference} {w}",
+                "{ctx}: {} [{i}] diverges: training pass {g} vs {reference} {w}",
                 store.name(id)
             );
             println!(
@@ -262,59 +260,36 @@ fn flipped_zero_signs(ctx: &str, store: &ParamStore, got: &Gradients, want: &Gra
     flipped_zeros
 }
 
-/// The training pass runs a wave only if one of its targets is live — in
-/// the Costream scheme every wave but HW→OPS; under Traditional and
-/// without host nodes every wave — and one step's parameter gradients are
-/// bitwise those of the same pass over every wave of the plan, and those
-/// of the per-op chain (`Tape::gnn`, the oracle both passes answer to)
-/// over every wave, up to the sign of an exactly-zero sum (printed, if any
-/// flips). The chain's output is the skipping pass's, bit for bit.
+/// One training step's output is bitwise that of the per-op chain
+/// (`Tape::gnn`, the oracle both passes answer to) over the plan's waves,
+/// and its parameter gradients are the chain's up to the sign of an
+/// exactly-zero sum (printed, if any flips) — in the Costream scheme with
+/// and without host nodes and in the Traditional one.
 #[test]
-fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
+fn the_training_pass_matches_the_per_op_chain_outputs_and_gradients() {
     let cases = [
-        (Scheme::Costream, Featurization::Full, vec![1]),
-        (Scheme::Traditional, Featurization::Full, vec![]),
-        (Scheme::Costream, Featurization::QueryOnly, vec![]),
+        (Scheme::Costream, Featurization::Full),
+        (Scheme::Traditional, Featurization::Full),
+        (Scheme::Costream, Featurization::QueryOnly),
     ];
-    for (case, (scheme, featurization, want_dead)) in cases.into_iter().enumerate() {
+    for (case, (scheme, featurization)) in cases.into_iter().enumerate() {
         let ctx = format!("{scheme:?} {featurization:?}");
         let gs = graphs(12, 300 + case as u64, featurization);
         let refs: Vec<&JointGraph> = gs.iter().collect();
         let model = GnnModel::new(ModelConfig::default().with_seed(case as u64).with_scheme(scheme));
         let plan = model.plan(&refs);
-        let waves: Vec<(&dyn WaveSpec, bool)> = oracle::waves(&plan).collect();
-        let dead: Vec<usize> = (0..waves.len()).filter(|&i| !waves[i].1).collect();
-        assert_eq!(dead, want_dead, "{ctx}: dead waves");
-
-        // The pass over every wave, dead ones included.
-        let gnn = oracle::gnn(&model);
-        let every_wave = || waves.iter().map(|&(w, _)| w);
         let mut arena = InferenceArena::new();
-        let mut full = TrainingPass::default();
-        let full_out = full.forward(gnn, &plan, every_wave(), &mut arena).clone();
-
         let mut pass = TrainingPass::default();
         let out = model.train_forward(&plan, &mut pass, &mut arena).clone();
-        // The passes differ by exactly the dead waves.
-        assert_eq!(full.waves() - pass.waves(), dead.len(), "{ctx}: waves run");
-        assert_bitwise(out.data(), full_out.data(), &ctx);
+        assert_eq!(pass.waves(), oracle::waves(&plan).count(), "{ctx}: every wave runs");
 
         let targets: Vec<f32> = (0..gs.len()).map(|i| i as f32 * 0.25 - 1.0).collect();
         let store = model.store();
-        let (mut got, mut want) = (Gradients::for_store(store), Gradients::for_store(store));
+        let mut got = Gradients::for_store(store);
         model.train_backward(&plan, &mut pass, mse(&out, &targets).seed, &mut got, &mut arena);
-        full.backward(
-            gnn,
-            &plan,
-            every_wave(),
-            mse(&full_out, &targets).seed,
-            &mut want,
-            &mut arena,
-        );
-        let flipped_zeros = flipped_zero_signs(&ctx, store, &got, &want, "every wave");
 
         let mut chain = Tape::new();
-        let chain_out = chain.gnn(gnn, &plan, every_wave());
+        let chain_out = chain.gnn(oracle::gnn(&model), &plan, oracle::waves(&plan));
         assert_bitwise(
             chain.value(chain_out).data(),
             out.data(),
@@ -323,11 +298,7 @@ fn the_training_tape_skips_only_dead_waves_and_keeps_every_gradient() {
         let mut chain_grads = Gradients::for_store(store);
         chain.backward(chain_out, mse(chain.value(chain_out), &targets).seed, &mut chain_grads);
         let chain_flips = flipped_zero_signs(&ctx, store, &got, &chain_grads, "per-op chain");
-        println!(
-            "{ctx}: {} dead of {} waves, {flipped_zeros} flipped zero signs, {chain_flips} against the per-op chain",
-            dead.len(),
-            waves.len()
-        );
+        println!("{ctx}: {chain_flips} flipped zero signs against the per-op chain");
     }
 }
 

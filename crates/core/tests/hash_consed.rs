@@ -97,8 +97,8 @@ impl Scorer for Recorder<'_> {
 
 /// Holds the fused pass of each ensemble of the trio to the sequential
 /// oracle on one batch, all three over one set of chunk plans (as the
-/// search's scorer runs them); returns the live wave rows those plans
-/// hold and how many are distinct.
+/// search's scorer runs them); returns the wave rows those plans hold
+/// and how many are distinct.
 fn assert_bitwise_like_the_oracle(fx: &test_fixtures::Trio, graphs: &[JointGraph], ctx: &str) -> (usize, usize) {
     let refs: Vec<&JointGraph> = graphs.iter().collect();
     let plans: Vec<BatchPlan> = refs
@@ -113,7 +113,7 @@ fn assert_bitwise_like_the_oracle(fx: &test_fixtures::Trio, graphs: &[JointGraph
     }
     let stats: Vec<SlotStats> = plans.iter().map(BatchPlan::hash_cons).collect();
     (
-        stats.iter().map(|s| s.live_wave_rows).sum(),
+        stats.iter().map(|s| s.wave_rows).sum(),
         stats.iter().map(|s| s.distinct_wave_rows).sum(),
     )
 }
@@ -144,15 +144,15 @@ fn search_batches_score_bitwise_like_the_sequential_oracle() {
             LocalSearch.search_joint(&joint, &recorder, 16, 29);
 
             let (batches, _) = recorder.take();
-            let (mut live, mut distinct) = (0, 0);
+            let (mut rows, mut distinct) = (0, 0);
             for (i, batch) in batches.iter().enumerate() {
                 let ctx = format!("{scheme:?} {featurization:?} batch {i} ({} graphs)", batch.len());
-                let (l, d) = assert_bitwise_like_the_oracle(fx, &batch.graphs(), &ctx);
-                live += l;
+                let (r, d) = assert_bitwise_like_the_oracle(fx, &batch.graphs(), &ctx);
+                rows += r;
                 distinct += d;
             }
             assert!(
-                distinct < live,
+                distinct < rows,
                 "{scheme:?} {featurization:?}: the recorded batches must repeat rows"
             );
         }

@@ -97,8 +97,9 @@ pub struct FrontStats {
     /// Connections accepted over the front-end's lifetime.
     pub connections: u64,
     /// Frames whose payload was not a decodable request, or held a graph
-    /// with a non-finite feature (answered with a typed `BadRequest`
-    /// error; connection kept).
+    /// with a non-finite feature or with waves that do not order its
+    /// dataflow (answered with a typed `BadRequest` error; connection
+    /// kept).
     pub bad_requests: u64,
     /// Frames declaring an over-limit payload (answered with a typed
     /// `Oversized` error; connection closed).
@@ -426,12 +427,12 @@ fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u3
             shards: shared.clients.len() as u32,
         }),
         RequestBody::LoadPool { base_slot, graphs } => {
-            if let Some((g, node, feature)) = graphs
+            if let Some((g, why)) = graphs
                 .iter()
                 .enumerate()
-                .find_map(|(g, graph)| non_finite_feature(graph).map(|(node, feature)| (g, node, feature)))
+                .find_map(|(g, graph)| graph_fault(graph).map(|why| (g, why)))
             {
-                return bad_graph(req.id, &format!("graph {g} of the upload: "), node, feature, shared);
+                return bad_graph(req.id, &format!("graph {g} of the upload: {why}"), shared);
             }
             let count = graphs.len() as u32;
             for (i, graph) in graphs.into_iter().enumerate() {
@@ -441,8 +442,8 @@ fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u3
             Job::Ready(Response::Loaded { id: req.id, count })
         }
         RequestBody::Score { graph } => {
-            if let Some((node, feature)) = non_finite_feature(&graph) {
-                return bad_graph(req.id, "", node, feature, shared);
+            if let Some(why) = graph_fault(&graph) {
+                return bad_graph(req.id, &why, shared);
             }
             let shard = shard_of(&graph, shared.route, shared.clients.len());
             submit(req.id, Arc::new(graph), shard, opts, shared)
@@ -458,26 +459,32 @@ fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u3
     }
 }
 
-/// The first feature of `graph` that is NaN or infinite, as (node, index in
-/// its row). The decoder reads `null` as NaN and a number past `f32::MAX`
-/// as infinite, and the model would score either to a finite, wrong cost.
-fn non_finite_feature(graph: &JointGraph) -> Option<(usize, usize)> {
-    graph
+/// Why the front end does not score `graph`, if it does not: a feature
+/// that is NaN or infinite (the decoder reads `null` as NaN and a number
+/// past `f32::MAX` as infinite), or waves that do not order the dataflow
+/// ([`JointGraph::wave_fault`]). Either would score to a finite, wrong
+/// cost, or fail the request inside the scoring worker.
+fn graph_fault(graph: &JointGraph) -> Option<String> {
+    let non_finite = graph
         .nodes
         .iter()
         .enumerate()
-        .find_map(|(n, node)| node.features.iter().position(|f| !f.is_finite()).map(|i| (n, i)))
+        .find_map(|(n, node)| node.features.iter().position(|f| !f.is_finite()).map(|i| (n, i)));
+    match non_finite {
+        Some((node, feature)) => Some(format!("feature {feature} of node {node} is not a finite f32")),
+        None => graph.wave_fault(),
+    }
 }
 
-/// The typed answer to a graph with a non-finite feature: the request was
-/// decodable, but the front-end does not score it (the connection keeps
-/// serving).
-fn bad_graph(id: u64, what: &str, node: usize, feature: usize, shared: &FrontShared) -> Job {
+/// The typed answer to a graph the front end does not score
+/// ([`graph_fault`]): the request was decodable, and the connection keeps
+/// serving.
+fn bad_graph(id: u64, why: &str, shared: &FrontShared) -> Job {
     shared.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
     Job::Ready(Response::Error {
         id: Some(id),
         kind: ErrorKind::BadRequest,
-        detail: format!("{what}feature {feature} of node {node} is not a finite f32"),
+        detail: why.to_string(),
     })
 }
 

@@ -190,10 +190,49 @@ fn bad_slot_and_malformed_graph_fail_typed_not_fatal() {
         "got {resp:?}"
     );
 
-    // A structurally broken graph (edge past the node list) panics the
-    // scoring kernel; the panic is contained to this request.
+    // A graph whose waves do not order its dataflow is refused before
+    // scoring, inline or in an upload: a dataflow edge past the node list,
+    // an operator without a wave, a dataflow edge that does not run from a
+    // lower wave to a higher one (the last two would score as if the
+    // HW→OPS phase the Costream topology does not build were there).
+    let mut edge_past_the_end = good.clone();
+    edge_past_the_end.dataflow_edges.push((0, 9999));
+    let mut no_wave = good.clone();
+    no_wave.waves[0] = None;
+    let mut backwards = good.clone();
+    let &(a, b) = backwards.dataflow_edges.first().expect("a dataflow edge");
+    backwards.dataflow_edges.push((b, a));
+    for (k, bad) in [edge_past_the_end, no_wave, backwards].into_iter().enumerate() {
+        assert!(bad.wave_fault().is_some(), "case {k}");
+        let bodies = [
+            RequestBody::Score { graph: bad.clone() },
+            RequestBody::LoadPool {
+                base_slot: 0,
+                graphs: vec![good.clone(), bad],
+            },
+        ];
+        for (j, body) in bodies.into_iter().enumerate() {
+            let id = 10 + 2 * k as u64 + j as u64;
+            let resp = client
+                .call(&Request {
+                    id,
+                    lane: WireLane::Interactive,
+                    deadline_us: None,
+                    body,
+                })
+                .expect("answered");
+            assert!(
+                matches!(resp, Response::Error { kind: ErrorKind::BadRequest, id: Some(got), .. } if got == id),
+                "case {k}: got {resp:?}"
+            );
+        }
+    }
+
+    // A structurally broken graph the front end does not check (a
+    // placement edge past the node list) panics the scoring kernel; the
+    // panic is contained to this request.
     let mut bad = good.clone();
-    bad.dataflow_edges.push((0, 9999));
+    bad.placement_edges.push((0, bad.len()));
     let resp = client
         .call(&Request {
             id: 2,
@@ -214,7 +253,8 @@ fn bad_slot_and_malformed_graph_fail_typed_not_fatal() {
         "got {resp:?}"
     );
 
-    // The connection — and the scoring worker — survive both.
+    // The connection — and the scoring worker — survive them all.
+    assert!(good.wave_fault().is_none());
     let resp = client
         .call(&Request {
             id: 3,
@@ -224,6 +264,7 @@ fn bad_slot_and_malformed_graph_fail_typed_not_fatal() {
         })
         .expect("answered");
     assert!(matches!(resp, Response::Scored { id: 3, .. }), "got {resp:?}");
+    assert_eq!(front.stats().bad_requests, 6);
 }
 
 #[test]

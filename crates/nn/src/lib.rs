@@ -43,8 +43,8 @@
 //! module (a test oracle no production code names) records with
 //! `Tape::gnn`: `tests/wave_parity.rs` holds the training pass's outputs
 //! and gradients to it bit for bit, and `costream-core`'s sequential
-//! oracle runs it over real plans, every wave included, to hold the
-//! stacked pass to its outputs. So models trained by the pass are served
+//! oracle runs it over real plans, over the same waves as both passes, to
+//! hold the stacked pass to its outputs. So models trained by the pass are served
 //! on the stacked path without recalibration.
 //!
 //! Everything is deterministic given a seed and has no external

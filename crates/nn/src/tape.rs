@@ -7,8 +7,7 @@
 //! and the readout. The training pass ([`crate::wave::TrainingPass`]) must
 //! give its outputs and every gradient bit for bit
 //! (`tests/wave_parity.rs`), and costream-core's sequential oracle runs it
-//! over real batch plans, every wave included, to hold the fused inference
-//! pass to its outputs. A [`Tape`] records a chain of small ops during a
+//! over real batch plans to hold the fused inference pass to its outputs. A [`Tape`] records a chain of small ops during a
 //! forward pass and replays it in reverse to accumulate gradients.
 //!
 //! The op set is exactly what that chain and the finite-difference check

@@ -13,7 +13,16 @@
 //!   unwinding, the writer losing its peer) drops its end of the channel,
 //!   which disconnects the other;
 //! * scoring itself happens in the shards' own worker pools
-//!   ([`costream_serve::ScoringService`]).
+//!   ([`costream_serve::ScoringService`]), except on an **idle
+//!   connection**: when the writer owes the peer nothing (every job it was
+//!   sent is written) and no byte of a further frame is buffered, the
+//!   reader answers the request itself. It scores through
+//!   [`ScoreClient::try_score_inline`] when the shard is idle too, and
+//!   writes the answer, or any other answer it already knows (an error, a
+//!   pong), on its own clone of the stream. Nothing is owed ahead of that
+//!   answer, so per-connection order holds, and a depth-1 request costs
+//!   no thread hand-off at all. A pipelining peer keeps frames buffered or
+//!   answers owed, so its requests take the shard queue and the writer.
 //!
 //! Fault containment is per layer: an undecodable payload answers a
 //! typed error and the connection keeps serving; an oversized or
@@ -30,7 +39,7 @@ use costream::ensemble::Ensemble;
 use costream::graph::JointGraph;
 use costream::model::Scheme;
 use costream::plan::plan_signature;
-use costream_serve::{Pending, ScoreClient, ScoringService, ServeStats, SubmitOptions, SwapError};
+use costream_serve::{Pending, ScoreClient, Scored, ScoringService, ServeError, ServeStats, SubmitOptions, SwapError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -58,6 +67,13 @@ enum Job {
     /// A submitted score: resolved when the shard answers.
     Scored { id: u64, pending: Pending },
 }
+
+/// Jobs sent to a connection's writer whose bytes are not yet written:
+/// the reader adds one before each send, the writer takes a response off
+/// after the `write` that carried it. While it reads 0 the writer owes the
+/// peer nothing and writes nothing, so the reader may write an answer
+/// itself.
+type Owed = Arc<AtomicU64>;
 
 /// Maximum responses in flight per connection, the capacity of its job
 /// channel: the reader stops pulling new frames while this many submitted
@@ -106,7 +122,9 @@ pub struct FrontStats {
     pub oversized: u64,
     /// Connections that ended mid-frame or with a transport error.
     pub disconnects: u64,
-    /// Per-shard serving counters, indexed by shard.
+    /// Per-shard serving counters, indexed by shard. A request a
+    /// connection's reader scored itself counts in its shard's
+    /// [`ServeStats::inline`].
     pub shards: Vec<ServeStats>,
 }
 
@@ -320,12 +338,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
             continue;
         };
         let (tx, rx) = sync_channel(MAX_PIPELINE);
+        let owed = Owed::default();
         let reader = {
             let shared = Arc::clone(shared);
+            let owed = Arc::clone(&owed);
             let mut stream = read_half;
             std::thread::Builder::new()
                 .name("costream-front-read".into())
-                .spawn(move || reader_loop(&mut stream, &shared, tx))
+                .spawn(move || reader_loop(&mut stream, &shared, tx, &owed))
                 .expect("spawn connection reader")
         };
         let writer = {
@@ -333,7 +353,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<FrontShared>) {
             std::thread::Builder::new()
                 .name("costream-front-write".into())
                 .spawn(move || {
-                    writer_loop(&mut stream, rx);
+                    writer_loop(&mut stream, rx, &owed);
                     // The registry also holds a clone of this stream, so
                     // dropping ours would not send FIN. Shut the socket
                     // down explicitly (affects all clones) — everything
@@ -367,17 +387,32 @@ fn shard_of(graph: &JointGraph, route: RouteKey, shards: usize) -> usize {
 /// Reads, decodes and submits a connection's frames until EOF, a frame
 /// error or the writer's end of `jobs` is gone. Returning (or unwinding)
 /// drops `jobs`, which tells the writer that nothing more is coming.
-fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, jobs: SyncSender<Job>) {
+///
+/// A request read while the connection is idle — nothing `owed` and no
+/// further byte buffered — is answered here when its answer is known at
+/// once (see the module docs): the reader writes it on `stream` itself.
+fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, jobs: SyncSender<Job>, owed: &Owed) {
     // Per-connection graph pool for `ScorePooled`: slot → (graph, shard).
     // Dropped with the connection.
     let mut pool: HashMap<u32, (Arc<JointGraph>, usize)> = HashMap::new();
     let mut frames = FrameReader::default();
+    // Scratch for the answers this thread writes itself.
+    let (mut out, mut json) = (Vec::new(), String::new());
+    let send = |job: Job| {
+        owed.fetch_add(1, Ordering::Relaxed);
+        jobs.send(job).is_ok()
+    };
     loop {
         match frames.next_frame(stream, shared.cfg.max_frame_bytes) {
             Ok(None) => break, // Clean close (or drain's read-shutdown).
             Ok(Some(payload)) => {
-                let job = match decode_request(payload) {
-                    Ok(req) => handle_request(req, shared, &mut pool),
+                let decoded = decode_request(payload);
+                // The writer's last `write` happens before its decrement
+                // that this load reads, so an answer written now follows
+                // every earlier one on the wire.
+                let idle = !frames.has_buffered() && owed.load(Ordering::Acquire) == 0;
+                let job = match decoded {
+                    Ok(req) => handle_request(req, shared, &mut pool, idle),
                     Err(e) => {
                         // The framing was intact — only the payload was
                         // bad. Answer typed and keep serving.
@@ -389,15 +424,22 @@ fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, jobs: SyncSend
                         })
                     }
                 };
-                if jobs.send(job).is_err() {
-                    break; // Writer is gone; nobody to answer to.
+                let sent = match job {
+                    Job::Ready(response) if idle => {
+                        wire::append_frame(&mut out, &mut json, &response).expect("a response is far below 4 GiB");
+                        flush(&mut out, stream)
+                    }
+                    job => send(job),
+                };
+                if !sent {
+                    break; // The peer or the writer is gone; nobody to answer to.
                 }
             }
             Err(FrameError::Oversized { declared, max }) => {
                 // The payload was never consumed, so the stream cannot
                 // be resynchronized: answer typed, then close.
                 shared.counters.oversized.fetch_add(1, Ordering::Relaxed);
-                let _ = jobs.send(Job::Ready(Response::Error {
+                send(Job::Ready(Response::Error {
                     id: None,
                     kind: ErrorKind::Oversized,
                     detail: format!("frame declares {declared} bytes, max is {max}"),
@@ -415,7 +457,15 @@ fn reader_loop(stream: &mut TcpStream, shared: &Arc<FrontShared>, jobs: SyncSend
     }
 }
 
-fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u32, (Arc<JointGraph>, usize)>) -> Job {
+/// The job that answers `req`. With `idle` set, a score is tried on this
+/// thread first ([`ScoreClient::try_score_inline`]); its answer comes back
+/// as [`Job::Ready`].
+fn handle_request(
+    req: Request,
+    shared: &Arc<FrontShared>,
+    pool: &mut HashMap<u32, (Arc<JointGraph>, usize)>,
+    idle: bool,
+) -> Job {
     let opts = SubmitOptions {
         lane: req.lane.into(),
         deadline: req.deadline_us.map(|us| Instant::now() + Duration::from_micros(us)),
@@ -446,10 +496,10 @@ fn handle_request(req: Request, shared: &Arc<FrontShared>, pool: &mut HashMap<u3
                 return bad_graph(req.id, &why, shared);
             }
             let shard = shard_of(&graph, shared.route, shared.clients.len());
-            submit(req.id, Arc::new(graph), shard, opts, shared)
+            submit(req.id, Arc::new(graph), shard, opts, idle, shared)
         }
         RequestBody::ScorePooled { slot } => match pool.get(&slot) {
-            Some((graph, shard)) => submit(req.id, Arc::clone(graph), *shard, opts, shared),
+            Some((graph, shard)) => submit(req.id, Arc::clone(graph), *shard, opts, idle, shared),
             None => Job::Ready(Response::Error {
                 id: Some(req.id),
                 kind: ErrorKind::BadSlot,
@@ -488,14 +538,37 @@ fn bad_graph(id: u64, why: &str, shared: &FrontShared) -> Job {
     })
 }
 
-fn submit(id: u64, graph: Arc<JointGraph>, shard: usize, opts: SubmitOptions, shared: &Arc<FrontShared>) -> Job {
-    match shared.clients[shard].submit_with(graph, opts) {
+fn submit(
+    id: u64,
+    graph: Arc<JointGraph>,
+    shard: usize,
+    opts: SubmitOptions,
+    idle: bool,
+    shared: &Arc<FrontShared>,
+) -> Job {
+    let client = &shared.clients[shard];
+    if let Some(result) = idle.then(|| client.try_score_inline(&graph, opts)).flatten() {
+        return Job::Ready(scored(id, result));
+    }
+    match client.submit_with(graph, opts) {
         Ok(pending) => Job::Scored { id, pending },
-        Err(e) => Job::Ready(Response::Error {
+        Err(e) => Job::Ready(scored(id, Err(e))),
+    }
+}
+
+/// The response to request `id` that the shard answered with `result`.
+fn scored(id: u64, result: Result<Scored, ServeError>) -> Response {
+    match result {
+        Ok(scored) => Response::Scored {
+            id,
+            score: scored.score,
+            version: scored.version,
+        },
+        Err(e) => Response::Error {
             id: Some(id),
             kind: e.into(),
             detail: e.to_string(),
-        }),
+        },
     }
 }
 
@@ -515,14 +588,22 @@ fn flush(out: &mut Vec<u8>, stream: &mut TcpStream) -> bool {
 /// already there. The buffer is written out before the writer parks,
 /// whether on an empty queue or on an unanswered job (in
 /// [`Pending::wait_scored`]): no response ever waits for a later one.
-fn writer_loop(stream: &mut TcpStream, jobs: Receiver<Job>) {
+/// Only once a response is written does it leave the `owed` count.
+fn writer_loop(stream: &mut TcpStream, jobs: Receiver<Job>, owed: &Owed) {
     let mut out: Vec<u8> = Vec::new();
     let mut json = String::new();
+    // Responses `out` holds: still owed until it is written.
+    let mut held = 0;
+    let mut settle = |out: &mut Vec<u8>, held: &mut u64| {
+        let written = flush(out, stream);
+        owed.fetch_sub(std::mem::take(held), Ordering::Release);
+        written
+    };
     loop {
         let job = match jobs.try_recv() {
             Ok(job) => job,
             Err(_) => {
-                if !flush(&mut out, stream) {
+                if !settle(&mut out, &mut held) {
                     return;
                 }
                 match jobs.recv() {
@@ -537,28 +618,18 @@ fn writer_loop(stream: &mut TcpStream, jobs: Receiver<Job>) {
                 let result = match pending.try_scored() {
                     Some(result) => result,
                     None => {
-                        if !flush(&mut out, stream) {
+                        if !settle(&mut out, &mut held) {
                             return;
                         }
                         pending.wait_scored()
                     }
                 };
-                match result {
-                    Ok(scored) => Response::Scored {
-                        id,
-                        score: scored.score,
-                        version: scored.version,
-                    },
-                    Err(e) => Response::Error {
-                        id: Some(id),
-                        kind: e.into(),
-                        detail: e.to_string(),
-                    },
-                }
+                scored(id, result)
             }
         };
         wire::append_frame(&mut out, &mut json, &response).expect("a response is far below 4 GiB");
-        if out.len() >= wire::IO_BUF_BYTES && !flush(&mut out, stream) {
+        held += 1;
+        if out.len() >= wire::IO_BUF_BYTES && !settle(&mut out, &mut held) {
             return;
         }
     }

@@ -279,6 +279,12 @@ impl FrameReader {
         Ok(())
     }
 
+    /// Whether bytes read off the stream wait past the last frame handed
+    /// out: the head of a frame the peer has already sent.
+    pub(crate) fn has_buffered(&self) -> bool {
+        self.end > self.start
+    }
+
     /// The next frame's payload, valid until the next call. `Ok(None)` is
     /// clean EOF at a frame boundary.
     ///

@@ -158,7 +158,40 @@ fn worker_panic_behind_the_wire_respawns_and_serving_recovers() {
             other => panic!("slot {i} answered {other:?}"),
         }
     }
-    assert_eq!(front.stats().worker_respawns(), 2, "both injected panics respawned");
+    // A depth-1 call on an idle connection is scored on its reader, so the
+    // loop above need not have reached a worker. One pipelined pass, sent
+    // as one write, queues behind its first frame: the respawned workers
+    // must score it.
+    let before = front.stats();
+    let mut burst = Vec::new();
+    for i in 0..direct.len() {
+        let payload = wire::encode_request(&Request {
+            id: 100 + i as u64,
+            lane: WireLane::Interactive,
+            deadline_us: None,
+            body: RequestBody::ScorePooled { slot: i as u32 },
+        });
+        burst.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        burst.extend_from_slice(&payload);
+    }
+    client.stream_mut().write_all(&burst).expect("burst written");
+    for (i, expected) in direct.iter().enumerate() {
+        match client.recv().expect("served after worker panics") {
+            Response::Scored { id, score, .. } => {
+                assert_eq!(id, 100 + i as u64, "answers in submission order");
+                assert!(score == *expected, "pipelined slot {i} must stay bitwise-correct");
+            }
+            other => panic!("pipelined slot {i} answered {other:?}"),
+        }
+    }
+    let after = front.stats();
+    for (shard, (b, a)) in before.shards.iter().zip(&after.shards).enumerate() {
+        let by_workers = (a.completed - a.inline) - (b.completed - b.inline);
+        let routed = a.completed - b.completed;
+        assert!(routed > 0, "shard {shard} got part of the pass");
+        assert!(by_workers > 0, "shard {shard}'s respawned worker must score");
+    }
+    assert_eq!(after.worker_respawns(), 2, "both injected panics respawned");
 }
 
 #[test]

@@ -3,8 +3,9 @@
 
 use costream::prelude::*;
 use costream::test_fixtures;
-use costream_front::{FrontClient, FrontConfig, Frontend, Request, RequestBody, Response, WireLane};
+use costream_front::{wire, FrontClient, FrontConfig, Frontend, Request, RequestBody, Response, WireLane};
 use costream_serve::ServeConfig;
+use std::io::Write;
 use std::time::Duration;
 
 fn corpus(seed: u64) -> Corpus {
@@ -120,6 +121,93 @@ fn wire_scores_are_bitwise_identical_to_direct_prediction() {
     // this split is deterministic).
     let busy_shards = stats.shards.iter().filter(|s| s.completed > 0).count();
     assert_eq!(busy_shards, 2, "both shards must have served");
+}
+
+/// Sends `reqs` as one write, so the server's first read of the burst
+/// finds more than one frame behind the first.
+fn send_burst(client: &mut FrontClient, reqs: &[Request]) {
+    let mut bytes = Vec::new();
+    for req in reqs {
+        let payload = wire::encode_request(req);
+        bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        bytes.extend_from_slice(&payload);
+    }
+    client.stream_mut().write_all(&bytes).expect("burst written");
+}
+
+/// Requests answered on a reader thread, summed over the shards.
+fn inline_total(front: &Frontend) -> u64 {
+    front.stats().shards.iter().map(|s| s.inline).sum()
+}
+
+/// A depth-1 loop is answered on the connection's reader, bitwise equal to
+/// direct prediction: the connection owes nothing when each request
+/// arrives, and no frame waits behind it. A pipelined burst on the same
+/// connection takes the shard queue and the writer, comes back in order,
+/// and is answered inline at most once (its last frame may find every
+/// earlier answer already written).
+#[test]
+fn an_idle_connection_is_answered_inline_and_a_burst_still_queues() {
+    let corpus = corpus(113);
+    let ensemble = quick_ensemble(&corpus, 0);
+    let graphs: Vec<JointGraph> = corpus.items.iter().map(|i| i.graph(ensemble.featurization())).collect();
+    let refs: Vec<&JointGraph> = graphs.iter().collect();
+    let direct = ensemble.predict_graphs(&refs);
+    let front = Frontend::start(ensemble, front_config(2)).expect("bind");
+    let mut client = FrontClient::connect(front.addr()).expect("connect");
+    client.load_pool(0, 0, graphs.clone()).expect("loaded");
+
+    for (i, g) in graphs.iter().enumerate() {
+        let resp = client
+            .call(&Request {
+                id: i as u64,
+                lane: WireLane::Interactive,
+                deadline_us: None,
+                body: RequestBody::Score { graph: g.clone() },
+            })
+            .expect("scored");
+        match resp {
+            Response::Scored { id, score, version } => {
+                assert_eq!((id, version), (i as u64, 1));
+                assert!(score == direct[i], "graph {i}: wire {score} != direct {}", direct[i]);
+            }
+            other => panic!("graph {i} answered {other:?}"),
+        }
+    }
+    let n = graphs.len() as u64;
+    assert_eq!(inline_total(&front), n, "every depth-1 request answered inline");
+
+    let depth = 32;
+    for burst in 0..4u64 {
+        let before = inline_total(&front);
+        let reqs: Vec<Request> = (0..depth)
+            .map(|k| Request {
+                id: burst * depth + k,
+                lane: WireLane::Interactive,
+                deadline_us: None,
+                body: RequestBody::ScorePooled { slot: (k % n) as u32 },
+            })
+            .collect();
+        send_burst(&mut client, &reqs);
+        for req in &reqs {
+            match client.recv().expect("answered") {
+                Response::Scored { id, score, .. } => {
+                    assert_eq!(id, req.id, "burst {burst}: answers in submission order");
+                    let slot = (req.id % depth) % n;
+                    assert!(score == direct[slot as usize], "burst {burst}, id {id}");
+                }
+                other => panic!("burst {burst} answered {other:?}"),
+            }
+        }
+        let inline = inline_total(&front) - before;
+        assert!(inline <= 1, "burst {burst}: {inline} of {depth} answered inline");
+    }
+    let stats = front.stats();
+    let queued: u64 = stats.shards.iter().map(|s| s.completed - s.inline).sum();
+    assert!(
+        queued >= 4 * (depth - 1),
+        "the bursts were scored by the workers: {queued}"
+    );
 }
 
 #[test]

@@ -24,7 +24,9 @@
 //!   plan costs amortize across concurrent callers exactly like they do
 //!   across a training epoch. Batches are sized by backlog, never by a timer: an idle
 //!   service scores a lone request at once, and what arrives while the
-//!   workers are busy is the next batch.
+//!   workers are busy is the next batch. A caller that finds the service
+//!   idle can skip the queue and score on its own thread
+//!   ([`ScoreClient::try_score_inline`]).
 //! * A [`PlanCache`](costream::plan::PlanCache) of per-graph topology
 //!   fragments, shared across workers and all ensemble members: a batch of
 //!   any shapes is one plan stitched from them, and a shape seen before
@@ -88,9 +90,13 @@ use std::fmt;
 /// inference chunk, [`costream::model::INFERENCE_CHUNK`]) and scores it as
 /// one fused batch, without waiting for
 /// company. Under load requests queue up while the workers score, so
-/// batches grow with the backlog by themselves; on an idle service a lone
-/// request is answered in a forward pass plus two thread wake-ups.
-/// [`ServeStats::batch_hist`] shows which sizes the traffic produced.
+/// batches grow with the backlog by themselves. A lone queued request is
+/// answered in a forward pass plus two thread wake-ups (the worker's and
+/// the caller's); on an idle service
+/// [`ScoreClient::try_score_inline`] answers it in the forward pass alone,
+/// on the caller's thread. [`ServeStats::batch_hist`] shows which sizes
+/// the traffic produced, and [`ServeStats::inline`] which of its batches
+/// of one never queued.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Worker threads draining the queue. Defaults to the machine's

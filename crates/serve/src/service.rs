@@ -26,6 +26,14 @@
 //!   admission, lets workers finish everything already queued (bounded
 //!   by a deadline), and only then stops the workers; `Drop` remains the
 //!   immediate path that fails queued work with [`ServeError::ShutDown`].
+//! * **Inline scoring on an idle service** —
+//!   [`ScoreClient::try_score_inline`] scores a request on the caller's
+//!   thread when no lane holds a queued request and the service's one
+//!   inline engine is free: no queue, no worker wake-up, no answer
+//!   channel. It keeps every rule above (admission closed while draining,
+//!   deadline shedding, one model snapshot, panic containment) and counts
+//!   the request as a worker's batch of one would, plus
+//!   [`ServeStats::inline`].
 
 use crate::{ServeConfig, ServeError, SwapError};
 use costream::ensemble::Ensemble;
@@ -36,7 +44,7 @@ use costream::plan::{plan_signature, PlanCache, PlanSignature};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -148,13 +156,7 @@ impl QueuedRequest {
         let Some(reply) = self.reply.take() else {
             return;
         };
-        let counter = match &result {
-            Ok(_) => &self.stats.completed[self.lane.idx()],
-            Err(ServeError::DeadlineExceeded) => &self.stats.shed[self.lane.idx()],
-            Err(_) => &self.stats.failed,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        self.stats.answered.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_answer(self.lane, &result);
         // The one message fits the channel's one place, so this never
         // blocks; it fails only when the caller dropped its `Pending`.
         let _ = reply.send(result);
@@ -202,6 +204,27 @@ struct StatsInner {
     batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
     worker_respawns: AtomicU64,
     swaps: AtomicU64,
+    inline: AtomicU64,
+}
+
+impl StatsInner {
+    /// Counts one answer of a `lane` request: its outcome, then
+    /// `answered` (what the drain path waits on).
+    fn count_answer(&self, lane: Lane, result: &Answer) {
+        let counter = match result {
+            Ok(_) => &self.completed[lane.idx()],
+            Err(ServeError::DeadlineExceeded) => &self.shed[lane.idx()],
+            Err(_) => &self.failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        self.answered.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one scored batch of `len` requests.
+    fn count_batch(&self, len: usize) {
+        self.batched_graphs.fetch_add(len as u64, Ordering::Relaxed);
+        self.batch_hist[batch_hist_bucket(len)].fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Buckets of [`ServeStats::batch_hist`]: batch sizes 1, 2–3, 4–7, 8–15,
@@ -232,6 +255,10 @@ struct Shared {
     /// injection.
     ready: Condvar,
     cache: PlanCache,
+    /// The engine of [`ScoreClient::try_score_inline`]: one per service,
+    /// taken with `try_lock`, so a second idle caller queues instead of
+    /// waiting for it.
+    inline_engine: Mutex<ScoreEngine>,
     stats: Arc<StatsInner>,
     /// Test hook: pending injected worker panics (see
     /// [`ScoringService::inject_worker_panic`]).
@@ -302,6 +329,13 @@ pub struct ServeStats {
     pub worker_respawns: u64,
     /// Successful model hot swaps.
     pub swaps: u64,
+    /// Requests answered on the caller's thread by
+    /// [`ScoreClient::try_score_inline`], never queued (scored, shed or
+    /// failed; the scored ones also count as batches of one in
+    /// [`batch_hist`](Self::batch_hist)). It tells a closed-loop caller
+    /// that an idle service answered at once apart from one whose lone
+    /// request a worker picked up.
+    pub inline: u64,
     /// Scored graphs whose topology fragment came from the plan cache.
     pub plan_cache_hits: u64,
     /// Scored graphs whose topology fragment had to be built.
@@ -384,6 +418,7 @@ impl ScoringService {
             }),
             ready: Condvar::new(),
             cache,
+            inline_engine: Mutex::new(ScoreEngine::one_batch()),
             stats: Arc::new(StatsInner::default()),
             panic_requests: AtomicUsize::new(0),
             cfg,
@@ -481,6 +516,7 @@ impl ScoringService {
             batch_hist,
             worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
             swaps: s.swaps.load(Ordering::Relaxed),
+            inline: s.inline.load(Ordering::Relaxed),
             plan_cache_hits: self.shared.cache.hits(),
             plan_cache_misses: self.shared.cache.misses(),
             interactive,
@@ -632,6 +668,68 @@ impl ScoreClient {
         Ok(Pending { answer })
     }
 
+    /// Scores `graph` on the calling thread when the service is idle: no
+    /// request queued in either lane, and the service's one inline engine
+    /// free. Skips the queue, the worker's wake-up and the answer channel
+    /// that [`submit_with`](Self::submit_with) and [`Pending::wait_scored`]
+    /// cost a lone request.
+    ///
+    /// `None` means the service is not idle: nothing was counted and
+    /// nothing scored, and the caller submits as usual. Returning `None`
+    /// while anything is queued keeps lane order: a request never
+    /// overtakes one already waiting.
+    ///
+    /// Otherwise the request is answered exactly as a worker's batch of
+    /// one would answer it: counted in `submitted` under the queue lock,
+    /// shed with [`ServeError::DeadlineExceeded`] if its deadline has
+    /// passed, scored through one model snapshot and the shared plan
+    /// cache, and answered [`ServeError::Internal`] if scoring panics —
+    /// the engine survives the panic. The counters (and
+    /// [`ServeStats::inline`]) are bumped before this returns.
+    ///
+    /// # Errors
+    /// `Some(Err(`[`ServeError::ShutDown`]`))` when the service stopped or
+    /// is draining, as [`submit`](Self::submit) fails, with nothing
+    /// counted.
+    pub fn try_score_inline(&self, graph: &JointGraph, opts: SubmitOptions) -> Option<Result<Scored, ServeError>> {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let sh = &*self.shared;
+        let mut engine = match sh.inline_engine.try_lock() {
+            Ok(engine) => engine,
+            Err(TryLockError::WouldBlock) => return None,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        };
+        let sig = plan_signature(&[graph], sh.scheme, sh.traditional_rounds);
+        let lane = opts.lane;
+        {
+            let q = sh.lock_queue();
+            if q.shutdown || q.draining {
+                return Some(Err(ServeError::ShutDown));
+            }
+            if q.queued() > 0 {
+                return None;
+            }
+            sh.stats.submitted[lane.idx()].fetch_add(1, Ordering::Relaxed);
+        }
+        let result = if opts.deadline.is_some_and(|d| Instant::now() >= d) {
+            Err(ServeError::DeadlineExceeded)
+        } else {
+            let model = sh.model();
+            sh.stats.count_batch(1);
+            catch_unwind(AssertUnwindSafe(|| {
+                score_graphs(sh, &model, &[graph], &[sig], &mut engine)
+            }))
+            .map(|scores| Scored {
+                score: scores[0],
+                version: model.version,
+            })
+            .map_err(|_| ServeError::Internal)
+        };
+        sh.stats.inline.fetch_add(1, Ordering::Relaxed);
+        sh.stats.count_answer(lane, &result);
+        Some(result)
+    }
+
     /// Submits a request and blocks until it is scored.
     ///
     /// # Errors
@@ -728,8 +826,7 @@ fn worker_loop(sh: &Shared) {
         // and therefore every response — is produced by exactly this
         // version, even if a swap lands mid-batch.
         let model = sh.model();
-        sh.stats.batched_graphs.fetch_add(batch.len() as u64, Ordering::Relaxed);
-        sh.stats.batch_hist[batch_hist_bucket(batch.len())].fetch_add(1, Ordering::Relaxed);
+        sh.stats.count_batch(batch.len());
         // A batch is at most one inference chunk of any shapes: one plan
         // stitched from per-graph fragments, one fused pass.
         score_batch(sh, &model, &mut batch, &mut engine);
@@ -741,10 +838,13 @@ fn worker_loop(sh: &Shared) {
 /// interactive lane strictly first, shedding expired requests as it
 /// goes — and returns it to be scored at once. There is no fill wait:
 /// whatever arrives while the workers are busy (or during an idle
-/// worker's wake-up) is the next batch, so batch size follows load and a
-/// lone request on an idle service costs a forward pass plus two
-/// wake-ups. Returns `None` on shutdown, or when draining and the queue
-/// is empty.
+/// worker's wake-up) is the next batch, so batch size follows load. A
+/// lone queued request costs a forward pass plus two wake-ups (this
+/// worker's, then its caller's on the answer channel); on an idle service
+/// [`ScoreClient::try_score_inline`] answers one with neither, so what
+/// reaches this queue alone is what a caller submitted by choice
+/// ([`ScoreClient::submit`]) or what found the inline engine busy.
+/// Returns `None` on shutdown, or when draining and the queue is empty.
 fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
     let mut q = sh.lock_queue();
     loop {
@@ -788,7 +888,12 @@ fn collect_batch(sh: &Shared) -> Option<Vec<QueuedRequest>> {
 /// requests still get their scores; the worker survives either way.
 fn score_batch(sh: &Shared, model: &ModelState, batch: &mut [QueuedRequest], engine: &mut ScoreEngine) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    match catch_unwind(AssertUnwindSafe(|| score_graphs(sh, model, batch, engine))) {
+    let score = |reqs: &[QueuedRequest], engine: &mut ScoreEngine| {
+        let graphs: Vec<&JointGraph> = reqs.iter().map(|r| r.graph.as_ref()).collect();
+        let sigs: Vec<PlanSignature> = reqs.iter().map(|r| r.sig).collect();
+        score_graphs(sh, model, &graphs, &sigs, engine)
+    };
+    match catch_unwind(AssertUnwindSafe(|| score(batch, engine))) {
         Ok(scores) => {
             // Counters land before the answers go out (inside `answer`) so
             // a caller that just received its score observes them already
@@ -802,9 +907,7 @@ fn score_batch(sh: &Shared, model: &ModelState, batch: &mut [QueuedRequest], eng
         }
         Err(_) => {
             for req in batch {
-                match catch_unwind(AssertUnwindSafe(|| {
-                    score_graphs(sh, model, std::slice::from_ref(req), engine)
-                })) {
+                match catch_unwind(AssertUnwindSafe(|| score(std::slice::from_ref(req), engine))) {
                     Ok(scores) => req.answer(Ok(Scored {
                         score: scores[0],
                         version: model.version,
@@ -817,15 +920,19 @@ fn score_batch(sh: &Shared, model: &ModelState, batch: &mut [QueuedRequest], eng
 }
 
 /// One fused forward for a batch: a plan stitched from the shared
-/// fragment cache, looked up by the signatures the requests carry, then
-/// all ensemble members at once through the worker's scoring engine
-/// (bitwise identical to the sequential oracle — see [`costream::fused`]).
-fn score_graphs(sh: &Shared, model: &ModelState, batch: &[QueuedRequest], engine: &mut ScoreEngine) -> Vec<f64> {
-    let graphs: Vec<&JointGraph> = batch.iter().map(|r| r.graph.as_ref()).collect();
-    let sigs: Vec<PlanSignature> = batch.iter().map(|r| r.sig).collect();
+/// fragment cache, looked up by the graphs' signatures, then all ensemble
+/// members at once through a scoring engine (bitwise identical to the
+/// sequential oracle — see [`costream::fused`]).
+fn score_graphs(
+    sh: &Shared,
+    model: &ModelState,
+    graphs: &[&JointGraph],
+    sigs: &[PlanSignature],
+    engine: &mut ScoreEngine,
+) -> Vec<f64> {
     let plan = sh
         .cache
-        .get_or_build_signed(&graphs, &sigs, sh.scheme, sh.traditional_rounds);
+        .get_or_build_signed(graphs, sigs, sh.scheme, sh.traditional_rounds);
     let (_, [scores]) = engine.score(&plan, [model.fused()]);
     scores
 }

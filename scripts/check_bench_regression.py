@@ -48,6 +48,11 @@ Gated ops fall in two classes:
     the runner class): on a mismatch neither gate view cancels the
     effect, so the op is skipped with a note instead of failing
     spuriously.
+
+Gated metrics (the JSON "metrics" key) are gated on every runner, except
+the rates in CORE_COUNT_METRICS: the cost totals, q-errors and row shares
+are functions of the seed, the same to the printed digit on one core
+(`taskset -c 0 cargo bench`) and on two.
 """
 
 import json
@@ -138,11 +143,9 @@ CALIBRATION_OP = "matmul_256x64x48_updater_in_big"
 # direction). Direction is "lower" for cost-like metrics (worsening =
 # fresh/base grows) and "higher" for throughput-like metrics (worsening
 # = base/fresh grows), so one gate loop covers both without anyone
-# inverting a number by hand. All metric gates sit behind the core-count
-# guard: the searches producing them are runner-class product paths
-# (fused kernels, dispatched on ISA tier, under every score), so on a
-# width mismatch they are skipped with a note instead of failing
-# spuriously.
+# inverting a number by hand. Only the metrics in CORE_COUNT_METRICS sit
+# behind the core-count guard; the others are deterministic and gated on
+# every runner.
 GATED_METRICS = {
     # Best joint total found at the fixed budget with contended hosts
     # priced by the learned interference model (the shipping
@@ -154,9 +157,8 @@ GATED_METRICS = {
     "interference_fit_qerror": (1.10, "lower"),
     # Total cost (observed + migration, ms) of the adaptive controller
     # replaying the host-loss drift scenario — the runtime elasticity
-    # loop's product metric. Deterministic for a fixed core count; the
-    # replan search underneath is the joint search's scoring path, hence
-    # the shared core-count guard.
+    # loop's product metric. Deterministic: the same on one core and on
+    # two.
     "replay_drift_adaptive_total_cost": (1.10, "lower"),
     # Hosts and swaps considered by the Fig. 5 rules per second of a
     # whole 256-host LocalSearch (validity by host class, rank-select
@@ -173,6 +175,13 @@ GATED_METRICS = {
     # here while every bitwise test stays green.
     "search_unique_row_share": (1.10, "lower"),
 }
+
+# Gated metrics that depend on the runner class: a rate moves with the
+# cores and the ISA tier under it (search_wide_256_candidates_per_s read
+# 14.2 M/s pinned to one core and 13.4 M/s on two, in one sitting). Skipped
+# when baseline and fresh run differ in core count. Every other gated
+# metric read the same to the printed digit in both runs.
+CORE_COUNT_METRICS = {"search_wide_256_candidates_per_s"}
 
 
 def load(path):
@@ -232,8 +241,8 @@ def main():
             failed = True
 
     for op, (max_factor, direction) in GATED_METRICS.items():
-        if cores_differ:
-            print(f"{op}: skipped (threaded search metric, {base_cores}-core baseline vs {fresh_cores}-core runner)")
+        if cores_differ and op in CORE_COUNT_METRICS:
+            print(f"{op}: skipped (runner-class rate, {base_cores}-core baseline vs {fresh_cores}-core runner)")
             continue
         if op not in base_metrics:
             print(f"{op}: no baseline metric, passing (first run)")

@@ -484,12 +484,26 @@ fn handle_request(
             {
                 return bad_graph(req.id, &format!("graph {g} of the upload: {why}"), shared);
             }
-            let count = graphs.len() as u32;
-            for (i, graph) in graphs.into_iter().enumerate() {
-                let shard = shard_of(&graph, shared.route, shared.clients.len());
-                pool.insert(base_slot.wrapping_add(i as u32), (Arc::new(graph), shard));
+            // Every slot of `base_slot..base_slot + count` must exist: an
+            // upload that runs past `u32::MAX` stores nothing rather than
+            // wrapping onto slot 0.
+            let count = graphs.len();
+            let fits = u32::try_from(count).is_ok_and(|n| base_slot.checked_add(n.saturating_sub(1)).is_some());
+            if !fits {
+                return Job::Ready(Response::Error {
+                    id: Some(req.id),
+                    kind: ErrorKind::BadSlot,
+                    detail: format!("{count} graphs from slot {base_slot} run past the last slot"),
+                });
             }
-            Job::Ready(Response::Loaded { id: req.id, count })
+            for (slot, graph) in (base_slot..=u32::MAX).zip(graphs) {
+                let shard = shard_of(&graph, shared.route, shared.clients.len());
+                pool.insert(slot, (Arc::new(graph), shard));
+            }
+            Job::Ready(Response::Loaded {
+                id: req.id,
+                count: count as u32,
+            })
         }
         RequestBody::Score { graph } => {
             if let Some(why) = graph_fault(&graph) {

@@ -12,9 +12,12 @@
 //! floats shortest-roundtrip, so a score crosses the wire **bitwise**
 //! intact. A payload is encoded and decoded in one pass, with no value
 //! tree in between; the decoder refuses (as [`FrameError::Malformed`])
-//! nesting deeper than `serde::json::MAX_DEPTH` and numbers outside
-//! `f64`'s finite range, so neither its stack nor a graph's features can
-//! be driven out of bounds by a frame.
+//! nesting deeper than `serde::json::MAX_DEPTH`, numbers outside RFC 8259's
+//! grammar (`+1`, `01`, `.5`), numbers outside `f64`'s finite range and
+//! integers outside their field's type (a `slot` past `u32::MAX` is
+//! refused, not wrapped), so neither its stack nor a graph's features nor
+//! a slot can be driven out of bounds by a frame. `-0` reads back as
+//! `-0.0`, so a feature's sign survives the trip too.
 //!
 //! Deadlines are *relative* microseconds from server receipt — a
 //! deliberate protocol choice: absolute deadlines would require

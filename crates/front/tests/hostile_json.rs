@@ -130,3 +130,44 @@ fn decoding_is_linear_in_the_frame() {
     }
     assert!(t0.elapsed() < BOUND, "4 MiB strings took {:?} to read", t0.elapsed());
 }
+
+#[test]
+fn a_number_outside_json_is_malformed() {
+    let text = score_request();
+    for token in ["+1", "01", "-01", "00.5", "1.", ".5", "-.5", "1.e3"] {
+        let hostile = text.replacen("0.25", token, 1);
+        assert_ne!(hostile, text);
+        malformed(decode_request(hostile.as_bytes()));
+    }
+    // What std's `{}` prints, and the rest of the grammar, still decodes.
+    for fine in ["-0", "0.5e-3", "1E+2", "-12"] {
+        assert!(
+            decode_request(text.replacen("0.25", fine, 1).as_bytes()).is_ok(),
+            "{fine}"
+        );
+    }
+}
+
+#[test]
+fn an_integer_its_field_does_not_hold_is_malformed_not_wrapped() {
+    let pooled = |slot: &str| {
+        decode_request(
+            format!(r#"{{"id":1,"lane":"Bulk","deadline_us":null,"body":{{"ScorePooled":{{"slot":{slot}}}}}}}"#)
+                .as_bytes(),
+        )
+    };
+    assert!(matches!(
+        pooled("4294967295"),
+        Ok(Request {
+            body: RequestBody::ScorePooled { slot: u32::MAX },
+            ..
+        })
+    ));
+    // 2^32 + 3 used to decode as slot 3 and score another pool graph.
+    for slot in ["4294967299", "-1", "18446744073709551616"] {
+        let why = malformed(pooled(slot));
+        assert!(why.contains("number out of range"), "{slot}: {why}");
+    }
+    let why = malformed(pooled("3.0"));
+    assert!(why.contains("expected integer"), "{why}");
+}

@@ -319,3 +319,55 @@ fn graceful_shutdown_drains_and_reports() {
     // The connection is closed afterwards.
     assert!(client.ping(0).is_err(), "a drained front-end must not serve");
 }
+
+/// An upload whose slots would run past `u32::MAX` is refused whole: it
+/// used to wrap and overwrite slot 0 while answering `Loaded`. One that
+/// ends exactly at `u32::MAX` is stored.
+#[test]
+fn a_pool_upload_past_the_last_slot_is_refused_not_wrapped() {
+    let corpus = corpus(114);
+    let ensemble = quick_ensemble(&corpus, 0);
+    let graphs: Vec<JointGraph> = corpus
+        .items
+        .iter()
+        .take(3)
+        .map(|i| i.graph(ensemble.featurization()))
+        .collect();
+    let refs: Vec<&JointGraph> = graphs.iter().collect();
+    let direct = ensemble.predict_graphs(&refs);
+    let front = Frontend::start(ensemble, front_config(1)).expect("bind");
+    let mut client = FrontClient::connect(front.addr()).expect("connect");
+    let score = |client: &mut FrontClient, id: u64, slot: u32| {
+        client
+            .call(&Request {
+                id,
+                lane: WireLane::Interactive,
+                deadline_us: None,
+                body: RequestBody::ScorePooled { slot },
+            })
+            .expect("answered")
+    };
+
+    client.load_pool(1, 0, vec![graphs[0].clone()]).expect("loaded");
+    match client.load_pool(2, u32::MAX, vec![graphs[1].clone(), graphs[2].clone()]) {
+        Ok(Response::Error { id, kind, .. }) => assert_eq!((id, kind), (Some(2), wire::ErrorKind::BadSlot)),
+        other => panic!("a wrapping upload answered {other:?}"),
+    }
+    // Slot 0 still holds the first upload, and the last slot holds nothing.
+    assert!(matches!(score(&mut client, 3, 0), Response::Scored { score, .. } if score == direct[0]));
+    assert!(matches!(
+        score(&mut client, 4, u32::MAX),
+        Response::Error {
+            kind: wire::ErrorKind::BadSlot,
+            ..
+        }
+    ));
+
+    match client.load_pool(5, u32::MAX - 1, vec![graphs[1].clone(), graphs[2].clone()]) {
+        Ok(Response::Loaded { id: 5, count: 2 }) => {}
+        other => panic!("an upload ending at the last slot answered {other:?}"),
+    }
+    assert!(matches!(score(&mut client, 6, u32::MAX), Response::Scored { score, .. } if score == direct[2]));
+    assert!(matches!(score(&mut client, 7, 0), Response::Scored { score, .. } if score == direct[0]));
+    front.shutdown(Duration::from_secs(10));
+}

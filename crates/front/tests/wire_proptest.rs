@@ -107,7 +107,9 @@ fn graph(nodes: usize, feat: f64) -> JointGraph {
         nodes: (0..nodes)
             .map(|i| GraphNode {
                 node_type: if i % 2 == 0 { NodeType::Filter } else { NodeType::Host },
-                features: vec![feat as f32, i as f32, 0.5],
+                // Non-integral, integral and negative-zero features: each
+                // takes its own printer and scanner path.
+                features: vec![feat as f32, i as f32, 0.5, -0.0, feat.trunc() as f32],
             })
             .collect(),
         dataflow_edges: (1..nodes).map(|i| (i - 1, i)).collect(),
@@ -116,6 +118,21 @@ fn graph(nodes: usize, feat: f64) -> JointGraph {
             .map(|i| if i % 2 == 0 { Some(i / 2) } else { None })
             .collect(),
     }
+}
+
+/// Every feature of a request's graphs, as bits: `PartialEq` on `f32`
+/// takes `-0.0` for `0.0`.
+fn feature_bits(req: &Request) -> Vec<u32> {
+    let graphs = match &req.body {
+        RequestBody::Score { graph } => std::slice::from_ref(graph),
+        RequestBody::LoadPool { graphs, .. } => graphs.as_slice(),
+        _ => &[],
+    };
+    graphs
+        .iter()
+        .flat_map(|g| &g.nodes)
+        .flat_map(|n| n.features.iter().map(|f| f.to_bits()))
+        .collect()
 }
 
 proptest! {
@@ -149,6 +166,7 @@ proptest! {
         for (payload, req) in payloads.iter().zip(&requests) {
             let back = decode_request(payload).expect("roundtrip decodes");
             prop_assert_eq!(&back, req);
+            prop_assert_eq!(feature_bits(&back), feature_bits(req));
         }
     }
 

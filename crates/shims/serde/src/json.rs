@@ -1,12 +1,27 @@
-//! The JSON text layer: a pull [`Reader`] over a `&str`, the string and
-//! float printers, and the renderer of a [`Value`] tree that the traits'
+//! The JSON text layer: a pull [`Reader`] over a `&str`, the number and
+//! string printers, and the renderer of a [`Value`] tree that the traits'
 //! bridge methods go through.
 //!
-//! The reader touches each input byte once. A string is scanned as runs up
-//! to the next `"` or `\` and borrowed from the input when it has no
-//! escapes; the input is a `&str`, so it was validated as UTF-8 exactly once
-//! by whoever made it. Nesting is capped at [`MAX_DEPTH`] so that no input
-//! can recurse a thread out of its stack.
+//! The reader is one byte cursor and touches each input byte once. A
+//! string is scanned as runs up to the next `"` or `\` and borrowed from
+//! the input when it has no escapes; the input is a `&str`, so it was
+//! validated as UTF-8 exactly once by whoever made it. Nesting is capped at
+//! [`MAX_DEPTH`] so that no input can recurse a thread out of its stack.
+//!
+//! Numbers follow RFC 8259 §6: `-? (0 | [1-9][0-9]*) (.[0-9]+)?
+//! ([eE][+-]?[0-9]+)?`, so `+1`, `01`, `.5`, `1.` and `1.e3` are errors. An
+//! integer token's value is built in the same pass that scans it;
+//! `str::parse::<f64>` runs only on a token with a fraction or an exponent
+//! (or an integer past 64 bits), so float rounding is std's. As in upstream
+//! serde_json, `-0` is a float token: it reads back as `-0.0`, and an
+//! integer type refuses it as it refuses `1.0`. An integer that its type
+//! does not hold, and a number no finite `f64` holds, is "number out of
+//! range"; nothing wraps.
+//!
+//! The writer prints a finite integral `f64` below 2^53 in magnitude as its
+//! integer digits and any other finite float in std's shortest round-trip
+//! form; both are exactly what `format!("{}")` prints. Every integer type
+//! prints through [`write_u64`].
 
 use crate::{DeError, Value};
 use std::borrow::Cow;
@@ -27,39 +42,59 @@ pub struct Reader<'a> {
     depth: usize,
 }
 
+/// A number token as scanned.
+enum Number {
+    /// A non-negative integer token that fits `u64`.
+    UInt(u64),
+    /// A negative integer token that fits `i64`.
+    Int(i64),
+    /// Any other number token: one with a fraction or an exponent, `-0`, or
+    /// an integer past the 64-bit types.
+    Float(f64),
+}
+
 impl<'a> Reader<'a> {
     /// Starts reading at the beginning of `src`.
     pub fn new(src: &'a str) -> Self {
         Reader { src, pos: 0, depth: 0 }
     }
 
-    fn skip_ws(&mut self) {
+    /// The byte at the cursor after whitespace, which is skipped; `None` at
+    /// the end of the input.
+    #[inline]
+    fn next_byte(&mut self) -> Option<u8> {
         let bytes = self.src.as_bytes();
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(self.pos) {
+        while let Some(&b) = bytes.get(self.pos) {
+            if !matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                return Some(b);
+            }
             self.pos += 1;
         }
+        None
     }
 
     /// The first byte of the next token, after whitespace.
     ///
     /// # Errors
     /// The input ended.
+    #[inline]
     pub fn peek(&mut self) -> Result<u8, DeError> {
-        self.skip_ws();
-        self.src
-            .as_bytes()
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| DeError::msg("unexpected end of input"))
+        self.next_byte().ok_or_else(end_of_input)
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), DeError> {
         if self.peek()? == b {
             self.pos += 1;
             Ok(())
         } else {
-            Err(DeError::msg(format!("expected `{}` at offset {}", b as char, self.pos)))
+            Err(self.expected(b))
         }
+    }
+
+    #[cold]
+    fn expected(&self, b: u8) -> DeError {
+        DeError::msg(format!("expected `{}` at offset {}", b as char, self.pos))
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), DeError> {
@@ -76,18 +111,17 @@ impl<'a> Reader<'a> {
     /// # Errors
     /// Anything else follows the value.
     pub fn end(&mut self) -> Result<(), DeError> {
-        self.skip_ws();
-        if self.pos == self.src.len() {
-            Ok(())
-        } else {
-            Err(DeError::msg(format!("trailing characters at offset {}", self.pos)))
+        match self.next_byte() {
+            None => Ok(()),
+            Some(_) => Err(DeError::msg(format!("trailing characters at offset {}", self.pos))),
         }
     }
 
     /// Consumes a `null` if that is the next token and says whether it was.
     ///
     /// # Errors
-    /// The next token starts with `n` and is not `null`.
+    /// The input ended, or the next token starts with `n` and is not `null`.
+    #[inline]
     pub fn null(&mut self) -> Result<bool, DeError> {
         if self.peek()? != b'n' {
             return Ok(false);
@@ -107,38 +141,149 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a number token as [`Value::UInt`] (a non-negative integer that
-    /// fits), [`Value::Int`] (a negative one) or [`Value::Float`].
+    /// Scans the number token at the cursor and returns it with its start
+    /// offset. A token runs to the end of its grammar; a digit, sign, `.` or
+    /// exponent right after that end (`01`, `1.2.3`, `1e5e5`) makes it no
+    /// number at all.
     ///
     /// # Errors
     /// The next token is not a number, or is one no finite `f64` holds
     /// (`1e999`): letting it through would put `inf` into a feature vector.
-    pub fn number(&mut self) -> Result<Value, DeError> {
-        self.skip_ws();
+    #[inline(always)]
+    fn number(&mut self) -> Result<(Number, usize), DeError> {
+        let first = self.peek()?;
+        let bytes = self.src.as_bytes();
         let start = self.pos;
-        let mut is_float = false;
-        while let Some(&b) = self.src.as_bytes().get(self.pos) {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => {}
-                b'.' | b'e' | b'E' => is_float = true,
-                _ => break,
+        let neg = first == b'-';
+        let mut pos = start + usize::from(neg);
+        // `0`, or a nonzero digit and more digits. Nineteen digits cannot
+        // overflow a `u64`; a longer run is summed again with checks.
+        let int_start = pos;
+        let mut mag = 0u64;
+        match bytes.get(pos) {
+            Some(b'0') => pos += 1,
+            Some(b'1'..=b'9') => {
+                while let Some(&b) = bytes.get(pos) {
+                    let digit = b.wrapping_sub(b'0');
+                    if digit > 9 {
+                        break;
+                    }
+                    mag = mag.wrapping_mul(10).wrapping_add(u64::from(digit));
+                    pos += 1;
+                }
             }
-            self.pos += 1;
+            _ => return Err(self.bad_number(start)),
         }
-        let text = &self.src[start..self.pos];
-        if text.is_empty() {
-            return Err(DeError::msg(format!("expected value at offset {start}")));
+        let fits = pos - int_start < 20 || checked_value(&bytes[int_start..pos]).is_some();
+        let mut integral = true;
+        if bytes.get(pos) == Some(&b'.') {
+            let end = digits_end(bytes, pos + 1);
+            if end == pos + 1 {
+                return Err(self.bad_number(start));
+            }
+            pos = end;
+            integral = false;
         }
-        if !is_float {
-            if let Some(int) = integer(text) {
-                return Ok(int);
+        if let Some(b'e' | b'E') = bytes.get(pos) {
+            pos += 1;
+            if let Some(b'+' | b'-') = bytes.get(pos) {
+                pos += 1;
+            }
+            let end = digits_end(bytes, pos);
+            if end == pos {
+                return Err(self.bad_number(start));
+            }
+            pos = end;
+            integral = false;
+        }
+        if let Some(b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E') = bytes.get(pos) {
+            return Err(self.bad_number(start));
+        }
+        self.pos = pos;
+        if integral && fits {
+            if !neg {
+                return Ok((Number::UInt(mag), start));
+            }
+            if (1..=1 << 63).contains(&mag) {
+                return Ok((Number::Int((mag as i64).wrapping_neg()), start));
             }
         }
+        let text = &self.src[start..pos];
         match text.parse::<f64>() {
-            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
-            Ok(_) => Err(DeError::msg(format!("number out of range `{text}`"))),
-            Err(_) => Err(DeError::msg(format!("invalid number `{text}`"))),
+            Ok(f) if f.is_finite() => Ok((Number::Float(f), start)),
+            Ok(_) => Err(out_of_range(text)),
+            Err(_) => Err(self.bad_number(start)),
         }
+    }
+
+    /// The error for a token at `start` that is not a number: named by the
+    /// run of number characters there, or "expected value" if there is none.
+    #[cold]
+    fn bad_number(&self, start: usize) -> DeError {
+        let bytes = self.src.as_bytes();
+        let mut end = start;
+        while let Some(b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E') = bytes.get(end) {
+            end += 1;
+        }
+        if end == start {
+            DeError::msg(format!("expected value at offset {start}"))
+        } else {
+            DeError::msg(format!("invalid number `{}`", &self.src[start..end]))
+        }
+    }
+
+    /// The error for the number token from `start` to the cursor, read where
+    /// an integer belongs and scanned as a float: out of range when its
+    /// digits are an integer past 64 bits, else a float token (`1.0`, `-0`).
+    #[cold]
+    fn not_an_integer(&self, start: usize) -> DeError {
+        let text = &self.src[start..self.pos];
+        if text != "-0" && text.bytes().all(|b| b == b'-' || b.is_ascii_digit()) {
+            out_of_range(text)
+        } else {
+            DeError::msg(format!("expected integer, got `{text}`"))
+        }
+    }
+
+    /// Reads an integer token that `u64` holds.
+    ///
+    /// # Errors
+    /// The next token is not a number, is a float token, or is an integer
+    /// `u64` does not hold ("number out of range").
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, DeError> {
+        match self.number()? {
+            (Number::UInt(u), _) => Ok(u),
+            (Number::Int(_), start) => Err(out_of_range(&self.src[start..self.pos])),
+            (Number::Float(_), start) => Err(self.not_an_integer(start)),
+        }
+    }
+
+    /// Reads an integer token that `i64` holds.
+    ///
+    /// # Errors
+    /// As [`Reader::u64`], for `i64`'s range.
+    #[inline]
+    pub fn i64(&mut self) -> Result<i64, DeError> {
+        match self.number()? {
+            (Number::Int(i), _) => Ok(i),
+            (Number::UInt(u), start) => i64::try_from(u).map_err(|_| out_of_range(&self.src[start..self.pos])),
+            (Number::Float(_), start) => Err(self.not_an_integer(start)),
+        }
+    }
+
+    /// Reads any number token as the `f64` nearest to it (`-0` is `-0.0`).
+    /// `null` is not a number here; the float impls take it as NaN first.
+    ///
+    /// # Errors
+    /// The next token is not a number, or is one no finite `f64` holds.
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, DeError> {
+        Ok(match self.number()?.0 {
+            Number::UInt(u) => u as f64,
+            Number::Int(i) => i as f64,
+            Number::Float(f) => f,
+        })
     }
 
     /// Reads a string, borrowed from the input unless it has escapes.
@@ -147,6 +292,7 @@ impl<'a> Reader<'a> {
     /// The next token is not a string, the string is unterminated, or an
     /// escape is not one JSON defines (`\u` takes exactly four hex digits; a
     /// surrogate must be half of a pair).
+    #[inline(always)]
     pub fn string(&mut self) -> Result<Cow<'a, str>, DeError> {
         self.expect(b'"')?;
         let start = self.pos;
@@ -155,12 +301,17 @@ impl<'a> Reader<'a> {
             self.pos = run + 1;
             return Ok(Cow::Borrowed(&self.src[start..run]));
         }
+        self.escaped_string(start, run).map(Cow::Owned)
+    }
+
+    /// The rest of a string whose first escape's backslash is at `run`.
+    fn escaped_string(&mut self, start: usize, run: usize) -> Result<String, DeError> {
         let mut out = String::from(&self.src[start..run]);
         self.pos = run;
         loop {
             if self.src.as_bytes()[self.pos] == b'"' {
                 self.pos += 1;
-                return Ok(Cow::Owned(out));
+                return Ok(out);
             }
             self.pos += 1; // the backslash
             out.push(self.escape()?);
@@ -170,13 +321,24 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Offset of the next `"` or `\` at or after the cursor. Both are ASCII,
-    /// so the offset is a character boundary of the input.
+    /// Offset of the next `"` or `\` at or after the cursor, found eight
+    /// bytes per step. Both are ASCII, so the offset is a character boundary
+    /// of the input.
+    #[inline]
     fn run_end(&self) -> Result<usize, DeError> {
-        self.src.as_bytes()[self.pos..]
+        let bytes = self.src.as_bytes();
+        let mut at = self.pos;
+        while let Some(word) = word_at(bytes, at) {
+            let hits = bytes_equal(word, b'"') | bytes_equal(word, b'\\');
+            if hits != 0 {
+                return Ok(at + hits.trailing_zeros() as usize / 8);
+            }
+            at += 8;
+        }
+        bytes[at..]
             .iter()
             .position(|&b| b == b'"' || b == b'\\')
-            .map(|n| self.pos + n)
+            .map(|n| at + n)
             .ok_or_else(|| DeError::msg("unterminated string"))
     }
 
@@ -235,10 +397,11 @@ impl<'a> Reader<'a> {
         Ok(code)
     }
 
+    #[inline(always)]
     fn enter(&mut self, open: u8, close: u8) -> Result<bool, DeError> {
         self.expect(open)?;
         if self.depth == MAX_DEPTH {
-            return Err(DeError::msg(format!("nesting deeper than {MAX_DEPTH} levels")));
+            return Err(too_deep());
         }
         self.depth += 1;
         if self.peek()? == close {
@@ -249,6 +412,7 @@ impl<'a> Reader<'a> {
         Ok(true)
     }
 
+    #[inline(always)]
     fn next(&mut self, close: u8) -> Result<bool, DeError> {
         match self.peek()? {
             b',' => {
@@ -260,17 +424,20 @@ impl<'a> Reader<'a> {
                 self.depth -= 1;
                 Ok(false)
             }
-            _ => Err(DeError::msg(format!(
-                "expected `,` or `{}` at offset {}",
-                close as char, self.pos
-            ))),
+            _ => Err(self.no_separator(close)),
         }
+    }
+
+    #[cold]
+    fn no_separator(&self, close: u8) -> DeError {
+        DeError::msg(format!("expected `,` or `{}` at offset {}", close as char, self.pos))
     }
 
     /// Opens an array; `true` when an element follows.
     ///
     /// # Errors
     /// The next token is not `[`, or the array is nested too deep.
+    #[inline]
     pub fn begin_array(&mut self) -> Result<bool, DeError> {
         self.enter(b'[', b']')
     }
@@ -279,6 +446,7 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     /// Neither `,` nor `]` comes next.
+    #[inline]
     pub fn array_next(&mut self) -> Result<bool, DeError> {
         self.next(b']')
     }
@@ -287,6 +455,7 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     /// The next token is not `{`, or the object is nested too deep.
+    #[inline]
     pub fn begin_object(&mut self) -> Result<bool, DeError> {
         self.enter(b'{', b'}')
     }
@@ -295,6 +464,7 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     /// See [`Reader::string`]; or no `:` follows.
+    #[inline(always)]
     pub fn key(&mut self) -> Result<Cow<'a, str>, DeError> {
         let key = self.string()?;
         self.expect(b':')?;
@@ -306,6 +476,7 @@ impl<'a> Reader<'a> {
     ///
     /// # Errors
     /// Neither `,` nor `}` comes next.
+    #[inline]
     pub fn object_next(&mut self) -> Result<bool, DeError> {
         self.next(b'}')
     }
@@ -342,7 +513,9 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads one value of any kind as a tree.
+    /// Reads one value of any kind as a tree: a number token as
+    /// [`Value::UInt`] (a non-negative integer that fits), [`Value::Int`] (a
+    /// negative one) or [`Value::Float`].
     ///
     /// # Errors
     /// The value is not well-formed JSON.
@@ -373,20 +546,84 @@ impl<'a> Reader<'a> {
                 }
                 Value::Object(fields)
             }
-            _ => self.number()?,
+            _ => match self.number()?.0 {
+                Number::UInt(u) => Value::UInt(u),
+                Number::Int(i) => Value::Int(i),
+                Number::Float(f) => Value::Float(f),
+            },
         })
     }
 }
 
-/// The integer a number token without `.`, `e` or `E` stands for, when one
-/// fits: [`Value::UInt`] if non-negative, else [`Value::Int`]. Any other
-/// number token is a [`Value::Float`].
-fn integer(text: &str) -> Option<Value> {
-    match text.parse::<i64>() {
-        Ok(i) if i >= 0 => Some(Value::UInt(i as u64)),
-        Ok(i) => Some(Value::Int(i)),
-        Err(_) => text.parse::<u64>().ok().map(Value::UInt),
+/// The value of a run of ASCII digits, if it fits a `u64`.
+#[cold]
+fn checked_value(digits: &[u8]) -> Option<u64> {
+    digits
+        .iter()
+        .try_fold(0u64, |v, &d| v.checked_mul(10)?.checked_add(u64::from(d - b'0')))
+}
+
+/// `0x01` in every byte of a word.
+const ONES: u64 = u64::from_le_bytes([1; 8]);
+
+/// The eight bytes at `pos` as a little-endian word, if the input has them.
+#[inline]
+fn word_at(bytes: &[u8], pos: usize) -> Option<u64> {
+    let eight = bytes.get(pos..pos + 8)?;
+    Some(u64::from_le_bytes(eight.try_into().expect("eight bytes")))
+}
+
+/// A word whose lowest set bit is the high bit of `word`'s first byte equal
+/// to `b` (bytes past that one may be flagged spuriously); 0 if none is.
+#[inline]
+fn bytes_equal(word: u64, b: u8) -> u64 {
+    let x = word ^ (ONES * u64::from(b));
+    x.wrapping_sub(ONES) & !x & (ONES << 7)
+}
+
+/// How many of `word`'s bytes, from the first, are ASCII digits.
+#[inline]
+fn leading_digits(word: u64) -> usize {
+    // A digit's high nibble is 3 and stays 3 when 6 is added (its low
+    // nibble is at most 9). Adding 6 carries into the next byte only from
+    // 0xFA up, which no UTF-8 text holds.
+    let high = ONES * 0xF0;
+    let off = ((word & high) ^ (ONES * 0x30)) | ((word.wrapping_add(ONES * 6) & high) ^ (ONES * 0x30));
+    // The high bit of each byte that is not a digit.
+    let non_digits = (((off & (ONES * 0x7F)) + ONES * 0x7F) | off) & (ONES << 7);
+    non_digits.trailing_zeros() as usize / 8
+}
+
+/// Offset just past the run of ASCII digits that starts at `pos`.
+#[inline]
+fn digits_end(bytes: &[u8], mut pos: usize) -> usize {
+    while let Some(word) = word_at(bytes, pos) {
+        let n = leading_digits(word);
+        pos += n;
+        if n < 8 {
+            return pos;
+        }
     }
+    while let Some(b'0'..=b'9') = bytes.get(pos) {
+        pos += 1;
+    }
+    pos
+}
+
+#[cold]
+fn end_of_input() -> DeError {
+    DeError::msg("unexpected end of input")
+}
+
+#[cold]
+fn too_deep() -> DeError {
+    DeError::msg(format!("nesting deeper than {MAX_DEPTH} levels"))
+}
+
+/// The error for a number outside the range of the type that reads it.
+#[cold]
+pub(crate) fn out_of_range(token: &str) -> DeError {
+    DeError::msg(format!("number out of range `{token}`"))
 }
 
 /// Appends `s` as a JSON string: quoted, with `"`, `\` and control
@@ -415,10 +652,59 @@ pub fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// `"00"`, `"01"`, … `"99"`: two digits per division by 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `v`: what `format!("{v}")` prints.
+pub fn write_u64(mut v: u64, out: &mut String) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if v >= 10 {
+        let pair = v as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + v as u8;
+    }
+    out.extend(buf[at..].iter().map(|&b| char::from(b)));
+}
+
+/// Appends `v` in decimal, with a `-` when negative: what `format!("{v}")`
+/// prints.
+pub fn write_i64(v: i64, out: &mut String) {
+    if v < 0 {
+        out.push('-');
+    }
+    write_u64(v.unsigned_abs(), out);
+}
+
+/// Below this magnitude every integer is an `f64`, so an integral `f64`'s
+/// shortest round-trip digits are its integer digits.
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0; // 2^53
+
 /// Appends a float in Rust's shortest form that parses back to the same
-/// `f64`; `null` when it is not finite.
+/// `f64` (what `format!("{f}")` prints); `null` when it is not finite. An
+/// integral value below 2^53 in magnitude is printed by [`write_u64`], with
+/// the sign of `-0.0` kept.
 pub fn write_f64(f: f64, out: &mut String) {
-    if f.is_finite() {
+    if f.abs() < EXACT_INTEGERS && (f as i64) as f64 == f {
+        if f.is_sign_negative() {
+            out.push('-');
+        }
+        write_u64((f as i64).unsigned_abs(), out);
+    } else if f.is_finite() {
         let _ = write!(out, "{f}");
     } else {
         out.push_str("null");
@@ -426,23 +712,21 @@ pub fn write_f64(f: f64, out: &mut String) {
 }
 
 /// Appends a [`Value`] tree as compact JSON. A [`Value::Float`] is written
-/// as a float token (`1.0`, not `1`), so [`Reader::number`] reads it back
-/// as the float it is and not as an integer.
+/// as a float token (`1.0`, not `1`), so the reader takes it back as the
+/// float it is and not as an integer.
 pub fn write_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
+        Value::Int(i) => write_i64(*i, out),
+        Value::UInt(u) => write_u64(*u, out),
         Value::Float(f) => {
-            let start = out.len();
             write_f64(*f, out);
-            let token = &out[start..];
-            if !token.contains('.') && integer(token).is_some() {
+            // The digits of an integral float inside the 64-bit integers'
+            // range would read back as an integer; past it they are a float
+            // token already. `-0` keeps its `.0` too.
+            let as_integer = -9_223_372_036_854_775_808.0..18_446_744_073_709_551_616.0;
+            if as_integer.contains(f) && f.fract() == 0.0 {
                 out.push_str(".0");
             }
         }
@@ -538,6 +822,121 @@ mod tests {
         assert_eq!(text(Value::UInt(1)), "1");
         for v in [1.0, -0.0, 1e18, 1e30] {
             assert_eq!(parse(&text(Value::Float(v))).unwrap(), Value::Float(v));
+        }
+    }
+
+    /// A seeded splitmix64 stream: the random bit patterns below.
+    fn bits(seed: u64) -> impl Iterator<Item = u64> {
+        let mut state = seed;
+        std::iter::repeat_with(move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+    }
+
+    #[test]
+    fn write_f64_prints_what_format_prints() {
+        let check = |x: f64| {
+            let mut out = String::new();
+            write_f64(x, &mut out);
+            assert_eq!(out, format!("{x}"), "bits {:#x}", x.to_bits());
+        };
+        let two53 = 2f64.powi(53);
+        let edges = [
+            0.0,
+            f64::from(f32::from_bits(1)),
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            2f64.powi(24),
+            two53 - 1.0,
+            two53,
+            two53 + 2.0,
+            1e15,
+            1e16,
+            f64::from(f32::MAX),
+            f64::MAX,
+            0.5,
+            123.0,
+        ];
+        for x in edges {
+            check(x);
+            check(-x);
+        }
+        let mut f32s = 0;
+        for b in bits(11).take(1 << 20) {
+            let x = f32::from_bits(b as u32);
+            if x.is_finite() {
+                check(f64::from(x));
+                f32s += 1;
+            }
+        }
+        let mut f64s = 0;
+        for b in bits(12).take(1 << 20) {
+            let x = f64::from_bits(b);
+            if x.is_finite() {
+                check(x);
+                f64s += 1;
+            }
+        }
+        assert!(
+            f32s > 1_000_000 && f64s > 1_000_000,
+            "{f32s} f32 and {f64s} f64 patterns"
+        );
+        // The bit patterns above are almost never integral; these are.
+        for b in bits(13).take(100_000) {
+            check((b >> 10) as f64 - 2f64.powi(53));
+            check(f64::from(b as u32 as f32));
+        }
+        let mut out = String::new();
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            out.clear();
+            write_f64(x, &mut out);
+            assert_eq!(out, "null");
+        }
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        let float = |text: &str| {
+            let mut r = Reader::new(text);
+            r.f64().and_then(|f| r.end().map(|()| f))
+        };
+        for bad in [
+            "+1", "01", "-01", "00.5", "1.", ".5", "-.5", "1.e3", "-", "1e", "1e+", "--1", "1.2.3", "0x10", "1e5e5",
+        ] {
+            assert!(parse(bad).is_err(), "{bad} parses as a value");
+            assert!(skip(bad).is_err(), "{bad} is skipped");
+            assert!(float(bad).is_err(), "{bad} reads as a float");
+        }
+        for (good, want) in [
+            ("-0", -0.0),
+            ("0", 0.0),
+            ("0.5e-3", 0.5e-3),
+            ("1E+2", 100.0),
+            ("1e2", 100.0),
+            ("-12.25", -12.25),
+            ("1.7976931348623157e308", f64::MAX),
+            ("18446744073709551616", 18446744073709551616.0),
+        ] {
+            assert_eq!(float(good).map(f64::to_bits).ok(), Some(want.to_bits()), "{good}");
+            assert!(skip(good).is_ok(), "{good}");
+        }
+        // `-0` is a float token, in the tree too; the other integers fit
+        // a 64-bit type or are floats as well.
+        assert_eq!(parse("-0").unwrap(), Value::Float(-0.0));
+        assert!(matches!(parse("-0"), Ok(Value::Float(f)) if f.is_sign_negative()));
+        assert_eq!(parse("-9223372036854775808").unwrap(), Value::Int(i64::MIN));
+        assert_eq!(parse("18446744073709551615").unwrap(), Value::UInt(u64::MAX));
+        assert_eq!(
+            parse("-9223372036854775809").unwrap(),
+            Value::Float(-9223372036854775809.0)
+        );
+        for huge in ["1e999", "-1e400", &format!("1{}", "0".repeat(400))] {
+            let err = parse(huge).expect_err(huge);
+            assert!(err.0.contains("number out of range"), "{err}");
         }
     }
 

@@ -33,7 +33,7 @@ pub mod json;
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::borrow::Cow;
-use std::fmt::{self, Write};
+use std::fmt;
 
 /// A self-describing serialized value tree.
 #[derive(Clone, Debug, PartialEq)]
@@ -153,40 +153,25 @@ impl Deserialize for bool {
     }
 }
 
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
+/// Integers print through [`json::write_u64`] and read through the reader's
+/// 64-bit entries; a value the type does not hold is "number out of range",
+/// never wrapped.
+macro_rules! impl_int {
+    ($wide:ty, $write:ident, $read:ident: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn write_json(&self, out: &mut String) { let _ = write!(out, "{self}"); }
+            fn write_json(&self, out: &mut String) { json::$write(*self as $wide, out); }
         }
         impl Deserialize for $t {
+            #[inline]
             fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
-                match r.number()? {
-                    Value::Int(i) => Ok(i as $t),
-                    Value::UInt(u) => Ok(u as $t),
-                    other => Err(DeError::msg(format!("expected integer, got {other:?}"))),
-                }
+                let wide = r.$read()?;
+                <$t>::try_from(wide).map_err(|_| json::out_of_range(&wide.to_string()))
             }
         }
     )*};
 }
-impl_signed!(i8, i16, i32, i64, isize);
-
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn write_json(&self, out: &mut String) { let _ = write!(out, "{self}"); }
-        }
-        impl Deserialize for $t {
-            fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
-                match r.number()? {
-                    Value::UInt(u) => Ok(u as $t),
-                    other => Err(DeError::msg(format!("expected unsigned integer, got {other:?}"))),
-                }
-            }
-        }
-    )*};
-}
-impl_unsigned!(u8, u16, u32, u64, usize);
+impl_int!(i64, write_i64, i64: i8, i16, i32, i64, isize);
+impl_int!(u64, write_u64, u64: u8, u16, u32, u64, usize);
 
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
@@ -196,16 +181,12 @@ macro_rules! impl_float {
             fn write_json(&self, out: &mut String) { json::write_f64(*self as f64, out); }
         }
         impl Deserialize for $t {
+            #[inline]
             fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
                 if r.null()? {
                     return Ok(<$t>::NAN);
                 }
-                match r.number()? {
-                    Value::Float(f) => Ok(f as $t),
-                    Value::Int(i) => Ok(i as $t),
-                    Value::UInt(u) => Ok(u as $t),
-                    other => Err(DeError::msg(format!("expected number, got {other:?}"))),
-                }
+                r.f64().map(|f| f as $t)
             }
         }
     )*};
@@ -267,10 +248,21 @@ impl<T: Serialize> Serialize for Vec<T> {
     }
 }
 
+/// The first `FIRST_ELEMENTS` elements are read into a buffer on the
+/// stack, so an array no longer than that (a feature vector, an edge list)
+/// costs one allocation of exactly its length, not a chain of doublings.
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn read_json(r: &mut json::Reader<'_>) -> Result<Self, DeError> {
-        let mut items = Vec::new();
+        let mut first = [const { None }; FIRST_ELEMENTS];
+        let mut n = 0;
         let mut more = r.begin_array()?;
+        while more && n < FIRST_ELEMENTS {
+            first[n] = Some(T::read_json(r)?);
+            n += 1;
+            more = r.array_next()?;
+        }
+        let mut items = Vec::with_capacity(if more { 2 * FIRST_ELEMENTS } else { n });
+        items.extend(first.into_iter().flatten());
         while more {
             items.push(T::read_json(r)?);
             more = r.array_next()?;
@@ -278,6 +270,9 @@ impl<T: Deserialize> Deserialize for Vec<T> {
         Ok(items)
     }
 }
+
+/// How many elements of an array [`Vec`]'s reader holds before it allocates.
+const FIRST_ELEMENTS: usize = 16;
 
 impl<T: Serialize> Serialize for [T] {
     fn write_json(&self, out: &mut String) {
@@ -377,6 +372,63 @@ mod tests {
         // An integer takes no float, as `from_str` rejects `1.0` for one.
         assert!(u32::from_value(&Value::Float(1.0)).is_err());
         assert_eq!(f64::from_value(&Value::UInt(1)).unwrap(), 1.0);
+    }
+
+    fn text<T: Serialize>(v: T) -> String {
+        let mut out = String::new();
+        v.write_json(&mut out);
+        out
+    }
+
+    fn read<T: Deserialize>(text: &str) -> Result<T, DeError> {
+        let mut r = json::Reader::new(text);
+        let v = T::read_json(&mut r)?;
+        r.end()?;
+        Ok(v)
+    }
+
+    #[test]
+    fn integer_writers_print_what_to_string_prints() {
+        macro_rules! check {
+            ($($t:ty),*) => {$(
+                for v in [0, 9, 10, <$t>::MIN, <$t>::MAX, <$t>::MAX / 7] {
+                    assert_eq!(text(v), v.to_string(), stringify!($t));
+                    assert_eq!(read::<$t>(&text(v)).unwrap(), v, stringify!($t));
+                }
+            )*};
+        }
+        check!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
+    }
+
+    #[test]
+    fn integers_refuse_what_their_type_does_not_hold() {
+        let out_of_range = |e: DeError| e.0.contains("number out of range");
+        assert!(read::<u32>("4294967296").is_err_and(out_of_range));
+        assert!(read::<u8>("300").is_err_and(out_of_range));
+        assert!(read::<u8>("-1").is_err_and(out_of_range));
+        assert!(read::<i32>("3000000000").is_err_and(out_of_range));
+        assert!(read::<i64>("18446744073709551615").is_err_and(out_of_range));
+        assert!(read::<u64>("18446744073709551616").is_err_and(out_of_range));
+        assert!(read::<i8>("-129").is_err_and(out_of_range));
+        assert_eq!(read::<i8>("-128").unwrap(), i8::MIN);
+        assert_eq!(read::<u32>("4294967295").unwrap(), u32::MAX);
+        // A float token is not an integer, `-0` included.
+        for float in ["1.0", "1e2", "-0"] {
+            let err = read::<i64>(float).expect_err(float);
+            assert!(err.0.contains("expected integer"), "{err}");
+        }
+    }
+
+    #[test]
+    fn negative_zero_keeps_its_sign() {
+        assert_eq!(text(-0.0f64), "-0");
+        assert_eq!(text(-0.0f32), "-0");
+        assert_eq!(read::<f64>("-0").unwrap().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(read::<f32>("-0").unwrap().to_bits(), (-0.0f32).to_bits());
+        // Through the tree as well.
+        let tree = (-0.0f32).to_value();
+        assert_eq!(f32::from_value(&tree).unwrap().to_bits(), (-0.0f32).to_bits());
+        assert_eq!(f64::from_value(&tree).unwrap().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

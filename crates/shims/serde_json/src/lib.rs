@@ -7,12 +7,15 @@
 //! that defines only the tree methods (`to_value` / `from_value`) works
 //! with both through the traits' default bridge.
 //!
-//! Numbers print through Rust's shortest-round-trip float formatting, so
-//! `f32`/`f64` values survive a serialize → parse cycle exactly. Non-finite
-//! floats serialize as `null` (as upstream serde_json does) and parse back
-//! as NaN; a number token no finite `f64` holds is an error (as upstream's
-//! "number out of range"). Arrays and objects nest at most
-//! `serde::json::MAX_DEPTH` deep.
+//! Numbers print as Rust's `{}` prints them (shortest round trip for a
+//! float), so `f32`/`f64` values survive a serialize → parse cycle exactly,
+//! `-0.0` included. Non-finite floats serialize as `null` (as upstream
+//! serde_json does) and parse back as NaN. A number token follows RFC 8259
+//! (`+1`, `01`, `.5` and `1.` are errors); one no finite `f64` holds, and an
+//! integer its type does not hold (`300` for a `u8`), is "number out of
+//! range" (as upstream's), never wrapped. As upstream, `-0` is a float
+//! token, refused where an integer is expected. Arrays and objects nest at
+//! most `serde::json::MAX_DEPTH` deep.
 
 use serde::json::Reader;
 use serde::{DeError, Deserialize, Serialize};
@@ -67,13 +70,22 @@ mod tests {
 
     #[test]
     fn floats_roundtrip_exactly() {
-        for &x in &[0.1f32, 1e-7, 2.718_45, -2.0, 6.02e23] {
+        // Compared bit for bit: `==` would let `-0.0` come back as `0.0`.
+        for &x in &[0.1f32, 1e-7, 2.718_45, -2.0, 6.02e23, -0.0, 0.0, 16_777_216.0] {
             let s = to_string(&x).unwrap();
-            assert_eq!(from_str::<f32>(&s).unwrap(), x, "via {s}");
+            assert_eq!(from_str::<f32>(&s).unwrap().to_bits(), x.to_bits(), "via {s}");
         }
-        for &x in &[0.1f64, 1e-300, 2.0f64.powi(60) + 1.0] {
+        for &x in &[
+            0.1f64,
+            1e-300,
+            2.0f64.powi(60) + 1.0,
+            -0.0,
+            0.0,
+            1e300,
+            -(2f64.powi(53)),
+        ] {
             let s = to_string(&x).unwrap();
-            assert_eq!(from_str::<f64>(&s).unwrap(), x, "via {s}");
+            assert_eq!(from_str::<f64>(&s).unwrap().to_bits(), x.to_bits(), "via {s}");
         }
     }
 
